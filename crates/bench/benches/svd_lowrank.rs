@@ -1,7 +1,8 @@
-//! Cost of the low-rank SVD that sits inside every streaming update
-//! (`A ∈ R^{d×(p+1)}`, paper eq. 1–3) — "the most computation-intensive
-//! operation of the algorithm" per §III-B. Also benches the QR
-//! re-orthonormalization the merge path relies on.
+//! Cost of the SVDs behind the eigensystem algebra (paper eq. 1–3, 15–16):
+//! the `(k+1) × (k+1)` core every streaming update decomposes in place of
+//! the tall `d × (p+1)` factor ("the most computation-intensive operation
+//! of the algorithm" per §III-B), and the tall `d × (2p+2)` merge factor.
+//! Also benches the QR re-orthonormalization the merge path relies on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -29,18 +30,21 @@ fn nearly_orthogonal_factor(d: usize, p: usize, seed: u64) -> Mat {
     a
 }
 
-fn bench_update_svd(c: &mut Criterion) {
-    let mut g = c.benchmark_group("thin_svd_update_factor");
+fn bench_core_svd(c: &mut Criterion) {
+    // The update's core: diag √(γλ) bordered by the projection of the new
+    // observation, transposed as `low_rank_update` builds it.
+    let mut g = c.benchmark_group("thin_svd_update_core");
     g.sample_size(30);
-    for d in [250usize, 1000, 2000] {
-        for p in [5usize, 20] {
-            let a = nearly_orthogonal_factor(d, p, 1);
-            g.bench_with_input(
-                BenchmarkId::from_parameter(format!("d{d}_p{p}")),
-                &a,
-                |b, a| b.iter(|| svd::thin_svd(a).expect("converges")),
-            );
+    for k in [4usize, 6, 12, 22] {
+        let mut kt = Mat::zeros(k + 1, k + 1);
+        for j in 0..k {
+            kt[(j, j)] = 2.0 * 0.8f64.powi(j as i32);
+            kt[(k, j)] = 0.05 * (1.3 * j as f64).sin();
         }
+        kt[(k, k)] = 0.01;
+        g.bench_with_input(BenchmarkId::from_parameter(k), &kt, |b, kt| {
+            b.iter(|| svd::thin_svd(kt).expect("converges"))
+        });
     }
     g.finish();
 }
@@ -75,32 +79,5 @@ fn bench_qr(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parallel_svd(c: &mut Criterion) {
-    // The paper's future-work item: multithreaded SVD for high-dimensional
-    // streams. Compare serial vs Brent–Luk parallel Jacobi at the largest
-    // figure-7 dimension. (On a single-core host the parallel kernel falls
-    // back or breaks even; the bench records whichever reality applies.)
-    let mut g = c.benchmark_group("thin_svd_parallel");
-    g.sample_size(10);
-    let a = nearly_orthogonal_factor(2000, 20, 7);
-    g.bench_function("serial", |b| {
-        b.iter(|| svd::thin_svd(&a).expect("converges"))
-    });
-    for threads in [2usize, 4] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("par{threads}")),
-            &threads,
-            |b, &t| b.iter(|| spca_linalg::par_svd::par_thin_svd(&a, t).expect("converges")),
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_update_svd,
-    bench_merge_factor_svd,
-    bench_qr,
-    bench_parallel_svd
-);
+criterion_group!(benches, bench_core_svd, bench_merge_factor_svd, bench_qr);
 criterion_main!(benches);

@@ -6,7 +6,7 @@
 //! Sweeps the paper's dimension range (Fig. 7's 250–2000) and the
 //! eigensystem size p.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_core::{PcaConfig, RobustPca};
@@ -26,20 +26,30 @@ fn prepared_pca(d: usize, p: usize) -> (RobustPca, Vec<Vec<f64>>) {
     (pca, samples)
 }
 
+/// Times steady-state updates (masked when `mask` is given) of a prepared
+/// `d`-dimensional, `p`-component estimator under `id`.
+fn bench_update(g: &mut BenchmarkGroup<'_>, id: &str, d: usize, p: usize, mask: Option<&[bool]>) {
+    let (mut pca, samples) = prepared_pca(d, p);
+    let mut i = 0usize;
+    g.bench_function(id, |b| {
+        b.iter(|| {
+            let s = &samples[i % samples.len()];
+            i += 1;
+            match mask {
+                Some(m) => pca.update_masked(s, m),
+                None => pca.update(s),
+            }
+            .expect("finite")
+        })
+    });
+}
+
 fn bench_dimension(c: &mut Criterion) {
     let mut g = c.benchmark_group("robust_update_vs_dim");
     g.sample_size(20);
+    g.throughput(Throughput::Elements(1));
     for d in [250usize, 500, 1000, 2000] {
-        let (mut pca, samples) = prepared_pca(d, 5);
-        let mut i = 0usize;
-        g.throughput(Throughput::Elements(1));
-        g.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, _| {
-            b.iter(|| {
-                let s = &samples[i % samples.len()];
-                i += 1;
-                pca.update(s).expect("finite")
-            })
-        });
+        bench_update(&mut g, &d.to_string(), d, 5, None);
     }
     g.finish();
 }
@@ -48,16 +58,12 @@ fn bench_components(c: &mut Criterion) {
     let mut g = c.benchmark_group("robust_update_vs_p");
     g.sample_size(20);
     for p in [2usize, 5, 10, 20] {
-        let (mut pca, samples) = prepared_pca(500, p);
-        let mut i = 0usize;
-        g.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, _| {
-            b.iter(|| {
-                let s = &samples[i % samples.len()];
-                i += 1;
-                pca.update(s).expect("finite")
-            })
-        });
+        bench_update(&mut g, &p.to_string(), 500, p, None);
     }
+    // The pipeline benchmark's wide workload (`W`: d = 1000, p = 10, two
+    // spare components), so this artifact and that benchmark's
+    // `core.robust.update_ns_per_row` time the same shape.
+    bench_update(&mut g, "10_d1000", 1000, 10, None);
     g.finish();
 }
 
@@ -65,17 +71,9 @@ fn bench_masked_update(c: &mut Criterion) {
     let mut g = c.benchmark_group("masked_update");
     g.sample_size(20);
     let d = 500;
-    let (mut pca, samples) = prepared_pca(d, 5);
     // 30% missing mask.
     let mask: Vec<bool> = (0..d).map(|i| i % 10 >= 3).collect();
-    let mut i = 0usize;
-    g.bench_function("gap_fill_30pct", |b| {
-        b.iter(|| {
-            let s = &samples[i % samples.len()];
-            i += 1;
-            pca.update_masked(s, &mask).expect("finite")
-        })
-    });
+    bench_update(&mut g, "gap_fill_30pct", d, 5, Some(&mask));
     g.finish();
 }
 

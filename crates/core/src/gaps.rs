@@ -13,7 +13,7 @@
 use crate::eigensystem::EigenSystem;
 use crate::{PcaError, Result};
 use spca_linalg::solve::{spd_solve, spd_solve_into, SolveWorkspace};
-use spca_linalg::Mat;
+use spca_linalg::{vecops, Mat};
 
 /// Result of patching an incomplete observation.
 #[derive(Debug, Clone)]
@@ -31,9 +31,28 @@ pub struct GapFill {
 pub struct GapWorkspace {
     /// The gap-filled observation, valid after a successful call.
     pub filled: Vec<f64>,
+    /// Indices of the missing bins, ascending — the one scan of the mask.
+    miss: Vec<usize>,
+    /// `M(x − µ)`: the centered observation with missing bins zeroed, later
+    /// overwritten by its own residual.
+    y: Vec<f64>,
+    /// Column scratch of the Gram builds: the missing rows of `E` gathered
+    /// contiguously, or one basis column with its missing bins zeroed.
+    cols: Vec<f64>,
     g: Mat,
     b: Vec<f64>,
     solve: SolveWorkspace,
+}
+
+impl GapWorkspace {
+    /// Records the missing bins of `mask` and returns their count; all else
+    /// works from this list, so the mask is read once per observation.
+    pub(crate) fn scan(&mut self, mask: &[bool]) -> usize {
+        self.miss.clear();
+        self.miss
+            .extend(mask.iter().enumerate().filter(|(_, &m)| !m).map(|(i, _)| i));
+        self.miss.len()
+    }
 }
 
 /// Patches the missing entries of `x` using the eigensystem's top `p + q`
@@ -74,77 +93,65 @@ pub fn fill_gaps_into(
             got: x.len(),
         });
     }
-    let n_obs = mask.iter().filter(|&&m| m).count();
-    if n_obs == 0 {
+    if ws.scan(mask) == d {
         return Err(PcaError::AllMissing);
     }
+    fill_scanned(eig, x, p, q, ws)
+}
+
+/// [`fill_gaps_into`] after [`GapWorkspace::scan`]: `x` has the
+/// eigensystem's dimension and at least one bin is observed. Every
+/// `d`-length step runs down a contiguous basis column with the dispatched
+/// kernels; only the missing bins are touched one at a time.
+pub(crate) fn fill_scanned(
+    eig: &EigenSystem,
+    x: &[f64],
+    p: usize,
+    q: usize,
+    ws: &mut GapWorkspace,
+) -> Result<f64> {
     let k = (p + q).min(eig.n_components());
     let p = p.min(k);
 
+    ws.filled.clear();
+    ws.filled.extend_from_slice(x);
+    eig.center_into(x, &mut ws.y);
+    for &i in &ws.miss {
+        ws.y[i] = 0.0; // whatever x holds there (often NaN) carries no information
+    }
+
     // Solve the masked least squares (Eᵀ M E) c = Eᵀ M y over the top-k
     // basis, where M zeroes the missing bins.
+    masked_coefficients_into(eig, k, ws)?;
     let GapWorkspace {
         filled,
-        g,
-        b,
+        miss,
+        y,
         solve,
+        ..
     } = ws;
-    masked_coefficients_into(eig, x, mask, k, g, b, solve)?;
     let coeffs = &solve.x;
 
-    // Reconstructions restricted to the two truncated bases.
-    filled.clear();
-    filled.extend_from_slice(x);
-    let mut r2_obs = 0.0; // residual over observed bins w.r.t. p components
-    let mut r2_miss = 0.0; // higher-order residual estimate over missing bins
-    for i in 0..d {
-        // p-term and k-term reconstructions of bin i.
-        let mut rec_p = eig.mean[i];
-        let mut rec_k = eig.mean[i];
-        for (j, &c) in coeffs.iter().enumerate() {
-            let e_ij = eig.basis[(i, j)];
-            if j < p {
-                rec_p += c * e_ij;
-            }
-            rec_k += c * e_ij;
-        }
-        if mask[i] {
-            let r = x[i] - rec_p;
-            r2_obs += r * r;
-        } else {
-            filled[i] = rec_k;
-            // The missing bin's unknown residual is approximated by the
-            // spread between the two truncations (§II-D).
-            let dr = rec_k - rec_p;
-            r2_miss += dr * dr;
-        }
+    // y ← M(x−µ) − E_p c: the p-term residual at the observed bins, minus
+    // the p-term reconstruction at the missing ones.
+    for (j, &c) in coeffs.iter().enumerate().take(p) {
+        vecops::axpy(-c, eig.basis.col(j), y);
     }
-
-    Ok(r2_obs + r2_miss)
+    // Missing bins: fill with the k-term reconstruction; their unknown
+    // residual is approximated by the spread between the two truncations
+    // (§II-D), i.e. the terms p..k alone.
+    let mut r2_miss = 0.0;
+    for &i in miss.iter() {
+        let tail: f64 = (p..k).map(|j| coeffs[j] * eig.basis.col(j)[i]).sum();
+        filled[i] = eig.mean[i] - y[i] + tail;
+        r2_miss += tail * tail;
+        y[i] = 0.0;
+    }
+    Ok(vecops::norm_sq(y) + r2_miss)
 }
 
-/// Least-squares coefficients of `x − µ` on the top-`k` eigenvectors
-/// restricted to the observed bins.
-pub fn masked_coefficients(
-    eig: &EigenSystem,
-    x: &[f64],
-    mask: &[bool],
-    k: usize,
-) -> Result<Vec<f64>> {
-    let k = k.min(eig.n_components());
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let mut g = Mat::default();
-    let mut b = Vec::new();
-    let mut solve = SolveWorkspace::default();
-    masked_coefficients_into(eig, x, mask, k, &mut g, &mut b, &mut solve)?;
-    Ok(solve.x)
-}
-
-/// [`masked_coefficients`] into caller-owned buffers: the Gram matrix and
-/// right-hand side are built in `g`/`b`, the coefficients land in
-/// `solve.x`.
+/// Builds the Gram matrix and right-hand side for `ws.miss` and the masked
+/// centered observation `ws.y`; the coefficients land in `ws.solve.x`.
 ///
 /// The Gram build exploits the orthonormality of the eigenbasis: with
 /// `M` zeroing the missing bins, `EᵀME = EᵀE − E_missᵀE_miss =
@@ -152,91 +159,86 @@ pub fn masked_coefficients(
 /// `k × k` Gram is assembled from the `m` *missing* rows in O(m·k²)
 /// instead of scanning all `d` observed rows. Gappy astronomical spectra
 /// are overwhelmingly in that regime (a few masked pixels out of
-/// thousands of bins). The dense observed-row scan remains for
-/// heavily-masked inputs, where it is the cheaper of the two.
-fn masked_coefficients_into(
-    eig: &EigenSystem,
-    x: &[f64],
-    mask: &[bool],
-    k: usize,
-    g: &mut Mat,
-    b: &mut Vec<f64>,
-    solve: &mut SolveWorkspace,
-) -> Result<()> {
-    let d = eig.dim();
+/// thousands of bins). The observed-row build remains for heavily-masked
+/// inputs, where it is the cheaper of the two.
+fn masked_coefficients_into(eig: &EigenSystem, k: usize, ws: &mut GapWorkspace) -> Result<()> {
+    let GapWorkspace {
+        miss,
+        y,
+        cols,
+        g,
+        b,
+        solve,
+        ..
+    } = ws;
     let k = k.min(eig.n_components());
     if k == 0 {
         solve.x.clear();
         return Ok(());
     }
-    let n_miss = mask.iter().filter(|&&m| !m).count();
-    if 2 * n_miss < d {
-        masked_gram_from_missing(eig, mask, k, g);
+    if 2 * miss.len() < eig.dim() {
+        masked_gram_from_missing(eig, miss, k, g, cols);
     } else {
-        masked_gram_dense(eig, mask, k, g);
+        masked_gram_observed(eig, miss, k, g, cols);
     }
-    // b = EᵀM(x−µ) always comes from the observed bins (the masked entries
-    // of x carry no information).
+    // b = EᵀM(x−µ): the zeroed bins of y drop out of each column dot.
     b.clear();
-    b.resize(k, 0.0);
-    for i in 0..d {
-        if !mask[i] {
-            continue;
-        }
-        let yi = x[i] - eig.mean[i];
-        for (a, ba) in b.iter_mut().enumerate() {
-            *ba += eig.basis[(i, a)] * yi;
-        }
-    }
+    b.extend((0..k).map(|a| vecops::dot(eig.basis.col(a), y)));
     spd_solve_into(g, b, solve)?;
     Ok(())
 }
 
-/// Builds `G = EᵀME` (`k × k`) by scanning every observed bin — the
-/// original O((d−m)·k²) construction, kept for heavily-masked inputs and
-/// as the reference the fast path is tested against.
-fn masked_gram_dense(eig: &EigenSystem, mask: &[bool], k: usize, g: &mut Mat) {
+/// Builds `G = EᵀME` (`k × k`) over the observed bins: each column is
+/// copied with its missing bins zeroed, then dotted against the columns
+/// from itself onwards — O(d·k²) in dispatched length-`d` dots.
+fn masked_gram_observed(
+    eig: &EigenSystem,
+    miss: &[usize],
+    k: usize,
+    g: &mut Mat,
+    col: &mut Vec<f64>,
+) {
     g.reset_zeroed(k, k);
-    for (i, &observed) in mask.iter().enumerate().take(eig.dim()) {
-        if !observed {
-            continue;
+    for a in 0..k {
+        col.clear();
+        col.extend_from_slice(eig.basis.col(a));
+        for &i in miss {
+            col[i] = 0.0;
         }
-        for a in 0..k {
-            let ea = eig.basis[(i, a)];
-            for c in a..k {
-                g[(a, c)] += ea * eig.basis[(i, c)];
-            }
+        for c in a..k {
+            let v = vecops::dot(col, eig.basis.col(c));
+            g[(a, c)] = v;
+            g[(c, a)] = v;
         }
     }
-    mirror_upper(g, k);
 }
 
-/// Builds `G = I_k − E_missᵀE_miss` from the missing rows only — O(m·k²).
+/// Builds `G = I_k − E_missᵀE_miss` from the missing rows only — O(m·k²):
+/// the `m` missing entries of every column are gathered into contiguous
+/// runs of `rows`, and the Gram is their pairwise dots.
 ///
 /// Valid because the eigenbasis columns are orthonormal (`EᵀE = I_k`),
-/// which the streaming update maintains by construction (every update
-/// ends in a QR or SVD re-orthonormalization).
-fn masked_gram_from_missing(eig: &EigenSystem, mask: &[bool], k: usize, g: &mut Mat) {
+/// which the streaming update maintains by construction (it only ever
+/// rotates `[E | r̂]` by an orthogonal core factor).
+fn masked_gram_from_missing(
+    eig: &EigenSystem,
+    miss: &[usize],
+    k: usize,
+    g: &mut Mat,
+    rows: &mut Vec<f64>,
+) {
     g.reset_identity(k);
-    for (i, &observed) in mask.iter().enumerate().take(eig.dim()) {
-        if observed {
-            continue;
-        }
-        for a in 0..k {
-            let ea = eig.basis[(i, a)];
-            for c in a..k {
-                g[(a, c)] -= ea * eig.basis[(i, c)];
-            }
-        }
-    }
-    mirror_upper(g, k);
-}
-
-/// Copies the strict upper triangle onto the lower one.
-fn mirror_upper(g: &mut Mat, k: usize) {
+    let m = miss.len();
+    rows.clear();
     for a in 0..k {
-        for c in 0..a {
-            g[(a, c)] = g[(c, a)];
+        let col = eig.basis.col(a);
+        rows.extend(miss.iter().map(|&i| col[i]));
+    }
+    for a in 0..k {
+        for c in a..k {
+            let v = vecops::dot(&rows[a * m..(a + 1) * m], &rows[c * m..(c + 1) * m]);
+            g[(a, c)] -= v;
+            g[(c, a)] = g[(a, c)];
         }
     }
 }
@@ -395,11 +397,37 @@ mod tests {
         let e = system();
         let x = vec![2.5, 0.5, 1.0, 1.0, 1.0];
         let mask = vec![true; 5];
-        let c = masked_coefficients(&e, &x, &mask, 2).unwrap();
+        let c = masked_coefficients(&e, &x, &mask, 2);
         let y = e.center(&x);
         let proj = e.project(&y);
         assert!((c[0] - proj[0]).abs() < 1e-9);
         assert!((c[1] - proj[1]).abs() < 1e-9);
+    }
+
+    /// Least-squares coefficients of `x − µ` on the top-`k` eigenvectors
+    /// restricted to the observed bins.
+    fn masked_coefficients(e: &EigenSystem, x: &[f64], mask: &[bool], k: usize) -> Vec<f64> {
+        let mut ws = GapWorkspace::default();
+        ws.scan(mask);
+        e.center_into(x, &mut ws.y);
+        for &i in &ws.miss {
+            ws.y[i] = 0.0;
+        }
+        masked_coefficients_into(e, k, &mut ws).unwrap();
+        ws.solve.x
+    }
+
+    /// Reference Gram `G = EᵀME`, one observed bin at a time — the
+    /// construction both production builds are checked against.
+    fn masked_gram_dense(eig: &EigenSystem, mask: &[bool], k: usize, g: &mut Mat) {
+        g.reset_zeroed(k, k);
+        for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
+            for a in 0..k {
+                for c in 0..k {
+                    g[(a, c)] += eig.basis[(i, a)] * eig.basis[(i, c)];
+                }
+            }
+        }
     }
 
     /// A d×k eigensystem with a random (QR-orthonormalized) basis.
@@ -418,10 +446,11 @@ mod tests {
     }
 
     #[test]
-    fn fast_gram_matches_dense_on_orthonormal_basis() {
-        // The O(m·k²) missing-row construction and the O((d−m)·k²)
-        // observed-row scan must agree (up to rounding) whenever the basis
-        // is orthonormal — over sparse, clustered and empty masks.
+    fn both_gram_builds_match_dense_on_orthonormal_basis() {
+        // The O(m·k²) missing-row construction and the column-wise
+        // observed-bin build must both agree (up to rounding) with the
+        // bin-by-bin reference whenever the basis is orthonormal — over
+        // sparse, clustered, heavy and empty masks.
         let (d, k) = (60usize, 5usize);
         let e = random_orthonormal_system(d, k, 7);
         for (name, missing) in [
@@ -429,20 +458,22 @@ mod tests {
             ("one", vec![3usize]),
             ("sparse", vec![0, 9, 17, 41, 59]),
             ("clustered", (20..35).collect::<Vec<_>>()),
+            ("heavy", (0..60).filter(|i| i % 4 != 0).collect::<Vec<_>>()),
         ] {
             let mut mask = vec![true; d];
             for &i in &missing {
                 mask[i] = false;
             }
             let mut dense = Mat::default();
-            let mut fast = Mat::default();
             masked_gram_dense(&e, &mask, k, &mut dense);
-            masked_gram_from_missing(&e, &mask, k, &mut fast);
-            assert!(
-                fast.sub(&dense).unwrap().max_abs() < 1e-12,
-                "{name}: max diff {}",
-                fast.sub(&dense).unwrap().max_abs()
-            );
+            let (mut fast, mut observed) = (Mat::default(), Mat::default());
+            let mut scratch = Vec::new();
+            masked_gram_from_missing(&e, &missing, k, &mut fast, &mut scratch);
+            masked_gram_observed(&e, &missing, k, &mut observed, &mut scratch);
+            for (which, got) in [("from_missing", &fast), ("observed", &observed)] {
+                let diff = got.sub(&dense).unwrap().max_abs();
+                assert!(diff < 1e-12, "{name}/{which}: max diff {diff}");
+            }
         }
     }
 
@@ -459,7 +490,7 @@ mod tests {
             mask[i] = false;
         }
         // Production path (m = 4 < d/2 → fast Gram).
-        let fast = masked_coefficients(&e, &x, &mask, k).unwrap();
+        let fast = masked_coefficients(&e, &x, &mask, k);
         // Reference: dense Gram + identical rhs, solved the same way.
         let mut g = Mat::default();
         masked_gram_dense(&e, &mask, k, &mut g);

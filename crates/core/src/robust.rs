@@ -22,7 +22,7 @@ use crate::classic::{
 };
 use crate::config::PcaConfig;
 use crate::eigensystem::EigenSystem;
-use crate::gaps::fill_gaps_into;
+use crate::gaps::fill_scanned;
 use crate::rho::Rho;
 use crate::{PcaError, Result};
 use std::sync::Arc;
@@ -176,29 +176,14 @@ impl RobustPca {
                 got: x.len(),
             });
         }
-        let n_obs_bins = mask.iter().filter(|&&m| m).count();
-        if n_obs_bins == 0 {
+        // The one scan of the mask: everything below works from the list
+        // of missing bins it leaves in the workspace.
+        let n_miss = self.ws.gaps.scan(mask);
+        if n_miss == mask.len() {
             return Err(PcaError::AllMissing);
         }
-        if mask.iter().all(|&m| m) {
+        if n_miss == 0 {
             return self.update(x);
-        }
-        if matches!(self.state, State::WarmUp(_)) {
-            // Fill gaps with the mean over the observed bins so the
-            // warm-up covariance is not poisoned by zeros.
-            let obs_mean = x
-                .iter()
-                .zip(mask)
-                .filter(|(_, &m)| m)
-                .map(|(v, _)| *v)
-                .sum::<f64>()
-                / n_obs_bins as f64;
-            let filled: Vec<f64> = x
-                .iter()
-                .zip(mask)
-                .map(|(&v, &m)| if m { v } else { obs_mean })
-                .collect();
-            return self.update(&filled);
         }
         let RobustPca {
             cfg,
@@ -206,11 +191,23 @@ impl RobustPca {
             state,
             ws,
         } = self;
-        let State::Running(eig) = state else {
-            unreachable!("warm-up handled above")
+        let eig = match state {
+            State::Running(eig) => eig,
+            State::WarmUp(_) => {
+                // Fill gaps with the mean over the observed bins so the
+                // warm-up covariance is not poisoned by zeros.
+                let observed = x.iter().zip(mask).filter(|(_, &m)| m).map(|(v, _)| *v);
+                let obs_mean = observed.sum::<f64>() / (mask.len() - n_miss) as f64;
+                let filled: Vec<f64> = x
+                    .iter()
+                    .zip(mask)
+                    .map(|(&v, &m)| if m { v } else { obs_mean })
+                    .collect();
+                return self.update(&filled);
+            }
         };
         let UpdateWorkspace { step, gaps } = ws;
-        let residual_sq = fill_gaps_into(eig, x, mask, cfg.p, cfg.q_extra, gaps)?;
+        let residual_sq = fill_scanned(eig, x, cfg.p, cfg.q_extra, gaps)?;
         robust_step_with_residual(eig, &gaps.filled, residual_sq, cfg, rho.as_ref(), step)
     }
 
@@ -418,8 +415,7 @@ pub(crate) fn robust_step_with_residual(
         // Recenter against the *post*-update mean (the recursion order the
         // paper prescribes) into the reusable buffer.
         eig.center_into(x, &mut scratch.y);
-        let StepScratch { y, a, svd } = scratch;
-        low_rank_update(eig, y, gamma2, coeff, a, svd)?;
+        low_rank_update(eig, gamma2, coeff, scratch)?;
         eig.sum_q = q_new;
     } else {
         // Hard-rejected observation: covariance only decays through γ₂ = 1,

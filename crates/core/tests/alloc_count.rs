@@ -1,4 +1,5 @@
-//! Proves the steady-state streaming update is allocation-free.
+//! Proves the steady-state streaming update, complete or masked, is
+//! allocation-free.
 //!
 //! A counting global allocator wraps the system allocator; after the
 //! estimator has warmed up and its workspace buffers have grown to size,
@@ -102,6 +103,32 @@ fn steady_state_update_performs_zero_allocations() {
         after - before,
         0,
         "steady-state RobustPca::update allocated {} times over {MEASURED} updates",
+        after - before
+    );
+
+    // The gap-filling path has buffers of its own (missing-bin list, masked
+    // residual, gathered rows); a mask of 9–10 missing bins sliding over the
+    // spectrum grows them once, after which it must stay off the heap too.
+    let mut mask = vec![true; D];
+    let slide = |mask: &mut [bool], t: usize| {
+        for (i, m) in mask.iter_mut().enumerate() {
+            *m = !(i + t).is_multiple_of(7);
+        }
+    };
+    for (t, x) in data[..MEASURED].iter().enumerate() {
+        slide(&mut mask, t);
+        pca.update_masked(x, &mask).unwrap();
+    }
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for (t, x) in data[WARM..].iter().enumerate() {
+        slide(&mut mask, t);
+        pca.update_masked(x, &mask).unwrap();
+    }
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state RobustPca::update_masked allocated {} times over {MEASURED} updates",
         after - before
     );
 }

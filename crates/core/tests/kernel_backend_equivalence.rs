@@ -46,6 +46,7 @@ fn stream(n: usize, d: usize) -> Vec<Vec<f64>> {
 }
 
 fn run_stream(data: &[Vec<f64>]) -> EigenSystem {
+    let d = data[0].len();
     // Huber ρ, not the default bisquare: the bisquare's smoothly-descending
     // weight has nonzero derivative everywhere the M-scale puts the bulk of
     // the data, so it amplifies *any* last-bit perturbation (a compiler
@@ -53,7 +54,7 @@ fn run_stream(data: &[Vec<f64>]) -> EigenSystem {
     // property of redescending weights, not of the kernels. Huber's weight
     // is constant across the bulk, so kernel-level rounding is all that can
     // separate the runs and the 1e-10 contract is meaningful.
-    let cfg = PcaConfig::new(32, 4)
+    let cfg = PcaConfig::new(d, 4)
         .with_init_size(24)
         .with_extra(2)
         .with_memory(200)
@@ -68,10 +69,16 @@ fn run_stream(data: &[Vec<f64>]) -> EigenSystem {
 
 #[test]
 fn scalar_and_dispatched_eigensystems_agree() {
-    let data = stream(400, 32);
+    // d = 32 is whole 8-row panels of the basis write-back kernel; d = 37
+    // adds its one-row-at-a-time tail (k = 6 always leaves a half strip).
+    for d in [32, 37] {
+        assert_backends_agree(&stream(400, d));
+    }
+}
 
+fn assert_backends_agree(data: &[Vec<f64>]) {
     kernels::set_backend_override(Some(Backend::Scalar));
-    let scalar = run_stream(&data);
+    let scalar = run_stream(data);
 
     // Dispatched path: explicit AVX2 when the CPU has it, otherwise this
     // degenerates to scalar-vs-scalar (still a valid determinism check).
@@ -80,7 +87,7 @@ fn scalar_and_dispatched_eigensystems_agree() {
     } else {
         kernels::set_backend_override(None);
     }
-    let dispatched = run_stream(&data);
+    let dispatched = run_stream(data);
     kernels::set_backend_override(None);
 
     let tol = 1e-10;

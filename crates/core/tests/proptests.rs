@@ -4,10 +4,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spca_core::batch::batch_pca;
+use spca_core::classic::rank_one_update;
 use spca_core::merge::{merge, merge_all, merge_tree};
 use spca_core::metrics::subspace_distance;
-use spca_core::{ClassicIncrementalPca, EigenSystem, PcaConfig, RhoKind, RobustPca};
-use spca_linalg::Mat;
+use spca_core::{
+    ClassicIncrementalPca, EigenSystem, PcaConfig, RhoKind, RobustPca, UpdateWorkspace,
+};
+use spca_linalg::rng::{fill_standard_normal, standard_normal_vec};
+use spca_linalg::{qr, svd, vecops, Mat};
 
 /// A random *full-rank* eigensystem (`k = d`): orthonormal basis from a
 /// product of random Givens rotations, well-separated descending
@@ -60,6 +64,102 @@ fn reconstruct(e: &EigenSystem) -> Mat {
         }
     }
     spca_linalg::gemm::gemm(&scaled, &e.basis.transpose()).unwrap()
+}
+
+/// Largest entry of `|EᵀE − I|`.
+fn orthonormality_error(basis: &Mat) -> f64 {
+    let g = basis.gram();
+    let mut worst = 0.0f64;
+    for i in 0..g.rows() {
+        for j in 0..g.cols() {
+            let want = if i == j { 1.0 } else { 0.0 };
+            worst = worst.max((g[(i, j)] - want).abs());
+        }
+    }
+    worst
+}
+
+/// The update `rank_one_update` must reproduce, computed the direct way:
+/// thin SVD of the tall factor `A = [e_j·√(g_hist·λ_j) | y·√g_new]`,
+/// truncated to its leading `k` left vectors and squared singular values.
+fn tall_factor_oracle(eig: &EigenSystem, y: &[f64], g_hist: f64, g_new: f64) -> EigenSystem {
+    let (d, k) = (eig.dim(), eig.n_components());
+    let mut a = Mat::zeros(d, k + 1);
+    for j in 0..k {
+        a.col_mut(j).copy_from_slice(eig.basis.col(j));
+        vecops::scale(a.col_mut(j), (g_hist * eig.values[j]).sqrt());
+    }
+    a.col_mut(k).copy_from_slice(y);
+    vecops::scale(a.col_mut(k), g_new.sqrt());
+    let f = svd::thin_svd(&a).unwrap();
+    let mut out = eig.clone();
+    out.basis = f.u.columns_range(0, k);
+    out.values = f.s[..k].iter().map(|s| s * s).collect();
+    out
+}
+
+/// One randomly drawn update problem, covering the shapes and degeneracies
+/// the projected-core update has to survive: `d` from `k + 1` (so the new
+/// direction exhausts the space) to 200, spectra with repeated and zero
+/// eigenvalues, observations inside `span(E)` (exactly and to rounding),
+/// the zero observation, and a zero weight on the new data.
+fn random_update_problem(rng: &mut StdRng) -> (EigenSystem, Vec<f64>, f64, f64) {
+    let k = rng.gen_range(1..=12usize);
+    let d = if rng.gen_range(0..4) == 0 {
+        k + 1
+    } else {
+        rng.gen_range(k + 1..=200)
+    };
+    let mut eig = EigenSystem::zeros(d, k);
+    let axis_aligned = rng.gen_range(0..5) == 0;
+    if axis_aligned {
+        for j in 0..k {
+            eig.basis[(j, j)] = 1.0;
+        }
+    } else {
+        let mut raw = Mat::zeros(d, k);
+        fill_standard_normal(rng, raw.as_mut_slice());
+        eig.basis = qr::orthonormalize(&raw).unwrap();
+    }
+    // Descending spectrum; optionally flatten a run into a repeated value
+    // and zero out the tail.
+    let mut values: Vec<f64> = (0..k)
+        .map(|j| 5.0 * 0.6f64.powi(j as i32) * rng.gen_range(0.8..1.0))
+        .collect();
+    if k >= 3 && rng.gen_range(0..3) == 0 {
+        let at = rng.gen_range(0..k - 1);
+        values[at + 1] = values[at];
+    }
+    if rng.gen_range(0..3) == 0 {
+        let zeros = rng.gen_range(1..=k);
+        values[k - zeros..].fill(0.0);
+    }
+    eig.values = values;
+
+    let in_span: Vec<f64> = {
+        let coeffs = standard_normal_vec(rng, k);
+        eig.basis.matvec(&coeffs).unwrap()
+    };
+    let y = match rng.gen_range(0..6) {
+        0 => vec![0.0; d],
+        1 => in_span, // ρ = 0 exactly when the basis is axis-aligned
+        _ => {
+            let noise = standard_normal_vec(rng, d);
+            let amp = [1e-9, 0.05, 1.0][rng.gen_range(0..3usize)];
+            in_span
+                .iter()
+                .zip(&noise)
+                .map(|(s, n)| s + amp * n)
+                .collect()
+        }
+    };
+    let g_hist = rng.gen_range(0.5..1.0);
+    let g_new = if rng.gen_range(0..6) == 0 {
+        0.0
+    } else {
+        rng.gen_range(0.001..0.5)
+    };
+    (eig, y, g_hist, g_new)
 }
 
 /// A stream living (mostly) on a planted low-rank subspace.
@@ -286,4 +386,98 @@ proptest! {
         }
         prop_assert_eq!(w.n_obs(), stream.len() as u64);
     }
+}
+
+proptest! {
+    // Each case draws one shape/degeneracy combination, so this property
+    // wants many more cases than the stream-driven ones above.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The projected-core update is the tall-factor SVD update: same
+    /// `EΛEᵀ` (1e-9 relative Frobenius), same eigenvalues (1e-10 of the
+    /// largest), orthonormal output — at unit scale and with the whole
+    /// problem scaled by 2^±498 ≈ 1e±150 (a power of two, so the oracle of
+    /// the scaled problem is exactly the scaled oracle).
+    #[test]
+    fn core_update_matches_tall_factor_svd(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (eig, y, g_hist, g_new) = random_update_problem(&mut rng);
+        let want = tall_factor_oracle(&eig, &y, g_hist, g_new);
+        let want_cov = reconstruct(&want);
+        let top = want.values[0];
+        let mut ws = UpdateWorkspace::default();
+        for exp in [0i32, 498, -498] {
+            let f = 2.0f64.powi(exp);
+            let mut got = eig.clone();
+            got.values.iter_mut().for_each(|v| *v *= f * f);
+            let scaled_y: Vec<f64> = y.iter().map(|v| v * f).collect();
+            rank_one_update(&mut got, &scaled_y, g_hist, g_new, &mut ws).unwrap();
+            got.values.iter_mut().for_each(|v| *v /= f * f);
+
+            got.check_invariants().unwrap();
+            let ortho = orthonormality_error(&got.basis);
+            prop_assert!(ortho <= 1e-12, "2^{exp}: |EᵀE − I| = {ortho}");
+            for (a, b) in got.values.iter().zip(&want.values) {
+                prop_assert!((a - b).abs() <= 1e-10 * top, "2^{exp}: eigenvalue {a} vs {b}");
+            }
+            let diff = reconstruct(&got).sub(&want_cov).unwrap().fro_norm();
+            prop_assert!(
+                diff <= 1e-9 * want_cov.fro_norm(),
+                "2^{exp}: E Λ Eᵀ off by {diff} (‖·‖ = {})", want_cov.fro_norm()
+            );
+        }
+    }
+}
+
+/// Long-run drift: the basis is only ever rotated in place — never rebuilt
+/// by a fresh factorization — so its orthonormality has to survive hundreds
+/// of thousands of write-backs (the gap fill's `G = I − E_missᵀE_miss`
+/// shortcut depends on it). Cycles a pool of planted-subspace draws through
+/// `n` updates, checking the invariants throughout.
+fn assert_no_drift(d: usize, n: usize, masked: bool) {
+    let p = 4;
+    let mut rng = StdRng::seed_from_u64(0xd21f7 + d as u64);
+    let mut planted = Mat::zeros(d, p);
+    fill_standard_normal(&mut rng, planted.as_mut_slice());
+    let pool: Vec<Vec<f64>> = (0..1024)
+        .map(|_| {
+            let mut coeffs = standard_normal_vec(&mut rng, p);
+            for (j, c) in coeffs.iter_mut().enumerate() {
+                *c *= 3.0 / (j + 1) as f64;
+            }
+            let mut x = planted.matvec(&coeffs).unwrap();
+            vecops::axpy(0.05, &standard_normal_vec(&mut rng, d), &mut x);
+            x
+        })
+        .collect();
+    let mut pca = RobustPca::new(PcaConfig::new(d, p).with_memory(500));
+    let mut mask = vec![true; d];
+    let mut worst = 0.0f64;
+    for t in 0..n {
+        let x = &pool[t % pool.len()];
+        if masked {
+            for (i, m) in mask.iter_mut().enumerate() {
+                *m = (7 * i + t) % 6 != 1;
+            }
+            pca.update_masked(x, &mask).unwrap();
+        } else {
+            pca.update(x).unwrap();
+        }
+        if t % 500 == 499 {
+            let eig = pca.full_eigensystem().unwrap();
+            eig.check_invariants().unwrap();
+            worst = worst.max(orthonormality_error(&eig.basis));
+        }
+    }
+    assert!(worst <= 1e-9, "d = {d}: max |EᵀE − I| = {worst:e}");
+}
+
+#[test]
+fn basis_stays_orthonormal_over_200k_updates() {
+    assert_no_drift(64, 200_000, false);
+}
+
+#[test]
+fn basis_stays_orthonormal_over_20k_masked_updates() {
+    assert_no_drift(500, 20_000, true);
 }

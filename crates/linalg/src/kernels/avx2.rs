@@ -253,3 +253,79 @@ unsafe fn micro_8x4(m: usize, k: usize, a: *const f64, pb: *const f64, c: *mut f
     _mm256_storeu_pd(c.add(3 * m), c30);
     _mm256_storeu_pd(c.add(3 * m + 4), c31);
 }
+
+/// In-place basis rotation `E ← [E | r] · coef` over 8-row panels.
+///
+/// `coef` is `(k+1) × k` column-major (row `k` weights `r`). It is packed
+/// once per call into 4-column strips (`pack[4·l + jj]` within a strip, the
+/// [`gemm_block`] layout, zero-padded past column `k`); each panel of 8
+/// rows is then copied aside with `r` as its last column — which is what
+/// makes overwriting `E` in place safe — and rebuilt strip by strip with
+/// the 8×4 register tile. The `d mod 8` tail rows run the same sums one row
+/// at a time.
+///
+/// # Safety
+///
+/// AVX2 and FMA must be available, and the slices must have the lengths the
+/// shapes imply (`e`: `d·k`, `coef`: `(k+1)·k`, `r`: `d`) — the panel loop
+/// indexes them through raw pointers.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn panel_update(
+    d: usize,
+    k: usize,
+    e: &mut [f64],
+    coef: &[f64],
+    r: &[f64],
+    scratch: &mut Vec<f64>,
+) {
+    let kp = k + 1;
+    let strips = k.div_ceil(4);
+    scratch.clear();
+    scratch.resize(strips * 4 * kp + 8 * kp, 0.0);
+    let (pack, saved) = scratch.split_at_mut(strips * 4 * kp);
+    for (j, cj) in coef.chunks_exact(kp).enumerate() {
+        let strip = &mut pack[(j / 4) * 4 * kp..];
+        for (l, &c) in cj.iter().enumerate() {
+            strip[4 * l + j % 4] = c;
+        }
+    }
+    let (ep, rp, sp) = (e.as_mut_ptr(), r.as_ptr(), saved.as_mut_ptr());
+    let mut i0 = 0;
+    while i0 + 8 <= d {
+        for l in 0..kp {
+            let src = if l < k {
+                ep.add(l * d + i0) as *const f64
+            } else {
+                rp.add(i0)
+            };
+            std::ptr::copy_nonoverlapping(src, sp.add(8 * l), 8);
+        }
+        for s in 0..strips {
+            let pb = pack.as_ptr().add(s * 4 * kp);
+            let mut acc = [_mm256_setzero_pd(); 8];
+            for l in 0..kp {
+                let a0 = _mm256_loadu_pd(sp.add(8 * l));
+                let a1 = _mm256_loadu_pd(sp.add(8 * l + 4));
+                for jj in 0..4 {
+                    let b = _mm256_set1_pd(*pb.add(4 * l + jj));
+                    acc[2 * jj] = _mm256_fmadd_pd(a0, b, acc[2 * jj]);
+                    acc[2 * jj + 1] = _mm256_fmadd_pd(a1, b, acc[2 * jj + 1]);
+                }
+            }
+            for jj in 0..4.min(k - 4 * s) {
+                let out = ep.add((4 * s + jj) * d + i0);
+                _mm256_storeu_pd(out, acc[2 * jj]);
+                _mm256_storeu_pd(out.add(4), acc[2 * jj + 1]);
+            }
+        }
+        i0 += 8;
+    }
+    for i in i0..d {
+        for (l, s) in saved[..kp].iter_mut().enumerate() {
+            *s = if l < k { e[l * d + i] } else { r[i] };
+        }
+        for (j, cj) in coef.chunks_exact(kp).enumerate() {
+            e[j * d + i] = cj.iter().zip(&*saved).map(|(c, s)| c * s).sum();
+        }
+    }
+}

@@ -293,6 +293,52 @@ pub fn gemm_block_on(
     }
 }
 
+/// In-place rotation of a column-major `d × k` basis on the dispatched
+/// backend: `E ← [E | r] · coef`, with `coef` `(k+1) × k` column-major —
+/// rows `0..k` mix the old columns of `E`, row `k` weights the extra column
+/// `r`. This is the write-back of the rank-one eigensystem update; `E`
+/// never exists twice. `scratch` is caller-owned (a few `k+1`-length rows,
+/// contents unspecified) so a steady-state call allocates nothing.
+#[inline]
+pub fn panel_update(
+    d: usize,
+    k: usize,
+    e: &mut [f64],
+    coef: &[f64],
+    r: &[f64],
+    scratch: &mut Vec<f64>,
+) {
+    panel_update_on(backend(), d, k, e, coef, r, scratch);
+}
+
+/// [`panel_update`] on an explicit backend.
+pub fn panel_update_on(
+    be: Backend,
+    d: usize,
+    k: usize,
+    e: &mut [f64],
+    coef: &[f64],
+    r: &[f64],
+    scratch: &mut Vec<f64>,
+) {
+    assert_eq!(e.len(), d * k, "panel_update: basis shape mismatch");
+    assert_eq!(coef.len(), (k + 1) * k, "panel_update: coef shape mismatch");
+    assert_eq!(r.len(), d, "panel_update: extra column length mismatch");
+    match be {
+        Backend::Scalar => scalar::panel_update(d, k, e, coef, r, scratch),
+        Backend::Avx2Fma => {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: Avx2Fma is only selected after runtime detection; the
+            // asserts above are the bounds the kernel's raw indexing relies on.
+            unsafe {
+                avx2::panel_update(d, k, e, coef, r, scratch)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            scalar::panel_update(d, k, e, coef, r, scratch)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,6 +469,45 @@ mod tests {
             gemm_block_on(be, m, k, width, &a, &b, &mut acc);
             for (x, y) in acc.iter().zip(&base) {
                 assert!((x - y - 1.0).abs() < 1e-12, "{be:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn panel_update_matches_naive_product_on_every_backend() {
+        // Shapes straddling the 8-row panel and the 4-column strip,
+        // including a single row, a single column and an empty basis.
+        for (d, k) in [
+            (1usize, 1usize),
+            (7, 3),
+            (8, 4),
+            (9, 5),
+            (33, 12),
+            (70, 6),
+            (5, 0),
+        ] {
+            let e0 = seq(d * k, -1.0);
+            let r = seq(d, 0.5);
+            let coef: Vec<f64> = (0..(k + 1) * k).map(|i| (i as f64 * 0.61).sin()).collect();
+            let mut want = vec![0.0; d * k];
+            for j in 0..k {
+                for i in 0..d {
+                    for l in 0..=k {
+                        let old = if l < k { e0[l * d + i] } else { r[i] };
+                        want[j * d + i] += old * coef[j * (k + 1) + l];
+                    }
+                }
+            }
+            for be in backends() {
+                let mut got = e0.clone();
+                let mut scratch = vec![7.0; 3]; // stale contents must not matter
+                panel_update_on(be, d, k, &mut got, &coef, &r, &mut scratch);
+                for (g, w) in got.iter().zip(&want) {
+                    assert!(
+                        (g - w).abs() <= 1e-12 * (1.0 + w.abs()),
+                        "{d}x{k} {be:?}: {g} vs {w}"
+                    );
+                }
             }
         }
     }

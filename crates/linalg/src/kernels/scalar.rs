@@ -83,3 +83,39 @@ pub fn gemm_block(m: usize, k: usize, _width: usize, a: &[f64], bpan: &[f64], ou
         }
     }
 }
+
+/// Rows per chunk of [`panel_update`]: 32 rows of a `k + 1 ≤ 25`-column
+/// panel stay inside L1 while every axpy is long enough to vectorize.
+const PANEL_ROWS: usize = 32;
+
+/// In-place basis rotation `E ← [E | r] · coef` (shapes checked by the
+/// dispatcher): each chunk of rows is copied aside with `r` as its last
+/// column, then every output column is rebuilt as an axpy chain over the
+/// saved copy, in ascending-`l` order.
+pub fn panel_update(
+    d: usize,
+    k: usize,
+    e: &mut [f64],
+    coef: &[f64],
+    r: &[f64],
+    scratch: &mut Vec<f64>,
+) {
+    scratch.clear();
+    scratch.resize((k + 1) * PANEL_ROWS, 0.0);
+    let mut i0 = 0;
+    while i0 < d {
+        let n = PANEL_ROWS.min(d - i0);
+        for (l, saved) in scratch.chunks_exact_mut(PANEL_ROWS).enumerate() {
+            let src = if l < k { &e[l * d + i0..] } else { &r[i0..] };
+            saved[..n].copy_from_slice(&src[..n]);
+        }
+        for (j, cj) in coef.chunks_exact(k + 1).enumerate() {
+            let out = &mut e[j * d + i0..j * d + i0 + n];
+            out.fill(0.0);
+            for (&c, saved) in cj.iter().zip(scratch.chunks_exact(PANEL_ROWS)) {
+                axpy(c, &saved[..n], out);
+            }
+        }
+        i0 += n;
+    }
+}

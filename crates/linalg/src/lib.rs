@@ -6,10 +6,10 @@
 //! incremental PCA algorithm needs:
 //!
 //! * [`Mat`] — a dense, column-major, `f64` matrix with the usual arithmetic,
-//!   built for tall-thin shapes (`d × (p+1)` update factors).
+//!   built for tall-thin shapes (`d × p` eigenbases and merge factors).
 //! * [`qr`] — Householder thin QR, used to re-orthonormalize eigenbases.
-//! * [`svd`] — one-sided Jacobi SVD, exact and fast for thin matrices, which
-//!   is the workhorse of the low-rank eigensystem update (paper eq. 1–3).
+//! * [`svd`] — one-sided Jacobi SVD, exact and fast for thin matrices: the
+//!   core of the low-rank eigensystem update (paper eq. 1–3) and the merge.
 //! * [`eigen`] — a symmetric Jacobi eigensolver for the small dense
 //!   eigenproblems arising in batch baselines and eigensystem merges.
 //! * [`gemm`] — blocked and multi-threaded matrix multiply for the batch
@@ -18,9 +18,9 @@
 //!   generators do not need `rand_distr`.
 //! * [`kernels`] — the hardware-aware kernel layer underneath all of the
 //!   above: runtime-dispatched AVX2+FMA implementations of `dot`, `axpy`,
-//!   `scale`, `norm_sq`, the Jacobi plane rotation and the GEMM inner
-//!   block, with the portable unrolled scalar code as fallback (pin it
-//!   with `SPCA_FORCE_SCALAR=1`).
+//!   `scale`, `norm_sq`, the Jacobi plane rotation, the GEMM inner block
+//!   and the in-place basis panel update, with the portable unrolled scalar
+//!   code as fallback (pin it with `SPCA_FORCE_SCALAR=1`).
 //!
 //! All routines are pure Rust, allocation-conscious, and tested against
 //! algebraic identities (orthogonality, reconstruction) with both unit and
@@ -40,7 +40,6 @@ pub mod eigen;
 pub mod gemm;
 pub mod kernels;
 pub mod mat;
-pub mod par_svd;
 pub mod qr;
 pub mod rng;
 pub mod solve;

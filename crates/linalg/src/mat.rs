@@ -124,15 +124,6 @@ impl Mat {
         self.data.extend_from_slice(&other.data);
     }
 
-    /// Overwrites column `c` with `src * s`. Panics on length mismatch.
-    pub fn scale_col_from(&mut self, c: usize, src: &[f64], s: f64) {
-        let col = self.col_mut(c);
-        assert_eq!(col.len(), src.len(), "scale_col_from: length mismatch");
-        for (dst, x) in col.iter_mut().zip(src) {
-            *dst = x * s;
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -535,14 +526,6 @@ mod tests {
         let mut dst = Mat::zeros(9, 9);
         dst.copy_from(&src);
         assert_eq!(dst, src);
-    }
-
-    #[test]
-    fn scale_col_from_writes_scaled_column() {
-        let mut m = Mat::zeros(3, 2);
-        m.scale_col_from(1, &[1.0, 2.0, 3.0], -2.0);
-        assert_eq!(m.col(1), &[-2.0, -4.0, -6.0]);
-        assert_eq!(m.col(0), &[0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! One-sided Jacobi singular value decomposition.
 //!
-//! The streaming eigensystem update (paper eq. 1–3) needs the SVD of a tall,
-//! very thin factor `A ∈ R^{d×(p+1)}` on every tuple, and the merge step
-//! (eq. 16) the SVD of `R^{d×2p}`. One-sided Jacobi is the right tool for
-//! these shapes: it works directly on columns (contiguous in our layout),
-//! converges in a handful of sweeps for nearly-orthogonal inputs — and the
-//! streaming factors *are* nearly orthogonal, since their leading `p`
-//! columns come from the previous orthonormal eigenbasis — and it delivers
+//! The eigensystem algebra factors tall, very thin matrices — the merge
+//! step's `R^{d×2p}` (eq. 16), the warm-up batch — and, on every tuple, the
+//! small `(p+1) × (p+1)` core that the streaming update (eq. 1–3) reduces
+//! its `R^{d×(p+1)}` factor to. One-sided Jacobi suits all of them: it
+//! works directly on columns (contiguous in our layout), converges in a
+//! handful of sweeps for nearly-orthogonal inputs — which these are, their
+//! leading columns coming from orthonormal eigenbases — and it delivers
 //! high relative accuracy on the small singular values that decide where
 //! the eigenspectrum is truncated.
 
@@ -52,7 +52,7 @@ const TOL: f64 = 5e-13;
 
 /// Reusable buffers for [`thin_svd_into`].
 ///
-/// The streaming update decomposes a same-shaped `d × (p+1)` factor on
+/// The streaming update decomposes a same-shaped `(p+1) × (p+1)` core on
 /// every tuple; holding one of these per updater lets the whole SVD run
 /// with zero heap allocations once the buffers have grown to size. The
 /// output fields are public; the scratch fields are internal.

@@ -123,6 +123,42 @@ proptest! {
     }
 
     #[test]
+    fn panel_update_backends_agree(
+        (d, k) in (1usize..70, 0usize..14),
+        seed_e in tricky_vec(1..2),
+        seed_c in tricky_vec(1..2),
+    ) {
+        // Row counts straddling the 8-row panel, column counts straddling
+        // the 4-column strip, tricky entries sprinkled through the basis.
+        let e0: Vec<f64> = (0..d * k)
+            .map(|i| if i % 11 == 5 { seed_e[0] } else { (i as f64 * 0.73).sin() })
+            .collect();
+        let r: Vec<f64> = (0..d).map(|i| (i as f64 * 0.41).cos()).collect();
+        let coef: Vec<f64> = (0..(k + 1) * k)
+            .map(|i| if i % 7 == 3 { 0.0 } else { seed_c[0] * 0.01 + (i as f64 * 1.19).cos() })
+            .collect();
+        let bound = e0.iter().chain(&r).fold(0.0f64, |s, v| s.max(v.abs()))
+            * coef.iter().fold(0.0f64, |s, v| s.max(v.abs()))
+            * (k + 1) as f64;
+        let mut scratch = Vec::new();
+        let mut want = e0.clone();
+        kernels::panel_update_on(Backend::Scalar, d, k, &mut want, &coef, &r, &mut scratch);
+        for be in backends() {
+            let mut got = e0.clone();
+            kernels::panel_update_on(be, d, k, &mut got, &coef, &r, &mut scratch);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert!((g - w).abs() <= rel_tol(bound), "{be:?} {d}x{k}: {g} vs {w}");
+            }
+            // Same backend, same input, fresh scratch: bit-identical.
+            let mut again = e0.clone();
+            kernels::panel_update_on(be, d, k, &mut again, &coef, &r, &mut Vec::new());
+            for (u, v) in got.iter().zip(&again) {
+                prop_assert_eq!(u.to_bits(), v.to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn each_backend_bit_deterministic((a, b, off) in paired_vecs()) {
         let (a, b) = (&a[off..], &b[off..]);
         for be in backends() {
