@@ -32,7 +32,7 @@ use spca_engine::{run_coordinator, run_local, DistSpec};
 use spca_spectra::PlantedSubspace;
 use spca_streams::ops::CsvFileSource;
 use spca_streams::{
-    decode_frame, encode_frame, ColumnarFrame, DataTuple, Tuple, DEFAULT_BATCH_SIZE,
+    csv, decode_frame, encode_frame, ColumnarFrame, DataTuple, Tuple, DEFAULT_BATCH_SIZE,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -189,23 +189,8 @@ fn bench_csv(tuples: &[Tuple]) -> f64 {
                 text.push('\n');
             }
             for line in text.lines() {
-                values.clear();
-                mask.clear();
-                let mut any_missing = false;
-                for field in line.trim().split(',') {
-                    match field.trim().parse::<f64>() {
-                        Ok(v) if v.is_finite() => {
-                            values.push(v);
-                            mask.push(true);
-                        }
-                        _ => {
-                            values.push(0.0);
-                            mask.push(false);
-                            any_missing = true;
-                        }
-                    }
-                }
-                sink += values.len() + any_missing as usize;
+                let row = csv::parse_row(line.as_bytes(), &mut values, &mut mask);
+                sink += values.len() + usize::from(row == csv::Row::Masked);
             }
         }
         if timed {
@@ -441,7 +426,7 @@ fn main() {
              baseline ({ROWS} rows at d = {CORPUS_DIM}, bit-identical snapshots asserted), \
              loopback TCP_NODELAY half-round-trip as the per-message cost-model constant"
         ),
-        machine_note: "single container vCPU, cargo run --release, same build for every column"
+        machine_note: "container (see cores), cargo run --release, same build for every column"
             .to_string(),
         cores,
         dim: DIM,

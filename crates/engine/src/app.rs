@@ -54,10 +54,13 @@ pub struct AppConfig {
     /// Modeled per-message network overhead on cross-PE data links, in µs
     /// (charged once per transport frame; see [`LinkKind::Network`]).
     pub network_delay_us: u64,
-    /// Cross-PE channel capacity.
+    /// Cross-PE channel capacity in tuples. The default is 1024, or for
+    /// wide observations what fits [`EDGE_BYTES`]: a full queue of
+    /// d = 1000 rows would otherwise pin 8 MB per edge.
     pub channel_capacity: usize,
     /// Cross-PE transport batch size (tuples per frame); `1` disables
-    /// batching. See [`GraphBuilder::with_batch_size`].
+    /// batching. See [`GraphBuilder::with_batch_size`]. A frame closes at
+    /// [`FRAME_BYTES`] if that comes first.
     pub batch_size: usize,
     /// Persist every engine snapshot under this directory (§III-C's
     /// periodic saves); `None` disables persistence.
@@ -112,10 +115,27 @@ pub struct AppConfig {
     pub max_engines: Option<usize>,
 }
 
+/// What a default-capacity cross-PE queue may hold (DESIGN §6). 1 MiB is
+/// 128 rows at d = 1000, milliseconds of engine work; counted in tuples
+/// alone, resident memory swings by 8 MB per edge with whichever side of
+/// the edge happens to be the bottleneck.
+pub const EDGE_BYTES: usize = 1 << 20;
+
+/// Largest transport frame: past 64 KiB the channel wake-up a frame
+/// amortizes is noise, and a frame is the unit an edge fills and drains in.
+pub const FRAME_BYTES: usize = 64 << 10;
+
+/// Wire size of one complete `dim`-pixel observation (`DataTuple::wire_bytes`).
+fn row_bytes(dim: usize) -> usize {
+    16 + 8 * dim
+}
+
 impl AppConfig {
     /// Defaults mirroring the paper's performance setup: random split,
     /// ring sync at 0.5 s, distributed placement.
     pub fn new(n_engines: usize, pca: PcaConfig) -> Self {
+        let channel_capacity =
+            (EDGE_BYTES / row_bytes(pca.dim)).clamp(spca_streams::DEFAULT_BATCH_SIZE, 1024);
         AppConfig {
             n_engines,
             pca,
@@ -128,7 +148,7 @@ impl AppConfig {
             quarantine: false,
             fuse: false,
             network_delay_us: 0,
-            channel_capacity: 1024,
+            channel_capacity,
             batch_size: spca_streams::DEFAULT_BATCH_SIZE,
             snapshot_dir: None,
             warm_start: None,
@@ -209,7 +229,10 @@ impl ParallelPcaApp {
             (cfg.failure_aware_sync || elastic) && n > 1 && !matches!(cfg.sync, SyncStrategy::None);
         let mut g = GraphBuilder::new()
             .with_channel_capacity(cfg.channel_capacity)
-            .with_batch_size(cfg.batch_size)
+            .with_batch_size(
+                cfg.batch_size
+                    .min((FRAME_BYTES / row_bytes(cfg.pca.dim)).max(1)),
+            )
             .with_restart_policy(cfg.restart);
         if let Some(ref plan) = cfg.faults {
             g = g.with_fault_plan(plan.clone());

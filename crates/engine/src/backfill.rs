@@ -28,6 +28,7 @@
 use crate::persist::{decode_snapshot, encode_snapshot};
 use spca_core::{EigenSystem, PcaConfig, RobustPca};
 use spca_streams::backfill::{content_hash, run_partitions, BackfillStats, Partition, StateStore};
+use spca_streams::csv::{self, Row};
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -44,15 +45,10 @@ pub struct CorpusSlice {
 }
 
 impl CorpusSlice {
-    /// The partition's raw bytes.
+    /// The partition's raw bytes: CSV lines, parsed as bytes, so one that
+    /// is not UTF-8 costs a field (a missing bin), not the partition.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes[self.range.clone()]
-    }
-
-    /// The partition's bytes as CSV text.
-    pub fn as_str(&self) -> io::Result<&str> {
-        std::str::from_utf8(self.bytes())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "corpus slice is not UTF-8"))
     }
 }
 
@@ -67,19 +63,12 @@ impl CorpusSlice {
 pub fn partition_csv_rows(path: &Path, parts: usize) -> io::Result<Vec<Partition<CorpusSlice>>> {
     assert!(parts >= 1, "need at least one partition");
     let bytes = Arc::new(std::fs::read(path)?);
-    let text = std::str::from_utf8(&bytes).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: corpus is not UTF-8", path.display()),
-        )
-    })?;
 
     // Byte offset and row index of every data line.
     let mut row_starts: Vec<usize> = Vec::new();
     let mut offset = 0;
-    for line in text.split_inclusive('\n') {
-        let t = line.trim();
-        if !t.is_empty() && !t.starts_with('#') {
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
+        if !csv::is_skip(line) {
             row_starts.push(offset);
         }
         offset += line.len();
@@ -168,44 +157,24 @@ impl PartitionWorker {
 
     /// Feeds one CSV line; blank and comment lines are skipped. Missing
     /// bins (`nan` / unparsable fields) go through the masked update.
-    pub fn feed_line(&mut self, line: &str) -> io::Result<()> {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            return Ok(());
-        }
-        self.values.clear();
-        self.mask.clear();
-        let mut all_observed = true;
-        for field in trimmed.split(',') {
-            match field.trim().parse::<f64>() {
-                Ok(v) if v.is_finite() => {
-                    self.values.push(v);
-                    self.mask.push(true);
-                }
-                _ => {
-                    self.values.push(0.0);
-                    self.mask.push(false);
-                    all_observed = false;
-                }
-            }
-        }
-        let result = if all_observed {
-            self.pca.update(&self.values)
-        } else {
-            self.pca.update_masked(&self.values, &self.mask)
+    pub fn feed_line(&mut self, line: &[u8]) -> io::Result<()> {
+        let result = match csv::parse_row(line, &mut self.values, &mut self.mask) {
+            Row::Skip => return Ok(()),
+            Row::Dense => self.pca.update(&self.values),
+            Row::Masked => self.pca.update_masked(&self.values, &self.mask),
         };
         result
             .map(|_| ())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
-    /// Runs one whole partition: reset, feed every row, return the full
-    /// (`p+q`-component) eigensystem — full so the merged result can later
-    /// be installed into a live operator, which needs every tracked
-    /// component.
-    pub fn process(&mut self, text: &str) -> io::Result<EigenSystem> {
+    /// Runs one whole partition (CSV text or bytes): reset, feed every row,
+    /// return the full (`p+q`-component) eigensystem — full so the merged
+    /// result can later be installed into a live operator, which needs
+    /// every tracked component.
+    pub fn process(&mut self, corpus: impl AsRef<[u8]>) -> io::Result<EigenSystem> {
         self.begin();
-        for line in text.lines() {
+        for line in corpus.as_ref().split(|&b| b == b'\n') {
             self.feed_line(line)?;
         }
         self.pca.full_eigensystem().cloned().ok_or_else(|| {
@@ -266,7 +235,7 @@ pub fn backfill(
     let (states, stats) = run_partitions(partitions, &store, cfg.workers, |_w| {
         let mut worker = PartitionWorker::new(pca_cfg.clone());
         move |p: &Partition<CorpusSlice>| -> io::Result<Vec<u8>> {
-            let eig = worker.process(p.payload.as_str()?)?;
+            let eig = worker.process(p.payload.bytes())?;
             Ok(encode_snapshot(&eig))
         }
     })?;

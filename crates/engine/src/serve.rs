@@ -26,6 +26,7 @@
 
 use crate::epoch::{EpochReader, EpochStore};
 use spca_core::QueryWorkspace;
+use spca_streams::csv;
 use spca_streams::metrics::LatencyHistogram;
 use spca_streams::ops::http_server::{ConnHandler, Request, ResponseBuf, ServerStats};
 use spca_streams::RunReport;
@@ -195,16 +196,16 @@ impl EigenQueryHandler {
         }
     }
 
-    /// Parses a CSV float vector into the reusable `obs` buffer.
+    /// Parses a float vector (separated by `,`, space, CR or LF) into the
+    /// reusable `obs` buffer. A query has no mask to carry a gap, so a
+    /// token that is not a finite number refuses the request.
     fn parse_body(body: &[u8], obs: &mut Vec<f64>) -> Result<(), &'static str> {
-        let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8")?;
         obs.clear();
-        for tok in text.split(&[',', '\n', ' '][..]) {
-            let tok = tok.trim_matches('\r');
+        for tok in body.split(|b| matches!(b, b',' | b'\n' | b' ' | b'\r')) {
             if tok.is_empty() {
                 continue;
             }
-            obs.push(tok.parse().map_err(|_| "bad number in body")?);
+            obs.push(csv::parse_field(tok).ok_or("bad number in body")?);
         }
         if obs.is_empty() {
             return Err("empty observation");
@@ -481,8 +482,14 @@ mod tests {
         // Unknown endpoint and wrong method.
         assert!(get(addr, "/nope").starts_with("HTTP/1.1 404"));
         assert!(get(addr, "/project").starts_with("HTTP/1.1 405"));
-        // Malformed body.
-        assert!(post(addr, "/project", "not,numbers").starts_with("HTTP/1.1 400"));
+        // Malformed body; a query cannot carry a gap, so neither can `nan`
+        // or an infinity stand in for an observed value.
+        let rest = &obs_csv[obs_csv.find(',').unwrap()..];
+        for bad in ["not,numbers", "nan", "-inf", "1e999"] {
+            let resp = post(addr, "/project", &format!("{bad}{rest}"));
+            assert!(resp.starts_with("HTTP/1.1 400"), "{bad}: {resp}");
+            assert!(body_of(&resp).contains("bad number in body"), "{resp}");
+        }
 
         server.shutdown();
     }

@@ -237,3 +237,43 @@ fn splice_resumes_bit_identically_from_memory_and_disk() {
     );
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// A byte that is not UTF-8 used to fail the partition that held it (and
+/// `partition_csv_rows` before that). It now costs the field it sits in:
+/// the run completes, and the partition's state is bit-identical to the
+/// one the same corpus gives with `nan` written in that field.
+#[test]
+fn undecodable_byte_costs_one_field_not_the_partition() {
+    let dir = tmp_dir("bytes");
+    let clean = dir.join("clean.csv");
+    write_corpus(&clean, &corpus(17, 400));
+    let text = std::fs::read_to_string(&clean).unwrap();
+
+    // Row 250, field 3: a stray 0xFF in front of the number vs `nan`.
+    let row_start = text.match_indices('\n').nth(249).unwrap().0 + 1;
+    let field_start = row_start + text[row_start..].match_indices(',').nth(2).unwrap().0 + 1;
+    let field_end = field_start + text[field_start..].find(',').unwrap();
+    let mut broken = text.clone().into_bytes();
+    broken.insert(field_start, 0xFF);
+    let mut gapped = text.clone();
+    gapped.replace_range(field_start..field_end, "nan");
+
+    let mut worker = PartitionWorker::new(pca_cfg());
+    let from_bytes = worker.process(&broken).unwrap();
+    let from_nan = worker.process(&gapped).unwrap();
+    assert_eq!(encode_snapshot(&from_bytes), encode_snapshot(&from_nan));
+    let untouched = worker.process(&text).unwrap();
+    assert_ne!(encode_snapshot(&from_bytes), encode_snapshot(&untouched));
+
+    let csv = dir.join("broken.csv");
+    std::fs::write(&csv, &broken).unwrap();
+    let cfg = BackfillConfig {
+        pca: pca_cfg(),
+        workers: 2,
+        state_dir: dir.join("store"),
+    };
+    let outcome = backfill(&cfg, &partition_csv_rows(&csv, 4).unwrap()).unwrap();
+    assert_eq!(outcome.stats.computed, 4);
+    assert_eq!(outcome.merged.n_obs, 400);
+    std::fs::remove_dir_all(dir).ok();
+}

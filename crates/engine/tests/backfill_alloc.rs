@@ -88,12 +88,12 @@ fn backfill_worker_steady_state_performs_zero_allocations() {
     let mut lines = corpus.lines();
     worker.begin();
     for line in lines.by_ref().take(WARM_ROWS) {
-        worker.feed_line(line).unwrap();
+        worker.feed_line(line.as_bytes()).unwrap();
     }
 
     let before = ALLOCS.load(Ordering::Relaxed);
     for line in lines {
-        worker.feed_line(line).unwrap();
+        worker.feed_line(line.as_bytes()).unwrap();
     }
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(

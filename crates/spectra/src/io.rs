@@ -7,6 +7,7 @@
 //! leading mask column block for gappy data (`NaN` marks a missing bin on
 //! read).
 
+use crate::csv::{self, Row};
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
@@ -59,42 +60,36 @@ pub fn write_csv_masked<P: AsRef<Path>>(
 /// Reads CSV observations; `nan` / empty fields become missing bins.
 /// Returns `(values, mask)` per row with missing bins set to 0.0.
 pub fn read_csv<P: AsRef<Path>>(path: P) -> std::io::Result<Vec<(Vec<f64>, Vec<bool>)>> {
-    Ok(parse_csv_str(&std::fs::read_to_string(path)?))
+    Ok(parse_csv_bytes(&std::fs::read(path)?))
 }
 
 /// Parses CSV observations already in memory — the text layer under
-/// [`read_csv`], used by the backfill runner to parse byte-range
-/// partitions of a corpus without re-reading the file per partition.
+/// [`read_csv`].
 pub fn parse_csv_str(text: &str) -> Vec<(Vec<f64>, Vec<bool>)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        if let Some(row) = parse_csv_line(line) {
-            out.push(row);
-        }
-    }
-    out
+    parse_csv_bytes(text.as_bytes())
+}
+
+fn parse_csv_bytes(bytes: &[u8]) -> Vec<(Vec<f64>, Vec<bool>)> {
+    bytes
+        .split(|&b| b == b'\n')
+        .filter_map(parse_line)
+        .collect()
 }
 
 /// Parses one CSV line; `None` for blank and `#`-comment lines.
 pub fn parse_csv_line(line: &str) -> Option<(Vec<f64>, Vec<bool>)> {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return None;
-    }
-    let mut values = Vec::new();
-    let mut mask = Vec::new();
-    for field in trimmed.split(',') {
-        let field = field.trim();
-        match field.parse::<f64>() {
-            Ok(v) if v.is_finite() => {
-                values.push(v);
-                mask.push(true);
-            }
-            _ => {
-                values.push(0.0);
-                mask.push(false);
-            }
-        }
+    parse_line(line.as_bytes())
+}
+
+fn parse_line(line: &[u8]) -> Option<(Vec<f64>, Vec<bool>)> {
+    // One field per comma, plus one: size both vectors once.
+    let fields = 1 + line.iter().filter(|&&b| b == b',').count();
+    let mut values = Vec::with_capacity(fields);
+    let mut mask = Vec::with_capacity(fields);
+    match csv::parse_row(line, &mut values, &mut mask) {
+        Row::Skip => return None,
+        Row::Dense => mask.resize(values.len(), true),
+        Row::Masked => {}
     }
     Some((values, mask))
 }

@@ -21,6 +21,13 @@
 //! * [`io`] — CSV tuple reading/writing matching the stream engine's file
 //!   source/sink formats.
 
+// The row kernel of `spca-streams`, compiled from the same source: the two
+// crates share no dependency, and a new edge between them would rewrite the
+// lock file the pipeline benchmark tracks (DESIGN.md, "Text ingest").
+#[allow(dead_code)] // `parse_field` serves the query server, not this crate
+#[path = "../../streams/src/csv.rs"]
+mod csv;
+
 pub mod contaminants;
 pub mod continuum;
 pub mod gaps;

@@ -46,6 +46,7 @@
 pub mod backfill;
 pub mod checkpoint;
 pub mod codec;
+pub mod csv;
 pub mod engine;
 pub mod fault;
 pub mod graph;

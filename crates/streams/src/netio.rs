@@ -81,6 +81,13 @@ const BACKOFF_CAP: Duration = Duration::from_secs(1);
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 /// Encoded-frame buffers recycled per sender (steady state allocates none).
 const SPARE_ENCODE_BUFS: usize = 8;
+/// Decoded data a receiver parks in front of its consuming PE before it
+/// stops reading the socket (DESIGN §12, flow control). The channel behind
+/// it counts tuples, and distributed runs size it past the corpus, so
+/// without this a sender that outruns the consumer keeps the whole stream
+/// resident twice. Not reading is the whole mechanism: the TCP window then
+/// holds the sender, which blocks in `write` like on any slow link.
+const INBOUND_BYTES: u64 = 1 << 20;
 
 /// Deterministic wire faults, compiled from the fault grammar
 /// (`net-drop-conn@link:N`, `net-partial-write@link:N`). Indices are
@@ -485,10 +492,18 @@ impl NetTransport {
                 tuples.drain(..skip);
             }
             let fwd = tuples.len();
+            let frame = Frame::from_vec(tuples);
+            let row_bytes = frame.wire_bytes() / fwd as u64;
+            while link.inflight.load(Ordering::SeqCst) as u64 * row_bytes > INBOUND_BYTES {
+                if stop.load(Ordering::Relaxed) {
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                thread::sleep(Duration::from_micros(200));
+            }
             let sent = match link.tx.lock().as_ref() {
                 Some(tx) => {
                     link.inflight.fetch_add(fwd, Ordering::SeqCst);
-                    tx.send(Frame::from_vec(tuples)).is_ok()
+                    tx.send(frame).is_ok()
                 }
                 None => false,
             };

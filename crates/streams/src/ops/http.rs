@@ -88,6 +88,8 @@ pub struct HttpSource {
     url: HttpUrl,
     state: ConnState,
     seq: u64,
+    /// Length of the previous row: the next tuple's allocation size.
+    width: usize,
     redirects_left: u8,
 }
 
@@ -108,6 +110,7 @@ impl HttpSource {
             url: HttpUrl::parse(url)?,
             state: ConnState::Unconnected,
             seq: 0,
+            width: 0,
             redirects_left: 1,
         })
     }
@@ -338,31 +341,10 @@ impl Operator for HttpSource {
             self.state = ConnState::Done;
             return SourceState::Done;
         };
-        let trimmed = raw.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+        let Some(t) = DataTuple::from_csv_line(self.seq, raw.as_bytes(), self.width) else {
             return SourceState::Idle;
-        }
-        let mut values = Vec::new();
-        let mut mask = Vec::new();
-        let mut any_missing = false;
-        for field in trimmed.split(',') {
-            match field.trim().parse::<f64>() {
-                Ok(v) if v.is_finite() => {
-                    values.push(v);
-                    mask.push(true);
-                }
-                _ => {
-                    values.push(0.0);
-                    mask.push(false);
-                    any_missing = true;
-                }
-            }
-        }
-        let t = if any_missing {
-            DataTuple::masked(self.seq, values, mask)
-        } else {
-            DataTuple::new(self.seq, values)
         };
+        self.width = t.values.len();
         self.seq += 1;
         ctx.emit_data(0, t);
         SourceState::Emitted

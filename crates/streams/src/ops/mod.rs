@@ -1,7 +1,7 @@
 //! The standard operator library.
 //!
 //! Mirrors the InfoSphere toolbox pieces the paper's application uses:
-//! generator / file / piped data sources (§III-A1), the multithreaded
+//! generator / file / network data sources (§III-A1), the multithreaded
 //! load-balancing split (§III-A2), the `Throttle` pacing operator (§III-B),
 //! functor (map/filter) utilities, and sinks (callback, collector, CSV
 //! file with periodic snapshots).
@@ -22,6 +22,6 @@ pub use http_server::{
 };
 pub use net::{TcpSink, TcpSource};
 pub use sink::{CallbackSink, CollectSink, CsvFileSink, NullSink};
-pub use source::{CsvFileSource, FollowFileSource, GeneratorSource};
+pub use source::{CsvFileSource, GeneratorSource};
 pub use split::{Split, SplitStrategy};
 pub use throttle::Throttle;

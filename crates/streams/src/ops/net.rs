@@ -21,8 +21,10 @@ use std::time::Duration;
 pub struct TcpSource {
     mode: Mode,
     reader: Option<BufReader<TcpStream>>,
-    line: String,
+    line: Vec<u8>,
     seq: u64,
+    /// Length of the previous row: the next tuple's allocation size.
+    width: usize,
     /// Observations delivered so far.
     pub delivered: u64,
 }
@@ -42,8 +44,9 @@ impl TcpSource {
         Ok(TcpSource {
             mode: Mode::Listen(Some(listener)),
             reader: None,
-            line: String::new(),
+            line: Vec::new(),
             seq: 0,
+            width: 0,
             delivered: 0,
         })
     }
@@ -53,8 +56,9 @@ impl TcpSource {
         TcpSource {
             mode: Mode::Connect(addr),
             reader: None,
-            line: String::new(),
+            line: Vec::new(),
             seq: 0,
+            width: 0,
             delivered: 0,
         }
     }
@@ -107,35 +111,15 @@ impl Operator for TcpSource {
             return SourceState::Done;
         }
         let reader = self.reader.as_mut().expect("connected above");
-        self.line.clear();
-        match reader.read_line(&mut self.line) {
-            Ok(0) => SourceState::Done, // peer closed
+        match reader.read_until(b'\n', &mut self.line) {
+            Ok(0) if self.line.is_empty() => SourceState::Done, // peer closed
             Ok(_) => {
-                let trimmed = self.line.trim();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
+                let tuple = DataTuple::from_csv_line(self.seq, &self.line, self.width);
+                self.line.clear();
+                let Some(t) = tuple else {
                     return SourceState::Idle;
-                }
-                let mut values = Vec::new();
-                let mut mask = Vec::new();
-                let mut any_missing = false;
-                for field in trimmed.split(',') {
-                    match field.trim().parse::<f64>() {
-                        Ok(v) if v.is_finite() => {
-                            values.push(v);
-                            mask.push(true);
-                        }
-                        _ => {
-                            values.push(0.0);
-                            mask.push(false);
-                            any_missing = true;
-                        }
-                    }
-                }
-                let t = if any_missing {
-                    DataTuple::masked(self.seq, values, mask)
-                } else {
-                    DataTuple::new(self.seq, values)
                 };
+                self.width = t.values.len();
                 self.seq += 1;
                 self.delivered += 1;
                 ctx.emit_data(0, t);
@@ -145,7 +129,7 @@ impl Operator for TcpSource {
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                // Read timeout: nothing available, stay alive.
+                // Read timeout: stay alive; a partial line waits in `line`.
                 SourceState::Idle
             }
             Err(e) => {

@@ -7,6 +7,7 @@
 //! payload so applications can ship their own state (the PCA application
 //! sends whole eigensystems through them); punctuation marks end-of-stream.
 
+use crate::csv::{self, Row};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::sync::Arc;
@@ -45,6 +46,23 @@ impl DataTuple {
             timestamp_ns: 0,
             values: Arc::new(values),
             mask: Some(Arc::new(mask)),
+        }
+    }
+
+    /// Parses one CSV line (see [`csv::parse_row`]); `None` for blank and
+    /// `#`-comment lines. `width` presizes the tuple's vectors — sources
+    /// pass the previous row's length, so a steady stream allocates exactly
+    /// `values`, plus `mask` on rows with a gap.
+    pub fn from_csv_line(seq: u64, line: &[u8], width: usize) -> Option<Self> {
+        if csv::is_skip(line) {
+            return None; // before paying for the vector
+        }
+        let mut values = Vec::with_capacity(width);
+        let mut mask = Vec::new();
+        match csv::parse_row(line, &mut values, &mut mask) {
+            Row::Skip => None,
+            Row::Dense => Some(DataTuple::new(seq, values)),
+            Row::Masked => Some(DataTuple::masked(seq, values, mask)),
         }
     }
 

@@ -912,7 +912,7 @@ fn cmd_backfill(opts: &Opts) -> Result<(), String> {
 
     // Probe the dimensionality from the first data row of the first
     // partition (the partitions already hold the corpus bytes).
-    let first_text = partitions[0].payload.as_str().map_err(|e| e.to_string())?;
+    let first_text = String::from_utf8_lossy(partitions[0].payload.bytes());
     let dim = first_text
         .lines()
         .find_map(io::parse_csv_line)
