@@ -35,18 +35,21 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use spca_core::PcaConfig;
 use spca_streams::engine::RunningEngine;
+use spca_streams::netio::{loopback_of, wake_acceptor};
 use spca_streams::ops::{CsvFileSource, GeneratorSource, SplitStrategy};
-use spca_streams::{Engine, GraphBuilder, NetPartition, NetTransport, Operator, RunReport};
+use spca_streams::{
+    Engine, GraphBuilder, NetPartition, NetTransport, Operator, RunReport, Watched,
+};
 
 use crate::app::{AppConfig, AppHandles, ParallelPcaApp};
 use crate::messages::register_wire_codecs;
@@ -330,6 +333,10 @@ fn timeout_err(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::TimedOut, msg.to_string())
 }
 
+/// Pause between a worker's dials of a coordinator that is not up yet —
+/// with the peer down there is no event to wait for, only time.
+const CONNECT_BACKOFF: Duration = Duration::from_millis(100);
+
 /// Dials `addr` until it answers or `deadline` elapses.
 fn connect_retry(addr: SocketAddr, deadline: Duration) -> io::Result<TcpStream> {
     let start = Instant::now();
@@ -340,8 +347,23 @@ fn connect_retry(addr: SocketAddr, deadline: Duration) -> io::Result<TcpStream> 
                 if start.elapsed() >= deadline {
                     return Err(e);
                 }
-                std::thread::sleep(Duration::from_millis(100));
+                std::thread::sleep(CONNECT_BACKOFF);
             }
+        }
+    }
+}
+
+/// Binds a worker's data listener. A respawn comes up on its predecessor's
+/// address, and now and then before the kernel has let go of it; a worker
+/// that gave up there would leave the run waiting for its engines.
+fn bind_retry(data: SocketAddr) -> io::Result<Arc<NetTransport>> {
+    let start = Instant::now();
+    loop {
+        match NetTransport::bind(&data.to_string()) {
+            Err(e) if e.kind() == io::ErrorKind::AddrInUse && start.elapsed() < LIVENESS_WINDOW => {
+                std::thread::sleep(CONNECT_BACKOFF);
+            }
+            bound => return bound,
         }
     }
 }
@@ -364,7 +386,7 @@ pub fn run_worker(
     data: SocketAddr,
 ) -> io::Result<RunReport> {
     register_wire_codecs();
-    let net = NetTransport::bind(&data.to_string())?;
+    let net = bind_retry(data)?;
 
     let ctl = connect_retry(coordinator, Duration::from_secs(30))?;
     ctl.set_nodelay(true).ok();
@@ -406,7 +428,7 @@ pub fn run_worker(
     // Heartbeat until the partition drains; write failures are harmless
     // (the coordinator treats silence as death and the run as a whole
     // still converges through the data plane).
-    let hb_stop = Arc::new(AtomicBool::new(false));
+    let hb_stop = Arc::new(Watched::new(false));
     let hb = {
         let stop = Arc::clone(&hb_stop);
         let w = Arc::clone(&writer);
@@ -414,16 +436,18 @@ pub fn run_worker(
         std::thread::Builder::new()
             .name("spca-hb".into())
             .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
+                let mut stopped = stop.lock();
+                while !*stopped {
                     let _ = write_line(&w, &msg);
-                    std::thread::sleep(HEARTBEAT_PERIOD);
+                    // One period, unless the partition drains first.
+                    stopped = stop.wait_timeout(stopped, HEARTBEAT_PERIOD);
                 }
             })
             .expect("spawn heartbeat thread")
     };
 
     let report = running.join();
-    hb_stop.store(true, Ordering::Relaxed);
+    hb_stop.update(|stopped| *stopped = true);
     let _ = hb.join();
 
     write_line(&writer, &format!("DONE {index}"))?;
@@ -446,9 +470,23 @@ pub struct CoordinatorReport {
 
 struct CoordShared {
     stop: AtomicBool,
-    done: Mutex<Vec<bool>>,
+    /// Which workers have said `DONE`, set by their monitors.
+    done: Watched<Vec<bool>>,
     respawns: Mutex<Vec<RespawnBudget>>,
     children: Mutex<Vec<Child>>,
+    /// Control sockets of running monitors, which sit in blocking reads:
+    /// shutting these down is how a stop reaches them.
+    monitored: Mutex<Vec<TcpStream>>,
+}
+
+/// A worker's `REGISTER`, with the control connection it arrived on.
+type Registration = (usize, SocketAddr, TcpStream);
+
+/// What the acceptor needs to answer a re-registering worker itself, known
+/// once the first round is complete.
+struct Assigned {
+    assign: String,
+    worker_data: Vec<SocketAddr>,
 }
 
 /// Runs the coordinator: rendezvous with `spec.n_workers` workers on
@@ -471,103 +509,69 @@ pub fn run_coordinator(
     spec.coord_data = net.local_addr();
 
     let listener = TcpListener::bind(listen)?;
-    listener.set_nonblocking(true)?;
-    // Respawned workers run on this host; rewrite a wildcard listen
-    // address to the matching loopback for the dial-back flag.
-    let mut ctl_addr = listener.local_addr()?;
-    if ctl_addr.ip().is_unspecified() {
-        ctl_addr.set_ip(match ctl_addr.ip() {
-            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        });
-    }
+    // Respawned workers run on this host, and the acceptor is woken from
+    // it: a wildcard listen address becomes the matching loopback.
+    let ctl_addr = loopback_of(listener.local_addr()?);
 
-    // Phase 1: collect the initial REGISTER round.
-    let mut pending: Vec<Option<TcpStream>> = (0..spec.n_workers).map(|_| None).collect();
-    spec.worker_data = vec![SocketAddr::from(([0, 0, 0, 0], 0)); spec.n_workers];
-    let start = Instant::now();
-    while pending.iter().any(|p| p.is_none()) {
-        if start.elapsed() > RENDEZVOUS_DEADLINE {
-            return Err(timeout_err("timed out waiting for workers to register"));
-        }
-        match listener.accept() {
-            Ok((s, _)) => {
-                let (idx, addr) = read_register(&s)?;
-                if idx >= spec.n_workers {
-                    eprintln!("[coordinator] ignoring REGISTER from out-of-range worker {idx}");
-                    continue;
-                }
-                spec.worker_data[idx] = addr;
-                pending[idx] = Some(s);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
-    // Phase 2: everyone is here — serve the spec and start supervising.
-    let assign = format!("ASSIGN {}", spec.encode());
     let shared = Arc::new(CoordShared {
         stop: AtomicBool::new(false),
-        done: Mutex::new(vec![false; spec.n_workers]),
+        done: Watched::new(vec![false; spec.n_workers]),
         respawns: Mutex::new(vec![RespawnBudget::new(MAX_RESPAWNS); spec.n_workers]),
         children: Mutex::new(Vec::new()),
+        monitored: Mutex::new(Vec::new()),
     });
-    let mut monitors = Vec::new();
-    for (idx, slot) in pending.iter_mut().enumerate() {
-        let s = slot.take().expect("registered worker stream");
-        monitors.push(spawn_monitor(
-            Arc::clone(&shared),
-            s,
-            idx,
-            spec.worker_data[idx],
-            ctl_addr,
-            assign.clone(),
-        )?);
-    }
 
-    // Phase 3: keep accepting — respawned workers re-register here.
+    // One acceptor for the whole run, blocking in `accept`. Until the spec
+    // is assigned it forwards registrations to the rendezvous below;
+    // afterwards a registration is a respawned worker, which it hands to a
+    // monitor of its own.
+    let assigned: Arc<OnceLock<Assigned>> = Arc::new(OnceLock::new());
+    let (reg_tx, reg_rx) = mpsc::channel::<Registration>();
     let acceptor = {
         let shared = Arc::clone(&shared);
-        let spec_addrs = spec.worker_data.clone();
-        let assign = assign.clone();
+        let assigned = Arc::clone(&assigned);
         std::thread::Builder::new()
             .name("spca-accept".into())
             .spawn(move || {
                 let mut late = Vec::new();
-                while !shared.stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((s, _)) => {
-                            let Ok((idx, addr)) = read_register(&s) else {
-                                continue;
-                            };
-                            if idx >= spec_addrs.len() {
-                                continue;
-                            }
-                            if addr != spec_addrs[idx] {
-                                eprintln!(
-                                    "[coordinator] worker {idx} re-registered at {addr} but its \
-                                     links expect {}; data traffic will not resume",
-                                    spec_addrs[idx]
-                                );
-                            }
-                            if let Ok(h) = spawn_monitor(
-                                Arc::clone(&shared),
-                                s,
-                                idx,
-                                spec_addrs[idx],
-                                ctl_addr,
-                                assign.clone(),
-                            ) {
-                                late.push(h);
-                            }
+                loop {
+                    let accepted = listener.accept();
+                    if shared.stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok((s, _)) = accepted else {
+                        break;
+                    };
+                    let (idx, addr) = match read_register(&s) {
+                        Ok(reg) => reg,
+                        Err(e) => {
+                            eprintln!("[coordinator] dropping a control connection: {e}");
+                            continue;
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
-                        Err(_) => break,
+                    };
+                    let Some(a) = assigned.get() else {
+                        let _ = reg_tx.send((idx, addr, s));
+                        continue;
+                    };
+                    if idx >= a.worker_data.len() {
+                        continue;
+                    }
+                    if addr != a.worker_data[idx] {
+                        eprintln!(
+                            "[coordinator] worker {idx} re-registered at {addr} but its \
+                             links expect {}; data traffic will not resume",
+                            a.worker_data[idx]
+                        );
+                    }
+                    if let Ok(h) = spawn_monitor(
+                        Arc::clone(&shared),
+                        s,
+                        idx,
+                        a.worker_data[idx],
+                        ctl_addr,
+                        a.assign.clone(),
+                    ) {
+                        late.push(h);
                     }
                 }
                 for h in late {
@@ -576,6 +580,58 @@ pub fn run_coordinator(
             })
             .expect("spawn acceptor thread")
     };
+    // Stops the acceptor and the monitors, whatever they are blocked in.
+    let stop_control = |acceptor: std::thread::JoinHandle<()>| {
+        shared.stop.store(true, Ordering::SeqCst);
+        for s in shared.monitored.lock().iter() {
+            let _ = s.shutdown(Shutdown::Both);
+        }
+        wake_acceptor(ctl_addr, acceptor);
+    };
+
+    // Phase 1: collect the initial REGISTER round.
+    let mut pending: Vec<Option<TcpStream>> = (0..spec.n_workers).map(|_| None).collect();
+    spec.worker_data = vec![SocketAddr::from(([0, 0, 0, 0], 0)); spec.n_workers];
+    let deadline = Instant::now() + RENDEZVOUS_DEADLINE;
+    while pending.iter().any(|p| p.is_none()) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let Ok((idx, addr, s)) = reg_rx.recv_timeout(left) else {
+            stop_control(acceptor);
+            return Err(timeout_err("timed out waiting for workers to register"));
+        };
+        if idx >= spec.n_workers {
+            eprintln!("[coordinator] ignoring REGISTER from out-of-range worker {idx}");
+            continue;
+        }
+        spec.worker_data[idx] = addr;
+        pending[idx] = Some(s);
+    }
+
+    // Phase 2: everyone is here — serve the spec and start supervising.
+    // From here on the acceptor answers (re-)registrations itself.
+    let assign = format!("ASSIGN {}", spec.encode());
+    let _ = assigned.set(Assigned {
+        assign: assign.clone(),
+        worker_data: spec.worker_data.clone(),
+    });
+    let mut monitors = Vec::new();
+    for (idx, slot) in pending.iter_mut().enumerate() {
+        let s = slot.take().expect("registered worker stream");
+        match spawn_monitor(
+            Arc::clone(&shared),
+            s,
+            idx,
+            spec.worker_data[idx],
+            ctl_addr,
+            assign.clone(),
+        ) {
+            Ok(h) => monitors.push(h),
+            Err(e) => {
+                stop_control(acceptor);
+                return Err(e);
+            }
+        }
+    }
 
     // Run the coordinator's own partition. join() blocks until the monitor
     // and snapshot-writer have drained (EOS from every engine over the
@@ -586,17 +642,16 @@ pub fn run_coordinator(
     let running = Engine::start_in_partition(g, part);
     let report = running.join();
 
-    // Wait for every worker's DONE so nobody is killed mid-teardown.
-    let start = Instant::now();
-    while !shared.done.lock().iter().all(|&d| d) {
-        if start.elapsed() > RENDEZVOUS_DEADLINE {
-            eprintln!("[coordinator] timed out waiting for worker DONEs; proceeding");
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
+    // Wait for every worker's DONE so nobody is killed mid-teardown; the
+    // monitor that reads the last one wakes this.
+    let missing = shared
+        .done
+        .wait_timeout_while(RENDEZVOUS_DEADLINE, |done| done.contains(&false))
+        .contains(&false);
+    if missing {
+        eprintln!("[coordinator] timed out waiting for worker DONEs; proceeding");
     }
-    shared.stop.store(true, Ordering::Relaxed);
-    let _ = acceptor.join();
+    stop_control(acceptor);
     for h in monitors {
         let _ = h.join();
     }
@@ -654,14 +709,16 @@ fn spawn_monitor(
                 let mut s = stream.try_clone()?;
                 s.write_all(assign.as_bytes())?;
                 s.write_all(b"\n")?;
-                stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+                // A read that outlasts the window *is* the silence that
+                // declares a worker dead; a stop breaks the socket.
+                stream.set_read_timeout(Some(LIVENESS_WINDOW))?;
+                shared.monitored.lock().push(stream.try_clone()?);
                 let mut reader = BufReader::new(stream.try_clone()?);
                 let mut acc = String::new();
                 let connected = Instant::now();
-                let mut last_seen = Instant::now();
                 let mut forgiven = false;
                 loop {
-                    if shared.stop.load(Ordering::Relaxed) {
+                    if shared.stop.load(Ordering::SeqCst) {
                         return Ok(true);
                     }
                     match reader.read_line(&mut acc) {
@@ -670,7 +727,6 @@ fn spawn_monitor(
                             if !acc.ends_with('\n') {
                                 continue; // Partial line; keep accumulating.
                             }
-                            last_seen = Instant::now();
                             // Healthy past the liveness window: this run is
                             // no longer part of a crash loop, so the slot's
                             // respawn budget resets.
@@ -681,7 +737,7 @@ fn spawn_monitor(
                             let done = acc.trim().starts_with("DONE");
                             acc.clear();
                             if done {
-                                shared.done.lock()[idx] = true;
+                                shared.done.update(|done| done[idx] = true);
                                 let _ = s.write_all(b"BYE\n");
                                 return Ok(true);
                             }
@@ -690,17 +746,15 @@ fn spawn_monitor(
                             if e.kind() == io::ErrorKind::WouldBlock
                                 || e.kind() == io::ErrorKind::TimedOut =>
                         {
-                            if last_seen.elapsed() > LIVENESS_WINDOW {
-                                eprintln!("[coordinator] worker {idx} went silent");
-                                return Ok(false);
-                            }
+                            eprintln!("[coordinator] worker {idx} went silent");
+                            return Ok(false);
                         }
                         Err(_) => return Ok(false),
                     }
                 }
             };
             let clean = run().unwrap_or(false);
-            if clean || shared.stop.load(Ordering::Relaxed) {
+            if clean || shared.stop.load(Ordering::SeqCst) {
                 return;
             }
             // The worker died mid-run: respawn it against the same data

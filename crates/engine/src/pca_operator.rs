@@ -70,12 +70,15 @@ pub struct StreamingPcaOp {
     quarantined: u64,
     merges_applied: u64,
     shares_sent: u64,
-    /// When set, the operator synchronously writes its eigensystem to
+    /// When set, the operator has its eigensystem written to
     /// `recovery_path(dir, engine_id)` every `recovery_every` processed
     /// tuples; [`Operator::recover`] rehydrates from that file after a
     /// supervised restart.
     recovery_dir: Option<PathBuf>,
     recovery_every: u64,
+    /// Writes the recovery snapshots behind `process`; taken out with the
+    /// first one (see [`persist::recovery_writer`]).
+    recovery_writer: Option<Arc<persist::RecoveryWriter>>,
     /// When nonzero, a [`KIND_HEARTBEAT`] goes out on the monitor port at
     /// the first processed tuple and every `heartbeat_every` thereafter,
     /// feeding the failure-aware sync controller's liveness tracker.
@@ -130,6 +133,7 @@ impl StreamingPcaOp {
             shares_sent: 0,
             recovery_dir: None,
             recovery_every: 0,
+            recovery_writer: None,
             heartbeat_every: 0,
             epoch_store: None,
             publish_every: 0,
@@ -145,13 +149,13 @@ impl StreamingPcaOp {
     }
 
     /// Enables crash recovery: every `every` processed tuples the operator
-    /// *synchronously* writes its eigensystem to
-    /// [`persist::recovery_path`]`(dir, engine_id)` (atomic
-    /// rename, see [`persist::write_snapshot`]), and a supervised restart
-    /// rehydrates from that file. Synchronous matters: the asynchronous
-    /// [`persist::SnapshotWriter`] on the monitor stream may lag the
-    /// operator at the moment of a crash, but this file is always exactly
-    /// as fresh as the last multiple of `every`.
+    /// captures its eigensystem and a [`WriteBehind`] writes it to
+    /// [`persist::recovery_path`]`(dir, engine_id)` (atomic rename, see
+    /// [`persist::write_snapshot`]); a supervised restart waits for that
+    /// writer, then rehydrates from the file. The file is the operator's
+    /// own: it trails the operator by at most the write in progress,
+    /// where the [`persist::SnapshotWriter`] on the monitor stream trails
+    /// it by a queue and a socket.
     pub fn with_recovery(mut self, dir: impl Into<PathBuf>, every: u64) -> Self {
         assert!(every > 0, "recovery cadence must be positive");
         self.recovery_dir = Some(dir.into());
@@ -310,10 +314,10 @@ impl StreamingPcaOp {
         );
     }
 
-    /// Writes the recovery snapshot. Same lock discipline as [`snapshot`]:
-    /// clone the eigensystem under the lock, touch the filesystem after
-    /// release.
-    fn write_recovery(&self) {
+    /// Captures the recovery snapshot for the writer. Same lock discipline
+    /// as [`snapshot`]: clone the eigensystem under the lock; the encoding
+    /// and the filesystem are the writer thread's.
+    fn write_recovery(&mut self) {
         let Some(dir) = &self.recovery_dir else {
             return;
         };
@@ -324,22 +328,12 @@ impl StreamingPcaOp {
                 None => return, // still warming up: nothing worth persisting
             }
         };
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!(
-                "engine {}: cannot create recovery dir {}: {e}",
-                self.engine_id,
-                dir.display()
-            );
-            return;
-        }
-        let path = persist::recovery_path(dir, self.engine_id);
-        if let Err(e) = persist::write_snapshot(&path, &eig) {
-            eprintln!(
-                "engine {}: recovery snapshot failed for {}: {e}",
-                self.engine_id,
-                path.display()
-            );
-        }
+        let engine_id = self.engine_id;
+        self.recovery_writer
+            .get_or_insert_with(|| {
+                persist::recovery_writer(&persist::recovery_path(dir, engine_id))
+            })
+            .submit(eig);
     }
 }
 
@@ -539,6 +533,11 @@ impl Operator for StreamingPcaOp {
             return false;
         };
         let path = persist::recovery_path(&dir, self.engine_id);
+        // The file is read only with its writer idle — this operator's or
+        // a predecessor's that is still around.
+        if let Some(writer) = persist::live_recovery_writer(&path) {
+            writer.flush();
+        }
         let cfg = self.state.lock().config().clone();
         let mut fresh = RobustPca::new(cfg);
         let restored_obs = match persist::read_snapshot(&path) {

@@ -33,14 +33,24 @@
 //! run against the fault-injecting backend (see [`crate::vfs`]) — the
 //! crash-point harness enumerates every VFS operation in a write sequence
 //! and proves recovery from a kill after each one.
+//!
+//! The fsyncs never run on the thread that owns the state: a PE *captures*
+//! a consistent snapshot set between tuples and hands it to a
+//! [`WriteBehind`], whose thread runs the write sequence above. Whatever
+//! depends on the set being durable — the socket links' stable
+//! watermarks — moves in that thread, after the commit.
 
 use crate::backfill::content_hash;
 use crate::vfs::{RealVfs, Vfs};
+use crate::watched::Watched;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::io;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Default cadence (data tuples between periodic PE checkpoints) for
 /// operators that don't override [`Checkpoint::checkpoint_every`].
@@ -173,6 +183,110 @@ pub fn write_atomic_vfs(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> io::Result<
         let _ = vfs.fsync_dir(d);
     }
     Ok(())
+}
+
+/// Durability written behind its producer: `submit` hands a captured job to
+/// a dedicated thread that runs `write` on it, so the producer never waits
+/// for a disk.
+///
+/// The mailbox holds one job being written plus at most one pending, and a
+/// new submission *replaces* a pending one: every job is a full snapshot,
+/// so only the latest matters, memory stays bounded, and a disk slower
+/// than the cadence coalesces captures instead of stalling the producer.
+/// Anything that must not happen before the bytes are durable belongs at
+/// the end of `write`. [`flush`](WriteBehind::flush) is the barrier for
+/// readers of what `write` produces; dropping the handle writes a pending
+/// job, then joins the thread.
+///
+/// A panic in `write` costs that job only: the writer thread lives on, and
+/// the panic resumes on the producer's thread at its next `submit` or
+/// `flush` — where a synchronous write would have raised it, and where the
+/// producer's supervisor is.
+pub struct WriteBehind<T> {
+    mailbox: Arc<Watched<Mailbox<T>>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+struct Mailbox<T> {
+    pending: Option<T>,
+    writing: bool,
+    closed: bool,
+    /// What a panicking `write` raised, until the producer collects it.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl<T: Send + 'static> WriteBehind<T> {
+    /// Spawns the writer thread, named `name`.
+    pub fn spawn(name: &str, mut write: impl FnMut(T) + Send + 'static) -> Self {
+        let mailbox = Arc::new(Watched::new(Mailbox {
+            pending: None,
+            writing: false,
+            closed: false,
+            panic: None,
+        }));
+        let theirs = Arc::clone(&mailbox);
+        let thread = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || {
+                let mut slot = theirs.lock();
+                loop {
+                    if let Some(job) = slot.pending.take() {
+                        slot.writing = true;
+                        drop(slot);
+                        let outcome = catch_unwind(AssertUnwindSafe(|| write(job)));
+                        theirs.update(|slot| {
+                            slot.writing = false;
+                            if let Err(payload) = outcome {
+                                slot.panic = Some(payload);
+                            }
+                        });
+                        slot = theirs.lock();
+                    } else if slot.closed {
+                        return;
+                    } else {
+                        slot = theirs.wait(slot);
+                    }
+                }
+            })
+            .expect("spawn write-behind thread");
+        WriteBehind {
+            mailbox,
+            thread: Some(thread),
+        }
+    }
+
+    /// Queues `job`, replacing one that is still waiting for the writer.
+    pub fn submit(&self, job: T) {
+        let (superseded, panic) = self
+            .mailbox
+            .update(|slot| (slot.pending.replace(job), slot.panic.take()));
+        drop(superseded); // freed outside the lock
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Returns once everything submitted so far has been written.
+    pub fn flush(&self) {
+        let mut slot = self.mailbox.lock();
+        while slot.pending.is_some() || slot.writing {
+            slot = self.mailbox.wait(slot);
+        }
+        let panic = slot.panic.take();
+        drop(slot);
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+    }
+}
+
+impl<T> Drop for WriteBehind<T> {
+    fn drop(&mut self) {
+        self.mailbox.update(|slot| slot.closed = true);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 /// How many manifest generations a PE retains (current + fallback).
@@ -765,6 +879,96 @@ mod tests {
         assert!(dir.join("pe0-g3-0.ckpt").exists(), "next write is gen 3");
         assert_eq!(read_pe_manifest(&dir, 0).unwrap().unwrap(), parts("g3"));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A writer that checkpoints each job into `dir` but first reports in
+    /// on `started` and waits for a token on `gate`, so a test decides when
+    /// each write may proceed. Returns the handle and the write count.
+    fn gated_writer(
+        dir: &Path,
+        started: std::sync::mpsc::Sender<()>,
+        gate: std::sync::mpsc::Receiver<()>,
+    ) -> (WriteBehind<SnapshotSet>, Arc<AtomicU64>) {
+        let mut ckpt = PeCheckpointer::new(dir, 0).unwrap();
+        let writes = Arc::new(AtomicU64::new(0));
+        let count = Arc::clone(&writes);
+        let wb = WriteBehind::spawn("test-writer", move |set: SnapshotSet| {
+            started.send(()).unwrap();
+            gate.recv().unwrap();
+            ckpt.write(&set).unwrap();
+            count.fetch_add(1, Ordering::SeqCst);
+        });
+        (wb, writes)
+    }
+
+    #[test]
+    fn submits_behind_a_blocked_write_coalesce_to_the_latest() {
+        let dir = temp_dir();
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (gate, gate_rx) = std::sync::mpsc::channel();
+        let (wb, writes) = gated_writer(&dir, started_tx, gate_rx);
+        wb.submit(parts("1"));
+        started.recv().unwrap(); // write 1 is in flight, and held there
+        for n in 2..=6 {
+            wb.submit(parts(&n.to_string()));
+        }
+        gate.send(()).unwrap();
+        gate.send(()).unwrap();
+        // The barrier: covers the write in flight and the one pending.
+        wb.flush();
+        assert_eq!(
+            writes.load(Ordering::SeqCst),
+            2,
+            "five captures behind a blocked write are one write"
+        );
+        assert_eq!(read_pe_manifest(&dir, 0).unwrap().unwrap(), parts("6"));
+        wb.flush(); // idle: returns at once
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn drop_writes_the_pending_job_and_leaves_no_thread() {
+        let dir = temp_dir();
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (gate, gate_rx) = std::sync::mpsc::channel();
+        let (wb, writes) = gated_writer(&dir, started_tx, gate_rx);
+        // `started`'s sender lives in the writer's closure, so the channel
+        // closing is the thread being gone.
+        wb.submit(parts("1"));
+        started.recv().unwrap();
+        wb.submit(parts("2"));
+        gate.send(()).unwrap();
+        gate.send(()).unwrap();
+        drop(wb);
+        assert_eq!(writes.load(Ordering::SeqCst), 2);
+        assert_eq!(read_pe_manifest(&dir, 0).unwrap().unwrap(), parts("2"));
+        assert_eq!(started.try_recv(), Ok(()), "write 2 reported in");
+        assert_eq!(
+            started.try_recv(),
+            Err(std::sync::mpsc::TryRecvError::Disconnected),
+            "drop must have joined the writer thread"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_panicking_write_resumes_on_the_producer_and_the_writer_lives_on() {
+        let written = Arc::new(AtomicU64::new(0));
+        let count = Arc::clone(&written);
+        let wb = WriteBehind::spawn("test-writer", move |job: u64| {
+            assert_ne!(job, 13, "unlucky job");
+            count.fetch_add(job, Ordering::SeqCst);
+        });
+        wb.submit(13);
+        // The barrier neither hangs on the dead write nor swallows it.
+        let raised = catch_unwind(AssertUnwindSafe(|| wb.flush())).unwrap_err();
+        let msg = raised.downcast_ref::<String>().expect("assert message");
+        assert!(msg.contains("unlucky job"), "{msg}");
+        // Raised once; the same thread writes the next job.
+        wb.flush();
+        wb.submit(5);
+        wb.flush();
+        assert_eq!(written.load(Ordering::SeqCst), 5);
     }
 
     #[test]

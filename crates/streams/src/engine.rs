@@ -64,11 +64,11 @@
 //! * `on_finish` runs before the operator's own end-of-stream propagates,
 //!   so terminal operators can emit final results.
 
-use crate::checkpoint::{self, PeCheckpointer};
+use crate::checkpoint::{self, PeCheckpointer, WriteBehind};
 use crate::fault::{FaultAction, FaultTarget, RestartPolicy};
 use crate::graph::{GraphBuilder, LinkKind, PortKind};
 use crate::metrics::{LinkCounters, LinkSnapshot, MetricsRegistry, OpCounters, OpSnapshot};
-use crate::netio::{AckMode, NetTransport};
+use crate::netio::{AckMode, LinkIn, NetTransport};
 use crate::operator::{EmitSink, OpContext, Operator, SourceState};
 use crate::tuple::{DataTuple, Frame, FramePool, Punctuation, Tuple};
 use crossbeam::channel::{bounded, Receiver, Select, Sender};
@@ -278,24 +278,23 @@ struct ChanMeta {
     /// this is the durable consumption watermark persisted as a
     /// `__netlink{id}` pseudo-part in the PE manifest.
     routed: u64,
+    /// The control tuples and punctuation among `routed`. No member's
+    /// `tuples_in` counts them, so on a socket-backed channel they advance
+    /// the checkpoint cadence themselves (see [`checkpoint_progress`]).
+    routed_other: u64,
     /// Socket-link bookkeeping when this channel's upstream runs in another
     /// process; `None` for ordinary in-process channels.
     net: Option<NetIn>,
 }
 
-/// Receiver-side counters shared with the [`NetTransport`] for one
-/// socket-backed incoming channel.
+/// The [`NetTransport`] side of one socket-backed incoming channel.
 struct NetIn {
     /// Global edge index — the wire link id and the `__netlink{id}` key.
     link_id: u64,
-    /// Checkpoint-stable watermark: entries whose effects are durable on
-    /// disk. The transport acknowledges up to this point when the PE
-    /// checkpoints (AckMode::Stable); ignored in receipt-ack mode.
-    stable: Arc<AtomicU64>,
-    /// Entries the transport has pushed into the channel. Preset from the
-    /// manifest on rehydrate so the RESUME handshake asks the sender to
-    /// skip what this PE already consumed durably.
-    delivered: Arc<AtomicU64>,
+    /// The link's watermarks: preset from the manifest on rehydrate,
+    /// advanced (which acknowledges to the sender) when a checkpoint that
+    /// covers the routed entries commits.
+    link: Arc<LinkIn>,
 }
 
 impl ChanMeta {
@@ -303,6 +302,9 @@ impl ChanMeta {
     fn accept(&mut self, frame: Frame) {
         let Frame { mut tuples } = frame;
         self.inflight.fetch_sub(tuples.len(), Ordering::Relaxed);
+        if let Some(net) = &self.net {
+            net.link.frame_taken();
+        }
         tuples.reverse();
         debug_assert!(self.cur.is_empty(), "frame accepted over unconsumed cursor");
         let spent = std::mem::replace(&mut self.cur, tuples);
@@ -376,16 +378,11 @@ struct PeRuntime {
     /// Bounds PE-level restarts (same policy as operator restarts).
     policy: RestartPolicy,
     /// Snapshot writer, when the graph has a checkpoint dir configured.
-    checkpoint: Option<PeCheckpointer>,
+    checkpoint: Option<PeDurability>,
     /// Whole-PE restarts performed so far.
     pe_restarts: u64,
-    /// Sum of member `tuples_in` at the last periodic checkpoint.
+    /// [`checkpoint_progress`] at the last periodic checkpoint.
     last_ckpt_total: u64,
-    /// Consecutive periodic-checkpoint write failures. Each failure doubles
-    /// the effective checkpoint window (capped), so a full disk is polled
-    /// at a gentle rate instead of hammered every cadence; any success
-    /// resets the backoff.
-    ckpt_failures: u64,
     /// True once `on_start` hooks have run; a restarted PE must not re-run
     /// them (operators resume via `Checkpoint::restore`, not a fresh start).
     started: bool,
@@ -798,6 +795,7 @@ impl Engine {
                         pool,
                         inflight,
                         routed: 0,
+                        routed_other: 0,
                         net: None,
                     });
                 }
@@ -850,13 +848,12 @@ impl Engine {
                     link_endpoints.push((op_names[e.from].clone(), op_names[e.to].clone()));
                     let pool = Arc::new(FramePool::new(POOL_DEPTH));
                     let inflight = Arc::new(AtomicUsize::new(0));
-                    let stable = Arc::new(AtomicU64::new(0));
                     let ack = if checkpoint_dir.is_some() {
-                        AckMode::Stable(Arc::clone(&stable))
+                        AckMode::Stable
                     } else {
                         AckMode::Receipt
                     };
-                    let delivered = p.net.add_incoming(
+                    let link = p.net.add_incoming(
                         eid as u64,
                         tx,
                         Arc::clone(&pool),
@@ -873,10 +870,10 @@ impl Engine {
                         pool,
                         inflight,
                         routed: 0,
+                        routed_other: 0,
                         net: Some(NetIn {
                             link_id: eid as u64,
-                            stable,
-                            delivered,
+                            link,
                         }),
                     });
                 }
@@ -907,8 +904,10 @@ impl Engine {
                 continue;
             }
             let checkpoint = checkpoint_dir.as_ref().map(|dir| {
-                PeCheckpointer::new_with_vfs(dir, pe_index, Arc::clone(&vfs))
-                    .expect("create checkpoint directory")
+                let ckpt = PeCheckpointer::new_with_vfs(dir, pe_index, Arc::clone(&vfs))
+                    .expect("create checkpoint directory");
+                // Storage failures are PE-attributed to its first slot.
+                PeDurability::new(ckpt, pe_index, Arc::clone(&slots[0].counters))
             });
             let mut rehydrate = None;
             if partition.as_ref().is_some_and(|p| p.rehydrate) {
@@ -927,7 +926,6 @@ impl Engine {
                 checkpoint,
                 pe_restarts: 0,
                 last_ckpt_total: 0,
-                ckpt_failures: 0,
                 started: false,
                 rehydrate,
             };
@@ -1104,16 +1102,18 @@ fn run_pe(mut pe: PeRuntime) {
     }
 }
 
-/// Writes one consistent checkpoint of every live checkpointable operator
-/// in the PE (blobs + manifest; see [`crate::checkpoint`]). A write failure
-/// is returned, never panicked — the previous manifest generations stay
-/// readable, so callers degrade (skip + counter + backoff) instead of
-/// killing the PE over a full disk.
-fn write_pe_checkpoint(
-    slots: &mut [OpSlot],
-    metas: &[ChanMeta],
-    ckpt: &mut PeCheckpointer,
-) -> std::io::Result<()> {
+/// One consistent snapshot set of a PE, captured between tuples, with the
+/// socket-link watermarks it covers.
+struct Capture {
+    parts: checkpoint::SnapshotSet,
+    /// `(link, routed)`: what each link may acknowledge once `parts` is
+    /// committed.
+    watermarks: Vec<(Arc<LinkIn>, u64)>,
+}
+
+/// Snapshots every live checkpointable operator in the PE (see
+/// [`crate::checkpoint`]). `None` when the PE has nothing to persist.
+fn capture_pe(slots: &mut [OpSlot], metas: &[ChanMeta]) -> Option<Capture> {
     let mut parts = Vec::new();
     for slot in slots.iter_mut() {
         if slot.finished {
@@ -1127,26 +1127,92 @@ fn write_pe_checkpoint(
     // they are what lets a respawned process resume the wire exactly where
     // its durable state left off, so they are persisted even when no
     // operator in the PE is checkpointable right now.
-    let mut stabilize = Vec::new();
+    let mut watermarks = Vec::new();
     for m in metas {
         if let Some(net) = &m.net {
             parts.push((
                 format!("__netlink{}", net.link_id),
                 checkpoint::encode_kv(&[("routed", m.routed.to_string())]),
             ));
-            stabilize.push((Arc::clone(&net.stable), m.routed));
+            watermarks.push((Arc::clone(&net.link), m.routed));
         }
     }
-    if parts.is_empty() {
-        return Ok(());
+    (!parts.is_empty()).then_some(Capture { parts, watermarks })
+}
+
+/// A PE's durability, written behind its scheduler: the PE thread captures
+/// (`capture_pe`), the writer thread runs [`PeCheckpointer::write`] and
+/// only after the pointer-manifest commit lets the links acknowledge — so
+/// an `ACK` still means durable, while the fsyncs cost the engine nothing.
+/// A failed write is never a panic: the previous generations stay
+/// readable, the skip is counted, and each consecutive failure doubles the
+/// checkpoint window (see [`PeDurability::window`]).
+struct PeDurability {
+    ckpt: Arc<parking_lot::Mutex<PeCheckpointer>>,
+    writer: WriteBehind<Capture>,
+    /// Consecutive failed writes; any success resets it.
+    failures: Arc<AtomicU64>,
+}
+
+impl PeDurability {
+    fn new(ckpt: PeCheckpointer, pe_index: usize, counters: Arc<OpCounters>) -> Self {
+        let ckpt = Arc::new(parking_lot::Mutex::new(ckpt));
+        let failures = Arc::new(AtomicU64::new(0));
+        let writer = {
+            let ckpt = Arc::clone(&ckpt);
+            let failures = Arc::clone(&failures);
+            WriteBehind::spawn(&format!("spca-ckpt-{pe_index}"), move |cap: Capture| {
+                match ckpt.lock().write(&cap.parts) {
+                    Ok(()) => {
+                        failures.store(0, Ordering::SeqCst);
+                        // Only a *committed* set moves the watermarks — the
+                        // sender must keep retransmitting anything the
+                        // manifest does not yet cover.
+                        for (link, routed) in cap.watermarks {
+                            link.advance_stable(routed);
+                        }
+                    }
+                    Err(e) => {
+                        let n = failures.fetch_add(1, Ordering::SeqCst) + 1;
+                        eprintln!(
+                            "[supervisor] PE {pe_index} checkpoint skipped ({e}); \
+                             backing off to a {}x window",
+                            1u64 << n.min(6)
+                        );
+                        counters.add_checkpoint_skip();
+                        counters.add_io_faults(1);
+                    }
+                }
+            })
+        };
+        PeDurability {
+            ckpt,
+            writer,
+            failures,
+        }
     }
-    ckpt.write(&parts)?;
-    // Only a *successful* write moves the stable watermark — the sender
-    // must keep retransmitting anything the manifest does not yet cover.
-    for (stable, routed) in stabilize {
-        stable.fetch_max(routed, Ordering::SeqCst);
+
+    /// The periodic window for a cadence of `every`: doubled per
+    /// consecutive failed write (capped at 64x), so a full disk is retried
+    /// at a gentle rate instead of hammered every cadence.
+    fn window(&self, every: u64) -> u64 {
+        every << self.failures.load(Ordering::SeqCst).min(6)
     }
-    Ok(())
+
+    /// Hands a capture to the writer and returns; a capture still waiting
+    /// there is superseded.
+    fn submit(&self, capture: Option<Capture>) {
+        if let Some(capture) = capture {
+            self.writer.submit(capture);
+        }
+    }
+
+    /// Recovers the best snapshot set on disk. Reads the directory only
+    /// with the writer idle, so it sees whole generations.
+    fn recover(&self) -> checkpoint::PeRecovery {
+        self.writer.flush();
+        self.ckpt.lock().recover()
+    }
 }
 
 /// Startup-time recovery for a respawned distributed worker: reads the
@@ -1155,7 +1221,7 @@ fn write_pe_checkpoint(
 /// already consumed durably, and returns the operator parts for restore
 /// after the `on_start` hooks run.
 fn recover_for_rehydrate(
-    ckpt: &PeCheckpointer,
+    ckpt: &PeDurability,
     pe_index: usize,
     metas: &mut [ChanMeta],
 ) -> Option<checkpoint::SnapshotSet> {
@@ -1197,9 +1263,11 @@ fn recover_for_rehydrate(
             .find(|m| m.net.as_ref().is_some_and(|n| n.link_id == link_id))
         {
             m.routed = routed;
-            let net = m.net.as_ref().expect("just matched on net");
-            net.stable.store(routed, Ordering::SeqCst);
-            net.delivered.store(routed, Ordering::SeqCst);
+            m.net
+                .as_ref()
+                .expect("just matched on net")
+                .link
+                .preset(routed);
         }
     }
     Some(op_parts)
@@ -1252,22 +1320,17 @@ fn restart_pe(pe: &mut PeRuntime, clean: bool) -> bool {
     );
     std::thread::sleep(policy.backoff(attempt));
 
-    if let Some(ckpt) = checkpoint.as_mut() {
+    if let Some(ckpt) = checkpoint.as_ref() {
         // A clean (injected) kill unwound between tuples with consistent
-        // in-memory state: persist that exact state first, so the restore
-        // below genuinely round-trips every operator through disk and the
-        // run stays bit-identical to a fault-free one. After an escaped
-        // panic the in-memory state is suspect, so recovery falls back to
-        // the last *periodic* manifest (loss bounded by the checkpoint
-        // cadence).
+        // in-memory state: persist that exact state first (`recover`
+        // flushes it), so the restore below genuinely round-trips every
+        // operator through disk and the run stays bit-identical to a
+        // fault-free one. After an escaped panic the in-memory state is
+        // suspect, so recovery falls back to the last *periodic* capture
+        // (loss bounded by the checkpoint cadence). If the teardown write
+        // fails, so does recovery — to the last durable generation.
         if clean {
-            if let Err(e) = write_pe_checkpoint(slots, metas, ckpt) {
-                eprintln!(
-                    "[supervisor] PE {pe_index} teardown checkpoint failed ({e}); \
-                     recovering from the last durable generation"
-                );
-                slots[0].counters.add_io_faults(1);
-            }
+            ckpt.submit(capture_pe(slots, metas));
         }
         // Degrading recovery: a torn or bit-rotted manifest/blob is
         // quarantined aside and recovery falls back to the previous
@@ -1365,9 +1428,7 @@ fn run_pe_once(pe: &mut PeRuntime) {
         pending,
         checkpoint,
         last_ckpt_total,
-        ckpt_failures,
         started,
-        pe_index,
         rehydrate,
         ..
     } = pe;
@@ -1533,47 +1594,17 @@ fn run_pe_once(pe: &mut PeRuntime) {
         }
         drain_pending(slots, pending, stop);
 
-        // 3. Periodic checkpoint: once the PE's members have consumed a
-        //    cadence worth of data tuples since the last snapshot set,
-        //    write a fresh consistent generation. This sits between tuples
-        //    (the pending queue is drained), so the set is consistent by
-        //    construction. A failed write (ENOSPC, fsync error, dead
-        //    device) is a *skip*, never a PE panic: the last durable
-        //    generations stay readable, the skip is counted, and the
-        //    effective window doubles per consecutive failure (capped at
-        //    64×) so a full disk is retried at a gentle rate.
-        if let (Some(every), Some(ckpt)) = (cadence, checkpoint.as_mut()) {
-            // Count routed entries on net-fed channels on top of data
-            // tuples: a PE consuming only control traffic (e.g. a
-            // snapshot sink) must still advance its link watermarks, or
-            // the senders' stable acks — and their replay-queue pruning —
-            // stall until the terminal flush. Data tuples arriving over a
-            // link land in both sums, which merely tightens the cadence.
-            let total: u64 = slots
-                .iter()
-                .map(|s| s.counters.tuples_in.load(Ordering::Relaxed))
-                .sum::<u64>()
-                + metas
-                    .iter()
-                    .filter(|m| m.net.is_some())
-                    .map(|m| m.routed)
-                    .sum::<u64>();
-            let effective = every << (*ckpt_failures).min(6);
-            if total.saturating_sub(*last_ckpt_total) >= effective {
+        // 3. Periodic checkpoint: once the PE has consumed a cadence worth
+        //    of entries since the last snapshot set, capture a fresh
+        //    consistent one and hand it to the writer. This sits between
+        //    tuples (the pending queue is drained), so the set is
+        //    consistent by construction, and the engine pays for the
+        //    capture only: the fsyncs run behind it.
+        if let (Some(every), Some(ckpt)) = (cadence, checkpoint.as_ref()) {
+            let total = checkpoint_progress(slots, metas);
+            if total.saturating_sub(*last_ckpt_total) >= ckpt.window(every) {
                 *last_ckpt_total = total;
-                match write_pe_checkpoint(slots, metas, ckpt) {
-                    Ok(()) => *ckpt_failures = 0,
-                    Err(e) => {
-                        *ckpt_failures += 1;
-                        eprintln!(
-                            "[supervisor] PE {pe_index} periodic checkpoint skipped ({e}); \
-                             backing off to a {}x window",
-                            1u64 << (*ckpt_failures).min(6)
-                        );
-                        slots[0].counters.add_checkpoint_skip();
-                        slots[0].counters.add_io_faults(1);
-                    }
-                }
+                ckpt.submit(capture_pe(slots, metas));
             }
         }
 
@@ -1605,14 +1636,34 @@ fn run_pe_once(pe: &mut PeRuntime) {
     // Terminal watermark flush: a PE fed over the wire persists its final
     // netlink watermarks so the stable acks cover everything it consumed —
     // without this, the peer's sender would hold its whole retransmit
-    // queue at shutdown and exit with an unacked-tail warning.
+    // queue at shutdown and exit with an unacked-tail warning. Flushed:
+    // the peer's clean close is waiting for exactly this commit.
     if has_net {
-        if let Some(ckpt) = checkpoint.as_mut() {
-            if let Err(e) = write_pe_checkpoint(slots, metas, ckpt) {
-                eprintln!("[supervisor] PE {pe_index} terminal checkpoint failed ({e})");
-            }
+        if let Some(ckpt) = checkpoint.as_ref() {
+            ckpt.submit(capture_pe(slots, metas));
+            ckpt.writer.flush();
         }
     }
+}
+
+/// What the periodic-checkpoint cadence counts: every entry the PE's
+/// members consumed, once. Data tuples show up in a member's `tuples_in`
+/// however they arrived; control tuples and punctuation show up nowhere,
+/// so the ones routed off socket-backed channels are added — a PE that
+/// consumes only control traffic over the wire (a snapshot sink) must
+/// still advance its link watermarks, or the senders' stable acks, and
+/// their replay-queue pruning, stall until the terminal flush.
+fn checkpoint_progress(slots: &[OpSlot], metas: &[ChanMeta]) -> u64 {
+    let data: u64 = slots
+        .iter()
+        .map(|s| s.counters.tuples_in.load(Ordering::Relaxed))
+        .sum();
+    let wire_other: u64 = metas
+        .iter()
+        .filter(|m| m.net.is_some())
+        .map(|m| m.routed_other)
+        .sum();
+    data + wire_other
 }
 
 /// Bounded, non-blocking sweep: up to [`SWEEP_TUPLES`] round-robin passes,
@@ -1686,6 +1737,9 @@ fn route_one(
     t: Tuple,
 ) {
     metas[ci].routed += 1;
+    if !matches!(t, Tuple::Data(_)) {
+        metas[ci].routed_other += 1;
+    }
     if t.is_eos() {
         metas[ci].got_eos = true;
         metas[ci].alive = false;
@@ -2564,6 +2618,169 @@ mod tests {
         let report = Engine::run(g);
         assert!(seen.lock().is_empty());
         assert_eq!(report.op("bad").unwrap().pe_restarts, 2);
+    }
+
+    /// A slot around `Swallow`, wired to nothing.
+    fn lone_slot() -> OpSlot {
+        OpSlot {
+            name: "op".to_string(),
+            op: Some(Box::new(Swallow)),
+            counters: Arc::new(OpCounters::default()),
+            out_ports: Vec::new(),
+            is_source: false,
+            data_in_degree: 1,
+            ctrl_in_degree: 1,
+            eos_data: 0,
+            eos_ctrl: 0,
+            finished: false,
+            faults: Vec::new(),
+            fault_data_seen: 0,
+            policy: RestartPolicy::default(),
+            restart_attempts: 0,
+            last_redelivered: None,
+        }
+    }
+
+    struct Swallow;
+    impl Operator for Swallow {
+        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
+    }
+
+    /// A channel cursor feeding slot 0, socket-backed (stable acks) when
+    /// `net` is given.
+    fn cursor_into_slot_0(port: PortKind, net: Option<(&NetTransport, u64)>) -> ChanMeta {
+        let pool = Arc::new(FramePool::new(1));
+        let inflight = Arc::new(AtomicUsize::new(0));
+        let net = net.map(|(transport, link_id)| {
+            let (tx, _rx) = bounded(1);
+            let link = transport.add_incoming(
+                link_id,
+                tx,
+                Arc::clone(&pool),
+                Arc::clone(&inflight),
+                AckMode::Stable,
+            );
+            NetIn { link_id, link }
+        });
+        ChanMeta {
+            to_local: 0,
+            port,
+            got_eos: false,
+            alive: true,
+            cur: Vec::new(),
+            pool,
+            inflight,
+            routed: 0,
+            routed_other: 0,
+            net,
+        }
+    }
+
+    #[test]
+    fn checkpoint_cadence_counts_each_delivered_entry_once() {
+        let transport = NetTransport::bind("127.0.0.1:0").unwrap();
+        let stop = AtomicBool::new(false);
+        let mut pending = VecDeque::new();
+        let signal = || Tuple::Control(crate::tuple::ControlTuple::signal(7, 0));
+        let datum = |seq| Tuple::Data(DataTuple::new(seq, vec![1.0]));
+
+        // A data PE fed over a socket, with a little control traffic on a
+        // second socket and a local channel beside them. Each wire tuple
+        // used to count twice: once in the member's `tuples_in`, once in
+        // the channel's `routed`.
+        let mut slots = [lone_slot()];
+        let mut metas = [
+            cursor_into_slot_0(PortKind::Data, Some((&transport, 1))),
+            cursor_into_slot_0(PortKind::Control, Some((&transport, 2))),
+            cursor_into_slot_0(PortKind::Data, None),
+        ];
+        for seq in 0..500 {
+            route_one(&mut slots, &mut metas, &mut pending, &stop, 0, datum(seq));
+        }
+        for _ in 0..3 {
+            route_one(&mut slots, &mut metas, &mut pending, &stop, 1, signal());
+        }
+        for seq in 500..520 {
+            route_one(&mut slots, &mut metas, &mut pending, &stop, 2, datum(seq));
+        }
+        assert_eq!(metas[0].routed, 500);
+        assert_eq!(
+            checkpoint_progress(&slots, &metas),
+            523,
+            "500 wire data + 3 wire control + 20 local data, each once"
+        );
+
+        // A PE that consumes nothing but control traffic over the wire
+        // still advances — by exactly what it consumed — so its link
+        // watermarks move before the terminal flush.
+        let mut slots = [lone_slot()];
+        let mut metas = [cursor_into_slot_0(PortKind::Control, Some((&transport, 3)))];
+        for _ in 0..40 {
+            route_one(&mut slots, &mut metas, &mut pending, &stop, 0, signal());
+        }
+        assert_eq!(slots[0].counters.snapshot().tuples_in, 0);
+        assert_eq!(checkpoint_progress(&slots, &metas), 40);
+        transport.shutdown();
+    }
+
+    #[test]
+    fn a_failed_write_behind_leaves_the_watermark_and_counts_a_skip() {
+        use crate::vfs::{FaultVfs, IoFaultSpec};
+        let transport = NetTransport::bind("127.0.0.1:0").unwrap();
+        let capture = |link: &Arc<LinkIn>, routed: u64| Capture {
+            parts: vec![("op".to_string(), routed.to_string().into_bytes())],
+            watermarks: vec![(Arc::clone(link), routed)],
+        };
+        let durability = |tag: &str, spec: IoFaultSpec| {
+            let dir =
+                std::env::temp_dir().join(format!("spca_engine_wb_{tag}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let ckpt =
+                PeCheckpointer::new_with_vfs(&dir, 0, Arc::new(FaultVfs::new(spec))).unwrap();
+            let counters = Arc::new(OpCounters::default());
+            (
+                PeDurability::new(ckpt, 0, Arc::clone(&counters)),
+                counters,
+                dir,
+            )
+        };
+
+        // Every fsync fails: nothing commits, so nothing is acknowledged.
+        let sick = cursor_into_slot_0(PortKind::Data, Some((&transport, 1)));
+        let link = &sick.net.as_ref().unwrap().link;
+        let (d, counters, dir) = durability(
+            "sick",
+            IoFaultSpec {
+                fsync_err: true,
+                ..IoFaultSpec::default()
+            },
+        );
+        d.submit(Some(capture(link, 7)));
+        d.writer.flush();
+        assert_eq!(link.stable(), 0, "an uncommitted capture must not be acked");
+        let seen = counters.snapshot();
+        assert_eq!((seen.checkpoint_skips, seen.io_faults), (1, 1));
+        assert_eq!(d.window(10), 20, "one failure doubles the window");
+        assert!(d.recover().set.is_none());
+        drop(d);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // The same capture on a healthy disk: committed, then acked.
+        let well = cursor_into_slot_0(PortKind::Data, Some((&transport, 2)));
+        let link = &well.net.as_ref().unwrap().link;
+        let (d, counters, dir) = durability("well", IoFaultSpec::default());
+        d.submit(Some(capture(link, 7)));
+        assert_eq!(
+            d.recover().set.unwrap()[0].1,
+            b"7".to_vec(),
+            "recover reads only behind the writer"
+        );
+        assert_eq!(link.stable(), 7);
+        assert_eq!(counters.snapshot().checkpoint_skips, 0);
+        assert_eq!(d.window(10), 10);
+        drop(d);
+        std::fs::remove_dir_all(&dir).unwrap();
+        transport.shutdown();
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub mod ops;
 pub mod optimize;
 pub mod tuple;
 pub mod vfs;
+pub mod watched;
 
 pub use backfill::{
     content_hash, run_partitions, BackfillStats, Partition, PartitionSource, StateStore,
@@ -68,7 +69,8 @@ pub use engine::{Engine, LinkReport, NetPartition, RunReport, RunningEngine};
 pub use fault::{Fault, FaultAction, FaultPlan, FaultTarget, RestartPolicy, StorageDomain};
 pub use graph::{GraphBuilder, LinkKind, OpId, PortKind, DEFAULT_BATCH_SIZE};
 pub use membership::ActiveSet;
-pub use netio::{AckMode, NetTransport, WireFaultSpec, WIRE_VERSION};
+pub use netio::{AckMode, LinkIn, NetTransport, WireFaultSpec, WIRE_VERSION};
 pub use operator::{OpContext, Operator, SourceState};
 pub use tuple::{ControlTuple, DataTuple, Frame, FramePool, Punctuation, Tuple};
 pub use vfs::{FaultVfs, IoFaultSpec, RealVfs, Vfs};
+pub use watched::Watched;

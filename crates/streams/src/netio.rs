@@ -24,8 +24,8 @@
 //! * `ACK`    — `"SPCA"` + `u64` cumulative acknowledged entry count;
 //!   receiver → sender. The sender prunes its retransmit queue up to this
 //!   point. In [`AckMode::Stable`] the acknowledged count only advances
-//!   when the consuming PE checkpoints, so everything since the last
-//!   durable checkpoint stays retransmittable across a process kill.
+//!   when the consuming PE's checkpoint commits, so everything since the
+//!   last durable checkpoint stays retransmittable across a process kill.
 //! * `GOODBYE` — `"SPCG"`; sender → receiver once the producing side has
 //!   drained *and* every entry is acknowledged. Closes the link cleanly.
 //!
@@ -44,18 +44,29 @@
 //! Wire faults from the fault grammar (`net-drop-conn@link:N`,
 //! `net-partial-write@link:N`) are injected in the sender's socket shim,
 //! the way [`FaultVfs`](crate::vfs::FaultVfs) wraps storage writes.
+//!
+//! **Waiting:** every thread here blocks on the thing it waits for — a
+//! socket read, `accept`, a channel, or a condvar — and is woken by the
+//! event itself: an `ACK` is written by whoever advanced the watermark,
+//! the ack reader signals the closing sender, and
+//! [`shutdown`](NetTransport::shutdown) unblocks readers by shutting their
+//! sockets down and the acceptor by connecting to it. The only timed waits
+//! are the connect back-off (the peer is down; there is no event to wait
+//! for), the handshake deadline, and the sender's idle probe of a quiet
+//! channel. DESIGN §12 has the table.
 
 use crate::codec::{decode_frame, encode_frame, frame_len, ColumnarFrame, HEADER_LEN};
 use crate::tuple::{Frame, FramePool};
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use crate::watched::Watched;
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Wire-protocol version carried in every `HELLO`.
 pub const WIRE_VERSION: u8 = 1;
@@ -66,9 +77,6 @@ const TAG_DATA: [u8; 4] = *b"SPCD";
 const TAG_ACK: [u8; 4] = *b"SPCA";
 const TAG_GOODBYE: [u8; 4] = *b"SPCG";
 
-/// Socket read poll interval: blocking reads time out this often so the
-/// thread can notice the stop flag and flush lagging stable acks.
-const READ_TICK: Duration = Duration::from_millis(50);
 /// How long [`NetTransport::shutdown`] lets senders finish their clean
 /// close (final ack round trip + `GOODBYE`) before aborting them.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
@@ -76,9 +84,17 @@ const DRAIN_GRACE: Duration = Duration::from_secs(2);
 const BACKOFF_START: Duration = Duration::from_millis(25);
 /// Reconnect backoff ceiling.
 const BACKOFF_CAP: Duration = Duration::from_secs(1);
-/// Handshake deadline: a peer that accepts but never completes the
+/// Handshake deadline: a peer that connects but never completes the
 /// `HELLO`/`RESUME` exchange within this window is treated as dead.
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
+/// How often a sender whose producer is quiet looks up from its channel to
+/// see whether the connection died under it (so queued frames are replayed
+/// to a respawned peer even when no new frame comes to trip over the dead
+/// socket) or the transport stopped. A frame and the producer's end wake it
+/// at once, and nothing on a run's critical path waits for it; it is timed
+/// because the pump waits on a channel and a connection at once, and the
+/// vendored channel has no event-driven `Select` to put both behind.
+const IDLE_PROBE: Duration = Duration::from_millis(20);
 /// Encoded-frame buffers recycled per sender (steady state allocates none).
 const SPARE_ENCODE_BUFS: usize = 8;
 /// Decoded data a receiver parks in front of its consuming PE before it
@@ -111,41 +127,136 @@ impl WireFaultSpec {
 }
 
 /// How the receiving side acknowledges delivered entries.
-#[derive(Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckMode {
     /// Acknowledge on receipt (the entry was forwarded into the consuming
     /// PE's channel). Used when the consumer does not checkpoint: a
     /// process kill loses state anyway, so receipt is as good as stable.
     Receipt,
-    /// Acknowledge only up to the given checkpoint-stable routed count.
-    /// The engine stores the per-link routed count in the PE manifest and
-    /// advances this counter after each successful checkpoint, so the
-    /// sender retains everything since the last durable state.
-    Stable(Arc<AtomicU64>),
+    /// Acknowledge only what [`LinkIn::advance_stable`] has declared
+    /// durable. The engine stores the per-link routed count in the PE
+    /// manifest and advances the watermark once that manifest is
+    /// committed, so the sender retains everything since the last durable
+    /// state.
+    Stable,
 }
 
-impl std::fmt::Debug for AckMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AckMode::Receipt => write!(f, "Receipt"),
-            AckMode::Stable(v) => write!(f, "Stable({})", v.load(Ordering::Relaxed)),
+/// The transport-wide stop flag, plus a gate that timed waiters (the
+/// connect back-off) sleep on so `set` cuts them short.
+struct Stop {
+    flag: AtomicBool,
+    gate: Watched<()>,
+}
+
+impl Stop {
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    fn set(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        self.gate.update(|_| ());
+    }
+
+    /// Waits up to `d`; true when the transport stopped meanwhile.
+    fn pause(&self, d: Duration) -> bool {
+        let guard = self.gate.lock();
+        if !self.is_set() {
+            drop(self.gate.wait_timeout(guard, d));
         }
+        self.is_set()
     }
 }
 
-/// Receiving side of one boundary link.
-struct Incoming {
+/// The write half of the connection driving a link, and the highest `ACK`
+/// already written on it.
+struct AckOut {
+    stream: TcpStream,
+    sent: u64,
+}
+
+/// Receiving side of one boundary link; handed out by
+/// [`NetTransport::add_incoming`] so the consuming engine can move the
+/// link's watermarks.
+pub struct LinkIn {
     /// Channel into the consuming PE; taken (and thereby disconnected)
     /// on `GOODBYE`.
     tx: Mutex<Option<Sender<Frame>>>,
     pool: Arc<FramePool>,
     inflight: Arc<AtomicUsize>,
     /// Entries forwarded into the channel so far (the `RESUME` point).
-    delivered: Arc<AtomicU64>,
-    ack: AckMode,
-    /// At most one connection drives a link at a time; a reconnect waits
-    /// for the previous connection's thread to notice the broken socket.
-    busy: AtomicBool,
+    delivered: AtomicU64,
+    /// Entries whose effects are durable at the consumer
+    /// ([`AckMode::Stable`]); `None` acknowledges on receipt.
+    stable: Option<AtomicU64>,
+    /// The live connection's write half. Every `ACK` — per frame from the
+    /// connection thread, per commit from [`LinkIn::advance_stable`] — is
+    /// written under this lock, so two writers never interleave bytes.
+    conn: Mutex<Option<AckOut>>,
+    /// Held by the connection thread that drives the link: at most one
+    /// does at a time, and a reconnect queues here behind its predecessor.
+    driving: Mutex<()>,
+    /// Where the connection thread waits while the consumer holds more
+    /// than [`INBOUND_BYTES`]; [`LinkIn::frame_taken`] wakes it.
+    room: Watched<()>,
+}
+
+impl LinkIn {
+    /// Starts both watermarks at `entries` — what a rehydrated consumer
+    /// already holds durably — so the `RESUME` handshake asks the sender
+    /// to skip that prefix. Call before [`NetTransport::start`].
+    pub fn preset(&self, entries: u64) {
+        self.delivered.store(entries, Ordering::SeqCst);
+        if let Some(stable) = &self.stable {
+            stable.store(entries, Ordering::SeqCst);
+        }
+    }
+
+    /// Declares the first `entries` entries durable at the consumer and
+    /// writes the `ACK` on the link's live connection at once (with none,
+    /// the next handshake carries it). Only call once the state that
+    /// covers them is committed: the sender forgets what it is told here.
+    pub fn advance_stable(&self, entries: u64) {
+        let Some(stable) = &self.stable else {
+            return;
+        };
+        let mut conn = self.conn.lock();
+        stable.fetch_max(entries, Ordering::SeqCst);
+        // A failed write means a dying connection; its thread notices.
+        let _ = self.send_ack(&mut conn);
+    }
+
+    /// The consumer took a frame off the channel (and has already lowered
+    /// the link's in-flight count).
+    pub fn frame_taken(&self) {
+        self.room.update(|_| ());
+    }
+
+    /// The durable watermark, for tests of who may move it.
+    #[cfg(test)]
+    pub(crate) fn stable(&self) -> u64 {
+        self.stable.as_ref().map_or(0, |s| s.load(Ordering::SeqCst))
+    }
+
+    /// Writes the current ack value unless this connection already
+    /// carried it.
+    fn send_ack(&self, conn: &mut Option<AckOut>) -> io::Result<()> {
+        let value = match &self.stable {
+            Some(stable) => stable.load(Ordering::SeqCst),
+            None => self.delivered.load(Ordering::SeqCst),
+        };
+        match conn {
+            Some(out) if value > out.sent => {
+                let mut msg = [0u8; 12];
+                msg[..4].copy_from_slice(&TAG_ACK);
+                msg[4..].copy_from_slice(&value.to_le_bytes());
+                out.stream.write_all(&msg)?;
+                out.sent = value;
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Sending side of one boundary link, consumed by [`NetTransport::start`].
@@ -155,6 +266,24 @@ struct Outgoing {
     pool: Arc<FramePool>,
     inflight: Arc<AtomicUsize>,
     peer: SocketAddr,
+}
+
+/// What a sender and its ack reader share; the sender waits on it while
+/// closing, and [`NetTransport::shutdown`] reaches the sender through it.
+#[derive(Default)]
+struct SendWait {
+    /// Cumulative entries the peer acknowledged.
+    acked: u64,
+    /// The current connection's ack reader saw EOF or an error.
+    conn_dead: bool,
+    /// The current connection, for `shutdown` to break.
+    stream: Option<TcpStream>,
+}
+
+/// A running sender thread and the way to reach it.
+struct SenderHandle {
+    thread: JoinHandle<()>,
+    wait: Arc<Watched<SendWait>>,
 }
 
 /// The per-process TCP transport: one listener for all incoming boundary
@@ -167,18 +296,46 @@ struct Outgoing {
 pub struct NetTransport {
     listener: TcpListener,
     local: SocketAddr,
-    stop: Arc<AtomicBool>,
-    incoming: Mutex<HashMap<u64, Arc<Incoming>>>,
+    stop: Arc<Stop>,
+    incoming: Mutex<HashMap<u64, Arc<LinkIn>>>,
     outgoing: Mutex<Vec<Outgoing>>,
     faults: Mutex<Option<Arc<WireFaultSpec>>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    sender_handles: Mutex<Vec<JoinHandle<()>>>,
-    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    acceptor: Mutex<Option<JoinHandle<()>>>,
+    senders: Mutex<Vec<SenderHandle>>,
+    /// Sender threads still running; `shutdown` waits here for the clean
+    /// closes.
+    senders_left: Arc<Watched<usize>>,
+    /// Connection threads with a handle on their socket, for `shutdown`.
+    conns: Mutex<Vec<(JoinHandle<()>, TcpStream)>>,
 }
 
 impl std::fmt::Debug for NetTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "NetTransport({})", self.local)
+    }
+}
+
+/// The address on which a listener bound to `addr` can be dialled from its
+/// own host: a wildcard IP becomes the loopback of the same family.
+pub fn loopback_of(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
+}
+
+/// Ends a thread that sits in a blocking `accept` on `listening` and
+/// checks a stop flag — which the caller has already raised — each time
+/// `accept` returns: connects to the listener, then joins the thread.
+pub fn wake_acceptor(listening: SocketAddr, acceptor: JoinHandle<()>) {
+    match TcpStream::connect_timeout(&loopback_of(listening), Duration::from_secs(1)) {
+        Ok(_) => {
+            let _ = acceptor.join();
+        }
+        Err(e) => eprintln!("spca-net: cannot wake the acceptor on {listening}: {e}"),
     }
 }
 
@@ -188,18 +345,21 @@ impl NetTransport {
     /// one for address exchange.
     pub fn bind(addr: &str) -> io::Result<Arc<NetTransport>> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         Ok(Arc::new(NetTransport {
             listener,
             local,
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: Arc::new(Stop {
+                flag: AtomicBool::new(false),
+                gate: Watched::new(()),
+            }),
             incoming: Mutex::new(HashMap::new()),
             outgoing: Mutex::new(Vec::new()),
             faults: Mutex::new(None),
-            handles: Mutex::new(Vec::new()),
-            sender_handles: Mutex::new(Vec::new()),
-            conn_handles: Arc::new(Mutex::new(Vec::new())),
+            acceptor: Mutex::new(None),
+            senders: Mutex::new(Vec::new()),
+            senders_left: Arc::new(Watched::new(0)),
+            conns: Mutex::new(Vec::new()),
         }))
     }
 
@@ -217,9 +377,9 @@ impl NetTransport {
 
     /// Registers the receiving end of boundary link `link_id`: decoded
     /// frames are forwarded into `tx` using buffers from `pool`, with
-    /// `inflight` incremented per forwarded entry (the consuming PE's
-    /// `ChanMeta` decrements it). Returns the `delivered` counter so the
-    /// engine can pre-set it when rehydrating from a checkpoint manifest.
+    /// `inflight` incremented per forwarded entry. The consuming PE
+    /// decrements it and then calls [`LinkIn::frame_taken`] on the
+    /// returned handle, which also carries the link's watermarks.
     pub fn add_incoming(
         &self,
         link_id: u64,
@@ -227,20 +387,19 @@ impl NetTransport {
         pool: Arc<FramePool>,
         inflight: Arc<AtomicUsize>,
         ack: AckMode,
-    ) -> Arc<AtomicU64> {
-        let delivered = Arc::new(AtomicU64::new(0));
-        self.incoming.lock().insert(
-            link_id,
-            Arc::new(Incoming {
-                tx: Mutex::new(Some(tx)),
-                pool,
-                inflight,
-                delivered: Arc::clone(&delivered),
-                ack,
-                busy: AtomicBool::new(false),
-            }),
-        );
-        delivered
+    ) -> Arc<LinkIn> {
+        let link = Arc::new(LinkIn {
+            tx: Mutex::new(Some(tx)),
+            pool,
+            inflight,
+            delivered: AtomicU64::new(0),
+            stable: (ack == AckMode::Stable).then(|| AtomicU64::new(0)),
+            conn: Mutex::new(None),
+            driving: Mutex::new(()),
+            room: Watched::new(()),
+        });
+        self.incoming.lock().insert(link_id, Arc::clone(&link));
+        link
     }
 
     /// Registers the sending end of boundary link `link_id`: frames from
@@ -267,26 +426,50 @@ impl NetTransport {
     /// Spawns the acceptor and one sender thread per registered outgoing
     /// link. Call after every link is registered.
     pub fn start(self: &Arc<Self>) {
-        let mut handles = self.handles.lock();
         let me = Arc::clone(self);
-        handles.push(
+        *self.acceptor.lock() = Some(
             thread::Builder::new()
                 .name("spca-net-accept".into())
                 .spawn(move || me.accept_loop())
                 .expect("spawn acceptor"),
         );
-        drop(handles);
         let faults = self.faults.lock().clone();
-        let mut senders = self.sender_handles.lock();
+        let mut senders = self.senders.lock();
         for link in self.outgoing.lock().drain(..) {
-            let stop = Arc::clone(&self.stop);
-            let spec = faults.clone();
-            senders.push(
-                thread::Builder::new()
-                    .name(format!("spca-net-send-{}", link.link_id))
-                    .spawn(move || run_sender(link, stop, spec))
-                    .expect("spawn sender"),
-            );
+            let wait = Arc::new(Watched::new(SendWait::default()));
+            let name = format!("spca-net-send-{}", link.link_id);
+            let sender = SenderLoop {
+                link,
+                stop: Arc::clone(&self.stop),
+                spec: faults.clone(),
+                wait: Arc::clone(&wait),
+                produced: 0,
+                skip_until: 0,
+                frame_writes: 0,
+                queue: VecDeque::new(),
+                spares: Vec::new(),
+                chan_open: true,
+            };
+            self.senders_left.update(|n| *n += 1);
+            let left = Arc::clone(&self.senders_left);
+            let handle = thread::Builder::new()
+                .name(name)
+                .spawn(move || {
+                    // Counted down on every exit, a panic included.
+                    struct Leave(Arc<Watched<usize>>);
+                    impl Drop for Leave {
+                        fn drop(&mut self) {
+                            self.0.update(|n| *n -= 1);
+                        }
+                    }
+                    let _leave = Leave(left);
+                    sender.run();
+                })
+                .expect("spawn sender");
+            senders.push(SenderHandle {
+                thread: handle,
+                wait,
+            });
         }
     }
 
@@ -299,44 +482,80 @@ impl NetTransport {
     /// peer after the grace gives up (with a note on stderr) rather than
     /// hang.
     pub fn shutdown(&self) {
-        let deadline = Instant::now() + DRAIN_GRACE;
-        while !self.sender_handles.lock().iter().all(|h| h.is_finished()) {
-            if Instant::now() >= deadline {
-                break;
-            }
-            thread::sleep(Duration::from_millis(5));
+        drop(
+            self.senders_left
+                .wait_timeout_while(DRAIN_GRACE, |n| *n > 0),
+        );
+        self.stop.set();
+
+        // Whatever a remaining sender is blocked in — a socket read or
+        // write, or the wait for its last ack — ends when its connection
+        // breaks and its wait is signalled.
+        let senders: Vec<_> = self.senders.lock().drain(..).collect();
+        for sender in &senders {
+            sender.wait.update(|w| {
+                if let Some(s) = &w.stream {
+                    let _ = s.shutdown(Shutdown::Both);
+                }
+            });
         }
-        self.stop.store(true, Ordering::SeqCst);
-        let senders: Vec<_> = self.sender_handles.lock().drain(..).collect();
-        for h in senders {
-            let _ = h.join();
+        for sender in senders {
+            let _ = sender.thread.join();
         }
-        let handles: Vec<_> = self.handles.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
+
+        if let Some(acceptor) = self.acceptor.lock().take() {
+            wake_acceptor(self.local, acceptor);
         }
-        let conns: Vec<_> = self.conn_handles.lock().drain(..).collect();
-        for h in conns {
-            let _ = h.join();
+
+        // Connection threads sit in a blocking read, or at a link's
+        // flow-control gate.
+        for link in self.incoming.lock().values() {
+            link.room.update(|_| ());
+        }
+        let conns: Vec<_> = self.conns.lock().drain(..).collect();
+        for (_, stream) in &conns {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        for (handle, _) in conns {
+            let _ = handle.join();
         }
     }
 
     fn accept_loop(self: Arc<Self>) {
-        while !self.stop.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let me = Arc::clone(&self);
-                    let h = thread::Builder::new()
-                        .name("spca-net-recv".into())
-                        .spawn(move || me.handle_conn(stream))
-                        .expect("spawn receiver");
-                    self.conn_handles.lock().push(h);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => thread::sleep(Duration::from_millis(10)),
+        loop {
+            let accepted = self.listener.accept();
+            if self.stop.is_set() {
+                return;
             }
+            let stream = match accepted {
+                Ok((stream, _peer)) => stream,
+                // Out of descriptors, or a handshake aborted in the
+                // backlog: nothing to wait on but time.
+                Err(_) => {
+                    self.stop.pause(Duration::from_millis(10));
+                    continue;
+                }
+            };
+            let Ok(theirs) = stream.try_clone() else {
+                continue;
+            };
+            let mut conns = self.conns.lock();
+            // Reap the threads of connections that have ended, so a
+            // long-lived listener's registry holds only live sockets.
+            let mut i = 0;
+            while i < conns.len() {
+                if conns[i].0.is_finished() {
+                    let _ = conns.swap_remove(i).0.join();
+                } else {
+                    i += 1;
+                }
+            }
+            let me = Arc::clone(&self);
+            let handle = thread::Builder::new()
+                .name("spca-net-recv".into())
+                .spawn(move || me.handle_conn(theirs))
+                .expect("spawn receiver");
+            conns.push((handle, stream));
         }
     }
 
@@ -344,16 +563,22 @@ impl NetTransport {
     /// frames (decoded, duplicate-trimmed, forwarded, acknowledged) until
     /// `GOODBYE`, EOF, or a socket/codec error. Errors never advance the
     /// delivered count — the sender retransmits on its next connection.
-    fn handle_conn(self: Arc<Self>, mut s: TcpStream) {
-        let stop = Arc::clone(&self.stop);
+    fn handle_conn(self: Arc<Self>, s: TcpStream) {
         let _ = s.set_nodelay(true);
-        let _ = s.set_read_timeout(Some(READ_TICK));
+        self.serve_conn(&s);
+        // The registry holds a clone of this socket, so dropping `s` would
+        // not close it, and the sender's ack reader is waiting for the FIN.
+        let _ = s.shutdown(Shutdown::Both);
+    }
 
+    fn serve_conn(&self, s: &TcpStream) {
         // HELLO: magic + version + link id.
+        let _ = s.set_read_timeout(Some(HANDSHAKE_DEADLINE));
         let mut hello = [0u8; 13];
-        if read_full(&mut s, &mut hello, &stop).is_err() {
+        if (&*s).read_exact(&mut hello).is_err() {
             return;
         }
+        let _ = s.set_read_timeout(None);
         if hello[..4] != TAG_HELLO || hello[4] != WIRE_VERSION {
             return;
         }
@@ -362,115 +587,86 @@ impl NetTransport {
             return; // Unknown link: refuse by closing.
         };
 
-        // One connection at a time per link; a stale predecessor notices
-        // its dead socket within a read tick.
-        let t0 = Instant::now();
-        while link
-            .busy
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            if stop.load(Ordering::Relaxed) || t0.elapsed() > HANDSHAKE_DEADLINE {
-                return;
-            }
-            thread::sleep(Duration::from_millis(5));
+        // One connection at a time per link. A predecessor whose peer
+        // vanished without a FIN would sit in its read forever: break its
+        // socket, then queue behind it.
+        if let Some(old) = link.conn.lock().as_ref() {
+            let _ = old.stream.shutdown(Shutdown::Both);
         }
-        self.drive_link(&mut s, &link, &stop);
-        link.busy.store(false, Ordering::SeqCst);
+        let _driving = link.driving.lock();
+        if !self.stop.is_set() {
+            self.drive_link(s, &link);
+        }
+        *link.conn.lock() = None;
     }
 
-    fn drive_link(&self, s: &mut TcpStream, link: &Incoming, stop: &AtomicBool) {
-        // RESUME with where this link's delivered sequence stands.
-        let mut resume = [0u8; 12];
-        resume[..4].copy_from_slice(&TAG_RESUME);
-        resume[4..].copy_from_slice(&link.delivered.load(Ordering::SeqCst).to_le_bytes());
-        if s.write_all(&resume).is_err() {
+    fn drive_link(&self, s: &TcpStream, link: &LinkIn) {
+        // RESUME with where this link's delivered sequence stands. The
+        // write half is published first: a watermark that advances from
+        // here on is written by whoever advances it.
+        let resume = link.delivered.load(Ordering::SeqCst);
+        let Ok(stream) = s.try_clone() else {
             return;
+        };
+        let mut msg = [0u8; 12];
+        msg[..4].copy_from_slice(&TAG_RESUME);
+        msg[4..].copy_from_slice(&resume.to_le_bytes());
+        {
+            // The sender counts everything below `resume` as acknowledged.
+            let mut conn = link.conn.lock();
+            *conn = Some(AckOut {
+                stream,
+                sent: resume,
+            });
+            if (&*s).write_all(&msg).is_err() {
+                return;
+            }
         }
 
         let mut buf: Vec<u8> = Vec::new();
         let mut cols = ColumnarFrame::default();
-        let mut last_acked: u64 = 0;
         let mut tag = [0u8; 4];
-        let mut tag_off = 0usize;
         loop {
-            if stop.load(Ordering::Relaxed) {
-                // Shutdown may land right after the receiver's terminal
-                // checkpoint advanced the stable watermark; flush that last
-                // ack so the sender's clean-close gate (produced <= acked)
-                // can clear instead of timing out with an unacked tail.
-                let ack = ack_value(link);
-                if ack > last_acked {
-                    let _ = write_ack(s, ack);
-                }
+            // EOF here: the sender is gone and will reconnect.
+            if (&*s).read_exact(&mut tag).is_err() {
                 return;
             }
-            match s.read(&mut tag[tag_off..]) {
-                Ok(0) => return, // EOF: sender gone; it will reconnect.
-                Ok(n) => {
-                    tag_off += n;
-                    if tag_off < 4 {
-                        continue;
-                    }
-                    tag_off = 0;
-                    if tag == TAG_DATA {
-                        match self.recv_frame(s, link, stop, &mut buf, &mut cols) {
-                            Ok(ack) => {
-                                if write_ack(s, ack).is_err() {
-                                    return;
-                                }
-                                last_acked = ack;
-                            }
-                            Err(_) => return,
-                        }
-                    } else if tag == TAG_GOODBYE {
-                        // Clean close: disconnect the engine channel.
-                        link.tx.lock().take();
-                        return;
-                    } else {
-                        return; // Desynchronized stream: force a reconnect.
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
+            if tag == TAG_DATA {
+                if self.recv_frame(s, link, &mut buf, &mut cols).is_err()
+                    || link.send_ack(&mut link.conn.lock()).is_err()
                 {
-                    // Idle tick: push a lagging stable ack (checkpoints
-                    // advance it outside the data path).
-                    let ack = ack_value(link);
-                    if ack > last_acked {
-                        if write_ack(s, ack).is_err() {
-                            return;
-                        }
-                        last_acked = ack;
-                    }
+                    return;
                 }
-                Err(_) => return,
+            } else if tag == TAG_GOODBYE {
+                // Clean close: disconnect the engine channel.
+                link.tx.lock().take();
+                return;
+            } else {
+                return; // Desynchronized stream: force a reconnect.
             }
         }
     }
 
     /// Reads, decodes, duplicate-trims, and forwards one `DATA` frame.
-    /// Returns the ack value to report. Any error means the connection is
-    /// unusable and nothing was forwarded from this frame.
+    /// Any error means the connection is unusable and nothing was
+    /// forwarded from this frame.
     fn recv_frame(
         &self,
-        s: &mut TcpStream,
-        link: &Incoming,
-        stop: &AtomicBool,
+        mut s: &TcpStream,
+        link: &LinkIn,
         buf: &mut Vec<u8>,
         cols: &mut ColumnarFrame,
-    ) -> io::Result<u64> {
+    ) -> io::Result<()> {
         let mut start8 = [0u8; 8];
-        read_full(s, &mut start8, stop)?;
+        s.read_exact(&mut start8)?;
         let start = u64::from_le_bytes(start8);
         let mut hdr = [0u8; HEADER_LEN];
-        read_full(s, &mut hdr, stop)?;
+        s.read_exact(&mut hdr)?;
         let total = frame_len(&hdr).map_err(io::Error::from)?;
         buf.clear();
         buf.resize(total, 0);
         buf[..HEADER_LEN].copy_from_slice(&hdr);
-        read_full(s, &mut buf[HEADER_LEN..], stop)?;
+        s.read_exact(&mut buf[HEADER_LEN..])?;
         decode_frame(buf, cols).map_err(io::Error::from)?;
 
         let n = cols.n_entries() as u64;
@@ -494,11 +690,14 @@ impl NetTransport {
             let fwd = tuples.len();
             let frame = Frame::from_vec(tuples);
             let row_bytes = frame.wire_bytes() / fwd as u64;
-            while link.inflight.load(Ordering::SeqCst) as u64 * row_bytes > INBOUND_BYTES {
-                if stop.load(Ordering::Relaxed) {
-                    return Err(io::ErrorKind::Interrupted.into());
+            {
+                let mut room = link.room.lock();
+                while link.inflight.load(Ordering::SeqCst) as u64 * row_bytes > INBOUND_BYTES {
+                    if self.stop.is_set() {
+                        return Err(io::ErrorKind::Interrupted.into());
+                    }
+                    room = link.room.wait(room);
                 }
-                thread::sleep(Duration::from_micros(200));
             }
             let sent = match link.tx.lock().as_ref() {
                 Some(tx) => {
@@ -516,70 +715,7 @@ impl NetTransport {
             }
             link.delivered.store(end, Ordering::SeqCst);
         }
-        Ok(ack_value(link))
-    }
-}
-
-/// The cumulative entry count the receiver may acknowledge right now.
-fn ack_value(link: &Incoming) -> u64 {
-    match &link.ack {
-        AckMode::Receipt => link.delivered.load(Ordering::SeqCst),
-        AckMode::Stable(stable) => stable.load(Ordering::SeqCst),
-    }
-}
-
-fn write_ack(s: &mut TcpStream, v: u64) -> io::Result<()> {
-    let mut msg = [0u8; 12];
-    msg[..4].copy_from_slice(&TAG_ACK);
-    msg[4..].copy_from_slice(&v.to_le_bytes());
-    s.write_all(&msg)
-}
-
-/// Reads exactly `buf.len()` bytes, retrying read-timeout ticks until the
-/// stop flag is raised.
-fn read_full(s: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> io::Result<()> {
-    let mut off = 0;
-    while off < buf.len() {
-        if stop.load(Ordering::Relaxed) {
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "transport stopped",
-            ));
-        }
-        match s.read(&mut buf[off..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => off += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Outcome of a bounded wait on the engine channel (the vendored
-/// crossbeam channel has no `recv_timeout`; this polls at the same
-/// 100 µs granularity as its `Select`).
-enum RecvOutcome {
-    Frame(Frame),
-    Timeout,
-    Disconnected,
-}
-
-fn recv_timeout(rx: &Receiver<Frame>, timeout: Duration) -> RecvOutcome {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match rx.try_recv() {
-            Ok(f) => return RecvOutcome::Frame(f),
-            Err(TryRecvError::Disconnected) => return RecvOutcome::Disconnected,
-            Err(TryRecvError::Empty) => {
-                if Instant::now() >= deadline {
-                    return RecvOutcome::Timeout;
-                }
-                thread::sleep(Duration::from_micros(100));
-            }
-        }
+        Ok(())
     }
 }
 
@@ -591,37 +727,34 @@ struct QFrame {
     bytes: Vec<u8>,
 }
 
-/// Sender-side socket shim: owns the per-link frame-write counter and
-/// injects deterministic wire faults the way `FaultVfs` injects storage
-/// faults — by failing the operation at a scripted index.
-struct SendSock {
-    stream: TcpStream,
-    spec: Option<Arc<WireFaultSpec>>,
+/// Sender-side socket shim: injects deterministic wire faults the way
+/// `FaultVfs` injects storage faults — by failing the operation at a
+/// scripted index.
+struct SendSock<'a> {
+    stream: &'a TcpStream,
+    spec: Option<&'a WireFaultSpec>,
 }
 
-impl SendSock {
+impl SendSock<'_> {
     /// Writes one `DATA` preamble + frame with vectored writes, applying
     /// scripted faults at the given 1-based write index. `Ok(false)` means
     /// a fault dropped the connection (the frame stays queued).
     fn write_frame(&mut self, idx: u64, start: u64, bytes: &[u8]) -> io::Result<bool> {
-        if let Some(spec) = &self.spec {
+        let mut pre = [0u8; 12];
+        pre[..4].copy_from_slice(&TAG_DATA);
+        pre[4..].copy_from_slice(&start.to_le_bytes());
+        if let Some(spec) = self.spec {
             if spec.drop_conn.contains(&idx) {
                 let _ = self.stream.shutdown(Shutdown::Both);
                 return Ok(false);
             }
             if spec.partial_write.contains(&idx) {
-                let mut pre = [0u8; 12];
-                pre[..4].copy_from_slice(&TAG_DATA);
-                pre[4..].copy_from_slice(&start.to_le_bytes());
                 let _ = self.stream.write_all(&pre);
                 let _ = self.stream.write_all(&bytes[..bytes.len() / 2]);
                 let _ = self.stream.shutdown(Shutdown::Both);
                 return Ok(false);
             }
         }
-        let mut pre = [0u8; 12];
-        pre[..4].copy_from_slice(&TAG_DATA);
-        pre[4..].copy_from_slice(&start.to_le_bytes());
         let mut a = 0usize; // bytes of preamble written
         let mut b = 0usize; // bytes of frame written
         while a < pre.len() || b < bytes.len() {
@@ -642,215 +775,245 @@ impl SendSock {
     }
 }
 
+/// How one connection of a sender ended.
+enum ConnEnd {
+    /// The connection broke (or a wire fault dropped it): dial again.
+    Reconnect,
+    /// Everything was acknowledged and `GOODBYE` is on the wire.
+    Goodbye,
+    /// The transport stopped first.
+    Stopped,
+}
+
 /// One sender thread: connect (with capped backoff), handshake, replay
 /// unacknowledged frames, then pump the engine channel until it drains
-/// and every entry is acknowledged.
-fn run_sender(link: Outgoing, stop: Arc<AtomicBool>, spec: Option<Arc<WireFaultSpec>>) {
-    let Outgoing {
-        link_id,
-        rx,
-        pool,
-        inflight,
-        peer,
-    } = link;
-    let mut produced: u64 = 0; // Entries consumed from the engine channel.
-    let mut skip_until: u64 = 0; // Receiver already has entries below this.
-    let mut frame_writes: u64 = 0; // Fault-shim index, monotone across reconnects.
-    let mut queue: VecDeque<QFrame> = VecDeque::new();
-    let mut spares: Vec<Vec<u8>> = Vec::new();
-    let acked = Arc::new(AtomicU64::new(0));
-    let mut chan_open = true;
-    let mut ack_threads: Vec<JoinHandle<()>> = Vec::new();
+/// and every entry is acknowledged. The fields outlive connections.
+struct SenderLoop {
+    link: Outgoing,
+    stop: Arc<Stop>,
+    spec: Option<Arc<WireFaultSpec>>,
+    wait: Arc<Watched<SendWait>>,
+    /// Entries consumed from the engine channel.
+    produced: u64,
+    /// The receiver already has entries below this.
+    skip_until: u64,
+    /// Fault-shim index, monotone across reconnects.
+    frame_writes: u64,
+    queue: VecDeque<QFrame>,
+    spares: Vec<Vec<u8>>,
+    chan_open: bool,
+}
 
-    'conn: loop {
-        // Connect with capped exponential backoff.
+impl SenderLoop {
+    fn run(mut self) {
         let mut backoff = BACKOFF_START;
-        let stream = loop {
-            if stop.load(Ordering::Relaxed) {
-                give_up(link_id, &queue, produced, &acked);
-                break 'conn;
+        loop {
+            if self.stop.is_set() {
+                return self.give_up();
             }
-            match TcpStream::connect_timeout(&peer, Duration::from_secs(1)) {
-                Ok(s) => break s,
-                Err(_) => {
-                    thread::sleep(backoff);
-                    backoff = (backoff * 2).min(BACKOFF_CAP);
+            // The one wait here with nothing to wake it: the peer is down.
+            let Ok(stream) = TcpStream::connect_timeout(&self.link.peer, Duration::from_secs(1))
+            else {
+                self.stop.pause(backoff);
+                backoff = (backoff * 2).min(BACKOFF_CAP);
+                continue;
+            };
+            backoff = BACKOFF_START;
+            let _ = stream.set_nodelay(true);
+
+            let mut reader = None;
+            let end = self.converse(&stream, &mut reader);
+            if let ConnEnd::Goodbye = end {
+                // Closing our socket outright could reset the connection
+                // under the `GOODBYE`; the receiver closes once it has
+                // read it, and the ack reader sees that as EOF.
+                let mut w = self.wait.lock();
+                while !w.conn_dead && !self.stop.is_set() {
+                    w = self.wait.wait(w);
                 }
             }
+            // The ack reader holds a clone of the socket, so dropping
+            // `stream` would not end its read.
+            let _ = stream.shutdown(Shutdown::Both);
+            self.wait.update(|w| w.stream = None);
+            if let Some(h) = reader {
+                let _ = h.join();
+            }
+            match end {
+                ConnEnd::Reconnect => {}
+                ConnEnd::Goodbye => return,
+                ConnEnd::Stopped => return self.give_up(),
+            }
+        }
+    }
+
+    /// Everything that happens on one connection.
+    fn converse(&mut self, stream: &TcpStream, reader: &mut Option<JoinHandle<()>>) -> ConnEnd {
+        let Ok(for_stop) = stream.try_clone() else {
+            return ConnEnd::Reconnect;
         };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(READ_TICK));
-        let mut sock = SendSock {
-            stream,
-            spec: spec.clone(),
-        };
+        self.wait.update(|w| {
+            w.stream = Some(for_stop);
+            w.conn_dead = false;
+        });
+        // `shutdown` raises the flag, then breaks the registered socket: a
+        // sender that registered too late for that sees the flag here.
+        if self.stop.is_set() {
+            return ConnEnd::Stopped;
+        }
 
         // HELLO, then wait for RESUME.
         let mut hello = [0u8; 13];
         hello[..4].copy_from_slice(&TAG_HELLO);
         hello[4] = WIRE_VERSION;
-        hello[5..].copy_from_slice(&link_id.to_le_bytes());
-        if sock.stream.write_all(&hello).is_err() {
-            continue 'conn;
+        hello[5..].copy_from_slice(&self.link.link_id.to_le_bytes());
+        let mut msg = [0u8; 12];
+        let _ = stream.set_read_timeout(Some(HANDSHAKE_DEADLINE));
+        let mut s = stream;
+        if s.write_all(&hello).is_err() || s.read_exact(&mut msg).is_err() || msg[..4] != TAG_RESUME
+        {
+            return ConnEnd::Reconnect;
         }
-        let resume = {
-            let mut msg = [0u8; 12];
-            let t0 = Instant::now();
-            let got = loop {
-                match read_full(&mut sock.stream, &mut msg, &stop) {
-                    Ok(()) => break true,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                        give_up(link_id, &queue, produced, &acked);
-                        break 'conn;
-                    }
-                    Err(_) if t0.elapsed() < HANDSHAKE_DEADLINE => continue,
-                    Err(_) => break false,
-                }
-            };
-            if !got || msg[..4] != TAG_RESUME {
-                continue 'conn;
-            }
-            u64::from_le_bytes(msg[4..].try_into().expect("8 bytes"))
-        };
-        acked.fetch_max(resume, Ordering::SeqCst);
-        prune(&mut queue, &acked, &mut spares);
-        if resume > produced {
+        let _ = stream.set_read_timeout(None);
+        let resume = u64::from_le_bytes(msg[4..].try_into().expect("8 bytes"));
+        let acked = self.wait.update(|w| {
+            w.acked = w.acked.max(resume);
+            w.acked
+        });
+        self.prune(acked);
+        if resume > self.produced {
             // A fresh sender talking to a receiver that already consumed
             // part of the (deterministically replayed) stream: trim until
             // production catches up with what was delivered.
-            skip_until = resume;
+            self.skip_until = resume;
         }
 
         // Replay unacknowledged frames in order.
-        for f in &queue {
-            frame_writes += 1;
-            match sock.write_frame(frame_writes, f.start, &f.bytes) {
+        let spec = self.spec.clone();
+        let mut sock = SendSock {
+            stream,
+            spec: spec.as_deref(),
+        };
+        for f in &self.queue {
+            self.frame_writes += 1;
+            match sock.write_frame(self.frame_writes, f.start, &f.bytes) {
                 Ok(true) => {}
-                Ok(false) | Err(_) => continue 'conn,
+                Ok(false) | Err(_) => return ConnEnd::Reconnect,
             }
         }
 
         // Ack reader for this connection.
-        let conn_dead = Arc::new(AtomicBool::new(false));
-        {
-            let acked = Arc::clone(&acked);
-            let dead = Arc::clone(&conn_dead);
-            let stop = Arc::clone(&stop);
-            let mut rd = match sock.stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => continue 'conn,
-            };
-            ack_threads.push(
-                thread::Builder::new()
-                    .name(format!("spca-net-ack-{link_id}"))
-                    .spawn(move || {
-                        let mut msg = [0u8; 12];
-                        loop {
-                            match read_full(&mut rd, &mut msg, &stop) {
-                                Ok(()) if msg[..4] == TAG_ACK => {
-                                    let v = u64::from_le_bytes(msg[4..].try_into().expect("8"));
-                                    acked.fetch_max(v, Ordering::SeqCst);
-                                }
-                                _ => {
-                                    dead.store(true, Ordering::SeqCst);
-                                    return;
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawn ack reader"),
-            );
-        }
+        let Ok(rd) = stream.try_clone() else {
+            return ConnEnd::Reconnect;
+        };
+        let wait = Arc::clone(&self.wait);
+        *reader = Some(
+            thread::Builder::new()
+                .name(format!("spca-net-ack-{}", self.link.link_id))
+                .spawn(move || {
+                    let mut msg = [0u8; 12];
+                    while (&rd).read_exact(&mut msg).is_ok() && msg[..4] == TAG_ACK {
+                        let v = u64::from_le_bytes(msg[4..].try_into().expect("8 bytes"));
+                        wait.update(|w| w.acked = w.acked.max(v));
+                    }
+                    wait.update(|w| w.conn_dead = true);
+                })
+                .expect("spawn ack reader"),
+        );
 
         // Pump the engine channel.
         loop {
-            prune(&mut queue, &acked, &mut spares);
-            if !chan_open {
-                if queue.is_empty() && produced <= acked.load(Ordering::SeqCst) {
-                    let _ = sock.stream.write_all(&TAG_GOODBYE);
-                    let _ = sock.stream.shutdown(Shutdown::Write);
-                    break 'conn;
-                }
-                if conn_dead.load(Ordering::SeqCst) {
-                    continue 'conn;
-                }
-                if stop.load(Ordering::Relaxed) {
-                    give_up(link_id, &queue, produced, &acked);
-                    break 'conn;
-                }
-                thread::sleep(Duration::from_millis(5));
-                continue;
+            let (acked, conn_dead) = {
+                let w = self.wait.lock();
+                (w.acked, w.conn_dead)
+            };
+            self.prune(acked);
+            if conn_dead {
+                return ConnEnd::Reconnect;
             }
-            match recv_timeout(&rx, Duration::from_millis(20)) {
-                RecvOutcome::Frame(frame) => {
+            if !self.chan_open {
+                // Closing: the ack reader wakes this wait with every ack
+                // and with the connection's end, `shutdown` with its stop.
+                let mut w = self.wait.lock();
+                while w.acked < self.produced && !w.conn_dead && !self.stop.is_set() {
+                    w = self.wait.wait(w);
+                }
+                if w.acked >= self.produced {
+                    let acked = w.acked;
+                    drop(w);
+                    self.prune(acked);
+                    let _ = s.write_all(&TAG_GOODBYE);
+                    let _ = stream.shutdown(Shutdown::Write);
+                    return ConnEnd::Goodbye;
+                }
+                if w.conn_dead {
+                    return ConnEnd::Reconnect;
+                }
+                return ConnEnd::Stopped;
+            }
+            match self.link.rx.recv_timeout(IDLE_PROBE) {
+                Ok(frame) => {
                     let n = frame.len();
-                    inflight.fetch_sub(n, Ordering::SeqCst);
-                    let start = produced;
-                    produced += n as u64;
+                    self.link.inflight.fetch_sub(n, Ordering::SeqCst);
+                    let start = self.produced;
+                    self.produced += n as u64;
                     let tuples = frame.tuples;
-                    if produced <= skip_until {
-                        pool.put(tuples); // Entirely duplicate after a resume.
+                    if self.produced <= self.skip_until {
+                        self.link.pool.put(tuples); // Entirely duplicate after a resume.
                         continue;
                     }
-                    let trim = skip_until.saturating_sub(start) as usize;
-                    let mut bytes = spares.pop().unwrap_or_default();
+                    let trim = self.skip_until.saturating_sub(start) as usize;
+                    let mut bytes = self.spares.pop().unwrap_or_default();
                     if let Err(e) = encode_frame(&tuples[trim..], &mut bytes) {
                         // Only unregistered control payloads can fail here;
                         // that is a programming error, not a wire condition.
-                        panic!("link {link_id}: cannot encode frame: {e}");
+                        panic!("link {}: cannot encode frame: {e}", self.link.link_id);
                     }
-                    pool.put(tuples);
+                    self.link.pool.put(tuples);
                     let qf = QFrame {
                         start: start + trim as u64,
-                        end: produced,
+                        end: self.produced,
                         bytes,
                     };
-                    frame_writes += 1;
-                    let wrote = sock.write_frame(frame_writes, qf.start, &qf.bytes);
-                    queue.push_back(qf);
+                    self.frame_writes += 1;
+                    let wrote = sock.write_frame(self.frame_writes, qf.start, &qf.bytes);
+                    self.queue.push_back(qf);
                     match wrote {
                         Ok(true) => {}
-                        Ok(false) | Err(_) => continue 'conn,
+                        Ok(false) | Err(_) => return ConnEnd::Reconnect,
                     }
                 }
-                RecvOutcome::Timeout => {
-                    if conn_dead.load(Ordering::SeqCst) {
-                        continue 'conn;
-                    }
-                    if stop.load(Ordering::Relaxed) {
-                        give_up(link_id, &queue, produced, &acked);
-                        break 'conn;
+                Err(RecvTimeoutError::Timeout) => {
+                    if self.stop.is_set() {
+                        return ConnEnd::Stopped;
                     }
                 }
-                RecvOutcome::Disconnected => chan_open = false,
+                Err(RecvTimeoutError::Disconnected) => self.chan_open = false,
             }
         }
     }
-    for h in ack_threads {
-        let _ = h.join();
-    }
-}
 
-/// Drops acknowledged frames from the front of the retransmit queue,
-/// recycling their buffers.
-fn prune(queue: &mut VecDeque<QFrame>, acked: &AtomicU64, spares: &mut Vec<Vec<u8>>) {
-    let a = acked.load(Ordering::SeqCst);
-    while queue.front().is_some_and(|f| f.end <= a) {
-        let f = queue.pop_front().expect("checked front");
-        if spares.len() < SPARE_ENCODE_BUFS {
-            spares.push(f.bytes);
+    /// Drops acknowledged frames from the front of the retransmit queue,
+    /// recycling their buffers.
+    fn prune(&mut self, acked: u64) {
+        while self.queue.front().is_some_and(|f| f.end <= acked) {
+            let f = self.queue.pop_front().expect("checked front");
+            if self.spares.len() < SPARE_ENCODE_BUFS {
+                self.spares.push(f.bytes);
+            }
         }
     }
-}
 
-/// Shutdown raced an unacknowledged tail: report instead of hanging.
-fn give_up(link_id: u64, queue: &VecDeque<QFrame>, produced: u64, acked: &AtomicU64) {
-    let a = acked.load(Ordering::SeqCst);
-    if !queue.is_empty() || produced > a {
-        eprintln!(
-            "spca-net: link {link_id} stopped with {} unacknowledged entries",
-            produced.saturating_sub(a)
-        );
+    /// Shutdown raced an unacknowledged tail: report instead of hanging.
+    fn give_up(&self) {
+        let acked = self.wait.lock().acked;
+        if !self.queue.is_empty() || self.produced > acked {
+            eprintln!(
+                "spca-net: link {} stopped with {} unacknowledged entries",
+                self.link.link_id,
+                self.produced.saturating_sub(acked)
+            );
+        }
     }
 }
 
@@ -859,6 +1022,7 @@ mod tests {
     use super::*;
     use crate::tuple::{DataTuple, Punctuation, Tuple};
     use crossbeam::channel::bounded;
+    use std::time::Instant;
 
     fn data(seq: u64, v: f64) -> Tuple {
         let mut t = DataTuple::new(seq, vec![v, v + 0.5, -v]);
@@ -911,7 +1075,7 @@ mod tests {
         drop(tx_s);
 
         let mut got: Vec<Tuple> = Vec::new();
-        while let RecvOutcome::Frame(frame) = recv_timeout(&rx_r, Duration::from_secs(20)) {
+        while let Ok(frame) = rx_r.recv_timeout(Duration::from_secs(20)) {
             inflight_in.fetch_sub(frame.len(), Ordering::SeqCst);
             got.extend(frame.tuples);
         }
@@ -955,22 +1119,24 @@ mod tests {
         }));
     }
 
-    #[test]
-    fn stable_acks_hold_back_goodbye_until_checkpoint() {
+    /// A loopback pair in [`AckMode::Stable`] with one two-entry frame
+    /// (data + EOS) delivered, the producer gone and nothing acknowledged:
+    /// the sender sits in its closing wait.
+    struct StableLink {
+        recv_side: Arc<NetTransport>,
+        send_side: Arc<NetTransport>,
+        link: Arc<LinkIn>,
+        rx: Receiver<Frame>,
+    }
+
+    fn stable_link_awaiting_its_ack() -> StableLink {
         let recv_side = NetTransport::bind("127.0.0.1:0").expect("bind");
         let send_side = NetTransport::bind("127.0.0.1:0").expect("bind");
-        let stable = Arc::new(AtomicU64::new(0));
 
         let pool_in = Arc::new(FramePool::new(4));
         let inflight_in = Arc::new(AtomicUsize::new(0));
-        let (tx_r, rx_r) = bounded::<Frame>(8);
-        recv_side.add_incoming(
-            3,
-            tx_r,
-            pool_in,
-            inflight_in,
-            AckMode::Stable(Arc::clone(&stable)),
-        );
+        let (tx_r, rx) = bounded::<Frame>(8);
+        let link = recv_side.add_incoming(3, tx_r, pool_in, inflight_in, AckMode::Stable);
         recv_side.start();
 
         let pool_out = Arc::new(FramePool::new(4));
@@ -983,23 +1149,64 @@ mod tests {
         tx_s.send(Frame::from_vec(tuples)).expect("send");
         drop(tx_s);
 
-        let RecvOutcome::Frame(frame) = recv_timeout(&rx_r, Duration::from_secs(10)) else {
-            panic!("no frame within deadline");
-        };
+        let frame = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("no frame within deadline");
         assert_eq!(frame.len(), 2);
-        // The channel stays connected while the ack lags the checkpoint.
-        assert!(matches!(
-            recv_timeout(&rx_r, Duration::from_millis(300)),
-            RecvOutcome::Timeout
-        ));
-        // "Checkpoint" the consumed entries: the sender may now say goodbye.
-        stable.store(2, Ordering::SeqCst);
-        assert!(matches!(
-            recv_timeout(&rx_r, Duration::from_secs(10)),
-            RecvOutcome::Disconnected
-        ));
+        StableLink {
+            recv_side,
+            send_side,
+            link,
+            rx,
+        }
+    }
 
-        send_side.shutdown();
-        recv_side.shutdown();
+    #[test]
+    fn stable_acks_hold_back_goodbye_until_checkpoint() {
+        let l = stable_link_awaiting_its_ack();
+        // The channel stays connected while the ack lags the checkpoint.
+        assert_eq!(
+            l.rx.recv_timeout(Duration::from_millis(300)).err(),
+            Some(RecvTimeoutError::Timeout)
+        );
+        // "Checkpoint" the consumed entries: the sender may now say goodbye.
+        l.link.advance_stable(2);
+        assert_eq!(
+            l.rx.recv_timeout(Duration::from_secs(10)).err(),
+            Some(RecvTimeoutError::Disconnected)
+        );
+        l.send_side.shutdown();
+        l.recv_side.shutdown();
+    }
+
+    #[test]
+    fn teardown_after_the_last_watermark_advance_waits_for_no_timer() {
+        // Ack out, ack in, GOODBYE, FIN back, four joins: a millisecond of
+        // events. With the ack on a 50 ms read tick and the close on 5 ms
+        // polls this could not finish under 50 ms. A loaded host can stall
+        // any one attempt, so the fastest of three counts.
+        const CEILING: Duration = Duration::from_millis(20);
+        let mut fastest = Duration::MAX;
+        for _ in 0..3 {
+            let l = stable_link_awaiting_its_ack();
+            let t0 = Instant::now();
+            l.link.advance_stable(2);
+            l.send_side.shutdown();
+            let took = t0.elapsed();
+            assert_eq!(
+                l.rx.recv_timeout(Duration::from_secs(10)).err(),
+                Some(RecvTimeoutError::Disconnected),
+                "the sender must have said GOODBYE before its shutdown returned"
+            );
+            l.recv_side.shutdown();
+            fastest = fastest.min(took);
+            if fastest < CEILING {
+                break;
+            }
+        }
+        assert!(
+            fastest < CEILING,
+            "watermark advance to sender shutdown took {fastest:?} at best, ceiling {CEILING:?}"
+        );
     }
 }
