@@ -1,0 +1,67 @@
+#![warn(missing_docs)]
+//! The counting global allocator behind the workspace's zero-allocation
+//! guards.
+//!
+//! A guard installs [`CountingAlloc`] as its binary's `#[global_allocator]`,
+//! warms its subject up, calls [`track`]`(true)` on the thread doing the
+//! measured work and asserts that [`allocations`] does not move across it.
+//! Only tracked threads count, so client, server, writer or harness
+//! threads allocating next to the measured one do not disturb the number.
+//! Still one `#[test]` per guard file: the counter is per-process.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The system allocator, counting the calls tracked threads make to it.
+pub struct CountingAlloc;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    // const-initialized TLS: reading it never allocates, so it is safe
+    // to consult from inside the global allocator.
+    static TRACKED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Starts (or stops) counting the calling thread's allocations.
+pub fn track(on: bool) {
+    TRACKED.with(|t| t.set(on));
+}
+
+/// `alloc`, `alloc_zeroed` and `realloc` calls made by tracked threads so
+/// far.
+pub fn allocations() -> usize {
+    ALLOCS.load(Ordering::SeqCst)
+}
+
+fn count_if_tracked() {
+    // try_with: TLS may be unavailable during thread teardown.
+    if TRACKED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches no memory the
+// allocator hands out and never allocates itself.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_if_tracked();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_if_tracked();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_if_tracked();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}

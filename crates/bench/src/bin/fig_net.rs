@@ -26,6 +26,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spca_alloc_count::{allocations, track, CountingAlloc};
 use spca_bench::json::NetBenchReport;
 use spca_bench::print_table;
 use spca_engine::{run_coordinator, run_local, DistSpec};
@@ -34,52 +35,17 @@ use spca_streams::ops::CsvFileSource;
 use spca_streams::{
     csv, decode_frame, encode_frame, ColumnarFrame, DataTuple, Tuple, DEFAULT_BATCH_SIZE,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-// --- thread-filtered counting allocator (codec steady-state gate) -------
-
-struct ThreadFilteredAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static TRACKED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn count_if_tracked() {
-    if TRACKED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for ThreadFilteredAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_if_tracked();
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_if_tracked();
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_if_tracked();
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+// --- counting allocator (codec steady-state gate) ----------------------
 
 #[global_allocator]
-static GLOBAL: ThreadFilteredAlloc = ThreadFilteredAlloc;
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 // --- codec microbenchmark ----------------------------------------------
 
@@ -138,16 +104,16 @@ fn bench_codec(tuples: &[Tuple]) -> CodecNumbers {
     let t_dec = t0.elapsed().as_secs_f64();
 
     // Round-trip stretch doubles as the allocation gate.
-    TRACKED.with(|t| t.set(true));
-    ALLOCS.store(0, Ordering::SeqCst);
+    track(true);
+    let before = allocations();
     let t0 = Instant::now();
     for _ in 0..CODEC_REPS {
         encode_frame(tuples, &mut buf).expect("encode");
         decode_frame(&buf, &mut cols).expect("decode");
     }
     let t_rt = t0.elapsed().as_secs_f64();
-    let steady_allocs = ALLOCS.load(Ordering::SeqCst) as u64;
-    TRACKED.with(|t| t.set(false));
+    let steady_allocs = (allocations() - before) as u64;
+    track(false);
 
     let total_bytes = (CODEC_REPS * frame_bytes) as f64;
     CodecNumbers {

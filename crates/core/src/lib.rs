@@ -53,7 +53,6 @@ pub mod metrics;
 pub mod query;
 pub mod rho;
 pub mod robust;
-pub mod window;
 
 pub use basis_scale::{BasisScaleTracker, RobustScale};
 pub use classic::{ClassicIncrementalPca, UpdateWorkspace};
@@ -62,7 +61,6 @@ pub use eigensystem::EigenSystem;
 pub use merge::{merge, merge_all, merge_tree};
 pub use query::{OutlierScore, QueryWorkspace, SimilarityHit};
 pub use robust::{RobustPca, UpdateOutcome};
-pub use window::WindowedPca;
 
 /// Errors from streaming-PCA state updates.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,7 +1,7 @@
 //! Proves the steady-state streaming update, complete or masked, is
 //! allocation-free.
 //!
-//! A counting global allocator wraps the system allocator; after the
+//! The counting global allocator wraps the system allocator; after the
 //! estimator has warmed up and its workspace buffers have grown to size,
 //! a run of further updates must not touch the heap at all. This is the
 //! guard that keeps the hot path from silently regressing to per-tuple
@@ -10,34 +10,8 @@
 //! This file must contain exactly one `#[test]`: a sibling test running on
 //! another thread would allocate concurrently and poison the counter.
 
+use spca_alloc_count::{allocations, track, CountingAlloc};
 use spca_core::{PcaConfig, RobustPca};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -63,6 +37,7 @@ fn steady_state_update_performs_zero_allocations() {
     const P: usize = 4;
     const WARM: usize = 300;
     const MEASURED: usize = 100;
+    track(true);
 
     let mut pca = RobustPca::new(PcaConfig::new(D, P).with_memory(500).with_init_size(40));
 
@@ -93,11 +68,11 @@ fn steady_state_update_performs_zero_allocations() {
     }
     assert!(pca.is_initialized());
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocations();
     for x in &data[WARM..] {
         pca.update(x).unwrap();
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -119,12 +94,12 @@ fn steady_state_update_performs_zero_allocations() {
         slide(&mut mask, t);
         pca.update_masked(x, &mask).unwrap();
     }
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocations();
     for (t, x) in data[WARM..].iter().enumerate() {
         slide(&mut mask, t);
         pca.update_masked(x, &mask).unwrap();
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

@@ -370,22 +370,6 @@ proptest! {
         prop_assert!((fold.sum_q - tree.sum_q).abs() <= 1e-10 * fold.sum_q.max(1.0));
         prop_assert_eq!(fold.n_obs, tree.n_obs);
     }
-
-    /// The windowed estimator maintains invariants and bounded pane count
-    /// over arbitrary streams.
-    #[test]
-    fn window_invariants(stream in stream_strategy(), pane in 20u64..60, panes in 1usize..4) {
-        let cfg = PcaConfig::new(6, 2).with_init_size(10).with_extra(0);
-        let mut w = spca_core::WindowedPca::new(cfg, pane, panes);
-        for x in &stream {
-            w.update(x).unwrap();
-        }
-        prop_assert!(w.sealed_panes() < panes.max(1));
-        if let Ok(eig) = w.eigensystem() {
-            eig.check_invariants().unwrap();
-        }
-        prop_assert_eq!(w.n_obs(), stream.len() as u64);
-    }
 }
 
 proptest! {

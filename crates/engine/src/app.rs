@@ -80,13 +80,13 @@ pub struct AppConfig {
     pub faults: Option<FaultPlan>,
     /// Supervised-restart policy for panicking operators.
     pub restart: RestartPolicy,
-    /// When set, every engine synchronously persists its eigensystem under
-    /// this directory (see [`StreamingPcaOp::with_recovery`]) and
-    /// rehydrates from it after a supervised restart. Whole-PE restarts
-    /// additionally keep per-PE snapshot manifests under `<dir>/pe`, from
-    /// which *every* stateful operator in a killed PE is rehydrated.
+    /// When set, every PE keeps its snapshot manifest under `<dir>/pe` —
+    /// the one durable copy of each stateful operator (source cursor,
+    /// split, engines, sync controller). Every restart restores from it:
+    /// a panicked engine (see [`StreamingPcaOp::with_recovery`]), a killed
+    /// PE, a respawned worker process.
     pub recovery_dir: Option<std::path::PathBuf>,
-    /// Recovery-snapshot cadence in processed tuples.
+    /// Checkpoint cadence the engines ask of their PEs, in tuples.
     pub recovery_every: u64,
     /// Failure-aware synchronization: engines heartbeat to the controller,
     /// the controller skips dead engines (re-closing a ring around them)
@@ -238,9 +238,6 @@ impl ParallelPcaApp {
             g = g.with_fault_plan(plan.clone());
         }
         if let Some(ref dir) = cfg.recovery_dir {
-            // Whole-PE restarts rehydrate every stateful operator (source
-            // cursor, split, engines, sync controller) from per-PE manifests
-            // kept next to the engines' recovery snapshots.
             g = g.with_checkpoint_dir(dir.join("pe"));
         }
         let data_link = if cfg.fuse || cfg.network_delay_us == 0 {
@@ -274,8 +271,8 @@ impl ParallelPcaApp {
             };
             let mut op = StreamingPcaOp::new(i as u32, cfg.pca.clone(), peers.len())
                 .with_snapshots_every(cfg.snapshot_every);
-            if let Some(ref dir) = cfg.recovery_dir {
-                op = op.with_recovery(dir.clone(), cfg.recovery_every);
+            if cfg.recovery_dir.is_some() {
+                op = op.with_recovery(cfg.recovery_every);
             }
             if failure_aware {
                 op = op.with_heartbeats_every(cfg.heartbeat_every);

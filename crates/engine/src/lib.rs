@@ -48,7 +48,7 @@ pub use messages::{
     KIND_SNAPSHOT, KIND_SYNC_COMMAND,
 };
 pub use pca_operator::StreamingPcaOp;
-pub use persist::{read_snapshot, recovery_path, write_snapshot, SnapshotWriter};
+pub use persist::{read_snapshot, write_snapshot, SnapshotWriter};
 pub use results::ResultsHub;
 pub use serve::{endpoint_index, EigenQueryHandler, FaultCounters, ServeShared};
 pub use sync::{SyncController, SyncStrategy};

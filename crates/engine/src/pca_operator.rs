@@ -37,7 +37,6 @@ use parking_lot::Mutex;
 use spca_core::{merge, PcaConfig, RobustPca};
 use spca_streams::checkpoint::{decode_kv, encode_kv, kv_u64, Checkpoint};
 use spca_streams::{ControlTuple, DataTuple, OpContext, Operator};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The streaming PCA operator.
@@ -70,15 +69,10 @@ pub struct StreamingPcaOp {
     quarantined: u64,
     merges_applied: u64,
     shares_sent: u64,
-    /// When set, the operator has its eigensystem written to
-    /// `recovery_path(dir, engine_id)` every `recovery_every` processed
-    /// tuples; [`Operator::recover`] rehydrates from that file after a
-    /// supervised restart.
-    recovery_dir: Option<PathBuf>,
+    /// When nonzero, the checkpoint cadence this operator asks of its PE
+    /// (see [`Checkpoint::checkpoint_every`]) — and its consent to a
+    /// supervised restart (see [`Operator::recover`]).
     recovery_every: u64,
-    /// Writes the recovery snapshots behind `process`; taken out with the
-    /// first one (see [`persist::recovery_writer`]).
-    recovery_writer: Option<Arc<persist::RecoveryWriter>>,
     /// When nonzero, a [`KIND_HEARTBEAT`] goes out on the monitor port at
     /// the first processed tuple and every `heartbeat_every` thereafter,
     /// feeding the failure-aware sync controller's liveness tracker.
@@ -131,9 +125,7 @@ impl StreamingPcaOp {
             quarantined: 0,
             merges_applied: 0,
             shares_sent: 0,
-            recovery_dir: None,
             recovery_every: 0,
-            recovery_writer: None,
             heartbeat_every: 0,
             epoch_store: None,
             publish_every: 0,
@@ -148,17 +140,13 @@ impl StreamingPcaOp {
         self
     }
 
-    /// Enables crash recovery: every `every` processed tuples the operator
-    /// captures its eigensystem and a [`WriteBehind`] writes it to
-    /// [`persist::recovery_path`]`(dir, engine_id)` (atomic rename, see
-    /// [`persist::write_snapshot`]); a supervised restart waits for that
-    /// writer, then rehydrates from the file. The file is the operator's
-    /// own: it trails the operator by at most the write in progress,
-    /// where the [`persist::SnapshotWriter`] on the monitor stream trails
-    /// it by a queue and a socket.
-    pub fn with_recovery(mut self, dir: impl Into<PathBuf>, every: u64) -> Self {
+    /// Enables crash recovery: the operator asks its PE for a checkpoint
+    /// every `every` consumed tuples and consents to supervised restarts.
+    /// The operator itself writes nothing — its state is one blob of the
+    /// PE's snapshot manifest (the [`Checkpoint`] facet below), which needs
+    /// a checkpoint dir on the graph; every restart restores from there.
+    pub fn with_recovery(mut self, every: u64) -> Self {
         assert!(every > 0, "recovery cadence must be positive");
-        self.recovery_dir = Some(dir.into());
         self.recovery_every = every;
         self
     }
@@ -313,28 +301,6 @@ impl StreamingPcaOp {
             ControlTuple::new(KIND_HEARTBEAT, self.engine_id, Arc::new(msg)),
         );
     }
-
-    /// Captures the recovery snapshot for the writer. Same lock discipline
-    /// as [`snapshot`]: clone the eigensystem under the lock; the encoding
-    /// and the filesystem are the writer thread's.
-    fn write_recovery(&mut self) {
-        let Some(dir) = &self.recovery_dir else {
-            return;
-        };
-        let eig = {
-            let st = self.state.lock();
-            match st.full_eigensystem() {
-                Some(eig) => eig.clone(),
-                None => return, // still warming up: nothing worth persisting
-            }
-        };
-        let engine_id = self.engine_id;
-        self.recovery_writer
-            .get_or_insert_with(|| {
-                persist::recovery_writer(&persist::recovery_path(dir, engine_id))
-            })
-            .submit(eig);
-    }
 }
 
 impl Operator for StreamingPcaOp {
@@ -410,9 +376,6 @@ impl Operator for StreamingPcaOp {
         }
         if self.snapshot_every > 0 && self.processed.is_multiple_of(self.snapshot_every) {
             self.snapshot(ctx);
-        }
-        if self.recovery_every > 0 && self.processed.is_multiple_of(self.recovery_every) {
-            self.write_recovery();
         }
         if self.heartbeat_every > 0
             && (self.processed == 1 || self.processed.is_multiple_of(self.heartbeat_every))
@@ -522,61 +485,29 @@ impl Operator for StreamingPcaOp {
         self.publish_epoch();
     }
 
-    /// Supervised-restart hook: rehydrate from the latest recovery
-    /// snapshot. Without a recovery directory the operator declines the
-    /// restart (returns `false`) and the supervisor finishes it — losing
-    /// state silently would be worse than dying visibly. With a directory
-    /// but no snapshot yet (crash before the first cadence tick), restart
-    /// fresh from the configuration.
+    /// Supervised-restart hook. Without a recovery cadence the operator
+    /// declines the restart (returns `false`) and the supervisor finishes
+    /// it — losing state silently would be worse than dying visibly. With
+    /// one it consents and resets to its configuration: the supervisor
+    /// then overlays the engine's blob from the PE manifest (state and
+    /// counters together, see [`Checkpoint::restore`] below), and when no
+    /// generation holds one yet — a crash before the first cadence tick —
+    /// the engine restarts fresh.
     fn recover(&mut self, attempt: u64) -> bool {
-        let Some(dir) = self.recovery_dir.clone() else {
+        if self.recovery_every == 0 {
             return false;
-        };
-        let path = persist::recovery_path(&dir, self.engine_id);
-        // The file is read only with its writer idle — this operator's or
-        // a predecessor's that is still around.
-        if let Some(writer) = persist::live_recovery_writer(&path) {
-            writer.flush();
         }
-        let cfg = self.state.lock().config().clone();
-        let mut fresh = RobustPca::new(cfg);
-        let restored_obs = match persist::read_snapshot(&path) {
-            Ok(eig) => {
-                let n = eig.n_obs;
-                if let Err(e) = fresh.install_eigensystem(eig) {
-                    eprintln!(
-                        "engine {}: recovery snapshot {} does not fit the \
-                         configuration: {e}",
-                        self.engine_id,
-                        path.display()
-                    );
-                    return false;
-                }
-                n
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
-            Err(e) => {
-                eprintln!(
-                    "engine {}: cannot read recovery snapshot {}: {e}",
-                    self.engine_id,
-                    path.display()
-                );
-                return false;
-            }
-        };
-        *self.state.lock() = fresh;
-        self.processed = restored_obs;
+        {
+            let mut st = self.state.lock();
+            *st = RobustPca::new(st.config().clone());
+        }
+        self.processed = 0;
         // The restart re-enters the exchange protocol from scratch: the
         // independence gate must pass again before the engine shares, and
         // any remembered peer state predates the crash.
         self.obs_since_sync = 0;
         self.last_peer = None;
-        eprintln!(
-            "engine {}: restart #{attempt} rehydrated {} observations from {}",
-            self.engine_id,
-            restored_obs,
-            path.display()
-        );
+        eprintln!("engine {}: restart #{attempt}", self.engine_id);
         true
     }
 
@@ -1151,51 +1082,18 @@ mod tests {
         );
     }
 
-    fn recovery_tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("spca_pcaop_{}_{name}", std::process::id()));
-        p
-    }
-
-    #[test]
-    fn recover_rehydrates_bit_exactly_from_snapshot() {
-        let dir = recovery_tmp("recover");
-        std::fs::remove_dir_all(&dir).ok();
-        let mut op = StreamingPcaOp::new(5, cfg(), 0).with_recovery(&dir, 100);
-        feed(&mut op, 300, 14); // recovery snapshots at 100, 200, 300
-        let before = op.state_handle().lock().full_eigensystem().unwrap().clone();
-
-        // A replacement operator that made some divergent progress the
-        // crash wiped out: recover() must discard it and restore the
-        // snapshot state exactly.
-        let mut crashed = StreamingPcaOp::new(5, cfg(), 0).with_recovery(&dir, 100);
-        feed(&mut crashed, 37, 15);
-        crashed.obs_since_sync = 37;
-        assert!(crashed.recover(1));
-        assert_eq!(crashed.processed, 300);
-        assert_eq!(crashed.obs_since_sync, 0);
-        assert!(crashed.last_peer.is_none());
-        let after = crashed
-            .state_handle()
-            .lock()
-            .full_eigensystem()
-            .unwrap()
-            .clone();
-        assert_eig_bits_equal(&before, &after);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
     #[test]
     fn recover_without_snapshot_restarts_fresh() {
-        let dir = recovery_tmp("fresh");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut op = StreamingPcaOp::new(6, cfg(), 0).with_recovery(&dir, 100);
-        feed(&mut op, 80, 16); // crash before the first cadence tick
-        assert!(op.recover(1), "missing snapshot means a fresh restart");
+        // What `recover` itself does: consent and reset. Any state comes
+        // back through `restore`, from the supervisor.
+        let mut op = StreamingPcaOp::new(6, cfg(), 0).with_recovery(100);
+        feed(&mut op, 80, 16);
+        op.obs_since_sync = 37;
+        assert!(op.recover(1));
         assert_eq!(op.processed, 0);
+        assert_eq!(op.obs_since_sync, 0);
+        assert!(op.last_peer.is_none());
         assert!(!op.state_handle().lock().is_initialized());
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1235,21 +1133,22 @@ mod tests {
 
     #[test]
     fn checkpoint_cadence_follows_recovery_cadence() {
-        let dir = recovery_tmp("cadence");
-        let op = StreamingPcaOp::new(8, cfg(), 0).with_recovery(&dir, 250);
+        let op = StreamingPcaOp::new(8, cfg(), 0).with_recovery(250);
         assert_eq!(op.checkpoint_every(), 250);
         let plain = StreamingPcaOp::new(8, cfg(), 0);
         assert_eq!(
             plain.checkpoint_every(),
             spca_streams::DEFAULT_CHECKPOINT_EVERY
         );
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn recover_without_recovery_dir_declines() {
         let mut op = StreamingPcaOp::new(7, cfg(), 0);
         feed(&mut op, 50, 17);
-        assert!(!op.recover(1), "no recovery dir: decline and be finished");
+        assert!(
+            !op.recover(1),
+            "no recovery cadence: decline and be finished"
+        );
     }
 }

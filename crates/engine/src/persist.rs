@@ -8,15 +8,13 @@
 //! and scientists can inspect the file with nothing but a text editor.
 
 use crate::messages::{PeerState, KIND_SNAPSHOT};
-use parking_lot::Mutex;
 use spca_core::EigenSystem;
 use spca_linalg::Mat;
-use spca_streams::checkpoint::{write_atomic_vfs, WriteBehind};
+use spca_streams::checkpoint::write_atomic_vfs;
 use spca_streams::vfs::{RealVfs, Vfs};
 use spca_streams::{ControlTuple, DataTuple, OpContext, Operator};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Weak};
 
 const MAGIC: &str = "spca-eigensystem-v1";
 
@@ -63,63 +61,6 @@ pub fn encode_snapshot(eig: &EigenSystem) -> Vec<u8> {
     }
     let _ = write_row(&mut w, "mean", &eig.mean);
     w
-}
-
-/// The recovery-snapshot path for an engine: written by the PCA operator's
-/// own [`recovery_writer`] (see `StreamingPcaOp::with_recovery`), distinct
-/// from [`SnapshotWriter::latest_path`] whose writer sits behind the
-/// monitor stream and may lag the operator by a queue and a socket at the
-/// moment of a crash.
-pub fn recovery_path(dir: &Path, engine: u32) -> PathBuf {
-    dir.join(format!("engine{engine}_recovery.snapshot"))
-}
-
-/// Writes eigensystems to one recovery path, behind the operator.
-pub type RecoveryWriter = WriteBehind<EigenSystem>;
-
-/// This process's live recovery writers, by path. There is one per *path*,
-/// not per operator, so that [`RecoveryWriter::flush`] is a barrier for the
-/// file whoever reads it: a replacement operator recovering an engine id
-/// while the instance it replaces still has a write in flight waits for
-/// that write.
-static RECOVERY_WRITERS: Mutex<Vec<(PathBuf, Weak<RecoveryWriter>)>> = Mutex::new(Vec::new());
-
-/// The writer of the recovery snapshot at `path`, if an operator in this
-/// process holds one. Flush it before reading the file.
-pub fn live_recovery_writer(path: &Path) -> Option<Arc<RecoveryWriter>> {
-    live_in(&RECOVERY_WRITERS.lock(), path)
-}
-
-fn live_in(
-    writers: &[(PathBuf, Weak<RecoveryWriter>)],
-    path: &Path,
-) -> Option<Arc<RecoveryWriter>> {
-    let (_, writer) = writers.iter().find(|(p, _)| p == path)?;
-    writer.upgrade()
-}
-
-/// The writer of the recovery snapshot at `path`, spawned for the first
-/// operator that asks and shared with every later one; the last holder's
-/// drop writes what is pending and ends the thread.
-pub fn recovery_writer(path: &Path) -> Arc<RecoveryWriter> {
-    let mut writers = RECOVERY_WRITERS.lock();
-    writers.retain(|(_, w)| w.strong_count() > 0);
-    if let Some(live) = live_in(&writers, path) {
-        return live;
-    }
-    let target = path.to_path_buf();
-    let writer = Arc::new(WriteBehind::spawn("spca-recovery", move |eig| {
-        let written = match target.parent() {
-            Some(dir) => std::fs::create_dir_all(dir),
-            None => Ok(()),
-        }
-        .and_then(|()| write_snapshot(&target, &eig));
-        if let Err(e) = written {
-            eprintln!("recovery snapshot failed for {}: {e}", target.display());
-        }
-    }));
-    writers.push((path.to_path_buf(), Arc::downgrade(&writer)));
-    writer
 }
 
 fn write_row<W: Write>(w: &mut W, tag: &str, row: &[f64]) -> std::io::Result<()> {
@@ -315,32 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_writers_are_one_per_path_and_end_with_their_last_holder() {
-        let dir = tmp("writers");
-        let path = recovery_path(&dir, 9);
-        assert!(live_recovery_writer(&path).is_none());
-        let first = recovery_writer(&path);
-        let second = recovery_writer(&path);
-        assert!(Arc::ptr_eq(&first, &second));
-        assert!(!Arc::ptr_eq(
-            &first,
-            &recovery_writer(&recovery_path(&dir, 10))
-        ));
-
-        // What one holder submitted, any reader of the path can wait for.
-        let eig = sample_eig();
-        first.submit(eig.clone());
-        drop(first);
-        live_recovery_writer(&path)
-            .expect("second holds it")
-            .flush();
-        assert_eq!(read_snapshot(&path).unwrap().n_obs, eig.n_obs);
-        drop(second);
-        assert!(live_recovery_writer(&path).is_none());
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
     fn rejects_garbage() {
         let path = tmp("garbage.snapshot");
         std::fs::write(&path, "not a snapshot\n").unwrap();
@@ -449,7 +364,7 @@ mod tests {
         let dir = tmp("atomicdir");
         std::fs::create_dir_all(&dir).unwrap();
         let eig = sample_eig();
-        let path = dir.join("engine0_recovery.snapshot");
+        let path = dir.join("engine0_latest.snapshot");
         // Seed a good snapshot, then overwrite: the target must always be
         // complete, and no scratch files may remain.
         write_snapshot(&path, &eig).unwrap();
@@ -460,21 +375,11 @@ mod tests {
             .collect();
         assert_eq!(
             entries,
-            vec!["engine0_recovery.snapshot".to_string()],
+            vec!["engine0_latest.snapshot".to_string()],
             "temp files must not survive a successful write"
         );
         assert_eq!(read_snapshot(&path).unwrap().n_obs, eig.n_obs);
         std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn recovery_path_is_distinct_from_latest() {
-        let d = Path::new("/snapdir");
-        assert_eq!(
-            recovery_path(d, 3),
-            PathBuf::from("/snapdir/engine3_recovery.snapshot")
-        );
-        assert_ne!(recovery_path(d, 3), SnapshotWriter::latest_path(d, 3));
     }
 
     #[test]

@@ -10,36 +10,10 @@
 //! This file must contain exactly one `#[test]`: a sibling test running on
 //! another thread would allocate concurrently and poison the counter.
 
+use spca_alloc_count::{allocations, track, CountingAlloc};
 use spca_core::PcaConfig;
 use spca_engine::PartitionWorker;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -62,6 +36,7 @@ fn backfill_worker_steady_state_performs_zero_allocations() {
     const D: usize = 24;
     const WARM_ROWS: usize = 200;
     const MEASURED_ROWS: usize = 400;
+    track(true);
 
     // Pre-render the partition text: the corpus bytes exist before the
     // worker runs (the runner hands it a byte slice), so CSV formatting is
@@ -91,11 +66,11 @@ fn backfill_worker_steady_state_performs_zero_allocations() {
         worker.feed_line(line.as_bytes()).unwrap();
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocations();
     for line in lines {
         worker.feed_line(line.as_bytes()).unwrap();
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

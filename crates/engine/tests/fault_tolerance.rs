@@ -17,7 +17,9 @@ use spca_core::{EigenSystem, PcaConfig};
 use spca_engine::{normalize_fault_targets, AppConfig, ParallelPcaApp, SyncStrategy};
 use spca_spectra::PlantedSubspace;
 use spca_streams::ops::{GeneratorSource, SplitStrategy};
-use spca_streams::{Engine, FaultPlan, Operator, RunReport};
+use spca_streams::{
+    ControlTuple, DataTuple, Engine, FaultPlan, OpContext, Operator, RunReport, SourceState,
+};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -305,4 +307,187 @@ fn ring_survives_a_killed_engine_and_still_converges() {
     let truth = PlantedSubspace::new(D, 2, 0.05);
     let dist = subspace_distance(&merged.basis, truth.basis()).unwrap();
     assert!(dist < 0.3, "merged distance {dist}");
+}
+
+/// The restart bar of the first test — every engine bit-identical to the
+/// fault-free run, every tuple delivered, one operator restart on `pca-1`.
+fn assert_restart_is_invisible(clean: &RunOutcome, faulted: &RunOutcome) {
+    assert_eq!(faulted.report.tuples_in_matching("pca-"), N_TUPLES);
+    assert_eq!(faulted.report.total_restarts(), 1);
+    assert_eq!(op_snapshot(&faulted.report, "pca-1").restarts, 1);
+    assert_eq!(faulted.reporting, 4);
+    for (i, (a, b)) in clean.eigs.iter().zip(&faulted.eigs).enumerate() {
+        assert_eig_bits_equal(i, a, b);
+    }
+}
+
+#[test]
+fn panic_off_the_checkpoint_cadence_is_still_bit_identical() {
+    // 5003 is no multiple of the 500-tuple cadence: what keeps tuples
+    // 5001-5003 in the restarted engine's state is the teardown capture
+    // the supervisor commits before the restore, not a periodic one.
+    let clean_dir = tmp_dir("offcadence_clean");
+    let fault_dir = tmp_dir("offcadence_faulted");
+    let clean = run_once(None, &clean_dir);
+    let faulted = run_once(Some("panic@engine1:5003"), &fault_dir);
+    assert_restart_is_invisible(&clean, &faulted);
+    assert_eq!(faulted.report.total_io_faults(), 0);
+
+    // One durable copy: the recovery directory holds the PE manifests and
+    // nothing else.
+    let entries: Vec<String> = std::fs::read_dir(&fault_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(entries, ["pe"]);
+
+    std::fs::remove_dir_all(clean_dir).ok();
+    std::fs::remove_dir_all(fault_dir).ok();
+}
+
+#[test]
+fn panicked_engine_meets_a_sick_disk_and_the_run_still_completes() {
+    // The operator restart reads through the same fault-injecting storage
+    // as the PE checkpoints it restores from. Which PE's write the k-th
+    // one is depends on timing, so both plans damage *every* generation
+    // written before the panic: the engine finds nothing whole, restarts
+    // from its configuration, and the damage is visible in the report.
+    let torn: Vec<String> = (1..=400).map(|w| format!("io-torn@pe:{w}")).collect();
+    let torn = format!("panic@engine1:5003,{}", torn.join(","));
+    for (tag, plan) in [
+        ("torn", torn.as_str()),
+        ("fsync", "panic@engine1:5003,io-fsync-err"),
+    ] {
+        let dir = tmp_dir(tag);
+        let faulted = run_once(Some(plan), &dir);
+        assert_eq!(faulted.report.tuples_in_matching("pca-"), N_TUPLES, "{tag}");
+        assert_eq!(op_snapshot(&faulted.report, "pca-1").restarts, 1, "{tag}");
+        assert_eq!(faulted.reporting, 4, "{tag}");
+        assert!(faulted.report.total_io_faults() >= 1, "{tag}");
+        if tag == "torn" {
+            assert!(faulted.report.total_quarantined_snapshots() >= 1);
+        } else {
+            assert!(faulted.report.total_checkpoint_skips() >= 1);
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// Feeds a fused engine a seeded stream and, just before row `merge_at`,
+/// one peer state on its control port — in-PE hand-off, so the merge lands
+/// at the same place in every run.
+struct ScriptedFeed {
+    rows: Vec<Vec<f64>>,
+    next: usize,
+    merge_at: usize,
+    peer: Option<spca_engine::PeerState>,
+}
+
+impl Operator for ScriptedFeed {
+    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
+
+    fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
+        if self.next == self.merge_at {
+            if let Some(peer) = self.peer.take() {
+                ctx.emit_control(
+                    1,
+                    ControlTuple::new(spca_engine::KIND_PEER_STATE, peer.engine, Arc::new(peer)),
+                );
+                return SourceState::Emitted;
+            }
+        }
+        let Some(row) = self.rows.get(self.next) else {
+            return SourceState::Done;
+        };
+        ctx.emit_data(0, DataTuple::new(self.next as u64, row.clone()));
+        self.next += 1;
+        SourceState::Emitted
+    }
+}
+
+/// `(n_obs, merges_applied)` of every snapshot the engine emitted, in order.
+fn merged_then_maybe_panicked(faults: Option<&str>, dir: &Path) -> (Vec<(u64, u64)>, EigenSystem) {
+    use spca_streams::ops::CallbackSink;
+    use spca_streams::{GraphBuilder, PortKind};
+
+    let w = PlantedSubspace::new(D, 2, 0.05);
+    let mut rng = StdRng::seed_from_u64(91);
+    let rows: Vec<Vec<f64>> = (0..3000).map(|_| w.sample(&mut rng)).collect();
+    let mut peer_pca = spca_core::RobustPca::new(pca_cfg());
+    for _ in 0..400 {
+        peer_pca.update(&w.sample(&mut rng)).unwrap();
+    }
+    let peer = spca_engine::PeerState {
+        engine: 1,
+        eigensystem: peer_pca.full_eigensystem().unwrap().clone(),
+        n_obs: 400,
+        shares_sent: 1,
+        merges_applied: 0,
+    };
+
+    let mut g = GraphBuilder::new().with_checkpoint_dir(dir.join("pe"));
+    if let Some(spec) = faults {
+        g = g.with_fault_plan(FaultPlan::parse(spec).unwrap());
+    }
+    let op = spca_engine::StreamingPcaOp::new(0, pca_cfg(), 0)
+        .with_snapshots_every(250)
+        .with_recovery(500);
+    let state = op.state_handle();
+    let src = g.add_source(
+        "feed",
+        Box::new(ScriptedFeed {
+            rows,
+            next: 0,
+            merge_at: 700,
+            peer: Some(peer),
+        }),
+    );
+    let pca = g.add_op("pca-0", Box::new(op));
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&seen);
+    let monitor = g.add_op(
+        "monitor",
+        Box::new(CallbackSink::with_control(
+            |_d| {},
+            move |c: ControlTuple| {
+                if let Some(s) = c.payload_as::<spca_engine::PeerState>() {
+                    log.lock().push((s.n_obs, s.merges_applied));
+                }
+            },
+        )),
+    );
+    g.connect(src, 0, pca, PortKind::Data);
+    g.connect(src, 1, pca, PortKind::Control);
+    g.connect(pca, 0, monitor, PortKind::Control);
+    g.fuse(&[src, pca]);
+    Engine::run(g);
+    let eig = state.lock().full_eigensystem().unwrap().clone();
+    let seen = seen.lock().clone();
+    (seen, eig)
+}
+
+#[test]
+fn restart_after_a_merge_keeps_every_cadence_in_phase() {
+    // A merge adds the peer's observation count to the eigensystem's, so a
+    // restart that set the engine's tuple count from the eigensystem (as
+    // reading the recovery file did) resumed 400 tuples ahead of itself
+    // and emitted every later periodic snapshot 150 tuples early. The
+    // panic is on the cadence, where that was the only difference.
+    let clean_dir = tmp_dir("merge_clean");
+    let fault_dir = tmp_dir("merge_faulted");
+    let (clean_log, clean_eig) = merged_then_maybe_panicked(None, &clean_dir);
+    let (fault_log, fault_eig) = merged_then_maybe_panicked(Some("panic@pca-0:1000"), &fault_dir);
+    assert!(
+        clean_log.iter().any(|&(_, merges)| merges == 1),
+        "the merge applied"
+    );
+    assert_eq!(
+        clean_log.len(),
+        3000 / 250 + 1,
+        "periodic snapshots + the final one"
+    );
+    assert_eq!(clean_log, fault_log);
+    assert_eig_bits_equal(0, &clean_eig, &fault_eig);
+    std::fs::remove_dir_all(clean_dir).ok();
+    std::fs::remove_dir_all(fault_dir).ok();
 }

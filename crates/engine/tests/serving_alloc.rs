@@ -16,56 +16,17 @@
 //! counter robust to sibling threads, but the tracked flag is per-file
 //! global state all the same.
 
+use spca_alloc_count::{allocations, track, CountingAlloc};
 use spca_core::{PcaConfig, RobustPca};
 use spca_engine::{EigenQueryHandler, EpochStore, ServeShared};
 use spca_streams::ops::http_server::{HttpServer, ServerConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-struct ThreadFilteredAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    // const-initialized TLS: reading it never allocates, so it is safe
-    // to consult from inside the global allocator.
-    static TRACKED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn count_if_tracked() {
-    // try_with: TLS may be unavailable during thread teardown.
-    if TRACKED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for ThreadFilteredAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_if_tracked();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_if_tracked();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_if_tracked();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: ThreadFilteredAlloc = ThreadFilteredAlloc;
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Deterministic pseudo-random stream; must not allocate.
 fn lcg_normal_ish(state: &mut u64) -> f64 {
@@ -139,7 +100,7 @@ fn serving_requests_do_not_allocate_on_the_update_thread() {
     let update = {
         let store = Arc::clone(&store);
         std::thread::spawn(move || {
-            TRACKED.with(|t| t.set(true));
+            track(true);
             let mut pca = RobustPca::new(PcaConfig::new(DIM, P));
             let mut state = 0x5eed_cafe_u64;
             let mut x = vec![0.0; DIM];
@@ -164,12 +125,12 @@ fn serving_requests_do_not_allocate_on_the_update_thread() {
                 update_and_publish(&mut pca, &mut x, &mut state);
             }
             // Measured stretch under full serving load.
-            ALLOCS.store(0, Ordering::SeqCst);
+            let before = allocations();
             for _ in 0..2000 {
                 update_and_publish(&mut pca, &mut x, &mut state);
             }
-            let allocs = ALLOCS.load(Ordering::SeqCst);
-            TRACKED.with(|t| t.set(false));
+            let allocs = allocations() - before;
+            track(false);
             allocs
         })
     };

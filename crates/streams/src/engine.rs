@@ -27,12 +27,13 @@
 //! `on_control`) run under a supervisor: a panic is isolated with
 //! `catch_unwind`, the operator instance survives (it is borrowed, not
 //! moved, into the guarded call), and after a capped exponential backoff
-//! the supervisor asks it to [`Operator::recover`]. A recovered operator
-//! resumes where it left off — the in-flight data tuple is redelivered
-//! exactly once — while an unrecoverable one is finished so its
-//! end-of-stream still propagates and the rest of the graph drains
-//! normally. Restart counts surface as `restarts` in
-//! [`OpSnapshot`]/[`RunReport`].
+//! the supervisor asks it to [`Operator::recover`] — its consent to go on.
+//! A consenting operator with a [`crate::checkpoint::Checkpoint`] facet is
+//! restored from its blob in the PE's snapshot manifest (below) and
+//! resumes — the in-flight data tuple is redelivered exactly once — while
+//! one that declines is finished so its end-of-stream still propagates and
+//! the rest of the graph drains normally. Restart counts surface as
+//! `restarts` in [`OpSnapshot`]/[`RunReport`].
 //!
 //! **PE-level.** A panic that escapes the operator layer — a source's
 //! `drive` blowing up, or an injected `kill-pe` fault — unwinds the PE's
@@ -41,8 +42,9 @@
 //! `catch_unwind`), so the supervisor tears the PE down and rebuilds it in
 //! place: every [`crate::checkpoint::Checkpoint`]-able operator is
 //! rehydrated from the PE's snapshot manifest (written periodically at the
-//! operators' cadence, and — for a clean injected kill — once more at
-//! teardown so recovery round-trips consistent state through disk), cross-PE
+//! operators' cadence, and — for an injected fault, which strikes between
+//! tuples — once more at teardown so recovery round-trips consistent state
+//! through disk; the one durable copy, read by both layers), cross-PE
 //! frame channels reconnect untouched (no tuple is lost or duplicated: the
 //! pending queue and edge buffers survive in `PeRuntime`), and the loop
 //! re-enters. PE restarts count as `pe_restarts` on every member operator
@@ -358,27 +360,18 @@ struct PeKill {
 
 /// Everything a PE owns that must survive a whole-PE restart. The
 /// scheduler body (`run_pe_once`) only *borrows* this, so when a panic
-/// unwinds the body, channel endpoints (senders live in `slots`' remote
+/// unwinds the body, channel endpoints (senders live in the slots' remote
 /// targets, receivers in `rxs`), partially consumed frame cursors, the
 /// in-PE pending queue, and the operator boxes themselves all survive for
 /// the supervisor to rebuild around.
 struct PeRuntime {
-    slots: Vec<OpSlot>,
-    /// Frame receivers, parallel to `metas`. Kept separate (and never
+    core: PeCore,
+    /// Frame receivers, parallel to `core.metas`. Kept separate (and never
     /// mutated after construction) so the scheduler can cache a `Select`
     /// borrowing them across loop iterations.
     rxs: Vec<Receiver<Frame>>,
-    metas: Vec<ChanMeta>,
-    stop: Arc<AtomicBool>,
-    /// In-PE dispatch queue. Owned here — not in the scheduler body — so
-    /// tuples queued at the moment a PE dies are redelivered, not lost.
-    pending: VecDeque<(usize, PortKind, Tuple)>,
-    /// This PE's index in the graph's PE list (manifest identity).
-    pe_index: usize,
     /// Bounds PE-level restarts (same policy as operator restarts).
     policy: RestartPolicy,
-    /// Snapshot writer, when the graph has a checkpoint dir configured.
-    checkpoint: Option<PeDurability>,
     /// Whole-PE restarts performed so far.
     pe_restarts: u64,
     /// [`checkpoint_progress`] at the last periodic checkpoint.
@@ -391,6 +384,22 @@ struct PeRuntime {
     /// scheduler entry, so a respawned worker resumes where its manifest
     /// left off instead of reprocessing from scratch.
     rehydrate: Option<checkpoint::SnapshotSet>,
+}
+
+/// What every dispatch path of a PE works on, down to the operator-level
+/// supervisor — which is why the PE's durability lives here: an operator
+/// restart restores from the same manifest a PE restart does.
+struct PeCore {
+    slots: Vec<OpSlot>,
+    metas: Vec<ChanMeta>,
+    /// In-PE dispatch queue. Owned here — not in the scheduler body — so
+    /// tuples queued at the moment a PE dies are redelivered, not lost.
+    pending: VecDeque<(usize, PortKind, Tuple)>,
+    stop: Arc<AtomicBool>,
+    /// This PE's index in the graph's PE list (manifest identity).
+    pe_index: usize,
+    /// Snapshot writer, when the graph has a checkpoint dir configured.
+    checkpoint: Option<PeDurability>,
 }
 
 /// Traffic report for one cross-PE link.
@@ -892,7 +901,7 @@ impl Engine {
 
         let stop = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::with_capacity(pes.len());
-        for (pe_index, ((slots, rxs), mut metas)) in slots_per_pe
+        for (pe_index, ((slots, rxs), metas)) in slots_per_pe
             .into_iter()
             .zip(rxs_per_pe)
             .zip(metas_per_pe)
@@ -909,21 +918,23 @@ impl Engine {
                 // Storage failures are PE-attributed to its first slot.
                 PeDurability::new(ckpt, pe_index, Arc::clone(&slots[0].counters))
             });
-            let mut rehydrate = None;
-            if partition.as_ref().is_some_and(|p| p.rehydrate) {
-                if let Some(ckpt) = checkpoint.as_ref() {
-                    rehydrate = recover_for_rehydrate(ckpt, pe_index, &mut metas);
-                }
-            }
-            let pe = PeRuntime {
+            let mut core = PeCore {
                 slots,
-                rxs,
                 metas,
-                stop: Arc::clone(&stop),
                 pending: VecDeque::new(),
+                stop: Arc::clone(&stop),
                 pe_index,
-                policy,
                 checkpoint,
+            };
+            let rehydrate = if partition.as_ref().is_some_and(|p| p.rehydrate) {
+                recover_for_rehydrate(&mut core)
+            } else {
+                None
+            };
+            let pe = PeRuntime {
+                core,
+                rxs,
+                policy,
                 pe_restarts: 0,
                 last_ckpt_total: 0,
                 started: false,
@@ -1058,21 +1069,21 @@ fn flush_all(slots: &mut [OpSlot]) {
 /// Calls a slot's operator method with a context wired to the PE's sink,
 /// timing it into the op's busy counter.
 macro_rules! with_op {
-    ($slots:expr, $pending:expr, $stop:expr, $idx:expr, |$op:ident, $ctx:ident| $body:expr) => {{
-        let mut $op = $slots[$idx].op.take().expect("operator in flight");
-        let counters = Arc::clone(&$slots[$idx].counters);
+    ($pe:expr, $idx:expr, |$op:ident, $ctx:ident| $body:expr) => {{
+        let mut $op = $pe.slots[$idx].op.take().expect("operator in flight");
+        let counters = Arc::clone(&$pe.slots[$idx].counters);
         let t0 = Instant::now();
         let ret = {
             let mut sink = PeSink {
-                out_ports: &mut $slots[$idx].out_ports,
-                pending: $pending,
-                stop: $stop,
+                out_ports: &mut $pe.slots[$idx].out_ports,
+                pending: &mut $pe.pending,
+                stop: &$pe.stop,
             };
             let $ctx = &mut OpContext::new(&mut sink, &counters);
             $body
         };
         counters.add_busy(t0.elapsed().as_nanos() as u64);
-        $slots[$idx].op = Some($op);
+        $pe.slots[$idx].op = Some($op);
         ret
     }};
 }
@@ -1215,62 +1226,100 @@ impl PeDurability {
     }
 }
 
-/// Startup-time recovery for a respawned distributed worker: reads the
-/// PE's manifest, presets the socket-link watermarks (`__netlink{id}`
-/// parts) so the RESUME handshake asks each sender to skip what this PE
-/// already consumed durably, and returns the operator parts for restore
-/// after the `on_start` hooks run.
-fn recover_for_rehydrate(
-    ckpt: &PeDurability,
-    pe_index: usize,
-    metas: &mut [ChanMeta],
-) -> Option<checkpoint::SnapshotSet> {
-    let recovery = ckpt.recover();
+/// Teardown capture: persists the PE's in-memory state as it stands. Only
+/// for a fault that struck *between* tuples — an injected `kill-pe` or
+/// `panic@`, both of which fire after `process` returned with every
+/// operator box parked in its slot — where that state is consistent and
+/// the restore that follows ([`recover_set`] flushes the writer first)
+/// round-trips it through disk, so the run stays bit-identical to a
+/// fault-free one. If the write fails, recovery reads the last durable
+/// generation instead.
+fn submit_capture(pe: &mut PeCore) {
+    if let Some(ckpt) = &pe.checkpoint {
+        ckpt.submit(capture_pe(&mut pe.slots, &pe.metas));
+    }
+}
+
+/// The PE's best durable generation, read behind its writer — what every
+/// restart restores from, at all three supervision levels. Degrading: a
+/// torn or bit-rotted manifest or blob is quarantined aside and the
+/// previous generation is used, never an error; that is reported and
+/// counted here (PE-attributed to the first slot). `None` without a
+/// checkpoint dir or a usable generation: the state in memory stands.
+fn recover_set(pe: &PeCore) -> Option<checkpoint::SnapshotSet> {
+    let recovery = pe.checkpoint.as_ref()?.recover();
     if recovery.quarantined > 0 || recovery.fell_back {
         eprintln!(
-            "[engine] PE {pe_index} rehydrate degraded: {} file(s) quarantined, {}",
+            "[supervisor] PE {} recovery degraded: {} file(s) quarantined, fell back to {}",
+            pe.pe_index,
             recovery.quarantined,
             if recovery.set.is_some() {
-                "fell back to an older generation"
+                "an older generation"
             } else {
-                "starting fresh"
+                "the state in memory"
             }
         );
+        let counters = &pe.slots[0].counters;
+        counters.add_quarantined_snapshots(recovery.quarantined);
+        counters.add_io_faults(recovery.quarantined.max(1));
     }
-    let parts = recovery.set?;
-    let mut op_parts = Vec::new();
+    recovery.set
+}
+
+/// Restores the PE's live members from a recovered set: all of them, or
+/// `only` the one an operator-level restart is about. Parts naming no live
+/// member (an operator finished since, a `__netlink` watermark) are
+/// skipped; a blob its operator rejects leaves that operator as it is.
+fn restore_members(slots: &mut [OpSlot], parts: &checkpoint::SnapshotSet, only: Option<usize>) {
     for (name, blob) in parts {
-        let Some(id) = name.strip_prefix("__netlink") else {
-            op_parts.push((name, blob));
+        let Some(i) = slots.iter().position(|s| &s.name == name && !s.finished) else {
             continue;
         };
-        let Ok(link_id) = id.parse::<u64>() else {
+        if only.is_some_and(|only| only != i) {
+            continue;
+        }
+        if let Some(cp) = slots[i].op.as_mut().and_then(|op| op.checkpoint()) {
+            if let Err(e) = cp.restore(blob) {
+                eprintln!(
+                    "[supervisor] operator '{name}' failed to restore from the PE \
+                     manifest ({e}); keeping its in-memory state"
+                );
+            }
+        }
+    }
+}
+
+/// Startup-time recovery for a respawned distributed worker: reads the
+/// PE's manifest and presets the socket-link watermarks (`__netlink{id}`
+/// parts) so the RESUME handshake asks each sender to skip what this PE
+/// already consumed durably. The set is returned for [`restore_members`]
+/// after the `on_start` hooks run.
+fn recover_for_rehydrate(pe: &mut PeCore) -> Option<checkpoint::SnapshotSet> {
+    let parts = recover_set(pe)?;
+    for (name, blob) in &parts {
+        let Some(Ok(link_id)) = name.strip_prefix("__netlink").map(str::parse::<u64>) else {
             continue;
         };
         let routed =
-            match checkpoint::decode_kv(&blob).and_then(|map| checkpoint::kv_u64(&map, "routed")) {
+            match checkpoint::decode_kv(blob).and_then(|map| checkpoint::kv_u64(&map, "routed")) {
                 Ok(v) => v,
                 Err(e) => {
                     eprintln!(
-                        "[engine] PE {pe_index} netlink watermark {link_id} unreadable ({e}); \
-                     the sender will replay that link from zero"
+                        "[engine] PE {} netlink watermark {link_id} unreadable ({e}); \
+                         the sender will replay that link from zero",
+                        pe.pe_index
                     );
                     continue;
                 }
             };
-        if let Some(m) = metas
-            .iter_mut()
-            .find(|m| m.net.as_ref().is_some_and(|n| n.link_id == link_id))
-        {
-            m.routed = routed;
-            m.net
-                .as_ref()
-                .expect("just matched on net")
-                .link
-                .preset(routed);
+        for m in pe.metas.iter_mut() {
+            if let Some(net) = m.net.as_ref().filter(|n| n.link_id == link_id) {
+                net.link.preset(routed);
+                m.routed = routed;
+            }
         }
     }
-    Some(op_parts)
+    Some(parts)
 }
 
 /// The PE-level supervisor's recovery path. Returns false when the restart
@@ -1280,34 +1329,25 @@ fn restart_pe(pe: &mut PeRuntime, clean: bool) -> bool {
     pe.pe_restarts += 1;
     let attempt = pe.pe_restarts;
     let policy = pe.policy;
-    let PeRuntime {
-        slots,
-        metas,
-        stop,
-        pending,
-        pe_index,
-        checkpoint,
-        ..
-    } = pe;
-    let slots = &mut slots[..];
-    let stop = &**stop;
+    let pe = &mut pe.core;
+    let pe_index = pe.pe_index;
     if attempt > policy.max_restarts {
         eprintln!(
             "[supervisor] PE {pe_index} exceeded {} restarts; winding it down",
             policy.max_restarts
         );
-        for i in 0..slots.len() {
-            if slots[i].finished {
+        for i in 0..pe.slots.len() {
+            if pe.slots[i].finished {
                 continue;
             }
-            if slots[i].op.is_some() {
-                finish_op(slots, pending, stop, i);
+            if pe.slots[i].op.is_some() {
+                finish_op(pe, i);
             } else {
-                finish_op_without_instance(slots, pending, stop, i);
+                finish_op_without_instance(pe, i);
             }
         }
-        drain_pending(slots, pending, stop);
-        flush_all(slots);
+        drain_pending(pe);
+        flush_all(&mut pe.slots);
         return false;
     }
     eprintln!(
@@ -1320,71 +1360,29 @@ fn restart_pe(pe: &mut PeRuntime, clean: bool) -> bool {
     );
     std::thread::sleep(policy.backoff(attempt));
 
-    if let Some(ckpt) = checkpoint.as_ref() {
-        // A clean (injected) kill unwound between tuples with consistent
-        // in-memory state: persist that exact state first (`recover`
-        // flushes it), so the restore below genuinely round-trips every
-        // operator through disk and the run stays bit-identical to a
-        // fault-free one. After an escaped panic the in-memory state is
-        // suspect, so recovery falls back to the last *periodic* capture
-        // (loss bounded by the checkpoint cadence). If the teardown write
-        // fails, so does recovery — to the last durable generation.
-        if clean {
-            ckpt.submit(capture_pe(slots, metas));
-        }
-        // Degrading recovery: a torn or bit-rotted manifest/blob is
-        // quarantined aside and recovery falls back to the previous
-        // generation — never a PE error. Counters are PE-attributed to
-        // the PE's first slot.
-        let recovery = ckpt.recover();
-        if recovery.quarantined > 0 || recovery.fell_back {
-            eprintln!(
-                "[supervisor] PE {pe_index} recovery degraded: {} file(s) quarantined, \
-                 fell back to {}",
-                recovery.quarantined,
-                if recovery.set.is_some() {
-                    "an older generation"
-                } else {
-                    "in-memory state"
-                }
-            );
-            slots[0]
-                .counters
-                .add_quarantined_snapshots(recovery.quarantined);
-            slots[0].counters.add_io_faults(recovery.quarantined.max(1));
-        }
-        // With no usable set (never checkpointed, or everything
-        // quarantined) the in-memory state stands.
-        if let Some(parts) = recovery.set {
-            for (name, blob) in &parts {
-                let Some(i) = slots.iter().position(|s| &s.name == name && !s.finished) else {
-                    continue; // operator finished since that checkpoint
-                };
-                if let Some(cp) = slots[i].op.as_mut().and_then(|op| op.checkpoint()) {
-                    if let Err(e) = cp.restore(blob) {
-                        eprintln!(
-                            "[supervisor] operator '{name}' failed to restore from the PE \
-                             manifest ({e}); keeping its in-memory state"
-                        );
-                    }
-                }
-            }
-        }
+    // After an escaped panic the in-memory state is suspect, so recovery
+    // reads the last *periodic* capture (loss bounded by the checkpoint
+    // cadence); a clean kill persists its exact state first.
+    if clean {
+        submit_capture(pe);
+    }
+    if let Some(parts) = recover_set(pe) {
+        restore_members(&mut pe.slots, &parts, None);
     }
 
     // An operator whose box was consumed by the unwind (panic inside
     // on_start/on_finish hooks) cannot be rebuilt; finish it so its EOS
     // propagates while the rest of the PE comes back.
-    for i in 0..slots.len() {
-        if slots[i].op.is_none() && !slots[i].finished {
+    for i in 0..pe.slots.len() {
+        if pe.slots[i].op.is_none() && !pe.slots[i].finished {
             eprintln!(
                 "[supervisor] operator '{}' was lost in the PE unwind; finishing it",
-                slots[i].name
+                pe.slots[i].name
             );
-            finish_op_without_instance(slots, pending, stop, i);
+            finish_op_without_instance(pe, i);
         }
     }
-    for s in slots.iter() {
+    for s in pe.slots.iter() {
         s.counters.add_pe_restart();
     }
     true
@@ -1392,26 +1390,28 @@ fn restart_pe(pe: &mut PeRuntime, clean: bool) -> bool {
 
 /// Like [`finish_op`] but for a slot whose operator box did not survive the
 /// PE unwind: no `on_finish` can run, but end-of-stream still propagates.
-fn finish_op_without_instance(
-    slots: &mut [OpSlot],
-    pending: &mut VecDeque<(usize, PortKind, Tuple)>,
-    stop: &AtomicBool,
-    idx: usize,
-) {
-    if slots[idx].finished {
+fn finish_op_without_instance(pe: &mut PeCore, idx: usize) {
+    if pe.slots[idx].finished {
         return;
     }
-    slots[idx].finished = true;
-    let n_ports = slots[idx].out_ports.len();
-    for p in 0..n_ports {
-        let mut sink = PeSink {
-            out_ports: &mut slots[idx].out_ports,
-            pending,
-            stop,
-        };
+    pe.slots[idx].finished = true;
+    punctuate(pe, idx);
+}
+
+/// End-of-stream on every out port of `idx` (local + remote), then the
+/// channel senders are released so downstream PEs observe closure even if
+/// they already stopped selecting the edge. Punctuation is urgent, so each
+/// edge flushes any buffered data tuples ahead of its EOS.
+fn punctuate(pe: &mut PeCore, idx: usize) {
+    let mut sink = PeSink {
+        out_ports: &mut pe.slots[idx].out_ports,
+        pending: &mut pe.pending,
+        stop: &pe.stop,
+    };
+    for p in 0..sink.out_ports.len() {
         sink.emit(p, Tuple::Punct(Punctuation::EndOfStream));
     }
-    for p in slots[idx].out_ports.iter_mut() {
+    for p in pe.slots[idx].out_ports.iter_mut() {
         p.clear();
     }
 }
@@ -1421,35 +1421,29 @@ fn finish_op_without_instance(
 /// cached selector and index scratch.
 fn run_pe_once(pe: &mut PeRuntime) {
     let PeRuntime {
-        slots,
+        core: pe,
         rxs,
-        metas,
-        stop,
-        pending,
-        checkpoint,
         last_ckpt_total,
         started,
         rehydrate,
         ..
     } = pe;
-    let slots = &mut slots[..];
-    let metas = &mut metas[..];
     let rxs = &rxs[..];
-    let stop = &**stop;
 
     // Periodic checkpoint cadence: the tightest cadence any member
     // operator asks for. A PE fed over the wire checkpoints at the default
     // cadence even when no member is checkpointable — its manifests carry
     // the netlink watermarks that let stable acks release the sender's
     // retransmit queue.
-    let has_net = metas.iter().any(|m| m.net.is_some());
-    let cadence: Option<u64> = slots
+    let has_net = pe.metas.iter().any(|m| m.net.is_some());
+    let cadence: Option<u64> = pe
+        .slots
         .iter_mut()
         .filter(|s| !s.finished)
         .filter_map(|s| s.op.as_mut().and_then(|op| op.checkpoint()))
         .map(|cp| cp.checkpoint_every().max(1))
         .min()
-        .or(if has_net && checkpoint.is_some() {
+        .or(if has_net && pe.checkpoint.is_some() {
             Some(crate::checkpoint::DEFAULT_CHECKPOINT_EVERY)
         } else {
             None
@@ -1458,13 +1452,11 @@ fn run_pe_once(pe: &mut PeRuntime) {
     if !*started {
         *started = true;
 
-        // Start hooks. (Index loop: the macro needs `slots` whole, by
-        // index.)
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..slots.len() {
-            with_op!(slots, pending, stop, i, |op, ctx| op.on_start(ctx));
+        // Start hooks.
+        for i in 0..pe.slots.len() {
+            with_op!(pe, i, |op, ctx| op.on_start(ctx));
         }
-        drain_pending(slots, pending, stop);
+        drain_pending(pe);
 
         // Distributed rehydrate: a respawned worker restores its operators
         // from the recovered manifest *after* their start hooks, mirroring
@@ -1472,38 +1464,28 @@ fn run_pe_once(pe: &mut PeRuntime) {
         // the transport started accepting, so upstream replay begins
         // exactly where this state leaves off.
         if let Some(parts) = rehydrate.take() {
-            for (name, blob) in &parts {
-                let Some(i) = slots.iter().position(|s| &s.name == name && !s.finished) else {
-                    continue; // operator finished since that checkpoint
-                };
-                if let Some(cp) = slots[i].op.as_mut().and_then(|op| op.checkpoint()) {
-                    if let Err(e) = cp.restore(blob) {
-                        eprintln!(
-                            "[engine] operator '{name}' failed to rehydrate from the PE \
-                             manifest ({e}); keeping its fresh state"
-                        );
-                    }
-                }
-            }
-            drain_pending(slots, pending, stop);
+            restore_members(&mut pe.slots, &parts, None);
+            drain_pending(pe);
         }
 
         // Operators with no inputs that aren't sources are trivially
         // finished.
-        for i in 0..slots.len() {
-            let s = &slots[i];
+        for i in 0..pe.slots.len() {
+            let s = &pe.slots[i];
             if !s.is_source && s.data_in_degree == 0 && s.ctrl_in_degree == 0 {
-                finish_op(slots, pending, stop, i);
+                finish_op(pe, i);
             }
         }
-        drain_pending(slots, pending, stop);
+        drain_pending(pe);
     } else {
         // Re-entry after a PE restart: tuples queued at the moment of death
         // are still in `pending`; deliver them before touching channels.
-        drain_pending(slots, pending, stop);
+        drain_pending(pe);
     }
 
-    let source_idxs: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_source).collect();
+    let source_idxs: Vec<usize> = (0..pe.slots.len())
+        .filter(|&i| pe.slots[i].is_source)
+        .collect();
 
     // Cached selector over the live receivers, rebuilt only when channel
     // liveness changes (liveness never comes back, so an alive-count match
@@ -1516,32 +1498,32 @@ fn run_pe_once(pe: &mut PeRuntime) {
 
         // 1. Drive live sources.
         for &i in &source_idxs {
-            if slots[i].finished {
+            if pe.slots[i].finished {
                 continue;
             }
-            if stop.load(Ordering::Relaxed) {
-                finish_op(slots, pending, stop, i);
-                drain_pending(slots, pending, stop);
+            if pe.stop.load(Ordering::Relaxed) {
+                finish_op(pe, i);
+                drain_pending(pe);
                 continue;
             }
-            let state: SourceState = supervised_drive(slots, pending, stop, i);
+            let state: SourceState = supervised_drive(pe, i);
             match state {
                 SourceState::Emitted => progressed = true,
                 SourceState::Idle => {}
                 SourceState::Done => {
-                    finish_op(slots, pending, stop, i);
+                    finish_op(pe, i);
                     progressed = true;
                 }
             }
-            drain_pending(slots, pending, stop);
+            drain_pending(pe);
         }
 
-        let sources_alive = source_idxs.iter().any(|&i| !slots[i].finished);
+        let sources_alive = source_idxs.iter().any(|&i| !pe.slots[i].finished);
 
         // 2. Receive from cross-PE channels.
         if sources_alive {
             // Non-blocking frame sweep so sources keep producing.
-            if sweep_channels(slots, rxs, metas, pending, stop) {
+            if sweep_channels(pe, rxs) {
                 progressed = true;
             }
         } else {
@@ -1551,11 +1533,11 @@ fn run_pe_once(pe: &mut PeRuntime) {
             // select. Buffered output must be flushed before blocking — a
             // stranded partial batch could be exactly what the upstream PE
             // is waiting for.
-            flush_all(slots);
-            if sweep_channels(slots, rxs, metas, pending, stop) {
+            flush_all(&mut pe.slots);
+            if sweep_channels(pe, rxs) {
                 progressed = true;
             } else {
-                let n_alive = metas.iter().filter(|m| m.alive).count();
+                let n_alive = pe.metas.iter().filter(|m| m.alive).count();
                 if n_alive > 0 {
                     // Rebuild the cached selector only when liveness
                     // changed (liveness never comes back, so an unchanged
@@ -1563,7 +1545,7 @@ fn run_pe_once(pe: &mut PeRuntime) {
                     if cached_sel.as_ref().map(|(_, map)| map.len()) != Some(n_alive) {
                         let mut sel = Select::new();
                         let mut map = Vec::with_capacity(n_alive);
-                        for (i, m) in metas.iter().enumerate() {
+                        for (i, m) in pe.metas.iter().enumerate() {
                             if m.alive {
                                 sel.recv(&rxs[i]);
                                 map.push(i);
@@ -1578,21 +1560,21 @@ fn run_pe_once(pe: &mut PeRuntime) {
                         match oper.recv(&rxs[ci]) {
                             Ok(frame) => {
                                 progressed = true;
-                                metas[ci].accept(frame);
+                                pe.metas[ci].accept(frame);
                                 // Drain the selected frame plus whatever else
                                 // queued meanwhile before paying another
                                 // select.
-                                sweep_channels(slots, rxs, metas, pending, stop);
+                                sweep_channels(pe, rxs);
                             }
                             Err(_) => {
-                                on_disconnect(slots, metas, pending, stop, ci);
+                                on_disconnect(pe, ci);
                             }
                         }
                     }
                 }
             }
         }
-        drain_pending(slots, pending, stop);
+        drain_pending(pe);
 
         // 3. Periodic checkpoint: once the PE has consumed a cadence worth
         //    of entries since the last snapshot set, capture a fresh
@@ -1600,35 +1582,35 @@ fn run_pe_once(pe: &mut PeRuntime) {
         //    tuples (the pending queue is drained), so the set is
         //    consistent by construction, and the engine pays for the
         //    capture only: the fsyncs run behind it.
-        if let (Some(every), Some(ckpt)) = (cadence, checkpoint.as_ref()) {
-            let total = checkpoint_progress(slots, metas);
+        if let (Some(every), Some(ckpt)) = (cadence, pe.checkpoint.as_ref()) {
+            let total = checkpoint_progress(&pe.slots, &pe.metas);
             if total.saturating_sub(*last_ckpt_total) >= ckpt.window(every) {
                 *last_ckpt_total = total;
-                ckpt.submit(capture_pe(slots, metas));
+                ckpt.submit(capture_pe(&mut pe.slots, &pe.metas));
             }
         }
 
         // 4. Exit when everything is finished.
-        if slots.iter().all(|s| s.finished) {
+        if pe.slots.iter().all(|s| s.finished) {
             break;
         }
         // If nothing happened and no channel can ever deliver again, the
         // remaining unfinished ops can never finish through EOS (e.g. a
         // consumer fed only by a stopped peer that never wired EOS) —
         // finish them defensively rather than spinning forever.
-        let channels_alive = metas.iter().any(|c| c.alive);
-        if !progressed && !sources_alive && !channels_alive && pending.is_empty() {
-            for i in 0..slots.len() {
-                if !slots[i].finished {
-                    finish_op(slots, pending, stop, i);
+        let channels_alive = pe.metas.iter().any(|c| c.alive);
+        if !progressed && !sources_alive && !channels_alive && pe.pending.is_empty() {
+            for i in 0..pe.slots.len() {
+                if !pe.slots[i].finished {
+                    finish_op(pe, i);
                 }
             }
-            drain_pending(slots, pending, stop);
+            drain_pending(pe);
         }
         if !progressed && sources_alive {
             // Idle sources: flush buffered output (nothing else will), then
             // yield briefly instead of spinning.
-            flush_all(slots);
+            flush_all(&mut pe.slots);
             std::thread::yield_now();
         }
     }
@@ -1639,8 +1621,8 @@ fn run_pe_once(pe: &mut PeRuntime) {
     // queue at shutdown and exit with an unacked-tail warning. Flushed:
     // the peer's clean close is waiting for exactly this commit.
     if has_net {
-        if let Some(ckpt) = checkpoint.as_ref() {
-            ckpt.submit(capture_pe(slots, metas));
+        submit_capture(pe);
+        if let Some(ckpt) = &pe.checkpoint {
             ckpt.writer.flush();
         }
     }
@@ -1673,31 +1655,25 @@ fn checkpoint_progress(slots: &[OpSlot], metas: &[ChanMeta]) -> u64 {
 /// fused control cycles rely on no channel racing far ahead of its
 /// siblings — while channel synchronization is still paid only once per
 /// frame. Returns true if anything was routed.
-fn sweep_channels(
-    slots: &mut [OpSlot],
-    rxs: &[Receiver<Frame>],
-    metas: &mut [ChanMeta],
-    pending: &mut VecDeque<(usize, PortKind, Tuple)>,
-    stop: &AtomicBool,
-) -> bool {
+fn sweep_channels(pe: &mut PeCore, rxs: &[Receiver<Frame>]) -> bool {
     let mut progressed = false;
     for _pass in 0..SWEEP_TUPLES {
         let mut any = false;
-        for ci in 0..metas.len() {
-            if !metas[ci].alive {
+        for ci in 0..pe.metas.len() {
+            if !pe.metas[ci].alive {
                 continue;
             }
-            match next_tuple(rxs, metas, ci) {
+            match next_tuple(rxs, &mut pe.metas, ci) {
                 Next::Tuple(t) => {
                     any = true;
                     progressed = true;
-                    route_one(slots, metas, pending, stop, ci, t);
-                    drain_pending(slots, pending, stop);
+                    route_one(pe, ci, t);
+                    drain_pending(pe);
                 }
                 Next::Empty => {}
                 Next::Disconnected => {
-                    on_disconnect(slots, metas, pending, stop, ci);
-                    drain_pending(slots, pending, stop);
+                    on_disconnect(pe, ci);
+                    drain_pending(pe);
                 }
             }
         }
@@ -1728,70 +1704,43 @@ fn next_tuple(rxs: &[Receiver<Frame>], metas: &mut [ChanMeta], ci: usize) -> Nex
 }
 
 /// Routes a single tuple received on channel `ci`.
-fn route_one(
-    slots: &mut [OpSlot],
-    metas: &mut [ChanMeta],
-    pending: &mut VecDeque<(usize, PortKind, Tuple)>,
-    stop: &AtomicBool,
-    ci: usize,
-    t: Tuple,
-) {
-    metas[ci].routed += 1;
+fn route_one(pe: &mut PeCore, ci: usize, t: Tuple) {
+    let m = &mut pe.metas[ci];
+    m.routed += 1;
     if !matches!(t, Tuple::Data(_)) {
-        metas[ci].routed_other += 1;
+        m.routed_other += 1;
     }
     if t.is_eos() {
-        metas[ci].got_eos = true;
-        metas[ci].alive = false;
+        m.got_eos = true;
+        m.alive = false;
     }
-    let to = metas[ci].to_local;
-    let port = metas[ci].port;
-    dispatch(slots, pending, stop, to, port, t);
+    let (to, port) = (m.to_local, m.port);
+    dispatch(pe, to, port, t);
 }
 
-fn on_disconnect(
-    slots: &mut [OpSlot],
-    metas: &mut [ChanMeta],
-    pending: &mut VecDeque<(usize, PortKind, Tuple)>,
-    stop: &AtomicBool,
-    ci: usize,
-) {
-    metas[ci].alive = false;
-    if !metas[ci].got_eos {
+fn on_disconnect(pe: &mut PeCore, ci: usize) {
+    let m = &mut pe.metas[ci];
+    m.alive = false;
+    if !m.got_eos {
         // Upstream dropped without punctuating (stop/panic path): treat the
         // closure as end-of-stream so this PE can still drain and exit.
-        metas[ci].got_eos = true;
-        let to = metas[ci].to_local;
-        let port = metas[ci].port;
-        dispatch(
-            slots,
-            pending,
-            stop,
-            to,
-            port,
-            Tuple::Punct(Punctuation::EndOfStream),
-        );
+        m.got_eos = true;
+        let (to, port) = (m.to_local, m.port);
+        dispatch(pe, to, port, Tuple::Punct(Punctuation::EndOfStream));
     }
 }
 
-fn dispatch(
-    slots: &mut [OpSlot],
-    pending: &mut VecDeque<(usize, PortKind, Tuple)>,
-    stop: &AtomicBool,
-    idx: usize,
-    port: PortKind,
-    t: Tuple,
-) {
-    if slots[idx].finished {
+fn dispatch(pe: &mut PeCore, idx: usize, port: PortKind, t: Tuple) {
+    if pe.slots[idx].finished {
         return; // late tuple for a finished operator
     }
     match t {
         Tuple::Punct(Punctuation::EndOfStream) => {
             match port {
-                PortKind::Data => slots[idx].eos_data += 1,
-                PortKind::Control => slots[idx].eos_ctrl += 1,
+                PortKind::Data => pe.slots[idx].eos_data += 1,
+                PortKind::Control => pe.slots[idx].eos_ctrl += 1,
             }
-            let s = &slots[idx];
+            let s = &pe.slots[idx];
             let data_done = s.eos_data >= s.data_in_degree;
             let ready = if s.data_in_degree > 0 {
                 data_done
@@ -1804,19 +1753,19 @@ fn dispatch(
             // stream) winds down when that stream ends.
             let externally_finishable = !s.is_source || s.data_in_degree > 0;
             if ready && externally_finishable {
-                finish_op(slots, pending, stop, idx);
+                finish_op(pe, idx);
             }
         }
         Tuple::Data(d) => {
             if port == PortKind::Data {
-                slots[idx].counters.add_in();
-                supervised_process(slots, pending, stop, idx, d);
+                pe.slots[idx].counters.add_in();
+                supervised_process(pe, idx, d);
             }
             // Data on a control port is a wiring error; dropped.
         }
         Tuple::Control(c) => {
-            slots[idx].counters.add_control();
-            supervised_control(slots, pending, stop, idx, c);
+            pe.slots[idx].counters.add_control();
+            supervised_control(pe, idx, c);
         }
     }
 }
@@ -1827,20 +1776,15 @@ fn dispatch(
 /// *escalated*: the operator box is parked back in its slot first (it must
 /// survive for checkpoint recovery), then the whole PE is unwound for the
 /// PE-level supervisor to rebuild.
-fn supervised_drive(
-    slots: &mut [OpSlot],
-    pending: &mut VecDeque<(usize, PortKind, Tuple)>,
-    stop: &AtomicBool,
-    idx: usize,
-) -> SourceState {
-    let mut op = slots[idx].op.take().expect("operator in flight");
-    let counters = Arc::clone(&slots[idx].counters);
+fn supervised_drive(pe: &mut PeCore, idx: usize) -> SourceState {
+    let mut op = pe.slots[idx].op.take().expect("operator in flight");
+    let counters = Arc::clone(&pe.slots[idx].counters);
     let t0 = Instant::now();
     let result = {
         let mut sink = PeSink {
-            out_ports: &mut slots[idx].out_ports,
-            pending,
-            stop,
+            out_ports: &mut pe.slots[idx].out_ports,
+            pending: &mut pe.pending,
+            stop: &pe.stop,
         };
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let ctx = &mut OpContext::new(&mut sink, &counters);
@@ -1848,13 +1792,13 @@ fn supervised_drive(
         }))
     };
     counters.add_busy(t0.elapsed().as_nanos() as u64);
-    slots[idx].op = Some(op);
+    pe.slots[idx].op = Some(op);
     match result {
         Ok(state) => state,
         Err(_) => {
             eprintln!(
                 "[supervisor] source '{}' panicked in drive; escalating to a PE restart",
-                slots[idx].name
+                pe.slots[idx].name
             );
             std::panic::panic_any(PeKill { clean: false })
         }
@@ -1863,20 +1807,15 @@ fn supervised_drive(
 
 /// Applies pre-delivery operator faults (poison/stall), determines whether
 /// an injected panic is due, and hands the tuple to the supervised call.
-fn supervised_process(
-    slots: &mut [OpSlot],
-    pending: &mut VecDeque<(usize, PortKind, Tuple)>,
-    stop: &AtomicBool,
-    idx: usize,
-    d: DataTuple,
-) {
+fn supervised_process(pe: &mut PeCore, idx: usize, d: DataTuple) {
     let mut d = d;
     let mut panic_due = false;
     let mut kill_pe_due = false;
-    if !slots[idx].faults.is_empty() {
-        slots[idx].fault_data_seen += 1;
-        let seen = slots[idx].fault_data_seen;
-        for f in slots[idx].faults.iter_mut() {
+    let slot = &mut pe.slots[idx];
+    if !slot.faults.is_empty() {
+        slot.fault_data_seen += 1;
+        let seen = slot.fault_data_seen;
+        for f in slot.faults.iter_mut() {
             if f.fired {
                 continue;
             }
@@ -1908,7 +1847,7 @@ fn supervised_process(
             }
         }
     }
-    deliver_supervised(slots, pending, stop, idx, d, panic_due);
+    deliver_supervised(pe, idx, d, panic_due);
     if kill_pe_due {
         // Fires after `process` returned and the operator box is parked
         // back in its slot: the whole PE unwinds from a consistent
@@ -1922,24 +1861,17 @@ fn supervised_process(
 /// so the instance survives an unwind and `recover` can run on its real
 /// state. parking_lot mutexes do not poison, so surviving state stays
 /// usable.
-fn deliver_supervised(
-    slots: &mut [OpSlot],
-    pending: &mut VecDeque<(usize, PortKind, Tuple)>,
-    stop: &AtomicBool,
-    idx: usize,
-    d: DataTuple,
-    inject_panic: bool,
-) {
+fn deliver_supervised(pe: &mut PeCore, idx: usize, d: DataTuple, inject_panic: bool) {
     let retry = d.clone();
-    let mut op = slots[idx].op.take().expect("operator in flight");
-    let counters = Arc::clone(&slots[idx].counters);
+    let mut op = pe.slots[idx].op.take().expect("operator in flight");
+    let counters = Arc::clone(&pe.slots[idx].counters);
     let t0 = Instant::now();
     let mut completed = false;
     let result = {
         let mut sink = PeSink {
-            out_ports: &mut slots[idx].out_ports,
-            pending,
-            stop,
+            out_ports: &mut pe.slots[idx].out_ports,
+            pending: &mut pe.pending,
+            stop: &pe.stop,
         };
         let completed = &mut completed;
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1952,34 +1884,29 @@ fn deliver_supervised(
         }))
     };
     counters.add_busy(t0.elapsed().as_nanos() as u64);
-    slots[idx].op = Some(op);
+    pe.slots[idx].op = Some(op);
     if result.is_err() {
         // A real mid-process panic left the tuple unprocessed: redeliver it
         // after recovery. The injected panic fires after completion, so its
-        // tuple is never redelivered (zero loss outside the fault window).
+        // tuple is never redelivered (zero loss outside the fault window)
+        // and the operator's state is whole.
         let redeliver = if completed { None } else { Some(retry) };
-        handle_panic(slots, pending, stop, idx, redeliver);
+        handle_panic(pe, idx, redeliver, completed);
     }
 }
 
 /// Runs `on_control` under `catch_unwind`. Control tuples are never
 /// redelivered: sync commands are periodic and a missed one is simply the
 /// next skipped sync, not data loss.
-fn supervised_control(
-    slots: &mut [OpSlot],
-    pending: &mut VecDeque<(usize, PortKind, Tuple)>,
-    stop: &AtomicBool,
-    idx: usize,
-    c: crate::tuple::ControlTuple,
-) {
-    let mut op = slots[idx].op.take().expect("operator in flight");
-    let counters = Arc::clone(&slots[idx].counters);
+fn supervised_control(pe: &mut PeCore, idx: usize, c: crate::tuple::ControlTuple) {
+    let mut op = pe.slots[idx].op.take().expect("operator in flight");
+    let counters = Arc::clone(&pe.slots[idx].counters);
     let t0 = Instant::now();
     let result = {
         let mut sink = PeSink {
-            out_ports: &mut slots[idx].out_ports,
-            pending,
-            stop,
+            out_ports: &mut pe.slots[idx].out_ports,
+            pending: &mut pe.pending,
+            stop: &pe.stop,
         };
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let ctx = &mut OpContext::new(&mut sink, &counters);
@@ -1987,98 +1914,88 @@ fn supervised_control(
         }))
     };
     counters.add_busy(t0.elapsed().as_nanos() as u64);
-    slots[idx].op = Some(op);
+    pe.slots[idx].op = Some(op);
     if result.is_err() {
-        handle_panic(slots, pending, stop, idx, None);
+        handle_panic(pe, idx, None, false);
     }
 }
 
 /// The supervisor's panic path: capped exponential backoff, then a guarded
-/// `recover` call. A recovered operator resumes (optionally re-fed the
-/// in-flight tuple, once); an unrecoverable one — or one past its restart
-/// budget — is finished so end-of-stream still propagates downstream.
-fn handle_panic(
-    slots: &mut [OpSlot],
-    pending: &mut VecDeque<(usize, PortKind, Tuple)>,
-    stop: &AtomicBool,
-    idx: usize,
-    retry: Option<DataTuple>,
-) {
-    let attempt = slots[idx].restart_attempts + 1;
-    let policy = slots[idx].policy;
+/// `recover` call — the operator's consent to go on. A consenting operator
+/// with durable state (a [`Checkpoint`](crate::checkpoint::Checkpoint)
+/// facet, in a PE with a checkpoint dir) is then restored from the PE
+/// manifest, the same copy a PE restart reads: after a `clean` panic (the
+/// injected one, which left its state whole) from a teardown capture of
+/// exactly that state, after a real one from the last committed
+/// generation. It resumes, re-fed the in-flight tuple once; an operator
+/// that declines — or is past its restart budget — is finished so
+/// end-of-stream still propagates downstream.
+fn handle_panic(pe: &mut PeCore, idx: usize, retry: Option<DataTuple>, clean: bool) {
+    let attempt = pe.slots[idx].restart_attempts + 1;
+    let policy = pe.slots[idx].policy;
     if attempt > policy.max_restarts {
         eprintln!(
             "[supervisor] operator '{}' exceeded {} restarts; finishing it",
-            slots[idx].name, policy.max_restarts
+            pe.slots[idx].name, policy.max_restarts
         );
-        finish_op(slots, pending, stop, idx);
+        finish_op(pe, idx);
         return;
     }
     std::thread::sleep(policy.backoff(attempt));
-    let mut op = slots[idx].op.take().expect("operator in flight");
+    let durable = pe.checkpoint.is_some()
+        && pe.slots[idx]
+            .op
+            .as_mut()
+            .is_some_and(|op| op.checkpoint().is_some());
+    // Before `recover`, which may reset the state it is asked about.
+    if clean && durable {
+        submit_capture(pe);
+    }
+    let mut op = pe.slots[idx].op.take().expect("operator in flight");
     // recover() itself runs guarded: an operator that panics while
     // restoring is unrecoverable.
     let recovered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op.recover(attempt)));
-    slots[idx].op = Some(op);
+    pe.slots[idx].op = Some(op);
     match recovered {
         Ok(true) => {
-            slots[idx].restart_attempts = attempt;
-            slots[idx].counters.add_restart();
+            if durable {
+                if let Some(parts) = recover_set(pe) {
+                    restore_members(&mut pe.slots, &parts, Some(idx));
+                }
+            }
+            pe.slots[idx].restart_attempts = attempt;
+            pe.slots[idx].counters.add_restart();
             if let Some(d) = retry {
                 // Redeliver the in-flight tuple exactly once: a tuple whose
                 // retry panics again is a poison pill and is dropped.
-                if slots[idx].last_redelivered != Some(d.seq) {
-                    slots[idx].last_redelivered = Some(d.seq);
-                    deliver_supervised(slots, pending, stop, idx, d, false);
+                if pe.slots[idx].last_redelivered != Some(d.seq) {
+                    pe.slots[idx].last_redelivered = Some(d.seq);
+                    deliver_supervised(pe, idx, d, false);
                 }
             }
         }
         _ => {
             eprintln!(
                 "[supervisor] operator '{}' did not recover (attempt {attempt}); finishing it",
-                slots[idx].name
+                pe.slots[idx].name
             );
-            finish_op(slots, pending, stop, idx);
+            finish_op(pe, idx);
         }
     }
 }
 
-fn finish_op(
-    slots: &mut [OpSlot],
-    pending: &mut VecDeque<(usize, PortKind, Tuple)>,
-    stop: &AtomicBool,
-    idx: usize,
-) {
-    if slots[idx].finished {
+fn finish_op(pe: &mut PeCore, idx: usize) {
+    if pe.slots[idx].finished {
         return;
     }
-    with_op!(slots, pending, stop, idx, |op, ctx| op.on_finish(ctx));
-    slots[idx].finished = true;
-    // Punctuate every out port (local + remote). Punctuation is urgent, so
-    // each edge flushes any buffered data tuples ahead of its EOS.
-    let n_ports = slots[idx].out_ports.len();
-    for p in 0..n_ports {
-        let mut sink = PeSink {
-            out_ports: &mut slots[idx].out_ports,
-            pending,
-            stop,
-        };
-        sink.emit(p, Tuple::Punct(Punctuation::EndOfStream));
-    }
-    // Release channel senders so downstream PEs observe closure even if
-    // they already stopped selecting this edge.
-    for p in slots[idx].out_ports.iter_mut() {
-        p.clear();
-    }
+    with_op!(pe, idx, |op, ctx| op.on_finish(ctx));
+    pe.slots[idx].finished = true;
+    punctuate(pe, idx);
 }
 
-fn drain_pending(
-    slots: &mut [OpSlot],
-    pending: &mut VecDeque<(usize, PortKind, Tuple)>,
-    stop: &AtomicBool,
-) {
-    while let Some((idx, port, t)) = pending.pop_front() {
-        dispatch(slots, pending, stop, idx, port, t);
+fn drain_pending(pe: &mut PeCore) {
+    while let Some((idx, port, t)) = pe.pending.pop_front() {
+        dispatch(pe, idx, port, t);
     }
 }
 
@@ -2676,11 +2593,21 @@ mod tests {
         }
     }
 
+    /// A PE of one `Swallow` slot fed by the given cursors.
+    fn lone_pe(metas: Vec<ChanMeta>) -> PeCore {
+        PeCore {
+            slots: vec![lone_slot()],
+            metas,
+            pending: VecDeque::new(),
+            stop: Arc::new(AtomicBool::new(false)),
+            pe_index: 0,
+            checkpoint: None,
+        }
+    }
+
     #[test]
     fn checkpoint_cadence_counts_each_delivered_entry_once() {
         let transport = NetTransport::bind("127.0.0.1:0").unwrap();
-        let stop = AtomicBool::new(false);
-        let mut pending = VecDeque::new();
         let signal = || Tuple::Control(crate::tuple::ControlTuple::signal(7, 0));
         let datum = |seq| Tuple::Data(DataTuple::new(seq, vec![1.0]));
 
@@ -2688,24 +2615,23 @@ mod tests {
         // second socket and a local channel beside them. Each wire tuple
         // used to count twice: once in the member's `tuples_in`, once in
         // the channel's `routed`.
-        let mut slots = [lone_slot()];
-        let mut metas = [
+        let mut pe = lone_pe(vec![
             cursor_into_slot_0(PortKind::Data, Some((&transport, 1))),
             cursor_into_slot_0(PortKind::Control, Some((&transport, 2))),
             cursor_into_slot_0(PortKind::Data, None),
-        ];
+        ]);
         for seq in 0..500 {
-            route_one(&mut slots, &mut metas, &mut pending, &stop, 0, datum(seq));
+            route_one(&mut pe, 0, datum(seq));
         }
         for _ in 0..3 {
-            route_one(&mut slots, &mut metas, &mut pending, &stop, 1, signal());
+            route_one(&mut pe, 1, signal());
         }
         for seq in 500..520 {
-            route_one(&mut slots, &mut metas, &mut pending, &stop, 2, datum(seq));
+            route_one(&mut pe, 2, datum(seq));
         }
-        assert_eq!(metas[0].routed, 500);
+        assert_eq!(pe.metas[0].routed, 500);
         assert_eq!(
-            checkpoint_progress(&slots, &metas),
+            checkpoint_progress(&pe.slots, &pe.metas),
             523,
             "500 wire data + 3 wire control + 20 local data, each once"
         );
@@ -2713,13 +2639,15 @@ mod tests {
         // A PE that consumes nothing but control traffic over the wire
         // still advances — by exactly what it consumed — so its link
         // watermarks move before the terminal flush.
-        let mut slots = [lone_slot()];
-        let mut metas = [cursor_into_slot_0(PortKind::Control, Some((&transport, 3)))];
+        let mut pe = lone_pe(vec![cursor_into_slot_0(
+            PortKind::Control,
+            Some((&transport, 3)),
+        )]);
         for _ in 0..40 {
-            route_one(&mut slots, &mut metas, &mut pending, &stop, 0, signal());
+            route_one(&mut pe, 0, signal());
         }
-        assert_eq!(slots[0].counters.snapshot().tuples_in, 0);
-        assert_eq!(checkpoint_progress(&slots, &metas), 40);
+        assert_eq!(pe.slots[0].counters.snapshot().tuples_in, 0);
+        assert_eq!(checkpoint_progress(&pe.slots, &pe.metas), 40);
         transport.shutdown();
     }
 
@@ -2781,6 +2709,33 @@ mod tests {
         drop(d);
         std::fs::remove_dir_all(&dir).unwrap();
         transport.shutdown();
+    }
+
+    #[test]
+    fn a_degraded_rehydrate_is_counted_like_a_degraded_restart() {
+        // Two generations on disk, the pointer manifest torn: a respawned
+        // worker's rehydrate falls back to a generation manifest, and the
+        // damage shows in the run's counters.
+        let dir = std::env::temp_dir().join(format!("spca_engine_rehy_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut ckpt = PeCheckpointer::new(&dir, 0).unwrap();
+        for state in ["one", "two"] {
+            ckpt.write(&[("op".to_string(), state.as_bytes().to_vec())])
+                .unwrap();
+        }
+        let pointer = ckpt.manifest_path();
+        let whole = std::fs::read(&pointer).unwrap();
+        std::fs::write(&pointer, &whole[..whole.len() / 2]).unwrap();
+
+        let mut pe = lone_pe(Vec::new());
+        let counters = Arc::clone(&pe.slots[0].counters);
+        pe.checkpoint = Some(PeDurability::new(ckpt, 0, Arc::clone(&counters)));
+        let parts = recover_for_rehydrate(&mut pe).expect("an older generation is whole");
+        assert_eq!(parts, vec![("op".to_string(), b"two".to_vec())]);
+        let seen = counters.snapshot();
+        assert_eq!((seen.quarantined_snapshots, seen.io_faults), (1, 1));
+        drop(pe);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

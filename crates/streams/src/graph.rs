@@ -292,11 +292,6 @@ impl GraphBuilder {
         &self.ops[id.0].name
     }
 
-    /// All operator ids in insertion order.
-    pub fn op_ids(&self) -> Vec<OpId> {
-        (0..self.ops.len()).map(OpId).collect()
-    }
-
     /// All operator names in insertion order.
     pub fn op_names(&self) -> Vec<&str> {
         self.ops.iter().map(|o| o.name.as_str()).collect()

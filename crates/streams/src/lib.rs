@@ -55,7 +55,6 @@ pub mod metrics;
 pub mod netio;
 pub mod operator;
 pub mod ops;
-pub mod optimize;
 pub mod tuple;
 pub mod vfs;
 pub mod watched;

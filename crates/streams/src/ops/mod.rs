@@ -20,7 +20,7 @@ pub use http::HttpSource;
 pub use http_server::{
     ConnHandler, HttpServer, RateLimitConfig, Request, ResponseBuf, ServerConfig, ServerStats,
 };
-pub use net::{TcpSink, TcpSource};
+pub use net::TcpSource;
 pub use sink::{CallbackSink, CollectSink, CsvFileSink, NullSink};
 pub use source::{CsvFileSource, GeneratorSource};
 pub use split::{Split, SplitStrategy};

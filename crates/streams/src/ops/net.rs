@@ -1,16 +1,15 @@
-//! Network tuple transport: TCP source and sink operators.
+//! External TCP ingest: the TCP source operator.
 //!
 //! §III-A1: "Network TCP sockets and http URLs are also supported out of
-//! the box as a source of data." These operators speak a newline-delimited
-//! CSV wire format (one observation per line, `nan` for missing bins —
-//! the same format as the file source/sink), so a `TcpSink` on one process
-//! feeds a `TcpSource` on another, and anything that can open a socket
-//! (including `nc`) can feed the pipeline.
+//! the box as a source of data." The source speaks a newline-delimited CSV
+//! wire format (one observation per line, `nan` for missing bins — the
+//! same format as the file source/sink), so anything that can open a
+//! socket (including `nc`) can feed the pipeline.
 
 use crate::checkpoint::{decode_kv, encode_kv, kv_u64, Checkpoint};
 use crate::operator::{OpContext, Operator, SourceState};
 use crate::tuple::DataTuple;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -166,168 +165,47 @@ impl Checkpoint for TcpSource {
     }
 }
 
-/// Writes data tuples to a TCP peer in the newline-CSV wire format.
-pub struct TcpSink {
-    addr: SocketAddr,
-    writer: Option<BufWriter<TcpStream>>,
-    failed: bool,
-    /// Tuples written so far.
-    pub written: u64,
-}
-
-impl TcpSink {
-    /// A sink dialing `addr` on the first tuple.
-    pub fn connect(addr: SocketAddr) -> Self {
-        TcpSink {
-            addr,
-            writer: None,
-            failed: false,
-            written: 0,
-        }
-    }
-
-    fn ensure_connected(&mut self) -> bool {
-        if self.writer.is_some() {
-            return true;
-        }
-        if self.failed {
-            return false;
-        }
-        match TcpStream::connect_timeout(&self.addr, Duration::from_secs(5)) {
-            Ok(s) => {
-                self.writer = Some(BufWriter::new(s));
-                true
-            }
-            Err(e) => {
-                eprintln!("TcpSink: connection to {} failed: {e}", self.addr);
-                self.failed = true;
-                false
-            }
-        }
-    }
-}
-
-impl Operator for TcpSink {
-    fn process(&mut self, t: DataTuple, _ctx: &mut OpContext<'_>) {
-        if !self.ensure_connected() {
-            return;
-        }
-        let w = self.writer.as_mut().expect("connected above");
-        let mut first = true;
-        for (i, v) in t.values.iter().enumerate() {
-            if !first {
-                let _ = write!(w, ",");
-            }
-            first = false;
-            let missing = t.mask.as_ref().is_some_and(|m| !m[i]);
-            if missing {
-                let _ = write!(w, "nan");
-            } else {
-                let _ = write!(w, "{v}");
-            }
-        }
-        let _ = writeln!(w);
-        self.written += 1;
-    }
-
-    fn on_finish(&mut self, _ctx: &mut OpContext<'_>) {
-        if let Some(w) = self.writer.as_mut() {
-            let _ = w.flush();
-        }
-        // Dropping the writer closes the socket, signalling EOF.
-        self.writer = None;
-    }
-
-    fn checkpoint(&mut self) -> Option<&mut dyn Checkpoint> {
-        Some(self)
-    }
-}
-
-/// Counterpart of [`TcpSource`]'s checkpoint: the written-tuple counter only.
-/// A restore flushes and keeps the live connection if one is open, and
-/// clears the failure latch so a sink that lost its peer in the crash that
-/// triggered the restart redials on the next tuple.
-impl Checkpoint for TcpSink {
-    fn snapshot(&self) -> Vec<u8> {
-        encode_kv(&[("written", self.written.to_string())])
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        let kv = decode_kv(bytes)?;
-        self.written = kv_u64(&kv, "written")?;
-        if let Some(w) = self.writer.as_mut() {
-            let _ = w.flush();
-        }
-        self.failed = false;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
+    use crate::engine::{Engine, RunReport};
     use crate::graph::{GraphBuilder, PortKind};
-    use crate::ops::{CollectSink, GeneratorSource};
+    use crate::ops::CollectSink;
+    use std::io::Write;
 
-    #[test]
-    fn tcp_pipe_between_two_graphs() {
-        // Producer graph: generator → TcpSink; consumer: TcpSource → collect.
+    /// Runs `TcpSource → collect` while a plain socket writes `lines` and
+    /// closes.
+    fn ingest(lines: &str) -> (RunReport, Vec<DataTuple>) {
         let source = TcpSource::listen("127.0.0.1:0").expect("bind");
         let addr = source.local_addr().expect("bound");
-
-        let mut consumer = GraphBuilder::new();
-        let src = consumer.add_source("tcp-in", Box::new(source));
+        let mut g = GraphBuilder::new();
+        let src = g.add_source("tcp-in", Box::new(source));
         let (collect, store) = CollectSink::new();
-        let sink = consumer.add_op("collect", Box::new(collect));
-        consumer.connect(src, 0, sink, PortKind::Data);
-        let consumer_running = Engine::start(consumer);
+        let sink = g.add_op("collect", Box::new(collect));
+        g.connect(src, 0, sink, PortKind::Data);
+        let running = Engine::start(g);
 
-        let mut producer = GraphBuilder::new();
-        let gen = producer.add_source(
-            "gen",
-            Box::new(
-                GeneratorSource::new(|seq| Some((vec![seq as f64, 2.0 * seq as f64], None)))
-                    .with_max_tuples(50),
-            ),
-        );
-        let out = producer.add_op("tcp-out", Box::new(TcpSink::connect(addr)));
-        producer.connect(gen, 0, out, PortKind::Data);
-        Engine::run(producer);
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        peer.write_all(lines.as_bytes()).expect("write");
+        drop(peer); // EOF ends the stream
 
-        let report = consumer_running.join();
+        let report = running.join();
+        let got = store.lock().clone();
+        (report, got)
+    }
+
+    #[test]
+    fn tcp_lines_become_tuples() {
+        let lines: String = (0..50).map(|s| format!("{s},{}\n", 2 * s)).collect();
+        let (report, got) = ingest(&lines);
         assert_eq!(report.op("collect").unwrap().tuples_in, 50);
-        let got = store.lock();
         assert_eq!(got.len(), 50);
         assert_eq!(*got[49].values, vec![49.0, 98.0]);
     }
 
     #[test]
-    fn tcp_wire_format_round_trips_masks() {
-        let source = TcpSource::listen("127.0.0.1:0").expect("bind");
-        let addr = source.local_addr().expect("bound");
-
-        let mut consumer = GraphBuilder::new();
-        let src = consumer.add_source("tcp-in", Box::new(source));
-        let (collect, store) = CollectSink::new();
-        let sink = consumer.add_op("collect", Box::new(collect));
-        consumer.connect(src, 0, sink, PortKind::Data);
-        let running = Engine::start(consumer);
-
-        let mut producer = GraphBuilder::new();
-        let gen = producer.add_source(
-            "gen",
-            Box::new(
-                GeneratorSource::new(|seq| Some((vec![seq as f64, 7.0], Some(vec![true, false]))))
-                    .with_max_tuples(3),
-            ),
-        );
-        let out = producer.add_op("tcp-out", Box::new(TcpSink::connect(addr)));
-        producer.connect(gen, 0, out, PortKind::Data);
-        Engine::run(producer);
-
-        running.join();
-        let got = store.lock();
+    fn tcp_wire_format_carries_masks() {
+        let (_, got) = ingest("0,nan\n1,nan\n2,nan\n");
         assert_eq!(got.len(), 3);
         let m = got[0].mask.as_ref().expect("mask survived the wire");
         assert_eq!(m.as_slice(), &[true, false]);
@@ -352,21 +230,5 @@ mod tests {
         running.stop();
         let report = running.join();
         assert_eq!(report.op("collect").unwrap().tuples_in, 0);
-    }
-
-    #[test]
-    fn sink_handles_unreachable_peer() {
-        // Port 1 on localhost is essentially never listening.
-        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let mut g = GraphBuilder::new();
-        let gen = g.add_source(
-            "gen",
-            Box::new(GeneratorSource::new(|_| Some((vec![1.0], None))).with_max_tuples(5)),
-        );
-        let out = g.add_op("tcp-out", Box::new(TcpSink::connect(addr)));
-        g.connect(gen, 0, out, PortKind::Data);
-        // Must terminate (tuples dropped), not hang or panic.
-        let report = Engine::run(g);
-        assert_eq!(report.op("gen").unwrap().tuples_out, 5);
     }
 }

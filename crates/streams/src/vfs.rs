@@ -370,7 +370,7 @@ mod tests {
             IoDomain::StateStore
         );
         assert_eq!(
-            domain_of(Path::new("/d/engine0_recovery.snapshot")),
+            domain_of(Path::new("/d/engine0_latest.snapshot")),
             IoDomain::Other
         );
     }

@@ -11,51 +11,11 @@
 //! `crates/engine/tests/serving_alloc.rs`; this file must contain exactly
 //! one `#[test]` because the tracked flag is file-global state.
 
+use spca_alloc_count::{allocations, track, CountingAlloc};
 use spca_streams::{decode_frame, encode_frame, ColumnarFrame, DataTuple, Tuple};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct ThreadFilteredAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    // const-initialized TLS: reading it never allocates, so it is safe
-    // to consult from inside the global allocator.
-    static TRACKED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn count_if_tracked() {
-    // try_with: TLS may be unavailable during thread teardown.
-    if TRACKED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for ThreadFilteredAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_if_tracked();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_if_tracked();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_if_tracked();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
-static GLOBAL: ThreadFilteredAlloc = ThreadFilteredAlloc;
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 const DIM: usize = 1000;
 const BATCH: usize = 64;
@@ -81,7 +41,7 @@ fn steady_state_encode_decode_does_not_allocate() {
     let mut buf = Vec::new();
     let mut cols = ColumnarFrame::default();
 
-    TRACKED.with(|t| t.set(true));
+    track(true);
 
     // Warm-up: grow `buf` and the frame's column vectors to working size.
     for _ in 0..8 {
@@ -91,15 +51,15 @@ fn steady_state_encode_decode_does_not_allocate() {
     }
 
     // Measured stretch: every round trip must reuse the grown buffers.
-    ALLOCS.store(0, Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..200 {
         encode_frame(&tuples, &mut buf).unwrap();
         let consumed = decode_frame(&buf, &mut cols).unwrap();
         assert_eq!(consumed, buf.len());
         assert_eq!(cols.n_entries(), BATCH);
     }
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-    TRACKED.with(|t| t.set(false));
+    let allocs = allocations() - before;
+    track(false);
 
     assert_eq!(
         allocs, 0,

@@ -9,37 +9,11 @@
 //! this file must contain exactly one `#[test]` (a sibling on another
 //! thread would allocate concurrently and poison the counter).
 
+use spca_alloc_count::{allocations, track, CountingAlloc};
 use spca_streams::operator::testing::{with_sink, CaptureSink};
 use spca_streams::ops::CsvFileSource;
 use spca_streams::{Operator, SourceState};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -49,6 +23,7 @@ fn csv_source_steady_state_allocates_the_tuple_and_nothing_else() {
     const D: usize = 300;
     const WARM_ROWS: usize = 20;
     const MEASURED_ROWS: usize = 200;
+    track(true);
 
     // Every third row has a gap, somewhere past the first field; a comment
     // and a blank line sit inside the measured stretch. Values are signed
@@ -82,11 +57,11 @@ fn csv_source_steady_state_allocates_the_tuple_and_nothing_else() {
         for _ in 0..WARM_ROWS {
             assert_eq!(src.drive(ctx), SourceState::Emitted);
         }
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocations();
         for _ in 0..MEASURED_ROWS {
             assert_eq!(src.drive(ctx), SourceState::Emitted);
         }
-        allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        allocs = allocations() - before;
         assert_eq!(src.drive(ctx), SourceState::Done);
     });
     std::fs::remove_file(&path).ok();

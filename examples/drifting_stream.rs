@@ -4,11 +4,10 @@
 //!
 //! A spectral source drifts: the dominant variance direction rotates
 //! slowly from one axis-pair to another (an instrument degrading, or a
-//! survey moving between galaxy populations). Three trackers watch the
-//! same stream:
+//! survey moving between galaxy populations). Two kinds of tracker watch
+//! the same stream:
 //!
 //! * α-damped robust PCA (the paper's forgetting factor),
-//! * sliding-window robust PCA (§II-B's alternative),
 //! * two [`BasisScaleTracker`]s scoring the *old* and *new* bases — the
 //!   §II-B trick for "meaningful comparison of the performance of various
 //!   bases" on a live stream.
@@ -16,7 +15,7 @@
 //! Run with: `cargo run --release --example drifting_stream`
 
 use astro_stream_pca::core::metrics::subspace_distance;
-use astro_stream_pca::core::{BasisScaleTracker, PcaConfig, RobustPca, WindowedPca};
+use astro_stream_pca::core::{BasisScaleTracker, PcaConfig, RobustPca};
 use astro_stream_pca::linalg::rng::standard_normal;
 use astro_stream_pca::linalg::Mat;
 use rand::rngs::StdRng;
@@ -53,46 +52,37 @@ fn main() {
     let cfg = PcaConfig::new(D, 2).with_init_size(40).with_extra(0);
 
     let mut damped = RobustPca::new(cfg.clone().with_memory(800));
-    let mut windowed = WindowedPca::new(cfg.clone().with_alpha(1.0), 400, 2);
     let mut score_old = BasisScaleTracker::new(true_basis(0.0), &cfg.clone().with_memory(800));
     let mut score_new = BasisScaleTracker::new(true_basis(1.0), &cfg.clone().with_memory(800));
 
     println!(
-        "{:>7} | {:>12} {:>12} | {:>12} {:>12}",
-        "n", "damped err", "window err", "old-basis λΣ", "new-basis λΣ"
+        "{:>7} | {:>12} | {:>12} {:>12}",
+        "n", "damped err", "old-basis λΣ", "new-basis λΣ"
     );
     for i in 0..N {
         let f = i as f64 / N as f64;
         let x = sample(&mut rng, f);
         damped.update(&x).expect("finite");
-        windowed.update(&x).expect("finite");
         score_old.update(&x).expect("finite");
         score_new.update(&x).expect("finite");
 
         if (i + 1) % 2000 == 0 {
             let truth = true_basis(f);
             let de = subspace_distance(&damped.eigensystem().basis, &truth).expect("shapes");
-            let we = windowed
-                .eigensystem()
-                .map(|e| subspace_distance(&e.basis, &truth).expect("shapes"))
-                .unwrap_or(f64::NAN);
             println!(
-                "{:>7} | {:>12.4} {:>12.4} | {:>12.2} {:>12.2}",
+                "{:>7} | {:>12.4} | {:>12.2} {:>12.2}",
                 i + 1,
                 de,
-                we,
                 score_old.captured(),
                 score_new.captured()
             );
         }
     }
 
-    // Both adaptive trackers must end on the rotated basis.
+    // The forgetting factor must end on the rotated basis.
     let final_truth = true_basis(1.0);
     let d_damped = subspace_distance(&damped.eigensystem().basis, &final_truth).expect("shapes");
-    let d_window = subspace_distance(&windowed.eigensystem().expect("panes").basis, &final_truth)
-        .expect("shapes");
-    println!("\nfinal subspace error — damped: {d_damped:.4}, windowed: {d_window:.4}");
+    println!("\nfinal subspace error — damped: {d_damped:.4}");
 
     // And the live basis scores must have crossed: the old basis dominated
     // early, the new basis dominates at the end.
@@ -101,12 +91,8 @@ fn main() {
 
     assert!(d_damped < 0.15, "damped tracker lost the drift: {d_damped}");
     assert!(
-        d_window < 0.15,
-        "windowed tracker lost the drift: {d_window}"
-    );
-    assert!(
         new_score > 2.0 * old_score,
         "basis comparison failed to notice the drift: {old_score} vs {new_score}"
     );
-    println!("\nOK: both forgetting mechanisms tracked the drift; basis scoring detected it.");
+    println!("\nOK: the forgetting factor tracked the drift; basis scoring detected it.");
 }

@@ -192,8 +192,8 @@ Every flag is --key value; unknown flags are rejected.
   whole processing element hosting the target operator; every operator in
   it is rebuilt and rehydrated from the per-PE snapshot manifest. Enables
   failure-aware synchronization; pair with --snapshot-dir DIR so crashed
-  engines restart from their latest recovery snapshot (and PEs from their
-  manifests) instead of losing their state.
+  engines and PEs are restored from their PE's snapshot manifest
+  (DIR/pe) instead of losing their state.
 
   Storage faults drill the persistence layer itself: io-enospc@pe:N
   (N-th PE checkpoint write fails with ENOSPC), io-torn@pe:N (N-th PE

@@ -336,11 +336,11 @@ fn quarantine_captures_flagged_observations_verbatim() {
 
 #[test]
 fn tcp_fed_parallel_application() {
-    // Full network deployment shape: a producer process (graph) ships
-    // tuples over TCP; the analysis application ingests them through a
-    // TcpSource and runs the usual split + engines.
-    use astro_stream_pca::streams::ops::{TcpSink, TcpSource};
-    use astro_stream_pca::streams::{GraphBuilder, PortKind};
+    // External ingest shape: a producer ships CSV lines over TCP; the
+    // analysis application ingests them through a TcpSource and runs the
+    // usual split + engines.
+    use astro_stream_pca::streams::ops::TcpSource;
+    use std::io::Write;
 
     let tcp_in = TcpSource::listen("127.0.0.1:0").expect("bind");
     let addr = tcp_in.local_addr().expect("bound");
@@ -349,20 +349,16 @@ fn tcp_fed_parallel_application() {
     let (g, h) = ParallelPcaApp::build(&cfg, Box::new(tcp_in));
     let consumer = Engine::start(g);
 
-    // Producer graph in this same process.
+    // The producer: any socket writing one observation per line.
     let w = PlantedSubspace::new(D, RANK, 0.05);
-    let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(24)));
-    let mut p = GraphBuilder::new();
-    let gen = p.add_source(
-        "gen",
-        Box::new(
-            GeneratorSource::new(move |_| Some((w.sample(&mut *rng.lock()), None)))
-                .with_max_tuples(2500),
-        ),
-    );
-    let out = p.add_op("tcp-out", Box::new(TcpSink::connect(addr)));
-    p.connect(gen, 0, out, PortKind::Data);
-    Engine::run(p);
+    let mut rng = StdRng::seed_from_u64(24);
+    let mut peer = std::io::BufWriter::new(std::net::TcpStream::connect(addr).expect("connect"));
+    for _ in 0..2500 {
+        let row: Vec<String> = w.sample(&mut rng).iter().map(f64::to_string).collect();
+        writeln!(peer, "{}", row.join(",")).expect("write");
+    }
+    peer.flush().expect("flush");
+    drop(peer); // EOF ends the stream
 
     let report = consumer.join();
     assert_eq!(

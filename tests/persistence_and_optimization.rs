@@ -1,12 +1,11 @@
-//! Integration tests for the operational features: snapshot persistence,
-//! warm start, and the profile-guided fusion loop.
+//! Integration tests for the operational features: snapshot persistence
+//! and warm start.
 
 use astro_stream_pca::core::metrics::subspace_distance;
 use astro_stream_pca::core::PcaConfig;
 use astro_stream_pca::engine::{persist, AppConfig, ParallelPcaApp, SnapshotWriter, SyncStrategy};
 use astro_stream_pca::spectra::PlantedSubspace;
 use astro_stream_pca::streams::ops::GeneratorSource;
-use astro_stream_pca::streams::optimize::{suggest_fusion, FusionPolicy};
 use astro_stream_pca::streams::Engine;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -86,49 +85,6 @@ fn warm_start_skips_warmup_entirely() {
     // Every tuple (not just post-warm-up ones) produced an outcome row.
     assert_eq!(outcomes.lock().len(), 100);
     std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
-fn fusion_advice_loop_improves_or_holds() {
-    // Profile an unfused run, take the advisor's suggestion, apply it, and
-    // confirm the fused re-run still processes everything (and that the
-    // advisor targeted the hot data path).
-    let build = || {
-        let mut cfg = AppConfig::new(2, pca_cfg());
-        cfg.sync = SyncStrategy::None;
-        ParallelPcaApp::build(&cfg, source(3000, 5))
-    };
-    let (g, _h) = build();
-    let report = Engine::run(g);
-    // Permissive CPU budget: this test exercises the advise→apply loop
-    // mechanics; the budget policy itself is unit-tested in spca-streams.
-    // (On a single-core CI box every operator looks saturated and the
-    // default budget would veto all fusion.)
-    let policy = FusionPolicy {
-        max_group_busy: 10.0,
-        ..Default::default()
-    };
-    let groups = suggest_fusion(&report, &policy);
-    assert!(!groups.is_empty(), "hot pipeline should yield advice");
-    let hot = &groups[0];
-    // The hottest group must involve the data path (source/split/engines).
-    assert!(
-        hot.ops.iter().any(|n| n == "split" || n == "source"),
-        "unexpected advice {hot:?}"
-    );
-
-    // Apply: rebuild and fuse the advised ops by name.
-    let (mut g2, _h2) = build();
-    let ids: Vec<_> = g2
-        .op_ids()
-        .into_iter()
-        .filter(|&id| hot.ops.iter().any(|n| n == g2.op_name(id)))
-        .collect();
-    g2.fuse(&ids);
-    let report2 = Engine::run(g2);
-    assert_eq!(report2.tuples_in_matching("pca-"), 3000);
-    // Fusing removed at least one cross-PE link.
-    assert!(report2.links.len() < report.links.len());
 }
 
 #[test]
