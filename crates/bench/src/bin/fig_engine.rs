@@ -9,13 +9,11 @@
 //! at paper-scale dimensions the PCA update dominates and batching is
 //! simply neutral.
 //!
-//! Unfused cells run their cross-PE data links as `LinkKind::Network`
-//! with a 1 µs modeled per-message overhead — PEs that are not fused
-//! communicate over the network in the paper's deployment, and every
-//! real send pays a fixed per-message cost (the repo's calibrated
-//! cluster cost model puts it at *hundreds* of µs on the paper's 2012
-//! hardware, so 1 µs is conservative). Fused cells have no cross-PE
-//! transport and are unaffected; they are the no-network control row.
+//! Unfused cells hand tuples between PEs over the in-process frame
+//! channel, so what a cell pays per message is the channel's own
+//! synchronization and wake-up and nothing modeled on top. Fused cells
+//! have no cross-PE transport and are unaffected; they are the control
+//! rows.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -33,8 +31,6 @@ use std::time::Instant;
 const DIM: usize = 16;
 const TUPLES: u64 = 20_000;
 const RUNS: usize = 5;
-/// Modeled per-message overhead on unfused cross-PE data links (µs).
-const NET_DELAY_US: u64 = 1;
 
 fn run_once(
     samples: &Arc<Vec<Vec<f64>>>,
@@ -47,7 +43,6 @@ fn run_once(
     cfg.fuse = fuse;
     cfg.sync = SyncStrategy::None;
     cfg.batch_size = batch;
-    cfg.network_delay_us = NET_DELAY_US;
     let data = Arc::clone(samples);
     let cursor = Arc::new(Mutex::new(0usize));
     let source = Box::new(
@@ -148,11 +143,12 @@ fn main() {
 
     let report = EngineBenchReport {
         benchmark: format!(
-            "engine_throughput grid (d = {DIM}, {TUPLES} tuples, median of {RUNS} runs per \
-             cell; unfused cross-PE links modeled at {NET_DELAY_US} µs per message)"
+            "engine_throughput grid (d = {DIM}, {TUPLES} tuples, median of {RUNS} runs per cell)"
         ),
-        machine_note: "single container vCPU, cargo run --release, same build for both columns"
-            .to_string(),
+        machine_note: format!(
+            "{}-core container, cargo run --release, same build for both columns",
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        ),
         tuples: TUPLES,
         dim: DIM,
         batch: DEFAULT_BATCH_SIZE,

@@ -9,8 +9,9 @@
 //! Placement mirrors §III-D's two configurations: `fuse = true` puts every
 //! operator in one processing element (the "single" rows of Fig. 6 —
 //! in-memory tuple hand-off), while `fuse = false` gives each engine its
-//! own PE with `Network`-kind links (the "distributed" rows; the modeled
-//! per-tuple delay is configurable for laptop-scale demonstrations).
+//! own PE behind a frame channel (the "distributed" rows; with
+//! [`crate::distributed`] those PEs are other processes and the same edges
+//! are sockets).
 
 use crate::messages::{PeerState, KIND_SNAPSHOT};
 use crate::pca_operator::StreamingPcaOp;
@@ -20,7 +21,7 @@ use parking_lot::Mutex;
 use spca_core::{PcaConfig, RobustPca};
 use spca_streams::ops::{CallbackSink, CollectSink, Split, SplitStrategy, Throttle};
 use spca_streams::{
-    ActiveSet, DataTuple, FaultPlan, GraphBuilder, LinkKind, Operator, PortKind, RestartPolicy,
+    ActiveSet, DataTuple, FaultPlan, GraphBuilder, Operator, PortKind, RestartPolicy,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,9 +52,6 @@ pub struct AppConfig {
     pub quarantine: bool,
     /// Fuse everything into one PE (single-node configuration).
     pub fuse: bool,
-    /// Modeled per-message network overhead on cross-PE data links, in µs
-    /// (charged once per transport frame; see [`LinkKind::Network`]).
-    pub network_delay_us: u64,
     /// Cross-PE channel capacity in tuples. The default is 1024, or for
     /// wide observations what fits [`EDGE_BYTES`]: a full queue of
     /// d = 1000 rows would otherwise pin 8 MB per edge.
@@ -147,7 +145,6 @@ impl AppConfig {
             emit_outcomes: false,
             quarantine: false,
             fuse: false,
-            network_delay_us: 0,
             channel_capacity,
             batch_size: spca_streams::DEFAULT_BATCH_SIZE,
             snapshot_dir: None,
@@ -240,13 +237,6 @@ impl ParallelPcaApp {
         if let Some(ref dir) = cfg.recovery_dir {
             g = g.with_checkpoint_dir(dir.join("pe"));
         }
-        let data_link = if cfg.fuse || cfg.network_delay_us == 0 {
-            LinkKind::Local
-        } else {
-            LinkKind::Network {
-                model_delay_us: cfg.network_delay_us,
-            }
-        };
 
         let src = g.add_source("source", source);
         let mut split_op = Split::new(cfg.split);
@@ -299,7 +289,7 @@ impl ParallelPcaApp {
             }
             engine_states.push(op.state_handle());
             let id = g.add_op(format!("pca-{i}"), Box::new(op));
-            g.connect_kind(split, i, id, PortKind::Data, data_link);
+            g.connect(split, i, id, PortKind::Data);
             engine_ids.push(id);
             peer_lists.push(peers);
         }
@@ -307,13 +297,7 @@ impl ParallelPcaApp {
         // Peer-state edges (engine i's port k → peer's control port).
         for (i, peers) in peer_lists.iter().enumerate() {
             for (port, &peer) in peers.iter().enumerate() {
-                g.connect_kind(
-                    engine_ids[i],
-                    port,
-                    engine_ids[peer],
-                    PortKind::Control,
-                    data_link,
-                );
+                g.connect(engine_ids[i], port, engine_ids[peer], PortKind::Control);
             }
         }
 

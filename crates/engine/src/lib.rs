@@ -16,8 +16,8 @@
 //! * [`sync`] — the synchronization controller and its strategies
 //!   (circular/ring as in Fig. 3, broadcast, groups), the throttle pacing,
 //!   and the `1.5·N` independence gate.
-//! * [`app`] — the application builder assembling the full graph with
-//!   fusion/placement options.
+//! * [`app`] — the application builder assembling the full graph, fused
+//!   into one PE or one PE per operator.
 //! * [`results`] — the in-flight results hub: latest per-engine
 //!   eigensystems, merged global estimates, outlier feed.
 

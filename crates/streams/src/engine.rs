@@ -68,7 +68,7 @@
 
 use crate::checkpoint::{self, PeCheckpointer, WriteBehind};
 use crate::fault::{FaultAction, FaultTarget, RestartPolicy};
-use crate::graph::{GraphBuilder, LinkKind, PortKind};
+use crate::graph::{GraphBuilder, PortKind};
 use crate::metrics::{LinkCounters, LinkSnapshot, MetricsRegistry, OpCounters, OpSnapshot};
 use crate::netio::{AckMode, LinkIn, NetTransport};
 use crate::operator::{EmitSink, OpContext, Operator, SourceState};
@@ -125,8 +125,6 @@ impl InjectedFault {
 struct RemoteEdge {
     tx: Sender<Frame>,
     counters: Arc<LinkCounters>,
-    /// Modeled per-message sender-side overhead (network links).
-    delay: Option<Duration>,
     /// Flush threshold (tuples per frame); 1 = legacy per-tuple transport.
     batch: usize,
     buf: Vec<Tuple>,
@@ -216,19 +214,6 @@ impl RemoteEdge {
             return;
         }
         let tuples = std::mem::replace(&mut self.buf, self.pool.take(self.batch));
-        if let Some(d) = self.delay {
-            // The modeled overhead is charged once per message, mirroring
-            // the cluster cost model's per-message send/receive terms: on a
-            // real link every send pays a fixed syscall/framing/wakeup cost
-            // regardless of payload, and amortizing it is precisely what
-            // frame batching buys (§IV). A calibrated busy-wait is used
-            // instead of `sleep` because µs-scale sleeps are dominated by
-            // timer slack, which would swamp the model.
-            let until = Instant::now() + d;
-            while Instant::now() < until {
-                std::hint::spin_loop();
-            }
-        }
         let n = tuples.len() as u64;
         let frame = Frame::from_vec(tuples);
         let bytes = frame.wire_bytes();
@@ -626,7 +611,6 @@ impl Engine {
     }
 
     fn start_inner(mut builder: GraphBuilder, partition: Option<NetPartition>) -> RunningEngine {
-        builder.apply_placements();
         let (op_pe, pes) = builder.resolve_pes();
         let n_ops = builder.ops.len();
         let mut metrics = MetricsRegistry::default();
@@ -767,126 +751,84 @@ impl Engine {
                         },
                     );
                 }
-                (true, true) => {
-                    let (tx, rx) = bounded(frame_cap);
-                    let link = metrics.register_link();
-                    link_endpoints.push((op_names[e.from].clone(), op_names[e.to].clone()));
-                    let delay = match e.kind {
-                        LinkKind::Network { model_delay_us } if model_delay_us > 0 => {
-                            Some(Duration::from_micros(model_delay_us))
-                        }
-                        _ => None,
-                    };
-                    let pool = Arc::new(FramePool::new(POOL_DEPTH));
-                    let inflight = Arc::new(AtomicUsize::new(0));
-                    slots_per_pe[from_pe][local_idx[e.from]].out_ports[e.out_port].push(
-                        Target::Remote(RemoteEdge {
-                            tx,
-                            counters: link,
-                            delay,
-                            batch,
-                            buf: pool.take(batch),
-                            pool: Arc::clone(&pool),
-                            inflight: Arc::clone(&inflight),
-                            faults: InjectedFault::arm(
-                                plan.link_faults(&op_names[e.from], &op_names[e.to]),
-                            ),
-                            fault_data_seen: 0,
-                        }),
-                    );
-                    rxs_per_pe[to_pe].push(rx);
-                    metas_per_pe[to_pe].push(ChanMeta {
-                        to_local: local_idx[e.to],
-                        port: e.port,
-                        got_eos: false,
-                        alive: true,
-                        cur: Vec::new(),
-                        pool,
-                        inflight,
-                        routed: 0,
-                        routed_other: 0,
-                        net: None,
-                    });
-                }
-                (true, false) => {
-                    // Outgoing boundary edge: batched exactly like an
-                    // in-process remote edge, but the channel drains into
-                    // the socket transport, which encodes each frame once
-                    // and retransmits it until the peer acknowledges. The
-                    // modeled delay never applies — this is the real wire.
-                    let p = partition.as_ref().expect("boundary edge implies partition");
-                    let peer = *p.peers.get(&(eid as u64)).unwrap_or_else(|| {
-                        panic!(
-                            "no peer address for boundary edge {eid} ({} -> {})",
-                            op_names[e.from], op_names[e.to]
-                        )
-                    });
-                    let (tx, rx) = bounded(frame_cap);
-                    let link = metrics.register_link();
-                    link_endpoints.push((op_names[e.from].clone(), op_names[e.to].clone()));
-                    let pool = Arc::new(FramePool::new(POOL_DEPTH));
-                    let inflight = Arc::new(AtomicUsize::new(0));
-                    slots_per_pe[from_pe][local_idx[e.from]].out_ports[e.out_port].push(
-                        Target::Remote(RemoteEdge {
-                            tx,
-                            counters: link,
-                            delay: None,
-                            batch,
-                            buf: pool.take(batch),
-                            pool: Arc::clone(&pool),
-                            inflight: Arc::clone(&inflight),
-                            faults: InjectedFault::arm(
-                                plan.link_faults(&op_names[e.from], &op_names[e.to]),
-                            ),
-                            fault_data_seen: 0,
-                        }),
-                    );
-                    p.net.add_outgoing(eid as u64, rx, pool, inflight, peer);
-                }
-                (false, true) => {
-                    // Incoming boundary edge: the transport decodes frames
-                    // into the channel; the consuming PE sees an ordinary
-                    // frame channel. With a checkpoint dir the sender must
-                    // hold every frame until its effects are durable here
-                    // (acks advance at checkpoints); otherwise receipt is
-                    // final.
-                    let p = partition.as_ref().expect("boundary edge implies partition");
-                    let (tx, rx) = bounded(frame_cap);
-                    let link = metrics.register_link();
-                    drop(link); // receive side has no sender to count on
-                    link_endpoints.push((op_names[e.from].clone(), op_names[e.to].clone()));
-                    let pool = Arc::new(FramePool::new(POOL_DEPTH));
-                    let inflight = Arc::new(AtomicUsize::new(0));
-                    let ack = if checkpoint_dir.is_some() {
-                        AckMode::Stable
-                    } else {
-                        AckMode::Receipt
-                    };
-                    let link = p.net.add_incoming(
-                        eid as u64,
-                        tx,
-                        Arc::clone(&pool),
-                        Arc::clone(&inflight),
-                        ack,
-                    );
-                    rxs_per_pe[to_pe].push(rx);
-                    metas_per_pe[to_pe].push(ChanMeta {
-                        to_local: local_idx[e.to],
-                        port: e.port,
-                        got_eos: false,
-                        alive: true,
-                        cur: Vec::new(),
-                        pool,
-                        inflight,
-                        routed: 0,
-                        routed_other: 0,
-                        net: Some(NetIn {
-                            link_id: eid as u64,
-                            link,
-                        }),
-                    });
-                }
                 (false, false) => {} // both ends foreign: the owner wires it
+                (from_here, to_here) => {
+                    // A frame channel either way; what differs is who holds
+                    // its far end. Two PEs of this process hold one end
+                    // each. Across a process boundary the socket transport
+                    // holds the other: it encodes each outgoing frame once
+                    // and retransmits it until the peer acknowledges, and
+                    // decodes incoming frames into the channel so the
+                    // consuming PE sees an ordinary frame channel.
+                    let (tx, rx) = bounded(frame_cap);
+                    let link = metrics.register_link();
+                    link_endpoints.push((op_names[e.from].clone(), op_names[e.to].clone()));
+                    let pool = Arc::new(FramePool::new(POOL_DEPTH));
+                    let inflight = Arc::new(AtomicUsize::new(0));
+                    let boundary = || partition.as_ref().expect("boundary edge implies partition");
+                    let net = if from_here {
+                        slots_per_pe[from_pe][local_idx[e.from]].out_ports[e.out_port].push(
+                            Target::Remote(RemoteEdge {
+                                tx,
+                                counters: link,
+                                batch,
+                                buf: pool.take(batch),
+                                pool: Arc::clone(&pool),
+                                inflight: Arc::clone(&inflight),
+                                faults: InjectedFault::arm(
+                                    plan.link_faults(&op_names[e.from], &op_names[e.to]),
+                                ),
+                                fault_data_seen: 0,
+                            }),
+                        );
+                        None
+                    } else {
+                        // With a checkpoint dir the sender must hold every
+                        // frame until its effects are durable here (acks
+                        // advance at checkpoints); otherwise receipt is
+                        // final. The receive side has no sender to count
+                        // on, so `link` stays unused.
+                        let ack = if checkpoint_dir.is_some() {
+                            AckMode::Stable
+                        } else {
+                            AckMode::Receipt
+                        };
+                        Some(NetIn {
+                            link_id: eid as u64,
+                            link: boundary().net.add_incoming(
+                                eid as u64,
+                                tx,
+                                Arc::clone(&pool),
+                                Arc::clone(&inflight),
+                                ack,
+                            ),
+                        })
+                    };
+                    if to_here {
+                        rxs_per_pe[to_pe].push(rx);
+                        metas_per_pe[to_pe].push(ChanMeta {
+                            to_local: local_idx[e.to],
+                            port: e.port,
+                            got_eos: false,
+                            alive: true,
+                            cur: Vec::new(),
+                            pool,
+                            inflight,
+                            routed: 0,
+                            routed_other: 0,
+                            net,
+                        });
+                    } else {
+                        let p = boundary();
+                        let peer = *p.peers.get(&(eid as u64)).unwrap_or_else(|| {
+                            panic!(
+                                "no peer address for boundary edge {eid} ({} -> {})",
+                                op_names[e.from], op_names[e.to]
+                            )
+                        });
+                        p.net.add_outgoing(eid as u64, rx, pool, inflight, peer);
+                    }
+                }
             }
             // In-degrees on the destination slot. Tracked for every edge —
             // a local consumer must count boundary edges (EOS arrives over
@@ -2241,7 +2183,7 @@ mod tests {
     }
 
     #[test]
-    fn network_link_accounts_bytes() {
+    fn cross_pe_link_accounts_bytes() {
         let mut g = GraphBuilder::new();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let src = g.add_source("src", Box::new(CountSource { n: 10, next: 0 }));
@@ -2251,13 +2193,7 @@ mod tests {
                 seen: Arc::clone(&seen),
             }),
         );
-        g.connect_kind(
-            src,
-            0,
-            sink,
-            PortKind::Data,
-            LinkKind::Network { model_delay_us: 0 },
-        );
+        g.connect(src, 0, sink, PortKind::Data);
         let report = Engine::run(g);
         assert_eq!(report.links.len(), 1);
         // 10 data tuples (16 + 8 bytes each) + EOS (8).

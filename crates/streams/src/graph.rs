@@ -1,13 +1,11 @@
-//! Dataflow graph construction: operators, edges, fusion, placement.
+//! Dataflow graph construction: operators, edges, fusion.
 //!
 //! Fusion follows the paper's optimization story (§III-A/§III-D): operators
 //! fused into one processing element (PE) exchange tuples "by pointer as a
 //! variable in memory instead of using a network", while cross-PE edges go
-//! through bounded queues with traffic accounting (and an optional modeled
-//! link latency, for single-machine demonstrations of distributed
-//! behaviour). Placement assigns PEs to logical cluster nodes — on a real
-//! deployment that drives process placement; here it labels metrics and
-//! feeds the cluster simulator.
+//! through bounded queues with traffic accounting — or over the socket
+//! transport when the engine's partition puts the peer in another process.
+//! How an edge is carried follows from the graph; an edge has no kind.
 
 use crate::fault::{FaultPlan, RestartPolicy};
 use crate::operator::Operator;
@@ -25,25 +23,6 @@ pub enum PortKind {
     Control,
 }
 
-/// Transport characteristics of an edge.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LinkKind {
-    /// Same-node queue hand-off.
-    Local,
-    /// Cross-node link: traffic is accounted and, if `model_delay_us > 0`,
-    /// each channel message blocks the sender for that many microseconds —
-    /// a deliberately simple stand-in for the fixed per-message
-    /// syscall/framing/wakeup cost of a real link (the cluster simulator's
-    /// per-message send/receive terms are the calibrated version). With the
-    /// frame transport a message carries a whole batch, so batching
-    /// amortizes this overhead exactly as it would on the wire; at batch
-    /// size 1 it degenerates to the legacy per-tuple charge.
-    Network {
-        /// Per-message sender-side overhead in microseconds.
-        model_delay_us: u64,
-    },
-}
-
 pub(crate) struct OpEntry {
     pub name: String,
     pub op: Box<dyn Operator>,
@@ -56,7 +35,6 @@ pub(crate) struct Edge {
     pub out_port: usize,
     pub to: usize,
     pub port: PortKind,
-    pub kind: LinkKind,
 }
 
 /// Builder for a dataflow graph.
@@ -66,10 +44,8 @@ pub struct GraphBuilder {
     pub(crate) edges: Vec<Edge>,
     /// Union-find parent for fusion groups.
     fuse_parent: Vec<usize>,
-    pub(crate) placements: Vec<Option<usize>>,
     pub(crate) channel_capacity: usize,
     pub(crate) batch_size: usize,
-    pub(crate) inter_node_delay_us: u64,
     pub(crate) fault_plan: Option<FaultPlan>,
     pub(crate) restart_policy: RestartPolicy,
     pub(crate) checkpoint_dir: Option<std::path::PathBuf>,
@@ -169,25 +145,11 @@ impl GraphBuilder {
             is_source,
         });
         self.fuse_parent.push(id);
-        self.placements.push(None);
         OpId(id)
     }
 
-    /// Connects `from`'s output `out_port` to `to`'s `port` over a local
-    /// link.
+    /// Connects `from`'s output `out_port` to `to`'s `port`.
     pub fn connect(&mut self, from: OpId, out_port: usize, to: OpId, port: PortKind) {
-        self.connect_kind(from, out_port, to, port, LinkKind::Local);
-    }
-
-    /// Connects with an explicit link kind.
-    pub fn connect_kind(
-        &mut self,
-        from: OpId,
-        out_port: usize,
-        to: OpId,
-        port: PortKind,
-        kind: LinkKind,
-    ) {
         assert!(
             from.0 < self.ops.len() && to.0 < self.ops.len(),
             "unknown operator id"
@@ -197,7 +159,6 @@ impl GraphBuilder {
             out_port,
             to: to.0,
             port,
-            kind,
         });
     }
 
@@ -208,48 +169,6 @@ impl GraphBuilder {
             let (a, b) = (self.find(w[0].0), self.find(w[1].0));
             if a != b {
                 self.fuse_parent[a] = b;
-            }
-        }
-    }
-
-    /// Assigns an operator (and thus its whole fusion group at build time)
-    /// to a logical cluster node. Edges between operators placed on
-    /// *different* nodes are automatically upgraded from `Local` to
-    /// `Network` at build time (see
-    /// [`with_inter_node_delay`](Self::with_inter_node_delay)), mirroring
-    /// how InfoSphere placement decides which streams cross the wire.
-    pub fn place(&mut self, op: OpId, node: usize) {
-        self.placements[op.0] = Some(node);
-    }
-
-    /// Sets the modeled per-tuple delay applied to edges that cross nodes
-    /// because of [`place`](Self::place) assignments (default: 0 µs —
-    /// traffic accounting only).
-    pub fn with_inter_node_delay(mut self, delay_us: u64) -> Self {
-        self.inter_node_delay_us = delay_us;
-        self
-    }
-
-    /// The node an operator was placed on, if any.
-    pub fn placement_of(&self, op: OpId) -> Option<usize> {
-        self.placements[op.0]
-    }
-
-    /// Applies placement-derived link kinds: any `Local` edge whose
-    /// endpoints sit on different nodes becomes `Network`. Called by the
-    /// engine at build time; idempotent.
-    pub(crate) fn apply_placements(&mut self) {
-        let delay = self.inter_node_delay_us;
-        for e in &mut self.edges {
-            if e.kind != LinkKind::Local {
-                continue;
-            }
-            if let (Some(a), Some(b)) = (self.placements[e.from], self.placements[e.to]) {
-                if a != b {
-                    e.kind = LinkKind::Network {
-                        model_delay_us: delay,
-                    };
-                }
             }
         }
     }
@@ -390,51 +309,5 @@ mod tests {
         let mut g = GraphBuilder::new();
         let a = g.add_op("a", nop());
         g.connect(a, 0, OpId(99), PortKind::Data);
-    }
-
-    #[test]
-    fn placement_upgrades_cross_node_edges() {
-        let mut g = GraphBuilder::new().with_inter_node_delay(25);
-        let a = g.add_op("a", nop());
-        let b = g.add_op("b", nop());
-        let c = g.add_op("c", nop());
-        g.connect(a, 0, b, PortKind::Data); // cross-node
-        g.connect(b, 0, c, PortKind::Data); // same node
-        g.place(a, 0);
-        g.place(b, 1);
-        g.place(c, 1);
-        g.apply_placements();
-        assert_eq!(g.edges[0].kind, LinkKind::Network { model_delay_us: 25 });
-        assert_eq!(g.edges[1].kind, LinkKind::Local);
-        assert_eq!(g.placement_of(b), Some(1));
-    }
-
-    #[test]
-    fn unplaced_ops_keep_local_edges() {
-        let mut g = GraphBuilder::new();
-        let a = g.add_op("a", nop());
-        let b = g.add_op("b", nop());
-        g.connect(a, 0, b, PortKind::Data);
-        g.place(a, 0); // b unplaced → no inference
-        g.apply_placements();
-        assert_eq!(g.edges[0].kind, LinkKind::Local);
-    }
-
-    #[test]
-    fn explicit_network_kind_preserved() {
-        let mut g = GraphBuilder::new().with_inter_node_delay(5);
-        let a = g.add_op("a", nop());
-        let b = g.add_op("b", nop());
-        g.connect_kind(
-            a,
-            0,
-            b,
-            PortKind::Data,
-            LinkKind::Network { model_delay_us: 99 },
-        );
-        g.place(a, 0);
-        g.place(b, 1);
-        g.apply_placements();
-        assert_eq!(g.edges[0].kind, LinkKind::Network { model_delay_us: 99 });
     }
 }

@@ -66,7 +66,7 @@ pub use checkpoint::{Checkpoint, DEFAULT_CHECKPOINT_EVERY};
 pub use codec::{decode_frame, encode_frame, register_control_codec, CodecError, ColumnarFrame};
 pub use engine::{Engine, LinkReport, NetPartition, RunReport, RunningEngine};
 pub use fault::{Fault, FaultAction, FaultPlan, FaultTarget, RestartPolicy, StorageDomain};
-pub use graph::{GraphBuilder, LinkKind, OpId, PortKind, DEFAULT_BATCH_SIZE};
+pub use graph::{GraphBuilder, OpId, PortKind, DEFAULT_BATCH_SIZE};
 pub use membership::ActiveSet;
 pub use netio::{AckMode, LinkIn, NetTransport, WireFaultSpec, WIRE_VERSION};
 pub use operator::{OpContext, Operator, SourceState};

@@ -2,14 +2,14 @@
 //!
 //! §III-A1: "Network TCP sockets and http URLs are also supported out of
 //! the box as a source of data." This is a dependency-free HTTP/1.1 GET
-//! client over `std::net::TcpStream` that streams a CSV response body
-//! line-by-line (same wire format as the file and TCP sources), handling
+//! client over `std::net::TcpStream` that hands the CSV response body to
+//! the same line reader as the file and TCP sources, handling
 //! `Content-Length` and `Transfer-Encoding: chunked` bodies and one level
 //! of redirect.
 
-use crate::operator::{OpContext, Operator, SourceState};
-use crate::tuple::DataTuple;
-use std::io::{BufRead, BufReader, Write};
+use super::net::LIVE_READ_TIMEOUT;
+use super::source::{LineSource, Medium};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -77,74 +77,115 @@ impl HttpUrl {
     }
 }
 
+/// How the response delimits its body.
 enum BodyFraming {
+    /// `Content-Length`: body bytes still to come.
     Length(u64),
-    Chunked { remaining_in_chunk: u64, done: bool },
+    /// `Transfer-Encoding: chunked`: bytes left in the current chunk.
+    Chunked(u64),
     UntilClose,
 }
 
-/// Streams observations from an HTTP URL serving CSV.
-pub struct HttpSource {
+/// The response body as a plain byte stream: the framing is undone here,
+/// so chunk boundaries, CRs and bytes that are not UTF-8 are the row
+/// kernel's business exactly as they are for a file.
+pub struct HttpBody {
+    inner: BufReader<TcpStream>,
+    framing: BodyFraming,
+    /// The chunk-size line being read; holds a partial one across a read
+    /// timeout.
+    size_line: Vec<u8>,
+}
+
+impl HttpBody {
+    /// Reads the next chunk's size. The CRLF closing the previous chunk's
+    /// payload reads as a blank line and is passed over; the last chunk,
+    /// end of stream and an unreadable size all read 0.
+    fn next_chunk_len(&mut self) -> std::io::Result<u64> {
+        loop {
+            let n = self.inner.read_until(b'\n', &mut self.size_line)?;
+            let hex = self
+                .size_line
+                .split(|&b| b == b';')
+                .next()
+                .unwrap_or_default();
+            let hex = hex.trim_ascii();
+            let blank = n > 0 && hex.is_empty();
+            let size = std::str::from_utf8(hex)
+                .ok()
+                .and_then(|h| u64::from_str_radix(h, 16).ok())
+                .unwrap_or(0);
+            self.size_line.clear();
+            if !blank {
+                return Ok(size);
+            }
+        }
+    }
+}
+
+impl Read for HttpBody {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if let BodyFraming::Chunked(0) = self.framing {
+            self.framing = match self.next_chunk_len()? {
+                0 => BodyFraming::Length(0),
+                n => BodyFraming::Chunked(n),
+            };
+        }
+        let left = match &mut self.framing {
+            BodyFraming::UntilClose => return self.inner.read(buf),
+            BodyFraming::Length(left) | BodyFraming::Chunked(left) => left,
+        };
+        let want = buf.len().min(usize::try_from(*left).unwrap_or(usize::MAX));
+        let n = self.inner.read(&mut buf[..want])?;
+        *left -= n as u64;
+        Ok(n)
+    }
+}
+
+/// An `http://` URL fetched with one GET: a live [`Medium`].
+pub struct HttpGet {
     url: HttpUrl,
-    state: ConnState,
-    seq: u64,
-    /// Length of the previous row: the next tuple's allocation size.
-    width: usize,
     redirects_left: u8,
 }
 
-enum ConnState {
-    Unconnected,
-    Streaming {
-        reader: BufReader<TcpStream>,
-        framing: BodyFraming,
-        line: String,
-    },
-    Done,
-}
+/// Streams observations from an HTTP URL serving CSV; the body is parsed
+/// exactly like [`super::CsvFileSource`]'s file.
+pub type HttpSource = LineSource<HttpGet>;
 
 impl HttpSource {
     /// A source for the given `http://` URL. Errors on malformed URLs.
     pub fn get(url: &str) -> Result<Self, String> {
-        Ok(HttpSource {
+        Ok(LineSource::over(HttpGet {
             url: HttpUrl::parse(url)?,
-            state: ConnState::Unconnected,
-            seq: 0,
-            width: 0,
             redirects_left: 1,
-        })
+        }))
     }
+}
 
-    fn connect(&mut self) {
+impl Medium for HttpGet {
+    type Stream = HttpBody;
+    const NAME: &'static str = "HttpSource";
+    const REWINDS: bool = false;
+
+    fn open(&mut self) -> Result<HttpBody, String> {
         let addr = format!("{}:{}", self.url.host, self.url.port);
-        let stream = match TcpStream::connect(&addr) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("HttpSource: cannot connect to {addr}: {e}");
-                self.state = ConnState::Done;
-                return;
-            }
-        };
+        let mut stream =
+            TcpStream::connect(&addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
         let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-        let mut stream = stream;
         let req = format!(
             "GET {} HTTP/1.1\r\nHost: {}\r\nConnection: close\r\nAccept: text/csv, */*\r\nUser-Agent: spca/0.1\r\n\r\n",
             self.url.path, self.url.host
         );
-        if let Err(e) = stream.write_all(req.as_bytes()) {
-            eprintln!("HttpSource: request failed: {e}");
-            self.state = ConnState::Done;
-            return;
-        }
+        stream
+            .write_all(req.as_bytes())
+            .map_err(|e| format!("request failed: {e}"))?;
         let mut reader = BufReader::new(stream);
 
         // Status line.
         let mut status_line = String::new();
-        if reader.read_line(&mut status_line).is_err() {
-            eprintln!("HttpSource: no status line");
-            self.state = ConnState::Done;
-            return;
-        }
+        reader
+            .read_line(&mut status_line)
+            .map_err(|_| "no status line")?;
         let status: u16 = status_line
             .split_whitespace()
             .nth(1)
@@ -157,197 +198,52 @@ impl HttpSource {
         let mut location: Option<String> = None;
         loop {
             let mut h = String::new();
-            match reader.read_line(&mut h) {
-                Ok(0) => break,
-                Ok(_) => {
-                    let h = h.trim_end();
-                    if h.is_empty() {
-                        break;
-                    }
-                    let lower = h.to_ascii_lowercase();
-                    if let Some(v) = lower.strip_prefix("content-length:") {
-                        content_length = v.trim().parse().ok();
-                    } else if lower.starts_with("transfer-encoding:") && lower.contains("chunked") {
-                        chunked = true;
-                    } else if let Some(v) = h
-                        .strip_prefix("Location:")
-                        .or_else(|| h.strip_prefix("location:"))
-                    {
-                        location = Some(v.trim().to_string());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("HttpSource: header read failed: {e}");
-                    self.state = ConnState::Done;
-                    return;
-                }
+            let n = reader
+                .read_line(&mut h)
+                .map_err(|e| format!("header read failed: {e}"))?;
+            let h = h.trim_end();
+            if n == 0 || h.is_empty() {
+                break;
+            }
+            let lower = h.to_ascii_lowercase();
+            if let Some(v) = lower.strip_prefix("content-length:") {
+                content_length = v.trim().parse().ok();
+            } else if lower.starts_with("transfer-encoding:") && lower.contains("chunked") {
+                chunked = true;
+            } else if let Some(v) = h
+                .strip_prefix("Location:")
+                .or_else(|| h.strip_prefix("location:"))
+            {
+                location = Some(v.trim().to_string());
             }
         }
 
         match status {
             200 => {
                 let framing = if chunked {
-                    BodyFraming::Chunked {
-                        remaining_in_chunk: 0,
-                        done: false,
-                    }
+                    BodyFraming::Chunked(0)
                 } else if let Some(len) = content_length {
                     BodyFraming::Length(len)
                 } else {
                     BodyFraming::UntilClose
                 };
-                self.state = ConnState::Streaming {
-                    reader,
+                // The head is in; from here the feed is live.
+                let _ = reader.get_ref().set_read_timeout(Some(LIVE_READ_TIMEOUT));
+                Ok(HttpBody {
+                    inner: reader,
                     framing,
-                    line: String::new(),
-                };
+                    size_line: Vec::new(),
+                })
             }
             301 | 302 | 307 | 308 if self.redirects_left > 0 => {
                 self.redirects_left -= 1;
-                match location.as_deref().map(HttpUrl::parse) {
-                    Some(Ok(url)) => {
-                        self.url = url;
-                        self.state = ConnState::Unconnected; // retry with new target
-                    }
-                    _ => {
-                        eprintln!("HttpSource: redirect without usable Location");
-                        self.state = ConnState::Done;
-                    }
-                }
+                self.url = location
+                    .and_then(|l| HttpUrl::parse(&l).ok())
+                    .ok_or("redirect without usable Location")?;
+                self.open() // retry with the new target
             }
-            other => {
-                eprintln!("HttpSource: HTTP status {other}");
-                self.state = ConnState::Done;
-            }
+            other => Err(format!("HTTP status {other}")),
         }
-    }
-
-    /// Reads the next body line respecting the framing; None = body done.
-    fn next_body_line(&mut self) -> Option<String> {
-        let ConnState::Streaming {
-            reader,
-            framing,
-            line,
-        } = &mut self.state
-        else {
-            return None;
-        };
-        match framing {
-            BodyFraming::UntilClose => {
-                line.clear();
-                match reader.read_line(line) {
-                    Ok(0) => None,
-                    Ok(_) => Some(line.trim_end().to_string()),
-                    Err(_) => None,
-                }
-            }
-            BodyFraming::Length(remaining) => {
-                if *remaining == 0 {
-                    return None;
-                }
-                line.clear();
-                match reader.read_line(line) {
-                    Ok(0) => None,
-                    Ok(n) => {
-                        *remaining = remaining.saturating_sub(n as u64);
-                        Some(line.trim_end().to_string())
-                    }
-                    Err(_) => None,
-                }
-            }
-            BodyFraming::Chunked {
-                remaining_in_chunk,
-                done,
-            } => {
-                if *done {
-                    return None;
-                }
-                // Assemble one logical line, possibly across chunks.
-                let mut out = String::new();
-                loop {
-                    if *remaining_in_chunk == 0 {
-                        // Read next chunk-size line.
-                        line.clear();
-                        if reader.read_line(line).unwrap_or(0) == 0 {
-                            *done = true;
-                            break;
-                        }
-                        let size = u64::from_str_radix(line.trim(), 16).unwrap_or(0);
-                        if size == 0 {
-                            *done = true;
-                            break;
-                        }
-                        *remaining_in_chunk = size;
-                    }
-                    // Read at most the rest of this chunk, stopping at \n.
-                    let mut byte = [0u8; 1];
-                    use std::io::Read;
-                    let mut got_newline = false;
-                    while *remaining_in_chunk > 0 {
-                        match reader.read_exact(&mut byte) {
-                            Ok(()) => {
-                                *remaining_in_chunk -= 1;
-                                if byte[0] == b'\n' {
-                                    got_newline = true;
-                                    break;
-                                }
-                                if byte[0] != b'\r' {
-                                    out.push(byte[0] as char);
-                                }
-                            }
-                            Err(_) => {
-                                *done = true;
-                                break;
-                            }
-                        }
-                    }
-                    if *remaining_in_chunk == 0 && !*done {
-                        // Consume the CRLF trailing the chunk payload.
-                        let mut crlf = String::new();
-                        let _ = reader.read_line(&mut crlf);
-                    }
-                    if got_newline || *done {
-                        break;
-                    }
-                }
-                if out.is_empty() && *done {
-                    None
-                } else {
-                    Some(out)
-                }
-            }
-        }
-    }
-}
-
-impl Operator for HttpSource {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
-
-    fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
-        if ctx.stop_requested() {
-            return SourceState::Done;
-        }
-        loop {
-            match &self.state {
-                ConnState::Done => return SourceState::Done,
-                ConnState::Unconnected => {
-                    self.connect();
-                    continue;
-                }
-                ConnState::Streaming { .. } => break,
-            }
-        }
-        let Some(raw) = self.next_body_line() else {
-            self.state = ConnState::Done;
-            return SourceState::Done;
-        };
-        let Some(t) = DataTuple::from_csv_line(self.seq, raw.as_bytes(), self.width) else {
-            return SourceState::Idle;
-        };
-        self.width = t.values.len();
-        self.seq += 1;
-        ctx.emit_data(0, t);
-        SourceState::Emitted
     }
 }
 
@@ -357,6 +253,7 @@ mod tests {
     use crate::engine::Engine;
     use crate::graph::{GraphBuilder, PortKind};
     use crate::ops::CollectSink;
+    use crate::tuple::DataTuple;
     use std::net::TcpListener;
 
     /// Minimal one-shot HTTP server for tests.
@@ -439,10 +336,10 @@ mod tests {
 
     #[test]
     fn chunked_body() {
-        // Two chunks splitting a line mid-way.
+        // Three chunks, each ending mid-number.
         let url = serve_once(
             "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
-             6\r\n1.0,2.\r\n8\r\n0\n3.0,4\r\n4\r\n.0\n\r\n0\r\n\r\n"
+             6\r\n1.0,2.\r\n7\r\n0\n3.0,4\r\n3\r\n.0\n\r\n0\r\n\r\n"
                 .to_string(),
         );
         let got = collect_from(&url);

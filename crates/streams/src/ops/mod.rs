@@ -22,6 +22,6 @@ pub use http_server::{
 };
 pub use net::TcpSource;
 pub use sink::{CallbackSink, CollectSink, CsvFileSink, NullSink};
-pub use source::{CsvFileSource, GeneratorSource};
+pub use source::{CsvFileSource, GeneratorSource, LineSource};
 pub use split::{Split, SplitStrategy};
 pub use throttle::Throttle;

@@ -6,162 +6,50 @@
 //! same format as the file source/sink), so anything that can open a
 //! socket (including `nc`) can feed the pipeline.
 
-use crate::checkpoint::{decode_kv, encode_kv, kv_u64, Checkpoint};
-use crate::operator::{OpContext, Operator, SourceState};
-use crate::tuple::DataTuple;
-use std::io::{BufRead, BufReader};
+use super::source::{LineSource, Medium};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-/// Streams observations from a TCP connection.
-///
-/// In `listen` mode it binds and accepts exactly one peer; in `connect`
-/// mode it dials out. Lines are parsed exactly like [`super::CsvFileSource`].
-pub struct TcpSource {
-    mode: Mode,
-    reader: Option<BufReader<TcpStream>>,
-    line: Vec<u8>,
-    seq: u64,
-    /// Length of the previous row: the next tuple's allocation size.
-    width: usize,
-    /// Observations delivered so far.
-    pub delivered: u64,
+/// Read timeout on a live feed: bounds how long a silent peer can keep the
+/// PE thread from noticing a stop request.
+pub(super) const LIVE_READ_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// A bound listener that accepts exactly one producer: a live [`Medium`].
+pub struct TcpListen(Option<TcpListener>);
+
+impl Medium for TcpListen {
+    type Stream = TcpStream;
+    const NAME: &'static str = "TcpSource";
+    const REWINDS: bool = false;
+
+    fn open(&mut self) -> Result<TcpStream, String> {
+        let listener = self
+            .0
+            .take()
+            .ok_or("the listener's one connection is over")?;
+        let (stream, _) = listener
+            .accept()
+            .map_err(|e| format!("connection failed: {e}"))?;
+        let _ = stream.set_read_timeout(Some(LIVE_READ_TIMEOUT));
+        Ok(stream)
+    }
 }
 
-enum Mode {
-    Listen(Option<TcpListener>),
-    Connect(SocketAddr),
-    Failed,
-}
+/// Streams observations from a TCP connection; lines are parsed exactly
+/// like [`super::CsvFileSource`]'s.
+pub type TcpSource = LineSource<TcpListen>;
 
 impl TcpSource {
     /// Binds `addr` and waits for one producer to connect. Binding happens
     /// immediately so the caller can learn the ephemeral port via
     /// [`TcpSource::local_addr`] before the engine starts.
     pub fn listen(addr: &str) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(TcpSource {
-            mode: Mode::Listen(Some(listener)),
-            reader: None,
-            line: Vec::new(),
-            seq: 0,
-            width: 0,
-            delivered: 0,
-        })
+        Ok(LineSource::over(TcpListen(Some(TcpListener::bind(addr)?))))
     }
 
-    /// Connects to a remote producer at drive time.
-    pub fn connect(addr: SocketAddr) -> Self {
-        TcpSource {
-            mode: Mode::Connect(addr),
-            reader: None,
-            line: Vec::new(),
-            seq: 0,
-            width: 0,
-            delivered: 0,
-        }
-    }
-
-    /// The bound address in listen mode.
+    /// The bound address, until the producer has been accepted.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        match &self.mode {
-            Mode::Listen(Some(l)) => l.local_addr().ok(),
-            _ => None,
-        }
-    }
-
-    fn ensure_connected(&mut self) -> bool {
-        if self.reader.is_some() {
-            return true;
-        }
-        let stream = match &mut self.mode {
-            Mode::Listen(slot) => match slot.take() {
-                Some(listener) => listener.accept().map(|(s, _)| s),
-                None => return false,
-            },
-            Mode::Connect(addr) => TcpStream::connect_timeout(addr, Duration::from_secs(5)),
-            Mode::Failed => return false,
-        };
-        match stream {
-            Ok(s) => {
-                // Bounded read timeout keeps the PE responsive to stop
-                // requests even on a silent peer.
-                let _ = s.set_read_timeout(Some(Duration::from_millis(100)));
-                self.reader = Some(BufReader::new(s));
-                true
-            }
-            Err(e) => {
-                eprintln!("TcpSource: connection failed: {e}");
-                self.mode = Mode::Failed;
-                false
-            }
-        }
-    }
-}
-
-impl Operator for TcpSource {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
-
-    fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
-        if ctx.stop_requested() {
-            return SourceState::Done;
-        }
-        if !self.ensure_connected() {
-            return SourceState::Done;
-        }
-        let reader = self.reader.as_mut().expect("connected above");
-        match reader.read_until(b'\n', &mut self.line) {
-            Ok(0) if self.line.is_empty() => SourceState::Done, // peer closed
-            Ok(_) => {
-                let tuple = DataTuple::from_csv_line(self.seq, &self.line, self.width);
-                self.line.clear();
-                let Some(t) = tuple else {
-                    return SourceState::Idle;
-                };
-                self.width = t.values.len();
-                self.seq += 1;
-                self.delivered += 1;
-                ctx.emit_data(0, t);
-                SourceState::Emitted
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Read timeout: stay alive; a partial line waits in `line`.
-                SourceState::Idle
-            }
-            Err(e) => {
-                eprintln!("TcpSource: read error: {e}");
-                SourceState::Done
-            }
-        }
-    }
-
-    fn checkpoint(&mut self) -> Option<&mut dyn Checkpoint> {
-        Some(self)
-    }
-}
-
-/// A TCP feed is live — the wire position cannot rewind, so the checkpoint
-/// carries only the sequence cursor. A restore keeps the open connection
-/// (the common case: the instance survived a PE restart in memory) and
-/// resumes numbering where the snapshot left off; observations the peer sent
-/// while the PE was down were already absorbed by kernel buffering or are
-/// simply the stream's present, as with any live telescope feed.
-impl Checkpoint for TcpSource {
-    fn snapshot(&self) -> Vec<u8> {
-        encode_kv(&[
-            ("seq", self.seq.to_string()),
-            ("delivered", self.delivered.to_string()),
-        ])
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        let kv = decode_kv(bytes)?;
-        self.seq = kv_u64(&kv, "seq")?;
-        self.delivered = kv_u64(&kv, "delivered")?;
-        Ok(())
+        self.medium.0.as_ref()?.local_addr().ok()
     }
 }
 
@@ -171,6 +59,7 @@ mod tests {
     use crate::engine::{Engine, RunReport};
     use crate::graph::{GraphBuilder, PortKind};
     use crate::ops::CollectSink;
+    use crate::tuple::DataTuple;
     use std::io::Write;
 
     /// Runs `TcpSource → collect` while a plain socket writes `lines` and

@@ -298,14 +298,41 @@ impl Operator for OneShotControl {
     }
 }
 
-/// Forwards data; panics on every control tuple; recovery succeeds.
-struct ControlPanicker;
+/// Emits `n` counting tuples, holding the last one back until `gate` is
+/// raised — so the stream's end-of-stream cannot overtake whatever raises it.
+struct GatedSource {
+    n: u64,
+    next: u64,
+    gate: Arc<AtomicBool>,
+}
+
+impl Operator for GatedSource {
+    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
+    fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
+        if self.next == self.n {
+            return SourceState::Done;
+        }
+        if self.next + 1 == self.n && !self.gate.load(Ordering::SeqCst) {
+            return SourceState::Idle;
+        }
+        ctx.emit_data(0, DataTuple::new(self.next, vec![self.next as f64]));
+        self.next += 1;
+        SourceState::Emitted
+    }
+}
+
+/// Forwards data; panics on every control tuple, raising `delivered`
+/// first; recovery succeeds.
+struct ControlPanicker {
+    delivered: Arc<AtomicBool>,
+}
 
 impl Operator for ControlPanicker {
     fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
         ctx.emit_data(0, t);
     }
     fn on_control(&mut self, _t: ControlTuple, _ctx: &mut OpContext<'_>) {
+        self.delivered.store(true, Ordering::SeqCst);
         panic!("control handler failure");
     }
     fn recover(&mut self, _attempt: u64) -> bool {
@@ -317,11 +344,21 @@ impl Operator for ControlPanicker {
 fn control_panic_recovers_without_redelivery() {
     // A panic in on_control restarts the operator but the control tuple is
     // NOT redelivered (a missed sync command is just a skipped sync): one
-    // restart, every data tuple still arrives.
+    // restart, every data tuple still arrives. A control tuple that arrives
+    // after the data port's end-of-stream is dropped by design, so the data
+    // stream stays open until the control tuple has been delivered.
+    let delivered = Arc::new(AtomicBool::new(false));
     let mut g = GraphBuilder::new().with_restart_policy(fast_policy(8));
-    let src = g.add_source("src", counting_source(10));
+    let src = g.add_source(
+        "src",
+        Box::new(GatedSource {
+            n: 10,
+            next: 0,
+            gate: Arc::clone(&delivered),
+        }),
+    );
     let ctrl = g.add_source("ctrl", Box::new(OneShotControl { sent: false }));
-    let op = g.add_op("op", Box::new(ControlPanicker));
+    let op = g.add_op("op", Box::new(ControlPanicker { delivered }));
     let (sink, store) = CollectSink::new();
     let out = g.add_op("sink", Box::new(sink));
     g.connect(src, 0, op, PortKind::Data);

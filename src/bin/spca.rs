@@ -27,11 +27,12 @@ use astro_stream_pca::spectra::normalize::unit_norm_masked;
 use astro_stream_pca::spectra::GalaxyGenerator;
 use astro_stream_pca::streams::ops::http_server::{HttpServer, RateLimitConfig, ServerConfig};
 use astro_stream_pca::streams::ops::{CsvFileSource, HttpSource, TcpSource};
-use astro_stream_pca::streams::{Engine, Operator};
+use astro_stream_pca::streams::{DataTuple, Engine, Operator};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::io::BufRead;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -311,6 +312,19 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// The width of `path`'s first data row: all `run`, `serve` and
+/// `coordinator` need of the corpus before they stream it.
+fn input_dim(path: impl AsRef<std::path::Path>) -> Result<usize, String> {
+    let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
+    for line in std::io::BufReader::new(file).split(b'\n') {
+        let line = line.map_err(|e| e.to_string())?;
+        if let Some(row) = DataTuple::from_csv_line(0, &line, 0) {
+            return Ok(row.values.len());
+        }
+    }
+    Err("input file is empty".to_string())
+}
+
 /// Resolves the ingest source (exactly one of `--input`, `--listen`,
 /// `--url`) and the stream dimensionality (probed from the file, or
 /// `--dim` for network streams). Shared by `run` and `serve`.
@@ -331,10 +345,7 @@ fn ingest_source_and_dim(opts: &Opts) -> Result<(Box<dyn Operator>, usize), Stri
         _ => return Err("exactly one of --input, --listen or --url is required".to_string()),
     };
     let dim: usize = match opts.get("input") {
-        Some(path) => {
-            let first = io::read_csv(path).map_err(|e| e.to_string())?;
-            first.first().ok_or("input file is empty")?.0.len()
-        }
+        Some(path) => input_dim(path)?,
         None => opts.num("dim", 0).and_then(|d: usize| {
             if d == 0 {
                 Err("--dim is required with --listen/--url".to_string())
@@ -373,8 +384,7 @@ fn parse_dist_spec(opts: &Opts, input: &std::path::Path) -> Result<DistSpec, Str
             .ok_or("--snapshots is required (where engine eigensystems are persisted)")?,
     );
     let recovery = opts.get("snapshot-dir").map(PathBuf::from);
-    let first = io::read_csv(input).map_err(|e| e.to_string())?;
-    let dim = first.first().ok_or("input file is empty")?.0.len();
+    let dim = input_dim(input)?;
     if components + 2 >= dim {
         return Err(format!(
             "--components {components} too large for dimension {dim}"

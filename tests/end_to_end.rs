@@ -268,11 +268,8 @@ fn malformed_tuples_are_dropped_not_fatal() {
 }
 
 #[test]
-fn modeled_network_delay_runs_correctly() {
-    // The LinkKind::Network path with a real (small) per-message overhead:
-    // semantics identical, just slower.
+fn unfused_data_links_account_bytes() {
     let mut cfg = AppConfig::new(2, pca_cfg());
-    cfg.network_delay_us = 20;
     cfg.sync = SyncStrategy::None;
     let (g, h) = ParallelPcaApp::build(&cfg, planted_source(800, 22, 0.0));
     let report = Engine::run(g);
