@@ -11,12 +11,13 @@
 //!    must recompute exactly that partition.
 //!
 //! `restarts`/`pe_restarts` are recorded as literal zeros: backfill runs
-//! no streaming engine and no fault machinery, and the schema gate
-//! (`check_bench_json`) rejects anything else.
+//! no streaming engine and no fault machinery, and the `backfill-v1` row
+//! of `spca_bench::json::SCHEMAS` rejects anything else.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spca_bench::json::{BackfillBenchReport, BackfillScalingRow};
+use spca_bench::json::{obj, record, Json};
+use spca_bench::{cores, median};
 use spca_core::PcaConfig;
 use spca_engine::{backfill, partition_csv_files, partition_csv_rows, BackfillConfig};
 use spca_spectra::{io, PlantedSubspace};
@@ -30,11 +31,6 @@ const RUNS: usize = 5;
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// Worker count the cold/warm comparison is recorded at.
 const REF_WORKERS: usize = 4;
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
 
 fn pca_cfg() -> PcaConfig {
     PcaConfig::new(D, P).with_memory(5000).with_init_size(30)
@@ -66,9 +62,7 @@ fn fresh(dir: &Path) -> PathBuf {
 }
 
 fn main() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = cores();
     let work = std::env::temp_dir().join(format!("spca-fig-backfill-{}", std::process::id()));
     fresh(&work);
 
@@ -97,12 +91,14 @@ fn main() {
         walls.push((w, wall));
     }
     let wall_1 = walls.iter().find(|(w, _)| *w == 1).unwrap().1;
-    let scaling: Vec<BackfillScalingRow> = walls
+    let scaling: Vec<Json> = walls
         .iter()
-        .map(|&(workers, wall_s)| BackfillScalingRow {
-            workers,
-            wall_s,
-            speedup: wall_1 / wall_s,
+        .map(|&(workers, wall_s)| {
+            obj([
+                ("workers", Json::Num(workers as f64)),
+                ("wall_s", Json::Num(wall_s)),
+                ("speedup", Json::Num(wall_1 / wall_s)),
+            ])
         })
         .collect();
 
@@ -154,35 +150,38 @@ fn main() {
     );
     eprintln!("incremental: +1 file -> {inc_computed} computed, {inc_hits} hits");
 
-    let report = BackfillBenchReport {
-        benchmark: format!(
-            "partitioned backfill: {ROWS} rows x d={D}, {PARTS} row-range partitions; \
-             cold scaling at 1/2/4/8 workers, cold-vs-warm store at {REF_WORKERS} workers, \
-             +1-file incrementality; medians of {RUNS} runs"
-        ),
-        machine_note: format!(
-            "single container vCPU ({cores} core(s) visible), cargo run --release; \
-             the 2.5x scaling floor is waived below 4 cores — thread-level speedup \
-             is unmeasurable without physical parallelism"
-        ),
-        cores,
-        partitions: PARTS as u64,
-        rows: ROWS as u64,
-        dim: D,
-        target: ">=2.5x cold speedup at 4 workers (waived under 4 cores); warm store >=10x \
-                 faster than cold; adding one partition recomputes exactly one"
-            .to_string(),
-        restarts: 0,
-        pe_restarts: 0,
-        scaling,
-        cold_wall_s,
-        warm_wall_s,
-        warm_speedup: cold_wall_s / warm_wall_s,
-        warm_cache_hits,
-        incremental_added: 1,
-        incremental_recomputed: inc_computed,
-    };
-    std::fs::write("BENCH_backfill.json", format!("{}\n", report.to_json())).unwrap();
-    println!("wrote BENCH_backfill.json");
+    let benchmark = format!(
+        "partitioned backfill: {ROWS} rows x d={D}, {PARTS} row-range partitions; \
+         cold scaling at 1/2/4/8 workers, cold-vs-warm store at {REF_WORKERS} workers, \
+         +1-file incrementality; medians of {RUNS} runs"
+    );
+    let machine_note = format!(
+        "single container vCPU ({cores} core(s) visible), cargo run --release; \
+         the 2.5x scaling floor is waived below 4 cores — thread-level speedup \
+         is unmeasurable without physical parallelism"
+    );
+    let target = ">=2.5x cold speedup at 4 workers (waived under 4 cores); warm store >=10x \
+                  faster than cold; adding one partition recomputes exactly one";
+    let report = obj([
+        ("schema", Json::Str("backfill-v1".into())),
+        ("benchmark", Json::Str(benchmark)),
+        ("machine_note", Json::Str(machine_note)),
+        ("cores", Json::Num(cores as f64)),
+        ("partitions", Json::Num(PARTS as f64)),
+        ("rows", Json::Num(ROWS as f64)),
+        ("dim", Json::Num(D as f64)),
+        ("target", Json::Str(target.into())),
+        ("restarts", Json::Num(0.0)),
+        ("pe_restarts", Json::Num(0.0)),
+        ("scaling", Json::Arr(scaling)),
+        ("cold_wall_s", Json::Num(cold_wall_s)),
+        ("warm_wall_s", Json::Num(warm_wall_s)),
+        ("warm_speedup", Json::Num(cold_wall_s / warm_wall_s)),
+        ("warm_cache_hits", Json::Num(warm_cache_hits as f64)),
+        ("incremental_added", Json::Num(1.0)),
+        ("incremental_recomputed", Json::Num(inc_computed as f64)),
+    ]);
     std::fs::remove_dir_all(&work).ok();
+    let verdict = record("BENCH_backfill.json", &report).expect("recording fails its own gates");
+    println!("wrote BENCH_backfill.json ({verdict})");
 }

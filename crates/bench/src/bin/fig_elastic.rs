@@ -12,15 +12,17 @@
 //!
 //! A fixed-fleet reference run over the *same seeded observations*
 //! provides the consistency figure: the subspace distance between the
-//! two final merged eigensystems. Gates (enforced by `from_json`, i.e.
-//! by CI's `check_bench_json`): at least one rescale in each direction,
-//! zero tuple loss, zero restarts of either kind, consistency within
-//! 0.25, and rescale latencies under 1 s on hosts with ≥ 4 cores.
+//! two final merged eigensystems. Gates (the `elastic-v1` row of
+//! `spca_bench::json::SCHEMAS`, run here by `record` and in CI by
+//! `check_bench_json`): at least one rescale in each direction, zero
+//! tuple loss, zero restarts of either kind, consistency within 0.25, and
+//! rescale latencies under 1 s on hosts with ≥ 4 cores.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spca_bench::json::{ElasticBenchReport, ELASTIC_CONSISTENCY_TOL};
+use spca_bench::cores;
+use spca_bench::json::{obj, record, Json};
 use spca_core::metrics::subspace_distance;
 use spca_core::{EigenSystem, PcaConfig};
 use spca_engine::{AppConfig, ElasticRuntime, ParallelPcaApp, SyncStrategy};
@@ -135,7 +137,7 @@ fn reference_run() -> EigenSystem {
 }
 
 fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = cores();
     println!("elastic rescale benchmark: d = {DIM}, {N_TUPLES} tuples, {cores} cores");
 
     let outcome = elastic_run();
@@ -154,34 +156,32 @@ fn main() {
         processed
     );
 
-    let report = ElasticBenchReport {
-        benchmark: "scripted scale-out at N/4 and scale-in at 3N/4 on a paced planted-subspace \
-                    stream, vs a fixed-fleet reference over the same observations"
-            .into(),
-        machine_note: "single container vCPU, cargo run --release, same build for every column"
-            .into(),
-        cores,
-        dim: DIM,
-        tuples: N_TUPLES,
-        target: format!(
-            "zero tuple loss, fault-free, consistency <= {ELASTIC_CONSISTENCY_TOL}, one rescale \
-             each direction"
-        ),
-        restarts: outcome.report.total_restarts(),
-        pe_restarts: outcome.report.total_pe_restarts(),
-        scale_outs: outcome.report.total_scale_outs(),
-        scale_ins: outcome.report.total_scale_ins(),
-        tuple_loss: fed.saturating_sub(processed),
-        scale_out_latency_ms: outcome.scale_out_latency.as_secs_f64() * 1e3,
-        scale_in_latency_ms: outcome.scale_in_latency.as_secs_f64() * 1e3,
-        consistency,
-        max_engines: MAX_ENGINES,
-        final_engines: outcome.final_engines,
-    };
-
-    // Self-gate before writing: a recording that would fail CI aborts here.
-    let text = format!("{}\n", report.to_json());
-    ElasticBenchReport::parse(&text).expect("recorded artifact fails its own schema gates");
-    std::fs::write("BENCH_elastic.json", text).expect("write BENCH_elastic.json");
-    println!("wrote BENCH_elastic.json");
+    let benchmark = "scripted scale-out at N/4 and scale-in at 3N/4 on a paced planted-subspace \
+                     stream, vs a fixed-fleet reference over the same observations";
+    let machine_note =
+        format!("{cores}-core container, cargo run --release, same build for every column");
+    let target = "zero tuple loss, fault-free, consistency <= 0.25, one rescale each direction";
+    let count = |n: u64| Json::Num(n as f64);
+    let ms = |d: Duration| Json::Num(d.as_secs_f64() * 1e3);
+    let report = obj([
+        ("schema", Json::Str("elastic-v1".into())),
+        ("benchmark", Json::Str(benchmark.into())),
+        ("machine_note", Json::Str(machine_note)),
+        ("cores", Json::Num(cores as f64)),
+        ("dim", Json::Num(DIM as f64)),
+        ("tuples", count(N_TUPLES)),
+        ("target", Json::Str(target.into())),
+        ("restarts", count(outcome.report.total_restarts())),
+        ("pe_restarts", count(outcome.report.total_pe_restarts())),
+        ("scale_outs", count(outcome.report.total_scale_outs())),
+        ("scale_ins", count(outcome.report.total_scale_ins())),
+        ("tuple_loss", count(fed.saturating_sub(processed))),
+        ("scale_out_latency_ms", ms(outcome.scale_out_latency)),
+        ("scale_in_latency_ms", ms(outcome.scale_in_latency)),
+        ("consistency", Json::Num(consistency)),
+        ("max_engines", Json::Num(MAX_ENGINES as f64)),
+        ("final_engines", Json::Num(outcome.final_engines as f64)),
+    ]);
+    let verdict = record("BENCH_elastic.json", &report).expect("recording fails its own gates");
+    println!("wrote BENCH_elastic.json ({verdict})");
 }

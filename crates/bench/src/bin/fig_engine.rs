@@ -18,8 +18,8 @@
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spca_bench::json::{EngineBenchReport, EngineBenchRow};
-use spca_bench::{print_table, write_csv};
+use spca_bench::json::{obj, record, Json};
+use spca_bench::{cores, median, print_table, write_csv};
 use spca_core::PcaConfig;
 use spca_engine::{AppConfig, ParallelPcaApp, SyncStrategy};
 use spca_spectra::PlantedSubspace;
@@ -66,11 +66,6 @@ fn run_once(
     )
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
 fn measure(
     samples: &Arc<Vec<Vec<f64>>>,
     n_engines: usize,
@@ -105,6 +100,7 @@ fn main() {
     let mut report_rows = Vec::new();
     let mut total_restarts = 0;
     let mut total_pe_restarts = 0;
+    let mut unfused2 = (0.0, 0.0, 0.0);
     for fuse in [true, false] {
         for engines in [1usize, 2, 4] {
             let (batch1, r1, pr1) = measure(&samples, engines, fuse, 1);
@@ -112,6 +108,9 @@ fn main() {
             total_restarts += r1 + rb;
             total_pe_restarts += pr1 + prb;
             let speedup = batched / batch1;
+            if !fuse && engines == 2 {
+                unfused2 = (speedup, batch1, batched);
+            }
             rows.push(vec![
                 if fuse { 1.0 } else { 0.0 },
                 engines as f64,
@@ -119,14 +118,15 @@ fn main() {
                 batched,
                 speedup,
             ]);
-            report_rows.push(EngineBenchRow {
-                config: format!("{}-{engines}", if fuse { "fused" } else { "unfused" }),
-                fused: fuse,
-                engines,
-                batch1_tuples_per_s: batch1,
-                batched_tuples_per_s: batched,
-                speedup,
-            });
+            let config = format!("{}-{engines}", if fuse { "fused" } else { "unfused" });
+            report_rows.push(obj([
+                ("config", Json::Str(config)),
+                ("fused", Json::Bool(fuse)),
+                ("engines", Json::Num(engines as f64)),
+                ("batch1_tuples_per_s", Json::Num(batch1)),
+                ("batched_tuples_per_s", Json::Num(batched)),
+                ("speedup", Json::Num(speedup)),
+            ]));
         }
     }
 
@@ -141,33 +141,27 @@ fn main() {
     let csv = write_csv("fig_engine.csv", &header, &rows);
     println!("\nwrote {}", csv.display());
 
-    let report = EngineBenchReport {
-        benchmark: format!(
-            "engine_throughput grid (d = {DIM}, {TUPLES} tuples, median of {RUNS} runs per cell)"
-        ),
-        machine_note: format!(
-            "{}-core container, cargo run --release, same build for both columns",
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        ),
-        tuples: TUPLES,
-        dim: DIM,
-        batch: DEFAULT_BATCH_SIZE,
-        target: "unfused 2-engine batched ≥ 1.5x over batch-size-1".to_string(),
-        restarts: total_restarts,
-        pe_restarts: total_pe_restarts,
-        results: report_rows,
-    };
-    std::fs::write("BENCH_engine.json", format!("{}\n", report.to_json()))
-        .expect("write BENCH_engine.json");
-    println!("wrote BENCH_engine.json");
-
-    let key = report
-        .results
-        .iter()
-        .find(|r| !r.fused && r.engines == 2)
-        .expect("unfused-2 cell");
-    println!(
-        "unfused 2-engine speedup: {:.2}x ({:.0} → {:.0} tuples/s)",
-        key.speedup, key.batch1_tuples_per_s, key.batched_tuples_per_s
+    let benchmark = format!(
+        "engine_throughput grid (d = {DIM}, {TUPLES} tuples, median of {RUNS} runs per cell)"
     );
+    let cores = cores();
+    let machine_note =
+        format!("{cores}-core container, cargo run --release, same build for both columns");
+    let target = "unfused 2-engine batched ≥ 1.5x over batch-size-1";
+    let report = obj([
+        ("benchmark", Json::Str(benchmark)),
+        ("machine_note", Json::Str(machine_note)),
+        ("tuples", Json::Num(TUPLES as f64)),
+        ("dim", Json::Num(DIM as f64)),
+        ("batch", Json::Num(DEFAULT_BATCH_SIZE as f64)),
+        ("target", Json::Str(target.into())),
+        ("restarts", Json::Num(total_restarts as f64)),
+        ("pe_restarts", Json::Num(total_pe_restarts as f64)),
+        ("results", Json::Arr(report_rows)),
+    ]);
+    let verdict = record("BENCH_engine.json", &report).expect("recording fails its own gates");
+    println!("wrote BENCH_engine.json ({verdict})");
+
+    let (speedup, batch1, batched) = unfused2;
+    println!("unfused 2-engine speedup: {speedup:.2}x ({batch1:.0} → {batched:.0} tuples/s)");
 }

@@ -10,8 +10,8 @@
 //! shape every consumer in the engine produces (basis panels, Gram
 //! accumulation), not a square BLAS-3 stress shape.
 
-use spca_bench::json::{KernelBenchReport, KernelBenchRow};
-use spca_bench::print_table;
+use spca_bench::json::{obj, record, Json};
+use spca_bench::{cores, median, print_table};
 use spca_linalg::kernels::{self, Backend};
 use std::hint::black_box;
 use std::time::Instant;
@@ -20,11 +20,6 @@ const DIMS: [usize; 3] = [256, 1000, 4000];
 const REPS: usize = 25;
 const GEMM_K: usize = 32;
 const GEMM_W: usize = 32;
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
 
 /// Median ns per call of `f`, self-calibrating the inner iteration count
 /// so each sample runs ≥ ~1 ms.
@@ -105,13 +100,13 @@ fn main() {
             let speedup = scalar_ns / dispatched_ns;
             println!("{kernel:>5} d={d:<5} scalar {scalar_ns:10.1} ns  dispatched {dispatched_ns:10.1} ns  {speedup:5.2}x");
             table.push(vec![d as f64, scalar_ns, dispatched_ns, speedup]);
-            rows.push(KernelBenchRow {
-                kernel: kernel.to_string(),
-                d,
-                scalar_ns,
-                dispatched_ns,
-                speedup,
-            });
+            rows.push(obj([
+                ("kernel", Json::Str(kernel.into())),
+                ("d", Json::Num(d as f64)),
+                ("scalar_ns", Json::Num(scalar_ns)),
+                ("dispatched_ns", Json::Num(dispatched_ns)),
+                ("speedup", Json::Num(speedup)),
+            ]));
         }
     }
     print_table(
@@ -120,20 +115,25 @@ fn main() {
         &table,
     );
 
-    let report = KernelBenchReport {
-        benchmark: format!(
-            "kernel dispatch: dot/axpy/gemm at d in {{256, 1000, 4000}}, gemm as \
-             (d x {GEMM_K}) * ({GEMM_K} x {GEMM_W}), median of {REPS} samples per cell"
-        ),
-        machine_note: "single container vCPU, cargo run --release, both columns timed in one \
-                       process via the backend override"
-            .to_string(),
-        backend: dispatched.name().to_string(),
-        reps: REPS as u64,
-        target: "dot and gemm at d=1000 ≥ 1.5x dispatched over scalar".to_string(),
-        results: rows,
-    };
-    std::fs::write("BENCH_kernels.json", format!("{}\n", report.to_json()))
-        .expect("write BENCH_kernels.json");
-    println!("wrote BENCH_kernels.json");
+    let benchmark = format!(
+        "kernel dispatch: dot/axpy/gemm at d in {{256, 1000, 4000}}, gemm as \
+         (d x {GEMM_K}) * ({GEMM_K} x {GEMM_W}), median of {REPS} samples per cell"
+    );
+    let machine_note = format!(
+        "{}-core container, cargo run --release, both columns timed in one process via the \
+         backend override",
+        cores()
+    );
+    let target = "dot and gemm at d=1000 ≥ 1.5x dispatched over scalar";
+    let report = obj([
+        ("schema", Json::Str("kernels-v1".into())),
+        ("benchmark", Json::Str(benchmark)),
+        ("machine_note", Json::Str(machine_note)),
+        ("backend", Json::Str(dispatched.name().into())),
+        ("reps", Json::Num(REPS as f64)),
+        ("target", Json::Str(target.into())),
+        ("results", Json::Arr(rows)),
+    ]);
+    let verdict = record("BENCH_kernels.json", &report).expect("recording fails its own gates");
+    println!("wrote BENCH_kernels.json ({verdict})");
 }

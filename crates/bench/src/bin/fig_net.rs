@@ -27,8 +27,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_alloc_count::{allocations, track, CountingAlloc};
-use spca_bench::json::NetBenchReport;
-use spca_bench::print_table;
+use spca_bench::json::{obj, record, Json};
+use spca_bench::{cores, median, print_table};
 use spca_engine::{run_coordinator, run_local, DistSpec};
 use spca_spectra::PlantedSubspace;
 use spca_streams::ops::CsvFileSource;
@@ -204,8 +204,7 @@ fn bench_per_message_overhead() -> f64 {
     }
     drop(s);
     echo.join().expect("echo thread");
-    rtts_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    rtts_us[rtts_us.len() / 2] / 2.0
+    median(&mut rtts_us) / 2.0
 }
 
 // --- loopback distributed vs in-process --------------------------------
@@ -351,7 +350,7 @@ fn main() {
         return;
     }
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = cores();
     let tuples = sample_batch();
 
     println!("codec microbenchmark (d = {DIM}, batch = {BATCH}, {CODEC_REPS} reps)...");
@@ -385,39 +384,50 @@ fn main() {
     ]];
     print_table("wire transport", &header, &rows);
 
-    let report = NetBenchReport {
-        benchmark: format!(
-            "wire transport: codec round trip vs CSV text at d = {DIM} ({CODEC_REPS} reps of \
-             {BATCH}-tuple frames), 2-process loopback coordinator/worker run vs in-process \
-             baseline ({ROWS} rows at d = {CORPUS_DIM}, bit-identical snapshots asserted), \
-             loopback TCP_NODELAY half-round-trip as the per-message cost-model constant"
+    let benchmark = format!(
+        "wire transport: codec round trip vs CSV text at d = {DIM} ({CODEC_REPS} reps of \
+         {BATCH}-tuple frames), 2-process loopback coordinator/worker run vs in-process \
+         baseline ({ROWS} rows at d = {CORPUS_DIM}, bit-identical snapshots asserted), \
+         loopback TCP_NODELAY half-round-trip as the per-message cost-model constant"
+    );
+    let machine_note = "container (see cores), cargo run --release, same build for every column";
+    let target = format!(
+        "codec >= 5x CSV at d = {DIM}, zero steady-state allocs, loopback 2-process >= \
+         0.5x in-process (waived under 4 cores)"
+    );
+    let report = obj([
+        ("schema", Json::Str("net-v1".into())),
+        ("benchmark", Json::Str(benchmark)),
+        ("machine_note", Json::Str(machine_note.into())),
+        ("cores", Json::Num(cores as f64)),
+        ("dim", Json::Num(DIM as f64)),
+        ("batch", Json::Num(BATCH as f64)),
+        ("tuples", Json::Num((CODEC_REPS * BATCH) as f64)),
+        ("target", Json::Str(target)),
+        ("restarts", Json::Num(dist.restarts as f64)),
+        ("codec_encode_gbps", Json::Num(codec.encode_gbps)),
+        ("codec_decode_gbps", Json::Num(codec.decode_gbps)),
+        (
+            "codec_roundtrip_tuples_per_s",
+            Json::Num(codec.roundtrip_tuples_per_s),
         ),
-        machine_note: "container (see cores), cargo run --release, same build for every column"
-            .to_string(),
-        cores,
-        dim: DIM,
-        batch: BATCH,
-        tuples: (CODEC_REPS * BATCH) as u64,
-        target: format!(
-            "codec >= 5x CSV at d = {DIM}, zero steady-state allocs, loopback 2-process >= \
-             0.5x in-process (waived under 4 cores)"
+        ("csv_roundtrip_tuples_per_s", Json::Num(csv_tuples_per_s)),
+        ("codec_vs_csv", Json::Num(codec_vs_csv)),
+        ("codec_steady_allocs", Json::Num(codec.steady_allocs as f64)),
+        (
+            "frame_bytes_per_tuple",
+            Json::Num(codec.frame_bytes_per_tuple),
         ),
-        restarts: dist.restarts,
-        codec_encode_gbps: codec.encode_gbps,
-        codec_decode_gbps: codec.decode_gbps,
-        codec_roundtrip_tuples_per_s: codec.roundtrip_tuples_per_s,
-        csv_roundtrip_tuples_per_s: csv_tuples_per_s,
-        codec_vs_csv,
-        codec_steady_allocs: codec.steady_allocs,
-        frame_bytes_per_tuple: codec.frame_bytes_per_tuple,
-        local_tuples_per_s: dist.local_tuples_per_s,
-        dist_tuples_per_s: dist.dist_tuples_per_s,
-        dist_ratio,
-        per_message_overhead_us,
-    };
-    std::fs::write("BENCH_net.json", format!("{}\n", report.to_json()))
-        .expect("write BENCH_net.json");
-    println!("wrote BENCH_net.json");
+        ("local_tuples_per_s", Json::Num(dist.local_tuples_per_s)),
+        ("dist_tuples_per_s", Json::Num(dist.dist_tuples_per_s)),
+        ("dist_ratio", Json::Num(dist_ratio)),
+        (
+            "per_message_overhead_us",
+            Json::Num(per_message_overhead_us),
+        ),
+    ]);
+    let verdict = record("BENCH_net.json", &report).expect("recording fails its own gates");
+    println!("wrote BENCH_net.json ({verdict})");
     println!(
         "codec {:.2}x CSV ({:.0} vs {:.0} tuples/s), {} steady-state allocs, dist ratio \
          {:.2} on {} core(s), {:.0} us/message",

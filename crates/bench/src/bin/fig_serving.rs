@@ -12,7 +12,8 @@
 //!    latency quantiles (p50/p99/p999), and the ingest-throughput ratio
 //!    against the baseline.
 //!
-//! The schema gate (`check_bench_json`) enforces a fault-free recording
+//! The `serving-v1` row of `spca_bench::json::SCHEMAS` (run here by
+//! `record`, in CI by `check_bench_json`) enforces a fault-free recording
 //! (`restarts == pe_restarts == 0`), monotone latency quantiles, and an
 //! ingest ratio ≥ 0.9 — waived below 4 cores, where the query clients
 //! and the engines contend for the same cores and the ratio measures the
@@ -21,7 +22,8 @@
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spca_bench::json::ServingBenchReport;
+use spca_bench::json::{obj, record, Json};
+use spca_bench::{cores, median};
 use spca_core::PcaConfig;
 use spca_engine::{
     endpoint_index, AppConfig, EigenQueryHandler, EpochStore, ParallelPcaApp, ServeShared,
@@ -43,11 +45,6 @@ const N_TUPLES: u64 = 200_000;
 const ENGINES: usize = 2;
 const RUNS: usize = 3;
 const CLIENTS: usize = 3;
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
 
 fn source() -> Box<dyn Operator> {
     let w = PlantedSubspace::new(DIM, P, 0.05);
@@ -190,9 +187,7 @@ fn serving_run() -> ServingRun {
 }
 
 fn main() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = cores();
 
     let mut baseline_samples = Vec::with_capacity(RUNS);
     for r in 0..RUNS {
@@ -221,36 +216,42 @@ fn main() {
         run.tps
     );
 
-    let report = ServingBenchReport {
-        benchmark: format!(
-            "always-on serving: {ENGINES}-engine ingest of {N_TUPLES} planted-subspace \
-             tuples (d={DIM}, p={P}, publish every 64) vs the same run with {CLIENTS} \
-             keep-alive clients hammering /project and /score; latency quantiles are \
-             server-side /project times; medians of {RUNS} runs"
+    let benchmark = format!(
+        "always-on serving: {ENGINES}-engine ingest of {N_TUPLES} planted-subspace \
+         tuples (d={DIM}, p={P}, publish every 64) vs the same run with {CLIENTS} \
+         keep-alive clients hammering /project and /score; latency quantiles are \
+         server-side /project times; medians of {RUNS} runs"
+    );
+    let machine_note = format!(
+        "single container vCPU ({cores} core(s) visible), cargo run --release; \
+         the 0.9 ingest-ratio floor is waived below 4 cores — clients and engines \
+         contend for the same cores there"
+    );
+    let target = "serving costs ingest <=10% (ratio >= 0.9, waived under 4 cores); \
+                  fault-free recording; monotone latency quantiles";
+    let report = obj([
+        ("schema", Json::Str("serving-v1".into())),
+        ("benchmark", Json::Str(benchmark)),
+        ("machine_note", Json::Str(machine_note)),
+        ("cores", Json::Num(cores as f64)),
+        ("dim", Json::Num(DIM as f64)),
+        ("tuples", Json::Num(N_TUPLES as f64)),
+        ("target", Json::Str(target.into())),
+        ("restarts", Json::Num(run.report.total_restarts() as f64)),
+        (
+            "pe_restarts",
+            Json::Num(run.report.total_pe_restarts() as f64),
         ),
-        machine_note: format!(
-            "single container vCPU ({cores} core(s) visible), cargo run --release; \
-             the 0.9 ingest-ratio floor is waived below 4 cores — clients and engines \
-             contend for the same cores there"
-        ),
-        cores,
-        dim: DIM,
-        tuples: N_TUPLES,
-        target: "serving costs ingest <=10% (ratio >= 0.9, waived under 4 cores); \
-                 fault-free recording; monotone latency quantiles"
-            .to_string(),
-        restarts: run.report.total_restarts(),
-        pe_restarts: run.report.total_pe_restarts(),
-        clients: CLIENTS,
-        requests: run.requests,
-        qps: run.qps,
-        p50_us: run.p50_us,
-        p99_us: run.p99_us,
-        p999_us: run.p999_us,
-        baseline_tuples_per_s: baseline_tps,
-        serving_tuples_per_s: run.tps,
-        ingest_ratio: ratio,
-    };
-    std::fs::write("BENCH_serving.json", format!("{}\n", report.to_json())).unwrap();
-    println!("wrote BENCH_serving.json");
+        ("clients", Json::Num(CLIENTS as f64)),
+        ("requests", Json::Num(run.requests as f64)),
+        ("qps", Json::Num(run.qps)),
+        ("p50_us", Json::Num(run.p50_us)),
+        ("p99_us", Json::Num(run.p99_us)),
+        ("p999_us", Json::Num(run.p999_us)),
+        ("baseline_tuples_per_s", Json::Num(baseline_tps)),
+        ("serving_tuples_per_s", Json::Num(run.tps)),
+        ("ingest_ratio", Json::Num(ratio)),
+    ]);
+    let verdict = record("BENCH_serving.json", &report).expect("recording fails its own gates");
+    println!("wrote BENCH_serving.json ({verdict})");
 }

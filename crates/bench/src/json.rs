@@ -357,1200 +357,523 @@ impl Parser<'_> {
     }
 }
 
-/// One row of the engine-transport benchmark grid: a (fusion, engine
-/// count) cell measured at batch size 1 and at the batched default.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineBenchRow {
-    /// Cell label, e.g. `"unfused-2"`.
-    pub config: String,
-    /// Whether the whole graph ran in one PE.
-    pub fused: bool,
-    /// Number of parallel PCA engines.
-    pub engines: usize,
-    /// Median throughput with per-tuple transport (batch size 1).
-    pub batch1_tuples_per_s: f64,
-    /// Median throughput with frame transport (the default batch size).
-    pub batched_tuples_per_s: f64,
-    /// `batched / batch1`.
-    pub speedup: f64,
+// --- recorded artifacts: one schema table, one validator, one writer ---
+
+/// What a field of a recorded artifact must hold.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// A string.
+    Text,
+    /// A bool.
+    Flag,
+    /// A non-negative integer an `f64` holds exactly (≤ 2^53).
+    Count,
+    /// A `Count` of something a recording cannot have none of: at least 1.
+    Natural,
+    /// A finite number above zero.
+    Positive,
+    /// A finite number, zero or above.
+    NonNegative,
+    /// A non-empty array of objects, each with these fields and rules.
+    Rows(&'static [Field], &'static [Rule]),
 }
 
-/// The recorded engine-transport benchmark artifact (`BENCH_engine.json`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineBenchReport {
-    /// What was measured and how many samples per cell.
-    pub benchmark: String,
-    /// Machine / build caveats for reproducing the numbers.
-    pub machine_note: String,
-    /// Tuples pushed through the graph per run.
-    pub tuples: u64,
-    /// Observation dimensionality of the workload.
-    pub dim: usize,
-    /// Batch size used for the "batched" column.
-    pub batch: usize,
-    /// The acceptance target the grid was recorded against.
-    pub target: String,
-    /// Total operator restarts observed across every measured run. The
-    /// recorded grid must be fault-free, so anything other than zero
-    /// fails validation: a fault plan leaking into a benchmark run can
-    /// never land as a committed artifact.
-    pub restarts: u64,
-    /// Total whole-PE restarts (operator-weighted, see
-    /// `RunReport::total_pe_restarts`) across every measured run. Gated to
-    /// zero exactly like `restarts`.
-    pub pe_restarts: u64,
-    /// One row per (fusion, engines) cell.
-    pub results: Vec<EngineBenchRow>,
+/// A field and what it holds, listed in the order the artifact writes them.
+pub type Field = (&'static str, Kind);
+
+/// Why a bound cannot be measured on the host that recorded the artifact:
+/// always something the artifact itself says, never an option.
+#[derive(Debug, Clone, Copy)]
+pub enum Waiver {
+    /// `cores` is below this: the figure would measure the scheduler.
+    BelowCores(u32),
+    /// The named text field holds this value.
+    WhenText(&'static str, &'static str),
 }
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field '{key}'"))
+/// The closed vocabulary of checks on a recorded artifact. A key names a
+/// field of the row being checked (in a `Rows` rule) or of the artifact;
+/// `rows[col=value].key` names a field of the one row of `rows` whose `col`
+/// holds `value`, so a row that a gate addresses is a required row.
+#[derive(Debug, Clone, Copy)]
+pub enum Gate {
+    /// The count is zero.
+    Zero(&'static str),
+    /// `(key, num, den)`: `key` is `num / den` to within 2 %.
+    Ratio(&'static str, &'static str, &'static str),
+    /// `key ≥ bound`, unless waived.
+    AtLeast(&'static str, f64, Option<Waiver>),
+    /// `key ≤ bound`, unless waived.
+    AtMost(&'static str, f64, Option<Waiver>),
+    /// The two fields are equal.
+    Eq(&'static str, &'static str),
+    /// The first field is no larger than the second.
+    Le(&'static str, &'static str),
 }
 
-fn num_field(v: &Json, key: &str) -> Result<f64, String> {
-    let n = field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field '{key}' is not a number"))?;
-    if !n.is_finite() {
-        return Err(format!("field '{key}' is not finite"));
-    }
-    Ok(n)
+/// A gate and the one-line reason its error message ends with.
+pub type Rule = (Gate, &'static str);
+
+/// One recorded artifact: how it names itself, its layout, its gates.
+pub struct Schema {
+    /// Value of the `"schema"` field; the engine grid predates it.
+    pub name: Option<&'static str>,
+    /// Fields after the discriminator, in artifact order.
+    pub fields: &'static [Field],
+    /// Everything CI holds a recording to; a floor is written here only.
+    pub gates: &'static [Rule],
 }
 
-fn str_field(v: &Json, key: &str) -> Result<String, String> {
-    Ok(field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field '{key}' is not a string"))?
-        .to_string())
-}
+use Gate::{AtLeast, AtMost, Eq, Le, Ratio, Zero};
+use Kind::{Count, Flag, Natural, NonNegative, Positive, Rows, Text};
+use Waiver::{BelowCores, WhenText};
 
-impl EngineBenchRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("config".into(), Json::Str(self.config.clone())),
-            ("fused".into(), Json::Bool(self.fused)),
-            ("engines".into(), Json::Num(self.engines as f64)),
-            (
-                "batch1_tuples_per_s".into(),
-                Json::Num(self.batch1_tuples_per_s),
+const SMALL_HOST: Option<Waiver> = Some(BelowCores(4));
+const NO_SIMD: Option<Waiver> = Some(WhenText("backend", "scalar"));
+const FAULT_FREE: &str = "benchmark artifacts must be recorded fault-free";
+const DERIVED: &str = "a recorded ratio must agree with the two figures it is the ratio of";
+const BATCHED: &str = "the batched column needs a batch of 2 or more";
+const SIMD: &str = "a SIMD backend must beat scalar 1.5x on dot and gemm at d = 1000";
+const WARM: &str = "one store hit per partition, or it is not a warm recording";
+const WARM_FLOOR: &str = "a warm re-run must be 10x faster than a cold backfill";
+const ONLY_NEW: &str = "incrementality is O(partition): recomputed must equal added";
+const SCALING: &str = "a cold backfill must scale 2.5x from 1 worker to 4";
+const MONOTONE: &str = "latency quantiles must be monotone";
+const INGEST: &str = "serving must not cost ingest more than 10 %";
+const CODEC: &str = "the frame codec must beat the CSV path it replaced 5x round trip";
+const NO_ALLOC: &str = "the codec hot path must not allocate in steady state";
+const WIRE: &str = "the wire transport must not halve throughput on loopback";
+const EACH_WAY: &str = "the recorded run must rescale at least once in each direction";
+const CONSERVE: &str = "rescales must conserve every tuple";
+const DRIFT: &str = "the elastic run diverged from its fixed-fleet reference";
+const FLEET: &str = "the final fleet must be within 1..=max_engines";
+const RESCALE: &str = "one rescale must complete inside a second";
+
+/// Every artifact `check_bench_json` accepts and a `fig_*` recorder writes.
+pub static SCHEMAS: &[Schema] = &[ENGINE, KERNELS, BACKFILL, SERVING, NET, ELASTIC];
+
+const ENGINE: Schema = Schema {
+    name: None,
+    fields: &[
+        ("benchmark", Text),
+        ("machine_note", Text),
+        ("tuples", Natural),
+        ("dim", Count),
+        ("batch", Count),
+        ("target", Text),
+        ("restarts", Count),
+        ("pe_restarts", Count),
+        (
+            "results",
+            Rows(
+                &[
+                    ("config", Text),
+                    ("fused", Flag),
+                    ("engines", Natural),
+                    ("batch1_tuples_per_s", Positive),
+                    ("batched_tuples_per_s", Positive),
+                    ("speedup", Positive),
+                ],
+                &[(
+                    Ratio("speedup", "batched_tuples_per_s", "batch1_tuples_per_s"),
+                    DERIVED,
+                )],
             ),
-            (
-                "batched_tuples_per_s".into(),
-                Json::Num(self.batched_tuples_per_s),
+        ),
+    ],
+    gates: &[
+        (AtLeast("batch", 2.0, None), BATCHED),
+        (Zero("restarts"), FAULT_FREE),
+        (Zero("pe_restarts"), FAULT_FREE),
+    ],
+};
+
+const KERNELS: Schema = Schema {
+    name: Some("kernels-v1"),
+    fields: &[
+        ("benchmark", Text),
+        ("machine_note", Text),
+        ("backend", Text),
+        ("reps", Natural),
+        ("target", Text),
+        (
+            "results",
+            Rows(
+                &[
+                    ("kernel", Text),
+                    ("d", Natural),
+                    ("scalar_ns", Positive),
+                    ("dispatched_ns", Positive),
+                    ("speedup", Positive),
+                ],
+                &[(Ratio("speedup", "scalar_ns", "dispatched_ns"), DERIVED)],
             ),
-            ("speedup".into(), Json::Num(self.speedup)),
-        ])
-    }
+        ),
+    ],
+    gates: &[
+        (
+            AtLeast("results[kernel=dot][d=1000].speedup", 1.5, NO_SIMD),
+            SIMD,
+        ),
+        (
+            AtLeast("results[kernel=gemm][d=1000].speedup", 1.5, NO_SIMD),
+            SIMD,
+        ),
+    ],
+};
 
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let row = EngineBenchRow {
-            config: str_field(v, "config")?,
-            fused: field(v, "fused")?
-                .as_bool()
-                .ok_or("field 'fused' is not a bool")?,
-            engines: num_field(v, "engines")? as usize,
-            batch1_tuples_per_s: num_field(v, "batch1_tuples_per_s")?,
-            batched_tuples_per_s: num_field(v, "batched_tuples_per_s")?,
-            speedup: num_field(v, "speedup")?,
-        };
-        if row.engines == 0 {
-            return Err(format!("{}: zero engines", row.config));
-        }
-        if row.batch1_tuples_per_s <= 0.0 || row.batched_tuples_per_s <= 0.0 {
-            return Err(format!("{}: non-positive throughput", row.config));
-        }
-        let expect = row.batched_tuples_per_s / row.batch1_tuples_per_s;
-        if (row.speedup - expect).abs() > 0.02 * expect {
-            return Err(format!(
-                "{}: speedup {} inconsistent with medians (expected {expect:.3})",
-                row.config, row.speedup
-            ));
-        }
-        Ok(row)
-    }
-}
-
-impl EngineBenchReport {
-    /// Serializes to the committed artifact layout.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("machine_note".into(), Json::Str(self.machine_note.clone())),
-            ("tuples".into(), Json::Num(self.tuples as f64)),
-            ("dim".into(), Json::Num(self.dim as f64)),
-            ("batch".into(), Json::Num(self.batch as f64)),
-            ("target".into(), Json::Str(self.target.clone())),
-            ("restarts".into(), Json::Num(self.restarts as f64)),
-            ("pe_restarts".into(), Json::Num(self.pe_restarts as f64)),
-            (
-                "results".into(),
-                Json::Arr(self.results.iter().map(|r| r.to_json()).collect()),
+const BACKFILL: Schema = Schema {
+    name: Some("backfill-v1"),
+    fields: &[
+        ("benchmark", Text),
+        ("machine_note", Text),
+        ("cores", Natural),
+        ("partitions", Natural),
+        ("rows", Count),
+        ("dim", Count),
+        ("target", Text),
+        ("restarts", Count),
+        ("pe_restarts", Count),
+        (
+            "scaling",
+            Rows(
+                &[
+                    ("workers", Natural),
+                    ("wall_s", Positive),
+                    ("speedup", Positive),
+                ],
+                &[(
+                    Ratio("speedup", "scaling[workers=1].wall_s", "wall_s"),
+                    DERIVED,
+                )],
             ),
-        ])
-    }
+        ),
+        ("cold_wall_s", Positive),
+        ("warm_wall_s", Positive),
+        ("warm_speedup", Positive),
+        ("warm_cache_hits", Count),
+        ("incremental_added", Natural),
+        ("incremental_recomputed", Count),
+    ],
+    gates: &[
+        (Zero("restarts"), FAULT_FREE),
+        (Zero("pe_restarts"), FAULT_FREE),
+        (Eq("warm_cache_hits", "partitions"), WARM),
+        (Ratio("warm_speedup", "cold_wall_s", "warm_wall_s"), DERIVED),
+        (AtLeast("warm_speedup", 10.0, None), WARM_FLOOR),
+        (Eq("incremental_recomputed", "incremental_added"), ONLY_NEW),
+        (
+            AtLeast("scaling[workers=4].speedup", 2.5, SMALL_HOST),
+            SCALING,
+        ),
+    ],
+};
 
-    /// Parses and schema-checks an artifact. This is the CI gate: any
-    /// missing field, wrong type, non-finite number, empty grid, or
-    /// internally inconsistent speedup is an error.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let results_json = field(v, "results")?
-            .as_arr()
-            .ok_or("field 'results' is not an array")?;
-        if results_json.is_empty() {
-            return Err("'results' is empty".to_string());
-        }
-        let results = results_json
-            .iter()
-            .map(EngineBenchRow::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let report = EngineBenchReport {
-            benchmark: str_field(v, "benchmark")?,
-            machine_note: str_field(v, "machine_note")?,
-            tuples: num_field(v, "tuples")? as u64,
-            dim: num_field(v, "dim")? as usize,
-            batch: num_field(v, "batch")? as usize,
-            target: str_field(v, "target")?,
-            // Absent in artifacts recorded before fault injection existed.
-            restarts: match v.get("restarts") {
-                None => 0,
-                Some(_) => num_field(v, "restarts")? as u64,
-            },
-            // Absent in artifacts recorded before PE-level supervision.
-            pe_restarts: match v.get("pe_restarts") {
-                None => 0,
-                Some(_) => num_field(v, "pe_restarts")? as u64,
-            },
-            results,
-        };
-        if report.batch < 2 {
-            return Err("'batch' must be ≥ 2 (the batched column)".to_string());
-        }
-        if report.tuples == 0 {
-            return Err("'tuples' must be positive".to_string());
-        }
-        if report.restarts > 0 {
-            return Err(format!(
-                "'restarts' is {} — benchmark artifacts must be recorded fault-free",
-                report.restarts
-            ));
-        }
-        if report.pe_restarts > 0 {
-            return Err(format!(
-                "'pe_restarts' is {} — benchmark artifacts must be recorded fault-free",
-                report.pe_restarts
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Round-trips a report through text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&Json::parse(text)?)
-    }
-}
-
-/// One row of the kernel-dispatch benchmark: a (kernel, dimension) cell
-/// timed under the scalar backend and under the dispatched backend.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelBenchRow {
-    /// Kernel name: `"dot"`, `"axpy"` or `"gemm"`.
-    pub kernel: String,
-    /// Problem dimension (vector length; GEMM row/column count).
-    pub d: usize,
-    /// Median nanoseconds per call on the forced-scalar backend.
-    pub scalar_ns: f64,
-    /// Median nanoseconds per call on the dispatched backend.
-    pub dispatched_ns: f64,
-    /// `scalar_ns / dispatched_ns`.
-    pub speedup: f64,
-}
-
-/// The recorded kernel-dispatch benchmark artifact (`BENCH_kernels.json`).
-///
-/// Distinguished from [`EngineBenchReport`] by the `"schema": "kernels-v1"`
-/// discriminator field, which lets one CI gate validate both artifacts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelBenchReport {
-    /// What was measured and how.
-    pub benchmark: String,
-    /// Machine / build caveats for reproducing the numbers.
-    pub machine_note: String,
-    /// Backend the dispatcher selected (`"scalar"` on non-AVX2 hosts).
-    pub backend: String,
-    /// Timing repetitions per cell (the median is recorded).
-    pub reps: u64,
-    /// The acceptance target the grid was recorded against.
-    pub target: String,
-    /// One row per (kernel, dimension) cell.
-    pub results: Vec<KernelBenchRow>,
-}
-
-/// Value of the schema discriminator for [`KernelBenchReport`].
-pub const KERNELS_SCHEMA: &str = "kernels-v1";
-
-impl KernelBenchRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("kernel".into(), Json::Str(self.kernel.clone())),
-            ("d".into(), Json::Num(self.d as f64)),
-            ("scalar_ns".into(), Json::Num(self.scalar_ns)),
-            ("dispatched_ns".into(), Json::Num(self.dispatched_ns)),
-            ("speedup".into(), Json::Num(self.speedup)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let row = KernelBenchRow {
-            kernel: str_field(v, "kernel")?,
-            d: num_field(v, "d")? as usize,
-            scalar_ns: num_field(v, "scalar_ns")?,
-            dispatched_ns: num_field(v, "dispatched_ns")?,
-            speedup: num_field(v, "speedup")?,
-        };
-        if row.d == 0 {
-            return Err(format!("{}: zero dimension", row.kernel));
-        }
-        if row.scalar_ns <= 0.0 || row.dispatched_ns <= 0.0 {
-            return Err(format!("{}@{}: non-positive timing", row.kernel, row.d));
-        }
-        let expect = row.scalar_ns / row.dispatched_ns;
-        if (row.speedup - expect).abs() > 0.02 * expect {
-            return Err(format!(
-                "{}@{}: speedup {} inconsistent with medians (expected {expect:.3})",
-                row.kernel, row.d, row.speedup
-            ));
-        }
-        Ok(row)
-    }
-}
-
-impl KernelBenchReport {
-    /// Serializes to the committed artifact layout.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(KERNELS_SCHEMA.into())),
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("machine_note".into(), Json::Str(self.machine_note.clone())),
-            ("backend".into(), Json::Str(self.backend.clone())),
-            ("reps".into(), Json::Num(self.reps as f64)),
-            ("target".into(), Json::Str(self.target.clone())),
-            (
-                "results".into(),
-                Json::Arr(self.results.iter().map(|r| r.to_json()).collect()),
+const SERVING: Schema = Schema {
+    name: Some("serving-v1"),
+    fields: &[
+        ("benchmark", Text),
+        ("machine_note", Text),
+        ("cores", Natural),
+        ("dim", Natural),
+        ("tuples", Natural),
+        ("target", Text),
+        ("restarts", Count),
+        ("pe_restarts", Count),
+        ("clients", Natural),
+        ("requests", Natural),
+        ("qps", Positive),
+        ("p50_us", Positive),
+        ("p99_us", Positive),
+        ("p999_us", Positive),
+        ("baseline_tuples_per_s", Positive),
+        ("serving_tuples_per_s", Positive),
+        ("ingest_ratio", Positive),
+    ],
+    gates: &[
+        (Zero("restarts"), FAULT_FREE),
+        (Zero("pe_restarts"), FAULT_FREE),
+        (Le("p50_us", "p99_us"), MONOTONE),
+        (Le("p99_us", "p999_us"), MONOTONE),
+        (
+            Ratio(
+                "ingest_ratio",
+                "serving_tuples_per_s",
+                "baseline_tuples_per_s",
             ),
-        ])
-    }
+            DERIVED,
+        ),
+        (AtLeast("ingest_ratio", 0.9, SMALL_HOST), INGEST),
+    ],
+};
 
-    /// Parses and schema-checks an artifact. CI-gate strictness: missing
-    /// fields, wrong types, non-finite or non-positive timings, an
-    /// internally inconsistent speedup, a missing `dot`/`gemm` d=1000 row,
-    /// or (on a SIMD backend) a sub-1.5× speedup on those rows all fail.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        match field(v, "schema")?.as_str() {
-            Some(KERNELS_SCHEMA) => {}
-            other => return Err(format!("unexpected schema {other:?}")),
-        }
-        let results_json = field(v, "results")?
-            .as_arr()
-            .ok_or("field 'results' is not an array")?;
-        if results_json.is_empty() {
-            return Err("'results' is empty".to_string());
-        }
-        let results = results_json
-            .iter()
-            .map(KernelBenchRow::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let report = KernelBenchReport {
-            benchmark: str_field(v, "benchmark")?,
-            machine_note: str_field(v, "machine_note")?,
-            backend: str_field(v, "backend")?,
-            reps: num_field(v, "reps")? as u64,
-            target: str_field(v, "target")?,
-            results,
-        };
-        if report.reps == 0 {
-            return Err("'reps' must be positive".to_string());
-        }
-        for kernel in ["dot", "gemm"] {
-            let row = report
-                .results
-                .iter()
-                .find(|r| r.kernel == kernel && r.d == 1000)
-                .ok_or_else(|| format!("missing required row {kernel}@1000"))?;
-            if report.backend != "scalar" && row.speedup < 1.5 {
-                return Err(format!(
-                    "{kernel}@1000: speedup {:.3} below the 1.5x acceptance floor",
-                    row.speedup
-                ));
-            }
-        }
-        Ok(report)
-    }
-
-    /// Round-trips a report through text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&Json::parse(text)?)
-    }
-}
-
-/// One row of the backfill scaling sweep: a cold corpus backfill timed at
-/// a given worker-pool size.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackfillScalingRow {
-    /// Worker threads used.
-    pub workers: usize,
-    /// Median cold wall-clock seconds.
-    pub wall_s: f64,
-    /// `wall(1 worker) / wall(workers)`.
-    pub speedup: f64,
-}
-
-/// The recorded partitioned-backfill benchmark artifact
-/// (`BENCH_backfill.json`), discriminated by `"schema": "backfill-v1"`.
-///
-/// Three claims, all CI-gated by [`BackfillBenchReport::from_json`]:
-/// parallel scaling (≥2.5× at 4 workers — waived when the recording host
-/// has fewer than 4 cores, mirroring the kernels-v1 scalar-backend
-/// waiver), warm-store speedup (a full-cache-hit re-run ≥10× faster than
-/// cold), and O(partition) incrementality (adding k partitions recomputes
-/// exactly k).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackfillBenchReport {
-    /// What was measured and how.
-    pub benchmark: String,
-    /// Machine / build caveats for reproducing the numbers.
-    pub machine_note: String,
-    /// Cores available on the recording host (`available_parallelism`);
-    /// governs the scaling-floor waiver.
-    pub cores: usize,
-    /// Partitions in the backfill corpus.
-    pub partitions: u64,
-    /// Corpus rows.
-    pub rows: u64,
-    /// Row dimensionality.
-    pub dim: usize,
-    /// The acceptance target the artifact was recorded against.
-    pub target: String,
-    /// Engine restarts during recording (must be 0: backfill never runs
-    /// the fault machinery, and a faulted recording is not an artifact).
-    pub restarts: u64,
-    /// PE restarts during recording (must be 0, as above).
-    pub pe_restarts: u64,
-    /// Cold scaling sweep, one row per worker count.
-    pub scaling: Vec<BackfillScalingRow>,
-    /// Median cold wall seconds at the reference worker count.
-    pub cold_wall_s: f64,
-    /// Median warm (full cache hit) wall seconds at the same worker count.
-    pub warm_wall_s: f64,
-    /// `cold_wall_s / warm_wall_s`.
-    pub warm_speedup: f64,
-    /// Store hits observed on the warm run — must equal `partitions`.
-    pub warm_cache_hits: u64,
-    /// Partitions added for the incremental measurement.
-    pub incremental_added: u64,
-    /// Partitions recomputed when they were added — must equal
-    /// `incremental_added`.
-    pub incremental_recomputed: u64,
-}
-
-/// Value of the schema discriminator for [`BackfillBenchReport`].
-pub const BACKFILL_SCHEMA: &str = "backfill-v1";
-
-/// Scaling floor at 4 workers, and the core count below which it is
-/// unmeasurable and therefore waived.
-pub const BACKFILL_SCALING_FLOOR: f64 = 2.5;
-const BACKFILL_SCALING_WORKERS: usize = 4;
-/// Warm re-runs must beat cold runs by at least this factor.
-pub const BACKFILL_WARM_FLOOR: f64 = 10.0;
-
-impl BackfillScalingRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("workers".into(), Json::Num(self.workers as f64)),
-            ("wall_s".into(), Json::Num(self.wall_s)),
-            ("speedup".into(), Json::Num(self.speedup)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let row = BackfillScalingRow {
-            workers: num_field(v, "workers")? as usize,
-            wall_s: num_field(v, "wall_s")?,
-            speedup: num_field(v, "speedup")?,
-        };
-        if row.workers == 0 {
-            return Err("scaling row with zero workers".to_string());
-        }
-        if row.wall_s <= 0.0 {
-            return Err(format!("workers={}: non-positive wall time", row.workers));
-        }
-        Ok(row)
-    }
-}
-
-impl BackfillBenchReport {
-    /// Serializes to the committed artifact layout.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(BACKFILL_SCHEMA.into())),
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("machine_note".into(), Json::Str(self.machine_note.clone())),
-            ("cores".into(), Json::Num(self.cores as f64)),
-            ("partitions".into(), Json::Num(self.partitions as f64)),
-            ("rows".into(), Json::Num(self.rows as f64)),
-            ("dim".into(), Json::Num(self.dim as f64)),
-            ("target".into(), Json::Str(self.target.clone())),
-            ("restarts".into(), Json::Num(self.restarts as f64)),
-            ("pe_restarts".into(), Json::Num(self.pe_restarts as f64)),
-            (
-                "scaling".into(),
-                Json::Arr(self.scaling.iter().map(|r| r.to_json()).collect()),
-            ),
-            ("cold_wall_s".into(), Json::Num(self.cold_wall_s)),
-            ("warm_wall_s".into(), Json::Num(self.warm_wall_s)),
-            ("warm_speedup".into(), Json::Num(self.warm_speedup)),
-            (
-                "warm_cache_hits".into(),
-                Json::Num(self.warm_cache_hits as f64),
-            ),
-            (
-                "incremental_added".into(),
-                Json::Num(self.incremental_added as f64),
-            ),
-            (
-                "incremental_recomputed".into(),
-                Json::Num(self.incremental_recomputed as f64),
-            ),
-        ])
-    }
-
-    /// Parses and schema-checks an artifact. CI-gate strictness: on top of
-    /// the usual missing-field / type / finiteness checks, `restarts` and
-    /// `pe_restarts` must be 0, `warm_cache_hits` must equal `partitions`
-    /// (a warm recording that recomputed anything was not warm),
-    /// `warm_speedup` must clear the 10× floor and match the recorded wall
-    /// times within 2%, the incremental run must have recomputed exactly
-    /// the partitions it added, and the 4-worker scaling row must clear
-    /// the 2.5× floor — unless the recording host had fewer than 4 cores,
-    /// where physical scaling is unmeasurable and the floor is waived
-    /// (the kernels-v1 scalar-backend precedent).
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        match field(v, "schema")?.as_str() {
-            Some(BACKFILL_SCHEMA) => {}
-            other => return Err(format!("unexpected schema {other:?}")),
-        }
-        let scaling_json = field(v, "scaling")?
-            .as_arr()
-            .ok_or("field 'scaling' is not an array")?;
-        if scaling_json.is_empty() {
-            return Err("'scaling' is empty".to_string());
-        }
-        let scaling = scaling_json
-            .iter()
-            .map(BackfillScalingRow::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let report = BackfillBenchReport {
-            benchmark: str_field(v, "benchmark")?,
-            machine_note: str_field(v, "machine_note")?,
-            cores: num_field(v, "cores")? as usize,
-            partitions: num_field(v, "partitions")? as u64,
-            rows: num_field(v, "rows")? as u64,
-            dim: num_field(v, "dim")? as usize,
-            target: str_field(v, "target")?,
-            restarts: num_field(v, "restarts")? as u64,
-            pe_restarts: num_field(v, "pe_restarts")? as u64,
-            scaling,
-            cold_wall_s: num_field(v, "cold_wall_s")?,
-            warm_wall_s: num_field(v, "warm_wall_s")?,
-            warm_speedup: num_field(v, "warm_speedup")?,
-            warm_cache_hits: num_field(v, "warm_cache_hits")? as u64,
-            incremental_added: num_field(v, "incremental_added")? as u64,
-            incremental_recomputed: num_field(v, "incremental_recomputed")? as u64,
-        };
-        if report.cores == 0 {
-            return Err("'cores' must be positive".to_string());
-        }
-        if report.partitions == 0 {
-            return Err("'partitions' must be positive".to_string());
-        }
-        if report.restarts > 0 || report.pe_restarts > 0 {
-            return Err(format!(
-                "restarts {} / pe_restarts {} — benchmark artifacts must be recorded fault-free",
-                report.restarts, report.pe_restarts
-            ));
-        }
-        if report.warm_cache_hits != report.partitions {
-            return Err(format!(
-                "warm run hit the store {} times for {} partitions — not a warm recording",
-                report.warm_cache_hits, report.partitions
-            ));
-        }
-        if report.cold_wall_s <= 0.0 || report.warm_wall_s <= 0.0 {
-            return Err("non-positive cold/warm wall time".to_string());
-        }
-        let expect_warm = report.cold_wall_s / report.warm_wall_s;
-        if (report.warm_speedup - expect_warm).abs() > 0.02 * expect_warm {
-            return Err(format!(
-                "warm_speedup {} inconsistent with walls (expected {expect_warm:.3})",
-                report.warm_speedup
-            ));
-        }
-        if report.warm_speedup < BACKFILL_WARM_FLOOR {
-            return Err(format!(
-                "warm_speedup {:.2} below the {BACKFILL_WARM_FLOOR}x acceptance floor",
-                report.warm_speedup
-            ));
-        }
-        if report.incremental_added == 0 {
-            return Err("'incremental_added' must be positive".to_string());
-        }
-        if report.incremental_recomputed != report.incremental_added {
-            return Err(format!(
-                "adding {} partition(s) recomputed {} — incrementality is O(partition), \
-                 recomputed must equal added",
-                report.incremental_added, report.incremental_recomputed
-            ));
-        }
-        let base = report
-            .scaling
-            .iter()
-            .find(|r| r.workers == 1)
-            .ok_or("missing required scaling row at 1 worker")?;
-        for row in &report.scaling {
-            let expect = base.wall_s / row.wall_s;
-            if (row.speedup - expect).abs() > 0.02 * expect.abs() {
-                return Err(format!(
-                    "workers={}: speedup {} inconsistent with walls (expected {expect:.3})",
-                    row.workers, row.speedup
-                ));
-            }
-        }
-        let four = report
-            .scaling
-            .iter()
-            .find(|r| r.workers == BACKFILL_SCALING_WORKERS)
-            .ok_or("missing required scaling row at 4 workers")?;
-        if report.cores >= BACKFILL_SCALING_WORKERS && four.speedup < BACKFILL_SCALING_FLOOR {
-            return Err(format!(
-                "4-worker speedup {:.3} below the {BACKFILL_SCALING_FLOOR}x acceptance floor \
-                 on a {}-core host",
-                four.speedup, report.cores
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Round-trips a report through text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&Json::parse(text)?)
-    }
-}
-
-/// The recorded always-on-serving benchmark artifact
-/// (`BENCH_serving.json`), discriminated by `"schema": "serving-v1"`.
-///
-/// Three claims, all CI-gated by [`ServingBenchReport::from_json`]: the
-/// server sustains the recorded QPS with sane latency quantiles
-/// (p50 ≤ p99 ≤ p999), the recording ran fault-free (restarts and PE
-/// restarts both zero), and serving costs the ingest path at most 10%
-/// throughput (`ingest_ratio ≥ 0.9` — waived when the recording host has
-/// fewer than 4 cores, where the query clients and the engines fight for
-/// the same cores and the degradation measures the scheduler, not the
-/// serving design; the backfill-v1 scaling-floor precedent).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingBenchReport {
-    /// What was measured and how.
-    pub benchmark: String,
-    /// Machine / build caveats for reproducing the numbers.
-    pub machine_note: String,
-    /// Cores available on the recording host (`available_parallelism`);
-    /// governs the ingest-ratio waiver.
-    pub cores: usize,
-    /// Row dimensionality of the served eigensystem.
-    pub dim: usize,
-    /// Tuples ingested per measured run.
-    pub tuples: u64,
-    /// The acceptance target the artifact was recorded against.
-    pub target: String,
-    /// Operator restarts during recording (must be 0).
-    pub restarts: u64,
-    /// Whole-PE restarts during recording (must be 0).
-    pub pe_restarts: u64,
-    /// Concurrent query clients driving load.
-    pub clients: usize,
-    /// Total queries answered during the measured window.
-    pub requests: u64,
-    /// Sustained queries per second over the measured window.
-    pub qps: f64,
-    /// Median query latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile query latency, microseconds.
-    pub p99_us: f64,
-    /// 99.9th-percentile query latency, microseconds.
-    pub p999_us: f64,
-    /// Ingest throughput with serving disabled (tuples/s).
-    pub baseline_tuples_per_s: f64,
-    /// Ingest throughput under full query load (tuples/s).
-    pub serving_tuples_per_s: f64,
-    /// `serving_tuples_per_s / baseline_tuples_per_s`.
-    pub ingest_ratio: f64,
-}
-
-/// Value of the schema discriminator for [`ServingBenchReport`].
-pub const SERVING_SCHEMA: &str = "serving-v1";
-
-/// Serving may cost the ingest path at most this fraction of its
-/// no-serving throughput, and the core count below which the floor is
-/// unmeasurable and therefore waived.
-pub const SERVING_INGEST_FLOOR: f64 = 0.9;
-const SERVING_MIN_CORES: usize = 4;
-
-impl ServingBenchReport {
-    /// Serializes to the committed artifact layout.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(SERVING_SCHEMA.into())),
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("machine_note".into(), Json::Str(self.machine_note.clone())),
-            ("cores".into(), Json::Num(self.cores as f64)),
-            ("dim".into(), Json::Num(self.dim as f64)),
-            ("tuples".into(), Json::Num(self.tuples as f64)),
-            ("target".into(), Json::Str(self.target.clone())),
-            ("restarts".into(), Json::Num(self.restarts as f64)),
-            ("pe_restarts".into(), Json::Num(self.pe_restarts as f64)),
-            ("clients".into(), Json::Num(self.clients as f64)),
-            ("requests".into(), Json::Num(self.requests as f64)),
-            ("qps".into(), Json::Num(self.qps)),
-            ("p50_us".into(), Json::Num(self.p50_us)),
-            ("p99_us".into(), Json::Num(self.p99_us)),
-            ("p999_us".into(), Json::Num(self.p999_us)),
-            (
-                "baseline_tuples_per_s".into(),
-                Json::Num(self.baseline_tuples_per_s),
-            ),
-            (
-                "serving_tuples_per_s".into(),
-                Json::Num(self.serving_tuples_per_s),
-            ),
-            ("ingest_ratio".into(), Json::Num(self.ingest_ratio)),
-        ])
-    }
-
-    /// Parses and schema-checks an artifact. CI-gate strictness: on top
-    /// of the usual missing-field / type / finiteness checks, `restarts`
-    /// and `pe_restarts` must be 0, latency quantiles must be positive
-    /// and monotone (p50 ≤ p99 ≤ p999), `qps` must agree with
-    /// `requests / (tuples-window)`-free recording to the extent the
-    /// artifact can express (positive and finite), `ingest_ratio` must
-    /// match the recorded throughputs within 2%, and the ratio must
-    /// clear the 0.9× floor — unless the recording host had fewer than
-    /// 4 cores, where the floor is waived.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        match field(v, "schema")?.as_str() {
-            Some(SERVING_SCHEMA) => {}
-            other => return Err(format!("unexpected schema {other:?}")),
-        }
-        let report = ServingBenchReport {
-            benchmark: str_field(v, "benchmark")?,
-            machine_note: str_field(v, "machine_note")?,
-            cores: num_field(v, "cores")? as usize,
-            dim: num_field(v, "dim")? as usize,
-            tuples: num_field(v, "tuples")? as u64,
-            target: str_field(v, "target")?,
-            restarts: num_field(v, "restarts")? as u64,
-            pe_restarts: num_field(v, "pe_restarts")? as u64,
-            clients: num_field(v, "clients")? as usize,
-            requests: num_field(v, "requests")? as u64,
-            qps: num_field(v, "qps")?,
-            p50_us: num_field(v, "p50_us")?,
-            p99_us: num_field(v, "p99_us")?,
-            p999_us: num_field(v, "p999_us")?,
-            baseline_tuples_per_s: num_field(v, "baseline_tuples_per_s")?,
-            serving_tuples_per_s: num_field(v, "serving_tuples_per_s")?,
-            ingest_ratio: num_field(v, "ingest_ratio")?,
-        };
-        if report.cores == 0 {
-            return Err("'cores' must be positive".to_string());
-        }
-        if report.dim == 0 || report.tuples == 0 {
-            return Err("'dim' and 'tuples' must be positive".to_string());
-        }
-        if report.restarts > 0 || report.pe_restarts > 0 {
-            return Err(format!(
-                "restarts {} / pe_restarts {} — benchmark artifacts must be recorded fault-free",
-                report.restarts, report.pe_restarts
-            ));
-        }
-        if report.clients == 0 || report.requests == 0 {
-            return Err("'clients' and 'requests' must be positive".to_string());
-        }
-        if report.qps <= 0.0 {
-            return Err("'qps' must be positive".to_string());
-        }
-        if report.p50_us <= 0.0 {
-            return Err("'p50_us' must be positive".to_string());
-        }
-        if report.p50_us > report.p99_us || report.p99_us > report.p999_us {
-            return Err(format!(
-                "latency quantiles must be monotone: p50 {} / p99 {} / p999 {}",
-                report.p50_us, report.p99_us, report.p999_us
-            ));
-        }
-        if report.baseline_tuples_per_s <= 0.0 || report.serving_tuples_per_s <= 0.0 {
-            return Err("ingest throughputs must be positive".to_string());
-        }
-        let expect = report.serving_tuples_per_s / report.baseline_tuples_per_s;
-        if (report.ingest_ratio - expect).abs() > 0.02 * expect {
-            return Err(format!(
-                "ingest_ratio {} inconsistent with throughputs (expected {expect:.3})",
-                report.ingest_ratio
-            ));
-        }
-        if report.cores >= SERVING_MIN_CORES && report.ingest_ratio < SERVING_INGEST_FLOOR {
-            return Err(format!(
-                "ingest_ratio {:.3} below the {SERVING_INGEST_FLOOR} acceptance floor \
-                 on a {}-core host — serving must not cost ingest more than 10%",
-                report.ingest_ratio, report.cores
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Round-trips a report through text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&Json::parse(text)?)
-    }
-}
-
-/// The recorded wire-transport benchmark artifact (`BENCH_net.json`),
-/// discriminated by `"schema": "net-v1"`.
-///
-/// Three claims, all CI-gated by [`NetBenchReport::from_json`]: the
-/// columnar frame codec beats the CSV text path it replaced by at least
-/// 5× round-trip at d = 1000 with zero steady-state allocations, the
-/// real 2-process loopback run holds at least 0.5× of the in-process
-/// single-address-space throughput (waived below 4 cores, where the two
-/// processes time-slice one core and the ratio measures the scheduler),
-/// and the recording ran fault-free (no restarts, no respawns). The
-/// measured per-message overhead is the calibration constant for the
-/// cluster cost model's modeled network delay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetBenchReport {
-    /// What was measured and how.
-    pub benchmark: String,
-    /// Machine / build caveats for reproducing the numbers.
-    pub machine_note: String,
-    /// Cores available on the recording host (`available_parallelism`);
-    /// governs the distributed-ratio waiver.
-    pub cores: usize,
-    /// Observation dimensionality of the codec microbenchmark.
-    pub dim: usize,
-    /// Tuples per encoded frame.
-    pub batch: usize,
-    /// Tuples pushed through the codec per measured repetition.
-    pub tuples: u64,
-    /// The acceptance target the artifact was recorded against.
-    pub target: String,
-    /// Operator restarts plus worker respawns during the distributed
-    /// recording (must be 0 — artifacts are recorded fault-free).
-    pub restarts: u64,
-    /// Codec encode throughput over wire bytes, GB/s.
-    pub codec_encode_gbps: f64,
-    /// Codec decode throughput over wire bytes, GB/s.
-    pub codec_decode_gbps: f64,
-    /// Encode + decode round trips, tuples/s.
-    pub codec_roundtrip_tuples_per_s: f64,
-    /// CSV format + parse round trips of the same observations, tuples/s.
-    pub csv_roundtrip_tuples_per_s: f64,
-    /// `codec_roundtrip_tuples_per_s / csv_roundtrip_tuples_per_s`.
-    pub codec_vs_csv: f64,
-    /// Heap allocations during the measured codec stretch (must be 0).
-    pub codec_steady_allocs: u64,
-    /// Encoded frame size per tuple, bytes — the wire footprint.
-    pub frame_bytes_per_tuple: f64,
-    /// In-process baseline (`--workers 0`) ingest throughput, tuples/s.
-    pub local_tuples_per_s: f64,
-    /// 2-process loopback distributed ingest throughput, tuples/s.
-    pub dist_tuples_per_s: f64,
-    /// `dist_tuples_per_s / local_tuples_per_s`.
-    pub dist_ratio: f64,
-    /// Measured per-message overhead on loopback TCP (half the round
-    /// trip of a frame-sized message), microseconds. Calibrates the
-    /// cluster cost model's `network_delay_us`.
-    pub per_message_overhead_us: f64,
-}
-
-/// Value of the schema discriminator for [`NetBenchReport`].
-pub const NET_SCHEMA: &str = "net-v1";
-
-/// The codec must beat the CSV path it replaced by at least this factor
-/// round-trip at the recorded dimensionality.
-pub const NET_CODEC_FLOOR: f64 = 5.0;
-
-/// The 2-process loopback run must hold this fraction of in-process
-/// throughput, and the core count below which the floor is unmeasurable
-/// (two processes on one core measure time-slicing) and therefore waived.
-pub const NET_DIST_FLOOR: f64 = 0.5;
-const NET_MIN_CORES: usize = 4;
-
-impl NetBenchReport {
-    /// Serializes to the committed artifact layout.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(NET_SCHEMA.into())),
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("machine_note".into(), Json::Str(self.machine_note.clone())),
-            ("cores".into(), Json::Num(self.cores as f64)),
-            ("dim".into(), Json::Num(self.dim as f64)),
-            ("batch".into(), Json::Num(self.batch as f64)),
-            ("tuples".into(), Json::Num(self.tuples as f64)),
-            ("target".into(), Json::Str(self.target.clone())),
-            ("restarts".into(), Json::Num(self.restarts as f64)),
-            (
-                "codec_encode_gbps".into(),
-                Json::Num(self.codec_encode_gbps),
-            ),
-            (
-                "codec_decode_gbps".into(),
-                Json::Num(self.codec_decode_gbps),
-            ),
-            (
-                "codec_roundtrip_tuples_per_s".into(),
-                Json::Num(self.codec_roundtrip_tuples_per_s),
-            ),
-            (
-                "csv_roundtrip_tuples_per_s".into(),
-                Json::Num(self.csv_roundtrip_tuples_per_s),
-            ),
-            ("codec_vs_csv".into(), Json::Num(self.codec_vs_csv)),
-            (
-                "codec_steady_allocs".into(),
-                Json::Num(self.codec_steady_allocs as f64),
-            ),
-            (
-                "frame_bytes_per_tuple".into(),
-                Json::Num(self.frame_bytes_per_tuple),
-            ),
-            (
-                "local_tuples_per_s".into(),
-                Json::Num(self.local_tuples_per_s),
-            ),
-            (
-                "dist_tuples_per_s".into(),
-                Json::Num(self.dist_tuples_per_s),
-            ),
-            ("dist_ratio".into(), Json::Num(self.dist_ratio)),
-            (
-                "per_message_overhead_us".into(),
-                Json::Num(self.per_message_overhead_us),
-            ),
-        ])
-    }
-
-    /// Parses and schema-checks an artifact. CI-gate strictness: on top
-    /// of the usual missing-field / type / finiteness checks, the derived
-    /// ratios must agree with their numerators and denominators within
-    /// 2%, `codec_vs_csv` must clear the 5× floor, `codec_steady_allocs`
-    /// and `restarts` must be 0, and `dist_ratio` must clear the 0.5×
-    /// floor unless the recording host had fewer than 4 cores.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        match field(v, "schema")?.as_str() {
-            Some(NET_SCHEMA) => {}
-            other => return Err(format!("unexpected schema {other:?}")),
-        }
-        let report = NetBenchReport {
-            benchmark: str_field(v, "benchmark")?,
-            machine_note: str_field(v, "machine_note")?,
-            cores: num_field(v, "cores")? as usize,
-            dim: num_field(v, "dim")? as usize,
-            batch: num_field(v, "batch")? as usize,
-            tuples: num_field(v, "tuples")? as u64,
-            target: str_field(v, "target")?,
-            restarts: num_field(v, "restarts")? as u64,
-            codec_encode_gbps: num_field(v, "codec_encode_gbps")?,
-            codec_decode_gbps: num_field(v, "codec_decode_gbps")?,
-            codec_roundtrip_tuples_per_s: num_field(v, "codec_roundtrip_tuples_per_s")?,
-            csv_roundtrip_tuples_per_s: num_field(v, "csv_roundtrip_tuples_per_s")?,
-            codec_vs_csv: num_field(v, "codec_vs_csv")?,
-            codec_steady_allocs: num_field(v, "codec_steady_allocs")? as u64,
-            frame_bytes_per_tuple: num_field(v, "frame_bytes_per_tuple")?,
-            local_tuples_per_s: num_field(v, "local_tuples_per_s")?,
-            dist_tuples_per_s: num_field(v, "dist_tuples_per_s")?,
-            dist_ratio: num_field(v, "dist_ratio")?,
-            per_message_overhead_us: num_field(v, "per_message_overhead_us")?,
-        };
-        if report.cores == 0 {
-            return Err("'cores' must be positive".to_string());
-        }
-        if report.dim == 0 || report.batch == 0 || report.tuples == 0 {
-            return Err("'dim', 'batch', and 'tuples' must be positive".to_string());
-        }
-        if report.restarts > 0 {
-            return Err(format!(
-                "restarts {} — benchmark artifacts must be recorded fault-free",
-                report.restarts
-            ));
-        }
-        for (name, x) in [
-            ("codec_encode_gbps", report.codec_encode_gbps),
-            ("codec_decode_gbps", report.codec_decode_gbps),
-            (
+const NET: Schema = Schema {
+    name: Some("net-v1"),
+    fields: &[
+        ("benchmark", Text),
+        ("machine_note", Text),
+        ("cores", Natural),
+        ("dim", Natural),
+        ("batch", Natural),
+        ("tuples", Natural),
+        ("target", Text),
+        ("restarts", Count),
+        ("codec_encode_gbps", Positive),
+        ("codec_decode_gbps", Positive),
+        ("codec_roundtrip_tuples_per_s", Positive),
+        ("csv_roundtrip_tuples_per_s", Positive),
+        ("codec_vs_csv", Positive),
+        ("codec_steady_allocs", Count),
+        ("frame_bytes_per_tuple", Positive),
+        ("local_tuples_per_s", Positive),
+        ("dist_tuples_per_s", Positive),
+        ("dist_ratio", Positive),
+        ("per_message_overhead_us", Positive),
+    ],
+    gates: &[
+        (Zero("restarts"), FAULT_FREE),
+        (
+            Ratio(
+                "codec_vs_csv",
                 "codec_roundtrip_tuples_per_s",
-                report.codec_roundtrip_tuples_per_s,
-            ),
-            (
                 "csv_roundtrip_tuples_per_s",
-                report.csv_roundtrip_tuples_per_s,
             ),
-            ("frame_bytes_per_tuple", report.frame_bytes_per_tuple),
-            ("local_tuples_per_s", report.local_tuples_per_s),
-            ("dist_tuples_per_s", report.dist_tuples_per_s),
-            ("per_message_overhead_us", report.per_message_overhead_us),
-        ] {
-            if x <= 0.0 {
-                return Err(format!("'{name}' must be positive"));
-            }
-        }
-        let expect = report.codec_roundtrip_tuples_per_s / report.csv_roundtrip_tuples_per_s;
-        if (report.codec_vs_csv - expect).abs() > 0.02 * expect {
-            return Err(format!(
-                "codec_vs_csv {} inconsistent with the recorded rates (expected {expect:.3})",
-                report.codec_vs_csv
-            ));
-        }
-        if report.codec_vs_csv < NET_CODEC_FLOOR {
-            return Err(format!(
-                "codec_vs_csv {:.2} below the {NET_CODEC_FLOOR}x acceptance floor at d = {}",
-                report.codec_vs_csv, report.dim
-            ));
-        }
-        if report.codec_steady_allocs > 0 {
-            return Err(format!(
-                "codec_steady_allocs {} — the codec hot path must not allocate in steady state",
-                report.codec_steady_allocs
-            ));
-        }
-        let expect = report.dist_tuples_per_s / report.local_tuples_per_s;
-        if (report.dist_ratio - expect).abs() > 0.02 * expect {
-            return Err(format!(
-                "dist_ratio {} inconsistent with the recorded throughputs (expected {expect:.3})",
-                report.dist_ratio
-            ));
-        }
-        if report.cores >= NET_MIN_CORES && report.dist_ratio < NET_DIST_FLOOR {
-            return Err(format!(
-                "dist_ratio {:.3} below the {NET_DIST_FLOOR}x acceptance floor on a {}-core \
-                 host — the wire transport must not halve throughput on loopback",
-                report.dist_ratio, report.cores
-            ));
-        }
-        Ok(report)
-    }
+            DERIVED,
+        ),
+        (AtLeast("codec_vs_csv", 5.0, None), CODEC),
+        (Zero("codec_steady_allocs"), NO_ALLOC),
+        (
+            Ratio("dist_ratio", "dist_tuples_per_s", "local_tuples_per_s"),
+            DERIVED,
+        ),
+        (AtLeast("dist_ratio", 0.5, SMALL_HOST), WIRE),
+    ],
+};
 
-    /// Round-trips a report through text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&Json::parse(text)?)
+const ELASTIC: Schema = Schema {
+    name: Some("elastic-v1"),
+    fields: &[
+        ("benchmark", Text),
+        ("machine_note", Text),
+        ("cores", Natural),
+        ("dim", Natural),
+        ("tuples", Natural),
+        ("target", Text),
+        ("restarts", Count),
+        ("pe_restarts", Count),
+        ("scale_outs", Count),
+        ("scale_ins", Count),
+        ("tuple_loss", Count),
+        ("scale_out_latency_ms", Positive),
+        ("scale_in_latency_ms", Positive),
+        ("consistency", NonNegative),
+        ("max_engines", Count),
+        ("final_engines", Count),
+    ],
+    gates: &[
+        (Zero("restarts"), FAULT_FREE),
+        (Zero("pe_restarts"), FAULT_FREE),
+        (AtLeast("scale_outs", 1.0, None), EACH_WAY),
+        (AtLeast("scale_ins", 1.0, None), EACH_WAY),
+        (Zero("tuple_loss"), CONSERVE),
+        (AtMost("consistency", 0.25, None), DRIFT),
+        (AtLeast("final_engines", 1.0, None), FLEET),
+        (Le("final_engines", "max_engines"), FLEET),
+        (AtMost("scale_out_latency_ms", 1000.0, SMALL_HOST), RESCALE),
+        (AtMost("scale_in_latency_ms", 1000.0, SMALL_HOST), RESCALE),
+    ],
+};
+
+/// What [`validate`] found: the gates that held, and each gate it waived
+/// with what the artifact says made it unmeasurable.
+#[derive(Debug)]
+pub struct Verdict {
+    /// The schema's discriminator (`"engine"` for the grid without one).
+    pub schema: &'static str,
+    /// Gates evaluated and passed; a row rule counts once per row.
+    pub held: usize,
+    /// One line per waived gate.
+    pub waived: Vec<String>,
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}; {} gates held", self.schema, self.held)?;
+        self.waived
+            .iter()
+            .try_for_each(|w| write!(f, "; WAIVED: {w}"))
     }
 }
 
-/// The recorded elastic-rescale benchmark (`BENCH_elastic.json`). The
-/// gates encode the autoscaling acceptance bar: a run that scales out
-/// and back in mid-stream must lose zero tuples, must stay fault-free
-/// (no restarts, no PE restarts — rescales are not failures), and the
-/// final merged eigensystem must agree with a fixed-fleet reference over
-/// the same observations within the documented subspace tolerance.
-/// Rescale latency (bootstrap + admission for scale-out, drain + merge
-/// for scale-in) is gated below a generous ceiling — waived when the
-/// recording host has fewer than 4 cores, where every thread time-slices
-/// and the latency measures the scheduler, not the migration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ElasticBenchReport {
-    /// What was measured and how.
-    pub benchmark: String,
-    /// Machine / build caveats for reproducing the numbers.
-    pub machine_note: String,
-    /// Cores available on the recording host (`available_parallelism`);
-    /// governs the rescale-latency waiver.
-    pub cores: usize,
-    /// Observation dimensionality.
-    pub dim: usize,
-    /// Total tuples streamed through the elastic run.
-    pub tuples: u64,
-    /// The acceptance target the artifact was recorded against.
-    pub target: String,
-    /// Operator restarts during the recording (must be 0 — a rescale is
-    /// not a failure and must not be absorbed by the restart machinery).
-    pub restarts: u64,
-    /// Whole-PE restarts during the recording (must be 0).
-    pub pe_restarts: u64,
-    /// Engines admitted across the run (from the run report; ≥ 1).
-    pub scale_outs: u64,
-    /// Engines retired across the run (from the run report; ≥ 1).
-    pub scale_ins: u64,
-    /// `source tuples_out − Σ pca tuples_in` (must be 0).
-    pub tuple_loss: u64,
-    /// Wall-clock of the scale-out migration: checkpoint-format
-    /// bootstrap + membership flip, milliseconds.
-    pub scale_out_latency_ms: f64,
-    /// Wall-clock of the scale-in migration: membership flip + drain +
-    /// final merge, milliseconds.
-    pub scale_in_latency_ms: f64,
-    /// Subspace distance between the elastic run's merged eigensystem
-    /// and the fixed-fleet reference over the same observations.
-    pub consistency: f64,
-    /// Provisioned engine ceiling of the elastic run.
-    pub max_engines: usize,
-    /// Active fleet size when the stream ended.
-    pub final_engines: usize,
+/// The CI gate: picks the schema by the artifact's discriminator, checks
+/// every declared field is present and of its kind, then runs the gates.
+pub fn validate(doc: &Json) -> Result<Verdict, String> {
+    let name = match doc.get("schema") {
+        None => None,
+        Some(v) => Some(v.as_str().ok_or("field 'schema' is not a string")?),
+    };
+    let schema = SCHEMAS
+        .iter()
+        .find(|s| s.name == name)
+        .ok_or_else(|| format!("unknown schema {name:?}"))?;
+    let mut verdict = Verdict {
+        schema: schema.name.unwrap_or("engine"),
+        held: 0,
+        waived: Vec::new(),
+    };
+    check(doc, doc, schema.fields, schema.gates, "", &mut verdict)?;
+    Ok(verdict)
 }
 
-/// Value of the schema discriminator for [`ElasticBenchReport`].
-pub const ELASTIC_SCHEMA: &str = "elastic-v1";
-
-/// Documented consistency bound: the elastic run and its fixed-fleet
-/// reference must agree to this subspace distance (mirrors
-/// `crates/engine/tests/elastic.rs`).
-pub const ELASTIC_CONSISTENCY_TOL: f64 = 0.25;
-
-/// A single rescale (bootstrap or drain + merge, excluding stream time)
-/// must complete within this many milliseconds on a multi-core host.
-pub const ELASTIC_LATENCY_CEILING_MS: f64 = 1_000.0;
-const ELASTIC_MIN_CORES: usize = 4;
-
-impl ElasticBenchReport {
-    /// Serializes to the committed artifact layout.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(ELASTIC_SCHEMA.into())),
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("machine_note".into(), Json::Str(self.machine_note.clone())),
-            ("cores".into(), Json::Num(self.cores as f64)),
-            ("dim".into(), Json::Num(self.dim as f64)),
-            ("tuples".into(), Json::Num(self.tuples as f64)),
-            ("target".into(), Json::Str(self.target.clone())),
-            ("restarts".into(), Json::Num(self.restarts as f64)),
-            ("pe_restarts".into(), Json::Num(self.pe_restarts as f64)),
-            ("scale_outs".into(), Json::Num(self.scale_outs as f64)),
-            ("scale_ins".into(), Json::Num(self.scale_ins as f64)),
-            ("tuple_loss".into(), Json::Num(self.tuple_loss as f64)),
-            (
-                "scale_out_latency_ms".into(),
-                Json::Num(self.scale_out_latency_ms),
+/// `obj` — the artifact, or one of its rows — holds every field at its
+/// kind and passes every rule.
+fn check(
+    doc: &Json,
+    obj: &Json,
+    fields: &[Field],
+    rules: &[Rule],
+    at: &str,
+    verdict: &mut Verdict,
+) -> Result<(), String> {
+    for &(key, kind) in fields {
+        let v = obj
+            .get(key)
+            .ok_or_else(|| format!("{at}missing field '{key}'"))?;
+        let num = v.as_f64().filter(|n| n.is_finite());
+        let int = num.filter(|n| n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0);
+        let (ok, want) = match kind {
+            Text => (v.as_str().is_some(), "a string"),
+            Flag => (v.as_bool().is_some(), "a bool"),
+            Count => (
+                int.is_some_and(|n| n >= 0.0),
+                "a count (a non-negative integer)",
             ),
-            (
-                "scale_in_latency_ms".into(),
-                Json::Num(self.scale_in_latency_ms),
+            Natural => (int.is_some_and(|n| n >= 1.0), "a count of at least 1"),
+            Positive => (num.is_some_and(|n| n > 0.0), "a positive finite number"),
+            NonNegative => (
+                num.is_some_and(|n| n >= 0.0),
+                "a non-negative finite number",
             ),
-            ("consistency".into(), Json::Num(self.consistency)),
-            ("max_engines".into(), Json::Num(self.max_engines as f64)),
-            ("final_engines".into(), Json::Num(self.final_engines as f64)),
-        ])
-    }
-
-    /// Parses and schema-checks an artifact. CI-gate strictness: a
-    /// recorded elastic run must contain at least one scale-out and one
-    /// scale-in, zero tuple loss, zero restarts of either kind, a
-    /// consistency distance within [`ELASTIC_CONSISTENCY_TOL`], a final
-    /// fleet within `1..=max_engines`, and rescale latencies under
-    /// [`ELASTIC_LATENCY_CEILING_MS`] unless the recording host had
-    /// fewer than 4 cores.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        match field(v, "schema")?.as_str() {
-            Some(ELASTIC_SCHEMA) => {}
-            other => return Err(format!("unexpected schema {other:?}")),
-        }
-        let report = ElasticBenchReport {
-            benchmark: str_field(v, "benchmark")?,
-            machine_note: str_field(v, "machine_note")?,
-            cores: num_field(v, "cores")? as usize,
-            dim: num_field(v, "dim")? as usize,
-            tuples: num_field(v, "tuples")? as u64,
-            target: str_field(v, "target")?,
-            restarts: num_field(v, "restarts")? as u64,
-            pe_restarts: num_field(v, "pe_restarts")? as u64,
-            scale_outs: num_field(v, "scale_outs")? as u64,
-            scale_ins: num_field(v, "scale_ins")? as u64,
-            tuple_loss: num_field(v, "tuple_loss")? as u64,
-            scale_out_latency_ms: num_field(v, "scale_out_latency_ms")?,
-            scale_in_latency_ms: num_field(v, "scale_in_latency_ms")?,
-            consistency: num_field(v, "consistency")?,
-            max_engines: num_field(v, "max_engines")? as usize,
-            final_engines: num_field(v, "final_engines")? as usize,
-        };
-        if report.cores == 0 {
-            return Err("'cores' must be positive".to_string());
-        }
-        if report.dim == 0 || report.tuples == 0 {
-            return Err("'dim' and 'tuples' must be positive".to_string());
-        }
-        if report.restarts > 0 || report.pe_restarts > 0 {
-            return Err(format!(
-                "restarts {} / pe_restarts {} — a rescale is not a failure; elastic artifacts \
-                 must be recorded fault-free",
-                report.restarts, report.pe_restarts
-            ));
-        }
-        if report.scale_outs == 0 || report.scale_ins == 0 {
-            return Err(format!(
-                "scale_outs {} / scale_ins {} — the recorded run must contain at least one \
-                 rescale in each direction",
-                report.scale_outs, report.scale_ins
-            ));
-        }
-        if report.tuple_loss > 0 {
-            return Err(format!(
-                "tuple_loss {} — rescales must conserve every tuple",
-                report.tuple_loss
-            ));
-        }
-        for (name, x) in [
-            ("scale_out_latency_ms", report.scale_out_latency_ms),
-            ("scale_in_latency_ms", report.scale_in_latency_ms),
-        ] {
-            if !x.is_finite() || x <= 0.0 {
-                return Err(format!("'{name}' must be positive and finite"));
-            }
-        }
-        if !report.consistency.is_finite() || report.consistency < 0.0 {
-            return Err("'consistency' must be a finite non-negative distance".to_string());
-        }
-        if report.consistency > ELASTIC_CONSISTENCY_TOL {
-            return Err(format!(
-                "consistency {:.4} above the {ELASTIC_CONSISTENCY_TOL} subspace tolerance — the \
-                 elastic run diverged from its fixed-fleet reference",
-                report.consistency
-            ));
-        }
-        if report.max_engines == 0
-            || report.final_engines == 0
-            || report.final_engines > report.max_engines
-        {
-            return Err(format!(
-                "final_engines {} outside 1..=max_engines ({})",
-                report.final_engines, report.max_engines
-            ));
-        }
-        if report.cores >= ELASTIC_MIN_CORES {
-            for (name, x) in [
-                ("scale_out_latency_ms", report.scale_out_latency_ms),
-                ("scale_in_latency_ms", report.scale_in_latency_ms),
-            ] {
-                if x > ELASTIC_LATENCY_CEILING_MS {
-                    return Err(format!(
-                        "{name} {x:.1} above the {ELASTIC_LATENCY_CEILING_MS} ms ceiling on a \
-                         {}-core host",
-                        report.cores
-                    ));
+            Rows(inner, row_rules) => {
+                let rows = v.as_arr().unwrap_or_default();
+                for (i, row) in rows.iter().enumerate() {
+                    check(
+                        doc,
+                        row,
+                        inner,
+                        row_rules,
+                        &format!("{key}[{i}]: "),
+                        verdict,
+                    )?;
                 }
+                (!rows.is_empty(), "a non-empty array of rows")
             }
+        };
+        if !ok {
+            return Err(format!("{at}field '{key}' is {v}, not {want}"));
         }
-        Ok(report)
     }
+    for (gate, why) in rules {
+        match evaluate(doc, obj, gate) {
+            Ok(None) => verdict.held += 1,
+            Ok(Some(waived)) => verdict.waived.push(format!("{at}{waived}")),
+            Err(what) => return Err(format!("{at}{what} — {why}")),
+        }
+    }
+    Ok(())
+}
 
-    /// Round-trips a report through text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&Json::parse(text)?)
-    }
+/// The number `path` names: a field of `obj`, else of the artifact, or
+/// `rows[col=value].field` in the one row of `rows` that matches.
+fn number(doc: &Json, obj: &Json, path: &str) -> Result<f64, String> {
+    let (holder, key) = match path.rsplit_once("].") {
+        None => (obj, path),
+        Some((sel, key)) => {
+            let mut conds = sel.split('[').map(|c| c.trim_end_matches(']'));
+            let rows = doc.get(conds.next().unwrap_or_default());
+            let conds: Vec<_> = conds.filter_map(|c| c.split_once('=')).collect();
+            let mut rows = rows.and_then(Json::as_arr).unwrap_or_default().iter();
+            let found = rows.find(|r| {
+                conds.iter().all(|&(col, want)| match r.get(col) {
+                    Some(Json::Str(s)) => s == want,
+                    Some(Json::Num(n)) => n.to_string() == want,
+                    _ => false,
+                })
+            });
+            (
+                found.ok_or_else(|| format!("missing required row {sel}]"))?,
+                key,
+            )
+        }
+    };
+    let v = holder.get(key).or_else(|| doc.get(key));
+    v.and_then(Json::as_f64)
+        .ok_or_else(|| format!("'{key}' is not a number the schema declares"))
+}
+
+/// `Ok(None)` when the gate holds, `Ok(Some(line))` when the artifact
+/// waives it, `Err` with what the artifact shows when it is broken.
+fn evaluate(doc: &Json, obj: &Json, gate: &Gate) -> Result<Option<String>, String> {
+    let num = |path| number(doc, obj, path);
+    let broken = match *gate {
+        Zero(key) => {
+            let n = num(key)?;
+            (n != 0.0).then(|| format!("'{key}' is {n}, not 0"))
+        }
+        Ratio(key, a, b) => {
+            let (got, expect) = (num(key)?, num(a)? / num(b)?);
+            ((got - expect).abs() > 0.02 * expect).then(|| {
+                format!("'{key}' {got} inconsistent with {a} / {b} (expected {expect:.3})")
+            })
+        }
+        Eq(a, b) => {
+            let (x, y) = (num(a)?, num(b)?);
+            (x != y).then(|| format!("'{a}' is {x} but '{b}' is {y}"))
+        }
+        Le(a, b) => {
+            let (x, y) = (num(a)?, num(b)?);
+            (x > y).then(|| format!("'{a}' {x} exceeds '{b}' {y}"))
+        }
+        AtLeast(key, bound, waiver) | AtMost(key, bound, waiver) => {
+            let v = num(key)?;
+            let (holds, op) = match gate {
+                AtLeast(..) => (v >= bound, ">="),
+                _ => (v <= bound, "<="),
+            };
+            let unmet = match waiver {
+                Some(BelowCores(n)) if num("cores")? < f64::from(n) => {
+                    Some(format!("needs cores >= {n}, recorded on {}", num("cores")?))
+                }
+                Some(WhenText(k, text)) if doc.get(k).and_then(Json::as_str) == Some(text) => {
+                    Some(format!("needs {k} other than '{text}'"))
+                }
+                _ => None,
+            };
+            if let Some(unmet) = unmet {
+                let would = if holds { "pass" } else { "fail" };
+                return Ok(Some(format!(
+                    "{key} {op} {bound} {unmet}; the recorded {v:.3} would {would}"
+                )));
+            }
+            (!holds).then(|| format!("'{key}' is {v}, not {op} {bound}"))
+        }
+    };
+    broken.map_or(Ok(None), Err)
+}
+
+/// How every `fig_*` recorder writes its artifact: gate it, then write it.
+/// A recording that fails a gate leaves the previous file in place.
+pub fn record(path: &str, report: &Json) -> Result<Verdict, String> {
+    let verdict = validate(report).map_err(|e| format!("{path}: {e}"))?;
+    std::fs::write(path, format!("{report}\n")).map_err(|e| format!("{path}: {e}"))?;
+    Ok(verdict)
+}
+
+/// An object holding these fields in this order: how a recorder spells
+/// its report and its rows.
+pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    Json::Obj(fields.collect())
 }
 
 #[cfg(test)]
@@ -1583,503 +906,261 @@ mod tests {
         }
     }
 
-    fn sample_report() -> EngineBenchReport {
-        EngineBenchReport {
-            benchmark: "engine transport".into(),
-            machine_note: "test".into(),
-            tuples: 3000,
-            dim: 64,
-            batch: 64,
-            target: "1.5x".into(),
-            restarts: 0,
-            pe_restarts: 0,
-            results: vec![EngineBenchRow {
-                config: "unfused-2".into(),
-                fused: false,
-                engines: 2,
-                batch1_tuples_per_s: 1000.0,
-                batched_tuples_per_s: 2000.0,
-                speedup: 2.0,
-            }],
-        }
+    /// The six committed recordings, by the label [`Verdict::schema`] gives them.
+    const COMMITTED: [(&str, &str); 6] = [
+        ("engine", include_str!("../../../BENCH_engine.json")),
+        ("kernels-v1", include_str!("../../../BENCH_kernels.json")),
+        ("backfill-v1", include_str!("../../../BENCH_backfill.json")),
+        ("serving-v1", include_str!("../../../BENCH_serving.json")),
+        ("net-v1", include_str!("../../../BENCH_net.json")),
+        ("elastic-v1", include_str!("../../../BENCH_elastic.json")),
+    ];
+
+    fn committed(schema: &str) -> Json {
+        let (_, text) = COMMITTED.iter().find(|(s, _)| *s == schema).unwrap();
+        Json::parse(text).unwrap()
     }
 
-    #[test]
-    fn report_round_trips() {
-        let report = sample_report();
-        let text = report.to_json().to_string();
-        let back = EngineBenchReport::parse(&text).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn schema_check_catches_inconsistency() {
-        let mut report = sample_report();
-        report.results[0].speedup = 9.0; // does not match the medians
-        let text = report.to_json().to_string();
-        assert!(EngineBenchReport::parse(&text)
-            .unwrap_err()
-            .contains("inconsistent"));
-    }
-
-    #[test]
-    fn nonzero_restarts_is_rejected() {
-        let mut report = sample_report();
-        report.restarts = 3;
-        let text = report.to_json().to_string();
-        let err = EngineBenchReport::parse(&text).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-    }
-
-    #[test]
-    fn nonzero_pe_restarts_is_rejected() {
-        let mut report = sample_report();
-        report.pe_restarts = 1;
-        let text = report.to_json().to_string();
-        let err = EngineBenchReport::parse(&text).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-        assert!(err.contains("pe_restarts"), "{err}");
-    }
-
-    #[test]
-    fn missing_restarts_field_defaults_to_zero() {
-        // Back-compat with artifacts recorded before the field existed.
-        let Json::Obj(fields) = sample_report().to_json() else {
-            unreachable!()
+    fn keys(obj: &Json) -> Vec<&str> {
+        let Json::Obj(fields) = obj else {
+            panic!("not an object: {obj}")
         };
-        let pruned = Json::Obj(
-            fields
-                .into_iter()
-                .filter(|(k, _)| k != "restarts" && k != "pe_restarts")
-                .collect(),
-        );
-        let back = EngineBenchReport::parse(&pruned.to_string()).unwrap();
-        assert_eq!(back.restarts, 0);
-        assert_eq!(back.pe_restarts, 0);
+        fields.iter().map(|(k, _)| k.as_str()).collect()
     }
 
+    /// (a) The layout pin: every committed artifact re-serializes to its own
+    /// bytes, lays its keys out in the order its `SCHEMAS` row declares,
+    /// passes the gate, and lists exactly the waivers its host earned.
     #[test]
-    fn schema_check_catches_missing_fields() {
-        let err = EngineBenchReport::parse(r#"{"benchmark": "x"}"#).unwrap_err();
-        assert!(err.contains("missing field"), "{err}");
-    }
-
-    fn sample_kernel_report() -> KernelBenchReport {
-        let row = |kernel: &str, d: usize, s: f64, v: f64| KernelBenchRow {
-            kernel: kernel.into(),
-            d,
-            scalar_ns: s,
-            dispatched_ns: v,
-            speedup: s / v,
-        };
-        KernelBenchReport {
-            benchmark: "kernel dispatch".into(),
-            machine_note: "test".into(),
-            backend: "avx2_fma".into(),
-            reps: 25,
-            target: ">=1.5x on dot and gemm at d=1000".into(),
-            results: vec![
-                row("dot", 256, 100.0, 40.0),
-                row("dot", 1000, 400.0, 150.0),
-                row("gemm", 1000, 9000.0, 3000.0),
+    fn committed_artifacts_keep_their_bytes_their_layout_and_their_verdict() {
+        let waived_on = |schema| match schema {
+            "backfill-v1" => vec![
+                "scaling[workers=4].speedup >= 2.5 needs cores >= 4, \
+                                   recorded on 1; the recorded 0.796 would fail",
             ],
-        }
-    }
-
-    #[test]
-    fn kernel_report_round_trips() {
-        let report = sample_kernel_report();
-        let text = report.to_json().to_string();
-        assert_eq!(KernelBenchReport::parse(&text).unwrap(), report);
-    }
-
-    #[test]
-    fn kernel_report_requires_discriminator() {
-        let Json::Obj(fields) = sample_kernel_report().to_json() else {
-            unreachable!()
+            "serving-v1" => vec![
+                "ingest_ratio >= 0.9 needs cores >= 4, recorded on 1; \
+                                  the recorded 0.456 would fail",
+            ],
+            "net-v1" => vec![
+                "dist_ratio >= 0.5 needs cores >= 4, recorded on 2; \
+                              the recorded 0.754 would pass",
+            ],
+            "elastic-v1" => vec![
+                "scale_out_latency_ms <= 1000 needs cores >= 4, recorded on 1; \
+                 the recorded 0.047 would pass",
+                "scale_in_latency_ms <= 1000 needs cores >= 4, recorded on 1; \
+                 the recorded 12.436 would pass",
+            ],
+            _ => vec![],
         };
-        let pruned = Json::Obj(fields.into_iter().filter(|(k, _)| k != "schema").collect());
-        let err = KernelBenchReport::parse(&pruned.to_string()).unwrap_err();
-        assert!(err.contains("schema"), "{err}");
+        for (schema, text) in COMMITTED {
+            let doc = Json::parse(text).unwrap();
+            assert_eq!(format!("{doc}\n"), text, "{schema}: bytes");
+
+            let table = SCHEMAS
+                .iter()
+                .find(|s| s.name.unwrap_or("engine") == schema);
+            let table = table.unwrap();
+            let mut layout: Vec<&str> = table.name.map(|_| "schema").into_iter().collect();
+            layout.extend(table.fields.iter().map(|(k, _)| *k));
+            assert_eq!(keys(&doc), layout, "{schema}: key order");
+            for &(key, kind) in table.fields {
+                if let Rows(inner, _) = kind {
+                    let inner: Vec<&str> = inner.iter().map(|(k, _)| *k).collect();
+                    for row in doc.get(key).unwrap().as_arr().unwrap() {
+                        assert_eq!(keys(row), inner, "{schema}: {key} row key order");
+                    }
+                }
+            }
+
+            let verdict = validate(&doc).unwrap_or_else(|e| panic!("{schema}: {e}"));
+            assert_eq!(verdict.schema, schema);
+            assert!(verdict.held >= 3, "{schema}: {verdict}");
+            assert_eq!(verdict.waived, waived_on(schema), "{schema}");
+        }
+        let serving = validate(&committed("serving-v1")).unwrap().to_string();
+        assert!(serving.starts_with("serving-v1; 5 gates held; WAIVED: ingest_ratio >= 0.9"));
     }
+
+    /// Sets (or with `None` deletes) the value at a dotted path such as
+    /// `results.1.speedup`; the replacement is JSON text.
+    fn edit(doc: &mut Json, path: &str, to: Option<&str>) {
+        let (parents, last) = path
+            .rsplit_once('.')
+            .map_or((None, path), |(p, l)| (Some(p), l));
+        let mut at = doc;
+        for seg in parents.into_iter().flat_map(|p| p.split('.')) {
+            at = match at {
+                Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == seg).unwrap().1,
+                Json::Arr(items) => &mut items[seg.parse::<usize>().unwrap()],
+                other => panic!("{path}: {seg} is inside {other}"),
+            };
+        }
+        let to = to.map(|text| Json::parse(text).unwrap());
+        match at {
+            Json::Obj(fields) => {
+                fields.retain(|(k, _)| k != last || to.is_some());
+                match (fields.iter_mut().find(|(k, _)| k == last), to) {
+                    (Some(slot), Some(v)) => slot.1 = v,
+                    (None, Some(v)) => fields.push((last.to_string(), v)),
+                    (_, None) => {}
+                }
+            }
+            Json::Arr(items) => match (last.parse::<usize>().unwrap(), to) {
+                (i, Some(v)) => items[i] = v,
+                (i, None) => drop(items.remove(i)),
+            },
+            other => panic!("{path}: {last} is inside {other}"),
+        }
+    }
+
+    /// (b) Every way a recording is turned away, and both sides of every
+    /// waiver. One case a line: a committed artifact | the edits made to it
+    /// (`path: replacement JSON`, `-` deletes) | `ok`, or a piece of the
+    /// error it must produce.
+    const MATRIX: &str = r#"
+        -- shape: missing field, wrong type, empty rows, discriminator
+        engine      | tuples: -                  | missing field 'tuples'
+        engine      | restarts: -                | missing field 'restarts'
+        backfill-v1 | warm_cache_hits: -         | missing field 'warm_cache_hits'
+        engine      | results.2.speedup: -       | results[2]: missing field 'speedup'
+        engine      | tuples: "many"             | field 'tuples' is "many", not a count
+        engine      | results.0.fused: 1         | results[0]: field 'fused' is 1, not a bool
+        kernels-v1  | backend: 3                 | field 'backend' is 3, not a string
+        net-v1      | dist_ratio: 1e999          | field 'dist_ratio' is inf, not a positive finite
+        engine      | results: []                | field 'results' is [], not a non-empty array
+        backfill-v1 | scaling: []                | field 'scaling' is [], not a non-empty array
+        kernels-v1  | schema: -                  | missing field 'tuples'
+        kernels-v1  | schema: "kernels-v2"       | unknown schema Some("kernels-v2")
+        kernels-v1  | schema: 7                  | field 'schema' is not a string
+        -- counts are counts
+        engine      | restarts: 0.9              | field 'restarts' is 0.9, not a count
+        engine      | pe_restarts: -1            | field 'pe_restarts' is -1, not a count
+        elastic-v1  | tuple_loss: -3             | field 'tuple_loss' is -3, not a count
+        net-v1      | codec_steady_allocs: -1    | field 'codec_steady_allocs' is -1, not a count
+        backfill-v1 | warm_cache_hits: 7.5       | field 'warm_cache_hits' is 7.5, not a count
+        engine      | dim: 9007199254740994      | field 'dim' is 9007199254740994, not a count
+        engine      | tuples: 0                  | field 'tuples' is 0, not a count of at least 1
+        engine      | results.0.engines: 0       | results[0]: field 'engines' is 0, not a count of
+        kernels-v1  | reps: 0                    | field 'reps' is 0, not a count of at least 1
+        kernels-v1  | results.0.d: 0             | results[0]: field 'd' is 0, not a count of at least 1
+        backfill-v1 | scaling.1.workers: 0       | scaling[1]: field 'workers' is 0, not a count of
+        backfill-v1 | incremental_added: 0       | field 'incremental_added' is 0, not a count of
+        serving-v1  | cores: 0                   | field 'cores' is 0, not a count of at least 1
+        serving-v1  | clients: 0                 | field 'clients' is 0, not a count of at least 1
+        net-v1      | batch: 0                   | field 'batch' is 0, not a count of at least 1
+        elastic-v1  | dim: 0                     | field 'dim' is 0, not a count of at least 1
+        elastic-v1  | scale_in_latency_ms: 0     | field 'scale_in_latency_ms' is 0, not a positive
+        elastic-v1  | consistency: -0.1          | field 'consistency' is -0.1, not a non-negative
+        -- Zero: fault-free, no allocation, no loss
+        engine      | restarts: 3                | 'restarts' is 3, not 0 — benchmark artifacts must
+        engine      | pe_restarts: 1             | 'pe_restarts' is 1, not 0 — benchmark artifacts
+        backfill-v1 | restarts: 1                | fault-free
+        backfill-v1 | pe_restarts: 2             | fault-free
+        serving-v1  | restarts: 1                | fault-free
+        serving-v1  | pe_restarts: 1             | fault-free
+        net-v1      | restarts: 1                | fault-free
+        net-v1      | codec_steady_allocs: 3     | 'codec_steady_allocs' is 3, not 0 — the codec hot
+        elastic-v1  | restarts: 1                | fault-free
+        elastic-v1  | pe_restarts: 2             | fault-free
+        elastic-v1  | tuple_loss: 3              | 'tuple_loss' is 3, not 0 — rescales must conserve
+        -- Ratio: top level, per row, against the workers = 1 base row
+        engine      | results.0.speedup: 9       | results[0]: 'speedup' 9 inconsistent with
+        kernels-v1  | results.0.speedup: 9       | results[0]: 'speedup' 9 inconsistent with
+        backfill-v1 | scaling.2.speedup: 9       | scaling[2]: 'speedup' 9 inconsistent with
+        backfill-v1 | scaling.0.wall_s: 0.2      | scaling[1]: 'speedup' 0.9729435382847268 inconsistent
+        backfill-v1 | warm_speedup: 900          | 'warm_speedup' 900 inconsistent with cold_wall_s
+        serving-v1  | ingest_ratio: 0.99         | 'ingest_ratio' 0.99 inconsistent with
+        net-v1      | codec_vs_csv: 7            | 'codec_vs_csv' 7 inconsistent with
+        net-v1      | dist_ratio: 0.9            | 'dist_ratio' 0.9 inconsistent with
+        -- required rows, waived or not
+        kernels-v1  | results.7: -               | missing required row results[kernel=gemm][d=1000]
+        kernels-v1  | results.1.d: 999           | missing required row results[kernel=dot][d=1000]
+        backfill-v1 | scaling.0: -               | missing required row scaling[workers=1]
+        backfill-v1 | scaling.2: -               | missing required row scaling[workers=4]
+        -- floors and ceilings, each side of its waiver
+        engine      | batch: 1                   | 'batch' is 1, not >= 2
+        kernels-v1  | results.1.dispatched_ns: 400; results.1.speedup: 1.03 | 'results[kernel=dot][d=1000].speedup' is 1.03, not >= 1.5
+        kernels-v1  | results.1.dispatched_ns: 400; results.1.speedup: 1.03; backend: "scalar" | ok
+        kernels-v1  | results.7.dispatched_ns: 300000; results.7.speedup: 1.28 | 'results[kernel=gemm][d=1000].speedup' is 1.28, not >= 1.5
+        backfill-v1 | warm_wall_s: 0.0407503676; warm_speedup: 2.5 | 'warm_speedup' is 2.5, not >= 10
+        backfill-v1 | warm_cache_hits: 7         | 'warm_cache_hits' is 7 but 'partitions' is 8 — one store hit
+        backfill-v1 | incremental_recomputed: 9  | recomputed must equal added
+        backfill-v1 | cores: 3                   | ok
+        backfill-v1 | cores: 4                   | 'scaling[workers=4].speedup' is 0.795520465357715, not >= 2.5
+        serving-v1  | p99_us: 600                | 'p99_us' 600 exceeds 'p999_us' 262.144 — latency quantiles
+        serving-v1  | p50_us: 40                 | 'p50_us' 40 exceeds 'p99_us' 32.768
+        serving-v1  | cores: 3                   | ok
+        serving-v1  | cores: 4                   | 'ingest_ratio' is 0.4558804492077043, not >= 0.9
+        net-v1      | codec_roundtrip_tuples_per_s: 20594.971566067383; codec_vs_csv: 3 | 'codec_vs_csv' is 3, not >= 5
+        net-v1      | cores: 4                   | ok
+        net-v1      | dist_tuples_per_s: 68097.03852959381; dist_ratio: 0.4 | ok
+        net-v1      | dist_tuples_per_s: 68097.03852959381; dist_ratio: 0.4; cores: 4 | 'dist_ratio' is 0.4, not >= 0.5
+        elastic-v1  | scale_ins: 0               | 'scale_ins' is 0, not >= 1 — the recorded run must rescale
+        elastic-v1  | scale_outs: 0              | 'scale_outs' is 0, not >= 1 — the recorded run must rescale
+        elastic-v1  | consistency: 0.5           | 'consistency' is 0.5, not <= 0.25
+        elastic-v1  | consistency: 0.5; cores: 8 | 'consistency' is 0.5, not <= 0.25
+        elastic-v1  | final_engines: 4           | 'final_engines' 4 exceeds 'max_engines' 3
+        elastic-v1  | final_engines: 0           | 'final_engines' is 0, not >= 1 — the final fleet
+        elastic-v1  | scale_in_latency_ms: 5000  | ok
+        elastic-v1  | scale_in_latency_ms: 5000; cores: 4  | 'scale_in_latency_ms' is 5000, not <= 1000
+        elastic-v1  | scale_out_latency_ms: 5000; cores: 4 | 'scale_out_latency_ms' is 5000, not <= 1000
+    "#;
 
     #[test]
-    fn kernel_report_requires_d1000_rows() {
-        let mut report = sample_kernel_report();
-        report.results.retain(|r| r.kernel != "gemm");
-        let err = KernelBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("gemm@1000"), "{err}");
+    fn rejection_matrix() {
+        let cases = MATRIX.lines().map(str::trim);
+        for case in cases.filter(|l| !l.is_empty() && !l.starts_with("--")) {
+            let cols: Vec<&str> = case.split(" | ").map(str::trim).collect();
+            let [schema, edits, expect] = cols[..] else {
+                panic!("malformed case: {case}")
+            };
+            let mut doc = committed(schema);
+            for (path, to) in edits.split("; ").map(|e| e.split_once(": ").unwrap()) {
+                edit(&mut doc, path, Some(to.trim()).filter(|to| *to != "-"));
+            }
+            match validate(&doc) {
+                Ok(_) if expect == "ok" => {}
+                Err(e) if e.contains(expect) => {}
+                got => panic!("{case}\n  got {got:?}"),
+            }
+        }
     }
 
+    /// (c) The builder spells every committed artifact back to its bytes.
     #[test]
-    fn kernel_report_enforces_speedup_floor_on_simd_backend() {
-        let mut report = sample_kernel_report();
-        report.results[1].dispatched_ns = 390.0; // 1.03x at dot@1000
-        report.results[1].speedup = 400.0 / 390.0;
-        let err = KernelBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("1.5x"), "{err}");
-        // The same numbers are fine when the host had no SIMD backend.
-        report.backend = "scalar".into();
-        assert!(KernelBenchReport::parse(&report.to_json().to_string()).is_ok());
-    }
-
-    fn sample_backfill_report() -> BackfillBenchReport {
-        let row = |workers: usize, wall_s: f64| BackfillScalingRow {
-            workers,
-            wall_s,
-            speedup: 8.0 / wall_s,
-        };
-        BackfillBenchReport {
-            benchmark: "partitioned backfill".into(),
-            machine_note: "test".into(),
-            cores: 8,
-            partitions: 8,
-            rows: 6000,
-            dim: 64,
-            target: ">=2.5x at 4 workers; warm >=10x; +1 partition recomputes 1".into(),
-            restarts: 0,
-            pe_restarts: 0,
-            scaling: vec![row(1, 8.0), row(2, 4.2), row(4, 2.5), row(8, 1.6)],
-            cold_wall_s: 2.5,
-            warm_wall_s: 0.05,
-            warm_speedup: 50.0,
-            warm_cache_hits: 8,
-            incremental_added: 1,
-            incremental_recomputed: 1,
+    fn builder_reproduces_the_committed_bytes() {
+        fn rebuilt(v: &Json) -> Json {
+            match v {
+                Json::Obj(fields) => obj(fields.iter().map(|(k, v)| (k.as_str(), rebuilt(v)))),
+                Json::Arr(items) => Json::Arr(items.iter().map(rebuilt).collect()),
+                scalar => scalar.clone(),
+            }
+        }
+        for (schema, text) in COMMITTED {
+            assert_eq!(
+                format!("{}\n", rebuilt(&committed(schema))),
+                text,
+                "{schema}"
+            );
         }
     }
 
     #[test]
-    fn backfill_report_round_trips() {
-        let report = sample_backfill_report();
-        let text = report.to_json().to_string();
-        assert_eq!(BackfillBenchReport::parse(&text).unwrap(), report);
-    }
+    fn a_failed_recording_leaves_the_previous_file_in_place() {
+        let path = std::env::temp_dir().join(format!("spca-record-{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        let (_, text) = COMMITTED[5];
+        let good = committed("elastic-v1");
+        assert_eq!(record(path, &good).unwrap().schema, "elastic-v1");
+        assert_eq!(std::fs::read_to_string(path).unwrap(), text);
 
-    #[test]
-    fn backfill_report_rejects_partial_cache_hits() {
-        let mut report = sample_backfill_report();
-        report.warm_cache_hits = 7;
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("not a warm recording"), "{err}");
-    }
-
-    #[test]
-    fn backfill_report_requires_warm_cache_hits_field() {
-        let Json::Obj(fields) = sample_backfill_report().to_json() else {
-            unreachable!()
-        };
-        let pruned = Json::Obj(
-            fields
-                .into_iter()
-                .filter(|(k, _)| k != "warm_cache_hits")
-                .collect(),
-        );
-        let err = BackfillBenchReport::parse(&pruned.to_string()).unwrap_err();
-        assert!(err.contains("warm_cache_hits"), "{err}");
-    }
-
-    #[test]
-    fn backfill_report_rejects_nonzero_restarts() {
-        let mut report = sample_backfill_report();
-        report.restarts = 1;
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-        report.restarts = 0;
-        report.pe_restarts = 2;
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-    }
-
-    #[test]
-    fn backfill_report_enforces_warm_floor() {
-        let mut report = sample_backfill_report();
-        report.warm_wall_s = 1.0;
-        report.warm_speedup = 2.5;
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("10"), "{err}");
-    }
-
-    #[test]
-    fn backfill_report_enforces_incrementality() {
-        let mut report = sample_backfill_report();
-        report.incremental_recomputed = 9; // recomputed history too
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("recomputed must equal added"), "{err}");
-    }
-
-    #[test]
-    fn backfill_report_scaling_floor_waived_below_four_cores() {
-        let mut report = sample_backfill_report();
-        // No physical parallelism: every worker count takes as long as one.
-        for row in report.scaling.iter_mut() {
-            row.wall_s = 8.0;
-            row.speedup = 1.0;
-        }
-        report.cold_wall_s = 8.0;
-        report.warm_wall_s = 0.1;
-        report.warm_speedup = 80.0;
-        // On a 4+-core host that is a failed recording...
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("2.5"), "{err}");
-        // ...on a 1-core container the floor is unmeasurable and waived.
-        report.cores = 1;
-        assert!(BackfillBenchReport::parse(&report.to_json().to_string()).is_ok());
-    }
-
-    #[test]
-    fn backfill_report_catches_inconsistent_scaling_speedup() {
-        let mut report = sample_backfill_report();
-        report.scaling[2].speedup = 9.0;
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("inconsistent"), "{err}");
-    }
-
-    fn sample_serving_report() -> ServingBenchReport {
-        ServingBenchReport {
-            benchmark: "always-on eigensystem serving".into(),
-            machine_note: "test".into(),
-            cores: 8,
-            dim: 64,
-            tuples: 200_000,
-            target: "ingest ratio >= 0.9 under full query load".into(),
-            restarts: 0,
-            pe_restarts: 0,
-            clients: 4,
-            requests: 120_000,
-            qps: 24_000.0,
-            p50_us: 80.0,
-            p99_us: 400.0,
-            p999_us: 1_500.0,
-            baseline_tuples_per_s: 100_000.0,
-            serving_tuples_per_s: 95_000.0,
-            ingest_ratio: 0.95,
-        }
-    }
-
-    #[test]
-    fn serving_report_round_trips() {
-        let report = sample_serving_report();
-        let text = report.to_json().to_string();
-        assert_eq!(ServingBenchReport::parse(&text).unwrap(), report);
-    }
-
-    #[test]
-    fn serving_report_rejects_nonzero_restarts() {
-        let mut report = sample_serving_report();
-        report.restarts = 1;
-        let err = ServingBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-        report.restarts = 0;
-        report.pe_restarts = 1;
-        let err = ServingBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-    }
-
-    #[test]
-    fn serving_report_requires_monotone_quantiles() {
-        let mut report = sample_serving_report();
-        report.p99_us = report.p999_us * 2.0;
-        let err = ServingBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("monotone"), "{err}");
-    }
-
-    #[test]
-    fn serving_report_enforces_ingest_floor_with_core_waiver() {
-        let mut report = sample_serving_report();
-        report.serving_tuples_per_s = 60_000.0;
-        report.ingest_ratio = 0.6;
-        // On a 4+-core host the degradation gate fails the artifact...
-        let err = ServingBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("0.9"), "{err}");
-        // ...on a small container the floor is unmeasurable and waived.
-        report.cores = 2;
-        assert!(ServingBenchReport::parse(&report.to_json().to_string()).is_ok());
-    }
-
-    #[test]
-    fn serving_report_catches_inconsistent_ratio() {
-        let mut report = sample_serving_report();
-        report.ingest_ratio = 0.99;
-        let err = ServingBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("inconsistent"), "{err}");
-    }
-
-    #[test]
-    fn kernel_report_catches_inconsistent_speedup() {
-        let mut report = sample_kernel_report();
-        report.results[0].speedup = 9.0;
-        let err = KernelBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("inconsistent"), "{err}");
-    }
-
-    fn sample_net_report() -> NetBenchReport {
-        NetBenchReport {
-            benchmark: "wire transport".into(),
-            machine_note: "test".into(),
-            cores: 8,
-            dim: 1000,
-            batch: 64,
-            tuples: 6400,
-            target: "codec >= 5x CSV, dist >= 0.5x local".into(),
-            restarts: 0,
-            codec_encode_gbps: 4.0,
-            codec_decode_gbps: 6.0,
-            codec_roundtrip_tuples_per_s: 400_000.0,
-            csv_roundtrip_tuples_per_s: 40_000.0,
-            codec_vs_csv: 10.0,
-            codec_steady_allocs: 0,
-            frame_bytes_per_tuple: 8_030.0,
-            local_tuples_per_s: 60_000.0,
-            dist_tuples_per_s: 45_000.0,
-            dist_ratio: 0.75,
-            per_message_overhead_us: 40.0,
-        }
-    }
-
-    #[test]
-    fn net_report_round_trips() {
-        let report = sample_net_report();
-        let text = report.to_json().to_string();
-        assert_eq!(NetBenchReport::parse(&text).unwrap(), report);
-    }
-
-    #[test]
-    fn net_report_rejects_nonzero_restarts_and_allocs() {
-        let mut report = sample_net_report();
-        report.restarts = 1;
-        let err = NetBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-        report.restarts = 0;
-        report.codec_steady_allocs = 3;
-        let err = NetBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("allocate"), "{err}");
-    }
-
-    #[test]
-    fn net_report_enforces_codec_floor_unconditionally() {
-        let mut report = sample_net_report();
-        report.codec_roundtrip_tuples_per_s = 120_000.0;
-        report.codec_vs_csv = 3.0;
-        // Even on a tiny host: the codec bench is single-threaded and
-        // CPU-bound, so the floor is measurable everywhere.
-        report.cores = 1;
-        let err = NetBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("5x acceptance floor"), "{err}");
-    }
-
-    #[test]
-    fn net_report_enforces_dist_floor_with_core_waiver() {
-        let mut report = sample_net_report();
-        report.dist_tuples_per_s = 24_000.0;
-        report.dist_ratio = 0.4;
-        let err = NetBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("0.5x acceptance floor"), "{err}");
-        // Two processes time-slicing one core measure the scheduler, not
-        // the transport: waived below 4 cores.
-        report.cores = 1;
-        assert!(NetBenchReport::parse(&report.to_json().to_string()).is_ok());
-    }
-
-    #[test]
-    fn net_report_catches_inconsistent_ratios() {
-        let mut report = sample_net_report();
-        report.codec_vs_csv = 7.0;
-        let err = NetBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("inconsistent"), "{err}");
-
-        let mut report = sample_net_report();
-        report.dist_ratio = 0.9;
-        let err = NetBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("inconsistent"), "{err}");
-    }
-
-    fn sample_elastic_report() -> ElasticBenchReport {
-        ElasticBenchReport {
-            benchmark: "elastic rescale".into(),
-            machine_note: "test".into(),
-            cores: 8,
-            dim: 32,
-            tuples: 200_000,
-            target: "zero loss, consistency <= 0.25".into(),
-            restarts: 0,
-            pe_restarts: 0,
-            scale_outs: 1,
-            scale_ins: 1,
-            tuple_loss: 0,
-            scale_out_latency_ms: 12.5,
-            scale_in_latency_ms: 40.0,
-            consistency: 0.03,
-            max_engines: 3,
-            final_engines: 1,
-        }
-    }
-
-    #[test]
-    fn elastic_report_round_trips() {
-        let report = sample_elastic_report();
-        let back = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn elastic_report_rejects_faulted_or_lossy_recordings() {
-        let mut report = sample_elastic_report();
-        report.restarts = 1;
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-
-        let mut report = sample_elastic_report();
-        report.pe_restarts = 2;
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-
-        let mut report = sample_elastic_report();
-        report.tuple_loss = 3;
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("conserve"), "{err}");
-    }
-
-    #[test]
-    fn elastic_report_requires_a_rescale_in_each_direction() {
-        let mut report = sample_elastic_report();
-        report.scale_ins = 0;
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("each direction"), "{err}");
-
-        let mut report = sample_elastic_report();
-        report.scale_outs = 0;
-        assert!(ElasticBenchReport::parse(&report.to_json().to_string()).is_err());
-    }
-
-    #[test]
-    fn elastic_report_enforces_consistency_unconditionally() {
-        let mut report = sample_elastic_report();
-        report.consistency = 0.5;
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("subspace tolerance"), "{err}");
-        // No core waiver for correctness: a 1-core host must still agree
-        // with the fixed-fleet reference.
-        report.cores = 1;
-        assert!(ElasticBenchReport::parse(&report.to_json().to_string()).is_err());
-    }
-
-    #[test]
-    fn elastic_report_latency_ceiling_waived_below_four_cores() {
-        let mut report = sample_elastic_report();
-        report.scale_in_latency_ms = 5_000.0;
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("ceiling"), "{err}");
-        // On a time-sliced host the latency measures the scheduler.
-        report.cores = 1;
-        assert!(ElasticBenchReport::parse(&report.to_json().to_string()).is_ok());
-    }
-
-    #[test]
-    fn elastic_report_bounds_the_final_fleet() {
-        let mut report = sample_elastic_report();
-        report.final_engines = 4; // above max_engines = 3
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("max_engines"), "{err}");
+        let mut lossy = good;
+        edit(&mut lossy, "tuple_loss", Some("2"));
+        let err = record(path, &lossy).unwrap_err();
+        assert!(err.starts_with(path) && err.contains("conserve"), "{err}");
+        assert_eq!(std::fs::read_to_string(path).unwrap(), text);
+        std::fs::remove_file(path).unwrap();
     }
 }

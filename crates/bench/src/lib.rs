@@ -70,6 +70,18 @@ pub fn calibrate_dimension_curve(dims: &[usize], p: usize) -> Vec<(usize, f64)> 
         .collect()
 }
 
+/// The median of `samples` (upper median for an even count); sorts them.
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+    samples[samples.len() / 2]
+}
+
+/// Cores the recording host lets this process use; every artifact that
+/// compares threads or processes records it, and its waivers read it.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Pretty-prints a table of `(x, series...)` rows.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<f64>]) {
     println!("\n=== {title} ===");
