@@ -118,13 +118,6 @@ impl PcaConfig {
         self
     }
 
-    /// Sets the breakdown parameter δ. Panics outside `(0, 1)`.
-    pub fn with_delta(mut self, delta: f64) -> Self {
-        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
-        self.delta = delta;
-        self
-    }
-
     /// Sets the warm-up batch size (at least `p + 1`).
     pub fn with_init_size(mut self, n: usize) -> Self {
         assert!(n > self.p, "warm-up must exceed component count");

@@ -80,13 +80,6 @@ impl EigenSystem {
             .expect("dimension checked by caller")
     }
 
-    /// Projection coefficients into a caller-owned buffer (no allocation
-    /// once `coeffs` has capacity `k`).
-    pub fn project_into(&self, y: &[f64], coeffs: &mut Vec<f64>) {
-        coeffs.clear();
-        coeffs.extend((0..self.n_components()).map(|j| vecops::dot(self.basis.col(j), y)));
-    }
-
     /// Reconstruction `E c` from projection coefficients.
     pub fn reconstruct_centered(&self, coeffs: &[f64]) -> Vec<f64> {
         self.basis

@@ -74,26 +74,6 @@ impl Mat {
         Mat { rows, cols, data }
     }
 
-    /// Builds a matrix whose columns are the given vectors.
-    ///
-    /// Panics if the vectors have differing lengths.
-    pub fn from_columns(cols: &[Vec<f64>]) -> Self {
-        if cols.is_empty() {
-            return Mat::zeros(0, 0);
-        }
-        let rows = cols[0].len();
-        let mut data = Vec::with_capacity(rows * cols.len());
-        for c in cols {
-            assert_eq!(c.len(), rows, "all columns must have equal length");
-            data.extend_from_slice(c);
-        }
-        Mat {
-            rows,
-            cols: cols.len(),
-            data,
-        }
-    }
-
     /// Reshapes `self` to `rows × cols`, zero-filled, reusing the existing
     /// allocation whenever its capacity suffices.
     ///
@@ -252,13 +232,6 @@ impl Mat {
     pub fn add_assign(&mut self, other: &Mat) -> Result<()> {
         self.check_same_shape(other)?;
         vecops::axpy(1.0, &other.data, &mut self.data);
-        Ok(())
-    }
-
-    /// In-place scaled addition `self += s * other`.
-    pub fn axpy_mat(&mut self, s: f64, other: &Mat) -> Result<()> {
-        self.check_same_shape(other)?;
-        vecops::axpy(s, &other.data, &mut self.data);
         Ok(())
     }
 

@@ -9,8 +9,10 @@
 //! approximation", and it gives the test-suite ground truth the real
 //! survey cannot.
 
+use crate::contaminants::{self, ContaminantKind};
 use crate::continuum::continuum_curve;
 use crate::lines::{add_line, ABSORPTION_LINES, EMISSION_LINES};
+use crate::normalize::unit_norm_masked;
 use crate::wavelength::WavelengthGrid;
 use rand::Rng;
 use spca_linalg::rng::standard_normal;
@@ -41,6 +43,9 @@ pub struct Spectrum {
     /// The latent parameters that produced it.
     pub params: GalaxyParams,
 }
+
+/// One CSV-ready observation: unit-normalized flux and its observed-bin mask.
+pub type MaskedRow = (Vec<f64>, Vec<bool>);
 
 /// Configuration and machinery for galaxy spectrum generation.
 #[derive(Debug, Clone)]
@@ -153,6 +158,39 @@ impl GalaxyGenerator {
             *m = i >= lo && i < hi;
         }
         s
+    }
+
+    /// Draws a contaminated survey extract of `n` unit-normalized rows,
+    /// ready for [`crate::io::write_csv_masked`]: each row is, with
+    /// probability `contamination`, a quasar, star or sky residual
+    /// (fully observed), otherwise a galaxy with its coverage gap.
+    /// Returns the rows and the number of contaminants among them.
+    pub fn survey_extract<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        n: usize,
+        contamination: f64,
+    ) -> (Vec<MaskedRow>, usize) {
+        let mut contaminated = 0;
+        let rows = (0..n).map(|_| {
+            let (mut flux, mask) = if rng.gen::<f64>() < contamination {
+                contaminated += 1;
+                let kind = match rng.gen_range(0..3) {
+                    0 => ContaminantKind::Quasar,
+                    1 => ContaminantKind::Star,
+                    _ => ContaminantKind::Sky,
+                };
+                let flux = contaminants::draw(rng, &self.grid, kind);
+                (flux, vec![true; self.dim()])
+            } else {
+                let s = self.sample_with_coverage(rng);
+                (s.flux, s.mask)
+            };
+            unit_norm_masked(&mut flux, &mask);
+            (flux, mask)
+        });
+        let rows = rows.collect();
+        (rows, contaminated)
     }
 }
 

@@ -63,12 +63,6 @@ pub fn read_csv<P: AsRef<Path>>(path: P) -> std::io::Result<Vec<(Vec<f64>, Vec<b
     Ok(parse_csv_bytes(&std::fs::read(path)?))
 }
 
-/// Parses CSV observations already in memory — the text layer under
-/// [`read_csv`].
-pub fn parse_csv_str(text: &str) -> Vec<(Vec<f64>, Vec<bool>)> {
-    parse_csv_bytes(text.as_bytes())
-}
-
 fn parse_csv_bytes(bytes: &[u8]) -> Vec<(Vec<f64>, Vec<bool>)> {
     bytes
         .split(|&b| b == b'\n')

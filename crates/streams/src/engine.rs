@@ -688,15 +688,11 @@ impl Engine {
             }
         }
 
-        // The persistence backend: an explicit override wins, then a
-        // fault-injecting backend when the plan carries io-* entries,
-        // otherwise the real filesystem.
-        let vfs: Arc<dyn crate::vfs::Vfs> = match builder.vfs.take() {
-            Some(v) => v,
-            None => match plan.io_spec() {
-                Some(spec) => Arc::new(crate::vfs::FaultVfs::new(spec)),
-                None => Arc::new(crate::vfs::RealVfs),
-            },
+        // The persistence backend: fault-injecting when the plan carries
+        // io-* entries, otherwise the real filesystem.
+        let vfs: Arc<dyn crate::vfs::Vfs> = match plan.io_spec() {
+            Some(spec) => Arc::new(crate::vfs::FaultVfs::new(spec)),
+            None => Arc::new(crate::vfs::RealVfs),
         };
 
         let mut slots_per_pe: Vec<Vec<OpSlot>> = pes

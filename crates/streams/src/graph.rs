@@ -49,7 +49,6 @@ pub struct GraphBuilder {
     pub(crate) fault_plan: Option<FaultPlan>,
     pub(crate) restart_policy: RestartPolicy,
     pub(crate) checkpoint_dir: Option<std::path::PathBuf>,
-    pub(crate) vfs: Option<std::sync::Arc<dyn crate::vfs::Vfs>>,
 }
 
 /// Default cross-PE transport batch size (tuples per frame).
@@ -113,17 +112,6 @@ impl GraphBuilder {
     /// recover purely from the surviving in-memory operator state.
     pub fn with_checkpoint_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Routes every persistence-layer disk operation (PE checkpoints) of
-    /// this run through an explicit [`Vfs`](crate::vfs::Vfs) backend.
-    /// Overrides the backend the engine would otherwise pick (the real
-    /// filesystem, or a fault-injecting one when the fault plan carries
-    /// `io-*` entries) — the crash-point harness uses this to count and
-    /// kill individual disk operations.
-    pub fn with_vfs(mut self, vfs: std::sync::Arc<dyn crate::vfs::Vfs>) -> Self {
-        self.vfs = Some(vfs);
         self
     }
 

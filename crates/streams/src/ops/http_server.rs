@@ -86,11 +86,6 @@ impl ResponseBuf {
         self.status = status;
     }
 
-    /// Sets the `Content-Type` (defaults to `text/plain`).
-    pub fn set_content_type(&mut self, ct: &'static str) {
-        self.content_type = ct;
-    }
-
     /// Appends one extra header line (writes into a reused buffer).
     pub fn add_header(&mut self, name: &str, value: std::fmt::Arguments<'_>) {
         use std::io::Write as _;

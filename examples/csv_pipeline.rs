@@ -13,14 +13,11 @@
 
 use astro_stream_pca::core::PcaConfig;
 use astro_stream_pca::engine::{persist, AppConfig, ParallelPcaApp, SnapshotWriter};
-use astro_stream_pca::spectra::contaminants::{self, ContaminantKind};
 use astro_stream_pca::spectra::io;
-use astro_stream_pca::spectra::normalize::unit_norm_masked;
 use astro_stream_pca::spectra::GalaxyGenerator;
 use astro_stream_pca::streams::ops::CsvFileSource;
 use astro_stream_pca::streams::Engine;
 use rand::rngs::StdRng;
-use rand::Rng;
 use rand::SeedableRng;
 
 const N_PIXELS: usize = 200;
@@ -36,26 +33,7 @@ fn main() {
     // --- Stage 1: synthesize the survey extract to disk. ---
     let gen = GalaxyGenerator::new(N_PIXELS, 0.2);
     let mut rng = StdRng::seed_from_u64(42);
-    let mut rows = Vec::with_capacity(N_SPECTRA);
-    let mut n_contaminants = 0;
-    for _ in 0..N_SPECTRA {
-        if rng.gen::<f64>() < CONTAMINATION {
-            n_contaminants += 1;
-            let kind = match rng.gen_range(0..3) {
-                0 => ContaminantKind::Quasar,
-                1 => ContaminantKind::Star,
-                _ => ContaminantKind::Sky,
-            };
-            let mut flux = contaminants::draw(&mut rng, gen.grid(), kind);
-            let mask = vec![true; N_PIXELS];
-            unit_norm_masked(&mut flux, &mask);
-            rows.push((flux, mask));
-        } else {
-            let mut s = gen.sample_with_coverage(&mut rng);
-            unit_norm_masked(&mut s.flux, &s.mask);
-            rows.push((s.flux, s.mask));
-        }
-    }
+    let (rows, n_contaminants) = gen.survey_extract(&mut rng, N_SPECTRA, CONTAMINATION);
     io::write_csv_masked(&input_csv, &rows).expect("write extract");
     println!(
         "staged {} spectra ({} contaminants) to {}",

@@ -1,190 +1,276 @@
 //! `spca` — command-line front end for the streaming-PCA system.
 //!
-//! Subcommands:
+//! Eight subcommands, each one row of [`COMMANDS`]: `generate` (synthesize
+//! a survey extract), `run` (stream a file, TCP listener or HTTP body
+//! through the parallel robust-PCA application), `serve` (`run --serve`
+//! under the name an always-on deployment uses — the same handler),
+//! `coordinator` / `worker` (the same graph spread over processes),
+//! `backfill` (a historical corpus, partition by partition), `inspect` (a
+//! persisted eigensystem) and `simulate` (the calibrated cluster simulator).
 //!
-//! * `generate` — synthesize a survey extract (gappy galaxy spectra with
-//!   optional contaminants) to a CSV file.
-//! * `run` — stream a CSV file (or a TCP listener) through the parallel
-//!   robust-PCA application; writes an outlier report and eigensystem
-//!   snapshots.
-//! * `inspect` — pretty-print a persisted eigensystem snapshot.
-//! * `simulate` — run the calibrated cluster simulator for a placement and
-//!   report throughput (the Fig. 6/7 machinery, one configuration at a
-//!   time).
-//!
-//! Argument parsing is hand-rolled (`--key value` pairs) to keep the
-//! dependency set at the workspace's five crates.
+//! A row lists the subcommand's flags: value kind, default, and whether
+//! each is required, an alternative, or a dependent of another flag. It is
+//! the allow-list `Opts::parse` checks, the source of every default a
+//! handler reads, and what the `USAGE:` synopsis is generated from.
 
 use astro_stream_pca::cluster::{ClusterSim, ClusterSpec, CostModel, Placement, SimConfig};
 use astro_stream_pca::core::PcaConfig;
 use astro_stream_pca::engine::{
-    persist, AppConfig, AppHandles, DistSpec, EigenQueryHandler, ElasticRuntime, ElasticSupervisor,
-    EpochStore, FaultCounters, ParallelPcaApp, ScaleEvent, ServeShared, SyncStrategy,
+    epoch::MAX_READERS, persist, AppConfig, DistSpec, EigenQueryHandler, ElasticRuntime,
+    ElasticSupervisor, EpochStore, FaultCounters, ParallelPcaApp, ServeShared, SyncStrategy,
 };
-use astro_stream_pca::spectra::contaminants::{self, ContaminantKind};
-use astro_stream_pca::spectra::io;
-use astro_stream_pca::spectra::normalize::unit_norm_masked;
-use astro_stream_pca::spectra::GalaxyGenerator;
+use astro_stream_pca::spectra::{io, GalaxyGenerator};
 use astro_stream_pca::streams::ops::http_server::{HttpServer, RateLimitConfig, ServerConfig};
 use astro_stream_pca::streams::ops::{CsvFileSource, HttpSource, TcpSource};
-use astro_stream_pca::streams::{DataTuple, Engine, Operator};
+use astro_stream_pca::streams::{DataTuple, Engine, FaultPlan, GraphBuilder, Operator, RunReport};
 use rand::rngs::StdRng;
-use rand::Rng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::io::BufRead;
-use std::path::PathBuf;
+use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Flags each subcommand accepts; anything else is rejected up front.
-fn allowed_flags(cmd: &str) -> &'static [&'static str] {
-    match cmd {
-        "generate" => &["out", "n", "pixels", "zmax", "contamination", "seed"],
-        "coordinator" => &[
-            "input",
-            "listen",
-            "data",
-            "workers",
-            "engines",
-            "components",
-            "memory",
-            "batch",
-            "capacity",
-            "snapshot-every",
-            "snapshots",
-            "snapshot-dir",
-        ],
-        "worker" => &["coordinator", "index", "data"],
-        "run" => &[
-            "input",
-            "listen",
-            "url",
-            "engines",
-            "components",
-            "memory",
-            "dim",
-            "sync",
-            "snapshots",
-            "report",
-            "batch",
-            "faults",
-            "snapshot-dir",
-            "warm-start",
-            "serve",
-            "serve-threads",
-            "rate-limit",
-            "publish-every",
-            "elastic",
-            "max-engines",
-        ],
-        "serve" => &[
-            "addr",
-            "input",
-            "listen",
-            "url",
-            "engines",
-            "components",
-            "memory",
-            "dim",
-            "sync",
-            "batch",
-            "threads",
-            "rate-limit",
-            "serve-for",
-            "publish-every",
-        ],
-        "backfill" => &[
-            "input",
-            "partitions",
-            "state-dir",
-            "workers",
-            "components",
-            "memory",
-            "out",
-        ],
-        "inspect" => &["snapshot"],
-        "simulate" => &["engines", "dim", "nodes", "placement"],
-        _ => &[],
+/// What a flag's value is read as; judged before the handler runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    /// An integer of at least 1.
+    Count,
+    Int,
+    Real,
+    /// A literal socket address: a hostname or typo'd port fails before I/O.
+    Addr,
+    /// Paths, URLs, fault plans and enumerations, left to the handler.
+    Text,
+}
+use Kind::{Addr, Count, Int, Real, Text};
+
+/// When a flag must, may, or may not be given.
+#[derive(Clone, Copy, PartialEq)]
+enum Need {
+    Optional,
+    Required,
+    /// Only together with the named flag of the same row.
+    With(&'static str),
+}
+use Need::{Required, With};
+
+#[derive(Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    /// Placeholder in the synopsis; an enumeration spells out `a|b|c`.
+    value: &'static str,
+    kind: Kind,
+    /// What the handler reads when the flag is absent.
+    default: Option<&'static str>,
+    need: Need,
+}
+
+const fn addr(name: &'static str) -> Flag {
+    flag(name, "IP:PORT", Addr)
+}
+
+const fn flag(name: &'static str, value: &'static str, kind: Kind) -> Flag {
+    Flag {
+        name,
+        value,
+        kind,
+        default: None,
+        need: Need::Optional,
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let opts = match Opts::parse(rest, cmd, allowed_flags(cmd)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
+impl Flag {
+    const fn default(self, default: &'static str) -> Flag {
+        Flag {
+            default: Some(default),
+            ..self
         }
-    };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&opts),
-        "run" => cmd_run(&opts),
-        "serve" => cmd_serve(&opts),
-        "coordinator" => cmd_coordinator(&opts),
-        "worker" => cmd_worker(&opts),
-        "backfill" => cmd_backfill(&opts),
-        "inspect" => cmd_inspect(&opts),
-        "simulate" => cmd_simulate(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
+    }
+
+    const fn need(self, need: Need) -> Flag {
+        Flag { need, ..self }
+    }
+
+    /// `v` as the type a handler asks for — the one place a flag's text is
+    /// judged, whether the user typed it or the table defaults it.
+    fn parsed<T: FromStr>(&self, v: &str) -> Result<T, String> {
+        v.parse().map_err(|_| {
+            let as_what = match self.kind {
+                Addr => format!(" as {} (e.g. 127.0.0.1:8080)", self.value),
+                _ => String::new(),
+            };
+            format!("--{}: cannot parse '{v}'{as_what}", self.name)
+        })
+    }
+
+    /// Whether `v` reads as this flag's kind.
+    fn accepts(&self, v: &str) -> Result<(), String> {
+        match self.kind {
+            Count if self.parsed::<u64>(v)? == 0 => {
+                Err(format!("--{} must be at least 1", self.name))
+            }
+            Count | Int => self.parsed::<u64>(v).map(drop),
+            Real => self.parsed::<f64>(v).map(drop),
+            Addr => self.parsed::<SocketAddr>(v).map(drop),
+            Text => Ok(()),
         }
-        other => Err(format!("unknown subcommand '{other}'")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+    }
+
+    /// The synopsis entry: bracketed unless required, showing the default
+    /// where there is one (for an enumeration, the first of the
+    /// alternatives), else the placeholder.
+    fn synopsis(&self) -> String {
+        let shown = match self.default {
+            Some(default) if !self.value.contains('|') => default,
+            _ => self.value,
+        };
+        match self.need {
+            Required => format!("--{} {shown}", self.name),
+            Need::Optional => format!("[--{} {shown}]", self.name),
+            With(parent) => format!("[--{} {shown} with --{parent}]", self.name),
         }
     }
 }
 
-const USAGE: &str = "\
-spca — robust streaming PCA over parallel data streams
+/// A subcommand: its name, its handler, and its row of flags — in groups,
+/// so that rows can share one.
+type Command = (&'static str, fn(&Opts) -> Result<(), String>, Row);
+type Row = &'static [&'static [Flag]];
 
-USAGE:
-  spca generate --out extract.csv [--n 5000] [--pixels 200] [--zmax 0.2]
-                [--contamination 0.05] [--seed 42]
-  spca run      --input extract.csv | --listen 127.0.0.1:7070 |
-                --url http://host/data.csv
-                [--engines 4] [--components 4] [--memory 5000] [--dim D]
-                [--sync ring|broadcast|none] [--snapshots DIR]
-                [--report outliers.csv] [--batch 64]
-                [--faults SPEC] [--snapshot-dir DIR]
-                [--warm-start merged.snapshot]
-                [--serve IP:PORT [--serve-threads 4] [--rate-limit QPS]
-                 [--publish-every 64]]
-                [--elastic EPOCH_MS [--max-engines N]]
-  spca serve    --addr IP:PORT
-                --input extract.csv | --listen 127.0.0.1:7070 |
-                --url http://host/data.csv
-                [--engines 4] [--components 4] [--memory 5000] [--dim D]
-                [--sync ring|broadcast|none] [--batch 64] [--threads 4]
-                [--rate-limit QPS] [--serve-for SECS] [--publish-every 64]
-  spca coordinator --input extract.csv --snapshots DIR --workers 2
-                --listen IP:PORT [--data IP:PORT] [--engines N]
-                [--components 4] [--memory 5000] [--batch 64]
-                [--capacity 1048576] [--snapshot-every 0]
-                [--snapshot-dir DIR]
-                (--workers 0 runs the same graph in-process — the
-                 bit-identity baseline; --listen/--data are then unused)
-  spca worker   --coordinator IP:PORT --index N --data IP:PORT
-  spca backfill --input extract.csv|DIR [--partitions 8] [--workers 0]
-                [--state-dir spca-state] [--components 4] [--memory 5000]
-                [--out merged.snapshot]
-  spca inspect  --snapshot FILE
-  spca simulate [--engines 20] [--dim 250] [--nodes 10]
-                [--placement rr|single|grouped2]
+fn flags(row: Row) -> impl Iterator<Item = &'static Flag> {
+    row.iter().flat_map(|group| group.iter())
+}
 
-Every flag is --key value; unknown flags are rejected.
+// Flags more than one row declares.
+const COMPONENTS: Flag = flag("components", "P", Count).default("4");
+const MEMORY: Flag = flag("memory", "N", Count).default("5000");
+/// `streams::DEFAULT_BATCH_SIZE`, as the text the synopsis shows.
+const BATCH: Flag = flag("batch", "N", Count).default("64");
+const SNAPSHOT_DIR: Flag = flag("snapshot-dir", "DIR", Text);
+const RATE_LIMIT: Flag = flag("rate-limit", "QPS", Real);
+const PUBLISH_EVERY: Flag = flag("publish-every", "N", Int).default("64");
+
+/// The query server's pool: `--serve-threads` to `run`, `--threads` to `serve`.
+const fn server_threads(name: &'static str) -> Flag {
+    flag(name, "N", Count).default("4")
+}
+
+/// What `run` and `serve` share: the stream's source and the fleet estimating it.
+const STREAM: &[Flag] = &[
+    flag("input", "extract.csv", Text),
+    flag("listen", "127.0.0.1:7070", Text),
+    flag("url", "http://host/data.csv", Text),
+    flag("dim", "D", Count),
+    flag("engines", "N", Count).default("4"),
+    COMPONENTS,
+    MEMORY,
+    flag("sync", "ring|broadcast|none", Text).default("ring"),
+    BATCH,
+];
+
+const GENERATE: &[Flag] = &[
+    flag("out", "extract.csv", Text).need(Required),
+    flag("n", "N", Int).default("5000"),
+    flag("pixels", "N", Int).default("200"),
+    flag("zmax", "Z", Real).default("0.2"),
+    flag("contamination", "X", Real).default("0.05"),
+    flag("seed", "N", Int).default("42"),
+];
+const RUN: &[Flag] = &[
+    flag("snapshots", "DIR", Text),
+    flag("report", "outliers.csv", Text),
+    flag("faults", "SPEC", Text),
+    SNAPSHOT_DIR,
+    flag("warm-start", "merged.snapshot", Text),
+    addr("serve"),
+    server_threads("serve-threads").need(With("serve")),
+    RATE_LIMIT.need(With("serve")),
+    PUBLISH_EVERY.need(With("serve")),
+    flag("elastic", "EPOCH_MS", Int),
+    flag("max-engines", "N", Int).need(With("elastic")),
+];
+const SERVE_ADDR: &[Flag] = &[addr("addr").need(Required)];
+const SERVE: &[Flag] = &[
+    server_threads("threads"),
+    RATE_LIMIT,
+    flag("serve-for", "SECS", Int).default("0"),
+    PUBLISH_EVERY,
+];
+const COORDINATOR: &[Flag] = &[
+    flag("input", "extract.csv", Text).need(Required),
+    flag("snapshots", "DIR", Text).need(Required),
+    flag("workers", "N", Int).default("2"),
+    addr("listen"),
+    addr("data").default("127.0.0.1:0"),
+    flag("engines", "N", Count),
+    COMPONENTS,
+    MEMORY,
+    BATCH,
+    // Bit-identity between runs needs the split to never shed to a
+    // different engine, so the channel capacity defaults far above any
+    // realistic corpus (see the distributed module docs).
+    flag("capacity", "N", Count).default("1048576"),
+    flag("snapshot-every", "N", Int).default("0"),
+    SNAPSHOT_DIR,
+];
+const WORKER: &[Flag] = &[
+    addr("coordinator").need(Required),
+    flag("index", "N", Int).need(Required),
+    addr("data").need(Required),
+];
+const BACKFILL: &[Flag] = &[
+    flag("input", "extract.csv|DIR", Text).need(Required),
+    flag("partitions", "N", Count).default("8"),
+    flag("workers", "N", Int).default("0"),
+    flag("state-dir", "DIR", Text).default("spca-state"),
+    COMPONENTS,
+    MEMORY,
+    flag("out", "merged.snapshot", Text),
+];
+const INSPECT: &[Flag] = &[flag("snapshot", "FILE", Text).need(Required)];
+const SIMULATE: &[Flag] = &[
+    flag("engines", "N", Int).default("20"),
+    flag("dim", "D", Int).default("250"),
+    flag("nodes", "N", Int).default("10"),
+    flag("placement", "rr|single|grouped2", Text).default("rr"),
+];
+
+static COMMANDS: &[Command] = &[
+    ("generate", cmd_generate, &[GENERATE]),
+    ("run", cmd_run, &[STREAM, RUN]),
+    ("serve", cmd_run, &[SERVE_ADDR, STREAM, SERVE]),
+    ("coordinator", cmd_coordinator, &[COORDINATOR]),
+    ("worker", cmd_worker, &[WORKER]),
+    ("backfill", cmd_backfill, &[BACKFILL]),
+    ("inspect", cmd_inspect, &[INSPECT]),
+    ("simulate", cmd_simulate, &[SIMULATE]),
+];
+
+/// The help text: a synopsis generated from [`COMMANDS`], wrapped at 78
+/// columns, over the hand-written notes.
+fn usage() -> String {
+    let mut out = "spca — robust streaming PCA over parallel data streams\n\nUSAGE:\n".to_string();
+    for (name, _, row) in COMMANDS {
+        let mut line = format!("  spca {name}");
+        for token in flags(row).map(Flag::synopsis) {
+            if line.len() + 1 + token.len() > 78 {
+                out = out + &line + "\n";
+                line = " ".repeat(15);
+            }
+            line = line + " " + &token;
+        }
+        out = out + &line + "\n";
+    }
+    out + NOTES
+}
+
+const NOTES: &str = "
+Every flag is --key value; unknown flags are rejected. A bracketed value
+is the default. run and serve read exactly one of --input, --listen, --url.
 
 --faults injects deterministic failures: a comma-separated plan of
   panic@ENGINE:N, poison-nan@ENGINE:N, poison-inf@ENGINE:N,
@@ -218,15 +304,20 @@ Every flag is --key value; unknown flags are rejected.
   Scale events land in the fault summary and /metrics (spca_scale_outs,
   spca_scale_ins).
 
-serve answers live eigensystem queries over HTTP while the stream is
-  ingested: POST /project, /reconstruct, /score, /topk?k=K (CSV
-  observation in, CSV out; X-Epoch names the snapshot answered against),
-  GET /healthz and /metrics. Operators publish epoch-versioned snapshots
-  into a lock-free store every --publish-every updates; queries never
-  block ingest. --rate-limit enables a per-client token bucket; overload
-  sheds with 429 + Retry-After. --serve-for keeps serving the final
-  eigensystem SECS after the stream drains. `run --serve IP:PORT`
-  attaches the same server to a normal run.
+serve is `run --serve IP:PORT` for an always-on deployment (--addr and
+  --threads are its --serve and --serve-threads): it answers live
+  eigensystem queries over HTTP while the stream is ingested: POST
+  /project, /reconstruct, /score, /topk?k=K (CSV observation in, CSV out;
+  X-Epoch names the snapshot answered against), GET /healthz and
+  /metrics. Operators publish epoch-versioned snapshots into a lock-free
+  store every --publish-every updates; queries never block ingest.
+  --rate-limit enables a per-client token bucket; overload sheds with
+  429 + Retry-After. --serve-for keeps serving the final eigensystem SECS
+  after the stream drains.
+
+coordinator needs --listen unless --workers 0, which runs the same graph
+  in-process (the bit-identity baseline; --listen/--data are then unused);
+  --engines defaults to one per worker.
 
 backfill shards a historical corpus by partition key (row ranges of a
   file, or one partition per file when --input is a directory), estimates
@@ -237,73 +328,110 @@ backfill shards a historical corpus by partition key (row ranges of a
   recomputes exactly one. Pass the merged snapshot to `spca run
   --warm-start` to splice archive history into a live stream.";
 
-struct Opts(HashMap<String, String>);
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((name, rest)) = args.split_first() else {
+        eprintln!("{}", usage());
+        return ExitCode::FAILURE;
+    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    // The subcommand is resolved before its flags, so a typo'd one is
+    // reported as that and not as an unknown flag.
+    let result = match COMMANDS.iter().find(|(cmd, ..)| cmd == name) {
+        None => Err(format!("unknown subcommand '{name}'\n\n{}", usage())),
+        Some(&(cmd, run, row)) => Opts::parse(cmd, row, rest)
+            .map_err(|e| format!("{e}\n\n{}", usage()))
+            .and_then(|opts| opts.check().and_then(|()| run(&opts))),
+    };
+    if let Err(e) = &result {
+        eprintln!("error: {e}");
+    }
+    ExitCode::from(result.is_err() as u8)
+}
+
+/// The `--key value` pairs given to one subcommand, read through its row.
+struct Opts {
+    cmd: &'static str,
+    row: Row,
+    given: HashMap<&'static str, String>,
+}
 
 impl Opts {
-    fn parse(args: &[String], cmd: &str, allowed: &[&str]) -> Result<Self, String> {
-        let mut map = HashMap::new();
+    fn parse(cmd: &'static str, row: Row, args: &[String]) -> Result<Self, String> {
+        let mut given = HashMap::new();
         let mut it = args.iter();
         while let Some(k) = it.next() {
             let Some(key) = k.strip_prefix("--") else {
                 return Err(format!("expected --flag, got '{k}'"));
             };
-            if !allowed.contains(&key) {
+            let Some(flag) = flags(row).find(|f| f.name == key) else {
                 return Err(format!("unknown flag --{key} for '{cmd}'"));
-            }
+            };
             let Some(v) = it.next() else {
                 return Err(format!("flag --{key} is missing a value"));
             };
-            if map.insert(key.to_string(), v.clone()).is_some() {
+            if given.insert(flag.name, v.clone()).is_some() {
                 return Err(format!("flag --{key} given more than once"));
             }
         }
-        Ok(Opts(map))
+        Ok(Opts { cmd, row, given })
+    }
+
+    /// Everything the row alone decides, before the handler does any work:
+    /// required flags, dependents, and values of their kind.
+    fn check(&self) -> Result<(), String> {
+        for f in flags(self.row) {
+            match (self.given.get(f.name), f.need) {
+                (Some(_), With(parent)) if !self.given.contains_key(parent) => {
+                    return Err(format!("--{} requires --{parent}", f.name));
+                }
+                (Some(v), _) => f.accepts(v)?,
+                (None, Required) => return Err(missing(f.name)),
+                (None, _) => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// `--key`'s entry in the row and its text: what was given, else the
+    /// default. A handler asking for a flag its subcommand does not
+    /// declare is a typo.
+    fn entry(&self, key: &str) -> Option<(&'static Flag, &str)> {
+        let flag = flags(self.row).find(|f| f.name == key);
+        debug_assert!(flag.is_some(), "{} does not declare --{key}", self.cmd);
+        let text = self.given.get(key).map(String::as_str).or(flag?.default)?;
+        Some((flag?, text))
     }
 
     fn get(&self, key: &str) -> Option<&str> {
-        self.0.get(key).map(|s| s.as_str())
+        self.entry(key).map(|(_, text)| text)
     }
 
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: cannot parse '{v}'")),
-        }
+    /// `--key` as a number, address or path; `None` if absent, undefaulted.
+    fn opt<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.entry(key)
+            .map(|(flag, text)| flag.parsed(text))
+            .transpose()
+    }
+
+    fn value<T: FromStr>(&self, key: &str) -> Result<T, String> {
+        self.opt(key)?.ok_or_else(|| missing(key))
     }
 }
 
-fn cmd_generate(opts: &Opts) -> Result<(), String> {
-    let out = PathBuf::from(opts.get("out").ok_or("--out is required")?);
-    let n: usize = opts.num("n", 5000)?;
-    let pixels: usize = opts.num("pixels", 200)?;
-    let zmax: f64 = opts.num("zmax", 0.2)?;
-    let contamination: f64 = opts.num("contamination", 0.05)?;
-    let seed: u64 = opts.num("seed", 42)?;
+fn missing(key: &str) -> String {
+    format!("--{key} is required")
+}
 
-    let gen = GalaxyGenerator::new(pixels, zmax);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut rows = Vec::with_capacity(n);
-    let mut contaminated = 0usize;
-    for _ in 0..n {
-        if rng.gen::<f64>() < contamination {
-            contaminated += 1;
-            let kind = match rng.gen_range(0..3) {
-                0 => ContaminantKind::Quasar,
-                1 => ContaminantKind::Star,
-                _ => ContaminantKind::Sky,
-            };
-            let mut flux = contaminants::draw(&mut rng, gen.grid(), kind);
-            let mask = vec![true; pixels];
-            unit_norm_masked(&mut flux, &mask);
-            rows.push((flux, mask));
-        } else {
-            let mut s = gen.sample_with_coverage(&mut rng);
-            unit_norm_masked(&mut s.flux, &s.mask);
-            rows.push((s.flux, s.mask));
-        }
-    }
+fn cmd_generate(opts: &Opts) -> Result<(), String> {
+    let out: PathBuf = opts.value("out")?;
+    let n: usize = opts.value("n")?;
+    let gen = GalaxyGenerator::new(opts.value("pixels")?, opts.value("zmax")?);
+    let mut rng = StdRng::seed_from_u64(opts.value("seed")?);
+    let (rows, contaminated) = gen.survey_extract(&mut rng, n, opts.value("contamination")?);
     io::write_csv_masked(&out, &rows).map_err(|e| e.to_string())?;
     println!(
         "wrote {n} spectra ({contaminated} contaminants) to {}",
@@ -312,30 +440,194 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The width of `path`'s first data row: all `run`, `serve` and
-/// `coordinator` need of the corpus before they stream it.
-fn input_dim(path: impl AsRef<std::path::Path>) -> Result<usize, String> {
-    let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
-    for line in std::io::BufReader::new(file).split(b'\n') {
+/// The width of the first data row in `corpus`: all any subcommand needs
+/// of its input before streaming it.
+fn input_dim(corpus: impl BufRead) -> Result<usize, String> {
+    for line in corpus.split(b'\n') {
         let line = line.map_err(|e| e.to_string())?;
         if let Some(row) = DataTuple::from_csv_line(0, &line, 0) {
             return Ok(row.values.len());
         }
     }
-    Err("input file is empty".to_string())
+    Err("input has no data rows".to_string())
 }
 
-/// Resolves the ingest source (exactly one of `--input`, `--listen`,
-/// `--url`) and the stream dimensionality (probed from the file, or
-/// `--dim` for network streams). Shared by `run` and `serve`.
-fn ingest_source_and_dim(opts: &Opts) -> Result<(Box<dyn Operator>, usize), String> {
-    let source: Box<dyn Operator> = match (opts.get("input"), opts.get("listen"), opts.get("url")) {
-        (Some(path), None, None) => {
-            if !std::path::Path::new(path).exists() {
-                return Err(format!("input file '{path}' does not exist"));
+fn file_dim(path: &Path) -> Result<usize, String> {
+    if !path.exists() {
+        return Err(format!("input file '{}' does not exist", path.display()));
+    }
+    let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
+    input_dim(std::io::BufReader::new(file))
+}
+
+/// The estimator configuration of `run`, `coordinator` and `backfill`:
+/// `--components` (checked against the stream's `dim`) and `--memory`.
+fn pca_config(opts: &Opts, dim: usize) -> Result<PcaConfig, String> {
+    let components: usize = opts.value("components")?;
+    if components + 2 >= dim {
+        return Err(format!(
+            "--components {components} too large for dimension {dim}"
+        ));
+    }
+    Ok(PcaConfig::new(dim, components)
+        .with_memory(opts.value("memory")?)
+        .with_extra(2))
+}
+
+fn print_merged_eigenvalues(values: &[f64]) {
+    let rounded: Vec<f64> = values.iter().map(|v| (v * 1e4).round() / 1e4).collect();
+    println!("merged eigenvalues: {rounded:?}");
+}
+
+fn cmd_coordinator(opts: &Opts) -> Result<(), String> {
+    let input: PathBuf = opts.value("input")?;
+    let workers: usize = opts.value("workers")?;
+    let engines: usize = opts.opt("engines")?.unwrap_or(workers.max(1));
+    if workers > 0 {
+        // The spec travels to each worker as one whitespace-separated
+        // line (`DistSpec::encode`), which cannot carry such a path.
+        for key in ["snapshots", "snapshot-dir"] {
+            let path = opts.get(key).unwrap_or_default();
+            if path.contains(char::is_whitespace) {
+                return Err(format!("--{key}: workers cannot take whitespace in a path"));
             }
-            Box::new(CsvFileSource::new(path))
         }
+    }
+    let pca = pca_config(opts, file_dim(&input)?)?;
+    let spec = DistSpec {
+        n_engines: engines,
+        n_workers: workers.max(1),
+        dim: pca.dim,
+        components: pca.p,
+        memory: opts.value("memory")?,
+        batch: opts.value("batch")?,
+        capacity: opts.value("capacity")?,
+        snapshot_every: opts.value("snapshot-every")?,
+        snapshots: opts.value("snapshots")?,
+        recovery: opts.opt("snapshot-dir")?,
+        coord_data: SocketAddr::from(([127, 0, 0, 1], 0)),
+        worker_data: Vec::new(),
+    };
+    // `--workers 0` is the in-process baseline: identical graph and
+    // parameters, no sockets.
+    let (what, report, placed) = if workers == 0 {
+        let source = Box::new(CsvFileSource::new(&input));
+        let report = astro_stream_pca::engine::run_local(&spec, source);
+        ("local baseline", report, String::new())
+    } else {
+        let listen = opts.opt("listen")?.ok_or_else(|| missing("listen"))?;
+        let data = opts.value("data")?;
+        let out = astro_stream_pca::engine::run_coordinator(listen, data, input, spec.clone())
+            .map_err(|e| format!("coordinator failed: {e}"))?;
+        let placed = format!(" on {workers} workers ({} respawned)", out.respawns);
+        ("distributed run", out.report, placed)
+    };
+    println!(
+        "{what} complete: {} observations across {engines} engines{placed}; snapshots in {}",
+        report.op("split").map_or(0, |o| o.tuples_in),
+        spec.snapshots.display()
+    );
+    Ok(())
+}
+
+fn cmd_worker(opts: &Opts) -> Result<(), String> {
+    let (coordinator, data) = (opts.value("coordinator")?, opts.value("data")?);
+    let index: usize = opts.value("index")?;
+    let _report = astro_stream_pca::engine::run_worker(coordinator, index, data)
+        .map_err(|e| format!("worker {index} failed: {e}"))?;
+    println!("worker {index} finished");
+    Ok(())
+}
+
+/// Runs the dataflow to completion. While it runs, live fault counters are
+/// mirrored into `serving`'s `/metrics` (the last mirror is the finished
+/// report's, so the endpoint and the fault summary agree) and the
+/// `autoscaler` ticks: it probes rates and queues and rescales the live fleet.
+fn supervise(
+    graph: GraphBuilder,
+    serving: Option<&ServeShared>,
+    mut autoscaler: Option<&mut ElasticSupervisor>,
+) -> RunReport {
+    let running = Engine::start(graph);
+    // The autoscaler measures rates, so it is polled on a finer grain than
+    // the mirror needs; with neither there is nothing to do but join.
+    let poll = Duration::from_millis(if autoscaler.is_some() { 20 } else { 100 });
+    while (serving.is_some() || autoscaler.is_some()) && !running.is_finished() {
+        if let Some(ev) = autoscaler.as_mut().and_then(|a| a.tick(&running)) {
+            println!(
+                "autoscaler: {:+} engines -> fleet of {} ({:.1} ms migration)",
+                ev.action,
+                ev.active_after,
+                ev.latency.as_secs_f64() * 1e3
+            );
+        }
+        if let Some(shared) = serving {
+            shared.set_counters(FaultCounters::from_op_snapshots(&running.op_snapshots()));
+        }
+        std::thread::sleep(poll);
+    }
+    let report = running.join();
+    if let Some(shared) = serving {
+        shared.set_counters(FaultCounters::from_report(&report));
+    }
+    report
+}
+
+/// `run`, and `serve`: the same run with the query server always on, its
+/// two flags under their `serve` names, `--serve-for`, and none of the
+/// flags only `run`'s row declares.
+fn cmd_run(opts: &Opts) -> Result<(), String> {
+    let always_on = opts.cmd == "serve";
+    let run_only = |key: &str| if always_on { None } else { opts.get(key) };
+    let (addr_flag, threads_flag) = match always_on {
+        true => ("addr", "threads"),
+        false => ("serve", "serve-threads"),
+    };
+
+    // Validate the fault plan and serving flags before any I/O, so a bad
+    // spec is reported even when the input is also wrong.
+    let faults = run_only("faults")
+        .map(|spec| FaultPlan::parse(spec).map_err(|e| format!("--faults: {e}")))
+        .transpose()?;
+    let serve_addr: Option<SocketAddr> = opts.opt(addr_flag)?;
+    let threads: usize = opts.value(threads_flag)?;
+    // Each server worker claims one epoch-store reader slot: rejected here
+    // instead of panicking in the handler factory at server start.
+    if serve_addr.is_some() && threads > MAX_READERS {
+        return Err(format!(
+            "--{threads_flag} must be at most {MAX_READERS} (epoch-store reader slots)"
+        ));
+    }
+    let rate_limit = match opts.opt::<f64>("rate-limit")? {
+        Some(per_sec) if !per_sec.is_finite() || per_sec <= 0.0 => {
+            return Err("--rate-limit must be a positive request rate".to_string());
+        }
+        per_sec => per_sec.map(|per_sec| RateLimitConfig {
+            per_sec,
+            burst: (2.0 * per_sec).max(1.0),
+        }),
+    };
+    let engines: usize = opts.value("engines")?;
+    let elastic_ms: Option<u64> = if always_on {
+        None
+    } else {
+        opts.opt("elastic")?
+    };
+    let mut max_engines = engines.saturating_mul(2).max(2);
+    if elastic_ms.is_some() {
+        if elastic_ms == Some(0) {
+            return Err("--elastic needs a monitoring epoch of at least 1 ms".to_string());
+        }
+        max_engines = opts.opt("max-engines")?.unwrap_or(max_engines);
+        if max_engines < engines {
+            return Err(format!(
+                "--max-engines {max_engines} is below the starting fleet of {engines} engines"
+            ));
+        }
+    }
+
+    let source: Box<dyn Operator> = match (opts.get("input"), opts.get("listen"), opts.get("url")) {
+        (Some(path), None, None) => Box::new(CsvFileSource::new(path)),
         (None, Some(addr), None) => {
             let src = TcpSource::listen(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
             println!("listening on {}", src.local_addr().expect("bound"));
@@ -344,342 +636,32 @@ fn ingest_source_and_dim(opts: &Opts) -> Result<(Box<dyn Operator>, usize), Stri
         (None, None, Some(url)) => Box::new(HttpSource::get(url)?),
         _ => return Err("exactly one of --input, --listen or --url is required".to_string()),
     };
+    // The stream's width: probed from the file, `--dim` for a network stream.
     let dim: usize = match opts.get("input") {
-        Some(path) => input_dim(path)?,
-        None => opts.num("dim", 0).and_then(|d: usize| {
-            if d == 0 {
-                Err("--dim is required with --listen/--url".to_string())
-            } else {
-                Ok(d)
-            }
-        })?,
+        Some(path) => file_dim(Path::new(path))?,
+        None => (opts.opt("dim")?).ok_or("--dim is required with --listen/--url")?,
     };
-    Ok((source, dim))
-}
+    let pca = pca_config(opts, dim)?;
+    let (components, memory): (usize, usize) = (pca.p, opts.value("memory")?);
 
-/// Assembles the distributed run spec shared by `coordinator` (both the
-/// socket mode and the `--workers 0` in-process baseline).
-fn parse_dist_spec(opts: &Opts, input: &std::path::Path) -> Result<DistSpec, String> {
-    let workers: usize = opts.num("workers", 2)?;
-    let engines: usize = opts.num("engines", workers.max(1))?;
-    if engines == 0 {
-        return Err("--engines must be at least 1".to_string());
-    }
-    let components: usize = opts.num("components", 4)?;
-    let memory: usize = opts.num("memory", 5000)?;
-    let batch: usize = opts.num("batch", astro_stream_pca::streams::DEFAULT_BATCH_SIZE)?;
-    if batch == 0 {
-        return Err("--batch must be at least 1".to_string());
-    }
-    // Bit-identity between runs needs the split to never shed to a
-    // different engine, so default the channel capacity far above any
-    // realistic corpus (see the distributed module docs).
-    let capacity: usize = opts.num("capacity", 1 << 20)?;
-    if capacity == 0 {
-        return Err("--capacity must be at least 1".to_string());
-    }
-    let snapshot_every: u64 = opts.num("snapshot-every", 0)?;
-    let snapshots = PathBuf::from(
-        opts.get("snapshots")
-            .ok_or("--snapshots is required (where engine eigensystems are persisted)")?,
-    );
-    let recovery = opts.get("snapshot-dir").map(PathBuf::from);
-    let dim = input_dim(input)?;
-    if components + 2 >= dim {
-        return Err(format!(
-            "--components {components} too large for dimension {dim}"
-        ));
-    }
-    Ok(DistSpec {
-        n_engines: engines,
-        n_workers: workers.max(1),
-        dim,
-        components,
-        memory,
-        batch,
-        capacity,
-        snapshot_every,
-        snapshots,
-        recovery,
-        coord_data: std::net::SocketAddr::from(([127, 0, 0, 1], 0)),
-        worker_data: Vec::new(),
-    })
-}
-
-fn cmd_coordinator(opts: &Opts) -> Result<(), String> {
-    let input = PathBuf::from(opts.get("input").ok_or("--input is required")?);
-    if !input.exists() {
-        return Err(format!("input file '{}' does not exist", input.display()));
-    }
-    let workers: usize = opts.num("workers", 2)?;
-    let spec = parse_dist_spec(opts, &input)?;
-    if workers == 0 {
-        // In-process baseline: identical graph and parameters, no sockets.
-        let report =
-            astro_stream_pca::engine::run_local(&spec, Box::new(CsvFileSource::new(&input)));
-        let processed = report.op("split").map_or(0, |o| o.tuples_in);
-        println!(
-            "local baseline complete: {processed} observations across {} engines; snapshots in {}",
-            spec.n_engines,
-            spec.snapshots.display()
-        );
-        return Ok(());
-    }
-    let listen = parse_serve_addr("listen", opts.get("listen").ok_or("--listen is required")?)?;
-    let data = parse_serve_addr("data", opts.get("data").unwrap_or("127.0.0.1:0"))?;
-    let out = astro_stream_pca::engine::run_coordinator(listen, data, input, spec.clone())
-        .map_err(|e| format!("coordinator failed: {e}"))?;
-    let processed = out.report.op("split").map_or(0, |o| o.tuples_in);
-    println!(
-        "distributed run complete: {processed} observations across {} engines on {} workers \
-         ({} respawned); snapshots in {}",
-        spec.n_engines,
-        spec.n_workers,
-        out.respawns,
-        spec.snapshots.display()
-    );
-    Ok(())
-}
-
-fn cmd_worker(opts: &Opts) -> Result<(), String> {
-    let coordinator = parse_serve_addr(
-        "coordinator",
-        opts.get("coordinator").ok_or("--coordinator is required")?,
-    )?;
-    let index: usize = opts
-        .get("index")
-        .ok_or("--index is required")?
-        .parse()
-        .map_err(|_| {
-            format!(
-                "--index: cannot parse '{}'",
-                opts.get("index").unwrap_or("")
-            )
-        })?;
-    let data = parse_serve_addr("data", opts.get("data").ok_or("--data is required")?)?;
-    let _report = astro_stream_pca::engine::run_worker(coordinator, index, data)
-        .map_err(|e| format!("worker {index} failed: {e}"))?;
-    println!("worker {index} finished");
-    Ok(())
-}
-
-fn parse_sync(opts: &Opts) -> Result<SyncStrategy, String> {
-    match opts.get("sync").unwrap_or("ring") {
-        "ring" => Ok(SyncStrategy::Ring),
-        "broadcast" => Ok(SyncStrategy::Broadcast),
-        "none" => Ok(SyncStrategy::None),
-        other => Err(format!("--sync: unknown strategy '{other}'")),
-    }
-}
-
-/// Strict IP:PORT parse for the query-server bind address (hostnames are
-/// rejected up front so a typo'd port fails fast, before any ingest I/O).
-fn parse_serve_addr(flag: &str, addr: &str) -> Result<std::net::SocketAddr, String> {
-    addr.parse()
-        .map_err(|_| format!("--{flag}: cannot parse '{addr}' as IP:PORT (e.g. 127.0.0.1:8080)"))
-}
-
-/// Server worker-pool size validation, shared by `run --serve-threads`
-/// and `serve --threads`. Each worker claims one epoch-store reader
-/// slot, so the pool is bounded by [`MAX_READERS`] — rejected here
-/// instead of panicking inside the handler factory at server start.
-fn validate_serve_threads(flag: &str, threads: usize) -> Result<(), String> {
-    use astro_stream_pca::engine::epoch::MAX_READERS;
-    if threads == 0 {
-        return Err(format!("--{flag} must be at least 1"));
-    }
-    if threads > MAX_READERS {
-        return Err(format!(
-            "--{flag} must be at most {MAX_READERS} (epoch-store reader slots)"
-        ));
-    }
-    Ok(())
-}
-
-fn parse_rate_limit(opts: &Opts) -> Result<Option<RateLimitConfig>, String> {
-    match opts.get("rate-limit") {
-        None => Ok(None),
-        Some(v) => {
-            let per_sec: f64 = v
-                .parse()
-                .map_err(|_| format!("--rate-limit: cannot parse '{v}'"))?;
-            if !per_sec.is_finite() || per_sec <= 0.0 {
-                return Err("--rate-limit must be a positive request rate".to_string());
-            }
-            Ok(Some(RateLimitConfig {
-                per_sec,
-                burst: (2.0 * per_sec).max(1.0),
-            }))
-        }
-    }
-}
-
-/// Boots the eigensystem query server over `store` and wires its stats
-/// into `/metrics`.
-fn start_query_server(
-    addr: std::net::SocketAddr,
-    threads: usize,
-    rate_limit: Option<RateLimitConfig>,
-    shared: &Arc<ServeShared>,
-) -> Result<HttpServer, String> {
-    let cfg = ServerConfig {
-        threads,
-        rate_limit,
-        ..ServerConfig::default()
-    };
-    let factory_shared = Arc::clone(shared);
-    let server = HttpServer::start(addr, cfg, move |_| {
-        EigenQueryHandler::new(Arc::clone(&factory_shared))
-    })
-    .map_err(|e| format!("cannot bind query server on {addr}: {e}"))?;
-    shared.set_server_stats(server.stats());
-    println!("serving queries on http://{}", server.local_addr());
-    Ok(server)
-}
-
-/// Runs the dataflow to completion while mirroring live fault counters
-/// into `/metrics`; the final mirror comes from the finished report, so
-/// the endpoint and the CLI fault summary report identical values.
-fn run_mirroring_counters(
-    graph: astro_stream_pca::streams::GraphBuilder,
-    shared: &Arc<ServeShared>,
-) -> astro_stream_pca::streams::RunReport {
-    let running = Engine::start(graph);
-    while !running.is_finished() {
-        shared.set_counters(FaultCounters::from_op_snapshots(&running.op_snapshots()));
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    let report = running.join();
-    shared.set_counters(FaultCounters::from_report(&report));
-    report
-}
-
-/// Runs an elastic dataflow to completion: the autoscaling supervisor
-/// ticks in the polling loop (probing throughput and queue growth, and
-/// executing live rescales through the shared membership handle), while
-/// fault counters are mirrored into `/metrics` when serving is attached.
-fn run_elastic(
-    graph: astro_stream_pca::streams::GraphBuilder,
-    handles: &AppHandles,
-    epoch: Duration,
-    shared: Option<&Arc<ServeShared>>,
-) -> (astro_stream_pca::streams::RunReport, Vec<ScaleEvent>) {
-    let runtime = ElasticRuntime::new(handles).expect("app built with max_engines");
-    let mut supervisor = ElasticSupervisor::new(runtime, epoch);
-    let running = Engine::start(graph);
-    while !running.is_finished() {
-        if let Some(ev) = supervisor.tick(&running) {
-            println!(
-                "autoscaler: {:+} engines -> fleet of {} ({:.1} ms migration)",
-                ev.action,
-                ev.active_after,
-                ev.latency.as_secs_f64() * 1e3
-            );
-        }
-        if let Some(shared) = shared {
-            shared.set_counters(FaultCounters::from_op_snapshots(&running.op_snapshots()));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let report = running.join();
-    if let Some(shared) = shared {
-        shared.set_counters(FaultCounters::from_report(&report));
-    }
-    (report, supervisor.events.clone())
-}
-
-fn print_server_stats(server: &HttpServer) {
-    let stats = server.stats();
-    use std::sync::atomic::Ordering::Relaxed;
-    println!(
-        "query server: {} served, {} shed, {} rate-limited",
-        stats.served.load(Relaxed),
-        stats.shed.load(Relaxed),
-        stats.rate_limited.load(Relaxed)
-    );
-}
-
-fn cmd_run(opts: &Opts) -> Result<(), String> {
-    let engines: usize = opts.num("engines", 4)?;
-    let components: usize = opts.num("components", 4)?;
-    let memory: usize = opts.num("memory", 5000)?;
-    let batch: usize = opts.num("batch", astro_stream_pca::streams::DEFAULT_BATCH_SIZE)?;
-    if batch == 0 {
-        return Err("--batch must be at least 1".to_string());
-    }
-    // Validate the fault plan and serving flags before any I/O, so a bad
-    // spec is reported even when the input is also wrong.
-    let faults = opts
-        .get("faults")
-        .map(|spec| {
-            astro_stream_pca::streams::FaultPlan::parse(spec).map_err(|e| format!("--faults: {e}"))
-        })
-        .transpose()?;
-    let serve_addr = opts
-        .get("serve")
-        .map(|a| parse_serve_addr("serve", a))
-        .transpose()?;
-    let serve_threads: usize = opts.num("serve-threads", 4)?;
-    let rate_limit = parse_rate_limit(opts)?;
-    let publish_every: u64 = opts.num("publish-every", 64)?;
-    if serve_addr.is_none() {
-        for flag in ["serve-threads", "rate-limit", "publish-every"] {
-            if opts.get(flag).is_some() {
-                return Err(format!("--{flag} requires --serve"));
-            }
-        }
-    }
-    if serve_addr.is_some() {
-        validate_serve_threads("serve-threads", serve_threads)?;
-    }
-    let elastic_epoch_ms: Option<u64> = opts
-        .get("elastic")
-        .map(|_| opts.num("elastic", 0))
-        .transpose()?;
-    if elastic_epoch_ms == Some(0) {
-        return Err("--elastic needs a monitoring epoch of at least 1 ms".to_string());
-    }
-    let max_engines: usize = opts.num("max-engines", engines.saturating_mul(2).max(2))?;
-    if opts.get("max-engines").is_some() && elastic_epoch_ms.is_none() {
-        return Err("--max-engines requires --elastic".to_string());
-    }
-    if elastic_epoch_ms.is_some() && max_engines < engines {
-        return Err(format!(
-            "--max-engines {max_engines} is below the starting fleet of {engines} engines"
-        ));
-    }
-
-    let (source, dim) = ingest_source_and_dim(opts)?;
-    if components + 2 >= dim {
-        return Err(format!(
-            "--components {components} too large for dimension {dim}"
-        ));
-    }
-
-    let pca = PcaConfig::new(dim, components)
-        .with_memory(memory)
-        .with_extra(2);
     let mut cfg = AppConfig::new(engines, pca);
-    cfg.batch_size = batch;
-    cfg.emit_outcomes = opts.get("report").is_some();
-    cfg.sync = parse_sync(opts)?;
-    if let Some(dir) = opts.get("snapshots") {
-        cfg.snapshot_dir = Some(PathBuf::from(dir));
-    }
-    if let Some(plan) = faults {
-        cfg.faults = Some(astro_stream_pca::engine::normalize_fault_targets(plan));
-        // Injected failures only make sense with the failure-aware
-        // controller watching for them.
-        cfg.failure_aware_sync = true;
-    }
-    if let Some(dir) = opts.get("snapshot-dir") {
-        cfg.recovery_dir = Some(PathBuf::from(dir));
-    }
-    if elastic_epoch_ms.is_some() {
-        cfg.max_engines = Some(max_engines);
-    }
-    if let Some(path) = opts.get("warm-start") {
-        let eig = persist::read_snapshot(std::path::Path::new(path))
+    cfg.batch_size = opts.value("batch")?;
+    cfg.emit_outcomes = run_only("report").is_some();
+    cfg.sync = match opts.get("sync").unwrap_or_default() {
+        "ring" => SyncStrategy::Ring,
+        "broadcast" => SyncStrategy::Broadcast,
+        "none" => SyncStrategy::None,
+        other => return Err(format!("--sync: unknown strategy '{other}'")),
+    };
+    cfg.snapshot_dir = run_only("snapshots").map(PathBuf::from);
+    // Injected failures only make sense with the failure-aware controller
+    // watching for them.
+    cfg.failure_aware_sync = faults.is_some();
+    cfg.faults = faults.map(astro_stream_pca::engine::normalize_fault_targets);
+    cfg.recovery_dir = run_only("snapshot-dir").map(PathBuf::from);
+    cfg.max_engines = elastic_ms.map(|_| max_engines);
+    if let Some(path) = run_only("warm-start") {
+        let eig = persist::read_snapshot(Path::new(path))
             .map_err(|e| format!("--warm-start {path}: {e}"))?;
         if eig.dim() != dim {
             return Err(format!(
@@ -694,97 +676,78 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         cfg.warm_start = Some(eig);
     }
 
+    // The query server over the store the engines publish epochs into.
     let serving = match serve_addr {
         Some(addr) => {
             let store = Arc::new(EpochStore::new());
             cfg.epoch_store = Some(Arc::clone(&store));
-            cfg.publish_every = publish_every;
+            cfg.publish_every = opts.value("publish-every")?;
             let shared = Arc::new(ServeShared::new(store));
-            let server = start_query_server(addr, serve_threads, rate_limit, &shared)?;
+            let server_cfg = ServerConfig {
+                threads,
+                rate_limit,
+                ..ServerConfig::default()
+            };
+            let for_handlers = Arc::clone(&shared);
+            let server = HttpServer::start(addr, server_cfg, move |_| {
+                EigenQueryHandler::new(Arc::clone(&for_handlers))
+            })
+            .map_err(|e| format!("cannot bind query server on {addr}: {e}"))?;
+            shared.set_server_stats(server.stats());
+            println!("serving queries on http://{}", server.local_addr());
             Some((shared, server))
         }
         None => None,
     };
 
     let (graph, handles) = ParallelPcaApp::build(&cfg, source);
-    if let Some(ms) = elastic_epoch_ms {
-        println!(
-            "running {engines} engines elastically (ceiling {max_engines}, epoch {ms} ms, \
-             d = {dim}, p = {components}, N = {memory}) ..."
-        );
-    } else {
-        println!("running {engines} engines (d = {dim}, p = {components}, N = {memory}) ...");
+    let mut autoscaler = elastic_ms.map(|ms| {
+        let runtime = ElasticRuntime::new(&handles).expect("app built with max_engines");
+        ElasticSupervisor::new(runtime, Duration::from_millis(ms))
+    });
+    println!("running {engines} engines (d = {dim}, p = {components}, N = {memory}) ...");
+    if let Some(ms) = elastic_ms {
+        println!("autoscaling between 1 and {max_engines} engines on a {ms} ms epoch");
     }
-    let mut scale_events: Vec<ScaleEvent> = Vec::new();
-    let report = match elastic_epoch_ms {
-        Some(ms) => {
-            let (report, events) = run_elastic(
-                graph,
-                &handles,
-                Duration::from_millis(ms),
-                serving.as_ref().map(|(shared, _)| shared),
-            );
-            scale_events = events;
-            report
-        }
-        None => match &serving {
-            Some((shared, _)) => run_mirroring_counters(graph, shared),
-            None => Engine::run(graph),
-        },
-    };
+    let report = supervise(
+        graph,
+        serving.as_ref().map(|(shared, _)| shared.as_ref()),
+        autoscaler.as_mut(),
+    );
+
     let consumed = report.tuples_in_matching("pca-");
     println!(
         "processed {consumed} tuples in {:.2}s ({:.0} tuples/s)",
         report.elapsed.as_secs_f64(),
         consumed as f64 / report.elapsed.as_secs_f64().max(1e-9)
     );
-    let (restarts, pe_restarts, quarantined, sync_skips) = (
-        report.total_restarts(),
-        report.total_pe_restarts(),
-        report.total_quarantined(),
-        report.total_sync_skips(),
-    );
-    let (io_faults, quarantined_snapshots, checkpoint_skips) = (
-        report.total_io_faults(),
-        report.total_quarantined_snapshots(),
-        report.total_checkpoint_skips(),
-    );
-    let (scale_outs, scale_ins) = (report.total_scale_outs(), report.total_scale_ins());
-    if restarts
-        + pe_restarts
-        + quarantined
-        + sync_skips
-        + io_faults
-        + quarantined_snapshots
-        + checkpoint_skips
-        + scale_outs
-        + scale_ins
-        > 0
-    {
-        println!(
-            "fault summary: {restarts} operator restarts, {pe_restarts} PE restarts \
-             (operator-weighted), {quarantined} quarantined tuples, \
-             {sync_skips} skipped syncs, {io_faults} storage faults absorbed, \
-             {quarantined_snapshots} quarantined snapshots, \
-             {checkpoint_skips} skipped checkpoints, \
-             {scale_outs} scale-outs, {scale_ins} scale-ins"
-        );
+    let c = FaultCounters::from_report(&report);
+    let absorbed = [
+        (c.restarts, "operator restarts"),
+        (c.pe_restarts, "PE restarts (operator-weighted)"),
+        (c.quarantined, "quarantined tuples"),
+        (c.sync_skips, "skipped syncs"),
+        (c.io_faults, "storage faults absorbed"),
+        (c.quarantined_snapshots, "quarantined snapshots"),
+        (c.checkpoint_skips, "skipped checkpoints"),
+        (c.scale_outs, "scale-outs"),
+        (c.scale_ins, "scale-ins"),
+    ];
+    if absorbed.iter().any(|(count, _)| *count > 0) {
+        let parts = absorbed.map(|(count, what)| format!("{count} {what}"));
+        println!("fault summary: {}", parts.join(", "));
     }
-    if elastic_epoch_ms.is_some() {
-        let outs = scale_events.iter().filter(|e| e.action > 0).count();
-        let ins = scale_events.iter().filter(|e| e.action < 0).count();
-        let final_fleet = scale_events
-            .last()
-            .map(|e| e.active_after)
-            .unwrap_or(engines);
+    if let Some(autoscaler) = &autoscaler {
+        let (outs, ins) = autoscaler.event_counts();
         println!(
             "autoscaler summary: {} rescale events ({outs} out, {ins} in), \
-             final fleet {final_fleet} engines",
-            scale_events.len()
+             final fleet {} engines",
+            autoscaler.events.len(),
+            autoscaler.events.last().map_or(engines, |e| e.active_after)
         );
     }
 
-    if let Some(path) = opts.get("report") {
+    if let Some(path) = run_only("report") {
         let outcomes = handles.outcomes.expect("enabled above");
         let rows: Vec<Vec<f64>> = outcomes
             .lock()
@@ -800,14 +763,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     }
     match handles.hub.merged_estimate() {
         Ok(merged) => {
-            println!(
-                "merged eigenvalues: {:?}",
-                merged
-                    .values
-                    .iter()
-                    .map(|v| (v * 1e4).round() / 1e4)
-                    .collect::<Vec<_>>()
-            );
+            print_merged_eigenvalues(&merged.values);
             println!(
                 "variance captured by p components: {:.1}%",
                 100.0 * merged.variance_captured(components)
@@ -815,95 +771,37 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         }
         Err(e) => println!("no merged estimate: {e}"),
     }
-    if let Some((_, server)) = serving {
-        print_server_stats(&server);
+    if let Some((shared, server)) = serving {
+        let serve_for: u64 = if always_on {
+            opts.value("serve-for")?
+        } else {
+            0
+        };
+        if serve_for > 0 {
+            println!("serving the final eigensystem for {serve_for}s more");
+            std::thread::sleep(Duration::from_secs(serve_for));
+        }
+        use std::sync::atomic::Ordering::Relaxed;
+        let stats = server.stats();
+        println!(
+            "query server: {} epochs published, {} served, {} shed, {} rate-limited",
+            shared.store().epoch(),
+            stats.served.load(Relaxed),
+            stats.shed.load(Relaxed),
+            stats.rate_limited.load(Relaxed)
+        );
         server.shutdown();
     }
-    Ok(())
-}
-
-/// `spca serve` — always-on eigensystem serving: ingest the stream while
-/// answering HTTP queries against the live epoch store, then (optionally)
-/// keep serving the final eigensystem after the stream drains.
-fn cmd_serve(opts: &Opts) -> Result<(), String> {
-    let addr = parse_serve_addr("addr", opts.get("addr").ok_or("--addr is required")?)?;
-    let engines: usize = opts.num("engines", 4)?;
-    let components: usize = opts.num("components", 4)?;
-    let memory: usize = opts.num("memory", 5000)?;
-    let batch: usize = opts.num("batch", astro_stream_pca::streams::DEFAULT_BATCH_SIZE)?;
-    if batch == 0 {
-        return Err("--batch must be at least 1".to_string());
-    }
-    let threads: usize = opts.num("threads", 4)?;
-    validate_serve_threads("threads", threads)?;
-    let serve_for: u64 = opts.num("serve-for", 0)?;
-    let rate_limit = parse_rate_limit(opts)?;
-    let publish_every: u64 = opts.num("publish-every", 64)?;
-
-    let (source, dim) = ingest_source_and_dim(opts)?;
-    if components + 2 >= dim {
-        return Err(format!(
-            "--components {components} too large for dimension {dim}"
-        ));
-    }
-
-    let pca = PcaConfig::new(dim, components)
-        .with_memory(memory)
-        .with_extra(2);
-    let mut cfg = AppConfig::new(engines, pca);
-    cfg.batch_size = batch;
-    cfg.sync = parse_sync(opts)?;
-    let store = Arc::new(EpochStore::new());
-    cfg.epoch_store = Some(Arc::clone(&store));
-    cfg.publish_every = publish_every;
-
-    let shared = Arc::new(ServeShared::new(Arc::clone(&store)));
-    let server = start_query_server(addr, threads, rate_limit, &shared)?;
-
-    let (graph, handles) = ParallelPcaApp::build(&cfg, source);
-    println!("running {engines} engines (d = {dim}, p = {components}, N = {memory}) ...");
-    let report = run_mirroring_counters(graph, &shared);
-    let consumed = report.tuples_in_matching("pca-");
-    println!(
-        "ingest drained: {consumed} tuples in {:.2}s ({:.0} tuples/s), {} epochs published",
-        report.elapsed.as_secs_f64(),
-        consumed as f64 / report.elapsed.as_secs_f64().max(1e-9),
-        store.epoch()
-    );
-    match handles.hub.merged_estimate() {
-        Ok(merged) => println!(
-            "variance captured by p components: {:.1}%",
-            100.0 * merged.variance_captured(components)
-        ),
-        Err(e) => println!("no merged estimate: {e}"),
-    }
-    if serve_for > 0 {
-        println!("serving the final eigensystem for {serve_for}s more");
-        std::thread::sleep(Duration::from_secs(serve_for));
-    }
-    print_server_stats(&server);
-    server.shutdown();
     Ok(())
 }
 
 fn cmd_backfill(opts: &Opts) -> Result<(), String> {
     use astro_stream_pca::engine::{backfill, partition_csv_files, partition_csv_rows};
 
-    // Validate flag values before any I/O, so a bad value is reported even
-    // when the input is also wrong (same policy as `run --batch`).
-    let n_partitions: usize = opts.num("partitions", 8)?;
-    if n_partitions == 0 {
-        return Err("--partitions must be at least 1".to_string());
-    }
-    let workers: usize = opts.num("workers", 0)?;
-    let components: usize = opts.num("components", 4)?;
-    let memory: usize = opts.num("memory", 5000)?;
-    let state_dir = PathBuf::from(opts.get("state-dir").unwrap_or("spca-state"));
-    let input = PathBuf::from(opts.get("input").ok_or("--input is required")?);
+    let input: PathBuf = opts.value("input")?;
     if !input.exists() {
         return Err(format!("input '{}' does not exist", input.display()));
     }
-
     let partitions = if input.is_dir() {
         let mut files: Vec<PathBuf> = std::fs::read_dir(&input)
             .map_err(|e| e.to_string())?
@@ -917,31 +815,16 @@ fn cmd_backfill(opts: &Opts) -> Result<(), String> {
         }
         partition_csv_files(&files).map_err(|e| e.to_string())?
     } else {
-        partition_csv_rows(&input, n_partitions).map_err(|e| e.to_string())?
+        partition_csv_rows(&input, opts.value("partitions")?).map_err(|e| e.to_string())?
     };
 
-    // Probe the dimensionality from the first data row of the first
-    // partition (the partitions already hold the corpus bytes).
-    let first_text = String::from_utf8_lossy(partitions[0].payload.bytes());
-    let dim = first_text
-        .lines()
-        .find_map(io::parse_csv_line)
-        .ok_or("corpus has no data rows")?
-        .0
-        .len();
-    if components + 2 >= dim {
-        return Err(format!(
-            "--components {components} too large for dimension {dim}"
-        ));
-    }
-
-    let pca = PcaConfig::new(dim, components)
-        .with_memory(memory)
-        .with_extra(2);
+    // The partitions already hold the corpus bytes: probe the first.
+    let pca = pca_config(opts, input_dim(partitions[0].payload.bytes())?)?;
+    let components = pca.p;
     let cfg = astro_stream_pca::engine::BackfillConfig {
         pca,
-        workers,
-        state_dir,
+        workers: opts.value("workers")?,
+        state_dir: opts.value("state-dir")?,
     };
     let outcome = backfill(&cfg, &partitions).map_err(|e| e.to_string())?;
     println!(
@@ -961,24 +844,16 @@ fn cmd_backfill(opts: &Opts) -> Result<(), String> {
         merged.n_components(),
         merged.n_obs
     );
-    println!(
-        "merged eigenvalues: {:?}",
-        merged
-            .values
-            .iter()
-            .take(components)
-            .map(|v| (v * 1e4).round() / 1e4)
-            .collect::<Vec<_>>()
-    );
+    print_merged_eigenvalues(&merged.values[..components.min(merged.values.len())]);
     if let Some(out) = opts.get("out") {
-        persist::write_snapshot(std::path::Path::new(out), merged).map_err(|e| e.to_string())?;
+        persist::write_snapshot(Path::new(out), merged).map_err(|e| e.to_string())?;
         println!("wrote merged snapshot to {out}");
     }
     Ok(())
 }
 
 fn cmd_inspect(opts: &Opts) -> Result<(), String> {
-    let path = PathBuf::from(opts.get("snapshot").ok_or("--snapshot is required")?);
+    let path: PathBuf = opts.value("snapshot")?;
     let eig = persist::read_snapshot(&path).map_err(|e| e.to_string())?;
     println!("snapshot: {}", path.display());
     println!("  dimension  : {}", eig.dim());
@@ -1001,14 +876,14 @@ fn cmd_inspect(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_simulate(opts: &Opts) -> Result<(), String> {
-    let engines: usize = opts.num("engines", 20)?;
-    let dim: usize = opts.num("dim", 250)?;
-    let nodes: usize = opts.num("nodes", 10)?;
+    let engines: usize = opts.value("engines")?;
+    let dim: usize = opts.value("dim")?;
+    let nodes: usize = opts.value("nodes")?;
     let spec = ClusterSpec {
         n_nodes: nodes,
         ..ClusterSpec::paper()
     };
-    let placement = match opts.get("placement").unwrap_or("rr") {
+    let placement = match opts.get("placement").unwrap_or_default() {
         "rr" => Placement::round_robin(engines, nodes),
         "single" => Placement::single_node(engines),
         "grouped2" => Placement::grouped(engines, 2, nodes),
@@ -1031,4 +906,134 @@ fn cmd_simulate(opts: &Opts) -> Result<(), String> {
     );
     println!("  syncs      : {}", report.syncs);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The generated synopsis, one subcommand per entry, unwrapped.
+    fn synopses() -> Vec<(&'static Command, String)> {
+        let usage = usage();
+        let synopsis = usage.split("\n\n").nth(1).expect("the USAGE: block");
+        let flat = synopsis.split_whitespace().collect::<Vec<_>>().join(" ");
+        let per_command: Vec<&str> = flat.split("spca ").skip(1).collect();
+        assert_eq!(per_command.len(), COMMANDS.len());
+        COMMANDS
+            .iter()
+            .zip(per_command)
+            .map(|(cmd, text)| (cmd, format!("{text} ")))
+            .collect()
+    }
+
+    #[test]
+    fn usage_shows_every_flag_with_the_default_its_handler_reads() {
+        let mut pairs = 0;
+        for ((name, _, row), text) in synopses() {
+            assert!(text.starts_with(&format!("{name} ")), "{name}: {text}");
+            for f in flags(row) {
+                pairs += 1;
+                assert_eq!(
+                    flags(row).filter(|other| other.name == f.name).count(),
+                    1,
+                    "{name} declares --{} twice",
+                    f.name
+                );
+                // The synopsis shows the very string `Opts::entry` hands the
+                // handler; for an enumeration, the first alternative.
+                let shown = match f.default {
+                    Some(default) if f.value.contains('|') => {
+                        assert_eq!(f.value.split('|').next(), Some(default));
+                        f.value
+                    }
+                    Some(default) => default,
+                    None => f.value,
+                };
+                let entry = format!("--{} {shown}", f.name);
+                assert!(
+                    [" ", "]"]
+                        .iter()
+                        .any(|end| text.contains(&(entry.clone() + end))),
+                    "{name}: no `{entry}` in `{text}`"
+                );
+                // A default is judged exactly as a typed value would be.
+                if let Some(default) = f.default {
+                    f.accepts(default)
+                        .unwrap_or_else(|e| panic!("{name}: bad default: {e}"));
+                    assert!(
+                        f.need != Required,
+                        "{name} --{}: required yet defaulted",
+                        f.name
+                    );
+                }
+                if let With(parent) = f.need {
+                    assert!(
+                        flags(row).any(|p| p.name == parent),
+                        "{name} --{} depends on undeclared --{parent}",
+                        f.name
+                    );
+                }
+            }
+        }
+        assert_eq!((COMMANDS.len(), pairs), (8, 67), "the CLI surface changed");
+        assert_eq!(
+            BATCH.default,
+            Some(
+                astro_stream_pca::streams::DEFAULT_BATCH_SIZE
+                    .to_string()
+                    .as_str()
+            )
+        );
+    }
+
+    #[test]
+    fn absent_flags_read_as_the_table_default() {
+        let &(cmd, _, row) = COMMANDS.iter().find(|(cmd, ..)| *cmd == "run").unwrap();
+        let given = ["--input", "x.csv", "--engines", "7"].map(String::from);
+        let opts = Opts::parse(cmd, row, &given).unwrap();
+        opts.check().unwrap();
+        assert_eq!(opts.value::<usize>("engines"), Ok(7));
+        assert_eq!(opts.value::<usize>("memory"), Ok(5000));
+        assert_eq!(opts.get("sync"), Some("ring"));
+        assert_eq!(opts.opt::<usize>("dim"), Ok(None));
+        assert_eq!(opts.get("report"), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "run does not declare --serve-for")]
+    fn reading_a_flag_the_row_does_not_declare_is_caught() {
+        let &(cmd, _, row) = COMMANDS.iter().find(|(cmd, ..)| *cmd == "run").unwrap();
+        let _ = Opts::parse(cmd, row, &[]).unwrap().get("serve-for");
+    }
+
+    /// Every `spca <cmd> … --flag` in a README code block names a flag the
+    /// table declares for that subcommand.
+    #[test]
+    fn readme_invocations_use_declared_flags() {
+        let readme = include_str!("../../README.md").replace("\\\n", " ");
+        let mut seen = 0;
+        for line in readme.lines() {
+            let Some((_, invocation)) = line.split_once("--bin spca -- ") else {
+                continue;
+            };
+            let mut words = invocation.split_whitespace();
+            let name = words.next().expect("a subcommand");
+            let (_, _, row) = COMMANDS
+                .iter()
+                .find(|(cmd, ..)| *cmd == name)
+                .unwrap_or_else(|| panic!("README runs unknown subcommand '{name}'"));
+            for key in words.filter_map(|w| w.strip_prefix("--")) {
+                assert!(
+                    flags(row).any(|f| f.name == key),
+                    "README passes --{key} to '{name}', which does not declare it"
+                );
+                seen += 1;
+            }
+        }
+        assert!(
+            seen >= 30,
+            "only {seen} README flags found: did the format change?"
+        );
+    }
 }

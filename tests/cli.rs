@@ -37,6 +37,19 @@ fn unknown_flag_is_rejected_and_named() {
 }
 
 #[test]
+fn unknown_subcommand_is_reported_before_its_flags() {
+    let out = spca(&["bogus", "--x", "1"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown subcommand 'bogus'"),
+        "got: {stderr}"
+    );
+    assert!(!stderr.contains("unknown flag --x"), "got: {stderr}");
+    assert!(stderr.contains("USAGE:"), "got: {stderr}");
+}
+
+#[test]
 fn flag_valid_for_one_subcommand_rejected_on_another() {
     // --seed belongs to `generate`, not `simulate`.
     let out = spca(&["simulate", "--seed", "1"]);
@@ -443,6 +456,28 @@ fn valid_generate_round_trips() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(out_csv.exists());
+
+    // The CI corpora are `generate` output for a fixed seed: the bytes are
+    // pinned to what the build before the generator moved into
+    // `GalaxyGenerator::survey_extract` wrote (FNV-1a 64 of the file).
+    let pinned = dir.join("pinned.csv");
+    let out = spca(&[
+        "generate",
+        "--out",
+        pinned.to_str().unwrap(),
+        "--n",
+        "200",
+        "--pixels",
+        "48",
+        "--seed",
+        "7",
+    ]);
+    assert!(out.status.success());
+    let bytes = std::fs::read(&pinned).unwrap();
+    let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!((bytes.len(), fnv), (164_789, 0x9954_9416_e9dd_d5a8));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -584,4 +619,165 @@ fn coordinator_validates_listen_address_before_any_networking() {
         "got: {stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn coordinator_rejects_whitespace_in_snapshot_paths_before_any_networking() {
+    // The worker assignment line is whitespace-separated (`DistSpec::encode`):
+    // such a path has to fail here, not in a worker mid-rendezvous.
+    let dir = std::env::temp_dir().join(format!("spca-coord-ws-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("tiny.csv");
+    let gen = spca(&[
+        "generate",
+        "--out",
+        csv.to_str().unwrap(),
+        "--n",
+        "8",
+        "--pixels",
+        "16",
+    ]);
+    assert!(gen.status.success());
+    let spaced = dir.join("my dir");
+    let plain = dir.join("snaps");
+    for (snapshots, recovery, flag) in [
+        (&spaced, &plain, "--snapshots"),
+        (&plain, &spaced, "--snapshot-dir"),
+    ] {
+        let out = spca(&[
+            "coordinator",
+            "--input",
+            csv.to_str().unwrap(),
+            "--snapshots",
+            snapshots.to_str().unwrap(),
+            "--snapshot-dir",
+            recovery.to_str().unwrap(),
+            "--workers",
+            "2",
+            "--listen",
+            "127.0.0.1:0",
+        ]);
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag) && stderr.contains("whitespace"),
+            "{flag}: got: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Spawns `spca` with `args` plus a TCP ingest and a query server on
+/// ephemeral ports, feeds it `corpus`, reads `/metrics` while the stream is
+/// still open, then closes it. Returns the summary lines (everything after
+/// the `running …` line, numbers blanked) and the metric names.
+fn serve_over_tcp(args: &[&str], corpus: &[u8]) -> (Vec<String>, Vec<String>) {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_spca"))
+        .args(args)
+        .args(["--listen", "127.0.0.1:0", "--dim", "24"])
+        .args(["--engines", "2", "--components", "3"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn spca");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut line_after = |prefix: &str| loop {
+        let mut line = String::new();
+        assert!(stdout.read_line(&mut line).unwrap() > 0, "no '{prefix}'");
+        if let Some(rest) = line.trim_end().strip_prefix(prefix) {
+            return rest.to_string();
+        }
+    };
+    let ingest = line_after("listening on ");
+    let server = line_after("serving queries on http://");
+    line_after("running ");
+
+    let mut feed = TcpStream::connect(ingest).expect("connect ingest");
+    feed.write_all(corpus).unwrap();
+    let mut http = TcpStream::connect(server).expect("connect query server");
+    http.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    http.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    drop(feed); // EOF drains the run
+
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    assert!(child.wait().unwrap().success());
+
+    let blank = |line: &str| {
+        let mut out = String::new();
+        for c in line.chars() {
+            let c = if c.is_ascii_digit() || c == '.' {
+                '#'
+            } else {
+                c
+            };
+            if c != '#' || !out.ends_with('#') {
+                out.push(c);
+            }
+        }
+        out
+    };
+    let body = response.split("\r\n\r\n").nth(1).unwrap();
+    let mut names: Vec<String> = body
+        .lines()
+        .filter_map(|l| l.split([' ', '{']).next())
+        .map(String::from)
+        .collect();
+    names.dedup();
+    (rest.lines().map(blank).collect(), names)
+}
+
+#[test]
+fn serve_is_run_with_the_server_attached() {
+    let dir = std::env::temp_dir().join(format!("spca-cli-serve-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("corpus.csv");
+    let gen = spca(&[
+        "generate",
+        "--out",
+        csv.to_str().unwrap(),
+        "--n",
+        "400",
+        "--pixels",
+        "24",
+        "--seed",
+        "9",
+    ]);
+    assert!(gen.status.success());
+    let corpus = std::fs::read(&csv).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let (run_lines, run_metrics) = serve_over_tcp(&["run", "--serve", "127.0.0.1:0"], &corpus);
+    let (mut serve_lines, serve_metrics) = serve_over_tcp(
+        &["serve", "--addr", "127.0.0.1:0", "--serve-for", "1"],
+        &corpus,
+    );
+
+    // `--serve-for` is the one thing only `serve` has.
+    let lingering = "serving the final eigensystem for #s more";
+    assert!(
+        serve_lines.iter().any(|l| l == lingering),
+        "{serve_lines:?}"
+    );
+    serve_lines.retain(|l| l != lingering);
+    assert_eq!(run_lines, serve_lines);
+    for expected in [
+        "processed # tuples in #s (# tuples/s)",
+        "query server: # epochs",
+    ] {
+        assert!(
+            run_lines.iter().any(|l| l.starts_with(expected)),
+            "no '{expected}' in {run_lines:?}"
+        );
+    }
+    assert_eq!(run_metrics, serve_metrics);
+    assert!(
+        run_metrics.iter().any(|n| n == "spca_epoch"),
+        "{run_metrics:?}"
+    );
 }
