@@ -7,7 +7,10 @@
 //! configurable engine count, prints its adjacency (the figure, as text),
 //! and verifies the invariants the figure depicts: one split feeding every
 //! engine, sync signals reaching every engine's control port through the
-//! same framework, and the ring state edges of Fig. 3.
+//! same framework, and the ring state edges of Fig. 3. The peer-state
+//! ports are wired as a full mesh (so a ring can re-close around a silent
+//! engine); Fig. 3's ring is the one the controller *commands* over it, and
+//! its edges `pca-i → pca-(i+1 mod n)` are among the mesh's.
 
 use spca_bench::figures_dir;
 use spca_core::PcaConfig;

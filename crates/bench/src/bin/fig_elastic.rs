@@ -87,7 +87,7 @@ fn elastic_run() -> ElasticOutcome {
     cfg.channel_capacity = 8192;
     cfg.max_engines = Some(MAX_ENGINES);
     let (g, h) = ParallelPcaApp::build(&cfg, seeded_source(Some(RATE_PER_S)));
-    let rt = ElasticRuntime::new(&h).expect("elastic runtime");
+    let rt = ElasticRuntime::new(&h);
     let running = Engine::start(g);
 
     // Both rescale points gate on actual stream progress (the source's

@@ -939,8 +939,8 @@ mod tests {
                                    recorded on 1; the recorded 0.796 would fail",
             ],
             "serving-v1" => vec![
-                "ingest_ratio >= 0.9 needs cores >= 4, recorded on 1; \
-                                  the recorded 0.456 would fail",
+                "ingest_ratio >= 0.9 needs cores >= 4, recorded on 2; \
+                                  the recorded 0.563 would fail",
             ],
             "net-v1" => vec![
                 "dist_ratio >= 0.5 needs cores >= 4, recorded on 2; \
@@ -1089,10 +1089,10 @@ mod tests {
         backfill-v1 | incremental_recomputed: 9  | recomputed must equal added
         backfill-v1 | cores: 3                   | ok
         backfill-v1 | cores: 4                   | 'scaling[workers=4].speedup' is 0.795520465357715, not >= 2.5
-        serving-v1  | p99_us: 600                | 'p99_us' 600 exceeds 'p999_us' 262.144 — latency quantiles
-        serving-v1  | p50_us: 40                 | 'p50_us' 40 exceeds 'p99_us' 32.768
+        serving-v1  | p99_us: 600                | 'p99_us' 600 exceeds 'p999_us' 65.536 — latency quantiles
+        serving-v1  | p50_us: 40                 | 'p50_us' 40 exceeds 'p99_us' 8.192
         serving-v1  | cores: 3                   | ok
-        serving-v1  | cores: 4                   | 'ingest_ratio' is 0.4558804492077043, not >= 0.9
+        serving-v1  | cores: 4                   | 'ingest_ratio' is 0.5633558569360905, not >= 0.9
         net-v1      | codec_roundtrip_tuples_per_s: 20594.971566067383; codec_vs_csv: 3 | 'codec_vs_csv' is 3, not >= 5
         net-v1      | cores: 4                   | ok
         net-v1      | dist_tuples_per_s: 68097.03852959381; dist_ratio: 0.4 | ok

@@ -128,21 +128,18 @@ pub fn merge(s1: &EigenSystem, s2: &EigenSystem) -> Result<EigenSystem> {
 }
 
 /// Merges many eigensystems left-to-right. Returns an error on an empty
-/// input slice.
+/// input.
 ///
 /// The left fold is the synchronization-path shape (one accumulator, peers
 /// folded in as they arrive). For batch reductions over many partitions,
 /// prefer [`merge_tree`]: same algebra, balanced γ-weighting, and a
 /// log-depth critical path.
-pub fn merge_all(systems: &[EigenSystem]) -> Result<EigenSystem> {
-    let (first, rest) = systems
-        .split_first()
+pub fn merge_all<'a>(systems: impl IntoIterator<Item = &'a EigenSystem>) -> Result<EigenSystem> {
+    let mut systems = systems.into_iter();
+    let first = systems
+        .next()
         .ok_or_else(|| PcaError::IncompatibleMerge("cannot merge zero systems".into()))?;
-    let mut acc = first.clone();
-    for s in rest {
-        acc = merge(&acc, s)?;
-    }
-    Ok(acc)
+    systems.try_fold(first.clone(), |acc, s| merge(&acc, s))
 }
 
 /// Merges many eigensystems by pairwise tree reduction, parallelized over

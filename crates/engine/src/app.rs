@@ -2,9 +2,12 @@
 //!
 //! `source → split → n × StreamingPca`, with the synchronization
 //! controller wired to every engine's control port (optionally through
-//! `Throttle` operators, §III-B), peer-state edges following the chosen
-//! [`SyncStrategy`] topology, monitor ports collected into a
-//! [`ResultsHub`], and an optional per-tuple outcome feed.
+//! `Throttle` operators, §III-B) and listening to every engine's monitor
+//! port, peer-state edges forming the full mesh (the [`SyncStrategy`]
+//! picks a command's receivers, not the edges), monitor ports collected
+//! into a [`ResultsHub`], and an optional per-tuple outcome feed. There is
+//! one wiring: a run that loses an engine, a run that rescales and a run
+//! that does neither are the same graph.
 //!
 //! Placement mirrors §III-D's two configurations: `fuse = true` puts every
 //! operator in one processing element (the "single" rows of Fig. 6 —
@@ -86,14 +89,11 @@ pub struct AppConfig {
     pub recovery_dir: Option<std::path::PathBuf>,
     /// Checkpoint cadence the engines ask of their PEs, in tuples.
     pub recovery_every: u64,
-    /// Failure-aware synchronization: engines heartbeat to the controller,
-    /// the controller skips dead engines (re-closing a ring around them)
-    /// and re-admits restarted ones, and peer-state wiring becomes a full
-    /// mesh so any surviving pair can still exchange state.
-    pub failure_aware_sync: bool,
-    /// An engine silent for this long counts as dead (failure-aware mode).
+    /// An engine the sync controller has not heard from for this long
+    /// counts as dead: skipped as a sender, dropped as a receiver (a ring
+    /// re-closes around it), re-admitted at its next heartbeat.
     pub liveness_timeout: Duration,
-    /// Engines heartbeat every `n` processed tuples (failure-aware mode).
+    /// Engines heartbeat to the sync controller every `n` processed tuples.
     pub heartbeat_every: u64,
     /// Serving layer: when set, every engine publishes epoch-numbered
     /// eigensystem snapshots into this store (see
@@ -106,10 +106,9 @@ pub struct AppConfig {
     /// Elastic autoscaling ceiling: when set, the builder provisions this
     /// many engines up front but only the first `n_engines` start active —
     /// the rest idle as standbys until an [`crate::autoscale`] supervisor
-    /// admits them through the shared [`ActiveSet`]. Elastic mode implies
-    /// failure-aware synchronization (full-mesh peer wiring, heartbeats,
-    /// liveness-driven port maps), because the membership-independent mesh
-    /// port map is what lets an admitted engine join without rewiring.
+    /// admits them through the shared [`ActiveSet`]. The mesh port map
+    /// does not depend on membership, so an admitted engine joins without
+    /// rewiring.
     pub max_engines: Option<usize>,
 }
 
@@ -154,9 +153,8 @@ impl AppConfig {
             restart: RestartPolicy::default(),
             recovery_dir: None,
             recovery_every: 500,
-            failure_aware_sync: false,
             liveness_timeout: Duration::from_millis(100),
-            heartbeat_every: 64,
+            heartbeat_every: crate::pca_operator::HEARTBEAT_EVERY,
             epoch_store: None,
             publish_every: 64,
             max_engines: None,
@@ -187,11 +185,11 @@ pub struct AppHandles {
     /// Quarantined (flagged) observations, when `quarantine` was set.
     pub quarantined: Option<Arc<Mutex<Vec<DataTuple>>>>,
     /// Live handles to each engine's PCA state (one per *provisioned*
-    /// engine in elastic mode, standbys included).
+    /// engine, standbys included).
     pub engine_states: Vec<Arc<Mutex<RobustPca>>>,
-    /// Shared membership handle in elastic mode: the autoscaler flips it,
-    /// the split and sync controller obey it.
-    pub active: Option<Arc<ActiveSet>>,
+    /// Shared membership handle: an autoscaler flips it, the split and
+    /// sync controller obey it. A fixed fleet is one nobody moves.
+    pub active: Arc<ActiveSet>,
 }
 
 /// Builder for the complete application graph.
@@ -213,17 +211,14 @@ impl ParallelPcaApp {
         sync_gate: Option<u64>,
     ) -> (GraphBuilder, AppHandles) {
         assert!(cfg.n_engines >= 1, "need at least one engine");
-        // Elastic mode provisions the ceiling up front; membership (which
-        // prefix of the fleet is live) is the only thing that changes at
-        // runtime, so the topology stays static while the fleet does not.
-        let n = cfg
-            .max_engines
-            .map(|m| m.max(cfg.n_engines))
-            .unwrap_or(cfg.n_engines);
-        let elastic = cfg.max_engines.is_some() && n > 1;
-        let active = elastic.then(|| ActiveSet::new(cfg.n_engines, n));
-        let failure_aware =
-            (cfg.failure_aware_sync || elastic) && n > 1 && !matches!(cfg.sync, SyncStrategy::None);
+        // The ceiling is provisioned up front; membership (which prefix
+        // of the fleet is live) is the only thing that changes at runtime,
+        // so the topology stays static while the fleet does not.
+        let n = cfg.max_engines.unwrap_or(0).max(cfg.n_engines);
+        let active = ActiveSet::new(cfg.n_engines, n);
+        // A lone engine, or a fleet told not to synchronize, has nobody to
+        // exchange state with: no controller, no peer ports, no heartbeats.
+        let synced = n > 1 && !matches!(cfg.sync, SyncStrategy::None);
         let mut g = GraphBuilder::new()
             .with_channel_capacity(cfg.channel_capacity)
             .with_batch_size(
@@ -239,33 +234,22 @@ impl ParallelPcaApp {
         }
 
         let src = g.add_source("source", source);
-        let mut split_op = Split::new(cfg.split);
-        if let Some(ref a) = active {
-            split_op = split_op.with_active_set(Arc::clone(a));
-        }
+        let split_op = Split::new(cfg.split).with_active_set(Arc::clone(&active));
         let split = g.add_op("split", Box::new(split_op));
         g.connect(src, 0, split, PortKind::Data);
 
-        // Engines with their peer topology.
+        // Engines. The peer-state ports are a full mesh whatever the sync
+        // strategy: the controller decides receivers at command time
+        // (survivors only), so every pair needs a port.
+        let n_peers = if synced { n - 1 } else { 0 };
         let mut engine_ids = Vec::with_capacity(n);
         let mut engine_states = Vec::with_capacity(n);
-        let mut peer_lists = Vec::with_capacity(n);
         for i in 0..n {
-            // Failure-aware mode wires a full peer mesh regardless of the
-            // sync strategy: the controller decides receivers at command
-            // time (survivors only), so every pair needs a port.
-            let peers = if failure_aware {
-                SyncStrategy::Broadcast.peers_of(i, n)
-            } else {
-                cfg.sync.peers_of(i, n)
-            };
-            let mut op = StreamingPcaOp::new(i as u32, cfg.pca.clone(), peers.len())
-                .with_snapshots_every(cfg.snapshot_every);
+            let mut op = StreamingPcaOp::new(i as u32, cfg.pca.clone(), n_peers)
+                .with_snapshots_every(cfg.snapshot_every)
+                .with_heartbeats_every(cfg.heartbeat_every);
             if cfg.recovery_dir.is_some() {
                 op = op.with_recovery(cfg.recovery_every);
-            }
-            if failure_aware {
-                op = op.with_heartbeats_every(cfg.heartbeat_every);
             }
             if let Some(gate) = sync_gate {
                 op = op.with_sync_gate(gate);
@@ -291,19 +275,20 @@ impl ParallelPcaApp {
             let id = g.add_op(format!("pca-{i}"), Box::new(op));
             g.connect(split, i, id, PortKind::Data);
             engine_ids.push(id);
-            peer_lists.push(peers);
         }
 
-        // Peer-state edges (engine i's port k → peer's control port).
-        for (i, peers) in peer_lists.iter().enumerate() {
-            for (port, &peer) in peers.iter().enumerate() {
+        // Peer-state edges: engine i's ports reach every other engine's
+        // control port in ascending engine order, self omitted.
+        for i in 0..n {
+            for port in 0..n_peers {
+                let peer = if port < i { port } else { port + 1 };
                 g.connect(engine_ids[i], port, engine_ids[peer], PortKind::Control);
             }
         }
+        let (monitor_port, outcome_port, quarantine_port) = (n_peers, n_peers + 1, n_peers + 2);
 
         // Synchronization controller (+ optional throttles).
-        let mut ctrl_id = None;
-        if !matches!(cfg.sync, SyncStrategy::None) && n > 1 {
+        if synced {
             let period = if cfg.use_throttle {
                 // The explicit throttles do the pacing; the controller only
                 // needs to stay ahead of them.
@@ -311,21 +296,9 @@ impl ParallelPcaApp {
             } else {
                 cfg.sync_period
             };
-            // In elastic mode the ring starts at the *active* prefix and
-            // reconciles against the membership handle on every drive.
-            let ring_size = if elastic { cfg.n_engines } else { n };
-            let mut controller = SyncController::new(cfg.sync, ring_size, period);
-            if failure_aware {
-                // Startup grace: engines announce themselves with their
-                // first heartbeat; give slow starters a few timeouts.
-                controller =
-                    controller.with_liveness(cfg.liveness_timeout, cfg.liveness_timeout * 4);
-            }
-            if let Some(ref a) = active {
-                controller = controller.with_membership(Arc::clone(a));
-            }
+            let controller =
+                SyncController::new(cfg.sync, Arc::clone(&active), period, cfg.liveness_timeout);
             let ctrl = g.add_source("sync-controller", Box::new(controller));
-            ctrl_id = Some(ctrl);
             // The controller watches the data stream so it winds down with
             // it: source out-port 1 never carries data (the generator only
             // emits on port 0) but is punctuated at end-of-stream like
@@ -343,6 +316,9 @@ impl ParallelPcaApp {
                 } else {
                     g.connect(ctrl, i, eng, PortKind::Control);
                 }
+                // The controller listens to every monitor port, so
+                // heartbeats and snapshots double as liveness reports.
+                g.connect(eng, monitor_port, ctrl, PortKind::Control);
             }
         }
 
@@ -362,20 +338,8 @@ impl ParallelPcaApp {
                 },
             )),
         );
-        for (i, &eng) in engine_ids.iter().enumerate() {
-            let monitor_port = peer_lists[i].len();
+        for &eng in &engine_ids {
             g.connect(eng, monitor_port, monitor, PortKind::Control);
-        }
-
-        // Failure-aware mode: the controller also listens to every monitor
-        // port, so heartbeats and snapshots double as liveness reports.
-        if failure_aware {
-            if let Some(ctrl) = ctrl_id {
-                for (i, &eng) in engine_ids.iter().enumerate() {
-                    let monitor_port = peer_lists[i].len();
-                    g.connect(eng, monitor_port, ctrl, PortKind::Control);
-                }
-            }
         }
 
         // Optional snapshot persistence: a second consumer on each monitor
@@ -385,8 +349,7 @@ impl ParallelPcaApp {
                 "snapshot-writer",
                 Box::new(crate::persist::SnapshotWriter::new(dir.clone())),
             );
-            for (i, &eng) in engine_ids.iter().enumerate() {
-                let monitor_port = peer_lists[i].len();
+            for &eng in &engine_ids {
                 g.connect(eng, monitor_port, writer, PortKind::Control);
             }
         }
@@ -395,8 +358,7 @@ impl ParallelPcaApp {
         let outcomes = if cfg.emit_outcomes {
             let (sink, store) = CollectSink::new();
             let out = g.add_op("outcomes", Box::new(sink));
-            for (i, &eng) in engine_ids.iter().enumerate() {
-                let outcome_port = peer_lists[i].len() + 1;
+            for &eng in &engine_ids {
                 g.connect(eng, outcome_port, out, PortKind::Data);
             }
             Some(store)
@@ -408,9 +370,8 @@ impl ParallelPcaApp {
         let quarantined = if cfg.quarantine {
             let (sink, store) = CollectSink::new();
             let q = g.add_op("quarantine", Box::new(sink));
-            for (i, &eng) in engine_ids.iter().enumerate() {
-                let port = peer_lists[i].len() + 2;
-                g.connect(eng, port, q, PortKind::Data);
+            for &eng in &engine_ids {
+                g.connect(eng, quarantine_port, q, PortKind::Data);
             }
             Some(store)
         } else {
@@ -469,10 +430,11 @@ mod tests {
     fn topology_matches_fig2() {
         let cfg = AppConfig::new(4, pca_cfg());
         let (g, _h) = ParallelPcaApp::build(&cfg, planted_source(10, 0));
-        // source → split edge, split → 4 engines, 4 ring peer edges,
-        // source → controller (shutdown watch), controller → 4 engines,
-        // 4 monitor edges. Total 18.
-        assert_eq!(g.edge_list().len(), 1 + 4 + 4 + 1 + 4 + 4);
+        // source → split edge, split → 4 engines, full-mesh peer edges
+        // 4·3 = 12 (ring strategy, but mesh wiring), source → controller
+        // (shutdown watch), controller → 4 engines, 4 monitor edges,
+        // 4 monitor → controller liveness edges. Total 30.
+        assert_eq!(g.edge_list().len(), 1 + 4 + 12 + 1 + 4 + 4 + 4);
         // The split has data in-degree 1; every engine exactly 1.
         let names = g.op_names();
         assert!(names.contains(&"split"));
@@ -491,6 +453,7 @@ mod tests {
         assert_eq!(report.tuples_in_matching("pca-"), 4000);
         // Every engine reported a final snapshot.
         assert_eq!(h.hub.engines_reporting(), 4);
+        assert_eq!(report.total_restarts(), 0);
         let merged = h.hub.merged_estimate().unwrap();
         // Ring merges mid-stream fold peer history into each engine, so
         // the merged count double-counts shared history: it is an upper
@@ -538,49 +501,47 @@ mod tests {
     }
 
     #[test]
+    fn unsynced_apps_have_no_controller_peer_edges_or_heartbeats() {
+        let mut unsynced = AppConfig::new(3, pca_cfg());
+        unsynced.sync = SyncStrategy::None;
+        for cfg in [AppConfig::new(1, pca_cfg()), unsynced] {
+            let n = cfg.n_engines;
+            let (g, _h) = ParallelPcaApp::build(&cfg, planted_source(400, 22));
+            assert!(!g.op_names().contains(&"sync-controller"));
+            // source→split, split→engines, engines→monitor: nothing else.
+            assert_eq!(g.edge_list().len(), 1 + n + n);
+            let report = Engine::run(g);
+            // 400 tuples are several heartbeat cadences; the monitor saw
+            // only each engine's final snapshot.
+            let (_, monitor) = report.ops.iter().find(|(op, _)| op == "monitor").unwrap();
+            assert_eq!(monitor.control_in, n as u64);
+        }
+    }
+
+    #[test]
     fn broadcast_topology_has_full_mesh() {
-        let mut cfg = AppConfig::new(3, pca_cfg());
-        cfg.sync = SyncStrategy::Broadcast;
-        let (g, _h) = ParallelPcaApp::build(&cfg, planted_source(10, 15));
-        // Peer edges: 3 engines × 2 peers = 6.
-        let n_ctrl_peer_edges = g
-            .edge_list()
-            .iter()
-            .filter(|(from, _, to, kind)| {
-                *kind == PortKind::Control
-                    && g.op_name(*from).starts_with("pca-")
-                    && g.op_name(*to).starts_with("pca-")
-            })
-            .count();
-        assert_eq!(n_ctrl_peer_edges, 6);
-    }
-
-    #[test]
-    fn failure_aware_topology_has_full_mesh_and_liveness_edges() {
-        let mut cfg = AppConfig::new(4, pca_cfg());
-        cfg.failure_aware_sync = true; // ring strategy, but mesh wiring
-        let (g, _h) = ParallelPcaApp::build(&cfg, planted_source(10, 18));
-        // source→split 1, split→engines 4, full-mesh peer edges 4·3 = 12,
-        // source→controller 1, controller→engines 4, monitor edges 4,
-        // monitor→controller liveness edges 4.
-        assert_eq!(g.edge_list().len(), 1 + 4 + 12 + 1 + 4 + 4 + 4);
-    }
-
-    #[test]
-    fn failure_aware_run_converges_without_faults() {
-        let mut cfg = AppConfig::new(3, pca_cfg());
-        cfg.failure_aware_sync = true;
-        cfg.sync_period = Duration::from_millis(5);
-        cfg.heartbeat_every = 50;
-        let (g, h) = ParallelPcaApp::build(&cfg, planted_source(3000, 19));
-        let report = Engine::run(g);
-        assert_eq!(report.tuples_in_matching("pca-"), 3000);
-        assert_eq!(h.hub.engines_reporting(), 3);
-        assert_eq!(report.total_restarts(), 0);
-        let truth = PlantedSubspace::new(D, 2, 0.05);
-        let merged = h.hub.merged_estimate().unwrap();
-        let dist = subspace_distance(&merged.basis, truth.basis()).unwrap();
-        assert!(dist < 0.3, "merged distance {dist}");
+        // And so has every other strategy: it picks a command's
+        // receivers, never the edges.
+        for sync in [
+            SyncStrategy::Broadcast,
+            SyncStrategy::Ring,
+            SyncStrategy::Groups(2),
+        ] {
+            let mut cfg = AppConfig::new(3, pca_cfg());
+            cfg.sync = sync;
+            let (g, _h) = ParallelPcaApp::build(&cfg, planted_source(10, 15));
+            // Peer edges: 3 engines × 2 peers = 6.
+            let n_ctrl_peer_edges = g
+                .edge_list()
+                .iter()
+                .filter(|(from, _, to, kind)| {
+                    *kind == PortKind::Control
+                        && g.op_name(*from).starts_with("pca-")
+                        && g.op_name(*to).starts_with("pca-")
+                })
+                .count();
+            assert_eq!(n_ctrl_peer_edges, 6, "{sync:?}");
+        }
     }
 
     #[test]
@@ -588,13 +549,12 @@ mod tests {
         let mut cfg = AppConfig::new(1, pca_cfg());
         cfg.max_engines = Some(3);
         let (g, h) = ParallelPcaApp::build(&cfg, planted_source(10, 20));
-        // Provisioned fleet of 3 with failure-aware wiring: source→split 1,
+        // Provisioned fleet of 3, wired like any fleet of 3: source→split 1,
         // split→engines 3, full-mesh peer edges 3·2 = 6, source→controller
         // 1, controller→engines 3, monitor edges 3, liveness edges 3.
         assert_eq!(g.edge_list().len(), 1 + 3 + 6 + 1 + 3 + 3 + 3);
-        let active = h.active.expect("elastic mode exposes the active set");
-        assert_eq!(active.active(), 1, "only the initial prefix is live");
-        assert_eq!(active.max(), 3);
+        assert_eq!(h.active.active(), 1, "only the initial prefix is live");
+        assert_eq!(h.active.max(), 3);
         assert_eq!(h.engine_states.len(), 3, "standbys have state handles");
     }
 

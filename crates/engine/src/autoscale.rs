@@ -40,7 +40,7 @@
 
 use crate::persist;
 use parking_lot::Mutex;
-use spca_core::{merge, EigenSystem, RobustPca};
+use spca_core::{merge, merge_all, EigenSystem, RobustPca};
 use spca_streams::metrics::{OpSnapshot, RateProbe};
 use spca_streams::{ActiveSet, RunningEngine};
 use std::sync::Arc;
@@ -84,9 +84,9 @@ pub struct ScaleEvent {
 
 /// The mechanics of a live rescale: flips membership and migrates state.
 ///
-/// Obtain one from [`ElasticRuntime::new`] over the handles of an app
-/// built with [`crate::AppConfig::max_engines`] set. The runtime is the
-/// single writer of the shared [`ActiveSet`]; the split and the sync
+/// Obtain one from [`ElasticRuntime::new`] over an app's handles; the
+/// fleet can grow up to [`crate::AppConfig::max_engines`]. The runtime is
+/// the single writer of the shared [`ActiveSet`]; the split and the sync
 /// controller are its readers.
 pub struct ElasticRuntime {
     active: Arc<ActiveSet>,
@@ -101,14 +101,9 @@ pub struct ElasticRuntime {
 }
 
 impl ElasticRuntime {
-    /// Builds the runtime from an elastic app's handles; `None` when the
-    /// app was not built with `max_engines`.
-    pub fn new(handles: &crate::AppHandles) -> Option<Self> {
-        let active = handles.active.as_ref()?;
-        Some(ElasticRuntime::from_parts(
-            Arc::clone(active),
-            handles.engine_states.clone(),
-        ))
+    /// Builds the runtime from an app's handles.
+    pub fn new(handles: &crate::AppHandles) -> Self {
+        ElasticRuntime::from_parts(Arc::clone(&handles.active), handles.engine_states.clone())
     }
 
     /// Builds the runtime from the raw membership handle and state
@@ -142,18 +137,11 @@ impl ElasticRuntime {
     /// prefix — the live global estimate, and the bootstrap seed for a
     /// joining engine. `None` while every engine is still warming up.
     pub fn merged_active_eigensystem(&self) -> Option<EigenSystem> {
-        let n = self.active.active();
-        let mut acc: Option<EigenSystem> = None;
-        for st in &self.states[..n] {
-            let Some(eig) = st.lock().full_eigensystem().cloned() else {
-                continue;
-            };
-            acc = Some(match acc {
-                None => eig,
-                Some(a) => merge(&a, &eig).ok()?,
-            });
-        }
-        acc
+        let initialized: Vec<EigenSystem> = self.states[..self.active.active()]
+            .iter()
+            .filter_map(|st| st.lock().full_eigensystem().cloned())
+            .collect();
+        merge_all(&initialized).ok()
     }
 
     /// Admits the next standby engine: bootstraps it from the active

@@ -15,7 +15,7 @@ pub const KIND_PEER_STATE: u32 = 2;
 pub const KIND_SNAPSHOT: u32 = 3;
 
 /// Control tuple kind: a lightweight liveness heartbeat from an engine.
-/// The failure-aware sync controller uses these (and snapshots) to decide
+/// The sync controller uses these (and snapshots) to decide
 /// which engines are alive when generating commands.
 pub const KIND_HEARTBEAT: u32 = 4;
 

@@ -39,6 +39,11 @@ use spca_streams::checkpoint::{decode_kv, encode_kv, kv_u64, Checkpoint};
 use spca_streams::{ControlTuple, DataTuple, OpContext, Operator};
 use std::sync::Arc;
 
+/// Default heartbeat cadence in processed tuples (see
+/// [`StreamingPcaOp::with_heartbeats_every`]): at 64 a heartbeat costs
+/// one control tuple per transport batch of data.
+pub const HEARTBEAT_EVERY: u64 = 64;
+
 /// The streaming PCA operator.
 pub struct StreamingPcaOp {
     /// Engine index within the application (used in message provenance).
@@ -73,9 +78,11 @@ pub struct StreamingPcaOp {
     /// (see [`Checkpoint::checkpoint_every`]) — and its consent to a
     /// supervised restart (see [`Operator::recover`]).
     recovery_every: u64,
-    /// When nonzero, a [`KIND_HEARTBEAT`] goes out on the monitor port at
-    /// the first processed tuple and every `heartbeat_every` thereafter,
-    /// feeding the failure-aware sync controller's liveness tracker.
+    /// An engine with peers has a sync controller listening for it: a
+    /// [`KIND_HEARTBEAT`] goes out on the monitor port at the first
+    /// processed tuple and every `heartbeat_every` thereafter, feeding the
+    /// controller's liveness tracker. An engine without peer ports has
+    /// nobody to tell and sends none.
     heartbeat_every: u64,
     /// Serving-layer publication target: when set, the operator publishes
     /// an immutable snapshot of its eigensystem into the epoch store
@@ -126,7 +133,7 @@ impl StreamingPcaOp {
             merges_applied: 0,
             shares_sent: 0,
             recovery_every: 0,
-            heartbeat_every: 0,
+            heartbeat_every: HEARTBEAT_EVERY,
             epoch_store: None,
             publish_every: 0,
             published_once: false,
@@ -151,9 +158,10 @@ impl StreamingPcaOp {
         self
     }
 
-    /// Emits a liveness heartbeat on the monitor port at the first
-    /// processed tuple and every `n` thereafter.
+    /// Sets the liveness heartbeat cadence: one at the first processed
+    /// tuple and one every `n` thereafter.
     pub fn with_heartbeats_every(mut self, n: u64) -> Self {
+        assert!(n > 0, "heartbeat cadence must be positive");
         self.heartbeat_every = n;
         self
     }
@@ -377,7 +385,7 @@ impl Operator for StreamingPcaOp {
         if self.snapshot_every > 0 && self.processed.is_multiple_of(self.snapshot_every) {
             self.snapshot(ctx);
         }
-        if self.heartbeat_every > 0
+        if self.n_peer_ports > 0
             && (self.processed == 1 || self.processed.is_multiple_of(self.heartbeat_every))
         {
             self.heartbeat(ctx);
@@ -1045,16 +1053,16 @@ mod tests {
 
     #[test]
     fn heartbeats_on_monitor_port() {
-        let mut op = StreamingPcaOp::new(3, cfg(), 0).with_heartbeats_every(50);
+        let mut op = StreamingPcaOp::new(3, cfg(), 1).with_heartbeats_every(50);
         let w = PlantedSubspace::new(D, 2, 0.05);
         let mut rng = StdRng::seed_from_u64(13);
-        let sink = with_ctx(2, |ctx| {
+        let sink = with_ctx(3, |ctx| {
             for seq in 0..120u64 {
                 op.process(DataTuple::new(seq, w.sample(&mut rng)), ctx);
             }
         });
         // Beats at processed 1, 50 and 100.
-        let beats: Vec<_> = sink.ports[0]
+        let beats: Vec<_> = sink.ports[1]
             .iter()
             .filter_map(|t| match t {
                 Tuple::Control(c) if c.kind == KIND_HEARTBEAT => {

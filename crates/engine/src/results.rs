@@ -9,7 +9,7 @@
 
 use crate::messages::PeerState;
 use parking_lot::Mutex;
-use spca_core::{merge, EigenSystem, PcaError};
+use spca_core::{merge_all, EigenSystem, PcaError};
 use std::sync::Arc;
 
 /// Shared collector of per-engine eigensystem snapshots.
@@ -84,18 +84,11 @@ impl ResultsHub {
     }
 
     /// Merges the latest states of all reporting engines into a global
-    /// estimate (paper eq. 15–16 applied across the fleet).
+    /// estimate (paper eq. 15–16 applied across the fleet). An error while
+    /// no engine has reported yet.
     pub fn merged_estimate(&self) -> Result<EigenSystem, PcaError> {
         let g = self.inner.lock();
-        let states: Vec<&PeerState> = g.latest.iter().flatten().collect();
-        let (first, rest) = states
-            .split_first()
-            .ok_or_else(|| PcaError::IncompatibleMerge("no engine has reported yet".into()))?;
-        let mut acc = first.eigensystem.clone();
-        for s in rest {
-            acc = merge(&acc, &s.eigensystem)?;
-        }
-        Ok(acc)
+        merge_all(g.latest.iter().flatten().map(|s| &s.eigensystem))
     }
 }
 

@@ -38,9 +38,10 @@ pub enum SyncStrategy {
 }
 
 impl SyncStrategy {
-    /// The peer-state ports engine `sender` must be wired to, out of `n`
-    /// engines: the application builder uses this to create exactly the
-    /// edges each strategy needs, and the controller to index them.
+    /// The engines `sender` shares with under this strategy out of `n`,
+    /// before liveness: the controller picks a command's receivers from
+    /// these. Which peer-state *edges* exist does not depend on the
+    /// strategy — the application builder always wires the full mesh.
     pub fn peers_of(&self, sender: usize, n: usize) -> Vec<usize> {
         match *self {
             SyncStrategy::Ring => {
@@ -63,9 +64,8 @@ impl SyncStrategy {
     }
 }
 
-/// Liveness tracking for failure-aware synchronization: who has been
-/// heard from (heartbeats or snapshots on the controller's control input)
-/// and how recently.
+/// Who has been heard from (heartbeats or snapshots on the controller's
+/// control input) and how recently.
 struct Liveness {
     /// An engine is considered dead once silent for longer than this.
     timeout: Duration,
@@ -74,32 +74,34 @@ struct Liveness {
     grace: Duration,
     /// Set on the first drive; anchors the startup grace window.
     started: Option<Instant>,
-    /// Last time each engine was heard from.
+    /// Last time each provisioned engine was heard from.
     heard: Vec<Option<Instant>>,
 }
 
 /// The controller operator. Drives one command per period, addressed to a
-/// rotating sender.
+/// rotating sender among the engines `0..membership.active()`.
 ///
-/// With [`SyncController::with_liveness`] the controller becomes
-/// failure-aware: engines report liveness (heartbeats / snapshots routed
-/// to the controller's control port), dead or lagging engines are skipped
-/// as senders and filtered out as receivers, and a ring is re-closed
-/// around the gap. Liveness mode assumes *full-mesh* peer wiring (every
-/// engine has a peer-state port to every other engine, in ascending
-/// engine order), because the surviving receiver set is not known until
-/// command time.
+/// Engines report liveness (heartbeats / snapshots routed to the
+/// controller's control port); dead or lagging engines are skipped as
+/// senders and filtered out as receivers, and a ring is re-closed around
+/// the gap. The surviving receiver set is not known until command time, so
+/// peer wiring is the *full mesh* over the provisioned fleet: every engine
+/// has a peer-state port to every other engine, in ascending engine order.
+/// Engine `s`'s port for engine `j` is therefore `j` below `s` and `j - 1`
+/// above it whatever the membership, which is what lets an admitted engine
+/// join without rewiring.
 pub struct SyncController {
     strategy: SyncStrategy,
+    /// Shared membership. A fixed fleet is a handle nobody moves; under an
+    /// autoscaler the controller reconciles its ring against it on every
+    /// drive, admitting activated engines and retiring shut-down ones.
+    membership: Arc<ActiveSet>,
+    /// Ring size as of the last reconciliation.
     n_engines: usize,
     period: Duration,
     cursor: usize,
     last: Option<Instant>,
-    liveness: Option<Liveness>,
-    /// Elastic membership: when set, the controller reconciles its ring
-    /// against the shared active count on every drive — admitting engines
-    /// the autoscaler activated and retiring ones it shut down.
-    membership: Option<Arc<ActiveSet>>,
+    liveness: Liveness,
     /// Commands issued so far.
     pub issued: u64,
     /// Ticks where the rotating sender was skipped as dead, plus ticks
@@ -114,121 +116,77 @@ pub struct SyncController {
 }
 
 impl SyncController {
-    /// A controller over `n_engines` engines firing every `period`.
-    pub fn new(strategy: SyncStrategy, n_engines: usize, period: Duration) -> Self {
+    /// A controller over the engines `0..membership.active()` firing every
+    /// `period`. An engine silent for `liveness_timeout` is treated as
+    /// dead; never-heard engines get four timeouts from the first drive
+    /// (they announce themselves with their first heartbeat, and slow
+    /// starters need the slack).
+    pub fn new(
+        strategy: SyncStrategy,
+        membership: Arc<ActiveSet>,
+        period: Duration,
+        liveness_timeout: Duration,
+    ) -> Self {
         SyncController {
             strategy,
-            n_engines,
+            n_engines: membership.active(),
             period,
             cursor: 0,
             last: None,
-            liveness: None,
-            membership: None,
+            liveness: Liveness {
+                timeout: liveness_timeout,
+                grace: liveness_timeout * 4,
+                started: None,
+                heard: vec![None; membership.max()],
+            },
+            membership,
             issued: 0,
             skipped_dead: 0,
             ignored_control: 0,
         }
     }
 
-    /// Enables failure-aware mode: an engine silent for `timeout` is
-    /// treated as dead (never-heard engines get `grace` from the first
-    /// drive). Requires full-mesh peer wiring (see the type docs);
-    /// `crate::build` does this automatically when
-    /// `AppConfig::failure_aware_sync` is set.
-    pub fn with_liveness(mut self, timeout: Duration, grace: Duration) -> Self {
-        self.liveness = Some(Liveness {
-            timeout,
-            grace,
-            started: None,
-            heard: vec![None; self.n_engines],
-        });
-        self
-    }
-
-    /// Tracks the autoscaler's shared active-engine count: on every drive
-    /// the controller grows or shrinks its ring (and liveness table) to
-    /// match `active.active()`. Requires full-mesh peer wiring over the
-    /// *provisioned* fleet, exactly like liveness mode — the port map
-    /// (`j` for `j < sender`, else `j - 1`) is membership-independent
-    /// there, so admitted engines need no rewiring.
-    pub fn with_membership(mut self, active: Arc<ActiveSet>) -> Self {
-        self.membership = Some(active);
-        self
-    }
-
-    /// Grows the ring by one engine (the next provisioned index). The
-    /// liveness table grows with it, and the newcomer is stamped as
-    /// freshly heard so it gets one full timeout to start heartbeating
-    /// before being skipped as dead — the moral equivalent of the startup
-    /// grace, re-granted at admission.
-    pub fn admit_engine(&mut self) {
-        self.n_engines += 1;
-        if let Some(lv) = self.liveness.as_mut() {
-            lv.heard.push(Some(Instant::now()));
-            debug_assert_eq!(lv.heard.len(), self.n_engines);
-        }
-    }
-
-    /// Shrinks the ring by one engine (the highest index — membership is
-    /// a prefix). The liveness table shrinks with it and the rotation
-    /// cursor is re-clamped so it keeps visiting every remaining engine.
-    /// Saturates at one engine.
-    pub fn retire_engine(&mut self) {
-        if self.n_engines <= 1 {
-            return;
-        }
-        self.n_engines -= 1;
-        if let Some(lv) = self.liveness.as_mut() {
-            lv.heard.truncate(self.n_engines);
-        }
-        self.cursor %= self.n_engines;
-    }
-
     /// Reconciles the ring with the shared membership handle, counting
     /// each admission/retirement as a scale event in the run report.
+    /// Membership is a prefix: the next provisioned index joins, the
+    /// highest leaves.
     fn reconcile_membership(&mut self, ctx: &mut OpContext<'_>) {
-        let Some(target) = self.membership.as_ref().map(|m| m.active()) else {
-            return;
-        };
+        let target = self.membership.active();
         while self.n_engines < target {
-            self.admit_engine();
+            // Stamped as freshly heard: the newcomer gets one full timeout
+            // to start heartbeating before being skipped as dead — the
+            // startup grace, re-granted at admission.
+            self.liveness.heard[self.n_engines] = Some(Instant::now());
+            self.n_engines += 1;
             ctx.add_scale_out();
         }
-        while self.n_engines > target && self.n_engines > 1 {
-            self.retire_engine();
+        while self.n_engines > target {
+            self.n_engines -= 1;
             ctx.add_scale_in();
         }
+        // Keep the rotation visiting every remaining engine.
+        self.cursor %= self.n_engines;
     }
 
     /// Whether engine `i` currently counts as alive.
     fn alive(&self, i: usize) -> bool {
-        match &self.liveness {
-            None => true,
-            Some(lv) => match lv.heard[i] {
-                Some(t) => t.elapsed() < lv.timeout,
-                None => lv.started.is_none_or(|s| s.elapsed() < lv.grace),
-            },
+        let lv = &self.liveness;
+        match lv.heard[i] {
+            Some(t) => t.elapsed() < lv.timeout,
+            None => lv.started.is_none_or(|s| s.elapsed() < lv.grace),
         }
     }
 
-    /// The engines `sender` should share with right now. Without liveness
-    /// this is exactly the strategy's peer set; with it, dead receivers
-    /// are dropped and a ring walks forward to the next live engine so
-    /// the cycle stays closed around a gap.
+    /// The engines `sender` should share with right now: the strategy's
+    /// peers minus the dead ones, and a ring walks forward to the next
+    /// live engine so the cycle stays closed around a gap.
     fn receivers_of(&self, sender: usize) -> Vec<usize> {
-        if self.liveness.is_none() {
-            return self.strategy.peers_of(sender, self.n_engines);
-        }
         match self.strategy {
-            SyncStrategy::Ring => {
-                for step in 1..self.n_engines {
-                    let j = (sender + step) % self.n_engines;
-                    if self.alive(j) {
-                        return vec![j];
-                    }
-                }
-                Vec::new()
-            }
+            SyncStrategy::Ring => (1..self.n_engines)
+                .map(|step| (sender + step) % self.n_engines)
+                .find(|&j| self.alive(j))
+                .into_iter()
+                .collect(),
             _ => self
                 .strategy
                 .peers_of(sender, self.n_engines)
@@ -238,20 +196,14 @@ impl SyncController {
         }
     }
 
-    /// The command that will be sent to `sender`.
+    /// The command that will be sent to `sender`: its receivers as mesh
+    /// ports (ascending engine order, self omitted).
     fn command_for(&self, sender: usize) -> SyncCommand {
-        let share_ports = if self.liveness.is_some() {
-            // Full-mesh wiring: engine `sender`'s peer port for engine `j`
-            // is `j` for j < sender and `j - 1` above (ascending order,
-            // self omitted).
-            self.receivers_of(sender)
-                .into_iter()
-                .map(|j| if j < sender { j } else { j - 1 })
-                .collect()
-        } else {
-            // Legacy wiring: exactly the strategy's peers, in order.
-            (0..self.strategy.peers_of(sender, self.n_engines).len()).collect()
-        };
+        let share_ports = self
+            .receivers_of(sender)
+            .into_iter()
+            .map(|j| if j < sender { j } else { j - 1 })
+            .collect();
         SyncCommand { share_ports }
     }
 }
@@ -260,9 +212,6 @@ impl Operator for SyncController {
     fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
 
     fn on_control(&mut self, t: ControlTuple, _ctx: &mut OpContext<'_>) {
-        if self.liveness.is_none() {
-            return;
-        }
         // Validate before trusting: a malformed or foreign control tuple
         // (wrong payload type, payload/header sender mismatch, out-of-range
         // sender) is *ignored with a counter*, never unwrapped — one junk
@@ -273,10 +222,10 @@ impl Operator for SyncController {
             KIND_SNAPSHOT => t.payload_as::<PeerState>().map(|s| s.engine),
             _ => return, // not a liveness-bearing kind; none of our business
         };
-        let lv = self.liveness.as_mut().expect("checked above");
+        let heard = &mut self.liveness.heard;
         match claimed {
-            Some(engine) if engine == t.sender && (engine as usize) < lv.heard.len() => {
-                lv.heard[engine as usize] = Some(Instant::now());
+            Some(engine) if engine == t.sender && (engine as usize) < heard.len() => {
+                heard[engine as usize] = Some(Instant::now());
             }
             _ => self.ignored_control += 1,
         }
@@ -288,25 +237,18 @@ impl Operator for SyncController {
         }
         self.reconcile_membership(ctx);
         if self.n_engines <= 1 {
-            // With elastic membership a one-engine fleet can grow back:
-            // stay scheduled and idle instead of finishing the controller.
-            return if self.membership.is_some() {
-                SourceState::Idle
-            } else {
-                SourceState::Done
-            };
+            // A one-engine fleet can grow back: stay scheduled and idle.
+            return SourceState::Idle;
         }
-        if let Some(lv) = &mut self.liveness {
-            lv.started.get_or_insert_with(Instant::now);
-        }
+        self.liveness.started.get_or_insert_with(Instant::now);
         if let Some(last) = self.last {
             if last.elapsed() < self.period {
                 return SourceState::Idle;
             }
         }
         self.last = Some(Instant::now());
-        // One command per tick; with liveness on, dead senders are skipped
-        // within the tick so a single gap cannot stall the whole rotation.
+        // One command per tick; dead senders are skipped within the tick
+        // so a single gap cannot stall the whole rotation.
         for _ in 0..self.n_engines {
             let sender = self.cursor;
             self.cursor = (self.cursor + 1) % self.n_engines;
@@ -317,12 +259,10 @@ impl Operator for SyncController {
             }
             let cmd = self.command_for(sender);
             if cmd.share_ports.is_empty() {
-                if self.liveness.is_some() {
-                    // A live sender with nobody live to talk to is still a
-                    // skipped exchange — make it visible in the report.
-                    self.skipped_dead += 1;
-                    ctx.add_sync_skip();
-                }
+                // A live sender with nobody live to talk to is still a
+                // skipped exchange — make it visible in the report.
+                self.skipped_dead += 1;
+                ctx.add_sync_skip();
                 return SourceState::Idle;
             }
             ctx.emit_control(
@@ -362,12 +302,10 @@ impl Checkpoint for SyncController {
         self.issued = kv_u64(&kv, "issued")?;
         self.skipped_dead = kv_u64(&kv, "skipped_dead")?;
         self.ignored_control = kv_u64(&kv, "ignored_control")?;
-        self.cursor %= self.n_engines.max(1);
+        self.cursor %= self.n_engines;
         self.last = None;
-        if let Some(lv) = self.liveness.as_mut() {
-            lv.started = None;
-            lv.heard = vec![None; self.n_engines];
-        }
+        self.liveness.started = None;
+        self.liveness.heard.fill(None);
         Ok(())
     }
 }
@@ -377,6 +315,24 @@ mod tests {
     use super::*;
     use spca_streams::operator::testing::with_ctx;
     use spca_streams::Tuple;
+
+    /// A fixed fleet of `n` with a liveness timeout no test outlasts:
+    /// engines count as alive until a test zeroes the startup grace.
+    fn controller(strategy: SyncStrategy, n: usize, period: Duration) -> SyncController {
+        SyncController::new(
+            strategy,
+            ActiveSet::new(n, n),
+            period,
+            Duration::from_secs(60),
+        )
+    }
+
+    /// Same, but an engine that has not heartbeaten is dead at once.
+    fn strict_controller(strategy: SyncStrategy, n: usize, period: Duration) -> SyncController {
+        let mut c = controller(strategy, n, period);
+        c.liveness.grace = Duration::ZERO;
+        c
+    }
 
     #[test]
     fn ring_peers_follow_circle() {
@@ -405,7 +361,7 @@ mod tests {
 
     #[test]
     fn controller_rotates_senders() {
-        let mut c = SyncController::new(SyncStrategy::Ring, 3, Duration::from_millis(1));
+        let mut c = controller(SyncStrategy::Ring, 3, Duration::from_millis(1));
         let sink = with_ctx(3, |ctx| {
             for _ in 0..3 {
                 // Wait out the period between drives.
@@ -422,7 +378,8 @@ mod tests {
                     assert_eq!(c.kind, KIND_SYNC_COMMAND);
                     assert_eq!(c.sender as usize, port);
                     let cmd = c.payload_as::<SyncCommand>().unwrap();
-                    assert_eq!(cmd.share_ports, vec![0]); // ring: one peer port
+                    // Ring: the mesh port of the next engine (1, 2, 0).
+                    assert_eq!(cmd.share_ports, vec![[0, 1, 0][port]]);
                 }
                 other => panic!("expected control, got {other:?}"),
             }
@@ -432,7 +389,7 @@ mod tests {
 
     #[test]
     fn none_strategy_finishes_immediately() {
-        let mut c = SyncController::new(SyncStrategy::None, 4, Duration::from_millis(1));
+        let mut c = controller(SyncStrategy::None, 4, Duration::from_millis(1));
         with_ctx(4, |ctx| {
             assert_eq!(c.drive(ctx), SourceState::Done);
         });
@@ -440,15 +397,17 @@ mod tests {
 
     #[test]
     fn single_engine_needs_no_sync() {
-        let mut c = SyncController::new(SyncStrategy::Ring, 1, Duration::from_millis(1));
+        // Idle, not done: a one-engine fleet can grow back.
+        let mut c = controller(SyncStrategy::Ring, 1, Duration::from_millis(1));
         with_ctx(1, |ctx| {
-            assert_eq!(c.drive(ctx), SourceState::Done);
+            assert_eq!(c.drive(ctx), SourceState::Idle);
         });
+        assert_eq!(c.issued, 0);
     }
 
     #[test]
     fn broadcast_command_lists_all_ports() {
-        let mut c = SyncController::new(SyncStrategy::Broadcast, 4, Duration::from_micros(1));
+        let mut c = controller(SyncStrategy::Broadcast, 4, Duration::from_micros(1));
         let sink = with_ctx(4, |ctx| while c.drive(ctx) == SourceState::Idle {});
         match &sink.ports[0][0] {
             Tuple::Control(ct) => {
@@ -459,7 +418,7 @@ mod tests {
         }
     }
 
-    // ---- failure-aware mode ----
+    // ---- liveness ----
 
     fn beat(c: &mut SyncController, engine: u32) {
         with_ctx(0, |ctx| {
@@ -488,8 +447,7 @@ mod tests {
     fn liveness_recloses_ring_around_dead_engine() {
         use spca_streams::metrics::OpCounters;
         use spca_streams::operator::testing::{with_sink_counters, CaptureSink};
-        let mut c = SyncController::new(SyncStrategy::Ring, 4, Duration::from_millis(1))
-            .with_liveness(Duration::from_secs(60), Duration::ZERO);
+        let mut c = strict_controller(SyncStrategy::Ring, 4, Duration::from_millis(1));
         for e in [0u32, 2, 3] {
             beat(&mut c, e); // engine 1 stays silent → dead past the grace
         }
@@ -522,8 +480,7 @@ mod tests {
 
     #[test]
     fn restarted_engine_is_readmitted_after_heartbeat() {
-        let mut c = SyncController::new(SyncStrategy::Ring, 2, Duration::from_micros(10))
-            .with_liveness(Duration::from_secs(60), Duration::ZERO);
+        let mut c = strict_controller(SyncStrategy::Ring, 2, Duration::from_micros(10));
         beat(&mut c, 0);
         with_ctx(2, |ctx| {
             for _ in 0..20 {
@@ -549,8 +506,7 @@ mod tests {
 
     #[test]
     fn broadcast_receivers_filtered_to_live_engines() {
-        let mut c = SyncController::new(SyncStrategy::Broadcast, 4, Duration::from_micros(10))
-            .with_liveness(Duration::from_secs(60), Duration::ZERO);
+        let mut c = strict_controller(SyncStrategy::Broadcast, 4, Duration::from_micros(10));
         for e in [0u32, 1, 3] {
             beat(&mut c, e);
         }
@@ -565,8 +521,7 @@ mod tests {
 
     #[test]
     fn junk_control_tuples_are_ignored_with_counter_not_a_panic() {
-        let mut c = SyncController::new(SyncStrategy::Ring, 2, Duration::from_micros(10))
-            .with_liveness(Duration::from_millis(50), Duration::ZERO);
+        let mut c = strict_controller(SyncStrategy::Ring, 2, Duration::from_micros(10));
         with_ctx(2, |ctx| {
             // Heartbeat kind carrying a completely foreign payload.
             c.on_control(
@@ -604,38 +559,34 @@ mod tests {
         });
         assert_eq!(c.ignored_control, 4);
         // None of the junk registered liveness: both engines still unheard.
-        let lv = c.liveness.as_ref().unwrap();
-        assert!(lv.heard.iter().all(|h| h.is_none()));
+        assert!(c.liveness.heard.iter().all(|h| h.is_none()));
         // A well-formed heartbeat still works.
         beat(&mut c, 0);
-        assert!(c.liveness.as_ref().unwrap().heard[0].is_some());
+        assert!(c.liveness.heard[0].is_some());
         assert_eq!(c.ignored_control, 4);
     }
 
     #[test]
     fn controller_checkpoint_round_trips_cursor_but_resets_liveness() {
-        let mut c = SyncController::new(SyncStrategy::Ring, 4, Duration::from_micros(1))
-            .with_liveness(Duration::from_millis(50), Duration::ZERO);
+        let mut c = controller(SyncStrategy::Ring, 4, Duration::from_micros(1));
         beat(&mut c, 0);
         c.cursor = 3;
         c.issued = 7;
         c.skipped_dead = 2;
         c.ignored_control = 1;
         let bytes = Checkpoint::snapshot(&c);
-        let mut r = SyncController::new(SyncStrategy::Ring, 4, Duration::from_micros(1))
-            .with_liveness(Duration::from_millis(50), Duration::ZERO);
+        let mut r = controller(SyncStrategy::Ring, 4, Duration::from_micros(1));
         r.restore(&bytes).unwrap();
         assert_eq!(r.cursor, 3);
         assert_eq!(r.issued, 7);
         assert_eq!(r.skipped_dead, 2);
         assert_eq!(r.ignored_control, 1);
         // Liveness starts over: no engine is condemned by pre-crash silence.
-        let lv = r.liveness.as_ref().unwrap();
-        assert!(lv.started.is_none());
-        assert!(lv.heard.iter().all(|h| h.is_none()));
+        assert!(r.liveness.started.is_none());
+        assert!(r.liveness.heard.iter().all(|h| h.is_none()));
     }
 
-    // ---- elastic membership (admit/retire) ----
+    // ---- membership (admit/retire) ----
 
     /// Collects one full rotation of sync commands and returns the set of
     /// sender ports that emitted.
@@ -659,13 +610,17 @@ mod tests {
         // Regression: liveness tables and the rotation cursor used to be
         // sized once at construction, so growing the fleet indexed out of
         // bounds and shrinking could leave the cursor past the end.
-        let mut c = SyncController::new(SyncStrategy::Ring, 2, Duration::from_micros(10))
-            .with_liveness(Duration::from_secs(60), Duration::from_secs(60));
+        let active = ActiveSet::new(2, 4);
+        let mut c = SyncController::new(
+            SyncStrategy::Ring,
+            Arc::clone(&active),
+            Duration::from_micros(10),
+            Duration::from_secs(60),
+        );
         // Grow 2 -> 4: both newcomers must join the rotation and the
         // liveness table must cover them (no out-of-bounds panic when they
         // heartbeat or when the rotation reaches them).
-        c.admit_engine();
-        c.admit_engine();
+        active.set_active(4);
         beat(&mut c, 2);
         beat(&mut c, 3);
         let senders = senders_in_rotation(&mut c, 4, 4);
@@ -677,9 +632,9 @@ mod tests {
 
         // Shrink 4 -> 3 with the cursor parked on the retired engine.
         c.cursor = 3;
-        c.retire_engine();
-        assert!(c.cursor < 3, "cursor must be re-clamped after retirement");
+        active.set_active(3);
         let senders = senders_in_rotation(&mut c, 4, 3);
+        assert!(c.cursor < 3, "cursor must be re-clamped after retirement");
         assert_eq!(
             senders,
             vec![0, 1, 2],
@@ -711,26 +666,16 @@ mod tests {
     }
 
     #[test]
-    fn retirement_saturates_at_one_engine() {
-        let mut c = SyncController::new(SyncStrategy::Ring, 2, Duration::from_micros(10));
-        c.retire_engine();
-        c.retire_engine();
-        c.retire_engine();
-        // Still valid: one engine, cursor 0, and drive finishes cleanly
-        // (no membership handle, so a 1-engine ring is done).
-        with_ctx(2, |ctx| {
-            assert_eq!(c.drive(ctx), SourceState::Done);
-        });
-    }
-
-    #[test]
     fn membership_handle_drives_admission_and_retirement() {
         use spca_streams::metrics::OpCounters;
         use spca_streams::operator::testing::{with_sink_counters, CaptureSink};
         let active = ActiveSet::new(1, 3);
-        let mut c = SyncController::new(SyncStrategy::Ring, 1, Duration::from_micros(10))
-            .with_liveness(Duration::from_secs(60), Duration::from_secs(60))
-            .with_membership(Arc::clone(&active));
+        let mut c = SyncController::new(
+            SyncStrategy::Ring,
+            Arc::clone(&active),
+            Duration::from_micros(10),
+            Duration::from_secs(60),
+        );
 
         let counters = OpCounters::default();
         let mut sink = CaptureSink::new(3);
@@ -756,20 +701,21 @@ mod tests {
             "all three rotate"
         );
 
-        // Scale back in to one engine.
+        // Scale back in as far as it goes: retirement saturates at one
+        // engine, which idles with a valid cursor.
         let mut sink2 = CaptureSink::new(3);
-        active.set_active(1);
+        active.set_active(0);
         with_sink_counters(&mut sink2, &counters, |ctx| {
             assert_eq!(c.drive(ctx), SourceState::Idle);
         });
         let snap = counters.snapshot();
         assert_eq!(snap.scale_ins, 2, "two retirements = two scale-in events");
+        assert_eq!(c.cursor, 0);
     }
 
     #[test]
     fn startup_grace_treats_silent_engines_as_alive() {
-        let mut c = SyncController::new(SyncStrategy::Ring, 3, Duration::from_micros(10))
-            .with_liveness(Duration::from_millis(100), Duration::from_secs(60));
+        let mut c = controller(SyncStrategy::Ring, 3, Duration::from_micros(10));
         let sink = with_ctx(3, |ctx| {
             while c.drive(ctx) != SourceState::Emitted {
                 std::thread::sleep(Duration::from_micros(20));

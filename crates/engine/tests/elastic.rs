@@ -64,7 +64,6 @@ fn seeded_source(seed: u64, n: u64, rate: Option<f64>) -> Box<dyn Operator> {
 }
 
 /// Elastic app config: `start` engines active out of `max` provisioned.
-/// Elastic mode forces failure-aware mesh wiring internally.
 fn elastic_cfg(start: usize, max: usize) -> AppConfig {
     let mut cfg = AppConfig::new(start, pca_cfg());
     cfg.sync = SyncStrategy::Ring;
@@ -125,7 +124,7 @@ fn scripted_rescale_conserves_tuples_and_matches_fixed_fleet_reference() {
     const N: u64 = 40_000;
     let cfg = elastic_cfg(1, 3);
     let (g, h) = ParallelPcaApp::build(&cfg, seeded_source(11, N, Some(30_000.0)));
-    let rt = ElasticRuntime::new(&h).expect("elastic handles expose a runtime");
+    let rt = ElasticRuntime::new(&h);
     let running = Engine::start(g);
 
     // Scale out once engine 0 is warmed up well past init.
@@ -263,7 +262,7 @@ fn kill_pe_during_scale_out_recovers_and_converges() {
         FaultPlan::parse("kill-pe@engine0:6000").unwrap(),
     ));
     let (g, h) = ParallelPcaApp::build(&cfg, seeded_source(21, N, Some(30_000.0)));
-    let rt = ElasticRuntime::new(&h).unwrap();
+    let rt = ElasticRuntime::new(&h);
     let running = Engine::start(g);
 
     assert!(
@@ -308,7 +307,7 @@ fn fsync_faults_during_retire_merge_degrade_gracefully() {
         FaultPlan::parse("io-fsync-err").unwrap(),
     ));
     let (g, h) = ParallelPcaApp::build(&cfg, seeded_source(31, N, Some(30_000.0)));
-    let rt = ElasticRuntime::new(&h).unwrap();
+    let rt = ElasticRuntime::new(&h);
     let running = Engine::start(g);
 
     assert!(
@@ -384,7 +383,7 @@ fn load_swing_scales_out_and_back_in_with_zero_loss() {
     .with_max_tuples(TOTAL);
 
     let (g, h) = ParallelPcaApp::build(&cfg, Box::new(source));
-    let rt = ElasticRuntime::new(&h).unwrap();
+    let rt = ElasticRuntime::new(&h);
     let mut sup = ElasticSupervisor::new(rt, Duration::from_millis(30));
     let running = Engine::start(g);
     while !running.is_finished() {

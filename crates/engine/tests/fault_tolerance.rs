@@ -6,8 +6,8 @@
 //!    1e-6 subspace affinity of the fault-free run (here: bit-equal), and
 //!    restart/quarantine/skipped-sync counts visible in the `RunReport`.
 //! 2. A ring with one engine killed outright (no recovery directory) must
-//!    still complete and converge: the failure-aware controller re-closes
-//!    the ring around the corpse.
+//!    still complete and converge: the controller re-closes the ring
+//!    around the corpse. Nothing tells the app to expect the death.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -110,7 +110,6 @@ fn deterministic_cfg(recovery: &Path) -> AppConfig {
     cfg.split = SplitStrategy::RoundRobin;
     cfg.sync = SyncStrategy::Ring;
     cfg.sync_period = Duration::from_millis(1);
-    cfg.failure_aware_sync = true;
     cfg.liveness_timeout = Duration::from_millis(200);
     cfg.heartbeat_every = 64;
     cfg.channel_capacity = 200_000;
@@ -249,14 +248,13 @@ fn killed_pe_rehydrates_from_its_manifest_and_matches_fault_free_run() {
 #[test]
 fn ring_survives_a_killed_engine_and_still_converges() {
     // No recovery directory: engine 1's recover() declines and the
-    // supervisor finishes it — a true crash. The failure-aware controller
+    // supervisor finishes it — a true crash. The sync controller
     // must notice the silence, skip it as a sender, re-close the ring
     // around it, and let the survivors converge.
     let mut cfg = AppConfig::new(4, pca_cfg());
     cfg.split = SplitStrategy::RoundRobin;
     cfg.sync = SyncStrategy::Ring;
     cfg.sync_period = Duration::from_millis(1);
-    cfg.failure_aware_sync = true;
     cfg.liveness_timeout = Duration::from_millis(30);
     cfg.heartbeat_every = 16;
     cfg.channel_capacity = 200_000;

@@ -5,7 +5,7 @@
 //! dropped message on the same link. Plans thread through
 //! [`GraphBuilder`](crate::graph::GraphBuilder) so tests and benches can
 //! exercise the supervisor (`catch_unwind` + restart-from-snapshot) and the
-//! failure-aware synchronization without any randomness.
+//! liveness-driven synchronization without any randomness.
 //!
 //! ## Grammar
 //!

@@ -18,13 +18,21 @@ use crate::checkpoint::{decode_kv, encode_kv, kv_parse, kv_u64, Checkpoint};
 use crate::membership::ActiveSet;
 use crate::operator::{OpContext, Operator};
 use crate::tuple::{DataTuple, Tuple};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Seed for the random strategy's generator — fixed so runs (and restarts)
-/// are reproducible.
+/// Seed for the random strategy — fixed so runs (and restarts) are
+/// reproducible.
 const SPLIT_SEED: u64 = 0x517EC7;
+
+/// The random strategy's `i`-th draw: the splitmix64 output function over
+/// `SPLIT_SEED` advanced `i` steps. A pure function of the pick index, so a
+/// restored split continues the sequence without replaying it.
+fn draw(i: u64) -> u64 {
+    let mut z = SPLIT_SEED.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Target-selection strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,13 +49,10 @@ pub enum SplitStrategy {
 /// 1-in / n-out load-balancing splitter.
 pub struct Split {
     strategy: SplitStrategy,
-    rng: StdRng,
     next_rr: usize,
-    /// Picks made so far — checkpointed so a restored split can fast-forward
-    /// the seeded generator and continue the same random target sequence.
+    /// Picks made so far — checkpointed so a restored split continues the
+    /// same random target sequence.
     picks: u64,
-    /// Draws to replay on the next pick after a checkpoint restore.
-    replay: u64,
     /// Tuples that had to block because every target was full.
     pub blocked: u64,
     /// Elastic membership: when set, only ports `0..active()` receive
@@ -61,18 +66,16 @@ impl Split {
     pub fn new(strategy: SplitStrategy) -> Self {
         Split {
             strategy,
-            rng: StdRng::seed_from_u64(SPLIT_SEED),
             next_rr: 0,
             picks: 0,
-            replay: 0,
             blocked: 0,
             active: None,
         }
     }
 
     /// Restricts routing to the active-membership prefix: only ports
-    /// `0..active.active()` receive tuples. The autoscaler re-seeds the
-    /// split by moving the boundary — no graph mutation, no new RNG.
+    /// `0..active.active()` receive tuples. The autoscaler re-targets the
+    /// split by moving the boundary — no graph mutation.
     pub fn with_active_set(mut self, active: Arc<ActiveSet>) -> Self {
         self.active = Some(active);
         self
@@ -86,28 +89,16 @@ impl Split {
         }
     }
 
-    fn pick(&mut self, n: usize, ctx: &OpContext<'_>) -> usize {
-        if self.replay > 0 {
-            // Fast-forward the freshly reseeded generator past the draws
-            // consumed before the checkpoint. The port count is fixed for a
-            // given graph — and the random draw is always over the full
-            // port range even under elastic membership — so the draws
-            // replay bit-for-bit regardless of scaling history.
-            if self.strategy == SplitStrategy::Random {
-                for _ in 0..self.replay {
-                    let _ = self.rng.gen_range(0..n);
-                }
-            }
-            self.replay = 0;
-        }
+    /// The first-choice port among the `active` eligible of `n` wired.
+    fn pick(&mut self, n: usize, active: usize, ctx: &OpContext<'_>) -> usize {
+        let pick = self.picks;
         self.picks += 1;
-        let active = self.active_of(n);
         match self.strategy {
             // Draw over the full port range, then fold into the active
-            // prefix: the RNG consumption stays independent of membership,
-            // which is what keeps checkpoint replay deterministic across
-            // rescale events.
-            SplitStrategy::Random => self.rng.gen_range(0..n) % active,
+            // prefix: a tuple's draw depends on the pick index and the
+            // (fixed) port count alone, so routing is the same across
+            // restores and rescale histories.
+            SplitStrategy::Random => (draw(pick) % n as u64) as usize % active,
             SplitStrategy::RoundRobin => {
                 let i = self.next_rr % active;
                 self.next_rr = self.next_rr.wrapping_add(1);
@@ -126,8 +117,10 @@ impl Operator for Split {
         if n == 0 {
             return;
         }
-        let first = self.pick(n, ctx);
+        // Read once per tuple: the pick and the shed loop below agree on
+        // the boundary even while an autoscaler moves it.
         let active = self.active_of(n);
+        let first = self.pick(n, active, ctx);
         // Try the chosen target, then the rest of the *active* set in
         // cyclic order; block on the original choice only if all are full.
         // Standby ports never receive traffic, even under backpressure.
@@ -162,8 +155,6 @@ impl Checkpoint for Split {
         self.next_rr = kv_parse(&kv, "next_rr")?;
         self.picks = kv_u64(&kv, "picks")?;
         self.blocked = kv_u64(&kv, "blocked")?;
-        self.rng = StdRng::seed_from_u64(SPLIT_SEED);
-        self.replay = self.picks;
         Ok(())
     }
 }
@@ -249,8 +240,8 @@ mod tests {
     fn random_split_resumes_identical_target_sequence_after_restore() {
         // Run one split uninterrupted; run another that checkpoints and is
         // replaced by a restored instance mid-stream. The per-port tuple
-        // sequences must match exactly — the restored rng fast-forwards to
-        // where the original left off.
+        // sequences must match exactly — the restored split continues at
+        // the checkpointed pick index.
         let mut whole = Split::new(SplitStrategy::Random);
         let expected = feed(&mut whole, 4, 300);
 
@@ -271,6 +262,19 @@ mod tests {
             let want: Vec<u64> = expected.data_at(p).iter().map(|d| d.seq).collect();
             assert_eq!(got, want, "port {p}");
         }
+
+        // Resuming is O(1) in the picks made: a split 2^40 rows into its
+        // stream routes its next tuple at once.
+        let far = encode_kv(&[
+            ("next_rr", "0".to_string()),
+            ("picks", (1u64 << 40).to_string()),
+            ("blocked", "0".to_string()),
+        ]);
+        let mut late = Split::new(SplitStrategy::Random);
+        late.restore(&far).unwrap();
+        let sink = feed(&mut late, 4, 1);
+        assert_eq!((0..4).map(|p| sink.data_at(p).len()).sum::<usize>(), 1);
+        assert_eq!(late.picks, (1 << 40) + 1);
     }
 
     #[test]
@@ -335,7 +339,7 @@ mod tests {
     fn random_split_replay_is_deterministic_across_rescale_history() {
         // A split that scaled out mid-stream, checkpointed, and was
         // restored must route the remaining tuples exactly like an
-        // uninterrupted split with the same membership history: the RNG
+        // uninterrupted split with the same membership history: the random
         // draw is over the full port range, so membership never shifts
         // the consumed sequence.
         let mk = || {

@@ -277,10 +277,9 @@ is the default. run and serve read exactly one of --input, --listen, --url.
   stall@ENGINE:N:MS, kill-pe@ENGINE:N, drop@FROM>TO:N, dup@FROM>TO:N,
   delay@FROM>TO:N:MS (e.g. \"panic@engine1:5000\"). kill-pe tears down the
   whole processing element hosting the target operator; every operator in
-  it is rebuilt and rehydrated from the per-PE snapshot manifest. Enables
-  failure-aware synchronization; pair with --snapshot-dir DIR so crashed
-  engines and PEs are restored from their PE's snapshot manifest
-  (DIR/pe) instead of losing their state.
+  it is rebuilt and rehydrated from the per-PE snapshot manifest. Pair
+  with --snapshot-dir DIR so crashed engines and PEs are restored from
+  their PE's snapshot manifest (DIR/pe) instead of losing their state.
 
   Storage faults drill the persistence layer itself: io-enospc@pe:N
   (N-th PE checkpoint write fails with ENOSPC), io-torn@pe:N (N-th PE
@@ -654,9 +653,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         other => return Err(format!("--sync: unknown strategy '{other}'")),
     };
     cfg.snapshot_dir = run_only("snapshots").map(PathBuf::from);
-    // Injected failures only make sense with the failure-aware controller
-    // watching for them.
-    cfg.failure_aware_sync = faults.is_some();
     cfg.faults = faults.map(astro_stream_pca::engine::normalize_fault_targets);
     cfg.recovery_dir = run_only("snapshot-dir").map(PathBuf::from);
     cfg.max_engines = elastic_ms.map(|_| max_engines);
@@ -701,10 +697,8 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     };
 
     let (graph, handles) = ParallelPcaApp::build(&cfg, source);
-    let mut autoscaler = elastic_ms.map(|ms| {
-        let runtime = ElasticRuntime::new(&handles).expect("app built with max_engines");
-        ElasticSupervisor::new(runtime, Duration::from_millis(ms))
-    });
+    let mut autoscaler = elastic_ms
+        .map(|ms| ElasticSupervisor::new(ElasticRuntime::new(&handles), Duration::from_millis(ms)));
     println!("running {engines} engines (d = {dim}, p = {components}, N = {memory}) ...");
     if let Some(ms) = elastic_ms {
         println!("autoscaling between 1 and {max_engines} engines on a {ms} ms epoch");

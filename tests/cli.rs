@@ -374,6 +374,38 @@ fn run_elastic_flags_validate_before_any_work() {
 }
 
 #[test]
+fn elastic_run_with_a_ceiling_of_one_engine_completes() {
+    // Every app carries a membership handle, so the autoscaler attaches to
+    // a fleet that can never grow instead of panicking on a missing one.
+    let dir = std::env::temp_dir().join(format!("spca-cli-elastic1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("tiny.csv");
+    let csv = csv.to_str().unwrap();
+    assert!(
+        spca(&["generate", "--out", csv, "--n", "300", "--pixels", "16"])
+            .status
+            .success()
+    );
+    let out = spca(&[
+        "run",
+        "--input",
+        csv,
+        "--engines",
+        "1",
+        "--elastic",
+        "50",
+        "--max-engines",
+        "1",
+        "--components",
+        "2",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stdout: {stdout}");
+    assert!(stdout.contains("final fleet 1 engines"), "got: {stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn backfill_cold_then_warm_round_trip() {
     let dir = std::env::temp_dir().join(format!("spca-cli-backfill-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
