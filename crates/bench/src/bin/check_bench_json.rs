@@ -1,11 +1,10 @@
-//! CI gate for recorded benchmark artifacts: validates `BENCH_engine.json`
-//! and `BENCH_kernels.json` (or the paths given as arguments) against
+//! CI gate for recorded benchmark artifacts: validates `BENCH_kernels.json`
+//! and `BENCH_elastic.json` (or the paths given as arguments) against
 //! [`spca_bench::json::SCHEMAS`] and exits nonzero on any artifact that is
 //! malformed or fails a gate, so a hand-edited or truncated recording
 //! cannot land silently.
 //!
-//! An artifact names its schema in a `"schema"` field (the engine grid,
-//! recorded before discriminators existed, has none). Per file the gate
+//! An artifact names its schema in a `"schema"` field. Per file the gate
 //! prints how many gates held and every gate the artifact's own host
 //! fields waived, so a floor that measures nothing is visible in the log.
 
@@ -20,7 +19,7 @@ fn check(path: &str) -> Result<Verdict, String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let paths: Vec<&str> = if args.is_empty() {
-        vec!["BENCH_engine.json", "BENCH_kernels.json"]
+        vec!["BENCH_kernels.json", "BENCH_elastic.json"]
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };

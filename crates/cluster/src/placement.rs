@@ -57,20 +57,19 @@ impl Placement {
     pub fn n_remote(&self) -> usize {
         (0..self.n_engines()).filter(|&e| !self.is_local(e)).count()
     }
-
-    /// Engines per node, indexed by node.
-    pub fn engines_per_node(&self, n_nodes: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; n_nodes];
-        for &n in &self.engine_nodes {
-            counts[n] += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn engines_per_node(p: &Placement, n_nodes: usize) -> Vec<usize> {
+        let mut counts = vec![0usize; n_nodes];
+        for &n in &p.engine_nodes {
+            counts[n] += 1;
+        }
+        counts
+    }
 
     #[test]
     fn single_node_is_all_local() {
@@ -82,7 +81,7 @@ mod tests {
     #[test]
     fn round_robin_spreads_evenly() {
         let p = Placement::round_robin(20, 10);
-        let counts = p.engines_per_node(10);
+        let counts = engines_per_node(&p, 10);
         assert!(counts.iter().all(|&c| c == 2), "{counts:?}");
         // Engines on node 0 are local to the split.
         assert_eq!(p.n_remote(), 18);
@@ -104,7 +103,7 @@ mod tests {
     #[test]
     fn grouped_wraps_when_exhausted() {
         let p = Placement::grouped(25, 2, 10);
-        let counts = p.engines_per_node(10);
+        let counts = engines_per_node(&p, 10);
         assert_eq!(counts.iter().sum::<usize>(), 25);
         assert!(counts.iter().all(|&c| c >= 2));
     }

@@ -3,12 +3,10 @@
 //! The figures of the paper are all statements about convergence (Fig. 1,
 //! 4, 5) or agreement between independently-evolving estimates (the sync
 //! criterion of §II-C). These metrics quantify both: principal angles
-//! between subspaces, eigenvalue errors, and the smoothness measure the
-//! paper invokes for Fig. 5 ("the smoothness of these curves is a sign of
-//! robustness as PCA has no notion of where the pixels are relative to each
-//! other").
+//! between subspaces and the smoothness measure the paper invokes for
+//! Fig. 5 ("the smoothness of these curves is a sign of robustness as PCA
+//! has no notion of where the pixels are relative to each other").
 
-use crate::eigensystem::EigenSystem;
 use crate::Result;
 use spca_linalg::{gemm, svd, Mat};
 
@@ -33,36 +31,6 @@ pub fn subspace_distance(a: &Mat, b: &Mat) -> Result<f64> {
     let cos = principal_angle_cosines(a, b)?;
     let min_cos = cos.last().copied().unwrap_or(1.0);
     Ok((1.0 - min_cos * min_cos).max(0.0).sqrt())
-}
-
-/// Mean-square distance: average of `sin²θ_i` over all principal angles —
-/// a smoother convergence signal than the max angle.
-pub fn mean_square_subspace_distance(a: &Mat, b: &Mat) -> Result<f64> {
-    let cos = principal_angle_cosines(a, b)?;
-    if cos.is_empty() {
-        return Ok(0.0);
-    }
-    Ok(cos.iter().map(|c| 1.0 - c * c).sum::<f64>() / cos.len() as f64)
-}
-
-/// Maximum relative eigenvalue error `|λ̂ − λ| / max(λ, floor)` over the
-/// common prefix of the two spectra.
-pub fn eigenvalue_relative_error(estimate: &[f64], truth: &[f64], floor: f64) -> f64 {
-    estimate
-        .iter()
-        .zip(truth)
-        .map(|(e, t)| (e - t).abs() / t.abs().max(floor))
-        .fold(0.0, f64::max)
-}
-
-/// Whether two eigensystems are "statistically independent enough" to merge
-/// usefully: the paper gates synchronization on observation counts, and
-/// additionally engines "verify every time that the eigensystems are
-/// statistically independent". We quantify dependence as subspace
-/// closeness: returns `true` when the subspace distance exceeds `threshold`
-/// — i.e. the systems have drifted apart and a sync is worthwhile.
-pub fn eigensystems_diverged(a: &EigenSystem, b: &EigenSystem, threshold: f64) -> Result<bool> {
-    Ok(subspace_distance(&a.basis, &b.basis)? > threshold)
 }
 
 /// Second-difference roughness of a curve: `Σ (x[i+1] − 2x[i] + x[i−1])²`,
@@ -169,17 +137,6 @@ mod tests {
         let b = axes(6, &[0, 2]);
         // One shared direction, one orthogonal → max angle 90°.
         assert!((subspace_distance(&a, &b).unwrap() - 1.0).abs() < 1e-12);
-        // Mean-square distance averages: (0 + 1)/2.
-        assert!((mean_square_subspace_distance(&a, &b).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eigenvalue_error_basics() {
-        assert_eq!(eigenvalue_relative_error(&[2.0], &[1.0], 1e-12), 1.0);
-        assert_eq!(
-            eigenvalue_relative_error(&[1.0, 2.0], &[1.0, 2.0], 1e-12),
-            0.0
-        );
     }
 
     #[test]
@@ -208,16 +165,5 @@ mod tests {
         let s = t.series(0);
         assert_eq!(s.len(), 4); // n = 0, 10, 20, 30
         assert_eq!(s[1], (10, 10.0));
-    }
-
-    #[test]
-    fn diverged_flag() {
-        let mut a = EigenSystem::zeros(6, 2);
-        a.basis = axes(6, &[0, 1]);
-        a.values = vec![1.0, 0.5];
-        let mut b = a.clone();
-        assert!(!eigensystems_diverged(&a, &b, 0.1).unwrap());
-        b.basis = axes(6, &[2, 3]);
-        assert!(eigensystems_diverged(&a, &b, 0.1).unwrap());
     }
 }

@@ -163,7 +163,9 @@ impl RobustPca {
     /// Processes an observation with missing entries. `mask[i] == true`
     /// means bin `i` was observed. Gaps are filled from the current
     /// eigenbasis (§II-D) and the residual is bias-corrected using the
-    /// extra `q` components before weighting.
+    /// extra `q` components before weighting. A missing bin may hold any
+    /// value; a non-finite observed one is [`PcaError::NotFinite`] and
+    /// leaves the estimate as it was.
     ///
     /// During warm-up, masked observations are gap-filled against nothing —
     /// they are buffered with missing bins set to the running buffer mean
@@ -208,6 +210,13 @@ impl RobustPca {
         };
         let UpdateWorkspace { step, gaps } = ws;
         let residual_sq = fill_scanned(eig, x, cfg.p, cfg.q_extra, gaps)?;
+        // A missing bin may hold anything, but a non-finite observed one
+        // stays non-finite in its own residual term, so the sum says so
+        // without another pass over the row — and before the step below,
+        // the first thing to write to the eigensystem.
+        if !residual_sq.is_finite() {
+            return Err(PcaError::NotFinite);
+        }
         robust_step_with_residual(eig, &gaps.filled, residual_sq, cfg, rho.as_ref(), step)
     }
 
@@ -638,6 +647,49 @@ mod tests {
             pca.update_masked(&[0.0; D], &mask).unwrap_err(),
             PcaError::AllMissing
         );
+    }
+
+    #[test]
+    fn masked_update_rejects_a_non_finite_observed_bin_and_keeps_its_state() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut pca = RobustPca::new(cfg());
+        let mut mask = vec![true; D];
+        mask[3] = false;
+        let mut bad = planted(&mut rng);
+        bad[5] = f64::NAN;
+        let mut gap = planted(&mut rng);
+        gap[3] = f64::NAN;
+
+        // Warm-up: the buffer does not take the row.
+        pca.update_masked(&gap, &mask).unwrap();
+        assert_eq!(
+            pca.update_masked(&bad, &mask).unwrap_err(),
+            PcaError::NotFinite
+        );
+        assert_eq!(pca.n_obs(), 1);
+
+        while !pca.is_initialized() {
+            pca.update(&planted(&mut rng)).unwrap();
+        }
+        let bits = |pca: &RobustPca| {
+            let e = pca.full_eigensystem().unwrap();
+            let sums = [e.sigma2, e.sum_u, e.sum_v, e.sum_q, e.n_obs as f64];
+            let all = [&e.mean[..], e.basis.as_slice(), &e.values[..], &sums[..]].concat();
+            all.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+        };
+        let before = bits(&pca);
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            bad[5] = poison;
+            assert_eq!(
+                pca.update_masked(&bad, &mask).unwrap_err(),
+                PcaError::NotFinite
+            );
+            assert_eq!(bits(&pca), before, "{poison}");
+        }
+
+        // A missing bin may hold anything.
+        pca.update_masked(&gap, &mask).unwrap();
+        pca.full_eigensystem().unwrap().check_invariants().unwrap();
     }
 
     #[test]

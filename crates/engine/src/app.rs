@@ -23,9 +23,7 @@ use crate::sync::{SyncController, SyncStrategy};
 use parking_lot::Mutex;
 use spca_core::{PcaConfig, RobustPca};
 use spca_streams::ops::{CallbackSink, CollectSink, Split, SplitStrategy, Throttle};
-use spca_streams::{
-    ActiveSet, DataTuple, FaultPlan, GraphBuilder, Operator, PortKind, RestartPolicy,
-};
+use spca_streams::{ActiveSet, DataTuple, FaultPlan, GraphBuilder, Operator, PortKind};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,8 +77,6 @@ pub struct AppConfig {
     /// specs through [`normalize_fault_targets`] first so `engine1` means
     /// `pca-1`.
     pub faults: Option<FaultPlan>,
-    /// Supervised-restart policy for panicking operators.
-    pub restart: RestartPolicy,
     /// When set, every PE keeps its snapshot manifest under `<dir>/pe` —
     /// the one durable copy of each stateful operator (source cursor,
     /// split, engines, sync controller). Every restart restores from it:
@@ -150,7 +146,6 @@ impl AppConfig {
             warm_start: None,
             divergence_gate: None,
             faults: None,
-            restart: RestartPolicy::default(),
             recovery_dir: None,
             recovery_every: 500,
             liveness_timeout: Duration::from_millis(100),
@@ -224,8 +219,7 @@ impl ParallelPcaApp {
             .with_batch_size(
                 cfg.batch_size
                     .min((FRAME_BYTES / row_bytes(cfg.pca.dim)).max(1)),
-            )
-            .with_restart_policy(cfg.restart);
+            );
         if let Some(ref plan) = cfg.faults {
             g = g.with_fault_plan(plan.clone());
         }

@@ -280,14 +280,6 @@ impl ElasticSupervisor {
         }
     }
 
-    /// Overrides the scaling policy (bounds are clamped to the fleet).
-    pub fn with_policy(mut self, mut policy: ElasticPolicy) -> Self {
-        policy.max_engines = policy.max_engines.min(self.runtime.max());
-        policy.min_engines = policy.min_engines.max(1);
-        self.policy = policy;
-        self
-    }
-
     /// The underlying runtime (e.g. for a final merged estimate).
     pub fn runtime(&self) -> &ElasticRuntime {
         &self.runtime
@@ -530,16 +522,12 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_policy_bounds_are_clamped_to_the_fleet() {
+    fn supervisor_policy_is_bounded_to_the_fleet() {
         let active = ActiveSet::new(1, 3);
         let states = vec![fresh_state(), fresh_state(), fresh_state()];
         let rt = ElasticRuntime::from_parts(active, states);
-        let sup =
-            ElasticSupervisor::new(rt, Duration::from_millis(10)).with_policy(ElasticPolicy {
-                max_engines: 100,
-                min_engines: 0,
-                ..ElasticPolicy::default()
-            });
+        let sup = ElasticSupervisor::new(rt, Duration::from_millis(10));
+        assert_ne!(ElasticPolicy::default().max_engines, 3);
         assert_eq!(sup.policy.max_engines, 3);
         assert_eq!(sup.policy.min_engines, 1);
     }

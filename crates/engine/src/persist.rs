@@ -11,7 +11,7 @@ use crate::messages::{PeerState, KIND_SNAPSHOT};
 use spca_core::EigenSystem;
 use spca_linalg::Mat;
 use spca_streams::checkpoint::write_atomic_vfs;
-use spca_streams::vfs::{RealVfs, Vfs};
+use spca_streams::vfs::RealVfs;
 use spca_streams::{ControlTuple, DataTuple, OpContext, Operator};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -31,14 +31,7 @@ const MAGIC: &str = "spca-eigensystem-v1";
 /// rename itself is durable; directory fsync is not supported everywhere,
 /// so its failure is ignored.
 pub fn write_snapshot(path: &Path, eig: &EigenSystem) -> std::io::Result<()> {
-    write_snapshot_vfs(&RealVfs, path, eig)
-}
-
-/// [`write_snapshot`] against an explicit [`Vfs`] backend — the same
-/// create/write/fsync/rename/fsync-dir sequence as PE checkpoints, so the
-/// storage-fault layer can exercise eigensystem snapshots too.
-pub fn write_snapshot_vfs(vfs: &dyn Vfs, path: &Path, eig: &EigenSystem) -> std::io::Result<()> {
-    write_atomic_vfs(vfs, path, &encode_snapshot(eig))
+    write_atomic_vfs(&RealVfs, path, &encode_snapshot(eig))
 }
 
 /// Serializes an eigensystem in the snapshot text format, in memory. This
@@ -85,13 +78,7 @@ fn bad(msg: impl Into<String>) -> std::io::Error {
 /// every line (including the last), so a file that does not end in `\n`
 /// was cut off mid-write even when every token it kept still parses.
 pub fn read_snapshot(path: &Path) -> std::io::Result<EigenSystem> {
-    read_snapshot_vfs(&RealVfs, path)
-}
-
-/// [`read_snapshot`] against an explicit [`Vfs`] backend, for fault drills
-/// that corrupt the bytes between write and read.
-pub fn read_snapshot_vfs(vfs: &dyn Vfs, path: &Path) -> std::io::Result<EigenSystem> {
-    decode_snapshot(&vfs.read(path)?)
+    decode_snapshot(&std::fs::read(path)?)
 }
 
 /// Parses the snapshot text format from memory — the read-side counterpart

@@ -277,3 +277,35 @@ fn undecodable_byte_costs_one_field_not_the_partition() {
     assert_eq!(outcome.merged.n_obs, 400);
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// What a `feed_line` caller sees of the estimator's input checks. Text
+/// cannot put a non-finite value under an observed bin — the row kernel
+/// reads `inf` and `1e999` as missing, like `nan` — so `NotFinite` is not
+/// reachable from a CSV line and such a row is an ordinary gap row; the
+/// rows the estimator cannot use at all are the caller's error.
+#[test]
+fn non_finite_fields_feed_as_gaps_and_an_unusable_row_is_the_callers_error() {
+    let rows = corpus(19, 60);
+    // The corpus with field 2 of row 5 and field 7 of row 40 spelled `gaps`.
+    let text = |gaps: [&str; 2]| {
+        let field = |v: &f64| v.to_string();
+        let mut lines: Vec<Vec<String>> =
+            rows.iter().map(|r| r.iter().map(field).collect()).collect();
+        lines[5][2] = gaps[0].to_string();
+        lines[40][7] = gaps[1].to_string();
+        let lines: Vec<String> = lines.iter().map(|l| l.join(",")).collect();
+        lines.join("\n")
+    };
+    let mut worker = PartitionWorker::new(pca_cfg());
+    let from_inf = worker.process(text(["inf", "-1e999"])).unwrap();
+    let from_nan = worker.process(text(["nan", "nan"])).unwrap();
+    assert_eq!(encode_snapshot(&from_inf), encode_snapshot(&from_nan));
+
+    worker.begin();
+    let all_missing = ["nan"; D].join(",");
+    let err = worker.feed_line(all_missing.as_bytes()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("no observed bins"), "{err}");
+    let err = worker.feed_line(b"1.0,nan,3.0").unwrap_err();
+    assert!(err.to_string().contains("dimension mismatch"), "{err}");
+}

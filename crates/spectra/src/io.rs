@@ -88,28 +88,6 @@ fn parse_line(line: &[u8]) -> Option<(Vec<f64>, Vec<bool>)> {
     Some((values, mask))
 }
 
-/// Writes an eigensystem snapshot: first line the eigenvalues, then one
-/// line per eigenvector, then the mean — the paper's "intermediate
-/// calculation results are periodically saved to the disk".
-pub fn write_eigensystem_csv<P: AsRef<Path>>(
-    path: P,
-    values: &[f64],
-    eigenvectors: &[Vec<f64>],
-    mean: &[f64],
-) -> std::io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(f);
-    writeln!(w, "# eigenvalues")?;
-    write_row(&mut w, values)?;
-    writeln!(w, "# eigenvectors (one per line)")?;
-    for ev in eigenvectors {
-        write_row(&mut w, ev)?;
-    }
-    writeln!(w, "# mean")?;
-    write_row(&mut w, mean)?;
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,22 +132,6 @@ mod tests {
         let back = read_csv(&path).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back[1].0, vec![3.0, 4.0]);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn eigensystem_snapshot_is_readable() {
-        let path = tmp("eig");
-        write_eigensystem_csv(
-            &path,
-            &[3.0, 1.0],
-            &[vec![1.0, 0.0], vec![0.0, 1.0]],
-            &[0.5, 0.5],
-        )
-        .unwrap();
-        let back = read_csv(&path).unwrap();
-        assert_eq!(back.len(), 4); // values + 2 vectors + mean
-        assert_eq!(back[0].0, vec![3.0, 1.0]);
         std::fs::remove_file(path).ok();
     }
 }

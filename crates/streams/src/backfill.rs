@@ -17,7 +17,7 @@
 //! * [`StateStore`] — a filesystem store of finished per-partition state
 //!   blobs, keyed by partition id and invalidated by content hash. Writes
 //!   go through the same fsync+atomic-rename plumbing as PE checkpoints
-//!   ([`crate::checkpoint::write_atomic`]), so the store never serves a
+//!   ([`crate::checkpoint::write_atomic_vfs`]), so the store never serves a
 //!   torn blob;
 //! * [`run_partitions`] — a worker pool that drains the partition list,
 //!   serving unchanged partitions from the store and dispatching the rest

@@ -151,15 +151,10 @@ fn tmp_path_for(path: &Path) -> PathBuf {
     PathBuf::from(tmp)
 }
 
-/// Writes `bytes` to `path` atomically and durably: scratch file in the
-/// same directory, fsync, rename, best-effort directory fsync. Shared by
-/// the PE checkpoint writer and the [`crate::backfill`] state store — both
-/// trust that a named file is never torn.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    write_atomic_vfs(&RealVfs, path, bytes)
-}
-
-/// [`write_atomic`] against an explicit [`Vfs`] backend. The sequence is
+/// Writes `bytes` to `path` atomically and durably through `vfs`: scratch
+/// file in the same directory, fsync, rename, best-effort directory fsync.
+/// Shared by the PE checkpoint writer and the [`crate::backfill`] state
+/// store — both trust that a named file is never torn. The sequence is
 /// exactly five VFS operations — create, write, fsync, rename, fsync_dir —
 /// which is what the crash-point harness enumerates. The directory fsync
 /// is best-effort (not every filesystem supports it); every other failure

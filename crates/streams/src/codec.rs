@@ -135,8 +135,8 @@ pub fn register_control_codec(kind: u32, enc: ControlEncodeFn, dec: ControlDecod
 // corruption in the body, which the robustness proptests rely on. The
 // bytewise table walk tops out around 0.35 GB/s and dominated the whole
 // encode path (the payload itself moves by memcpy); slicing consumes
-// eight bytes per step through eight shifted tables, which is what keeps
-// `fig_net`'s codec-vs-CSV ratio above its 5x gate.
+// eight bytes per step through eight shifted tables
+// (`streams.codec.encode_ns_per_tuple` on `tcp2-galaxy`).
 // ---------------------------------------------------------------------------
 
 const CRC_TABLES: [[u32; 256]; 8] = {
@@ -678,18 +678,6 @@ fn decode_body(body: &[u8], cols: &mut ColumnarFrame) -> Result<(), CodecError> 
     Ok(())
 }
 
-/// Convenience: decode one frame and materialize its tuples in one call,
-/// appending to `out`. Returns bytes consumed.
-pub fn decode_tuples(
-    buf: &[u8],
-    cols: &mut ColumnarFrame,
-    out: &mut Vec<Tuple>,
-) -> Result<usize, CodecError> {
-    let n = decode_frame(buf, cols)?;
-    cols.materialize(out)?;
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,8 +691,9 @@ mod tests {
         encode_frame(tuples, &mut buf).expect("encode");
         let mut cols = ColumnarFrame::default();
         let mut out = Vec::new();
-        let n = decode_tuples(&buf, &mut cols, &mut out).expect("decode");
+        let n = decode_frame(&buf, &mut cols).expect("decode");
         assert_eq!(n, buf.len(), "whole frame consumed");
+        cols.materialize(&mut out).expect("materialize");
         out
     }
 
@@ -868,8 +857,10 @@ mod tests {
         stream.extend_from_slice(&one);
         let mut cols = ColumnarFrame::default();
         let mut out = Vec::new();
-        let n1 = decode_tuples(&stream, &mut cols, &mut out).unwrap();
-        let n2 = decode_tuples(&stream[n1..], &mut cols, &mut out).unwrap();
+        let n1 = decode_frame(&stream, &mut cols).unwrap();
+        cols.materialize(&mut out).unwrap();
+        let n2 = decode_frame(&stream[n1..], &mut cols).unwrap();
+        cols.materialize(&mut out).unwrap();
         assert_eq!(n1 + n2, stream.len());
         assert_eq!(out.len(), 3);
         let Tuple::Data(d) = &out[2] else { panic!() };

@@ -108,20 +108,6 @@ pub enum FaultAction {
     NetPartialWrite(u64),
 }
 
-impl FaultAction {
-    /// True for actions that target an operator (vs. a link).
-    pub fn is_op_action(&self) -> bool {
-        matches!(
-            self,
-            FaultAction::PanicAfter(_)
-                | FaultAction::KillPe(_)
-                | FaultAction::PoisonNan(_)
-                | FaultAction::PoisonInf(_)
-                | FaultAction::Stall { .. }
-        )
-    }
-}
-
 /// The persistence domain a storage fault applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageDomain {
@@ -489,7 +475,6 @@ mod tests {
                 action: FaultAction::KillPe(800),
             }
         );
-        assert!(FaultAction::KillPe(1).is_op_action());
     }
 
     #[test]
@@ -504,7 +489,6 @@ mod tests {
             FaultTarget::Storage(StorageDomain::PeCheckpoint)
         );
         assert_eq!(plan.faults[2].action, FaultAction::IoFsyncErr);
-        assert!(!FaultAction::IoCrash(1).is_op_action());
         let spec = plan.io_spec().unwrap();
         assert_eq!(spec.enospc_pe, vec![3]);
         assert_eq!(spec.torn_pe, vec![7]);
@@ -519,7 +503,6 @@ mod tests {
         assert_eq!(plan.faults.len(), 2);
         assert_eq!(plan.faults[0].target, FaultTarget::Wire);
         assert_eq!(plan.faults[0].action, FaultAction::NetDropConn(3));
-        assert!(!FaultAction::NetDropConn(1).is_op_action());
         let spec = plan.wire_spec().unwrap();
         assert_eq!(spec.drop_conn, vec![3]);
         assert_eq!(spec.partial_write, vec![7]);
