@@ -94,7 +94,7 @@ pub struct AppConfig {
     /// Serving layer: when set, every engine publishes epoch-numbered
     /// eigensystem snapshots into this store (see
     /// [`StreamingPcaOp::with_epoch_store`]) so HTTP query handlers can
-    /// read the live estimate locklessly.
+    /// read the live estimate without holding up the update path.
     pub epoch_store: Option<Arc<crate::epoch::EpochStore>>,
     /// Snapshot publication cadence in processed tuples per engine
     /// (0 = only on initialization, merges, and finish).
@@ -582,7 +582,10 @@ mod tests {
 
     #[test]
     fn live_state_handles_observe_progress() {
-        let cfg = AppConfig::new(2, pca_cfg());
+        // No sync: a merge adds the peer's `n_obs` to an engine's own, so
+        // only unmerged states sum to the tuples the engines were fed.
+        let mut cfg = AppConfig::new(2, pca_cfg());
+        cfg.sync = SyncStrategy::None;
         let (g, h) = ParallelPcaApp::build(&cfg, planted_source(1000, 17));
         Engine::run(g);
         let total: u64 = h.engine_states.iter().map(|s| s.lock().n_obs()).sum();

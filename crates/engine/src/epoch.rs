@@ -1,81 +1,35 @@
-//! Epoch-versioned, lock-free eigensystem snapshot store.
+//! Epoch-versioned eigensystem snapshot store.
 //!
 //! The streaming update path publishes immutable, epoch-numbered
-//! [`EigenSnapshot`]s; serving threads read the latest snapshot without
-//! taking any lock. The design goals, in priority order:
+//! [`EigenSnapshot`]s; serving threads read the latest one. Snapshots
+//! live in `Arc`s drawn from a pool, and three things hold:
 //!
-//! 1. **The writer never blocks on readers.** A publish is one atomic
-//!    pointer swap plus bookkeeping under a writer-only mutex that no
-//!    reader ever touches. A reader stuck mid-query delays *reclamation*
-//!    of old snapshots, never the swap itself.
-//! 2. **Publishing never allocates.** The snapshot-box pool is
-//!    [`prewarm`]ed at build time and retired boxes are recycled through
-//!    a free list; the eigensystem copy into a recycled box reuses its
-//!    buffers ([`EigenSystem::copy_from`]). If stalled readers ever hold
-//!    every pooled box hostage, [`try_checkout`] returns `None` and the
-//!    publish is *shed* (readers keep the previous epoch) rather than
-//!    allocating — a stalled reader degrades snapshot freshness, never
-//!    the update path. Better than the one-Arc minimum of an arc-swap
-//!    design, and compatible with the alloc-counter guards on the update
-//!    path.
-//! 3. **Readers are wait-free in the common case.** A read pins the
-//!    current snapshot via a per-reader epoch slot (a single `SeqCst`
-//!    store plus a revalidation load) and then dereferences the shared
-//!    pointer directly — no reference-count contention between readers.
-//!
-//! [`prewarm`]: EpochStore::prewarm
-//! [`try_checkout`]: EpochStore::try_checkout
-//!
-//! # Reclamation scheme
-//!
-//! Safe reclamation without `crossbeam-epoch` (not vendored) uses the
-//! classic three-epoch scheme. A global epoch `G` advances only when
-//! every *active* reader is pinned at `G`. A retired snapshot is tagged
-//! with the epoch at retirement and freed once `tag + 2 ≤ G`:
-//!
-//! * A reader pinned at epoch `e` blocks advancement beyond `e + 1`,
-//!   so while it is pinned `G ≤ e + 1`.
-//! * Any snapshot the reader can still hold a pointer to was current at
-//!   some point at-or-after its pin, so that snapshot's retirement tag
-//!   is `≥ e`.
-//! * Freeable snapshots have `tag ≤ G − 2 ≤ e − 1 < e` — strictly older
-//!   than anything the reader can see. ∎
-//!
-//! The pin protocol closes the announce/load race by revalidating: store
-//! the epoch tag, then re-read the global epoch; if it moved, re-announce.
-//! After a successful pin the store of the slot is ordered (`SeqCst`)
-//! before the writer's subsequent epoch scan, so the writer cannot miss
-//! an active reader.
+//! 1. **A reader never holds the store's lock across a query.**
+//!    [`EpochReader::pin`] clones the current `Arc` under the lock — one
+//!    reference-count increment — and the query runs on that clone with
+//!    the lock released, so a publish waits for at most that increment.
+//! 2. **Publishing never allocates.** [`EpochStore::prewarm`] fills the
+//!    pool at build time with buffers sized for the eigensystem and with
+//!    room for every buffer to come back; [`EpochStore::publish`] swaps
+//!    the filled buffer in as current and pushes the previous one into
+//!    that room.
+//! 3. **A stalled reader costs one buffer.** A pooled buffer is free
+//!    exactly when the pool holds its only reference, so a snapshot that
+//!    is still pinned is skipped, not waited for. Only when every pooled
+//!    buffer is pinned at once does [`EpochStore::try_checkout`] return
+//!    `None`, and the publish is *shed* (readers keep the previous epoch)
+//!    rather than allocating: stalled readers cost freshness, never the
+//!    update path.
 
 use spca_core::EigenSystem;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Maximum simultaneously registered reader handles. Serving threads are
-/// a small fixed pool, so a small fixed slot table keeps the writer's
-/// epoch scan O(1) with no allocation.
-pub const MAX_READERS: usize = 64;
-
-/// Slot encodings: `u64::MAX` = unregistered, even = registered but not
-/// pinned, `(epoch << 1) | 1` = pinned at `epoch`.
-const SLOT_FREE: u64 = u64::MAX;
-const SLOT_IDLE: u64 = 0;
-
-/// Base capacity of the recycling free list — headroom for boxes minted
-/// by the allocating [`EpochStore::checkout`] convenience path. Every
-/// [`EpochStore::prewarm`] call *grows* the store's cap by the number of
-/// boxes it adds, so the cap always covers the total prewarmed across
-/// however many publishing operators share the store and reclamation
-/// never sheds a pooled box (which would silently free heap memory on
-/// the update thread and shrink the zero-allocation pool). Snapshots are
-/// small (one (p+q)-component eigensystem), so headroom costs little.
-const FREE_LIST_BASE_CAP: usize = 64;
-
-/// How many snapshot boxes each publishing operator should
-/// [`EpochStore::prewarm`] into the pool. Steady state keeps ~2 boxes in
-/// flight (one current, one retired awaiting its grace period); the
-/// slack covers reclamation lag from stalled readers before publishes
-/// start shedding.
+/// How many snapshot buffers each publishing operator should
+/// [`EpochStore::prewarm`] into the pool. Steady state keeps two in use
+/// (one current, one being filled); a publish is shed only when every
+/// other one is a retired snapshot some reader still has pinned.
 pub const PREWARM_PER_WRITER: usize = 8;
 
 /// An immutable, epoch-numbered view of an engine's eigensystem.
@@ -89,63 +43,56 @@ pub struct EigenSnapshot {
     pub p: usize,
 }
 
-struct WriterState {
-    /// Retired snapshots tagged with the global epoch at retirement.
-    garbage: Vec<(u64, *mut EigenSnapshot)>,
-    /// Recycled boxes handed back out by [`EpochStore::checkout`]. The
-    /// boxing is load-bearing: each box round-trips through
-    /// `Box::into_raw` in `publish`, so it must stay its own stable heap
-    /// allocation rather than an inline element.
-    #[allow(clippy::vec_box)]
-    free: Vec<Box<EigenSnapshot>>,
-    /// Free-list capacity: [`FREE_LIST_BASE_CAP`] plus every box ever
-    /// [`EpochStore::prewarm`]ed, so pooled boxes are never dropped on
-    /// recycle/collect no matter how many writers share the store.
-    free_cap: usize,
-}
+/// A checked-out snapshot buffer: the only reference to its `Arc`, so it
+/// dereferences mutably to the [`EigenSnapshot`] to fill. Hand it back
+/// with [`EpochStore::publish`] or [`EpochStore::recycle`].
+pub struct SnapshotBuf(Arc<EigenSnapshot>);
 
-// The raw pointers in `garbage` refer to heap allocations owned solely by
-// the store once retired; they are only dereferenced (freed) under the
-// writer mutex after the grace period proves no reader can observe them.
-unsafe impl Send for WriterState {}
-
-/// The lock-free snapshot store. See the module docs for the scheme.
-pub struct EpochStore {
-    /// Latest published snapshot (null until the first publish).
-    current: AtomicPtr<EigenSnapshot>,
-    /// Reclamation epoch `G` (not the snapshot sequence number).
-    global: AtomicU64,
-    /// Per-reader pin slots.
-    slots: [AtomicU64; MAX_READERS],
-    /// Snapshot sequence numbering; `epoch()` is the latest published.
-    seq: AtomicU64,
-    writer: Mutex<WriterState>,
-}
-
-impl Default for EpochStore {
-    fn default() -> Self {
-        Self::new()
+impl Deref for SnapshotBuf {
+    type Target = EigenSnapshot;
+    fn deref(&self) -> &EigenSnapshot {
+        &self.0
     }
+}
+
+impl DerefMut for SnapshotBuf {
+    fn deref_mut(&mut self) -> &mut EigenSnapshot {
+        // `try_checkout` only wraps an `Arc` nothing else refers to, and
+        // the wrapper neither clones it nor gives it away.
+        Arc::get_mut(&mut self.0).expect("checked-out snapshot buffer is uniquely owned")
+    }
+}
+
+#[derive(Default)]
+struct Slots {
+    /// Latest published snapshot (`None` until the first publish).
+    current: Option<Arc<EigenSnapshot>>,
+    /// Every buffer that is neither current nor checked out. One that a
+    /// reader still has pinned sits here until the pin is dropped.
+    pool: Vec<Arc<EigenSnapshot>>,
+    /// Buffers created so far, wherever they are now: the room `pool`
+    /// needs for all of them to come back.
+    created: usize,
+}
+
+/// The snapshot store. See the module docs.
+#[derive(Default)]
+pub struct EpochStore {
+    slots: Mutex<Slots>,
+    /// Epoch of `current`, readable without the lock. Stored (`Release`)
+    /// after the swap and loaded with `Acquire`, so `epoch() == n`
+    /// implies a later pin observes at least epoch `n`.
+    seq: AtomicU64,
 }
 
 impl EpochStore {
     /// An empty store (no snapshot published yet).
     pub fn new() -> Self {
-        EpochStore {
-            current: AtomicPtr::new(std::ptr::null_mut()),
-            global: AtomicU64::new(0),
-            slots: std::array::from_fn(|_| AtomicU64::new(SLOT_FREE)),
-            seq: AtomicU64::new(0),
-            writer: Mutex::new(WriterState {
-                // Generous headroom: with well-behaved (request-scoped)
-                // pins, at most a handful of retirees await their grace
-                // period, but the publish path must stay allocation-free
-                // even if slow readers stall advancement for a while.
-                garbage: Vec::with_capacity(8 * FREE_LIST_BASE_CAP),
-                free: Vec::with_capacity(FREE_LIST_BASE_CAP),
-                free_cap: FREE_LIST_BASE_CAP,
-            }),
-        }
+        Self::default()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().expect("epoch store lock poisoned")
     }
 
     /// The epoch of the latest published snapshot (0 = none yet).
@@ -153,22 +100,21 @@ impl EpochStore {
         self.seq.load(Ordering::Acquire)
     }
 
-    /// Pre-allocates `n` snapshot boxes into the free list, each with
-    /// eigensystem buffers sized for a `d × k` system so the first
-    /// [`EigenSystem::copy_from`] into it reuses capacity. Call once at
-    /// build time: afterwards [`try_checkout`] never allocates and the
-    /// fill never grows a buffer, so the publish path performs no heap
-    /// allocations at all — from the very first publish.
-    ///
-    /// [`try_checkout`]: EpochStore::try_checkout
+    /// Adds `n` snapshot buffers to the pool, each with eigensystem
+    /// buffers sized for a `d × k` system so the first
+    /// [`EigenSystem::copy_from`] into it reuses capacity, and room in the
+    /// pool for all of them to be returned. Call once per publishing
+    /// operator at build time: afterwards checkout, fill and publish
+    /// perform no heap allocation, from the first publish on.
     pub fn prewarm(&self, n: usize, d: usize, k: usize) {
-        let mut w = self.writer.lock().unwrap();
-        // Grow the recycling cap with the pool so collect/recycle never
-        // shed a prewarmed box, however many writers share this store.
-        w.free_cap += n;
-        w.free.reserve(n);
+        let mut s = self.lock();
+        // Some buffers are current or checked out right now and will be
+        // pushed back, so room is kept for every one ever created.
+        s.created += n;
+        let room = s.created - s.pool.len();
+        s.pool.reserve_exact(room);
         for _ in 0..n {
-            w.free.push(Box::new(EigenSnapshot {
+            s.pool.push(Arc::new(EigenSnapshot {
                 epoch: 0,
                 eig: EigenSystem::zeros(d, k),
                 p: 0,
@@ -176,208 +122,79 @@ impl EpochStore {
         }
     }
 
-    fn empty_box() -> Box<EigenSnapshot> {
-        Box::new(EigenSnapshot {
-            epoch: 0,
-            eig: EigenSystem::zeros(0, 0),
-            p: 0,
-        })
+    /// Takes a free snapshot buffer to fill for the next publish (its
+    /// `EigenSystem` buffers are reused by [`EigenSystem::copy_from`]),
+    /// or `None` when readers hold every pooled buffer pinned: the update
+    /// path then *skips* the publish. Never allocates.
+    pub fn try_checkout(&self) -> Option<SnapshotBuf> {
+        let mut s = self.lock();
+        // Nothing can clone an `Arc` that only the pool refers to, so a
+        // buffer found free here stays free until it is handed out.
+        let free = s.pool.iter_mut().position(|b| Arc::get_mut(b).is_some())?;
+        Some(SnapshotBuf(s.pool.swap_remove(free)))
     }
 
-    /// Takes a recycled snapshot buffer to fill for the next publish
-    /// (its `EigenSystem` buffers are reused by
-    /// [`EigenSystem::copy_from`] — no allocation), or `None` when the
-    /// [`prewarm`]ed pool is exhausted because stalled readers are
-    /// holding every retired box hostage. The update path then *skips*
-    /// the publish — readers keep the previous epoch — so a stalled
-    /// reader degrades snapshot freshness, never the update path: this
-    /// method performs no heap allocation under any circumstances.
-    ///
-    /// [`prewarm`]: EpochStore::prewarm
-    pub fn try_checkout(&self) -> Option<Box<EigenSnapshot>> {
-        let mut w = self.writer.lock().unwrap();
-        // A stalled reader may have parked reclamation between publishes;
-        // give the epoch a chance to advance before giving up.
-        self.try_advance();
-        self.collect(&mut w);
-        w.free.pop()
-    }
-
-    /// Like [`EpochStore::try_checkout`], but allocates a fresh box when
-    /// the pool is dry instead of shedding. For offline use and tests;
+    /// Like [`EpochStore::try_checkout`], but adds a buffer to the pool
+    /// when none is free instead of shedding. For offline use and tests;
     /// the streaming update path uses `try_checkout`.
-    pub fn checkout(&self) -> Box<EigenSnapshot> {
-        self.try_checkout().unwrap_or_else(Self::empty_box)
-    }
-
-    /// Returns a checked-out buffer that will not be published (e.g. the
-    /// estimator turned out to still be warming up) to the pool, so the
-    /// pool never shrinks on such a bail-out.
-    pub fn recycle(&self, snap: Box<EigenSnapshot>) {
-        let mut w = self.writer.lock().unwrap();
-        if w.free.len() < w.free_cap {
-            w.free.push(snap);
+    pub fn checkout(&self) -> SnapshotBuf {
+        loop {
+            if let Some(buf) = self.try_checkout() {
+                return buf;
+            }
+            self.prewarm(1, 0, 0);
         }
     }
 
-    /// Publishes a filled snapshot buffer: assigns the next epoch number,
-    /// swaps it in as current, and retires the previous snapshot. Returns
-    /// the assigned epoch. Never blocks on readers.
-    pub fn publish(&self, mut snap: Box<EigenSnapshot>) -> u64 {
-        let mut w = self.writer.lock().unwrap();
+    /// Returns a checked-out buffer that will not be published to the pool.
+    pub fn recycle(&self, snap: SnapshotBuf) {
+        self.lock().pool.push(snap.0);
+    }
+
+    /// Publishes a filled buffer under the next epoch number, which it
+    /// returns; the snapshot it replaces goes back to the pool.
+    pub fn publish(&self, mut snap: SnapshotBuf) -> u64 {
+        let mut s = self.lock();
         let epoch = self.seq.load(Ordering::Relaxed) + 1;
         snap.epoch = epoch;
-        let new = Box::into_raw(snap);
-        let old = self.current.swap(new, Ordering::AcqRel);
-        // The sequence number only becomes visible after the pointer swap,
-        // so `epoch() == n` implies a load observes at least epoch n.
-        self.seq.store(epoch, Ordering::Release);
-        if !old.is_null() {
-            let tag = self.global.load(Ordering::SeqCst);
-            w.garbage.push((tag, old));
+        if let Some(old) = s.current.replace(snap.0) {
+            s.pool.push(old);
         }
-        self.try_advance();
-        self.collect(&mut w);
+        self.seq.store(epoch, Ordering::Release);
         epoch
     }
 
-    /// Advances the global epoch if every active reader is pinned at it.
-    fn try_advance(&self) {
-        let g = self.global.load(Ordering::SeqCst);
-        for slot in &self.slots {
-            let s = slot.load(Ordering::SeqCst);
-            if s != SLOT_FREE && s & 1 == 1 && s >> 1 != g {
-                return;
-            }
-        }
-        // A stale advance by a concurrent publisher is harmless: both CAS
-        // to g+1 and only one wins.
-        let _ = self
-            .global
-            .compare_exchange(g, g + 1, Ordering::SeqCst, Ordering::SeqCst);
-    }
-
-    /// Frees (recycles) retired snapshots whose grace period has elapsed.
-    fn collect(&self, w: &mut WriterState) {
-        let g = self.global.load(Ordering::SeqCst);
-        let mut i = 0;
-        while i < w.garbage.len() {
-            let (tag, ptr) = w.garbage[i];
-            if tag + 2 <= g {
-                w.garbage.swap_remove(i);
-                // SAFETY: retired at epoch `tag`, and `tag + 2 <= G` means
-                // every reader pinned since has observed a strictly newer
-                // snapshot (see module docs); we are the sole owner.
-                let boxed = unsafe { Box::from_raw(ptr) };
-                if w.free.len() < w.free_cap {
-                    w.free.push(boxed);
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Registers a reader, claiming a pin slot. Returns `None` when all
-    /// [`MAX_READERS`] slots are taken. The reader shares ownership of
-    /// the store, so a serving thread can keep it alongside the `Arc` it
-    /// was created from.
+    /// A reader handle for a serving thread. Always `Some`: the `Option`
+    /// is what callers written against the bounded slot table expect.
     pub fn reader(self: &Arc<Self>) -> Option<EpochReader> {
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot
-                .compare_exchange(SLOT_FREE, SLOT_IDLE, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return Some(EpochReader {
-                    store: Arc::clone(self),
-                    slot: i,
-                });
-            }
-        }
-        None
+        Some(EpochReader {
+            store: Arc::clone(self),
+        })
     }
 }
 
-impl Drop for EpochStore {
-    fn drop(&mut self) {
-        let cur = *self.current.get_mut();
-        if !cur.is_null() {
-            // SAFETY: exclusive access in Drop; the pointer came from
-            // Box::into_raw in publish.
-            drop(unsafe { Box::from_raw(cur) });
-        }
-        let w = self.writer.get_mut().unwrap();
-        for (_, ptr) in w.garbage.drain(..) {
-            // SAFETY: as above — retired boxes are solely owned here.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
-    }
-}
-
-// SAFETY: all shared mutation goes through atomics or the writer mutex;
-// the raw snapshot pointers are only freed after the epoch grace period.
-unsafe impl Send for EpochStore {}
-unsafe impl Sync for EpochStore {}
-
-/// A registered reader owning one pin slot (and a share of the store).
-/// Cheap to keep per serving thread; dropping it releases the slot.
+/// A serving thread's handle on the store (and a share of it).
 pub struct EpochReader {
     store: Arc<EpochStore>,
-    slot: usize,
 }
 
 impl EpochReader {
-    /// Pins the current snapshot for reading. Returns `None` before the
-    /// first publish. The returned guard keeps the snapshot alive (by
-    /// stalling reclamation, not the writer) until dropped.
-    pub fn pin(&mut self) -> Option<PinnedSnapshot<'_>> {
-        let slot = &self.store.slots[self.slot];
-        let mut g = self.store.global.load(Ordering::SeqCst);
-        loop {
-            slot.store((g << 1) | 1, Ordering::SeqCst);
-            let now = self.store.global.load(Ordering::SeqCst);
-            if now == g {
-                break;
-            }
-            g = now;
-        }
-        let ptr = self.store.current.load(Ordering::Acquire);
-        if ptr.is_null() {
-            slot.store(SLOT_IDLE, Ordering::SeqCst);
-            return None;
-        }
-        // SAFETY: the pin slot (validated against the current global
-        // epoch) guarantees this snapshot outlives the guard — the grace
-        // period cannot elapse while we are pinned (module docs).
-        let snap = unsafe { &*ptr };
-        Some(PinnedSnapshot { snap, slot })
-    }
-}
-
-impl Drop for EpochReader {
-    fn drop(&mut self) {
-        self.store.slots[self.slot].store(SLOT_FREE, Ordering::SeqCst);
+    /// Pins the current snapshot for reading (`None` before the first
+    /// publish), keeping its buffer out of circulation until dropped.
+    pub fn pin(&mut self) -> Option<PinnedSnapshot> {
+        self.store.lock().current.clone().map(PinnedSnapshot)
     }
 }
 
 /// A pinned snapshot. Dereferences to [`EigenSnapshot`]; the pin is
-/// released on drop. Hold it only for the duration of one query — a
-/// long-lived pin delays snapshot reclamation (never the writer).
-pub struct PinnedSnapshot<'r> {
-    snap: &'r EigenSnapshot,
-    slot: &'r AtomicU64,
-}
+/// released on drop. Hold it only for the duration of one query — each
+/// distinct snapshot held pinned is a buffer the writer cannot reuse.
+pub struct PinnedSnapshot(Arc<EigenSnapshot>);
 
-impl std::ops::Deref for PinnedSnapshot<'_> {
+impl Deref for PinnedSnapshot {
     type Target = EigenSnapshot;
     fn deref(&self) -> &EigenSnapshot {
-        self.snap
-    }
-}
-
-impl Drop for PinnedSnapshot<'_> {
-    fn drop(&mut self) {
-        self.slot.store(SLOT_IDLE, Ordering::SeqCst);
+        &self.0
     }
 }
 
@@ -439,21 +256,20 @@ mod tests {
     #[test]
     fn free_list_recycles_retired_snapshots() {
         let store = Arc::new(EpochStore::new());
-        // With no readers pinned, each publish advances the epoch and the
-        // retired box becomes reclaimable after two more publishes; the
-        // checkout before publish must start hitting the free list.
+        // With no reader pinned, the snapshot a publish retires is free at
+        // once: the second checkout is the last to add a buffer, and the
+        // pool settles at the one retired buffer.
         for i in 0..20 {
             let mut buf = store.checkout();
             buf.eig.copy_from(&small_eig(i));
             buf.p = 2;
             store.publish(buf);
         }
-        let w = store.writer.lock().unwrap();
-        assert!(
-            !w.free.is_empty() || !w.garbage.is_empty(),
-            "retired snapshots should be in the free list or awaiting a grace period"
+        assert_eq!(
+            store.lock().pool.len(),
+            1,
+            "retired buffers must not pile up"
         );
-        assert!(w.garbage.len() <= 2, "garbage must not accumulate");
     }
 
     #[test]
@@ -486,50 +302,40 @@ mod tests {
         let store = Arc::new(EpochStore::new());
         store.prewarm(3, 8, 4);
 
-        let mut buf = store.checkout();
-        buf.eig.copy_from(&small_eig(0));
-        store.publish(buf);
-        let mut r = store.reader().unwrap();
-        let pinned = r.pin().unwrap();
+        // One pin held on each of three successive epochs: every buffer
+        // the pool ever had is current or pinned, so the next publish is
+        // shed instead of allocating.
+        let pins: Vec<_> = (0..3)
+            .map(|i| {
+                let mut buf = store.try_checkout().expect("prewarmed buffer");
+                buf.eig.copy_from(&small_eig(i));
+                assert_eq!(store.publish(buf), i + 1);
+                store.reader().unwrap().pin().unwrap()
+            })
+            .collect();
+        assert!(store.try_checkout().is_none(), "pool must be bounded");
+        let first = small_eig(0);
+        assert_eq!(pins[0].epoch, 1, "the pinned snapshot stays intact");
+        assert_eq!(pins[0].eig.mean, first.mean);
+        assert_eq!(pins[0].eig.basis.as_slice(), first.basis.as_slice());
 
-        // With a reader pinned, retired boxes cannot be reclaimed, so
-        // the prewarmed pool drains and `try_checkout` starts shedding
-        // instead of allocating.
-        let mut published = 1u64;
-        while let Some(mut buf) = store.try_checkout() {
-            buf.eig.copy_from(&small_eig(published));
-            store.publish(buf);
-            published += 1;
-            assert!(
-                published < 100,
-                "pool must be bounded under a pinned reader"
-            );
-        }
-        assert_eq!(pinned.epoch, 1, "the pinned snapshot stays intact");
-        drop(pinned);
-        drop(r);
-
-        // Once the reader unpins, reclamation resumes: a couple of
-        // publishes advance the epoch past the grace period and checkouts
-        // succeed again from recycled boxes.
-        for i in 0..3 {
-            let mut buf = store.checkout();
+        // Dropping all but one pin frees the buffers they held: a single
+        // stalled reader costs one buffer, not the ones retired after it.
+        let stalled = pins.into_iter().next().unwrap();
+        for i in 0..10 {
+            let mut buf = store.try_checkout().expect("freed buffer");
             buf.eig.copy_from(&small_eig(100 + i));
             store.publish(buf);
         }
-        assert!(
-            store.try_checkout().is_some(),
-            "recycled boxes must flow back after the reader unpins"
-        );
+        assert_eq!(stalled.epoch, 1);
     }
 
     #[test]
     fn free_list_cap_scales_with_prewarmed_writers() {
         let store = Arc::new(EpochStore::new());
-        // Far more publishing operators than the base cap covers: every
-        // prewarmed box must still survive a checkout/recycle round trip
-        // (the cap grows with the pool; nothing is silently dropped).
-        let writers = 3 * FREE_LIST_BASE_CAP / PREWARM_PER_WRITER;
+        // However many publishing operators share the store, every
+        // prewarmed buffer survives a checkout/recycle round trip.
+        let writers = 24;
         for _ in 0..writers {
             store.prewarm(PREWARM_PER_WRITER, 4, 2);
         }
@@ -538,6 +344,8 @@ mod tests {
             .map(|_| store.try_checkout().expect("prewarmed box"))
             .collect();
         assert!(store.try_checkout().is_none(), "pool fully drained");
+        // Room grows with the buffers created, not with the calls made.
+        assert!(store.lock().pool.capacity() <= 2 * total);
         for b in boxes {
             store.recycle(b);
         }
@@ -560,14 +368,5 @@ mod tests {
             store.try_checkout().is_some(),
             "recycled buffer must be available again"
         );
-    }
-
-    #[test]
-    fn reader_slots_are_bounded_and_reusable() {
-        let store = Arc::new(EpochStore::new());
-        let readers: Vec<_> = (0..MAX_READERS).map(|_| store.reader().unwrap()).collect();
-        assert!(store.reader().is_none(), "slot table must be bounded");
-        drop(readers);
-        assert!(store.reader().is_some(), "dropped slots must be reusable");
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The parallel streaming-PCA application (paper Fig. 2).
 //!
 //! Wires the pieces into the paper's analysis graph:

@@ -19,10 +19,10 @@
 //! (estimator warm-up) query endpoints answer `503`.
 //!
 //! Each worker thread gets its own handler instance owning a
-//! [`QueryWorkspace`], a parse buffer, and a registered [`EpochReader`],
-//! so a request in steady state allocates nothing: parse into a reused
-//! buffer, pin the epoch (lock-free), compute into the workspace, format
-//! into the server's reused response buffer.
+//! [`QueryWorkspace`], a parse buffer, and an [`EpochReader`], so a
+//! request in steady state allocates nothing: parse into a reused buffer,
+//! pin the epoch (one reference-count increment), compute into the
+//! workspace, format into the server's reused response buffer.
 
 use crate::epoch::{EpochReader, EpochStore};
 use spca_core::QueryWorkspace;
@@ -66,17 +66,7 @@ impl FaultCounters {
     /// Extracts the counters from a finished run's report — by
     /// construction the same totals the CLI fault summary prints.
     pub fn from_report(report: &RunReport) -> Self {
-        FaultCounters {
-            restarts: report.total_restarts(),
-            pe_restarts: report.total_pe_restarts(),
-            quarantined: report.total_quarantined(),
-            sync_skips: report.total_sync_skips(),
-            io_faults: report.total_io_faults(),
-            quarantined_snapshots: report.total_quarantined_snapshots(),
-            checkpoint_skips: report.total_checkpoint_skips(),
-            scale_outs: report.total_scale_outs(),
-            scale_ins: report.total_scale_ins(),
-        }
+        Self::from_op_snapshots(&report.ops)
     }
 
     /// Sums the counters over live operator snapshots
@@ -180,14 +170,9 @@ pub struct EigenQueryHandler {
 }
 
 impl EigenQueryHandler {
-    /// A handler bound to the shared serving state. Panics if all
-    /// [`crate::epoch::MAX_READERS`] reader slots are taken (the server
-    /// pool is far smaller in practice).
+    /// A handler bound to the shared serving state.
     pub fn new(shared: Arc<ServeShared>) -> Self {
-        let reader = shared
-            .store()
-            .reader()
-            .expect("epoch store reader slots exhausted");
+        let reader = shared.store().reader().expect("reader() is always Some");
         EigenQueryHandler {
             shared,
             reader,

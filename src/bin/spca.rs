@@ -16,8 +16,8 @@
 use astro_stream_pca::cluster::{ClusterSim, ClusterSpec, CostModel, Placement, SimConfig};
 use astro_stream_pca::core::PcaConfig;
 use astro_stream_pca::engine::{
-    epoch::MAX_READERS, persist, AppConfig, DistSpec, EigenQueryHandler, ElasticRuntime,
-    ElasticSupervisor, EpochStore, FaultCounters, ParallelPcaApp, ServeShared, SyncStrategy,
+    persist, AppConfig, DistSpec, EigenQueryHandler, ElasticRuntime, ElasticSupervisor, EpochStore,
+    FaultCounters, ParallelPcaApp, ServeShared, SyncStrategy,
 };
 use astro_stream_pca::spectra::{io, GalaxyGenerator};
 use astro_stream_pca::streams::ops::http_server::{HttpServer, RateLimitConfig, ServerConfig};
@@ -308,8 +308,9 @@ serve is `run --serve IP:PORT` for an always-on deployment (--addr and
   eigensystem queries over HTTP while the stream is ingested: POST
   /project, /reconstruct, /score, /topk?k=K (CSV observation in, CSV out;
   X-Epoch names the snapshot answered against), GET /healthz and
-  /metrics. Operators publish epoch-versioned snapshots into a lock-free
-  store every --publish-every updates; queries never block ingest.
+  /metrics. Operators publish epoch-versioned snapshots into a shared
+  store every --publish-every updates; a query holds its lock for one
+  reference-count increment, so queries never hold up ingest.
   --rate-limit enables a per-client token bucket; overload sheds with
   429 + Retry-After. --serve-for keeps serving the final eigensystem SECS
   after the stream drains.
@@ -590,13 +591,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         .transpose()?;
     let serve_addr: Option<SocketAddr> = opts.opt(addr_flag)?;
     let threads: usize = opts.value(threads_flag)?;
-    // Each server worker claims one epoch-store reader slot: rejected here
-    // instead of panicking in the handler factory at server start.
-    if serve_addr.is_some() && threads > MAX_READERS {
-        return Err(format!(
-            "--{threads_flag} must be at most {MAX_READERS} (epoch-store reader slots)"
-        ));
-    }
     let rate_limit = match opts.opt::<f64>("rate-limit")? {
         Some(per_sec) if !per_sec.is_finite() || per_sec <= 0.0 => {
             return Err("--rate-limit must be a positive request rate".to_string());

@@ -11,6 +11,18 @@ fn spca(args: &[&str]) -> std::process::Output {
         .expect("spawn spca")
 }
 
+/// Reads a running `spca`'s output up to the first line that starts with
+/// `prefix` and returns the rest of that line.
+fn line_after(stdout: &mut impl std::io::BufRead, prefix: &str) -> String {
+    loop {
+        let mut line = String::new();
+        assert!(stdout.read_line(&mut line).unwrap() > 0, "no '{prefix}'");
+        if let Some(rest) = line.trim_end().strip_prefix(prefix) {
+            return rest.to_string();
+        }
+    }
+}
+
 #[test]
 fn unknown_flag_is_rejected_and_named() {
     for (cmd, bogus) in [
@@ -285,36 +297,52 @@ fn serve_rejects_bad_flag_values() {
 }
 
 #[test]
-fn serve_thread_pools_beyond_reader_slots_rejected() {
-    // Each server worker claims one epoch-store reader slot (64 total);
-    // an oversized pool must be a CLI error, not a panic at server start.
-    let out = spca(&[
-        "serve",
-        "--addr",
-        "127.0.0.1:0",
-        "--threads",
-        "65",
-        "--input",
-        "nonexistent.csv",
-    ]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--threads"), "got: {stderr}");
-    assert!(stderr.contains("at most 64"), "got: {stderr}");
+fn serve_thread_pool_of_65_answers_healthz() {
+    // Readers share the snapshot store without claiming a slot in it, so
+    // the server pool has no ceiling.
+    use std::io::{BufReader, Read, Write};
 
-    let out = spca(&[
-        "run",
-        "--input",
-        "nonexistent.csv",
-        "--serve",
-        "127.0.0.1:0",
-        "--serve-threads",
-        "65",
+    let dir = std::env::temp_dir().join(format!("spca-cli-threads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("corpus.csv");
+    let gen = spca(&[
+        "generate",
+        "--out",
+        csv.to_str().unwrap(),
+        "--n",
+        "400",
+        "--pixels",
+        "24",
+        "--seed",
+        "9",
     ]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--serve-threads"), "got: {stderr}");
-    assert!(stderr.contains("at most 64"), "got: {stderr}");
+    assert!(gen.status.success());
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_spca"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "65"])
+        .args(["--input", csv.to_str().unwrap(), "--components", "3"])
+        .args(["--serve-for", "30"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn spca");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut line_after = |prefix: &str| line_after(&mut stdout, prefix);
+    let server = line_after("serving queries on http://");
+    line_after("serving the final eigensystem for ");
+
+    let mut http = std::net::TcpStream::connect(server).expect("connect query server");
+    http.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    http.read_to_string(&mut response).unwrap();
+    child.kill().unwrap();
+    child.wait().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    let body = response.split("\r\n\r\n").nth(1).unwrap();
+    let epoch = body.trim_end().strip_prefix("ok ").expect(body);
+    assert!(epoch.parse::<u64>().unwrap() > 0, "{body}");
 }
 
 #[test]
@@ -704,7 +732,7 @@ fn coordinator_rejects_whitespace_in_snapshot_paths_before_any_networking() {
 /// still open, then closes it. Returns the summary lines (everything after
 /// the `running …` line, numbers blanked) and the metric names.
 fn serve_over_tcp(args: &[&str], corpus: &[u8]) -> (Vec<String>, Vec<String>) {
-    use std::io::{BufRead, BufReader, Read, Write};
+    use std::io::{BufReader, Read, Write};
     use std::net::TcpStream;
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_spca"))
@@ -715,13 +743,7 @@ fn serve_over_tcp(args: &[&str], corpus: &[u8]) -> (Vec<String>, Vec<String>) {
         .spawn()
         .expect("spawn spca");
     let mut stdout = BufReader::new(child.stdout.take().unwrap());
-    let mut line_after = |prefix: &str| loop {
-        let mut line = String::new();
-        assert!(stdout.read_line(&mut line).unwrap() > 0, "no '{prefix}'");
-        if let Some(rest) = line.trim_end().strip_prefix(prefix) {
-            return rest.to_string();
-        }
-    };
+    let mut line_after = |prefix: &str| line_after(&mut stdout, prefix);
     let ingest = line_after("listening on ");
     let server = line_after("serving queries on http://");
     line_after("running ");
@@ -761,7 +783,10 @@ fn serve_over_tcp(args: &[&str], corpus: &[u8]) -> (Vec<String>, Vec<String>) {
         .map(String::from)
         .collect();
     names.dedup();
-    (rest.lines().map(blank).collect(), names)
+    // A sync round skipped by the 1.5*N gate adds a `fault summary` line to
+    // whichever run happened to last past a period: not part of the shape.
+    let lines = rest.lines().filter(|l| !l.starts_with("fault summary: "));
+    (lines.map(blank).collect(), names)
 }
 
 #[test]
