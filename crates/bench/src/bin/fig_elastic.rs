@@ -27,6 +27,7 @@ use spca_core::metrics::subspace_distance;
 use spca_core::{EigenSystem, PcaConfig};
 use spca_engine::{AppConfig, ElasticRuntime, ParallelPcaApp, SyncStrategy};
 use spca_spectra::PlantedSubspace;
+use spca_streams::metrics::Counter;
 use spca_streams::ops::GeneratorSource;
 use spca_streams::{Engine, Operator, RunReport};
 use std::sync::Arc;
@@ -163,6 +164,7 @@ fn main() {
     let target = "zero tuple loss, fault-free, consistency <= 0.25, one rescale each direction";
     let count = |n: u64| Json::Num(n as f64);
     let ms = |d: Duration| Json::Num(d.as_secs_f64() * 1e3);
+    let total = |which| count(outcome.report.total(which));
     let report = obj([
         ("schema", Json::Str("elastic-v1".into())),
         ("benchmark", Json::Str(benchmark.into())),
@@ -171,10 +173,10 @@ fn main() {
         ("dim", Json::Num(DIM as f64)),
         ("tuples", count(N_TUPLES)),
         ("target", Json::Str(target.into())),
-        ("restarts", count(outcome.report.total_restarts())),
-        ("pe_restarts", count(outcome.report.total_pe_restarts())),
-        ("scale_outs", count(outcome.report.total_scale_outs())),
-        ("scale_ins", count(outcome.report.total_scale_ins())),
+        ("restarts", total(Counter::Restarts)),
+        ("pe_restarts", total(Counter::PeRestarts)),
+        ("scale_outs", total(Counter::ScaleOuts)),
+        ("scale_ins", total(Counter::ScaleIns)),
         ("tuple_loss", count(fed.saturating_sub(processed))),
         ("scale_out_latency_ms", ms(outcome.scale_out_latency)),
         ("scale_in_latency_ms", ms(outcome.scale_in_latency)),

@@ -399,6 +399,7 @@ mod tests {
     use rand::SeedableRng;
     use spca_core::metrics::subspace_distance;
     use spca_spectra::PlantedSubspace;
+    use spca_streams::metrics::Counter;
     use spca_streams::ops::GeneratorSource;
     use spca_streams::Engine;
 
@@ -447,7 +448,7 @@ mod tests {
         assert_eq!(report.tuples_in_matching("pca-"), 4000);
         // Every engine reported a final snapshot.
         assert_eq!(h.hub.engines_reporting(), 4);
-        assert_eq!(report.total_restarts(), 0);
+        assert_eq!(report.total(Counter::Restarts), 0);
         let merged = h.hub.merged_estimate().unwrap();
         // Ring merges mid-stream fold peer history into each engine, so
         // the merged count double-counts shared history: it is an upper
@@ -566,8 +567,8 @@ mod tests {
         assert_eq!(h.engine_states[1].lock().n_obs(), 0);
         assert_eq!(h.engine_states[2].lock().n_obs(), 0);
         assert_eq!(h.hub.engines_reporting(), 1, "standbys report nothing");
-        assert_eq!(report.total_scale_outs(), 0);
-        assert_eq!(report.total_scale_ins(), 0);
+        assert_eq!(report.total(Counter::ScaleOuts), 0);
+        assert_eq!(report.total(Counter::ScaleIns), 0);
     }
 
     #[test]

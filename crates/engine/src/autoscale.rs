@@ -399,6 +399,8 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use spca_core::PcaConfig;
     use spca_spectra::PlantedSubspace;
+    use spca_streams::metrics::OpCounters;
+    use std::sync::atomic::Ordering;
 
     const D: usize = 12;
 
@@ -534,10 +536,11 @@ mod tests {
 
     #[test]
     fn backlog_is_source_minus_engines() {
-        let snap = |tin: u64, tout: u64| OpSnapshot {
-            tuples_in: tin,
-            tuples_out: tout,
-            ..OpSnapshot::default()
+        let snap = |tin: u64, tout: u64| {
+            let live = OpCounters::default();
+            live.tuples_in.store(tin, Ordering::Relaxed);
+            live.tuples_out.store(tout, Ordering::Relaxed);
+            live.snapshot()
         };
         let named = vec![
             ("source".to_string(), snap(0, 1000)),

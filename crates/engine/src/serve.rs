@@ -27,7 +27,7 @@
 use crate::epoch::{EpochReader, EpochStore};
 use spca_core::QueryWorkspace;
 use spca_streams::csv;
-use spca_streams::metrics::LatencyHistogram;
+use spca_streams::metrics::{Counter, LatencyHistogram, OpSnapshot, COUNTERS};
 use spca_streams::ops::http_server::{ConnHandler, Request, ResponseBuf, ServerStats};
 use spca_streams::RunReport;
 use std::io::Write as _;
@@ -35,56 +35,46 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// The fault counters the CLI fault summary prints; `/metrics` exposes
-/// the same values so the two can be asserted identical.
+/// The run-level counters ([`COUNTERS`]) summed over a run's operators —
+/// what the fault summary prints and `/metrics` exposes, so the two agree
+/// by construction.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Supervised operator restarts.
-    pub restarts: u64,
-    /// Whole-PE restarts.
-    pub pe_restarts: u64,
-    /// Quarantined (non-finite) tuples.
-    pub quarantined: u64,
-    /// Synchronization rounds skipped by the independence gate.
-    pub sync_skips: u64,
-    /// Storage faults absorbed by the persistence layer (ENOSPC, fsync
-    /// failures, torn or bit-rotted files found at recovery).
-    pub io_faults: u64,
-    /// Checkpoint blobs/manifests moved aside as `*.corrupt-N` during
-    /// PE recovery.
-    pub quarantined_snapshots: u64,
-    /// Periodic checkpoints skipped because the write failed (the PE
-    /// keeps running and backs off its checkpoint window).
-    pub checkpoint_skips: u64,
-    /// Engines admitted by the elastic autoscaler (scale-out events).
-    pub scale_outs: u64,
-    /// Engines retired by the elastic autoscaler (scale-in events).
-    pub scale_ins: u64,
-}
+pub struct FaultCounters([u64; Counter::COUNT]);
 
 impl FaultCounters {
-    /// Extracts the counters from a finished run's report — by
-    /// construction the same totals the CLI fault summary prints.
+    /// Extracts the counters from a finished run's report.
     pub fn from_report(report: &RunReport) -> Self {
         Self::from_op_snapshots(&report.ops)
     }
 
     /// Sums the counters over live operator snapshots
     /// (`RunningEngine::op_snapshots`).
-    pub fn from_op_snapshots(snaps: &[(String, spca_streams::metrics::OpSnapshot)]) -> Self {
+    pub fn from_op_snapshots(snaps: &[(String, OpSnapshot)]) -> Self {
         let mut c = FaultCounters::default();
         for (_, s) in snaps {
-            c.restarts += s.restarts;
-            c.pe_restarts += s.pe_restarts;
-            c.quarantined += s.quarantined;
-            c.sync_skips += s.sync_skips;
-            c.io_faults += s.io_faults;
-            c.quarantined_snapshots += s.quarantined_snapshots;
-            c.checkpoint_skips += s.checkpoint_skips;
-            c.scale_outs += s.scale_outs;
-            c.scale_ins += s.scale_ins;
+            for &(which, ..) in COUNTERS {
+                c.0[which as usize] += s.get(which);
+            }
         }
         c
+    }
+
+    /// The run's total of `which`.
+    pub fn get(&self, which: Counter) -> u64 {
+        self.0[which as usize]
+    }
+
+    /// The `fault summary:` line every subcommand prints after a run that
+    /// absorbed anything; `None` when every counter is zero.
+    pub fn summary(&self) -> Option<String> {
+        if self.0 == [0; Counter::COUNT] {
+            return None;
+        }
+        let parts: Vec<String> = COUNTERS
+            .iter()
+            .map(|&(which, _, label)| format!("{} {label}", self.get(which)))
+            .collect();
+        Some(format!("fault summary: {}", parts.join(", ")))
     }
 }
 
@@ -214,15 +204,9 @@ impl EigenQueryHandler {
         let c = self.shared.counters();
         let b = &mut resp.body;
         let _ = writeln!(b, "spca_epoch {}", self.shared.store().epoch());
-        let _ = writeln!(b, "spca_restarts {}", c.restarts);
-        let _ = writeln!(b, "spca_pe_restarts {}", c.pe_restarts);
-        let _ = writeln!(b, "spca_quarantined {}", c.quarantined);
-        let _ = writeln!(b, "spca_sync_skips {}", c.sync_skips);
-        let _ = writeln!(b, "spca_io_faults {}", c.io_faults);
-        let _ = writeln!(b, "spca_quarantined_snapshots {}", c.quarantined_snapshots);
-        let _ = writeln!(b, "spca_checkpoint_skips {}", c.checkpoint_skips);
-        let _ = writeln!(b, "spca_scale_outs {}", c.scale_outs);
-        let _ = writeln!(b, "spca_scale_ins {}", c.scale_ins);
+        for &(which, key, _) in COUNTERS {
+            let _ = writeln!(b, "spca_{key} {}", c.get(which));
+        }
         if let Some(stats) = self.shared.server_stats.get() {
             let _ = writeln!(
                 b,
@@ -497,22 +481,40 @@ mod tests {
         server.shutdown();
     }
 
+    /// Counts for the nine rows the table had when `/metrics` and the fault
+    /// summary were pinned below, a zero among them. A row added after them
+    /// prints after them on both surfaces, so the pins are prefixes.
+    const FIXED: [u64; 9] = [3, 1, 7, 42, 5, 0, 9, 4, 3];
+
+    fn fixed_counters() -> FaultCounters {
+        let live = spca_streams::metrics::OpCounters::default();
+        for (&(which, ..), n) in COUNTERS.iter().zip(FIXED) {
+            live.add(which, n);
+        }
+        FaultCounters::from_op_snapshots(&[("op".to_string(), live.snapshot())])
+    }
+
+    #[test]
+    fn summary_is_none_when_nothing_was_absorbed_else_the_cli_line() {
+        assert_eq!(FaultCounters::default().summary(), None);
+        let line = fixed_counters().summary().expect("non-zero counters");
+        assert!(
+            line.starts_with(
+                "fault summary: 3 operator restarts, 1 PE restarts (operator-weighted), \
+                 7 quarantined tuples, 42 skipped syncs, 5 storage faults absorbed, \
+                 0 quarantined snapshots, 9 skipped checkpoints, 4 scale-outs, 3 scale-ins"
+            ),
+            "{line}"
+        );
+        assert_eq!(line.matches(", ").count(), Counter::COUNT - 1, "{line}");
+    }
+
     #[test]
     fn metrics_exposes_fault_counters_and_histograms() {
         let store = Arc::new(EpochStore::new());
         publish_fitted(&store);
         let shared = Arc::new(ServeShared::new(Arc::clone(&store)));
-        shared.set_counters(FaultCounters {
-            restarts: 3,
-            pe_restarts: 1,
-            quarantined: 7,
-            sync_skips: 42,
-            io_faults: 5,
-            quarantined_snapshots: 2,
-            checkpoint_skips: 9,
-            scale_outs: 4,
-            scale_ins: 3,
-        });
+        shared.set_counters(fixed_counters());
         let server = start_server(&shared);
         let addr = server.local_addr();
         let obs_csv = (0..D)
@@ -522,16 +524,24 @@ mod tests {
         post(addr, "/score", &obs_csv);
         let resp = get(addr, "/metrics");
         let body = body_of(&resp);
-        assert!(body.contains("spca_epoch 1"), "{body}");
-        assert!(body.contains("spca_restarts 3"), "{body}");
-        assert!(body.contains("spca_pe_restarts 1"), "{body}");
-        assert!(body.contains("spca_quarantined 7"), "{body}");
-        assert!(body.contains("spca_sync_skips 42"), "{body}");
-        assert!(body.contains("spca_io_faults 5"), "{body}");
-        assert!(body.contains("spca_quarantined_snapshots 2"), "{body}");
-        assert!(body.contains("spca_checkpoint_skips 9"), "{body}");
-        assert!(body.contains("spca_scale_outs 4"), "{body}");
-        assert!(body.contains("spca_scale_ins 3"), "{body}");
+        // Names and order are what scrapers parse: the counter block is
+        // pinned as one literal.
+        assert!(
+            body.starts_with(
+                "spca_epoch 1
+spca_restarts 3
+spca_pe_restarts 1
+spca_quarantined 7
+spca_sync_skips 42
+spca_io_faults 5
+spca_quarantined_snapshots 0
+spca_checkpoint_skips 9
+spca_scale_outs 4
+spca_scale_ins 3
+"
+            ),
+            "{body}"
+        );
         assert!(
             body.contains("spca_requests_total{endpoint=\"score\"} 1"),
             "{body}"

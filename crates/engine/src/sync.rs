@@ -16,6 +16,7 @@ use crate::messages::{
     Heartbeat, PeerState, SyncCommand, KIND_HEARTBEAT, KIND_SNAPSHOT, KIND_SYNC_COMMAND,
 };
 use spca_streams::checkpoint::{decode_kv, encode_kv, kv_parse, kv_u64, Checkpoint};
+use spca_streams::metrics::Counter;
 use spca_streams::{ActiveSet, ControlTuple, DataTuple, OpContext, Operator, SourceState};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -158,11 +159,11 @@ impl SyncController {
             // startup grace, re-granted at admission.
             self.liveness.heard[self.n_engines] = Some(Instant::now());
             self.n_engines += 1;
-            ctx.add_scale_out();
+            ctx.count(Counter::ScaleOuts);
         }
         while self.n_engines > target {
             self.n_engines -= 1;
-            ctx.add_scale_in();
+            ctx.count(Counter::ScaleIns);
         }
         // Keep the rotation visiting every remaining engine.
         self.cursor %= self.n_engines;
@@ -254,7 +255,7 @@ impl Operator for SyncController {
             self.cursor = (self.cursor + 1) % self.n_engines;
             if !self.alive(sender) {
                 self.skipped_dead += 1;
-                ctx.add_sync_skip();
+                ctx.count(Counter::SyncSkips);
                 continue;
             }
             let cmd = self.command_for(sender);
@@ -262,7 +263,7 @@ impl Operator for SyncController {
                 // A live sender with nobody live to talk to is still a
                 // skipped exchange — make it visible in the report.
                 self.skipped_dead += 1;
-                ctx.add_sync_skip();
+                ctx.count(Counter::SyncSkips);
                 return SourceState::Idle;
             }
             ctx.emit_control(
@@ -464,7 +465,7 @@ mod tests {
         });
         // Rotation 0 → (1 skipped dead) → 2 → 3.
         assert_eq!(c.skipped_dead, 1);
-        assert_eq!(counters.snapshot().sync_skips, 1);
+        assert_eq!(counters.snapshot().get(Counter::SyncSkips), 1);
         assert!(sink.ports[1].is_empty(), "dead engine must get no commands");
         // Full-mesh port map: engine 0's port for peer 2 is 1; engine 2's
         // for peer 3 is 2; engine 3's for peer 0 is 0. The ring is closed
@@ -694,8 +695,12 @@ mod tests {
             }
         });
         let snap = counters.snapshot();
-        assert_eq!(snap.scale_outs, 2, "two admissions = two scale-out events");
-        assert_eq!(snap.scale_ins, 0);
+        assert_eq!(
+            snap.get(Counter::ScaleOuts),
+            2,
+            "two admissions = two scale-out events"
+        );
+        assert_eq!(snap.get(Counter::ScaleIns), 0);
         assert!(
             (0..3).all(|p| !sink.ports[p].is_empty()),
             "all three rotate"
@@ -709,7 +714,11 @@ mod tests {
             assert_eq!(c.drive(ctx), SourceState::Idle);
         });
         let snap = counters.snapshot();
-        assert_eq!(snap.scale_ins, 2, "two retirements = two scale-in events");
+        assert_eq!(
+            snap.get(Counter::ScaleIns),
+            2,
+            "two retirements = two scale-in events"
+        );
         assert_eq!(c.cursor, 0);
     }
 

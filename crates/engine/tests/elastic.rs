@@ -27,6 +27,7 @@ use spca_engine::{
     StreamingPcaOp, SyncCommand, SyncStrategy, KIND_SYNC_COMMAND,
 };
 use spca_spectra::PlantedSubspace;
+use spca_streams::metrics::Counter;
 use spca_streams::operator::testing::with_ctx;
 use spca_streams::ops::GeneratorSource;
 use spca_streams::{ControlTuple, DataTuple, Engine, FaultPlan, Operator};
@@ -166,10 +167,10 @@ fn scripted_rescale_conserves_tuples_and_matches_fixed_fleet_reference() {
 
     // The controller reconciled both membership changes and the counters
     // surfaced in the run report.
-    assert_eq!(report.total_scale_outs(), 1);
-    assert_eq!(report.total_scale_ins(), 1);
-    assert_eq!(report.total_restarts(), 0);
-    assert_eq!(report.total_pe_restarts(), 0);
+    assert_eq!(report.total(Counter::ScaleOuts), 1);
+    assert_eq!(report.total(Counter::ScaleIns), 1);
+    assert_eq!(report.total(Counter::Restarts), 0);
+    assert_eq!(report.total(Counter::PeRestarts), 0);
 
     // The retiree was folded into the survivor and reset: its state is
     // uninitialized, the survivor holds the fleet's combined history.
@@ -281,10 +282,10 @@ fn kill_pe_during_scale_out_recovers_and_converges() {
     // counted, and the admitted engine kept the fleet converging.
     assert_eq!(report.tuples_in_matching("pca-"), N);
     assert!(
-        report.total_pe_restarts() >= 1,
+        report.total(Counter::PeRestarts) >= 1,
         "PE restart must be counted"
     );
-    assert_eq!(report.total_scale_outs(), 1);
+    assert_eq!(report.total(Counter::ScaleOuts), 1);
 
     let merged = rt.merged_active_eigensystem().expect("merged estimate");
     let reference = fixed_fleet_reference(21, N);
@@ -331,14 +332,14 @@ fn fsync_faults_during_retire_merge_degrade_gracefully() {
     let report = running.join();
 
     assert_eq!(report.tuples_in_matching("pca-"), N);
-    assert_eq!(report.total_scale_outs(), 1);
-    assert_eq!(report.total_scale_ins(), 1);
+    assert_eq!(report.total(Counter::ScaleOuts), 1);
+    assert_eq!(report.total(Counter::ScaleIns), 1);
     assert!(
-        report.total_io_faults() + report.total_checkpoint_skips() >= 1,
+        report.total(Counter::IoFaults) + report.total(Counter::CheckpointSkips) >= 1,
         "failed fsyncs must be visible in the fault counters"
     );
     assert_eq!(
-        report.total_restarts() + report.total_pe_restarts(),
+        report.total(Counter::Restarts) + report.total(Counter::PeRestarts),
         0,
         "storage degradation must not kill engines"
     );
@@ -403,8 +404,8 @@ fn load_swing_scales_out_and_back_in_with_zero_loss() {
         "the trickle phase must let the fleet shrink (events: {:?})",
         sup.events
     );
-    assert!(report.total_scale_outs() >= 1);
-    assert!(report.total_scale_ins() >= 1);
+    assert!(report.total(Counter::ScaleOuts) >= 1);
+    assert!(report.total(Counter::ScaleIns) >= 1);
 
     // Zero tuple loss across every rescale the supervisor performed.
     assert_eq!(report.op("source").unwrap().tuples_out, TOTAL);

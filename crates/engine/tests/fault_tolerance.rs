@@ -16,6 +16,7 @@ use spca_core::metrics::subspace_distance;
 use spca_core::{EigenSystem, PcaConfig};
 use spca_engine::{normalize_fault_targets, AppConfig, ParallelPcaApp, SyncStrategy};
 use spca_spectra::PlantedSubspace;
+use spca_streams::metrics::Counter;
 use spca_streams::ops::{GeneratorSource, SplitStrategy};
 use spca_streams::{
     ControlTuple, DataTuple, Engine, FaultPlan, OpContext, Operator, RunReport, SourceState,
@@ -162,20 +163,26 @@ fn panicked_engine_restarts_from_snapshot_and_matches_fault_free_run() {
     assert_eq!(faulted.report.tuples_in_matching("pca-"), N_TUPLES);
 
     // (c) The counters are visible in the run report.
-    assert_eq!(clean.report.total_restarts(), 0);
-    assert_eq!(faulted.report.total_restarts(), 1);
-    assert_eq!(op_snapshot(&faulted.report, "pca-1").restarts, 1);
+    assert_eq!(clean.report.total(Counter::Restarts), 0);
+    assert_eq!(faulted.report.total(Counter::Restarts), 1);
     assert_eq!(
-        clean.report.total_quarantined(),
+        op_snapshot(&faulted.report, "pca-1").get(Counter::Restarts),
+        1
+    );
+    assert_eq!(
+        clean.report.total(Counter::Quarantined),
         NAN_SEQS.len() as u64,
         "every injected NaN is quarantined, none reach the eigensystem"
     );
-    assert_eq!(faulted.report.total_quarantined(), NAN_SEQS.len() as u64);
+    assert_eq!(
+        faulted.report.total(Counter::Quarantined),
+        NAN_SEQS.len() as u64
+    );
     assert!(
-        clean.report.total_sync_skips() > 0,
+        clean.report.total(Counter::SyncSkips) > 0,
         "the forced-shut gate must count its skips"
     );
-    assert!(faulted.report.total_sync_skips() > 0);
+    assert!(faulted.report.total(Counter::SyncSkips) > 0);
 
     // (b) The restarted engine rehydrated from its recovery snapshot and
     // replayed to the same state: every engine — including pca-1, which
@@ -214,11 +221,11 @@ fn killed_pe_rehydrates_from_its_manifest_and_matches_fault_free_run() {
     assert_eq!(faulted.report.tuples_in_matching("pca-"), N_TUPLES);
 
     // The restart is counted at the PE level, not the operator level.
-    assert_eq!(clean.report.total_pe_restarts(), 0);
-    assert!(faulted.report.total_pe_restarts() > 0);
-    assert!(op_snapshot(&faulted.report, "pca-1").pe_restarts >= 1);
+    assert_eq!(clean.report.total(Counter::PeRestarts), 0);
+    assert!(faulted.report.total(Counter::PeRestarts) > 0);
+    assert!(op_snapshot(&faulted.report, "pca-1").get(Counter::PeRestarts) >= 1);
     assert_eq!(
-        op_snapshot(&faulted.report, "pca-1").restarts,
+        op_snapshot(&faulted.report, "pca-1").get(Counter::Restarts),
         0,
         "a whole-PE kill must not also count an operator restart"
     );
@@ -280,7 +287,7 @@ fn ring_survives_a_killed_engine_and_still_converges() {
     // state-at-death through on_finish.
     assert_eq!(h.hub.engines_reporting(), 4);
     assert_eq!(
-        op_snapshot(&report, "pca-1").restarts,
+        op_snapshot(&report, "pca-1").get(Counter::Restarts),
         0,
         "without a recovery snapshot the engine must not restart"
     );
@@ -295,7 +302,7 @@ fn ring_survives_a_killed_engine_and_still_converges() {
     // The controller observed the death: dead-sender ticks were skipped
     // and counted.
     assert!(
-        op_snapshot(&report, "sync-controller").sync_skips > 0,
+        op_snapshot(&report, "sync-controller").get(Counter::SyncSkips) > 0,
         "controller must skip the dead engine"
     );
 
@@ -311,8 +318,11 @@ fn ring_survives_a_killed_engine_and_still_converges() {
 /// fault-free run, every tuple delivered, one operator restart on `pca-1`.
 fn assert_restart_is_invisible(clean: &RunOutcome, faulted: &RunOutcome) {
     assert_eq!(faulted.report.tuples_in_matching("pca-"), N_TUPLES);
-    assert_eq!(faulted.report.total_restarts(), 1);
-    assert_eq!(op_snapshot(&faulted.report, "pca-1").restarts, 1);
+    assert_eq!(faulted.report.total(Counter::Restarts), 1);
+    assert_eq!(
+        op_snapshot(&faulted.report, "pca-1").get(Counter::Restarts),
+        1
+    );
     assert_eq!(faulted.reporting, 4);
     for (i, (a, b)) in clean.eigs.iter().zip(&faulted.eigs).enumerate() {
         assert_eig_bits_equal(i, a, b);
@@ -329,7 +339,7 @@ fn panic_off_the_checkpoint_cadence_is_still_bit_identical() {
     let clean = run_once(None, &clean_dir);
     let faulted = run_once(Some("panic@engine1:5003"), &fault_dir);
     assert_restart_is_invisible(&clean, &faulted);
-    assert_eq!(faulted.report.total_io_faults(), 0);
+    assert_eq!(faulted.report.total(Counter::IoFaults), 0);
 
     // One durable copy: the recovery directory holds the PE manifests and
     // nothing else.
@@ -359,13 +369,17 @@ fn panicked_engine_meets_a_sick_disk_and_the_run_still_completes() {
         let dir = tmp_dir(tag);
         let faulted = run_once(Some(plan), &dir);
         assert_eq!(faulted.report.tuples_in_matching("pca-"), N_TUPLES, "{tag}");
-        assert_eq!(op_snapshot(&faulted.report, "pca-1").restarts, 1, "{tag}");
+        assert_eq!(
+            op_snapshot(&faulted.report, "pca-1").get(Counter::Restarts),
+            1,
+            "{tag}"
+        );
         assert_eq!(faulted.reporting, 4, "{tag}");
-        assert!(faulted.report.total_io_faults() >= 1, "{tag}");
+        assert!(faulted.report.total(Counter::IoFaults) >= 1, "{tag}");
         if tag == "torn" {
-            assert!(faulted.report.total_quarantined_snapshots() >= 1);
+            assert!(faulted.report.total(Counter::QuarantinedSnapshots) >= 1);
         } else {
-            assert!(faulted.report.total_checkpoint_skips() >= 1);
+            assert!(faulted.report.total(Counter::CheckpointSkips) >= 1);
         }
         std::fs::remove_dir_all(dir).ok();
     }

@@ -1,17 +1,15 @@
 //! `/metrics` ↔ CLI fault-summary parity (ISSUE 7 satellite).
 //!
-//! The CLI's fault summary prints `report.total_restarts()`,
-//! `total_pe_restarts()`, `total_quarantined()`, `total_sync_skips()`,
-//! `total_io_faults()`, `total_quarantined_snapshots()` and
-//! `total_checkpoint_skips()` verbatim. `/metrics` exposes the same
-//! counters (mirrored into [`ServeShared`] via
-//! [`FaultCounters::from_report`]). This test drives a real engine run
-//! that exercises every counter — an injected panic (restart), NaN
+//! The fault summary every subcommand prints is
+//! [`FaultCounters::summary`]; `/metrics` exposes the same counters
+//! (mirrored into [`ServeShared`] via [`FaultCounters::from_report`]), and
+//! both are loops over [`COUNTERS`]. This test drives a real engine run
+//! that exercises the counters — an injected panic (restart), NaN
 //! observations (quarantine), a forced-shut independence gate (sync
 //! skips), failing fsyncs (storage faults + checkpoint skips) —
 //! publishes eigensystem epochs into the store along the way, then
-//! scrapes `/metrics` and asserts the served values are identical to the
-//! report totals.
+//! scrapes `/metrics` and asserts, for every row of the table, that the
+//! served value and the summary's are the report's total.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -22,6 +20,7 @@ use spca_engine::{
     ParallelPcaApp, ServeShared, SyncStrategy,
 };
 use spca_spectra::PlantedSubspace;
+use spca_streams::metrics::{Counter, COUNTERS};
 use spca_streams::ops::http_server::{HttpServer, ServerConfig};
 use spca_streams::ops::{GeneratorSource, SplitStrategy};
 use spca_streams::{Engine, FaultPlan, Operator};
@@ -89,14 +88,14 @@ fn metrics_endpoint_matches_cli_fault_summary_values() {
     // The run must have exercised all the counters we claim parity for,
     // and published epochs while doing so.
     assert!(store.epoch() > 0, "operators must publish into the store");
-    assert_eq!(report.total_restarts(), 1);
-    assert_eq!(report.total_quarantined(), NAN_SEQS.len() as u64);
-    assert!(report.total_sync_skips() > 0);
+    assert_eq!(report.total(Counter::Restarts), 1);
+    assert_eq!(report.total(Counter::Quarantined), NAN_SEQS.len() as u64);
+    assert!(report.total(Counter::SyncSkips) > 0);
     assert!(
-        report.total_checkpoint_skips() > 0,
+        report.total(Counter::CheckpointSkips) > 0,
         "failing fsyncs must surface as skipped checkpoints"
     );
-    assert!(report.total_io_faults() > 0);
+    assert!(report.total(Counter::IoFaults) > 0);
 
     // Summing live per-op snapshots gives the same totals the report
     // aggregates — the in-flight mirroring path agrees with the final one.
@@ -125,21 +124,17 @@ fn metrics_endpoint_matches_cli_fault_summary_values() {
     assert!(response.starts_with("HTTP/1.1 200"), "{response}");
     let body = response.split("\r\n\r\n").nth(1).unwrap();
 
-    // The CLI fault summary prints exactly these four report totals; the
-    // endpoint must serve identical values.
-    assert_eq!(metric(body, "spca_restarts"), report.total_restarts());
-    assert_eq!(metric(body, "spca_pe_restarts"), report.total_pe_restarts());
-    assert_eq!(metric(body, "spca_quarantined"), report.total_quarantined());
-    assert_eq!(metric(body, "spca_sync_skips"), report.total_sync_skips());
-    assert_eq!(metric(body, "spca_io_faults"), report.total_io_faults());
-    assert_eq!(
-        metric(body, "spca_quarantined_snapshots"),
-        report.total_quarantined_snapshots()
-    );
-    assert_eq!(
-        metric(body, "spca_checkpoint_skips"),
-        report.total_checkpoint_skips()
-    );
+    let summary = FaultCounters::from_report(&report)
+        .summary()
+        .expect("the run absorbed faults");
+    for &(which, key, label) in COUNTERS {
+        let total = report.total(which);
+        assert_eq!(metric(body, &format!("spca_{key}")), total);
+        assert!(
+            summary.contains(&format!(" {total} {label}")),
+            "{key}: {summary}"
+        );
+    }
     assert_eq!(metric(body, "spca_epoch"), store.epoch());
 
     std::fs::remove_dir_all(&recovery).ok();

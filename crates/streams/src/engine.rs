@@ -33,7 +33,7 @@
 //! resumes — the in-flight data tuple is redelivered exactly once — while
 //! one that declines is finished so its end-of-stream still propagates and
 //! the rest of the graph drains normally. Restart counts surface as
-//! `restarts` in [`OpSnapshot`]/[`RunReport`].
+//! [`Counter::Restarts`] in [`OpSnapshot`]/[`RunReport`].
 //!
 //! **PE-level.** A panic that escapes the operator layer — a source's
 //! `drive` blowing up, or an injected `kill-pe` fault — unwinds the PE's
@@ -47,8 +47,9 @@
 //! through disk; the one durable copy, read by both layers), cross-PE
 //! frame channels reconnect untouched (no tuple is lost or duplicated: the
 //! pending queue and edge buffers survive in `PeRuntime`), and the loop
-//! re-enters. PE restarts count as `pe_restarts` on every member operator
-//! and are bounded by the same [`RestartPolicy`] as operator restarts.
+//! re-enters. PE restarts count as [`Counter::PeRestarts`] on every member
+//! operator and are bounded by the same [`RestartPolicy`] as operator
+//! restarts.
 //!
 //! Deterministic faults (panic/kill-pe/poison/stall on operators,
 //! drop/dup/delay on cross-PE links) are injected from the builder's
@@ -69,7 +70,9 @@
 use crate::checkpoint::{self, PeCheckpointer, WriteBehind};
 use crate::fault::{FaultAction, FaultTarget, RestartPolicy};
 use crate::graph::{GraphBuilder, PortKind};
-use crate::metrics::{LinkCounters, LinkSnapshot, MetricsRegistry, OpCounters, OpSnapshot};
+use crate::metrics::{
+    Counter, LinkCounters, LinkSnapshot, MetricsRegistry, OpCounters, OpSnapshot,
+};
 use crate::netio::{AckMode, LinkIn, NetTransport};
 use crate::operator::{EmitSink, OpContext, Operator, SourceState};
 use crate::tuple::{DataTuple, Frame, FramePool, Punctuation, Tuple};
@@ -310,7 +313,6 @@ enum Next {
 }
 
 struct OpSlot {
-    #[allow(dead_code)] // retained for debugging and future per-op reporting
     name: String,
     op: Option<Box<dyn Operator>>,
     counters: Arc<OpCounters>,
@@ -437,53 +439,38 @@ impl RunReport {
             .sum()
     }
 
-    /// Total supervisor restarts across all operators. Zero in a fault-free
-    /// run; benchmark artifacts are rejected when this is nonzero.
+    /// Total of the run-level counter `which` across all operators (a PE
+    /// restart counts once per member operator that lived through it).
+    pub fn total(&self, which: Counter) -> u64 {
+        self.ops.iter().map(|(_, s)| s.get(which)).sum()
+    }
+
+    // The five wrappers below exist because the unedited `benchmark/`
+    // calls them; they go in the next `[benchmark]` window (ROADMAP).
+
+    /// `total(Counter::Restarts)`.
     pub fn total_restarts(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.restarts).sum()
+        self.total(Counter::Restarts)
     }
 
-    /// Total whole-PE restarts, summed over operators (each member of a
-    /// restarted PE counts the restart it lived through). Zero in a
-    /// fault-free run; benchmark artifacts are rejected when this is
-    /// nonzero.
+    /// `total(Counter::PeRestarts)`.
     pub fn total_pe_restarts(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.pe_restarts).sum()
+        self.total(Counter::PeRestarts)
     }
 
-    /// Total tuples diverted to quarantine across all operators.
+    /// `total(Counter::Quarantined)`.
     pub fn total_quarantined(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.quarantined).sum()
+        self.total(Counter::Quarantined)
     }
 
-    /// Total skipped synchronization steps across all operators.
+    /// `total(Counter::SyncSkips)`.
     pub fn total_sync_skips(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.sync_skips).sum()
+        self.total(Counter::SyncSkips)
     }
 
-    /// Total storage faults survived across all operators.
-    pub fn total_io_faults(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.io_faults).sum()
-    }
-
-    /// Total checkpoint/state files quarantined aside as `*.corrupt-N`.
-    pub fn total_quarantined_snapshots(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.quarantined_snapshots).sum()
-    }
-
-    /// Total periodic checkpoints skipped because the write failed.
+    /// `total(Counter::CheckpointSkips)`.
     pub fn total_checkpoint_skips(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.checkpoint_skips).sum()
-    }
-
-    /// Total elastic scale-out events (engines admitted into the fleet).
-    pub fn total_scale_outs(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.scale_outs).sum()
-    }
-
-    /// Total elastic scale-in events (engines retired from the fleet).
-    pub fn total_scale_ins(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.scale_ins).sum()
+        self.total(Counter::CheckpointSkips)
     }
 }
 
@@ -1128,8 +1115,8 @@ impl PeDurability {
                              backing off to a {}x window",
                             1u64 << n.min(6)
                         );
-                        counters.add_checkpoint_skip();
-                        counters.add_io_faults(1);
+                        counters.add(Counter::CheckpointSkips, 1);
+                        counters.add(Counter::IoFaults, 1);
                     }
                 }
             })
@@ -1198,8 +1185,8 @@ fn recover_set(pe: &PeCore) -> Option<checkpoint::SnapshotSet> {
             }
         );
         let counters = &pe.slots[0].counters;
-        counters.add_quarantined_snapshots(recovery.quarantined);
-        counters.add_io_faults(recovery.quarantined.max(1));
+        counters.add(Counter::QuarantinedSnapshots, recovery.quarantined);
+        counters.add(Counter::IoFaults, recovery.quarantined.max(1));
     }
     recovery.set
 }
@@ -1321,7 +1308,7 @@ fn restart_pe(pe: &mut PeRuntime, clean: bool) -> bool {
         }
     }
     for s in pe.slots.iter() {
-        s.counters.add_pe_restart();
+        s.counters.add(Counter::PeRestarts, 1);
     }
     true
 }
@@ -1902,7 +1889,7 @@ fn handle_panic(pe: &mut PeCore, idx: usize, retry: Option<DataTuple>, clean: bo
                 }
             }
             pe.slots[idx].restart_attempts = attempt;
-            pe.slots[idx].counters.add_restart();
+            pe.slots[idx].counters.add(Counter::Restarts, 1);
             if let Some(d) = retry {
                 // Redeliver the in-flight tuple exactly once: a tuple whose
                 // retry panics again is a poison pill and is dropped.
@@ -2225,11 +2212,11 @@ mod tests {
         let data = seen.lock().clone();
         assert_eq!(data.len(), 1000, "kill-pe must not lose or duplicate");
         assert!(data.windows(2).all(|w| w[1] == w[0] + 1), "order violated");
-        assert_eq!(report.op("double").unwrap().pe_restarts, 1);
-        assert_eq!(report.op("src").unwrap().pe_restarts, 0);
-        assert_eq!(report.total_pe_restarts(), 1);
+        assert_eq!(report.op("double").unwrap().get(Counter::PeRestarts), 1);
+        assert_eq!(report.op("src").unwrap().get(Counter::PeRestarts), 0);
+        assert_eq!(report.total(Counter::PeRestarts), 1);
         // Operator-level restarts are a different counter and stay zero.
-        assert_eq!(report.total_restarts(), 0);
+        assert_eq!(report.total(Counter::Restarts), 0);
     }
 
     #[test]
@@ -2251,9 +2238,9 @@ mod tests {
         let report = Engine::run(g);
         assert_eq!(seen.lock().len(), 200);
         // Both fused members lived through the same PE restart.
-        assert_eq!(report.op("double").unwrap().pe_restarts, 1);
-        assert_eq!(report.op("collect").unwrap().pe_restarts, 1);
-        assert_eq!(report.op("src").unwrap().pe_restarts, 0);
+        assert_eq!(report.op("double").unwrap().get(Counter::PeRestarts), 1);
+        assert_eq!(report.op("collect").unwrap().get(Counter::PeRestarts), 1);
+        assert_eq!(report.op("src").unwrap().get(Counter::PeRestarts), 0);
     }
 
     /// A source with a durable cursor: emits `0..n`, checkpointing `next`.
@@ -2336,7 +2323,7 @@ mod tests {
         let data = seen.lock().clone();
         assert_eq!(data.len(), 500, "restored cursor must not skip or repeat");
         assert!(data.windows(2).all(|w| w[1] == w[0] + 1), "order violated");
-        assert_eq!(report.op("src").unwrap().pe_restarts, 1);
+        assert_eq!(report.op("src").unwrap().get(Counter::PeRestarts), 1);
         // The teardown manifest is on disk and names the durable source.
         let manifest = crate::checkpoint::read_pe_manifest(&dir, 0)
             .unwrap()
@@ -2398,7 +2385,7 @@ mod tests {
         // First make sure the no-panic baseline works, then the panic run.
         let report = Engine::run(g);
         assert_eq!(seen.lock().len(), 100);
-        assert_eq!(report.total_pe_restarts(), 0);
+        assert_eq!(report.total(Counter::PeRestarts), 0);
 
         let mut g = GraphBuilder::new().with_checkpoint_dir(&dir);
         let seen = Arc::new(Mutex::new(Vec::new()));
@@ -2423,7 +2410,7 @@ mod tests {
         g.connect(src, 0, sink, PortKind::Data);
         let report = Engine::run(g);
         let data = seen.lock().clone();
-        assert_eq!(report.op("src").unwrap().pe_restarts, 1);
+        assert_eq!(report.op("src").unwrap().get(Counter::PeRestarts), 1);
         // The cursor rewound to a checkpoint at or before tuple 30: every
         // value 0..100 is present (no loss), duplicates only inside the
         // rewind window.
@@ -2466,7 +2453,7 @@ mod tests {
         g.connect(src, 0, sink, PortKind::Data);
         let report = Engine::run(g);
         assert!(seen.lock().is_empty());
-        assert_eq!(report.op("bad").unwrap().pe_restarts, 2);
+        assert_eq!(report.op("bad").unwrap().get(Counter::PeRestarts), 2);
     }
 
     /// A slot around `Swallow`, wired to nothing.
@@ -2619,7 +2606,8 @@ mod tests {
         d.writer.flush();
         assert_eq!(link.stable(), 0, "an uncommitted capture must not be acked");
         let seen = counters.snapshot();
-        assert_eq!((seen.checkpoint_skips, seen.io_faults), (1, 1));
+        assert_eq!(seen.get(Counter::CheckpointSkips), 1);
+        assert_eq!(seen.get(Counter::IoFaults), 1);
         assert_eq!(d.window(10), 20, "one failure doubles the window");
         assert!(d.recover().set.is_none());
         drop(d);
@@ -2636,7 +2624,7 @@ mod tests {
             "recover reads only behind the writer"
         );
         assert_eq!(link.stable(), 7);
-        assert_eq!(counters.snapshot().checkpoint_skips, 0);
+        assert_eq!(counters.snapshot().get(Counter::CheckpointSkips), 0);
         assert_eq!(d.window(10), 10);
         drop(d);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2665,7 +2653,8 @@ mod tests {
         let parts = recover_for_rehydrate(&mut pe).expect("an older generation is whole");
         assert_eq!(parts, vec![("op".to_string(), b"two".to_vec())]);
         let seen = counters.snapshot();
-        assert_eq!((seen.quarantined_snapshots, seen.io_faults), (1, 1));
+        assert_eq!(seen.get(Counter::QuarantinedSnapshots), 1);
+        assert_eq!(seen.get(Counter::IoFaults), 1);
         drop(pe);
         std::fs::remove_dir_all(&dir).unwrap();
     }

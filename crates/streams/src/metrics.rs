@@ -10,7 +10,60 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Live counters for one operator.
+/// The run-level counters: what a run absorbed (faults, skipped steps) and
+/// how its fleet moved. They are bumped only when something happens, so
+/// they live in one array indexed by this enum and every surface —
+/// [`crate::engine::RunReport::total`], the fault summary, `/metrics` — is a
+/// loop over [`COUNTERS`]. Adding one is a variant here, its row there and
+/// the increment site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Supervisor restarts of one operator after an isolated panic.
+    Restarts,
+    /// Whole-PE restarts, counted on every operator fused into the PE.
+    PeRestarts,
+    /// Tuples diverted to quarantine (non-finite payloads).
+    Quarantined,
+    /// Synchronization steps skipped (gate not passed / engine not alive).
+    SyncSkips,
+    /// Storage faults survived: failed checkpoint writes, damaged files
+    /// found at recovery.
+    IoFaults,
+    /// Checkpoint/manifest files moved aside as `*.corrupt-N` at recovery.
+    QuarantinedSnapshots,
+    /// Periodic PE checkpoints skipped because the write failed (ENOSPC,
+    /// fsync error, dead device) — the PE keeps running and backs off.
+    CheckpointSkips,
+    /// Elastic scale-out events (engines admitted into the active fleet).
+    ScaleOuts,
+    /// Elastic scale-in events (engines retired from the active fleet).
+    ScaleIns,
+}
+
+impl Counter {
+    /// Number of run-level counters (rows of [`COUNTERS`]).
+    pub const COUNT: usize = COUNTERS.len();
+}
+
+/// The counter table, one `(which, key, label)` row per variant in enum
+/// order — the order every surface prints them in. `/metrics` exposes
+/// `spca_<key>`; `label` is what the fault summary calls it.
+#[rustfmt::skip]
+pub static COUNTERS: &[(Counter, &str, &str)] = &[
+    (Counter::Restarts,             "restarts",              "operator restarts"),
+    (Counter::PeRestarts,           "pe_restarts",           "PE restarts (operator-weighted)"),
+    (Counter::Quarantined,          "quarantined",           "quarantined tuples"),
+    (Counter::SyncSkips,            "sync_skips",            "skipped syncs"),
+    (Counter::IoFaults,             "io_faults",             "storage faults absorbed"),
+    (Counter::QuarantinedSnapshots, "quarantined_snapshots", "quarantined snapshots"),
+    (Counter::CheckpointSkips,      "checkpoint_skips",      "skipped checkpoints"),
+    (Counter::ScaleOuts,            "scale_outs",            "scale-outs"),
+    (Counter::ScaleIns,             "scale_ins",             "scale-ins"),
+];
+
+/// Live counters for one operator. The four traffic counters are named
+/// fields (bumped per tuple, read per operator by name); the run-level
+/// ones are the [`Counter`] table.
 #[derive(Debug, Default)]
 pub struct OpCounters {
     /// Data tuples consumed.
@@ -21,28 +74,7 @@ pub struct OpCounters {
     pub control_in: AtomicU64,
     /// Nanoseconds spent inside `process`/`on_control`.
     pub busy_ns: AtomicU64,
-    /// Supervisor restarts after an isolated panic.
-    pub restarts: AtomicU64,
-    /// Whole-PE restarts this operator lived through (the hosting thread
-    /// died and every fused operator was rebuilt from its checkpoint).
-    pub pe_restarts: AtomicU64,
-    /// Tuples diverted to quarantine (non-finite payloads).
-    pub quarantined: AtomicU64,
-    /// Synchronization steps skipped (gate not passed / engine not alive).
-    pub sync_skips: AtomicU64,
-    /// Storage faults survived (failed checkpoint writes, damaged files
-    /// discovered at recovery, state-store quarantines).
-    pub io_faults: AtomicU64,
-    /// Checkpoint/manifest/state files quarantined aside as `*.corrupt-N`
-    /// after failing structural validation.
-    pub quarantined_snapshots: AtomicU64,
-    /// Periodic PE checkpoints skipped because the write failed (ENOSPC,
-    /// fsync error, dead device) — the PE keeps running and backs off.
-    pub checkpoint_skips: AtomicU64,
-    /// Elastic scale-out events (engines admitted into the active fleet).
-    pub scale_outs: AtomicU64,
-    /// Elastic scale-in events (engines retired from the active fleet).
-    pub scale_ins: AtomicU64,
+    table: [AtomicU64; Counter::COUNT],
 }
 
 /// Live counters for one cross-PE link.
@@ -65,24 +97,14 @@ pub struct OpSnapshot {
     pub control_in: u64,
     /// Nanoseconds of busy time.
     pub busy_ns: u64,
-    /// Supervisor restarts after an isolated panic.
-    pub restarts: u64,
-    /// Whole-PE restarts this operator lived through.
-    pub pe_restarts: u64,
-    /// Tuples diverted to quarantine (non-finite payloads).
-    pub quarantined: u64,
-    /// Synchronization steps skipped (gate not passed / engine not alive).
-    pub sync_skips: u64,
-    /// Storage faults survived.
-    pub io_faults: u64,
-    /// Files quarantined aside as `*.corrupt-N`.
-    pub quarantined_snapshots: u64,
-    /// Periodic checkpoints skipped because the write failed.
-    pub checkpoint_skips: u64,
-    /// Elastic scale-out events (engines admitted).
-    pub scale_outs: u64,
-    /// Elastic scale-in events (engines retired).
-    pub scale_ins: u64,
+    table: [u64; Counter::COUNT],
+}
+
+impl OpSnapshot {
+    /// This operator's count of `which`.
+    pub fn get(&self, which: Counter) -> u64 {
+        self.table[which as usize]
+    }
 }
 
 /// Immutable snapshot of one link's counters.
@@ -102,15 +124,7 @@ impl OpCounters {
             tuples_out: self.tuples_out.load(Ordering::Relaxed),
             control_in: self.control_in.load(Ordering::Relaxed),
             busy_ns: self.busy_ns.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            pe_restarts: self.pe_restarts.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            sync_skips: self.sync_skips.load(Ordering::Relaxed),
-            io_faults: self.io_faults.load(Ordering::Relaxed),
-            quarantined_snapshots: self.quarantined_snapshots.load(Ordering::Relaxed),
-            checkpoint_skips: self.checkpoint_skips.load(Ordering::Relaxed),
-            scale_outs: self.scale_outs.load(Ordering::Relaxed),
-            scale_ins: self.scale_ins.load(Ordering::Relaxed),
+            table: std::array::from_fn(|i| self.table[i].load(Ordering::Relaxed)),
         }
     }
 
@@ -130,40 +144,9 @@ impl OpCounters {
         self.busy_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_restart(&self) {
-        self.restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_pe_restart(&self) {
-        self.pe_restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_quarantined(&self) {
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_sync_skip(&self) {
-        self.sync_skips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_io_faults(&self, n: u64) {
-        self.io_faults.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_quarantined_snapshots(&self, n: u64) {
-        self.quarantined_snapshots.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_checkpoint_skip(&self) {
-        self.checkpoint_skips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_scale_out(&self) {
-        self.scale_outs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_scale_in(&self) {
-        self.scale_ins.fetch_add(1, Ordering::Relaxed);
+    /// Adds `n` to the run-level counter `which`.
+    pub fn add(&self, which: Counter, n: u64) {
+        self.table[which as usize].fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -360,6 +343,39 @@ mod tests {
         assert_eq!(s.tuples_out, 1);
         assert_eq!(s.control_in, 1);
         assert_eq!(s.busy_ns, 500);
+    }
+
+    #[test]
+    fn counter_table_is_in_enum_order_with_well_formed_unique_keys() {
+        for (i, &(which, key, label)) in COUNTERS.iter().enumerate() {
+            assert_eq!(which as usize, i, "row '{key}' out of enum order");
+            assert!(!key.is_empty() && !label.is_empty());
+            assert!(
+                key.bytes().all(|b| b.is_ascii_lowercase() || b == b'_'),
+                "key '{key}' is not [a-z_]+"
+            );
+            assert!(
+                COUNTERS[..i].iter().all(|r| r.1 != key),
+                "duplicate key '{key}'"
+            );
+        }
+    }
+
+    #[test]
+    fn every_counter_round_trips_through_add_and_snapshot() {
+        let c = OpCounters::default();
+        for (i, &(which, ..)) in COUNTERS.iter().enumerate() {
+            c.add(which, i as u64 + 1);
+            c.add(which, 10);
+        }
+        let s = c.snapshot();
+        for (i, &(which, key, _)) in COUNTERS.iter().enumerate() {
+            assert_eq!(s.get(which), i as u64 + 11, "{key}");
+        }
+        assert_eq!(
+            (s.tuples_in, s.tuples_out, s.control_in, s.busy_ns),
+            (0, 0, 0, 0)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! operators that are *driven* by the engine instead of fed (InfoSphere
 //! source operators poll their underlying file/socket the same way).
 
-use crate::metrics::OpCounters;
+use crate::metrics::{Counter, OpCounters};
 use crate::tuple::{ControlTuple, DataTuple, Tuple};
 
 /// What a source produced when driven.
@@ -161,29 +161,10 @@ impl<'a> OpContext<'a> {
         self.sink.stop_requested()
     }
 
-    /// Records a tuple diverted to quarantine (non-finite payload). Shows
-    /// up as `quarantined` in the operator's `OpSnapshot`/`RunReport`.
-    pub fn add_quarantined(&self) {
-        self.counters.add_quarantined();
-    }
-
-    /// Records a skipped synchronization step (independence gate not
-    /// passed, or a dead/lagging engine excluded from a sync command).
-    pub fn add_sync_skip(&self) {
-        self.counters.add_sync_skip();
-    }
-
-    /// Records an elastic scale-out event (an engine admitted into the
-    /// active fleet). Shows up as `scale_outs` in the operator's
-    /// `OpSnapshot`/`RunReport`.
-    pub fn add_scale_out(&self) {
-        self.counters.add_scale_out();
-    }
-
-    /// Records an elastic scale-in event (an engine retired from the
-    /// active fleet).
-    pub fn add_scale_in(&self) {
-        self.counters.add_scale_in();
+    /// Bumps this operator's run-level counter `which` by one; it shows up
+    /// in the operator's `OpSnapshot` and in every surface's total.
+    pub fn count(&self, which: Counter) {
+        self.counters.add(which, 1);
     }
 }
 

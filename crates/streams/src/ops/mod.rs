@@ -3,10 +3,8 @@
 //! Mirrors the InfoSphere toolbox pieces the paper's application uses:
 //! generator / file / network data sources (§III-A1), the multithreaded
 //! load-balancing split (§III-A2), the `Throttle` pacing operator (§III-B),
-//! functor (map/filter) utilities, and sinks (callback, collector, CSV
-//! file with periodic snapshots).
+//! and sinks (callback, collector).
 
-pub mod functor;
 pub mod http;
 pub mod http_server;
 pub mod net;
@@ -15,13 +13,12 @@ pub mod source;
 pub mod split;
 pub mod throttle;
 
-pub use functor::{Filter, Map};
 pub use http::HttpSource;
 pub use http_server::{
     ConnHandler, HttpServer, RateLimitConfig, Request, ResponseBuf, ServerConfig, ServerStats,
 };
 pub use net::TcpSource;
-pub use sink::{CallbackSink, CollectSink, CsvFileSink, NullSink};
+pub use sink::{CallbackSink, CollectSink};
 pub use source::{CsvFileSource, GeneratorSource, LineSource};
 pub use split::{Split, SplitStrategy};
 pub use throttle::Throttle;

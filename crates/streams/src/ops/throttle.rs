@@ -18,15 +18,6 @@ pub struct Throttle {
 }
 
 impl Throttle {
-    /// A throttle emitting at most `per_sec` tuples per second.
-    pub fn per_second(per_sec: f64) -> Self {
-        assert!(per_sec > 0.0);
-        Throttle {
-            period: Duration::from_secs_f64(1.0 / per_sec),
-            last: None,
-        }
-    }
-
     /// A throttle with an explicit inter-tuple period — the paper
     /// configures 0.5 s between synchronization signals.
     pub fn with_period(period: Duration) -> Self {
@@ -63,7 +54,7 @@ mod tests {
 
     #[test]
     fn paces_to_configured_rate() {
-        let mut th = Throttle::per_second(200.0); // 5 ms period
+        let mut th = Throttle::with_period(Duration::from_millis(5));
         let t0 = Instant::now();
         let sink = with_ctx(1, |ctx| {
             for seq in 0..5 {
@@ -81,7 +72,7 @@ mod tests {
 
     #[test]
     fn first_tuple_is_immediate() {
-        let mut th = Throttle::per_second(1.0);
+        let mut th = Throttle::with_period(Duration::from_secs(1));
         let t0 = Instant::now();
         with_ctx(1, |ctx| th.process(DataTuple::new(0, vec![]), ctx));
         assert!(t0.elapsed() < Duration::from_millis(100));

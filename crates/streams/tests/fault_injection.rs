@@ -4,6 +4,7 @@
 //! fault window, and end-of-stream always propagates — a dead operator
 //! never wedges the graph.
 
+use spca_streams::metrics::Counter;
 use spca_streams::ops::{CollectSink, GeneratorSource};
 use spca_streams::{
     Checkpoint, ControlTuple, DataTuple, Engine, FaultPlan, GraphBuilder, OpContext, Operator,
@@ -108,8 +109,8 @@ fn supervised_restart_is_loss_bounded() {
     let mut seqs: Vec<u64> = collected.iter().map(|t| t.seq).collect();
     seqs.sort_unstable();
     assert_eq!(seqs, (0..100).collect::<Vec<_>>(), "each seq exactly once");
-    assert_eq!(op_snapshot(&report, "flaky").restarts, 11);
-    assert_eq!(report.total_restarts(), 11);
+    assert_eq!(op_snapshot(&report, "flaky").get(Counter::Restarts), 11);
+    assert_eq!(report.total(Counter::Restarts), 11);
 }
 
 #[test]
@@ -133,7 +134,7 @@ fn unrecoverable_operator_finishes_and_eos_propagates() {
     let report = Engine::run(g);
 
     assert_eq!(store.lock().len(), 9, "nine forwards before the fatal call");
-    assert_eq!(op_snapshot(&report, "flaky").restarts, 0);
+    assert_eq!(op_snapshot(&report, "flaky").get(Counter::Restarts), 0);
 }
 
 #[test]
@@ -157,7 +158,7 @@ fn restart_budget_caps_supervision() {
     let report = Engine::run(g);
 
     assert_eq!(store.lock().len(), 6);
-    assert_eq!(op_snapshot(&report, "flaky").restarts, 2);
+    assert_eq!(op_snapshot(&report, "flaky").get(Counter::Restarts), 2);
 }
 
 #[test]
@@ -177,7 +178,7 @@ fn injected_panic_fires_after_the_tuple_is_processed() {
     let report = Engine::run(g);
 
     assert_eq!(store.lock().len(), 30);
-    assert_eq!(op_snapshot(&report, "fwd").restarts, 0);
+    assert_eq!(op_snapshot(&report, "fwd").get(Counter::Restarts), 0);
 }
 
 #[test]
@@ -198,7 +199,7 @@ fn injected_panic_with_recovery_loses_nothing() {
     let mut seqs: Vec<u64> = collected.iter().map(|t| t.seq).collect();
     seqs.sort_unstable();
     assert_eq!(seqs, (0..100).collect::<Vec<_>>());
-    assert_eq!(op_snapshot(&report, "fwd").restarts, 1);
+    assert_eq!(op_snapshot(&report, "fwd").get(Counter::Restarts), 1);
 }
 
 #[test]
@@ -367,7 +368,7 @@ fn control_panic_recovers_without_redelivery() {
     let report = Engine::run(g);
 
     assert_eq!(store.lock().len(), 10);
-    assert_eq!(op_snapshot(&report, "op").restarts, 1);
+    assert_eq!(op_snapshot(&report, "op").get(Counter::Restarts), 1);
 }
 
 #[test]
@@ -465,12 +466,12 @@ fn kill_pe_mid_graph_rehydrates_and_loses_nothing() {
     );
     // Only the killed PE's members count the restart; operator-level
     // supervision never fired.
-    assert_eq!(op_snapshot(&report, "ctr").pe_restarts, 1);
-    assert_eq!(op_snapshot(&report, "fwd").pe_restarts, 1);
-    assert_eq!(op_snapshot(&report, "src").pe_restarts, 0);
-    assert_eq!(op_snapshot(&report, "sink").pe_restarts, 0);
-    assert_eq!(report.total_pe_restarts(), 2);
-    assert_eq!(report.total_restarts(), 0);
+    assert_eq!(op_snapshot(&report, "ctr").get(Counter::PeRestarts), 1);
+    assert_eq!(op_snapshot(&report, "fwd").get(Counter::PeRestarts), 1);
+    assert_eq!(op_snapshot(&report, "src").get(Counter::PeRestarts), 0);
+    assert_eq!(op_snapshot(&report, "sink").get(Counter::PeRestarts), 0);
+    assert_eq!(report.total(Counter::PeRestarts), 2);
+    assert_eq!(report.total(Counter::Restarts), 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -496,7 +497,7 @@ fn kill_pe_without_checkpoint_dir_still_finishes_loss_free() {
     let mut seqs: Vec<u64> = collected.iter().map(|t| t.seq).collect();
     seqs.sort_unstable();
     assert_eq!(seqs, (0..100).collect::<Vec<_>>());
-    assert_eq!(op_snapshot(&report, "fwd").pe_restarts, 1);
+    assert_eq!(op_snapshot(&report, "fwd").get(Counter::PeRestarts), 1);
 }
 
 /// Like [`DurableCounter`] but checkpointing every 10 tuples, so short
@@ -586,7 +587,7 @@ fn run_disk_fault_matrix(
         );
     }
     assert_eq!(
-        report.total_restarts(),
+        report.total(Counter::Restarts),
         0,
         "{tag}: a disk fault must never escalate into an operator panic"
     );
@@ -600,9 +601,9 @@ fn enospc_skips_the_checkpoint_and_the_run_completes() {
     // is skipped (counted, window backed off) and later ones succeed —
     // the stream itself never notices.
     let (report, _) = run_disk_fault_matrix("enospc", "io-enospc@pe:1", 300, true);
-    assert!(report.total_checkpoint_skips() >= 1);
-    assert!(report.total_io_faults() >= 1);
-    assert_eq!(report.total_quarantined_snapshots(), 0);
+    assert!(report.total(Counter::CheckpointSkips) >= 1);
+    assert!(report.total(Counter::IoFaults) >= 1);
+    assert_eq!(report.total(Counter::QuarantinedSnapshots), 0);
 }
 
 #[test]
@@ -612,10 +613,13 @@ fn fsync_failure_degrades_to_skips_never_a_panic() {
     // the run finishes loss-free with the failures visible as counters.
     let (report, _) = run_disk_fault_matrix("fsync", "io-fsync-err", 300, true);
     assert!(
-        report.total_checkpoint_skips() >= 1,
+        report.total(Counter::CheckpointSkips) >= 1,
         "every checkpoint attempt fails, so at least one skip: {report:?}"
     );
-    assert_eq!(report.total_io_faults(), report.total_checkpoint_skips());
+    assert_eq!(
+        report.total(Counter::IoFaults),
+        report.total(Counter::CheckpointSkips)
+    );
 }
 
 #[test]
@@ -624,8 +628,8 @@ fn dead_device_mid_run_degrades_to_skips() {
     // was in flight fails, and so does every attempt after it. The run
     // still completes loss-free.
     let (report, _) = run_disk_fault_matrix("crash", "io-crash@op:4", 300, true);
-    assert!(report.total_checkpoint_skips() >= 1);
-    assert!(report.total_io_faults() >= 1);
+    assert!(report.total(Counter::CheckpointSkips) >= 1);
+    assert!(report.total(Counter::IoFaults) >= 1);
 }
 
 #[test]
@@ -638,11 +642,11 @@ fn kill_pe_with_torn_checkpoints_quarantines_and_still_delivers() {
     let plan = format!("kill-pe@ctr:40,{}", torn.join(","));
     let (report, restored) = run_disk_fault_matrix("torn", &plan, 100, false);
     assert!(
-        report.total_quarantined_snapshots() >= 1,
+        report.total(Counter::QuarantinedSnapshots) >= 1,
         "torn manifests must be quarantined at recovery: {report:?}"
     );
-    assert!(report.total_io_faults() >= 1);
-    assert!(report.total_pe_restarts() >= 1);
+    assert!(report.total(Counter::IoFaults) >= 1);
+    assert!(report.total(Counter::PeRestarts) >= 1);
     assert!(
         !restored.load(Ordering::SeqCst),
         "nothing valid on disk: restore must not have run"

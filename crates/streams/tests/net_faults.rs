@@ -9,6 +9,7 @@
 
 use parking_lot::Mutex;
 use spca_streams::checkpoint::{decode_kv, kv_u64, recover_pe_manifest, Checkpoint};
+use spca_streams::metrics::Counter;
 use spca_streams::{
     DataTuple, Engine, FaultPlan, GraphBuilder, NetPartition, NetTransport, OpContext, Operator,
     PortKind, SourceState,
@@ -265,7 +266,7 @@ fn consumer_lost_between_capture_and_commit_is_replayed_from_the_last_commit() {
     drop(net_b); // frees the address
     assert_eq!(lost.lock().len() as u64, N);
     assert!(
-        report.total_checkpoint_skips() >= 1,
+        report.total(Counter::CheckpointSkips) >= 1,
         "the captures after the device died must have failed: {report:?}"
     );
 

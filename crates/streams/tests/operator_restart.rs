@@ -6,6 +6,7 @@
 //! generation after a real mid-`process` panic.
 
 use spca_streams::checkpoint::{decode_kv, encode_kv, kv_u64};
+use spca_streams::metrics::Counter;
 use spca_streams::ops::{CollectSink, GeneratorSource};
 use spca_streams::{
     Checkpoint, DataTuple, Engine, FaultPlan, GraphBuilder, OpContext, Operator, PortKind,
@@ -139,10 +140,10 @@ fn injected_panic_round_trips_the_exact_state_through_the_manifest() {
     // Off any cadence: the teardown capture, not a periodic one, is what
     // keeps the count whole.
     let o = run("clean", "panic@tally:205", 300, NO_PERIODIC, None);
-    assert_eq!(o.report.op("tally").unwrap().restarts, 1);
+    assert_eq!(o.report.op("tally").unwrap().get(Counter::Restarts), 1);
     assert_eq!(o.probe.restored_seen.load(Ordering::SeqCst), 205);
     assert_eq!(o.probe.seen.load(Ordering::SeqCst), 300);
-    assert_eq!(o.report.total_io_faults(), 0);
+    assert_eq!(o.report.total(Counter::IoFaults), 0);
 }
 
 #[test]
@@ -153,15 +154,15 @@ fn torn_teardown_capture_falls_back_to_the_previous_generation() {
     // restores generation 1: 100 counted, then the 95 tuples after #205.
     let plan = "panic@tally:100,panic@tally:205,io-torn@pe:4";
     let o = run("torn", plan, 300, NO_PERIODIC, None);
-    assert_eq!(o.report.op("tally").unwrap().restarts, 2);
+    assert_eq!(o.report.op("tally").unwrap().get(Counter::Restarts), 2);
     assert_eq!(o.probe.restored_seen.load(Ordering::SeqCst), 100);
     assert_eq!(o.probe.seen.load(Ordering::SeqCst), 195);
     assert!(
-        o.report.total_quarantined_snapshots() >= 1,
+        o.report.total(Counter::QuarantinedSnapshots) >= 1,
         "{:?}",
         o.report
     );
-    assert!(o.report.total_io_faults() >= 1);
+    assert!(o.report.total(Counter::IoFaults) >= 1);
 }
 
 #[test]
@@ -175,11 +176,11 @@ fn failing_fsync_leaves_nothing_to_restore_and_the_run_completes() {
         NO_PERIODIC,
         None,
     );
-    assert_eq!(o.report.op("tally").unwrap().restarts, 1);
+    assert_eq!(o.report.op("tally").unwrap().get(Counter::Restarts), 1);
     assert_eq!(o.probe.restored_seen.load(Ordering::SeqCst), NEVER);
     assert_eq!(o.probe.seen.load(Ordering::SeqCst), 95);
-    assert!(o.report.total_checkpoint_skips() >= 1);
-    assert!(o.report.total_io_faults() >= 1);
+    assert!(o.report.total(Counter::CheckpointSkips) >= 1);
+    assert!(o.report.total(Counter::IoFaults) >= 1);
 }
 
 #[test]
@@ -192,7 +193,7 @@ fn mid_process_panic_restores_the_last_periodic_generation_and_redelivers_once()
     // seq exactly once, #399 included.
     let (n, panic_call) = (600, 400);
     let o = run("midprocess", "", n, 10, Some(panic_call));
-    assert_eq!(o.report.op("tally").unwrap().restarts, 1);
+    assert_eq!(o.report.op("tally").unwrap().get(Counter::Restarts), 1);
     let restored = o.probe.restored_seen.load(Ordering::SeqCst);
     assert!(
         (10..panic_call).contains(&restored),

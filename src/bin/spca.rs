@@ -479,6 +479,14 @@ fn print_merged_eigenvalues(values: &[f64]) {
     println!("merged eigenvalues: {rounded:?}");
 }
 
+/// What the run absorbed, if anything: the same line after `run`, `serve`,
+/// `coordinator` and `worker` (each reports the operators it hosted).
+fn print_fault_summary(report: &RunReport) {
+    if let Some(line) = FaultCounters::from_report(report).summary() {
+        println!("{line}");
+    }
+}
+
 fn cmd_coordinator(opts: &Opts) -> Result<(), String> {
     let input: PathBuf = opts.value("input")?;
     let workers: usize = opts.value("workers")?;
@@ -522,6 +530,7 @@ fn cmd_coordinator(opts: &Opts) -> Result<(), String> {
         let placed = format!(" on {workers} workers ({} respawned)", out.respawns);
         ("distributed run", out.report, placed)
     };
+    print_fault_summary(&report);
     println!(
         "{what} complete: {} observations across {engines} engines{placed}; snapshots in {}",
         report.op("split").map_or(0, |o| o.tuples_in),
@@ -533,8 +542,9 @@ fn cmd_coordinator(opts: &Opts) -> Result<(), String> {
 fn cmd_worker(opts: &Opts) -> Result<(), String> {
     let (coordinator, data) = (opts.value("coordinator")?, opts.value("data")?);
     let index: usize = opts.value("index")?;
-    let _report = astro_stream_pca::engine::run_worker(coordinator, index, data)
+    let report = astro_stream_pca::engine::run_worker(coordinator, index, data)
         .map_err(|e| format!("worker {index} failed: {e}"))?;
+    print_fault_summary(&report);
     println!("worker {index} finished");
     Ok(())
 }
@@ -709,22 +719,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         report.elapsed.as_secs_f64(),
         consumed as f64 / report.elapsed.as_secs_f64().max(1e-9)
     );
-    let c = FaultCounters::from_report(&report);
-    let absorbed = [
-        (c.restarts, "operator restarts"),
-        (c.pe_restarts, "PE restarts (operator-weighted)"),
-        (c.quarantined, "quarantined tuples"),
-        (c.sync_skips, "skipped syncs"),
-        (c.io_faults, "storage faults absorbed"),
-        (c.quarantined_snapshots, "quarantined snapshots"),
-        (c.checkpoint_skips, "skipped checkpoints"),
-        (c.scale_outs, "scale-outs"),
-        (c.scale_ins, "scale-ins"),
-    ];
-    if absorbed.iter().any(|(count, _)| *count > 0) {
-        let parts = absorbed.map(|(count, what)| format!("{count} {what}"));
-        println!("fault summary: {}", parts.join(", "));
-    }
+    print_fault_summary(&report);
     if let Some(autoscaler) = &autoscaler {
         let (outs, ins) = autoscaler.event_counts();
         println!(
