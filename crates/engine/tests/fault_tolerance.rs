@@ -230,13 +230,16 @@ fn killed_pe_rehydrates_from_its_manifest_and_matches_fault_free_run() {
         "a whole-PE kill must not also count an operator restart"
     );
 
-    // Recovery wrote a consistent per-PE manifest set on disk.
-    let manifests = std::fs::read_dir(fault_dir.join("pe"))
+    // Recovery wrote consistent per-PE generation files on disk.
+    let generations = std::fs::read_dir(fault_dir.join("pe"))
         .expect("PE checkpoint directory exists")
         .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().ends_with(".manifest"))
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".ckpt"))
         .count();
-    assert!(manifests >= 1, "the killed PE left a snapshot manifest");
+    assert!(
+        generations >= 1,
+        "the killed PE left a checkpoint generation"
+    );
 
     // Every engine — including the one whose PE died and was rehydrated
     // from the manifest — finishes bit-identical to the fault-free run.
@@ -341,8 +344,8 @@ fn panic_off_the_checkpoint_cadence_is_still_bit_identical() {
     assert_restart_is_invisible(&clean, &faulted);
     assert_eq!(faulted.report.total(Counter::IoFaults), 0);
 
-    // One durable copy: the recovery directory holds the PE manifests and
-    // nothing else.
+    // One durable copy: the recovery directory holds the PE checkpoints
+    // and nothing else.
     let entries: Vec<String> = std::fs::read_dir(&fault_dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())

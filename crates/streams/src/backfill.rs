@@ -27,7 +27,7 @@
 //! stores serialized eigensystems and merges them with the core crate's
 //! tree reduction, but nothing here knows that.
 
-use crate::checkpoint::{quarantine_file, write_atomic_vfs};
+use crate::checkpoint::{quarantine_file, read_sealed, seal, write_atomic_vfs};
 use crate::vfs::{RealVfs, Vfs};
 use parking_lot::Mutex;
 use std::io;
@@ -65,16 +65,18 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     h
 }
 
-const STATE_MAGIC: &str = "spca-partition-state-v1";
+const STATE_MAGIC: &str = "spca-partition-state-v2";
 
 /// A filesystem store of finished per-partition state blobs.
 ///
-/// One file per partition id, written atomically; the file records the
-/// content hash it was computed from — so [`StateStore::load`] returns a
-/// hit only when the partition's current input still matches — and a
-/// checksum of the payload itself, so bit-rot is detectable. A torn or
-/// hand-edited file reads as a miss-with-error, never as plausible state;
-/// the runner's [`StateStore::load_or_quarantine`] degrades that error to
+/// One file per partition id, written atomically and sealed with the PE
+/// checkpoint's codec ([`crate::checkpoint`]): its header records the id
+/// and the content hash the state was computed from — so
+/// [`StateStore::load`] returns a hit only when the partition's current
+/// input still matches — and one checksum covers every byte, so bit-rot is
+/// detectable. A torn or hand-edited file reads as a miss-with-error,
+/// never as plausible state; the runner's
+/// [`StateStore::load_or_quarantine`] degrades that error to
 /// quarantine-and-recompute.
 #[derive(Debug)]
 pub struct StateStore {
@@ -121,70 +123,28 @@ impl StateStore {
     /// Loads the stored state for `id`, if present **and** computed from
     /// input bytes hashing to `want_hash`. A hash mismatch (the partition's
     /// input changed since the state was computed) is `Ok(None)` — a miss
-    /// that the runner resolves by recomputing and overwriting. A
-    /// structurally invalid file is an `InvalidData` error.
+    /// that the runner resolves by recomputing and overwriting. A file that
+    /// does not unseal, or records another id, is an `InvalidData` error.
     pub fn load(&self, id: &str, want_hash: u64) -> io::Result<Option<Vec<u8>>> {
         let path = self.path_for(id);
-        let bytes = match self.vfs.read(&path) {
-            Ok(b) => b,
+        let (header, mut parts) = match read_sealed(self.vfs.as_ref(), &path, STATE_MAGIC) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
+            sealed => sealed?,
         };
-        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        // Header: magic \n id <id> \n hash <hex> \n len <n> \n sum <hex> \n payload
-        let header_end = find_header_end(&bytes)
-            .ok_or_else(|| bad(format!("state file {path:?} has a truncated header")))?;
-        let header = std::str::from_utf8(&bytes[..header_end])
-            .map_err(|_| bad(format!("state file {path:?} header is not UTF-8")))?;
-        let mut lines = header.lines();
-        if lines.next() != Some(STATE_MAGIC) {
-            return Err(bad(format!("state file {path:?} has a bad magic line")));
+        let got_hash = header
+            .get("hash")
+            .and_then(|h| u64::from_str_radix(h, 16).ok());
+        match (header.get("id"), got_hash, parts.pop()) {
+            (Some(got_id), Some(got_hash), Some((_, state)))
+                if got_id == id && parts.is_empty() =>
+            {
+                Ok((got_hash == want_hash).then_some(state))
+            }
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("state file {path:?} does not hold one state of partition '{id}'"),
+            )),
         }
-        let id_line = lines
-            .next()
-            .and_then(|l| l.strip_prefix("id "))
-            .ok_or_else(|| bad(format!("state file {path:?} is missing its id line")))?;
-        if id_line != id {
-            return Err(bad(format!(
-                "state file {path:?} records id '{id_line}', expected '{id}'"
-            )));
-        }
-        let hash_line = lines
-            .next()
-            .and_then(|l| l.strip_prefix("hash "))
-            .ok_or_else(|| bad(format!("state file {path:?} is missing its hash line")))?;
-        let got_hash = u64::from_str_radix(hash_line, 16)
-            .map_err(|_| bad(format!("state file {path:?} has an unparsable hash")))?;
-        let len_line = lines
-            .next()
-            .and_then(|l| l.strip_prefix("len "))
-            .ok_or_else(|| bad(format!("state file {path:?} is missing its len line")))?;
-        let len: usize = len_line
-            .parse()
-            .map_err(|_| bad(format!("state file {path:?} has an unparsable len")))?;
-        let sum_line = lines
-            .next()
-            .and_then(|l| l.strip_prefix("sum "))
-            .ok_or_else(|| bad(format!("state file {path:?} is missing its sum line")))?;
-        let want_sum = u64::from_str_radix(sum_line, 16)
-            .map_err(|_| bad(format!("state file {path:?} has an unparsable sum")))?;
-        let payload = &bytes[header_end..];
-        if payload.len() != len {
-            return Err(bad(format!(
-                "state file {path:?} payload is {} bytes, header says {len} — torn write",
-                payload.len()
-            )));
-        }
-        if content_hash(payload) != want_sum {
-            return Err(bad(format!(
-                "state file {path:?} payload fails its checksum — bit-rotted state"
-            )));
-        }
-        if got_hash != want_hash {
-            // The partition's input changed: stale state, recompute.
-            return Ok(None);
-        }
-        Ok(Some(payload.to_vec()))
     }
 
     /// Degrading [`StateStore::load`]: a structurally invalid file (torn,
@@ -211,30 +171,14 @@ impl StateStore {
     /// Atomically persists `state` for `id` as computed from input bytes
     /// hashing to `hash`. Overwrites any previous generation.
     pub fn store(&self, id: &str, hash: u64, state: &[u8]) -> io::Result<()> {
-        let mut file = format!(
-            "{STATE_MAGIC}\nid {id}\nhash {hash:016x}\nlen {}\nsum {:016x}\n",
-            state.len(),
-            content_hash(state)
-        )
-        .into_bytes();
-        file.extend_from_slice(state);
+        let hash = format!("{hash:016x}");
+        let file = seal(
+            STATE_MAGIC,
+            &[("id", id), ("hash", &hash)],
+            &[("state", state)],
+        );
         write_atomic_vfs(self.vfs.as_ref(), &self.path_for(id), &file)
     }
-}
-
-/// Byte offset just past the 5-line header, or `None` if the file has
-/// fewer than 5 newlines.
-fn find_header_end(bytes: &[u8]) -> Option<usize> {
-    let mut newlines = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b == b'\n' {
-            newlines += 1;
-            if newlines == 5 {
-                return Some(i + 1);
-            }
-        }
-    }
-    None
 }
 
 /// How one partition's state was obtained by [`run_partitions`].
@@ -490,6 +434,23 @@ mod tests {
         let (hit, quarantined) = store.load_or_quarantine("a", 1).unwrap();
         assert_eq!(hit.as_deref(), Some(&b"fresh"[..]));
         assert!(!quarantined);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_state_file_in_the_old_layout_is_quarantined_and_recomputed_once() {
+        let (dir, store) = temp_store();
+        let partitions = parts(1);
+        let old = b"spca-partition-state-v1\nid part-0\nhash 0\nlen 1\nsum 0\nx";
+        std::fs::write(store.path_for("part-0"), old).unwrap();
+        let err = store.load("part-0", 0).expect_err("old layout");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let compute =
+            |_w: usize| |p: &Partition<Vec<u8>>| -> io::Result<Vec<u8>> { Ok(p.payload.clone()) };
+        let (_, stats) = run_partitions(&partitions, &store, 1, compute).unwrap();
+        assert_eq!((stats.quarantined, stats.computed), (1, 1));
+        let (_, stats) = run_partitions(&partitions, &store, 1, compute).unwrap();
+        assert_eq!((stats.quarantined, stats.cache_hits), (0, 1));
         std::fs::remove_dir_all(dir).ok();
     }
 

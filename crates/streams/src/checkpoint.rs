@@ -1,4 +1,4 @@
-//! Generic operator checkpointing and per-PE snapshot manifests.
+//! Generic operator checkpointing and per-PE checkpoint generations.
 //!
 //! The paper's prototype leaned on InfoSphere Streams' managed runtime to
 //! keep PEs alive across the cluster; our PE-level supervisor (see the
@@ -11,28 +11,26 @@
 //!
 //! * each checkpointable operator serializes to an opaque blob (text
 //!   `key value` lines by convention — see [`encode_kv`]);
-//! * all blobs of one PE are written together under a generation number
-//!   along with a *per-generation* manifest (`pe{i}-g{g}.manifest`), then
-//!   the per-PE **pointer manifest** (`pe{i}.manifest`) is atomically
-//!   renamed into place naming exactly the files of that generation.
-//!   Recovery trusts only blobs a manifest names — and only after their
-//!   recorded length *and content hash* check out — so a crash or bit-flip
-//!   mid-checkpoint can never mix operators from two different
-//!   generations: the pointer manifest *is* the consistency point.
+//! * all blobs of one PE are sealed into one **generation file**,
+//!   `pe{i}-g{G}.ckpt`, written by one [`write_atomic_vfs`]: its rename is
+//!   the commit point. One content hash covers every byte of the file
+//!   (see `seal`), so recovery takes a generation whole or not at all —
+//!   a crash or bit-flip mid-checkpoint can never mix operators from two
+//!   different generations;
 //! * the **last two generations** are retained (older ones are garbage
-//!   collected after each successful write), so a manifest or blob that
-//!   turns out to be torn or bit-rotted at recovery time degrades to the
-//!   previous good generation instead of losing the PE's state. The bad
-//!   file is quarantined aside as `<name>.corrupt-N` for post-mortems.
+//!   collected after each successful write), so a generation that turns
+//!   out to be torn or bit-rotted at recovery time degrades to the
+//!   previous one instead of losing the PE's state. The bad file is
+//!   quarantined aside as `<name>.corrupt-N` for post-mortems, and garbage
+//!   collection never touches it.
 //!
 //! Durability follows the same failure model as the engine crate's
-//! eigensystem snapshots: blob and manifest scratch files are fsynced
-//! before the rename and the directory is fsynced best-effort afterwards,
-//! so a manifest never names a blob whose bytes could still be lost by a
-//! crash. All disk traffic goes through a [`Vfs`], so the whole layer can
-//! run against the fault-injecting backend (see [`crate::vfs`]) — the
-//! crash-point harness enumerates every VFS operation in a write sequence
-//! and proves recovery from a kill after each one.
+//! eigensystem snapshots: the scratch file is fsynced before the rename
+//! and the directory is fsynced best-effort afterwards. All disk traffic
+//! goes through a [`Vfs`], so the whole layer can run against the
+//! fault-injecting backend (see [`crate::vfs`]) — the crash-point harness
+//! enumerates every VFS operation in a write sequence and proves recovery
+//! from a kill after each one.
 //!
 //! The fsyncs never run on the thread that owns the state: a PE *captures*
 //! a consistent snapshot set between tuples and hands it to a
@@ -134,11 +132,100 @@ pub fn kv_parse<T: std::str::FromStr>(map: &BTreeMap<String, String>, key: &str)
     })
 }
 
-const MANIFEST_MAGIC: &str = "spca-pe-manifest-v2";
-
-/// One consistent snapshot set: `(operator name, blob)` pairs in manifest
-/// order.
+/// One consistent snapshot set: `(operator name, blob)` pairs in the order
+/// they were written.
 pub type SnapshotSet = Vec<(String, Vec<u8>)>;
+
+/// Seals `parts` under a `magic` word and `header` pairs into one
+/// self-verifying record — the format of a PE checkpoint generation and of
+/// a backfill state-store entry:
+///
+/// ```text
+/// <magic> <content_hash of every byte after this line, 16 hex digits>
+/// <key> <value>         one line per header pair
+/// part <len> <name>     one line per part, in order
+/// end
+/// <payload of part 0><payload of part 1>…
+/// ```
+///
+/// The hash covers names, lengths and payloads alike, so a truncation or
+/// one flipped byte anywhere fails [`read_sealed`].
+pub(crate) fn seal(magic: &str, header: &[(&str, &str)], parts: &[(&str, &[u8])]) -> Vec<u8> {
+    let mut out = format!("{magic} {:016x}\n", 0u64);
+    let (sum_at, body_start) = (out.len() - 17, out.len());
+    for (key, value) in header {
+        out.push_str(&format!("{key} {value}\n"));
+    }
+    for (name, payload) in parts {
+        out.push_str(&format!("part {} {name}\n", payload.len()));
+    }
+    out.push_str("end\n");
+    let mut out = out.into_bytes();
+    for (_, payload) in parts {
+        out.extend_from_slice(payload);
+    }
+    let sum = format!("{:016x}", content_hash(&out[body_start..]));
+    out[sum_at..sum_at + 16].copy_from_slice(sum.as_bytes());
+    out
+}
+
+/// Reads and unseals a [`seal`]ed record: its header pairs and its parts.
+/// Anything but a whole, untouched record under `magic` is `InvalidData`;
+/// read errors (`NotFound` included) pass through.
+pub(crate) fn read_sealed(
+    vfs: &dyn Vfs,
+    path: &Path,
+    magic: &str,
+) -> io::Result<(BTreeMap<String, String>, SnapshotSet)> {
+    /// The UTF-8 line starting at `*at`, moving `*at` past its newline.
+    fn next_line<'a>(bytes: &'a [u8], at: &mut usize) -> Option<&'a str> {
+        let len = bytes[*at..].iter().position(|&b| b == b'\n')?;
+        let line = std::str::from_utf8(&bytes[*at..*at + len]).ok();
+        *at += len + 1;
+        line
+    }
+    let bytes = vfs.read(path)?;
+    let bad = |why: &str| io::Error::new(io::ErrorKind::InvalidData, format!("{path:?} {why}"));
+    let mut at = 0;
+    let sum = next_line(&bytes, &mut at)
+        .and_then(|l| l.strip_prefix(magic)?.strip_prefix(' '))
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
+        .ok_or_else(|| bad("has no valid seal line"))?;
+    if content_hash(&bytes[at..]) != sum {
+        return Err(bad("fails its content-hash checksum: torn or bit-rotted"));
+    }
+    let (mut header, mut lens) = (BTreeMap::new(), Vec::new());
+    loop {
+        let line = next_line(&bytes, &mut at).ok_or_else(|| bad("has no end line"))?;
+        if line == "end" {
+            break;
+        }
+        let (key, value) = line
+            .split_once(' ')
+            .ok_or_else(|| bad("has a bad header"))?;
+        if key != "part" {
+            header.insert(key.to_string(), value.to_string());
+            continue;
+        }
+        let (len, name) = value
+            .split_once(' ')
+            .and_then(|(len, name)| Some((len.parse::<usize>().ok()?, name)))
+            .ok_or_else(|| bad("has a bad part line"))?;
+        lens.push((len, name.to_string()));
+    }
+    let mut parts = Vec::with_capacity(lens.len());
+    for (len, name) in lens {
+        let payload = bytes[at..]
+            .get(..len)
+            .ok_or_else(|| bad("is shorter than its parts"))?;
+        parts.push((name, payload.to_vec()));
+        at += len;
+    }
+    if at != bytes.len() {
+        return Err(bad("is longer than its parts"));
+    }
+    Ok((header, parts))
+}
 
 /// Stamps scratch-file names so concurrent writers (and debris from killed
 /// processes) never collide on the same temp path.
@@ -154,7 +241,7 @@ fn tmp_path_for(path: &Path) -> PathBuf {
 /// Writes `bytes` to `path` atomically and durably through `vfs`: scratch
 /// file in the same directory, fsync, rename, best-effort directory fsync.
 /// Shared by the PE checkpoint writer and the [`crate::backfill`] state
-/// store — both trust that a named file is never torn. The sequence is
+/// store, which both seal what they write. The sequence is
 /// exactly five VFS operations — create, write, fsync, rename, fsync_dir —
 /// which is what the crash-point harness enumerates. The directory fsync
 /// is best-effort (not every filesystem supports it); every other failure
@@ -284,12 +371,15 @@ impl<T> Drop for WriteBehind<T> {
     }
 }
 
-/// How many manifest generations a PE retains (current + fallback).
+/// How many generations a PE retains (current + fallback).
 const RETAINED_GENERATIONS: u64 = 2;
+
+/// The magic word of a sealed PE checkpoint generation.
+const GEN_MAGIC: &str = "spca-pe-generation-v1";
 
 /// One PE's checkpoint writer: owns the generation counter, keeps the last
 /// [`RETAINED_GENERATIONS`] generations on disk, and garbage-collects
-/// older ones once a new pointer manifest is durable.
+/// older ones once a new generation is durable.
 #[derive(Debug)]
 pub struct PeCheckpointer {
     dir: PathBuf,
@@ -309,7 +399,7 @@ impl PeCheckpointer {
     /// explicit [`Vfs`]. Reopening sweeps this PE's stale scratch files
     /// (debris from a killed process) and resumes the generation counter
     /// past every generation already on disk, so a restarted PE never
-    /// reuses a blob name from a previous incarnation.
+    /// reuses a generation file name from a previous incarnation.
     pub fn new_with_vfs(
         dir: impl Into<PathBuf>,
         pe_index: usize,
@@ -317,8 +407,15 @@ impl PeCheckpointer {
     ) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        sweep_scratch_files(vfs.as_ref(), &dir, pe_index);
-        let gen = max_generation_on_disk(&dir, pe_index);
+        let gen = generations_on_disk(&dir, pe_index)
+            .last()
+            .copied()
+            .unwrap_or(0);
+        for name in file_names(&dir) {
+            if name.starts_with(&format!("pe{pe_index}-g")) && name.contains(".tmp") {
+                let _ = vfs.remove(&dir.join(name));
+            }
+        }
         Ok(PeCheckpointer {
             dir,
             pe_index,
@@ -327,256 +424,69 @@ impl PeCheckpointer {
         })
     }
 
-    /// The PE's pointer-manifest path: `pe{index}.manifest`.
-    pub fn manifest_path(&self) -> PathBuf {
-        manifest_path(&self.dir, self.pe_index)
-    }
-
-    /// Reads this PE's latest consistent snapshot set, possibly written by
-    /// a previous incarnation of the PE. Strict: any structural problem is
-    /// an error. See [`read_pe_manifest`].
-    pub fn read(&self) -> io::Result<Option<SnapshotSet>> {
-        read_pe_manifest(&self.dir, self.pe_index)
-    }
-
     /// Recovers this PE's best available snapshot set, quarantining
-    /// torn/corrupt files and falling back to the previous generation.
+    /// torn/corrupt generations and falling back to the previous one.
     /// See [`recover_pe_manifest`].
     pub fn recover(&self) -> PeRecovery {
         recover_pe_manifest_vfs(self.vfs.as_ref(), &self.dir, self.pe_index)
     }
 
-    /// Writes one consistent snapshot set: every blob under a fresh
-    /// generation, the per-generation manifest, then the pointer manifest
-    /// naming exactly those files. Generations older than the previous one
-    /// are garbage collected only after the new pointer is durable, so a
-    /// crash at any byte offset — or a bad block discovered later — leaves
-    /// a complete older set readable.
+    /// Writes one consistent snapshot set as the next generation: one
+    /// sealed file, one [`write_atomic_vfs`] — five VFS operations and two
+    /// fsyncs whatever the number of parts. Generations older than the
+    /// previous one are garbage collected only after the new one is
+    /// durable, so a crash at any byte offset — or a bad block discovered
+    /// later — leaves a complete older set readable.
     pub fn write(&mut self, parts: &[(String, Vec<u8>)]) -> io::Result<()> {
         let gen = self.gen + 1;
-        let mut manifest = format!("{MANIFEST_MAGIC}\npe {}\ngen {}\n", self.pe_index, gen);
-        for (ordinal, (name, blob)) in parts.iter().enumerate() {
-            let file = format!("pe{}-g{}-{}.ckpt", self.pe_index, gen, ordinal);
-            write_atomic_vfs(self.vfs.as_ref(), &self.dir.join(&file), blob)?;
-            manifest.push_str(&format!(
-                "op {} {} {:016x} {}\n",
-                file,
-                blob.len(),
-                content_hash(blob),
-                name
-            ));
-        }
-        manifest.push_str("end\n");
-        let gen_manifest = gen_manifest_path(&self.dir, self.pe_index, gen);
-        write_atomic_vfs(self.vfs.as_ref(), &gen_manifest, manifest.as_bytes())?;
-        // Commit point: the pointer manifest lands atomically over the old
-        // one. Only now does the new generation become the recovery target.
+        let (pe, g) = (self.pe_index.to_string(), gen.to_string());
+        let parts: Vec<(&str, &[u8])> = parts.iter().map(|(n, b)| (n.as_str(), &b[..])).collect();
+        let file = seal(GEN_MAGIC, &[("pe", &pe), ("gen", &g)], &parts);
         write_atomic_vfs(
             self.vfs.as_ref(),
-            &self.manifest_path(),
-            manifest.as_bytes(),
+            &generation_path(&self.dir, self.pe_index, gen),
+            &file,
         )?;
         self.gen = gen;
-        self.gc_old_generations();
+        // Best-effort: GC failure never fails a checkpoint.
+        let keep_from = gen.saturating_sub(RETAINED_GENERATIONS - 1);
+        for old in generations_on_disk(&self.dir, self.pe_index) {
+            if old < keep_from {
+                let _ = self
+                    .vfs
+                    .remove(&generation_path(&self.dir, self.pe_index, old));
+            }
+        }
         Ok(())
     }
-
-    /// Removes every file of generations older than the fallback one.
-    /// Best-effort: GC failure never fails a checkpoint. Scanning the
-    /// directory (rather than remembering file lists) also reaps orphans
-    /// from generations whose write failed partway.
-    fn gc_old_generations(&self) {
-        let keep_from = self.gen.saturating_sub(RETAINED_GENERATIONS - 1);
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in entries.filter_map(|e| e.ok()) {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(g) = generation_of(&name, self.pe_index) {
-                if g < keep_from {
-                    let _ = self.vfs.remove(&entry.path());
-                }
-            }
-        }
-    }
 }
 
-fn manifest_path(dir: &Path, pe_index: usize) -> PathBuf {
-    dir.join(format!("pe{pe_index}.manifest"))
+fn generation_path(dir: &Path, pe_index: usize, gen: u64) -> PathBuf {
+    dir.join(format!("pe{pe_index}-g{gen}.ckpt"))
 }
 
-fn gen_manifest_path(dir: &Path, pe_index: usize, gen: u64) -> PathBuf {
-    dir.join(format!("pe{pe_index}-g{gen}.manifest"))
+fn file_names(dir: &Path) -> impl Iterator<Item = String> {
+    std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
 }
 
-/// Parses the generation number out of one of this PE's checkpoint file
-/// names (`pe{i}-g{G}-{ord}.ckpt`, `pe{i}-g{G}.manifest`, or scratch
-/// variants thereof). `None` for other PEs' files and the pointer.
-fn generation_of(file_name: &str, pe_index: usize) -> Option<u64> {
-    let rest = file_name.strip_prefix(&format!("pe{pe_index}-g"))?;
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    if digits.is_empty() {
-        return None;
-    }
-    digits.parse().ok()
-}
-
-/// True for this PE's scratch files: `pe{i}…​.tmp-…` debris left by a
-/// killed process mid-write.
-fn is_scratch_of(file_name: &str, pe_index: usize) -> bool {
-    (file_name.starts_with(&format!("pe{pe_index}-"))
-        || file_name.starts_with(&format!("pe{pe_index}.")))
-        && file_name.contains(".tmp")
-}
-
-fn sweep_scratch_files(vfs: &dyn Vfs, dir: &Path, pe_index: usize) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.filter_map(|e| e.ok()) {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if is_scratch_of(&name, pe_index) {
-            let _ = vfs.remove(&entry.path());
-        }
-    }
-}
-
-/// The highest generation any of this PE's non-scratch files mentions.
-fn max_generation_on_disk(dir: &Path, pe_index: usize) -> u64 {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    entries
-        .filter_map(|e| e.ok())
-        .filter_map(|e| {
-            let name = e.file_name().to_string_lossy().into_owned();
-            if name.contains(".tmp") {
-                return None;
-            }
-            generation_of(&name, pe_index)
+/// This PE's committed generations on disk, ascending: the `G` of every
+/// file named exactly `pe{i}-g{G}.ckpt`. Scratch files and quarantined
+/// `….corrupt-N` evidence are not generations.
+fn generations_on_disk(dir: &Path, pe_index: usize) -> Vec<u64> {
+    let prefix = format!("pe{pe_index}-g");
+    let mut gens: Vec<u64> = file_names(dir)
+        .filter_map(|name| {
+            name.strip_prefix(&prefix)?
+                .strip_suffix(".ckpt")?
+                .parse()
+                .ok()
         })
-        .max()
-        .unwrap_or(0)
-}
-
-/// Why one manifest candidate could not be used: the offending file is the
-/// quarantine target during recovery.
-enum ManifestError {
-    /// The manifest itself is structurally bad (or unreadable).
-    Manifest(io::Error),
-    /// The manifest names a blob that is missing, torn, or bit-rotted.
-    Blob(PathBuf, io::Error),
-}
-
-impl ManifestError {
-    fn into_io(self) -> io::Error {
-        match self {
-            ManifestError::Manifest(e) => e,
-            ManifestError::Blob(_, e) => e,
-        }
-    }
-}
-
-/// Parses and fully verifies one manifest file: every named blob must
-/// exist with exactly the recorded length and content hash.
-/// `Ok(None)` when the manifest file does not exist.
-fn try_read_manifest(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    path: &Path,
-) -> Result<Option<SnapshotSet>, ManifestError> {
-    let raw = match vfs.read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(ManifestError::Manifest(e)),
-    };
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let text = std::str::from_utf8(&raw)
-        .map_err(|_| ManifestError::Manifest(bad(format!("manifest {path:?} is not UTF-8"))))?;
-    let mut lines = text.lines();
-    if lines.next() != Some(MANIFEST_MAGIC) {
-        return Err(ManifestError::Manifest(bad(format!(
-            "manifest {path:?} has a bad magic line"
-        ))));
-    }
-    let mut parts = Vec::new();
-    let mut ended = false;
-    for line in lines {
-        if line == "end" {
-            ended = true;
-            break;
-        }
-        if line.starts_with("pe ") || line.starts_with("gen ") {
-            continue;
-        }
-        let rest = line.strip_prefix("op ").ok_or_else(|| {
-            ManifestError::Manifest(bad(format!("manifest {path:?} has unknown line '{line}'")))
-        })?;
-        // `op <file> <len> <hash> <name>` — the name comes last because it
-        // may contain spaces.
-        let mut it = rest.splitn(4, ' ');
-        let (file, len, hash, name) = match (it.next(), it.next(), it.next(), it.next()) {
-            (Some(f), Some(l), Some(h), Some(n)) => (f, l, h, n),
-            _ => {
-                return Err(ManifestError::Manifest(bad(format!(
-                    "manifest {path:?} has malformed entry '{line}'"
-                ))))
-            }
-        };
-        let len: usize = len.parse().map_err(|_| {
-            ManifestError::Manifest(bad(format!("manifest {path:?} has bad length in '{line}'")))
-        })?;
-        let hash = u64::from_str_radix(hash, 16).map_err(|_| {
-            ManifestError::Manifest(bad(format!("manifest {path:?} has bad hash in '{line}'")))
-        })?;
-        let blob_path = dir.join(file);
-        let blob = vfs.read(&blob_path).map_err(|e| {
-            ManifestError::Blob(
-                blob_path.clone(),
-                bad(format!(
-                    "manifest {path:?} names unreadable blob {file}: {e}"
-                )),
-            )
-        })?;
-        if blob.len() != len {
-            return Err(ManifestError::Blob(
-                blob_path,
-                bad(format!(
-                    "blob {file} is {} bytes, manifest says {len} — torn checkpoint",
-                    blob.len()
-                )),
-            ));
-        }
-        if content_hash(&blob) != hash {
-            return Err(ManifestError::Blob(
-                blob_path,
-                bad(format!(
-                    "blob {file} fails its content hash — bit-rotted checkpoint"
-                )),
-            ));
-        }
-        parts.push((name.to_string(), blob));
-    }
-    if !ended {
-        return Err(ManifestError::Manifest(bad(format!(
-            "manifest {path:?} is truncated (no 'end')"
-        ))));
-    }
-    Ok(Some(parts))
-}
-
-/// Reads the latest consistent snapshot set for a PE: `(op name, blob)`
-/// pairs in manifest order. `Ok(None)` when no manifest exists yet (the PE
-/// never checkpointed); any structural problem — bad magic, truncated
-/// manifest, missing blob, blob length or hash mismatch — is
-/// `InvalidData`, so a strict read never rehydrates from a torn, rotted,
-/// or mixed-generation set. For the degrading variant that falls back to
-/// the previous generation, see [`recover_pe_manifest`].
-pub fn read_pe_manifest(dir: &Path, pe_index: usize) -> io::Result<Option<SnapshotSet>> {
-    match try_read_manifest(&RealVfs, dir, &manifest_path(dir, pe_index)) {
-        Ok(set) => Ok(set),
-        Err(e) => Err(e.into_io()),
-    }
+        .collect();
+    gens.sort_unstable();
+    gens
 }
 
 /// The outcome of degrading recovery: the best snapshot set found, plus
@@ -588,8 +498,8 @@ pub struct PeRecovery {
     pub set: Option<SnapshotSet>,
     /// Files quarantined aside as `<name>.corrupt-N` during recovery.
     pub quarantined: u64,
-    /// True when the pointer manifest was unusable and recovery fell back
-    /// to an older generation (or to nothing).
+    /// True when the newest generation was unusable and recovery fell
+    /// back to an older one (or to nothing).
     pub fell_back: bool,
 }
 
@@ -600,13 +510,10 @@ pub fn recover_pe_manifest(dir: &Path, pe_index: usize) -> PeRecovery {
 }
 
 /// Recovers the best available snapshot set for a PE, degrading gracefully:
-///
-/// 1. try the pointer manifest (`pe{i}.manifest`);
-/// 2. on damage, quarantine the offending file (manifest or blob) aside as
-///    `<name>.corrupt-N` and fall back to the per-generation manifests in
-///    descending generation order;
-/// 3. when every candidate is exhausted, report `set: None` — the caller
-///    resumes with fresh state rather than erroring.
+/// this PE's generation files are tried newest first and the first one
+/// that unseals (see `seal`) wins; each that fails before it is
+/// quarantined aside as `<name>.corrupt-N`; when none is left the set is
+/// `None` and the caller resumes with fresh state.
 ///
 /// Never returns an error and never panics: storage damage degrades to an
 /// older generation and a pair of counters ([`PeRecovery::quarantined`],
@@ -614,47 +521,22 @@ pub fn recover_pe_manifest(dir: &Path, pe_index: usize) -> PeRecovery {
 /// `quarantined_snapshots` / `io_faults` metrics.
 pub fn recover_pe_manifest_vfs(vfs: &dyn Vfs, dir: &Path, pe_index: usize) -> PeRecovery {
     let mut recovery = PeRecovery::default();
-    let mut candidates = vec![manifest_path(dir, pe_index)];
-    let mut gens: Vec<u64> = match std::fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                if name.contains(".tmp") || !name.ends_with(".manifest") {
-                    return None;
-                }
-                generation_of(&name, pe_index)
-            })
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    gens.sort_unstable();
-    gens.dedup();
-    for g in gens.into_iter().rev() {
-        candidates.push(gen_manifest_path(dir, pe_index, g));
-    }
-    let mut tried_any = false;
-    for candidate in candidates {
-        match try_read_manifest(vfs, dir, &candidate) {
-            Ok(Some(set)) => {
+    for gen in generations_on_disk(dir, pe_index).into_iter().rev() {
+        let path = generation_path(dir, pe_index, gen);
+        match read_sealed(vfs, &path, GEN_MAGIC) {
+            Ok((_, set)) => {
                 recovery.set = Some(set);
-                recovery.fell_back = tried_any;
-                return recovery;
+                break;
             }
-            Ok(None) => continue, // candidate doesn't exist — not damage
-            Err(err) => {
-                tried_any = true;
-                let victim = match err {
-                    ManifestError::Manifest(_) => candidate.clone(),
-                    ManifestError::Blob(blob, _) => blob,
-                };
-                if quarantine_file(vfs, &victim) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+            Err(_) => {
+                recovery.fell_back = true;
+                if quarantine_file(vfs, &path) {
                     recovery.quarantined += 1;
                 }
             }
         }
     }
-    recovery.fell_back = tried_any;
     recovery
 }
 
@@ -678,6 +560,8 @@ pub(crate) fn quarantine_file(vfs: &dyn Vfs, path: &Path) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::test_runner::TestCaseError;
+    use proptest::{prop_assert, prop_assert_eq};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_ID: AtomicU64 = AtomicU64::new(0);
@@ -713,118 +597,184 @@ mod tests {
         assert!(decode_kv(b"a 1\na 2\n").is_err(), "duplicate keys rejected");
     }
 
+    fn recovered(dir: &Path, pe: usize) -> SnapshotSet {
+        let rec = recover_pe_manifest(dir, pe);
+        assert_eq!((rec.quarantined, rec.fell_back), (0, false), "{dir:?}");
+        rec.set.expect("a committed generation")
+    }
+
+    fn names_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = file_names(dir).collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn manifest_round_trips_and_retains_exactly_two_generations() {
+    fn generation_round_trips_and_retains_exactly_two_generations() {
         let dir = temp_dir();
         let mut w = PeCheckpointer::new(&dir, 3).unwrap();
         w.write(&parts("g1")).unwrap();
-        assert_eq!(read_pe_manifest(&dir, 3).unwrap().unwrap(), parts("g1"));
+        assert_eq!(recovered(&dir, 3), parts("g1"));
         w.write(&parts("g2")).unwrap();
-        assert_eq!(read_pe_manifest(&dir, 3).unwrap().unwrap(), parts("g2"));
+        assert_eq!(recovered(&dir, 3), parts("g2"));
         // Generation 1 is the fallback: still on disk after write 2…
-        let has_gen = |g: u64| {
-            std::fs::read_dir(&dir)
-                .unwrap()
-                .filter_map(|e| e.ok())
-                .any(|e| {
-                    e.file_name()
-                        .to_string_lossy()
-                        .starts_with(&format!("pe3-g{g}"))
-                })
-        };
-        assert!(has_gen(1), "previous generation must be retained");
+        assert_eq!(names_in(&dir), ["pe3-g1.ckpt", "pe3-g2.ckpt"]);
         // …and garbage collected after write 3.
         w.write(&parts("g3")).unwrap();
-        assert!(!has_gen(1), "generation 1 must be GCed after write 3");
-        assert!(has_gen(2) && has_gen(3));
+        assert_eq!(names_in(&dir), ["pe3-g2.ckpt", "pe3-g3.ckpt"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn missing_manifest_is_none_not_error() {
+    fn write_is_five_operations_whatever_the_number_of_parts() {
+        use crate::vfs::FaultVfs;
+        for k in [1, 3] {
+            let dir = temp_dir();
+            let vfs = Arc::new(FaultVfs::default());
+            let mut w = PeCheckpointer::new_with_vfs(&dir, 0, vfs.clone()).unwrap();
+            let set: SnapshotSet = (0..k)
+                .map(|i| (format!("op {i}"), vec![i as u8; 100]))
+                .collect();
+            let mut ops = Vec::new();
+            for _ in 0..4 {
+                let before = vfs.ops_performed();
+                w.write(&set).unwrap();
+                ops.push(vfs.ops_performed() - before);
+            }
+            // Create, write, fsync, rename, fsync_dir; from the third write
+            // on, one remove for the generation that falls out of the two.
+            assert_eq!(ops, [5, 5, 6, 6], "{k} parts");
+            assert_eq!(recovered(&dir, 0), set);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn missing_generation_is_none_not_damage() {
         let dir = temp_dir();
-        assert!(read_pe_manifest(&dir, 0).unwrap().is_none());
+        let rec = recover_pe_manifest(&dir, 0);
+        assert!(rec.set.is_none());
+        assert_eq!((rec.quarantined, rec.fell_back), (0, false));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn truncated_manifest_is_invalid_data() {
+    fn truncated_generation_is_invalid_data() {
         let dir = temp_dir();
         let mut w = PeCheckpointer::new(&dir, 0).unwrap();
         w.write(&[("a".to_string(), b"x 1\n".to_vec())]).unwrap();
-        let path = manifest_path(&dir, 0);
-        let full = std::fs::read_to_string(&path).unwrap();
-        for cut in 0..full.len().saturating_sub(4) {
-            std::fs::write(&path, &full.as_bytes()[..cut]).unwrap();
-            let err = read_pe_manifest(&dir, 0).expect_err("torn manifest must fail");
+        let path = generation_path(&dir, 0, 1);
+        let full = std::fs::read(&path).unwrap();
+        for cut in 0..full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let err = read_sealed(&RealVfs, &path, GEN_MAGIC).expect_err("torn generation");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn blob_length_mismatch_is_invalid_data() {
+    fn payload_length_mismatch_is_invalid_data() {
         let dir = temp_dir();
         let mut w = PeCheckpointer::new(&dir, 1).unwrap();
         w.write(&[("a".to_string(), b"cursor 99\n".to_vec())])
             .unwrap();
-        // Truncate the blob the manifest names.
-        let blob = dir.join("pe1-g1-0.ckpt");
-        std::fs::write(&blob, b"cursor").unwrap();
-        let err = read_pe_manifest(&dir, 1).expect_err("length mismatch must fail");
+        // Drop the payload's last byte.
+        let path = generation_path(&dir, 1, 1);
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - 1]).unwrap();
+        let err = read_sealed(&RealVfs, &path, GEN_MAGIC).expect_err("length mismatch");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn blob_hash_mismatch_is_invalid_data() {
+    fn payload_hash_mismatch_is_invalid_data() {
         let dir = temp_dir();
         let mut w = PeCheckpointer::new(&dir, 1).unwrap();
         w.write(&[("a".to_string(), b"cursor 99\n".to_vec())])
             .unwrap();
-        // Same length, one byte flipped: only the hash can catch it.
-        std::fs::write(dir.join("pe1-g1-0.ckpt"), b"cursor 98\n").unwrap();
-        let err = read_pe_manifest(&dir, 1).expect_err("bit-rot must fail");
+        // Same length, one payload byte changed: only the hash can catch it.
+        let path = generation_path(&dir, 1, 1);
+        let mut full = std::fs::read(&path).unwrap();
+        let at = full.len() - 2;
+        assert_eq!(full[at], b'9');
+        full[at] = b'8';
+        std::fs::write(&path, &full).unwrap();
+        let err = read_sealed(&RealVfs, &path, GEN_MAGIC).expect_err("bit-rot");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("hash"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn recovery_quarantines_a_rotted_blob_and_falls_back_a_generation() {
+    fn recovery_quarantines_a_rotted_generation_and_falls_back() {
         let dir = temp_dir();
         let mut w = PeCheckpointer::new(&dir, 2).unwrap();
         w.write(&parts("g1")).unwrap();
         w.write(&parts("g2")).unwrap();
-        // Rot a generation-2 blob: pointer and g2 manifest both point at it.
-        std::fs::write(dir.join("pe2-g2-0.ckpt"), b"seq XX\n").unwrap();
+        let newest = generation_path(&dir, 2, 2);
+        let mut bytes = std::fs::read(&newest).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&newest, &bytes).unwrap();
         let rec = recover_pe_manifest(&dir, 2);
         assert_eq!(rec.set.unwrap(), parts("g1"), "must fall back to gen 1");
         assert!(rec.fell_back);
-        assert_eq!(rec.quarantined, 1, "the rotted blob is quarantined once");
+        assert_eq!(
+            rec.quarantined, 1,
+            "the rotted generation is quarantined once"
+        );
         assert!(
-            dir.join("pe2-g2-0.ckpt.corrupt-1").exists(),
+            dir.join("pe2-g2.ckpt.corrupt-1").exists(),
             "evidence preserved"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn recovery_quarantines_a_torn_pointer_and_reads_the_gen_manifest() {
+    fn recovery_quarantines_a_torn_generation_and_reads_the_previous_one() {
         let dir = temp_dir();
         let mut w = PeCheckpointer::new(&dir, 4).unwrap();
         w.write(&parts("g1")).unwrap();
-        let pointer = manifest_path(&dir, 4);
-        let full = std::fs::read(&pointer).unwrap();
-        std::fs::write(&pointer, &full[..full.len() / 2]).unwrap();
+        w.write(&parts("g2")).unwrap();
+        let newest = generation_path(&dir, 4, 2);
+        let full = std::fs::read(&newest).unwrap();
+        std::fs::write(&newest, &full[..full.len() / 2]).unwrap();
         let rec = recover_pe_manifest(&dir, 4);
         assert_eq!(
             rec.set.unwrap(),
             parts("g1"),
-            "per-generation manifest rescues the set"
+            "generation 1 rescues the set"
         );
         assert!(rec.fell_back);
         assert_eq!(rec.quarantined, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn garbage_collection_keeps_quarantined_evidence() {
+        let dir = temp_dir();
+        let mut w = PeCheckpointer::new(&dir, 2).unwrap();
+        w.write(&parts("g1")).unwrap();
+        w.write(&parts("g2")).unwrap();
+        std::fs::write(generation_path(&dir, 2, 2), b"rot").unwrap();
+        assert_eq!(w.recover().quarantined, 1);
+        // Two more commits: generations 1 and 2 fall out of the window.
+        w.write(&parts("g3")).unwrap();
+        w.write(&parts("g4")).unwrap();
+        assert_eq!(
+            names_in(&dir),
+            ["pe2-g2.ckpt.corrupt-1", "pe2-g3.ckpt", "pe2-g4.ckpt"],
+            "evidence kept for post-mortems"
+        );
+        // Nor is evidence a generation a reopened writer resumes past.
+        std::fs::write(generation_path(&dir, 2, 4), b"rot").unwrap();
+        assert_eq!(recover_pe_manifest(&dir, 2).set.unwrap(), parts("g3"));
+        let mut w = PeCheckpointer::new(&dir, 2).unwrap();
+        w.write(&parts("g4 again")).unwrap();
+        assert_eq!(recovered(&dir, 2), parts("g4 again"));
+        assert!(dir.join("pe2-g4.ckpt.corrupt-1").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -833,17 +783,14 @@ mod tests {
         let dir = temp_dir();
         let mut w = PeCheckpointer::new(&dir, 5).unwrap();
         w.write(&parts("g1")).unwrap();
+        w.write(&parts("g2")).unwrap();
         for entry in std::fs::read_dir(&dir).unwrap().filter_map(|e| e.ok()) {
-            if entry.file_name().to_string_lossy().ends_with(".manifest") {
-                std::fs::write(entry.path(), b"garbage").unwrap();
-            } else {
-                std::fs::write(entry.path(), b"rot").unwrap();
-            }
+            std::fs::write(entry.path(), b"rot").unwrap();
         }
         let rec = recover_pe_manifest(&dir, 5);
         assert!(rec.set.is_none(), "nothing usable: degrade, don't error");
         assert!(rec.fell_back);
-        assert!(rec.quarantined >= 1);
+        assert_eq!(rec.quarantined, 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -856,23 +803,21 @@ mod tests {
         drop(w);
         // Simulate a process killed mid-write: scratch debris for this PE
         // and for a neighbour.
-        std::fs::write(dir.join("pe0-g3-0.ckpt.tmp-99-7"), b"half").unwrap();
-        std::fs::write(dir.join("pe0.manifest.tmp-99-8"), b"half").unwrap();
-        std::fs::write(dir.join("pe1-g1-0.ckpt.tmp-99-9"), b"other pe").unwrap();
+        std::fs::write(dir.join("pe0-g3.ckpt.tmp-99-7"), b"half").unwrap();
+        std::fs::write(dir.join("pe1-g1.ckpt.tmp-99-9"), b"other pe").unwrap();
         let mut w2 = PeCheckpointer::new(&dir, 0).unwrap();
         assert!(
-            !dir.join("pe0-g3-0.ckpt.tmp-99-7").exists()
-                && !dir.join("pe0.manifest.tmp-99-8").exists(),
+            !dir.join("pe0-g3.ckpt.tmp-99-7").exists(),
             "this PE's scratch debris must be swept"
         );
         assert!(
-            dir.join("pe1-g1-0.ckpt.tmp-99-9").exists(),
+            dir.join("pe1-g1.ckpt.tmp-99-9").exists(),
             "another PE's scratch files are not ours to sweep"
         );
-        // The resumed counter must not reuse generation 1 or 2 blob names.
+        // The resumed counter must not reuse generation 1 or 2.
         w2.write(&parts("g3")).unwrap();
-        assert!(dir.join("pe0-g3-0.ckpt").exists(), "next write is gen 3");
-        assert_eq!(read_pe_manifest(&dir, 0).unwrap().unwrap(), parts("g3"));
+        assert!(dir.join("pe0-g3.ckpt").exists(), "next write is gen 3");
+        assert_eq!(recovered(&dir, 0), parts("g3"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -916,7 +861,7 @@ mod tests {
             2,
             "five captures behind a blocked write are one write"
         );
-        assert_eq!(read_pe_manifest(&dir, 0).unwrap().unwrap(), parts("6"));
+        assert_eq!(recovered(&dir, 0), parts("6"));
         wb.flush(); // idle: returns at once
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -936,7 +881,7 @@ mod tests {
         gate.send(()).unwrap();
         drop(wb);
         assert_eq!(writes.load(Ordering::SeqCst), 2);
-        assert_eq!(read_pe_manifest(&dir, 0).unwrap().unwrap(), parts("2"));
+        assert_eq!(recovered(&dir, 0), parts("2"));
         assert_eq!(started.try_recv(), Ok(()), "write 2 reported in");
         assert_eq!(
             started.try_recv(),
@@ -964,6 +909,49 @@ mod tests {
         wb.submit(5);
         wb.flush();
         assert_eq!(written.load(Ordering::SeqCst), 5);
+    }
+
+    /// Two committed generations, then `damage` applied to the newest
+    /// file: recovery must return exactly generation 1, having quarantined
+    /// the newest — never a third set, never a panic.
+    fn falls_back_past(damage: impl FnOnce(&mut Vec<u8>)) -> Result<(), TestCaseError> {
+        let dir = temp_dir();
+        let mut w = PeCheckpointer::new(&dir, 0).unwrap();
+        w.write(&parts("g1")).unwrap();
+        w.write(&parts("g2")).unwrap();
+        let newest = generation_path(&dir, 0, 2);
+        let mut bytes = std::fs::read(&newest).unwrap();
+        damage(&mut bytes);
+        std::fs::write(&newest, &bytes).unwrap();
+        let rec = recover_pe_manifest(&dir, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+        prop_assert_eq!(rec.set, Some(parts("g1")));
+        prop_assert_eq!(rec.quarantined, 1);
+        prop_assert!(rec.fell_back);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The newest generation truncated at *any* byte offset.
+        #[test]
+        fn truncation_at_any_byte_offset_falls_back_a_generation(frac in 0.0f64..1.0) {
+            falls_back_past(|bytes| {
+                let cut = ((bytes.len() as f64) * frac) as usize;
+                bytes.truncate(cut.min(bytes.len() - 1));
+            })?;
+        }
+
+        /// One flipped bit at *any* byte offset of the newest generation:
+        /// the seal covers every byte, names and lengths included.
+        #[test]
+        fn corruption_at_any_byte_offset_falls_back_a_generation(frac in 0.0f64..1.0) {
+            falls_back_past(|bytes| {
+                let at = (((bytes.len() as f64) * frac) as usize).min(bytes.len() - 1);
+                bytes[at] ^= 0x01;
+            })?;
+        }
     }
 
     #[test]

@@ -1078,7 +1078,7 @@ fn capture_pe(slots: &mut [OpSlot], metas: &[ChanMeta]) -> Option<Capture> {
 
 /// A PE's durability, written behind its scheduler: the PE thread captures
 /// (`capture_pe`), the writer thread runs [`PeCheckpointer::write`] and
-/// only after the pointer-manifest commit lets the links acknowledge — so
+/// only after the generation file's rename lets the links acknowledge — so
 /// an `ACK` still means durable, while the fsyncs cost the engine nothing.
 /// A failed write is never a panic: the previous generations stay
 /// readable, the skip is counted, and each consecutive failure doubles the
@@ -1167,7 +1167,7 @@ fn submit_capture(pe: &mut PeCore) {
 
 /// The PE's best durable generation, read behind its writer — what every
 /// restart restores from, at all three supervision levels. Degrading: a
-/// torn or bit-rotted manifest or blob is quarantined aside and the
+/// torn or bit-rotted generation file is quarantined aside and the
 /// previous generation is used, never an error; that is reported and
 /// counted here (PE-attributed to the first slot). `None` without a
 /// checkpoint dir or a usable generation: the state in memory stands.
@@ -2324,11 +2324,12 @@ mod tests {
         assert_eq!(data.len(), 500, "restored cursor must not skip or repeat");
         assert!(data.windows(2).all(|w| w[1] == w[0] + 1), "order violated");
         assert_eq!(report.op("src").unwrap().get(Counter::PeRestarts), 1);
-        // The teardown manifest is on disk and names the durable source.
-        let manifest = crate::checkpoint::read_pe_manifest(&dir, 0)
-            .unwrap()
-            .expect("PE 0 wrote a manifest");
-        assert!(manifest.iter().any(|(name, _)| name == "src"));
+        // The teardown generation is on disk, whole, and names the durable
+        // source.
+        let rec = crate::checkpoint::recover_pe_manifest(&dir, 0);
+        assert_eq!((rec.quarantined, rec.fell_back), (0, false));
+        let set = rec.set.expect("PE 0 wrote a generation");
+        assert!(set.iter().any(|(name, _)| name == "src"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2633,9 +2634,9 @@ mod tests {
 
     #[test]
     fn a_degraded_rehydrate_is_counted_like_a_degraded_restart() {
-        // Two generations on disk, the pointer manifest torn: a respawned
-        // worker's rehydrate falls back to a generation manifest, and the
-        // damage shows in the run's counters.
+        // Two generations on disk, the newest torn: a respawned worker's
+        // rehydrate falls back to the older one, and the damage shows in
+        // the run's counters.
         let dir = std::env::temp_dir().join(format!("spca_engine_rehy_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut ckpt = PeCheckpointer::new(&dir, 0).unwrap();
@@ -2643,15 +2644,15 @@ mod tests {
             ckpt.write(&[("op".to_string(), state.as_bytes().to_vec())])
                 .unwrap();
         }
-        let pointer = ckpt.manifest_path();
-        let whole = std::fs::read(&pointer).unwrap();
-        std::fs::write(&pointer, &whole[..whole.len() / 2]).unwrap();
+        let newest = dir.join("pe0-g2.ckpt");
+        let whole = std::fs::read(&newest).unwrap();
+        std::fs::write(&newest, &whole[..whole.len() / 2]).unwrap();
 
         let mut pe = lone_pe(Vec::new());
         let counters = Arc::clone(&pe.slots[0].counters);
         pe.checkpoint = Some(PeDurability::new(ckpt, 0, Arc::clone(&counters)));
         let parts = recover_for_rehydrate(&mut pe).expect("an older generation is whole");
-        assert_eq!(parts, vec![("op".to_string(), b"two".to_vec())]);
+        assert_eq!(parts, vec![("op".to_string(), b"one".to_vec())]);
         let seen = counters.snapshot();
         assert_eq!(seen.get(Counter::QuarantinedSnapshots), 1);
         assert_eq!(seen.get(Counter::IoFaults), 1);

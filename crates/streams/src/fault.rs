@@ -43,9 +43,10 @@
 //!
 //! The `io-*` kinds target the *storage layer* rather than an operator or
 //! link: their "target" word names a fault domain (`pe` for checkpoint
-//! blobs/manifests, `store` for backfill state files, `op` for the global
+//! generation files, `store` for backfill state files, `op` for the global
 //! disk-operation counter) and their indices count disk writes/operations,
-//! not tuples. They compile into an [`crate::vfs::IoFaultSpec`] via
+//! not tuples. A PE checkpoint generation is one `pe` write and five
+//! operations, so `io-torn@pe:N` tears the N-th generation written. They compile into an [`crate::vfs::IoFaultSpec`] via
 //! [`FaultPlan::io_spec`] and are injected by [`crate::vfs::FaultVfs`].
 //!
 //! The `net-*` kinds target the *wire* the same way: the domain word
@@ -111,7 +112,7 @@ pub enum FaultAction {
 /// The persistence domain a storage fault applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageDomain {
-    /// PE checkpoint blobs and manifests.
+    /// PE checkpoint generation files.
     PeCheckpoint,
     /// Backfill state-store entries.
     StateStore,

@@ -106,9 +106,9 @@ impl GraphBuilder {
 
     /// Enables periodic per-PE checkpointing into `dir`: every PE hosting
     /// at least one [`Checkpoint`](crate::checkpoint::Checkpoint)-able
-    /// operator writes a consistent snapshot set (blobs + manifest) at the
-    /// operators' cadence, and a restarted PE rehydrates from the latest
-    /// manifest. Without a checkpoint dir, whole-PE restarts still work but
+    /// operator writes a consistent snapshot set (one generation file) at
+    /// the operators' cadence, and a restarted PE rehydrates from the
+    /// latest whole generation. Without a checkpoint dir, whole-PE restarts still work but
     /// recover purely from the surviving in-memory operator state.
     pub fn with_checkpoint_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());

@@ -29,7 +29,7 @@ pub enum Counter {
     /// Storage faults survived: failed checkpoint writes, damaged files
     /// found at recovery.
     IoFaults,
-    /// Checkpoint/manifest files moved aside as `*.corrupt-N` at recovery.
+    /// Checkpoint generation files moved aside as `*.corrupt-N` at recovery.
     QuarantinedSnapshots,
     /// Periodic PE checkpoints skipped because the write failed (ENOSPC,
     /// fsync error, dead device) — the PE keeps running and backs off.

@@ -26,11 +26,11 @@
 //! schedule.
 //!
 //! Paths are classified into fault domains by their file names, which are
-//! fixed by this workspace's formats: `pe*-g*-*.ckpt` / `pe*…manifest`
-//! files belong to the PE-checkpoint domain, `*.state` files to the
-//! state-store domain. Scratch-file suffixes (`.tmp-…`) are stripped
-//! before classification so a fault aimed at a manifest fires on the
-//! scratch file that would become that manifest.
+//! fixed by this workspace's formats: `pe*.ckpt` generation files belong
+//! to the PE-checkpoint domain, `*.state` files to the state-store domain.
+//! Scratch-file suffixes (`.tmp-…`) are stripped before classification so
+//! a fault aimed at a generation fires on the scratch file that would
+//! become it — one PE-checkpoint write per generation.
 
 use std::io;
 use std::path::Path;
@@ -113,7 +113,7 @@ impl Vfs for RealVfs {
 /// Which persistence path a file belongs to, for domain-scoped faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoDomain {
-    /// PE checkpoint blobs and manifests (`pe*-g*-*.ckpt`, `pe*…manifest`).
+    /// PE checkpoint generation files (`pe*-g*.ckpt`).
     PeCheckpoint,
     /// Backfill state-store entries (`*.state`).
     StateStore,
@@ -132,7 +132,7 @@ pub fn domain_of(path: &Path) -> IoDomain {
         Some(i) => &name[..i],
         None => &name[..],
     };
-    if logical.starts_with("pe") && (logical.ends_with(".ckpt") || logical.ends_with(".manifest")) {
+    if logical.starts_with("pe") && logical.ends_with(".ckpt") {
         IoDomain::PeCheckpoint
     } else if logical.ends_with(".state") {
         IoDomain::StateStore
@@ -349,15 +349,11 @@ mod tests {
     #[test]
     fn domains_classify_by_logical_file_name() {
         assert_eq!(
-            domain_of(Path::new("/d/pe0-g3-1.ckpt")),
+            domain_of(Path::new("/d/pe0-g3.ckpt")),
             IoDomain::PeCheckpoint
         );
         assert_eq!(
-            domain_of(Path::new("/d/pe2.manifest")),
-            IoDomain::PeCheckpoint
-        );
-        assert_eq!(
-            domain_of(Path::new("/d/pe2.manifest.tmp-77-3")),
+            domain_of(Path::new("/d/pe2-g4.ckpt.tmp-77-3")),
             IoDomain::PeCheckpoint,
             "scratch suffix is stripped before classification"
         );
@@ -382,8 +378,8 @@ mod tests {
             enospc_pe: vec![2],
             ..Default::default()
         });
-        let a = dir.join("pe0-g1-0.ckpt");
-        let b = dir.join("pe0-g1-1.ckpt");
+        let a = dir.join("pe0-g1.ckpt");
+        let b = dir.join("pe0-g2.ckpt");
         v.create(&a).unwrap();
         v.write(&a, b"first").unwrap();
         v.create(&b).unwrap();
@@ -404,7 +400,7 @@ mod tests {
             torn_pe: vec![1],
             ..Default::default()
         });
-        let p = dir.join("pe1-g1-0.ckpt");
+        let p = dir.join("pe1-g1.ckpt");
         v.create(&p).unwrap();
         v.write(&p, b"0123456789").unwrap();
         assert_eq!(std::fs::read(&p).unwrap(), b"01234");

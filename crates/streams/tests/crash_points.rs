@@ -1,8 +1,8 @@
 //! Crash-point recovery harness (ISSUE 8 tentpole).
 //!
 //! A PE checkpoint is a sequence of VFS operations
-//! (create/write/fsync/rename/fsync-dir per atomic file, plus GC
-//! removes). This harness first runs a fixed multi-generation checkpoint
+//! (create/write/fsync/rename/fsync-dir of its one generation file, plus
+//! GC removes). This harness first runs a fixed multi-generation checkpoint
 //! workload fault-free to *enumerate* those operations, then replays the
 //! same workload once per operation index K with a sticky crash injected
 //! at K — operation K and everything after it fails, simulating the
@@ -24,7 +24,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const PE: usize = 0;
-const STEPS: u64 = 3;
+/// Five generations: 5 operations each plus a GC remove from the third on,
+/// 28 operations fault-free.
+const STEPS: u64 = 5;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("spca_crashpt_{}_{name}", std::process::id()))
@@ -32,7 +34,7 @@ fn tmp(name: &str) -> PathBuf {
 
 /// The canonical checkpoint contents after workload step `step`. Two
 /// parts per step — one with a space in its operator name (exercising
-/// the manifest's name-last field) — whose payloads are a deterministic
+/// the generation file's name-last field) — whose payloads are a deterministic
 /// function of the step, so a recovered set identifies exactly which
 /// step it came from.
 fn canonical_parts(step: u64) -> SnapshotSet {
@@ -166,10 +168,10 @@ fn crash_during_recovery_is_also_safe() {
     for r in run_workload(&mut ckpt, 0) {
         r.unwrap();
     }
-    // Tear the pointer manifest so recovery has quarantine work to do.
-    let pointer = ckpt.manifest_path();
-    let bytes = std::fs::read(&pointer).unwrap();
-    std::fs::write(&pointer, &bytes[..bytes.len() / 2]).unwrap();
+    // Tear the newest generation so recovery has quarantine work to do.
+    let newest = dir.join(format!("pe{PE}-g{STEPS}.ckpt"));
+    let bytes = std::fs::read(&newest).unwrap();
+    std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
     drop(ckpt);
 
     for k in 1..=6 {

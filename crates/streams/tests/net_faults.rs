@@ -145,7 +145,7 @@ fn delivery_under_wire_faults_is_bit_identical() {
 }
 
 /// [`Collect`] with its log as checkpointable state, so a rehydrated sink
-/// holds exactly the tuples its manifest covers.
+/// holds exactly the tuples its checkpoint covers.
 struct DurableCollect(Collect);
 
 impl Operator for DurableCollect {
@@ -200,7 +200,7 @@ impl Checkpoint for DurableCollect {
 /// in the middle of its second generation's write — that capture, and
 /// every later one, is taken but never committed — and then the partition
 /// itself goes, with the whole stream consumed in memory. The sender may
-/// have forgotten only what the one *committed* manifest covers: a respawn
+/// have forgotten only what the one *committed* generation covers: a respawn
 /// on the same address, rehydrated from the directory, must be replayed
 /// everything after it and end up with the fault-free stream.
 #[test]
@@ -217,7 +217,7 @@ fn consumer_lost_between_capture_and_commit_is_replayed_from_the_last_commit() {
             "src",
             Box::new(CountSource {
                 next: 0,
-                hold: Some((100, dir.join("pe1.manifest"))),
+                hold: Some((100, dir.join("pe1-g1.ckpt"))),
             }),
         );
         let sink = g.add_op(
@@ -236,18 +236,18 @@ fn consumer_lost_between_capture_and_commit_is_replayed_from_the_last_commit() {
         rehydrate,
     };
 
-    // First incarnation. A generation is 20 disk operations here (two
-    // parts, a generation manifest and the pointer, five operations each),
-    // so operation 27 is inside the second one's second blob: the
-    // generation the source waits for commits, none after it. However the
-    // later captures coalesce, there is a second write — at the latest
-    // the terminal capture, which is flushed.
+    // First incarnation. A generation is one file, five disk operations
+    // (create, write, fsync, rename, fsync_dir), so generation 1 is
+    // operations 1-5 and operation 7 is generation 2's write — before its
+    // rename, the commit: the generation the source waits for commits,
+    // none after it. However the later captures coalesce, there is a
+    // second write — at the latest the terminal capture, which is flushed.
     let net_b = NetTransport::bind("127.0.0.1:0").expect("bind b");
     let addr_b = net_b.local_addr();
     let lost: SeenLog = Arc::new(Mutex::new(Vec::new()));
     let doomed = build(&lost)
         .with_checkpoint_dir(&dir)
-        .with_fault_plan(FaultPlan::parse("io-crash@op:27").expect("plan"));
+        .with_fault_plan(FaultPlan::parse("io-crash@op:7").expect("plan"));
     let run_b = Engine::start_in_partition(doomed, consumer(&net_b, false));
 
     let net_a = NetTransport::bind("127.0.0.1:0").expect("bind a");

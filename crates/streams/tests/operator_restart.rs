@@ -1,4 +1,4 @@
-//! Operator-level restart reads the PE manifest — the same durable copy a
+//! Operator-level restart reads the PE checkpoint — the same durable copy a
 //! PE restart and a respawned worker read. These tests drive a consenting,
 //! checkpointable operator through the supervisor's panic path and pin
 //! what it is restored from: the teardown capture after an injected panic,
@@ -148,11 +148,11 @@ fn injected_panic_round_trips_the_exact_state_through_the_manifest() {
 
 #[test]
 fn torn_teardown_capture_falls_back_to_the_previous_generation() {
-    // Generation 1 (writes 1-3: blob, generation manifest, pointer) is the
-    // first panic's teardown capture; generation 2 is the second's, and
-    // its blob (write 4) lands torn. The restart quarantines it and
-    // restores generation 1: 100 counted, then the 95 tuples after #205.
-    let plan = "panic@tally:100,panic@tally:205,io-torn@pe:4";
+    // A generation is one PE-checkpoint write. Generation 1 (write 1) is
+    // the first panic's teardown capture; generation 2 (write 2) is the
+    // second's, and lands torn. The restart quarantines it and restores
+    // generation 1: 100 counted, then the 95 tuples after #205.
+    let plan = "panic@tally:100,panic@tally:205,io-torn@pe:2";
     let o = run("torn", plan, 300, NO_PERIODIC, None);
     assert_eq!(o.report.op("tally").unwrap().get(Counter::Restarts), 2);
     assert_eq!(o.probe.restored_seen.load(Ordering::SeqCst), 100);

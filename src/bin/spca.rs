@@ -277,19 +277,21 @@ is the default. run and serve read exactly one of --input, --listen, --url.
   stall@ENGINE:N:MS, kill-pe@ENGINE:N, drop@FROM>TO:N, dup@FROM>TO:N,
   delay@FROM>TO:N:MS (e.g. \"panic@engine1:5000\"). kill-pe tears down the
   whole processing element hosting the target operator; every operator in
-  it is rebuilt and rehydrated from the per-PE snapshot manifest. Pair
-  with --snapshot-dir DIR so crashed engines and PEs are restored from
-  their PE's snapshot manifest (DIR/pe) instead of losing their state.
+  it is rebuilt and rehydrated from the PE's checkpoint. Pair with
+  --snapshot-dir DIR so crashed engines and PEs are restored from their
+  PE's latest checkpoint generation (one file, DIR/pe/pe<i>-g<G>.ckpt)
+  instead of losing their state.
 
   Storage faults drill the persistence layer itself: io-enospc@pe:N
-  (N-th PE checkpoint write fails with ENOSPC), io-torn@pe:N (N-th PE
-  checkpoint write lands half its bytes), io-fsync-err (every fsync
-  fails), io-corrupt@store:N (N-th backfill state-store write flips its
-  last byte), io-crash@op:K (the K-th storage operation and everything
-  after it fails, simulating a dead device). The run degrades instead of
-  dying: failed checkpoints are skipped with backoff, torn or rotted
-  files are quarantined to *.corrupt-N and recovery falls back to the
-  previous manifest generation. Every absorbed fault shows up in the
+  (N-th PE checkpoint generation write fails with ENOSPC), io-torn@pe:N
+  (N-th generation write lands half its bytes), io-fsync-err (every
+  fsync fails), io-corrupt@store:N (N-th backfill state-store write flips
+  its last byte), io-crash@op:K (the K-th storage operation and
+  everything after it fails, simulating a dead device; a generation is
+  five operations). The run degrades instead of dying: failed
+  checkpoints are skipped with backoff, torn or rotted generations are
+  quarantined to *.corrupt-N and recovery falls back to the previous
+  one. Every absorbed fault shows up in the
   fault summary and /metrics (spca_io_faults, spca_quarantined_snapshots,
   spca_checkpoint_skips).
 
