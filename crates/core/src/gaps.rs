@@ -12,7 +12,7 @@
 
 use crate::eigensystem::EigenSystem;
 use crate::{PcaError, Result};
-use spca_linalg::solve::{spd_solve, spd_solve_into, SolveWorkspace};
+use spca_linalg::solve::{spd_solve_into, SolveWorkspace};
 use spca_linalg::{vecops, Mat};
 
 /// Result of patching an incomplete observation.
@@ -243,67 +243,10 @@ fn masked_gram_from_missing(
     }
 }
 
-/// Fits an overall normalization shift together with the gap fill (Wild et
-/// al. 2007 extension): finds scalar `s` and coefficients `c` minimizing
-/// `Σ_observed (x_i − s·µ_i − Σ_j c_j E_ij)²`, and returns `(s, c)`.
-///
-/// Spectra are normalized before entering PCA (§II-D); when bins are
-/// missing the normalization itself is biased, and jointly fitting the
-/// scale of the mean spectrum removes that bias.
-pub fn masked_scale_and_coefficients(
-    eig: &EigenSystem,
-    x: &[f64],
-    mask: &[bool],
-    k: usize,
-) -> Result<(f64, Vec<f64>)> {
-    let d = eig.dim();
-    if x.len() != d || mask.len() != d {
-        return Err(PcaError::DimensionMismatch {
-            expected: d,
-            got: x.len(),
-        });
-    }
-    let k = k.min(eig.n_components());
-    // Augmented design: columns [µ | e_1 .. e_k] restricted to observed bins.
-    let m = k + 1;
-    let mut g = Mat::zeros(m, m);
-    let mut b = vec![0.0; m];
-    let col = |j: usize, i: usize| -> f64 {
-        if j == 0 {
-            eig.mean[i]
-        } else {
-            eig.basis[(i, j - 1)]
-        }
-    };
-    let mut any = false;
-    for i in 0..d {
-        if !mask[i] {
-            continue;
-        }
-        any = true;
-        for a in 0..m {
-            let ca = col(a, i);
-            b[a] += ca * x[i];
-            for c in a..m {
-                g[(a, c)] += ca * col(c, i);
-            }
-        }
-    }
-    if !any {
-        return Err(PcaError::AllMissing);
-    }
-    for a in 0..m {
-        for c in 0..a {
-            g[(a, c)] = g[(c, a)];
-        }
-    }
-    let sol = spd_solve(&g, &b)?;
-    Ok((sol[0], sol[1..].to_vec()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spca_linalg::solve::spd_solve;
 
     /// Eigensystem spanning axes 0 and 1 of R⁵ with mean (1,..,1).
     fn system() -> EigenSystem {
@@ -380,16 +323,6 @@ mod tests {
             fill_gaps(&e, &x, &[false; 5], 2, 1).unwrap_err(),
             PcaError::AllMissing
         );
-    }
-
-    #[test]
-    fn scale_fit_recovers_brightness() {
-        let e = system();
-        // A twice-as-bright version of the mean, partially observed.
-        let x: Vec<f64> = e.mean.iter().map(|m| 2.0 * m).collect();
-        let mask = vec![true, true, true, false, true];
-        let (s, _c) = masked_scale_and_coefficients(&e, &x, &mask, 2).unwrap();
-        assert!((s - 2.0).abs() < 1e-6, "scale {s}");
     }
 
     #[test]

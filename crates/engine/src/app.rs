@@ -7,7 +7,9 @@
 //! picks a command's receivers, not the edges), monitor ports collected
 //! into a [`ResultsHub`], and an optional per-tuple outcome feed. There is
 //! one wiring: a run that loses an engine, a run that rescales and a run
-//! that does neither are the same graph.
+//! that does neither are the same graph. It has one source, the data: the
+//! controller is ticked by the engine reports it listens to and finishes
+//! when the last engine's monitor edge closes.
 //!
 //! Placement mirrors §III-D's two configurations: `fuse = true` puts every
 //! operator in one processing element (the "single" rows of Fig. 6 —
@@ -292,13 +294,7 @@ impl ParallelPcaApp {
             };
             let controller =
                 SyncController::new(cfg.sync, Arc::clone(&active), period, cfg.liveness_timeout);
-            let ctrl = g.add_source("sync-controller", Box::new(controller));
-            // The controller watches the data stream so it winds down with
-            // it: source out-port 1 never carries data (the generator only
-            // emits on port 0) but is punctuated at end-of-stream like
-            // every wired port, so the controller finishes exactly when
-            // the stream does — without receiving a copy of the traffic.
-            g.connect(src, 1, ctrl, PortKind::Data);
+            let ctrl = g.add_op("sync-controller", Box::new(controller));
             for (i, &eng) in engine_ids.iter().enumerate() {
                 if cfg.use_throttle {
                     let th = g.add_op(
@@ -310,8 +306,9 @@ impl ParallelPcaApp {
                 } else {
                     g.connect(ctrl, i, eng, PortKind::Control);
                 }
-                // The controller listens to every monitor port, so
-                // heartbeats and snapshots double as liveness reports.
+                // The controller listens to every monitor port:
+                // heartbeats and snapshots are liveness reports, and each
+                // one ticks it.
                 g.connect(eng, monitor_port, ctrl, PortKind::Control);
             }
         }
@@ -426,16 +423,57 @@ mod tests {
         let cfg = AppConfig::new(4, pca_cfg());
         let (g, _h) = ParallelPcaApp::build(&cfg, planted_source(10, 0));
         // source → split edge, split → 4 engines, full-mesh peer edges
-        // 4·3 = 12 (ring strategy, but mesh wiring), source → controller
-        // (shutdown watch), controller → 4 engines, 4 monitor edges,
-        // 4 monitor → controller liveness edges. Total 30.
-        assert_eq!(g.edge_list().len(), 1 + 4 + 12 + 1 + 4 + 4 + 4);
+        // 4·3 = 12 (ring strategy, but mesh wiring), controller → 4
+        // engines, 4 monitor edges, 4 monitor → controller liveness edges.
+        // Total 1 + 4 + 12 + 4 + 4 + 4 = 29.
+        assert_eq!(g.edge_list().len(), 1 + 4 + 12 + 4 + 4 + 4);
         // The split has data in-degree 1; every engine exactly 1.
         let names = g.op_names();
         assert!(names.contains(&"split"));
         assert!(names.contains(&"sync-controller"));
         assert!(names.contains(&"monitor"));
         assert_eq!(names.iter().filter(|n| n.starts_with("pca-")).count(), 4);
+    }
+
+    #[test]
+    fn synced_graph_has_one_source_and_the_controller_only_listens() {
+        let mut throttled = AppConfig::new(3, pca_cfg());
+        throttled.use_throttle = true;
+        let mut fused = AppConfig::new(2, pca_cfg());
+        fused.fuse = true;
+        let mut elastic = AppConfig::new(1, pca_cfg());
+        elastic.max_engines = Some(3);
+        for cfg in [AppConfig::new(4, pca_cfg()), throttled, fused, elastic] {
+            let n = cfg.max_engines.unwrap_or(cfg.n_engines);
+            let (g, _h) = ParallelPcaApp::build(&cfg, planted_source(10, 23));
+            let edges = g.edge_list();
+            // The scheduler drives what nothing feeds: only the data.
+            let fed: Vec<&str> = edges.iter().map(|e| g.op_name(e.2)).collect();
+            let unfed: Vec<&str> = g
+                .op_names()
+                .into_iter()
+                .filter(|name| !fed.contains(name))
+                .collect();
+            assert_eq!(unfed, ["source"]);
+            // `source` feeds the split on port 0 and nothing else.
+            let from_source: Vec<_> = edges
+                .iter()
+                .filter(|e| g.op_name(e.0) == "source")
+                .map(|e| (e.1, g.op_name(e.2), e.3))
+                .collect();
+            assert_eq!(from_source, [(0, "split", PortKind::Data)]);
+            // The controller hears exactly the n monitor ports (port n − 1,
+            // after the n − 1 peer ports).
+            let into_ctrl: Vec<_> = edges
+                .iter()
+                .filter(|e| g.op_name(e.2) == "sync-controller")
+                .map(|e| (g.op_name(e.0).to_string(), e.1, e.3))
+                .collect();
+            let monitors: Vec<_> = (0..n)
+                .map(|i| (format!("pca-{i}"), n - 1, PortKind::Control))
+                .collect();
+            assert_eq!(into_ctrl, monitors);
+        }
     }
 
     #[test]
@@ -545,9 +583,9 @@ mod tests {
         cfg.max_engines = Some(3);
         let (g, h) = ParallelPcaApp::build(&cfg, planted_source(10, 20));
         // Provisioned fleet of 3, wired like any fleet of 3: source→split 1,
-        // split→engines 3, full-mesh peer edges 3·2 = 6, source→controller
-        // 1, controller→engines 3, monitor edges 3, liveness edges 3.
-        assert_eq!(g.edge_list().len(), 1 + 3 + 6 + 1 + 3 + 3 + 3);
+        // split→engines 3, full-mesh peer edges 3·2 = 6, controller→engines
+        // 3, monitor edges 3, liveness edges 3: 1 + 3 + 6 + 3 + 3 + 3 = 19.
+        assert_eq!(g.edge_list().len(), 1 + 3 + 6 + 3 + 3 + 3);
         assert_eq!(h.active.active(), 1, "only the initial prefix is live");
         assert_eq!(h.active.max(), 3);
         assert_eq!(h.engine_states.len(), 3, "standbys have state handles");

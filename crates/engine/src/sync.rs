@@ -5,19 +5,20 @@
 //! basic case of circular synchronization, receiver number = sender number
 //! + 1. When the largest sender number is reached … loops the cycle."
 //!
-//! The controller is a *source* operator: it produces one sync command per
-//! drive, paced either internally (its own period) or by wiring a
-//! [`spca_streams::ops::Throttle`] between the controller and the engines'
-//! control ports, exactly as the paper uses the SPL `Throttle`. Output
-//! port `i` connects to engine `i`'s control port; the command tells that
-//! engine which of *its* peer-state ports to share on.
+//! The controller is an ordinary control-port operator, ticked by the
+//! reports every engine sends it (heartbeats and snapshots). A tick issues
+//! at most one sync command, paced by the controller's own period or by a
+//! [`spca_streams::ops::Throttle`] in front of the engines' control ports,
+//! exactly as the paper uses the SPL `Throttle`. Output port `i` connects
+//! to engine `i`'s control port; the command tells that engine which of
+//! *its* peer-state ports to share on.
 
 use crate::messages::{
     Heartbeat, PeerState, SyncCommand, KIND_HEARTBEAT, KIND_SNAPSHOT, KIND_SYNC_COMMAND,
 };
 use spca_streams::checkpoint::{decode_kv, encode_kv, kv_parse, kv_u64, Checkpoint};
 use spca_streams::metrics::Counter;
-use spca_streams::{ActiveSet, ControlTuple, DataTuple, OpContext, Operator, SourceState};
+use spca_streams::{ActiveSet, ControlTuple, DataTuple, OpContext, Operator};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -71,16 +72,16 @@ struct Liveness {
     /// An engine is considered dead once silent for longer than this.
     timeout: Duration,
     /// Engines that have *never* spoken get this long after the first
-    /// drive before being declared dead (startup grace).
+    /// report before being declared dead (startup grace).
     grace: Duration,
-    /// Set on the first drive; anchors the startup grace window.
+    /// Set on the first report; anchors the startup grace window.
     started: Option<Instant>,
     /// Last time each provisioned engine was heard from.
     heard: Vec<Option<Instant>>,
 }
 
-/// The controller operator. Drives one command per period, addressed to a
-/// rotating sender among the engines `0..membership.active()`.
+/// The controller operator. Each engine report ticks it, and a tick sends
+/// at most one command per period to the next sender in rotation.
 ///
 /// Engines report liveness (heartbeats / snapshots routed to the
 /// controller's control port); dead or lagging engines are skipped as
@@ -94,8 +95,8 @@ struct Liveness {
 pub struct SyncController {
     strategy: SyncStrategy,
     /// Shared membership. A fixed fleet is a handle nobody moves; under an
-    /// autoscaler the controller reconciles its ring against it on every
-    /// drive, admitting activated engines and retiring shut-down ones.
+    /// autoscaler the controller reconciles its ring with it at each tick
+    /// and at finish, admitting activated engines and retiring shut-down ones.
     membership: Arc<ActiveSet>,
     /// Ring size as of the last reconciliation.
     n_engines: usize,
@@ -119,7 +120,7 @@ pub struct SyncController {
 impl SyncController {
     /// A controller over the engines `0..membership.active()` firing every
     /// `period`. An engine silent for `liveness_timeout` is treated as
-    /// dead; never-heard engines get four timeouts from the first drive
+    /// dead; never-heard engines get four timeouts from the first report
     /// (they announce themselves with their first heartbeat, and slow
     /// starters need the slack).
     pub fn new(
@@ -207,12 +208,42 @@ impl SyncController {
             .collect();
         SyncCommand { share_ports }
     }
+
+    /// The rule, run at every report: reconcile membership, then, once
+    /// `period` has passed since the last command, issue the next one.
+    fn tick(&mut self, ctx: &mut OpContext<'_>) {
+        self.reconcile_membership(ctx);
+        if self.n_engines <= 1 || self.last.is_some_and(|last| last.elapsed() < self.period) {
+            return;
+        }
+        self.last = Some(Instant::now());
+        // One command per tick. Dead senders are skipped within the tick,
+        // so one gap cannot stall the rotation; a live sender with nobody
+        // live to talk to is a skipped exchange too. Both are counted.
+        for _ in 0..self.n_engines {
+            let sender = self.cursor;
+            self.cursor = (self.cursor + 1) % self.n_engines;
+            let live = self.alive(sender);
+            let cmd = self.command_for(sender);
+            if live && !cmd.share_ports.is_empty() {
+                let t = ControlTuple::new(KIND_SYNC_COMMAND, sender as u32, Arc::new(cmd));
+                ctx.emit_control(sender, t);
+                self.issued += 1;
+                return;
+            }
+            self.skipped_dead += 1;
+            ctx.count(Counter::SyncSkips);
+            if live {
+                return;
+            }
+        }
+    }
 }
 
 impl Operator for SyncController {
     fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
 
-    fn on_control(&mut self, t: ControlTuple, _ctx: &mut OpContext<'_>) {
+    fn on_control(&mut self, t: ControlTuple, ctx: &mut OpContext<'_>) {
         // Validate before trusting: a malformed or foreign control tuple
         // (wrong payload type, payload/header sender mismatch, out-of-range
         // sender) is *ignored with a counter*, never unwrapped — one junk
@@ -223,57 +254,20 @@ impl Operator for SyncController {
             KIND_SNAPSHOT => t.payload_as::<PeerState>().map(|s| s.engine),
             _ => return, // not a liveness-bearing kind; none of our business
         };
-        let heard = &mut self.liveness.heard;
+        let lv = &mut self.liveness;
         match claimed {
-            Some(engine) if engine == t.sender && (engine as usize) < heard.len() => {
-                heard[engine as usize] = Some(Instant::now());
+            Some(engine) if engine == t.sender && (engine as usize) < lv.heard.len() => {
+                lv.heard[engine as usize] = Some(Instant::now());
+                lv.started.get_or_insert_with(Instant::now);
+                self.tick(ctx);
             }
             _ => self.ignored_control += 1,
         }
     }
 
-    fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
-        if matches!(self.strategy, SyncStrategy::None) {
-            return SourceState::Done;
-        }
+    /// A rescale after the last report is still one of this run's.
+    fn on_finish(&mut self, ctx: &mut OpContext<'_>) {
         self.reconcile_membership(ctx);
-        if self.n_engines <= 1 {
-            // A one-engine fleet can grow back: stay scheduled and idle.
-            return SourceState::Idle;
-        }
-        self.liveness.started.get_or_insert_with(Instant::now);
-        if let Some(last) = self.last {
-            if last.elapsed() < self.period {
-                return SourceState::Idle;
-            }
-        }
-        self.last = Some(Instant::now());
-        // One command per tick; dead senders are skipped within the tick
-        // so a single gap cannot stall the whole rotation.
-        for _ in 0..self.n_engines {
-            let sender = self.cursor;
-            self.cursor = (self.cursor + 1) % self.n_engines;
-            if !self.alive(sender) {
-                self.skipped_dead += 1;
-                ctx.count(Counter::SyncSkips);
-                continue;
-            }
-            let cmd = self.command_for(sender);
-            if cmd.share_ports.is_empty() {
-                // A live sender with nobody live to talk to is still a
-                // skipped exchange — make it visible in the report.
-                self.skipped_dead += 1;
-                ctx.count(Counter::SyncSkips);
-                return SourceState::Idle;
-            }
-            ctx.emit_control(
-                sender,
-                ControlTuple::new(KIND_SYNC_COMMAND, sender as u32, Arc::new(cmd)),
-            );
-            self.issued += 1;
-            return SourceState::Emitted;
-        }
-        SourceState::Idle
     }
 
     fn checkpoint(&mut self) -> Option<&mut dyn Checkpoint> {
@@ -286,7 +280,7 @@ impl Operator for SyncController {
 /// do not survive: after a restart the pacing timer re-arms and every
 /// engine gets a fresh startup grace window, so a controller that was down
 /// for longer than the liveness timeout does not wrongly declare the whole
-/// fleet dead on its first post-restart drive.
+/// fleet dead on its first post-restart tick.
 impl Checkpoint for SyncController {
     fn snapshot(&self) -> Vec<u8> {
         encode_kv(&[
@@ -314,7 +308,8 @@ impl Checkpoint for SyncController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spca_streams::operator::testing::with_ctx;
+    use spca_streams::metrics::OpCounters;
+    use spca_streams::operator::testing::{with_ctx, with_sink_counters, CaptureSink};
     use spca_streams::Tuple;
 
     /// A fixed fleet of `n` with a liveness timeout no test outlasts:
@@ -333,6 +328,48 @@ mod tests {
         let mut c = controller(strategy, n, period);
         c.liveness.grace = Duration::ZERO;
         c
+    }
+
+    /// One heartbeat from `engine`: the report that ticks the controller.
+    fn beat(c: &mut SyncController, ctx: &mut OpContext<'_>, engine: u32) {
+        c.on_control(
+            ControlTuple::new(
+                KIND_HEARTBEAT,
+                engine,
+                Arc::new(Heartbeat { engine, n_obs: 1 }),
+            ),
+            ctx,
+        );
+    }
+
+    /// Heartbeats from `engine` until the controller has issued `issued`
+    /// commands in all, waiting out the period between them.
+    fn beat_until_issued(
+        c: &mut SyncController,
+        ctx: &mut OpContext<'_>,
+        engine: u32,
+        issued: u64,
+    ) {
+        while c.issued < issued {
+            beat(c, ctx, engine);
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+
+    /// Heartbeats from `engines` that issue nothing: the pacing timer is
+    /// held shut while they land, so a test starts from a known liveness
+    /// table (and a reconciled membership) with the next tick still free
+    /// to fire at once.
+    fn hear_from(c: &mut SyncController, engines: &[u32]) {
+        let (period, last) = (c.period, c.last);
+        c.period = Duration::MAX;
+        c.last = Some(Instant::now());
+        with_ctx(c.liveness.heard.len(), |ctx| {
+            for &e in engines {
+                beat(c, ctx, e);
+            }
+        });
+        (c.period, c.last) = (period, last);
     }
 
     #[test]
@@ -364,11 +401,9 @@ mod tests {
     fn controller_rotates_senders() {
         let mut c = controller(SyncStrategy::Ring, 3, Duration::from_millis(1));
         let sink = with_ctx(3, |ctx| {
-            for _ in 0..3 {
-                // Wait out the period between drives.
-                while c.drive(ctx) == SourceState::Idle {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
+            for round in 1..=3 {
+                // Heartbeats landing inside the period issue nothing.
+                beat_until_issued(&mut c, ctx, round as u32 - 1, round);
             }
         });
         // One command per engine port, in rotation.
@@ -389,27 +424,25 @@ mod tests {
     }
 
     #[test]
-    fn none_strategy_finishes_immediately() {
-        let mut c = controller(SyncStrategy::None, 4, Duration::from_millis(1));
-        with_ctx(4, |ctx| {
-            assert_eq!(c.drive(ctx), SourceState::Done);
-        });
-    }
-
-    #[test]
     fn single_engine_needs_no_sync() {
-        // Idle, not done: a one-engine fleet can grow back.
+        // Reports from a one-engine fleet issue nothing and skip nothing.
         let mut c = controller(SyncStrategy::Ring, 1, Duration::from_millis(1));
-        with_ctx(1, |ctx| {
-            assert_eq!(c.drive(ctx), SourceState::Idle);
+        let sink = with_ctx(1, |ctx| {
+            for _ in 0..3 {
+                beat(&mut c, ctx, 0);
+                std::thread::sleep(Duration::from_millis(1));
+            }
         });
         assert_eq!(c.issued, 0);
+        assert_eq!(c.skipped_dead, 0);
+        assert!(sink.ports[0].is_empty());
     }
 
     #[test]
     fn broadcast_command_lists_all_ports() {
         let mut c = controller(SyncStrategy::Broadcast, 4, Duration::from_micros(1));
-        let sink = with_ctx(4, |ctx| while c.drive(ctx) == SourceState::Idle {});
+        // The first report issues at once: no period has started yet.
+        let sink = with_ctx(4, |ctx| beat(&mut c, ctx, 0));
         match &sink.ports[0][0] {
             Tuple::Control(ct) => {
                 let cmd = ct.payload_as::<SyncCommand>().unwrap();
@@ -421,23 +454,7 @@ mod tests {
 
     // ---- liveness ----
 
-    fn beat(c: &mut SyncController, engine: u32) {
-        with_ctx(0, |ctx| {
-            c.on_control(
-                ControlTuple::new(
-                    KIND_HEARTBEAT,
-                    engine,
-                    Arc::new(Heartbeat { engine, n_obs: 1 }),
-                ),
-                ctx,
-            );
-        });
-    }
-
-    fn shared_ports(
-        sink: &spca_streams::operator::testing::CaptureSink,
-        port: usize,
-    ) -> Vec<usize> {
+    fn shared_ports(sink: &CaptureSink, port: usize) -> Vec<usize> {
         match &sink.ports[port][0] {
             Tuple::Control(ct) => ct.payload_as::<SyncCommand>().unwrap().share_ports.clone(),
             other => panic!("unexpected {other:?}"),
@@ -446,22 +463,13 @@ mod tests {
 
     #[test]
     fn liveness_recloses_ring_around_dead_engine() {
-        use spca_streams::metrics::OpCounters;
-        use spca_streams::operator::testing::{with_sink_counters, CaptureSink};
         let mut c = strict_controller(SyncStrategy::Ring, 4, Duration::from_millis(1));
-        for e in [0u32, 2, 3] {
-            beat(&mut c, e); // engine 1 stays silent → dead past the grace
-        }
+        // Engine 1 stays silent → dead past the (zero) grace.
+        hear_from(&mut c, &[2, 3]);
         let counters = OpCounters::default();
         let mut sink = CaptureSink::new(4);
         with_sink_counters(&mut sink, &counters, |ctx| {
-            let mut emitted = 0;
-            while emitted < 3 {
-                match c.drive(ctx) {
-                    SourceState::Emitted => emitted += 1,
-                    _ => std::thread::sleep(Duration::from_micros(200)),
-                }
-            }
+            beat_until_issued(&mut c, ctx, 0, 3);
         });
         // Rotation 0 → (1 skipped dead) → 2 → 3.
         assert_eq!(c.skipped_dead, 1);
@@ -482,21 +490,16 @@ mod tests {
     #[test]
     fn restarted_engine_is_readmitted_after_heartbeat() {
         let mut c = strict_controller(SyncStrategy::Ring, 2, Duration::from_micros(10));
-        beat(&mut c, 0);
         with_ctx(2, |ctx| {
             for _ in 0..20 {
-                c.drive(ctx);
+                beat(&mut c, ctx, 0);
                 std::thread::sleep(Duration::from_micros(20));
             }
         });
         assert_eq!(c.issued, 0, "no exchange possible with one live engine");
         assert!(c.skipped_dead > 0);
-        beat(&mut c, 1); // the restarted engine announces itself
-        let sink = with_ctx(2, |ctx| {
-            while c.drive(ctx) != SourceState::Emitted {
-                std::thread::sleep(Duration::from_micros(20));
-            }
-        });
+        // The restarted engine announces itself.
+        let sink = with_ctx(2, |ctx| beat_until_issued(&mut c, ctx, 1, 1));
         assert_eq!(c.issued, 1);
         assert_eq!(
             sink.ports.iter().map(|p| p.len()).sum::<usize>(),
@@ -508,14 +511,8 @@ mod tests {
     #[test]
     fn broadcast_receivers_filtered_to_live_engines() {
         let mut c = strict_controller(SyncStrategy::Broadcast, 4, Duration::from_micros(10));
-        for e in [0u32, 1, 3] {
-            beat(&mut c, e);
-        }
-        let sink = with_ctx(4, |ctx| {
-            while c.drive(ctx) != SourceState::Emitted {
-                std::thread::sleep(Duration::from_micros(20));
-            }
-        });
+        hear_from(&mut c, &[1, 3]);
+        let sink = with_ctx(4, |ctx| beat_until_issued(&mut c, ctx, 0, 1));
         // Sender 0's full-mesh ports: 1 → 0, 2 → 1, 3 → 2; dead 2 dropped.
         assert_eq!(shared_ports(&sink, 0), vec![0, 2]);
     }
@@ -562,7 +559,7 @@ mod tests {
         // None of the junk registered liveness: both engines still unheard.
         assert!(c.liveness.heard.iter().all(|h| h.is_none()));
         // A well-formed heartbeat still works.
-        beat(&mut c, 0);
+        with_ctx(2, |ctx| beat(&mut c, ctx, 0));
         assert!(c.liveness.heard[0].is_some());
         assert_eq!(c.ignored_control, 4);
     }
@@ -570,7 +567,7 @@ mod tests {
     #[test]
     fn controller_checkpoint_round_trips_cursor_but_resets_liveness() {
         let mut c = controller(SyncStrategy::Ring, 4, Duration::from_micros(1));
-        beat(&mut c, 0);
+        with_ctx(4, |ctx| beat(&mut c, ctx, 0));
         c.cursor = 3;
         c.issued = 7;
         c.skipped_dead = 2;
@@ -589,18 +586,11 @@ mod tests {
 
     // ---- membership (admit/retire) ----
 
-    /// Collects one full rotation of sync commands and returns the set of
-    /// sender ports that emitted.
-    fn senders_in_rotation(c: &mut SyncController, n_ports: usize, rounds: usize) -> Vec<usize> {
-        let sink = with_ctx(n_ports, |ctx| {
-            let mut emitted = 0;
-            while emitted < rounds {
-                match c.drive(ctx) {
-                    SourceState::Emitted => emitted += 1,
-                    _ => std::thread::sleep(Duration::from_micros(50)),
-                }
-            }
-        });
+    /// Collects `rounds` more sync commands and returns the set of sender
+    /// ports that emitted.
+    fn senders_in_rotation(c: &mut SyncController, n_ports: usize, rounds: u64) -> Vec<usize> {
+        let target = c.issued + rounds;
+        let sink = with_ctx(n_ports, |ctx| beat_until_issued(c, ctx, 0, target));
         (0..n_ports)
             .filter(|&p| !sink.ports[p].is_empty())
             .collect()
@@ -622,8 +612,7 @@ mod tests {
         // liveness table must cover them (no out-of-bounds panic when they
         // heartbeat or when the rotation reaches them).
         active.set_active(4);
-        beat(&mut c, 2);
-        beat(&mut c, 3);
+        hear_from(&mut c, &[2, 3]);
         let senders = senders_in_rotation(&mut c, 4, 4);
         assert_eq!(
             senders,
@@ -642,15 +631,8 @@ mod tests {
             "retired engine must leave the rotation"
         );
         // Commands never address the retired engine as a receiver either.
-        let sink = with_ctx(4, |ctx| {
-            let mut emitted = 0;
-            while emitted < 6 {
-                match c.drive(ctx) {
-                    SourceState::Emitted => emitted += 1,
-                    _ => std::thread::sleep(Duration::from_micros(50)),
-                }
-            }
-        });
+        let target = c.issued + 6;
+        let sink = with_ctx(4, |ctx| beat_until_issued(&mut c, ctx, 0, target));
         for port in 0..3 {
             for t in &sink.ports[port] {
                 let Tuple::Control(ct) = t else { continue };
@@ -668,8 +650,6 @@ mod tests {
 
     #[test]
     fn membership_handle_drives_admission_and_retirement() {
-        use spca_streams::metrics::OpCounters;
-        use spca_streams::operator::testing::{with_sink_counters, CaptureSink};
         let active = ActiveSet::new(1, 3);
         let mut c = SyncController::new(
             SyncStrategy::Ring,
@@ -681,18 +661,13 @@ mod tests {
         let counters = OpCounters::default();
         let mut sink = CaptureSink::new(3);
         with_sink_counters(&mut sink, &counters, |ctx| {
-            // One active engine: idle (not Done — the fleet can grow).
-            assert_eq!(c.drive(ctx), SourceState::Idle);
+            // One active engine: its reports issue nothing.
+            beat(&mut c, ctx, 0);
+            assert_eq!(c.issued, 0);
             // Autoscaler admits two engines; the controller reconciles on
-            // the next drive and the ring starts rotating over all three.
+            // the next report and the ring starts rotating over all three.
             active.set_active(3);
-            let mut emitted = 0;
-            while emitted < 3 {
-                match c.drive(ctx) {
-                    SourceState::Emitted => emitted += 1,
-                    _ => std::thread::sleep(Duration::from_micros(50)),
-                }
-            }
+            beat_until_issued(&mut c, ctx, 0, 3);
         });
         let snap = counters.snapshot();
         assert_eq!(
@@ -707,12 +682,11 @@ mod tests {
         );
 
         // Scale back in as far as it goes: retirement saturates at one
-        // engine, which idles with a valid cursor.
+        // engine, which issues nothing with a valid cursor.
         let mut sink2 = CaptureSink::new(3);
         active.set_active(0);
-        with_sink_counters(&mut sink2, &counters, |ctx| {
-            assert_eq!(c.drive(ctx), SourceState::Idle);
-        });
+        with_sink_counters(&mut sink2, &counters, |ctx| beat(&mut c, ctx, 0));
+        assert!(sink2.ports.iter().all(|p| p.is_empty()));
         let snap = counters.snapshot();
         assert_eq!(
             snap.get(Counter::ScaleIns),
@@ -723,13 +697,31 @@ mod tests {
     }
 
     #[test]
+    fn rescale_after_the_last_report_is_counted_at_finish() {
+        let active = ActiveSet::new(3, 3);
+        let mut c = SyncController::new(
+            SyncStrategy::Ring,
+            Arc::clone(&active),
+            Duration::from_secs(60),
+            Duration::from_secs(60),
+        );
+        let counters = OpCounters::default();
+        let mut sink = CaptureSink::new(3);
+        with_sink_counters(&mut sink, &counters, |ctx| {
+            beat(&mut c, ctx, 0);
+            // The autoscaler retires two engines after the last report.
+            active.set_active(1);
+            c.on_finish(ctx);
+        });
+        assert_eq!(counters.snapshot().get(Counter::ScaleIns), 2);
+    }
+
+    #[test]
     fn startup_grace_treats_silent_engines_as_alive() {
         let mut c = controller(SyncStrategy::Ring, 3, Duration::from_micros(10));
-        let sink = with_ctx(3, |ctx| {
-            while c.drive(ctx) != SourceState::Emitted {
-                std::thread::sleep(Duration::from_micros(20));
-            }
-        });
+        assert!(c.liveness.started.is_none(), "the grace starts at a report");
+        let sink = with_ctx(3, |ctx| beat_until_issued(&mut c, ctx, 0, 1));
+        assert!(c.liveness.started.is_some());
         assert_eq!(c.skipped_dead, 0, "grace period: nobody is dead yet");
         assert_eq!(shared_ports(&sink, 0), vec![0]);
     }

@@ -4,9 +4,7 @@
 //! bright must not be "far" from itself. Every spectrum is therefore
 //! normalized before entering the stream. With gaps this is subtle — the
 //! norm over observed pixels is biased low — so the masked variant
-//! normalizes relative to the coverage-weighted norm, and the full
-//! correction (fitting a scale against the current eigenbasis) lives in
-//! `spca-core::gaps::masked_scale_and_coefficients`.
+//! normalizes relative to the coverage-weighted norm.
 
 use spca_linalg::vecops;
 
