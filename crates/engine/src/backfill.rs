@@ -29,7 +29,7 @@ use crate::persist::{decode_snapshot, encode_snapshot};
 use spca_core::{EigenSystem, PcaConfig, RobustPca};
 use spca_streams::backfill::{content_hash, run_partitions, BackfillStats, Partition, StateStore};
 use spca_streams::csv::{self, Row};
-use std::io;
+use std::io::{self, BufRead};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -64,14 +64,18 @@ pub fn partition_csv_rows(path: &Path, parts: usize) -> io::Result<Vec<Partition
     assert!(parts >= 1, "need at least one partition");
     let bytes = Arc::new(std::fs::read(path)?);
 
-    // Byte offset and row index of every data line.
+    // Byte offset and row index of every data line. `skip_until` on a
+    // byte slice finds each newline with std's word-at-a-time memchr.
     let mut row_starts: Vec<usize> = Vec::new();
     let mut offset = 0;
-    for line in bytes.split_inclusive(|&b| b == b'\n') {
-        if !csv::is_skip(line) {
+    let mut rest: &[u8] = &bytes;
+    while !rest.is_empty() {
+        let line = rest;
+        let len = rest.skip_until(b'\n')?;
+        if !csv::is_skip(&line[..len]) {
             row_starts.push(offset);
         }
-        offset += line.len();
+        offset += len;
     }
     let n_rows = row_starts.len();
     if n_rows == 0 {

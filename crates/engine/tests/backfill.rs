@@ -2,6 +2,8 @@
 //! → tree-merge, its incrementality contract, and the splice into a live
 //! streaming run.
 
+use proptest::collection::vec as pvec;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_core::metrics::subspace_distance;
@@ -13,7 +15,8 @@ use spca_engine::{
 };
 use spca_spectra::{io, PlantedSubspace};
 use spca_streams::ops::CsvFileSource;
-use spca_streams::Engine;
+use spca_streams::{content_hash, Engine};
+use std::ops::Range;
 use std::path::PathBuf;
 
 const D: usize = 12;
@@ -276,6 +279,94 @@ fn undecodable_byte_costs_one_field_not_the_partition() {
     assert_eq!(outcome.stats.computed, 4);
     assert_eq!(outcome.merged.n_obs, 400);
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// The row index as the byte-predicate split built it: partition ids and
+/// byte ranges, or `None` for a corpus without data rows. The reference
+/// `partition_csv_rows`' newline search is checked against.
+fn split_inclusive_partitions(bytes: &[u8], parts: usize) -> Option<Vec<(String, Range<usize>)>> {
+    let mut row_starts = Vec::new();
+    let mut offset = 0;
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
+        if !spca_streams::csv::is_skip(line) {
+            row_starts.push(offset);
+        }
+        offset += line.len();
+    }
+    let n = row_starts.len();
+    let parts = parts.min(n);
+    (n > 0).then(|| {
+        (0..parts)
+            .map(|p| {
+                let (first, last) = (p * n / parts, (p + 1) * n / parts);
+                let hi = if last < n {
+                    row_starts[last]
+                } else {
+                    bytes.len()
+                };
+                (format!("rows-{first:06}-{last:06}"), row_starts[first]..hi)
+            })
+            .collect()
+    })
+}
+
+/// One corpus line: data, blank, a `#` comment (also behind Unicode
+/// whitespace), or arbitrary bytes.
+fn any_line() -> impl Strategy<Value = Vec<u8>> {
+    (0u8..8, pvec(0usize..13, 1..16), pvec(any::<u8>(), 1..8)).prop_map(|(kind, field, raw)| {
+        let fixed = match kind {
+            0 => "",
+            1 => " \t ",
+            2 => "# header",
+            3 => "\u{3000}# behind an ideographic space",
+            4 => "\u{a0}\u{2003}#",
+            5 => "\u{2003}1.5,2",
+            6 => return raw,
+            _ => return field.iter().map(|&i| b"0123456789.,n"[i]).collect(),
+        };
+        fixed.as_bytes().to_vec()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `partition_csv_rows` gives the ids, byte ranges and row split the
+    /// byte-predicate loop gave, over blank lines, comments, CRLF endings,
+    /// Unicode whitespace and a missing final newline.
+    #[test]
+    fn row_index_matches_the_byte_predicate_split(
+        lines in pvec((any_line(), any::<bool>()), 0..40),
+        final_newline in any::<bool>(),
+        parts in 1usize..8,
+    ) {
+        let mut corpus = Vec::new();
+        for (i, (line, crlf)) in lines.iter().enumerate() {
+            corpus.extend_from_slice(line);
+            if i + 1 < lines.len() || final_newline {
+                corpus.extend_from_slice(if *crlf { b"\r\n" } else { b"\n" });
+            }
+        }
+        let dir = tmp_dir("rowindex");
+        let path = dir.join("corpus.csv");
+        std::fs::write(&path, &corpus).unwrap();
+        let got = partition_csv_rows(&path, parts);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let Some(want) = split_inclusive_partitions(&corpus, parts) else {
+            prop_assert_eq!(got.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+            return Ok(());
+        };
+        let got = got.unwrap();
+        prop_assert_eq!(got.len(), want.len());
+        let base = got[0].payload.bytes().as_ptr() as usize - want[0].1.start;
+        for (g, (id, range)) in got.iter().zip(&want) {
+            prop_assert_eq!(&g.id, id);
+            prop_assert_eq!(g.payload.bytes().as_ptr() as usize - base, range.start);
+            prop_assert_eq!(g.payload.bytes(), &corpus[range.clone()]);
+            prop_assert_eq!(g.content_hash, content_hash(&corpus[range.clone()]));
+        }
+    }
 }
 
 /// What a `feed_line` caller sees of the estimator's input checks. Text

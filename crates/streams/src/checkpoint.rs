@@ -375,7 +375,7 @@ impl<T> Drop for WriteBehind<T> {
 const RETAINED_GENERATIONS: u64 = 2;
 
 /// The magic word of a sealed PE checkpoint generation.
-const GEN_MAGIC: &str = "spca-pe-generation-v1";
+const GEN_MAGIC: &str = "spca-pe-generation-v2";
 
 /// One PE's checkpoint writer: owns the generation counter, keeps the last
 /// [`RETAINED_GENERATIONS`] generations on disk, and garbage-collects
@@ -775,6 +775,20 @@ mod tests {
         w.write(&parts("g4 again")).unwrap();
         assert_eq!(recovered(&dir, 2), parts("g4 again"));
         assert!(dir.join("pe2-g4.ckpt.corrupt-1").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_generation_sealed_by_the_fnv_codec_is_quarantined_not_read() {
+        let dir = temp_dir();
+        // Whole, and what the FNV-1a-sealed codec recovered; its magic is
+        // not this codec's.
+        let old = b"spca-pe-generation-v1 305ba6a45be158d5\npe 0\ngen 1\npart 3 op\nend\none";
+        std::fs::write(generation_path(&dir, 0, 1), old).unwrap();
+        let rec = recover_pe_manifest(&dir, 0);
+        assert!(rec.set.is_none());
+        assert_eq!((rec.quarantined, rec.fell_back), (1, true));
+        assert!(dir.join("pe0-g1.ckpt.corrupt-1").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! ┌─────────┬─────────┬──────────────┬──────────────────┬──────────┐
-//! │ magic   │ version │ body_len u32 │ body (see below) │ crc32    │
+//! │ magic   │ version │ body_len u32 │ body (see below) │ crc32c   │
 //! │ "SPCF"  │ 1 byte  │ LE           │                  │ LE, body │
 //! └─────────┴─────────┴──────────────┴──────────────────┴──────────┘
 //! body:
@@ -28,13 +28,15 @@
 //! little-endian f64 block, so encode is a handful of bulk copies and
 //! decode is a bounds check plus a bulk copy — no per-value formatting or
 //! parsing anywhere (CSV is how observations *enter* the graph, through
-//! `ops::LineSource`; this is how they cross processes inside it). Both
-//! directions reuse caller-owned buffers and allocate nothing in steady
-//! state (guarded by `tests/codec_alloc.rs`, the same allocator-counter
-//! pattern as the serving path).
+//! `ops::LineSource`; this is how they cross processes inside it). The
+//! presence bitmap is packed and unpacked eight mask entries a byte, and
+//! the checksum is the SSE4.2 `crc32` instruction where the CPU has it.
+//! Both directions reuse caller-owned buffers and allocate nothing in
+//! steady state (guarded by `tests/codec_alloc.rs`, the same
+//! allocator-counter pattern as the serving path).
 //!
 //! Torn and corrupted input can never partially apply: a decode first
-//! proves the full frame is present, then verifies the CRC-32 over the
+//! proves the full frame is present, then verifies the CRC-32C over the
 //! body, and only then copies columns out. Truncation surfaces as
 //! [`CodecError::Incomplete`] (read more bytes), corruption as
 //! [`CodecError::Corrupt`]; neither ever panics.
@@ -57,10 +59,10 @@ pub const MAGIC: [u8; 4] = *b"SPCF";
 /// Wire version this build speaks. Decoders reject other versions loudly
 /// (compat rule: the version byte bumps on any layout change; there is no
 /// in-band negotiation — both ends of a link run the same binary).
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Bytes before the body: magic, version, body length.
 pub const HEADER_LEN: usize = 9;
-/// Bytes after the body: CRC-32 (IEEE) over the body.
+/// Bytes after the body: CRC-32C (Castagnoli) over the body.
 pub const TRAILER_LEN: usize = 4;
 /// Sanity cap on a frame body. A length prefix larger than this is treated
 /// as corruption, so a flipped bit in the length field can never make the
@@ -131,15 +133,19 @@ pub fn register_control_codec(kind: u32, enc: ControlEncodeFn, dec: ControlDecod
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE), slice-by-8. Guarantees detection of any 1- or 2-bit
-// corruption in the body, which the robustness proptests rely on. The
-// bytewise table walk tops out around 0.35 GB/s and dominated the whole
-// encode path (the payload itself moves by memcpy); slicing consumes
-// eight bytes per step through eight shifted tables
-// (`streams.codec.encode_ns_per_tuple` on `tcp2-galaxy`).
+// CRC-32C (Castagnoli). Like every CRC-32 it detects every error burst of
+// at most 32 bits, so it catches any one corrupted byte of the body, which
+// the robustness proptests rely on. On x86-64 with SSE4.2 the `crc32`
+// instruction folds in eight bytes per step; elsewhere a slice-by-8 table
+// walk does, through eight shifted tables. The table walk (1.5 GB/s) was
+// a sixth of a `tcp2-galaxy` tuple's CPU across both ends of the wire
+// (`streams.codec.encode_ns_per_tuple` / `decode_ns_per_tuple`), and it
+// stays the portable path and the tests' reference.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLES: [[u32; 256]; 8] = {
+// A `static`, not a `const`: an unoptimised build copies a `const` array
+// at every index.
+static CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
@@ -147,7 +153,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
+                0x82F6_3B78 ^ (c >> 1)
             } else {
                 c >> 1
             };
@@ -169,8 +175,35 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 (IEEE 802.3) of `bytes`.
+/// CRC-32C (Castagnoli) of `bytes`: the SSE4.2 instruction where the CPU
+/// has it, the slice-by-8 table otherwise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `crc32_sse42` needs SSE4.2, which the CPU was just
+        // detected to have.
+        return unsafe { crc32_sse42(bytes) };
+    }
+    crc32_table(bytes)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn crc32_sse42(bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut c = u64::from(!0u32);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        c = _mm_crc32_u64(c, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    }
+    let mut c = c as u32;
+    for &b in words.remainder() {
+        c = _mm_crc32_u8(c, b);
+    }
+    !c
+}
+
+fn crc32_table(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
@@ -261,6 +294,27 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// ORs the eight bits of `byte` into the bitmap `bits` at bit `at` onward
+/// (bit i of `byte` → bit `at + i`). Set bits must lie inside `bits`.
+fn or_bits(bits: &mut [u8], at: usize, byte: u8) {
+    let (i, shift) = (at / 8, at % 8);
+    bits[i] |= byte << shift;
+    if shift != 0 && byte >> (8 - shift) != 0 {
+        bits[i + 1] |= byte >> (8 - shift);
+    }
+}
+
+/// The eight bits of the bitmap `bits` from bit `at` onward, as one byte
+/// (bit `at + i` → bit i); bits past the end of `bits` read as zero.
+fn bits_at(bits: &[u8], at: usize) -> u8 {
+    let (i, shift) = (at / 8, at % 8);
+    let lo = bits[i] >> shift;
+    match bits.get(i + 1) {
+        Some(&hi) if shift != 0 => lo | hi << (8 - shift),
+        _ => lo,
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Encode
 // ---------------------------------------------------------------------------
@@ -345,29 +399,34 @@ pub fn encode_frame(tuples: &[Tuple], out: &mut Vec<u8>) -> Result<(), CodecErro
             out.push(acc);
         }
     }
-    // Presence bitmap: one bit per value, 1 = observed. Complete
-    // observations contribute all-ones runs.
+    // Presence bitmap: one bit per value, 1 = observed, OR-ed into a zeroed
+    // region eight entries at a time. Complete observations contribute
+    // all-ones runs.
     {
-        let mut acc = 0u8;
-        let mut nbits = 0u8;
+        let at = out.len();
+        out.resize(at + (total_vals as usize).div_ceil(8), 0);
+        let bits = &mut out[at..];
+        let mut bit = 0;
         for t in tuples {
-            if let Tuple::Data(d) = t {
-                for i in 0..d.values.len() {
-                    let present = d.mask.as_ref().is_none_or(|m| m[i]);
-                    if present {
-                        acc |= 1 << nbits;
+            let Tuple::Data(d) = t else { continue };
+            let len = d.values.len();
+            match &d.mask {
+                None => {
+                    for k in (0..len).step_by(8) {
+                        or_bits(bits, bit + k, 0xFF >> (8 - (len - k).min(8)));
                     }
-                    nbits += 1;
-                    if nbits == 8 {
-                        out.push(acc);
-                        acc = 0;
-                        nbits = 0;
+                }
+                Some(m) => {
+                    for (k, group) in m[..len].chunks(8).enumerate() {
+                        let byte = group
+                            .iter()
+                            .rev()
+                            .fold(0u8, |acc, &present| acc << 1 | u8::from(present));
+                        or_bits(bits, bit + 8 * k, byte);
                     }
                 }
             }
-        }
-        if nbits > 0 {
-            out.push(acc);
+            bit += len;
         }
     }
     // Control section. Payload bytes are produced straight into the frame
@@ -486,9 +545,9 @@ impl ColumnarFrame {
                     let masked = self.mask_flags[di / 8] & (1 << (di % 8)) != 0;
                     let mask = if masked {
                         let mut m = Vec::with_capacity(len);
-                        for i in 0..len {
-                            let bit = voff + i;
-                            m.push(self.presence[bit / 8] & (1 << (bit % 8)) != 0);
+                        for k in (0..len).step_by(8) {
+                            let byte = bits_at(&self.presence, voff + k);
+                            m.extend((0..(len - k).min(8)).map(|i| byte >> i & 1 != 0));
                         }
                         Some(Arc::new(m))
                     } else {
@@ -869,8 +928,46 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vector() {
-        // IEEE CRC-32 of "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        // CRC-32C (Castagnoli) check value: the CRC of "123456789".
+        assert_eq!(crc32(b"123456789"), 0xE306_9283);
+        assert_eq!(crc32_table(b"123456789"), 0xE306_9283);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse42_crc_equals_the_table_at_every_length_and_alignment() {
+        if !std::arch::is_x86_feature_detected!("sse4.2") {
+            return;
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let bytes: Vec<u8> = (0..4096 + 8)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=4096 {
+                let s = &bytes[start..start + len];
+                // SAFETY: SSE4.2 was detected above.
+                let fast = unsafe { crc32_sse42(s) };
+                assert_eq!(fast, crc32_table(s), "start {start}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_version_1_frame_is_rejected_by_name() {
+        let mut buf = Vec::new();
+        encode_frame(&[data(0, vec![1.0])], &mut buf).unwrap();
+        buf[4] = 1;
+        let mut cols = ColumnarFrame::default();
+        assert_eq!(
+            decode_frame(&buf, &mut cols),
+            Err(CodecError::Corrupt("unsupported frame version"))
+        );
     }
 
     #[test]

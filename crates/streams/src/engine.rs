@@ -2661,6 +2661,32 @@ mod tests {
     }
 
     #[test]
+    fn a_generation_sealed_by_the_fnv_codec_is_counted_and_the_pe_starts_fresh() {
+        // The only generation on disk is whole but carries the magic of the
+        // FNV-1a-sealed codec: it degrades like a torn one.
+        let dir = std::env::temp_dir().join(format!("spca_engine_fnv_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let old = b"spca-pe-generation-v1 305ba6a45be158d5\npe 0\ngen 1\npart 3 op\nend\none";
+        std::fs::write(dir.join("pe0-g1.ckpt"), old).unwrap();
+        let ckpt = PeCheckpointer::new(&dir, 0).unwrap();
+
+        let mut pe = lone_pe(Vec::new());
+        let counters = Arc::clone(&pe.slots[0].counters);
+        pe.checkpoint = Some(PeDurability::new(ckpt, 0, Arc::clone(&counters)));
+        assert!(
+            recover_for_rehydrate(&mut pe).is_none(),
+            "nothing to restore"
+        );
+        let seen = counters.snapshot();
+        assert_eq!(seen.get(Counter::QuarantinedSnapshots), 1);
+        assert_eq!(seen.get(Counter::IoFaults), 1);
+        assert!(dir.join("pe0-g1.ckpt.corrupt-1").exists());
+        drop(pe);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn isolated_non_source_terminates() {
         let mut g = GraphBuilder::new();
         struct Nop;

@@ -121,8 +121,9 @@ proptest! {
 
     /// Any single corrupted byte — header, counts, payload, bitmap, or
     /// trailer — yields a clean decode error. (A one-byte change is a
-    /// burst of at most 8 bits, which CRC-32 always detects; header
-    /// fields are validated directly.)
+    /// burst of at most 8 bits, which CRC-32C, like every CRC-32, always
+    /// detects on either the SSE4.2 or the table path; header fields are
+    /// validated directly.)
     #[test]
     fn corruption_at_any_offset_errors_cleanly(tuples in batch(), flip in 1u8..=255) {
         let mut buf = Vec::new();
