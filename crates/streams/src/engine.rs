@@ -21,35 +21,33 @@
 //!
 //! ## Supervision
 //!
-//! Two nested layers, mirroring InfoSphere's operator/PE split:
+//! One supervisor per PE, with InfoSphere's operator/PE split as its two
+//! restart scopes. Every operator callback runs through one function,
+//! [`call`], which names the running member and callback in
+//! [`PeCore::in_call`]. The scheduler loop runs under one `catch_unwind`
+//! ([`run_pe`]); the PE's channels, in-flight tuples and operators live
+//! outside it (in [`PeRuntime`]), so a panic unwinds only the loop's stack,
+//! and `in_call` decides what restarts:
 //!
-//! **Operator-level.** Callbacks on the tuple path (`process` /
-//! `on_control`) run under a supervisor: a panic is isolated with
-//! `catch_unwind`, the operator instance survives (it is borrowed, not
-//! moved, into the guarded call), and after a capped exponential backoff
-//! the supervisor asks it to [`Operator::recover`] — its consent to go on.
-//! A consenting operator with a [`crate::checkpoint::Checkpoint`] facet is
-//! restored from its blob in the PE's snapshot manifest (below) and
-//! resumes — the in-flight data tuple is redelivered exactly once — while
-//! one that declines is finished so its end-of-stream still propagates and
-//! the rest of the graph drains normally. Restart counts surface as
-//! [`Counter::Restarts`] in [`OpSnapshot`]/[`RunReport`].
+//! * **The operator**, for a panic in `process` or `on_control`. When the
+//!   loop re-enters, [`restart_op`] backs off, asks [`Operator::recover`] —
+//!   the operator's consent to go on — restores a consenting one with a
+//!   [`crate::checkpoint::Checkpoint`] facet from the PE's checkpoint, and
+//!   re-feeds the in-flight data tuple once; one that declines is finished
+//!   so its end-of-stream still propagates. Counted as
+//!   [`Counter::Restarts`].
+//! * **The PE**, for a panic in `drive`, `on_start` or `on_finish`, or
+//!   outside any callback (an injected `kill-pe`). [`restart_pe`] restores
+//!   every checkpointable member from the PE's checkpoint, cross-PE frame
+//!   channels reconnect untouched (the pending queue and edge buffers
+//!   survive), and the loop re-enters; a member that panicked in a hook is
+//!   finished first, without it. Counted as [`Counter::PeRestarts`] on
+//!   every member.
 //!
-//! **PE-level.** A panic that escapes the operator layer — a source's
-//! `drive` blowing up, or an injected `kill-pe` fault — unwinds the PE's
-//! scheduler loop itself. The PE's channels, in-flight tuples and operator
-//! slots live *outside* that unwind (in [`PeRuntime`], owned across the
-//! `catch_unwind`), so the supervisor tears the PE down and rebuilds it in
-//! place: every [`crate::checkpoint::Checkpoint`]-able operator is
-//! rehydrated from the PE's snapshot manifest (written periodically at the
-//! operators' cadence, and — for an injected fault, which strikes between
-//! tuples — once more at teardown so recovery round-trips consistent state
-//! through disk; the one durable copy, read by both layers), cross-PE
-//! frame channels reconnect untouched (no tuple is lost or duplicated: the
-//! pending queue and edge buffers survive in `PeRuntime`), and the loop
-//! re-enters. PE restarts count as [`Counter::PeRestarts`] on every member
-//! operator and are bounded by the same [`RestartPolicy`] as operator
-//! restarts.
+//! Both are bounded by the PE's one [`RestartPolicy`]. The checkpoint is
+//! written periodically at the operators' cadence and, for an injected
+//! fault (which strikes between tuples), once more at teardown, so
+//! recovery round-trips consistent state through disk.
 //!
 //! Deterministic faults (panic/kill-pe/poison/stall on operators,
 //! drop/dup/delay on cross-PE links) are injected from the builder's
@@ -57,8 +55,9 @@
 //!
 //! ## Shutdown semantics
 //!
-//! * A source finishes when its `drive` returns `Done`, or after
-//!   [`RunningEngine::stop`] requests a cooperative stop.
+//! * A source finishes only when its `drive` returns `Done`, or after
+//!   [`RunningEngine::stop`] requests a cooperative stop; end-of-stream on
+//!   its inputs does not finish it.
 //! * An operator with data inputs finishes when end-of-stream has arrived
 //!   on every data edge; control edges never gate completion (late control
 //!   tuples are dropped), which keeps control-port cycles — like the PCA
@@ -314,7 +313,7 @@ enum Next {
 
 struct OpSlot {
     name: String,
-    op: Option<Box<dyn Operator>>,
+    op: Box<dyn Operator>,
     counters: Arc<OpCounters>,
     out_ports: Vec<Vec<Target>>,
     is_source: bool,
@@ -327,9 +326,8 @@ struct OpSlot {
     faults: Vec<InjectedFault>,
     /// 1-based count of data tuples delivered, for fault trigger points.
     fault_data_seen: u64,
-    /// Supervisor restart policy for this operator.
-    policy: RestartPolicy,
-    /// Restarts performed so far (compared against `policy.max_restarts`).
+    /// Operator restarts performed so far (compared against the PE's
+    /// `policy.max_restarts`).
     restart_attempts: u64,
     /// Sequence number of the last redelivered tuple: a tuple whose retry
     /// panics again is a poison pill and is dropped, not redelivered
@@ -337,30 +335,39 @@ struct OpSlot {
     last_redelivered: Option<u64>,
 }
 
-/// Panic payload used to unwind a PE's scheduler loop on purpose. `clean`
-/// means the unwind started between tuples with every operator box parked
-/// in its slot (the injected `kill-pe` case), so the in-memory state is a
-/// consistent set worth persisting before the rebuild.
-struct PeKill {
-    clean: bool,
+/// Panic payload of the injected faults (`panic@`, `kill-pe@`). Both fire
+/// after `process` returned, so the state they unwind from is whole and
+/// worth persisting before the restore.
+struct PeKill;
+
+/// Which operator callback is running: what [`run_pe`] reads to pick the
+/// restart scope when the PE unwinds.
+enum Call {
+    Start,
+    Drive,
+    /// A copy of the in-flight tuple, for redelivery after a restart.
+    Process(DataTuple),
+    Control,
+    Finish,
 }
 
-/// Everything a PE owns that must survive a whole-PE restart. The
-/// scheduler body (`run_pe_once`) only *borrows* this, so when a panic
-/// unwinds the body, channel endpoints (senders live in the slots' remote
-/// targets, receivers in `rxs`), partially consumed frame cursors, the
-/// in-PE pending queue, and the operator boxes themselves all survive for
-/// the supervisor to rebuild around.
+/// Everything a PE owns that must survive a restart. The scheduler body
+/// (`run_pe_once`) only *borrows* this, so when a panic unwinds the body,
+/// channel endpoints (senders live in the slots' remote targets, receivers
+/// in `rxs`), partially consumed frame cursors, the in-PE pending queue,
+/// and the operators themselves all survive for the supervisor to rebuild
+/// around.
 struct PeRuntime {
     core: PeCore,
     /// Frame receivers, parallel to `core.metas`. Kept separate (and never
     /// mutated after construction) so the scheduler can cache a `Select`
     /// borrowing them across loop iterations.
     rxs: Vec<Receiver<Frame>>,
-    /// Bounds PE-level restarts (same policy as operator restarts).
-    policy: RestartPolicy,
     /// Whole-PE restarts performed so far.
     pe_restarts: u64,
+    /// The operator restart an unwind left for the re-entered loop to run
+    /// (see [`restart_op`]): member, tuple to re-feed, injected fault.
+    owed_restart: Option<(usize, Option<DataTuple>, bool)>,
     /// [`checkpoint_progress`] at the last periodic checkpoint.
     last_ckpt_total: u64,
     /// True once `on_start` hooks have run; a restarted PE must not re-run
@@ -373,9 +380,9 @@ struct PeRuntime {
     rehydrate: Option<checkpoint::SnapshotSet>,
 }
 
-/// What every dispatch path of a PE works on, down to the operator-level
-/// supervisor — which is why the PE's durability lives here: an operator
-/// restart restores from the same manifest a PE restart does.
+/// What every dispatch path of a PE works on, down to an operator restart
+/// — which is why the PE's durability lives here: an operator restart
+/// restores from the same checkpoint a PE restart does.
 struct PeCore {
     slots: Vec<OpSlot>,
     metas: Vec<ChanMeta>,
@@ -387,6 +394,11 @@ struct PeCore {
     pe_index: usize,
     /// Snapshot writer, when the graph has a checkpoint dir configured.
     checkpoint: Option<PeDurability>,
+    /// Bounds operator and PE restarts alike.
+    policy: RestartPolicy,
+    /// The member whose callback is running, and which one; set by [`call`]
+    /// for the duration, read by [`run_pe`] when the PE unwinds.
+    in_call: Option<(usize, Call)>,
 }
 
 /// Traffic report for one cross-PE link.
@@ -682,34 +694,26 @@ impl Engine {
             None => Arc::new(crate::vfs::RealVfs),
         };
 
-        let mut slots_per_pe: Vec<Vec<OpSlot>> = pes
-            .iter()
-            .map(|ops| {
-                ops.iter()
-                    .map(|&g| OpSlot {
-                        name: op_names[g].clone(),
-                        op: None, // installed below
-                        counters: Arc::clone(&counters[g]),
-                        out_ports: (0..n_ports[g]).map(|_| Vec::new()).collect(),
-                        is_source: builder.ops[g].is_source,
-                        data_in_degree: 0,
-                        ctrl_in_degree: 0,
-                        eos_data: 0,
-                        eos_ctrl: 0,
-                        finished: false,
-                        faults: InjectedFault::arm(plan.op_faults(&op_names[g])),
-                        fault_data_seen: 0,
-                        policy,
-                        restart_attempts: 0,
-                        last_redelivered: None,
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Move the operator boxes in.
+        // A PE lists its members in insertion order, so pushing in that
+        // order puts each operator at its local index.
+        let mut slots_per_pe: Vec<Vec<OpSlot>> = pes.iter().map(|_| Vec::new()).collect();
         for (g, entry) in builder.ops.drain(..).enumerate() {
-            slots_per_pe[op_pe[g]][local_idx[g]].op = Some(entry.op);
+            slots_per_pe[op_pe[g]].push(OpSlot {
+                faults: InjectedFault::arm(plan.op_faults(&entry.name)),
+                name: entry.name,
+                op: entry.op,
+                counters: Arc::clone(&counters[g]),
+                out_ports: (0..n_ports[g]).map(|_| Vec::new()).collect(),
+                is_source: entry.is_source,
+                data_in_degree: 0,
+                ctrl_in_degree: 0,
+                eos_data: 0,
+                eos_ctrl: 0,
+                finished: false,
+                fault_data_seen: 0,
+                restart_attempts: 0,
+                last_redelivered: None,
+            });
         }
 
         // Wire edges. The channel capacity is configured in tuples; frames
@@ -850,6 +854,8 @@ impl Engine {
                 stop: Arc::clone(&stop),
                 pe_index,
                 checkpoint,
+                policy,
+                in_call: None,
             };
             let rehydrate = if partition.as_ref().is_some_and(|p| p.rehydrate) {
                 recover_for_rehydrate(&mut core)
@@ -859,8 +865,8 @@ impl Engine {
             let pe = PeRuntime {
                 core,
                 rxs,
-                policy,
                 pe_restarts: 0,
+                owed_restart: None,
                 last_ckpt_total: 0,
                 started: false,
                 rehydrate,
@@ -991,49 +997,75 @@ fn flush_all(slots: &mut [OpSlot]) {
     }
 }
 
-/// Calls a slot's operator method with a context wired to the PE's sink,
-/// timing it into the op's busy counter.
-macro_rules! with_op {
-    ($pe:expr, $idx:expr, |$op:ident, $ctx:ident| $body:expr) => {{
-        let mut $op = $pe.slots[$idx].op.take().expect("operator in flight");
-        let counters = Arc::clone(&$pe.slots[$idx].counters);
-        let t0 = Instant::now();
-        let ret = {
-            let mut sink = PeSink {
-                out_ports: &mut $pe.slots[$idx].out_ports,
-                pending: &mut $pe.pending,
-                stop: &$pe.stop,
-            };
-            let $ctx = &mut OpContext::new(&mut sink, &counters);
-            $body
-        };
-        counters.add_busy(t0.elapsed().as_nanos() as u64);
-        $pe.slots[$idx].op = Some($op);
-        ret
-    }};
+/// The one path into an operator: runs callback `what` of member `idx`
+/// with a context wired to the PE's sink, timed into the op's busy counter.
+/// The operator is borrowed in its slot, and `in_call` names it until the
+/// callback returns, so a panic inside tells [`run_pe`] whose it was.
+fn call<R>(
+    pe: &mut PeCore,
+    idx: usize,
+    what: Call,
+    f: impl FnOnce(&mut dyn Operator, &mut OpContext<'_>) -> R,
+) -> R {
+    pe.in_call = Some((idx, what));
+    let slot = &mut pe.slots[idx];
+    let mut sink = PeSink {
+        out_ports: &mut slot.out_ports,
+        pending: &mut pe.pending,
+        stop: &pe.stop,
+    };
+    let ctx = &mut OpContext::new(&mut sink, &slot.counters);
+    let t0 = Instant::now();
+    let ret = f(&mut *slot.op, ctx);
+    slot.counters.add_busy(t0.elapsed().as_nanos() as u64);
+    pe.in_call = None;
+    ret
 }
 
-/// PE thread entry: the PE-level supervisor. The scheduler body runs under
-/// `catch_unwind` while [`PeRuntime`] stays owned out here, so a panic that
-/// escapes the operator layer (source `drive`, injected `kill-pe`) tears
-/// down only the *stack* of the scheduler — channels, cursors, pending
-/// tuples and operator boxes all survive for [`restart_pe`] to rebuild
-/// around, and the loop re-enters.
+/// PE thread entry: the supervisor. The scheduler body runs under the PE's
+/// one `catch_unwind` while [`PeRuntime`] stays owned out here, so a panic
+/// tears down only the *stack* of the scheduler. What was running picks the
+/// scope: a panic in `process` or `on_control` leaves an operator restart
+/// owed to the re-entered loop; anything else restarts the PE.
 fn run_pe(mut pe: PeRuntime) {
-    loop {
-        let unwound =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_pe_once(&mut pe)));
-        match unwound {
-            Ok(()) => return,
-            Err(payload) => {
-                let clean = payload
-                    .downcast_ref::<PeKill>()
-                    .map(|k| k.clean)
-                    .unwrap_or(false);
-                if !restart_pe(&mut pe, clean) {
-                    return;
-                }
+    while let Err(payload) =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_pe_once(&mut pe)))
+    {
+        let injected = payload.is::<PeKill>();
+        let core = &mut pe.core;
+        match core.in_call.take() {
+            // An injected panic fired after `process` returned: the tuple
+            // is processed and the state whole. A real one left the tuple
+            // unprocessed, to be re-fed.
+            Some((idx, Call::Process(d))) => {
+                pe.owed_restart = Some((idx, (!injected).then_some(d), injected));
+                continue;
             }
+            // Control tuples are never redelivered: sync commands are
+            // periodic, and a missed one is the next skipped sync.
+            Some((idx, Call::Control)) => {
+                pe.owed_restart = Some((idx, None, false));
+                continue;
+            }
+            Some((idx, Call::Drive)) => eprintln!(
+                "[supervisor] source '{}' panicked in drive; escalating to a PE restart",
+                core.slots[idx].name
+            ),
+            // A hook cannot be re-run; finish its operator without it so
+            // its end-of-stream propagates while the rest of the PE comes
+            // back.
+            Some((idx, _)) => {
+                eprintln!(
+                    "[supervisor] operator '{}' panicked in a start or finish hook; finishing it",
+                    core.slots[idx].name
+                );
+                core.slots[idx].finished = true;
+                punctuate(core, idx);
+            }
+            None => {}
+        }
+        if !restart_pe(&mut pe, injected) {
+            return;
         }
     }
 }
@@ -1055,7 +1087,7 @@ fn capture_pe(slots: &mut [OpSlot], metas: &[ChanMeta]) -> Option<Capture> {
         if slot.finished {
             continue;
         }
-        if let Some(cp) = slot.op.as_mut().and_then(|op| op.checkpoint()) {
+        if let Some(cp) = slot.op.checkpoint() {
             parts.push((slot.name.clone(), cp.snapshot()));
         }
     }
@@ -1153,12 +1185,11 @@ impl PeDurability {
 
 /// Teardown capture: persists the PE's in-memory state as it stands. Only
 /// for a fault that struck *between* tuples — an injected `kill-pe` or
-/// `panic@`, both of which fire after `process` returned with every
-/// operator box parked in its slot — where that state is consistent and
-/// the restore that follows ([`recover_set`] flushes the writer first)
-/// round-trips it through disk, so the run stays bit-identical to a
-/// fault-free one. If the write fails, recovery reads the last durable
-/// generation instead.
+/// `panic@`, both of which fire after `process` returned — where that
+/// state is consistent and the restore that follows ([`recover_set`]
+/// flushes the writer first) round-trips it through disk, so the run stays
+/// bit-identical to a fault-free one. If the write fails, recovery reads
+/// the last durable generation instead.
 fn submit_capture(pe: &mut PeCore) {
     if let Some(ckpt) = &pe.checkpoint {
         ckpt.submit(capture_pe(&mut pe.slots, &pe.metas));
@@ -1166,9 +1197,9 @@ fn submit_capture(pe: &mut PeCore) {
 }
 
 /// The PE's best durable generation, read behind its writer — what every
-/// restart restores from, at all three supervision levels. Degrading: a
-/// torn or bit-rotted generation file is quarantined aside and the
-/// previous generation is used, never an error; that is reported and
+/// restart restores from: an operator's, the PE's, a respawned process's.
+/// Degrading: a torn or bit-rotted generation file is quarantined aside and
+/// the previous generation is used, never an error; that is reported and
 /// counted here (PE-attributed to the first slot). `None` without a
 /// checkpoint dir or a usable generation: the state in memory stands.
 fn recover_set(pe: &PeCore) -> Option<checkpoint::SnapshotSet> {
@@ -1203,7 +1234,7 @@ fn restore_members(slots: &mut [OpSlot], parts: &checkpoint::SnapshotSet, only: 
         if only.is_some_and(|only| only != i) {
             continue;
         }
-        if let Some(cp) = slots[i].op.as_mut().and_then(|op| op.checkpoint()) {
+        if let Some(cp) = slots[i].op.checkpoint() {
             if let Err(e) = cp.restore(blob) {
                 eprintln!(
                     "[supervisor] operator '{name}' failed to restore from the PE \
@@ -1247,29 +1278,21 @@ fn recover_for_rehydrate(pe: &mut PeCore) -> Option<checkpoint::SnapshotSet> {
     Some(parts)
 }
 
-/// The PE-level supervisor's recovery path. Returns false when the restart
-/// budget is exhausted — the PE is then wound down (EOS on every port) so
-/// the rest of the graph still drains.
+/// The PE restart. Returns false when the restart budget is exhausted — the
+/// PE is then wound down (EOS on every port) so the rest of the graph still
+/// drains.
 fn restart_pe(pe: &mut PeRuntime, clean: bool) -> bool {
     pe.pe_restarts += 1;
     let attempt = pe.pe_restarts;
-    let policy = pe.policy;
     let pe = &mut pe.core;
-    let pe_index = pe.pe_index;
+    let (pe_index, policy) = (pe.pe_index, pe.policy);
     if attempt > policy.max_restarts {
         eprintln!(
             "[supervisor] PE {pe_index} exceeded {} restarts; winding it down",
             policy.max_restarts
         );
         for i in 0..pe.slots.len() {
-            if pe.slots[i].finished {
-                continue;
-            }
-            if pe.slots[i].op.is_some() {
-                finish_op(pe, i);
-            } else {
-                finish_op_without_instance(pe, i);
-            }
+            finish_op(pe, i);
         }
         drain_pending(pe);
         flush_all(&mut pe.slots);
@@ -1294,33 +1317,10 @@ fn restart_pe(pe: &mut PeRuntime, clean: bool) -> bool {
     if let Some(parts) = recover_set(pe) {
         restore_members(&mut pe.slots, &parts, None);
     }
-
-    // An operator whose box was consumed by the unwind (panic inside
-    // on_start/on_finish hooks) cannot be rebuilt; finish it so its EOS
-    // propagates while the rest of the PE comes back.
-    for i in 0..pe.slots.len() {
-        if pe.slots[i].op.is_none() && !pe.slots[i].finished {
-            eprintln!(
-                "[supervisor] operator '{}' was lost in the PE unwind; finishing it",
-                pe.slots[i].name
-            );
-            finish_op_without_instance(pe, i);
-        }
-    }
     for s in pe.slots.iter() {
         s.counters.add(Counter::PeRestarts, 1);
     }
     true
-}
-
-/// Like [`finish_op`] but for a slot whose operator box did not survive the
-/// PE unwind: no `on_finish` can run, but end-of-stream still propagates.
-fn finish_op_without_instance(pe: &mut PeCore, idx: usize) {
-    if pe.slots[idx].finished {
-        return;
-    }
-    pe.slots[idx].finished = true;
-    punctuate(pe, idx);
 }
 
 /// End-of-stream on every out port of `idx` (local + remote), then the
@@ -1348,6 +1348,7 @@ fn run_pe_once(pe: &mut PeRuntime) {
     let PeRuntime {
         core: pe,
         rxs,
+        owed_restart,
         last_ckpt_total,
         started,
         rehydrate,
@@ -1365,7 +1366,7 @@ fn run_pe_once(pe: &mut PeRuntime) {
         .slots
         .iter_mut()
         .filter(|s| !s.finished)
-        .filter_map(|s| s.op.as_mut().and_then(|op| op.checkpoint()))
+        .filter_map(|s| s.op.checkpoint())
         .map(|cp| cp.checkpoint_every().max(1))
         .min()
         .or(if has_net && pe.checkpoint.is_some() {
@@ -1376,37 +1377,37 @@ fn run_pe_once(pe: &mut PeRuntime) {
 
     if !*started {
         *started = true;
-
-        // Start hooks.
         for i in 0..pe.slots.len() {
-            with_op!(pe, i, |op, ctx| op.on_start(ctx));
+            call(pe, i, Call::Start, |op, ctx| op.on_start(ctx));
         }
-        drain_pending(pe);
+    }
+    // Re-entry after a panic: the operator restart it left owed runs first,
+    // then the tuples queued at the moment of death are delivered, before
+    // any channel is touched. The steps below are each done once, so a
+    // panic part-way through the first entry resumes where it stopped.
+    if let Some((idx, retry, injected)) = owed_restart.take() {
+        restart_op(pe, idx, retry, injected);
+    }
+    drain_pending(pe);
 
-        // Distributed rehydrate: a respawned worker restores its operators
-        // from the recovered manifest *after* their start hooks, mirroring
-        // the restart_pe recovery order. Wire watermarks were preset before
-        // the transport started accepting, so upstream replay begins
-        // exactly where this state leaves off.
-        if let Some(parts) = rehydrate.take() {
-            restore_members(&mut pe.slots, &parts, None);
-            drain_pending(pe);
-        }
-
-        // Operators with no inputs that aren't sources are trivially
-        // finished.
-        for i in 0..pe.slots.len() {
-            let s = &pe.slots[i];
-            if !s.is_source && s.data_in_degree == 0 && s.ctrl_in_degree == 0 {
-                finish_op(pe, i);
-            }
-        }
-        drain_pending(pe);
-    } else {
-        // Re-entry after a PE restart: tuples queued at the moment of death
-        // are still in `pending`; deliver them before touching channels.
+    // Distributed rehydrate: a respawned worker restores its operators
+    // from the recovered manifest *after* their start hooks, mirroring
+    // the restart_pe recovery order. Wire watermarks were preset before
+    // the transport started accepting, so upstream replay begins
+    // exactly where this state leaves off.
+    if let Some(parts) = rehydrate.take() {
+        restore_members(&mut pe.slots, &parts, None);
         drain_pending(pe);
     }
+
+    // Operators with no inputs that aren't sources are trivially finished.
+    for i in 0..pe.slots.len() {
+        let s = &pe.slots[i];
+        if !s.is_source && s.data_in_degree == 0 && s.ctrl_in_degree == 0 {
+            finish_op(pe, i);
+        }
+    }
+    drain_pending(pe);
 
     let source_idxs: Vec<usize> = (0..pe.slots.len())
         .filter(|&i| pe.slots[i].is_source)
@@ -1431,8 +1432,7 @@ fn run_pe_once(pe: &mut PeRuntime) {
                 drain_pending(pe);
                 continue;
             }
-            let state: SourceState = supervised_drive(pe, i);
-            match state {
+            match call(pe, i, Call::Drive, |op, ctx| op.drive(ctx)) {
                 SourceState::Emitted => progressed = true,
                 SourceState::Idle => {}
                 SourceState::Done => {
@@ -1666,74 +1666,35 @@ fn dispatch(pe: &mut PeCore, idx: usize, port: PortKind, t: Tuple) {
                 PortKind::Control => pe.slots[idx].eos_ctrl += 1,
             }
             let s = &pe.slots[idx];
-            let data_done = s.eos_data >= s.data_in_degree;
             let ready = if s.data_in_degree > 0 {
-                data_done
+                s.eos_data >= s.data_in_degree
             } else {
                 // Control-only consumer: wait for its control edges.
                 s.eos_ctrl >= s.ctrl_in_degree
             };
-            // Sources with no inputs only finish via drive()/stop; a source
-            // *with* a data input (e.g. a sync controller watching the data
-            // stream) winds down when that stream ends.
-            let externally_finishable = !s.is_source || s.data_in_degree > 0;
-            if ready && externally_finishable {
+            // Sources finish only through drive() or a stop.
+            if ready && !s.is_source {
                 finish_op(pe, idx);
             }
         }
         Tuple::Data(d) => {
             if port == PortKind::Data {
                 pe.slots[idx].counters.add_in();
-                supervised_process(pe, idx, d);
+                process(pe, idx, d);
             }
             // Data on a control port is a wiring error; dropped.
         }
         Tuple::Control(c) => {
             pe.slots[idx].counters.add_control();
-            supervised_control(pe, idx, c);
+            call(pe, idx, Call::Control, |op, ctx| op.on_control(c, ctx));
         }
     }
 }
 
-/// Drives a source under `catch_unwind`. A panicking `drive` cannot be
-/// isolated at the operator layer — the source's cursor may be mid-emission
-/// and there is no in-flight tuple to redeliver — so the panic is
-/// *escalated*: the operator box is parked back in its slot first (it must
-/// survive for checkpoint recovery), then the whole PE is unwound for the
-/// PE-level supervisor to rebuild.
-fn supervised_drive(pe: &mut PeCore, idx: usize) -> SourceState {
-    let mut op = pe.slots[idx].op.take().expect("operator in flight");
-    let counters = Arc::clone(&pe.slots[idx].counters);
-    let t0 = Instant::now();
-    let result = {
-        let mut sink = PeSink {
-            out_ports: &mut pe.slots[idx].out_ports,
-            pending: &mut pe.pending,
-            stop: &pe.stop,
-        };
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let ctx = &mut OpContext::new(&mut sink, &counters);
-            op.drive(ctx)
-        }))
-    };
-    counters.add_busy(t0.elapsed().as_nanos() as u64);
-    pe.slots[idx].op = Some(op);
-    match result {
-        Ok(state) => state,
-        Err(_) => {
-            eprintln!(
-                "[supervisor] source '{}' panicked in drive; escalating to a PE restart",
-                pe.slots[idx].name
-            );
-            std::panic::panic_any(PeKill { clean: false })
-        }
-    }
-}
-
-/// Applies pre-delivery operator faults (poison/stall), determines whether
-/// an injected panic is due, and hands the tuple to the supervised call.
-fn supervised_process(pe: &mut PeCore, idx: usize, d: DataTuple) {
-    let mut d = d;
+/// Applies pre-delivery operator faults (poison/stall) and hands the tuple
+/// to `process`, raising an injected `panic@` or `kill-pe@` after it
+/// returned.
+fn process(pe: &mut PeCore, idx: usize, mut d: DataTuple) {
     let mut panic_due = false;
     let mut kill_pe_due = false;
     let slot = &mut pe.slots[idx];
@@ -1772,92 +1733,34 @@ fn supervised_process(pe: &mut PeCore, idx: usize, d: DataTuple) {
             }
         }
     }
-    deliver_supervised(pe, idx, d, panic_due);
+    call(pe, idx, Call::Process(d.clone()), |op, ctx| {
+        op.process(d, ctx);
+        if panic_due {
+            // Blamed on the operator, whose state is whole.
+            std::panic::panic_any(PeKill);
+        }
+    });
     if kill_pe_due {
-        // Fires after `process` returned and the operator box is parked
-        // back in its slot: the whole PE unwinds from a consistent
-        // between-tuples state (`clean`), so teardown can persist it and
-        // recovery loses nothing.
-        std::panic::panic_any(PeKill { clean: true });
+        // Raised outside any callback, so blamed on nobody: the whole PE
+        // unwinds from a consistent between-tuples state, which teardown
+        // persists, so recovery loses nothing.
+        std::panic::panic_any(PeKill);
     }
 }
 
-/// Runs `process` under `catch_unwind`, borrowing (not moving) the operator
-/// so the instance survives an unwind and `recover` can run on its real
-/// state. parking_lot mutexes do not poison, so surviving state stays
-/// usable.
-fn deliver_supervised(pe: &mut PeCore, idx: usize, d: DataTuple, inject_panic: bool) {
-    let retry = d.clone();
-    let mut op = pe.slots[idx].op.take().expect("operator in flight");
-    let counters = Arc::clone(&pe.slots[idx].counters);
-    let t0 = Instant::now();
-    let mut completed = false;
-    let result = {
-        let mut sink = PeSink {
-            out_ports: &mut pe.slots[idx].out_ports,
-            pending: &mut pe.pending,
-            stop: &pe.stop,
-        };
-        let completed = &mut completed;
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let ctx = &mut OpContext::new(&mut sink, &counters);
-            op.process(d, ctx);
-            *completed = true;
-            if inject_panic {
-                panic!("injected fault: deterministic panic from the fault plan");
-            }
-        }))
-    };
-    counters.add_busy(t0.elapsed().as_nanos() as u64);
-    pe.slots[idx].op = Some(op);
-    if result.is_err() {
-        // A real mid-process panic left the tuple unprocessed: redeliver it
-        // after recovery. The injected panic fires after completion, so its
-        // tuple is never redelivered (zero loss outside the fault window)
-        // and the operator's state is whole.
-        let redeliver = if completed { None } else { Some(retry) };
-        handle_panic(pe, idx, redeliver, completed);
-    }
-}
-
-/// Runs `on_control` under `catch_unwind`. Control tuples are never
-/// redelivered: sync commands are periodic and a missed one is simply the
-/// next skipped sync, not data loss.
-fn supervised_control(pe: &mut PeCore, idx: usize, c: crate::tuple::ControlTuple) {
-    let mut op = pe.slots[idx].op.take().expect("operator in flight");
-    let counters = Arc::clone(&pe.slots[idx].counters);
-    let t0 = Instant::now();
-    let result = {
-        let mut sink = PeSink {
-            out_ports: &mut pe.slots[idx].out_ports,
-            pending: &mut pe.pending,
-            stop: &pe.stop,
-        };
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let ctx = &mut OpContext::new(&mut sink, &counters);
-            op.on_control(c, ctx);
-        }))
-    };
-    counters.add_busy(t0.elapsed().as_nanos() as u64);
-    pe.slots[idx].op = Some(op);
-    if result.is_err() {
-        handle_panic(pe, idx, None, false);
-    }
-}
-
-/// The supervisor's panic path: capped exponential backoff, then a guarded
-/// `recover` call — the operator's consent to go on. A consenting operator
-/// with durable state (a [`Checkpoint`](crate::checkpoint::Checkpoint)
-/// facet, in a PE with a checkpoint dir) is then restored from the PE
-/// manifest, the same copy a PE restart reads: after a `clean` panic (the
-/// injected one, which left its state whole) from a teardown capture of
-/// exactly that state, after a real one from the last committed
-/// generation. It resumes, re-fed the in-flight tuple once; an operator
-/// that declines — or is past its restart budget — is finished so
-/// end-of-stream still propagates downstream.
-fn handle_panic(pe: &mut PeCore, idx: usize, retry: Option<DataTuple>, clean: bool) {
+/// The operator restart, run by the re-entered loop: capped exponential
+/// backoff, then a guarded `recover` call — the operator's consent to go
+/// on. A consenting operator with durable state (a
+/// [`Checkpoint`](crate::checkpoint::Checkpoint) facet, in a PE with a
+/// checkpoint dir) is then restored from the PE manifest, the same copy a
+/// PE restart reads: after a `clean` panic (the injected one, which left
+/// its state whole) from a teardown capture of exactly that state, after a
+/// real one from the last committed generation. It resumes, re-fed the
+/// in-flight tuple once; an operator that declines — or is past its restart
+/// budget — is finished so end-of-stream still propagates downstream.
+fn restart_op(pe: &mut PeCore, idx: usize, retry: Option<DataTuple>, clean: bool) {
     let attempt = pe.slots[idx].restart_attempts + 1;
-    let policy = pe.slots[idx].policy;
+    let policy = pe.policy;
     if attempt > policy.max_restarts {
         eprintln!(
             "[supervisor] operator '{}' exceeded {} restarts; finishing it",
@@ -1867,20 +1770,15 @@ fn handle_panic(pe: &mut PeCore, idx: usize, retry: Option<DataTuple>, clean: bo
         return;
     }
     std::thread::sleep(policy.backoff(attempt));
-    let durable = pe.checkpoint.is_some()
-        && pe.slots[idx]
-            .op
-            .as_mut()
-            .is_some_and(|op| op.checkpoint().is_some());
+    let durable = pe.checkpoint.is_some() && pe.slots[idx].op.checkpoint().is_some();
     // Before `recover`, which may reset the state it is asked about.
     if clean && durable {
         submit_capture(pe);
     }
-    let mut op = pe.slots[idx].op.take().expect("operator in flight");
     // recover() itself runs guarded: an operator that panics while
     // restoring is unrecoverable.
+    let op = &mut pe.slots[idx].op;
     let recovered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op.recover(attempt)));
-    pe.slots[idx].op = Some(op);
     match recovered {
         Ok(true) => {
             if durable {
@@ -1895,7 +1793,9 @@ fn handle_panic(pe: &mut PeCore, idx: usize, retry: Option<DataTuple>, clean: bo
                 // retry panics again is a poison pill and is dropped.
                 if pe.slots[idx].last_redelivered != Some(d.seq) {
                     pe.slots[idx].last_redelivered = Some(d.seq);
-                    deliver_supervised(pe, idx, d, false);
+                    call(pe, idx, Call::Process(d.clone()), |op, ctx| {
+                        op.process(d, ctx)
+                    });
                 }
             }
         }
@@ -1913,7 +1813,7 @@ fn finish_op(pe: &mut PeCore, idx: usize) {
     if pe.slots[idx].finished {
         return;
     }
-    with_op!(pe, idx, |op, ctx| op.on_finish(ctx));
+    call(pe, idx, Call::Finish, |op, ctx| op.on_finish(ctx));
     pe.slots[idx].finished = true;
     punctuate(pe, idx);
 }
@@ -2461,7 +2361,7 @@ mod tests {
     fn lone_slot() -> OpSlot {
         OpSlot {
             name: "op".to_string(),
-            op: Some(Box::new(Swallow)),
+            op: Box::new(Swallow),
             counters: Arc::new(OpCounters::default()),
             out_ports: Vec::new(),
             is_source: false,
@@ -2472,7 +2372,6 @@ mod tests {
             finished: false,
             faults: Vec::new(),
             fault_data_seen: 0,
-            policy: RestartPolicy::default(),
             restart_attempts: 0,
             last_redelivered: None,
         }
@@ -2522,6 +2421,8 @@ mod tests {
             stop: Arc::new(AtomicBool::new(false)),
             pe_index: 0,
             checkpoint: None,
+            policy: RestartPolicy::default(),
+            in_call: None,
         }
     }
 

@@ -202,6 +202,138 @@ fn injected_panic_with_recovery_loses_nothing() {
     assert_eq!(op_snapshot(&report, "fwd").get(Counter::Restarts), 1);
 }
 
+/// Forwards data tuples but panics on seq `poison` every time it is fed;
+/// `recover` always consents.
+struct PoisonPill {
+    poison: u64,
+}
+
+impl Operator for PoisonPill {
+    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
+        assert_ne!(t.seq, self.poison, "poison pill");
+        ctx.emit_data(0, t);
+    }
+
+    fn recover(&mut self, _attempt: u64) -> bool {
+        true
+    }
+}
+
+#[test]
+fn a_tuple_that_panics_on_redelivery_is_dropped_as_a_poison_pill() {
+    // Seq 42 panics, is redelivered once after the first restart, panics
+    // again, and is dropped after the second: every other tuple arrives,
+    // and the PE itself never restarts.
+    let mut g = GraphBuilder::new().with_restart_policy(fast_policy(8));
+    let src = g.add_source("src", counting_source(100));
+    let op = g.add_op("op", Box::new(PoisonPill { poison: 42 }));
+    let (sink, store) = CollectSink::new();
+    let out = g.add_op("sink", Box::new(sink));
+    g.connect(src, 0, op, PortKind::Data);
+    g.connect(op, 0, out, PortKind::Data);
+    let report = Engine::run(g);
+
+    let mut seqs: Vec<u64> = store.lock().iter().map(|t| t.seq).collect();
+    seqs.sort_unstable();
+    let expected: Vec<u64> = (0..100).filter(|&s| s != 42).collect();
+    assert_eq!(seqs, expected);
+    assert_eq!(op_snapshot(&report, "op").get(Counter::Restarts), 2);
+    assert_eq!(report.total(Counter::PeRestarts), 0);
+}
+
+/// Forwards data tuples; panics in `on_start` or `on_finish`.
+struct HookPanicker {
+    in_start: bool,
+}
+
+impl Operator for HookPanicker {
+    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
+        ctx.emit_data(0, t);
+    }
+
+    fn on_start(&mut self, _ctx: &mut OpContext<'_>) {
+        if self.in_start {
+            panic!("start hook failure");
+        }
+    }
+
+    fn on_finish(&mut self, _ctx: &mut OpContext<'_>) {
+        if !self.in_start {
+            panic!("finish hook failure");
+        }
+    }
+}
+
+/// Collects data sequence numbers and notes end-of-stream.
+struct EosSink {
+    seqs: Arc<std::sync::Mutex<Vec<u64>>>,
+    ended: Arc<AtomicBool>,
+}
+
+impl Operator for EosSink {
+    fn process(&mut self, t: DataTuple, _ctx: &mut OpContext<'_>) {
+        self.seqs.lock().unwrap().push(t.seq);
+    }
+
+    fn on_finish(&mut self, _ctx: &mut OpContext<'_>) {
+        self.ended.store(true, Ordering::SeqCst);
+    }
+}
+
+/// Runs src → `op` (a [`HookPanicker`]) → sink over 100 tuples, with `op`
+/// fused with the source or not; returns the report, what the sink got and
+/// whether its end-of-stream arrived.
+fn run_hook_panic(in_start: bool, fused: bool) -> (RunReport, Vec<u64>, bool) {
+    let seqs = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let ended = Arc::new(AtomicBool::new(false));
+    let mut g = GraphBuilder::new().with_restart_policy(fast_policy(8));
+    let src = g.add_source("src", counting_source(100));
+    let op = g.add_op("op", Box::new(HookPanicker { in_start }));
+    let out = g.add_op(
+        "sink",
+        Box::new(EosSink {
+            seqs: Arc::clone(&seqs),
+            ended: Arc::clone(&ended),
+        }),
+    );
+    g.connect(src, 0, op, PortKind::Data);
+    g.connect(op, 0, out, PortKind::Data);
+    if fused {
+        g.fuse(&[src, op]);
+    }
+    let report = Engine::run(g);
+    let got = seqs.lock().unwrap().clone();
+    (report, got, ended.load(Ordering::SeqCst))
+}
+
+#[test]
+fn a_start_hook_panic_restarts_the_pe_and_finishes_the_operator() {
+    // The hook cannot be re-run: its operator is finished without it, so
+    // nothing reaches the sink, and the run still terminates.
+    for fused in [true, false] {
+        let (report, got, ended) = run_hook_panic(true, fused);
+        assert!(
+            got.is_empty(),
+            "fused={fused}: {} tuples got through",
+            got.len()
+        );
+        assert!(ended, "fused={fused}: end-of-stream must still arrive");
+        assert_eq!(op_snapshot(&report, "op").get(Counter::PeRestarts), 1);
+        assert_eq!(report.total(Counter::Restarts), 0);
+    }
+}
+
+#[test]
+fn a_finish_hook_panic_restarts_the_pe_and_end_of_stream_still_arrives() {
+    for fused in [true, false] {
+        let (report, got, ended) = run_hook_panic(false, fused);
+        assert_eq!(got, (0..100).collect::<Vec<_>>(), "fused={fused}");
+        assert!(ended, "fused={fused}: end-of-stream must still arrive");
+        assert_eq!(op_snapshot(&report, "op").get(Counter::PeRestarts), 1);
+        assert_eq!(report.total(Counter::Restarts), 0);
+    }
+}
+
 #[test]
 fn drop_fault_loses_exactly_the_named_tuple() {
     let mut g = GraphBuilder::new().with_fault_plan(FaultPlan::parse("drop@src>sink:50").unwrap());
