@@ -6,7 +6,7 @@
 //! a register-blocked 8×4 AVX2+FMA micro-kernel with B-panel packing where
 //! the CPU supports it, the original `j-k-i` axpy loop (column-major
 //! friendly: the innermost loop runs down a contiguous output column)
-//! otherwise — composed here with column-parallelism via crossbeam scoped
+//! otherwise — composed here with column-parallelism via `std` scoped
 //! threads.
 
 use crate::kernels;
@@ -64,15 +64,13 @@ pub fn par_gemm(a: &Mat, b: &Mat, threads: usize) -> Result<Mat> {
         }
         bands
     };
-    crossbeam::scope(|s| {
+    // A worker's panic propagates out of the scope.
+    std::thread::scope(|s| {
         for (c0, band) in bands {
             let width = band.len() / m;
-            s.spawn(move |_| {
-                gemm_into_cols(a, b, band, c0, width);
-            });
+            s.spawn(move || gemm_into_cols(a, b, band, c0, width));
         }
-    })
-    .expect("gemm worker panicked");
+    });
     Ok(out)
 }
 

@@ -3,10 +3,12 @@
 //! One OS thread per processing element (PE): operators fused into a PE
 //! dispatch tuples to each other through an in-memory queue (the analogue
 //! of InfoSphere passing "data by pointer as a variable in memory"), while
-//! cross-PE edges are bounded crossbeam channels that provide backpressure
-//! and traffic accounting. Sources are driven cooperatively by their PE's
-//! thread; end-of-stream punctuation flows edge-by-edge, so a PE (and the
-//! whole run) winds down exactly when all upstream work is drained.
+//! cross-PE edges are bounded `std::sync::mpsc` channels that provide
+//! backpressure and traffic accounting. A PE with nothing to do sleeps on
+//! one wake-up that every producer into it rings (`tuple::Wake`). Sources
+//! are driven cooperatively by their PE's thread; end-of-stream
+//! punctuation flows edge-by-edge, so a PE (and the whole run) winds down
+//! exactly when all upstream work is drained.
 //!
 //! ## Batched transport
 //!
@@ -74,21 +76,18 @@ use crate::metrics::{
 };
 use crate::netio::{AckMode, LinkIn, NetTransport};
 use crate::operator::{EmitSink, OpContext, Operator, SourceState};
-use crate::tuple::{DataTuple, Frame, FramePool, Punctuation, Tuple};
-use crossbeam::channel::{bounded, Receiver, Select, Sender};
+use crate::tuple::{frame_channel, wake, DataTuple, Frame, FrameRx, FrameTx, Punctuation, Tuple};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Tuples routed per live channel in one bounded sweep (after a select
-/// hit, or per scheduler iteration while sources are still live). Bounded
-/// so one hot channel cannot starve its siblings or a co-resident source.
+/// Tuples routed per live channel in one sweep of the scheduler loop.
+/// Bounded so one hot channel cannot starve its siblings or a co-resident
+/// source.
 const SWEEP_TUPLES: usize = 256;
-
-/// Spare frame buffers retained per edge pool.
-const POOL_DEPTH: usize = 8;
 
 /// One fault from the plan, armed against its trigger point. Each fault
 /// fires at most once so a plan stays a finite, reproducible script.
@@ -125,14 +124,11 @@ impl InjectedFault {
 /// The PE scheduler additionally flushes every edge whenever it is about to
 /// idle or block, so no tuple is ever stranded in a buffer.
 struct RemoteEdge {
-    tx: Sender<Frame>,
+    tx: FrameTx,
     counters: Arc<LinkCounters>,
     /// Flush threshold (tuples per frame); 1 = legacy per-tuple transport.
     batch: usize,
     buf: Vec<Tuple>,
-    pool: Arc<FramePool>,
-    /// Tuples sent but not yet routed by the consumer (backlog accounting).
-    inflight: Arc<AtomicUsize>,
     /// Armed link faults (drop/dup/delay) from the fault plan; empty in
     /// normal runs.
     faults: Vec<InjectedFault>,
@@ -205,7 +201,7 @@ impl RemoteEdge {
         // scheduler, which flushes every edge before blocking or idling.
         if urgent
             || self.buf.len() >= self.batch
-            || (self.tx.is_empty() && self.buf.len() * 4 >= self.batch)
+            || (self.tx.queued() == 0 && self.buf.len() * 4 >= self.batch)
         {
             self.flush();
         }
@@ -215,25 +211,20 @@ impl RemoteEdge {
         if self.buf.is_empty() {
             return;
         }
-        let tuples = std::mem::replace(&mut self.buf, self.pool.take(self.batch));
-        let n = tuples.len() as u64;
+        let tuples = std::mem::replace(&mut self.buf, self.tx.buffer(self.batch));
         let frame = Frame::from_vec(tuples);
-        let bytes = frame.wire_bytes();
-        self.inflight.fetch_add(n as usize, Ordering::Relaxed);
-        if self.tx.send(frame).is_ok() {
-            // Per-tuple accounting is preserved inside frames so LinkReport
-            // is batch-invariant.
+        let (n, bytes) = (frame.len() as u64, frame.wire_bytes());
+        // Per-tuple accounting is preserved inside frames so LinkReport is
+        // batch-invariant. A failed send means the consumer already
+        // finished; the frame is intentionally dropped.
+        if self.tx.send(frame) {
             self.counters.add_many(n, bytes);
-        } else {
-            // A closed receiver means the consumer already finished; the
-            // frame is intentionally dropped.
-            self.inflight.fetch_sub(n as usize, Ordering::Relaxed);
         }
     }
 
     /// Tuples not yet routed by the consumer: local buffer + in flight.
     fn depth(&self) -> usize {
-        self.buf.len() + self.inflight.load(Ordering::Relaxed)
+        self.buf.len() + self.tx.queued()
     }
 }
 
@@ -245,24 +236,21 @@ enum Target {
     Remote(RemoteEdge),
 }
 
-/// Receive-side state of one cross-PE edge. The receivers themselves live
-/// in a separate `Vec` (`PeRuntime::rxs`) so a cached `Select` can keep
-/// borrowing them while this metadata is updated.
+/// Receive side of one cross-PE edge: its channel and where it leads.
 ///
 /// `cur` holds the partially-consumed current frame *reversed*, so the next
 /// tuple is an O(1) `pop`. Consuming frames through a cursor instead of
 /// dispatching them wholesale lets the scheduler interleave channels at
-/// tuple granularity — the same fairness the per-tuple select loop had —
+/// tuple granularity — the same fairness a per-tuple transport has —
 /// while still paying channel synchronization only once per frame.
 struct ChanMeta {
+    rx: FrameRx,
     to_local: usize,
     port: PortKind,
     got_eos: bool,
     alive: bool,
     /// Remaining tuples of the current frame, in reverse delivery order.
     cur: Vec<Tuple>,
-    pool: Arc<FramePool>,
-    inflight: Arc<AtomicUsize>,
     /// Tuples routed off this channel so far. For socket-backed channels
     /// this is the durable consumption watermark persisted as a
     /// `__netlink{id}` pseudo-part in the PE manifest.
@@ -287,28 +275,22 @@ struct NetIn {
 }
 
 impl ChanMeta {
-    /// Installs a freshly received frame as the current cursor.
-    fn accept(&mut self, frame: Frame) {
-        let Frame { mut tuples } = frame;
-        self.inflight.fetch_sub(tuples.len(), Ordering::Relaxed);
+    /// The next tuple from the cursor, refilled from the channel when it is
+    /// spent; `Disconnected` once the channel closed with the cursor empty.
+    fn next(&mut self) -> Result<Tuple, TryRecvError> {
+        if let Some(t) = self.cur.pop() {
+            return Ok(t);
+        }
+        let Frame { mut tuples } = self.rx.try_recv()?;
         if let Some(net) = &self.net {
             net.link.frame_taken();
         }
         tuples.reverse();
-        debug_assert!(self.cur.is_empty(), "frame accepted over unconsumed cursor");
         let spent = std::mem::replace(&mut self.cur, tuples);
-        self.pool.put(spent);
+        self.rx.recycle(spent);
+        // An empty frame (defensively) reads as nothing queued.
+        self.cur.pop().ok_or(TryRecvError::Empty)
     }
-}
-
-/// Outcome of asking a channel cursor for its next tuple.
-enum Next {
-    /// A tuple to route.
-    Tuple(Tuple),
-    /// Nothing buffered and nothing queued right now.
-    Empty,
-    /// The channel closed with no current tuple.
-    Disconnected,
 }
 
 struct OpSlot {
@@ -354,15 +336,14 @@ enum Call {
 /// Everything a PE owns that must survive a restart. The scheduler body
 /// (`run_pe_once`) only *borrows* this, so when a panic unwinds the body,
 /// channel endpoints (senders live in the slots' remote targets, receivers
-/// in `rxs`), partially consumed frame cursors, the in-PE pending queue,
-/// and the operators themselves all survive for the supervisor to rebuild
-/// around.
+/// in `core.metas`), partially consumed frame cursors, the in-PE pending
+/// queue, and the operators themselves all survive for the supervisor to
+/// rebuild around.
 struct PeRuntime {
     core: PeCore,
-    /// Frame receivers, parallel to `core.metas`. Kept separate (and never
-    /// mutated after construction) so the scheduler can cache a `Select`
-    /// borrowing them across loop iterations.
-    rxs: Vec<Receiver<Frame>>,
+    /// Rung by every producer into this PE (see `tuple::Wake`): what the
+    /// scheduler waits on when it has nothing to do.
+    woken: Receiver<()>,
     /// Whole-PE restarts performed so far.
     pe_restarts: u64,
     /// The operator restart an unwind left for the re-entered loop to run
@@ -723,8 +704,7 @@ impl Engine {
         let frame_cap = (builder.channel_capacity.div_ceil(batch)).max(1);
         let checkpoint_dir = builder.checkpoint_dir.take();
         let mut link_endpoints: Vec<(String, String)> = Vec::new();
-        let mut rxs_per_pe: Vec<Vec<Receiver<Frame>>> =
-            (0..pes.len()).map(|_| Vec::new()).collect();
+        let (wakes, woken_per_pe): (Vec<_>, Vec<_>) = pes.iter().map(|_| wake()).unzip();
         let mut metas_per_pe: Vec<Vec<ChanMeta>> = (0..pes.len()).map(|_| Vec::new()).collect();
         for (eid, e) in builder.edges.iter().enumerate() {
             let from_pe = op_pe[e.from];
@@ -746,22 +726,20 @@ impl Engine {
                     // holds the other: it encodes each outgoing frame once
                     // and retransmits it until the peer acknowledges, and
                     // decodes incoming frames into the channel so the
-                    // consuming PE sees an ordinary frame channel.
-                    let (tx, rx) = bounded(frame_cap);
+                    // consuming PE sees an ordinary frame channel. A PE
+                    // consumer is rung on every frame; the transport's
+                    // sender waits on the channel itself.
+                    let (tx, rx) = frame_channel(frame_cap, to_here.then(|| wakes[to_pe].clone()));
                     let link = metrics.register_link();
                     link_endpoints.push((op_names[e.from].clone(), op_names[e.to].clone()));
-                    let pool = Arc::new(FramePool::new(POOL_DEPTH));
-                    let inflight = Arc::new(AtomicUsize::new(0));
                     let boundary = || partition.as_ref().expect("boundary edge implies partition");
                     let net = if from_here {
                         slots_per_pe[from_pe][local_idx[e.from]].out_ports[e.out_port].push(
                             Target::Remote(RemoteEdge {
+                                buf: tx.buffer(batch),
                                 tx,
                                 counters: link,
                                 batch,
-                                buf: pool.take(batch),
-                                pool: Arc::clone(&pool),
-                                inflight: Arc::clone(&inflight),
                                 faults: InjectedFault::arm(
                                     plan.link_faults(&op_names[e.from], &op_names[e.to]),
                                 ),
@@ -782,25 +760,17 @@ impl Engine {
                         };
                         Some(NetIn {
                             link_id: eid as u64,
-                            link: boundary().net.add_incoming(
-                                eid as u64,
-                                tx,
-                                Arc::clone(&pool),
-                                Arc::clone(&inflight),
-                                ack,
-                            ),
+                            link: boundary().net.add_incoming(eid as u64, tx, ack),
                         })
                     };
                     if to_here {
-                        rxs_per_pe[to_pe].push(rx);
                         metas_per_pe[to_pe].push(ChanMeta {
+                            rx,
                             to_local: local_idx[e.to],
                             port: e.port,
                             got_eos: false,
                             alive: true,
                             cur: Vec::new(),
-                            pool,
-                            inflight,
                             routed: 0,
                             routed_other: 0,
                             net,
@@ -813,7 +783,7 @@ impl Engine {
                                 op_names[e.from], op_names[e.to]
                             )
                         });
-                        p.net.add_outgoing(eid as u64, rx, pool, inflight, peer);
+                        p.net.add_outgoing(eid as u64, rx, peer);
                     }
                 }
             }
@@ -830,9 +800,9 @@ impl Engine {
 
         let stop = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::with_capacity(pes.len());
-        for (pe_index, ((slots, rxs), metas)) in slots_per_pe
+        for (pe_index, ((slots, woken), metas)) in slots_per_pe
             .into_iter()
-            .zip(rxs_per_pe)
+            .zip(woken_per_pe)
             .zip(metas_per_pe)
             .enumerate()
         {
@@ -864,7 +834,7 @@ impl Engine {
             };
             let pe = PeRuntime {
                 core,
-                rxs,
+                woken,
                 pe_restarts: 0,
                 owed_restart: None,
                 last_ckpt_total: 0,
@@ -965,13 +935,7 @@ impl EmitSink for PeSink<'_> {
     }
 
     fn flush_downstream(&mut self) {
-        for port in self.out_ports.iter_mut() {
-            for target in port.iter_mut() {
-                if let Target::Remote(e) = target {
-                    e.flush();
-                }
-            }
-        }
+        flush_ports(self.out_ports);
     }
 }
 
@@ -987,12 +951,15 @@ fn deliver(target: &mut Target, t: Tuple, pending: &mut VecDeque<(usize, PortKin
 /// tuples are never stranded behind a sleeping PE.
 fn flush_all(slots: &mut [OpSlot]) {
     for slot in slots.iter_mut() {
-        for port in slot.out_ports.iter_mut() {
-            for target in port.iter_mut() {
-                if let Target::Remote(e) = target {
-                    e.flush();
-                }
-            }
+        flush_ports(&mut slot.out_ports);
+    }
+}
+
+/// Flushes every buffered cross-PE edge on `ports`.
+fn flush_ports(ports: &mut [Vec<Target>]) {
+    for target in ports.iter_mut().flatten() {
+        if let Target::Remote(e) = target {
+            e.flush();
         }
     }
 }
@@ -1342,19 +1309,18 @@ fn punctuate(pe: &mut PeCore, idx: usize) {
 }
 
 /// One incarnation of the PE's scheduler loop; everything that must outlive
-/// a panic is borrowed from [`PeRuntime`], nothing is owned here but the
-/// cached selector and index scratch.
+/// a panic is borrowed from [`PeRuntime`], nothing is owned here but index
+/// scratch.
 fn run_pe_once(pe: &mut PeRuntime) {
     let PeRuntime {
         core: pe,
-        rxs,
+        woken,
         owed_restart,
         last_ckpt_total,
         started,
         rehydrate,
         ..
     } = pe;
-    let rxs = &rxs[..];
 
     // Periodic checkpoint cadence: the tightest cadence any member
     // operator asks for. A PE fed over the wire checkpoints at the default
@@ -1413,12 +1379,6 @@ fn run_pe_once(pe: &mut PeRuntime) {
         .filter(|&i| pe.slots[i].is_source)
         .collect();
 
-    // Cached selector over the live receivers, rebuilt only when channel
-    // liveness changes (liveness never comes back, so an alive-count match
-    // means the registered set is unchanged). `map` translates the
-    // selector's operation index back to the channel index.
-    let mut cached_sel: Option<(Select<'_>, Vec<usize>)> = None;
-
     loop {
         let mut progressed = false;
 
@@ -1448,55 +1408,24 @@ fn run_pe_once(pe: &mut PeRuntime) {
         // 2. Receive from cross-PE channels.
         if sources_alive {
             // Non-blocking frame sweep so sources keep producing.
-            if sweep_channels(pe, rxs) {
+            if sweep_channels(pe) {
                 progressed = true;
             }
         } else {
             // No live sources: everything this PE will ever process now
             // arrives over its channels. Drain what is already buffered or
-            // queued; only when that comes up empty, park in a blocking
-            // select. Buffered output must be flushed before blocking — a
+            // queued; only when that comes up empty, sleep until a producer
+            // rings. Buffered output must be flushed before sleeping — a
             // stranded partial batch could be exactly what the upstream PE
             // is waiting for.
             flush_all(&mut pe.slots);
-            if sweep_channels(pe, rxs) {
+            if sweep_channels(pe) {
                 progressed = true;
-            } else {
-                let n_alive = pe.metas.iter().filter(|m| m.alive).count();
-                if n_alive > 0 {
-                    // Rebuild the cached selector only when liveness
-                    // changed (liveness never comes back, so an unchanged
-                    // alive count means an unchanged registered set).
-                    if cached_sel.as_ref().map(|(_, map)| map.len()) != Some(n_alive) {
-                        let mut sel = Select::new();
-                        let mut map = Vec::with_capacity(n_alive);
-                        for (i, m) in pe.metas.iter().enumerate() {
-                            if m.alive {
-                                sel.recv(&rxs[i]);
-                                map.push(i);
-                            }
-                        }
-                        cached_sel = Some((sel, map));
-                    }
-                    let (sel, map) = cached_sel.as_mut().expect("selector just ensured");
-                    // On timeout, fall through to the exit checks.
-                    if let Ok(oper) = sel.select_timeout(Duration::from_millis(20)) {
-                        let ci = map[oper.index()];
-                        match oper.recv(&rxs[ci]) {
-                            Ok(frame) => {
-                                progressed = true;
-                                pe.metas[ci].accept(frame);
-                                // Drain the selected frame plus whatever else
-                                // queued meanwhile before paying another
-                                // select.
-                                sweep_channels(pe, rxs);
-                            }
-                            Err(_) => {
-                                on_disconnect(pe, ci);
-                            }
-                        }
-                    }
-                }
+            } else if pe.metas.iter().any(|m| m.alive) {
+                // A frame queued or a sender dropped since the sweep left
+                // its ring behind, so this returns at once; on timeout,
+                // fall through to the exit checks.
+                let _ = woken.recv_timeout(Duration::from_millis(20));
             }
         }
         drain_pending(pe);
@@ -1576,11 +1505,11 @@ fn checkpoint_progress(slots: &[OpSlot], metas: &[ChanMeta]) -> u64 {
 /// Bounded, non-blocking sweep: up to [`SWEEP_TUPLES`] round-robin passes,
 /// each routing at most one tuple per live channel (refilling a channel's
 /// cursor from its queue when it runs dry). Tuple-granular interleaving
-/// across channels preserves the per-tuple transport's select fairness —
-/// fused control cycles rely on no channel racing far ahead of its
-/// siblings — while channel synchronization is still paid only once per
-/// frame. Returns true if anything was routed.
-fn sweep_channels(pe: &mut PeCore, rxs: &[Receiver<Frame>]) -> bool {
+/// across channels preserves a per-tuple transport's fairness — fused
+/// control cycles rely on no channel racing far ahead of its siblings —
+/// while channel synchronization is still paid only once per frame.
+/// Returns true if anything was routed.
+fn sweep_channels(pe: &mut PeCore) -> bool {
     let mut progressed = false;
     for _pass in 0..SWEEP_TUPLES {
         let mut any = false;
@@ -1588,44 +1517,22 @@ fn sweep_channels(pe: &mut PeCore, rxs: &[Receiver<Frame>]) -> bool {
             if !pe.metas[ci].alive {
                 continue;
             }
-            match next_tuple(rxs, &mut pe.metas, ci) {
-                Next::Tuple(t) => {
+            match pe.metas[ci].next() {
+                Ok(t) => {
                     any = true;
                     progressed = true;
                     route_one(pe, ci, t);
-                    drain_pending(pe);
                 }
-                Next::Empty => {}
-                Next::Disconnected => {
-                    on_disconnect(pe, ci);
-                    drain_pending(pe);
-                }
+                Err(TryRecvError::Empty) => continue,
+                Err(TryRecvError::Disconnected) => on_disconnect(pe, ci),
             }
+            drain_pending(pe);
         }
         if !any {
             break;
         }
     }
     progressed
-}
-
-/// Next tuple from channel `ci`'s cursor, refilling from the queue when the
-/// cursor is spent.
-fn next_tuple(rxs: &[Receiver<Frame>], metas: &mut [ChanMeta], ci: usize) -> Next {
-    if let Some(t) = metas[ci].cur.pop() {
-        return Next::Tuple(t);
-    }
-    match rxs[ci].try_recv() {
-        Ok(frame) => {
-            metas[ci].accept(frame);
-            match metas[ci].cur.pop() {
-                Some(t) => Next::Tuple(t),
-                None => Next::Empty, // defensively: an empty frame
-            }
-        }
-        Err(crossbeam::channel::TryRecvError::Empty) => Next::Empty,
-        Err(crossbeam::channel::TryRecvError::Disconnected) => Next::Disconnected,
-    }
 }
 
 /// Routes a single tuple received on channel `ci`.
@@ -2385,27 +2292,18 @@ mod tests {
     /// A channel cursor feeding slot 0, socket-backed (stable acks) when
     /// `net` is given.
     fn cursor_into_slot_0(port: PortKind, net: Option<(&NetTransport, u64)>) -> ChanMeta {
-        let pool = Arc::new(FramePool::new(1));
-        let inflight = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = frame_channel(1, None);
         let net = net.map(|(transport, link_id)| {
-            let (tx, _rx) = bounded(1);
-            let link = transport.add_incoming(
-                link_id,
-                tx,
-                Arc::clone(&pool),
-                Arc::clone(&inflight),
-                AckMode::Stable,
-            );
+            let link = transport.add_incoming(link_id, tx, AckMode::Stable);
             NetIn { link_id, link }
         });
         ChanMeta {
+            rx,
             to_local: 0,
             port,
             got_eos: false,
             alive: true,
             cur: Vec::new(),
-            pool,
-            inflight,
             routed: 0,
             routed_other: 0,
             net,

@@ -17,8 +17,8 @@
 //!
 //! This crate implements exactly that slice: a [`graph::GraphBuilder`] wires
 //! [`operator::Operator`]s into processing elements (PEs), the
-//! [`engine::Engine`] runs one thread per PE with bounded crossbeam channels
-//! on cross-PE edges and direct in-memory dispatch inside a PE, and
+//! [`engine::Engine`] runs one thread per PE with bounded `std::sync::mpsc`
+//! channels on cross-PE edges and direct in-memory dispatch inside a PE, and
 //! [`metrics`] exposes the counters the paper's profiler would show.
 //!
 //! The engine is deliberately generic — nothing in here knows about PCA —
@@ -70,6 +70,6 @@ pub use graph::{GraphBuilder, OpId, PortKind, DEFAULT_BATCH_SIZE};
 pub use membership::ActiveSet;
 pub use netio::{AckMode, LinkIn, NetTransport, WireFaultSpec, WIRE_VERSION};
 pub use operator::{OpContext, Operator, SourceState};
-pub use tuple::{ControlTuple, DataTuple, Frame, FramePool, Punctuation, Tuple};
+pub use tuple::{ControlTuple, DataTuple, Frame, Punctuation, Tuple};
 pub use vfs::{FaultVfs, IoFaultSpec, RealVfs, Vfs};
 pub use watched::Watched;

@@ -1,8 +1,8 @@
 //! Socket-backed cross-PE links: the real TCP transport behind graph
 //! edges that cross a process boundary.
 //!
-//! In a single process, a cross-PE edge is a bounded crossbeam channel of
-//! pooled [`Frame`]s. When the producing and consuming PEs live in
+//! In a single process, a cross-PE edge is a bounded `std::sync::mpsc`
+//! channel of pooled [`Frame`]s. When the producing and consuming PEs live in
 //! different OS processes, the same channel machinery is kept on both
 //! sides and a [`NetTransport`] bridges them over TCP:
 //!
@@ -56,14 +56,14 @@
 //! channel. DESIGN §12 has the table.
 
 use crate::codec::{decode_frame, encode_frame, frame_len, ColumnarFrame, HEADER_LEN};
-use crate::tuple::{Frame, FramePool};
+use crate::tuple::{Frame, FrameRx, FrameTx};
 use crate::watched::Watched;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -92,8 +92,8 @@ const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 /// to a respawned peer even when no new frame comes to trip over the dead
 /// socket) or the transport stopped. A frame and the producer's end wake it
 /// at once, and nothing on a run's critical path waits for it; it is timed
-/// because the pump waits on a channel and a connection at once, and the
-/// vendored channel has no event-driven `Select` to put both behind.
+/// because the pump waits on a channel and a connection at once, and `std`
+/// has no `select` over a channel and a socket.
 const IDLE_PROBE: Duration = Duration::from_millis(20);
 /// Encoded-frame buffers recycled per sender (steady state allocates none).
 const SPARE_ENCODE_BUFS: usize = 8;
@@ -175,15 +175,12 @@ struct AckOut {
     sent: u64,
 }
 
-/// Receiving side of one boundary link; handed out by
-/// [`NetTransport::add_incoming`] so the consuming engine can move the
-/// link's watermarks.
+/// Receiving side of one boundary link; handed out when the link is
+/// registered so the consuming engine can move the link's watermarks.
 pub struct LinkIn {
     /// Channel into the consuming PE; taken (and thereby disconnected)
     /// on `GOODBYE`.
-    tx: Mutex<Option<Sender<Frame>>>,
-    pool: Arc<FramePool>,
-    inflight: Arc<AtomicUsize>,
+    tx: Mutex<Option<FrameTx>>,
     /// Entries forwarded into the channel so far (the `RESUME` point).
     delivered: AtomicU64,
     /// Entries whose effects are durable at the consumer
@@ -226,8 +223,8 @@ impl LinkIn {
         let _ = self.send_ack(&mut conn);
     }
 
-    /// The consumer took a frame off the channel (and has already lowered
-    /// the link's in-flight count).
+    /// The consumer took a frame off the channel (which lowered the
+    /// channel's count of queued tuples).
     pub fn frame_taken(&self) {
         self.room.update(|_| ());
     }
@@ -262,9 +259,7 @@ impl LinkIn {
 /// Sending side of one boundary link, consumed by [`NetTransport::start`].
 struct Outgoing {
     link_id: u64,
-    rx: Receiver<Frame>,
-    pool: Arc<FramePool>,
-    inflight: Arc<AtomicUsize>,
+    rx: FrameRx,
     peer: SocketAddr,
 }
 
@@ -376,22 +371,12 @@ impl NetTransport {
     }
 
     /// Registers the receiving end of boundary link `link_id`: decoded
-    /// frames are forwarded into `tx` using buffers from `pool`, with
-    /// `inflight` incremented per forwarded entry. The consuming PE
-    /// decrements it and then calls [`LinkIn::frame_taken`] on the
-    /// returned handle, which also carries the link's watermarks.
-    pub fn add_incoming(
-        &self,
-        link_id: u64,
-        tx: Sender<Frame>,
-        pool: Arc<FramePool>,
-        inflight: Arc<AtomicUsize>,
-        ack: AckMode,
-    ) -> Arc<LinkIn> {
+    /// frames are forwarded into `tx`. The consuming PE calls
+    /// [`LinkIn::frame_taken`] on the returned handle for every frame it
+    /// takes; the handle also carries the link's watermarks.
+    pub(crate) fn add_incoming(&self, link_id: u64, tx: FrameTx, ack: AckMode) -> Arc<LinkIn> {
         let link = Arc::new(LinkIn {
             tx: Mutex::new(Some(tx)),
-            pool,
-            inflight,
             delivered: AtomicU64::new(0),
             stable: (ack == AckMode::Stable).then(|| AtomicU64::new(0)),
             conn: Mutex::new(None),
@@ -403,24 +388,9 @@ impl NetTransport {
     }
 
     /// Registers the sending end of boundary link `link_id`: frames from
-    /// `rx` are encoded and shipped to `peer`, spent tuple buffers are
-    /// recycled through `pool`, and `inflight` is decremented per entry as
-    /// it leaves the channel.
-    pub fn add_outgoing(
-        &self,
-        link_id: u64,
-        rx: Receiver<Frame>,
-        pool: Arc<FramePool>,
-        inflight: Arc<AtomicUsize>,
-        peer: SocketAddr,
-    ) {
-        self.outgoing.lock().push(Outgoing {
-            link_id,
-            rx,
-            pool,
-            inflight,
-            peer,
-        });
+    /// `rx` are encoded and shipped to `peer`.
+    pub(crate) fn add_outgoing(&self, link_id: u64, rx: FrameRx, peer: SocketAddr) {
+        self.outgoing.lock().push(Outgoing { link_id, rx, peer });
     }
 
     /// Spawns the acceptor and one sender thread per registered outgoing
@@ -681,8 +651,12 @@ impl NetTransport {
         }
         let end = start + n;
         if end > delivered {
+            let gone = || io::Error::new(io::ErrorKind::BrokenPipe, "consuming engine is gone");
+            // Held to the send: this thread is the link's only user of it.
+            let tx = link.tx.lock();
+            let tx = tx.as_ref().ok_or_else(gone)?;
             let skip = (delivered - start) as usize;
-            let mut tuples = link.pool.take(cols.n_entries());
+            let mut tuples = tx.buffer(cols.n_entries());
             cols.materialize(&mut tuples).map_err(io::Error::from)?;
             if skip > 0 {
                 tuples.drain(..skip);
@@ -692,26 +666,15 @@ impl NetTransport {
             let row_bytes = frame.wire_bytes() / fwd as u64;
             {
                 let mut room = link.room.lock();
-                while link.inflight.load(Ordering::SeqCst) as u64 * row_bytes > INBOUND_BYTES {
+                while tx.queued() as u64 * row_bytes > INBOUND_BYTES {
                     if self.stop.is_set() {
                         return Err(io::ErrorKind::Interrupted.into());
                     }
                     room = link.room.wait(room);
                 }
             }
-            let sent = match link.tx.lock().as_ref() {
-                Some(tx) => {
-                    link.inflight.fetch_add(fwd, Ordering::SeqCst);
-                    tx.send(frame).is_ok()
-                }
-                None => false,
-            };
-            if !sent {
-                link.inflight.fetch_sub(fwd, Ordering::SeqCst);
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "consuming engine is gone",
-                ));
+            if !tx.send(frame) {
+                return Err(gone());
             }
             link.delivered.store(end, Ordering::SeqCst);
         }
@@ -953,13 +916,11 @@ impl SenderLoop {
             }
             match self.link.rx.recv_timeout(IDLE_PROBE) {
                 Ok(frame) => {
-                    let n = frame.len();
-                    self.link.inflight.fetch_sub(n, Ordering::SeqCst);
                     let start = self.produced;
-                    self.produced += n as u64;
+                    self.produced += frame.len() as u64;
                     let tuples = frame.tuples;
                     if self.produced <= self.skip_until {
-                        self.link.pool.put(tuples); // Entirely duplicate after a resume.
+                        self.link.rx.recycle(tuples); // Entirely duplicate after a resume.
                         continue;
                     }
                     let trim = self.skip_until.saturating_sub(start) as usize;
@@ -969,7 +930,7 @@ impl SenderLoop {
                         // that is a programming error, not a wire condition.
                         panic!("link {}: cannot encode frame: {e}", self.link.link_id);
                     }
-                    self.link.pool.put(tuples);
+                    self.link.rx.recycle(tuples);
                     let qf = QFrame {
                         start: start + trim as u64,
                         end: self.produced,
@@ -1020,8 +981,7 @@ impl SenderLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::{DataTuple, Punctuation, Tuple};
-    use crossbeam::channel::bounded;
+    use crate::tuple::{frame_channel, DataTuple, Punctuation, Tuple};
     use std::time::Instant;
 
     fn data(seq: u64, v: f64) -> Tuple {
@@ -1041,27 +1001,17 @@ mod tests {
         }
         let (n_frames, per) = (6u64, 5u64);
 
-        let pool_in = Arc::new(FramePool::new(4));
-        let inflight_in = Arc::new(AtomicUsize::new(0));
-        let (tx_r, rx_r) = bounded::<Frame>(64);
-        recv_side.add_incoming(9, tx_r, pool_in, Arc::clone(&inflight_in), AckMode::Receipt);
+        let (tx_r, rx_r) = frame_channel(64, None);
+        recv_side.add_incoming(9, tx_r, AckMode::Receipt);
         recv_side.start();
 
-        let pool_out = Arc::new(FramePool::new(4));
-        let inflight_out = Arc::new(AtomicUsize::new(0));
-        let (tx_s, rx_s) = bounded::<Frame>(64);
-        send_side.add_outgoing(
-            9,
-            rx_s,
-            Arc::clone(&pool_out),
-            Arc::clone(&inflight_out),
-            recv_side.local_addr(),
-        );
+        let (tx_s, rx_s) = frame_channel(64, None);
+        send_side.add_outgoing(9, rx_s, recv_side.local_addr());
         send_side.start();
 
         let mut seq = 0u64;
         for f in 0..n_frames {
-            let mut tuples = pool_out.take(per as usize + 1);
+            let mut tuples = tx_s.buffer(per as usize + 1);
             for _ in 0..per {
                 tuples.push(data(seq, seq as f64 * 0.25));
                 seq += 1;
@@ -1069,14 +1019,19 @@ mod tests {
             if f == n_frames - 1 {
                 tuples.push(Tuple::Punct(Punctuation::EndOfStream));
             }
-            inflight_out.fetch_add(tuples.len(), Ordering::SeqCst);
-            tx_s.send(Frame::from_vec(tuples)).expect("send");
+            assert!(tx_s.send(Frame::from_vec(tuples)), "send");
         }
-        drop(tx_s);
 
         let mut got: Vec<Tuple> = Vec::new();
+        while got.len() as u64 <= n_frames * per {
+            let frame = rx_r.recv_timeout(Duration::from_secs(20)).expect("frame");
+            got.extend(frame.tuples);
+        }
+        // Every frame has left both links: the pump took it off the
+        // outgoing channel and this consumer off the incoming one.
+        assert_eq!((tx_s.queued(), rx_r.queued()), (0, 0));
+        drop(tx_s);
         while let Ok(frame) = rx_r.recv_timeout(Duration::from_secs(20)) {
-            inflight_in.fetch_sub(frame.len(), Ordering::SeqCst);
             got.extend(frame.tuples);
         }
         assert_eq!(got.len() as u64, n_frames * per + 1);
@@ -1094,8 +1049,7 @@ mod tests {
 
         send_side.shutdown();
         recv_side.shutdown();
-        assert_eq!(inflight_in.load(Ordering::SeqCst), 0);
-        assert_eq!(inflight_out.load(Ordering::SeqCst), 0);
+        assert_eq!(rx_r.queued(), 0);
     }
 
     #[test]
@@ -1126,27 +1080,23 @@ mod tests {
         recv_side: Arc<NetTransport>,
         send_side: Arc<NetTransport>,
         link: Arc<LinkIn>,
-        rx: Receiver<Frame>,
+        rx: FrameRx,
     }
 
     fn stable_link_awaiting_its_ack() -> StableLink {
         let recv_side = NetTransport::bind("127.0.0.1:0").expect("bind");
         let send_side = NetTransport::bind("127.0.0.1:0").expect("bind");
 
-        let pool_in = Arc::new(FramePool::new(4));
-        let inflight_in = Arc::new(AtomicUsize::new(0));
-        let (tx_r, rx) = bounded::<Frame>(8);
-        let link = recv_side.add_incoming(3, tx_r, pool_in, inflight_in, AckMode::Stable);
+        let (tx_r, rx) = frame_channel(8, None);
+        let link = recv_side.add_incoming(3, tx_r, AckMode::Stable);
         recv_side.start();
 
-        let pool_out = Arc::new(FramePool::new(4));
-        let inflight_out = Arc::new(AtomicUsize::new(0));
-        let (tx_s, rx_s) = bounded::<Frame>(8);
-        send_side.add_outgoing(3, rx_s, pool_out, inflight_out, recv_side.local_addr());
+        let (tx_s, rx_s) = frame_channel(8, None);
+        send_side.add_outgoing(3, rx_s, recv_side.local_addr());
         send_side.start();
 
         let tuples = vec![data(0, 1.0), Tuple::Punct(Punctuation::EndOfStream)];
-        tx_s.send(Frame::from_vec(tuples)).expect("send");
+        assert!(tx_s.send(Frame::from_vec(tuples)), "send");
         drop(tx_s);
 
         let frame = rx

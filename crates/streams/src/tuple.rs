@@ -10,7 +10,12 @@
 use crate::csv::{self, Row};
 use parking_lot::Mutex;
 use std::any::Any;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
+};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A data observation: sequence number, logical timestamp, values, and an
 /// optional observed-bin mask. Values are shared via `Arc`, so intra-PE
@@ -178,10 +183,10 @@ impl Tuple {
 /// A batch of tuples travelling a cross-PE edge as one channel message.
 ///
 /// Cross-PE channels carry frames instead of individual tuples so one
-/// condvar wake-up amortizes over a whole batch (§III-D: network tuple
+/// channel operation amortizes over a whole batch (§III-D: network tuple
 /// transfer, not flop count, dominates the unfused throughput story). The
-/// backing `Vec` is recycled through a [`FramePool`] shared by the two ends
-/// of the edge, so steady-state transport does not allocate.
+/// backing `Vec` is recycled through a buffer pool shared by the two ends
+/// of the edge's channel, so steady-state transport does not allocate.
 #[derive(Debug, Default)]
 pub struct Frame {
     /// The batched tuples, in emission order.
@@ -218,14 +223,14 @@ impl Frame {
 /// a burst can never pin unbounded memory: overflow buffers are simply
 /// dropped.
 #[derive(Debug)]
-pub struct FramePool {
+pub(crate) struct FramePool {
     free: Mutex<Vec<Vec<Tuple>>>,
     max_pooled: usize,
 }
 
 impl FramePool {
     /// A pool retaining at most `max_pooled` spare buffers.
-    pub fn new(max_pooled: usize) -> Self {
+    pub(crate) fn new(max_pooled: usize) -> Self {
         FramePool {
             free: Mutex::new(Vec::with_capacity(max_pooled)),
             max_pooled,
@@ -234,7 +239,7 @@ impl FramePool {
 
     /// An empty buffer with at least `cap` capacity (recycled when one is
     /// available, freshly allocated otherwise).
-    pub fn take(&self, cap: usize) -> Vec<Tuple> {
+    pub(crate) fn take(&self, cap: usize) -> Vec<Tuple> {
         let mut v = self
             .free
             .lock()
@@ -247,7 +252,7 @@ impl FramePool {
     }
 
     /// Returns a drained buffer to the pool (dropped if the pool is full).
-    pub fn put(&self, mut v: Vec<Tuple>) {
+    pub(crate) fn put(&self, mut v: Vec<Tuple>) {
         v.clear();
         let mut free = self.free.lock();
         if free.len() < self.max_pooled {
@@ -256,9 +261,188 @@ impl FramePool {
     }
 }
 
+/// Spare frame buffers retained per channel.
+const POOL_DEPTH: usize = 8;
+
+/// The producing end of a cross-PE frame channel: a `std::sync::mpsc`
+/// channel bounded at `cap` frames by its two ends. `std`'s sender cannot
+/// tell how full its channel is, so the ends count: tuples and frames go up
+/// here before a send and down in [`FrameRx`] as a frame leaves, and a send
+/// waits while `cap` frames are queued. With one producer per channel,
+/// `is_full` false means the next send does not wait. The bound is not
+/// `sync_channel`'s because that allocates all `cap` slots up front, and a
+/// distributed run sizes `cap` past its corpus.
+pub(crate) struct FrameTx {
+    tx: Sender<Frame>,
+    shared: Arc<Shared>,
+    /// Rung by the consumer when it takes a frame off a full channel, and
+    /// when it drops.
+    room: Receiver<()>,
+    /// The consuming PE's wake-up, rung after every send; `None` when the
+    /// consumer is a socket sender, which waits on the channel itself.
+    /// Declared after `tx`, so it rings on drop after the channel end is
+    /// gone, and the PE it wakes sees the disconnect.
+    wake: Option<Wake>,
+}
+
+/// The consuming end of a frame channel (see [`FrameTx`]).
+pub(crate) struct FrameRx {
+    rx: Receiver<Frame>,
+    shared: Arc<Shared>,
+    room: Wake,
+}
+
+/// What both ends of a channel share: its bound, the tuples and frames
+/// sent and not yet taken off it, and the pool its frames' buffers cycle
+/// through. `Relaxed` suffices for the counts: they publish no other data,
+/// a frame's increment comes before its send, which the channel orders
+/// before the receive that precedes its decrement, and a producer waiting
+/// for room is woken by the consumer's ring after the decrement.
+struct Shared {
+    cap: usize,
+    tuples: AtomicUsize,
+    frames: AtomicUsize,
+    pool: FramePool,
+}
+
+impl Shared {
+    fn put(&self, tuples: usize) {
+        self.tuples.fetch_add(tuples, Ordering::Relaxed);
+        self.frames.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Returns the frames queued before this one left.
+    fn take(&self, tuples: usize) -> usize {
+        self.tuples.fetch_sub(tuples, Ordering::Relaxed);
+        self.frames.fetch_sub(1, Ordering::Relaxed)
+    }
+}
+
+/// A frame channel holding at most `cap` frames (at least one), whose
+/// sends ring `wake`.
+pub(crate) fn frame_channel(cap: usize, wake: Option<Wake>) -> (FrameTx, FrameRx) {
+    let (tx, rx) = channel();
+    let (room_tx, room) = self::wake();
+    let shared = Arc::new(Shared {
+        cap: cap.max(1),
+        tuples: AtomicUsize::new(0),
+        frames: AtomicUsize::new(0),
+        pool: FramePool::new(POOL_DEPTH),
+    });
+    let tx = FrameTx {
+        tx,
+        shared: Arc::clone(&shared),
+        room,
+        wake,
+    };
+    let rx = FrameRx {
+        rx,
+        shared,
+        room: room_tx,
+    };
+    (tx, rx)
+}
+
+impl FrameTx {
+    /// Queues `frame`, waiting while the channel is full, and rings the
+    /// consumer. False when the consumer is gone: the frame is dropped.
+    pub(crate) fn send(&self, frame: Frame) -> bool {
+        while self.is_full() {
+            // A stale ring only costs one more look at the count.
+            if self.room.recv().is_err() {
+                return false;
+            }
+        }
+        let n = frame.len();
+        self.shared.put(n);
+        if self.tx.send(frame).is_err() {
+            self.shared.take(n);
+            return false;
+        }
+        if let Some(wake) = &self.wake {
+            wake.ring();
+        }
+        true
+    }
+
+    /// Tuples sent and not yet taken by the consumer.
+    pub(crate) fn queued(&self) -> usize {
+        self.shared.tuples.load(Ordering::Relaxed)
+    }
+
+    /// True when the channel holds `cap` frames: a send would wait.
+    pub(crate) fn is_full(&self) -> bool {
+        self.shared.frames.load(Ordering::Relaxed) >= self.shared.cap
+    }
+
+    /// An empty buffer for up to `cap` tuples, recycled by the consumer.
+    pub(crate) fn buffer(&self, cap: usize) -> Vec<Tuple> {
+        self.shared.pool.take(cap)
+    }
+}
+
+impl FrameRx {
+    /// The next frame, if one is queued.
+    pub(crate) fn try_recv(&self) -> Result<Frame, TryRecvError> {
+        self.rx.try_recv().map(|f| self.taken(f))
+    }
+
+    /// The next frame, waiting up to `timeout` for one.
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Frame, RecvTimeoutError> {
+        self.rx.recv_timeout(timeout).map(|f| self.taken(f))
+    }
+
+    /// Hands a spent frame's buffer back for the producer to refill.
+    pub(crate) fn recycle(&self, tuples: Vec<Tuple>) {
+        self.shared.pool.put(tuples);
+    }
+
+    fn taken(&self, frame: Frame) -> Frame {
+        if self.shared.take(frame.len()) >= self.shared.cap {
+            self.room.ring();
+        }
+        frame
+    }
+}
+
+/// A wake-up: a capacity-1 channel of `()` whose receiver one thread waits
+/// on. A PE waits on one when it has nothing to do, and every producer
+/// into the PE holds a clone and rings it after queuing a frame and when it
+/// drops; a producer waits on one for room in a full channel. A ring stays
+/// queued until taken, so one that lands between the waiter's last look
+/// and its wait ends the wait at once.
+#[derive(Clone)]
+pub(crate) struct Wake(SyncSender<()>);
+
+/// A wake-up and the receiver to wait on.
+pub(crate) fn wake() -> (Wake, Receiver<()>) {
+    let (tx, rx) = sync_channel(1);
+    (Wake(tx), rx)
+}
+
+impl Wake {
+    fn ring(&self) {
+        // Full means a ring is already waiting to be taken.
+        let _ = self.0.try_send(());
+    }
+}
+
+impl Drop for Wake {
+    fn drop(&mut self) {
+        self.ring();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FrameRx {
+        /// Tuples sent and not yet taken off the channel.
+        pub(crate) fn queued(&self) -> usize {
+            self.shared.tuples.load(Ordering::Relaxed)
+        }
+    }
 
     #[test]
     fn wire_bytes_scale_with_dimension() {
@@ -329,5 +513,61 @@ mod tests {
         pool.put(Vec::new());
         pool.put(Vec::new());
         assert!(pool.free.lock().len() <= 2);
+    }
+
+    #[test]
+    fn frame_channel_counts_what_it_holds_and_rings_its_consumer() {
+        let frame = |n| Frame::from_vec(vec![Tuple::Punct(Punctuation::EndOfStream); n]);
+        let (wake, woken) = wake();
+        let (tx, rx) = frame_channel(2, Some(wake));
+        assert!(tx.send(frame(3)));
+        assert!(tx.send(frame(1)));
+        assert_eq!((tx.queued(), tx.is_full()), (4, true));
+        assert_eq!(woken.try_recv(), Ok(()), "a send rings");
+        assert_eq!(rx.try_recv().unwrap().len(), 3);
+        assert_eq!((tx.queued(), tx.is_full()), (1, false));
+        drop(tx);
+        assert_eq!(woken.try_recv(), Ok(()), "the producer's drop rings");
+        assert_eq!(rx.try_recv().unwrap().len(), 1);
+        assert_eq!(rx.try_recv().unwrap_err(), TryRecvError::Disconnected);
+
+        let (tx, rx) = frame_channel(1, None);
+        drop(rx);
+        assert!(!tx.send(frame(2)), "a send to a gone consumer fails");
+        assert_eq!((tx.queued(), tx.is_full()), (0, false));
+    }
+
+    #[test]
+    fn a_full_frame_channel_holds_its_producer_until_there_is_room() {
+        let frame = |n| Frame::from_vec(vec![Tuple::Punct(Punctuation::EndOfStream); n]);
+        let (tx, rx) = frame_channel(1, None);
+        let (sent_tx, sent) = std::sync::mpsc::channel();
+        let producer = std::thread::spawn(move || {
+            for n in 1..=2 {
+                assert!(tx.send(frame(n)));
+                sent_tx.send(n).unwrap();
+            }
+        });
+        assert_eq!(sent.recv(), Ok(1));
+        assert!(
+            sent.recv_timeout(Duration::from_millis(100)).is_err(),
+            "a full channel holds its producer"
+        );
+        assert_eq!(rx.try_recv().unwrap().len(), 1);
+        assert_eq!(sent.recv(), Ok(2), "taking a frame makes room");
+        producer.join().unwrap();
+        assert_eq!(rx.try_recv().unwrap().len(), 2);
+
+        // A producer waiting for room gives up when the consumer goes.
+        let (tx, rx) = frame_channel(1, None);
+        let (sent_tx, sent) = std::sync::mpsc::channel();
+        let producer = std::thread::spawn(move || {
+            assert!(tx.send(frame(1)));
+            sent_tx.send(()).unwrap();
+            tx.send(frame(2))
+        });
+        sent.recv().unwrap();
+        drop(rx);
+        assert!(!producer.join().unwrap(), "no consumer, no send");
     }
 }

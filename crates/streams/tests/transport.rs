@@ -401,3 +401,90 @@ fn interleaved_control_keeps_fifo_position() {
         }
     }
 }
+
+/// Two PEs with no source trade one control tuple back and forth, so every
+/// hop ends a wait. A wake-up lost between a PE's last empty sweep and its
+/// wait costs up to that wait's 20 ms bound on every hop: seconds for the
+/// whole exchange, where waits that end on the frame take well under one.
+#[test]
+fn ping_pong_between_waiting_pes_loses_no_wake_up() {
+    const TRIPS: u64 = 500;
+
+    /// Starts the exchange, then stays alive (in its own PE) until it ends.
+    struct Kick {
+        started: bool,
+        done: Arc<AtomicBool>,
+    }
+    impl Operator for Kick {
+        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
+        fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
+            if !self.started {
+                self.started = true;
+                ctx.emit_data(0, DataTuple::new(0, vec![]));
+                return SourceState::Emitted;
+            }
+            if self.done.load(Ordering::SeqCst) {
+                SourceState::Done
+            } else {
+                SourceState::Idle
+            }
+        }
+    }
+
+    struct Ping {
+        trips: u64,
+        done: Arc<AtomicBool>,
+    }
+    impl Operator for Ping {
+        fn process(&mut self, _t: DataTuple, ctx: &mut OpContext<'_>) {
+            ctx.emit_control(0, ControlTuple::signal(1, 0));
+        }
+        fn on_control(&mut self, c: ControlTuple, ctx: &mut OpContext<'_>) {
+            self.trips += 1;
+            if self.trips < TRIPS {
+                ctx.emit_control(0, c);
+            } else {
+                self.done.store(true, Ordering::SeqCst);
+            }
+        }
+    }
+
+    struct Pong;
+    impl Operator for Pong {
+        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
+        fn on_control(&mut self, c: ControlTuple, ctx: &mut OpContext<'_>) {
+            ctx.emit_control(0, c);
+        }
+    }
+
+    let done = Arc::new(AtomicBool::new(false));
+    let mut g = GraphBuilder::new();
+    let kick = g.add_source(
+        "kick",
+        Box::new(Kick {
+            started: false,
+            done: Arc::clone(&done),
+        }),
+    );
+    let ping = g.add_op(
+        "ping",
+        Box::new(Ping {
+            trips: 0,
+            done: Arc::clone(&done),
+        }),
+    );
+    let pong = g.add_op("pong", Box::new(Pong));
+    g.connect(kick, 0, ping, PortKind::Data);
+    g.connect(ping, 0, pong, PortKind::Control);
+    g.connect(pong, 0, ping, PortKind::Control);
+
+    let started = std::time::Instant::now();
+    let report = Engine::run(g);
+    let took = started.elapsed();
+    assert_eq!(report.op("ping").unwrap().control_in, TRIPS);
+    assert_eq!(report.op("pong").unwrap().control_in, TRIPS);
+    assert!(
+        took < std::time::Duration::from_secs(2),
+        "{TRIPS} round trips took {took:?}"
+    );
+}
