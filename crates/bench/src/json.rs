@@ -713,9 +713,9 @@ mod tests {
         }
     }
 
-    /// Every `BENCH_*.json` at the repo root that names a schema, as
-    /// `(schema, file text)`. Criterion output (`BENCH_hotpath.json`) names
-    /// none and is not a recorded artifact. Read once per test binary.
+    /// Every `BENCH_*.json` at the repo root, as `(schema, file text)`;
+    /// one that names no schema fails here, by name. Read once per test
+    /// binary.
     fn committed_artifacts() -> &'static [(String, String)] {
         static FOUND: std::sync::OnceLock<Vec<(String, String)>> = std::sync::OnceLock::new();
         FOUND.get_or_init(read_artifacts)
@@ -732,10 +732,9 @@ mod tests {
             }
             let text = std::fs::read_to_string(&path).unwrap();
             let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-            if let Some(schema) = doc.get("schema") {
-                let schema = schema.as_str().unwrap_or_else(|| panic!("{name}: schema"));
-                found.push((schema.to_string(), text));
-            }
+            let schema = doc.get("schema").and_then(Json::as_str);
+            let schema = schema.unwrap_or_else(|| panic!("{name}: no \"schema\" string"));
+            found.push((schema.to_string(), text));
         }
         found.sort();
         found

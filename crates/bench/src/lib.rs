@@ -1,9 +1,10 @@
-//! Shared harness for the figure-regeneration binaries and benches.
+//! Shared harness for the figure-regeneration binaries.
 //!
 //! One binary per paper figure (see `src/bin/`): each prints the same
 //! rows/series the paper reports and writes a CSV next to it under
-//! `target/figures/`. The criterion benches measure the kernel costs that
-//! calibrate the cluster simulator.
+//! `target/figures/`. `measure_update_cost` times the robust update that
+//! calibrates the cluster simulator; every other kernel cost is a per-layer
+//! metric of the pipeline benchmark (`BENCHMARK.json`).
 
 pub mod json;
 

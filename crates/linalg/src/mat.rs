@@ -287,24 +287,6 @@ impl Mat {
         }
     }
 
-    /// Horizontally concatenates `self` and `other` (`[self | other]`).
-    pub fn hcat(&self, other: &Mat) -> Result<Mat> {
-        if self.rows != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("{} rows", self.rows),
-                got: other.shape(),
-            });
-        }
-        let mut data = Vec::with_capacity((self.cols + other.cols) * self.rows);
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Ok(Mat {
-            rows: self.rows,
-            cols: self.cols + other.cols,
-            data,
-        })
-    }
-
     /// Gram matrix `selfᵀ · self` (`cols × cols`), the thin-SVD workhorse.
     pub fn gram(&self) -> Mat {
         let n = self.cols;
@@ -431,14 +413,6 @@ mod tests {
             a[0] = 99.0;
         }
         assert_eq!(m[(0, 1)], 99.0);
-    }
-
-    #[test]
-    fn hcat_concatenates() {
-        let m = sample();
-        let h = m.hcat(&m).unwrap();
-        assert_eq!(h.shape(), (3, 4));
-        assert_eq!(h.col(2), m.col(0));
     }
 
     #[test]
