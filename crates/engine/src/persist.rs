@@ -2,21 +2,24 @@
 //!
 //! §III-C: "The intermediate calculation results are periodically saved to
 //! the disk for future reference." The format is a self-describing text
-//! file (header line, running sums, eigenvalues, eigenvectors, mean) that
-//! round-trips exactly through [`write_snapshot`] / [`read_snapshot`], so
-//! an application can be stopped and warm-started from its last state —
-//! and scientists can inspect the file with nothing but a text editor.
+//! (header line, running sums, eigenvalues, eigenvectors, mean), sealed in
+//! a file under a content hash, that round-trips exactly through
+//! [`write_snapshot`] / [`read_snapshot`], so an application can be
+//! stopped and warm-started from its last state — and scientists can
+//! inspect the file with nothing but a text editor.
 
 use crate::messages::{PeerState, KIND_SNAPSHOT};
 use spca_core::EigenSystem;
 use spca_linalg::Mat;
-use spca_streams::checkpoint::write_atomic_vfs;
+use spca_streams::checkpoint::{read_sealed, seal, write_atomic_vfs};
 use spca_streams::vfs::RealVfs;
 use spca_streams::{ControlTuple, DataTuple, OpContext, Operator};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &str = "spca-eigensystem-v1";
+/// The magic of a snapshot file: the [`MAGIC`] text sealed as one part.
+const SEALED: &str = "spca-eigensystem-v2";
 
 /// Writes an eigensystem to `path`, crash-safely: the bytes go to a temp
 /// file in the same directory, the temp file is fsynced, and only then is
@@ -29,9 +32,11 @@ const MAGIC: &str = "spca-eigensystem-v1";
 /// rename before the data blocks, which is exactly the window PE-level
 /// recovery trusts. The containing directory is fsynced best-effort so the
 /// rename itself is durable; directory fsync is not supported everywhere,
-/// so its failure is ignored.
+/// so its failure is ignored. The file is the [`encode_snapshot`] text
+/// sealed by [`seal`], so [`read_snapshot`] rejects any damage to it.
 pub fn write_snapshot(path: &Path, eig: &EigenSystem) -> std::io::Result<()> {
-    write_atomic_vfs(&RealVfs, path, &encode_snapshot(eig))
+    let sealed = seal(SEALED, &[], &[("eigensystem", &encode_snapshot(eig))]);
+    write_atomic_vfs(&RealVfs, path, &sealed)
 }
 
 /// Serializes an eigensystem in the snapshot text format, in memory. This
@@ -71,19 +76,31 @@ fn bad(msg: impl Into<String>) -> std::io::Error {
 
 /// Reads an eigensystem previously written by [`write_snapshot`].
 ///
-/// Every failure mode — wrong magic, malformed header, short file, a file
-/// torn at an arbitrary *byte* offset — yields a clean
-/// [`std::io::ErrorKind::InvalidData`] error; a torn snapshot can never
-/// parse into a plausible-but-wrong eigensystem. The writer terminates
-/// every line (including the last), so a file that does not end in `\n`
-/// was cut off mid-write even when every token it kept still parses.
+/// A file torn at any byte, or with any bit flipped, fails its seal and
+/// yields a clean [`std::io::ErrorKind::InvalidData`] error, so a damaged
+/// snapshot can never parse into a plausible-but-wrong eigensystem. So does
+/// an unsealed file from a build before the seal, named as such.
 pub fn read_snapshot(path: &Path) -> std::io::Result<EigenSystem> {
-    decode_snapshot(&std::fs::read(path)?)
+    let (_, parts) =
+        read_sealed(&RealVfs, path, SEALED).map_err(|e| match std::fs::read(path) {
+            Ok(old) if old.starts_with(MAGIC.as_bytes()) => bad(format!(
+                "{path:?} is an unsealed version-1 snapshot; write it again with this build"
+            )),
+            _ => e,
+        })?;
+    match &parts[..] {
+        [(name, text)] if name == "eigensystem" => decode_snapshot(text),
+        _ => Err(bad(format!("{path:?} does not hold one eigensystem"))),
+    }
 }
 
 /// Parses the snapshot text format from memory — the read-side counterpart
-/// of [`encode_snapshot`], with the same torn-input guarantees as
-/// [`read_snapshot`].
+/// of [`encode_snapshot`]. Malformed or truncated text and a shape that
+/// breaks the eigensystem's invariants are `InvalidData`; the writer
+/// terminates every line (including the last), so text that does not end
+/// in `\n` was cut off even when every token it kept still parses. A
+/// flipped digit can still parse: the seal around a snapshot file, and the
+/// checkpoint and wire checksums around the other copies, catch that.
 pub fn decode_snapshot(bytes: &[u8]) -> std::io::Result<EigenSystem> {
     let text = std::str::from_utf8(bytes).map_err(|_| bad("snapshot is not UTF-8"))?;
     if !text.ends_with('\n') {
@@ -296,33 +313,40 @@ mod tests {
             std::fs::remove_file(&path).ok();
             proptest::prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         }
+    }
 
-        /// A single-byte flip anywhere in a snapshot must never panic the
-        /// decoder. The v1 text format has no payload checksum, so a flip
-        /// confined to a digit of one float can still parse — but then the
-        /// structure (dims, row counts) must be unchanged; any flip that
-        /// breaks structure must surface as a clean `InvalidData`.
-        #[test]
-        fn corruption_at_any_byte_offset_never_panics(frac in 0.0f64..1.0) {
-            let eig = sample_eig();
-            let path = tmp(&format!("byteflip_{:x}.snapshot", frac.to_bits()));
-            write_snapshot(&path, &eig).unwrap();
-            let mut bytes = std::fs::read(&path).unwrap();
-            std::fs::remove_file(&path).ok();
-            let at = (((bytes.len() - 1) as f64) * frac) as usize;
-            // Flip the low bit: unlike case-flips (0x20), this always
-            // changes the token's value or validity.
-            bytes[at] ^= 0x01;
-            match decode_snapshot(&bytes) {
-                Err(err) => proptest::prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData),
-                Ok(back) => {
-                    // Parsed despite the flip: the damage stayed inside one
-                    // numeric token, so the shape must be intact.
-                    proptest::prop_assert_eq!(back.values.len(), eig.values.len());
-                    proptest::prop_assert_eq!(back.mean.len(), eig.mean.len());
-                }
+    #[test]
+    fn every_single_bit_flip_is_invalid_data() {
+        // The seal covers every byte: a flipped digit of one float, which
+        // still parses as text, is rejected like any other flip.
+        let eig = sample_eig();
+        let path = tmp("bitsweep.snapshot");
+        write_snapshot(&path, &eig).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                std::fs::write(&path, &flipped).unwrap();
+                let err = read_snapshot(&path).expect_err("a flipped snapshot must not parse");
+                assert_eq!(
+                    err.kind(),
+                    std::io::ErrorKind::InvalidData,
+                    "bit {bit} of byte {at}: expected InvalidData, got {err}"
+                );
             }
         }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn an_unsealed_version_1_file_is_rejected_by_name() {
+        let path = tmp("v1.snapshot");
+        std::fs::write(&path, encode_snapshot(&sample_eig())).unwrap();
+        let err = read_snapshot(&path).expect_err("a v1 snapshot must not parse");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsealed version-1"), "{err}");
     }
 
     #[test]
@@ -371,17 +395,11 @@ mod tests {
 
     #[test]
     fn rejects_corrupted_invariants() {
-        let eig = sample_eig();
-        let path = tmp("corrupt.snapshot");
-        write_snapshot(&path, &eig).unwrap();
-        // Swap the eigenvalue order to break the descending invariant.
-        let content = std::fs::read_to_string(&path).unwrap();
-        let corrupted = content.replace("values", "values 999");
-        // That makes the row too long → caught by length check; also test
-        // a semantic corruption below.
-        std::fs::write(&path, &corrupted).unwrap();
-        assert!(read_snapshot(&path).is_err());
-        std::fs::remove_file(path).ok();
+        let text = String::from_utf8(encode_snapshot(&sample_eig())).unwrap();
+        // One eigenvalue too many: the row no longer matches the shape.
+        let corrupted = text.replace("values", "values 999");
+        let err = decode_snapshot(corrupted.as_bytes()).expect_err("bad shape must not parse");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

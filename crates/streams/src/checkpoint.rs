@@ -137,8 +137,8 @@ pub fn kv_parse<T: std::str::FromStr>(map: &BTreeMap<String, String>, key: &str)
 pub type SnapshotSet = Vec<(String, Vec<u8>)>;
 
 /// Seals `parts` under a `magic` word and `header` pairs into one
-/// self-verifying record — the format of a PE checkpoint generation and of
-/// a backfill state-store entry:
+/// self-verifying record — the format of a PE checkpoint generation, of a
+/// backfill state-store entry and of an eigensystem snapshot file:
 ///
 /// ```text
 /// <magic> <content_hash of every byte after this line, 16 hex digits>
@@ -150,7 +150,7 @@ pub type SnapshotSet = Vec<(String, Vec<u8>)>;
 ///
 /// The hash covers names, lengths and payloads alike, so a truncation or
 /// one flipped byte anywhere fails [`read_sealed`].
-pub(crate) fn seal(magic: &str, header: &[(&str, &str)], parts: &[(&str, &[u8])]) -> Vec<u8> {
+pub fn seal(magic: &str, header: &[(&str, &str)], parts: &[(&str, &[u8])]) -> Vec<u8> {
     let mut out = format!("{magic} {:016x}\n", 0u64);
     let (sum_at, body_start) = (out.len() - 17, out.len());
     for (key, value) in header {
@@ -172,7 +172,7 @@ pub(crate) fn seal(magic: &str, header: &[(&str, &str)], parts: &[(&str, &[u8])]
 /// Reads and unseals a [`seal`]ed record: its header pairs and its parts.
 /// Anything but a whole, untouched record under `magic` is `InvalidData`;
 /// read errors (`NotFound` included) pass through.
-pub(crate) fn read_sealed(
+pub fn read_sealed(
     vfs: &dyn Vfs,
     path: &Path,
     magic: &str,
@@ -189,9 +189,10 @@ pub(crate) fn read_sealed(
     let mut at = 0;
     let sum = next_line(&bytes, &mut at)
         .and_then(|l| l.strip_prefix(magic)?.strip_prefix(' '))
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
         .ok_or_else(|| bad("has no valid seal line"))?;
-    if content_hash(&bytes[at..]) != sum {
+    // Compared as the text `seal` writes: parsed, a digit whose case flipped
+    // would read as the same number.
+    if sum != format!("{:016x}", content_hash(&bytes[at..])) {
         return Err(bad("fails its content-hash checksum: torn or bit-rotted"));
     }
     let (mut header, mut lens) = (BTreeMap::new(), Vec::new());

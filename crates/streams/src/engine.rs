@@ -74,7 +74,7 @@ use crate::graph::{GraphBuilder, PortKind};
 use crate::metrics::{
     Counter, LinkCounters, LinkSnapshot, MetricsRegistry, OpCounters, OpSnapshot,
 };
-use crate::netio::{AckMode, LinkIn, NetTransport};
+use crate::netio::{AckMode, LinkIn, NetTransport, INBOUND_FRAMES};
 use crate::operator::{EmitSink, OpContext, Operator, SourceState};
 use crate::tuple::{frame_channel, wake, DataTuple, Frame, FrameRx, FrameTx, Punctuation, Tuple};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -201,7 +201,7 @@ impl RemoteEdge {
         // scheduler, which flushes every edge before blocking or idling.
         if urgent
             || self.buf.len() >= self.batch
-            || (self.tx.queued() == 0 && self.buf.len() * 4 >= self.batch)
+            || (self.tx.is_empty() && self.buf.len() * 4 >= self.batch)
         {
             self.flush();
         }
@@ -220,11 +220,6 @@ impl RemoteEdge {
         if self.tx.send(frame) {
             self.counters.add_many(n, bytes);
         }
-    }
-
-    /// Tuples not yet routed by the consumer: local buffer + in flight.
-    fn depth(&self) -> usize {
-        self.buf.len() + self.tx.queued()
     }
 }
 
@@ -282,9 +277,6 @@ impl ChanMeta {
             return Ok(t);
         }
         let Frame { mut tuples } = self.rx.try_recv()?;
-        if let Some(net) = &self.net {
-            net.link.frame_taken();
-        }
         tuples.reverse();
         let spent = std::mem::replace(&mut self.cur, tuples);
         self.rx.recycle(spent);
@@ -728,8 +720,16 @@ impl Engine {
                     // decodes incoming frames into the channel so the
                     // consuming PE sees an ordinary frame channel. A PE
                     // consumer is rung on every frame; the transport's
-                    // sender waits on the channel itself.
-                    let (tx, rx) = frame_channel(frame_cap, to_here.then(|| wakes[to_pe].clone()));
+                    // sender waits on the channel itself. A channel the
+                    // transport feeds holds at most `INBOUND_FRAMES`: its
+                    // receiver then stops reading, and the TCP window holds
+                    // the sender.
+                    let cap = if from_here {
+                        frame_cap
+                    } else {
+                        frame_cap.min(INBOUND_FRAMES)
+                    };
+                    let (tx, rx) = frame_channel(cap, to_here.then(|| wakes[to_pe].clone()));
                     let link = metrics.register_link();
                     link_endpoints.push((op_names[e.from].clone(), op_names[e.to].clone()));
                     let boundary = || partition.as_ref().expect("boundary edge implies partition");
@@ -913,17 +913,6 @@ impl EmitSink for PeSink<'_> {
         }
         self.emit(port, t);
         Ok(())
-    }
-
-    fn backlog(&self, port: usize) -> Option<usize> {
-        let targets = &self.out_ports[port];
-        if targets.len() != 1 {
-            return None;
-        }
-        match &targets[0] {
-            Target::Remote(e) => Some(e.depth()),
-            Target::Local { .. } => None,
-        }
     }
 
     fn n_ports(&self) -> usize {

@@ -97,13 +97,14 @@ const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 const IDLE_PROBE: Duration = Duration::from_millis(20);
 /// Encoded-frame buffers recycled per sender (steady state allocates none).
 const SPARE_ENCODE_BUFS: usize = 8;
-/// Decoded data a receiver parks in front of its consuming PE before it
-/// stops reading the socket (DESIGN §12, flow control). The channel behind
-/// it counts tuples, and distributed runs size it past the corpus, so
-/// without this a sender that outruns the consumer keeps the whole stream
-/// resident twice. Not reading is the whole mechanism: the TCP window then
-/// holds the sender, which blocks in `write` like on any slow link.
-const INBOUND_BYTES: u64 = 1 << 20;
+/// Frames a receiver parks in front of its consuming PE: the bound of every
+/// channel the transport feeds (DESIGN §12, flow control). Distributed runs
+/// size their channels past the corpus, so without it a sender that
+/// outruns the consumer keeps the whole stream resident twice; frames close
+/// at 64 KiB, so this is 1 MiB. A receiver with a full channel waits for
+/// room and stops reading: the TCP window then holds the sender, which
+/// blocks in `write` like on any slow link.
+pub(crate) const INBOUND_FRAMES: usize = 16;
 
 /// Deterministic wire faults, compiled from the fault grammar
 /// (`net-drop-conn@link:N`, `net-partial-write@link:N`). Indices are
@@ -193,9 +194,6 @@ pub struct LinkIn {
     /// Held by the connection thread that drives the link: at most one
     /// does at a time, and a reconnect queues here behind its predecessor.
     driving: Mutex<()>,
-    /// Where the connection thread waits while the consumer holds more
-    /// than [`INBOUND_BYTES`]; [`LinkIn::frame_taken`] wakes it.
-    room: Watched<()>,
 }
 
 impl LinkIn {
@@ -221,12 +219,6 @@ impl LinkIn {
         stable.fetch_max(entries, Ordering::SeqCst);
         // A failed write means a dying connection; its thread notices.
         let _ = self.send_ack(&mut conn);
-    }
-
-    /// The consumer took a frame off the channel (which lowered the
-    /// channel's count of queued tuples).
-    pub fn frame_taken(&self) {
-        self.room.update(|_| ());
     }
 
     /// The durable watermark, for tests of who may move it.
@@ -371,9 +363,8 @@ impl NetTransport {
     }
 
     /// Registers the receiving end of boundary link `link_id`: decoded
-    /// frames are forwarded into `tx`. The consuming PE calls
-    /// [`LinkIn::frame_taken`] on the returned handle for every frame it
-    /// takes; the handle also carries the link's watermarks.
+    /// frames are forwarded into `tx`. The returned handle carries the
+    /// link's watermarks.
     pub(crate) fn add_incoming(&self, link_id: u64, tx: FrameTx, ack: AckMode) -> Arc<LinkIn> {
         let link = Arc::new(LinkIn {
             tx: Mutex::new(Some(tx)),
@@ -381,7 +372,6 @@ impl NetTransport {
             stable: (ack == AckMode::Stable).then(|| AtomicU64::new(0)),
             conn: Mutex::new(None),
             driving: Mutex::new(()),
-            room: Watched::new(()),
         });
         self.incoming.lock().insert(link_id, Arc::clone(&link));
         link
@@ -477,11 +467,10 @@ impl NetTransport {
             wake_acceptor(self.local, acceptor);
         }
 
-        // Connection threads sit in a blocking read, or at a link's
-        // flow-control gate.
-        for link in self.incoming.lock().values() {
-            link.room.update(|_| ());
-        }
+        // Connection threads sit in a blocking read, or wait for room in
+        // a full channel. The engine shuts the transport down only after
+        // every PE has exited, and a consumer's exit drops its end of the
+        // channel, which ends that wait.
         let conns: Vec<_> = self.conns.lock().drain(..).collect();
         for (_, stream) in &conns {
             let _ = stream.shutdown(Shutdown::Both);
@@ -602,7 +591,7 @@ impl NetTransport {
                 return;
             }
             if tag == TAG_DATA {
-                if self.recv_frame(s, link, &mut buf, &mut cols).is_err()
+                if Self::recv_frame(s, link, &mut buf, &mut cols).is_err()
                     || link.send_ack(&mut link.conn.lock()).is_err()
                 {
                     return;
@@ -621,7 +610,6 @@ impl NetTransport {
     /// Any error means the connection is unusable and nothing was
     /// forwarded from this frame.
     fn recv_frame(
-        &self,
         mut s: &TcpStream,
         link: &LinkIn,
         buf: &mut Vec<u8>,
@@ -661,19 +649,9 @@ impl NetTransport {
             if skip > 0 {
                 tuples.drain(..skip);
             }
-            let fwd = tuples.len();
-            let frame = Frame::from_vec(tuples);
-            let row_bytes = frame.wire_bytes() / fwd as u64;
-            {
-                let mut room = link.room.lock();
-                while tx.queued() as u64 * row_bytes > INBOUND_BYTES {
-                    if self.stop.is_set() {
-                        return Err(io::ErrorKind::Interrupted.into());
-                    }
-                    room = link.room.wait(room);
-                }
-            }
-            if !tx.send(frame) {
+            // A full channel holds this thread here, so it stops reading
+            // the socket (see `INBOUND_FRAMES`).
+            if !tx.send(Frame::from_vec(tuples)) {
                 return Err(gone());
             }
             link.delivered.store(end, Ordering::SeqCst);
@@ -1029,7 +1007,8 @@ mod tests {
         }
         // Every frame has left both links: the pump took it off the
         // outgoing channel and this consumer off the incoming one.
-        assert_eq!((tx_s.queued(), rx_r.queued()), (0, 0));
+        assert!(tx_s.is_empty());
+        assert_eq!(rx_r.queued(), 0);
         drop(tx_s);
         while let Ok(frame) = rx_r.recv_timeout(Duration::from_secs(20)) {
             got.extend(frame.tuples);
@@ -1071,6 +1050,56 @@ mod tests {
             drop_conn: vec![],
             partial_write: vec![3],
         }));
+    }
+
+    #[test]
+    fn a_full_inbound_channel_holds_the_sender_until_the_consumer_takes() {
+        let recv_side = NetTransport::bind("127.0.0.1:0").expect("bind");
+        let send_side = NetTransport::bind("127.0.0.1:0").expect("bind");
+        let (tx_r, rx_r) = frame_channel(INBOUND_FRAMES, None);
+        recv_side.add_incoming(4, tx_r, AckMode::Receipt);
+        recv_side.start();
+
+        let n_frames = INBOUND_FRAMES as u64 + 8;
+        let (tx_s, rx_s) = frame_channel(n_frames as usize, None);
+        send_side.add_outgoing(4, rx_s, recv_side.local_addr());
+        send_side.start();
+        for seq in 0..n_frames {
+            let mut tuples = vec![data(seq, seq as f64)];
+            if seq == n_frames - 1 {
+                tuples.push(Tuple::Punct(Punctuation::EndOfStream));
+            }
+            assert!(tx_s.send(Frame::from_vec(tuples)), "send");
+        }
+        drop(tx_s);
+
+        // The consumer takes nothing: the receiver fills the channel to its
+        // bound and then waits, with the rest on the sender's side.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while rx_r.queued() < INBOUND_FRAMES && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        thread::sleep(Duration::from_millis(200));
+        assert_eq!(rx_r.queued(), INBOUND_FRAMES);
+
+        let mut got = Vec::new();
+        let closed = loop {
+            match rx_r.recv_timeout(Duration::from_secs(20)) {
+                Ok(frame) => got.extend(frame.tuples),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(closed, RecvTimeoutError::Disconnected, "GOODBYE closes it");
+        assert_eq!(got.len() as u64, n_frames + 1);
+        for (i, t) in got.iter().take(n_frames as usize).enumerate() {
+            match t {
+                Tuple::Data(d) => assert_eq!(d.seq, i as u64),
+                other => panic!("expected data at {i}, got {other:?}"),
+            }
+        }
+        assert!(got.last().expect("non-empty").is_eos());
+        send_side.shutdown();
+        recv_side.shutdown();
     }
 
     /// A loopback pair in [`AckMode::Stable`] with one two-entry frame

@@ -75,9 +75,6 @@ pub(crate) trait EmitSink {
     /// Non-blocking emit; returns the tuple back if *any* target edge is
     /// full (nothing is sent in that case).
     fn try_emit(&mut self, port: usize, t: Tuple) -> Result<(), Tuple>;
-    /// Queue depth of the cross-PE channel behind a port, if the port has
-    /// exactly one remote target (used by load-balancing splits).
-    fn backlog(&self, port: usize) -> Option<usize>;
     /// Number of output ports wired for this operator.
     fn n_ports(&self) -> usize;
     /// True once the engine has requested a cooperative stop.
@@ -141,13 +138,6 @@ impl<'a> OpContext<'a> {
     /// (e.g. a snapshot emitted mid-stream that a monitor is waiting on).
     pub fn flush(&mut self) {
         self.sink.flush_downstream();
-    }
-
-    /// Downstream queue depth behind `port` (None for fused/fan-out ports).
-    /// For batched cross-PE edges this counts both the tuples still in the
-    /// local output buffer and those in flight in the channel.
-    pub fn backlog(&self, port: usize) -> Option<usize> {
-        self.sink.backlog(port)
     }
 
     /// Number of output ports wired to this operator.
@@ -234,10 +224,6 @@ pub mod testing {
                 self.ports[port].push_back(t);
                 Ok(())
             }
-        }
-
-        fn backlog(&self, port: usize) -> Option<usize> {
-            Some(self.ports[port].len())
         }
 
         fn n_ports(&self) -> usize {

@@ -42,8 +42,6 @@ pub enum SplitStrategy {
     Random,
     /// Cycle through targets.
     RoundRobin,
-    /// Pick the target with the shallowest downstream queue.
-    LeastLoaded,
 }
 
 /// 1-in / n-out load-balancing splitter.
@@ -90,7 +88,7 @@ impl Split {
     }
 
     /// The first-choice port among the `active` eligible of `n` wired.
-    fn pick(&mut self, n: usize, active: usize, ctx: &OpContext<'_>) -> usize {
+    fn pick(&mut self, n: usize, active: usize) -> usize {
         let pick = self.picks;
         self.picks += 1;
         match self.strategy {
@@ -104,9 +102,6 @@ impl Split {
                 self.next_rr = self.next_rr.wrapping_add(1);
                 i
             }
-            SplitStrategy::LeastLoaded => (0..active)
-                .min_by_key(|&p| ctx.backlog(p).unwrap_or(usize::MAX))
-                .unwrap_or(0),
         }
     }
 }
@@ -120,7 +115,7 @@ impl Operator for Split {
         // Read once per tuple: the pick and the shed loop below agree on
         // the boundary even while an autoscaler moves it.
         let active = self.active_of(n);
-        let first = self.pick(n, active, ctx);
+        let first = self.pick(n, active);
         // Try the chosen target, then the rest of the *active* set in
         // cyclic order; block on the original choice only if all are full.
         // Standby ports never receive traffic, even under backpressure.
@@ -376,15 +371,5 @@ mod tests {
             want.extend(b.data_at(p).iter().map(|d| d.seq));
             assert_eq!(got, want, "port {p}");
         }
-    }
-
-    #[test]
-    fn least_loaded_prefers_shallow_queue() {
-        let mut s = Split::new(SplitStrategy::LeastLoaded);
-        // CaptureSink backlog == items already emitted; feed sequentially
-        // and confirm the split alternates (keeps queues level).
-        let sink = feed(&mut s, 2, 10);
-        assert_eq!(sink.data_at(0).len(), 5);
-        assert_eq!(sink.data_at(1).len(), 5);
     }
 }

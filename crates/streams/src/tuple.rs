@@ -266,9 +266,9 @@ const POOL_DEPTH: usize = 8;
 
 /// The producing end of a cross-PE frame channel: a `std::sync::mpsc`
 /// channel bounded at `cap` frames by its two ends. `std`'s sender cannot
-/// tell how full its channel is, so the ends count: tuples and frames go up
-/// here before a send and down in [`FrameRx`] as a frame leaves, and a send
-/// waits while `cap` frames are queued. With one producer per channel,
+/// tell how full its channel is, so the ends count frames: one goes up here
+/// before a send and down in [`FrameRx`] as it leaves, and a send waits
+/// while `cap` frames are queued. With one producer per channel,
 /// `is_full` false means the next send does not wait. The bound is not
 /// `sync_channel`'s because that allocates all `cap` slots up front, and a
 /// distributed run sizes `cap` past its corpus.
@@ -292,30 +292,16 @@ pub(crate) struct FrameRx {
     room: Wake,
 }
 
-/// What both ends of a channel share: its bound, the tuples and frames
-/// sent and not yet taken off it, and the pool its frames' buffers cycle
-/// through. `Relaxed` suffices for the counts: they publish no other data,
-/// a frame's increment comes before its send, which the channel orders
-/// before the receive that precedes its decrement, and a producer waiting
-/// for room is woken by the consumer's ring after the decrement.
+/// What both ends of a channel share: its bound, the frames sent and not
+/// yet taken off it, and the pool its frames' buffers cycle through.
+/// `Relaxed` suffices for the count: it publishes no other data, a frame's
+/// increment comes before its send, which the channel orders before the
+/// receive that precedes its decrement, and a producer waiting for room is
+/// woken by the consumer's ring after the decrement.
 struct Shared {
     cap: usize,
-    tuples: AtomicUsize,
     frames: AtomicUsize,
     pool: FramePool,
-}
-
-impl Shared {
-    fn put(&self, tuples: usize) {
-        self.tuples.fetch_add(tuples, Ordering::Relaxed);
-        self.frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Returns the frames queued before this one left.
-    fn take(&self, tuples: usize) -> usize {
-        self.tuples.fetch_sub(tuples, Ordering::Relaxed);
-        self.frames.fetch_sub(1, Ordering::Relaxed)
-    }
 }
 
 /// A frame channel holding at most `cap` frames (at least one), whose
@@ -325,7 +311,6 @@ pub(crate) fn frame_channel(cap: usize, wake: Option<Wake>) -> (FrameTx, FrameRx
     let (room_tx, room) = self::wake();
     let shared = Arc::new(Shared {
         cap: cap.max(1),
-        tuples: AtomicUsize::new(0),
         frames: AtomicUsize::new(0),
         pool: FramePool::new(POOL_DEPTH),
     });
@@ -353,10 +338,9 @@ impl FrameTx {
                 return false;
             }
         }
-        let n = frame.len();
-        self.shared.put(n);
+        self.shared.frames.fetch_add(1, Ordering::Relaxed);
         if self.tx.send(frame).is_err() {
-            self.shared.take(n);
+            self.shared.frames.fetch_sub(1, Ordering::Relaxed);
             return false;
         }
         if let Some(wake) = &self.wake {
@@ -365,9 +349,10 @@ impl FrameTx {
         true
     }
 
-    /// Tuples sent and not yet taken by the consumer.
-    pub(crate) fn queued(&self) -> usize {
-        self.shared.tuples.load(Ordering::Relaxed)
+    /// True when the consumer has taken every frame sent. Frames are never
+    /// empty, so no frame queued is no tuple queued.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.shared.frames.load(Ordering::Relaxed) == 0
     }
 
     /// True when the channel holds `cap` frames: a send would wait.
@@ -398,7 +383,8 @@ impl FrameRx {
     }
 
     fn taken(&self, frame: Frame) -> Frame {
-        if self.shared.take(frame.len()) >= self.shared.cap {
+        // The frames queued before this one left.
+        if self.shared.frames.fetch_sub(1, Ordering::Relaxed) >= self.shared.cap {
             self.room.ring();
         }
         frame
@@ -438,9 +424,9 @@ mod tests {
     use super::*;
 
     impl FrameRx {
-        /// Tuples sent and not yet taken off the channel.
+        /// Frames sent and not yet taken off the channel.
         pub(crate) fn queued(&self) -> usize {
-            self.shared.tuples.load(Ordering::Relaxed)
+            self.shared.frames.load(Ordering::Relaxed)
         }
     }
 
@@ -522,10 +508,10 @@ mod tests {
         let (tx, rx) = frame_channel(2, Some(wake));
         assert!(tx.send(frame(3)));
         assert!(tx.send(frame(1)));
-        assert_eq!((tx.queued(), tx.is_full()), (4, true));
+        assert_eq!((tx.is_empty(), tx.is_full()), (false, true));
         assert_eq!(woken.try_recv(), Ok(()), "a send rings");
         assert_eq!(rx.try_recv().unwrap().len(), 3);
-        assert_eq!((tx.queued(), tx.is_full()), (1, false));
+        assert_eq!((tx.is_empty(), tx.is_full()), (false, false));
         drop(tx);
         assert_eq!(woken.try_recv(), Ok(()), "the producer's drop rings");
         assert_eq!(rx.try_recv().unwrap().len(), 1);
@@ -534,7 +520,7 @@ mod tests {
         let (tx, rx) = frame_channel(1, None);
         drop(rx);
         assert!(!tx.send(frame(2)), "a send to a gone consumer fails");
-        assert_eq!((tx.queued(), tx.is_full()), (0, false));
+        assert_eq!((tx.is_empty(), tx.is_full()), (true, false));
     }
 
     #[test]

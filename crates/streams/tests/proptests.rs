@@ -73,7 +73,7 @@ fn topology() -> impl Strategy<Value = Topology> {
         1usize..5,
         any::<u8>(),
         1usize..64,
-        0u8..3,
+        0u8..2,
         batch_size(),
     )
         .prop_map(
@@ -111,8 +111,7 @@ proptest! {
         }
         let strategy = match t.strategy {
             0 => SplitStrategy::Random,
-            1 => SplitStrategy::RoundRobin,
-            _ => SplitStrategy::LeastLoaded,
+            _ => SplitStrategy::RoundRobin,
         };
         let split = g.add_op("split", Box::new(Split::new(strategy)));
         g.connect(prev, 0, split, PortKind::Data);

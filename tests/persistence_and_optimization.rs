@@ -95,7 +95,9 @@ fn snapshot_files_are_human_readable() {
     let (g, _h) = ParallelPcaApp::build(&cfg, source(500, 6));
     Engine::run(g);
     let content = std::fs::read_to_string(SnapshotWriter::latest_path(&dir, 0)).expect("written");
-    assert!(content.starts_with("spca-eigensystem-v1"));
+    // The seal line, then the text it covers.
+    assert!(content.starts_with("spca-eigensystem-v2 "));
+    assert!(content.contains("\nspca-eigensystem-v1\n"));
     assert!(content.contains("values"));
     assert!(content.contains("mean"));
     std::fs::remove_dir_all(dir).ok();
