@@ -7,16 +7,20 @@
 //! measured work and asserts that [`allocations`] does not move across it.
 //! Only tracked threads count, so client, server, writer or harness
 //! threads allocating next to the measured one do not disturb the number.
-//! Still one `#[test]` per guard file: the counter is per-process.
+//! A guard over work spread across threads it does not spawn itself (a
+//! pipeline's PE or transport threads) counts them all with [`track_all`]
+//! instead. Still one `#[test]` per guard file: the counter is per-process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// The system allocator, counting the calls tracked threads make to it.
 pub struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+static ALL: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
     // const-initialized TLS: reading it never allocates, so it is safe
@@ -29,6 +33,12 @@ pub fn track(on: bool) {
     TRACKED.with(|t| t.set(on));
 }
 
+/// Starts (or stops) counting the allocations of every thread of the
+/// process, tracked or not.
+pub fn track_all(on: bool) {
+    ALL.store(on, Ordering::SeqCst);
+}
+
 /// `alloc`, `alloc_zeroed` and `realloc` calls made by tracked threads so
 /// far.
 pub fn allocations() -> usize {
@@ -37,7 +47,7 @@ pub fn allocations() -> usize {
 
 fn count_if_tracked() {
     // try_with: TLS may be unavailable during thread teardown.
-    if TRACKED.try_with(Cell::get).unwrap_or(false) {
+    if ALL.load(Ordering::Relaxed) || TRACKED.try_with(Cell::get).unwrap_or(false) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
     }
 }

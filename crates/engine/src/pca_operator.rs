@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 use spca_core::{merge, PcaConfig, RobustPca};
 use spca_streams::checkpoint::{decode_kv, encode_kv, kv_u64, Checkpoint};
 use spca_streams::metrics::Counter;
-use spca_streams::{ControlTuple, DataTuple, OpContext, Operator};
+use spca_streams::{ControlTuple, DataTuple, OpContext, Operator, RowRef, Rows};
 use std::sync::Arc;
 
 /// Default heartbeat cadence in processed tuples (see
@@ -312,8 +312,20 @@ impl StreamingPcaOp {
     }
 }
 
-impl Operator for StreamingPcaOp {
-    fn process(&mut self, tuple: DataTuple, ctx: &mut OpContext<'_>) {
+impl StreamingPcaOp {
+    /// The per-observation update, over a borrowed row: what `process`
+    /// does to a tuple (`whole`, forwarded by pointer when quarantined) and
+    /// `process_rows` to each row of a frame.
+    fn process_row(
+        &mut self,
+        tuple: RowRef<'_>,
+        whole: Option<&DataTuple>,
+        ctx: &mut OpContext<'_>,
+    ) {
+        let quarantine = |ctx: &mut OpContext<'_>, port| match whole {
+            Some(d) => ctx.emit_data(port, d.clone()),
+            None => ctx.emit_row(port, tuple),
+        };
         // Dead-letter boundary: a NaN or Inf would poison the running sums
         // irreversibly, so non-finite observations never reach the state —
         // they are counted, optionally forwarded on the quarantine port,
@@ -328,15 +340,15 @@ impl Operator for StreamingPcaOp {
                 );
             }
             if self.emit_quarantine {
-                ctx.emit_data(self.quarantine_port(), tuple);
+                quarantine(ctx, self.quarantine_port());
             }
             return;
         }
         let outcome = {
             let mut st = self.state.lock();
-            match tuple.mask.as_deref() {
-                Some(mask) => st.update_masked(&tuple.values, mask),
-                None => st.update(&tuple.values),
+            match tuple.mask {
+                Some(mask) => st.update_masked(tuple.values, mask),
+                None => st.update(tuple.values),
             }
         };
         let outcome = match outcome {
@@ -362,19 +374,24 @@ impl Operator for StreamingPcaOp {
             self.outliers_flagged += 1;
         }
         if self.emit_outcomes && outcome.initialized {
-            let row = vec![
+            let values = [
                 tuple.seq as f64,
                 outcome.residual_sq,
                 outcome.scaled_residual,
                 outcome.weight,
                 if outcome.outlier { 1.0 } else { 0.0 },
             ];
-            ctx.emit_data(self.outcome_port(), DataTuple::new(tuple.seq, row));
+            let row = RowRef {
+                seq: tuple.seq,
+                timestamp_ns: 0,
+                values: &values,
+                mask: None,
+            };
+            ctx.emit_row(self.outcome_port(), row);
         }
         if self.emit_quarantine && outcome.outlier {
-            // Forward the flagged observation itself (values are shared via
-            // Arc, so this is pointer-cheap).
-            ctx.emit_data(self.quarantine_port(), tuple.clone());
+            // Forward the flagged observation itself.
+            quarantine(ctx, self.quarantine_port());
         }
         if self.epoch_store.is_some()
             && outcome.initialized
@@ -390,6 +407,18 @@ impl Operator for StreamingPcaOp {
             && (self.processed == 1 || self.processed.is_multiple_of(self.heartbeat_every))
         {
             self.heartbeat(ctx);
+        }
+    }
+}
+
+impl Operator for StreamingPcaOp {
+    fn process(&mut self, tuple: DataTuple, ctx: &mut OpContext<'_>) {
+        self.process_row(tuple.row(), Some(&tuple), ctx);
+    }
+
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            self.process_row(row, None, ctx);
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! ROADMAP item 1: the cross-PE transport promoted to a real wire
 //! protocol. A frame is the unit the batched transport already ships
-//! between PEs (a `Vec<Tuple>`); this module gives it a compact,
+//! between PEs (a columnar [`Frame`]); this module gives it a compact,
 //! length-prefixed, versioned byte layout so it can cross a TCP socket
 //! without per-value parsing:
 //!
@@ -24,16 +24,20 @@
 //!   controls    n_ctrl × { kind u32 · sender u32 · tagged u8 · len u32 · bytes }
 //! ```
 //!
-//! The layout is *columnar*: all values of a batch land in one contiguous
-//! little-endian f64 block, so encode is a handful of bulk copies and
-//! decode is a bounds check plus a bulk copy — no per-value formatting or
-//! parsing anywhere (CSV is how observations *enter* the graph, through
-//! `ops::LineSource`; this is how they cross processes inside it). The
-//! presence bitmap is packed and unpacked eight mask entries a byte, and
-//! the checksum is the SSE4.2 `crc32` instruction where the CPU has it.
-//! Both directions reuse caller-owned buffers and allocate nothing in
-//! steady state (guarded by `tests/codec_alloc.rs`, the same
-//! allocator-counter pattern as the serving path).
+//! The layout is *columnar*, like the in-memory [`Frame`]: all values of a
+//! batch land in one contiguous little-endian f64 block, so encoding a
+//! frame ([`encode_columns`]) is a handful of column copies, and a decode
+//! is a bounds check plus bulk copies into a [`ColumnarFrame`] and from
+//! there into a frame ([`ColumnarFrame::copy_into`]) — no per-value
+//! formatting or parsing anywhere (CSV is how observations *enter* the
+//! graph, through `ops::LineSource`; this is how they cross processes
+//! inside it). The presence bitmap is packed and unpacked eight mask
+//! entries a byte, and the checksum is the SSE4.2 `crc32` instruction where
+//! the CPU has it. Both directions reuse caller-owned buffers and allocate
+//! nothing in steady state (guarded by `tests/codec_alloc.rs`, the same
+//! allocator-counter pattern as the serving path). [`encode_frame`] encodes
+//! the same bytes from a slice of tuples, and
+//! [`ColumnarFrame::materialize`] rebuilds tuples: the tests' oracle.
 //!
 //! Torn and corrupted input can never partially apply: a decode first
 //! proves the full frame is present, then verifies the CRC-32C over the
@@ -48,7 +52,9 @@
 //! without any registration; an unregistered payload-carrying kind fails
 //! the encode loudly rather than silently dropping state.
 
-use crate::tuple::{ControlTuple, DataTuple, Punctuation, Tuple};
+use crate::tuple::{
+    ControlTuple, DataTuple, Frame, Punctuation, Tuple, TAG_CTRL, TAG_DATA, TAG_EOS,
+};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::HashMap;
@@ -68,10 +74,6 @@ pub const TRAILER_LEN: usize = 4;
 /// as corruption, so a flipped bit in the length field can never make the
 /// receiver buffer gigabytes.
 pub const MAX_BODY_LEN: usize = 1 << 28;
-
-const TAG_DATA: u8 = 0;
-const TAG_CTRL: u8 = 1;
-const TAG_EOS: u8 = 2;
 
 /// Why a frame failed to encode or decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -283,7 +285,7 @@ macro_rules! bulk_le {
 }
 
 bulk_le!(both write_f64s, read_f64s, f64, 8);
-bulk_le!(read read_u64s, u64, 8);
+bulk_le!(both write_u64s, read_u64s, u64, 8);
 bulk_le!(read read_u32s, u32, 4);
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -319,18 +321,100 @@ fn bits_at(bits: &[u8], at: usize) -> u8 {
 // Encode
 // ---------------------------------------------------------------------------
 
+/// Clears `out` and writes the header with a zero body length; returns
+/// where the body starts.
+fn begin_frame(out: &mut Vec<u8>) -> usize {
+    out.clear();
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    push_u32(out, 0); // body_len, patched by `finish_frame`
+    out.len()
+}
+
+/// Patches the body length in and appends the CRC trailer.
+fn finish_frame(out: &mut Vec<u8>, body_start: usize) -> Result<(), CodecError> {
+    let body_len = out.len() - body_start;
+    if body_len > MAX_BODY_LEN {
+        return Err(CodecError::Corrupt("frame body exceeds MAX_BODY_LEN"));
+    }
+    out[body_start - 4..body_start].copy_from_slice(&(body_len as u32).to_le_bytes());
+    let crc = crc32(&out[body_start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// Appends `flags` packed eight a byte, bit i of a byte = flag i.
+fn push_flags(out: &mut Vec<u8>, flags: impl Iterator<Item = bool>) {
+    let mut acc = 0u8;
+    let mut nbits = 0u8;
+    for flag in flags {
+        acc |= u8::from(flag) << nbits;
+        nbits += 1;
+        if nbits == 8 {
+            out.push(acc);
+            acc = 0;
+            nbits = 0;
+        }
+    }
+    if nbits > 0 {
+        out.push(acc);
+    }
+}
+
+/// ORs one row's presence bits into the bitmap `bits` from bit `at` on: its
+/// mask's first `len` entries, or `len` ones for a complete row.
+fn or_presence(bits: &mut [u8], at: usize, len: usize, mask: Option<&[bool]>) {
+    match mask {
+        None => {
+            for k in (0..len).step_by(8) {
+                or_bits(bits, at + k, 0xFF >> (8 - (len - k).min(8)));
+            }
+        }
+        Some(m) => {
+            for (k, group) in m[..len].chunks(8).enumerate() {
+                let byte = group
+                    .iter()
+                    .rev()
+                    .fold(0u8, |acc, &present| acc << 1 | u8::from(present));
+                or_bits(bits, at + 8 * k, byte);
+            }
+        }
+    }
+}
+
+/// Appends one control entry. Payload bytes are produced straight into
+/// the frame buffer; the length field is patched afterwards.
+fn push_control(out: &mut Vec<u8>, c: &ControlTuple) -> Result<(), CodecError> {
+    push_u32(out, c.kind);
+    push_u32(out, c.sender);
+    if c.payload_as::<()>().is_some() {
+        out.push(0);
+        push_u32(out, 0);
+        return Ok(());
+    }
+    let Some(&(enc, _)) = registry().lock().get(&c.kind) else {
+        return Err(CodecError::UnregisteredControl(c.kind));
+    };
+    out.push(1);
+    let len_at = out.len();
+    push_u32(out, 0);
+    if !enc(&*c.payload, out) {
+        return Err(CodecError::UnregisteredControl(c.kind));
+    }
+    let len = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+    Ok(())
+}
+
 /// Encodes a batch of tuples as one wire frame into `out` (cleared first).
+/// The same bytes as [`encode_columns`] of a frame holding these tuples.
 ///
 /// Steady-state this allocates nothing once `out` has grown to the working
 /// frame size; data values land in the body via bulk copies. Control
 /// payloads go through the per-kind registry; a payload-free signal needs
 /// no registration.
 pub fn encode_frame(tuples: &[Tuple], out: &mut Vec<u8>) -> Result<(), CodecError> {
-    out.clear();
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    push_u32(out, 0); // body_len, patched below
-    let body_start = out.len();
+    let body_start = begin_frame(out);
 
     let mut n_data = 0u32;
     let mut n_ctrl = 0u32;
@@ -358,109 +442,100 @@ pub fn encode_frame(tuples: &[Tuple], out: &mut Vec<u8>) -> Result<(), CodecErro
         });
     }
     push_u64(out, total_vals);
-    for t in tuples {
-        if let Tuple::Data(d) = t {
-            push_u64(out, d.seq);
-        }
+    let data = || {
+        tuples.iter().filter_map(|t| match t {
+            Tuple::Data(d) => Some(d),
+            _ => None,
+        })
+    };
+    for d in data() {
+        push_u64(out, d.seq);
     }
-    for t in tuples {
-        if let Tuple::Data(d) = t {
-            push_u64(out, d.timestamp_ns);
-        }
+    for d in data() {
+        push_u64(out, d.timestamp_ns);
     }
-    for t in tuples {
-        if let Tuple::Data(d) = t {
-            push_u32(out, d.values.len() as u32);
-        }
+    for d in data() {
+        push_u32(out, d.values.len() as u32);
     }
-    for t in tuples {
-        if let Tuple::Data(d) = t {
-            write_f64s(out, &d.values);
-        }
+    for d in data() {
+        write_f64s(out, &d.values);
     }
     // Mask-presence flags: one bit per data tuple.
-    {
-        let mut acc = 0u8;
-        let mut nbits = 0u8;
-        for t in tuples {
-            if let Tuple::Data(d) = t {
-                if d.mask.is_some() {
-                    acc |= 1 << nbits;
-                }
-                nbits += 1;
-                if nbits == 8 {
-                    out.push(acc);
-                    acc = 0;
-                    nbits = 0;
-                }
-            }
-        }
-        if nbits > 0 {
-            out.push(acc);
-        }
-    }
+    push_flags(out, data().map(|d| d.mask.is_some()));
     // Presence bitmap: one bit per value, 1 = observed, OR-ed into a zeroed
     // region eight entries at a time. Complete observations contribute
     // all-ones runs.
-    {
-        let at = out.len();
-        out.resize(at + (total_vals as usize).div_ceil(8), 0);
-        let bits = &mut out[at..];
-        let mut bit = 0;
-        for t in tuples {
-            let Tuple::Data(d) = t else { continue };
-            let len = d.values.len();
-            match &d.mask {
-                None => {
-                    for k in (0..len).step_by(8) {
-                        or_bits(bits, bit + k, 0xFF >> (8 - (len - k).min(8)));
-                    }
-                }
-                Some(m) => {
-                    for (k, group) in m[..len].chunks(8).enumerate() {
-                        let byte = group
-                            .iter()
-                            .rev()
-                            .fold(0u8, |acc, &present| acc << 1 | u8::from(present));
-                        or_bits(bits, bit + 8 * k, byte);
-                    }
-                }
-            }
-            bit += len;
-        }
+    let at = out.len();
+    out.resize(at + (total_vals as usize).div_ceil(8), 0);
+    let mut bit = 0;
+    for d in data() {
+        let len = d.values.len();
+        or_presence(
+            &mut out[at..],
+            bit,
+            len,
+            d.mask.as_deref().map(Vec::as_slice),
+        );
+        bit += len;
     }
-    // Control section. Payload bytes are produced straight into the frame
-    // buffer; the length field is patched afterwards.
     for t in tuples {
-        let Tuple::Control(c) = t else { continue };
-        push_u32(out, c.kind);
-        push_u32(out, c.sender);
-        if c.payload_as::<()>().is_some() {
-            out.push(0);
-            push_u32(out, 0);
-            continue;
+        if let Tuple::Control(c) = t {
+            push_control(out, c)?;
         }
-        let Some(&(enc, _)) = registry().lock().get(&c.kind) else {
-            return Err(CodecError::UnregisteredControl(c.kind));
-        };
-        out.push(1);
-        let len_at = out.len();
-        push_u32(out, 0);
-        if !enc(&*c.payload, out) {
-            return Err(CodecError::UnregisteredControl(c.kind));
-        }
-        let len = (out.len() - len_at - 4) as u32;
-        out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
     }
+    finish_frame(out, body_start)
+}
 
-    let body_len = out.len() - body_start;
-    if body_len > MAX_BODY_LEN {
-        return Err(CodecError::Corrupt("frame body exceeds MAX_BODY_LEN"));
+/// Encodes the entries of `frame` from entry `from` on as one wire frame
+/// into `out` (cleared first), copying the frame's columns: the sequence
+/// numbers, timestamps and values are bulk copies, the lengths and the two
+/// bitmaps are derived a row at a time. The bytes are [`encode_frame`]'s
+/// for the same entries. `out` is grown to the frame's exact size (control
+/// payloads aside) when it is short, so a fresh buffer holds no slack, and
+/// one reused at the working size allocates nothing.
+pub fn encode_columns(frame: &Frame, from: usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
+    let skipped = &frame.tags[..from];
+    let r0 = skipped.iter().filter(|&&t| t == TAG_DATA).count();
+    let c0 = skipped.iter().filter(|&&t| t == TAG_CTRL).count();
+    let before = |ends: &[usize]| if r0 == 0 { 0 } else { ends[r0 - 1] };
+    let (v0, m0) = (before(&frame.ends), before(&frame.mask_ends));
+    let tags = &frame.tags[from..];
+    let values = &frame.values[v0..];
+    let n_data = frame.n_rows() - r0;
+    let n_ctrl = frame.ctrls.len() - c0;
+
+    let body_start = begin_frame(out);
+    let body = 16 + tags.len() + 8 + 20 * n_data + 8 * values.len();
+    let bitmaps = n_data.div_ceil(8) + values.len().div_ceil(8);
+    out.reserve_exact(body + bitmaps + 13 * n_ctrl + TRAILER_LEN);
+    push_u32(out, tags.len() as u32);
+    push_u32(out, n_data as u32);
+    push_u32(out, n_ctrl as u32);
+    push_u32(out, (tags.len() - n_data - n_ctrl) as u32);
+    out.extend_from_slice(tags);
+    push_u64(out, values.len() as u64);
+    write_u64s(out, &frame.seqs[r0..]);
+    write_u64s(out, &frame.stamps[r0..]);
+    let mut start = v0;
+    for &end in &frame.ends[r0..] {
+        push_u32(out, (end - start) as u32);
+        start = end;
     }
-    out[body_start - 4..body_start].copy_from_slice(&(body_len as u32).to_le_bytes());
-    let crc = crc32(&out[body_start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    Ok(())
+    write_f64s(out, values);
+    push_flags(out, frame.masked[r0..].iter().copied());
+    let at = out.len();
+    out.resize(at + values.len().div_ceil(8), 0);
+    let (mut start, mut mask_start) = (v0, m0);
+    for r in r0..frame.n_rows() {
+        let (end, mask_end) = (frame.ends[r], frame.mask_ends[r]);
+        let mask = frame.masked[r].then(|| &frame.masks[mask_start..mask_end]);
+        or_presence(&mut out[at..], start - v0, end - start, mask);
+        (start, mask_start) = (end, mask_end);
+    }
+    for c in &frame.ctrls[c0..] {
+        push_control(out, c)?;
+    }
+    finish_frame(out, body_start)
 }
 
 // ---------------------------------------------------------------------------
@@ -526,6 +601,51 @@ impl ColumnarFrame {
         self.presence.clear();
         self.ctrls.clear();
         self.ctrl_bytes.clear();
+    }
+
+    /// Appends the decoded entries to `frame`, copying columns: the
+    /// sequence numbers, timestamps and values in bulk, the masks of gappy
+    /// rows out of the presence bitmap. Control payloads go through the
+    /// registry; an entry whose kind has no registered decoder, or whose
+    /// payload it rejects, fails the call with `frame` part-filled.
+    pub fn copy_into(&self, frame: &mut Frame) -> Result<(), CodecError> {
+        let base = frame.values.len();
+        frame.tags.extend_from_slice(&self.tags);
+        frame.seqs.extend_from_slice(&self.seqs);
+        frame.stamps.extend_from_slice(&self.stamps);
+        frame.values.extend_from_slice(&self.values);
+        let mut voff = 0;
+        for (di, &len) in self.lens.iter().enumerate() {
+            let len = len as usize;
+            frame.ends.push(base + voff + len);
+            let masked = self.mask_flags[di / 8] & (1 << (di % 8)) != 0;
+            frame.masked.push(masked);
+            if masked {
+                for k in (0..len).step_by(8) {
+                    let byte = bits_at(&self.presence, voff + k);
+                    frame
+                        .masks
+                        .extend((0..(len - k).min(8)).map(|i| byte >> i & 1 != 0));
+                }
+            }
+            frame.mask_ends.push(frame.masks.len());
+            voff += len;
+        }
+        for e in &self.ctrls {
+            let payload: Arc<dyn Any + Send + Sync> = if !e.tagged {
+                Arc::new(())
+            } else {
+                let Some(&(_, dec)) = registry().lock().get(&e.kind) else {
+                    return Err(CodecError::UnregisteredControl(e.kind));
+                };
+                dec(&self.ctrl_bytes[e.start..e.start + e.len])
+                    .ok_or(CodecError::Corrupt("control payload rejected"))?
+            };
+            frame
+                .ctrls
+                .push(ControlTuple::new(e.kind, e.sender, payload));
+        }
+        Ok(())
     }
 
     /// Rebuilds the tuples in stream order, appending to `out`. Control

@@ -12,12 +12,15 @@
 //!
 //! ## Batched transport
 //!
-//! Cross-PE channels carry [`Frame`]s — pooled `Vec<Tuple>` batches — so
-//! one channel wake-up amortizes over up to `GraphBuilder::with_batch_size`
-//! tuples. Each edge flushes adaptively (threshold reached, downstream
-//! idle, scheduler about to block) and *immediately* for control tuples and
-//! punctuation, so synchronization latency is never batched away; see
-//! [`RemoteEdge`] for the exact policy. Delivery order per edge is
+//! Cross-PE channels carry [`Frame`]s — pooled batches in columnar layout —
+//! so one channel wake-up amortizes over up to
+//! `GraphBuilder::with_batch_size` entries, and a row is copied into its
+//! frame's columns once and never allocated. Each edge flushes adaptively
+//! (threshold reached, downstream idle, scheduler about to block) and
+//! *immediately* for control tuples and punctuation, so synchronization
+//! latency is never batched away; see [`RemoteEdge`] for the exact policy.
+//! The consuming PE hands each run of a frame's rows to its operator's
+//! [`Operator::process_rows`] in one call. Delivery order per edge is
 //! unchanged from per-tuple transport (frames preserve FIFO), and link
 //! metrics stay tuple-denominated.
 //!
@@ -31,13 +34,14 @@
 //! outside it (in [`PeRuntime`]), so a panic unwinds only the loop's stack,
 //! and `in_call` decides what restarts:
 //!
-//! * **The operator**, for a panic in `process` or `on_control`. When the
-//!   loop re-enters, [`restart_op`] backs off, asks [`Operator::recover`] —
-//!   the operator's consent to go on — restores a consenting one with a
-//!   [`crate::checkpoint::Checkpoint`] facet from the PE's checkpoint, and
-//!   re-feeds the in-flight data tuple once; one that declines is finished
-//!   so its end-of-stream still propagates. Counted as
-//!   [`Counter::Restarts`].
+//! * **The operator**, for a panic in `process`, `process_rows` or
+//!   `on_control`. When the loop re-enters, [`restart_op`] backs off, asks
+//!   [`Operator::recover`] — the operator's consent to go on — restores a
+//!   consenting one with a [`crate::checkpoint::Checkpoint`] facet from the
+//!   PE's checkpoint, and re-feeds the in-flight data tuple, or the row of
+//!   a run in flight, once; the run's rows not yet taken are routed after
+//!   it. One that declines is finished so its end-of-stream still
+//!   propagates. Counted as [`Counter::Restarts`].
 //! * **The PE**, for a panic in `drive`, `on_start` or `on_finish`, or
 //!   outside any callback (an injected `kill-pe`). [`restart_pe`] restores
 //!   every checkpointable member from the PE's checkpoint, cross-PE frame
@@ -76,7 +80,11 @@ use crate::metrics::{
 };
 use crate::netio::{AckMode, LinkIn, NetTransport, INBOUND_FRAMES};
 use crate::operator::{EmitSink, OpContext, Operator, SourceState};
-use crate::tuple::{frame_channel, wake, DataTuple, Frame, FrameRx, FrameTx, Punctuation, Tuple};
+use crate::tuple::{
+    frame_channel, wake, DataTuple, Frame, FrameRx, FrameTx, Punctuation, RowRef, Tuple, TAG_CTRL,
+    TAG_DATA,
+};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -84,7 +92,7 @@ use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Tuples routed per live channel in one sweep of the scheduler loop.
+/// Entries routed per live channel in one sweep of the scheduler loop.
 /// Bounded so one hot channel cannot starve its siblings or a co-resident
 /// source.
 const SWEEP_TUPLES: usize = 256;
@@ -108,101 +116,107 @@ impl InjectedFault {
     }
 }
 
-/// Sender-side state of one cross-PE edge: tuples accumulate in `buf` and
-/// travel as a [`Frame`] per channel message.
+/// Sender-side state of one cross-PE edge: entries accumulate in the
+/// columns of `buf` and travel as one [`Frame`] per channel message.
 ///
 /// Flush policy (adaptive):
-/// * buffer reached the configured batch size, or
-/// * the tuple is control/punctuation — sync signals and end-of-stream must
+/// * the frame reached the configured batch size, or
+/// * the entry is control/punctuation — sync signals and end-of-stream must
 ///   never wait behind a partial data batch (§III-C latency), or
 /// * the downstream channel is empty and at least a quarter batch has
 ///   accumulated — the consumer is caught up, so holding a decent partial
-///   frame back would only add latency, but flushing on *every* tuple to a
-///   drained consumer would degenerate to one-tuple frames and forfeit the
+///   frame back would only add latency, but flushing on *every* row to a
+///   drained consumer would degenerate to one-row frames and forfeit the
 ///   amortization batching exists for.
 ///
 /// The PE scheduler additionally flushes every edge whenever it is about to
-/// idle or block, so no tuple is ever stranded in a buffer.
+/// idle or block, so no entry is ever stranded in a frame.
 struct RemoteEdge {
     tx: FrameTx,
     counters: Arc<LinkCounters>,
-    /// Flush threshold (tuples per frame); 1 = legacy per-tuple transport.
+    /// Flush threshold (entries per frame); 1 = legacy per-tuple transport.
     batch: usize,
-    buf: Vec<Tuple>,
+    buf: Frame,
     /// Armed link faults (drop/dup/delay) from the fault plan; empty in
     /// normal runs.
     faults: Vec<InjectedFault>,
-    /// 1-based count of data tuples pushed onto this edge, for fault
+    /// 1-based count of data rows pushed onto this edge, for fault
     /// trigger points. Only maintained while faults are armed.
     fault_data_seen: u64,
 }
 
 impl RemoteEdge {
     fn push(&mut self, t: Tuple) {
-        // Link faults model the network: they apply to data tuples only
+        match t {
+            Tuple::Data(d) => self.push_row(d.row()),
+            // Control tuples and punctuation go out at once.
+            Tuple::Control(c) => {
+                self.buf.push_control(c);
+                self.flush();
+            }
+            Tuple::Punct(Punctuation::EndOfStream) => {
+                self.buf.push_eos();
+                self.flush();
+            }
+        }
+    }
+
+    fn push_row(&mut self, row: RowRef<'_>) {
+        // Link faults model the network: they apply to data rows only
         // (corrupting punctuation would deadlock the graph, not test
         // recovery) and each fires exactly once at its 1-based index.
         if !self.faults.is_empty() {
-            if let Tuple::Data(_) = &t {
-                self.fault_data_seen += 1;
-                let seen = self.fault_data_seen;
-                let mut copies = 1usize;
-                let mut hold_ms = None;
-                for f in self.faults.iter_mut() {
-                    if f.fired {
-                        continue;
-                    }
-                    match f.action {
-                        FaultAction::Drop(n) if n == seen => {
-                            f.fired = true;
-                            copies = 0;
-                        }
-                        FaultAction::Duplicate(n) if n == seen => {
-                            f.fired = true;
-                            copies = 2;
-                        }
-                        FaultAction::Delay { at, ms } if at == seen => {
-                            f.fired = true;
-                            hold_ms = Some(ms);
-                        }
-                        _ => {}
-                    }
+            self.fault_data_seen += 1;
+            let seen = self.fault_data_seen;
+            let mut copies = 1usize;
+            let mut hold_ms = None;
+            for f in self.faults.iter_mut() {
+                if f.fired {
+                    continue;
                 }
-                if let Some(ms) = hold_ms {
-                    // Holding the sender delays this tuple and everything
-                    // behind it — late but still in order, like a stalled
-                    // network queue.
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                match copies {
-                    0 => return,
-                    2 => {
-                        self.push_tuple(t.clone());
-                        self.push_tuple(t);
-                        return;
+                match f.action {
+                    FaultAction::Drop(n) if n == seen => {
+                        f.fired = true;
+                        copies = 0;
+                    }
+                    FaultAction::Duplicate(n) if n == seen => {
+                        f.fired = true;
+                        copies = 2;
+                    }
+                    FaultAction::Delay { at, ms } if at == seen => {
+                        f.fired = true;
+                        hold_ms = Some(ms);
                     }
                     _ => {}
                 }
             }
+            if let Some(ms) = hold_ms {
+                // Holding the sender delays this row and everything
+                // behind it — late but still in order, like a stalled
+                // network queue.
+                std::thread::sleep(Duration::from_millis(ms));
+            }
+            match copies {
+                0 => return,
+                2 => self.append_row(row),
+                _ => {}
+            }
         }
-        self.push_tuple(t);
+        self.append_row(row);
     }
 
-    fn push_tuple(&mut self, t: Tuple) {
-        let urgent = !matches!(t, Tuple::Data(_));
-        self.buf.push(t);
-        // Adaptive flush: control tuples and punctuation go out at once; a
-        // full buffer goes out; and a starved consumer (empty channel) gets
-        // an early partial frame once a quarter batch has accumulated —
-        // without the fill floor, a split alternating between consumers
-        // that keep their channels drained would degenerate to one-tuple
-        // frames and pay the per-send synchronization batching exists to
-        // amortize. Sub-quarter buffers are bounded in latency by the
-        // scheduler, which flushes every edge before blocking or idling.
-        if urgent
-            || self.buf.len() >= self.batch
-            || (self.tx.is_empty() && self.buf.len() * 4 >= self.batch)
-        {
+    fn append_row(&mut self, row: RowRef<'_>) {
+        self.buf.push_row(row);
+        // Adaptive flush: a full frame goes out, and a starved consumer
+        // (empty channel) gets an early partial frame once a quarter batch
+        // has accumulated — without the fill floor, a split alternating
+        // between consumers that keep their channels drained would
+        // degenerate to one-row frames and pay the per-send
+        // synchronization batching exists to amortize. Sub-quarter frames
+        // are bounded in latency by the scheduler, which flushes every
+        // edge before blocking or idling.
+        let n = self.buf.len();
+        if n >= self.batch || (self.tx.is_empty() && n * 4 >= self.batch) {
             self.flush();
         }
     }
@@ -211,8 +225,7 @@ impl RemoteEdge {
         if self.buf.is_empty() {
             return;
         }
-        let tuples = std::mem::replace(&mut self.buf, self.tx.buffer(self.batch));
-        let frame = Frame::from_vec(tuples);
+        let frame = std::mem::replace(&mut self.buf, self.tx.buffer());
         let (n, bytes) = (frame.len() as u64, frame.wire_bytes());
         // Per-tuple accounting is preserved inside frames so LinkReport is
         // batch-invariant. A failed send means the consumer already
@@ -228,25 +241,32 @@ enum Target {
     /// Same-PE operator: queued in the PE's pending deque.
     Local { op: usize, port: PortKind },
     /// Cross-PE edge with frame batching.
-    Remote(RemoteEdge),
+    Remote(Box<RemoteEdge>),
 }
 
 /// Receive side of one cross-PE edge: its channel and where it leads.
 ///
-/// `cur` holds the partially-consumed current frame *reversed*, so the next
-/// tuple is an O(1) `pop`. Consuming frames through a cursor instead of
-/// dispatching them wholesale lets the scheduler interleave channels at
-/// tuple granularity — the same fairness a per-tuple transport has —
-/// while still paying channel synchronization only once per frame.
+/// `cur` is the frame being routed and `at` its next entry. Routing a
+/// frame through a cursor instead of wholesale lets the scheduler
+/// interleave channels — a run of rows or one other entry at a time — while
+/// still paying channel synchronization only once per frame.
 struct ChanMeta {
     rx: FrameRx,
     to_local: usize,
     port: PortKind,
     got_eos: bool,
     alive: bool,
-    /// Remaining tuples of the current frame, in reverse delivery order.
-    cur: Vec<Tuple>,
-    /// Tuples routed off this channel so far. For socket-backed channels
+    /// The current frame, recycled to the producer once spent.
+    cur: Frame,
+    /// Next entry of `cur`.
+    at: usize,
+    /// Next data row of `cur`. A run of rows handed to `process_rows`
+    /// advances it as the operator takes each one, so after a panic it
+    /// tells the PE which row was in flight.
+    row: Cell<usize>,
+    /// Next control tuple of `cur`.
+    ctrl: usize,
+    /// Entries routed off this channel so far. For socket-backed channels
     /// this is the durable consumption watermark persisted as a
     /// `__netlink{id}` pseudo-part in the PE manifest.
     routed: u64,
@@ -270,18 +290,39 @@ struct NetIn {
 }
 
 impl ChanMeta {
-    /// The next tuple from the cursor, refilled from the channel when it is
-    /// spent; `Disconnected` once the channel closed with the cursor empty.
-    fn next(&mut self) -> Result<Tuple, TryRecvError> {
-        if let Some(t) = self.cur.pop() {
-            return Ok(t);
+    /// Points the cursor at an entry, taking the next frame off the
+    /// channel once the current one is spent; `Disconnected` once the
+    /// channel closed with the cursor spent.
+    fn refill(&mut self) -> Result<(), TryRecvError> {
+        if self.at < self.cur.len() {
+            return Ok(());
         }
-        let Frame { mut tuples } = self.rx.try_recv()?;
-        tuples.reverse();
-        let spent = std::mem::replace(&mut self.cur, tuples);
-        self.rx.recycle(spent);
+        let frame = self.rx.try_recv()?;
+        self.rx.recycle(std::mem::replace(&mut self.cur, frame));
+        (self.at, self.ctrl) = (0, 0);
+        self.row.set(0);
         // An empty frame (defensively) reads as nothing queued.
-        self.cur.pop().ok_or(TryRecvError::Empty)
+        if self.cur.is_empty() {
+            return Err(TryRecvError::Empty);
+        }
+        Ok(())
+    }
+
+    /// The data rows from the cursor on, up to the next other entry and
+    /// at most `max`.
+    fn run_len(&self, max: usize) -> usize {
+        self.cur.tags[self.at..]
+            .iter()
+            .take(max)
+            .take_while(|&&tag| tag == TAG_DATA)
+            .count()
+    }
+
+    /// Moves the cursor past the `n` data rows from row `first` on.
+    fn consumed(&mut self, first: usize, n: usize) {
+        self.at += n;
+        self.row.set(first + n);
+        self.routed += n as u64;
     }
 }
 
@@ -297,6 +338,8 @@ struct OpSlot {
     eos_ctrl: usize,
     finished: bool,
     /// Armed operator faults (panic/poison/stall); empty in normal runs.
+    /// While one has not fired, the slot is fed one row at a time, as a
+    /// tuple, so each fires at its row.
     faults: Vec<InjectedFault>,
     /// 1-based count of data tuples delivered, for fault trigger points.
     fault_data_seen: u64,
@@ -307,6 +350,13 @@ struct OpSlot {
     /// panics again is a poison pill and is dropped, not redelivered
     /// forever.
     last_redelivered: Option<u64>,
+}
+
+impl OpSlot {
+    /// True while an operator fault of the plan has yet to fire.
+    fn faults_armed(&self) -> bool {
+        self.faults.iter().any(|f| !f.fired)
+    }
 }
 
 /// Panic payload of the injected faults (`panic@`, `kill-pe@`). Both fire
@@ -321,6 +371,12 @@ enum Call {
     Drive,
     /// A copy of the in-flight tuple, for redelivery after a restart.
     Process(DataTuple),
+    /// A run of rows of channel `chan` from row `first` on: the channel's
+    /// row cursor says which one is in flight.
+    Rows {
+        chan: usize,
+        first: usize,
+    },
     Control,
     Finish,
 }
@@ -406,6 +462,33 @@ pub struct RunReport {
     pub ops: Vec<(String, OpSnapshot)>,
     /// Per-cross-PE-link traffic, in edge insertion order.
     pub links: Vec<LinkReport>,
+    /// CPU time of each PE thread this process ran, in PE order.
+    pub pe_cpu: Vec<PeCpu>,
+}
+
+/// The CPU time one PE thread used, read as it exited: how much of a core
+/// its busy share really was (a PE waiting for room downstream is busy
+/// but not on the CPU).
+#[derive(Debug, Clone)]
+pub struct PeCpu {
+    /// The PE's member operators, in graph insertion order.
+    pub members: Vec<String>,
+    /// User plus system CPU seconds of the PE's thread, from
+    /// `/proc/thread-self/stat`; `None` where that file does not exist.
+    pub cpu_s: Option<f64>,
+}
+
+/// User plus system CPU seconds of the calling thread, from
+/// `/proc/thread-self/stat`; `None` where that file does not exist.
+fn thread_cpu_s() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    // The fields after the command name (which may hold spaces and
+    // parentheses) start at the state, field 3; utime is field 14 and
+    // stime field 15, both in clock ticks of `USER_HZ` — 100 on Linux.
+    let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+    let utime: u64 = fields.next()?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    Some((utime + stime) as f64 / 100.0)
 }
 
 impl RunReport {
@@ -485,7 +568,8 @@ pub struct NetPartition {
 
 /// A running dataflow; obtain one via [`Engine::start`].
 pub struct RunningEngine {
-    handles: Vec<std::thread::JoinHandle<()>>,
+    /// Each PE thread with its member names; a thread returns its CPU time.
+    handles: Vec<(Vec<String>, std::thread::JoinHandle<Option<f64>>)>,
     stop: Arc<AtomicBool>,
     metrics: MetricsRegistry,
     op_names: Vec<String>,
@@ -527,14 +611,19 @@ impl RunningEngine {
     /// Whether every PE thread has exited (the pipeline has drained).
     /// Non-blocking; [`RunningEngine::join`] still collects the report.
     pub fn is_finished(&self) -> bool {
-        self.handles.iter().all(|h| h.is_finished())
+        self.handles.iter().all(|(_, h)| h.is_finished())
     }
 
     /// Waits for every PE thread and returns the final report.
     pub fn join(self) -> RunReport {
-        for h in self.handles {
-            h.join().expect("PE thread panicked");
-        }
+        let pe_cpu = self
+            .handles
+            .into_iter()
+            .map(|(members, h)| PeCpu {
+                members,
+                cpu_s: h.join().expect("PE thread panicked"),
+            })
+            .collect();
         // Transport shutdown comes after the PEs drain: senders hold their
         // retransmit queues until the peer acknowledges every frame, so a
         // worker's results are on the coordinator's side of the wire before
@@ -556,6 +645,7 @@ impl RunningEngine {
                 .zip(self.metrics.op_snapshots())
                 .collect(),
             links,
+            pe_cpu,
         }
     }
 }
@@ -735,8 +825,8 @@ impl Engine {
                     let boundary = || partition.as_ref().expect("boundary edge implies partition");
                     let net = if from_here {
                         slots_per_pe[from_pe][local_idx[e.from]].out_ports[e.out_port].push(
-                            Target::Remote(RemoteEdge {
-                                buf: tx.buffer(batch),
+                            Target::Remote(Box::new(RemoteEdge {
+                                buf: tx.buffer(),
                                 tx,
                                 counters: link,
                                 batch,
@@ -744,7 +834,7 @@ impl Engine {
                                     plan.link_faults(&op_names[e.from], &op_names[e.to]),
                                 ),
                                 fault_data_seen: 0,
-                            }),
+                            })),
                         );
                         None
                     } else {
@@ -770,7 +860,10 @@ impl Engine {
                             port: e.port,
                             got_eos: false,
                             alive: true,
-                            cur: Vec::new(),
+                            cur: Frame::default(),
+                            at: 0,
+                            row: Cell::new(0),
+                            ctrl: 0,
                             routed: 0,
                             routed_other: 0,
                             net,
@@ -841,12 +934,15 @@ impl Engine {
                 started: false,
                 rehydrate,
             };
-            handles.push(
-                std::thread::Builder::new()
-                    .name("spca-pe".to_string())
-                    .spawn(move || run_pe(pe))
-                    .expect("spawn PE thread"),
-            );
+            let members = pes[pe_index].iter().map(|&g| op_names[g].clone());
+            let thread = std::thread::Builder::new()
+                .name("spca-pe".to_string())
+                .spawn(move || {
+                    run_pe(pe);
+                    thread_cpu_s()
+                })
+                .expect("spawn PE thread");
+            handles.push((members.collect(), thread));
         }
 
         // Links and watermarks are all registered; open the wire. Wire
@@ -899,20 +995,33 @@ impl EmitSink for PeSink<'_> {
     }
 
     fn try_emit(&mut self, port: usize, t: Tuple) -> Result<(), Tuple> {
-        // All-or-nothing would-block check; local targets never block. A
-        // data tuple only forces a send when its edge buffer reaches the
-        // batch threshold; control/punctuation flush unconditionally.
-        let urgent = !matches!(t, Tuple::Data(_));
-        for target in self.out_ports[port].iter() {
-            if let Target::Remote(e) = target {
-                let would_block = e.tx.is_full() && (urgent || e.buf.len() + 1 >= e.batch);
-                if would_block {
-                    return Err(t);
-                }
-            }
+        if would_block(&self.out_ports[port], !matches!(t, Tuple::Data(_))) {
+            return Err(t);
         }
         self.emit(port, t);
         Ok(())
+    }
+
+    fn emit_row(&mut self, port: usize, row: RowRef<'_>) {
+        // Fused targets share one tuple; a cross-PE edge copies the row.
+        let mut shared: Option<DataTuple> = None;
+        for target in self.out_ports[port].iter_mut() {
+            match target {
+                Target::Local { op, port } => {
+                    let d = shared.get_or_insert_with(|| row.to_tuple()).clone();
+                    self.pending.push_back((*op, *port, Tuple::Data(d)));
+                }
+                Target::Remote(edge) => edge.push_row(row),
+            }
+        }
+    }
+
+    fn try_emit_row(&mut self, port: usize, row: RowRef<'_>) -> bool {
+        if would_block(&self.out_ports[port], false) {
+            return false;
+        }
+        self.emit_row(port, row);
+        true
     }
 
     fn n_ports(&self) -> usize {
@@ -926,6 +1035,18 @@ impl EmitSink for PeSink<'_> {
     fn flush_downstream(&mut self) {
         flush_ports(self.out_ports);
     }
+}
+
+/// The all-or-nothing check behind the non-blocking emits: true when a
+/// send to `targets` would wait. Local targets never do; a cross-PE edge
+/// does when its channel is full and the entry would flush its frame — a
+/// row only when it fills the frame, a control tuple or punctuation
+/// (`urgent`) always.
+fn would_block(targets: &[Target], urgent: bool) -> bool {
+    targets.iter().any(|target| match target {
+        Target::Remote(e) => e.tx.is_full() && (urgent || e.buf.len() + 1 >= e.batch),
+        Target::Local { .. } => false,
+    })
 }
 
 fn deliver(target: &mut Target, t: Tuple, pending: &mut VecDeque<(usize, PortKind, Tuple)>) {
@@ -956,12 +1077,13 @@ fn flush_ports(ports: &mut [Vec<Target>]) {
 /// The one path into an operator: runs callback `what` of member `idx`
 /// with a context wired to the PE's sink, timed into the op's busy counter.
 /// The operator is borrowed in its slot, and `in_call` names it until the
-/// callback returns, so a panic inside tells [`run_pe`] whose it was.
+/// callback returns, so a panic inside tells [`run_pe`] whose it was. The
+/// callback also sees the PE's channel cursors, where a run of rows lives.
 fn call<R>(
     pe: &mut PeCore,
     idx: usize,
     what: Call,
-    f: impl FnOnce(&mut dyn Operator, &mut OpContext<'_>) -> R,
+    f: impl FnOnce(&mut dyn Operator, &mut OpContext<'_>, &[ChanMeta]) -> R,
 ) -> R {
     pe.in_call = Some((idx, what));
     let slot = &mut pe.slots[idx];
@@ -972,7 +1094,7 @@ fn call<R>(
     };
     let ctx = &mut OpContext::new(&mut sink, &slot.counters);
     let t0 = Instant::now();
-    let ret = f(&mut *slot.op, ctx);
+    let ret = f(&mut *slot.op, ctx, &pe.metas);
     slot.counters.add_busy(t0.elapsed().as_nanos() as u64);
     pe.in_call = None;
     ret
@@ -981,8 +1103,9 @@ fn call<R>(
 /// PE thread entry: the supervisor. The scheduler body runs under the PE's
 /// one `catch_unwind` while [`PeRuntime`] stays owned out here, so a panic
 /// tears down only the *stack* of the scheduler. What was running picks the
-/// scope: a panic in `process` or `on_control` leaves an operator restart
-/// owed to the re-entered loop; anything else restarts the PE.
+/// scope: a panic in `process`, `process_rows` or `on_control` leaves an
+/// operator restart owed to the re-entered loop; anything else restarts the
+/// PE.
 fn run_pe(mut pe: PeRuntime) {
     while let Err(payload) =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_pe_once(&mut pe)))
@@ -995,6 +1118,18 @@ fn run_pe(mut pe: PeRuntime) {
             // unprocessed, to be re-fed.
             Some((idx, Call::Process(d))) => {
                 pe.owed_restart = Some((idx, (!injected).then_some(d), injected));
+                continue;
+            }
+            // A run of rows: the ones taken are consumed, the last of them
+            // unprocessed and re-fed; the rest stay queued in the channel's
+            // cursor and are routed after the restart.
+            Some((idx, Call::Rows { chan, first })) => {
+                let m = &mut core.metas[chan];
+                let taken = m.row.get() - first;
+                m.consumed(first, taken);
+                core.slots[idx].counters.add_in(taken as u64);
+                let retry = (taken > 0 && !injected).then(|| m.cur.row(m.row.get() - 1).to_tuple());
+                pe.owed_restart = Some((idx, retry, injected));
                 continue;
             }
             // Control tuples are never redelivered: sync commands are
@@ -1333,7 +1468,7 @@ fn run_pe_once(pe: &mut PeRuntime) {
     if !*started {
         *started = true;
         for i in 0..pe.slots.len() {
-            call(pe, i, Call::Start, |op, ctx| op.on_start(ctx));
+            call(pe, i, Call::Start, |op, ctx, _| op.on_start(ctx));
         }
     }
     // Re-entry after a panic: the operator restart it left owed runs first,
@@ -1381,7 +1516,7 @@ fn run_pe_once(pe: &mut PeRuntime) {
                 drain_pending(pe);
                 continue;
             }
-            match call(pe, i, Call::Drive, |op, ctx| op.drive(ctx)) {
+            match call(pe, i, Call::Drive, |op, ctx, _| op.drive(ctx)) {
                 SourceState::Emitted => progressed = true,
                 SourceState::Idle => {}
                 SourceState::Done => {
@@ -1491,52 +1626,91 @@ fn checkpoint_progress(slots: &[OpSlot], metas: &[ChanMeta]) -> u64 {
     data + wire_other
 }
 
-/// Bounded, non-blocking sweep: up to [`SWEEP_TUPLES`] round-robin passes,
-/// each routing at most one tuple per live channel (refilling a channel's
-/// cursor from its queue when it runs dry). Tuple-granular interleaving
-/// across channels preserves a per-tuple transport's fairness — fused
-/// control cycles rely on no channel racing far ahead of its siblings —
-/// while channel synchronization is still paid only once per frame.
-/// Returns true if anything was routed.
+/// Bounded, non-blocking sweep: round-robin passes over the live channels,
+/// each routing what a channel holds next — a run of rows or one other
+/// entry — until none has anything or one has routed [`SWEEP_TUPLES`]
+/// entries. Interleaving at that grain keeps a per-tuple transport's
+/// fairness to within a frame — fused control cycles rely on no channel
+/// racing far ahead of its siblings — while channel synchronization is
+/// still paid only once per frame. Returns true if anything was routed.
 fn sweep_channels(pe: &mut PeCore) -> bool {
     let mut progressed = false;
-    for _pass in 0..SWEEP_TUPLES {
-        let mut any = false;
+    let mut budget = SWEEP_TUPLES;
+    while budget > 0 {
+        let mut most = 0;
         for ci in 0..pe.metas.len() {
             if !pe.metas[ci].alive {
                 continue;
             }
-            match pe.metas[ci].next() {
-                Ok(t) => {
-                    any = true;
-                    progressed = true;
-                    route_one(pe, ci, t);
-                }
+            match route_next(pe, ci, budget) {
+                Ok(n) => most = most.max(n),
                 Err(TryRecvError::Empty) => continue,
                 Err(TryRecvError::Disconnected) => on_disconnect(pe, ci),
             }
             drain_pending(pe);
         }
-        if !any {
+        if most == 0 {
             break;
         }
+        progressed = true;
+        budget -= most;
     }
     progressed
 }
 
-/// Routes a single tuple received on channel `ci`.
-fn route_one(pe: &mut PeCore, ci: usize, t: Tuple) {
+/// Routes what channel `ci` holds next: a run of at most `max` data rows,
+/// a control tuple, or end-of-stream. Returns the entries routed.
+fn route_next(pe: &mut PeCore, ci: usize, max: usize) -> Result<usize, TryRecvError> {
     let m = &mut pe.metas[ci];
-    m.routed += 1;
-    if !matches!(t, Tuple::Data(_)) {
-        m.routed_other += 1;
+    m.refill()?;
+    let tag = m.cur.tags[m.at];
+    if tag == TAG_DATA {
+        let n = m.run_len(max);
+        return Ok(route_rows(pe, ci, n));
     }
-    if t.is_eos() {
+    m.at += 1;
+    m.routed += 1;
+    m.routed_other += 1;
+    let t = if tag == TAG_CTRL {
+        m.ctrl += 1;
+        Tuple::Control(m.cur.ctrls[m.ctrl - 1].clone())
+    } else {
         m.got_eos = true;
         m.alive = false;
-    }
+        Tuple::Punct(Punctuation::EndOfStream)
+    };
     let (to, port) = (m.to_local, m.port);
     dispatch(pe, to, port, t);
+    Ok(1)
+}
+
+/// Routes up to `n` data rows of channel `ci`, from its cursor on, to its
+/// consumer and returns how many it routed: the run to `process_rows` in
+/// one [`call`], or one row, as a tuple through [`process`], to a consumer
+/// with faults armed. Rows for a finished operator, or on a control port
+/// (a wiring error), are dropped.
+fn route_rows(pe: &mut PeCore, ci: usize, n: usize) -> usize {
+    let m = &mut pe.metas[ci];
+    let (to, first) = (m.to_local, m.row.get());
+    let slot = &pe.slots[to];
+    if m.port != PortKind::Data || slot.finished {
+        m.consumed(first, n);
+        return n;
+    }
+    if slot.faults_armed() {
+        let d = m.cur.row(first).to_tuple();
+        m.consumed(first, 1);
+        slot.counters.add_in(1);
+        process(pe, to, d);
+        return 1;
+    }
+    call(pe, to, Call::Rows { chan: ci, first }, |op, ctx, metas| {
+        let m = &metas[ci];
+        op.process_rows(m.cur.rows(&m.row, first + n), ctx);
+    });
+    pe.slots[to].counters.add_in(n as u64);
+    pe.metas[ci].consumed(first, n);
+    n
 }
 
 fn on_disconnect(pe: &mut PeCore, ci: usize) {
@@ -1575,14 +1749,14 @@ fn dispatch(pe: &mut PeCore, idx: usize, port: PortKind, t: Tuple) {
         }
         Tuple::Data(d) => {
             if port == PortKind::Data {
-                pe.slots[idx].counters.add_in();
+                pe.slots[idx].counters.add_in(1);
                 process(pe, idx, d);
             }
             // Data on a control port is a wiring error; dropped.
         }
         Tuple::Control(c) => {
             pe.slots[idx].counters.add_control();
-            call(pe, idx, Call::Control, |op, ctx| op.on_control(c, ctx));
+            call(pe, idx, Call::Control, |op, ctx, _| op.on_control(c, ctx));
         }
     }
 }
@@ -1629,7 +1803,7 @@ fn process(pe: &mut PeCore, idx: usize, mut d: DataTuple) {
             }
         }
     }
-    call(pe, idx, Call::Process(d.clone()), |op, ctx| {
+    call(pe, idx, Call::Process(d.clone()), |op, ctx, _| {
         op.process(d, ctx);
         if panic_due {
             // Blamed on the operator, whose state is whole.
@@ -1689,7 +1863,7 @@ fn restart_op(pe: &mut PeCore, idx: usize, retry: Option<DataTuple>, clean: bool
                 // retry panics again is a poison pill and is dropped.
                 if pe.slots[idx].last_redelivered != Some(d.seq) {
                     pe.slots[idx].last_redelivered = Some(d.seq);
-                    call(pe, idx, Call::Process(d.clone()), |op, ctx| {
+                    call(pe, idx, Call::Process(d.clone()), |op, ctx, _| {
                         op.process(d, ctx)
                     });
                 }
@@ -1709,7 +1883,7 @@ fn finish_op(pe: &mut PeCore, idx: usize) {
     if pe.slots[idx].finished {
         return;
     }
-    call(pe, idx, Call::Finish, |op, ctx| op.on_finish(ctx));
+    call(pe, idx, Call::Finish, |op, ctx, _| op.on_finish(ctx));
     pe.slots[idx].finished = true;
     punctuate(pe, idx);
 }
@@ -1959,6 +2133,30 @@ mod tests {
         g.connect(slow, 0, sink, PortKind::Data);
         Engine::run(g);
         assert_eq!(seen.lock().len(), 500);
+    }
+
+    #[test]
+    fn each_pe_reports_its_members_and_the_cpu_its_thread_used() {
+        let mut g = GraphBuilder::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let src = g.add_source("src", Box::new(CountSource { n: 50_000, next: 0 }));
+        let sink = g.add_op("collect", Box::new(Collect { seen }));
+        g.connect(src, 0, sink, PortKind::Data);
+        let report = Engine::run(g);
+        let members: Vec<&[String]> = report.pe_cpu.iter().map(|pe| &pe.members[..]).collect();
+        assert_eq!(members, [["src"], ["collect"]]);
+        let procfs = std::path::Path::new("/proc/thread-self/stat").exists();
+        // CPU time is counted in 10 ms clock ticks.
+        let wall = report.elapsed.as_secs_f64() + 0.01;
+        for pe in &report.pe_cpu {
+            assert_eq!(pe.cpu_s.is_some(), procfs, "{:?}", pe.members);
+            let cpu = pe.cpu_s.unwrap_or(0.0);
+            assert!(
+                (0.0..=wall).contains(&cpu),
+                "{:?}: {cpu} s of CPU in {wall} s",
+                pe.members
+            );
+        }
     }
 
     #[test]
@@ -2292,10 +2490,23 @@ mod tests {
             port,
             got_eos: false,
             alive: true,
-            cur: Vec::new(),
+            cur: Frame::default(),
+            at: 0,
+            row: Cell::new(0),
+            ctrl: 0,
             routed: 0,
             routed_other: 0,
             net,
+        }
+    }
+
+    /// Routes `tuples` off channel `ci` as if they had arrived in one frame.
+    fn route_frame(pe: &mut PeCore, ci: usize, tuples: &[Tuple]) {
+        let m = &mut pe.metas[ci];
+        (m.cur, m.at, m.ctrl) = (Frame::from_tuples(tuples), 0, 0);
+        m.row.set(0);
+        while pe.metas[ci].at < pe.metas[ci].cur.len() {
+            route_next(pe, ci, SWEEP_TUPLES).unwrap();
         }
     }
 
@@ -2328,15 +2539,15 @@ mod tests {
             cursor_into_slot_0(PortKind::Control, Some((&transport, 2))),
             cursor_into_slot_0(PortKind::Data, None),
         ]);
-        for seq in 0..500 {
-            route_one(&mut pe, 0, datum(seq));
+        for frame in (0..500).collect::<Vec<_>>().chunks(64) {
+            route_frame(
+                &mut pe,
+                0,
+                &frame.iter().map(|&s| datum(s)).collect::<Vec<_>>(),
+            );
         }
-        for _ in 0..3 {
-            route_one(&mut pe, 1, signal());
-        }
-        for seq in 500..520 {
-            route_one(&mut pe, 2, datum(seq));
-        }
+        route_frame(&mut pe, 1, &[signal(), signal(), signal()]);
+        route_frame(&mut pe, 2, &(500..520).map(datum).collect::<Vec<_>>());
         assert_eq!(pe.metas[0].routed, 500);
         assert_eq!(
             checkpoint_progress(&pe.slots, &pe.metas),
@@ -2351,9 +2562,7 @@ mod tests {
             PortKind::Control,
             Some((&transport, 3)),
         )]);
-        for _ in 0..40 {
-            route_one(&mut pe, 0, signal());
-        }
+        route_frame(&mut pe, 0, &vec![signal(); 40]);
         assert_eq!(pe.slots[0].counters.snapshot().tuples_in, 0);
         assert_eq!(checkpoint_progress(&pe.slots, &pe.metas), 40);
         transport.shutdown();

@@ -70,6 +70,6 @@ pub use graph::{GraphBuilder, OpId, PortKind, DEFAULT_BATCH_SIZE};
 pub use membership::ActiveSet;
 pub use netio::{AckMode, LinkIn, NetTransport, WireFaultSpec, WIRE_VERSION};
 pub use operator::{OpContext, Operator, SourceState};
-pub use tuple::{ControlTuple, DataTuple, Frame, Punctuation, Tuple};
+pub use tuple::{ControlTuple, DataTuple, Frame, Punctuation, RowRef, Rows, Tuple};
 pub use vfs::{FaultVfs, IoFaultSpec, RealVfs, Vfs};
 pub use watched::Watched;

@@ -128,8 +128,8 @@ impl OpCounters {
         }
     }
 
-    pub(crate) fn add_in(&self) {
-        self.tuples_in.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn add_in(&self, n: u64) {
+        self.tuples_in.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn add_out(&self) {
@@ -333,8 +333,8 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let c = OpCounters::default();
-        c.add_in();
-        c.add_in();
+        c.add_in(1);
+        c.add_in(1);
         c.add_out();
         c.add_control();
         c.add_busy(500);
@@ -404,7 +404,7 @@ mod tests {
         let mut r = MetricsRegistry::default();
         let a = r.register_op();
         let _b = r.register_op();
-        a.add_in();
+        a.add_in(1);
         let snaps = r.op_snapshots();
         assert_eq!(snaps.len(), 2);
         assert_eq!(snaps[0].tuples_in, 1);
@@ -457,7 +457,7 @@ mod tests {
         let h2 = Arc::clone(&h);
         std::thread::spawn(move || {
             for _ in 0..100 {
-                h2.add_in();
+                h2.add_in(1);
             }
         })
         .join()

@@ -55,8 +55,8 @@
 //! for), the handshake deadline, and the sender's idle probe of a quiet
 //! channel. DESIGN §12 has the table.
 
-use crate::codec::{decode_frame, encode_frame, frame_len, ColumnarFrame, HEADER_LEN};
-use crate::tuple::{Frame, FrameRx, FrameTx};
+use crate::codec::{decode_frame, encode_columns, frame_len, ColumnarFrame, HEADER_LEN};
+use crate::tuple::{FrameRx, FrameTx};
 use crate::watched::Watched;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -95,8 +95,6 @@ const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 /// because the pump waits on a channel and a connection at once, and `std`
 /// has no `select` over a channel and a socket.
 const IDLE_PROBE: Duration = Duration::from_millis(20);
-/// Encoded-frame buffers recycled per sender (steady state allocates none).
-const SPARE_ENCODE_BUFS: usize = 8;
 /// Frames a receiver parks in front of its consuming PE: the bound of every
 /// channel the transport feeds (DESIGN §12, flow control). Distributed runs
 /// size their channels past the corpus, so without it a sender that
@@ -407,7 +405,6 @@ impl NetTransport {
                 skip_until: 0,
                 frame_writes: 0,
                 queue: VecDeque::new(),
-                spares: Vec::new(),
                 chan_open: true,
             };
             self.senders_left.update(|n| *n += 1);
@@ -643,15 +640,12 @@ impl NetTransport {
             // Held to the send: this thread is the link's only user of it.
             let tx = link.tx.lock();
             let tx = tx.as_ref().ok_or_else(gone)?;
-            let skip = (delivered - start) as usize;
-            let mut tuples = tx.buffer(cols.n_entries());
-            cols.materialize(&mut tuples).map_err(io::Error::from)?;
-            if skip > 0 {
-                tuples.drain(..skip);
-            }
+            let mut frame = tx.buffer();
+            cols.copy_into(&mut frame).map_err(io::Error::from)?;
+            frame.drop_front((delivered - start) as usize);
             // A full channel holds this thread here, so it stops reading
             // the socket (see `INBOUND_FRAMES`).
-            if !tx.send(Frame::from_vec(tuples)) {
+            if !tx.send(frame) {
                 return Err(gone());
             }
             link.delivered.store(end, Ordering::SeqCst);
@@ -741,7 +735,6 @@ struct SenderLoop {
     /// Fault-shim index, monotone across reconnects.
     frame_writes: u64,
     queue: VecDeque<QFrame>,
-    spares: Vec<Vec<u8>>,
     chan_open: bool,
 }
 
@@ -896,19 +889,21 @@ impl SenderLoop {
                 Ok(frame) => {
                     let start = self.produced;
                     self.produced += frame.len() as u64;
-                    let tuples = frame.tuples;
                     if self.produced <= self.skip_until {
-                        self.link.rx.recycle(tuples); // Entirely duplicate after a resume.
+                        self.link.rx.recycle(frame); // Entirely duplicate after a resume.
                         continue;
                     }
                     let trim = self.skip_until.saturating_sub(start) as usize;
-                    let mut bytes = self.spares.pop().unwrap_or_default();
-                    if let Err(e) = encode_frame(&tuples[trim..], &mut bytes) {
+                    // A buffer of its own, sized to the frame: the queue
+                    // holds it until acknowledged, and reused buffers
+                    // grown to the largest frame held twice the bytes.
+                    let mut bytes = Vec::new();
+                    if let Err(e) = encode_columns(&frame, trim, &mut bytes) {
                         // Only unregistered control payloads can fail here;
                         // that is a programming error, not a wire condition.
                         panic!("link {}: cannot encode frame: {e}", self.link.link_id);
                     }
-                    self.link.rx.recycle(tuples);
+                    self.link.rx.recycle(frame);
                     let qf = QFrame {
                         start: start + trim as u64,
                         end: self.produced,
@@ -932,14 +927,10 @@ impl SenderLoop {
         }
     }
 
-    /// Drops acknowledged frames from the front of the retransmit queue,
-    /// recycling their buffers.
+    /// Drops acknowledged frames from the front of the retransmit queue.
     fn prune(&mut self, acked: u64) {
         while self.queue.front().is_some_and(|f| f.end <= acked) {
-            let f = self.queue.pop_front().expect("checked front");
-            if self.spares.len() < SPARE_ENCODE_BUFS {
-                self.spares.push(f.bytes);
-            }
+            self.queue.pop_front();
         }
     }
 
@@ -959,7 +950,7 @@ impl SenderLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::{frame_channel, DataTuple, Punctuation, Tuple};
+    use crate::tuple::{frame_channel, DataTuple, Frame, Punctuation, Tuple};
     use std::time::Instant;
 
     fn data(seq: u64, v: f64) -> Tuple {
@@ -989,21 +980,21 @@ mod tests {
 
         let mut seq = 0u64;
         for f in 0..n_frames {
-            let mut tuples = tx_s.buffer(per as usize + 1);
+            let mut frame = tx_s.buffer();
             for _ in 0..per {
-                tuples.push(data(seq, seq as f64 * 0.25));
+                frame.push(&data(seq, seq as f64 * 0.25));
                 seq += 1;
             }
             if f == n_frames - 1 {
-                tuples.push(Tuple::Punct(Punctuation::EndOfStream));
+                frame.push_eos();
             }
-            assert!(tx_s.send(Frame::from_vec(tuples)), "send");
+            assert!(tx_s.send(frame), "send");
         }
 
         let mut got: Vec<Tuple> = Vec::new();
         while got.len() as u64 <= n_frames * per {
             let frame = rx_r.recv_timeout(Duration::from_secs(20)).expect("frame");
-            got.extend(frame.tuples);
+            got.extend(frame.tuples());
         }
         // Every frame has left both links: the pump took it off the
         // outgoing channel and this consumer off the incoming one.
@@ -1011,7 +1002,7 @@ mod tests {
         assert_eq!(rx_r.queued(), 0);
         drop(tx_s);
         while let Ok(frame) = rx_r.recv_timeout(Duration::from_secs(20)) {
-            got.extend(frame.tuples);
+            got.extend(frame.tuples());
         }
         assert_eq!(got.len() as u64, n_frames * per + 1);
         for (i, t) in got.iter().take((n_frames * per) as usize).enumerate() {
@@ -1069,7 +1060,7 @@ mod tests {
             if seq == n_frames - 1 {
                 tuples.push(Tuple::Punct(Punctuation::EndOfStream));
             }
-            assert!(tx_s.send(Frame::from_vec(tuples)), "send");
+            assert!(tx_s.send(Frame::from_tuples(&tuples)), "send");
         }
         drop(tx_s);
 
@@ -1085,7 +1076,7 @@ mod tests {
         let mut got = Vec::new();
         let closed = loop {
             match rx_r.recv_timeout(Duration::from_secs(20)) {
-                Ok(frame) => got.extend(frame.tuples),
+                Ok(frame) => got.extend(frame.tuples()),
                 Err(e) => break e,
             }
         };
@@ -1125,7 +1116,7 @@ mod tests {
         send_side.start();
 
         let tuples = vec![data(0, 1.0), Tuple::Punct(Punctuation::EndOfStream)];
-        assert!(tx_s.send(Frame::from_vec(tuples)), "send");
+        assert!(tx_s.send(Frame::from_tuples(&tuples)), "send");
         drop(tx_s);
 
         let frame = rx

@@ -6,7 +6,7 @@
 //! source operators poll their underlying file/socket the same way).
 
 use crate::metrics::{Counter, OpCounters};
-use crate::tuple::{ControlTuple, DataTuple, Tuple};
+use crate::tuple::{ControlTuple, DataTuple, RowRef, Rows, Tuple};
 
 /// What a source produced when driven.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +27,20 @@ pub enum SourceState {
 pub trait Operator: Send {
     /// Handles one data tuple.
     fn process(&mut self, tuple: DataTuple, ctx: &mut OpContext<'_>);
+
+    /// Handles a run of data rows that arrived in one frame over a cross-PE
+    /// edge, in order. The default copies each into a tuple for
+    /// [`process`](Self::process); an operator on the hot path overrides it
+    /// to work on the borrowed rows. An override takes every row from
+    /// `rows`, in order, and does to each what `process` would: the PE
+    /// counts a row as in flight from the moment it is taken, re-feeds that
+    /// one row to `process` if the operator panics, and routes the rows
+    /// not yet taken again after the restart.
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            self.process(row.to_tuple(), ctx);
+        }
+    }
 
     /// Handles one control tuple. Default: ignore.
     fn on_control(&mut self, _tuple: ControlTuple, _ctx: &mut OpContext<'_>) {}
@@ -75,6 +89,15 @@ pub(crate) trait EmitSink {
     /// Non-blocking emit; returns the tuple back if *any* target edge is
     /// full (nothing is sent in that case).
     fn try_emit(&mut self, port: usize, t: Tuple) -> Result<(), Tuple>;
+    /// [`emit`](Self::emit) of a borrowed data row. Default: as a tuple.
+    fn emit_row(&mut self, port: usize, row: RowRef<'_>) {
+        self.emit(port, Tuple::Data(row.to_tuple()));
+    }
+    /// [`try_emit`](Self::try_emit) of a borrowed data row; false when
+    /// nothing was sent. Default: as a tuple.
+    fn try_emit_row(&mut self, port: usize, row: RowRef<'_>) -> bool {
+        self.try_emit(port, Tuple::Data(row.to_tuple())).is_ok()
+    }
     /// Number of output ports wired for this operator.
     fn n_ports(&self) -> usize;
     /// True once the engine has requested a cooperative stop.
@@ -108,6 +131,24 @@ impl<'a> OpContext<'a> {
     /// Emits a data tuple on `port`.
     pub fn emit_data(&mut self, port: usize, d: DataTuple) {
         self.emit(port, Tuple::Data(d));
+    }
+
+    /// Emits a borrowed data row on `port`, blocking like [`emit`](Self::emit).
+    /// A cross-PE edge copies the row into its frame; a fused target gets
+    /// one tuple, shared by pointer among them.
+    pub fn emit_row(&mut self, port: usize, row: RowRef<'_>) {
+        self.counters.add_out();
+        self.sink.emit_row(port, row);
+    }
+
+    /// Non-blocking [`emit_row`](Self::emit_row): false, with nothing sent,
+    /// when a downstream queue is full.
+    pub fn try_emit_row(&mut self, port: usize, row: RowRef<'_>) -> bool {
+        let sent = self.sink.try_emit_row(port, row);
+        if sent {
+            self.counters.add_out();
+        }
+        sent
     }
 
     /// Emits a control tuple on `port`.
@@ -250,6 +291,13 @@ pub mod testing {
         let counters = OpCounters::default();
         let mut ctx = OpContext::new(sink, &counters);
         f(&mut ctx);
+    }
+
+    /// Feeds every data row of `frame` to `op` as one run, the way a PE
+    /// hands it a frame that arrived over a cross-PE edge.
+    pub fn feed_rows(op: &mut dyn Operator, frame: &crate::tuple::Frame, ctx: &mut OpContext<'_>) {
+        let at = std::cell::Cell::new(0);
+        op.process_rows(frame.rows(&at, frame.n_rows()), ctx);
     }
 
     /// Like [`with_sink`] but with caller-owned counters, so tests can

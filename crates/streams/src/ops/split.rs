@@ -17,7 +17,7 @@
 use crate::checkpoint::{decode_kv, encode_kv, kv_parse, kv_u64, Checkpoint};
 use crate::membership::ActiveSet;
 use crate::operator::{OpContext, Operator};
-use crate::tuple::{DataTuple, Tuple};
+use crate::tuple::{DataTuple, Rows, Tuple};
 use std::sync::Arc;
 
 /// Seed for the random strategy — fixed so runs (and restarts) are
@@ -106,8 +106,15 @@ impl Split {
     }
 }
 
-impl Operator for Split {
-    fn process(&mut self, tuple: DataTuple, ctx: &mut OpContext<'_>) {
+impl Split {
+    /// Routes one tuple or row through `emit(ctx, port, block)`, which
+    /// sends it to `port` — waiting for room when `block`, otherwise only
+    /// if there is room — and says whether it did.
+    fn route(
+        &mut self,
+        ctx: &mut OpContext<'_>,
+        mut emit: impl FnMut(&mut OpContext<'_>, usize, bool) -> bool,
+    ) {
         let n = ctx.n_out_ports();
         if n == 0 {
             return;
@@ -119,16 +126,46 @@ impl Operator for Split {
         // Try the chosen target, then the rest of the *active* set in
         // cyclic order; block on the original choice only if all are full.
         // Standby ports never receive traffic, even under backpressure.
-        let mut t = Tuple::Data(tuple);
         for off in 0..active {
-            let port = (first + off) % active;
-            match ctx.try_emit(port, t) {
-                Ok(()) => return,
-                Err(back) => t = back,
+            if emit(ctx, (first + off) % active, false) {
+                return;
             }
         }
         self.blocked += 1;
-        ctx.emit(first, t);
+        emit(ctx, first, true);
+    }
+}
+
+impl Operator for Split {
+    fn process(&mut self, tuple: DataTuple, ctx: &mut OpContext<'_>) {
+        // A fused target gets this very tuple, shared by pointer.
+        let mut t = Some(Tuple::Data(tuple));
+        self.route(ctx, |ctx, port, block| {
+            let tuple = t.take().expect("the tuple is sent once");
+            if block {
+                ctx.emit(port, tuple);
+                return true;
+            }
+            match ctx.try_emit(port, tuple) {
+                Ok(()) => true,
+                Err(back) => {
+                    t = Some(back);
+                    false
+                }
+            }
+        });
+    }
+
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            self.route(ctx, |ctx, port, block| {
+                if block {
+                    ctx.emit_row(port, row);
+                    return true;
+                }
+                ctx.try_emit_row(port, row)
+            });
+        }
     }
 
     fn checkpoint(&mut self) -> Option<&mut dyn Checkpoint> {

@@ -7,9 +7,9 @@
 //! payload so applications can ship their own state (the PCA application
 //! sends whole eigensystems through them); punctuation marks end-of-stream.
 
-use crate::csv::{self, Row};
 use parking_lot::Mutex;
 use std::any::Any;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
@@ -54,27 +54,20 @@ impl DataTuple {
         }
     }
 
-    /// Parses one CSV line (see [`csv::parse_row`]); `None` for blank and
-    /// `#`-comment lines. `width` presizes the tuple's vectors — sources
-    /// pass the previous row's length, so a steady stream allocates exactly
-    /// `values`, plus `mask` on rows with a gap.
-    pub fn from_csv_line(seq: u64, line: &[u8], width: usize) -> Option<Self> {
-        if csv::is_skip(line) {
-            return None; // before paying for the vector
-        }
-        let mut values = Vec::with_capacity(width);
-        let mut mask = Vec::new();
-        match csv::parse_row(line, &mut values, &mut mask) {
-            Row::Skip => None,
-            Row::Dense => Some(DataTuple::new(seq, values)),
-            Row::Masked => Some(DataTuple::masked(seq, values, mask)),
+    /// This tuple's row, borrowed.
+    pub fn row(&self) -> RowRef<'_> {
+        RowRef {
+            seq: self.seq,
+            timestamp_ns: self.timestamp_ns,
+            values: &self.values,
+            mask: self.mask.as_deref().map(Vec::as_slice),
         }
     }
 
     /// True when every value is finite (no NaN/Inf anywhere in the
     /// observation). Operators use this as the quarantine boundary check.
     pub fn all_finite(&self) -> bool {
-        self.values.iter().all(|v| v.is_finite())
+        self.row().all_finite()
     }
 
     /// A copy of this tuple with every value replaced by `fill` — used by
@@ -91,9 +84,50 @@ impl DataTuple {
     /// Approximate serialized size in bytes (used by link-traffic metrics
     /// and the cluster simulator's bandwidth model).
     pub fn wire_bytes(&self) -> u64 {
+        self.row().wire_bytes()
+    }
+}
+
+/// A data observation borrowed from wherever it lives: a frame's columns,
+/// a source's parse buffers, or a [`DataTuple`]. What crosses a PE
+/// boundary is copied out of one of these into the edge's frame; nothing
+/// is allocated for it.
+#[derive(Debug, Clone, Copy)]
+pub struct RowRef<'a> {
+    /// Monotone per-source sequence number.
+    pub seq: u64,
+    /// Logical timestamp (nanoseconds since stream start).
+    pub timestamp_ns: u64,
+    /// Observation vector.
+    pub values: &'a [f64],
+    /// Observed-bin mask (`None` = complete observation).
+    pub mask: Option<&'a [bool]>,
+}
+
+impl RowRef<'_> {
+    /// An owned copy, for an operator that keeps the row or a target that
+    /// takes tuples.
+    pub fn to_tuple(&self) -> DataTuple {
+        DataTuple {
+            seq: self.seq,
+            timestamp_ns: self.timestamp_ns,
+            values: Arc::new(self.values.to_vec()),
+            mask: self.mask.map(|m| Arc::new(m.to_vec())),
+        }
+    }
+
+    /// True when every value is finite (no NaN/Inf anywhere in the
+    /// observation). Operators use this as the quarantine boundary check.
+    pub fn all_finite(&self) -> bool {
+        self.values.iter().all(|v| v.is_finite())
+    }
+
+    /// Approximate serialized size in bytes (used by link-traffic metrics
+    /// and the cluster simulator's bandwidth model).
+    pub fn wire_bytes(&self) -> u64 {
         let header = 16u64;
         let values = (self.values.len() * 8) as u64;
-        let mask = self.mask.as_ref().map_or(0, |m| m.len() as u64);
+        let mask = self.mask.map_or(0, |m| m.len() as u64);
         header + values + mask
     }
 }
@@ -180,89 +214,285 @@ impl Tuple {
     }
 }
 
-/// A batch of tuples travelling a cross-PE edge as one channel message.
+/// Entry tags of a [`Frame`], in stream order; the same bytes head a
+/// frame's body on the wire ([`crate::codec`]).
+pub(crate) const TAG_DATA: u8 = 0;
+pub(crate) const TAG_CTRL: u8 = 1;
+pub(crate) const TAG_EOS: u8 = 2;
+
+/// A batch of entries travelling a cross-PE edge as one channel message,
+/// in the codec's columnar layout.
 ///
 /// Cross-PE channels carry frames instead of individual tuples so one
 /// channel operation amortizes over a whole batch (§III-D: network tuple
-/// transfer, not flop count, dominates the unfused throughput story). The
-/// backing `Vec` is recycled through a buffer pool shared by the two ends
-/// of the edge's channel, so steady-state transport does not allocate.
+/// transfer, not flop count, dominates the unfused throughput story). A
+/// data row is copied once into the frame's columns — its values onto one
+/// contiguous block — and read back in place by the consuming PE, so it is
+/// never allocated on the way. Control tuples and end-of-stream keep
+/// their places among the rows through the entry tags. Frames are
+/// recycled through a buffer pool shared by the two ends of the edge's
+/// channel, so steady-state transport allocates nothing per row.
 #[derive(Debug, Default)]
 pub struct Frame {
-    /// The batched tuples, in emission order.
-    pub tuples: Vec<Tuple>,
+    /// Entry kinds in stream order ([`TAG_DATA`], [`TAG_CTRL`], [`TAG_EOS`]).
+    pub(crate) tags: Vec<u8>,
+    /// Per data row: sequence number.
+    pub(crate) seqs: Vec<u64>,
+    /// Per data row: logical timestamp.
+    pub(crate) stamps: Vec<u64>,
+    /// Per data row: end of its values in `values` (start: the previous
+    /// row's end).
+    pub(crate) ends: Vec<usize>,
+    /// Every row's values, one contiguous block.
+    pub(crate) values: Vec<f64>,
+    /// Per data row: whether it carries a mask.
+    pub(crate) masked: Vec<bool>,
+    /// Per data row: end of its mask in `masks` (complete rows add none).
+    pub(crate) mask_ends: Vec<usize>,
+    /// The masked rows' masks, one contiguous block.
+    pub(crate) masks: Vec<bool>,
+    /// The control entries, in order.
+    pub(crate) ctrls: Vec<ControlTuple>,
 }
 
 impl Frame {
-    /// Wraps an already-filled batch.
-    pub fn from_vec(tuples: Vec<Tuple>) -> Self {
-        Frame { tuples }
+    /// A frame holding `tuples`, in order.
+    pub fn from_tuples<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> Self {
+        let mut f = Frame::default();
+        for t in tuples {
+            f.push(t);
+        }
+        f
     }
 
-    /// Number of tuples in the frame.
+    /// Appends a copy of `t`.
+    pub fn push(&mut self, t: &Tuple) {
+        match t {
+            Tuple::Data(d) => self.push_row(d.row()),
+            Tuple::Control(c) => self.push_control(c.clone()),
+            Tuple::Punct(Punctuation::EndOfStream) => self.push_eos(),
+        }
+    }
+
+    /// Appends a data row, copying its columns.
+    pub fn push_row(&mut self, row: RowRef<'_>) {
+        self.tags.push(TAG_DATA);
+        self.seqs.push(row.seq);
+        self.stamps.push(row.timestamp_ns);
+        self.values.extend_from_slice(row.values);
+        self.ends.push(self.values.len());
+        self.masked.push(row.mask.is_some());
+        if let Some(m) = row.mask {
+            self.masks.extend_from_slice(m);
+        }
+        self.mask_ends.push(self.masks.len());
+    }
+
+    /// Appends a control tuple.
+    pub fn push_control(&mut self, c: ControlTuple) {
+        self.tags.push(TAG_CTRL);
+        self.ctrls.push(c);
+    }
+
+    /// Appends end-of-stream punctuation.
+    pub fn push_eos(&mut self) {
+        self.tags.push(TAG_EOS);
+    }
+
+    /// Number of entries (data rows, control tuples and punctuation).
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.tags.len()
     }
 
-    /// True when the frame carries no tuples.
+    /// True when the frame carries no entries.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.tags.is_empty()
     }
 
-    /// Total wire size of the batched tuples (frame framing itself is
-    /// considered free — the accounting unit stays the tuple).
+    /// Number of data rows.
+    pub fn n_rows(&self) -> usize {
+        self.seqs.len()
+    }
+
+    /// Data row `r` (0-based among the rows), borrowed.
+    pub fn row(&self, r: usize) -> RowRef<'_> {
+        let start = |ends: &[usize]| if r == 0 { 0 } else { ends[r - 1] };
+        RowRef {
+            seq: self.seqs[r],
+            timestamp_ns: self.stamps[r],
+            values: &self.values[start(&self.ends)..self.ends[r]],
+            mask: self.masked[r].then(|| &self.masks[start(&self.mask_ends)..self.mask_ends[r]]),
+        }
+    }
+
+    /// Data rows `at.get()..end`. `at` advances as each row is taken, so
+    /// whoever holds it knows which row is in flight.
+    pub fn rows<'a>(&'a self, at: &'a Cell<usize>, end: usize) -> Rows<'a> {
+        assert!(end <= self.n_rows(), "rows past the end of the frame");
+        Rows {
+            frame: self,
+            at,
+            end,
+        }
+    }
+
+    /// The entries as tuples, in order; data rows are copied out.
+    pub fn tuples(&self) -> Vec<Tuple> {
+        let (mut r, mut c) = (0, 0);
+        self.tags
+            .iter()
+            .map(|&tag| match tag {
+                TAG_DATA => {
+                    r += 1;
+                    Tuple::Data(self.row(r - 1).to_tuple())
+                }
+                TAG_CTRL => {
+                    c += 1;
+                    Tuple::Control(self.ctrls[c - 1].clone())
+                }
+                _ => Tuple::Punct(Punctuation::EndOfStream),
+            })
+            .collect()
+    }
+
+    /// Total wire size of the entries (frame framing itself is considered
+    /// free — the accounting unit stays the tuple).
     pub fn wire_bytes(&self) -> u64 {
-        self.tuples.iter().map(Tuple::wire_bytes).sum()
+        let rows = self.n_rows() as u64;
+        let ctrls = self.ctrls.len() as u64;
+        let eos = self.len() as u64 - rows - ctrls;
+        16 * rows + 8 * self.values.len() as u64 + self.masks.len() as u64 + 64 * ctrls + 8 * eos
+    }
+
+    /// Removes the first `n` entries (a retransmitted frame's duplicate
+    /// prefix).
+    pub(crate) fn drop_front(&mut self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let rows = self.tags[..n].iter().filter(|&&t| t == TAG_DATA).count();
+        let ctrls = self.tags[..n].iter().filter(|&&t| t == TAG_CTRL).count();
+        let before = |ends: &[usize]| if rows == 0 { 0 } else { ends[rows - 1] };
+        let (vals, mask_vals) = (before(&self.ends), before(&self.mask_ends));
+        self.tags.drain(..n);
+        self.seqs.drain(..rows);
+        self.stamps.drain(..rows);
+        self.masked.drain(..rows);
+        self.values.drain(..vals);
+        self.masks.drain(..mask_vals);
+        self.ends.drain(..rows);
+        self.ends.iter_mut().for_each(|e| *e -= vals);
+        self.mask_ends.drain(..rows);
+        self.mask_ends.iter_mut().for_each(|e| *e -= mask_vals);
+        self.ctrls.drain(..ctrls);
+    }
+
+    /// Bytes of capacity the columns hold.
+    fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.tags.capacity()
+            + self.masked.capacity()
+            + self.masks.capacity()
+            + 8 * (self.seqs.capacity() + self.stamps.capacity() + self.values.capacity())
+            + size_of::<usize>() * (self.ends.capacity() + self.mask_ends.capacity())
+            + size_of::<ControlTuple>() * self.ctrls.capacity()
+    }
+
+    /// Empties every column, keeping their capacity.
+    pub(crate) fn clear(&mut self) {
+        self.tags.clear();
+        self.seqs.clear();
+        self.stamps.clear();
+        self.ends.clear();
+        self.values.clear();
+        self.masked.clear();
+        self.mask_ends.clear();
+        self.masks.clear();
+        self.ctrls.clear();
     }
 }
 
-/// A bounded recycle bin for frame buffers.
+/// A run of a frame's data rows, handed to
+/// [`Operator::process_rows`](crate::Operator::process_rows) in order.
+/// Taking a row advances the cursor the run was made with, which is how
+/// the PE knows the row in flight if the operator panics.
+pub struct Rows<'a> {
+    frame: &'a Frame,
+    at: &'a Cell<usize>,
+    end: usize,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = RowRef<'a>;
+
+    fn next(&mut self) -> Option<RowRef<'a>> {
+        let r = self.at.get();
+        if r >= self.end {
+            return None;
+        }
+        self.at.set(r + 1);
+        Some(self.frame.row(r))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.end.saturating_sub(self.at.get());
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+/// A bounded recycle bin for frames.
 ///
-/// The sender takes an empty buffer when it starts a new batch; the
-/// receiver puts the drained buffer back after routing a frame. Bounded so
-/// a burst can never pin unbounded memory: overflow buffers are simply
-/// dropped.
+/// The sender takes an empty frame when it starts a new batch; the
+/// receiver puts the drained frame back after routing it. A spare frame
+/// keeps the column capacity of the most rows it held, so a channel whose
+/// fill swings reuses its frames instead of growing new ones. Bounded in
+/// the bytes those columns hold, so a burst can never pin unbounded memory:
+/// a frame past the bound is dropped. (A pool as deep as a corpus-sized
+/// channel kept a drained backlog beside the socket sender's retransmit
+/// queue of the same rows.)
 #[derive(Debug)]
 pub(crate) struct FramePool {
-    free: Mutex<Vec<Vec<Tuple>>>,
-    max_pooled: usize,
+    /// The spare frames, and the bytes of column capacity they hold.
+    free: Mutex<(Vec<Frame>, usize)>,
+    max_bytes: usize,
 }
 
 impl FramePool {
-    /// A pool retaining at most `max_pooled` spare buffers.
-    pub(crate) fn new(max_pooled: usize) -> Self {
+    /// A pool retaining spare frames of at most `max_bytes` of columns.
+    pub(crate) fn new(max_bytes: usize) -> Self {
         FramePool {
-            free: Mutex::new(Vec::with_capacity(max_pooled)),
-            max_pooled,
+            free: Mutex::new((Vec::new(), 0)),
+            max_bytes,
         }
     }
 
-    /// An empty buffer with at least `cap` capacity (recycled when one is
-    /// available, freshly allocated otherwise).
-    pub(crate) fn take(&self, cap: usize) -> Vec<Tuple> {
-        let mut v = self
-            .free
-            .lock()
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(cap));
-        if v.capacity() < cap {
-            v.reserve(cap - v.len());
-        }
-        v
-    }
-
-    /// Returns a drained buffer to the pool (dropped if the pool is full).
-    pub(crate) fn put(&self, mut v: Vec<Tuple>) {
-        v.clear();
+    /// An empty frame (recycled when one is available, with its columns'
+    /// capacity; fresh otherwise).
+    pub(crate) fn take(&self) -> Frame {
         let mut free = self.free.lock();
-        if free.len() < self.max_pooled {
-            free.push(v);
+        let frame = free.0.pop().unwrap_or_default();
+        free.1 -= frame.capacity_bytes();
+        frame
+    }
+
+    /// Returns a spent frame to the pool (dropped if it does not fit).
+    pub(crate) fn put(&self, mut f: Frame) {
+        f.clear();
+        let bytes = f.capacity_bytes();
+        let mut free = self.free.lock();
+        if free.1 + bytes <= self.max_bytes {
+            free.1 += bytes;
+            free.0.push(f);
         }
     }
 }
 
-/// Spare frame buffers retained per channel.
-const POOL_DEPTH: usize = 8;
+/// Column bytes a channel's pool keeps: what a channel of the default
+/// capacity holds (1 MiB, `spca-engine`'s `EDGE_BYTES`), so the frames of
+/// such a channel are all reused, and a corpus-sized one keeps no more.
+const POOL_BYTES: usize = 1 << 20;
 
 /// The producing end of a cross-PE frame channel: a `std::sync::mpsc`
 /// channel bounded at `cap` frames by its two ends. `std`'s sender cannot
@@ -312,7 +542,7 @@ pub(crate) fn frame_channel(cap: usize, wake: Option<Wake>) -> (FrameTx, FrameRx
     let shared = Arc::new(Shared {
         cap: cap.max(1),
         frames: AtomicUsize::new(0),
-        pool: FramePool::new(POOL_DEPTH),
+        pool: FramePool::new(POOL_BYTES),
     });
     let tx = FrameTx {
         tx,
@@ -360,9 +590,9 @@ impl FrameTx {
         self.shared.frames.load(Ordering::Relaxed) >= self.shared.cap
     }
 
-    /// An empty buffer for up to `cap` tuples, recycled by the consumer.
-    pub(crate) fn buffer(&self, cap: usize) -> Vec<Tuple> {
-        self.shared.pool.take(cap)
+    /// An empty frame, recycled by the consumer.
+    pub(crate) fn buffer(&self) -> Frame {
+        self.shared.pool.take()
     }
 }
 
@@ -377,9 +607,9 @@ impl FrameRx {
         self.rx.recv_timeout(timeout).map(|f| self.taken(f))
     }
 
-    /// Hands a spent frame's buffer back for the producer to refill.
-    pub(crate) fn recycle(&self, tuples: Vec<Tuple>) {
-        self.shared.pool.put(tuples);
+    /// Hands a spent frame back for the producer to refill.
+    pub(crate) fn recycle(&self, frame: Frame) {
+        self.shared.pool.put(frame);
     }
 
     fn taken(&self, frame: Frame) -> Frame {
@@ -475,35 +705,75 @@ mod tests {
 
     #[test]
     fn frame_accounts_per_tuple_bytes() {
-        let f = Frame::from_vec(vec![
+        let f = Frame::from_tuples(&[
             Tuple::Data(DataTuple::new(0, vec![0.0])),
+            Tuple::Data(DataTuple::masked(1, vec![0.0; 3], vec![true, false, true])),
             Tuple::Punct(Punctuation::EndOfStream),
         ]);
-        assert_eq!(f.len(), 2);
+        assert_eq!(f.len(), 3);
         assert!(!f.is_empty());
-        assert_eq!(f.wire_bytes(), 24 + 8);
+        assert_eq!(f.wire_bytes(), 24 + (16 + 24 + 3) + 8);
         assert!(Frame::default().is_empty());
     }
 
     #[test]
-    fn frame_pool_recycles_buffers() {
-        let pool = FramePool::new(2);
-        let mut a = pool.take(8);
-        assert!(a.capacity() >= 8);
-        a.push(Tuple::Punct(Punctuation::EndOfStream));
-        pool.put(a);
-        let b = pool.take(4);
-        assert!(b.is_empty(), "recycled buffers come back cleared");
-        // Overflow beyond max_pooled is silently dropped.
-        pool.put(Vec::new());
-        pool.put(Vec::new());
-        pool.put(Vec::new());
-        assert!(pool.free.lock().len() <= 2);
+    fn frame_columns_give_back_the_entries_in_order() {
+        let tuples = vec![
+            Tuple::Data(DataTuple::masked(4, vec![1.0, 2.0], vec![false, true])),
+            Tuple::Control(ControlTuple::signal(9, 1)),
+            Tuple::Data(DataTuple::new(5, vec![])),
+            Tuple::Data(DataTuple::masked(6, vec![3.0], vec![true, false])),
+            Tuple::Punct(Punctuation::EndOfStream),
+            Tuple::Data(DataTuple::new(7, vec![4.0, 5.0, 6.0])),
+        ];
+        let mut f = Frame::from_tuples(&tuples);
+        assert_eq!((f.len(), f.n_rows()), (6, 4));
+        let row = f.row(2);
+        assert_eq!(
+            (row.seq, row.values, row.mask),
+            (6, &[3.0][..], Some(&[true, false][..]))
+        );
+        let same = |a: &[Tuple], b: &[Tuple]| format!("{a:?}") == format!("{b:?}");
+        assert!(same(&f.tuples(), &tuples));
+
+        let at = Cell::new(1);
+        let seqs: Vec<u64> = f.rows(&at, 3).map(|r| r.seq).collect();
+        assert_eq!((seqs, at.get()), (vec![5, 6], 3));
+
+        f.drop_front(2);
+        assert!(same(&f.tuples(), &tuples[2..]));
+        f.drop_front(3);
+        assert!(same(&f.tuples(), &tuples[5..]));
+        assert_eq!(f.row(0).values, &[4.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    fn frame_pool_recycles_frames_up_to_its_bytes() {
+        let row = DataTuple::new(0, vec![1.0; 100]);
+        let frame = || {
+            let mut f = Frame::default();
+            f.push_row(row.row());
+            f
+        };
+        let bytes = frame().capacity_bytes();
+        assert!(bytes >= 800);
+        let pool = FramePool::new(2 * bytes);
+        pool.put(frame());
+        let b = pool.take();
+        assert!(b.is_empty(), "recycled frames come back cleared");
+        assert!(b.values.capacity() >= 100, "with their columns' capacity");
+        assert_eq!(pool.free.lock().1, 0);
+        // Past the byte bound a frame is dropped.
+        for _ in 0..3 {
+            pool.put(frame());
+        }
+        let free = pool.free.lock();
+        assert_eq!((free.0.len(), free.1), (2, 2 * bytes));
     }
 
     #[test]
     fn frame_channel_counts_what_it_holds_and_rings_its_consumer() {
-        let frame = |n| Frame::from_vec(vec![Tuple::Punct(Punctuation::EndOfStream); n]);
+        let frame = |n| Frame::from_tuples(&vec![Tuple::Punct(Punctuation::EndOfStream); n]);
         let (wake, woken) = wake();
         let (tx, rx) = frame_channel(2, Some(wake));
         assert!(tx.send(frame(3)));
@@ -525,7 +795,7 @@ mod tests {
 
     #[test]
     fn a_full_frame_channel_holds_its_producer_until_there_is_room() {
-        let frame = |n| Frame::from_vec(vec![Tuple::Punct(Punctuation::EndOfStream); n]);
+        let frame = |n| Frame::from_tuples(&vec![Tuple::Punct(Punctuation::EndOfStream); n]);
         let (tx, rx) = frame_channel(1, None);
         let (sent_tx, sent) = std::sync::mpsc::channel();
         let producer = std::thread::spawn(move || {

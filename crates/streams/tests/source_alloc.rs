@@ -1,12 +1,23 @@
-//! Pins what a steady-state line-source `drive` takes from the heap, on
-//! every medium (file, TCP listener, chunked HTTP body): the tuple it emits
-//! and nothing else. Per row that is the `values` vector and its `Arc` box,
-//! presized from the previous row's width — no growth reallocation — plus
-//! the `mask` vector and its box on rows that have a gap, and only on
-//! those. The line buffer, the reader's buffer and the HTTP body's
-//! chunk-size line are the source's own and were sized during warm-up.
+//! Pins what a steady-state line-source `drive` into a cross-PE edge takes
+//! from the heap, on every medium (file, TCP listener, chunked HTTP body):
+//! nothing per row. The source parses each line into its own row buffers
+//! and emits the row borrowed; the edge copies it into the columns of a
+//! pooled frame. The edge holds one frame (`with_channel_capacity` of one
+//! batch), so it cycles through at most four — one queued, one being
+//! filled, one being read, one on its way back — whose columns grow, by
+//! doubling, to the most rows any of them held. What is left is that
+//! growth and the channel's block of message slots every 31 frames: under
+//! one allocation per frame the consumer received in the stretch. (Frames
+//! are as large as the consumer's pace lets them be, so the count is of
+//! frames, not of rows.) The line buffer, the reader's buffer and the HTTP
+//! body's chunk-size line are the source's own and were sized during
+//! warm-up. (Before rows travelled in frames, each row cost its `values`
+//! vector and that vector's `Arc` box, twice that on a gap row.)
 //!
-//! Same counting-allocator harness as `crates/engine/tests/backfill_alloc.rs`;
+//! The source runs in a PE of its own, wrapped so that its thread is
+//! tracked from the first measured `drive` to the one that emits the last
+//! measured row; a second PE takes the rows off the edge. Same
+//! counting-allocator harness as `crates/engine/tests/backfill_alloc.rs`;
 //! this file must contain exactly one `#[test]` (a sibling on another
 //! thread would allocate concurrently and poison the counter).
 
@@ -14,21 +25,79 @@ mod feeds;
 
 use feeds::{http_response, http_source, tcp_source, Framing};
 use spca_alloc_count::{allocations, track, CountingAlloc};
-use spca_streams::operator::testing::{with_sink, CaptureSink};
-use spca_streams::ops::CsvFileSource;
-use spca_streams::{Operator, SourceState};
+use spca_streams::ops::{CollectSink, CsvFileSource};
+use spca_streams::{
+    DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, Rows, SourceState,
+    DEFAULT_BATCH_SIZE,
+};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn line_source_steady_state_allocates_the_tuple_and_nothing_else() {
-    const D: usize = 300;
-    const WARM_ROWS: usize = 20;
-    const MEASURED_ROWS: usize = 200;
-    track(true);
+const D: usize = 64;
+const WARM_ROWS: usize = 50 * DEFAULT_BATCH_SIZE;
+const MEASURED_ROWS: usize = 500 * DEFAULT_BATCH_SIZE;
 
+/// A source whose thread is tracked while it emits the measured rows.
+struct Measured {
+    inner: Box<dyn Operator>,
+    emitted: usize,
+    /// Allocation count when the measured stretch began.
+    before: Option<usize>,
+    allocs: Arc<AtomicUsize>,
+    /// Open while the measured rows are emitted.
+    window: Arc<AtomicBool>,
+}
+
+/// The consumer: collects the rows, and counts the frames it is handed
+/// while the source's measured stretch is open.
+struct Collect {
+    inner: CollectSink,
+    window: Arc<AtomicBool>,
+    frames: Arc<AtomicUsize>,
+}
+
+impl Operator for Collect {
+    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
+        self.inner.process(t, ctx);
+    }
+
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        if self.window.load(Ordering::SeqCst) {
+            self.frames.fetch_add(1, Ordering::SeqCst);
+        }
+        self.inner.process_rows(rows, ctx);
+    }
+}
+
+impl Operator for Measured {
+    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
+
+    fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
+        if self.emitted == WARM_ROWS && self.before.is_none() {
+            self.window.store(true, Ordering::SeqCst);
+            track(true);
+            self.before = Some(allocations());
+        }
+        let state = self.inner.drive(ctx);
+        if state == SourceState::Emitted {
+            self.emitted += 1;
+            if self.emitted == WARM_ROWS + MEASURED_ROWS {
+                let before = self.before.expect("tracking since the warm-up ended");
+                self.allocs.store(allocations() - before, Ordering::SeqCst);
+                track(false);
+                self.window.store(false, Ordering::SeqCst);
+            }
+        }
+        state
+    }
+}
+
+#[test]
+fn line_source_steady_state_into_a_frame_edge_allocates_nothing_per_row() {
     // Every third row has a gap, somewhere past the first field; a comment
     // and a blank line sit inside the measured stretch. Values are signed
     // so that every line is as long as the longest one in the warm-up and
@@ -53,7 +122,7 @@ fn line_source_steady_state_allocates_the_tuple_and_nothing_else() {
     let path = std::env::temp_dir().join(format!("spca_source_alloc_{}.csv", std::process::id()));
     std::fs::write(&path, &corpus).unwrap();
     // Chunks of a size unrelated to the rows', so the measured stretch
-    // crosses a few hundred chunk boundaries at every position in a line.
+    // crosses many chunk boundaries at every position in a line.
     let cuts = (1000..corpus.len()).step_by(1000).collect();
     let chunked = http_response(corpus.as_bytes(), &Framing::Chunked(cuts));
     let media: Vec<(&str, Box<dyn Operator>)> = vec![
@@ -62,45 +131,44 @@ fn line_source_steady_state_allocates_the_tuple_and_nothing_else() {
         ("http chunked", Box::new(http_source(chunked))),
     ];
 
-    for (name, mut src) in media {
-        let mut sink = CaptureSink::new(1);
-        sink.ports[0].reserve(WARM_ROWS + MEASURED_ROWS);
-        let mut allocs = 0;
-        with_sink(&mut sink, |ctx| {
-            // A live feed may report `Idle` while its peer is still writing.
-            let mut emit = |n: usize| {
-                let mut got = 0;
-                while got < n {
-                    match src.drive(ctx) {
-                        SourceState::Emitted => got += 1,
-                        SourceState::Idle => assert_ne!(name, "file"),
-                        SourceState::Done => panic!("{name}: ended early"),
-                    }
-                }
-            };
-            emit(WARM_ROWS);
-            let before = allocations();
-            emit(MEASURED_ROWS);
-            allocs = allocations() - before;
-            while src.drive(ctx) == SourceState::Idle {}
-        });
+    for (name, inner) in media {
+        let allocs = Arc::new(AtomicUsize::new(usize::MAX));
+        let (window, frames) = (Arc::default(), Arc::new(AtomicUsize::new(0)));
+        let mut g = GraphBuilder::new().with_channel_capacity(DEFAULT_BATCH_SIZE);
+        let src = g.add_source(
+            "source",
+            Box::new(Measured {
+                inner,
+                emitted: 0,
+                before: None,
+                allocs: Arc::clone(&allocs),
+                window: Arc::clone(&window),
+            }),
+        );
+        let (inner, rows) = CollectSink::new();
+        let sink = g.add_op(
+            "collect",
+            Box::new(Collect {
+                inner,
+                window,
+                frames: Arc::clone(&frames),
+            }),
+        );
+        g.connect(src, 0, sink, PortKind::Data);
+        Engine::run(g);
 
-        let rows = sink.data_at(0);
+        let rows = rows.lock();
         assert_eq!(rows.len(), WARM_ROWS + MEASURED_ROWS, "{name}");
         assert!(rows.iter().all(|t| t.values.len() == D));
-        let gap_rows = rows[WARM_ROWS..]
-            .iter()
-            .filter(|t| t.mask.is_some())
-            .count();
-        assert_eq!(
-            gap_rows,
-            rows[WARM_ROWS..].iter().filter(|t| t.seq % 3 == 2).count()
-        );
+        let measured = &rows[WARM_ROWS..];
+        let gap_rows = measured.iter().filter(|t| t.mask.is_some()).count();
+        assert_eq!(gap_rows, measured.iter().filter(|t| t.seq % 3 == 2).count());
         assert!(gap_rows > MEASURED_ROWS / 4);
-        assert_eq!(
-            allocs,
-            2 * MEASURED_ROWS + 2 * gap_rows,
-            "{name}: expected a vector and an Arc box per row, twice that on the {gap_rows} gap rows"
+        let (allocs, frames) = (allocs.load(Ordering::SeqCst), frames.load(Ordering::SeqCst));
+        assert!(
+            allocs < frames,
+            "{name}: {allocs} allocations over {MEASURED_ROWS} rows in {frames} frames \
+             ({gap_rows} gap rows): expected none per row, under one per frame"
         );
     }
     std::fs::remove_file(&path).ok();

@@ -22,7 +22,7 @@ use astro_stream_pca::engine::{
 use astro_stream_pca::spectra::{io, GalaxyGenerator};
 use astro_stream_pca::streams::ops::http_server::{HttpServer, RateLimitConfig, ServerConfig};
 use astro_stream_pca::streams::ops::{CsvFileSource, HttpSource, TcpSource};
-use astro_stream_pca::streams::{DataTuple, Engine, FaultPlan, GraphBuilder, Operator, RunReport};
+use astro_stream_pca::streams::{csv, Engine, FaultPlan, GraphBuilder, Operator, RunReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -445,13 +445,28 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
 /// The width of the first data row in `corpus`: all any subcommand needs
 /// of its input before streaming it.
 fn input_dim(corpus: impl BufRead) -> Result<usize, String> {
+    let (mut values, mut mask) = (Vec::new(), Vec::new());
     for line in corpus.split(b'\n') {
         let line = line.map_err(|e| e.to_string())?;
-        if let Some(row) = DataTuple::from_csv_line(0, &line, 0) {
-            return Ok(row.values.len());
+        if csv::parse_row(&line, &mut values, &mut mask) != csv::Row::Skip {
+            return Ok(values.len());
         }
     }
     Err("input has no data rows".to_string())
+}
+
+/// The CPU seconds each PE thread used, by its members: what share of a
+/// core a PE's busy time really was.
+fn print_pe_cpu(report: &RunReport) {
+    let pes: Vec<String> = report
+        .pe_cpu
+        .iter()
+        .map(|pe| {
+            let cpu = pe.cpu_s.map_or("n/a".to_string(), |s| format!("{s:.2}"));
+            format!("{} {cpu}", pe.members.join("+"))
+        })
+        .collect();
+    println!("PE CPU seconds: {}", pes.join(", "));
 }
 
 fn file_dim(path: &Path) -> Result<usize, String> {
@@ -721,6 +736,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         report.elapsed.as_secs_f64(),
         consumed as f64 / report.elapsed.as_secs_f64().max(1e-9)
     );
+    print_pe_cpu(&report);
     print_fault_summary(&report);
     if let Some(autoscaler) = &autoscaler {
         let (outs, ins) = autoscaler.event_counts();
