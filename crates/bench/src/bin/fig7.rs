@@ -3,7 +3,7 @@
 //!
 //! The paper's findings this must reproduce in *shape*:
 //!   * throughput/thread falls roughly inversely with dimension (the
-//!     per-tuple SVD cost grows with d);
+//!     per-tuple update cost grows with d);
 //!   * 5 and 10 threads show "good scaling capabilities" — their per-thread
 //!     rate stays close to the single-remote-engine service rate;
 //!   * 20 threads saturate the interconnect at low dimensions, dropping

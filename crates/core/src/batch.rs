@@ -4,9 +4,11 @@
 //! experiment harness use them as ground truth. The robust batch variant is
 //! the Maronna (2005) alternating scheme the paper cites: iterate
 //! {residuals → M-scale → weights → weighted mean/covariance → eigensystem}
-//! to a fixed point.
+//! to a fixed point. The streaming estimators' warm-up (`init_from_batch`)
+//! is the classical one on the first `init_size` rows.
 
 use crate::classic::decayed_count;
+use crate::config::PcaConfig;
 use crate::eigensystem::EigenSystem;
 use crate::rho::Rho;
 use crate::robust::mscale_fixed_point;
@@ -318,6 +320,101 @@ fn num_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Initializes an eigensystem from a warm-up batch with plain batch PCA.
+pub(crate) fn init_from_batch(cfg: &PcaConfig, batch: &[Vec<f64>]) -> Result<EigenSystem> {
+    let n = batch.len();
+    assert!(n > 0, "warm-up batch must be non-empty");
+    let d = cfg.dim;
+    let k = cfg.p_total().min(n.saturating_sub(1)).max(1);
+
+    let mut mean = vec![0.0; d];
+    for x in batch {
+        vecops::axpy(1.0, x, &mut mean);
+    }
+    vecops::scale(&mut mean, 1.0 / n as f64);
+
+    // Thin SVD of the centered data matrix (columns = observations) gives
+    // the eigensystem of the sample covariance directly.
+    let mut data = Mat::zeros(d, n);
+    for (j, x) in batch.iter().enumerate() {
+        let col = data.col_mut(j);
+        for ((o, &xi), &mi) in col.iter_mut().zip(x).zip(&mean) {
+            *o = xi - mi;
+        }
+    }
+    // thin_svd requires rows >= cols; warm-up batches are small (n << d) in
+    // the intended regime, but guard the other case by Gram eigensolve.
+    let (basis, values) = if d >= n {
+        let f = svd::thin_svd(&data)?;
+        let mut basis = Mat::zeros(d, cfg.p_total());
+        let mut values = vec![0.0; cfg.p_total()];
+        for (j, val) in values.iter_mut().enumerate().take(k.min(f.s.len())) {
+            basis.col_mut(j).copy_from_slice(f.u.col(j));
+            *val = f.s[j] * f.s[j] / n as f64;
+        }
+        fill_orthonormal_tail(&mut basis, k);
+        (basis, values)
+    } else {
+        let f = svd::thin_svd(&data.transpose())?;
+        // data = (V S Uᵀ)ᵀ = U S Vᵀ with roles swapped: left vectors of
+        // dataᵀ are right vectors of data.
+        let mut basis = Mat::zeros(d, cfg.p_total());
+        let mut values = vec![0.0; cfg.p_total()];
+        for (j, val) in values.iter_mut().enumerate().take(k.min(f.s.len()).min(d)) {
+            basis.col_mut(j).copy_from_slice(f.v.col(j));
+            *val = f.s[j] * f.s[j] / n as f64;
+        }
+        fill_orthonormal_tail(&mut basis, k);
+        (basis, values)
+    };
+
+    // Decayed count of the warm-up batch: Σ_{i=0}^{n-1} α^i.
+    let u0 = decayed_count(cfg.alpha, n);
+
+    let mut eig = EigenSystem {
+        mean,
+        basis,
+        values,
+        sigma2: 0.0,
+        sum_u: u0,
+        sum_v: u0,
+        sum_q: 0.0,
+        n_obs: n as u64,
+    };
+    // Mean residual over the batch seeds σ² (the robust path re-solves the
+    // M-scale on top of this).
+    let mean_r2 = batch
+        .iter()
+        .map(|x| eig.residual_sq_truncated(x, cfg.p))
+        .sum::<f64>()
+        / n as f64;
+    eig.sigma2 = mean_r2;
+    eig.sum_q = u0 * mean_r2;
+    Ok(eig)
+}
+
+/// Completes columns `[k, basis.cols())` with arbitrary orthonormal
+/// directions so the tracked basis always has full column rank.
+fn fill_orthonormal_tail(basis: &mut Mat, k: usize) {
+    let (d, total) = basis.shape();
+    let mut axis = 0;
+    for j in k..total {
+        'search: while axis < d {
+            let mut cand = vec![0.0; d];
+            cand[axis] = 1.0;
+            axis += 1;
+            for other in 0..j {
+                let proj = vecops::dot(&cand, basis.col(other));
+                vecops::axpy(-proj, basis.col(other), &mut cand);
+            }
+            if vecops::normalize(&mut cand) > 1e-6 {
+                basis.col_mut(j).copy_from_slice(&cand);
+                break 'search;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

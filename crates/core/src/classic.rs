@@ -7,17 +7,18 @@
 //! C ≈ γ E Λ Eᵀ + (1−γ) y yᵀ = A Aᵀ,   A = [ e_k √(γ λ_k) | y √(1−γ) ]
 //! ```
 //!
-//! so each arriving vector costs one projection onto `E`, one SVD of a
-//! `(k+1) × (k+1)` core and one `d × (k+1) × k` product instead of an
-//! `O(d²)` covariance update. This is the non-robust baseline whose
-//! failure under contamination Fig. 1 (left) demonstrates.
+//! so each arriving vector costs one projection onto `E`, one eigensolve of
+//! a `(k+1) × (k+1)` diagonal-plus-rank-one core and one `d × (k+1) × k`
+//! product instead of an `O(d²)` covariance update. This is the non-robust
+//! baseline whose failure under contamination Fig. 1 (left) demonstrates.
 
+use crate::batch::init_from_batch;
 use crate::config::PcaConfig;
 use crate::eigensystem::EigenSystem;
 use crate::gaps::GapWorkspace;
 use crate::{PcaError, Result};
-use spca_linalg::svd::SvdWorkspace;
-use spca_linalg::{kernels, svd, vecops, Mat};
+use spca_linalg::secular::{self, SecularWorkspace};
+use spca_linalg::{kernels, vecops, Mat};
 
 /// Reusable scratch for the per-tuple streaming update.
 ///
@@ -32,14 +33,14 @@ pub struct UpdateWorkspace {
 }
 
 /// The scratch needed by one algebraic update step: the centered vector
-/// (`d`) and, sized by `k` alone, projection coefficients, the transposed
-/// core with its SVD workspace, and the panel kernel's row buffer.
+/// (`d`) and, sized by `k` alone, the projection coefficients (then `z`),
+/// the core's poles and eigenpairs, and the panel kernel's row buffer.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StepScratch {
     pub(crate) y: Vec<f64>,
     c: Vec<f64>,
-    kt: Mat,
-    svd: SvdWorkspace,
+    poles: Vec<f64>,
+    core: SecularWorkspace,
     panel: Vec<f64>,
 }
 
@@ -240,9 +241,10 @@ pub fn rank_one_update(
 ///     [        0           √g_new·ρ ]
 /// ```
 ///
-/// and `K = U′SV′ᵀ` is the whole decomposition: `Λ ← S²`,
-/// `E ← [E | r/ρ]·U′[:, :k]`. The only `d`-length work is the projection
-/// and the in-place panel product.
+/// and `KKᵀ = diag(g_hist·λ, 0) + zzᵀ` with `z = √g_new·[c; ρ]`, a
+/// diagonal plus rank-one matrix whose eigenpairs `U′, S²` the secular
+/// solver gives in `O(k²)`: `Λ ← S²[:k]`, `E ← [E | r/ρ]·U′[:, :k]`. The
+/// only `d`-length work is the projection and the in-place panel product.
 pub(crate) fn low_rank_update(
     eig: &mut EigenSystem,
     g_hist: f64,
@@ -253,8 +255,8 @@ pub(crate) fn low_rank_update(
     let StepScratch {
         y,
         c,
-        kt,
-        svd: svd_ws,
+        poles,
+        core,
         panel,
     } = scratch;
     if eig.n_obs.is_multiple_of(REPAIR_EVERY) {
@@ -296,104 +298,18 @@ pub(crate) fn low_rank_update(
         0.0
     };
 
-    // Kᵀ, so that U′ comes out of the SVD's rotation accumulator: orthogonal
-    // whatever the rank of K, and a zero ρ (last column of Kᵀ) is never
-    // rotated into the leading k. Dividing by the largest entry keeps the
-    // squared column norms in range for any finite input.
-    let s_new = g_new.max(0.0).sqrt() * y_scale;
-    kt.reset_zeroed(k + 1, k + 1);
-    for j in 0..k {
-        kt[(j, j)] = (g_hist * eig.values[j]).max(0.0).sqrt();
-        kt[(k, j)] = s_new * c[j];
-    }
-    kt[(k, k)] = s_new * rho;
-    let scale = kt.max_abs();
-    if scale > 0.0 {
-        for v in kt.as_mut_slice() {
-            *v /= scale;
-        }
-    }
-    svd::thin_svd_into(kt, svd_ws)?;
-    for (val, s) in eig.values.iter_mut().zip(&svd_ws.s) {
-        let sv = scale * s;
-        *val = sv * sv;
-    }
-    let coef = &svd_ws.v.as_slice()[..(k + 1) * k];
+    // The appended pole is last, so a zero ρ (y in span(E)) ties the
+    // zero eigenvalues without ever ranking above them.
+    poles.clear();
+    poles.extend(eig.values.iter().map(|&l| (g_hist * l).max(0.0)));
+    poles.push(0.0);
+    c.push(rho);
+    vecops::scale(c, g_new.max(0.0).sqrt() * y_scale);
+    secular::rank_one_eigen(poles, c, core)?;
+    eig.values.copy_from_slice(&core.values[..k]);
+    let coef = &core.vectors.as_slice()[..(k + 1) * k];
     kernels::panel_update(d, k, eig.basis.as_mut_slice(), coef, y, panel);
     Ok(())
-}
-
-/// Initializes an eigensystem from a warm-up batch with plain batch PCA.
-pub(crate) fn init_from_batch(cfg: &PcaConfig, batch: &[Vec<f64>]) -> Result<EigenSystem> {
-    let n = batch.len();
-    assert!(n > 0, "warm-up batch must be non-empty");
-    let d = cfg.dim;
-    let k = cfg.p_total().min(n.saturating_sub(1)).max(1);
-
-    let mut mean = vec![0.0; d];
-    for x in batch {
-        vecops::axpy(1.0, x, &mut mean);
-    }
-    vecops::scale(&mut mean, 1.0 / n as f64);
-
-    // Thin SVD of the centered data matrix (columns = observations) gives
-    // the eigensystem of the sample covariance directly.
-    let mut data = Mat::zeros(d, n);
-    for (j, x) in batch.iter().enumerate() {
-        let col = data.col_mut(j);
-        for ((o, &xi), &mi) in col.iter_mut().zip(x).zip(&mean) {
-            *o = xi - mi;
-        }
-    }
-    // thin_svd requires rows >= cols; warm-up batches are small (n << d) in
-    // the intended regime, but guard the other case by Gram eigensolve.
-    let (basis, values) = if d >= n {
-        let f = svd::thin_svd(&data)?;
-        let mut basis = Mat::zeros(d, cfg.p_total());
-        let mut values = vec![0.0; cfg.p_total()];
-        for (j, val) in values.iter_mut().enumerate().take(k.min(f.s.len())) {
-            basis.col_mut(j).copy_from_slice(f.u.col(j));
-            *val = f.s[j] * f.s[j] / n as f64;
-        }
-        fill_orthonormal_tail(&mut basis, k);
-        (basis, values)
-    } else {
-        let f = svd::thin_svd(&data.transpose())?;
-        // data = (V S Uᵀ)ᵀ = U S Vᵀ with roles swapped: left vectors of
-        // dataᵀ are right vectors of data.
-        let mut basis = Mat::zeros(d, cfg.p_total());
-        let mut values = vec![0.0; cfg.p_total()];
-        for (j, val) in values.iter_mut().enumerate().take(k.min(f.s.len()).min(d)) {
-            basis.col_mut(j).copy_from_slice(f.v.col(j));
-            *val = f.s[j] * f.s[j] / n as f64;
-        }
-        fill_orthonormal_tail(&mut basis, k);
-        (basis, values)
-    };
-
-    // Decayed count of the warm-up batch: Σ_{i=0}^{n-1} α^i.
-    let u0 = decayed_count(cfg.alpha, n);
-
-    let mut eig = EigenSystem {
-        mean,
-        basis,
-        values,
-        sigma2: 0.0,
-        sum_u: u0,
-        sum_v: u0,
-        sum_q: 0.0,
-        n_obs: n as u64,
-    };
-    // Mean residual over the batch seeds σ² (the robust path re-solves the
-    // M-scale on top of this).
-    let mean_r2 = batch
-        .iter()
-        .map(|x| eig.residual_sq_truncated(x, cfg.p))
-        .sum::<f64>()
-        / n as f64;
-    eig.sigma2 = mean_r2;
-    eig.sum_q = u0 * mean_r2;
-    Ok(eig)
 }
 
 /// Geometric series Σ_{i=0}^{n-1} α^i.
@@ -402,28 +318,6 @@ pub(crate) fn decayed_count(alpha: f64, n: usize) -> f64 {
         n as f64
     } else {
         (1.0 - alpha.powi(n as i32)) / (1.0 - alpha)
-    }
-}
-
-/// Completes columns `[k, basis.cols())` with arbitrary orthonormal
-/// directions so the tracked basis always has full column rank.
-fn fill_orthonormal_tail(basis: &mut Mat, k: usize) {
-    let (d, total) = basis.shape();
-    let mut axis = 0;
-    for j in k..total {
-        'search: while axis < d {
-            let mut cand = vec![0.0; d];
-            cand[axis] = 1.0;
-            axis += 1;
-            for other in 0..j {
-                let proj = vecops::dot(&cand, basis.col(other));
-                vecops::axpy(-proj, basis.col(other), &mut cand);
-            }
-            if vecops::normalize(&mut cand) > 1e-6 {
-                basis.col_mut(j).copy_from_slice(&cand);
-                break 'search;
-            }
-        }
     }
 }
 

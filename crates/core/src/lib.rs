@@ -5,7 +5,8 @@
 //! Analytics on Astrophysical Data Streams"* (SC 2012):
 //!
 //! * [`ClassicIncrementalPca`] — the classical incremental eigensystem update
-//!   via a low-rank factor SVD (paper eq. 1–3).
+//!   via the low-rank factor of paper eq. 1–3, whose `(k+1)×(k+1)` core is
+//!   solved as a diagonal-plus-rank-one eigenproblem.
 //! * [`RobustPca`] — the statistically robust streaming estimator: M-scale of
 //!   the residuals (eq. 5), per-observation weights, weighted recursions for
 //!   mean / covariance / scale (eq. 9–11) driven by running sums `u, v, q`

@@ -17,9 +17,8 @@
 //! estimator in Fig. 1 (right) never "rainbows": outliers cannot capture
 //! the top eigenvector because they never enter the covariance.
 
-use crate::classic::{
-    decayed_count, init_from_batch, low_rank_update, validate, StepScratch, UpdateWorkspace,
-};
+use crate::batch::init_from_batch;
+use crate::classic::{decayed_count, low_rank_update, validate, StepScratch, UpdateWorkspace};
 use crate::config::PcaConfig;
 use crate::eigensystem::EigenSystem;
 use crate::gaps::fill_scanned;

@@ -9,7 +9,10 @@
 //!   built for tall-thin shapes (`d × p` eigenbases and merge factors).
 //! * [`qr`] — Householder thin QR, used to re-orthonormalize eigenbases.
 //! * [`svd`] — one-sided Jacobi SVD, exact and fast for thin matrices: the
-//!   core of the low-rank eigensystem update (paper eq. 1–3) and the merge.
+//!   merge, the warm-up and the batch baselines.
+//! * [`secular`] — all eigenpairs of a diagonal plus rank-one matrix by its
+//!   secular equation: the `(p+1)×(p+1)` core of the per-tuple eigensystem
+//!   update (paper eq. 1–3).
 //! * [`eigen`] — a symmetric Jacobi eigensolver for the small dense
 //!   eigenproblems arising in batch baselines and eigensystem merges.
 //! * [`gemm`] — blocked and multi-threaded matrix multiply for the batch
@@ -42,6 +45,7 @@ pub mod kernels;
 pub mod mat;
 pub mod qr;
 pub mod rng;
+pub mod secular;
 pub mod solve;
 pub mod subspace;
 pub mod svd;
@@ -50,6 +54,7 @@ pub mod vecops;
 pub use eigen::{sym_eigen, SymEigen};
 pub use mat::Mat;
 pub use qr::{thin_qr, thin_qr_into, QrWorkspace, ThinQr};
+pub use secular::{rank_one_eigen, SecularWorkspace};
 pub use svd::{thin_svd, thin_svd_into, SvdWorkspace, ThinSvd};
 
 /// Errors produced by decomposition routines.

@@ -1,14 +1,14 @@
 //! One-sided Jacobi singular value decomposition.
 //!
 //! The eigensystem algebra factors tall, very thin matrices — the merge
-//! step's `R^{d×2p}` (eq. 16), the warm-up batch — and, on every tuple, the
-//! small `(p+1) × (p+1)` core that the streaming update (eq. 1–3) reduces
-//! its `R^{d×(p+1)}` factor to. One-sided Jacobi suits all of them: it
-//! works directly on columns (contiguous in our layout), converges in a
-//! handful of sweeps for nearly-orthogonal inputs — which these are, their
-//! leading columns coming from orthonormal eigenbases — and it delivers
-//! high relative accuracy on the small singular values that decide where
-//! the eigenspectrum is truncated.
+//! step's `R^{d×2p}` (eq. 16), the warm-up batch, the batch baselines.
+//! One-sided Jacobi suits them: it works directly on columns (contiguous in
+//! our layout), converges in a handful of sweeps for nearly-orthogonal
+//! inputs — which these are, their leading columns coming from orthonormal
+//! eigenbases — and it delivers high relative accuracy on the small
+//! singular values that decide where the eigenspectrum is truncated. The
+//! per-tuple `(p+1) × (p+1)` core is not factored here: its Gram matrix is
+//! diagonal plus rank one, which [`crate::secular`] solves directly.
 
 use crate::mat::Mat;
 use crate::vecops;
@@ -52,10 +52,10 @@ const TOL: f64 = 5e-13;
 
 /// Reusable buffers for [`thin_svd_into`].
 ///
-/// The streaming update decomposes a same-shaped `(p+1) × (p+1)` core on
-/// every tuple; holding one of these per updater lets the whole SVD run
-/// with zero heap allocations once the buffers have grown to size. The
-/// output fields are public; the scratch fields are internal.
+/// A caller that factors same-shaped matrices repeatedly holds one of
+/// these, and the SVD then runs with zero heap allocations once the
+/// buffers have grown to size. The output fields are public; the scratch
+/// fields are internal.
 #[derive(Debug, Clone, Default)]
 pub struct SvdWorkspace {
     /// Left singular vectors (`m × n`), valid after a successful call.
