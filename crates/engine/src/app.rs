@@ -370,8 +370,8 @@ impl ParallelPcaApp {
         };
 
         if cfg.fuse {
-            // Single-node configuration: everything in one PE, tuples move
-            // by pointer.
+            // Single-node configuration: everything in one PE, rows move
+            // through its local frame.
             let all: Vec<_> = g.edge_list().iter().flat_map(|e| [e.0, e.2]).collect();
             g.fuse(&all);
         }

@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 use spca_core::{merge, PcaConfig, RobustPca};
 use spca_streams::checkpoint::{decode_kv, encode_kv, kv_u64, Checkpoint};
 use spca_streams::metrics::Counter;
-use spca_streams::{ControlTuple, DataTuple, OpContext, Operator, RowRef, Rows};
+use spca_streams::{ControlTuple, OpContext, Operator, RowRef, Rows};
 use std::sync::Arc;
 
 /// Default heartbeat cadence in processed tuples (see
@@ -313,19 +313,9 @@ impl StreamingPcaOp {
 }
 
 impl StreamingPcaOp {
-    /// The per-observation update, over a borrowed row: what `process`
-    /// does to a tuple (`whole`, forwarded by pointer when quarantined) and
-    /// `process_rows` to each row of a frame.
-    fn process_row(
-        &mut self,
-        tuple: RowRef<'_>,
-        whole: Option<&DataTuple>,
-        ctx: &mut OpContext<'_>,
-    ) {
-        let quarantine = |ctx: &mut OpContext<'_>, port| match whole {
-            Some(d) => ctx.emit_data(port, d.clone()),
-            None => ctx.emit_row(port, tuple),
-        };
+    /// The per-observation update, over a borrowed row: what
+    /// `process_rows` does to each row of a frame.
+    fn process_row(&mut self, tuple: RowRef<'_>, ctx: &mut OpContext<'_>) {
         // Dead-letter boundary: a NaN or Inf would poison the running sums
         // irreversibly, so non-finite observations never reach the state —
         // they are counted, optionally forwarded on the quarantine port,
@@ -340,7 +330,7 @@ impl StreamingPcaOp {
                 );
             }
             if self.emit_quarantine {
-                quarantine(ctx, self.quarantine_port());
+                ctx.emit_row(self.quarantine_port(), tuple);
             }
             return;
         }
@@ -391,7 +381,7 @@ impl StreamingPcaOp {
         }
         if self.emit_quarantine && outcome.outlier {
             // Forward the flagged observation itself.
-            quarantine(ctx, self.quarantine_port());
+            ctx.emit_row(self.quarantine_port(), tuple);
         }
         if self.epoch_store.is_some()
             && outcome.initialized
@@ -412,13 +402,9 @@ impl StreamingPcaOp {
 }
 
 impl Operator for StreamingPcaOp {
-    fn process(&mut self, tuple: DataTuple, ctx: &mut OpContext<'_>) {
-        self.process_row(tuple.row(), Some(&tuple), ctx);
-    }
-
     fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
         for row in rows {
-            self.process_row(row, None, ctx);
+            self.process_row(row, ctx);
         }
     }
 
@@ -634,8 +620,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spca_spectra::PlantedSubspace;
-    use spca_streams::operator::testing::{with_ctx, with_sink, CaptureSink};
-    use spca_streams::Tuple;
+    use spca_streams::operator::testing::{feed_tuple, with_ctx, with_sink, CaptureSink};
+    use spca_streams::{DataTuple, Tuple};
 
     const D: usize = 16;
 
@@ -651,7 +637,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         with_ctx(op.n_peer_ports + 2, |ctx| {
             for seq in 0..n {
-                op.process(DataTuple::new(seq as u64, w.sample(&mut rng)), ctx);
+                feed_tuple(op, DataTuple::new(seq as u64, w.sample(&mut rng)), ctx);
             }
         });
         op.processed
@@ -804,12 +790,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let sink = with_ctx(2, |ctx| {
             for seq in 0..300u64 {
-                op.process(DataTuple::new(seq, w.sample(&mut rng)), ctx);
+                feed_tuple(&mut op, DataTuple::new(seq, w.sample(&mut rng)), ctx);
             }
             // A gross outlier.
             let mut spike = vec![0.0; D];
             spike[7] = 500.0;
-            op.process(DataTuple::new(300, spike), ctx);
+            feed_tuple(&mut op, DataTuple::new(300, spike), ctx);
         });
         let outcomes = sink.data_at(1);
         assert!(!outcomes.is_empty());
@@ -941,12 +927,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         with_sink(&mut sink, |ctx| {
             for seq in 0..400u64 {
-                op.process(DataTuple::new(seq, w.sample(&mut rng)), ctx);
+                feed_tuple(&mut op, DataTuple::new(seq, w.sample(&mut rng)), ctx);
             }
             // A gross outlier to force the quarantine path.
             let mut spike = vec![0.0; D];
             spike[3] = 500.0;
-            op.process(DataTuple::new(400, spike), ctx);
+            feed_tuple(&mut op, DataTuple::new(400, spike), ctx);
             op.on_control(
                 ControlTuple::new(
                     KIND_SYNC_COMMAND,
@@ -973,7 +959,7 @@ mod tests {
     fn malformed_tuple_dropped_not_fatal() {
         let mut op = StreamingPcaOp::new(0, cfg(), 0);
         with_ctx(2, |ctx| {
-            op.process(DataTuple::new(0, vec![1.0; 3]), ctx); // wrong dim
+            feed_tuple(&mut op, DataTuple::new(0, vec![1.0; 3]), ctx); // wrong dim
         });
         assert_eq!(op.processed, 0);
     }
@@ -1011,7 +997,7 @@ mod tests {
 
         with_ctx(2, |ctx| {
             for (seq, s) in samples.iter().enumerate() {
-                clean.process(DataTuple::new(seq as u64, s.clone()), ctx);
+                feed_tuple(&mut clean, DataTuple::new(seq as u64, s.clone()), ctx);
             }
         });
 
@@ -1019,7 +1005,7 @@ mod tests {
         let mut sink = CaptureSink::new(2);
         with_sink_counters(&mut sink, &counters, |ctx| {
             for (seq, s) in samples.iter().enumerate() {
-                dirty.process(DataTuple::new(seq as u64, s.clone()), ctx);
+                feed_tuple(&mut dirty, DataTuple::new(seq as u64, s.clone()), ctx);
                 if seq % 100 == 7 {
                     let mut bad = vec![0.0; D];
                     bad[seq % D] = if seq % 200 == 7 {
@@ -1027,7 +1013,7 @@ mod tests {
                     } else {
                         f64::INFINITY
                     };
-                    dirty.process(DataTuple::new(10_000 + seq as u64, bad), ctx);
+                    feed_tuple(&mut dirty, DataTuple::new(10_000 + seq as u64, bad), ctx);
                 }
             }
         });
@@ -1048,7 +1034,7 @@ mod tests {
     fn quarantine_port_receives_nonfinite_tuples_verbatim() {
         let mut op = StreamingPcaOp::new(0, cfg(), 0).with_quarantine();
         let sink = with_ctx(3, |ctx| {
-            op.process(DataTuple::new(4, vec![f64::NAN; D]), ctx);
+            feed_tuple(&mut op, DataTuple::new(4, vec![f64::NAN; D]), ctx);
         });
         let q = sink.data_at(2);
         assert_eq!(q.len(), 1);
@@ -1088,7 +1074,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let sink = with_ctx(3, |ctx| {
             for seq in 0..120u64 {
-                op.process(DataTuple::new(seq, w.sample(&mut rng)), ctx);
+                feed_tuple(&mut op, DataTuple::new(seq, w.sample(&mut rng)), ctx);
             }
         });
         // Beats at processed 1, 50 and 100.

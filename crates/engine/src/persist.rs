@@ -13,7 +13,7 @@ use spca_core::EigenSystem;
 use spca_linalg::Mat;
 use spca_streams::checkpoint::{read_sealed, seal, write_atomic_vfs};
 use spca_streams::vfs::RealVfs;
-use spca_streams::{ControlTuple, DataTuple, OpContext, Operator};
+use spca_streams::{ControlTuple, OpContext, Operator};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -199,8 +199,6 @@ impl SnapshotWriter {
 }
 
 impl Operator for SnapshotWriter {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
-
     fn on_control(&mut self, t: ControlTuple, _ctx: &mut OpContext<'_>) {
         if t.kind != KIND_SNAPSHOT {
             return;

@@ -18,7 +18,7 @@ use crate::messages::{
 };
 use spca_streams::checkpoint::{decode_kv, encode_kv, kv_parse, kv_u64, Checkpoint};
 use spca_streams::metrics::Counter;
-use spca_streams::{ActiveSet, ControlTuple, DataTuple, OpContext, Operator};
+use spca_streams::{ActiveSet, ControlTuple, OpContext, Operator};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -241,8 +241,6 @@ impl SyncController {
 }
 
 impl Operator for SyncController {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
-
     fn on_control(&mut self, t: ControlTuple, ctx: &mut OpContext<'_>) {
         // Validate before trusting: a malformed or foreign control tuple
         // (wrong payload type, payload/header sender mismatch, out-of-range

@@ -57,7 +57,6 @@ struct ScriptedSource {
 }
 
 impl Operator for ScriptedSource {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
     fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
         if self.next == self.inject_at {
             ctx.emit_control(
@@ -83,7 +82,6 @@ struct SnapshotSink {
 }
 
 impl Operator for SnapshotSink {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
     fn on_control(&mut self, c: ControlTuple, _ctx: &mut OpContext<'_>) {
         if c.kind == KIND_SNAPSHOT {
             if let Some(st) = c.payload_as::<PeerState>() {

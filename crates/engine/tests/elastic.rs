@@ -28,7 +28,7 @@ use spca_engine::{
 };
 use spca_spectra::PlantedSubspace;
 use spca_streams::metrics::Counter;
-use spca_streams::operator::testing::with_ctx;
+use spca_streams::operator::testing::{feed_tuple, with_ctx};
 use spca_streams::ops::GeneratorSource;
 use spca_streams::{ControlTuple, DataTuple, Engine, FaultPlan, Operator};
 use std::path::PathBuf;
@@ -195,7 +195,7 @@ fn joining_engine_shares_only_after_the_independence_gate_repasses() {
         let mut rng = StdRng::seed_from_u64(seed);
         with_ctx(3, |ctx| {
             for seq in 0..n {
-                op.process(DataTuple::new(seq as u64, w.sample(&mut rng)), ctx);
+                feed_tuple(op, DataTuple::new(seq as u64, w.sample(&mut rng)), ctx);
             }
         });
     };

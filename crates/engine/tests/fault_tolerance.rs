@@ -399,8 +399,6 @@ struct ScriptedFeed {
 }
 
 impl Operator for ScriptedFeed {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
-
     fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
         if self.next == self.merge_at {
             if let Some(peer) = self.peer.take() {

@@ -5,7 +5,9 @@
 //! second frame it receives, and each fault there must give the restart
 //! and quarantine counts a per-tuple transport gave, consume every row
 //! exactly once, and — but for the quarantined row — leave both engines
-//! bit-identical to the fault-free run.
+//! bit-identical to the fault-free run. Fused into one PE, the same rows
+//! reach the engines through the PE's local frame, and each fault must do
+//! the same there.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -21,9 +23,9 @@ use std::sync::Arc;
 const D: usize = 16;
 const ROWS: u64 = 2_000;
 
-fn run(fault: Option<&str>) -> (RunReport, Vec<EigenSystem>) {
+fn run(fault: Option<&str>, fuse: bool) -> (RunReport, Vec<EigenSystem>) {
     let label = fault.map_or("clean".to_string(), |f| f.replace(['@', ':'], "-"));
-    let dir = std::env::temp_dir().join(format!("spca_ff_{}_{label}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("spca_ff_{}_{label}_{fuse}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
     let pca = PcaConfig::new(D, 2)
@@ -41,6 +43,7 @@ fn run(fault: Option<&str>) -> (RunReport, Vec<EigenSystem>) {
     cfg.channel_capacity = 64 * ROWS as usize;
     cfg.recovery_dir = Some(dir.clone());
     cfg.recovery_every = 500;
+    cfg.fuse = fuse;
     if let Some(spec) = fault {
         cfg.faults = Some(normalize_fault_targets(FaultPlan::parse(spec).unwrap()));
     }
@@ -70,8 +73,22 @@ fn same_bits(a: &EigenSystem, b: &EigenSystem) -> bool {
 
 #[test]
 fn faults_inside_a_frame_keep_their_row_and_their_counts() {
-    let (clean, clean_eigs) = run(None);
+    for fuse in [false, true] {
+        check_faults(fuse);
+    }
+}
+
+fn check_faults(fuse: bool) {
+    let (clean, clean_eigs) = run(None, fuse);
     assert_eq!(clean.tuples_in_matching("pca-"), ROWS);
+    // A PE restart counts once per member of the PE (DESIGN §7).
+    let members = clean
+        .pe_cpu
+        .iter()
+        .find(|pe| pe.members.iter().any(|m| m == "pca-1"))
+        .expect("engine 1 runs in a PE")
+        .members
+        .len() as u64;
 
     // (fault, operator restarts, PE restarts, quarantined)
     for (fault, restarts, pe_restarts, quarantined) in [
@@ -80,26 +97,33 @@ fn faults_inside_a_frame_keep_their_row_and_their_counts() {
         ("stall@engine1:100:30", 0, 0, 0),
         ("kill-pe@engine1:100", 0, 1, 0),
     ] {
-        let (report, eigs) = run(Some(fault));
+        let (report, eigs) = run(Some(fault), fuse);
         assert_eq!(
             (
                 report.total(Counter::Restarts),
                 report.total(Counter::PeRestarts),
                 report.total(Counter::Quarantined),
             ),
-            (restarts, pe_restarts, quarantined),
-            "{fault}: restarts, PE restarts, quarantined"
+            (restarts, pe_restarts * members, quarantined),
+            "{fault} (fused: {fuse}): restarts, PE restarts, quarantined"
         );
         assert_eq!(
             report.tuples_in_matching("pca-"),
             ROWS,
-            "{fault}: every row consumed once"
+            "{fault} (fused: {fuse}): every row consumed once"
         );
         for (e, (eig, clean)) in eigs.iter().zip(&clean_eigs).enumerate() {
             if quarantined > 0 && e == 1 {
-                assert_eq!(eig.n_obs + 1, clean.n_obs, "{fault}: one row quarantined");
+                assert_eq!(
+                    eig.n_obs + 1,
+                    clean.n_obs,
+                    "{fault} (fused: {fuse}): one row quarantined"
+                );
             } else {
-                assert!(same_bits(eig, clean), "{fault}: engine {e} differs");
+                assert!(
+                    same_bits(eig, clean),
+                    "{fault} (fused: {fuse}): engine {e} differs"
+                );
             }
         }
     }

@@ -1,10 +1,11 @@
 //! The threaded execution engine.
 //!
 //! One OS thread per processing element (PE): operators fused into a PE
-//! dispatch tuples to each other through an in-memory queue (the analogue
-//! of InfoSphere passing "data by pointer as a variable in memory"), while
-//! cross-PE edges are bounded `std::sync::mpsc` channels that provide
-//! backpressure and traffic accounting. A PE with nothing to do sleeps on
+//! hand tuples to each other through the PE's own local frame (the
+//! analogue of InfoSphere passing "data by pointer as a variable in
+//! memory": a row is copied once into the frame and read there in place),
+//! while cross-PE edges are bounded `std::sync::mpsc` channels of frames
+//! that provide backpressure and traffic accounting. A PE with nothing to do sleeps on
 //! one wake-up that every producer into it rings (`tuple::Wake`). Sources
 //! are driven cooperatively by their PE's thread; end-of-stream
 //! punctuation flows edge-by-edge, so a PE (and the whole run) winds down
@@ -19,9 +20,10 @@
 //! (threshold reached, downstream idle, scheduler about to block) and
 //! *immediately* for control tuples and punctuation, so synchronization
 //! latency is never batched away; see [`RemoteEdge`] for the exact policy.
-//! The consuming PE hands each run of a frame's rows to its operator's
-//! [`Operator::process_rows`] in one call. Delivery order per edge is
-//! unchanged from per-tuple transport (frames preserve FIFO), and link
+//! The consuming PE hands each run of a frame's rows — off a channel or
+//! off its local frame — to its operator's [`Operator::process_rows`] in
+//! one call, the one way a row enters an operator. Delivery order per edge
+//! is unchanged from per-tuple transport (frames preserve FIFO), and link
 //! metrics stay tuple-denominated.
 //!
 //! ## Supervision
@@ -34,18 +36,18 @@
 //! outside it (in [`PeRuntime`]), so a panic unwinds only the loop's stack,
 //! and `in_call` decides what restarts:
 //!
-//! * **The operator**, for a panic in `process`, `process_rows` or
-//!   `on_control`. When the loop re-enters, [`restart_op`] backs off, asks
+//! * **The operator**, for a panic in `process_rows` or `on_control`.
+//!   When the loop re-enters, [`restart_op`] backs off, asks
 //!   [`Operator::recover`] — the operator's consent to go on — restores a
 //!   consenting one with a [`crate::checkpoint::Checkpoint`] facet from the
-//!   PE's checkpoint, and re-feeds the in-flight data tuple, or the row of
-//!   a run in flight, once; the run's rows not yet taken are routed after
-//!   it. One that declines is finished so its end-of-stream still
-//!   propagates. Counted as [`Counter::Restarts`].
+//!   PE's checkpoint, and re-feeds the row in flight once, as a run of
+//!   one; the run's rows not yet taken are routed after it. One that
+//!   declines is finished so its end-of-stream still propagates. Counted
+//!   as [`Counter::Restarts`].
 //! * **The PE**, for a panic in `drive`, `on_start` or `on_finish`, or
 //!   outside any callback (an injected `kill-pe`). [`restart_pe`] restores
 //!   every checkpointable member from the PE's checkpoint, cross-PE frame
-//!   channels reconnect untouched (the pending queue and edge buffers
+//!   channels reconnect untouched (the local frames and edge buffers
 //!   survive), and the loop re-enters; a member that panicked in a hook is
 //!   finished first, without it. Counted as [`Counter::PeRestarts`] on
 //!   every member.
@@ -81,11 +83,11 @@ use crate::metrics::{
 use crate::netio::{AckMode, LinkIn, NetTransport, INBOUND_FRAMES};
 use crate::operator::{EmitSink, OpContext, Operator, SourceState};
 use crate::tuple::{
-    frame_channel, wake, DataTuple, Frame, FrameRx, FrameTx, Punctuation, RowRef, Tuple, TAG_CTRL,
-    TAG_DATA,
+    frame_channel, wake, ControlTuple, Frame, FrameRx, FrameTx, Punctuation, RowRef, Tuple,
+    TAG_CTRL, TAG_DATA,
 };
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, TryRecvError};
@@ -146,16 +148,12 @@ struct RemoteEdge {
 }
 
 impl RemoteEdge {
-    fn push(&mut self, t: Tuple) {
+    fn push(&mut self, t: &Tuple) {
         match t {
             Tuple::Data(d) => self.push_row(d.row()),
             // Control tuples and punctuation go out at once.
-            Tuple::Control(c) => {
-                self.buf.push_control(c);
-                self.flush();
-            }
-            Tuple::Punct(Punctuation::EndOfStream) => {
-                self.buf.push_eos();
+            _ => {
+                self.buf.push(t);
                 self.flush();
             }
         }
@@ -238,18 +236,67 @@ impl RemoteEdge {
 
 /// Where an emission goes.
 enum Target {
-    /// Same-PE operator: queued in the PE's pending deque.
+    /// Same-PE operator: queued in the PE's local frame.
     Local { op: usize, port: PortKind },
     /// Cross-PE edge with frame batching.
     Remote(Box<RemoteEdge>),
 }
 
+/// A frame being routed, and where in it: the next entry, data row and
+/// control tuple. Routing a frame through a cursor instead of wholesale
+/// lets the scheduler interleave channels — a run of rows or one other
+/// entry at a time — while still paying channel synchronization only once
+/// per frame.
+#[derive(Default)]
+struct Cursor {
+    frame: Frame,
+    at: usize,
+    /// A run of rows handed to `process_rows` advances this as the
+    /// operator takes each one, so after a panic it tells the PE which row
+    /// was in flight.
+    row: Cell<usize>,
+    ctrl: usize,
+}
+
+impl Cursor {
+    fn is_spent(&self) -> bool {
+        self.at >= self.frame.len()
+    }
+
+    /// Points the cursor at the start of `frame`; returns the old one.
+    fn reset(&mut self, frame: Frame) -> Frame {
+        (self.at, self.ctrl) = (0, 0);
+        self.row.set(0);
+        std::mem::replace(&mut self.frame, frame)
+    }
+
+    /// The data rows from the cursor on, up to the next other entry and
+    /// at most `max`.
+    fn run_len(&self, max: usize) -> usize {
+        self.frame.tags[self.at..]
+            .iter()
+            .take(max)
+            .take_while(|&&tag| tag == TAG_DATA)
+            .count()
+    }
+
+    /// Moves the cursor past the `n` data rows from row `first` on.
+    fn consumed(&mut self, first: usize, n: usize) {
+        self.at += n;
+        self.row.set(first + n);
+    }
+
+    /// Takes the control tuple or end-of-stream at the cursor.
+    fn take_other(&mut self) -> Option<ControlTuple> {
+        self.at += 1;
+        (self.frame.tags[self.at - 1] == TAG_CTRL).then(|| {
+            self.ctrl += 1;
+            self.frame.ctrls[self.ctrl - 1].clone()
+        })
+    }
+}
+
 /// Receive side of one cross-PE edge: its channel and where it leads.
-///
-/// `cur` is the frame being routed and `at` its next entry. Routing a
-/// frame through a cursor instead of wholesale lets the scheduler
-/// interleave channels — a run of rows or one other entry at a time — while
-/// still paying channel synchronization only once per frame.
 struct ChanMeta {
     rx: FrameRx,
     to_local: usize,
@@ -257,15 +304,7 @@ struct ChanMeta {
     got_eos: bool,
     alive: bool,
     /// The current frame, recycled to the producer once spent.
-    cur: Frame,
-    /// Next entry of `cur`.
-    at: usize,
-    /// Next data row of `cur`. A run of rows handed to `process_rows`
-    /// advances it as the operator takes each one, so after a panic it
-    /// tells the PE which row was in flight.
-    row: Cell<usize>,
-    /// Next control tuple of `cur`.
-    ctrl: usize,
+    cur: Cursor,
     /// Entries routed off this channel so far. For socket-backed channels
     /// this is the durable consumption watermark persisted as a
     /// `__netlink{id}` pseudo-part in the PE manifest.
@@ -294,35 +333,62 @@ impl ChanMeta {
     /// channel once the current one is spent; `Disconnected` once the
     /// channel closed with the cursor spent.
     fn refill(&mut self) -> Result<(), TryRecvError> {
-        if self.at < self.cur.len() {
+        if !self.cur.is_spent() {
             return Ok(());
         }
         let frame = self.rx.try_recv()?;
-        self.rx.recycle(std::mem::replace(&mut self.cur, frame));
-        (self.at, self.ctrl) = (0, 0);
-        self.row.set(0);
+        self.rx.recycle(self.cur.reset(frame));
         // An empty frame (defensively) reads as nothing queued.
-        if self.cur.is_empty() {
+        if self.cur.is_spent() {
             return Err(TryRecvError::Empty);
         }
         Ok(())
     }
+}
 
-    /// The data rows from the cursor on, up to the next other entry and
-    /// at most `max`.
-    fn run_len(&self, max: usize) -> usize {
-        self.cur.tags[self.at..]
-            .iter()
-            .take(max)
-            .take_while(|&&tag| tag == TAG_DATA)
-            .count()
+/// Entries emitted onto a PE's local edges, in emission order: the rows
+/// copied into a frame, and each entry's consumer.
+#[derive(Default)]
+struct LocalFrame {
+    frame: Frame,
+    to: Vec<(usize, PortKind)>,
+}
+
+/// What a PE routes rows from: its channels, and the local frame being
+/// drained — in emission order, as a FIFO queue would: what is emitted
+/// meanwhile goes to [`PeCore::queued`], which takes its place once it is
+/// spent.
+struct Inbox {
+    metas: Vec<ChanMeta>,
+    local: Cursor,
+    /// The consumer of each entry of `local`.
+    local_to: Vec<(usize, PortKind)>,
+}
+
+/// Where a cursor lives: channel `ci`, or the local frame.
+#[derive(Clone, Copy)]
+enum Src {
+    Chan(usize),
+    Local,
+}
+
+/// Row `r` of `src`'s frame.
+type RowAt = (Src, usize);
+
+impl Inbox {
+    fn cursor(&mut self, src: Src) -> &mut Cursor {
+        match src {
+            Src::Chan(ci) => &mut self.metas[ci].cur,
+            Src::Local => &mut self.local,
+        }
     }
 
-    /// Moves the cursor past the `n` data rows from row `first` on.
-    fn consumed(&mut self, first: usize, n: usize) {
-        self.at += n;
-        self.row.set(first + n);
-        self.routed += n as u64;
+    /// Moves `src`'s cursor past the `n` data rows from row `first` on.
+    fn consumed(&mut self, src: Src, first: usize, n: usize) {
+        self.cursor(src).consumed(first, n);
+        if let Src::Chan(ci) = src {
+            self.metas[ci].routed += n as u64;
+        }
     }
 }
 
@@ -338,10 +404,10 @@ struct OpSlot {
     eos_ctrl: usize,
     finished: bool,
     /// Armed operator faults (panic/poison/stall); empty in normal runs.
-    /// While one has not fired, the slot is fed one row at a time, as a
-    /// tuple, so each fires at its row.
+    /// While one has not fired, the slot is fed runs of one row, so each
+    /// fires at its row.
     faults: Vec<InjectedFault>,
-    /// 1-based count of data tuples delivered, for fault trigger points.
+    /// 1-based count of data rows delivered, for fault trigger points.
     fault_data_seen: u64,
     /// Operator restarts performed so far (compared against the PE's
     /// `policy.max_restarts`).
@@ -360,8 +426,8 @@ impl OpSlot {
 }
 
 /// Panic payload of the injected faults (`panic@`, `kill-pe@`). Both fire
-/// after `process` returned, so the state they unwind from is whole and
-/// worth persisting before the restore.
+/// after `process_rows` returned, so the state they unwind from is whole
+/// and worth persisting before the restore.
 struct PeKill;
 
 /// Which operator callback is running: what [`run_pe`] reads to pick the
@@ -369,13 +435,16 @@ struct PeKill;
 enum Call {
     Start,
     Drive,
-    /// A copy of the in-flight tuple, for redelivery after a restart.
-    Process(DataTuple),
-    /// A run of rows of channel `chan` from row `first` on: the channel's
-    /// row cursor says which one is in flight.
+    /// A run of rows of `src` from row `first` on: its row cursor says
+    /// which one is in flight.
     Rows {
-        chan: usize,
+        src: Src,
         first: usize,
+    },
+    /// Row `r` of `src` again, after a restart.
+    Refeed {
+        src: Src,
+        r: usize,
     },
     Control,
     Finish,
@@ -384,8 +453,8 @@ enum Call {
 /// Everything a PE owns that must survive a restart. The scheduler body
 /// (`run_pe_once`) only *borrows* this, so when a panic unwinds the body,
 /// channel endpoints (senders live in the slots' remote targets, receivers
-/// in `core.metas`), partially consumed frame cursors, the in-PE pending
-/// queue, and the operators themselves all survive for the supervisor to
+/// in `core.inbox.metas`), partially consumed frame cursors, the local
+/// frames, and the operators themselves all survive for the supervisor to
 /// rebuild around.
 struct PeRuntime {
     core: PeCore,
@@ -395,8 +464,8 @@ struct PeRuntime {
     /// Whole-PE restarts performed so far.
     pe_restarts: u64,
     /// The operator restart an unwind left for the re-entered loop to run
-    /// (see [`restart_op`]): member, tuple to re-feed, injected fault.
-    owed_restart: Option<(usize, Option<DataTuple>, bool)>,
+    /// (see [`restart_op`]): member, the row to re-feed, injected fault.
+    owed_restart: Option<(usize, Option<RowAt>, bool)>,
     /// [`checkpoint_progress`] at the last periodic checkpoint.
     last_ckpt_total: u64,
     /// True once `on_start` hooks have run; a restarted PE must not re-run
@@ -414,10 +483,11 @@ struct PeRuntime {
 /// restores from the same checkpoint a PE restart does.
 struct PeCore {
     slots: Vec<OpSlot>,
-    metas: Vec<ChanMeta>,
-    /// In-PE dispatch queue. Owned here — not in the scheduler body — so
-    /// tuples queued at the moment a PE dies are redelivered, not lost.
-    pending: VecDeque<(usize, PortKind, Tuple)>,
+    inbox: Inbox,
+    /// Emissions onto local edges while `inbox.local` drains. Both local
+    /// frames are owned here — not in the scheduler body — so entries
+    /// queued at the moment a PE dies are delivered, not lost.
+    queued: LocalFrame,
     stop: Arc<AtomicBool>,
     /// This PE's index in the graph's PE list (manifest identity).
     pe_index: usize,
@@ -860,10 +930,7 @@ impl Engine {
                             port: e.port,
                             got_eos: false,
                             alive: true,
-                            cur: Frame::default(),
-                            at: 0,
-                            row: Cell::new(0),
-                            ctrl: 0,
+                            cur: Cursor::default(),
                             routed: 0,
                             routed_other: 0,
                             net,
@@ -912,8 +979,12 @@ impl Engine {
             });
             let mut core = PeCore {
                 slots,
-                metas,
-                pending: VecDeque::new(),
+                inbox: Inbox {
+                    metas,
+                    local: Cursor::default(),
+                    local_to: Vec::new(),
+                },
+                queued: LocalFrame::default(),
                 stop: Arc::clone(&stop),
                 pe_index,
                 checkpoint,
@@ -973,43 +1044,35 @@ impl Engine {
     }
 }
 
-/// The per-PE sink: routes emissions to the local pending queue or into
+/// The per-PE sink: copies emissions into the PE's local frame or into
 /// per-edge frame buffers (flushed adaptively; see [`RemoteEdge`]).
 struct PeSink<'a> {
     out_ports: &'a mut [Vec<Target>],
-    pending: &'a mut VecDeque<(usize, PortKind, Tuple)>,
+    queued: &'a mut LocalFrame,
     stop: &'a AtomicBool,
 }
 
 impl EmitSink for PeSink<'_> {
+    // An unwired port silently drops — mirrors InfoSphere streams with no
+    // subscribers.
     fn emit(&mut self, port: usize, t: Tuple) {
-        let targets = &mut self.out_ports[port];
-        if let Some((last, init)) = targets.split_last_mut() {
-            for target in init {
-                deliver(target, t.clone(), self.pending);
-            }
-            deliver(last, t, self.pending);
-        }
-        // An unwired port silently drops — mirrors InfoSphere streams with
-        // no subscribers.
-    }
-
-    fn try_emit(&mut self, port: usize, t: Tuple) -> Result<(), Tuple> {
-        if would_block(&self.out_ports[port], !matches!(t, Tuple::Data(_))) {
-            return Err(t);
-        }
-        self.emit(port, t);
-        Ok(())
-    }
-
-    fn emit_row(&mut self, port: usize, row: RowRef<'_>) {
-        // Fused targets share one tuple; a cross-PE edge copies the row.
-        let mut shared: Option<DataTuple> = None;
         for target in self.out_ports[port].iter_mut() {
             match target {
                 Target::Local { op, port } => {
-                    let d = shared.get_or_insert_with(|| row.to_tuple()).clone();
-                    self.pending.push_back((*op, *port, Tuple::Data(d)));
+                    self.queued.frame.push(&t);
+                    self.queued.to.push((*op, *port));
+                }
+                Target::Remote(edge) => edge.push(&t),
+            }
+        }
+    }
+
+    fn emit_row(&mut self, port: usize, row: RowRef<'_>) {
+        for target in self.out_ports[port].iter_mut() {
+            match target {
+                Target::Local { op, port } => {
+                    self.queued.frame.push_row(row);
+                    self.queued.to.push((*op, *port));
                 }
                 Target::Remote(edge) => edge.push_row(row),
             }
@@ -1017,7 +1080,7 @@ impl EmitSink for PeSink<'_> {
     }
 
     fn try_emit_row(&mut self, port: usize, row: RowRef<'_>) -> bool {
-        if would_block(&self.out_ports[port], false) {
+        if would_block(&self.out_ports[port]) {
             return false;
         }
         self.emit_row(port, row);
@@ -1037,23 +1100,14 @@ impl EmitSink for PeSink<'_> {
     }
 }
 
-/// The all-or-nothing check behind the non-blocking emits: true when a
-/// send to `targets` would wait. Local targets never do; a cross-PE edge
-/// does when its channel is full and the entry would flush its frame — a
-/// row only when it fills the frame, a control tuple or punctuation
-/// (`urgent`) always.
-fn would_block(targets: &[Target], urgent: bool) -> bool {
+/// The all-or-nothing check behind the non-blocking emit: true when a row
+/// sent to `targets` would wait. Local targets never do; a cross-PE edge
+/// does when its channel is full and the row would fill its frame.
+fn would_block(targets: &[Target]) -> bool {
     targets.iter().any(|target| match target {
-        Target::Remote(e) => e.tx.is_full() && (urgent || e.buf.len() + 1 >= e.batch),
+        Target::Remote(e) => e.tx.is_full() && e.buf.len() + 1 >= e.batch,
         Target::Local { .. } => false,
     })
-}
-
-fn deliver(target: &mut Target, t: Tuple, pending: &mut VecDeque<(usize, PortKind, Tuple)>) {
-    match target {
-        Target::Local { op, port } => pending.push_back((*op, *port, t)),
-        Target::Remote(edge) => edge.push(t),
-    }
 }
 
 /// Flushes every buffered cross-PE edge of every operator on this PE.
@@ -1078,23 +1132,23 @@ fn flush_ports(ports: &mut [Vec<Target>]) {
 /// with a context wired to the PE's sink, timed into the op's busy counter.
 /// The operator is borrowed in its slot, and `in_call` names it until the
 /// callback returns, so a panic inside tells [`run_pe`] whose it was. The
-/// callback also sees the PE's channel cursors, where a run of rows lives.
+/// callback also sees the PE's inbox, where a run of rows lives.
 fn call<R>(
     pe: &mut PeCore,
     idx: usize,
     what: Call,
-    f: impl FnOnce(&mut dyn Operator, &mut OpContext<'_>, &[ChanMeta]) -> R,
+    f: impl FnOnce(&mut dyn Operator, &mut OpContext<'_>, &mut Inbox) -> R,
 ) -> R {
     pe.in_call = Some((idx, what));
     let slot = &mut pe.slots[idx];
     let mut sink = PeSink {
         out_ports: &mut slot.out_ports,
-        pending: &mut pe.pending,
+        queued: &mut pe.queued,
         stop: &pe.stop,
     };
     let ctx = &mut OpContext::new(&mut sink, &slot.counters);
     let t0 = Instant::now();
-    let ret = f(&mut *slot.op, ctx, &pe.metas);
+    let ret = f(&mut *slot.op, ctx, &mut pe.inbox);
     slot.counters.add_busy(t0.elapsed().as_nanos() as u64);
     pe.in_call = None;
     ret
@@ -1103,9 +1157,8 @@ fn call<R>(
 /// PE thread entry: the supervisor. The scheduler body runs under the PE's
 /// one `catch_unwind` while [`PeRuntime`] stays owned out here, so a panic
 /// tears down only the *stack* of the scheduler. What was running picks the
-/// scope: a panic in `process`, `process_rows` or `on_control` leaves an
-/// operator restart owed to the re-entered loop; anything else restarts the
-/// PE.
+/// scope: a panic in `process_rows` or `on_control` leaves an operator
+/// restart owed to the re-entered loop; anything else restarts the PE.
 fn run_pe(mut pe: PeRuntime) {
     while let Err(payload) =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_pe_once(&mut pe)))
@@ -1113,23 +1166,23 @@ fn run_pe(mut pe: PeRuntime) {
         let injected = payload.is::<PeKill>();
         let core = &mut pe.core;
         match core.in_call.take() {
-            // An injected panic fired after `process` returned: the tuple
-            // is processed and the state whole. A real one left the tuple
-            // unprocessed, to be re-fed.
-            Some((idx, Call::Process(d))) => {
-                pe.owed_restart = Some((idx, (!injected).then_some(d), injected));
+            // A run of rows: the ones taken are consumed, the last of them
+            // unprocessed and re-fed from where it lies — unless the panic
+            // was the injected one, which fires after `process_rows`
+            // returned, with the state whole. The rest stay queued behind
+            // the cursor and are routed after the restart.
+            Some((idx, Call::Rows { src, first })) => {
+                let taken = core.inbox.cursor(src).row.get() - first;
+                core.inbox.consumed(src, first, taken);
+                core.slots[idx].counters.add_in(taken as u64);
+                let retry = (taken > 0 && !injected).then_some((src, first + taken - 1));
+                pe.owed_restart = Some((idx, retry, injected));
                 continue;
             }
-            // A run of rows: the ones taken are consumed, the last of them
-            // unprocessed and re-fed; the rest stay queued in the channel's
-            // cursor and are routed after the restart.
-            Some((idx, Call::Rows { chan, first })) => {
-                let m = &mut core.metas[chan];
-                let taken = m.row.get() - first;
-                m.consumed(first, taken);
-                core.slots[idx].counters.add_in(taken as u64);
-                let retry = (taken > 0 && !injected).then(|| m.cur.row(m.row.get() - 1).to_tuple());
-                pe.owed_restart = Some((idx, retry, injected));
+            // A re-fed row that panicked again: owed once more, to be
+            // dropped as a poison pill.
+            Some((idx, Call::Refeed { src, r })) => {
+                pe.owed_restart = Some((idx, Some((src, r)), false));
                 continue;
             }
             // Control tuples are never redelivered: sync commands are
@@ -1275,15 +1328,15 @@ impl PeDurability {
 }
 
 /// Teardown capture: persists the PE's in-memory state as it stands. Only
-/// for a fault that struck *between* tuples — an injected `kill-pe` or
-/// `panic@`, both of which fire after `process` returned — where that
+/// for a fault that struck *between* rows — an injected `kill-pe` or
+/// `panic@`, both of which fire after `process_rows` returned — where that
 /// state is consistent and the restore that follows ([`recover_set`]
 /// flushes the writer first) round-trips it through disk, so the run stays
 /// bit-identical to a fault-free one. If the write fails, recovery reads
 /// the last durable generation instead.
 fn submit_capture(pe: &mut PeCore) {
     if let Some(ckpt) = &pe.checkpoint {
-        ckpt.submit(capture_pe(&mut pe.slots, &pe.metas));
+        ckpt.submit(capture_pe(&mut pe.slots, &pe.inbox.metas));
     }
 }
 
@@ -1359,7 +1412,7 @@ fn recover_for_rehydrate(pe: &mut PeCore) -> Option<checkpoint::SnapshotSet> {
                     continue;
                 }
             };
-        for m in pe.metas.iter_mut() {
+        for m in pe.inbox.metas.iter_mut() {
             if let Some(net) = m.net.as_ref().filter(|n| n.link_id == link_id) {
                 net.link.preset(routed);
                 m.routed = routed;
@@ -1421,7 +1474,7 @@ fn restart_pe(pe: &mut PeRuntime, clean: bool) -> bool {
 fn punctuate(pe: &mut PeCore, idx: usize) {
     let mut sink = PeSink {
         out_ports: &mut pe.slots[idx].out_ports,
-        pending: &mut pe.pending,
+        queued: &mut pe.queued,
         stop: &pe.stop,
     };
     for p in 0..sink.out_ports.len() {
@@ -1451,7 +1504,7 @@ fn run_pe_once(pe: &mut PeRuntime) {
     // cadence even when no member is checkpointable — its manifests carry
     // the netlink watermarks that let stable acks release the sender's
     // retransmit queue.
-    let has_net = pe.metas.iter().any(|m| m.net.is_some());
+    let has_net = pe.inbox.metas.iter().any(|m| m.net.is_some());
     let cadence: Option<u64> = pe
         .slots
         .iter_mut()
@@ -1545,7 +1598,7 @@ fn run_pe_once(pe: &mut PeRuntime) {
             flush_all(&mut pe.slots);
             if sweep_channels(pe) {
                 progressed = true;
-            } else if pe.metas.iter().any(|m| m.alive) {
+            } else if pe.inbox.metas.iter().any(|m| m.alive) {
                 // A frame queued or a sender dropped since the sweep left
                 // its ring behind, so this returns at once; on timeout,
                 // fall through to the exit checks.
@@ -1557,14 +1610,14 @@ fn run_pe_once(pe: &mut PeRuntime) {
         // 3. Periodic checkpoint: once the PE has consumed a cadence worth
         //    of entries since the last snapshot set, capture a fresh
         //    consistent one and hand it to the writer. This sits between
-        //    tuples (the pending queue is drained), so the set is
+        //    tuples (the local frames are drained), so the set is
         //    consistent by construction, and the engine pays for the
         //    capture only: the fsyncs run behind it.
         if let (Some(every), Some(ckpt)) = (cadence, pe.checkpoint.as_ref()) {
-            let total = checkpoint_progress(&pe.slots, &pe.metas);
+            let total = checkpoint_progress(&pe.slots, &pe.inbox.metas);
             if total.saturating_sub(*last_ckpt_total) >= ckpt.window(every) {
                 *last_ckpt_total = total;
-                ckpt.submit(capture_pe(&mut pe.slots, &pe.metas));
+                ckpt.submit(capture_pe(&mut pe.slots, &pe.inbox.metas));
             }
         }
 
@@ -1576,8 +1629,8 @@ fn run_pe_once(pe: &mut PeRuntime) {
         // remaining unfinished ops can never finish through EOS (e.g. a
         // consumer fed only by a stopped peer that never wired EOS) —
         // finish them defensively rather than spinning forever.
-        let channels_alive = pe.metas.iter().any(|c| c.alive);
-        if !progressed && !sources_alive && !channels_alive && pe.pending.is_empty() {
+        let channels_alive = pe.inbox.metas.iter().any(|c| c.alive);
+        if !progressed && !sources_alive && !channels_alive {
             for i in 0..pe.slots.len() {
                 if !pe.slots[i].finished {
                     finish_op(pe, i);
@@ -1638,11 +1691,11 @@ fn sweep_channels(pe: &mut PeCore) -> bool {
     let mut budget = SWEEP_TUPLES;
     while budget > 0 {
         let mut most = 0;
-        for ci in 0..pe.metas.len() {
-            if !pe.metas[ci].alive {
+        for ci in 0..pe.inbox.metas.len() {
+            if !pe.inbox.metas[ci].alive {
                 continue;
             }
-            match route_next(pe, ci, budget) {
+            match route_next(pe, Src::Chan(ci), budget) {
                 Ok(n) => most = most.max(n),
                 Err(TryRecvError::Empty) => continue,
                 Err(TryRecvError::Disconnected) => on_disconnect(pe, ci),
@@ -1658,164 +1711,145 @@ fn sweep_channels(pe: &mut PeCore) -> bool {
     progressed
 }
 
-/// Routes what channel `ci` holds next: a run of at most `max` data rows,
-/// a control tuple, or end-of-stream. Returns the entries routed.
-fn route_next(pe: &mut PeCore, ci: usize, max: usize) -> Result<usize, TryRecvError> {
-    let m = &mut pe.metas[ci];
-    m.refill()?;
-    let tag = m.cur.tags[m.at];
-    if tag == TAG_DATA {
-        let n = m.run_len(max);
-        return Ok(route_rows(pe, ci, n));
-    }
-    m.at += 1;
-    m.routed += 1;
-    m.routed_other += 1;
-    let t = if tag == TAG_CTRL {
-        m.ctrl += 1;
-        Tuple::Control(m.cur.ctrls[m.ctrl - 1].clone())
-    } else {
-        m.got_eos = true;
-        m.alive = false;
-        Tuple::Punct(Punctuation::EndOfStream)
+/// Routes what `src` holds next: a run of at most `max` data rows (in the
+/// local frame, all bound for one consumer), a control tuple, or
+/// end-of-stream. Returns the entries routed.
+fn route_next(pe: &mut PeCore, src: Src, max: usize) -> Result<usize, TryRecvError> {
+    let inbox = &mut pe.inbox;
+    let (to, port) = match src {
+        Src::Chan(ci) => {
+            let m = &mut inbox.metas[ci];
+            m.refill()?;
+            (m.to_local, m.port)
+        }
+        Src::Local => inbox.local_to[inbox.local.at],
     };
-    let (to, port) = (m.to_local, m.port);
-    dispatch(pe, to, port, t);
+    let cur = inbox.cursor(src);
+    let at = cur.at;
+    if cur.frame.tags[at] == TAG_DATA {
+        let n = cur.run_len(max);
+        let n = match src {
+            Src::Chan(_) => n,
+            Src::Local => inbox.local_to[at..at + n]
+                .iter()
+                .take_while(|&&d| d == (to, port))
+                .count(),
+        };
+        return Ok(route_rows(pe, src, to, port, n));
+    }
+    let ctrl = cur.take_other();
+    if let Src::Chan(ci) = src {
+        let m = &mut inbox.metas[ci];
+        (m.routed, m.routed_other) = (m.routed + 1, m.routed_other + 1);
+        if ctrl.is_none() {
+            (m.got_eos, m.alive) = (true, false);
+        }
+    }
+    match ctrl {
+        Some(c) => control(pe, to, c),
+        None => end_of_stream(pe, to, port),
+    }
     Ok(1)
 }
 
-/// Routes up to `n` data rows of channel `ci`, from its cursor on, to its
-/// consumer and returns how many it routed: the run to `process_rows` in
-/// one [`call`], or one row, as a tuple through [`process`], to a consumer
-/// with faults armed. Rows for a finished operator, or on a control port
-/// (a wiring error), are dropped.
-fn route_rows(pe: &mut PeCore, ci: usize, n: usize) -> usize {
-    let m = &mut pe.metas[ci];
-    let (to, first) = (m.to_local, m.row.get());
-    let slot = &pe.slots[to];
-    if m.port != PortKind::Data || slot.finished {
-        m.consumed(first, n);
+/// Routes up to `n` data rows of `src`, from its cursor on, to operator
+/// `to` in one [`call`] of `process_rows`, and returns how many it routed.
+/// An operator with faults armed gets a run of one: a poison fault due at
+/// that row overwrites its values where it lies and a stall sleeps before
+/// the call; an injected `panic@` or `kill-pe@` is raised after it
+/// returned, so the row is fully processed and the fault window loses no
+/// data. Rows for a finished operator, or on a control port (a wiring
+/// error), are dropped.
+fn route_rows(pe: &mut PeCore, src: Src, to: usize, port: PortKind, mut n: usize) -> usize {
+    let first = pe.inbox.cursor(src).row.get();
+    let slot = &mut pe.slots[to];
+    if port != PortKind::Data || slot.finished {
+        pe.inbox.consumed(src, first, n);
         return n;
     }
+    let (mut poison, mut panic_due, mut kill_pe_due) = (None, false, false);
     if slot.faults_armed() {
-        let d = m.cur.row(first).to_tuple();
-        m.consumed(first, 1);
-        slot.counters.add_in(1);
-        process(pe, to, d);
-        return 1;
+        n = 1;
+        slot.fault_data_seen += 1;
+        let seen = slot.fault_data_seen;
+        for f in slot.faults.iter_mut().filter(|f| !f.fired) {
+            match f.action {
+                FaultAction::PoisonNan(n) if n == seen => poison = Some(f64::NAN),
+                FaultAction::PoisonInf(n) if n == seen => poison = Some(f64::INFINITY),
+                FaultAction::Stall { at, ms } if at == seen => {
+                    std::thread::sleep(Duration::from_millis(ms))
+                }
+                FaultAction::PanicAfter(n) if n == seen => panic_due = true,
+                FaultAction::KillPe(n) if n == seen => kill_pe_due = true,
+                _ => continue,
+            }
+            f.fired = true;
+        }
     }
-    call(pe, to, Call::Rows { chan: ci, first }, |op, ctx, metas| {
-        let m = &metas[ci];
-        op.process_rows(m.cur.rows(&m.row, first + n), ctx);
+    if let Some(fill) = poison {
+        pe.inbox.cursor(src).frame.fill_row(first, fill);
+    }
+    call(pe, to, Call::Rows { src, first }, |op, ctx, inbox| {
+        let c = inbox.cursor(src);
+        op.process_rows(c.frame.rows(&c.row, first + n), ctx);
+        if panic_due {
+            // Blamed on the operator, whose state is whole.
+            std::panic::panic_any(PeKill);
+        }
     });
     pe.slots[to].counters.add_in(n as u64);
-    pe.metas[ci].consumed(first, n);
+    pe.inbox.consumed(src, first, n);
+    if kill_pe_due {
+        // Raised outside any callback, so blamed on nobody: the whole PE
+        // unwinds from a consistent between-rows state, which teardown
+        // persists, so recovery loses nothing.
+        std::panic::panic_any(PeKill);
+    }
     n
 }
 
 fn on_disconnect(pe: &mut PeCore, ci: usize) {
-    let m = &mut pe.metas[ci];
+    let m = &mut pe.inbox.metas[ci];
     m.alive = false;
     if !m.got_eos {
         // Upstream dropped without punctuating (stop/panic path): treat the
         // closure as end-of-stream so this PE can still drain and exit.
         m.got_eos = true;
         let (to, port) = (m.to_local, m.port);
-        dispatch(pe, to, port, Tuple::Punct(Punctuation::EndOfStream));
+        end_of_stream(pe, to, port);
     }
 }
 
-fn dispatch(pe: &mut PeCore, idx: usize, port: PortKind, t: Tuple) {
+/// End-of-stream on one of member `idx`'s inputs: once every data edge
+/// (for a control-only consumer, every control edge) has closed, the
+/// member finishes.
+fn end_of_stream(pe: &mut PeCore, idx: usize, port: PortKind) {
+    let s = &mut pe.slots[idx];
+    if s.finished {
+        return; // late punctuation for a finished operator
+    }
+    match port {
+        PortKind::Data => s.eos_data += 1,
+        PortKind::Control => s.eos_ctrl += 1,
+    }
+    let ready = if s.data_in_degree > 0 {
+        s.eos_data >= s.data_in_degree
+    } else {
+        // Control-only consumer: wait for its control edges.
+        s.eos_ctrl >= s.ctrl_in_degree
+    };
+    // Sources finish only through drive() or a stop.
+    if ready && !s.is_source {
+        finish_op(pe, idx);
+    }
+}
+
+fn control(pe: &mut PeCore, idx: usize, c: ControlTuple) {
     if pe.slots[idx].finished {
         return; // late tuple for a finished operator
     }
-    match t {
-        Tuple::Punct(Punctuation::EndOfStream) => {
-            match port {
-                PortKind::Data => pe.slots[idx].eos_data += 1,
-                PortKind::Control => pe.slots[idx].eos_ctrl += 1,
-            }
-            let s = &pe.slots[idx];
-            let ready = if s.data_in_degree > 0 {
-                s.eos_data >= s.data_in_degree
-            } else {
-                // Control-only consumer: wait for its control edges.
-                s.eos_ctrl >= s.ctrl_in_degree
-            };
-            // Sources finish only through drive() or a stop.
-            if ready && !s.is_source {
-                finish_op(pe, idx);
-            }
-        }
-        Tuple::Data(d) => {
-            if port == PortKind::Data {
-                pe.slots[idx].counters.add_in(1);
-                process(pe, idx, d);
-            }
-            // Data on a control port is a wiring error; dropped.
-        }
-        Tuple::Control(c) => {
-            pe.slots[idx].counters.add_control();
-            call(pe, idx, Call::Control, |op, ctx, _| op.on_control(c, ctx));
-        }
-    }
-}
-
-/// Applies pre-delivery operator faults (poison/stall) and hands the tuple
-/// to `process`, raising an injected `panic@` or `kill-pe@` after it
-/// returned.
-fn process(pe: &mut PeCore, idx: usize, mut d: DataTuple) {
-    let mut panic_due = false;
-    let mut kill_pe_due = false;
-    let slot = &mut pe.slots[idx];
-    if !slot.faults.is_empty() {
-        slot.fault_data_seen += 1;
-        let seen = slot.fault_data_seen;
-        for f in slot.faults.iter_mut() {
-            if f.fired {
-                continue;
-            }
-            match f.action {
-                FaultAction::PoisonNan(n) if n == seen => {
-                    f.fired = true;
-                    d = d.poisoned(f64::NAN);
-                }
-                FaultAction::PoisonInf(n) if n == seen => {
-                    f.fired = true;
-                    d = d.poisoned(f64::INFINITY);
-                }
-                FaultAction::Stall { at, ms } if at == seen => {
-                    f.fired = true;
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                // The injected panic fires *after* `process` returns, so a
-                // deterministic fault leaves the tuple fully processed — the
-                // declared fault window loses no data.
-                FaultAction::PanicAfter(n) if n == seen => {
-                    f.fired = true;
-                    panic_due = true;
-                }
-                FaultAction::KillPe(n) if n == seen => {
-                    f.fired = true;
-                    kill_pe_due = true;
-                }
-                _ => {}
-            }
-        }
-    }
-    call(pe, idx, Call::Process(d.clone()), |op, ctx, _| {
-        op.process(d, ctx);
-        if panic_due {
-            // Blamed on the operator, whose state is whole.
-            std::panic::panic_any(PeKill);
-        }
-    });
-    if kill_pe_due {
-        // Raised outside any callback, so blamed on nobody: the whole PE
-        // unwinds from a consistent between-tuples state, which teardown
-        // persists, so recovery loses nothing.
-        std::panic::panic_any(PeKill);
-    }
+    pe.slots[idx].counters.add_control();
+    call(pe, idx, Call::Control, |op, ctx, _| op.on_control(c, ctx));
 }
 
 /// The operator restart, run by the re-entered loop: capped exponential
@@ -1826,9 +1860,11 @@ fn process(pe: &mut PeCore, idx: usize, mut d: DataTuple) {
 /// PE restart reads: after a `clean` panic (the injected one, which left
 /// its state whole) from a teardown capture of exactly that state, after a
 /// real one from the last committed generation. It resumes, re-fed the
-/// in-flight tuple once; an operator that declines — or is past its restart
-/// budget — is finished so end-of-stream still propagates downstream.
-fn restart_op(pe: &mut PeCore, idx: usize, retry: Option<DataTuple>, clean: bool) {
+/// in-flight row once, as a run of one, from the frame it lies in (nothing
+/// routes between the unwind and this); an operator that declines — or is
+/// past its restart budget — is finished so end-of-stream still propagates
+/// downstream.
+fn restart_op(pe: &mut PeCore, idx: usize, retry: Option<RowAt>, clean: bool) {
     let attempt = pe.slots[idx].restart_attempts + 1;
     let policy = pe.policy;
     if attempt > policy.max_restarts {
@@ -1858,13 +1894,15 @@ fn restart_op(pe: &mut PeCore, idx: usize, retry: Option<DataTuple>, clean: bool
             }
             pe.slots[idx].restart_attempts = attempt;
             pe.slots[idx].counters.add(Counter::Restarts, 1);
-            if let Some(d) = retry {
-                // Redeliver the in-flight tuple exactly once: a tuple whose
-                // retry panics again is a poison pill and is dropped.
-                if pe.slots[idx].last_redelivered != Some(d.seq) {
-                    pe.slots[idx].last_redelivered = Some(d.seq);
-                    call(pe, idx, Call::Process(d.clone()), |op, ctx, _| {
-                        op.process(d, ctx)
+            // Redeliver the in-flight row exactly once: a row whose retry
+            // panics again is a poison pill and is dropped.
+            if let Some((src, r)) = retry {
+                let seq = pe.inbox.cursor(src).frame.row(r).seq;
+                if pe.slots[idx].last_redelivered != Some(seq) {
+                    pe.slots[idx].last_redelivered = Some(seq);
+                    call(pe, idx, Call::Refeed { src, r }, |op, ctx, inbox| {
+                        let c = inbox.cursor(src);
+                        op.process_rows(c.frame.rows(&Cell::new(r), r + 1), ctx)
                     });
                 }
             }
@@ -1888,9 +1926,22 @@ fn finish_op(pe: &mut PeCore, idx: usize) {
     punctuate(pe, idx);
 }
 
+/// Routes the local frame until it and the entries queued meanwhile are
+/// spent, in emission order.
 fn drain_pending(pe: &mut PeCore) {
-    while let Some((idx, port, t)) = pe.pending.pop_front() {
-        dispatch(pe, idx, port, t);
+    loop {
+        let inbox = &mut pe.inbox;
+        if inbox.local.is_spent() {
+            if pe.queued.frame.is_empty() {
+                return;
+            }
+            let queued = std::mem::take(&mut pe.queued.frame);
+            pe.queued.frame = inbox.local.reset(queued);
+            pe.queued.frame.clear();
+            std::mem::swap(&mut inbox.local_to, &mut pe.queued.to);
+            pe.queued.to.clear();
+        }
+        let _ = route_next(pe, Src::Local, usize::MAX);
     }
 }
 
@@ -1899,7 +1950,7 @@ mod tests {
     use super::*;
     use crate::graph::{GraphBuilder, OpId};
     use crate::operator::{OpContext, Operator, SourceState};
-    use crate::tuple::DataTuple;
+    use crate::tuple::{DataTuple, Rows};
     use parking_lot::Mutex;
 
     /// Source emitting `n` one-dimensional tuples then finishing.
@@ -1909,7 +1960,6 @@ mod tests {
     }
 
     impl Operator for CountSource {
-        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
         fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
             if self.next >= self.n {
                 return SourceState::Done;
@@ -1928,17 +1978,19 @@ mod tests {
     }
 
     impl Operator for Collect {
-        fn process(&mut self, t: DataTuple, _ctx: &mut OpContext<'_>) {
-            self.seen.lock().push(t.seq);
+        fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
+            self.seen.lock().extend(rows.map(|row| row.seq));
         }
     }
 
     /// Pass-through doubling the value.
     struct Double;
     impl Operator for Double {
-        fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-            let vals: Vec<f64> = t.values.iter().map(|v| v * 2.0).collect();
-            ctx.emit_data(0, DataTuple::new(t.seq, vals));
+        fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+            for row in rows {
+                let vals: Vec<f64> = row.values.iter().map(|v| v * 2.0).collect();
+                ctx.emit_data(0, DataTuple::new(row.seq, vals));
+            }
         }
     }
 
@@ -2014,7 +2066,6 @@ mod tests {
     fn stop_terminates_infinite_source() {
         struct Forever(u64);
         impl Operator for Forever {
-            fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
             fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
                 self.0 += 1;
                 ctx.emit_data(0, DataTuple::new(self.0, vec![0.0]));
@@ -2046,8 +2097,8 @@ mod tests {
             total: f64,
         }
         impl Operator for Summer {
-            fn process(&mut self, t: DataTuple, _ctx: &mut OpContext<'_>) {
-                self.total += t.values[0];
+            fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
+                self.total += rows.map(|row| row.values[0]).sum::<f64>();
             }
             fn on_finish(&mut self, ctx: &mut OpContext<'_>) {
                 ctx.emit_data(0, DataTuple::new(0, vec![self.total]));
@@ -2076,10 +2127,12 @@ mod tests {
         // finishes both.
         struct Echo;
         impl Operator for Echo {
-            fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-                // Send a control ping to the peer on port 1.
-                ctx.emit_control(1, crate::tuple::ControlTuple::signal(1, t.seq as u32));
-                ctx.emit_data(0, t);
+            fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+                for row in rows {
+                    // Send a control ping to the peer on port 1.
+                    ctx.emit_control(1, ControlTuple::signal(1, row.seq as u32));
+                    ctx.emit_row(0, row);
+                }
             }
         }
         let mut g = GraphBuilder::new();
@@ -2098,7 +2151,7 @@ mod tests {
         g.connect(e1, 0, sink, PortKind::Data);
         g.connect(e2, 0, sink, PortKind::Data);
         // Control cycle. Fusing the echoes makes control delivery
-        // deterministic (in-PE pending queue drains before data EOS);
+        // deterministic (the PE's local frame drains before data EOS);
         // cross-PE control tuples racing EOS may legitimately be dropped.
         g.connect(e1, 1, e2, PortKind::Control);
         g.connect(e2, 1, e1, PortKind::Control);
@@ -2117,9 +2170,11 @@ mod tests {
         let src = g.add_source("src", Box::new(CountSource { n: 500, next: 0 }));
         struct Slow;
         impl Operator for Slow {
-            fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-                std::thread::sleep(Duration::from_micros(20));
-                ctx.emit_data(0, t);
+            fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+                for row in rows {
+                    std::thread::sleep(Duration::from_micros(20));
+                    ctx.emit_row(0, row);
+                }
             }
         }
         let slow = g.add_op("slow", Box::new(Slow));
@@ -2247,7 +2302,6 @@ mod tests {
     }
 
     impl Operator for DurableSource {
-        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
         fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
             if self.next >= self.n {
                 return SourceState::Done;
@@ -2338,7 +2392,6 @@ mod tests {
             panicked: bool,
         }
         impl Operator for FlakySource {
-            fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
             fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
                 if !self.panicked && self.inner.next == self.panic_at {
                     self.panicked = true;
@@ -2427,7 +2480,6 @@ mod tests {
         // wound down; EOS still propagates so the run terminates.
         struct AlwaysPanics;
         impl Operator for AlwaysPanics {
-            fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
             fn drive(&mut self, _ctx: &mut OpContext<'_>) -> SourceState {
                 panic!("always");
             }
@@ -2472,9 +2524,7 @@ mod tests {
     }
 
     struct Swallow;
-    impl Operator for Swallow {
-        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
-    }
+    impl Operator for Swallow {}
 
     /// A channel cursor feeding slot 0, socket-backed (stable acks) when
     /// `net` is given.
@@ -2490,10 +2540,7 @@ mod tests {
             port,
             got_eos: false,
             alive: true,
-            cur: Frame::default(),
-            at: 0,
-            row: Cell::new(0),
-            ctrl: 0,
+            cur: Cursor::default(),
             routed: 0,
             routed_other: 0,
             net,
@@ -2502,11 +2549,9 @@ mod tests {
 
     /// Routes `tuples` off channel `ci` as if they had arrived in one frame.
     fn route_frame(pe: &mut PeCore, ci: usize, tuples: &[Tuple]) {
-        let m = &mut pe.metas[ci];
-        (m.cur, m.at, m.ctrl) = (Frame::from_tuples(tuples), 0, 0);
-        m.row.set(0);
-        while pe.metas[ci].at < pe.metas[ci].cur.len() {
-            route_next(pe, ci, SWEEP_TUPLES).unwrap();
+        pe.inbox.metas[ci].cur.reset(Frame::from_tuples(tuples));
+        while !pe.inbox.metas[ci].cur.is_spent() {
+            route_next(pe, Src::Chan(ci), SWEEP_TUPLES).unwrap();
         }
     }
 
@@ -2514,8 +2559,12 @@ mod tests {
     fn lone_pe(metas: Vec<ChanMeta>) -> PeCore {
         PeCore {
             slots: vec![lone_slot()],
-            metas,
-            pending: VecDeque::new(),
+            inbox: Inbox {
+                metas,
+                local: Cursor::default(),
+                local_to: Vec::new(),
+            },
+            queued: LocalFrame::default(),
             stop: Arc::new(AtomicBool::new(false)),
             pe_index: 0,
             checkpoint: None,
@@ -2548,9 +2597,9 @@ mod tests {
         }
         route_frame(&mut pe, 1, &[signal(), signal(), signal()]);
         route_frame(&mut pe, 2, &(500..520).map(datum).collect::<Vec<_>>());
-        assert_eq!(pe.metas[0].routed, 500);
+        assert_eq!(pe.inbox.metas[0].routed, 500);
         assert_eq!(
-            checkpoint_progress(&pe.slots, &pe.metas),
+            checkpoint_progress(&pe.slots, &pe.inbox.metas),
             523,
             "500 wire data + 3 wire control + 20 local data, each once"
         );
@@ -2564,7 +2613,7 @@ mod tests {
         )]);
         route_frame(&mut pe, 0, &vec![signal(); 40]);
         assert_eq!(pe.slots[0].counters.snapshot().tuples_in, 0);
-        assert_eq!(checkpoint_progress(&pe.slots, &pe.metas), 40);
+        assert_eq!(checkpoint_progress(&pe.slots, &pe.inbox.metas), 40);
         transport.shutdown();
     }
 
@@ -2687,9 +2736,7 @@ mod tests {
     fn isolated_non_source_terminates() {
         let mut g = GraphBuilder::new();
         struct Nop;
-        impl Operator for Nop {
-            fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
-        }
+        impl Operator for Nop {}
         let _id: OpId = g.add_op("lonely", Box::new(Nop));
         let report = Engine::run(g);
         assert_eq!(report.ops.len(), 1);

@@ -226,13 +226,10 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{OpContext, Operator};
-    use crate::tuple::DataTuple;
+    use crate::operator::Operator;
 
     struct Nop;
-    impl Operator for Nop {
-        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
-    }
+    impl Operator for Nop {}
 
     fn nop() -> Box<dyn Operator> {
         Box::new(Nop)

@@ -72,7 +72,7 @@ pub struct OpCounters {
     pub tuples_out: AtomicU64,
     /// Control tuples consumed.
     pub control_in: AtomicU64,
-    /// Nanoseconds spent inside `process`/`on_control`.
+    /// Nanoseconds spent inside `process_rows`/`on_control`.
     pub busy_ns: AtomicU64,
     table: [AtomicU64; Counter::COUNT],
 }

@@ -21,26 +21,27 @@ pub enum SourceState {
 
 /// A dataflow operator.
 ///
-/// `process` handles data-port tuples, `on_control` control-port tuples.
+/// `process_rows` handles data-port rows, `on_control` control-port tuples.
 /// Sources override `drive`. All methods receive an [`OpContext`] for
 /// emitting to output ports.
 pub trait Operator: Send {
-    /// Handles one data tuple.
-    fn process(&mut self, tuple: DataTuple, ctx: &mut OpContext<'_>);
+    /// Never called by the engine: a row reaches an operator only through
+    /// [`process_rows`](Self::process_rows). Kept, doing nothing, because
+    /// the benchmark harness's traced source still forwards it; it goes
+    /// with ROADMAP item 3.
+    fn process(&mut self, _tuple: DataTuple, _ctx: &mut OpContext<'_>) {}
 
-    /// Handles a run of data rows that arrived in one frame over a cross-PE
-    /// edge, in order. The default copies each into a tuple for
-    /// [`process`](Self::process); an operator on the hot path overrides it
-    /// to work on the borrowed rows. An override takes every row from
-    /// `rows`, in order, and does to each what `process` would: the PE
-    /// counts a row as in flight from the moment it is taken, re-feeds that
-    /// one row to `process` if the operator panics, and routes the rows
-    /// not yet taken again after the restart.
-    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
-        for row in rows {
-            self.process(row.to_tuple(), ctx);
-        }
-    }
+    /// Handles a run of data rows, in order: rows of one frame — off a
+    /// cross-PE channel, or the PE's local frame for a fused edge — bound
+    /// for this operator's data port. The rows are borrowed from
+    /// the frame; an operator that keeps one copies it
+    /// ([`RowRef::to_tuple`]). An implementation takes every row from
+    /// `rows`, in order: the PE counts a row as in flight from the moment
+    /// it is taken, re-feeds that one row, as a run of one, if the operator
+    /// panics, and routes the rows not yet taken again after the restart.
+    /// While a fault of the plan is armed on the operator every run is one
+    /// row long. Default: ignore (sources get no data).
+    fn process_rows(&mut self, _rows: Rows<'_>, _ctx: &mut OpContext<'_>) {}
 
     /// Handles one control tuple. Default: ignore.
     fn on_control(&mut self, _tuple: ControlTuple, _ctx: &mut OpContext<'_>) {}
@@ -86,18 +87,13 @@ pub trait Operator: Send {
 pub(crate) trait EmitSink {
     /// Blocking emit to an output port (fans out to every connected edge).
     fn emit(&mut self, port: usize, t: Tuple);
-    /// Non-blocking emit; returns the tuple back if *any* target edge is
-    /// full (nothing is sent in that case).
-    fn try_emit(&mut self, port: usize, t: Tuple) -> Result<(), Tuple>;
     /// [`emit`](Self::emit) of a borrowed data row. Default: as a tuple.
     fn emit_row(&mut self, port: usize, row: RowRef<'_>) {
         self.emit(port, Tuple::Data(row.to_tuple()));
     }
-    /// [`try_emit`](Self::try_emit) of a borrowed data row; false when
-    /// nothing was sent. Default: as a tuple.
-    fn try_emit_row(&mut self, port: usize, row: RowRef<'_>) -> bool {
-        self.try_emit(port, Tuple::Data(row.to_tuple())).is_ok()
-    }
+    /// Non-blocking [`emit_row`](Self::emit_row): false, with nothing sent,
+    /// if *any* target edge is full.
+    fn try_emit_row(&mut self, port: usize, row: RowRef<'_>) -> bool;
     /// Number of output ports wired for this operator.
     fn n_ports(&self) -> usize;
     /// True once the engine has requested a cooperative stop.
@@ -134,15 +130,16 @@ impl<'a> OpContext<'a> {
     }
 
     /// Emits a borrowed data row on `port`, blocking like [`emit`](Self::emit).
-    /// A cross-PE edge copies the row into its frame; a fused target gets
-    /// one tuple, shared by pointer among them.
+    /// Every edge, fused or cross-PE, copies the row into its frame.
     pub fn emit_row(&mut self, port: usize, row: RowRef<'_>) {
         self.counters.add_out();
         self.sink.emit_row(port, row);
     }
 
     /// Non-blocking [`emit_row`](Self::emit_row): false, with nothing sent,
-    /// when a downstream queue is full.
+    /// when a downstream queue is full. This is the primitive behind the
+    /// threaded split's "push the data to multiple targets without blocking
+    /// the queue on one target".
     pub fn try_emit_row(&mut self, port: usize, row: RowRef<'_>) -> bool {
         let sent = self.sink.try_emit_row(port, row);
         if sent {
@@ -154,23 +151,6 @@ impl<'a> OpContext<'a> {
     /// Emits a control tuple on `port`.
     pub fn emit_control(&mut self, port: usize, c: ControlTuple) {
         self.emit(port, Tuple::Control(c));
-    }
-
-    /// Non-blocking emit: if the downstream queue is full the tuple is
-    /// handed back and nothing is sent. This is the primitive behind the
-    /// threaded split's "push the data to multiple targets without blocking
-    /// the queue on one target".
-    pub fn try_emit(&mut self, port: usize, t: Tuple) -> Result<(), Tuple> {
-        let is_data = matches!(t, Tuple::Data(_));
-        match self.sink.try_emit(port, t) {
-            Ok(()) => {
-                if is_data {
-                    self.counters.add_out();
-                }
-                Ok(())
-            }
-            Err(t) => Err(t),
-        }
     }
 
     /// Forces any transport-level output batching to flush now. Control
@@ -205,6 +185,7 @@ impl<'a> OpContext<'a> {
 /// (`spca-engine`) to unit-test their custom operators.
 pub mod testing {
     use super::*;
+    use crate::tuple::Frame;
     use std::collections::VecDeque;
 
     /// Observer callback for [`CaptureSink::on_emit`].
@@ -214,7 +195,7 @@ pub mod testing {
     pub struct CaptureSink {
         /// Captured tuples, per output port.
         pub ports: Vec<VecDeque<Tuple>>,
-        /// Ports simulated as full (try_emit fails there).
+        /// Ports simulated as full (`try_emit_row` fails there).
         pub full_ports: Vec<bool>,
         /// Simulated cooperative-stop flag.
         pub stop: bool,
@@ -255,16 +236,12 @@ pub mod testing {
             self.ports[port].push_back(t);
         }
 
-        fn try_emit(&mut self, port: usize, t: Tuple) -> Result<(), Tuple> {
+        fn try_emit_row(&mut self, port: usize, row: RowRef<'_>) -> bool {
             if self.full_ports[port] {
-                Err(t)
-            } else {
-                if let Some(hook) = &mut self.on_emit {
-                    hook(port, &t);
-                }
-                self.ports[port].push_back(t);
-                Ok(())
+                return false;
             }
+            self.emit_row(port, row);
+            true
         }
 
         fn n_ports(&self) -> usize {
@@ -294,10 +271,15 @@ pub mod testing {
     }
 
     /// Feeds every data row of `frame` to `op` as one run, the way a PE
-    /// hands it a frame that arrived over a cross-PE edge.
-    pub fn feed_rows(op: &mut dyn Operator, frame: &crate::tuple::Frame, ctx: &mut OpContext<'_>) {
+    /// hands it a frame.
+    pub fn feed_rows(op: &mut dyn Operator, frame: &Frame, ctx: &mut OpContext<'_>) {
         let at = std::cell::Cell::new(0);
         op.process_rows(frame.rows(&at, frame.n_rows()), ctx);
+    }
+
+    /// Feeds `d` to `op` as a run of one.
+    pub fn feed_tuple(op: &mut dyn Operator, d: DataTuple, ctx: &mut OpContext<'_>) {
+        feed_rows(op, &Frame::from_tuples(&[Tuple::Data(d)]), ctx);
     }
 
     /// Like [`with_sink`] but with caller-owned counters, so tests can
@@ -330,16 +312,14 @@ mod tests {
     }
 
     #[test]
-    fn try_emit_full_port_returns_tuple() {
+    fn try_emit_row_to_a_full_port_sends_nothing() {
         let counters = OpCounters::default();
         let mut sink = CaptureSink::new(1);
         sink.full_ports[0] = true;
-        let mut ctx = OpContext::new(&mut sink, &counters);
-        let res = ctx.try_emit(0, Tuple::Data(DataTuple::new(9, vec![])));
-        match res {
-            Err(Tuple::Data(d)) => assert_eq!(d.seq, 9),
-            other => panic!("expected tuple back, got {other:?}"),
-        }
+        let d = DataTuple::new(9, vec![]);
+        let sent = OpContext::new(&mut sink, &counters).try_emit_row(0, d.row());
+        assert!(!sent);
+        assert!(sink.ports[0].is_empty());
         assert_eq!(counters.snapshot().tuples_out, 0);
     }
 

@@ -1,7 +1,7 @@
 //! Terminal operators: collectors and callbacks.
 
 use crate::operator::{OpContext, Operator};
-use crate::tuple::{ControlTuple, DataTuple};
+use crate::tuple::{ControlTuple, DataTuple, Rows};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -24,8 +24,8 @@ impl CollectSink {
 }
 
 impl Operator for CollectSink {
-    fn process(&mut self, t: DataTuple, _ctx: &mut OpContext<'_>) {
-        self.store.lock().push(t);
+    fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
+        self.store.lock().extend(rows.map(|row| row.to_tuple()));
     }
 }
 
@@ -56,8 +56,10 @@ impl<F: FnMut(DataTuple) + Send, G: FnMut(ControlTuple) + Send> CallbackSink<F, 
 }
 
 impl<F: FnMut(DataTuple) + Send, G: FnMut(ControlTuple) + Send> Operator for CallbackSink<F, G> {
-    fn process(&mut self, t: DataTuple, _ctx: &mut OpContext<'_>) {
-        (self.on_data)(t);
+    fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
+        for row in rows {
+            (self.on_data)(row.to_tuple());
+        }
     }
 
     fn on_control(&mut self, t: ControlTuple, _ctx: &mut OpContext<'_>) {
@@ -70,14 +72,14 @@ impl<F: FnMut(DataTuple) + Send, G: FnMut(ControlTuple) + Send> Operator for Cal
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::testing::with_ctx;
+    use crate::operator::testing::{feed_tuple, with_ctx};
 
     #[test]
     fn collect_sink_stores_in_order() {
         let (mut sink, store) = CollectSink::new();
         with_ctx(0, |ctx| {
             for seq in 0..5 {
-                sink.process(DataTuple::new(seq, vec![seq as f64]), ctx);
+                feed_tuple(&mut sink, DataTuple::new(seq, vec![seq as f64]), ctx);
             }
         });
         let got = store.lock();
@@ -92,7 +94,7 @@ mod tests {
         let mut sink = CallbackSink::new(move |_t| *c2.lock() += 1);
         with_ctx(0, |ctx| {
             for seq in 0..7 {
-                sink.process(DataTuple::new(seq, vec![]), ctx);
+                feed_tuple(&mut sink, DataTuple::new(seq, vec![]), ctx);
             }
         });
         assert_eq!(*count.lock(), 7);

@@ -8,7 +8,7 @@
 //! blocking the queue on one target. Using this scheme, faster nodes will
 //! get more data than slower ones."
 //!
-//! The non-blocking behaviour is implemented with `try_emit`: the split
+//! The non-blocking behaviour is implemented with `try_emit_row`: the split
 //! picks a target (randomly or round-robin), and if that engine's queue is
 //! full it immediately tries the others — so slow consumers shed load to
 //! fast ones, exactly the paper's semantics. Only when *every* queue is
@@ -17,7 +17,7 @@
 use crate::checkpoint::{decode_kv, encode_kv, kv_parse, kv_u64, Checkpoint};
 use crate::membership::ActiveSet;
 use crate::operator::{OpContext, Operator};
-use crate::tuple::{DataTuple, Rows, Tuple};
+use crate::tuple::Rows;
 use std::sync::Arc;
 
 /// Seed for the random strategy — fixed so runs (and restarts) are
@@ -106,65 +106,26 @@ impl Split {
     }
 }
 
-impl Split {
-    /// Routes one tuple or row through `emit(ctx, port, block)`, which
-    /// sends it to `port` — waiting for room when `block`, otherwise only
-    /// if there is room — and says whether it did.
-    fn route(
-        &mut self,
-        ctx: &mut OpContext<'_>,
-        mut emit: impl FnMut(&mut OpContext<'_>, usize, bool) -> bool,
-    ) {
+impl Operator for Split {
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
         let n = ctx.n_out_ports();
         if n == 0 {
             return;
         }
-        // Read once per tuple: the pick and the shed loop below agree on
-        // the boundary even while an autoscaler moves it.
-        let active = self.active_of(n);
-        let first = self.pick(n, active);
-        // Try the chosen target, then the rest of the *active* set in
-        // cyclic order; block on the original choice only if all are full.
-        // Standby ports never receive traffic, even under backpressure.
-        for off in 0..active {
-            if emit(ctx, (first + off) % active, false) {
-                return;
-            }
-        }
-        self.blocked += 1;
-        emit(ctx, first, true);
-    }
-}
-
-impl Operator for Split {
-    fn process(&mut self, tuple: DataTuple, ctx: &mut OpContext<'_>) {
-        // A fused target gets this very tuple, shared by pointer.
-        let mut t = Some(Tuple::Data(tuple));
-        self.route(ctx, |ctx, port, block| {
-            let tuple = t.take().expect("the tuple is sent once");
-            if block {
-                ctx.emit(port, tuple);
-                return true;
-            }
-            match ctx.try_emit(port, tuple) {
-                Ok(()) => true,
-                Err(back) => {
-                    t = Some(back);
-                    false
-                }
-            }
-        });
-    }
-
-    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
         for row in rows {
-            self.route(ctx, |ctx, port, block| {
-                if block {
-                    ctx.emit_row(port, row);
-                    return true;
-                }
-                ctx.try_emit_row(port, row)
-            });
+            // Read once per row: the pick and the shed loop below agree on
+            // the boundary even while an autoscaler moves it.
+            let active = self.active_of(n);
+            let first = self.pick(n, active);
+            // Try the chosen target, then the rest of the *active* set in
+            // cyclic order; block on the original choice only if all are
+            // full. Standby ports never receive traffic, even under
+            // backpressure.
+            let sent = (0..active).any(|off| ctx.try_emit_row((first + off) % active, row));
+            if !sent {
+                self.blocked += 1;
+                ctx.emit_row(first, row);
+            }
         }
     }
 
@@ -195,12 +156,13 @@ impl Checkpoint for Split {
 mod tests {
     use super::*;
     use crate::metrics::OpCounters;
-    use crate::operator::testing::{with_ctx, CaptureSink};
+    use crate::operator::testing::{feed_tuple, with_ctx, CaptureSink};
+    use crate::tuple::DataTuple;
 
     fn feed(split: &mut Split, n_ports: usize, n_tuples: u64) -> CaptureSink {
         with_ctx(n_ports, |ctx| {
             for seq in 0..n_tuples {
-                split.process(DataTuple::new(seq, vec![seq as f64]), ctx);
+                feed_tuple(split, DataTuple::new(seq, vec![seq as f64]), ctx);
             }
         })
     }
@@ -244,7 +206,7 @@ mod tests {
         {
             let mut ctx = OpContext::new(&mut sink, &counters);
             for seq in 0..10 {
-                s.process(DataTuple::new(seq, vec![]), &mut ctx);
+                feed_tuple(&mut s, DataTuple::new(seq, vec![]), &mut ctx);
             }
         }
         // Everything lands on port 1; nothing blocked because port 1 open.
@@ -260,7 +222,7 @@ mod tests {
         sink.full_ports = vec![true, true];
         {
             let mut ctx = OpContext::new(&mut sink, &counters);
-            s.process(DataTuple::new(0, vec![]), &mut ctx);
+            feed_tuple(&mut s, DataTuple::new(0, vec![]), &mut ctx);
         }
         assert_eq!(s.blocked, 1);
         // CaptureSink's blocking emit still records the tuple.
@@ -284,7 +246,7 @@ mod tests {
         second_half.restore(&bytes).unwrap();
         let sink_b = with_ctx(4, |ctx| {
             for seq in 120..300 {
-                second_half.process(DataTuple::new(seq, vec![seq as f64]), ctx);
+                feed_tuple(&mut second_half, DataTuple::new(seq, vec![seq as f64]), ctx);
             }
         });
 
@@ -358,7 +320,7 @@ mod tests {
         {
             let mut ctx = OpContext::new(&mut sink, &counters);
             for seq in 0..5 {
-                s.process(DataTuple::new(seq, vec![]), &mut ctx);
+                feed_tuple(&mut s, DataTuple::new(seq, vec![]), &mut ctx);
             }
         }
         // Both active ports full: the split blocks rather than leaking
@@ -384,7 +346,7 @@ mod tests {
         active_w.set_active(3);
         let b = with_ctx(4, |ctx| {
             for seq in 100..300 {
-                whole.process(DataTuple::new(seq, vec![seq as f64]), ctx);
+                feed_tuple(&mut whole, DataTuple::new(seq, vec![seq as f64]), ctx);
             }
         });
 
@@ -397,7 +359,7 @@ mod tests {
         active_r.set_active(3);
         let b2 = with_ctx(4, |ctx| {
             for seq in 100..300 {
-                restored.process(DataTuple::new(seq, vec![seq as f64]), ctx);
+                feed_tuple(&mut restored, DataTuple::new(seq, vec![seq as f64]), ctx);
             }
         });
 

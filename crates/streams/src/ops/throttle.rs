@@ -8,7 +8,7 @@
 //! builder does this by default).
 
 use crate::operator::{OpContext, Operator};
-use crate::tuple::{ControlTuple, DataTuple};
+use crate::tuple::{ControlTuple, Rows};
 use std::time::{Duration, Instant};
 
 /// Rate-limiting pass-through.
@@ -36,9 +36,11 @@ impl Throttle {
 }
 
 impl Operator for Throttle {
-    fn process(&mut self, tuple: DataTuple, ctx: &mut OpContext<'_>) {
-        self.pace();
-        ctx.emit_data(0, tuple);
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            self.pace();
+            ctx.emit_row(0, row);
+        }
     }
 
     fn on_control(&mut self, tuple: ControlTuple, ctx: &mut OpContext<'_>) {
@@ -50,7 +52,8 @@ impl Operator for Throttle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::testing::with_ctx;
+    use crate::operator::testing::{feed_tuple, with_ctx};
+    use crate::tuple::DataTuple;
 
     #[test]
     fn paces_to_configured_rate() {
@@ -58,7 +61,7 @@ mod tests {
         let t0 = Instant::now();
         let sink = with_ctx(1, |ctx| {
             for seq in 0..5 {
-                th.process(DataTuple::new(seq, vec![]), ctx);
+                feed_tuple(&mut th, DataTuple::new(seq, vec![]), ctx);
             }
         });
         let elapsed = t0.elapsed();
@@ -74,7 +77,7 @@ mod tests {
     fn first_tuple_is_immediate() {
         let mut th = Throttle::with_period(Duration::from_secs(1));
         let t0 = Instant::now();
-        with_ctx(1, |ctx| th.process(DataTuple::new(0, vec![]), ctx));
+        with_ctx(1, |ctx| feed_tuple(&mut th, DataTuple::new(0, vec![]), ctx));
         assert!(t0.elapsed() < Duration::from_millis(100));
     }
 

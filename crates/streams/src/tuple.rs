@@ -18,9 +18,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// A data observation: sequence number, logical timestamp, values, and an
-/// optional observed-bin mask. Values are shared via `Arc`, so intra-PE
-/// hand-off is pointer-sized — the engine-level analogue of InfoSphere
-/// "sending the tuple memory address" between fused operators.
+/// optional observed-bin mask, owned. Inside the engine rows travel in
+/// [`Frame`]s, on PE-local edges as on cross-PE ones, and reach an operator
+/// borrowed ([`RowRef`]); a `DataTuple` is what an operator builds to emit
+/// a new observation or copies a row into to keep it. Values are shared
+/// via `Arc`, so cloning one is pointer-sized.
 #[derive(Debug, Clone)]
 pub struct DataTuple {
     /// Monotone per-source sequence number.
@@ -68,17 +70,6 @@ impl DataTuple {
     /// observation). Operators use this as the quarantine boundary check.
     pub fn all_finite(&self) -> bool {
         self.row().all_finite()
-    }
-
-    /// A copy of this tuple with every value replaced by `fill` — used by
-    /// deterministic poison-tuple fault injection.
-    pub fn poisoned(&self, fill: f64) -> Self {
-        DataTuple {
-            seq: self.seq,
-            timestamp_ns: self.timestamp_ns,
-            values: Arc::new(vec![fill; self.values.len()]),
-            mask: self.mask.clone(),
-        }
     }
 
     /// Approximate serialized size in bytes (used by link-traffic metrics
@@ -220,18 +211,19 @@ pub(crate) const TAG_DATA: u8 = 0;
 pub(crate) const TAG_CTRL: u8 = 1;
 pub(crate) const TAG_EOS: u8 = 2;
 
-/// A batch of entries travelling a cross-PE edge as one channel message,
-/// in the codec's columnar layout.
+/// A batch of entries in the codec's columnar layout: one channel message
+/// on a cross-PE edge, and a PE's queue of entries on its local edges.
 ///
 /// Cross-PE channels carry frames instead of individual tuples so one
 /// channel operation amortizes over a whole batch (§III-D: network tuple
 /// transfer, not flop count, dominates the unfused throughput story). A
 /// data row is copied once into the frame's columns — its values onto one
-/// contiguous block — and read back in place by the consuming PE, so it is
-/// never allocated on the way. Control tuples and end-of-stream keep
+/// contiguous block — and read back in place by the consuming operator, so
+/// it is never allocated on the way. Control tuples and end-of-stream keep
 /// their places among the rows through the entry tags. Frames are
 /// recycled through a buffer pool shared by the two ends of the edge's
-/// channel, so steady-state transport allocates nothing per row.
+/// channel, and a PE reuses its local frames, so steady-state transport
+/// allocates nothing per row.
 #[derive(Debug, Default)]
 pub struct Frame {
     /// Entry kinds in stream order ([`TAG_DATA`], [`TAG_CTRL`], [`TAG_EOS`]).
@@ -323,6 +315,13 @@ impl Frame {
             values: &self.values[start(&self.ends)..self.ends[r]],
             mask: self.masked[r].then(|| &self.masks[start(&self.mask_ends)..self.mask_ends[r]]),
         }
+    }
+
+    /// Overwrites every value of data row `r` with `fill` (a poison
+    /// fault).
+    pub(crate) fn fill_row(&mut self, r: usize, fill: f64) {
+        let start = if r == 0 { 0 } else { self.ends[r - 1] };
+        self.values[start..self.ends[r]].fill(fill);
     }
 
     /// Data rows `at.get()..end`. `at` advances as each row is taken, so
@@ -684,16 +683,10 @@ mod tests {
     }
 
     #[test]
-    fn finiteness_check_and_poisoning() {
-        let t = DataTuple::new(3, vec![1.0, 2.0]);
-        assert!(t.all_finite());
+    fn finiteness_check() {
+        assert!(DataTuple::new(3, vec![1.0, 2.0]).all_finite());
         assert!(!DataTuple::new(0, vec![1.0, f64::NAN]).all_finite());
         assert!(!DataTuple::new(0, vec![f64::INFINITY]).all_finite());
-        let p = t.poisoned(f64::NAN);
-        assert_eq!(p.seq, 3);
-        assert_eq!(p.values.len(), 2);
-        assert!(!p.all_finite());
-        assert!(t.all_finite(), "poisoning copies, never mutates");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use spca_streams::metrics::Counter;
 use spca_streams::ops::{CollectSink, GeneratorSource};
 use spca_streams::{
     Checkpoint, ControlTuple, DataTuple, Engine, FaultPlan, GraphBuilder, OpContext, Operator,
-    PortKind, RestartPolicy, RunReport, SourceState,
+    PortKind, RestartPolicy, Rows, RunReport, SourceState,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -47,12 +47,14 @@ struct Flaky {
 }
 
 impl Operator for Flaky {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        self.seen += 1;
-        if self.every > 0 && self.seen.is_multiple_of(self.every) {
-            panic!("flaky operator failing on call {}", self.seen);
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            self.seen += 1;
+            if self.every > 0 && self.seen.is_multiple_of(self.every) {
+                panic!("flaky operator failing on call {}", self.seen);
+            }
+            ctx.emit_row(0, row);
         }
-        ctx.emit_data(0, t);
     }
 
     fn recover(&mut self, _attempt: u64) -> bool {
@@ -65,8 +67,10 @@ impl Operator for Flaky {
 struct RecoveringForward;
 
 impl Operator for RecoveringForward {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        ctx.emit_data(0, t);
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            ctx.emit_row(0, row);
+        }
     }
 
     fn recover(&mut self, _attempt: u64) -> bool {
@@ -78,8 +82,10 @@ impl Operator for RecoveringForward {
 struct Forward;
 
 impl Operator for Forward {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        ctx.emit_data(0, t);
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            ctx.emit_row(0, row);
+        }
     }
 }
 
@@ -163,7 +169,7 @@ fn restart_budget_caps_supervision() {
 
 #[test]
 fn injected_panic_fires_after_the_tuple_is_processed() {
-    // A plan-injected panic deliberately fires *after* process() returns:
+    // A plan-injected panic deliberately fires *after* process_rows() returns:
     // tuple 30 is already forwarded when the operator dies, so with a
     // declining recover() exactly 30 tuples arrive.
     let mut g = GraphBuilder::new()
@@ -209,9 +215,11 @@ struct PoisonPill {
 }
 
 impl Operator for PoisonPill {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        assert_ne!(t.seq, self.poison, "poison pill");
-        ctx.emit_data(0, t);
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            assert_ne!(row.seq, self.poison, "poison pill");
+            ctx.emit_row(0, row);
+        }
     }
 
     fn recover(&mut self, _attempt: u64) -> bool {
@@ -247,8 +255,10 @@ struct HookPanicker {
 }
 
 impl Operator for HookPanicker {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        ctx.emit_data(0, t);
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            ctx.emit_row(0, row);
+        }
     }
 
     fn on_start(&mut self, _ctx: &mut OpContext<'_>) {
@@ -271,8 +281,10 @@ struct EosSink {
 }
 
 impl Operator for EosSink {
-    fn process(&mut self, t: DataTuple, _ctx: &mut OpContext<'_>) {
-        self.seqs.lock().unwrap().push(t.seq);
+    fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
+        for row in rows {
+            self.seqs.lock().unwrap().push(row.seq);
+        }
     }
 
     fn on_finish(&mut self, _ctx: &mut OpContext<'_>) {
@@ -420,7 +432,6 @@ struct OneShotControl {
 }
 
 impl Operator for OneShotControl {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
     fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
         if self.sent {
             return SourceState::Done;
@@ -440,7 +451,6 @@ struct GatedSource {
 }
 
 impl Operator for GatedSource {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
     fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
         if self.next == self.n {
             return SourceState::Done;
@@ -461,8 +471,10 @@ struct ControlPanicker {
 }
 
 impl Operator for ControlPanicker {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        ctx.emit_data(0, t);
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            ctx.emit_row(0, row);
+        }
     }
     fn on_control(&mut self, _t: ControlTuple, _ctx: &mut OpContext<'_>) {
         self.delivered.store(true, Ordering::SeqCst);
@@ -533,9 +545,11 @@ struct DurableCounter {
 }
 
 impl Operator for DurableCounter {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        self.seen += 1;
-        ctx.emit_data(0, t);
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            self.seen += 1;
+            ctx.emit_row(0, row);
+        }
     }
 
     fn checkpoint(&mut self) -> Option<&mut dyn Checkpoint> {
@@ -640,9 +654,11 @@ struct EagerCounter {
 }
 
 impl Operator for EagerCounter {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        self.seen += 1;
-        ctx.emit_data(0, t);
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            self.seen += 1;
+            ctx.emit_row(0, row);
+        }
     }
 
     fn checkpoint(&mut self) -> Option<&mut dyn Checkpoint> {

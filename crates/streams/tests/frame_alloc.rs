@@ -102,10 +102,6 @@ impl Meter {
 struct CountedSplit(Split, Arc<Meter>);
 
 impl Operator for CountedSplit {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        self.0.process(t, ctx);
-    }
-
     fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
         self.1.frame();
         self.0.process_rows(rows, ctx);
@@ -116,10 +112,6 @@ impl Operator for CountedSplit {
 struct Count(Arc<Meter>);
 
 impl Operator for Count {
-    fn process(&mut self, t: DataTuple, _ctx: &mut OpContext<'_>) {
-        self.0.saw(1, t.seq);
-    }
-
     fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
         self.0.frame();
         let (n, seq_sum) = rows.fold((0, 0), |(n, sum), row| (n + 1, sum + row.seq));
@@ -166,9 +158,7 @@ fn split_to_engines(meter: &Arc<Meter>) {
 /// protocol (`netio`'s module documentation) with frames encoded up front.
 fn wire_to_engine(meter: &Arc<Meter>) {
     struct Elsewhere;
-    impl Operator for Elsewhere {
-        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
-    }
+    impl Operator for Elsewhere {}
     let net = NetTransport::bind("127.0.0.1:0").expect("bind");
     let mut g = GraphBuilder::new().with_channel_capacity(DEFAULT_BATCH_SIZE);
     let src = g.add_source("source", Box::new(Elsewhere));

@@ -3,7 +3,7 @@
 //!
 //! * `Split::process_rows` over a stream cut into frames anywhere, with
 //!   any ports full and any active-set prefix per frame, routes every row
-//!   where per-tuple `process` routes it, and leaves the same `picks`,
+//!   where one-row frames route it, and leaves the same `picks`,
 //!   `next_rr` and `blocked` — so a checkpoint resumes the same draw;
 //! * encoding a frame's columns (`encode_columns`, from any entry on) is
 //!   byte-identical to `encode_frame` of the same tuples, and decoding the
@@ -17,7 +17,7 @@ use spca_streams::codec::encode_columns;
 use spca_streams::operator::testing::{feed_rows, with_sink, CaptureSink};
 use spca_streams::ops::{Split, SplitStrategy};
 use spca_streams::{
-    decode_frame, encode_frame, ActiveSet, ColumnarFrame, ControlTuple, DataTuple, Frame, Operator,
+    decode_frame, encode_frame, ActiveSet, ColumnarFrame, ControlTuple, DataTuple, Frame,
     Punctuation, Tuple,
 };
 use std::sync::Arc;
@@ -27,8 +27,8 @@ use std::sync::Arc;
 type FrameSpec = (usize, Vec<bool>, usize);
 
 /// Routes `frames` through a split of `strategy` over `n_ports`, one row at
-/// a time through `process` (`by_rows` false) or one frame at a time
-/// through `process_rows`, and returns the per-port sequence numbers, the
+/// a time in one-row frames (`by_rows` false) or one frame at a time, and
+/// returns the per-port sequence numbers, the
 /// `blocked` count and the checkpoint.
 fn route(
     strategy: SplitStrategy,
@@ -51,9 +51,8 @@ fn route(
             if by_rows {
                 feed_rows(&mut split, &Frame::from_tuples(&tuples), ctx);
             } else {
-                for t in tuples {
-                    let Tuple::Data(d) = t else { unreachable!() };
-                    split.process(d, ctx);
+                for t in &tuples {
+                    feed_rows(&mut split, &Frame::from_tuples([t]), ctx);
                 }
             }
         });

@@ -12,7 +12,7 @@ use spca_streams::checkpoint::{decode_kv, kv_u64, recover_pe_manifest, Checkpoin
 use spca_streams::metrics::Counter;
 use spca_streams::{
     DataTuple, Engine, FaultPlan, GraphBuilder, NetPartition, NetTransport, OpContext, Operator,
-    PortKind, SourceState,
+    PortKind, Rows, SourceState,
 };
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -30,7 +30,6 @@ struct CountSource {
 }
 
 impl Operator for CountSource {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
     fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
         if self.next >= N {
             return SourceState::Done;
@@ -56,12 +55,14 @@ struct Collect {
 }
 
 impl Operator for Collect {
-    fn process(&mut self, t: DataTuple, _ctx: &mut OpContext<'_>) {
-        self.seen.lock().push((
-            t.seq,
-            t.timestamp_ns,
-            t.values.iter().map(|v| v.to_bits()).collect(),
-        ));
+    fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
+        for row in rows {
+            self.seen.lock().push((
+                row.seq,
+                row.timestamp_ns,
+                row.values.iter().map(|v| v.to_bits()).collect(),
+            ));
+        }
     }
 }
 
@@ -149,8 +150,8 @@ fn delivery_under_wire_faults_is_bit_identical() {
 struct DurableCollect(Collect);
 
 impl Operator for DurableCollect {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        self.0.process(t, ctx);
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        self.0.process_rows(rows, ctx);
     }
     fn checkpoint(&mut self) -> Option<&mut dyn Checkpoint> {
         Some(self)

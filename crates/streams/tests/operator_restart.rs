@@ -3,14 +3,14 @@
 //! checkpointable operator through the supervisor's panic path and pin
 //! what it is restored from: the teardown capture after an injected panic,
 //! the previous generation when that capture is damaged, the last periodic
-//! generation after a real mid-`process` panic.
+//! generation after a real mid-`process_rows` panic.
 
 use spca_streams::checkpoint::{decode_kv, encode_kv, kv_u64};
 use spca_streams::metrics::Counter;
 use spca_streams::ops::{CollectSink, GeneratorSource};
 use spca_streams::{
-    Checkpoint, DataTuple, Engine, FaultPlan, GraphBuilder, OpContext, Operator, PortKind,
-    RestartPolicy, RunReport,
+    Checkpoint, Engine, FaultPlan, GraphBuilder, OpContext, Operator, PortKind, RestartPolicy,
+    Rows, RunReport,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,20 +35,22 @@ struct Probe {
 struct Tally {
     seen: u64,
     every: u64,
-    /// Panics once, inside `process`, before counting this call.
+    /// Panics once, inside `process_rows`, before counting this row.
     panic_on_call: Option<u64>,
     calls: u64,
     probe: Arc<Probe>,
 }
 
 impl Operator for Tally {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        self.calls += 1;
-        if self.panic_on_call == Some(self.calls) {
-            panic!("tally failing inside process on call {}", self.calls);
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            self.calls += 1;
+            if self.panic_on_call == Some(self.calls) {
+                panic!("tally failing inside process_rows on call {}", self.calls);
+            }
+            self.seen += 1;
+            ctx.emit_row(0, row);
         }
-        self.seen += 1;
-        ctx.emit_data(0, t);
     }
 
     fn on_finish(&mut self, _ctx: &mut OpContext<'_>) {
@@ -185,7 +187,7 @@ fn failing_fsync_leaves_nothing_to_restore_and_the_run_completes() {
 
 #[test]
 fn mid_process_panic_restores_the_last_periodic_generation_and_redelivers_once() {
-    // A real panic inside `process`: the state in memory is suspect, so no
+    // A real panic inside `process_rows`: the state in memory is suspect, so no
     // teardown capture — the restart reads the last periodic generation
     // (which one depends on how the captures coalesced, but the first
     // sweep ends by tuple 256, so one exists before call 400) and loses

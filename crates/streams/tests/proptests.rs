@@ -4,7 +4,9 @@
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use spca_streams::ops::{Split, SplitStrategy};
-use spca_streams::{DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, SourceState};
+use spca_streams::{
+    DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, Rows, SourceState,
+};
 use std::sync::Arc;
 
 struct CountSource {
@@ -13,7 +15,6 @@ struct CountSource {
 }
 
 impl Operator for CountSource {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
     fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
         if self.next >= self.n {
             return SourceState::Done;
@@ -29,16 +30,20 @@ struct Collect {
 }
 
 impl Operator for Collect {
-    fn process(&mut self, t: DataTuple, _ctx: &mut OpContext<'_>) {
-        self.seen.lock().push(t.seq);
+    fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
+        for row in rows {
+            self.seen.lock().push(row.seq);
+        }
     }
 }
 
 struct Relay;
 
 impl Operator for Relay {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        ctx.emit_data(0, t);
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            ctx.emit_row(0, row);
+        }
     }
 }
 
@@ -175,7 +180,6 @@ proptest! {
     fn stop_is_safe(cap in 1usize..16, batch in batch_size()) {
         struct Forever(u64);
         impl Operator for Forever {
-            fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
             fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
                 ctx.emit_data(0, DataTuple::new(self.0, vec![]));
                 self.0 += 1;

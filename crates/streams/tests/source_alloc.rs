@@ -27,8 +27,7 @@ use feeds::{http_response, http_source, tcp_source, Framing};
 use spca_alloc_count::{allocations, track, CountingAlloc};
 use spca_streams::ops::{CollectSink, CsvFileSource};
 use spca_streams::{
-    DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, Rows, SourceState,
-    DEFAULT_BATCH_SIZE,
+    Engine, GraphBuilder, OpContext, Operator, PortKind, Rows, SourceState, DEFAULT_BATCH_SIZE,
 };
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -61,10 +60,6 @@ struct Collect {
 }
 
 impl Operator for Collect {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        self.inner.process(t, ctx);
-    }
-
     fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
         if self.window.load(Ordering::SeqCst) {
             self.frames.fetch_add(1, Ordering::SeqCst);
@@ -74,8 +69,6 @@ impl Operator for Collect {
 }
 
 impl Operator for Measured {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
-
     fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
         if self.emitted == WARM_ROWS && self.before.is_none() {
             self.window.store(true, Ordering::SeqCst);

@@ -5,7 +5,7 @@
 use parking_lot::Mutex;
 use spca_streams::ops::{Split, SplitStrategy};
 use spca_streams::{
-    ControlTuple, DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, SourceState,
+    ControlTuple, DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, Rows, SourceState,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -16,7 +16,6 @@ struct CountSource {
 }
 
 impl Operator for CountSource {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
     fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
         if self.next >= self.n {
             return SourceState::Done;
@@ -32,16 +31,20 @@ struct Collect {
 }
 
 impl Operator for Collect {
-    fn process(&mut self, t: DataTuple, _ctx: &mut OpContext<'_>) {
-        self.seen.lock().push(t.seq);
+    fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
+        for row in rows {
+            self.seen.lock().push(row.seq);
+        }
     }
 }
 
 struct Relay;
 
 impl Operator for Relay {
-    fn process(&mut self, t: DataTuple, ctx: &mut OpContext<'_>) {
-        ctx.emit_data(0, t);
+    fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+        for row in rows {
+            ctx.emit_row(0, row);
+        }
     }
 }
 
@@ -202,7 +205,6 @@ fn control_tuple_is_not_stranded_behind_data_batch() {
         ack: Arc<AtomicBool>,
     }
     impl Operator for ScriptedSource {
-        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
         fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
             if !self.emitted {
                 self.emitted = true;
@@ -226,8 +228,10 @@ fn control_tuple_is_not_stranded_behind_data_batch() {
         ack: Arc<AtomicBool>,
     }
     impl Operator for AckingSink {
-        fn process(&mut self, t: DataTuple, _ctx: &mut OpContext<'_>) {
-            self.n_data.lock().push(t.seq);
+        fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
+            for row in rows {
+                self.n_data.lock().push(row.seq);
+            }
         }
         fn on_control(&mut self, c: ControlTuple, _ctx: &mut OpContext<'_>) {
             assert_eq!(c.kind, 7);
@@ -287,7 +291,6 @@ fn explicit_flush_makes_data_visible() {
         done: Arc<AtomicBool>,
     }
     impl Operator for FlushingSource {
-        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
         fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
             if !self.sent {
                 self.sent = true;
@@ -309,11 +312,13 @@ fn explicit_flush_makes_data_visible() {
         done: Arc<AtomicBool>,
     }
     impl Operator for AckSink {
-        fn process(&mut self, t: DataTuple, _ctx: &mut OpContext<'_>) {
-            let mut got = self.got.lock();
-            got.push(t.seq);
-            if got.len() == 3 {
-                self.done.store(true, Ordering::SeqCst);
+        fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
+            for row in rows {
+                let mut got = self.got.lock();
+                got.push(row.seq);
+                if got.len() == 3 {
+                    self.done.store(true, Ordering::SeqCst);
+                }
             }
         }
     }
@@ -347,7 +352,6 @@ fn interleaved_control_keeps_fifo_position() {
         next: u64,
     }
     impl Operator for Interleaved {
-        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
         fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
             if self.next >= 300 {
                 return SourceState::Done;
@@ -367,8 +371,10 @@ fn interleaved_control_keeps_fifo_position() {
         checked: Arc<Mutex<Vec<(u32, u64)>>>,
     }
     impl Operator for Watcher {
-        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {
-            self.n_data += 1;
+        fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
+            for _ in rows {
+                self.n_data += 1;
+            }
         }
         fn on_control(&mut self, c: ControlTuple, _ctx: &mut OpContext<'_>) {
             self.checked.lock().push((c.sender, self.n_data));
@@ -412,7 +418,6 @@ fn ping_pong_between_waiting_pes_loses_no_wake_up() {
         done: Arc<AtomicBool>,
     }
     impl Operator for Kick {
-        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
         fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
             if !self.started {
                 self.started = true;
@@ -432,8 +437,10 @@ fn ping_pong_between_waiting_pes_loses_no_wake_up() {
         done: Arc<AtomicBool>,
     }
     impl Operator for Ping {
-        fn process(&mut self, _t: DataTuple, ctx: &mut OpContext<'_>) {
-            ctx.emit_control(0, ControlTuple::signal(1, 0));
+        fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
+            for _ in rows {
+                ctx.emit_control(0, ControlTuple::signal(1, 0));
+            }
         }
         fn on_control(&mut self, c: ControlTuple, ctx: &mut OpContext<'_>) {
             self.trips += 1;
@@ -447,7 +454,6 @@ fn ping_pong_between_waiting_pes_loses_no_wake_up() {
 
     struct Pong;
     impl Operator for Pong {
-        fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
         fn on_control(&mut self, c: ControlTuple, ctx: &mut OpContext<'_>) {
             ctx.emit_control(0, c);
         }
