@@ -14,7 +14,6 @@
 //!
 //! Output: `target/figures/ablate_sync.csv`.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_bench::{print_table, write_csv};
@@ -22,9 +21,10 @@ use spca_core::metrics::subspace_distance;
 use spca_core::PcaConfig;
 use spca_engine::{AppConfig, ParallelPcaApp, SyncStrategy};
 use spca_spectra::PlantedSubspace;
+use spca_streams::lock;
 use spca_streams::ops::GeneratorSource;
 use spca_streams::Engine;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const DIM: usize = 48;
@@ -58,7 +58,7 @@ fn run_with_divergence(
     let truth = PlantedSubspace::new(DIM, RANK, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(11)));
     let source = Box::new(
-        GeneratorSource::new(move |_| Some((truth.sample(&mut *rng.lock()), None)))
+        GeneratorSource::new(move |_| Some((truth.sample(&mut *lock(&rng)), None)))
             .with_max_tuples(N_TUPLES),
     );
     let (g, h) = ParallelPcaApp::build_with_gate(

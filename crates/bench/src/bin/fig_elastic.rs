@@ -18,7 +18,6 @@
 //! tuple loss, zero restarts of either kind, consistency within 0.25, and
 //! rescale latencies under 1 s on hosts with ≥ 4 cores.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_bench::cores;
@@ -29,8 +28,8 @@ use spca_engine::{AppConfig, ElasticRuntime, ParallelPcaApp, SyncStrategy};
 use spca_spectra::PlantedSubspace;
 use spca_streams::metrics::Counter;
 use spca_streams::ops::GeneratorSource;
-use spca_streams::{Engine, Operator, RunReport};
-use std::sync::Arc;
+use spca_streams::{lock, Engine, Operator, RunReport};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const DIM: usize = 32;
@@ -52,7 +51,7 @@ fn pca_cfg() -> PcaConfig {
 fn seeded_source(rate: Option<f64>) -> Box<dyn Operator> {
     let w = PlantedSubspace::new(DIM, 2, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(42)));
-    let mut src = GeneratorSource::new(move |_| Some((w.sample(&mut *rng.lock()), None)))
+    let mut src = GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None)))
         .with_max_tuples(N_TUPLES);
     if let Some(per_sec) = rate {
         src = src.with_rate(per_sec);
@@ -129,8 +128,7 @@ fn reference_run() -> EigenSystem {
     let cfg = AppConfig::new(1, pca_cfg());
     let (g, h) = ParallelPcaApp::build(&cfg, seeded_source(None));
     Engine::run(g);
-    let eig = h.engine_states[0]
-        .lock()
+    let eig = lock(&h.engine_states[0])
         .full_eigensystem()
         .expect("reference initialized")
         .clone();

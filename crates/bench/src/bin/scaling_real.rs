@@ -11,16 +11,16 @@
 //!
 //! Output: `target/figures/scaling_real.csv`.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_bench::{print_table, write_csv};
 use spca_core::PcaConfig;
 use spca_engine::{AppConfig, ParallelPcaApp, SyncStrategy};
 use spca_spectra::PlantedSubspace;
+use spca_streams::lock;
 use spca_streams::ops::GeneratorSource;
 use spca_streams::Engine;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const DIM: usize = 250;
@@ -35,7 +35,7 @@ fn throughput(n_engines: usize, fuse: bool, measure: Duration) -> f64 {
     let w = PlantedSubspace::new(DIM, P, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(7)));
     let source = Box::new(GeneratorSource::new(move |_| {
-        Some((w.sample(&mut *rng.lock()), None))
+        Some((w.sample(&mut *lock(&rng)), None))
     }));
     let (g, _h) = ParallelPcaApp::build(&cfg, source);
     let running = Engine::start(g);

@@ -22,11 +22,10 @@ use crate::messages::{PeerState, KIND_SNAPSHOT};
 use crate::pca_operator::StreamingPcaOp;
 use crate::results::ResultsHub;
 use crate::sync::{SyncController, SyncStrategy};
-use parking_lot::Mutex;
 use spca_core::{PcaConfig, RobustPca};
 use spca_streams::ops::{CallbackSink, CollectSink, Split, SplitStrategy, Throttle};
 use spca_streams::{ActiveSet, DataTuple, FaultPlan, GraphBuilder, Operator, PortKind};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Configuration of the parallel streaming-PCA application.
@@ -396,6 +395,7 @@ mod tests {
     use rand::SeedableRng;
     use spca_core::metrics::subspace_distance;
     use spca_spectra::PlantedSubspace;
+    use spca_streams::lock;
     use spca_streams::metrics::Counter;
     use spca_streams::ops::GeneratorSource;
     use spca_streams::Engine;
@@ -413,7 +413,7 @@ mod tests {
         let w = PlantedSubspace::new(D, 2, 0.05);
         let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
         Box::new(
-            GeneratorSource::new(move |_| Some((w.sample(&mut *rng.lock()), None)))
+            GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None)))
                 .with_max_tuples(n),
         )
     }
@@ -515,7 +515,7 @@ mod tests {
         let (g, h) = ParallelPcaApp::build(&cfg, planted_source(500, 13));
         Engine::run(g);
         let outcomes = h.outcomes.unwrap();
-        let rows = outcomes.lock();
+        let rows = lock(&outcomes);
         // Warm-up tuples don't produce outcomes; everything after does.
         assert!(rows.len() > 400, "only {} outcome rows", rows.len());
         assert!(rows.iter().all(|r| r.values.len() == 5));
@@ -601,9 +601,9 @@ mod tests {
         // Nobody flipped the active set: all traffic lands on engine 0 and
         // the standbys never observe a tuple.
         assert_eq!(report.tuples_in_matching("pca-"), 1200);
-        assert_eq!(h.engine_states[0].lock().n_obs(), 1200);
-        assert_eq!(h.engine_states[1].lock().n_obs(), 0);
-        assert_eq!(h.engine_states[2].lock().n_obs(), 0);
+        assert_eq!(lock(&h.engine_states[0]).n_obs(), 1200);
+        assert_eq!(lock(&h.engine_states[1]).n_obs(), 0);
+        assert_eq!(lock(&h.engine_states[2]).n_obs(), 0);
         assert_eq!(h.hub.engines_reporting(), 1, "standbys report nothing");
         assert_eq!(report.total(Counter::ScaleOuts), 0);
         assert_eq!(report.total(Counter::ScaleIns), 0);
@@ -627,7 +627,38 @@ mod tests {
         cfg.sync = SyncStrategy::None;
         let (g, h) = ParallelPcaApp::build(&cfg, planted_source(1000, 17));
         Engine::run(g);
-        let total: u64 = h.engine_states.iter().map(|s| s.lock().n_obs()).sum();
+        let total: u64 = h.engine_states.iter().map(|s| lock(s).n_obs()).sum();
         assert_eq!(total, 1000);
+    }
+
+    #[test]
+    fn a_poisoned_state_lock_does_not_stop_the_run() {
+        // A restarted operator, the elastic supervisor and the results
+        // reader all take an engine's state lock after a panic may have
+        // poisoned it; the run must go on as if nothing had happened.
+        let run = |poison: bool| {
+            let mut cfg = AppConfig::new(2, pca_cfg());
+            cfg.sync = SyncStrategy::None;
+            cfg.split = SplitStrategy::RoundRobin;
+            let (g, h) = ParallelPcaApp::build(&cfg, planted_source(1000, 23));
+            if poison {
+                let state = Arc::clone(&h.engine_states[0]);
+                let _ = std::thread::spawn(move || {
+                    let _guard = lock(&state);
+                    panic!("poison engine 0's state lock");
+                })
+                .join();
+                assert!(h.engine_states[0].is_poisoned());
+            }
+            Engine::run(g);
+            let st = lock(&h.engine_states[0]);
+            let eig = st.full_eigensystem().expect("engine 0 was fed");
+            (st.n_obs(), crate::persist::encode_snapshot(eig))
+        };
+        let (clean_n, clean_eig) = run(false);
+        let (poisoned_n, poisoned_eig) = run(true);
+        assert_eq!(clean_n, 500);
+        assert_eq!(poisoned_n, clean_n);
+        assert!(poisoned_eig == clean_eig, "eigensystems differ");
     }
 }

@@ -39,11 +39,10 @@
 //! conservation is exact and is what the regression tests pin.
 
 use crate::persist;
-use parking_lot::Mutex;
 use spca_core::{merge, merge_all, EigenSystem, RobustPca};
 use spca_streams::metrics::{OpSnapshot, RateProbe};
-use spca_streams::{ActiveSet, RunningEngine};
-use std::sync::Arc;
+use spca_streams::{lock, ActiveSet, RunningEngine};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 pub use spca_cluster::elastic::ElasticPolicy;
@@ -139,7 +138,7 @@ impl ElasticRuntime {
     pub fn merged_active_eigensystem(&self) -> Option<EigenSystem> {
         let initialized: Vec<EigenSystem> = self.states[..self.active.active()]
             .iter()
-            .filter_map(|st| st.lock().full_eigensystem().cloned())
+            .filter_map(|st| lock(st).full_eigensystem().cloned())
             .collect();
         merge_all(&initialized).ok()
     }
@@ -163,8 +162,7 @@ impl ElasticRuntime {
             let bytes = persist::encode_snapshot(&merged);
             let eig = persist::decode_snapshot(&bytes)
                 .map_err(|e| ScaleError::Migration(e.to_string()))?;
-            self.states[joining]
-                .lock()
+            lock(&self.states[joining])
                 .install_eigensystem(eig)
                 .map_err(|e| ScaleError::Migration(e.to_string()))?;
         }
@@ -188,11 +186,11 @@ impl ElasticRuntime {
 
         // Drain: the split no longer routes here, so once the observation
         // count stops moving the queued tail has been absorbed.
-        let mut last = self.states[retiring].lock().n_obs();
+        let mut last = lock(&self.states[retiring]).n_obs();
         let mut stable = 0;
         for _ in 0..self.max_drain_polls {
             std::thread::sleep(self.drain_poll);
-            let n_obs = self.states[retiring].lock().n_obs();
+            let n_obs = lock(&self.states[retiring]).n_obs();
             if n_obs == last {
                 stable += 1;
                 if stable >= self.drain_stable {
@@ -207,14 +205,14 @@ impl ElasticRuntime {
         // Take the retiree's final estimate and reset it under one lock:
         // nothing can slip between the read and the reset.
         let retired = {
-            let mut st = self.states[retiring].lock();
+            let mut st = lock(&self.states[retiring]);
             let eig = st.full_eigensystem().cloned();
             let cfg = st.config().clone();
             *st = RobustPca::new(cfg);
             eig
         };
         if let Some(eig) = retired {
-            let mut survivor = self.states[0].lock();
+            let mut survivor = lock(&self.states[0]);
             let merged = match survivor.full_eigensystem() {
                 Some(own) => merge(own, &eig).map_err(|e| ScaleError::Migration(e.to_string()))?,
                 // Survivor still warming up: adopt the retiree's estimate.
@@ -430,11 +428,11 @@ mod tests {
         let active = ActiveSet::new(2, 3);
         let states = vec![warmed_state(1, 400), warmed_state(2, 400), fresh_state()];
         let rt = ElasticRuntime::from_parts(Arc::clone(&active), states.clone());
-        assert!(states[2].lock().full_eigensystem().is_none());
+        assert!(lock(&states[2]).full_eigensystem().is_none());
 
         assert_eq!(rt.scale_out().unwrap(), 3);
         assert_eq!(active.active(), 3);
-        let boot = states[2].lock().full_eigensystem().cloned().unwrap();
+        let boot = lock(&states[2]).full_eigensystem().cloned().unwrap();
         boot.check_invariants().unwrap();
         // Bootstrapped from the merge: carries both donors' history.
         assert_eq!(boot.n_obs, 800);
@@ -451,7 +449,7 @@ mod tests {
         let states = vec![fresh_state(), fresh_state()];
         let rt = ElasticRuntime::from_parts(Arc::clone(&active), states.clone());
         assert_eq!(rt.scale_out().unwrap(), 2);
-        assert!(states[1].lock().full_eigensystem().is_none());
+        assert!(lock(&states[1]).full_eigensystem().is_none());
     }
 
     #[test]
@@ -459,11 +457,11 @@ mod tests {
         let active = ActiveSet::new(2, 2);
         let states = vec![warmed_state(3, 300), warmed_state(4, 500)];
         let rt = ElasticRuntime::from_parts(Arc::clone(&active), states.clone());
-        let before = states[0].lock().full_eigensystem().unwrap().n_obs;
+        let before = lock(&states[0]).full_eigensystem().unwrap().n_obs;
 
         assert_eq!(rt.scale_in().unwrap(), 1);
         assert_eq!(active.active(), 1);
-        let survivor = states[0].lock().full_eigensystem().cloned().unwrap();
+        let survivor = lock(&states[0]).full_eigensystem().cloned().unwrap();
         survivor.check_invariants().unwrap();
         assert_eq!(
             survivor.n_obs,
@@ -472,8 +470,8 @@ mod tests {
         );
         // The retiree is reset: its end-of-stream snapshot reports nothing
         // and a re-admission starts from the bootstrap, not stale state.
-        assert!(states[1].lock().full_eigensystem().is_none());
-        assert_eq!(states[1].lock().n_obs(), 0);
+        assert!(lock(&states[1]).full_eigensystem().is_none());
+        assert_eq!(lock(&states[1]).n_obs(), 0);
 
         // Floor reached.
         assert_eq!(rt.scale_in(), Err(ScaleError::AtFloor));
@@ -485,10 +483,10 @@ mod tests {
         let active = ActiveSet::new(1, 2);
         let states = vec![warmed_state(5, 800), fresh_state()];
         let rt = ElasticRuntime::from_parts(Arc::clone(&active), states.clone());
-        let before = states[0].lock().full_eigensystem().cloned().unwrap();
+        let before = lock(&states[0]).full_eigensystem().cloned().unwrap();
         rt.scale_out().unwrap();
         rt.scale_in().unwrap();
-        let after = states[0].lock().full_eigensystem().cloned().unwrap();
+        let after = lock(&states[0]).full_eigensystem().cloned().unwrap();
         let d = spca_core::metrics::subspace_distance(&before.basis, &after.basis).unwrap();
         assert!(d < 1e-6, "rescale round trip moved the basis by {d}");
     }
@@ -505,14 +503,14 @@ mod tests {
             let w = PlantedSubspace::new(D, 2, 0.05);
             let mut rng = StdRng::seed_from_u64(8);
             for _ in 0..50 {
-                retiree.lock().update(&w.sample(&mut rng)).unwrap();
+                lock(&retiree).update(&w.sample(&mut rng)).unwrap();
                 std::thread::sleep(Duration::from_micros(200));
             }
         });
         let n = rt.scale_in().unwrap();
         writer.join().unwrap();
         assert_eq!(n, 1);
-        let survivor = states[0].lock().full_eigensystem().cloned().unwrap();
+        let survivor = lock(&states[0]).full_eigensystem().cloned().unwrap();
         // 300 own + 300 retiree + the tail the drain absorbed. A sliver of
         // the 50-tuple tail may race past the stability window, but the
         // drain must have captured most of it.

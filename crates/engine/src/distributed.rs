@@ -39,16 +39,15 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use spca_core::PcaConfig;
 use spca_streams::engine::RunningEngine;
 use spca_streams::netio::{loopback_of, wake_acceptor};
 use spca_streams::ops::{CsvFileSource, GeneratorSource, SplitStrategy};
 use spca_streams::{
-    Engine, GraphBuilder, NetPartition, NetTransport, Operator, RunReport, Watched,
+    lock, Engine, GraphBuilder, NetPartition, NetTransport, Operator, RunReport, Watched,
 };
 
 use crate::app::{AppConfig, AppHandles, ParallelPcaApp};
@@ -369,7 +368,7 @@ fn bind_retry(data: SocketAddr) -> io::Result<Arc<NetTransport>> {
 }
 
 fn write_line(stream: &Mutex<TcpStream>, line: &str) -> io::Result<()> {
-    let mut s = stream.lock();
+    let mut s = lock(stream);
     s.write_all(line.as_bytes())?;
     s.write_all(b"\n")
 }
@@ -583,7 +582,7 @@ pub fn run_coordinator(
     // Stops the acceptor and the monitors, whatever they are blocked in.
     let stop_control = |acceptor: std::thread::JoinHandle<()>| {
         shared.stop.store(true, Ordering::SeqCst);
-        for s in shared.monitored.lock().iter() {
+        for s in lock(&shared.monitored).iter() {
             let _ = s.shutdown(Shutdown::Both);
         }
         wake_acceptor(ctl_addr, acceptor);
@@ -656,7 +655,7 @@ pub fn run_coordinator(
         let _ = h.join();
     }
     // Reap respawned children (kill any still running).
-    for child in shared.children.lock().iter_mut() {
+    for child in lock(&shared.children).iter_mut() {
         match child.try_wait() {
             Ok(Some(_)) => {}
             _ => {
@@ -665,7 +664,7 @@ pub fn run_coordinator(
             }
         }
     }
-    let respawns = shared.respawns.lock().iter().map(|b| b.total).sum();
+    let respawns = lock(&shared.respawns).iter().map(|b| b.total).sum();
     Ok(CoordinatorReport { report, respawns })
 }
 
@@ -712,7 +711,7 @@ fn spawn_monitor(
                 // A read that outlasts the window *is* the silence that
                 // declares a worker dead; a stop breaks the socket.
                 stream.set_read_timeout(Some(LIVENESS_WINDOW))?;
-                shared.monitored.lock().push(stream.try_clone()?);
+                lock(&shared.monitored).push(stream.try_clone()?);
                 let mut reader = BufReader::new(stream.try_clone()?);
                 let mut acc = String::new();
                 let connected = Instant::now();
@@ -731,7 +730,7 @@ fn spawn_monitor(
                             // no longer part of a crash loop, so the slot's
                             // respawn budget resets.
                             if !forgiven && connected.elapsed() > LIVENESS_WINDOW {
-                                shared.respawns.lock()[idx].mark_healthy();
+                                lock(&shared.respawns)[idx].mark_healthy();
                                 forgiven = true;
                             }
                             let done = acc.trim().starts_with("DONE");
@@ -760,7 +759,7 @@ fn spawn_monitor(
             // The worker died mid-run: respawn it against the same data
             // address so in-flight senders reconnect, with rehydration
             // picking up from its checkpoint manifest.
-            let (attempt, within_budget) = shared.respawns.lock()[idx].record_death();
+            let (attempt, within_budget) = lock(&shared.respawns)[idx].record_death();
             if !within_budget {
                 eprintln!(
                     "[coordinator] worker {idx} died {attempt} times without a healthy run; \
@@ -790,7 +789,7 @@ fn spawn_monitor(
                 ])
                 .spawn()
             {
-                Ok(child) => shared.children.lock().push(child),
+                Ok(child) => lock(&shared.children).push(child),
                 Err(e) => eprintln!("[coordinator] failed to respawn worker {idx}: {e}"),
             }
         })

@@ -22,9 +22,10 @@
 //!    update path.
 
 use spca_core::EigenSystem;
+use spca_streams::lock;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// How many snapshot buffers each publishing operator should
 /// [`EpochStore::prewarm`] into the pool. Steady state keeps two in use
@@ -91,10 +92,6 @@ impl EpochStore {
         Self::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, Slots> {
-        self.slots.lock().expect("epoch store lock poisoned")
-    }
-
     /// The epoch of the latest published snapshot (0 = none yet).
     pub fn epoch(&self) -> u64 {
         self.seq.load(Ordering::Acquire)
@@ -107,7 +104,7 @@ impl EpochStore {
     /// operator at build time: afterwards checkout, fill and publish
     /// perform no heap allocation, from the first publish on.
     pub fn prewarm(&self, n: usize, d: usize, k: usize) {
-        let mut s = self.lock();
+        let mut s = lock(&self.slots);
         // Some buffers are current or checked out right now and will be
         // pushed back, so room is kept for every one ever created.
         s.created += n;
@@ -127,7 +124,7 @@ impl EpochStore {
     /// or `None` when readers hold every pooled buffer pinned: the update
     /// path then *skips* the publish. Never allocates.
     pub fn try_checkout(&self) -> Option<SnapshotBuf> {
-        let mut s = self.lock();
+        let mut s = lock(&self.slots);
         // Nothing can clone an `Arc` that only the pool refers to, so a
         // buffer found free here stays free until it is handed out.
         let free = s.pool.iter_mut().position(|b| Arc::get_mut(b).is_some())?;
@@ -148,13 +145,13 @@ impl EpochStore {
 
     /// Returns a checked-out buffer that will not be published to the pool.
     pub fn recycle(&self, snap: SnapshotBuf) {
-        self.lock().pool.push(snap.0);
+        lock(&self.slots).pool.push(snap.0);
     }
 
     /// Publishes a filled buffer under the next epoch number, which it
     /// returns; the snapshot it replaces goes back to the pool.
     pub fn publish(&self, mut snap: SnapshotBuf) -> u64 {
-        let mut s = self.lock();
+        let mut s = lock(&self.slots);
         let epoch = self.seq.load(Ordering::Relaxed) + 1;
         snap.epoch = epoch;
         if let Some(old) = s.current.replace(snap.0) {
@@ -182,7 +179,7 @@ impl EpochReader {
     /// Pins the current snapshot for reading (`None` before the first
     /// publish), keeping its buffer out of circulation until dropped.
     pub fn pin(&mut self) -> Option<PinnedSnapshot> {
-        self.store.lock().current.clone().map(PinnedSnapshot)
+        lock(&self.store.slots).current.clone().map(PinnedSnapshot)
     }
 }
 
@@ -240,6 +237,26 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_store_still_publishes_and_pins() {
+        // A thread that panics holding the store's lock must not take the
+        // next publisher or the serving threads down with it.
+        let store = Arc::new(EpochStore::new());
+        let theirs = Arc::clone(&store);
+        let _ = std::thread::spawn(move || {
+            let _slots = lock(&theirs.slots);
+            panic!("poison the store");
+        })
+        .join();
+        assert!(store.slots.is_poisoned());
+        let mut buf = store.checkout();
+        buf.eig.copy_from(&small_eig(5));
+        buf.p = 2;
+        assert_eq!(store.publish(buf), 1);
+        let mut r = store.reader().unwrap();
+        assert_eq!(r.pin().unwrap().epoch, 1);
+    }
+
+    #[test]
     fn epochs_are_monotonic_and_latest_wins() {
         let store = Arc::new(EpochStore::new());
         for i in 0..10 {
@@ -266,7 +283,7 @@ mod tests {
             store.publish(buf);
         }
         assert_eq!(
-            store.lock().pool.len(),
+            lock(&store.slots).pool.len(),
             1,
             "retired buffers must not pile up"
         );
@@ -345,7 +362,7 @@ mod tests {
             .collect();
         assert!(store.try_checkout().is_none(), "pool fully drained");
         // Room grows with the buffers created, not with the calls made.
-        assert!(store.lock().pool.capacity() <= 2 * total);
+        assert!(lock(&store.slots).pool.capacity() <= 2 * total);
         for b in boxes {
             store.recycle(b);
         }

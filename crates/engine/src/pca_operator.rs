@@ -23,22 +23,22 @@
 //!   rejected tuples carry zero weight in the eigensystem but are never
 //!   dropped from the quarantine feed.
 //!
-//! The operator state is guarded by a `parking_lot::Mutex` exactly as the
-//! paper guards its operator with an InfoSphere mutex — the engine never
-//! calls one operator concurrently, but the lock documents and enforces
-//! the invariant cheaply, and lets diagnostics peek at live state.
+//! The operator state is guarded by a `std` mutex, taken through
+//! [`spca_streams::lock`], as the paper guards its operator with an
+//! InfoSphere mutex — the engine never calls one operator concurrently,
+//! but the lock documents and enforces the invariant cheaply, and lets
+//! diagnostics peek at live state.
 
 use crate::messages::{
     Heartbeat, PeerState, SyncCommand, KIND_HEARTBEAT, KIND_PEER_STATE, KIND_SNAPSHOT,
     KIND_SYNC_COMMAND,
 };
 use crate::persist;
-use parking_lot::Mutex;
 use spca_core::{merge, PcaConfig, RobustPca};
 use spca_streams::checkpoint::{decode_kv, encode_kv, kv_u64, Checkpoint};
 use spca_streams::metrics::Counter;
-use spca_streams::{ControlTuple, OpContext, Operator, RowRef, Rows};
-use std::sync::Arc;
+use spca_streams::{lock, ControlTuple, OpContext, Operator, RowRef, Rows};
+use std::sync::{Arc, Mutex};
 
 /// Default heartbeat cadence in processed tuples (see
 /// [`StreamingPcaOp::with_heartbeats_every`]): at 64 a heartbeat costs
@@ -207,7 +207,7 @@ impl StreamingPcaOp {
     /// pool exhaustion sheds a publish instead of allocating.
     pub fn with_epoch_store(mut self, store: Arc<crate::epoch::EpochStore>, every: u64) -> Self {
         let (d, k) = {
-            let st = self.state.lock();
+            let st = lock(&self.state);
             let c = st.config();
             (c.dim, c.p_total())
         };
@@ -232,7 +232,7 @@ impl StreamingPcaOp {
             return; // pool drained by stalled readers: shed this publish
         };
         let filled = {
-            let st = self.state.lock();
+            let st = lock(&self.state);
             match st.full_eigensystem() {
                 Some(eig) => {
                     buf.eig.copy_from(eig);
@@ -254,7 +254,7 @@ impl StreamingPcaOp {
     /// the warm-up phase is skipped and streaming resumes from the given
     /// state. Fails if the state's shape does not match the configuration.
     pub fn with_initial_state(self, eig: spca_core::EigenSystem) -> spca_core::Result<Self> {
-        self.state.lock().install_eigensystem(eig)?;
+        lock(&self.state).install_eigensystem(eig)?;
         Ok(self)
     }
 
@@ -281,7 +281,7 @@ impl StreamingPcaOp {
         // with the lock released, so a slow or blocking downstream port can
         // never stall the per-tuple update path of a concurrent reader.
         let (eigensystem, n_obs) = {
-            let st = self.state.lock();
+            let st = lock(&self.state);
             match st.full_eigensystem() {
                 Some(eig) => (eig.clone(), st.n_obs()),
                 None => return,
@@ -335,7 +335,7 @@ impl StreamingPcaOp {
             return;
         }
         let outcome = {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             match tuple.mask {
                 Some(mask) => st.update_masked(tuple.values, mask),
                 None => st.update(tuple.values),
@@ -430,7 +430,7 @@ impl Operator for StreamingPcaOp {
                 // the state lock there would couple downstream congestion
                 // to the update hot path).
                 let (eigensystem, n_obs) = {
-                    let st = self.state.lock();
+                    let st = lock(&self.state);
                     let Some(own) = st.full_eigensystem() else {
                         return;
                     };
@@ -472,7 +472,7 @@ impl Operator for StreamingPcaOp {
                     return;
                 };
                 self.last_peer = Some(peer.eigensystem.clone());
-                let mut st = self.state.lock();
+                let mut st = lock(&self.state);
                 let merged = match st.full_eigensystem() {
                     Some(own) => merge(own, &peer.eigensystem),
                     // Not initialized yet: adopt the peer's state outright.
@@ -522,7 +522,7 @@ impl Operator for StreamingPcaOp {
             return false;
         }
         {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             *st = RobustPca::new(st.config().clone());
         }
         self.processed = 0;
@@ -562,7 +562,7 @@ impl Checkpoint for StreamingPcaOp {
             ("shares_sent", self.shares_sent.to_string()),
         ]);
         let eig = {
-            let st = self.state.lock();
+            let st = lock(&self.state);
             st.full_eigensystem().cloned()
         };
         if let Some(eig) = eig {
@@ -585,7 +585,7 @@ impl Checkpoint for StreamingPcaOp {
             }
         };
         let kv = decode_kv(head)?;
-        let cfg = self.state.lock().config().clone();
+        let cfg = lock(&self.state).config().clone();
         let mut fresh = RobustPca::new(cfg);
         if let Some(eig_bytes) = eig_bytes {
             let eig = persist::decode_snapshot(eig_bytes)?;
@@ -601,7 +601,7 @@ impl Checkpoint for StreamingPcaOp {
         self.merges_applied = kv_u64(&kv, "merges_applied")?;
         self.shares_sent = kv_u64(&kv, "shares_sent")?;
         self.last_peer = None;
-        *self.state.lock() = fresh;
+        *lock(&self.state) = fresh;
         Ok(())
     }
 
@@ -622,6 +622,7 @@ mod tests {
     use spca_spectra::PlantedSubspace;
     use spca_streams::operator::testing::{feed_tuple, with_ctx, with_sink, CaptureSink};
     use spca_streams::{DataTuple, Tuple};
+    use std::sync::TryLockError;
 
     const D: usize = 16;
 
@@ -648,7 +649,7 @@ mod tests {
         let mut op = StreamingPcaOp::new(0, cfg(), 1);
         feed(&mut op, 1000, 1);
         let st = op.state_handle();
-        let guard = st.lock();
+        let guard = lock(&st);
         assert!(guard.is_initialized());
         let eig = guard.eigensystem();
         let dist = spca_core::metrics::subspace_distance(
@@ -768,17 +769,17 @@ mod tests {
         let sb = b.state_handle();
         let peer = PeerState {
             engine: 1,
-            eigensystem: sb.lock().full_eigensystem().unwrap().clone(),
+            eigensystem: lock(&sb).full_eigensystem().unwrap().clone(),
             n_obs: 500,
             shares_sent: 0,
             merges_applied: 0,
         };
-        let n_before = a.state_handle().lock().full_eigensystem().unwrap().n_obs;
+        let n_before = lock(&a.state_handle()).full_eigensystem().unwrap().n_obs;
         with_ctx(3, |ctx| {
             a.on_control(ControlTuple::new(KIND_PEER_STATE, 1, Arc::new(peer)), ctx);
         });
         assert_eq!(a.merges_applied, 1);
-        let after = a.state_handle().lock().full_eigensystem().unwrap().clone();
+        let after = lock(&a.state_handle()).full_eigensystem().unwrap().clone();
         assert_eq!(after.n_obs, n_before + 500, "merge sums observation counts");
         after.check_invariants().unwrap();
     }
@@ -828,7 +829,7 @@ mod tests {
         let mut a = StreamingPcaOp::new(0, cfg(), 1).with_divergence_gate(0.2);
         feed(&mut a, 800, 30); // past the 1.5N gate of 300
                                // Tell it about a peer that has the SAME state (itself).
-        let own = a.state_handle().lock().full_eigensystem().unwrap().clone();
+        let own = lock(&a.state_handle()).full_eigensystem().unwrap().clone();
         let same_peer = PeerState {
             engine: 1,
             eigensystem: own,
@@ -919,7 +920,7 @@ mod tests {
         let watched = Arc::clone(&handle);
         sink.on_emit = Some(Box::new(move |port, _| {
             assert!(
-                !watched.is_locked(),
+                !matches!(watched.try_lock(), Err(TryLockError::WouldBlock)),
                 "state mutex held during send on port {port}"
             );
         }));
@@ -1023,7 +1024,7 @@ mod tests {
         assert_eq!(dirty.processed, clean.processed);
         let a = clean.state_handle();
         let b = dirty.state_handle();
-        let (ga, gb) = (a.lock(), b.lock());
+        let (ga, gb) = (lock(&a), lock(&b));
         assert_eig_bits_equal(
             ga.full_eigensystem().unwrap(),
             gb.full_eigensystem().unwrap(),
@@ -1117,7 +1118,7 @@ mod tests {
         assert_eq!(op.processed, 0);
         assert_eq!(op.obs_since_sync, 0);
         assert!(op.last_peer.is_none());
-        assert!(!op.state_handle().lock().is_initialized());
+        assert!(!lock(&op.state_handle()).is_initialized());
     }
 
     #[test]
@@ -1126,7 +1127,7 @@ mod tests {
         feed(&mut op, 500, 18);
         op.obs_since_sync = 123;
         op.shares_sent = 2;
-        let before = op.state_handle().lock().full_eigensystem().unwrap().clone();
+        let before = lock(&op.state_handle()).full_eigensystem().unwrap().clone();
         let bytes = Checkpoint::snapshot(&op);
 
         let mut fresh = StreamingPcaOp::new(4, cfg(), 1);
@@ -1135,9 +1136,7 @@ mod tests {
         assert_eq!(fresh.obs_since_sync, 123);
         assert_eq!(fresh.shares_sent, 2);
         assert!(fresh.last_peer.is_none());
-        let after = fresh
-            .state_handle()
-            .lock()
+        let after = lock(&fresh.state_handle())
             .full_eigensystem()
             .unwrap()
             .clone();
@@ -1152,7 +1151,7 @@ mod tests {
         let mut fresh = StreamingPcaOp::new(4, cfg(), 0);
         fresh.restore(&bytes).unwrap();
         assert_eq!(fresh.processed, 5);
-        assert!(!fresh.state_handle().lock().is_initialized());
+        assert!(!lock(&fresh.state_handle()).is_initialized());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! can be obtained from any node" (§III-B).
 
 use crate::messages::PeerState;
-use parking_lot::Mutex;
 use spca_core::{merge_all, EigenSystem, PcaError};
-use std::sync::Arc;
+use spca_streams::lock;
+use std::sync::{Arc, Mutex};
 
 /// Shared collector of per-engine eigensystem snapshots.
 #[derive(Clone)]
@@ -36,7 +36,7 @@ impl ResultsHub {
 
     /// Records a snapshot (the application wires this to monitor ports).
     pub fn record(&self, state: PeerState) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         let idx = state.engine as usize;
         if idx < g.latest.len() {
             g.latest[idx] = Some(state);
@@ -46,8 +46,7 @@ impl ResultsHub {
 
     /// Latest eigensystem of one engine, if it has reported.
     pub fn engine_state(&self, engine: usize) -> Option<EigenSystem> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .latest
             .get(engine)?
             .as_ref()
@@ -56,8 +55,7 @@ impl ResultsHub {
 
     /// Number of engines that have reported at least once.
     pub fn engines_reporting(&self) -> usize {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .latest
             .iter()
             .filter(|s| s.is_some())
@@ -66,14 +64,14 @@ impl ResultsHub {
 
     /// Total snapshots recorded.
     pub fn snapshots_seen(&self) -> u64 {
-        self.inner.lock().snapshots_seen
+        lock(&self.inner).snapshots_seen
     }
 
     /// Total state shares and merges across reporting engines, from the
     /// latest snapshots — the sync-traffic diagnostics of the ablation
     /// benches.
     pub fn sync_totals(&self) -> (u64, u64) {
-        let g = self.inner.lock();
+        let g = lock(&self.inner);
         let mut shares = 0;
         let mut merges = 0;
         for s in g.latest.iter().flatten() {
@@ -87,7 +85,7 @@ impl ResultsHub {
     /// estimate (paper eq. 15–16 applied across the fleet). An error while
     /// no engine has reported yet.
     pub fn merged_estimate(&self) -> Result<EigenSystem, PcaError> {
-        let g = self.inner.lock();
+        let g = lock(&self.inner);
         merge_all(g.latest.iter().flatten().map(|s| &s.eigensystem))
     }
 }

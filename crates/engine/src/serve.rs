@@ -27,6 +27,7 @@
 use crate::epoch::{EpochReader, EpochStore};
 use spca_core::QueryWorkspace;
 use spca_streams::csv;
+use spca_streams::lock;
 use spca_streams::metrics::{Counter, LatencyHistogram, OpSnapshot, COUNTERS};
 use spca_streams::ops::http_server::{ConnHandler, Request, ResponseBuf, ServerStats};
 use spca_streams::RunReport;
@@ -130,12 +131,12 @@ impl ServeShared {
     /// live sums while the run is in flight and with
     /// [`FaultCounters::from_report`] after it finishes.
     pub fn set_counters(&self, c: FaultCounters) {
-        *self.counters.lock().unwrap() = c;
+        *lock(&self.counters) = c;
     }
 
     /// Current mirrored fault counters.
     pub fn counters(&self) -> FaultCounters {
-        *self.counters.lock().unwrap()
+        *lock(&self.counters)
     }
 
     /// Attaches the HTTP server's stats so `/metrics` can report

@@ -15,7 +15,7 @@ use spca_engine::{
 };
 use spca_spectra::{io, PlantedSubspace};
 use spca_streams::ops::CsvFileSource;
-use spca_streams::{content_hash, Engine};
+use spca_streams::{content_hash, lock, Engine};
 use std::ops::Range;
 use std::path::PathBuf;
 
@@ -228,7 +228,7 @@ fn splice_resumes_bit_identically_from_memory_and_disk() {
         app.warm_start = Some(warm);
         let (graph, handles) = ParallelPcaApp::build(&app, Box::new(CsvFileSource::new(&live)));
         Engine::run(graph);
-        let state = handles.engine_states[0].lock();
+        let state = lock(&handles.engine_states[0]);
         encode_snapshot(state.full_eigensystem().expect("initialized by warm start"))
     };
 

@@ -2,7 +2,6 @@
 //! cross-PE transport batch size. Batching changes how tuples travel
 //! (frames vs. one-at-a-time), never what the application computes.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_core::{EigenSystem, PcaConfig};
@@ -12,9 +11,9 @@ use spca_engine::{
 };
 use spca_spectra::PlantedSubspace;
 use spca_streams::{
-    ControlTuple, DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, SourceState,
+    lock, ControlTuple, DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, SourceState,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const D: usize = 16;
 const K: usize = 2;
@@ -85,7 +84,7 @@ impl Operator for SnapshotSink {
     fn on_control(&mut self, c: ControlTuple, _ctx: &mut OpContext<'_>) {
         if c.kind == KIND_SNAPSHOT {
             if let Some(st) = c.payload_as::<PeerState>() {
-                self.store.lock().push(st.clone());
+                lock(&self.store).push(st.clone());
             }
         }
     }
@@ -114,7 +113,7 @@ fn run_scripted(batch: usize, samples: &[Vec<f64>]) -> (u64, EigenSystem) {
     g.connect(src, 0, pca, PortKind::Data);
     g.connect(pca, 1, mon, PortKind::Control);
     Engine::run(g);
-    let snaps = store.lock();
+    let snaps = lock(&store);
     let last = snaps.last().expect("final snapshot expected");
     (last.merges_applied, last.eigensystem.clone())
 }

@@ -4,15 +4,15 @@
 //! one test because it reads the CPU time of the whole process.
 #![cfg(target_os = "linux")]
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_core::PcaConfig;
 use spca_engine::{AppConfig, ParallelPcaApp, SyncStrategy};
 use spca_spectra::PlantedSubspace;
+use spca_streams::lock;
 use spca_streams::ops::GeneratorSource;
 use spca_streams::Engine;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// User + system CPU time of this process: fields 14 and 15 of
@@ -50,7 +50,7 @@ fn assert_a_slow_stream_costs_no_core(sync: SyncStrategy) {
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(31)));
     let source = GeneratorSource::new(move |_| {
         std::thread::sleep(Duration::from_millis(4));
-        Some((w.sample(&mut *rng.lock()), None))
+        Some((w.sample(&mut *lock(&rng)), None))
     })
     .with_max_tuples(ROWS);
     let (g, h) = ParallelPcaApp::build(&cfg, Box::new(source));

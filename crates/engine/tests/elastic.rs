@@ -17,7 +17,6 @@
 //!    phase scales the fleet out, the trickle phase shrinks it again, and
 //!    every tuple is processed exactly once across both rescales.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_core::metrics::subspace_distance;
@@ -30,9 +29,9 @@ use spca_spectra::PlantedSubspace;
 use spca_streams::metrics::Counter;
 use spca_streams::operator::testing::{feed_tuple, with_ctx};
 use spca_streams::ops::GeneratorSource;
-use spca_streams::{ControlTuple, DataTuple, Engine, FaultPlan, Operator};
+use spca_streams::{lock, ControlTuple, DataTuple, Engine, FaultPlan, Operator};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const D: usize = 16;
@@ -57,7 +56,7 @@ fn seeded_source(seed: u64, n: u64, rate: Option<f64>) -> Box<dyn Operator> {
     let w = PlantedSubspace::new(D, 2, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
     let mut src =
-        GeneratorSource::new(move |_| Some((w.sample(&mut *rng.lock()), None))).with_max_tuples(n);
+        GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None))).with_max_tuples(n);
     if let Some(per_sec) = rate {
         src = src.with_rate(per_sec);
     }
@@ -98,8 +97,7 @@ fn fixed_fleet_reference(seed: u64, n: u64) -> EigenSystem {
     let cfg = AppConfig::new(1, pca_cfg());
     let (g, h) = ParallelPcaApp::build(&cfg, seeded_source(seed, n, None));
     Engine::run(g);
-    let eig = h.engine_states[0]
-        .lock()
+    let eig = lock(&h.engine_states[0])
         .full_eigensystem()
         .expect("reference run initialized")
         .clone();
@@ -130,28 +128,26 @@ fn scripted_rescale_conserves_tuples_and_matches_fixed_fleet_reference() {
 
     // Scale out once engine 0 is warmed up well past init.
     assert!(
-        wait_until(Duration::from_secs(30), || h.engine_states[0]
-            .lock()
+        wait_until(Duration::from_secs(30), || lock(&h.engine_states[0])
             .n_obs()
             > 5_000),
         "engine 0 never warmed up"
     );
-    let donor_obs = h.engine_states[0].lock().n_obs();
+    let donor_obs = lock(&h.engine_states[0]).n_obs();
     rt.scale_out().expect("scale out");
     assert_eq!(rt.active(), 2);
 
     // The joiner was bootstrapped from the fleet's merged eigensystem in
     // checkpoint format: it starts with the donors' history, not zero.
     assert!(
-        h.engine_states[1].lock().n_obs() >= donor_obs / 2,
+        lock(&h.engine_states[1]).n_obs() >= donor_obs / 2,
         "joiner must carry bootstrapped history"
     );
 
     // Let the joiner take live traffic, then retire it again.
-    let at_join = h.engine_states[1].lock().n_obs();
+    let at_join = lock(&h.engine_states[1]).n_obs();
     assert!(
-        wait_until(Duration::from_secs(30), || h.engine_states[1]
-            .lock()
+        wait_until(Duration::from_secs(30), || lock(&h.engine_states[1])
             .n_obs()
             > at_join + 2_000),
         "joiner never took live traffic"
@@ -174,7 +170,7 @@ fn scripted_rescale_conserves_tuples_and_matches_fixed_fleet_reference() {
 
     // The retiree was folded into the survivor and reset: its state is
     // uninitialized, the survivor holds the fleet's combined history.
-    assert!(h.engine_states[1].lock().full_eigensystem().is_none());
+    assert!(lock(&h.engine_states[1]).full_eigensystem().is_none());
 
     let merged = rt.merged_active_eigensystem().expect("merged estimate");
     let reference = fixed_fleet_reference(11, N);
@@ -212,9 +208,7 @@ fn joining_engine_shares_only_after_the_independence_gate_repasses() {
     // Donor: a warmed-up engine whose eigensystem seeds the joiner.
     let mut donor = StreamingPcaOp::new(0, gate_cfg(), 1);
     feed(&mut donor, 800, 7);
-    let eig = donor
-        .state_handle()
-        .lock()
+    let eig = lock(&donor.state_handle())
         .full_eigensystem()
         .expect("donor initialized")
         .clone();
@@ -223,9 +217,7 @@ fn joining_engine_shares_only_after_the_independence_gate_repasses() {
     // it — the donor history installed into its state handle. History
     // alone must not open the gate: `obs_since_sync` starts at zero.
     let mut joiner = StreamingPcaOp::new(1, gate_cfg(), 1);
-    joiner
-        .state_handle()
-        .lock()
+    lock(&joiner.state_handle())
         .install_eigensystem(eig)
         .unwrap();
     let sink = with_ctx(3, |ctx| joiner.on_control(cmd(), ctx));
@@ -267,8 +259,7 @@ fn kill_pe_during_scale_out_recovers_and_converges() {
     let running = Engine::start(g);
 
     assert!(
-        wait_until(Duration::from_secs(30), || h.engine_states[0]
-            .lock()
+        wait_until(Duration::from_secs(30), || lock(&h.engine_states[0])
             .n_obs()
             > 5_000),
         "engine 0 never warmed up"
@@ -313,15 +304,14 @@ fn fsync_faults_during_retire_merge_degrade_gracefully() {
 
     assert!(
         wait_until(Duration::from_secs(30), || {
-            h.engine_states[0].lock().n_obs() + h.engine_states[1].lock().n_obs() > 8_000
+            lock(&h.engine_states[0]).n_obs() + lock(&h.engine_states[1]).n_obs() > 8_000
         }),
         "fleet never warmed up"
     );
     rt.scale_out().expect("scale out");
-    let at_join = h.engine_states[2].lock().n_obs();
+    let at_join = lock(&h.engine_states[2]).n_obs();
     assert!(
-        wait_until(Duration::from_secs(30), || h.engine_states[2]
-            .lock()
+        wait_until(Duration::from_secs(30), || lock(&h.engine_states[2])
             .n_obs()
             > at_join + 2_000),
         "joiner never took live traffic"
@@ -379,7 +369,7 @@ fn load_swing_scales_out_and_back_in_with_zero_loss() {
         if seq >= HEAVY {
             std::thread::sleep(Duration::from_micros(200));
         }
-        Some((w.sample(&mut *rng.lock()), None))
+        Some((w.sample(&mut *lock(&rng)), None))
     })
     .with_max_tuples(TOTAL);
 

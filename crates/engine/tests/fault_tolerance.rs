@@ -9,7 +9,6 @@
 //!    still complete and converge: the controller re-closes the ring
 //!    around the corpse. Nothing tells the app to expect the death.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_core::metrics::subspace_distance;
@@ -19,10 +18,10 @@ use spca_spectra::PlantedSubspace;
 use spca_streams::metrics::Counter;
 use spca_streams::ops::{GeneratorSource, SplitStrategy};
 use spca_streams::{
-    ControlTuple, DataTuple, Engine, FaultPlan, OpContext, Operator, RunReport, SourceState,
+    lock, ControlTuple, DataTuple, Engine, FaultPlan, OpContext, Operator, RunReport, SourceState,
 };
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const D: usize = 16;
@@ -49,7 +48,7 @@ fn seeded_source(seed: u64) -> Box<dyn Operator> {
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
     Box::new(
         GeneratorSource::new(move |seq| {
-            let v = w.sample(&mut *rng.lock());
+            let v = w.sample(&mut *lock(&rng));
             if NAN_SEQS.contains(&seq) {
                 Some((vec![f64::NAN; D], None))
             } else {
@@ -136,7 +135,7 @@ fn run_once(faults: Option<&str>, dir: &Path) -> RunOutcome {
     let eigs: Vec<EigenSystem> = h
         .engine_states
         .iter()
-        .map(|s| s.lock().full_eigensystem().expect("initialized").clone())
+        .map(|s| lock(s).full_eigensystem().expect("initialized").clone())
         .collect();
     let merged = h.hub.merged_estimate().expect("merged estimate");
     let reporting = h.hub.engines_reporting();
@@ -278,7 +277,7 @@ fn ring_survives_a_killed_engine_and_still_converges() {
     let w = PlantedSubspace::new(D, 2, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(78)));
     let source = Box::new(
-        GeneratorSource::new(move |_| Some((w.sample(&mut *rng.lock()), None)))
+        GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None)))
             .with_max_tuples(N_TUPLES)
             .with_rate(250_000.0),
     );
@@ -464,7 +463,7 @@ fn merged_then_maybe_panicked(faults: Option<&str>, dir: &Path) -> (Vec<(u64, u6
             |_d| {},
             move |c: ControlTuple| {
                 if let Some(s) = c.payload_as::<spca_engine::PeerState>() {
-                    log.lock().push((s.n_obs, s.merges_applied));
+                    lock(&log).push((s.n_obs, s.merges_applied));
                 }
             },
         )),
@@ -474,8 +473,8 @@ fn merged_then_maybe_panicked(faults: Option<&str>, dir: &Path) -> (Vec<(u64, u6
     g.connect(pca, 0, monitor, PortKind::Control);
     g.fuse(&[src, pca]);
     Engine::run(g);
-    let eig = state.lock().full_eigensystem().unwrap().clone();
-    let seen = seen.lock().clone();
+    let eig = lock(&state).full_eigensystem().unwrap().clone();
+    let seen = lock(&seen).clone();
     (seen, eig)
 }
 

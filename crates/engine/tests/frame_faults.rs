@@ -9,7 +9,6 @@
 //! reach the engines through the PE's local frame, and each fault must do
 //! the same there.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_core::{EigenSystem, PcaConfig};
@@ -17,8 +16,8 @@ use spca_engine::{normalize_fault_targets, AppConfig, ParallelPcaApp, SyncStrate
 use spca_spectra::PlantedSubspace;
 use spca_streams::metrics::Counter;
 use spca_streams::ops::{GeneratorSource, SplitStrategy};
-use spca_streams::{Engine, FaultPlan, RunReport};
-use std::sync::Arc;
+use spca_streams::{lock, Engine, FaultPlan, RunReport};
+use std::sync::{Arc, Mutex};
 
 const D: usize = 16;
 const ROWS: u64 = 2_000;
@@ -49,14 +48,14 @@ fn run(fault: Option<&str>, fuse: bool) -> (RunReport, Vec<EigenSystem>) {
     }
     let w = PlantedSubspace::new(D, 2, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(31)));
-    let source = GeneratorSource::new(move |_| Some((w.sample(&mut *rng.lock()), None)))
+    let source = GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None)))
         .with_max_tuples(ROWS);
     let (g, h) = ParallelPcaApp::build(&cfg, Box::new(source));
     let report = Engine::run(g);
     let eigs = h
         .engine_states
         .iter()
-        .map(|s| s.lock().full_eigensystem().expect("initialized").clone())
+        .map(|s| lock(s).full_eigensystem().expect("initialized").clone())
         .collect();
     std::fs::remove_dir_all(&dir).ok();
     (report, eigs)

@@ -11,7 +11,6 @@
 //! scrapes `/metrics` and asserts, for every row of the table, that the
 //! served value and the summary's are the report's total.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_core::PcaConfig;
@@ -23,10 +22,10 @@ use spca_spectra::PlantedSubspace;
 use spca_streams::metrics::{Counter, COUNTERS};
 use spca_streams::ops::http_server::{HttpServer, ServerConfig};
 use spca_streams::ops::{GeneratorSource, SplitStrategy};
-use spca_streams::{Engine, FaultPlan, Operator};
+use spca_streams::{lock, Engine, FaultPlan, Operator};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const D: usize = 12;
@@ -38,7 +37,7 @@ fn seeded_source() -> Box<dyn Operator> {
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(11)));
     Box::new(
         GeneratorSource::new(move |seq| {
-            let v = w.sample(&mut *rng.lock());
+            let v = w.sample(&mut *lock(&rng));
             if NAN_SEQS.contains(&seq) {
                 Some((vec![f64::NAN; D], None))
             } else {

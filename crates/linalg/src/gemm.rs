@@ -93,11 +93,6 @@ fn gemm_into_cols(a: &Mat, b: &Mat, band: &mut [f64], c0: usize, width: usize) {
     kernels::gemm_block(a.rows(), k, width, a.as_slice(), bpan, band);
 }
 
-/// Symmetric rank-k style product `aᵀ a`, exploiting symmetry.
-pub fn ata(a: &Mat) -> Mat {
-    a.gram()
-}
-
 fn check(a: &Mat, b: &Mat) -> Result<()> {
     if a.cols() != b.rows() {
         return Err(LinalgError::ShapeMismatch {
@@ -206,7 +201,7 @@ mod tests {
     fn ata_matches_explicit() {
         let a = random(10, 4, 6);
         let want = gemm(&a.transpose(), &a).unwrap();
-        let got = ata(&a);
+        let got = a.gram();
         assert!(got.sub(&want).unwrap().max_abs() < 1e-12);
     }
 }

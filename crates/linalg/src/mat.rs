@@ -221,13 +221,6 @@ impl Mat {
         vecops::scale(&mut self.data, s);
     }
 
-    /// Returns `self * s`.
-    pub fn scaled(&self, s: f64) -> Mat {
-        let mut m = self.clone();
-        m.scale_mut(s);
-        m
-    }
-
     /// In-place addition `self += other`.
     pub fn add_assign(&mut self, other: &Mat) -> Result<()> {
         self.check_same_shape(other)?;

@@ -29,11 +29,11 @@
 
 use crate::checkpoint::{quarantine_file, read_sealed, seal, write_atomic_vfs};
 use crate::vfs::{RealVfs, Vfs};
-use parking_lot::Mutex;
+use crate::watched::lock;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One unit of backfill work.
@@ -339,7 +339,7 @@ where
                     if result.is_err() {
                         failed.store(true, Ordering::Relaxed);
                     }
-                    *slots[i].lock() = Some(result);
+                    *lock(&slots[i]) = Some(result);
                 }
             });
         }
@@ -348,7 +348,7 @@ where
     let mut states = Vec::with_capacity(partitions.len());
     let mut sources = Vec::with_capacity(partitions.len());
     for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner() {
+        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
             Some(Ok((bytes, src))) => {
                 states.push(bytes);
                 sources.push(src);

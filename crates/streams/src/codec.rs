@@ -55,10 +55,10 @@
 use crate::tuple::{
     ControlTuple, DataTuple, Frame, Punctuation, Tuple, TAG_CTRL, TAG_DATA, TAG_EOS,
 };
-use parking_lot::Mutex;
+use crate::watched::lock;
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// First bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SPCF";
@@ -131,7 +131,7 @@ fn registry() -> &'static Mutex<HashMap<u32, (ControlEncodeFn, ControlDecodeFn)>
 /// re-registering a kind replaces the previous codec (processes that build
 /// several engines register the same codecs once per engine).
 pub fn register_control_codec(kind: u32, enc: ControlEncodeFn, dec: ControlDecodeFn) {
-    registry().lock().insert(kind, (enc, dec));
+    lock(registry()).insert(kind, (enc, dec));
 }
 
 // ---------------------------------------------------------------------------
@@ -392,7 +392,7 @@ fn push_control(out: &mut Vec<u8>, c: &ControlTuple) -> Result<(), CodecError> {
         push_u32(out, 0);
         return Ok(());
     }
-    let Some(&(enc, _)) = registry().lock().get(&c.kind) else {
+    let Some(&(enc, _)) = lock(registry()).get(&c.kind) else {
         return Err(CodecError::UnregisteredControl(c.kind));
     };
     out.push(1);
@@ -635,7 +635,7 @@ impl ColumnarFrame {
             let payload: Arc<dyn Any + Send + Sync> = if !e.tagged {
                 Arc::new(())
             } else {
-                let Some(&(_, dec)) = registry().lock().get(&e.kind) else {
+                let Some(&(_, dec)) = lock(registry()).get(&e.kind) else {
                     return Err(CodecError::UnregisteredControl(e.kind));
                 };
                 dec(&self.ctrl_bytes[e.start..e.start + e.len])
@@ -688,7 +688,7 @@ impl ColumnarFrame {
                     let payload: Arc<dyn Any + Send + Sync> = if !e.tagged {
                         Arc::new(())
                     } else {
-                        let Some(&(_, dec)) = registry().lock().get(&e.kind) else {
+                        let Some(&(_, dec)) = lock(registry()).get(&e.kind) else {
                             out.truncate(restore_len);
                             return Err(CodecError::UnregisteredControl(e.kind));
                         };

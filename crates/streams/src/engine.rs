@@ -86,12 +86,13 @@ use crate::tuple::{
     frame_channel, wake, ControlTuple, Frame, FrameRx, FrameTx, Punctuation, RowRef, Tuple,
     TAG_CTRL, TAG_DATA,
 };
+use crate::watched::lock;
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Entries routed per live channel in one sweep of the scheduler loop.
@@ -1260,7 +1261,7 @@ fn capture_pe(slots: &mut [OpSlot], metas: &[ChanMeta]) -> Option<Capture> {
 /// readable, the skip is counted, and each consecutive failure doubles the
 /// checkpoint window (see [`PeDurability::window`]).
 struct PeDurability {
-    ckpt: Arc<parking_lot::Mutex<PeCheckpointer>>,
+    ckpt: Arc<Mutex<PeCheckpointer>>,
     writer: WriteBehind<Capture>,
     /// Consecutive failed writes; any success resets it.
     failures: Arc<AtomicU64>,
@@ -1268,13 +1269,13 @@ struct PeDurability {
 
 impl PeDurability {
     fn new(ckpt: PeCheckpointer, pe_index: usize, counters: Arc<OpCounters>) -> Self {
-        let ckpt = Arc::new(parking_lot::Mutex::new(ckpt));
+        let ckpt = Arc::new(Mutex::new(ckpt));
         let failures = Arc::new(AtomicU64::new(0));
         let writer = {
             let ckpt = Arc::clone(&ckpt);
             let failures = Arc::clone(&failures);
             WriteBehind::spawn(&format!("spca-ckpt-{pe_index}"), move |cap: Capture| {
-                match ckpt.lock().write(&cap.parts) {
+                match lock(&ckpt).write(&cap.parts) {
                     Ok(()) => {
                         failures.store(0, Ordering::SeqCst);
                         // Only a *committed* set moves the watermarks — the
@@ -1323,7 +1324,7 @@ impl PeDurability {
     /// with the writer idle, so it sees whole generations.
     fn recover(&self) -> checkpoint::PeRecovery {
         self.writer.flush();
-        self.ckpt.lock().recover()
+        lock(&self.ckpt).recover()
     }
 }
 
@@ -1951,7 +1952,6 @@ mod tests {
     use crate::graph::{GraphBuilder, OpId};
     use crate::operator::{OpContext, Operator, SourceState};
     use crate::tuple::{DataTuple, Rows};
-    use parking_lot::Mutex;
 
     /// Source emitting `n` one-dimensional tuples then finishing.
     struct CountSource {
@@ -1979,7 +1979,7 @@ mod tests {
 
     impl Operator for Collect {
         fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
-            self.seen.lock().extend(rows.map(|row| row.seq));
+            lock(&self.seen).extend(rows.map(|row| row.seq));
         }
     }
 
@@ -2011,7 +2011,7 @@ mod tests {
             g.fuse(&[src, mid, sink]);
         }
         let report = Engine::run(g);
-        let data = seen.lock().clone();
+        let data = lock(&seen).clone();
         (data, report)
     }
 
@@ -2058,8 +2058,8 @@ mod tests {
         g.connect(src, 0, a, PortKind::Data);
         g.connect(src, 0, b, PortKind::Data);
         Engine::run(g);
-        assert_eq!(seen_a.lock().len(), 100);
-        assert_eq!(seen_b.lock().len(), 100);
+        assert_eq!(lock(&seen_a).len(), 100);
+        assert_eq!(lock(&seen_b).len(), 100);
     }
 
     #[test]
@@ -2086,7 +2086,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         running.stop();
         let report = running.join();
-        let n = seen.lock().len() as u64;
+        let n = lock(&seen).len() as u64;
         assert!(n > 0, "nothing flowed before stop");
         assert_eq!(report.op("collect").unwrap().tuples_in, n);
     }
@@ -2118,7 +2118,7 @@ mod tests {
         g.connect(sum, 0, out, PortKind::Data);
         Engine::run(g);
         // Final tuple seq 0 carrying sum 0+1+..+9 = 45 observed by `out`.
-        assert_eq!(seen.lock().len(), 1);
+        assert_eq!(lock(&seen).len(), 1);
     }
 
     #[test]
@@ -2157,7 +2157,7 @@ mod tests {
         g.connect(e2, 1, e1, PortKind::Control);
         g.fuse(&[e1, e2]);
         let report = Engine::run(g);
-        assert_eq!(seen.lock().len(), 100);
+        assert_eq!(lock(&seen).len(), 100);
         // Both echoes saw control traffic, and the cycle did not deadlock.
         assert!(report.op("e1").unwrap().control_in > 0);
         assert!(report.op("e2").unwrap().control_in > 0);
@@ -2187,7 +2187,7 @@ mod tests {
         g.connect(src, 0, slow, PortKind::Data);
         g.connect(slow, 0, sink, PortKind::Data);
         Engine::run(g);
-        assert_eq!(seen.lock().len(), 500);
+        assert_eq!(lock(&seen).len(), 500);
     }
 
     #[test]
@@ -2258,7 +2258,7 @@ mod tests {
         g.connect(src, 0, mid, PortKind::Data);
         g.connect(mid, 0, sink, PortKind::Data);
         let report = Engine::run(g);
-        let data = seen.lock().clone();
+        let data = lock(&seen).clone();
         assert_eq!(data.len(), 1000, "kill-pe must not lose or duplicate");
         assert!(data.windows(2).all(|w| w[1] == w[0] + 1), "order violated");
         assert_eq!(report.op("double").unwrap().get(Counter::PeRestarts), 1);
@@ -2285,7 +2285,7 @@ mod tests {
         g.connect(mid, 0, sink, PortKind::Data);
         g.fuse(&[mid, sink]);
         let report = Engine::run(g);
-        assert_eq!(seen.lock().len(), 200);
+        assert_eq!(lock(&seen).len(), 200);
         // Both fused members lived through the same PE restart.
         assert_eq!(report.op("double").unwrap().get(Counter::PeRestarts), 1);
         assert_eq!(report.op("collect").unwrap().get(Counter::PeRestarts), 1);
@@ -2368,7 +2368,7 @@ mod tests {
         // the stream continues exactly where it left off.
         g.fuse(&[src, mid]);
         let report = Engine::run(g);
-        let data = seen.lock().clone();
+        let data = lock(&seen).clone();
         assert_eq!(data.len(), 500, "restored cursor must not skip or repeat");
         assert!(data.windows(2).all(|w| w[1] == w[0] + 1), "order violated");
         assert_eq!(report.op("src").unwrap().get(Counter::PeRestarts), 1);
@@ -2432,7 +2432,7 @@ mod tests {
         g.connect(src, 0, sink, PortKind::Data);
         // First make sure the no-panic baseline works, then the panic run.
         let report = Engine::run(g);
-        assert_eq!(seen.lock().len(), 100);
+        assert_eq!(lock(&seen).len(), 100);
         assert_eq!(report.total(Counter::PeRestarts), 0);
 
         let mut g = GraphBuilder::new().with_checkpoint_dir(&dir);
@@ -2457,7 +2457,7 @@ mod tests {
         );
         g.connect(src, 0, sink, PortKind::Data);
         let report = Engine::run(g);
-        let data = seen.lock().clone();
+        let data = lock(&seen).clone();
         assert_eq!(report.op("src").unwrap().get(Counter::PeRestarts), 1);
         // The cursor rewound to a checkpoint at or before tuple 30: every
         // value 0..100 is present (no loss), duplicates only inside the
@@ -2499,7 +2499,7 @@ mod tests {
         );
         g.connect(src, 0, sink, PortKind::Data);
         let report = Engine::run(g);
-        assert!(seen.lock().is_empty());
+        assert!(lock(&seen).is_empty());
         assert_eq!(report.op("bad").unwrap().get(Counter::PeRestarts), 2);
     }
 

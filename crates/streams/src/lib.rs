@@ -40,7 +40,7 @@
 //! g.connect(src, 0, out, PortKind::Data);
 //! let report = Engine::run(g);
 //! assert_eq!(report.op("collect").unwrap().tuples_in, 10);
-//! assert_eq!(store.lock().len(), 10);
+//! assert_eq!(spca_streams::lock(&store).len(), 10);
 //! ```
 
 pub mod backfill;
@@ -72,4 +72,4 @@ pub use netio::{AckMode, LinkIn, NetTransport, WireFaultSpec, WIRE_VERSION};
 pub use operator::{OpContext, Operator, SourceState};
 pub use tuple::{ControlTuple, DataTuple, Frame, Punctuation, RowRef, Rows, Tuple};
 pub use vfs::{FaultVfs, IoFaultSpec, RealVfs, Vfs};
-pub use watched::Watched;
+pub use watched::{lock, Watched};

@@ -57,14 +57,13 @@
 
 use crate::codec::{decode_frame, encode_columns, frame_len, ColumnarFrame, HEADER_LEN};
 use crate::tuple::{FrameRx, FrameTx};
-use crate::watched::Watched;
-use parking_lot::Mutex;
+use crate::watched::{lock, Watched};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -213,7 +212,7 @@ impl LinkIn {
         let Some(stable) = &self.stable else {
             return;
         };
-        let mut conn = self.conn.lock();
+        let mut conn = lock(&self.conn);
         stable.fetch_max(entries, Ordering::SeqCst);
         // A failed write means a dying connection; its thread notices.
         let _ = self.send_ack(&mut conn);
@@ -356,7 +355,7 @@ impl NetTransport {
     /// Installs deterministic wire faults on every sender shim.
     pub fn set_faults(&self, spec: WireFaultSpec) {
         if !spec.is_empty() {
-            *self.faults.lock() = Some(Arc::new(spec));
+            *lock(&self.faults) = Some(Arc::new(spec));
         }
     }
 
@@ -371,29 +370,29 @@ impl NetTransport {
             conn: Mutex::new(None),
             driving: Mutex::new(()),
         });
-        self.incoming.lock().insert(link_id, Arc::clone(&link));
+        lock(&self.incoming).insert(link_id, Arc::clone(&link));
         link
     }
 
     /// Registers the sending end of boundary link `link_id`: frames from
     /// `rx` are encoded and shipped to `peer`.
     pub(crate) fn add_outgoing(&self, link_id: u64, rx: FrameRx, peer: SocketAddr) {
-        self.outgoing.lock().push(Outgoing { link_id, rx, peer });
+        lock(&self.outgoing).push(Outgoing { link_id, rx, peer });
     }
 
     /// Spawns the acceptor and one sender thread per registered outgoing
     /// link. Call after every link is registered.
     pub fn start(self: &Arc<Self>) {
         let me = Arc::clone(self);
-        *self.acceptor.lock() = Some(
+        *lock(&self.acceptor) = Some(
             thread::Builder::new()
                 .name("spca-net-accept".into())
                 .spawn(move || me.accept_loop())
                 .expect("spawn acceptor"),
         );
-        let faults = self.faults.lock().clone();
-        let mut senders = self.senders.lock();
-        for link in self.outgoing.lock().drain(..) {
+        let faults = lock(&self.faults).clone();
+        let mut senders = lock(&self.senders);
+        for link in lock(&self.outgoing).drain(..) {
             let wait = Arc::new(Watched::new(SendWait::default()));
             let name = format!("spca-net-send-{}", link.link_id);
             let sender = SenderLoop {
@@ -448,7 +447,7 @@ impl NetTransport {
         // Whatever a remaining sender is blocked in — a socket read or
         // write, or the wait for its last ack — ends when its connection
         // breaks and its wait is signalled.
-        let senders: Vec<_> = self.senders.lock().drain(..).collect();
+        let senders: Vec<_> = lock(&self.senders).drain(..).collect();
         for sender in &senders {
             sender.wait.update(|w| {
                 if let Some(s) = &w.stream {
@@ -460,7 +459,7 @@ impl NetTransport {
             let _ = sender.thread.join();
         }
 
-        if let Some(acceptor) = self.acceptor.lock().take() {
+        if let Some(acceptor) = lock(&self.acceptor).take() {
             wake_acceptor(self.local, acceptor);
         }
 
@@ -468,7 +467,7 @@ impl NetTransport {
         // a full channel. The engine shuts the transport down only after
         // every PE has exited, and a consumer's exit drops its end of the
         // channel, which ends that wait.
-        let conns: Vec<_> = self.conns.lock().drain(..).collect();
+        let conns: Vec<_> = lock(&self.conns).drain(..).collect();
         for (_, stream) in &conns {
             let _ = stream.shutdown(Shutdown::Both);
         }
@@ -495,7 +494,7 @@ impl NetTransport {
             let Ok(theirs) = stream.try_clone() else {
                 continue;
             };
-            let mut conns = self.conns.lock();
+            let mut conns = lock(&self.conns);
             // Reap the threads of connections that have ended, so a
             // long-lived listener's registry holds only live sockets.
             let mut i = 0;
@@ -539,21 +538,21 @@ impl NetTransport {
             return;
         }
         let link_id = u64::from_le_bytes(hello[5..13].try_into().expect("8 bytes"));
-        let Some(link) = self.incoming.lock().get(&link_id).map(Arc::clone) else {
+        let Some(link) = lock(&self.incoming).get(&link_id).map(Arc::clone) else {
             return; // Unknown link: refuse by closing.
         };
 
         // One connection at a time per link. A predecessor whose peer
         // vanished without a FIN would sit in its read forever: break its
         // socket, then queue behind it.
-        if let Some(old) = link.conn.lock().as_ref() {
+        if let Some(old) = lock(&link.conn).as_ref() {
             let _ = old.stream.shutdown(Shutdown::Both);
         }
-        let _driving = link.driving.lock();
+        let _driving = lock(&link.driving);
         if !self.stop.is_set() {
             self.drive_link(s, &link);
         }
-        *link.conn.lock() = None;
+        *lock(&link.conn) = None;
     }
 
     fn drive_link(&self, s: &TcpStream, link: &LinkIn) {
@@ -569,7 +568,7 @@ impl NetTransport {
         msg[4..].copy_from_slice(&resume.to_le_bytes());
         {
             // The sender counts everything below `resume` as acknowledged.
-            let mut conn = link.conn.lock();
+            let mut conn = lock(&link.conn);
             *conn = Some(AckOut {
                 stream,
                 sent: resume,
@@ -589,13 +588,13 @@ impl NetTransport {
             }
             if tag == TAG_DATA {
                 if Self::recv_frame(s, link, &mut buf, &mut cols).is_err()
-                    || link.send_ack(&mut link.conn.lock()).is_err()
+                    || link.send_ack(&mut lock(&link.conn)).is_err()
                 {
                     return;
                 }
             } else if tag == TAG_GOODBYE {
                 // Clean close: disconnect the engine channel.
-                link.tx.lock().take();
+                lock(&link.tx).take();
                 return;
             } else {
                 return; // Desynchronized stream: force a reconnect.
@@ -638,7 +637,7 @@ impl NetTransport {
         if end > delivered {
             let gone = || io::Error::new(io::ErrorKind::BrokenPipe, "consuming engine is gone");
             // Held to the send: this thread is the link's only user of it.
-            let tx = link.tx.lock();
+            let tx = lock(&link.tx);
             let tx = tx.as_ref().ok_or_else(gone)?;
             let mut frame = tx.buffer();
             cols.copy_into(&mut frame).map_err(io::Error::from)?;

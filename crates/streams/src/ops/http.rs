@@ -254,6 +254,7 @@ mod tests {
     use crate::graph::{GraphBuilder, PortKind};
     use crate::ops::CollectSink;
     use crate::tuple::DataTuple;
+    use crate::watched::lock;
     use std::net::TcpListener;
 
     /// Minimal one-shot HTTP server for tests.
@@ -279,7 +280,7 @@ mod tests {
         let s = g.add_op("collect", Box::new(sink));
         g.connect(src, 0, s, PortKind::Data);
         Engine::run(g);
-        let out = store.lock().clone();
+        let out = lock(&store).clone();
         out
     }
 

@@ -25,6 +25,7 @@
 //! semantics live in a [`ConnHandler`] supplied by the embedder (the
 //! eigensystem query handler lives in `spca-engine`).
 
+use crate::watched::lock;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -190,7 +191,7 @@ impl RateLimiter {
     /// Ok(()) to admit, Err(retry_after_secs) to reject.
     fn check(&self, peer: IpAddr) -> Result<(), u32> {
         let now = Instant::now();
-        let mut buckets = self.buckets.lock().unwrap();
+        let mut buckets = lock(&self.buckets);
         if now.duration_since(buckets.last_sweep) >= self.stale_after {
             buckets.last_sweep = now;
             let stale = self.stale_after;
@@ -260,7 +261,7 @@ impl HttpServer {
                     .spawn(move || {
                         let mut conn_buf = ConnBuffers::default();
                         loop {
-                            let conn = match rx.lock().unwrap().recv() {
+                            let conn = match lock(&rx).recv() {
                                 Ok(c) => c,
                                 Err(_) => return,
                             };
@@ -843,11 +844,11 @@ mod tests {
         for i in 0..100u32 {
             let _ = limiter.check(IpAddr::from([10, 0, (i >> 8) as u8, i as u8]));
         }
-        assert_eq!(limiter.buckets.lock().unwrap().map.len(), 100);
+        assert_eq!(lock(&limiter.buckets).map.len(), 100);
         // Age every bucket (and the sweep clock) past the stale window,
         // then admit one fresh client: the sweep must drop the rest.
         {
-            let mut t = limiter.buckets.lock().unwrap();
+            let mut t = lock(&limiter.buckets);
             let old = Instant::now() - limiter.stale_after - Duration::from_secs(1);
             t.last_sweep = old;
             for b in t.map.values_mut() {
@@ -855,7 +856,7 @@ mod tests {
             }
         }
         let _ = limiter.check(IpAddr::from([192, 168, 0, 1]));
-        assert_eq!(limiter.buckets.lock().unwrap().map.len(), 1);
+        assert_eq!(lock(&limiter.buckets).map.len(), 1);
     }
 
     #[test]

@@ -60,6 +60,7 @@ mod tests {
     use crate::graph::{GraphBuilder, PortKind};
     use crate::ops::CollectSink;
     use crate::tuple::DataTuple;
+    use crate::watched::lock;
     use std::io::Write;
 
     /// Runs `TcpSource → collect` while a plain socket writes `lines` and
@@ -79,7 +80,7 @@ mod tests {
         drop(peer); // EOF ends the stream
 
         let report = running.join();
-        let got = store.lock().clone();
+        let got = lock(&store).clone();
         (report, got)
     }
 

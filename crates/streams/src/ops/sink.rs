@@ -2,8 +2,8 @@
 
 use crate::operator::{OpContext, Operator};
 use crate::tuple::{ControlTuple, DataTuple, Rows};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use crate::watched::lock;
+use std::sync::{Arc, Mutex};
 
 /// Collects data tuples into a shared vector for post-run inspection.
 pub struct CollectSink {
@@ -25,7 +25,7 @@ impl CollectSink {
 
 impl Operator for CollectSink {
     fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
-        self.store.lock().extend(rows.map(|row| row.to_tuple()));
+        lock(&self.store).extend(rows.map(|row| row.to_tuple()));
     }
 }
 
@@ -82,7 +82,7 @@ mod tests {
                 feed_tuple(&mut sink, DataTuple::new(seq, vec![seq as f64]), ctx);
             }
         });
-        let got = store.lock();
+        let got = lock(&store);
         assert_eq!(got.len(), 5);
         assert_eq!(got[3].seq, 3);
     }
@@ -91,12 +91,12 @@ mod tests {
     fn callback_sink_sees_everything() {
         let count = Arc::new(Mutex::new(0u64));
         let c2 = Arc::clone(&count);
-        let mut sink = CallbackSink::new(move |_t| *c2.lock() += 1);
+        let mut sink = CallbackSink::new(move |_t| *lock(&c2) += 1);
         with_ctx(0, |ctx| {
             for seq in 0..7 {
                 feed_tuple(&mut sink, DataTuple::new(seq, vec![]), ctx);
             }
         });
-        assert_eq!(*count.lock(), 7);
+        assert_eq!(*lock(&count), 7);
     }
 }

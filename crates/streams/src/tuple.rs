@@ -7,14 +7,14 @@
 //! payload so applications can ship their own state (the PCA application
 //! sends whole eigensystems through them); punctuation marks end-of-stream.
 
-use parking_lot::Mutex;
+use crate::watched::lock;
 use std::any::Any;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A data observation: sequence number, logical timestamp, values, and an
@@ -470,7 +470,7 @@ impl FramePool {
     /// An empty frame (recycled when one is available, with its columns'
     /// capacity; fresh otherwise).
     pub(crate) fn take(&self) -> Frame {
-        let mut free = self.free.lock();
+        let mut free = lock(&self.free);
         let frame = free.0.pop().unwrap_or_default();
         free.1 -= frame.capacity_bytes();
         frame
@@ -480,7 +480,7 @@ impl FramePool {
     pub(crate) fn put(&self, mut f: Frame) {
         f.clear();
         let bytes = f.capacity_bytes();
-        let mut free = self.free.lock();
+        let mut free = lock(&self.free);
         if free.1 + bytes <= self.max_bytes {
             free.1 += bytes;
             free.0.push(f);
@@ -755,12 +755,12 @@ mod tests {
         let b = pool.take();
         assert!(b.is_empty(), "recycled frames come back cleared");
         assert!(b.values.capacity() >= 100, "with their columns' capacity");
-        assert_eq!(pool.free.lock().1, 0);
+        assert_eq!(lock(&pool.free).1, 0);
         // Past the byte bound a frame is dropped.
         for _ in 0..3 {
             pool.put(frame());
         }
-        let free = pool.free.lock();
+        let free = lock(&pool.free);
         assert_eq!((free.0.len(), free.1), (2, 2 * bytes));
     }
 

@@ -1,16 +1,26 @@
 //! The one wait primitive behind the event-driven paths: a mutex-guarded
 //! value with a condvar signalled on every change, so a thread waits for
-//! the state it needs instead of polling for it.
+//! the state it needs instead of polling for it. Also [`lock`], the one
+//! way a mutex is taken.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// A mutex-guarded value with a condvar for waiting on changes to it.
+/// Locks `m`, entering it even when it is poisoned. Every lock in the
+/// workspace is taken through this one function.
 ///
-/// A poisoned lock is entered anyway: the values kept here are flags and
-/// counters that are valid after any single assignment, and a waiter that
-/// panicked on poison would turn one thread's failure into a hang or an
-/// abort in the thread trying to clean up after it.
+/// A panic caught by the supervisor (DESIGN §7) can poison a lock that the
+/// operator's restart, the elastic supervisor or a results reader must
+/// take next. Each of them restores the value it needs or reads one that
+/// any single assignment leaves valid; a thread that panicked on poison
+/// instead would turn one thread's failure into a hang or an abort in the
+/// thread trying to clean up after it.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A mutex-guarded value with a condvar for waiting on changes to it. Its
+/// lock is entered even when poisoned, for the reason given at [`lock`].
 #[derive(Debug, Default)]
 pub struct Watched<T> {
     value: Mutex<T>,
@@ -28,7 +38,7 @@ impl<T> Watched<T> {
 
     /// Locks the value.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.value.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.value)
     }
 
     /// Applies `f` under the lock, then wakes every waiter.
@@ -103,19 +113,30 @@ mod tests {
 
     #[test]
     fn a_poisoned_lock_is_still_usable() {
-        let count = Arc::new(Watched::new(0));
-        let theirs = Arc::clone(&count);
-        let _ = std::thread::spawn(move || {
-            let _guard = theirs.lock();
-            panic!("poison the lock");
-        })
-        .join();
-        assert_eq!(
-            count.update(|n| {
-                *n += 1;
-                *n
-            }),
-            1
-        );
+        fn take(w: &Watched<u32>, free: bool) -> MutexGuard<'_, u32> {
+            if free {
+                lock(&w.value)
+            } else {
+                w.lock()
+            }
+        }
+        for free in [false, true] {
+            let count = Arc::new(Watched::new(0));
+            let theirs = Arc::clone(&count);
+            let _ = std::thread::spawn(move || {
+                let _guard = take(&theirs, free);
+                panic!("poison the lock");
+            })
+            .join();
+            assert!(count.value.is_poisoned());
+            assert_eq!(
+                count.update(|n| {
+                    *n += 1;
+                    *n
+                }),
+                1
+            );
+            assert_eq!(*take(&count, free), 1);
+        }
     }
 }

@@ -7,8 +7,8 @@
 use spca_streams::metrics::Counter;
 use spca_streams::ops::{CollectSink, GeneratorSource};
 use spca_streams::{
-    Checkpoint, ControlTuple, DataTuple, Engine, FaultPlan, GraphBuilder, OpContext, Operator,
-    PortKind, RestartPolicy, Rows, RunReport, SourceState,
+    lock, Checkpoint, ControlTuple, DataTuple, Engine, FaultPlan, GraphBuilder, OpContext,
+    Operator, PortKind, RestartPolicy, Rows, RunReport, SourceState,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -110,7 +110,7 @@ fn supervised_restart_is_loss_bounded() {
     g.connect(flaky, 0, out, PortKind::Data);
     let report = Engine::run(g);
 
-    let collected = store.lock();
+    let collected = lock(&store);
     assert_eq!(collected.len(), 100, "no tuple may be lost to a restart");
     let mut seqs: Vec<u64> = collected.iter().map(|t| t.seq).collect();
     seqs.sort_unstable();
@@ -139,7 +139,7 @@ fn unrecoverable_operator_finishes_and_eos_propagates() {
     g.connect(flaky, 0, out, PortKind::Data);
     let report = Engine::run(g);
 
-    assert_eq!(store.lock().len(), 9, "nine forwards before the fatal call");
+    assert_eq!(lock(&store).len(), 9, "nine forwards before the fatal call");
     assert_eq!(op_snapshot(&report, "flaky").get(Counter::Restarts), 0);
 }
 
@@ -163,7 +163,7 @@ fn restart_budget_caps_supervision() {
     g.connect(flaky, 0, out, PortKind::Data);
     let report = Engine::run(g);
 
-    assert_eq!(store.lock().len(), 6);
+    assert_eq!(lock(&store).len(), 6);
     assert_eq!(op_snapshot(&report, "flaky").get(Counter::Restarts), 2);
 }
 
@@ -183,7 +183,7 @@ fn injected_panic_fires_after_the_tuple_is_processed() {
     g.connect(fwd, 0, out, PortKind::Data);
     let report = Engine::run(g);
 
-    assert_eq!(store.lock().len(), 30);
+    assert_eq!(lock(&store).len(), 30);
     assert_eq!(op_snapshot(&report, "fwd").get(Counter::Restarts), 0);
 }
 
@@ -200,7 +200,7 @@ fn injected_panic_with_recovery_loses_nothing() {
     g.connect(fwd, 0, out, PortKind::Data);
     let report = Engine::run(g);
 
-    let collected = store.lock();
+    let collected = lock(&store);
     assert_eq!(collected.len(), 100);
     let mut seqs: Vec<u64> = collected.iter().map(|t| t.seq).collect();
     seqs.sort_unstable();
@@ -241,7 +241,7 @@ fn a_tuple_that_panics_on_redelivery_is_dropped_as_a_poison_pill() {
     g.connect(op, 0, out, PortKind::Data);
     let report = Engine::run(g);
 
-    let mut seqs: Vec<u64> = store.lock().iter().map(|t| t.seq).collect();
+    let mut seqs: Vec<u64> = lock(&store).iter().map(|t| t.seq).collect();
     seqs.sort_unstable();
     let expected: Vec<u64> = (0..100).filter(|&s| s != 42).collect();
     assert_eq!(seqs, expected);
@@ -283,7 +283,7 @@ struct EosSink {
 impl Operator for EosSink {
     fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
         for row in rows {
-            self.seqs.lock().unwrap().push(row.seq);
+            lock(&self.seqs).push(row.seq);
         }
     }
 
@@ -314,7 +314,7 @@ fn run_hook_panic(in_start: bool, fused: bool) -> (RunReport, Vec<u64>, bool) {
         g.fuse(&[src, op]);
     }
     let report = Engine::run(g);
-    let got = seqs.lock().unwrap().clone();
+    let got = lock(&seqs).clone();
     (report, got, ended.load(Ordering::SeqCst))
 }
 
@@ -355,7 +355,7 @@ fn drop_fault_loses_exactly_the_named_tuple() {
     g.connect(src, 0, out, PortKind::Data);
     Engine::run(g);
 
-    let collected = store.lock();
+    let collected = lock(&store);
     assert_eq!(collected.len(), 99);
     // The 50th data tuple on the link is seq 49.
     assert!(collected.iter().all(|t| t.seq != 49), "seq 49 was dropped");
@@ -370,7 +370,7 @@ fn dup_fault_duplicates_adjacently() {
     g.connect(src, 0, out, PortKind::Data);
     Engine::run(g);
 
-    let collected = store.lock();
+    let collected = lock(&store);
     assert_eq!(collected.len(), 101);
     let dups: Vec<usize> = collected
         .iter()
@@ -394,7 +394,7 @@ fn delay_and_stall_lose_nothing() {
     g.connect(fwd, 0, out, PortKind::Data);
     Engine::run(g);
 
-    let collected = store.lock();
+    let collected = lock(&store);
     assert_eq!(collected.len(), 100, "latency faults must not lose tuples");
     let seqs: Vec<u64> = collected.iter().map(|t| t.seq).collect();
     assert_eq!(seqs, (0..100).collect::<Vec<_>>(), "order preserved");
@@ -412,7 +412,7 @@ fn poison_faults_rewrite_the_named_payloads() {
     g.connect(fwd, 0, out, PortKind::Data);
     Engine::run(g);
 
-    let collected = store.lock();
+    let collected = lock(&store);
     assert_eq!(collected.len(), 100, "poisoning corrupts, never drops");
     for t in collected.iter() {
         match t.seq {
@@ -511,7 +511,7 @@ fn control_panic_recovers_without_redelivery() {
     g.connect(op, 0, out, PortKind::Data);
     let report = Engine::run(g);
 
-    assert_eq!(store.lock().len(), 10);
+    assert_eq!(lock(&store).len(), 10);
     assert_eq!(op_snapshot(&report, "op").get(Counter::Restarts), 1);
 }
 
@@ -601,7 +601,7 @@ fn kill_pe_mid_graph_rehydrates_and_loses_nothing() {
     g.fuse(&[ctr, fwd]);
     let report = Engine::run(g);
 
-    let collected = store.lock();
+    let collected = lock(&store);
     assert_eq!(collected.len(), 100, "a PE restart must not lose tuples");
     let mut seqs: Vec<u64> = collected.iter().map(|t| t.seq).collect();
     seqs.sort_unstable();
@@ -638,7 +638,7 @@ fn kill_pe_without_checkpoint_dir_still_finishes_loss_free() {
     g.connect(fwd, 0, out, PortKind::Data);
     let report = Engine::run(g);
 
-    let collected = store.lock();
+    let collected = lock(&store);
     assert_eq!(collected.len(), 100);
     let mut seqs: Vec<u64> = collected.iter().map(|t| t.seq).collect();
     seqs.sort_unstable();
@@ -717,7 +717,7 @@ fn run_disk_fault_matrix(
     g.connect(ctr, 0, out, PortKind::Data);
     let report = Engine::run(g);
 
-    let collected = store.lock();
+    let collected = lock(&store);
     let mut seqs: Vec<u64> = collected.iter().map(|t| t.seq).collect();
     seqs.sort_unstable();
     if exact {

@@ -7,16 +7,15 @@
 //! connection or lands a partial write mid-stream — or when the consuming
 //! partition dies with a checkpoint captured but not committed.
 
-use parking_lot::Mutex;
 use spca_streams::checkpoint::{decode_kv, kv_u64, recover_pe_manifest, Checkpoint};
 use spca_streams::metrics::Counter;
 use spca_streams::{
-    DataTuple, Engine, FaultPlan, GraphBuilder, NetPartition, NetTransport, OpContext, Operator,
-    PortKind, Rows, SourceState,
+    lock, DataTuple, Engine, FaultPlan, GraphBuilder, NetPartition, NetTransport, OpContext,
+    Operator, PortKind, Rows, SourceState,
 };
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 const N: u64 = 400;
 
@@ -57,7 +56,7 @@ struct Collect {
 impl Operator for Collect {
     fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
         for row in rows {
-            self.seen.lock().push((
+            lock(&self.seen).push((
                 row.seq,
                 row.timestamp_ns,
                 row.values.iter().map(|v| v.to_bits()).collect(),
@@ -118,7 +117,10 @@ fn run_two_partitions(plan: Option<&str>) -> Vec<(u64, u64, Vec<u64>)> {
     run_a.join();
     run_b.join();
 
-    Arc::try_unwrap(seen).expect("engines joined").into_inner()
+    Arc::try_unwrap(seen)
+        .expect("engines joined")
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Wire faults must be invisible in the delivered stream: same tuples,
@@ -161,7 +163,7 @@ impl Operator for DurableCollect {
 impl Checkpoint for DurableCollect {
     fn snapshot(&self) -> Vec<u8> {
         let mut out = String::new();
-        for (seq, stamp, bits) in self.0.seen.lock().iter() {
+        for (seq, stamp, bits) in lock(&self.0.seen).iter() {
             out.push_str(&format!("{seq} {stamp}"));
             for b in bits {
                 out.push_str(&format!(" {b:x}"));
@@ -188,7 +190,7 @@ impl Checkpoint for DurableCollect {
                 .collect::<Result<_, _>>()?;
             log.push((seq, stamp, bits));
         }
-        *self.0.seen.lock() = log;
+        *lock(&self.0.seen) = log;
         Ok(())
     }
 
@@ -265,7 +267,7 @@ fn consumer_lost_between_capture_and_commit_is_replayed_from_the_last_commit() {
     // holds beyond the committed generation dies with it.
     let report = run_b.join();
     drop(net_b); // frees the address
-    assert_eq!(lost.lock().len() as u64, N);
+    assert_eq!(lock(&lost).len() as u64, N);
     assert!(
         report.total(Counter::CheckpointSkips) >= 1,
         "the captures after the device died must have failed: {report:?}"
@@ -301,13 +303,13 @@ fn consumer_lost_between_capture_and_commit_is_replayed_from_the_last_commit() {
         assert!(
             std::time::Instant::now() < deadline,
             "the respawn is still waiting for a replay: {} of {N} tuples",
-            seen.lock().len()
+            lock(&seen).len()
         );
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     run_b.join();
 
-    let delivered = seen.lock().clone();
+    let delivered = lock(&seen).clone();
     assert_eq!(
         delivered, clean,
         "replay from the last committed generation must reproduce the fault-free stream"

@@ -9,8 +9,8 @@ use spca_streams::checkpoint::{decode_kv, encode_kv, kv_u64};
 use spca_streams::metrics::Counter;
 use spca_streams::ops::{CollectSink, GeneratorSource};
 use spca_streams::{
-    Checkpoint, Engine, FaultPlan, GraphBuilder, OpContext, Operator, PortKind, RestartPolicy,
-    Rows, RunReport,
+    lock, Checkpoint, Engine, FaultPlan, GraphBuilder, OpContext, Operator, PortKind,
+    RestartPolicy, Rows, RunReport,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -127,7 +127,7 @@ fn run(tag: &str, plan: &str, n: u64, every: u64, panic_on_call: Option<u64>) ->
     g.connect(tally, 0, out, PortKind::Data);
     let report = Engine::run(g);
 
-    let seqs: Vec<u64> = store.lock().iter().map(|t| t.seq).collect();
+    let seqs: Vec<u64> = lock(&store).iter().map(|t| t.seq).collect();
     assert_eq!(seqs, (0..n).collect::<Vec<_>>(), "{tag}: each seq once");
     std::fs::remove_dir_all(&dir).ok();
     Outcome { report, probe }

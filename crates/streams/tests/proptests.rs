@@ -1,13 +1,12 @@
 //! Property tests for the dataflow engine: tuple conservation, ordering,
 //! and clean shutdown over randomized topologies.
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use spca_streams::ops::{Split, SplitStrategy};
 use spca_streams::{
-    DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, Rows, SourceState,
+    lock, DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, Rows, SourceState,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 struct CountSource {
     n: u64,
@@ -32,7 +31,7 @@ struct Collect {
 impl Operator for Collect {
     fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
         for row in rows {
-            self.seen.lock().push(row.seq);
+            lock(&self.seen).push(row.seq);
         }
     }
 }
@@ -139,7 +138,7 @@ proptest! {
 
         let mut seqs: Vec<u64> = stores
             .iter()
-            .flat_map(|s| s.lock().clone())
+            .flat_map(|s| lock(s).clone())
             .collect();
         seqs.sort_unstable();
         let expected: Vec<u64> = (0..t.n_tuples).collect();
@@ -169,7 +168,7 @@ proptest! {
             g.fuse(&ops);
         }
         Engine::run(g);
-        let got = seen.lock().clone();
+        let got = lock(&seen).clone();
         prop_assert_eq!(got.len() as u64, n);
         prop_assert!(got.windows(2).all(|w| w[1] == w[0] + 1), "order violated");
     }
@@ -195,7 +194,7 @@ proptest! {
         std::thread::sleep(std::time::Duration::from_millis(5));
         running.stop();
         let report = running.join();
-        let got = seen.lock().clone();
+        let got = lock(&seen).clone();
         // No duplicates and nothing beyond what the source emitted.
         prop_assert!(got.windows(2).all(|w| w[1] > w[0]));
         prop_assert!(got.len() as u64 <= report.op("src").unwrap().tuples_out);

@@ -27,7 +27,8 @@ use feeds::{http_response, http_source, tcp_source, Framing};
 use spca_alloc_count::{allocations, track, CountingAlloc};
 use spca_streams::ops::{CollectSink, CsvFileSource};
 use spca_streams::{
-    Engine, GraphBuilder, OpContext, Operator, PortKind, Rows, SourceState, DEFAULT_BATCH_SIZE,
+    lock, Engine, GraphBuilder, OpContext, Operator, PortKind, Rows, SourceState,
+    DEFAULT_BATCH_SIZE,
 };
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -150,7 +151,7 @@ fn line_source_steady_state_into_a_frame_edge_allocates_nothing_per_row() {
         g.connect(src, 0, sink, PortKind::Data);
         Engine::run(g);
 
-        let rows = rows.lock();
+        let rows = lock(&rows);
         assert_eq!(rows.len(), WARM_ROWS + MEASURED_ROWS, "{name}");
         assert!(rows.iter().all(|t| t.values.len() == D));
         let measured = &rows[WARM_ROWS..];

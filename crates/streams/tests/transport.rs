@@ -2,13 +2,13 @@
 //! loss-free and order-preserving delivery, exact per-consumer counts,
 //! batch-invariant link metrics, and immediate control-tuple flushing.
 
-use parking_lot::Mutex;
 use spca_streams::ops::{Split, SplitStrategy};
 use spca_streams::{
-    ControlTuple, DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, Rows, SourceState,
+    lock, ControlTuple, DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, Rows,
+    SourceState,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 struct CountSource {
     n: u64,
@@ -33,7 +33,7 @@ struct Collect {
 impl Operator for Collect {
     fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
         for row in rows {
-            self.seen.lock().push(row.seq);
+            lock(&self.seen).push(row.seq);
         }
     }
 }
@@ -66,7 +66,7 @@ fn run_pipeline(n: u64, batch: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
     let report = Engine::run(g);
     let tuples = report.links.iter().map(|l| l.tuples()).collect();
     let bytes = report.links.iter().map(|l| l.bytes()).collect();
-    let delivered = seen.lock().clone();
+    let delivered = lock(&seen).clone();
     (delivered, tuples, bytes)
 }
 
@@ -132,7 +132,7 @@ fn round_robin_counts_are_exact_across_batch_sizes() {
             );
             // Per-consumer order: round-robin hands consumer b the seqs
             // b, b+4, b+8, ... in that order.
-            let seen = store.lock().clone();
+            let seen = lock(store).clone();
             assert!(
                 seen.windows(2).all(|w| w[1] == w[0] + BRANCHES as u64),
                 "batch {batch}: pca-{b} order violated"
@@ -170,7 +170,7 @@ fn delivered_multiset_is_batch_invariant() {
                 stores.push(seen);
             }
             Engine::run(g);
-            let mut union: Vec<u64> = stores.iter().flat_map(|s| s.lock().clone()).collect();
+            let mut union: Vec<u64> = stores.iter().flat_map(|s| lock(s).clone()).collect();
             union.sort_unstable();
             match &reference {
                 None => reference = Some(union),
@@ -230,12 +230,12 @@ fn control_tuple_is_not_stranded_behind_data_batch() {
     impl Operator for AckingSink {
         fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
             for row in rows {
-                self.n_data.lock().push(row.seq);
+                lock(&self.n_data).push(row.seq);
             }
         }
         fn on_control(&mut self, c: ControlTuple, _ctx: &mut OpContext<'_>) {
             assert_eq!(c.kind, 7);
-            *self.data_seen_at_control.lock() = Some(self.n_data.lock().len());
+            *lock(&self.data_seen_at_control) = Some(lock(&self.n_data).len());
             self.ack.store(true, Ordering::SeqCst);
         }
     }
@@ -264,9 +264,9 @@ fn control_tuple_is_not_stranded_behind_data_batch() {
     );
     g.connect(src, 0, sink, PortKind::Data);
     Engine::run(g);
-    assert_eq!(n_data.lock().len() as u64, N_DATA);
+    assert_eq!(lock(&n_data).len() as u64, N_DATA);
     assert_eq!(
-        *at_control.lock(),
+        *lock(&at_control),
         Some(N_DATA as usize),
         "control tuple was reordered relative to the data ahead of it"
     );
@@ -314,7 +314,7 @@ fn explicit_flush_makes_data_visible() {
     impl Operator for AckSink {
         fn process_rows(&mut self, rows: Rows<'_>, _ctx: &mut OpContext<'_>) {
             for row in rows {
-                let mut got = self.got.lock();
+                let mut got = lock(&self.got);
                 got.push(row.seq);
                 if got.len() == 3 {
                     self.done.store(true, Ordering::SeqCst);
@@ -341,7 +341,7 @@ fn explicit_flush_makes_data_visible() {
     );
     g.connect(src, 0, sink, PortKind::Data);
     Engine::run(g);
-    assert_eq!(got.lock().clone(), vec![0, 1, 2]);
+    assert_eq!(lock(&got).clone(), vec![0, 1, 2]);
 }
 
 /// Control tuples keep FIFO position relative to data under heavy batched
@@ -377,7 +377,7 @@ fn interleaved_control_keeps_fifo_position() {
             }
         }
         fn on_control(&mut self, c: ControlTuple, _ctx: &mut OpContext<'_>) {
-            self.checked.lock().push((c.sender, self.n_data));
+            lock(&self.checked).push((c.sender, self.n_data));
         }
     }
     for batch in [1, 8, 64] {
@@ -393,7 +393,7 @@ fn interleaved_control_keeps_fifo_position() {
         );
         g.connect(src, 0, sink, PortKind::Data);
         Engine::run(g);
-        let got = checked.lock().clone();
+        let got = lock(&checked).clone();
         assert_eq!(got.len(), 6, "batch {batch}");
         for (announced, seen) in got {
             assert_eq!(

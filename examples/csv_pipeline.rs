@@ -19,6 +19,7 @@ use astro_stream_pca::streams::ops::CsvFileSource;
 use astro_stream_pca::streams::Engine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spca_streams::lock;
 
 const N_PIXELS: usize = 200;
 const N_SPECTRA: usize = 4000;
@@ -58,8 +59,7 @@ fn main() {
 
     // --- Stage 3: persist the outlier report; verify the snapshot. ---
     let outcomes = handles.outcomes.expect("outcome feed enabled");
-    let rows: Vec<Vec<f64>> = outcomes
-        .lock()
+    let rows: Vec<Vec<f64>> = lock(&outcomes)
         .iter()
         .map(|t| t.values.as_ref().clone())
         .collect();

@@ -14,10 +14,10 @@ use astro_stream_pca::engine::{AppConfig, ParallelPcaApp, SyncStrategy};
 use astro_stream_pca::spectra::PlantedSubspace;
 use astro_stream_pca::streams::ops::GeneratorSource;
 use astro_stream_pca::streams::Engine;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use spca_streams::lock;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn main() {
@@ -49,7 +49,7 @@ fn main() {
     let w = truth.clone();
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(99)));
     let source = Box::new(
-        GeneratorSource::new(move |_| Some((w.sample(&mut *rng.lock()), None)))
+        GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None)))
             .with_max_tuples(n_tuples),
     );
     let (graph, handles) = ParallelPcaApp::build(&cfg, source);

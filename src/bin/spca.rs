@@ -25,6 +25,7 @@ use astro_stream_pca::streams::ops::{CsvFileSource, HttpSource, TcpSource};
 use astro_stream_pca::streams::{csv, Engine, FaultPlan, GraphBuilder, Operator, RunReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spca_streams::lock;
 use std::collections::HashMap;
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -750,8 +751,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
 
     if let Some(path) = run_only("report") {
         let outcomes = handles.outcomes.expect("enabled above");
-        let rows: Vec<Vec<f64>> = outcomes
-            .lock()
+        let rows: Vec<Vec<f64>> = lock(&outcomes)
             .iter()
             .map(|t| t.values.as_ref().clone())
             .collect();

@@ -7,10 +7,10 @@ use astro_stream_pca::spectra::outliers::{OutlierInjector, OutlierKind};
 use astro_stream_pca::spectra::{GalaxyGenerator, PlantedSubspace};
 use astro_stream_pca::streams::ops::{GeneratorSource, SplitStrategy};
 use astro_stream_pca::streams::Engine;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use spca_streams::lock;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const D: usize = 32;
@@ -30,7 +30,7 @@ fn planted_source(
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
     Box::new(
         GeneratorSource::new(move |_| {
-            let mut g = rng.lock();
+            let mut g = lock(&rng);
             let mut x = w.sample(&mut *g);
             inj.maybe_contaminate(&mut *g, &mut x);
             Some((x, None))
@@ -66,7 +66,7 @@ fn parallel_run_with_contamination_stays_robust() {
     // A healthy share of the ~5% injected outliers must be flagged in the
     // outcome feed.
     let outcomes = h.outcomes.unwrap();
-    let flagged = outcomes.lock().iter().filter(|r| r.values[4] > 0.5).count();
+    let flagged = lock(&outcomes).iter().filter(|r| r.values[4] > 0.5).count();
     assert!(flagged > 100, "only {flagged} outliers flagged");
 }
 
@@ -140,7 +140,7 @@ fn gappy_galaxy_stream_through_parallel_app() {
     let gen2 = gen.clone();
     let source = Box::new(
         GeneratorSource::new(move |_| {
-            let mut g = rng.lock();
+            let mut g = lock(&rng);
             let mut s = gen2.sample_with_coverage(&mut *g);
             astro_stream_pca::spectra::normalize::unit_norm_masked(&mut s.flux, &s.mask);
             Some((s.flux, Some(s.mask)))
@@ -207,7 +207,7 @@ fn stop_midstream_yields_usable_partial_result() {
     let w = PlantedSubspace::new(D, RANK, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(8)));
     let source = Box::new(GeneratorSource::new(move |_| {
-        Some((w.sample(&mut *rng.lock()), None))
+        Some((w.sample(&mut *lock(&rng)), None))
     })); // unbounded
     let (g, h) = ParallelPcaApp::build(&cfg, source);
     let running = Engine::start(g);
@@ -233,7 +233,7 @@ fn malformed_tuples_are_dropped_not_fatal() {
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(21)));
     let source = Box::new(
         GeneratorSource::new(move |seq| {
-            let mut g = rng.lock();
+            let mut g = lock(&rng);
             let x = match seq % 10 {
                 7 => vec![1.0; D / 2], // wrong dimension
                 8 => {
@@ -293,7 +293,7 @@ fn quarantine_captures_flagged_observations_verbatim() {
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(23)));
     let source = Box::new(
         GeneratorSource::new(move |seq| {
-            let mut g = rng.lock();
+            let mut g = lock(&rng);
             if seq % 25 == 24 {
                 // A marked spike we can recognize downstream.
                 let mut x = vec![0.0; D];
@@ -311,7 +311,7 @@ fn quarantine_captures_flagged_observations_verbatim() {
     let (g, h) = ParallelPcaApp::build(&cfg, source);
     Engine::run(g);
     let q = h.quarantined.unwrap();
-    let quarantined = q.lock();
+    let quarantined = lock(&q);
     // 200 spikes injected; warm-up swallows a few per engine.
     assert!(
         quarantined.len() >= 150,

@@ -7,10 +7,10 @@ use astro_stream_pca::engine::{persist, AppConfig, ParallelPcaApp, SnapshotWrite
 use astro_stream_pca::spectra::PlantedSubspace;
 use astro_stream_pca::streams::ops::GeneratorSource;
 use astro_stream_pca::streams::Engine;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use spca_streams::lock;
+use std::sync::{Arc, Mutex};
 
 const D: usize = 24;
 const RANK: usize = 2;
@@ -23,7 +23,7 @@ fn source(n: u64, seed: u64) -> Box<dyn astro_stream_pca::streams::Operator> {
     let w = PlantedSubspace::new(D, RANK, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
     Box::new(
-        GeneratorSource::new(move |_| Some((w.sample(&mut *rng.lock()), None))).with_max_tuples(n),
+        GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None))).with_max_tuples(n),
     )
 }
 
@@ -83,7 +83,7 @@ fn warm_start_skips_warmup_entirely() {
     Engine::run(g);
     let outcomes = h.outcomes.unwrap();
     // Every tuple (not just post-warm-up ones) produced an outcome row.
-    assert_eq!(outcomes.lock().len(), 100);
+    assert_eq!(lock(&outcomes).len(), 100);
     std::fs::remove_dir_all(dir).ok();
 }
 
