@@ -88,7 +88,7 @@ fn main() {
 
         let n = i + 1;
         if n == EARLY {
-            early_snapshot = Some(eigenspectra_rows(&pca, &lambdas));
+            early_snapshot = Some(eigenspectra_rows(&mut pca, &lambdas));
         }
         if n >= next_check && pca.is_initialized() {
             next_check = (next_check as f64 * 1.5) as u64;
@@ -108,7 +108,7 @@ fn main() {
     }
 
     let early = early_snapshot.expect("early checkpoint reached");
-    let late = eigenspectra_rows(&pca, &lambdas);
+    let late = eigenspectra_rows(&mut pca, &lambdas);
     let hdr = ["lambda_angstrom", "e1", "e2", "e3", "e4"];
     let p1 = write_csv("fig4_eigenspectra_early.csv", &hdr, &early);
     let p2 = write_csv("fig5_eigenspectra_late.csv", &hdr, &late);
@@ -172,7 +172,7 @@ fn main() {
     );
 }
 
-fn eigenspectra_rows(pca: &RobustPca, lambdas: &[f64]) -> Vec<Vec<f64>> {
+fn eigenspectra_rows(pca: &mut RobustPca, lambdas: &[f64]) -> Vec<Vec<f64>> {
     let eig = pca.eigensystem();
     lambdas
         .iter()

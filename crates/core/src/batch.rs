@@ -13,7 +13,7 @@ use crate::eigensystem::EigenSystem;
 use crate::rho::Rho;
 use crate::robust::mscale_fixed_point;
 use crate::{PcaError, Result};
-use spca_linalg::{eigen, gemm, svd, vecops, Mat};
+use spca_linalg::{eigen, gemm, svd, thin_qr, vecops, Mat};
 
 /// Classical batch PCA: exact eigensystem of the sample covariance,
 /// truncated to `p` components. Running sums are seeded as if the batch had
@@ -130,6 +130,15 @@ pub fn spherical_pca(data: &[Vec<f64>], p: usize) -> Result<EigenSystem> {
 /// [`spherical_pca`] so the iteration starts in the basin of the
 /// uncontaminated fixed point.
 ///
+/// When the batch has fewer rows than dimensions (`n < d`, a warm-up
+/// batch), the rows are factored once, `X = QR`, and the iterations run on
+/// the `n`-dimensional columns of `R`: weighted mean, covariance
+/// eigensystem, residuals, M-scale and subspace distance are all invariant
+/// under the rotation `Q`, so this is the same iteration at `O(n³)` instead
+/// of `O(dn²)` per step, and one product maps the basis and mean back. The
+/// spherical start's coordinate-wise median is not rotation-invariant, so
+/// it, and the first weights it yields, stay in the original coordinates.
+///
 /// Returns the converged eigensystem and the number of iterations taken.
 pub fn batch_robust_pca(
     data: &[Vec<f64>],
@@ -142,23 +151,33 @@ pub fn batch_robust_pca(
     if n == 0 {
         return Err(PcaError::IncompatibleMerge("empty batch".into()));
     }
-    let mut eig = spherical_pca(data, p)?;
-    let mut sigma2 = {
-        let r2: Vec<f64> = data
-            .iter()
-            .map(|x| eig.residual_sq_truncated(x, p))
-            .collect();
-        mscale_fixed_point(&r2, delta, rho, 50)
+    let start = spherical_pca(data, p)?;
+    let d = start.dim();
+    let mut r2: Vec<f64> = data
+        .iter()
+        .map(|x| start.residual_sq_truncated(x, p))
+        .collect();
+    let mut sigma2 = mscale_fixed_point(&r2, delta, rho, 50);
+
+    // The coordinates the iterations run in: the columns of R, or the rows.
+    let q = (d > n && p < n)
+        .then(|| thin_qr(&Mat::from_fn(d, n, |i, j| data[j][i])))
+        .transpose()?;
+    let r_cols: Vec<Vec<f64>>;
+    let coords: &[Vec<f64>] = match &q {
+        Some(f) => {
+            r_cols = (0..n).map(|j| f.r.col(j).to_vec()).collect();
+            &r_cols
+        }
+        None => data,
     };
 
+    // The current fit in `coords`, once an iteration has produced one.
+    let mut fit: Option<EigenSystem> = None;
     let mut iters = 0;
     for it in 0..max_iters {
         iters = it + 1;
         // Weights from the current fit.
-        let r2: Vec<f64> = data
-            .iter()
-            .map(|x| eig.residual_sq_truncated(x, p))
-            .collect();
         let sig = sigma2.max(1e-300);
         let w: Vec<f64> = r2.iter().map(|&r| rho.weight(r / sig)).collect();
         let wsum: f64 = w.iter().sum();
@@ -169,44 +188,57 @@ pub fn batch_robust_pca(
         }
 
         // Weighted mean (eq. 6).
-        let d = eig.dim();
-        let mut mean = vec![0.0; d];
-        for (x, &wi) in data.iter().zip(&w) {
+        let dc = coords[0].len();
+        let mut mean = vec![0.0; dc];
+        for (x, &wi) in coords.iter().zip(&w) {
             vecops::axpy(wi, x, &mut mean);
         }
         vecops::scale(&mut mean, 1.0 / wsum);
 
         // Weighted covariance eigensystem (eq. 7 up to the σ² prefactor,
         // which only rescales eigenvalues, not eigenvectors).
-        let (basis, values) = covariance_eigensystem(data, &mean, Some(&w), p)?;
-        let old_basis = std::mem::replace(&mut eig.basis, basis);
-        eig.mean = mean;
-        eig.values = values;
+        let (basis, values) = covariance_eigensystem(coords, &mean, Some(&w), p)?;
+        let mut next = EigenSystem::zeros(dc, p);
+        (next.mean, next.basis, next.values) = (mean, basis, values);
 
         // New scale.
-        let r2_new: Vec<f64> = data
+        r2 = coords
             .iter()
-            .map(|x| eig.residual_sq_truncated(x, p))
+            .map(|x| next.residual_sq_truncated(x, p))
             .collect();
-        let sigma2_new = mscale_fixed_point(&r2_new, delta, rho, 50);
+        let sigma2_new = mscale_fixed_point(&r2, delta, rho, 50);
 
-        let basis_drift = crate::metrics::subspace_distance(&old_basis, &eig.basis)?;
+        let basis_drift = match (&fit, &q) {
+            (Some(prev), _) => crate::metrics::subspace_distance(&prev.basis, &next.basis)?,
+            (None, Some(f)) => {
+                crate::metrics::subspace_distance(&start.basis, &gemm::gemm(&f.q, &next.basis)?)?
+            }
+            (None, None) => crate::metrics::subspace_distance(&start.basis, &next.basis)?,
+        };
         let scale_drift = if sigma2 > 0.0 {
             ((sigma2_new - sigma2) / sigma2).abs()
         } else {
             1.0
         };
         sigma2 = sigma2_new;
+        fit = Some(next);
         if basis_drift < 1e-8 && scale_drift < 1e-10 {
             break;
         }
     }
+    let mut eig = match (fit, &q) {
+        (None, _) => start,
+        (Some(fit), None) => fit,
+        (Some(fit), Some(f)) => {
+            let mut eig = EigenSystem::zeros(d, p);
+            eig.basis = gemm::gemm(&f.q, &fit.basis)?;
+            eig.mean = f.q.matvec(&fit.mean)?;
+            eig.values = fit.values;
+            eig
+        }
+    };
     eig.sigma2 = sigma2;
     // Seed running sums consistently with the final weights.
-    let r2: Vec<f64> = data
-        .iter()
-        .map(|x| eig.residual_sq_truncated(x, p))
-        .collect();
     let sig = sigma2.max(1e-300);
     let w: Vec<f64> = r2.iter().map(|&r| rho.weight(r / sig)).collect();
     eig.sum_u = decayed_count(1.0, n);
@@ -526,6 +558,57 @@ mod tests {
         let (robust, _) = batch_robust_pca(&data, 2, &Bisquare::default(), 0.5, 50).unwrap();
         let dist = crate::metrics::subspace_distance(&classic.basis, &robust.basis).unwrap();
         assert!(dist < 0.02, "clean-data disagreement {dist}");
+    }
+
+    #[test]
+    fn wide_batch_iterates_in_its_qr_coordinates_exactly() {
+        // n < d: the iterations run on R's columns. The same iterations in
+        // the original coordinates, written out here, agree to rounding.
+        let (d, n, p) = (60usize, 20usize, 3usize);
+        let mut rng = StdRng::seed_from_u64(34);
+        let mut planted = Mat::zeros(d, p);
+        spca_linalg::rng::fill_standard_normal(&mut rng, planted.as_mut_slice());
+        let mut data: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                let c = standard_normal_vec(&mut rng, p);
+                let mut x = planted.matvec(&c).unwrap();
+                vecops::axpy(0.1, &standard_normal_vec(&mut rng, d), &mut x);
+                x
+            })
+            .collect();
+        data[3][7] += 40.0; // one gross outlier
+        let rho = Bisquare::default();
+        let iters = 6;
+        let (got, got_iters) = batch_robust_pca(&data, p, &rho, 0.5, iters).unwrap();
+
+        let mut eig = spherical_pca(&data, p).unwrap();
+        let r2 = |e: &EigenSystem| -> Vec<f64> {
+            data.iter().map(|x| e.residual_sq_truncated(x, p)).collect()
+        };
+        let mut sigma2 = mscale_fixed_point(&r2(&eig), 0.5, &rho, 50);
+        for _ in 0..iters {
+            let w: Vec<f64> = r2(&eig).iter().map(|&r| rho.weight(r / sigma2)).collect();
+            let wsum: f64 = w.iter().sum();
+            let mut mean = vec![0.0; d];
+            for (x, &wi) in data.iter().zip(&w) {
+                vecops::axpy(wi / wsum, x, &mut mean);
+            }
+            let (basis, values) = covariance_eigensystem(&data, &mean, Some(&w), p).unwrap();
+            (eig.mean, eig.basis, eig.values) = (mean, basis, values);
+            sigma2 = mscale_fixed_point(&r2(&eig), 0.5, &rho, 50);
+        }
+        assert_eq!(got_iters, iters);
+        let scale = eig.values[0];
+        for (a, b) in got.values.iter().zip(&eig.values) {
+            assert!((a - b).abs() <= 1e-9 * scale, "value {a} vs {b}");
+        }
+        for (a, b) in got.mean.iter().zip(&eig.mean) {
+            assert!((a - b).abs() <= 1e-9, "mean {a} vs {b}");
+        }
+        assert!((got.sigma2 - sigma2).abs() <= 1e-9 * sigma2);
+        let dist = crate::metrics::subspace_distance(&got.basis, &eig.basis).unwrap();
+        assert!(dist < 1e-7, "subspace distance {dist}");
+        got.check_invariants().unwrap();
     }
 
     #[test]

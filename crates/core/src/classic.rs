@@ -1,16 +1,20 @@
-//! Classical incremental PCA (paper eq. 1–3).
+//! Classical incremental PCA (paper eq. 1–3), and the rank-one update
+//! both estimators run on every tuple.
 //!
-//! Maintains the truncated eigensystem of the covariance matrix through the
-//! low-rank identity
+//! The update maintains the truncated eigensystem of the covariance matrix
+//! through the low-rank identity
 //!
 //! ```text
 //! C ≈ γ E Λ Eᵀ + (1−γ) y yᵀ = A Aᵀ,   A = [ e_k √(γ λ_k) | y √(1−γ) ]
 //! ```
 //!
-//! so each arriving vector costs one projection onto `E`, one eigensolve of
-//! a `(k+1) × (k+1)` diagonal-plus-rank-one core and one `d × (k+1) × k`
-//! product instead of an `O(d²)` covariance update. This is the non-robust
-//! baseline whose failure under contamination Fig. 1 (left) demonstrates.
+//! so each arriving vector costs a projection, one eigensolve of a
+//! `(k+1) × (k+1)` diagonal-plus-rank-one core and a small product, instead
+//! of an `O(d²)` covariance update. The basis is kept as `E = B·M` between
+//! folds ([`DeferredBasis`]), so the `d`-length work of a row is three
+//! sweeps over `B` and the `d × k` write-back happens once per fold. The
+//! classical estimator here is the non-robust baseline whose failure under
+//! contamination Fig. 1 (left) demonstrates.
 
 use crate::batch::init_from_batch;
 use crate::config::PcaConfig;
@@ -30,18 +34,193 @@ use spca_linalg::{kernels, vecops, Mat};
 pub struct UpdateWorkspace {
     pub(crate) step: StepScratch,
     pub(crate) gaps: GapWorkspace,
+    /// The basis of a one-row update that folds at once: the classical
+    /// estimator and [`rank_one_update`].
+    once: DeferredBasis,
 }
 
-/// The scratch needed by one algebraic update step: the centered vector
-/// (`d`) and, sized by `k` alone, the projection coefficients (then `z`),
-/// the core's poles and eigenpairs, and the panel kernel's row buffer.
+/// The scratch of one update step, sized by `k + j` alone: the first and
+/// second projection coefficients, `Mᵀβ` (then `z`), the coefficient-space
+/// residual, the core's poles and eigenpairs, and the extended `M`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StepScratch {
-    pub(crate) y: Vec<f64>,
+    beta: Vec<f64>,
+    beta2: Vec<f64>,
     c: Vec<f64>,
+    a: Vec<f64>,
     poles: Vec<f64>,
     core: SecularWorkspace,
-    panel: Vec<f64>,
+    m_ext: Vec<f64>,
+}
+
+/// Rows between folds of a [`DeferredBasis`]: the update folds at the first
+/// row whose `n_obs` is a multiple of this. Keyed on `n_obs`, like
+/// [`REPAIR_EVERY`], so a recovered or re-batched run folds at the same
+/// tuples; at most this many residual columns are ever pending.
+pub(crate) const FOLD_EVERY: u64 = 8;
+
+/// An eigenbasis kept as `E = B·M`: `B = [E₀ | r̂₁ … r̂_j]` is the basis at
+/// the last fold followed by one unit residual per row updated since, all
+/// orthonormal, stored contiguously with room for [`FOLD_EVERY`] residuals;
+/// `M` is the `(k+j) × k` matrix with orthonormal columns that mixes them.
+/// A row's residual is centred straight into the next free column of `B`
+/// (the slot), so appending it costs nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DeferredBasis {
+    d: usize,
+    k: usize,
+    /// `d × (k + FOLD_EVERY)`, column-major; columns `k + j ..` are free.
+    b: Vec<f64>,
+    /// `(k + j) × k`, column-major.
+    m: Vec<f64>,
+    j: usize,
+    /// False while `M = I` and `j = 0`, i.e. while `E = E₀`.
+    pending: bool,
+    /// `M − [I; 0]`, scratch of the product that materialises `E`.
+    m_less_i: Vec<f64>,
+}
+
+impl DeferredBasis {
+    /// Restarts from `E₀ = basis` with `M = I`, reusing the buffers.
+    pub(crate) fn reset(&mut self, basis: &Mat) {
+        let (d, k) = basis.shape();
+        (self.d, self.k, self.j, self.pending) = (d, k, 0, false);
+        self.b.resize(d * (k + FOLD_EVERY as usize), 0.0);
+        self.b[..d * k].copy_from_slice(basis.as_slice());
+        self.m.clear();
+        self.m.resize(k * k, 0.0);
+        for i in 0..k {
+            self.m[i * k + i] = 1.0;
+        }
+    }
+
+    /// Residual columns appended since the last fold.
+    pub(crate) fn pending_columns(&self) -> usize {
+        self.j
+    }
+
+    /// True unless `E = E₀`.
+    pub(crate) fn is_pending(&self) -> bool {
+        self.pending
+    }
+
+    /// The `j` residual columns, `d × j` column-major.
+    pub(crate) fn residuals(&self) -> &[f64] {
+        &self.b[self.d * self.k..self.d * (self.k + self.j)]
+    }
+
+    /// `M`, `(k + j) × k` column-major.
+    pub(crate) fn mixing(&self) -> &[f64] {
+        &self.m
+    }
+
+    /// Checks that a tail taken by [`residuals`](Self::residuals) and
+    /// [`mixing`](Self::mixing) fits a `d × k` basis, and returns its `j`.
+    pub(crate) fn check_tail(d: usize, k: usize, residuals: &[f64], m: &[f64]) -> Result<usize> {
+        let j = residuals.len().checked_div(d).unwrap_or(0);
+        if residuals.len() != d * j || j > FOLD_EVERY as usize || m.len() != (k + j) * k {
+            return Err(PcaError::IncompatibleMerge(format!(
+                "deferred tail of {} residual values and {} mixing values does not fit d {d} k {k}",
+                residuals.len(),
+                m.len()
+            )));
+        }
+        if !vecops::all_finite(residuals) || !vecops::all_finite(m) {
+            return Err(PcaError::NotFinite);
+        }
+        Ok(j)
+    }
+
+    /// Resumes a tail that passed [`check_tail`](Self::check_tail) on top
+    /// of [`reset`](Self::reset)'s `E₀`.
+    pub(crate) fn resume(&mut self, j: usize, residuals: &[f64], m: &[f64]) {
+        let (d, k) = (self.d, self.k);
+        self.b[d * k..d * (k + j)].copy_from_slice(residuals);
+        self.m.clear();
+        self.m.extend_from_slice(m);
+        (self.j, self.pending) = (j, true);
+    }
+
+    /// The slot: the column after `B`, where a row's centred `y` goes.
+    pub(crate) fn slot_mut(&mut self) -> &mut [f64] {
+        let at = self.d * (self.k + self.j);
+        &mut self.b[at..at + self.d]
+    }
+
+    /// Writes `x − mean` into the slot.
+    pub(crate) fn center(&mut self, x: &[f64], mean: &[f64]) {
+        for ((o, &xi), &mi) in self.slot_mut().iter_mut().zip(x).zip(mean) {
+            *o = xi - mi;
+        }
+    }
+
+    /// The first sweep: `β = Bᵀy` into `step` for the `y` in the slot, and
+    /// `‖y‖²` returned.
+    pub(crate) fn project(&mut self, step: &mut StepScratch) -> f64 {
+        let n = self.k + self.j;
+        let (bx, rest) = self.b.split_at_mut(self.d * n);
+        step.beta.clear();
+        step.beta.resize(n, 0.0);
+        kernels::gemv_t(bx, None, &mut rest[..self.d], Some(&mut step.beta))
+    }
+
+    /// The squared residual of the projected `y` against the top `p`
+    /// columns of `E`: `‖y‖² − Σ_{i<p} (Mᵀβ)ᵢ²`. The difference carries an
+    /// error of a few ulps of `‖y‖²`, so a result inside that is zero: a
+    /// row in span(E) is not a row with a rounding-sized residual, whose
+    /// weight against a zero M-scale would let it replace the covariance.
+    pub(crate) fn residual_sq(&self, y_norm_sq: f64, p: usize, step: &mut StepScratch) -> f64 {
+        let (n, p) = (self.k + self.j, p.min(self.k));
+        step.c.clear();
+        step.c.resize(p, 0.0);
+        kernels::gemv_t(&self.m[..n * p], None, &mut step.beta, Some(&mut step.c));
+        let r2 = (y_norm_sq - vecops::norm_sq(&step.c)).max(0.0);
+        if y_norm_sq.is_finite() && r2 <= (p + 1) as f64 * f64::EPSILON * y_norm_sq {
+            0.0
+        } else {
+            r2
+        }
+    }
+
+    /// `E = B·M` into `out` (`d × k`), leaving the state as it is; `out`
+    /// already holds `E₀` when `holds_e0`. It is computed as
+    /// `E₀ + B·(M − [I; 0])`, one product accumulated onto `E₀`, so the
+    /// fold, which starts from the `E₀` it replaces, and a reader get the
+    /// same bits.
+    fn materialize_onto(&mut self, out: &mut Mat, holds_e0: bool) {
+        let (d, k, n) = (self.d, self.k, self.k + self.j);
+        if !holds_e0 {
+            out.reset_zeroed(d, k);
+            out.as_mut_slice().copy_from_slice(&self.b[..d * k]);
+        }
+        self.m_less_i.clear();
+        self.m_less_i.extend_from_slice(&self.m);
+        for i in 0..k {
+            self.m_less_i[i * n + i] -= 1.0;
+        }
+        kernels::gemm_block(
+            d,
+            n,
+            k,
+            &self.b[..d * n],
+            &self.m_less_i,
+            out.as_mut_slice(),
+        );
+    }
+
+    /// `E = B·M` into `out` (`d × k`), leaving the state as it is.
+    pub(crate) fn materialize(&mut self, out: &mut Mat) {
+        self.materialize_onto(out, false);
+    }
+
+    /// The fold: `E₀ ← B·M` into `basis`, which holds `E₀`, and
+    /// `B = [E₀]`, `M = I`. With nothing pending it is left alone.
+    pub(crate) fn fold_into(&mut self, basis: &mut Mat) {
+        if self.pending {
+            self.materialize_onto(basis, true);
+            self.reset(basis);
+        }
+    }
 }
 
 /// Classical streaming PCA with exponential forgetting.
@@ -103,9 +282,7 @@ impl ClassicIncrementalPca {
                 Ok(0.0)
             }
             State::Running(eig) => {
-                eig.center_into(x, &mut ws.step.y);
-                let r2 = eig.residual_sq_truncated_centered(&ws.step.y, cfg.p);
-                classic_step(eig, x, cfg.alpha, &mut ws.step)?;
+                let r2 = classic_step(eig, x, cfg, ws)?;
                 eig.n_obs += 1;
                 Ok(r2)
             }
@@ -162,30 +339,45 @@ pub(crate) fn validate(cfg: &PcaConfig, x: &[f64]) -> Result<()> {
     Ok(())
 }
 
-/// One classical incremental step on an initialized eigensystem: updates
-/// mean, then eigensystem via the `A = [E√(γΛ) | y√(1−γ)]` factor.
-pub(crate) fn classic_step(
+/// One classical incremental step on an initialized eigensystem: the
+/// squared residual against the top `p` components, then the mean and the
+/// eigensystem via the `A = [E√(γΛ) | y√(1−γ)]` factor. Returns the residual.
+fn classic_step(
     eig: &mut EigenSystem,
     x: &[f64],
-    alpha: f64,
-    scratch: &mut StepScratch,
-) -> Result<()> {
+    cfg: &PcaConfig,
+    ws: &mut UpdateWorkspace,
+) -> Result<f64> {
+    let UpdateWorkspace { step, once, .. } = ws;
+    repair_if_due(eig);
+    once.reset(&eig.basis);
+    once.center(x, &eig.mean);
+    let y_norm_sq = once.project(step);
+    let r2 = once.residual_sq(y_norm_sq, cfg.p, step);
+
     // γ from the decayed observation count (eq. 14 analogue): with every
     // weight equal to one, u, v and q all share this recursion.
-    let u_new = alpha * eig.sum_u + 1.0;
-    let gamma = alpha * eig.sum_u / u_new;
+    let u_new = cfg.alpha * eig.sum_u + 1.0;
+    let gamma = cfg.alpha * eig.sum_u / u_new;
     eig.sum_u = u_new;
     eig.sum_v = u_new;
 
-    // Mean recursion (eq. 9 with w ≡ 1).
+    // Mean recursion (eq. 9 with w ≡ 1); x − µ_new = γ(x − µ_old), so the
+    // centred row in the slot stands, scaled by γ through the weight.
     for (m, &xi) in eig.mean.iter_mut().zip(x) {
         *m = gamma * *m + (1.0 - gamma) * xi;
     }
-
-    eig.center_into(x, &mut scratch.y);
-    low_rank_update(eig, gamma, 1.0 - gamma, scratch)?;
+    low_rank_update(
+        once,
+        &mut eig.values,
+        gamma,
+        (1.0 - gamma) * gamma * gamma,
+        y_norm_sq,
+        step,
+    )?;
+    once.fold_into(&mut eig.basis);
     eig.sum_q = u_new; // classical: w·r² sums degenerate to the count
-    Ok(())
+    Ok(r2)
 }
 
 /// Updates between Gram–Schmidt repairs of the basis. A rotation by θ with
@@ -193,8 +385,19 @@ pub(crate) fn classic_step(
 /// grows `EᵀE − I` by a one-signed ~1e-15 (measured, d = 64 to 1000) that
 /// never averages out; a repair every 1024 holds it near 1e-12 for 0.1 %
 /// of the update cost. Keyed on `eig.n_obs` — checkpointed state — so a
-/// recovered or re-batched run repairs at the same tuples.
-const REPAIR_EVERY: u64 = 1024;
+/// recovered or re-batched run repairs at the same tuples. A multiple of
+/// [`FOLD_EVERY`], so the deferred update repairs right after a fold.
+pub(crate) const REPAIR_EVERY: u64 = 1024;
+
+/// Repairs `eig.basis` when its `n_obs` is due (see [`REPAIR_EVERY`]);
+/// true if it did.
+pub(crate) fn repair_if_due(eig: &mut EigenSystem) -> bool {
+    let due = eig.n_obs.is_multiple_of(REPAIR_EVERY);
+    if due {
+        reorthonormalize(&mut eig.basis);
+    }
+    due
+}
 
 /// Modified Gram–Schmidt over the columns of `basis`, in place.
 fn reorthonormalize(basis: &mut Mat) {
@@ -211,6 +414,7 @@ fn reorthonormalize(basis: &mut Mat) {
 /// The algebraic step on its own: `EΛEᵀ` becomes the best rank-k
 /// approximation of `g_hist·EΛEᵀ + g_new·yyᵀ` for a centered `y`. Mean,
 /// scale and running sums are the caller's; the estimators share the code.
+/// The update folds at once, so `eig.basis` holds the new `E` on return.
 pub fn rank_one_update(
     eig: &mut EigenSystem,
     y: &[f64],
@@ -224,91 +428,159 @@ pub fn rank_one_update(
             got: y.len(),
         });
     }
-    ws.step.y.clear();
-    ws.step.y.extend_from_slice(y);
-    low_rank_update(eig, g_hist, g_new, &mut ws.step)
+    let UpdateWorkspace { step, once, .. } = ws;
+    repair_if_due(eig);
+    once.reset(&eig.basis);
+    once.slot_mut().copy_from_slice(y);
+    let y_norm_sq = once.project(step);
+    low_rank_update(once, &mut eig.values, g_hist, g_new, y_norm_sq, step)?;
+    once.fold_into(&mut eig.basis);
+    Ok(())
 }
 
-/// Shared rank-one update of the centered observation in `scratch.y`
-/// (consumed): `{E, Λ}` become the top-k eigenpairs of `AAᵀ`,
-/// `A = [e_j·√(g_hist·λ_j) | y·√g_new]`, without ever forming `A`.
+/// The rank-one update of the centred row in `basis`'s slot, whose first
+/// sweep ([`DeferredBasis::project`]) left `β = Bᵀy` in `step` and
+/// `‖y‖² = y_norm_sq`: `{E, Λ}` become the top-k eigenpairs of `AAᵀ`,
+/// `A = [e_j·√(g_hist·λ_j) | y·√g_new]`, without ever forming `A` or `E`.
 ///
-/// `E` is orthonormal, so with `c = Eᵀy`, `r = y − Ec`, `ρ = ‖r‖` the
-/// factor is `A = [E | r/ρ]·K` for the `(k+1) × (k+1)` core
+/// Two more sweeps finish the Gram–Schmidt pass against `B`: `y −= Bβ`
+/// fused with `β₂ = Bᵀy`, then `y −= Bβ₂` with `ρ = ‖y‖`. With the total
+/// coefficients `β ← β + β₂`, `y = Bβ + ρ·r̂`, and against `E = B·M` its
+/// coordinates are `c = Mᵀβ` and its residual is `B·a + ρ·r̂`,
+/// `a = β − Mc`, of norm `ρ_E = √(‖a‖² + ρ²)`. So the factor is
+/// `A = [E | (Ba + ρr̂)/ρ_E]·K` for the `(k+1) × (k+1)` core
 ///
 /// ```text
-/// K = [ diag √(g_hist·λ)   √g_new·c ]
-///     [        0           √g_new·ρ ]
+/// K = [ diag √(g_hist·λ)   √g_new·c   ]
+///     [        0           √g_new·ρ_E ]
 /// ```
 ///
-/// and `KKᵀ = diag(g_hist·λ, 0) + zzᵀ` with `z = √g_new·[c; ρ]`, a
+/// and `KKᵀ = diag(g_hist·λ, 0) + zzᵀ` with `z = √g_new·[c; ρ_E]`, a
 /// diagonal plus rank-one matrix whose eigenpairs `U′, S²` the secular
-/// solver gives in `O(k²)`: `Λ ← S²[:k]`, `E ← [E | r/ρ]·U′[:, :k]`. The
-/// only `d`-length work is the projection and the in-place panel product.
+/// solver gives in `O(k²)`: `Λ ← S²[:k]` and
+/// `E ← [B | r̂]·[[M, a/ρ_E], [0, ρ/ρ_E]]·U′[:, :k]`, which is `r̂` appended
+/// to `B` and a `(k+j+1) × (k+1) × k` product for the new `M`.
 pub(crate) fn low_rank_update(
-    eig: &mut EigenSystem,
+    basis: &mut DeferredBasis,
+    values: &mut [f64],
     g_hist: f64,
     g_new: f64,
-    scratch: &mut StepScratch,
+    y_norm_sq: f64,
+    step: &mut StepScratch,
 ) -> Result<()> {
-    let (d, k) = (eig.dim(), eig.n_components());
+    let (d, k, n) = (basis.d, basis.k, basis.k + basis.j);
     let StepScratch {
-        y,
+        beta,
+        beta2,
         c,
+        a,
         poles,
         core,
-        panel,
-    } = scratch;
-    if eig.n_obs.is_multiple_of(REPAIR_EVERY) {
-        reorthonormalize(&mut eig.basis);
-    }
+        m_ext,
+    } = step;
+    let (bx, rest) = basis.b.split_at_mut(d * n);
+    let y = &mut rest[..d];
 
     // Outside ‖y‖ ∈ [1e-75, 1e75] the squares of a rounding-level residual
-    // underflow (or ‖y‖² overflows): bring such a y to unit largest entry.
+    // underflow (or ‖y‖² overflows): bring such a y to unit largest entry,
+    // and its coefficients with it.
     let mut y_scale = 1.0;
-    if !(1e-150..=1e150).contains(&vecops::norm_sq(y)) {
+    if !(1e-150..=1e150).contains(&y_norm_sq) {
         let largest = vecops::max_abs(y);
         if largest >= f64::MIN_POSITIVE {
             vecops::scale(y, 1.0 / largest);
             y_scale = largest;
+            kernels::gemv_t(bx, None, y, Some(beta));
         }
     }
 
-    // Gram–Schmidt against E, twice: the second pass removes what rounding
-    // and any drift of EᵀE from I left of `r` along `E`.
-    c.clear();
-    c.resize(k, 0.0);
-    let mut rho = [0.0; 2];
-    for rho_pass in &mut rho {
-        for (j, cj) in c.iter_mut().enumerate() {
-            let col = eig.basis.col(j);
-            let dc = vecops::dot(col, y);
-            vecops::axpy(-dc, col, y);
-            *cj += dc;
-        }
-        *rho_pass = vecops::norm(y);
+    // Gram–Schmidt against B, twice: the second pass removes what rounding
+    // left of `r` along B. If it removed most of what the first left, `r`
+    // was rounding noise: y lies in span(B) and appends no column.
+    beta2.clear();
+    beta2.resize(n, 0.0);
+    let rho1 = kernels::gemv_t(bx, Some(beta), y, Some(beta2)).sqrt();
+    let rho2 = kernels::gemv_t(bx, Some(beta2), y, None).sqrt();
+    for (b, b2) in beta.iter_mut().zip(beta2.iter()) {
+        *b += b2;
     }
-    // If the second pass removed most of what the first left, `r` was
-    // rounding noise: y lies in span(E) and adds no direction.
-    let rho = if rho[1] > 0.5 * rho[0] {
-        vecops::scale(y, 1.0 / rho[1]);
-        rho[1]
+    let rho = if rho2 > 0.5 * rho1 {
+        vecops::scale(y, 1.0 / rho2);
+        rho2
     } else {
-        y.fill(0.0);
         0.0
     };
 
-    // The appended pole is last, so a zero ρ (y in span(E)) ties the
+    // The same three sweeps in coefficient space, over the columns of M:
+    // `c = Mᵀβ`, then `a = β − Mc` with the second pass's `δ = Mᵀa`, then
+    // `a −= Mδ`. `a` is what of `Bβ` lies outside span(E), and noise if
+    // the second pass removed most of it. With `M = I` (nothing pending)
+    // `c` is `β` and `a` is zero.
+    let m = &basis.m;
+    c.clear();
+    let mut a_norm = 0.0;
+    if basis.pending {
+        a.clear();
+        a.extend_from_slice(beta);
+        c.resize(k, 0.0);
+        beta2.clear();
+        beta2.resize(k, 0.0);
+        kernels::gemv_t(m, None, a, Some(c));
+        let a1 = kernels::gemv_t(m, Some(c), a, Some(beta2)).sqrt();
+        a_norm = kernels::gemv_t(m, Some(beta2), a, None).sqrt();
+        for (cj, dj) in c.iter_mut().zip(beta2.iter()) {
+            *cj += dj;
+        }
+        if a_norm <= 0.5 * a1 {
+            a_norm = 0.0;
+        }
+    } else {
+        c.extend_from_slice(beta);
+    }
+    let rho_e = a_norm.hypot(rho);
+
+    // The appended pole is last, so a zero ρ_E (y in span(E)) ties the
     // zero eigenvalues without ever ranking above them.
     poles.clear();
-    poles.extend(eig.values.iter().map(|&l| (g_hist * l).max(0.0)));
+    poles.extend(values.iter().map(|&l| (g_hist * l).max(0.0)));
     poles.push(0.0);
-    c.push(rho);
+    c.push(rho_e);
     vecops::scale(c, g_new.max(0.0).sqrt() * y_scale);
     secular::rank_one_eigen(poles, c, core)?;
-    eig.values.copy_from_slice(&core.values[..k]);
-    let coef = &core.vectors.as_slice()[..(k + 1) * k];
-    kernels::panel_update(d, k, eig.basis.as_mut_slice(), coef, y, panel);
+    values.copy_from_slice(&core.values[..k]);
+
+    // M ← [[M, a/ρ_E], [0, ρ/ρ_E]]·U′[:, :k]; the zero row and ρ/ρ_E only
+    // when r̂ is appended. With `M = I` and `a = 0` that product is
+    // `U′[:, :k]` itself, or its first k rows when nothing is appended.
+    let append = usize::from(rho > 0.0);
+    let rows = n + append;
+    let u = &core.vectors.as_slice()[..(k + 1) * k];
+    if basis.pending {
+        m_ext.clear();
+        m_ext.resize(rows * (k + 1), 0.0);
+        for (dst, src) in m_ext.chunks_exact_mut(rows).zip(m.chunks_exact(n)) {
+            dst[..n].copy_from_slice(src);
+        }
+        if rho_e > 0.0 {
+            let ext = &mut m_ext[k * rows..];
+            for (e, &ai) in ext.iter_mut().zip(a.iter()) {
+                *e = if a_norm > 0.0 { ai / rho_e } else { 0.0 };
+            }
+            if append == 1 {
+                ext[n] = rho / rho_e;
+            }
+        }
+        basis.m.clear();
+        basis.m.resize(rows * k, 0.0);
+        kernels::gemm_block(rows, k + 1, k, m_ext, u, &mut basis.m);
+    } else {
+        basis.m.clear();
+        for col in u.chunks_exact(k + 1) {
+            basis.m.extend_from_slice(&col[..rows]);
+        }
+    }
+    basis.j += append;
+    basis.pending = true;
     Ok(())
 }
 

@@ -61,7 +61,7 @@ pub use config::{PcaConfig, RhoKind};
 pub use eigensystem::EigenSystem;
 pub use merge::{merge, merge_all, merge_tree};
 pub use query::{OutlierScore, QueryWorkspace, SimilarityHit};
-pub use robust::{RobustPca, UpdateOutcome};
+pub use robust::{DeferredTail, RobustPca, UpdateOutcome};
 
 /// Errors from streaming-PCA state updates.
 #[derive(Debug, Clone, PartialEq)]

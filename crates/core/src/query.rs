@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn project_matches_naive() {
-        let pca = fitted();
+        let mut pca = fitted();
         let eig = pca.full_eigensystem().unwrap();
         let x: Vec<f64> = (0..D).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut ws = QueryWorkspace::new();
@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn reconstruct_matches_naive() {
-        let pca = fitted();
+        let mut pca = fitted();
         let eig = pca.full_eigensystem().unwrap();
         let x: Vec<f64> = (0..D).map(|i| (i as f64 * 0.61).cos()).collect();
         let mut ws = QueryWorkspace::new();
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn top_k_ranked_by_abs_coefficient() {
-        let pca = fitted();
+        let mut pca = fitted();
         let eig = pca.full_eigensystem().unwrap();
         let x: Vec<f64> = (0..D).map(|i| (i as f64 * 0.23).sin() * 2.0).collect();
         let mut ws = QueryWorkspace::new();
@@ -257,7 +257,7 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_rejected() {
-        let pca = fitted();
+        let mut pca = fitted();
         let eig = pca.full_eigensystem().unwrap();
         let mut ws = QueryWorkspace::new();
         assert!(ws.project(eig, P, &[1.0, 2.0]).is_err());
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn copy_from_is_exact_and_reuses_buffers() {
-        let pca = fitted();
+        let mut pca = fitted();
         let src = pca.full_eigensystem().unwrap();
         let mut dst = EigenSystem::zeros(D, src.n_components());
         dst.copy_from(src);

@@ -18,7 +18,10 @@
 //! the top eigenvector because they never enter the covariance.
 
 use crate::batch::init_from_batch;
-use crate::classic::{decayed_count, low_rank_update, validate, StepScratch, UpdateWorkspace};
+use crate::classic::{
+    decayed_count, low_rank_update, repair_if_due, validate, DeferredBasis, StepScratch,
+    UpdateWorkspace, FOLD_EVERY,
+};
 use crate::config::PcaConfig;
 use crate::eigensystem::EigenSystem;
 use crate::gaps::fill_scanned;
@@ -65,14 +68,69 @@ pub struct RobustPca {
 
 enum State {
     WarmUp(Vec<Vec<f64>>),
-    Running(EigenSystem),
+    Running(Box<Tracked>),
+}
+
+/// The running estimate with its basis deferred: `eig` holds µ, Λ, σ², the
+/// sums and `n_obs` as of the last row, but `E₀`, the basis at the last
+/// fold, in place of `E = B·M` (DESIGN §5).
+///
+/// The basis folds (`E₀ ← B·M`) only at points the row sequence alone
+/// decides: a row whose `n_obs` is a multiple of [`FOLD_EVERY`], a masked
+/// row (its gap fill reads `E`), and an installed eigensystem. A reader
+/// never folds: it gets `B·M` in `view`, a buffer of the estimator's own,
+/// so when it runs can never change a later bit.
+#[derive(Debug, Clone)]
+struct Tracked {
+    eig: EigenSystem,
+    basis: DeferredBasis,
+    view: Option<EigenSystem>,
+}
+
+impl Tracked {
+    fn new(eig: EigenSystem) -> Self {
+        let mut basis = DeferredBasis::default();
+        basis.reset(&eig.basis);
+        Tracked {
+            eig,
+            basis,
+            view: None,
+        }
+    }
+
+    /// Folds the pending tail into `eig.basis`, and repairs it when due.
+    fn fold(&mut self) {
+        self.basis.fold_into(&mut self.eig.basis);
+        if repair_if_due(&mut self.eig) {
+            self.basis.reset(&self.eig.basis);
+        }
+    }
+
+    /// The current eigensystem: `eig` itself while `E = E₀`, else `B·M`
+    /// written into the view buffer (allocated at the first such read).
+    fn current(&mut self) -> &EigenSystem {
+        if !self.basis.is_pending() {
+            return &self.eig;
+        }
+        let Tracked { eig, basis, view } = self;
+        let view = view.get_or_insert_with(|| EigenSystem::zeros(eig.dim(), eig.n_components()));
+        view.mean.copy_from_slice(&eig.mean);
+        view.values.copy_from_slice(&eig.values);
+        view.sigma2 = eig.sigma2;
+        view.sum_u = eig.sum_u;
+        view.sum_v = eig.sum_v;
+        view.sum_q = eig.sum_q;
+        view.n_obs = eig.n_obs;
+        basis.materialize(&mut view.basis);
+        view
+    }
 }
 
 impl std::fmt::Debug for RobustPca {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let phase = match &self.state {
             State::WarmUp(b) => format!("warm-up ({}/{})", b.len(), self.cfg.init_size),
-            State::Running(e) => format!("running (n={})", e.n_obs),
+            State::Running(t) => format!("running (n={})", t.eig.n_obs),
         };
         write!(
             f,
@@ -89,7 +147,7 @@ impl Clone for RobustPca {
             rho: Arc::clone(&self.rho),
             state: match &self.state {
                 State::WarmUp(b) => State::WarmUp(b.clone()),
-                State::Running(e) => State::Running(e.clone()),
+                State::Running(t) => State::Running(t.clone()),
             },
             // Scratch is not part of the estimate; a clone starts with
             // fresh buffers and regrows them on its first update.
@@ -132,7 +190,7 @@ impl RobustPca {
     pub fn n_obs(&self) -> u64 {
         match &self.state {
             State::WarmUp(buf) => buf.len() as u64,
-            State::Running(e) => e.n_obs,
+            State::Running(t) => t.eig.n_obs,
         }
     }
 
@@ -151,11 +209,23 @@ impl RobustPca {
                 if buf.len() >= cfg.init_size {
                     let batch = std::mem::take(buf);
                     let eig = robust_init(cfg, &batch, rho.as_ref())?;
-                    *state = State::Running(eig);
+                    *state = State::Running(Box::new(Tracked::new(eig)));
                 }
                 Ok(UpdateOutcome::warmup())
             }
-            State::Running(eig) => robust_step(eig, x, cfg, rho.as_ref(), &mut ws.step),
+            State::Running(t) => {
+                // The second test keeps the slot inside `B` whatever tail
+                // a restore installed.
+                if t.eig.n_obs.is_multiple_of(FOLD_EVERY)
+                    || t.basis.pending_columns() == FOLD_EVERY as usize
+                {
+                    t.fold();
+                }
+                t.basis.center(x, &t.eig.mean);
+                let y_norm_sq = t.basis.project(&mut ws.step);
+                let r2 = t.basis.residual_sq(y_norm_sq, cfg.p, &mut ws.step);
+                robust_step(t, x, r2, y_norm_sq, cfg, rho.as_ref(), &mut ws.step)
+            }
         }
     }
 
@@ -192,8 +262,8 @@ impl RobustPca {
             state,
             ws,
         } = self;
-        let eig = match state {
-            State::Running(eig) => eig,
+        let t = match state {
+            State::Running(t) => t,
             State::WarmUp(_) => {
                 // Fill gaps with the mean over the observed bins so the
                 // warm-up covariance is not poisoned by zeros.
@@ -207,8 +277,9 @@ impl RobustPca {
                 return self.update(&filled);
             }
         };
-        let UpdateWorkspace { step, gaps } = ws;
-        let residual_sq = fill_scanned(eig, x, cfg.p, cfg.q_extra, gaps)?;
+        let UpdateWorkspace { step, gaps, .. } = ws;
+        t.fold();
+        let residual_sq = fill_scanned(&t.eig, x, cfg.p, cfg.q_extra, gaps)?;
         // A missing bin may hold anything, but a non-finite observed one
         // stays non-finite in its own residual term, so the sum says so
         // without another pass over the row — and before the step below,
@@ -216,31 +287,65 @@ impl RobustPca {
         if !residual_sq.is_finite() {
             return Err(PcaError::NotFinite);
         }
-        robust_step_with_residual(eig, &gaps.filled, residual_sq, cfg, rho.as_ref(), step)
+        let filled = &gaps.filled;
+        t.basis.center(filled, &t.eig.mean);
+        let y_norm_sq = t.basis.project(step);
+        robust_step(t, filled, residual_sq, y_norm_sq, cfg, rho.as_ref(), step)
     }
 
     /// The eigensystem truncated to the reported `p` components.
     ///
     /// Panics before initialization; check [`is_initialized`](Self::is_initialized).
-    pub fn eigensystem(&self) -> EigenSystem {
-        match &self.state {
+    /// Like every reader it takes `&mut self` for the view buffer, and
+    /// leaves the estimate exactly as it was.
+    pub fn eigensystem(&mut self) -> EigenSystem {
+        match &mut self.state {
             State::WarmUp(_) => panic!("eigensystem requested before warm-up completed"),
-            State::Running(e) => e.truncated(self.cfg.p),
+            State::Running(t) => t.current().truncated(self.cfg.p),
         }
     }
 
     /// The full internally-tracked eigensystem (`p + q` components), if
-    /// initialized.
-    pub fn full_eigensystem(&self) -> Option<&EigenSystem> {
+    /// initialized: `E = B·M` materialised into a buffer the estimator
+    /// owns, allocation-free after the first read. Reading never folds the
+    /// deferred basis, so it never changes a later bit of the estimate.
+    pub fn full_eigensystem(&mut self) -> Option<&EigenSystem> {
+        match &mut self.state {
+            State::WarmUp(_) => None,
+            State::Running(t) => Some(t.current()),
+        }
+    }
+
+    /// The running state as the update holds it, for a checkpoint that
+    /// must resume the same arithmetic: the eigensystem with `E₀`, the basis
+    /// at the last fold, in place of `E`, and the deferred tail since that
+    /// fold — `None` while `E = E₀`. `None` during warm-up.
+    pub fn deferred_state(&self) -> Option<(&EigenSystem, Option<DeferredTail<'_>>)> {
         match &self.state {
             State::WarmUp(_) => None,
-            State::Running(e) => Some(e),
+            State::Running(t) => {
+                let tail = t.basis.is_pending().then(|| DeferredTail {
+                    residuals: t.basis.residuals(),
+                    mixing: t.basis.mixing(),
+                });
+                Some((&t.eig, tail))
+            }
         }
     }
 
     /// Replaces the internal state (synchronization installs merged
-    /// eigensystems through this).
+    /// eigensystems through this). The basis is folded: `E₀` is `eig.basis`.
     pub fn install_eigensystem(&mut self, eig: EigenSystem) -> Result<()> {
+        self.install_deferred(eig, None)
+    }
+
+    /// Resumes a state taken by [`deferred_state`](Self::deferred_state):
+    /// `eig` with `E₀` as its basis, and the tail, if one was pending.
+    pub fn install_deferred(
+        &mut self,
+        eig: EigenSystem,
+        tail: Option<DeferredTail<'_>>,
+    ) -> Result<()> {
         if eig.dim() != self.cfg.dim || eig.n_components() != self.cfg.p_total() {
             return Err(PcaError::IncompatibleMerge(format!(
                 "install: got dim {} k {}, want dim {} k {}",
@@ -251,9 +356,42 @@ impl RobustPca {
             )));
         }
         eig.check_invariants()?;
-        self.state = State::Running(eig);
+        let tail = tail
+            .map(|t| {
+                let j = DeferredBasis::check_tail(
+                    eig.dim(),
+                    eig.n_components(),
+                    t.residuals,
+                    t.mixing,
+                )?;
+                Ok::<_, PcaError>((j, t))
+            })
+            .transpose()?;
+        let mut t = match std::mem::replace(&mut self.state, State::WarmUp(Vec::new())) {
+            // Keep the grown buffers of a running estimator.
+            State::Running(mut t) => {
+                t.basis.reset(&eig.basis);
+                t.eig = eig;
+                t
+            }
+            State::WarmUp(_) => Box::new(Tracked::new(eig)),
+        };
+        if let Some((j, tail)) = tail {
+            t.basis.resume(j, tail.residuals, tail.mixing);
+        }
+        self.state = State::Running(t);
         Ok(())
     }
+}
+
+/// The deferred tail of a running basis (see [`RobustPca::deferred_state`]).
+#[derive(Debug, Clone, Copy)]
+pub struct DeferredTail<'a> {
+    /// The `j` unit residual columns appended since the last fold,
+    /// `d × j` column-major.
+    pub residuals: &'a [f64],
+    /// `M`, `(k + j) × k` column-major: `E = [E₀ | residuals]·M`.
+    pub mixing: &'a [f64],
 }
 
 /// Solves the M-scale equation (eq. 5) on a batch of squared residuals via
@@ -332,45 +470,39 @@ fn solve_mscale(eig: &mut EigenSystem, batch: &[Vec<f64>], cfg: &PcaConfig, rho:
     eig.sum_q = u0 * (wr2sum / n);
 }
 
-/// One robust streaming step with the residual computed from the current
-/// eigensystem.
-pub(crate) fn robust_step(
-    eig: &mut EigenSystem,
-    x: &[f64],
-    cfg: &PcaConfig,
-    rho: &dyn Rho,
-    scratch: &mut StepScratch,
-) -> Result<UpdateOutcome> {
-    eig.center_into(x, &mut scratch.y);
-    let r2 = eig.residual_sq_truncated_centered(&scratch.y, cfg.p);
-    robust_step_with_residual(eig, x, r2, cfg, rho, scratch)
-}
-
-/// One robust streaming step with an externally supplied squared residual
-/// (the gap-filled path computes a bias-corrected `r²` first).
-pub(crate) fn robust_step_with_residual(
-    eig: &mut EigenSystem,
+/// One robust streaming step. `x` is centred in the slot of `t.basis` and
+/// projected by its first sweep (`‖y‖² = y_norm_sq`); `r2` is its squared
+/// residual against the top `p` components, or, on the gap-filled path,
+/// the bias-corrected one.
+fn robust_step(
+    t: &mut Tracked,
     x: &[f64],
     r2: f64,
+    y_norm_sq: f64,
     cfg: &PcaConfig,
     rho: &dyn Rho,
-    scratch: &mut StepScratch,
+    step: &mut StepScratch,
 ) -> Result<UpdateOutcome> {
     let alpha = cfg.alpha;
+    let eig = &mut t.eig;
 
     // Guard against scale collapse: if σ² underflows relative to the
     // tracked variance, treat the residual as nominal rather than dividing
     // by ~0 and rejecting everything forever.
     let var_scale: f64 = eig.values.first().copied().unwrap_or(0.0).max(1e-300);
     let sigma2 = eig.sigma2.max(1e-12 * var_scale);
-    let t = r2 / sigma2;
-    let w = rho.weight(t);
-    let w_star = rho.scale_weight(t);
+    let t_scaled = r2 / sigma2;
+    let w = rho.weight(t_scaled);
+    let w_star = rho.scale_weight(t_scaled);
 
     // --- eq. 12 / 9: weighted mean ---
+    // x − µ_new = γ₁(x − µ_old): the centred row in the slot stands for
+    // the post-update one the paper's recursion order prescribes, scaled
+    // by γ₁ through the covariance weight below.
+    let mut gamma1 = 1.0;
     let v_new = alpha * eig.sum_v + w;
     if v_new > 0.0 {
-        let gamma1 = alpha * eig.sum_v / v_new;
+        gamma1 = alpha * eig.sum_v / v_new;
         for (m, &xi) in eig.mean.iter_mut().zip(x) {
             *m = gamma1 * *m + (1.0 - gamma1) * xi;
         }
@@ -383,17 +515,22 @@ pub(crate) fn robust_step_with_residual(
     eig.sigma2 = gamma3 * eig.sigma2 + (1.0 - gamma3) * w_star * r2 / cfg.delta;
     eig.sum_u = u_new;
 
-    // --- eq. 13 / 10: weighted covariance via the low-rank SVD ---
+    // --- eq. 13 / 10: weighted covariance via the low-rank update ---
     let wr2 = w * r2;
     let q_new = alpha * eig.sum_q + wr2;
     if wr2 > 0.0 && q_new > 0.0 {
         let gamma2 = alpha * eig.sum_q / q_new;
         // New-data column coefficient: (1−γ₂)·σ²/r² multiplying y yᵀ.
         let coeff = (1.0 - gamma2) * eig.sigma2 / r2;
-        // Recenter against the *post*-update mean (the recursion order the
-        // paper prescribes) into the reusable buffer.
-        eig.center_into(x, &mut scratch.y);
-        low_rank_update(eig, gamma2, coeff, scratch)?;
+        let g_new = coeff * gamma1 * gamma1;
+        low_rank_update(
+            &mut t.basis,
+            &mut eig.values,
+            gamma2,
+            g_new,
+            y_norm_sq,
+            step,
+        )?;
         eig.sum_q = q_new;
     } else {
         // Hard-rejected observation: covariance only decays through γ₂ = 1,
@@ -404,7 +541,7 @@ pub(crate) fn robust_step_with_residual(
     eig.n_obs += 1;
     Ok(UpdateOutcome {
         residual_sq: r2,
-        scaled_residual: t,
+        scaled_residual: t_scaled,
         weight: w,
         outlier: w <= cfg.outlier_weight_threshold,
         initialized: true,
@@ -640,20 +777,20 @@ mod tests {
         while !pca.is_initialized() {
             pca.update(&planted(&mut rng)).unwrap();
         }
-        let bits = |pca: &RobustPca| {
+        let bits = |pca: &mut RobustPca| {
             let e = pca.full_eigensystem().unwrap();
             let sums = [e.sigma2, e.sum_u, e.sum_v, e.sum_q, e.n_obs as f64];
             let all = [&e.mean[..], e.basis.as_slice(), &e.values[..], &sums[..]].concat();
             all.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
         };
-        let before = bits(&pca);
+        let before = bits(&mut pca);
         for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             bad[5] = poison;
             assert_eq!(
                 pca.update_masked(&bad, &mask).unwrap_err(),
                 PcaError::NotFinite
             );
-            assert_eq!(bits(&pca), before, "{poison}");
+            assert_eq!(bits(&mut pca), before, "{poison}");
         }
 
         // A missing bin may hold anything.

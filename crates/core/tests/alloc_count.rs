@@ -1,6 +1,7 @@
 //! Proves the steady-state streaming update, complete or masked, is
 //! allocation-free: at the core sizes the benchmark workloads run (5, 7
-//! and 13), and through the secular solver's deflation branches.
+//! and 13), through the secular solver's deflation branches, and across a
+//! fold of the deferred basis with its readers in between.
 //!
 //! The counting global allocator wraps the system allocator; after the
 //! estimator has warmed up and its workspace buffers have grown to size,
@@ -125,6 +126,30 @@ fn steady_state_update_performs_zero_allocations() {
         0,
         "steady-state RobustPca::update allocated {} times over {MEASURED} updates",
         after - before
+    );
+
+    // A window crossing a fold with residual columns pending (j > 0),
+    // reading the materialised eigensystem after every row: the fold and
+    // the readers stay off the heap once the first read has grown the view
+    // buffer. Nine rows cross at least one fold (every eight rows), and the
+    // first fold in them carries the tail j > 0 left by the row before.
+    let pending = |pca: &RobustPca| {
+        let (eig, tail) = pca.deferred_state().unwrap();
+        tail.map_or(0, |t| t.residuals.len() / eig.dim())
+    };
+    let _ = pca.full_eigensystem();
+    let mut next = data[WARM..].iter().cycle();
+    while pending(&pca) == 0 {
+        pca.update(next.next().unwrap()).unwrap();
+    }
+    let window: Vec<&Vec<f64>> = next.take(9).collect();
+    let n = count(&window, |x| {
+        pca.update(x).unwrap();
+        assert!(pca.full_eigensystem().is_some());
+    });
+    assert_eq!(
+        n, 0,
+        "a window across a fold with j > 0 allocated {n} times"
     );
 
     // The gap-filling path has buffers of its own (missing-bin list, masked

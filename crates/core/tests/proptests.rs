@@ -413,6 +413,135 @@ proptest! {
     }
 }
 
+/// What the next row of a sequence is: a fresh draw, the previous row
+/// again (its residual then lies in span(B) up to the rounding of the
+/// mean update), a gross spike (weight zero), or a draw with a fifth of
+/// its bins missing (the masked path, which folds first).
+#[derive(Debug, Clone, Copy)]
+enum RowKind {
+    Fresh,
+    Repeat,
+    Spike,
+    Masked,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The deferred basis is the same update, row by row: a sequence
+    /// through `RobustPca` — crossing folds, repeating rows, rejecting
+    /// spikes, folding at masked rows — matches the tall-factor oracle at
+    /// every step, taken from the materialised state before the row with
+    /// the weights the row's recursions gave (1e-9 in `EΛEᵀ`, 1e-10 in
+    /// the values), at unit scale and with the data scaled by 2^±498.
+    #[test]
+    fn robust_sequence_matches_tall_factor_oracle_step_by_step(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = rng.gen_range(1..=4usize);
+        let q = rng.gen_range(0..=2usize);
+        let d = rng.gen_range(p + q + 4..=48usize);
+        let mut planted = Mat::zeros(d, p + 1);
+        fill_standard_normal(&mut rng, planted.as_mut_slice());
+        let draw = |rng: &mut StdRng| -> Vec<f64> {
+            let coeffs: Vec<f64> = (0..=p).map(|j| 3.0 / (j + 1) as f64 * rng.gen_range(-1.0..1.0)).collect();
+            let mut x = planted.matvec(&coeffs).unwrap();
+            vecops::axpy(0.05, &standard_normal_vec(rng, d), &mut x);
+            x
+        };
+        let warm: Vec<Vec<f64>> = (0..3 * d).map(|_| draw(&mut rng)).collect();
+        let mut rows: Vec<(RowKind, Vec<f64>, Vec<bool>)> = Vec::new();
+        for _ in 0..40 {
+            let kind = match rng.gen_range(0..8) {
+                0 if !rows.is_empty() => RowKind::Repeat,
+                1 => RowKind::Spike,
+                2 => RowKind::Masked,
+                _ => RowKind::Fresh,
+            };
+            let (x, mask) = match kind {
+                RowKind::Repeat => {
+                    let (_, x, mask) = rows.last().cloned().unwrap();
+                    (x, mask)
+                }
+                RowKind::Spike => {
+                    let mut x = draw(&mut rng);
+                    x[rng.gen_range(0..d)] += 1e3;
+                    (x, vec![true; d])
+                }
+                RowKind::Masked => {
+                    let mut mask: Vec<bool> = (0..d).map(|_| rng.gen_range(0..5) != 0).collect();
+                    mask[0] = true;
+                    (draw(&mut rng), mask)
+                }
+                RowKind::Fresh => (draw(&mut rng), vec![true; d]),
+            };
+            rows.push((kind, x, mask));
+        }
+        let cfg = PcaConfig::new(d, p).with_extra(q).with_memory(200).with_init_size(2 * d);
+        let alpha = cfg.alpha;
+        let mut warmed = RobustPca::new(cfg.clone());
+        for x in &warm {
+            warmed.update(x).unwrap();
+        }
+        let start = warmed.full_eigensystem().unwrap().clone();
+        let mut pending_seen = false;
+        for exp in [0i32, 498, -498] {
+            // The warm-up state, scaled and installed: the scale is the
+            // update's to survive, not the batch initializer's.
+            let f = 2.0f64.powi(exp);
+            let scaled = |x: &[f64]| x.iter().map(|v| v * f).collect::<Vec<f64>>();
+            let mut pca = RobustPca::new(cfg.clone());
+            let mut eig = start.clone();
+            eig.mean = scaled(&eig.mean);
+            eig.values.iter_mut().for_each(|v| *v *= f * f);
+            eig.sigma2 *= f * f;
+            eig.sum_q *= f * f;
+            pca.install_eigensystem(eig).unwrap();
+            for (i, (kind, x, mask)) in rows.iter().enumerate() {
+                let x = scaled(x);
+                let before = pca.full_eigensystem().unwrap().clone();
+                pending_seen |= pca.deferred_state().unwrap().1.is_some();
+                let (outcome, x_used) = if mask.iter().all(|&m| m) {
+                    (pca.update(&x).unwrap(), x)
+                } else {
+                    let filled = spca_core::gaps::fill_gaps(&before, &x, mask, p, q).unwrap().filled;
+                    (pca.update_masked(&x, mask).unwrap(), filled)
+                };
+                let after = pca.full_eigensystem().unwrap().clone();
+                let r2 = outcome.residual_sq;
+                if outcome.weight * r2 == 0.0 {
+                    // Rejected: the eigensystem stays put, to the bit.
+                    prop_assert!(after.basis == before.basis && after.values == before.values,
+                        "row {i} ({kind:?}) was rejected but moved the eigensystem");
+                    continue;
+                }
+                // The oracle of the scaled problem is the scaled oracle (f
+                // is a power of two), so it runs at unit scale.
+                let y: Vec<f64> = x_used.iter().zip(&after.mean).map(|(a, m)| (a - m) / f).collect();
+                let g_hist = alpha * before.sum_q / after.sum_q;
+                let g_new = (1.0 - g_hist) * after.sigma2 / r2;
+                let (mut before, mut after) = (before, after);
+                for e in [&mut before, &mut after] {
+                    e.values.iter_mut().for_each(|v| *v /= f * f);
+                }
+                let want = tall_factor_oracle(&before, &y, g_hist, g_new);
+                let want_cov = reconstruct(&want);
+                let top = want.values[0];
+                after.check_invariants().unwrap();
+                let ortho = orthonormality_error(&after.basis);
+                prop_assert!(ortho <= 1e-12, "2^{exp} row {i} ({kind:?}): |EᵀE − I| = {ortho}");
+                for (a, b) in after.values.iter().zip(&want.values) {
+                    prop_assert!((a - b).abs() <= 1e-10 * top,
+                        "2^{exp} row {i} ({kind:?}): eigenvalue {a} vs {b}");
+                }
+                let diff = reconstruct(&after).sub(&want_cov).unwrap().fro_norm();
+                prop_assert!(diff <= 1e-9 * want_cov.fro_norm(),
+                    "2^{exp} row {i} ({kind:?}): E Λ Eᵀ off by {diff} (‖·‖ = {})", want_cov.fro_norm());
+            }
+        }
+        prop_assert!(pending_seen, "no row ran on a deferred basis");
+    }
+}
+
 /// Long-run drift: the basis is only ever rotated in place — never rebuilt
 /// by a fresh factorization — so its orthonormality has to survive hundreds
 /// of thousands of write-backs (the gap fill's `G = I − E_missᵀE_miss`

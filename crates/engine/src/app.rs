@@ -651,9 +651,10 @@ mod tests {
                 assert!(h.engine_states[0].is_poisoned());
             }
             Engine::run(g);
-            let st = lock(&h.engine_states[0]);
+            let mut st = lock(&h.engine_states[0]);
+            let n_obs = st.n_obs();
             let eig = st.full_eigensystem().expect("engine 0 was fed");
-            (st.n_obs(), crate::persist::encode_snapshot(eig))
+            (n_obs, crate::persist::encode_snapshot(eig))
         };
         let (clean_n, clean_eig) = run(false);
         let (poisoned_n, poisoned_eig) = run(true);

@@ -34,7 +34,7 @@ use crate::messages::{
     KIND_SYNC_COMMAND,
 };
 use crate::persist;
-use spca_core::{merge, PcaConfig, RobustPca};
+use spca_core::{merge, DeferredTail, PcaConfig, RobustPca};
 use spca_streams::checkpoint::{decode_kv, encode_kv, kv_u64, Checkpoint};
 use spca_streams::metrics::Counter;
 use spca_streams::{lock, ControlTuple, OpContext, Operator, RowRef, Rows};
@@ -232,11 +232,12 @@ impl StreamingPcaOp {
             return; // pool drained by stalled readers: shed this publish
         };
         let filled = {
-            let st = lock(&self.state);
+            let mut st = lock(&self.state);
+            let p = st.config().p;
             match st.full_eigensystem() {
                 Some(eig) => {
                     buf.eig.copy_from(eig);
-                    buf.p = st.config().p;
+                    buf.p = p;
                     true
                 }
                 None => false, // warm-up: nothing to serve yet
@@ -281,9 +282,10 @@ impl StreamingPcaOp {
         // with the lock released, so a slow or blocking downstream port can
         // never stall the per-tuple update path of a concurrent reader.
         let (eigensystem, n_obs) = {
-            let st = lock(&self.state);
+            let mut st = lock(&self.state);
+            let n_obs = st.n_obs();
             match st.full_eigensystem() {
-                Some(eig) => (eig.clone(), st.n_obs()),
+                Some(eig) => (eig.clone(), n_obs),
                 None => return,
             }
         };
@@ -430,7 +432,8 @@ impl Operator for StreamingPcaOp {
                 // the state lock there would couple downstream congestion
                 // to the update hot path).
                 let (eigensystem, n_obs) = {
-                    let st = lock(&self.state);
+                    let mut st = lock(&self.state);
+                    let n_obs = st.n_obs();
                     let Some(own) = st.full_eigensystem() else {
                         return;
                     };
@@ -443,7 +446,7 @@ impl Operator for StreamingPcaOp {
                             _ => {}
                         }
                     }
-                    (own.clone(), st.n_obs())
+                    (own.clone(), n_obs)
                 };
                 let payload: Arc<PeerState> = Arc::new(PeerState {
                     engine: self.engine_id,
@@ -544,12 +547,22 @@ impl Operator for StreamingPcaOp {
 /// (absent while the operator is still warming up).
 const EIG_MARKER: &[u8] = b"eigensystem\n";
 
+/// Marker line after the eigensystem when the estimator's basis has a
+/// deferred tail: the eigensystem then carries `E₀`, and the tail's rows
+/// ([`persist::encode_tail`]) follow.
+const TAIL_MARKER: &[u8] = b"deferred\n";
+
 /// Universal-checkpoint facet: the counters as a key-value header, followed
 /// by the eigensystem in the same self-describing text format as the
 /// on-disk snapshots ([`persist::encode_snapshot`]), so a PE-manifest blob
 /// is inspectable with a text editor exactly like a standalone snapshot.
-/// `last_peer` is deliberately not captured: like a supervised restart, a
-/// restored engine forgets pre-crash peer gossip and re-earns it.
+/// The eigensystem is the estimator's own state, not a materialised `E`:
+/// its basis is `E₀`, the basis at the last fold, and the deferred tail
+/// since then (the residual columns and `M`) follows, so a restore resumes
+/// the same arithmetic bit for bit. With nothing pending the blob is the
+/// header and the eigensystem alone. `last_peer` is deliberately not
+/// captured: like a supervised restart, a restored engine forgets
+/// pre-crash peer gossip and re-earns it.
 impl Checkpoint for StreamingPcaOp {
     fn snapshot(&self) -> Vec<u8> {
         let mut out = encode_kv(&[
@@ -561,36 +574,61 @@ impl Checkpoint for StreamingPcaOp {
             ("merges_applied", self.merges_applied.to_string()),
             ("shares_sent", self.shares_sent.to_string()),
         ]);
-        let eig = {
+        // The lock covers the copy; encoding happens after release.
+        let state = {
             let st = lock(&self.state);
-            st.full_eigensystem().cloned()
+            st.deferred_state().map(|(eig, tail)| {
+                let tail = tail.map(|t| (t.residuals.to_vec(), t.mixing.to_vec()));
+                (eig.clone(), tail)
+            })
         };
-        if let Some(eig) = eig {
+        if let Some((eig, tail)) = state {
             out.extend_from_slice(EIG_MARKER);
             out.extend_from_slice(&persist::encode_snapshot(&eig));
+            if let Some((residuals, mixing)) = tail {
+                let tail = DeferredTail {
+                    residuals: &residuals,
+                    mixing: &mixing,
+                };
+                out.extend_from_slice(TAIL_MARKER);
+                out.extend_from_slice(&persist::encode_tail(&tail, eig.dim()));
+            }
         }
         out
     }
 
     fn restore(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-        // Split at the marker line: kv header before, eigensystem after.
-        let (head, eig_bytes) = if bytes.starts_with(EIG_MARKER) {
-            (&bytes[..0], Some(&bytes[EIG_MARKER.len()..]))
-        } else {
-            let pat = b"\neigensystem\n";
-            match bytes.windows(pat.len()).position(|w| w == pat) {
-                Some(pos) => (&bytes[..pos + 1], Some(&bytes[pos + pat.len()..])),
-                None => (bytes, None),
+        // Split at the marker lines: kv header, eigensystem, deferred tail.
+        let split = |bytes: &'_ [u8], marker: &[u8]| -> Option<(usize, usize)> {
+            if bytes.starts_with(marker) {
+                return Some((0, marker.len()));
             }
+            let pat = [b"\n", marker].concat();
+            let pos = bytes.windows(pat.len()).position(|w| w == pat)?;
+            Some((pos + 1, pos + pat.len()))
+        };
+        let (head, eig_bytes) = match split(bytes, EIG_MARKER) {
+            Some((end, start)) => (&bytes[..end], Some(&bytes[start..])),
+            None => (bytes, None),
         };
         let kv = decode_kv(head)?;
         let cfg = lock(&self.state).config().clone();
         let mut fresh = RobustPca::new(cfg);
         if let Some(eig_bytes) = eig_bytes {
+            let (eig_bytes, tail_bytes) = match split(eig_bytes, TAIL_MARKER) {
+                Some((end, start)) => (&eig_bytes[..end], Some(&eig_bytes[start..])),
+                None => (eig_bytes, None),
+            };
             let eig = persist::decode_snapshot(eig_bytes)?;
+            let tail = tail_bytes
+                .map(|t| persist::decode_tail(t, eig.dim()))
+                .transpose()?;
+            let tail = tail
+                .as_ref()
+                .map(|(residuals, mixing)| DeferredTail { residuals, mixing });
             fresh
-                .install_eigensystem(eig)
+                .install_deferred(eig, tail)
                 .map_err(|e| bad(&format!("checkpoint does not fit the configuration: {e}")))?;
         }
         self.processed = kv_u64(&kv, "processed")?;
@@ -649,7 +687,7 @@ mod tests {
         let mut op = StreamingPcaOp::new(0, cfg(), 1);
         feed(&mut op, 1000, 1);
         let st = op.state_handle();
-        let guard = lock(&st);
+        let mut guard = lock(&st);
         assert!(guard.is_initialized());
         let eig = guard.eigensystem();
         let dist = spca_core::metrics::subspace_distance(
@@ -1024,7 +1062,7 @@ mod tests {
         assert_eq!(dirty.processed, clean.processed);
         let a = clean.state_handle();
         let b = dirty.state_handle();
-        let (ga, gb) = (lock(&a), lock(&b));
+        let (mut ga, mut gb) = (lock(&a), lock(&b));
         assert_eig_bits_equal(
             ga.full_eigensystem().unwrap(),
             gb.full_eigensystem().unwrap(),
@@ -1141,6 +1179,127 @@ mod tests {
             .unwrap()
             .clone();
         assert_eig_bits_equal(&before, &after);
+    }
+
+    /// Feeds `rows` one tuple at a time (sequence numbers from `first`),
+    /// calling `after` on the operator after each.
+    fn feed_each(
+        op: &mut StreamingPcaOp,
+        rows: &[Vec<f64>],
+        first: usize,
+        mut after: impl FnMut(&mut StreamingPcaOp),
+    ) {
+        for (i, x) in rows.iter().enumerate() {
+            with_ctx(op.n_peer_ports + 2, |ctx| {
+                feed_tuple(op, DataTuple::new((first + i) as u64, x.clone()), ctx);
+            });
+            after(op);
+        }
+    }
+
+    fn planted_rows(n: usize, seed: u64) -> Vec<Vec<f64>> {
+        let w = PlantedSubspace::new(D, 2, 0.05);
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| w.sample(&mut rng)).collect()
+    }
+
+    /// Residual columns pending in the estimator's deferred basis.
+    fn pending_columns(op: &StreamingPcaOp) -> usize {
+        let handle = op.state_handle();
+        let st = lock(&handle);
+        let (eig, tail) = st.deferred_state().expect("initialized");
+        tail.map_or(0, |t| t.residuals.len() / eig.dim())
+    }
+
+    #[test]
+    fn readers_never_change_a_later_bit() {
+        // Every reader — the full eigensystem, the truncated one, the
+        // checkpoint — after every row of one run, none in the other: the
+        // two end bit-identical, blob for blob.
+        let rows = planted_rows(300, 41);
+        let mut quiet = StreamingPcaOp::new(0, cfg(), 1);
+        feed_each(&mut quiet, &rows, 0, |_| {});
+        let mut read = StreamingPcaOp::new(0, cfg(), 1);
+        feed_each(&mut read, &rows, 0, |op| {
+            let st = op.state_handle();
+            let mut st = lock(&st);
+            if st.is_initialized() {
+                let _ = st.full_eigensystem();
+                let _ = st.eigensystem();
+            }
+            drop(st);
+            let _ = Checkpoint::snapshot(op);
+        });
+        assert_eq!(Checkpoint::snapshot(&quiet), Checkpoint::snapshot(&read));
+        assert_eig_bits_equal(
+            lock(&quiet.state_handle()).full_eigensystem().unwrap(),
+            lock(&read.state_handle()).full_eigensystem().unwrap(),
+        );
+    }
+
+    #[test]
+    fn checkpoint_with_a_deferred_tail_resumes_bit_for_bit() {
+        let rows = planted_rows(400, 42);
+        let mut whole = StreamingPcaOp::new(0, cfg(), 1);
+        feed_each(&mut whole, &rows, 0, |_| {});
+
+        // Cut where residual columns are pending (j > 0).
+        let mut first = StreamingPcaOp::new(0, cfg(), 1);
+        let mut cut = 100;
+        feed_each(&mut first, &rows[..cut], 0, |_| {});
+        while pending_columns(&first) == 0 {
+            feed_each(&mut first, &rows[cut..cut + 1], cut, |_| {});
+            cut += 1;
+        }
+        let bytes = Checkpoint::snapshot(&first);
+        let pat = [b"\n", TAIL_MARKER].concat();
+        assert!(
+            bytes.windows(pat.len()).any(|w| w == pat),
+            "no deferred tail in the blob"
+        );
+
+        // A tail missing a residual row does not fit its M: refused.
+        let last_row = bytes[..bytes.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap();
+        let mut torn = StreamingPcaOp::new(0, cfg(), 1);
+        let err = torn.restore(&bytes[..last_row + 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+        let mut resumed = StreamingPcaOp::new(0, cfg(), 1);
+        resumed.restore(&bytes).unwrap();
+        assert_eq!(Checkpoint::snapshot(&resumed), bytes);
+        feed_each(&mut resumed, &rows[cut..], cut, |_| {});
+        assert_eq!(Checkpoint::snapshot(&resumed), Checkpoint::snapshot(&whole));
+        assert_eig_bits_equal(
+            lock(&resumed.state_handle()).full_eigensystem().unwrap(),
+            lock(&whole.state_handle()).full_eigensystem().unwrap(),
+        );
+    }
+
+    #[test]
+    fn folded_checkpoint_is_the_header_and_the_eigensystem_alone() {
+        // With E = E₀ (j = 0, M = I) the blob has no tail: the counters,
+        // the marker and the snapshot text of the materialised state.
+        let mut op = StreamingPcaOp::new(0, cfg(), 1);
+        feed(&mut op, 300, 43);
+        let eig = lock(&op.state_handle()).full_eigensystem().unwrap().clone();
+        lock(&op.state_handle())
+            .install_eigensystem(eig.clone())
+            .unwrap();
+        let mut want = encode_kv(&[
+            ("processed", "300".to_string()),
+            ("obs_since_sync", op.obs_since_sync.to_string()),
+            ("outliers_flagged", op.outliers_flagged.to_string()),
+            ("dropped", "0".to_string()),
+            ("quarantined", "0".to_string()),
+            ("merges_applied", "0".to_string()),
+            ("shares_sent", "0".to_string()),
+        ]);
+        want.extend_from_slice(EIG_MARKER);
+        want.extend_from_slice(&persist::encode_snapshot(&eig));
+        assert_eq!(Checkpoint::snapshot(&op), want);
     }
 
     #[test]

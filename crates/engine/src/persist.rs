@@ -9,7 +9,7 @@
 //! inspect the file with nothing but a text editor.
 
 use crate::messages::{PeerState, KIND_SNAPSHOT};
-use spca_core::EigenSystem;
+use spca_core::{DeferredTail, EigenSystem};
 use spca_linalg::Mat;
 use spca_streams::checkpoint::{read_sealed, seal, write_atomic_vfs};
 use spca_streams::vfs::RealVfs;
@@ -61,6 +61,36 @@ pub fn encode_snapshot(eig: &EigenSystem) -> Vec<u8> {
     w
 }
 
+/// Serializes the deferred tail of a running basis
+/// ([`spca_core::RobustPca::deferred_state`]) in the snapshot's row format:
+/// a `mixing` row holding `M` column-major, then one `residual` row per
+/// pending column. A checkpoint writes it after the eigensystem whose basis
+/// is `E₀`, so a restore resumes the update's arithmetic exactly.
+pub fn encode_tail(tail: &DeferredTail<'_>, dim: usize) -> Vec<u8> {
+    let mut w = Vec::new();
+    let _ = write_row(&mut w, "mixing", tail.mixing);
+    for col in tail.residuals.chunks_exact(dim.max(1)) {
+        let _ = write_row(&mut w, "residual", col);
+    }
+    w
+}
+
+/// Parses [`encode_tail`]'s rows for a `dim`-dimensional basis into the
+/// residual columns (column-major) and `M`; the caller checks the shapes.
+pub fn decode_tail(bytes: &[u8], dim: usize) -> std::io::Result<(Vec<f64>, Vec<f64>)> {
+    let text = std::str::from_utf8(bytes).map_err(|_| bad("deferred tail is not UTF-8"))?;
+    if !text.ends_with('\n') {
+        return Err(bad("truncated deferred tail"));
+    }
+    let mut lines = text.lines();
+    let mixing = read_row(lines.next().unwrap_or(""), "mixing", None)?;
+    let mut residuals = Vec::new();
+    for line in lines {
+        residuals.extend(read_row(line, "residual", Some(dim))?);
+    }
+    Ok((residuals, mixing))
+}
+
 fn write_row<W: Write>(w: &mut W, tag: &str, row: &[f64]) -> std::io::Result<()> {
     write!(w, "{tag}")?;
     for v in row {
@@ -68,6 +98,23 @@ fn write_row<W: Write>(w: &mut W, tag: &str, row: &[f64]) -> std::io::Result<()>
         write!(w, " {v:e}")?;
     }
     writeln!(w)
+}
+
+/// Parses a `tag v v …` row as [`write_row`] writes it, checking its
+/// length when one is given.
+fn read_row(line: &str, tag: &str, len: Option<usize>) -> std::io::Result<Vec<f64>> {
+    let mut it = line.split_whitespace();
+    if it.next() != Some(tag) {
+        return Err(bad(format!("expected '{tag}' row")));
+    }
+    let vals: Result<Vec<f64>, _> = it.map(|s| s.parse::<f64>()).collect();
+    let vals = vals.map_err(|_| bad(format!("bad number in {tag} row")))?;
+    match len {
+        Some(len) if vals.len() != len => {
+            Err(bad(format!("{tag} row length {} != {len}", vals.len())))
+        }
+        _ => Ok(vals),
+    }
 }
 
 fn bad(msg: impl Into<String>) -> std::io::Error {
@@ -138,26 +185,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> std::io::Result<EigenSystem> {
     let sum_q = num(sp[8])?;
     let n_obs: u64 = sp[10].parse().map_err(|_| bad("bad n_obs"))?;
 
-    let parse_row = |line: String, tag: &str, len: usize| -> std::io::Result<Vec<f64>> {
-        let mut it = line.split_whitespace();
-        if it.next() != Some(tag) {
-            return Err(bad(format!("expected '{tag}' row")));
-        }
-        let vals: Result<Vec<f64>, _> = it.map(|s| s.parse::<f64>()).collect();
-        let vals = vals.map_err(|_| bad(format!("bad number in {tag} row")))?;
-        if vals.len() != len {
-            return Err(bad(format!("{tag} row length {} != {len}", vals.len())));
-        }
-        Ok(vals)
-    };
-
-    let values = parse_row(next()?, "values", k)?;
+    let values = read_row(&next()?, "values", Some(k))?;
     let mut basis = Mat::zeros(dim, k);
     for j in 0..k {
-        let col = parse_row(next()?, "vector", dim)?;
+        let col = read_row(&next()?, "vector", Some(dim))?;
         basis.col_mut(j).copy_from_slice(&col);
     }
-    let mean = parse_row(next()?, "mean", dim)?;
+    let mean = read_row(&next()?, "mean", Some(dim))?;
 
     let eig = EigenSystem {
         mean,

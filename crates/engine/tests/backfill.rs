@@ -228,7 +228,7 @@ fn splice_resumes_bit_identically_from_memory_and_disk() {
         app.warm_start = Some(warm);
         let (graph, handles) = ParallelPcaApp::build(&app, Box::new(CsvFileSource::new(&live)));
         Engine::run(graph);
-        let state = lock(&handles.engine_states[0]);
+        let mut state = lock(&handles.engine_states[0]);
         encode_snapshot(state.full_eigensystem().expect("initialized by warm start"))
     };
 

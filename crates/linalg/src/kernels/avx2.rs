@@ -158,7 +158,9 @@ pub unsafe fn rotate2(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
 /// `pack[4·l + jj]` is `B[l, j0 + jj]`, so the micro-kernel's inner loop
 /// reads four consecutive doubles per `l` — one cache line feeds four
 /// broadcasts. A needs no packing: an 8-row stripe of one A column is
-/// already contiguous in the column-major layout.
+/// already contiguous in the column-major layout. A last strip of fewer
+/// than four columns is packed with zeros and runs in the same register
+/// tile, into a copy of the output tile holding its real columns.
 #[target_feature(enable = "avx2", enable = "fma")]
 pub unsafe fn gemm_block(
     m: usize,
@@ -173,22 +175,39 @@ pub unsafe fn gemm_block(
     pack.resize(4 * k, 0.0);
     let ap = a.as_ptr();
     let mut j0 = 0;
-    while j0 + 4 <= width {
-        // Pack the 4-column B strip.
+    while j0 < width {
+        let w = (width - j0).min(4);
+        // Pack the B strip, zeros past its real columns.
         for l in 0..k {
             for jj in 0..4 {
-                *pack.get_unchecked_mut(4 * l + jj) = *bpan.get_unchecked((j0 + jj) * k + l);
+                *pack.get_unchecked_mut(4 * l + jj) = if jj < w {
+                    *bpan.get_unchecked((j0 + jj) * k + l)
+                } else {
+                    0.0
+                };
             }
         }
         let pb = pack.as_ptr();
         let mut i0 = 0;
         while i0 + 8 <= m {
-            micro_8x4(m, k, ap.add(i0), pb, out.as_mut_ptr().add(j0 * m + i0));
+            let c = out.as_mut_ptr().add(j0 * m + i0);
+            if w == 4 {
+                micro_8x4(m, m, k, ap.add(i0), pb, c);
+            } else {
+                let mut tile = [0.0f64; 32];
+                for jj in 0..w {
+                    std::ptr::copy_nonoverlapping(c.add(jj * m), tile.as_mut_ptr().add(8 * jj), 8);
+                }
+                micro_8x4(m, 8, k, ap.add(i0), pb, tile.as_mut_ptr());
+                for jj in 0..w {
+                    std::ptr::copy_nonoverlapping(tile.as_ptr().add(8 * jj), c.add(jj * m), 8);
+                }
+            }
             i0 += 8;
         }
         // Remainder rows of this strip: scalar per-column accumulation.
         if i0 < m {
-            for jj in 0..4 {
+            for jj in 0..w {
                 let col = out.as_mut_ptr().add((j0 + jj) * m);
                 for l in 0..k {
                     let b = *pb.add(4 * l + jj);
@@ -200,37 +219,28 @@ pub unsafe fn gemm_block(
                 }
             }
         }
-        j0 += 4;
-    }
-    // Remainder columns: one vectorized axpy chain per column.
-    for j in j0..width {
-        let col = std::slice::from_raw_parts_mut(out.as_mut_ptr().add(j * m), m);
-        for l in 0..k {
-            let b = *bpan.get_unchecked(j * k + l);
-            if b != 0.0 {
-                axpy(b, std::slice::from_raw_parts(ap.add(l * m), m), col);
-            }
-        }
+        j0 += w;
     }
 }
 
 /// 8×4 register tile: 8 accumulator registers (two 4-lane halves × four
 /// output columns) stay resident across the whole k loop; each iteration
-/// issues 2 A loads, 4 B broadcasts and 8 FMAs.
+/// issues 2 A loads, 4 B broadcasts and 8 FMAs. A's columns are `lda`
+/// apart, C's `ldc`.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_8x4(m: usize, k: usize, a: *const f64, pb: *const f64, c: *mut f64) {
+unsafe fn micro_8x4(lda: usize, ldc: usize, k: usize, a: *const f64, pb: *const f64, c: *mut f64) {
     let mut c00 = _mm256_loadu_pd(c);
     let mut c01 = _mm256_loadu_pd(c.add(4));
-    let mut c10 = _mm256_loadu_pd(c.add(m));
-    let mut c11 = _mm256_loadu_pd(c.add(m + 4));
-    let mut c20 = _mm256_loadu_pd(c.add(2 * m));
-    let mut c21 = _mm256_loadu_pd(c.add(2 * m + 4));
-    let mut c30 = _mm256_loadu_pd(c.add(3 * m));
-    let mut c31 = _mm256_loadu_pd(c.add(3 * m + 4));
+    let mut c10 = _mm256_loadu_pd(c.add(ldc));
+    let mut c11 = _mm256_loadu_pd(c.add(ldc + 4));
+    let mut c20 = _mm256_loadu_pd(c.add(2 * ldc));
+    let mut c21 = _mm256_loadu_pd(c.add(2 * ldc + 4));
+    let mut c30 = _mm256_loadu_pd(c.add(3 * ldc));
+    let mut c31 = _mm256_loadu_pd(c.add(3 * ldc + 4));
     for l in 0..k {
-        let a0 = _mm256_loadu_pd(a.add(l * m));
-        let a1 = _mm256_loadu_pd(a.add(l * m + 4));
+        let a0 = _mm256_loadu_pd(a.add(l * lda));
+        let a1 = _mm256_loadu_pd(a.add(l * lda + 4));
         let b0 = _mm256_set1_pd(*pb.add(4 * l));
         let b1 = _mm256_set1_pd(*pb.add(4 * l + 1));
         let b2 = _mm256_set1_pd(*pb.add(4 * l + 2));
@@ -246,86 +256,119 @@ unsafe fn micro_8x4(m: usize, k: usize, a: *const f64, pb: *const f64, c: *mut f
     }
     _mm256_storeu_pd(c, c00);
     _mm256_storeu_pd(c.add(4), c01);
-    _mm256_storeu_pd(c.add(m), c10);
-    _mm256_storeu_pd(c.add(m + 4), c11);
-    _mm256_storeu_pd(c.add(2 * m), c20);
-    _mm256_storeu_pd(c.add(2 * m + 4), c21);
-    _mm256_storeu_pd(c.add(3 * m), c30);
-    _mm256_storeu_pd(c.add(3 * m + 4), c31);
+    _mm256_storeu_pd(c.add(ldc), c10);
+    _mm256_storeu_pd(c.add(ldc + 4), c11);
+    _mm256_storeu_pd(c.add(2 * ldc), c20);
+    _mm256_storeu_pd(c.add(2 * ldc + 4), c21);
+    _mm256_storeu_pd(c.add(3 * ldc), c30);
+    _mm256_storeu_pd(c.add(3 * ldc + 4), c31);
 }
 
-/// In-place basis rotation `E ← [E | r] · coef` over 8-row panels.
-///
-/// `coef` is `(k+1) × k` column-major (row `k` weights `r`). It is packed
-/// once per call into 4-column strips (`pack[4·l + jj]` within a strip, the
-/// [`gemm_block`] layout, zero-padded past column `k`); each panel of 8
-/// rows is then copied aside with `r` as its last column — which is what
-/// makes overwriting `E` in place safe — and rebuilt strip by strip with
-/// the 8×4 register tile. The `d mod 8` tail rows run the same sums one row
-/// at a time.
+/// The transposed product `Xᵀ·y` of a column-major `d × n` block, fused
+/// with the pre-update `y ← y − X·sub` and the norm `yᵀy`: one sweep over
+/// the rows, 16 at a time. A row block of `y` is held in four registers,
+/// updated against every column, stored, squared into the norm's four
+/// accumulators and multiplied into each column's four-lane partial sum
+/// (kept in `acc`, `4n` zeros on entry); the `d mod 4` tail rows run the
+/// same sums one row at a time.
 ///
 /// # Safety
 ///
-/// AVX2 and FMA must be available, and the slices must have the lengths the
-/// shapes imply (`e`: `d·k`, `coef`: `(k+1)·k`, `r`: `d`) — the panel loop
-/// indexes them through raw pointers.
+/// AVX2 and FMA must be available, `x` must hold `d·n` values, `y` `d`,
+/// `acc` `4n`, and `sub` and `out` (when given) `n` — the row loop indexes
+/// them through raw pointers.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn panel_update(
+pub unsafe fn gemv_t(
     d: usize,
-    k: usize,
-    e: &mut [f64],
-    coef: &[f64],
-    r: &[f64],
-    scratch: &mut Vec<f64>,
-) {
-    let kp = k + 1;
-    let strips = k.div_ceil(4);
-    scratch.clear();
-    scratch.resize(strips * 4 * kp + 8 * kp, 0.0);
-    let (pack, saved) = scratch.split_at_mut(strips * 4 * kp);
-    for (j, cj) in coef.chunks_exact(kp).enumerate() {
-        let strip = &mut pack[(j / 4) * 4 * kp..];
-        for (l, &c) in cj.iter().enumerate() {
-            strip[4 * l + j % 4] = c;
-        }
-    }
-    let (ep, rp, sp) = (e.as_mut_ptr(), r.as_ptr(), saved.as_mut_ptr());
-    let mut i0 = 0;
-    while i0 + 8 <= d {
-        for l in 0..kp {
-            let src = if l < k {
-                ep.add(l * d + i0) as *const f64
-            } else {
-                rp.add(i0)
-            };
-            std::ptr::copy_nonoverlapping(src, sp.add(8 * l), 8);
-        }
-        for s in 0..strips {
-            let pb = pack.as_ptr().add(s * 4 * kp);
-            let mut acc = [_mm256_setzero_pd(); 8];
-            for l in 0..kp {
-                let a0 = _mm256_loadu_pd(sp.add(8 * l));
-                let a1 = _mm256_loadu_pd(sp.add(8 * l + 4));
-                for jj in 0..4 {
-                    let b = _mm256_set1_pd(*pb.add(4 * l + jj));
-                    acc[2 * jj] = _mm256_fmadd_pd(a0, b, acc[2 * jj]);
-                    acc[2 * jj + 1] = _mm256_fmadd_pd(a1, b, acc[2 * jj + 1]);
+    n: usize,
+    x: &[f64],
+    sub: Option<&[f64]>,
+    y: &mut [f64],
+    mut out: Option<&mut [f64]>,
+    acc: &mut [f64],
+) -> f64 {
+    let (xp, yp, ap) = (x.as_ptr(), y.as_mut_ptr(), acc.as_mut_ptr());
+    let mut nrm = [_mm256_setzero_pd(); 4];
+    let mut i = 0;
+    while i + 16 <= d {
+        let mut yv = [
+            _mm256_loadu_pd(yp.add(i)),
+            _mm256_loadu_pd(yp.add(i + 4)),
+            _mm256_loadu_pd(yp.add(i + 8)),
+            _mm256_loadu_pd(yp.add(i + 12)),
+        ];
+        if let Some(sub) = sub {
+            for (c, &s) in sub.iter().enumerate() {
+                let (col, sv) = (xp.add(c * d + i), _mm256_set1_pd(s));
+                for (l, v) in yv.iter_mut().enumerate() {
+                    *v = _mm256_fnmadd_pd(_mm256_loadu_pd(col.add(4 * l)), sv, *v);
                 }
             }
-            for jj in 0..4.min(k - 4 * s) {
-                let out = ep.add((4 * s + jj) * d + i0);
-                _mm256_storeu_pd(out, acc[2 * jj]);
-                _mm256_storeu_pd(out.add(4), acc[2 * jj + 1]);
+            for (l, v) in yv.iter().enumerate() {
+                _mm256_storeu_pd(yp.add(i + 4 * l), *v);
             }
         }
-        i0 += 8;
-    }
-    for i in i0..d {
-        for (l, s) in saved[..kp].iter_mut().enumerate() {
-            *s = if l < k { e[l * d + i] } else { r[i] };
+        for (a, v) in nrm.iter_mut().zip(&yv) {
+            *a = _mm256_fmadd_pd(*v, *v, *a);
         }
-        for (j, cj) in coef.chunks_exact(kp).enumerate() {
-            e[j * d + i] = cj.iter().zip(&*saved).map(|(c, s)| c * s).sum();
+        if out.is_some() {
+            for c in 0..n {
+                let col = xp.add(c * d + i);
+                let mut p = _mm256_mul_pd(_mm256_loadu_pd(col), yv[0]);
+                p = _mm256_fmadd_pd(_mm256_loadu_pd(col.add(4)), yv[1], p);
+                p = _mm256_fmadd_pd(_mm256_loadu_pd(col.add(8)), yv[2], p);
+                p = _mm256_fmadd_pd(_mm256_loadu_pd(col.add(12)), yv[3], p);
+                _mm256_storeu_pd(
+                    ap.add(4 * c),
+                    _mm256_add_pd(_mm256_loadu_pd(ap.add(4 * c)), p),
+                );
+            }
+        }
+        i += 16;
+    }
+    while i + 4 <= d {
+        let mut v = _mm256_loadu_pd(yp.add(i));
+        if let Some(sub) = sub {
+            for (c, &s) in sub.iter().enumerate() {
+                v = _mm256_fnmadd_pd(_mm256_loadu_pd(xp.add(c * d + i)), _mm256_set1_pd(s), v);
+            }
+            _mm256_storeu_pd(yp.add(i), v);
+        }
+        nrm[0] = _mm256_fmadd_pd(v, v, nrm[0]);
+        if out.is_some() {
+            for c in 0..n {
+                let p = _mm256_mul_pd(_mm256_loadu_pd(xp.add(c * d + i)), v);
+                _mm256_storeu_pd(
+                    ap.add(4 * c),
+                    _mm256_add_pd(_mm256_loadu_pd(ap.add(4 * c)), p),
+                );
+            }
+        }
+        i += 4;
+    }
+    let mut norm = hsum(_mm256_add_pd(
+        _mm256_add_pd(nrm[0], nrm[1]),
+        _mm256_add_pd(nrm[2], nrm[3]),
+    ));
+    if let Some(out) = out.as_deref_mut() {
+        for (c, o) in out.iter_mut().enumerate() {
+            *o = hsum(_mm256_loadu_pd(ap.add(4 * c)));
         }
     }
+    for r in i..d {
+        let mut v = *yp.add(r);
+        if let Some(sub) = sub {
+            for (c, &s) in sub.iter().enumerate() {
+                v -= s * *xp.add(c * d + r);
+            }
+            *yp.add(r) = v;
+        }
+        norm += v * v;
+        if let Some(out) = out.as_deref_mut() {
+            for (c, o) in out.iter_mut().enumerate() {
+                *o += *xp.add(c * d + r) * v;
+            }
+        }
+    }
+    norm
 }

@@ -38,6 +38,7 @@ mod scalar;
 mod avx2;
 
 use std::cell::RefCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -127,6 +128,8 @@ thread_local! {
     /// Reusable B-panel packing buffer for the AVX2 GEMM micro-kernel.
     /// One per thread so `par_gemm`'s column-band workers never contend.
     static PACK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// Per-column four-lane partial sums of the AVX2 [`gemv_t`].
+    static ACC: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Dot product on the dispatched backend. Panics if lengths differ.
@@ -293,48 +296,74 @@ pub fn gemm_block_on(
     }
 }
 
-/// In-place rotation of a column-major `d × k` basis on the dispatched
-/// backend: `E ← [E | r] · coef`, with `coef` `(k+1) × k` column-major —
-/// rows `0..k` mix the old columns of `E`, row `k` weights the extra column
-/// `r`. This is the write-back of the rank-one eigensystem update; `E`
-/// never exists twice. `scratch` is caller-owned (a few `k+1`-length rows,
-/// contents unspecified) so a steady-state call allocates nothing.
+/// The transposed product `out = Xᵀ·y` on the dispatched backend, where
+/// `X` is the column-major `d × n` block `x` and `d = y.len()`, fused with
+/// what comes before and after it in one sweep over the rows: when `sub`
+/// is given, `y ← y − X·sub` first, and both `out` (when given) and the
+/// returned `yᵀy` are of the updated `y`. These are the three passes of a
+/// projection against an orthonormal `X` — coefficients, then a
+/// Gram–Schmidt pass with the next coefficients, then a last subtraction
+/// and the residual's norm — each one read of `X`.
 #[inline]
-pub fn panel_update(
-    d: usize,
-    k: usize,
-    e: &mut [f64],
-    coef: &[f64],
-    r: &[f64],
-    scratch: &mut Vec<f64>,
-) {
-    panel_update_on(backend(), d, k, e, coef, r, scratch);
+pub fn gemv_t(x: &[f64], sub: Option<&[f64]>, y: &mut [f64], out: Option<&mut [f64]>) -> f64 {
+    gemv_t_on(backend(), x, sub, y, out)
 }
 
-/// [`panel_update`] on an explicit backend.
-pub fn panel_update_on(
+/// Columns up to which the AVX2 [`gemv_t`] keeps its partial sums on the
+/// stack.
+const GEMV_T_STACK_COLS: usize = 32;
+
+/// [`gemv_t`] on an explicit backend.
+pub fn gemv_t_on(
     be: Backend,
-    d: usize,
-    k: usize,
-    e: &mut [f64],
-    coef: &[f64],
-    r: &[f64],
-    scratch: &mut Vec<f64>,
-) {
-    assert_eq!(e.len(), d * k, "panel_update: basis shape mismatch");
-    assert_eq!(coef.len(), (k + 1) * k, "panel_update: coef shape mismatch");
-    assert_eq!(r.len(), d, "panel_update: extra column length mismatch");
+    x: &[f64],
+    sub: Option<&[f64]>,
+    y: &mut [f64],
+    out: Option<&mut [f64]>,
+) -> f64 {
+    let d = y.len();
+    let n = x.len().checked_div(d).unwrap_or(0);
+    assert_eq!(x.len(), d * n, "gemv_t: X is not d × n");
+    if let Some(sub) = sub {
+        assert_eq!(sub.len(), n, "gemv_t: sub length mismatch");
+    }
+    if let Some(out) = &out {
+        assert_eq!(out.len(), n, "gemv_t: out length mismatch");
+    }
+    if d == 0 {
+        return 0.0;
+    }
     match be {
-        Backend::Scalar => scalar::panel_update(d, k, e, coef, r, scratch),
+        Backend::Scalar => scalar::gemv_t(d, x, sub, y, out),
         Backend::Avx2Fma => {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Avx2Fma is only selected after runtime detection; the
-            // asserts above are the bounds the kernel's raw indexing relies on.
-            unsafe {
-                avx2::panel_update(d, k, e, coef, r, scratch)
+            {
+                // The partial sums of a basis plus its deferred tail fit on
+                // the stack, where only the `4n` in use are zeroed; a wider
+                // block takes the per-thread buffer.
+                if n <= GEMV_T_STACK_COLS {
+                    let mut local = [MaybeUninit::<f64>::uninit(); 4 * GEMV_T_STACK_COLS];
+                    for v in &mut local[..4 * n] {
+                        v.write(0.0);
+                    }
+                    // SAFETY: the first `4n` entries were just written, so
+                    // viewing them as `f64` reads nothing uninitialised.
+                    let acc = unsafe { &mut *(&mut local[..4 * n] as *mut [_] as *mut [f64]) };
+                    // SAFETY: Avx2Fma is only selected after runtime
+                    // detection; the asserts above are the lengths the
+                    // kernel relies on, and `acc` holds `4n` zeros.
+                    return unsafe { avx2::gemv_t(d, n, x, sub, y, out, acc) };
+                }
+                ACC.with(|acc| {
+                    let mut acc = acc.borrow_mut();
+                    acc.clear();
+                    acc.resize(4 * n, 0.0);
+                    // SAFETY: as above.
+                    unsafe { avx2::gemv_t(d, n, x, sub, y, out, &mut acc) }
+                })
             }
             #[cfg(not(target_arch = "x86_64"))]
-            scalar::panel_update(d, k, e, coef, r, scratch)
+            scalar::gemv_t(d, x, sub, y, out)
         }
     }
 }
@@ -474,40 +503,50 @@ mod tests {
     }
 
     #[test]
-    fn panel_update_matches_naive_product_on_every_backend() {
-        // Shapes straddling the 8-row panel and the 4-column strip,
-        // including a single row, a single column and an empty basis.
-        for (d, k) in [
+    fn gemv_t_matches_naive_sums_on_every_backend() {
+        // Row counts straddling the 16-row block and the 4-row vector,
+        // with and without the pre-update, an empty block, and one too
+        // wide for the partial sums on the stack.
+        for (d, n) in [
             (1usize, 1usize),
-            (7, 3),
-            (8, 4),
-            (9, 5),
-            (33, 12),
-            (70, 6),
-            (5, 0),
+            (3, 2),
+            (4, 5),
+            (17, 3),
+            (35, 12),
+            (70, 21),
+            (9, 0),
+            (21, 40),
         ] {
-            let e0 = seq(d * k, -1.0);
-            let r = seq(d, 0.5);
-            let coef: Vec<f64> = (0..(k + 1) * k).map(|i| (i as f64 * 0.61).sin()).collect();
-            let mut want = vec![0.0; d * k];
-            for j in 0..k {
+            let x = seq(d * n, -1.0);
+            let y0: Vec<f64> = (0..d).map(|i| (i as f64 * 0.61).sin()).collect();
+            let sub: Vec<f64> = (0..n).map(|c| (c as f64 * 0.37).cos()).collect();
+            let mut y_want = y0.clone();
+            for (c, s) in sub.iter().enumerate() {
                 for i in 0..d {
-                    for l in 0..=k {
-                        let old = if l < k { e0[l * d + i] } else { r[i] };
-                        want[j * d + i] += old * coef[j * (k + 1) + l];
-                    }
+                    y_want[i] -= s * x[c * d + i];
                 }
             }
+            let out_want: Vec<f64> = (0..n)
+                .map(|c| (0..d).map(|i| x[c * d + i] * y_want[i]).sum())
+                .collect();
+            let norm_want: f64 = y_want.iter().map(|v| v * v).sum();
+            let close = |g: f64, w: f64| (g - w).abs() <= 1e-9 * (1.0 + w.abs());
             for be in backends() {
-                let mut got = e0.clone();
-                let mut scratch = vec![7.0; 3]; // stale contents must not matter
-                panel_update_on(be, d, k, &mut got, &coef, &r, &mut scratch);
-                for (g, w) in got.iter().zip(&want) {
-                    assert!(
-                        (g - w).abs() <= 1e-12 * (1.0 + w.abs()),
-                        "{d}x{k} {be:?}: {g} vs {w}"
-                    );
+                let mut y = y0.clone();
+                let mut out = vec![7.0; n]; // stale contents must not matter
+                let norm = gemv_t_on(be, &x, Some(&sub), &mut y, Some(&mut out));
+                assert!(
+                    close(norm, norm_want),
+                    "{d}x{n} {be:?}: {norm} vs {norm_want}"
+                );
+                for (g, w) in y.iter().zip(&y_want).chain(out.iter().zip(&out_want)) {
+                    assert!(close(*g, *w), "{d}x{n} {be:?}: {g} vs {w}");
                 }
+                let mut y = y0.clone();
+                let norm0 = gemv_t_on(be, &x, None, &mut y, None);
+                assert_eq!(y, y0, "no pre-update leaves y alone");
+                let want0: f64 = y0.iter().map(|v| v * v).sum();
+                assert!(close(norm0, want0), "{d}x{n} {be:?}");
             }
         }
     }

@@ -84,38 +84,25 @@ pub fn gemm_block(m: usize, k: usize, _width: usize, a: &[f64], bpan: &[f64], ou
     }
 }
 
-/// Rows per chunk of [`panel_update`]: 32 rows of a `k + 1 ≤ 25`-column
-/// panel stay inside L1 while every axpy is long enough to vectorize.
-const PANEL_ROWS: usize = 32;
-
-/// In-place basis rotation `E ← [E | r] · coef` (shapes checked by the
-/// dispatcher): each chunk of rows is copied aside with `r` as its last
-/// column, then every output column is rebuilt as an axpy chain over the
-/// saved copy, in ascending-`l` order.
-pub fn panel_update(
+/// The transposed product `Xᵀ·y` with its optional pre-update (shapes
+/// checked by the dispatcher): `y ← y − X·sub` as one axpy per column, then
+/// one dot per column into `out`, then `yᵀy`.
+pub fn gemv_t(
     d: usize,
-    k: usize,
-    e: &mut [f64],
-    coef: &[f64],
-    r: &[f64],
-    scratch: &mut Vec<f64>,
-) {
-    scratch.clear();
-    scratch.resize((k + 1) * PANEL_ROWS, 0.0);
-    let mut i0 = 0;
-    while i0 < d {
-        let n = PANEL_ROWS.min(d - i0);
-        for (l, saved) in scratch.chunks_exact_mut(PANEL_ROWS).enumerate() {
-            let src = if l < k { &e[l * d + i0..] } else { &r[i0..] };
-            saved[..n].copy_from_slice(&src[..n]);
+    x: &[f64],
+    sub: Option<&[f64]>,
+    y: &mut [f64],
+    out: Option<&mut [f64]>,
+) -> f64 {
+    if let Some(sub) = sub {
+        for (&s, col) in sub.iter().zip(x.chunks_exact(d)) {
+            axpy(-s, col, y);
         }
-        for (j, cj) in coef.chunks_exact(k + 1).enumerate() {
-            let out = &mut e[j * d + i0..j * d + i0 + n];
-            out.fill(0.0);
-            for (&c, saved) in cj.iter().zip(scratch.chunks_exact(PANEL_ROWS)) {
-                axpy(c, &saved[..n], out);
-            }
-        }
-        i0 += n;
     }
+    if let Some(out) = out {
+        for (o, col) in out.iter_mut().zip(x.chunks_exact(d)) {
+            *o = dot(col, y);
+        }
+    }
+    dot(y, y)
 }

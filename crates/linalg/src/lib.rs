@@ -22,8 +22,8 @@
 //! * [`kernels`] — the hardware-aware kernel layer underneath all of the
 //!   above: runtime-dispatched AVX2+FMA implementations of `dot`, `axpy`,
 //!   `scale`, `norm_sq`, the Jacobi plane rotation, the GEMM inner block
-//!   and the in-place basis panel update, with the portable unrolled scalar
-//!   code as fallback (pin it with `SPCA_FORCE_SCALAR=1`).
+//!   and the fused transposed product `Xᵀ·y` of the streaming projection,
+//!   with the portable unrolled scalar code as fallback (pin it with `SPCA_FORCE_SCALAR=1`).
 //!
 //! All routines are pure Rust, allocation-conscious, and tested against
 //! algebraic identities (orthogonality, reconstruction) with both unit and

@@ -11,7 +11,8 @@
 //! diagonal plus rank one, which [`crate::secular`] solves directly.
 
 use crate::mat::Mat;
-use crate::vecops;
+use crate::qr::{thin_qr_into, QrWorkspace};
+use crate::{kernels, vecops};
 use crate::{LinalgError, Result};
 
 /// Thin SVD `A = U · diag(s) · Vᵀ` with `U` `m × n` column-orthonormal,
@@ -69,6 +70,7 @@ pub struct SvdWorkspace {
     norms2: Vec<f64>,
     order: Vec<usize>,
     cand: Vec<f64>,
+    qr: QrWorkspace,
 }
 
 /// Computes the thin SVD of `a` (requires `rows ≥ cols`).
@@ -111,6 +113,34 @@ pub fn thin_svd_into(a: &Mat, ws: &mut SvdWorkspace) -> Result<()> {
         return Ok(());
     }
 
+    // A tall input is factored `A = QR` first and the sweeps run on the
+    // `n × n` triangle: each sweep then costs `O(n³)` instead of `O(mn²)`,
+    // and `U = Q·U_R`. The singular values and `V` are those of `R`.
+    if m >= 2 * n {
+        let mut qr = std::mem::take(&mut ws.qr);
+        thin_qr_into(a, &mut qr)?;
+        jacobi_into(&qr.r, m, ws)?;
+        ws.work.reset_zeroed(m, n);
+        kernels::gemm_block(
+            m,
+            n,
+            n,
+            qr.q.as_slice(),
+            ws.u.as_slice(),
+            ws.work.as_mut_slice(),
+        );
+        std::mem::swap(&mut ws.u, &mut ws.work);
+        ws.qr = qr;
+        return Ok(());
+    }
+    jacobi_into(a, m, ws)
+}
+
+/// One-sided Jacobi on the columns of `a` into `ws.u`, `ws.s`, `ws.v`;
+/// `rows` is the height of the matrix `a` stands for (its own, or the
+/// input's when `a` is its triangular factor), which sets the noise floor.
+fn jacobi_into(a: &Mat, rows: usize, ws: &mut SvdWorkspace) -> Result<()> {
+    let (m, n) = a.shape();
     // Destructure for disjoint borrows: `work`/`vwork` are rotated in the
     // sweep loop while `u`/`s`/`v` receive the sorted, normalized output.
     let SvdWorkspace {
@@ -122,6 +152,7 @@ pub fn thin_svd_into(a: &Mat, ws: &mut SvdWorkspace) -> Result<()> {
         norms2,
         order,
         cand,
+        ..
     } = ws;
     u.copy_from(a);
     v.reset_identity(n);
@@ -195,7 +226,7 @@ pub fn thin_svd_into(a: &Mat, ws: &mut SvdWorkspace) -> Result<()> {
     order.clear();
     order.extend(0..n);
     let max_nrm2 = norms2.iter().fold(0.0_f64, |acc, &x| acc.max(x));
-    let noise_floor = max_nrm2.sqrt() * f64::EPSILON * (m as f64).sqrt();
+    let noise_floor = max_nrm2.sqrt() * f64::EPSILON * (rows as f64).sqrt();
     order.sort_by(|&i, &j| norms2[j].partial_cmp(&norms2[i]).expect("finite norms"));
 
     su.reset_zeroed(m, n);

@@ -123,36 +123,58 @@ proptest! {
     }
 
     #[test]
-    fn panel_update_backends_agree(
-        (d, k) in (1usize..70, 0usize..14),
-        seed_e in tricky_vec(1..2),
-        seed_c in tricky_vec(1..2),
+    fn gemv_t_backends_agree(
+        (d, n) in (1usize..70, 0usize..24),
+        seed_x in tricky_vec(1..2),
+        seed_s in tricky_vec(1..2),
+        off in 0usize..4,
     ) {
-        // Row counts straddling the 8-row panel, column counts straddling
-        // the 4-column strip, tricky entries sprinkled through the basis.
-        let e0: Vec<f64> = (0..d * k)
-            .map(|i| if i % 11 == 5 { seed_e[0] } else { (i as f64 * 0.73).sin() })
+        // Row counts straddling the 16-row block and the 4-row vector,
+        // column counts up to a basis plus a full deferred tail, tricky
+        // entries sprinkled through the block, unaligned starts.
+        let x: Vec<f64> = (0..off + d * n)
+            .map(|i| if i % 11 == 5 { seed_x[0] } else { (i as f64 * 0.73).sin() })
             .collect();
-        let r: Vec<f64> = (0..d).map(|i| (i as f64 * 0.41).cos()).collect();
-        let coef: Vec<f64> = (0..(k + 1) * k)
-            .map(|i| if i % 7 == 3 { 0.0 } else { seed_c[0] * 0.01 + (i as f64 * 1.19).cos() })
+        let x = &x[off..];
+        let y0: Vec<f64> = (0..d).map(|i| (i as f64 * 0.41).cos()).collect();
+        let sub: Vec<f64> = (0..n)
+            .map(|i| if i % 7 == 3 { 0.0 } else { seed_s[0] * 0.01 + (i as f64 * 1.19).cos() })
             .collect();
-        let bound = e0.iter().chain(&r).fold(0.0f64, |s, v| s.max(v.abs()))
-            * coef.iter().fold(0.0f64, |s, v| s.max(v.abs()))
-            * (k + 1) as f64;
-        let mut scratch = Vec::new();
-        let mut want = e0.clone();
-        kernels::panel_update_on(Backend::Scalar, d, k, &mut want, &coef, &r, &mut scratch);
+        // Magnitudes of the updated y, of each Xᵀy sum and of yᵀy.
+        let xmax = x.iter().fold(1.0f64, |s, v| s.max(v.abs()));
+        let ymax = 1.0 + xmax * sub.iter().map(|v| v.abs()).sum::<f64>();
+        let bound = d as f64 * ymax * (xmax + ymax);
+        let mut y_want = y0.clone();
+        let mut out_want = vec![0.0; n];
+        let norm_want = kernels::gemv_t_on(
+            Backend::Scalar, x, Some(&sub), &mut y_want, Some(&mut out_want),
+        );
         for be in backends() {
-            let mut got = e0.clone();
-            kernels::panel_update_on(be, d, k, &mut got, &coef, &r, &mut scratch);
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert!((g - w).abs() <= rel_tol(bound), "{be:?} {d}x{k}: {g} vs {w}");
+            let mut y = y0.clone();
+            let mut out = vec![0.0; n];
+            let norm = kernels::gemv_t_on(be, x, Some(&sub), &mut y, Some(&mut out));
+            prop_assert!((norm - norm_want).abs() <= rel_tol(bound), "{be:?} {d}x{n}: {norm} vs {norm_want}");
+            for (g, w) in y.iter().zip(&y_want).chain(out.iter().zip(&out_want)) {
+                prop_assert!((g - w).abs() <= rel_tol(bound), "{be:?} {d}x{n}: {g} vs {w}");
             }
-            // Same backend, same input, fresh scratch: bit-identical.
-            let mut again = e0.clone();
-            kernels::panel_update_on(be, d, k, &mut again, &coef, &r, &mut Vec::new());
-            for (u, v) in got.iter().zip(&again) {
+            // Projection alone, and norm alone, are the same sums.
+            let mut y1 = y0.clone();
+            let mut plain = vec![0.0; n];
+            kernels::gemv_t_on(be, x, None, &mut y1, Some(&mut plain));
+            let mut y2 = y0.clone();
+            let norm_only = kernels::gemv_t_on(be, x, None, &mut y2, None);
+            let norm_scalar = kernels::norm_sq_on(Backend::Scalar, &y0);
+            prop_assert!((norm_only - norm_scalar).abs() <= rel_tol(bound));
+            for (c, p) in plain.iter().enumerate() {
+                let want = kernels::dot_on(Backend::Scalar, &x[c * d..(c + 1) * d], &y0);
+                prop_assert!((p - want).abs() <= rel_tol(bound), "{be:?} {d}x{n}: {p} vs {want}");
+            }
+            // Same backend, same input: bit-identical.
+            let mut again = y0.clone();
+            let mut out_again = vec![0.0; n];
+            let norm_again = kernels::gemv_t_on(be, x, Some(&sub), &mut again, Some(&mut out_again));
+            prop_assert_eq!(norm.to_bits(), norm_again.to_bits());
+            for (u, v) in y.iter().zip(&again).chain(out.iter().zip(&out_again)) {
                 prop_assert_eq!(u.to_bits(), v.to_bits());
             }
         }
