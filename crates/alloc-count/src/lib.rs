@@ -10,6 +10,10 @@
 //! A guard over work spread across threads it does not spawn itself (a
 //! pipeline's PE or transport threads) counts them all with [`track_all`]
 //! instead. Still one `#[test]` per guard file: the counter is per-process.
+//!
+//! Beside the count, the allocator keeps the bytes live on the heap across
+//! every thread and their high-water mark: a memory guard calls
+//! [`reset_peak`], runs its subject and reads [`peak_bytes`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,6 +25,10 @@ pub struct CountingAlloc;
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 static ALL: AtomicBool = AtomicBool::new(false);
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     // const-initialized TLS: reading it never allocates, so it is safe
@@ -45,6 +53,30 @@ pub fn allocations() -> usize {
     ALLOCS.load(Ordering::SeqCst)
 }
 
+/// Bytes allocated and not yet freed, by every thread of the process.
+pub fn live_bytes() -> usize {
+    LIVE.load(Ordering::SeqCst)
+}
+
+/// The most bytes live at once since the last [`reset_peak`].
+pub fn peak_bytes() -> usize {
+    PEAK.load(Ordering::SeqCst)
+}
+
+/// Restarts the high-water mark from the bytes live now.
+pub fn reset_peak() {
+    PEAK.store(LIVE.load(Ordering::SeqCst), Ordering::SeqCst);
+}
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
+    PEAK.fetch_max(live, Ordering::SeqCst);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::SeqCst);
+}
+
 fn count_if_tracked() {
     // try_with: TLS may be unavailable during thread teardown.
     if ALL.load(Ordering::Relaxed) || TRACKED.try_with(Cell::get).unwrap_or(false) {
@@ -54,24 +86,39 @@ fn count_if_tracked() {
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counting touches no memory the
-// allocator hands out and never allocates itself.
+// allocator hands out and never allocates itself. Live bytes move only
+// when the system allocator succeeded.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_if_tracked();
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_if_tracked();
-        System.alloc_zeroed(layout)
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_if_tracked();
-        System.realloc(ptr, layout, new_size)
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            grow(new_size);
+            shrink(layout.size());
+        }
+        new
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         System.dealloc(ptr, layout)
     }
 }

@@ -10,9 +10,12 @@
 //! top `p` reported components of a (possibly `p + q`-component) tracked
 //! eigensystem, and the outlier score reproduces the scale-collapse guard
 //! of the robust step (`σ²` clamped to `1e-12·λ₀` before forming
-//! `t = r²/σ²`), so a served score is bit-identical to the
+//! `t = r²/σ²`), so a served score is the
 //! [`UpdateOutcome`](crate::UpdateOutcome) the estimator would have
-//! produced for the same observation against the same state.
+//! produced for the same observation against the same state: bit-identical
+//! when the row meets a folded basis, and to rounding (a few ulps of
+//! `‖x − µ‖²`) mid-tail, where the update reads `E = B·M` unmaterialised
+//! (DESIGN §5).
 
 use crate::eigensystem::EigenSystem;
 use crate::{PcaError, Result};
@@ -168,18 +171,23 @@ mod tests {
     const D: usize = 16;
     const P: usize = 3;
 
+    /// A row of the fitted model: two strong directions and small noise.
+    fn draw(rng: &mut StdRng) -> Vec<f64> {
+        let mut x = vec![0.0; D];
+        let c = standard_normal_vec(rng, 2);
+        x[0] = 3.0 * c[0];
+        x[1] = 1.5 * c[1];
+        for xi in x.iter_mut() {
+            *xi += 0.01 * spca_linalg::rng::standard_normal(rng);
+        }
+        x
+    }
+
     fn fitted() -> RobustPca {
         let mut pca = RobustPca::new(PcaConfig::new(D, P));
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..200 {
-            let mut x = vec![0.0; D];
-            let c = standard_normal_vec(&mut rng, 2);
-            x[0] = 3.0 * c[0];
-            x[1] = 1.5 * c[1];
-            for xi in x.iter_mut() {
-                *xi += 0.01 * spca_linalg::rng::standard_normal(&mut rng);
-            }
-            pca.update(&x).unwrap();
+            pca.update(&draw(&mut rng)).unwrap();
         }
         assert!(pca.is_initialized());
         pca
@@ -222,18 +230,43 @@ mod tests {
 
     #[test]
     fn outlier_score_matches_update_outcome() {
-        // The score served for an observation must equal the outcome the
-        // estimator itself reports when consuming that observation.
-        let mut pca = fitted();
-        let eig = pca.full_eigensystem().unwrap().clone();
-        let mut spike = vec![0.0; D];
-        spike[7] = 50.0;
-        let mut ws = QueryWorkspace::new();
-        let score = ws.outlier_score(&eig, P, &spike).unwrap();
-        let outcome = pca.update(&spike).unwrap();
-        assert_eq!(score.residual_sq, outcome.residual_sq);
-        assert_eq!(score.scaled_residual, outcome.scaled_residual);
-        assert!(score.scaled_residual > 10.0, "spike should score high");
+        // The score served for an observation is the outcome the estimator
+        // reports when consuming it: to the bit when the row meets the
+        // basis at a fold (`n_obs` = 200, folded before the row), and to
+        // rounding mid-tail (`n_obs` = 203), where the update forms `r²`
+        // from `E = B·M` unmaterialised and the query from the materialised
+        // `E` (DESIGN §5): within 64·ε·‖x − µ‖², the size of the
+        // cancellation in `‖y‖² − Σ c²` at these widths. The row has a part
+        // inside the basis, so the two roundings differ mid-tail.
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut spike = draw(&mut rng);
+        spike[0] += 30.0;
+        spike[7] += 50.0;
+        for extra_rows in [0, 3] {
+            let mut pca = fitted();
+            for _ in 0..extra_rows {
+                pca.update(&draw(&mut rng)).unwrap();
+            }
+            let eig = pca.full_eigensystem().unwrap().clone();
+            let at_fold = eig.n_obs.is_multiple_of(crate::classic::FOLD_EVERY);
+            assert_eq!(at_fold, extra_rows == 0);
+            let mut ws = QueryWorkspace::new();
+            let score = ws.outlier_score(&eig, P, &spike).unwrap();
+            let outcome = pca.update(&spike).unwrap();
+            assert!(score.scaled_residual > 10.0, "spike should score high");
+            if at_fold {
+                assert_eq!(score.residual_sq, outcome.residual_sq);
+                assert_eq!(score.scaled_residual, outcome.scaled_residual);
+                continue;
+            }
+            let y_sq = vecops::norm_sq(&eig.center(&spike));
+            let tol = 64.0 * f64::EPSILON * y_sq;
+            let (q, u) = (score.residual_sq, outcome.residual_sq);
+            assert!((q - u).abs() <= tol, "r² {q} vs {u}, tolerance {tol}");
+            let sigma2 = score.residual_sq / score.scaled_residual;
+            let (q, u) = (score.scaled_residual, outcome.scaled_residual);
+            assert!((q - u).abs() <= tol / sigma2, "t {q} vs {u}");
+        }
     }
 
     #[test]

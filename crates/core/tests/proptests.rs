@@ -433,7 +433,8 @@ proptest! {
     /// spikes, folding at masked rows — matches the tall-factor oracle at
     /// every step, taken from the materialised state before the row with
     /// the weights the row's recursions gave (1e-9 in `EΛEᵀ`, 1e-10 in
-    /// the values), at unit scale and with the data scaled by 2^±498.
+    /// the values), at unit scale and with the data, warm-up included,
+    /// scaled by 2^±498.
     #[test]
     fn robust_sequence_matches_tall_factor_oracle_step_by_step(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -478,24 +479,16 @@ proptest! {
         }
         let cfg = PcaConfig::new(d, p).with_extra(q).with_memory(200).with_init_size(2 * d);
         let alpha = cfg.alpha;
-        let mut warmed = RobustPca::new(cfg.clone());
-        for x in &warm {
-            warmed.update(x).unwrap();
-        }
-        let start = warmed.full_eigensystem().unwrap().clone();
         let mut pending_seen = false;
         for exp in [0i32, 498, -498] {
-            // The warm-up state, scaled and installed: the scale is the
-            // update's to survive, not the batch initializer's.
+            // The warm-up runs on the scaled rows too: the scale is the
+            // batch initializer's to survive as well as the update's.
             let f = 2.0f64.powi(exp);
             let scaled = |x: &[f64]| x.iter().map(|v| v * f).collect::<Vec<f64>>();
             let mut pca = RobustPca::new(cfg.clone());
-            let mut eig = start.clone();
-            eig.mean = scaled(&eig.mean);
-            eig.values.iter_mut().for_each(|v| *v *= f * f);
-            eig.sigma2 *= f * f;
-            eig.sum_q *= f * f;
-            pca.install_eigensystem(eig).unwrap();
+            for x in &warm {
+                pca.update(&scaled(x)).unwrap();
+            }
             for (i, (kind, x, mask)) in rows.iter().enumerate() {
                 let x = scaled(x);
                 let before = pca.full_eigensystem().unwrap().clone();

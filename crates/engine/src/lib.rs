@@ -38,7 +38,7 @@ pub use app::{normalize_fault_targets, AppConfig, AppHandles, ParallelPcaApp};
 pub use autoscale::{ElasticRuntime, ElasticSupervisor, ScaleError, ScaleEvent};
 pub use backfill::{
     backfill, partition_csv_files, partition_csv_rows, BackfillConfig, BackfillOutcome,
-    CorpusSlice, PartitionWorker,
+    CorpusSlice, PartitionWorker, READ_BUFFER_BYTES,
 };
 pub use distributed::{
     run_coordinator, run_local, run_worker, stub_source, CoordinatorReport, DistSpec,

@@ -10,12 +10,13 @@ use spca_core::metrics::subspace_distance;
 use spca_core::PcaConfig;
 use spca_engine::persist::{encode_snapshot, read_snapshot, write_snapshot};
 use spca_engine::{
-    backfill, partition_csv_files, partition_csv_rows, AppConfig, BackfillConfig, ParallelPcaApp,
-    PartitionWorker, SyncStrategy,
+    backfill, partition_csv_files, partition_csv_rows, AppConfig, BackfillConfig, CorpusSlice,
+    ParallelPcaApp, PartitionWorker, SyncStrategy,
 };
 use spca_spectra::{io, PlantedSubspace};
 use spca_streams::ops::CsvFileSource;
-use spca_streams::{content_hash, lock, Engine};
+use spca_streams::{content_hash, lock, Engine, StateStore};
+use std::io::Read;
 use std::ops::Range;
 use std::path::PathBuf;
 
@@ -195,6 +196,45 @@ fn content_change_invalidates_one_partition() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A partition whose bytes change between partitioning and parsing fails
+/// with `InvalidData` and stores nothing: its worker hashes the bytes it
+/// parses against the hash the partition was keyed by.
+#[test]
+fn bytes_changed_after_partitioning_fail_the_partition_and_store_nothing() {
+    let dir = tmp_dir("midrun");
+    let csv = dir.join("corpus.csv");
+    write_corpus(&csv, &corpus(20, 600));
+    let partitions = partition_csv_rows(&csv, 3).unwrap();
+
+    // Same length, one digit changed inside the second partition.
+    let mut bytes = std::fs::read(&csv).unwrap();
+    let range = partitions[1].payload.range();
+    let mid = (range.start + range.end) as usize / 2;
+    let at = mid + bytes[mid..].iter().position(u8::is_ascii_digit).unwrap();
+    bytes[at] = if bytes[at] == b'7' { b'3' } else { b'7' };
+    std::fs::write(&csv, &bytes).unwrap();
+
+    let cfg = BackfillConfig {
+        pca: pca_cfg(),
+        workers: 1,
+        state_dir: dir.join("store"),
+    };
+    let err = backfill(&cfg, &partitions).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains(&partitions[1].id), "{err}");
+    let store = StateStore::open(&cfg.state_dir).unwrap();
+    assert!(!store.path_for(&partitions[1].id).exists());
+    assert!(!store.path_for(&partitions[2].id).exists());
+
+    // Partitioned again, the edited bytes key a state of their own.
+    let again = partition_csv_rows(&csv, 3).unwrap();
+    assert_ne!(again[1].content_hash, partitions[1].content_hash);
+    let outcome = backfill(&cfg, &again).unwrap();
+    assert_eq!(outcome.stats.cache_hits, 1);
+    assert_eq!(outcome.stats.computed, 2);
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// Splicing the merged backfill state into a live streaming run through
 /// `AppConfig::warm_start` resumes bit-identically whether the state comes
 /// from memory or from a persisted snapshot — the same guarantee the
@@ -310,6 +350,13 @@ fn split_inclusive_partitions(bytes: &[u8], parts: usize) -> Option<Vec<(String,
     })
 }
 
+/// The bytes of a slice, read back through its own reader.
+fn read_back(slice: &CorpusSlice) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    slice.open().unwrap().read_to_end(&mut bytes).unwrap();
+    bytes
+}
+
 /// One corpus line: data, blank, a `#` comment (also behind Unicode
 /// whitespace), or arbitrary bytes.
 fn any_line() -> impl Strategy<Value = Vec<u8>> {
@@ -351,6 +398,7 @@ proptest! {
         let path = dir.join("corpus.csv");
         std::fs::write(&path, &corpus).unwrap();
         let got = partition_csv_rows(&path, parts);
+        let read: Vec<Vec<u8>> = got.iter().flatten().map(|g| read_back(&g.payload)).collect();
         std::fs::remove_dir_all(&dir).ok();
 
         let Some(want) = split_inclusive_partitions(&corpus, parts) else {
@@ -359,11 +407,10 @@ proptest! {
         };
         let got = got.unwrap();
         prop_assert_eq!(got.len(), want.len());
-        let base = got[0].payload.bytes().as_ptr() as usize - want[0].1.start;
-        for (g, (id, range)) in got.iter().zip(&want) {
+        for ((g, bytes), (id, range)) in got.iter().zip(&read).zip(&want) {
             prop_assert_eq!(&g.id, id);
-            prop_assert_eq!(g.payload.bytes().as_ptr() as usize - base, range.start);
-            prop_assert_eq!(g.payload.bytes(), &corpus[range.clone()]);
+            prop_assert_eq!(g.payload.range(), range.start as u64..range.end as u64);
+            prop_assert_eq!(bytes, &corpus[range.clone()]);
             prop_assert_eq!(g.content_hash, content_hash(&corpus[range.clone()]));
         }
     }

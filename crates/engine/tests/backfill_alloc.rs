@@ -4,6 +4,8 @@
 //! every partition that worker drains; its estimator workspaces and row
 //! parse buffers are allocated during warm-up and must then be reused —
 //! per-row allocation in a corpus-sized backfill would dominate the run.
+//! The rows come from a file through the worker's one read buffer, as in
+//! a backfill.
 //! Same harness as `spca-core/tests/alloc_count.rs`: a counting global
 //! allocator, warm up, then assert the hot loop never touches the heap.
 //!
@@ -12,7 +14,7 @@
 
 use spca_alloc_count::{allocations, track, CountingAlloc};
 use spca_core::PcaConfig;
-use spca_engine::PartitionWorker;
+use spca_engine::{partition_csv_rows, PartitionWorker};
 use std::fmt::Write as _;
 
 #[global_allocator]
@@ -38,9 +40,9 @@ fn backfill_worker_steady_state_performs_zero_allocations() {
     const MEASURED_ROWS: usize = 400;
     track(true);
 
-    // Pre-render the partition text: the corpus bytes exist before the
-    // worker runs (the runner hands it a byte slice), so CSV formatting is
-    // not part of the measured loop.
+    // Render the corpus file: its rows reach the worker the way a
+    // backfill's do, read through the worker's buffer from the partition's
+    // byte range, so CSV formatting is not part of the measured loop.
     let mut state = 0x5eed_f00d_u64;
     let mut corpus = String::new();
     for _ in 0..(WARM_ROWS + MEASURED_ROWS) {
@@ -53,24 +55,29 @@ fn backfill_worker_steady_state_performs_zero_allocations() {
         }
         corpus.push('\n');
     }
+    let dir = std::env::temp_dir().join(format!("spca_backfill_alloc_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("corpus.csv");
+    std::fs::write(&path, &corpus).unwrap();
+    // Three partitions of 200 rows: the first warms up, two are measured.
+    let parts = partition_csv_rows(&path, 3).unwrap();
 
     let cfg = PcaConfig::new(D, 3).with_init_size(30).with_memory(500);
     let mut worker = PartitionWorker::new(cfg);
 
     // Simulate the pool's reuse pattern: a first partition warms every
-    // buffer (estimator workspaces, parse buffers), then the worker is
-    // reset for the next partition. The reset must keep the workspaces.
-    let mut lines = corpus.lines();
+    // buffer (estimator workspaces, parse buffers, the read buffer), then
+    // the worker reads on. Opening a slice's file must not allocate either.
     worker.begin();
-    for line in lines.by_ref().take(WARM_ROWS) {
-        worker.feed_line(line.as_bytes()).unwrap();
-    }
+    worker.feed_slice(&parts[0].payload).unwrap();
 
     let before = allocations();
-    for line in lines {
-        worker.feed_line(line.as_bytes()).unwrap();
+    for part in &parts[1..] {
+        let parsed = worker.feed_slice(&part.payload).unwrap();
+        assert_eq!(parsed, part.content_hash);
     }
     let after = allocations();
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(
         after - before,
         0,

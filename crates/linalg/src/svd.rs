@@ -186,7 +186,15 @@ fn jacobi_into(a: &Mat, rows: usize, ws: &mut SvdWorkspace) -> Result<()> {
                     continue;
                 }
                 let apq = vecops::dot(u.col(p), u.col(q));
-                let denom = (app * aqq).sqrt();
+                // The product overflows for column norms above ~1e77 and
+                // underflows below ~1e-77; only then take the roots first,
+                // so every in-range bit stays that of `√(app·aqq)`.
+                let prod = app * aqq;
+                let denom = if prod.is_normal() {
+                    prod.sqrt()
+                } else {
+                    app.sqrt() * aqq.sqrt()
+                };
                 let rel = apq.abs() / denom;
                 off = off.max(rel);
                 if rel <= TOL {
@@ -321,6 +329,29 @@ mod tests {
         assert!(svd.reconstruct().sub(&a).unwrap().max_abs() < 1e-9);
         assert_orthonormal_cols(&svd.u, 1e-10);
         assert_orthonormal_cols(&svd.v, 1e-10);
+    }
+
+    #[test]
+    fn column_norms_far_from_one_neither_overflow_nor_underflow() {
+        // Square (Jacobi on A itself) and tall (Jacobi on R of A = QR).
+        for (rows, cols) in [(6, 6), (40, 6)] {
+            let a = random(rows, cols, 23);
+            let unit = thin_svd(&a).unwrap();
+            for exp in [498, -498] {
+                let f = 2.0f64.powi(exp);
+                let mut scaled = a.clone();
+                scaled.as_mut_slice().iter_mut().for_each(|v| *v *= f);
+                let svd = thin_svd(&scaled).unwrap();
+                for (s, u) in svd.s.iter().zip(&unit.s) {
+                    assert!(
+                        (s / f - u).abs() <= 1e-12 * unit.s[0],
+                        "2^{exp}: {s} vs {u}"
+                    );
+                }
+                assert_orthonormal_cols(&svd.u, 1e-10);
+                assert_orthonormal_cols(&svd.v, 1e-10);
+            }
+        }
     }
 
     #[test]

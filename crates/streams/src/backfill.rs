@@ -54,6 +54,8 @@ pub struct Partition<T> {
 
 /// XXH64 (seed 0) of the partition's input bytes — the store's
 /// invalidation key, and the checksum of every sealed checkpoint file.
+/// The one-shot form of [`ContentHasher`]: the same bits as feeding the
+/// bytes to one in any number of pieces.
 ///
 /// Four independent lanes each take one 8-byte word per 32-byte stripe, so
 /// the loop runs at memory speed rather than a multiply per byte. Every
@@ -67,68 +69,131 @@ pub struct Partition<T> {
 /// Not cryptographic, and deliberately so: the store defends against stale
 /// results after an edit, not against an adversary forging collisions.
 pub fn content_hash(bytes: &[u8]) -> u64 {
-    const P1: u64 = 0x9E37_79B1_85EB_CA87;
-    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-    const P3: u64 = 0x1656_67B1_9E37_79F9;
-    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
-    const P5: u64 = 0x27D4_EB2F_1656_67C5;
-    fn round(acc: u64, word: u64) -> u64 {
-        acc.wrapping_add(word.wrapping_mul(P2))
-            .rotate_left(31)
-            .wrapping_mul(P1)
+    let mut hasher = ContentHasher::new();
+    hasher.update(bytes);
+    hasher.finish()
+}
+
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn word(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+/// [`content_hash`] of a byte stream that arrives in pieces: a file read
+/// through a fixed buffer, or a partition's lines one at a time. Holds the
+/// four lanes, the unfinished stripe (< 32 bytes) and the length so far,
+/// so hashing a stream costs no memory that grows with it.
+#[derive(Debug, Clone)]
+pub struct ContentHasher {
+    lanes: [u64; 4],
+    stripe: [u8; 32],
+    buffered: usize,
+    len: u64,
+}
+
+impl Default for ContentHasher {
+    fn default() -> Self {
+        ContentHasher {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            stripe: [0; 32],
+            buffered: 0,
+            len: 0,
+        }
     }
-    fn merge(h: u64, lane: u64) -> u64 {
-        (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
-    }
-    fn word(b: &[u8]) -> u64 {
-        u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+impl ContentHasher {
+    /// The hasher of the empty stream.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    let mut stripes = bytes.chunks_exact(32);
-    let mut h = if bytes.len() >= 32 {
-        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
-        for stripe in &mut stripes {
+    /// Appends `bytes` to the stream.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        fn stripe_round(v: &mut [u64; 4], stripe: &[u8]) {
             for (lane, w) in v.iter_mut().zip(stripe.chunks_exact(8)) {
                 *lane = round(*lane, word(w));
             }
         }
-        let h = v[0]
-            .rotate_left(1)
-            .wrapping_add(v[1].rotate_left(7))
-            .wrapping_add(v[2].rotate_left(12))
-            .wrapping_add(v[3].rotate_left(18));
-        v.into_iter().fold(h, merge)
-    } else {
-        P5
-    };
-    h = h.wrapping_add(bytes.len() as u64);
+        self.len += bytes.len() as u64;
+        if self.buffered > 0 {
+            let take = (32 - self.buffered).min(bytes.len());
+            self.stripe[self.buffered..self.buffered + take].copy_from_slice(&bytes[..take]);
+            self.buffered += take;
+            bytes = &bytes[take..];
+            if self.buffered < 32 {
+                return;
+            }
+            stripe_round(&mut self.lanes, &self.stripe);
+            self.buffered = 0;
+        }
+        let mut v = self.lanes;
+        let mut stripes = bytes.chunks_exact(32);
+        for stripe in &mut stripes {
+            stripe_round(&mut v, stripe);
+        }
+        self.lanes = v;
+        let rest = stripes.remainder();
+        self.stripe[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
+    }
 
-    let mut tail = stripes.remainder();
-    while tail.len() >= 8 {
-        h = (h ^ round(0, word(tail)))
-            .rotate_left(27)
-            .wrapping_mul(P1)
-            .wrapping_add(P4);
-        tail = &tail[8..];
+    /// The hash of every byte appended so far.
+    pub fn finish(&self) -> u64 {
+        fn merge(h: u64, lane: u64) -> u64 {
+            (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+        }
+        let mut h = if self.len >= 32 {
+            let v = self.lanes;
+            let h = v[0]
+                .rotate_left(1)
+                .wrapping_add(v[1].rotate_left(7))
+                .wrapping_add(v[2].rotate_left(12))
+                .wrapping_add(v[3].rotate_left(18));
+            v.into_iter().fold(h, merge)
+        } else {
+            P5
+        };
+        h = h.wrapping_add(self.len);
+
+        let mut tail = &self.stripe[..self.buffered];
+        while tail.len() >= 8 {
+            h = (h ^ round(0, word(tail)))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let w = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+            h = (h ^ u64::from(w).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            tail = &tail[4..];
+        }
+        for &b in tail {
+            h = (h ^ u64::from(b).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
     }
-    if tail.len() >= 4 {
-        let w = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
-        h = (h ^ u64::from(w).wrapping_mul(P1))
-            .rotate_left(23)
-            .wrapping_mul(P2)
-            .wrapping_add(P3);
-        tail = &tail[4..];
-    }
-    for &b in tail {
-        h = (h ^ u64::from(b).wrapping_mul(P5))
-            .rotate_left(11)
-            .wrapping_mul(P1);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
 }
 
 const STATE_MAGIC: &str = "spca-partition-state-v3";
@@ -744,6 +809,23 @@ mod tests {
             }
             proptest::prop_assume!(changed != bytes);
             proptest::prop_assert_ne!(content_hash(&changed), content_hash(&bytes));
+        }
+
+        /// Any chunking of any input hashes to `content_hash` of the whole.
+        #[test]
+        fn any_chunking_hashes_to_the_whole(
+            bytes in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..300),
+            cuts in proptest::collection::vec(0usize..300, 0..12),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut hasher = ContentHasher::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                hasher.update(&bytes[at..cut]);
+                at = cut;
+            }
+            proptest::prop_assert_eq!(hasher.finish(), content_hash(&bytes));
         }
     }
 }

@@ -819,8 +819,9 @@ fn cmd_backfill(opts: &Opts) -> Result<(), String> {
         partition_csv_rows(&input, opts.value("partitions")?).map_err(|e| e.to_string())?
     };
 
-    // The partitions already hold the corpus bytes: probe the first.
-    let pca = pca_config(opts, input_dim(partitions[0].payload.bytes())?)?;
+    // Probe the first partition's rows for the dimension.
+    let first = partitions[0].payload.open().map_err(|e| e.to_string())?;
+    let pca = pca_config(opts, input_dim(std::io::BufReader::new(first))?)?;
     let components = pca.p;
     let cfg = astro_stream_pca::engine::BackfillConfig {
         pca,
