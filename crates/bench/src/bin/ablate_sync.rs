@@ -58,8 +58,11 @@ fn run_with_divergence(
     let truth = PlantedSubspace::new(DIM, RANK, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(11)));
     let source = Box::new(
-        GeneratorSource::new(move |_| Some((truth.sample(&mut *lock(&rng)), None)))
-            .with_max_tuples(N_TUPLES),
+        GeneratorSource::new(move |_, values, _| {
+            values.extend(truth.sample(&mut *lock(&rng)));
+            true
+        })
+        .with_max_tuples(N_TUPLES),
     );
     let (g, h) = ParallelPcaApp::build_with_gate(
         &cfg,

@@ -25,7 +25,13 @@ fn main() {
     let mut cfg = AppConfig::new(n, pca);
     cfg.sync = SyncStrategy::Ring;
     cfg.use_throttle = true; // the paper's controller → Throttle → engines path
-    let source = Box::new(GeneratorSource::new(|_| Some((vec![0.0; 64], None))).with_max_tuples(1));
+    let source = Box::new(
+        GeneratorSource::new(|_, values, _| {
+            values.resize(64, 0.0);
+            true
+        })
+        .with_max_tuples(1),
+    );
     let (g, _handles) = ParallelPcaApp::build(&cfg, source);
 
     println!("Fig. 2 reproduction: application dataflow graph ({n} engines, ring sync)\n");

@@ -51,8 +51,11 @@ fn pca_cfg() -> PcaConfig {
 fn seeded_source(rate: Option<f64>) -> Box<dyn Operator> {
     let w = PlantedSubspace::new(DIM, 2, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(42)));
-    let mut src = GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None)))
-        .with_max_tuples(N_TUPLES);
+    let mut src = GeneratorSource::new(move |_, values, _| {
+        values.extend(w.sample(&mut *lock(&rng)));
+        true
+    })
+    .with_max_tuples(N_TUPLES);
     if let Some(per_sec) = rate {
         src = src.with_rate(per_sec);
     }

@@ -34,8 +34,9 @@ fn throughput(n_engines: usize, fuse: bool, measure: Duration) -> f64 {
     cfg.sync_period = Duration::from_millis(500);
     let w = PlantedSubspace::new(DIM, P, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(7)));
-    let source = Box::new(GeneratorSource::new(move |_| {
-        Some((w.sample(&mut *lock(&rng)), None))
+    let source = Box::new(GeneratorSource::new(move |_, values, _| {
+        values.extend(w.sample(&mut *lock(&rng)));
+        true
     }));
     let (g, _h) = ParallelPcaApp::build(&cfg, source);
     let running = Engine::start(g);

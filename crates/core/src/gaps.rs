@@ -15,21 +15,12 @@ use crate::{PcaError, Result};
 use spca_linalg::solve::{spd_solve_into, SolveWorkspace};
 use spca_linalg::{vecops, Mat};
 
-/// Result of patching an incomplete observation.
-#[derive(Debug, Clone)]
-pub struct GapFill {
-    /// The observation with missing bins replaced by the eigenbasis
-    /// reconstruction `µ + E c` evaluated at those bins.
-    pub filled: Vec<f64>,
-    /// Bias-corrected squared residual: observed-bin residual plus the
-    /// higher-order estimate of the missing-bin residual.
-    pub residual_sq: f64,
-}
-
 /// Reusable buffers for [`fill_gaps_into`].
 #[derive(Debug, Clone, Default)]
 pub struct GapWorkspace {
-    /// The gap-filled observation, valid after a successful call.
+    /// The gap-filled observation, valid after a successful call: missing
+    /// bins replaced by the eigenbasis reconstruction `µ + E c` evaluated
+    /// at those bins.
     pub filled: Vec<f64>,
     /// Indices of the missing bins, ascending — the one scan of the mask.
     miss: Vec<usize>,
@@ -56,28 +47,12 @@ impl GapWorkspace {
 }
 
 /// Patches the missing entries of `x` using the eigensystem's top `p + q`
-/// components and returns the filled vector along with a bias-corrected
-/// squared residual for the robust weighting.
+/// components into `ws.filled` and returns the bias-corrected squared
+/// residual for the robust weighting: the observed-bin residual plus the
+/// higher-order estimate of the missing-bin residual. No allocation
+/// happens once the buffers have grown to size.
 ///
 /// `mask[i] == true` marks an observed bin.
-pub fn fill_gaps(
-    eig: &EigenSystem,
-    x: &[f64],
-    mask: &[bool],
-    p: usize,
-    q: usize,
-) -> Result<GapFill> {
-    let mut ws = GapWorkspace::default();
-    let residual_sq = fill_gaps_into(eig, x, mask, p, q, &mut ws)?;
-    Ok(GapFill {
-        filled: ws.filled,
-        residual_sq,
-    })
-}
-
-/// [`fill_gaps`] into a workspace: the patched observation lands in
-/// `ws.filled`, the bias-corrected squared residual is returned, and no
-/// allocation happens once the buffers have grown to size.
 pub fn fill_gaps_into(
     eig: &EigenSystem,
     x: &[f64],
@@ -246,7 +221,6 @@ fn masked_gram_from_missing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spca_linalg::solve::spd_solve;
 
     /// Eigensystem spanning axes 0 and 1 of R⁵ with mean (1,..,1).
     fn system() -> EigenSystem {
@@ -265,9 +239,10 @@ mod tests {
         let e = system();
         let x = vec![3.0, 2.0, 1.5, 1.2, 0.8];
         let mask = vec![true; 5];
-        let gf = fill_gaps(&e, &x, &mask, 2, 1).unwrap();
+        let mut gf = GapWorkspace::default();
+        let r2 = fill_gaps_into(&e, &x, &mask, 2, 1, &mut gf).unwrap();
         assert_eq!(gf.filled, x);
-        assert!((gf.residual_sq - e.residual_sq_truncated(&x, 2)).abs() < 1e-12);
+        assert!((r2 - e.residual_sq_truncated(&x, 2)).abs() < 1e-12);
     }
 
     #[test]
@@ -276,13 +251,14 @@ mod tests {
         // True point: mean + 2·e0 + 1·e1 → (3, 2, 1, 1, 1). Hide bin 0.
         let x = vec![999.0, 2.0, 1.0, 1.0, 1.0];
         let mask = vec![false, true, true, true, true];
-        let gf = fill_gaps(&e, &x, &mask, 2, 1).unwrap();
+        let mut gf = GapWorkspace::default();
+        let r2 = fill_gaps_into(&e, &x, &mask, 2, 1, &mut gf).unwrap();
         // Bin 0 can only be explained by e0, whose coefficient is
         // unconstrained by the observed bins → least squares sets it to 0,
         // so the fill equals the mean.
         assert!((gf.filled[0] - 1.0).abs() < 1e-9, "filled {:?}", gf.filled);
         // Observed bins exactly on the model → zero residual.
-        assert!(gf.residual_sq < 1e-12, "r² = {}", gf.residual_sq);
+        assert!(r2 < 1e-12, "r² = {}", r2);
     }
 
     #[test]
@@ -292,7 +268,8 @@ mod tests {
         let x = vec![1.0, 4.0, 1.0, 1.0, 1.0]; // mean + 3·e1
         let mask = vec![true, false, true, true, true];
         // Hide bin 1: coefficient of e1 is unconstrained → fill = mean.
-        let gf = fill_gaps(&e, &x, &mask, 2, 1).unwrap();
+        let mut gf = GapWorkspace::default();
+        fill_gaps_into(&e, &x, &mask, 2, 1, &mut gf).unwrap();
         assert!((gf.filled[1] - 1.0).abs() < 1e-9);
     }
 
@@ -303,13 +280,10 @@ mod tests {
         // p=2 reconstruction misses it, the k=3 one captures it.
         let x = vec![1.0, 1.0, 3.0, 1.0, 999.0];
         let mask = vec![true, true, true, true, false];
-        let gf = fill_gaps(&e, &x, &mask, 2, 1).unwrap();
+        let mut gf = GapWorkspace::default();
+        let r2 = fill_gaps_into(&e, &x, &mask, 2, 1, &mut gf).unwrap();
         // Observed residual w.r.t. p=2: bin 2 deviates by 2.
-        assert!(
-            (gf.residual_sq - 4.0).abs() < 1e-9,
-            "r² = {}",
-            gf.residual_sq
-        );
+        assert!((r2 - 4.0).abs() < 1e-9, "r² = {}", r2);
         // Missing bin 4 is off-basis entirely: filled with the k-term
         // reconstruction = mean there.
         assert!((gf.filled[4] - 1.0).abs() < 1e-9);
@@ -320,7 +294,7 @@ mod tests {
         let e = system();
         let x = vec![0.0; 5];
         assert_eq!(
-            fill_gaps(&e, &x, &[false; 5], 2, 1).unwrap_err(),
+            fill_gaps_into(&e, &x, &[false; 5], 2, 1, &mut GapWorkspace::default()).unwrap_err(),
             PcaError::AllMissing
         );
     }
@@ -436,8 +410,9 @@ mod tests {
                 }
             }
         }
-        let dense = spd_solve(&g, &b).unwrap();
-        for (f, r) in fast.iter().zip(&dense) {
+        let mut dense = SolveWorkspace::default();
+        spd_solve_into(&g, &b, &mut dense).unwrap();
+        for (f, r) in fast.iter().zip(&dense.x) {
             assert!((f - r).abs() < 1e-10 * (1.0 + r.abs()), "{f} vs {r}");
         }
     }
@@ -446,7 +421,14 @@ mod tests {
     fn dimension_mismatch_detected() {
         let e = system();
         assert!(matches!(
-            fill_gaps(&e, &[0.0; 4], &[true; 4], 2, 1),
+            fill_gaps_into(
+                &e,
+                &[0.0; 4],
+                &[true; 4],
+                2,
+                1,
+                &mut GapWorkspace::default()
+            ),
             Err(PcaError::DimensionMismatch { .. })
         ));
     }

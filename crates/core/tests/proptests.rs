@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spca_core::batch::batch_pca;
 use spca_core::classic::rank_one_update;
+use spca_core::gaps::{fill_gaps_into, GapWorkspace};
 use spca_core::merge::{merge, merge_all, merge_tree};
 use spca_core::metrics::subspace_distance;
 use spca_core::{
@@ -294,11 +295,12 @@ proptest! {
         prop_assume!(stream.len() >= 60);
         let eig = batch_pca(&stream, 3).unwrap();
         let mask = vec![true; 6];
+        let mut gf = GapWorkspace::default();
         for x in stream.iter().take(20) {
-            let gf = spca_core::gaps::fill_gaps(&eig, x, &mask, 2, 1).unwrap();
+            let r2 = fill_gaps_into(&eig, x, &mask, 2, 1, &mut gf).unwrap();
             prop_assert_eq!(&gf.filled, x);
             let want = eig.residual_sq_truncated(x, 2);
-            prop_assert!((gf.residual_sq - want).abs() < 1e-9 * (1.0 + want));
+            prop_assert!((r2 - want).abs() < 1e-9 * (1.0 + want));
         }
     }
 
@@ -309,10 +311,11 @@ proptest! {
         prop_assume!(stream.len() >= 60);
         let eig = batch_pca(&stream, 3).unwrap();
         let mask: Vec<bool> = (0..6).map(|i| mask_bits & (1 << i) != 0).collect();
+        let mut gf = GapWorkspace::default();
         for x in stream.iter().take(10) {
-            let gf = spca_core::gaps::fill_gaps(&eig, x, &mask, 2, 1).unwrap();
+            let r2 = fill_gaps_into(&eig, x, &mask, 2, 1, &mut gf).unwrap();
             prop_assert!(gf.filled.iter().all(|v| v.is_finite()));
-            prop_assert!(gf.residual_sq.is_finite() && gf.residual_sq >= 0.0);
+            prop_assert!(r2.is_finite() && r2 >= 0.0);
             for i in 0..6 {
                 if mask[i] {
                     prop_assert_eq!(gf.filled[i], x[i], "observed bin {} modified", i);
@@ -496,7 +499,9 @@ proptest! {
                 let (outcome, x_used) = if mask.iter().all(|&m| m) {
                     (pca.update(&x).unwrap(), x)
                 } else {
-                    let filled = spca_core::gaps::fill_gaps(&before, &x, mask, p, q).unwrap().filled;
+                    let mut gf = GapWorkspace::default();
+                    fill_gaps_into(&before, &x, mask, p, q, &mut gf).unwrap();
+                    let filled = gf.filled;
                     (pca.update_masked(&x, mask).unwrap(), filled)
                 };
                 let after = pca.full_eigensystem().unwrap().clone();

@@ -413,8 +413,11 @@ mod tests {
         let w = PlantedSubspace::new(D, 2, 0.05);
         let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
         Box::new(
-            GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None)))
-                .with_max_tuples(n),
+            GeneratorSource::new(move |_, values, _| {
+                values.extend(w.sample(&mut *lock(&rng)));
+                true
+            })
+            .with_max_tuples(n),
         )
     }
 

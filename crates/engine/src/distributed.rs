@@ -253,9 +253,7 @@ impl DistSpec {
 /// A stub source for processes that do not own the real one. Emits
 /// nothing; it only has to occupy the same slot in the graph.
 pub fn stub_source() -> Box<dyn Operator> {
-    Box::new(GeneratorSource::new(
-        |_: u64| -> Option<(Vec<f64>, Option<Vec<bool>>)> { None },
-    ))
+    Box::new(GeneratorSource::new(|_, _, _| false))
 }
 
 fn engine_index(name: &str) -> Option<usize> {

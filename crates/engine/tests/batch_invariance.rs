@@ -66,9 +66,9 @@ impl Operator for ScriptedSource {
         if self.next >= self.samples.len() {
             return SourceState::Done;
         }
-        ctx.emit_data(
+        ctx.emit_row(
             0,
-            DataTuple::new(self.next as u64, self.samples[self.next].clone()),
+            DataTuple::new(self.next as u64, self.samples[self.next].clone()).row(),
         );
         self.next += 1;
         SourceState::Emitted
@@ -164,12 +164,13 @@ fn parallel_app_delivers_everything_at_every_batch_size() {
         let w = PlantedSubspace::new(D, K, 0.05);
         let mut rng = StdRng::seed_from_u64(21);
         let mut left = N;
-        let source = spca_streams::ops::GeneratorSource::new(move |_seq| {
+        let source = spca_streams::ops::GeneratorSource::new(move |_seq, values, _| {
             if left == 0 {
-                return None;
+                return false;
             }
             left -= 1;
-            Some((w.sample(&mut rng), None))
+            values.extend(w.sample(&mut rng));
+            true
         });
         let mut cfg = AppConfig::new(2, pca_cfg());
         cfg.sync = SyncStrategy::Ring;

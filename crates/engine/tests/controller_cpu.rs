@@ -48,9 +48,10 @@ fn assert_a_slow_stream_costs_no_core(sync: SyncStrategy) {
 
     let w = PlantedSubspace::new(16, 2, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(31)));
-    let source = GeneratorSource::new(move |_| {
+    let source = GeneratorSource::new(move |_, values, _| {
         std::thread::sleep(Duration::from_millis(4));
-        Some((w.sample(&mut *lock(&rng)), None))
+        values.extend(w.sample(&mut *lock(&rng)));
+        true
     })
     .with_max_tuples(ROWS);
     let (g, h) = ParallelPcaApp::build(&cfg, Box::new(source));

@@ -55,8 +55,11 @@ fn pca_cfg() -> PcaConfig {
 fn seeded_source(seed: u64, n: u64, rate: Option<f64>) -> Box<dyn Operator> {
     let w = PlantedSubspace::new(D, 2, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
-    let mut src =
-        GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None))).with_max_tuples(n);
+    let mut src = GeneratorSource::new(move |_, values, _| {
+        values.extend(w.sample(&mut *lock(&rng)));
+        true
+    })
+    .with_max_tuples(n);
     if let Some(per_sec) = rate {
         src = src.with_rate(per_sec);
     }
@@ -365,11 +368,12 @@ fn load_swing_scales_out_and_back_in_with_zero_loss() {
 
     let w = PlantedSubspace::new(DIM, 2, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(5)));
-    let source = GeneratorSource::new(move |seq| {
+    let source = GeneratorSource::new(move |seq, values, _| {
         if seq >= HEAVY {
             std::thread::sleep(Duration::from_micros(200));
         }
-        Some((w.sample(&mut *lock(&rng)), None))
+        values.extend(w.sample(&mut *lock(&rng)));
+        true
     })
     .with_max_tuples(TOTAL);
 

@@ -47,13 +47,14 @@ fn seeded_source(seed: u64) -> Box<dyn Operator> {
     let w = PlantedSubspace::new(D, 2, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
     Box::new(
-        GeneratorSource::new(move |seq| {
+        GeneratorSource::new(move |seq, values, _| {
             let v = w.sample(&mut *lock(&rng));
             if NAN_SEQS.contains(&seq) {
-                Some((vec![f64::NAN; D], None))
+                values.extend([f64::NAN; D]);
             } else {
-                Some((v, None))
+                values.extend(v);
             }
+            true
         })
         .with_max_tuples(N_TUPLES),
     )
@@ -277,9 +278,12 @@ fn ring_survives_a_killed_engine_and_still_converges() {
     let w = PlantedSubspace::new(D, 2, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(78)));
     let source = Box::new(
-        GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None)))
-            .with_max_tuples(N_TUPLES)
-            .with_rate(250_000.0),
+        GeneratorSource::new(move |_, values, _| {
+            values.extend(w.sample(&mut *lock(&rng)));
+            true
+        })
+        .with_max_tuples(N_TUPLES)
+        .with_rate(250_000.0),
     );
 
     let (g, h) = ParallelPcaApp::build(&cfg, source);
@@ -411,7 +415,7 @@ impl Operator for ScriptedFeed {
         let Some(row) = self.rows.get(self.next) else {
             return SourceState::Done;
         };
-        ctx.emit_data(0, DataTuple::new(self.next as u64, row.clone()));
+        ctx.emit_row(0, DataTuple::new(self.next as u64, row.clone()).row());
         self.next += 1;
         SourceState::Emitted
     }

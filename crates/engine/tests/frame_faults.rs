@@ -48,8 +48,11 @@ fn run(fault: Option<&str>, fuse: bool) -> (RunReport, Vec<EigenSystem>) {
     }
     let w = PlantedSubspace::new(D, 2, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(31)));
-    let source = GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None)))
-        .with_max_tuples(ROWS);
+    let source = GeneratorSource::new(move |_, values, _| {
+        values.extend(w.sample(&mut *lock(&rng)));
+        true
+    })
+    .with_max_tuples(ROWS);
     let (g, h) = ParallelPcaApp::build(&cfg, Box::new(source));
     let report = Engine::run(g);
     let eigs = h

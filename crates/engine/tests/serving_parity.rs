@@ -36,13 +36,14 @@ fn seeded_source() -> Box<dyn Operator> {
     let w = PlantedSubspace::new(D, 2, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(11)));
     Box::new(
-        GeneratorSource::new(move |seq| {
+        GeneratorSource::new(move |seq, values, _| {
             let v = w.sample(&mut *lock(&rng));
             if NAN_SEQS.contains(&seq) {
-                Some((vec![f64::NAN; D], None))
+                values.extend([f64::NAN; D]);
             } else {
-                Some((v, None))
+                values.extend(v);
             }
+            true
         })
         .with_max_tuples(N_TUPLES),
     )

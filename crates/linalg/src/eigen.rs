@@ -153,7 +153,7 @@ mod tests {
         fill_standard_normal(&mut rng, b.as_mut_slice());
         let bt = b.transpose();
         let mut s = b;
-        s.add_assign(&bt).unwrap();
+        crate::vecops::axpy(1.0, bt.as_slice(), s.as_mut_slice());
         s.scale_mut(0.5);
         s
     }

@@ -221,13 +221,6 @@ impl Mat {
         vecops::scale(&mut self.data, s);
     }
 
-    /// In-place addition `self += other`.
-    pub fn add_assign(&mut self, other: &Mat) -> Result<()> {
-        self.check_same_shape(other)?;
-        vecops::axpy(1.0, &other.data, &mut self.data);
-        Ok(())
-    }
-
     /// Returns `self - other`.
     pub fn sub(&self, other: &Mat) -> Result<Mat> {
         self.check_same_shape(other)?;
@@ -236,23 +229,6 @@ impl Mat {
             *a -= b;
         }
         Ok(m)
-    }
-
-    /// Rank-one update `self += s * x yᵀ`.
-    pub fn rank_one_update(&mut self, s: f64, x: &[f64], y: &[f64]) -> Result<()> {
-        if x.len() != self.rows || y.len() != self.cols {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("x len {}, y len {}", self.rows, self.cols),
-                got: (x.len(), y.len()),
-            });
-        }
-        for (c, &yc) in y.iter().enumerate() {
-            let syc = s * yc;
-            if syc != 0.0 {
-                vecops::axpy(syc, x, self.col_mut(c));
-            }
-        }
-        Ok(())
     }
 
     /// Frobenius norm.
@@ -384,16 +360,6 @@ mod tests {
             m.matvec(&[1.0]),
             Err(LinalgError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn rank_one_update_adds_outer_product() {
-        let mut m = Mat::zeros(2, 2);
-        m.rank_one_update(2.0, &[1.0, 2.0], &[3.0, 4.0]).unwrap();
-        assert_eq!(m[(0, 0)], 6.0);
-        assert_eq!(m[(1, 0)], 12.0);
-        assert_eq!(m[(0, 1)], 8.0);
-        assert_eq!(m[(1, 1)], 16.0);
     }
 
     #[test]

@@ -8,40 +8,8 @@
 use crate::mat::Mat;
 use crate::{LinalgError, Result};
 
-/// Cholesky factor `L` (lower triangular) with `A = L Lᵀ`.
-#[derive(Debug, Clone)]
-pub struct Cholesky {
-    l: Mat,
-}
-
-impl Cholesky {
-    /// Factorizes a symmetric positive-definite matrix.
-    ///
-    /// Fails with [`LinalgError::NotFinite`] on non-finite input and
-    /// [`LinalgError::NoConvergence`] if the matrix is not positive
-    /// definite even after a small diagonal jitter.
-    pub fn new(a: &Mat) -> Result<Self> {
-        let mut l = Mat::default();
-        factor_into(a, &mut l)?;
-        Ok(Cholesky { l })
-    }
-
-    /// Solves `A x = b`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.l.rows();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("rhs of length {n}"),
-                got: (b.len(), 1),
-            });
-        }
-        let mut z = b.to_vec();
-        solve_in_place(&self.l, &mut z);
-        Ok(z)
-    }
-}
-
-/// Factorizes `a` into the caller-owned lower-triangular buffer.
+/// Factorizes `a` into the caller-owned lower-triangular Cholesky factor
+/// `L` (`A = L Lᵀ`).
 fn factor_into(a: &Mat, l: &mut Mat) -> Result<()> {
     let (m, n) = a.shape();
     if m != n {
@@ -121,13 +89,13 @@ pub struct SolveWorkspace {
     l: Mat,
 }
 
-/// One-shot SPD solve `A x = b`.
-pub fn spd_solve(a: &Mat, b: &[f64]) -> Result<Vec<f64>> {
-    Cholesky::new(a)?.solve(b)
-}
-
 /// SPD solve into a workspace: `ws.x = A⁻¹ b` with no allocation once the
-/// buffers have grown to size (semantics of [`spd_solve`]).
+/// buffers have grown to size.
+///
+/// Fails with [`LinalgError::ShapeMismatch`] on a right-hand side of the
+/// wrong length, [`LinalgError::NotFinite`] on non-finite input and
+/// [`LinalgError::NoConvergence`] if the matrix is not positive definite
+/// even after a small diagonal jitter.
 pub fn spd_solve_into(a: &Mat, b: &[f64], ws: &mut SolveWorkspace) -> Result<()> {
     if b.len() != a.rows() {
         return Err(LinalgError::ShapeMismatch {
@@ -161,8 +129,9 @@ mod tests {
         let a = random_spd(6, 41);
         let x_true = vec![1.0, -2.0, 0.5, 3.0, -1.0, 0.25];
         let b = a.matvec(&x_true).unwrap();
-        let x = spd_solve(&a, &b).unwrap();
-        for (got, want) in x.iter().zip(&x_true) {
+        let mut ws = SolveWorkspace::default();
+        spd_solve_into(&a, &b, &mut ws).unwrap();
+        for (got, want) in ws.x.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-8, "{got} vs {want}");
         }
     }
@@ -171,35 +140,31 @@ mod tests {
     fn identity_solve_is_identity() {
         let i = Mat::identity(4);
         let b = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(spd_solve(&i, &b).unwrap(), b);
+        let mut ws = SolveWorkspace::default();
+        spd_solve_into(&i, &b, &mut ws).unwrap();
+        assert_eq!(ws.x, b);
     }
 
     #[test]
     fn near_singular_uses_jitter() {
         // Rank-1 outer product plus epsilon: classic near-singular SPD.
         let mut a = Mat::zeros(3, 3);
-        a.rank_one_update(1.0, &[1.0, 1.0, 1.0], &[1.0, 1.0, 1.0])
-            .unwrap();
+        a.as_mut_slice().fill(1.0); // 1·1ᵀ
         for i in 0..3 {
             a[(i, i)] += 1e-15;
         }
-        let x = spd_solve(&a, &[1.0, 1.0, 1.0]);
+        let mut ws = SolveWorkspace::default();
+        let x = spd_solve_into(&a, &[1.0, 1.0, 1.0], &mut ws);
         assert!(x.is_ok());
-        assert!(x.unwrap().iter().all(|v| v.is_finite()));
+        assert!(ws.x.iter().all(|v| v.is_finite()));
     }
 
     #[test]
     fn indefinite_rejected() {
         let mut a = Mat::identity(2);
         a[(1, 1)] = -5.0;
-        assert!(Cholesky::new(&a).is_err());
-    }
-
-    #[test]
-    fn wrong_rhs_length() {
-        let a = Mat::identity(3);
-        let c = Cholesky::new(&a).unwrap();
-        assert!(c.solve(&[1.0]).is_err());
+        let mut ws = SolveWorkspace::default();
+        assert!(spd_solve_into(&a, &[1.0, 1.0], &mut ws).is_err());
     }
 
     #[test]
@@ -209,7 +174,9 @@ mod tests {
             let a = random_spd(n, seed);
             let b: Vec<f64> = (0..n).map(|i| i as f64 - 1.5).collect();
             spd_solve_into(&a, &b, &mut ws).unwrap();
-            assert_eq!(ws.x, spd_solve(&a, &b).unwrap(), "n={n}");
+            let mut fresh = SolveWorkspace::default();
+            spd_solve_into(&a, &b, &mut fresh).unwrap();
+            assert_eq!(ws.x, fresh.x, "n={n}");
         }
     }
 

@@ -115,7 +115,9 @@ mod tests {
         let q = orthonormalize(&raw).unwrap();
         let mut a = Mat::zeros(n, n);
         for (j, &lam) in spectrum.iter().enumerate() {
-            a.rank_one_update(lam, q.col(j), q.col(j)).unwrap();
+            for c in 0..n {
+                vecops::axpy(lam * q.col(j)[c], q.col(j), a.col_mut(c));
+            }
         }
         a
     }

@@ -93,7 +93,7 @@ proptest! {
         // Symmetrize the draw.
         let bt = b.transpose();
         let mut s = b.clone();
-        s.add_assign(&bt).unwrap();
+        spca_linalg::vecops::axpy(1.0, bt.as_slice(), s.as_mut_slice());
         s.scale_mut(0.5);
         let e = eigen::sym_eigen(&s).unwrap();
         prop_assert!(e.reconstruct().sub(&s).unwrap().max_abs() < tol_for(&s));
@@ -103,7 +103,7 @@ proptest! {
     fn eigen_trace_identity(b in square_matrix()) {
         let bt = b.transpose();
         let mut s = b.clone();
-        s.add_assign(&bt).unwrap();
+        spca_linalg::vecops::axpy(1.0, bt.as_slice(), s.as_mut_slice());
         s.scale_mut(0.5);
         let e = eigen::sym_eigen(&s).unwrap();
         let tr: f64 = (0..s.rows()).map(|i| s[(i, i)]).sum();

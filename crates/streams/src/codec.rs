@@ -946,7 +946,7 @@ mod tests {
         assert_eq!((c.kind, c.sender), (9, 2));
         assert!(c.payload_as::<()>().is_some());
         assert!(matches!(back[2], Tuple::Data(_)));
-        assert!(back[3].is_eos());
+        assert!(matches!(back[3], Tuple::Punct(_)));
     }
 
     #[test]

@@ -83,8 +83,7 @@ use crate::metrics::{
 use crate::netio::{AckMode, LinkIn, NetTransport, INBOUND_FRAMES};
 use crate::operator::{EmitSink, OpContext, Operator, SourceState};
 use crate::tuple::{
-    frame_channel, wake, ControlTuple, Frame, FrameRx, FrameTx, Punctuation, RowRef, Tuple,
-    TAG_CTRL, TAG_DATA,
+    frame_channel, wake, ControlTuple, Frame, FrameRx, FrameTx, RowRef, TAG_CTRL, TAG_DATA,
 };
 use crate::watched::lock;
 use std::cell::Cell;
@@ -149,15 +148,15 @@ struct RemoteEdge {
 }
 
 impl RemoteEdge {
-    fn push(&mut self, t: &Tuple) {
-        match t {
-            Tuple::Data(d) => self.push_row(d.row()),
-            // Control tuples and punctuation go out at once.
-            _ => {
-                self.buf.push(t);
-                self.flush();
-            }
-        }
+    // Control tuples and punctuation go out at once.
+    fn push_control(&mut self, c: ControlTuple) {
+        self.buf.push_control(c);
+        self.flush();
+    }
+
+    fn push_eos(&mut self) {
+        self.buf.push_eos();
+        self.flush();
     }
 
     fn push_row(&mut self, row: RowRef<'_>) {
@@ -1053,31 +1052,39 @@ struct PeSink<'a> {
     stop: &'a AtomicBool,
 }
 
-impl EmitSink for PeSink<'_> {
-    // An unwired port silently drops — mirrors InfoSphere streams with no
-    // subscribers.
-    fn emit(&mut self, port: usize, t: Tuple) {
+impl PeSink<'_> {
+    /// Appends one entry for every target of `port`: `local` to the PE's
+    /// local frame, `remote` to a cross-PE edge. An unwired port silently
+    /// drops — mirrors InfoSphere streams with no subscribers.
+    fn fan_out(
+        &mut self,
+        port: usize,
+        mut local: impl FnMut(&mut Frame),
+        mut remote: impl FnMut(&mut RemoteEdge),
+    ) {
         for target in self.out_ports[port].iter_mut() {
             match target {
                 Target::Local { op, port } => {
-                    self.queued.frame.push(&t);
+                    local(&mut self.queued.frame);
                     self.queued.to.push((*op, *port));
                 }
-                Target::Remote(edge) => edge.push(&t),
+                Target::Remote(edge) => remote(edge),
             }
         }
     }
+}
 
+impl EmitSink for PeSink<'_> {
     fn emit_row(&mut self, port: usize, row: RowRef<'_>) {
-        for target in self.out_ports[port].iter_mut() {
-            match target {
-                Target::Local { op, port } => {
-                    self.queued.frame.push_row(row);
-                    self.queued.to.push((*op, *port));
-                }
-                Target::Remote(edge) => edge.push_row(row),
-            }
-        }
+        self.fan_out(port, |f| f.push_row(row), |e| e.push_row(row));
+    }
+
+    fn emit_control(&mut self, port: usize, c: ControlTuple) {
+        self.fan_out(
+            port,
+            |f| f.push_control(c.clone()),
+            |e| e.push_control(c.clone()),
+        );
     }
 
     fn try_emit_row(&mut self, port: usize, row: RowRef<'_>) -> bool {
@@ -1479,7 +1486,7 @@ fn punctuate(pe: &mut PeCore, idx: usize) {
         stop: &pe.stop,
     };
     for p in 0..sink.out_ports.len() {
-        sink.emit(p, Tuple::Punct(Punctuation::EndOfStream));
+        sink.fan_out(p, Frame::push_eos, RemoteEdge::push_eos);
     }
     for p in pe.slots[idx].out_ports.iter_mut() {
         p.clear();
@@ -1951,7 +1958,7 @@ mod tests {
     use super::*;
     use crate::graph::{GraphBuilder, OpId};
     use crate::operator::{OpContext, Operator, SourceState};
-    use crate::tuple::{DataTuple, Rows};
+    use crate::tuple::{DataTuple, Rows, Tuple};
 
     /// Source emitting `n` one-dimensional tuples then finishing.
     struct CountSource {
@@ -1966,7 +1973,7 @@ mod tests {
             }
             let d = DataTuple::new(self.next, vec![self.next as f64]);
             self.next += 1;
-            ctx.emit_data(0, d);
+            ctx.emit_row(0, d.row());
             SourceState::Emitted
         }
     }
@@ -1989,7 +1996,7 @@ mod tests {
         fn process_rows(&mut self, rows: Rows<'_>, ctx: &mut OpContext<'_>) {
             for row in rows {
                 let vals: Vec<f64> = row.values.iter().map(|v| v * 2.0).collect();
-                ctx.emit_data(0, DataTuple::new(row.seq, vals));
+                ctx.emit_row(0, DataTuple::new(row.seq, vals).row());
             }
         }
     }
@@ -2068,7 +2075,7 @@ mod tests {
         impl Operator for Forever {
             fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
                 self.0 += 1;
-                ctx.emit_data(0, DataTuple::new(self.0, vec![0.0]));
+                ctx.emit_row(0, DataTuple::new(self.0, vec![0.0]).row());
                 SourceState::Emitted
             }
         }
@@ -2101,7 +2108,7 @@ mod tests {
                 self.total += rows.map(|row| row.values[0]).sum::<f64>();
             }
             fn on_finish(&mut self, ctx: &mut OpContext<'_>) {
-                ctx.emit_data(0, DataTuple::new(0, vec![self.total]));
+                ctx.emit_row(0, DataTuple::new(0, vec![self.total]).row());
             }
         }
         let mut g = GraphBuilder::new();
@@ -2308,7 +2315,7 @@ mod tests {
             }
             let d = DataTuple::new(self.next, vec![self.next as f64]);
             self.next += 1;
-            ctx.emit_data(0, d);
+            ctx.emit_row(0, d.row());
             SourceState::Emitted
         }
         fn checkpoint(&mut self) -> Option<&mut dyn crate::checkpoint::Checkpoint> {

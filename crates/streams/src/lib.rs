@@ -33,7 +33,13 @@
 //! let mut g = GraphBuilder::new();
 //! let src = g.add_source(
 //!     "gen",
-//!     Box::new(GeneratorSource::new(|seq| Some((vec![seq as f64], None))).with_max_tuples(10)),
+//!     Box::new(
+//!         GeneratorSource::new(|seq, values, _| {
+//!             values.push(seq as f64);
+//!             true
+//!         })
+//!         .with_max_tuples(10),
+//!     ),
 //! );
 //! let (sink, store) = CollectSink::new();
 //! let out = g.add_op("collect", Box::new(sink));

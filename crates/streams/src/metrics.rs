@@ -281,11 +281,6 @@ pub struct LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn bucket_of(ns: u64) -> usize {
         // floor(log2(ns)) - 10, clamped into range.
         let log2 = 63 - (ns | 1).leading_zeros() as usize;
@@ -467,7 +462,7 @@ mod tests {
 
     #[test]
     fn latency_histogram_quantiles() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         assert_eq!(h.quantile_ns(0.99), 0);
         // 99 fast samples (~4µs) and one slow (~1ms).
         for _ in 0..99 {
@@ -486,7 +481,7 @@ mod tests {
 
     #[test]
     fn latency_histogram_bucket_edges() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         h.record_ns(0); // clamps into bucket 0
         h.record_ns(u64::MAX); // clamps into the overflow bucket
         assert_eq!(h.count(), 2);

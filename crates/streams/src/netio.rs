@@ -981,7 +981,10 @@ mod tests {
         for f in 0..n_frames {
             let mut frame = tx_s.buffer();
             for _ in 0..per {
-                frame.push(&data(seq, seq as f64 * 0.25));
+                let Tuple::Data(d) = data(seq, seq as f64 * 0.25) else {
+                    unreachable!()
+                };
+                frame.push_row(d.row());
                 seq += 1;
             }
             if f == n_frames - 1 {
@@ -1014,7 +1017,7 @@ mod tests {
                 other => panic!("expected data at {i}, got {other:?}"),
             }
         }
-        assert!(got.last().expect("non-empty").is_eos());
+        assert!(matches!(got.last().expect("non-empty"), Tuple::Punct(_)));
 
         send_side.shutdown();
         recv_side.shutdown();
@@ -1087,7 +1090,7 @@ mod tests {
                 other => panic!("expected data at {i}, got {other:?}"),
             }
         }
-        assert!(got.last().expect("non-empty").is_eos());
+        assert!(matches!(got.last().expect("non-empty"), Tuple::Punct(_)));
         send_side.shutdown();
         recv_side.shutdown();
     }

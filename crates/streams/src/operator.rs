@@ -6,7 +6,7 @@
 //! source operators poll their underlying file/socket the same way).
 
 use crate::metrics::{Counter, OpCounters};
-use crate::tuple::{ControlTuple, DataTuple, RowRef, Rows, Tuple};
+use crate::tuple::{ControlTuple, DataTuple, RowRef, Rows};
 
 /// What a source produced when driven.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,15 +85,14 @@ pub trait Operator: Send {
 
 /// Engine-side sink the context forwards emissions to.
 pub(crate) trait EmitSink {
-    /// Blocking emit to an output port (fans out to every connected edge).
-    fn emit(&mut self, port: usize, t: Tuple);
-    /// [`emit`](Self::emit) of a borrowed data row. Default: as a tuple.
-    fn emit_row(&mut self, port: usize, row: RowRef<'_>) {
-        self.emit(port, Tuple::Data(row.to_tuple()));
-    }
+    /// Blocking emit of a borrowed data row to an output port (fans out to
+    /// every connected edge).
+    fn emit_row(&mut self, port: usize, row: RowRef<'_>);
     /// Non-blocking [`emit_row`](Self::emit_row): false, with nothing sent,
     /// if *any* target edge is full.
     fn try_emit_row(&mut self, port: usize, row: RowRef<'_>) -> bool;
+    /// Blocking emit of a control tuple to an output port.
+    fn emit_control(&mut self, port: usize, c: ControlTuple);
     /// Number of output ports wired for this operator.
     fn n_ports(&self) -> usize;
     /// True once the engine has requested a cooperative stop.
@@ -115,22 +114,10 @@ impl<'a> OpContext<'a> {
         OpContext { sink, counters }
     }
 
-    /// Emits a tuple on `port`, blocking if a downstream queue is full
-    /// (backpressure).
-    pub fn emit(&mut self, port: usize, t: Tuple) {
-        if matches!(t, Tuple::Data(_)) {
-            self.counters.add_out();
-        }
-        self.sink.emit(port, t);
-    }
-
-    /// Emits a data tuple on `port`.
-    pub fn emit_data(&mut self, port: usize, d: DataTuple) {
-        self.emit(port, Tuple::Data(d));
-    }
-
-    /// Emits a borrowed data row on `port`, blocking like [`emit`](Self::emit).
-    /// Every edge, fused or cross-PE, copies the row into its frame.
+    /// Emits a borrowed data row on `port`, blocking if a downstream queue
+    /// is full (backpressure): the one way a row leaves an operator. Every
+    /// edge, fused or cross-PE, copies the row into its frame; an operator
+    /// emitting a row it owns passes [`DataTuple::row`].
     pub fn emit_row(&mut self, port: usize, row: RowRef<'_>) {
         self.counters.add_out();
         self.sink.emit_row(port, row);
@@ -148,9 +135,10 @@ impl<'a> OpContext<'a> {
         sent
     }
 
-    /// Emits a control tuple on `port`.
+    /// Emits a control tuple on `port`, blocking like
+    /// [`emit_row`](Self::emit_row).
     pub fn emit_control(&mut self, port: usize, c: ControlTuple) {
-        self.emit(port, Tuple::Control(c));
+        self.sink.emit_control(port, c);
     }
 
     /// Forces any transport-level output batching to flush now. Control
@@ -185,7 +173,7 @@ impl<'a> OpContext<'a> {
 /// (`spca-engine`) to unit-test their custom operators.
 pub mod testing {
     use super::*;
-    use crate::tuple::Frame;
+    use crate::tuple::{Frame, Tuple};
     use std::collections::VecDeque;
 
     /// Observer callback for [`CaptureSink::on_emit`].
@@ -228,12 +216,22 @@ pub mod testing {
         }
     }
 
-    impl EmitSink for CaptureSink {
-        fn emit(&mut self, port: usize, t: Tuple) {
+    impl CaptureSink {
+        fn capture(&mut self, port: usize, t: Tuple) {
             if let Some(hook) = &mut self.on_emit {
                 hook(port, &t);
             }
             self.ports[port].push_back(t);
+        }
+    }
+
+    impl EmitSink for CaptureSink {
+        fn emit_row(&mut self, port: usize, row: RowRef<'_>) {
+            self.capture(port, Tuple::Data(row.to_tuple()));
+        }
+
+        fn emit_control(&mut self, port: usize, c: ControlTuple) {
+            self.capture(port, Tuple::Control(c));
         }
 
         fn try_emit_row(&mut self, port: usize, row: RowRef<'_>) -> bool {
@@ -302,9 +300,9 @@ mod tests {
     #[test]
     fn emit_fans_into_capture() {
         let sink = with_ctx(2, |ctx| {
-            ctx.emit_data(0, DataTuple::new(1, vec![1.0]));
-            ctx.emit_data(1, DataTuple::new(2, vec![2.0]));
-            ctx.emit_data(1, DataTuple::new(3, vec![3.0]));
+            ctx.emit_row(0, DataTuple::new(1, vec![1.0]).row());
+            ctx.emit_row(1, DataTuple::new(2, vec![2.0]).row());
+            ctx.emit_row(1, DataTuple::new(3, vec![3.0]).row());
         });
         assert_eq!(sink.data_at(0).len(), 1);
         assert_eq!(sink.data_at(1).len(), 2);
@@ -329,7 +327,7 @@ mod tests {
         let mut sink = CaptureSink::new(1);
         {
             let mut ctx = OpContext::new(&mut sink, &counters);
-            ctx.emit_data(0, DataTuple::new(0, vec![]));
+            ctx.emit_row(0, DataTuple::new(0, vec![]).row());
             ctx.emit_control(0, ControlTuple::signal(0, 0));
         }
         let s = counters.snapshot();

@@ -20,9 +20,10 @@ use std::time::Duration;
 /// A data observation: sequence number, logical timestamp, values, and an
 /// optional observed-bin mask, owned. Inside the engine rows travel in
 /// [`Frame`]s, on PE-local edges as on cross-PE ones, and reach an operator
-/// borrowed ([`RowRef`]); a `DataTuple` is what an operator builds to emit
-/// a new observation or copies a row into to keep it. Values are shared
-/// via `Arc`, so cloning one is pointer-sized.
+/// borrowed ([`RowRef`]), and leave one the same way
+/// ([`OpContext::emit_row`](crate::OpContext::emit_row)); a `DataTuple` is
+/// what an operator copies a row into to keep it. Values are shared via
+/// `Arc`, so cloning one is pointer-sized.
 #[derive(Debug, Clone)]
 pub struct DataTuple {
     /// Monotone per-source sequence number.
@@ -65,18 +66,6 @@ impl DataTuple {
             mask: self.mask.as_deref().map(Vec::as_slice),
         }
     }
-
-    /// True when every value is finite (no NaN/Inf anywhere in the
-    /// observation). Operators use this as the quarantine boundary check.
-    pub fn all_finite(&self) -> bool {
-        self.row().all_finite()
-    }
-
-    /// Approximate serialized size in bytes (used by link-traffic metrics
-    /// and the cluster simulator's bandwidth model).
-    pub fn wire_bytes(&self) -> u64 {
-        self.row().wire_bytes()
-    }
 }
 
 /// A data observation borrowed from wherever it lives: a frame's columns,
@@ -111,15 +100,6 @@ impl RowRef<'_> {
     /// observation). Operators use this as the quarantine boundary check.
     pub fn all_finite(&self) -> bool {
         self.values.iter().all(|v| v.is_finite())
-    }
-
-    /// Approximate serialized size in bytes (used by link-traffic metrics
-    /// and the cluster simulator's bandwidth model).
-    pub fn wire_bytes(&self) -> u64 {
-        let header = 16u64;
-        let values = (self.values.len() * 8) as u64;
-        let mask = self.mask.map_or(0, |m| m.len() as u64);
-        header + values + mask
     }
 }
 
@@ -187,24 +167,6 @@ pub enum Tuple {
     Punct(Punctuation),
 }
 
-impl Tuple {
-    /// Wire size estimate for traffic accounting.
-    pub fn wire_bytes(&self) -> u64 {
-        match self {
-            Tuple::Data(d) => d.wire_bytes(),
-            // Control tuples are small unless they carry state; the engine
-            // that puts an eigensystem in one accounts for it separately.
-            Tuple::Control(_) => 64,
-            Tuple::Punct(_) => 8,
-        }
-    }
-
-    /// True for end-of-stream punctuation.
-    pub fn is_eos(&self) -> bool {
-        matches!(self, Tuple::Punct(Punctuation::EndOfStream))
-    }
-}
-
 /// Entry tags of a [`Frame`], in stream order; the same bytes head a
 /// frame's body on the wire ([`crate::codec`]).
 pub(crate) const TAG_DATA: u8 = 0;
@@ -248,22 +210,19 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// A frame holding `tuples`, in order.
+    /// A frame holding copies of `tuples`, in order: the tests' oracle
+    /// constructor (the engine appends rows, control tuples and
+    /// end-of-stream through the `push_*` entries).
     pub fn from_tuples<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> Self {
         let mut f = Frame::default();
         for t in tuples {
-            f.push(t);
+            match t {
+                Tuple::Data(d) => f.push_row(d.row()),
+                Tuple::Control(c) => f.push_control(c.clone()),
+                Tuple::Punct(Punctuation::EndOfStream) => f.push_eos(),
+            }
         }
         f
-    }
-
-    /// Appends a copy of `t`.
-    pub fn push(&mut self, t: &Tuple) {
-        match t {
-            Tuple::Data(d) => self.push_row(d.row()),
-            Tuple::Control(c) => self.push_control(c.clone()),
-            Tuple::Punct(Punctuation::EndOfStream) => self.push_eos(),
-        }
     }
 
     /// Appends a data row, copying its columns.
@@ -661,10 +620,10 @@ mod tests {
 
     #[test]
     fn wire_bytes_scale_with_dimension() {
-        let t = DataTuple::new(0, vec![0.0; 250]);
-        assert_eq!(t.wire_bytes(), 16 + 2000);
-        let m = DataTuple::masked(0, vec![0.0; 250], vec![true; 250]);
-        assert_eq!(m.wire_bytes(), 16 + 2000 + 250);
+        let t = Tuple::Data(DataTuple::new(0, vec![0.0; 250]));
+        assert_eq!(Frame::from_tuples(&[t]).wire_bytes(), 16 + 2000);
+        let m = Tuple::Data(DataTuple::masked(0, vec![0.0; 250], vec![true; 250]));
+        assert_eq!(Frame::from_tuples(&[m]).wire_bytes(), 16 + 2000 + 250);
     }
 
     #[test]
@@ -678,15 +637,21 @@ mod tests {
 
     #[test]
     fn eos_detection() {
-        assert!(Tuple::Punct(Punctuation::EndOfStream).is_eos());
-        assert!(!Tuple::Data(DataTuple::new(0, vec![])).is_eos());
+        assert!(matches!(
+            Tuple::Punct(Punctuation::EndOfStream),
+            Tuple::Punct(_)
+        ));
+        assert!(!matches!(
+            Tuple::Data(DataTuple::new(0, vec![])),
+            Tuple::Punct(_)
+        ));
     }
 
     #[test]
     fn finiteness_check() {
-        assert!(DataTuple::new(3, vec![1.0, 2.0]).all_finite());
-        assert!(!DataTuple::new(0, vec![1.0, f64::NAN]).all_finite());
-        assert!(!DataTuple::new(0, vec![f64::INFINITY]).all_finite());
+        assert!(DataTuple::new(3, vec![1.0, 2.0]).row().all_finite());
+        assert!(!DataTuple::new(0, vec![1.0, f64::NAN]).row().all_finite());
+        assert!(!DataTuple::new(0, vec![f64::INFINITY]).row().all_finite());
     }
 
     #[test]

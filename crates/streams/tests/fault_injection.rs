@@ -15,7 +15,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn counting_source(n: u64) -> Box<dyn Operator> {
-    Box::new(GeneratorSource::new(|seq| Some((vec![seq as f64], None))).with_max_tuples(n))
+    Box::new(
+        GeneratorSource::new(|seq, values, _| {
+            values.push(seq as f64);
+            true
+        })
+        .with_max_tuples(n),
+    )
 }
 
 /// A restart policy with near-zero backoff so tests stay fast.
@@ -458,7 +464,7 @@ impl Operator for GatedSource {
         if self.next + 1 == self.n && !self.gate.load(Ordering::SeqCst) {
             return SourceState::Idle;
         }
-        ctx.emit_data(0, DataTuple::new(self.next, vec![self.next as f64]));
+        ctx.emit_row(0, DataTuple::new(self.next, vec![self.next as f64]).row());
         self.next += 1;
         SourceState::Emitted
     }

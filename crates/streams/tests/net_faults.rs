@@ -43,7 +43,7 @@ impl Operator for CountSource {
         let x = (self.next as f64 * 0.7311).sin() * 1e3;
         let mut t = DataTuple::new(self.next, vec![x, -x, x * 1e-9]);
         t.timestamp_ns = self.next * 13 + 5;
-        ctx.emit_data(0, t);
+        ctx.emit_row(0, t.row());
         self.next += 1;
         SourceState::Emitted
     }

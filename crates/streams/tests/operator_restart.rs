@@ -109,7 +109,13 @@ fn run(tag: &str, plan: &str, n: u64, every: u64, panic_on_call: Option<u64>) ->
     }
     let src = g.add_source(
         "src",
-        Box::new(GeneratorSource::new(|seq| Some((vec![seq as f64], None))).with_max_tuples(n)),
+        Box::new(
+            GeneratorSource::new(|seq, values, _| {
+                values.push(seq as f64);
+                true
+            })
+            .with_max_tuples(n),
+        ),
     );
     let tally = g.add_op(
         "tally",

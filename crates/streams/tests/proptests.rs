@@ -18,7 +18,7 @@ impl Operator for CountSource {
         if self.next >= self.n {
             return SourceState::Done;
         }
-        ctx.emit_data(0, DataTuple::new(self.next, vec![self.next as f64]));
+        ctx.emit_row(0, DataTuple::new(self.next, vec![self.next as f64]).row());
         self.next += 1;
         SourceState::Emitted
     }
@@ -180,7 +180,7 @@ proptest! {
         struct Forever(u64);
         impl Operator for Forever {
             fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
-                ctx.emit_data(0, DataTuple::new(self.0, vec![]));
+                ctx.emit_row(0, DataTuple::new(self.0, vec![]).row());
                 self.0 += 1;
                 SourceState::Emitted
             }

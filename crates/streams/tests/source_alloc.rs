@@ -1,13 +1,15 @@
-//! Pins what a steady-state line-source `drive` into a cross-PE edge takes
-//! from the heap, on every medium (file, TCP listener, chunked HTTP body):
-//! nothing per row. The source parses each line into its own row buffers
-//! and emits the row borrowed; the edge copies it into the columns of a
-//! pooled frame. The edge holds one frame (`with_channel_capacity` of one
-//! batch), so it cycles through at most four — one queued, one being
-//! filled, one being read, one on its way back — whose columns grow, by
-//! doubling, to the most rows any of them held. What is left is that
-//! growth and the channel's block of message slots every 31 frames: under
-//! one allocation per frame the consumer received in the stretch. (Frames
+//! Pins what a steady-state source `drive` into a cross-PE edge takes from
+//! the heap, on every line-source medium (file, TCP listener, chunked HTTP
+//! body) and for a generator: nothing per row. A line source parses each
+//! line into its own row buffers, a generator's closure writes into the
+//! source's, and the row is emitted borrowed; the edge copies it into the
+//! columns of a pooled frame. The edge holds one frame
+//! (`with_channel_capacity` of one batch), so it cycles through at most
+//! four — one queued, one being filled, one being read, one on its way
+//! back — whose columns grow, by doubling, to the most rows any of them
+//! held. What is left is that growth and the channel's block of message
+//! slots every 31 frames: under one allocation per frame the consumer
+//! received in the stretch. (Frames
 //! are as large as the consumer's pace lets them be, so the count is of
 //! frames, not of rows.) The line buffer, the reader's buffer and the HTTP
 //! body's chunk-size line are the source's own and were sized during
@@ -25,7 +27,7 @@ mod feeds;
 
 use feeds::{http_response, http_source, tcp_source, Framing};
 use spca_alloc_count::{allocations, track, CountingAlloc};
-use spca_streams::ops::{CollectSink, CsvFileSource};
+use spca_streams::ops::{CollectSink, CsvFileSource, GeneratorSource};
 use spca_streams::{
     lock, Engine, GraphBuilder, OpContext, Operator, PortKind, Rows, SourceState,
     DEFAULT_BATCH_SIZE,
@@ -123,6 +125,24 @@ fn line_source_steady_state_into_a_frame_edge_allocates_nothing_per_row() {
         ("file", Box::new(CsvFileSource::new(&path))),
         ("tcp", Box::new(tcp_source(corpus.clone().into_bytes()))),
         ("http chunked", Box::new(http_source(chunked))),
+        // Rows of the same shape, the gap where the corpus has `nan` and
+        // read back as the parser reads it.
+        (
+            "generator",
+            Box::new(
+                GeneratorSource::new(|seq, values, mask| {
+                    let r = seq as usize;
+                    values.extend((0..D).map(|j| ((r * D + j) as f64 * 0.37).sin()));
+                    if r % 3 == 2 {
+                        let gap = 1 + r % (D - 1);
+                        values[gap] = 0.0;
+                        mask.extend((0..D).map(|j| j != gap));
+                    }
+                    true
+                })
+                .with_max_tuples((WARM_ROWS + MEASURED_ROWS) as u64),
+            ),
+        ),
     ];
 
     for (name, inner) in media {

@@ -20,7 +20,7 @@ impl Operator for CountSource {
         if self.next >= self.n {
             return SourceState::Done;
         }
-        ctx.emit_data(0, DataTuple::new(self.next, vec![self.next as f64]));
+        ctx.emit_row(0, DataTuple::new(self.next, vec![self.next as f64]).row());
         self.next += 1;
         SourceState::Emitted
     }
@@ -209,7 +209,7 @@ fn control_tuple_is_not_stranded_behind_data_batch() {
             if !self.emitted {
                 self.emitted = true;
                 for seq in 0..N_DATA {
-                    ctx.emit_data(0, DataTuple::new(seq, vec![seq as f64]));
+                    ctx.emit_row(0, DataTuple::new(seq, vec![seq as f64]).row());
                 }
                 ctx.emit_control(0, ControlTuple::signal(7, 0));
                 return SourceState::Emitted;
@@ -295,7 +295,7 @@ fn explicit_flush_makes_data_visible() {
             if !self.sent {
                 self.sent = true;
                 for seq in 0..3 {
-                    ctx.emit_data(0, DataTuple::new(seq, vec![]));
+                    ctx.emit_row(0, DataTuple::new(seq, vec![]).row());
                 }
                 ctx.flush();
                 return SourceState::Emitted;
@@ -356,7 +356,7 @@ fn interleaved_control_keeps_fifo_position() {
             if self.next >= 300 {
                 return SourceState::Done;
             }
-            ctx.emit_data(0, DataTuple::new(self.next, vec![]));
+            ctx.emit_row(0, DataTuple::new(self.next, vec![]).row());
             if self.next % 50 == 49 {
                 // Control tuple carrying the number of data tuples before it.
                 ctx.emit_control(0, ControlTuple::signal(9, (self.next + 1) as u32));
@@ -421,7 +421,7 @@ fn ping_pong_between_waiting_pes_loses_no_wake_up() {
         fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
             if !self.started {
                 self.started = true;
-                ctx.emit_data(0, DataTuple::new(0, vec![]));
+                ctx.emit_row(0, DataTuple::new(0, vec![]).row());
                 return SourceState::Emitted;
             }
             if self.done.load(Ordering::SeqCst) {

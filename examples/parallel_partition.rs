@@ -49,8 +49,11 @@ fn main() {
     let w = truth.clone();
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(99)));
     let source = Box::new(
-        GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None)))
-            .with_max_tuples(n_tuples),
+        GeneratorSource::new(move |_, values, _| {
+            values.extend(w.sample(&mut *lock(&rng)));
+            true
+        })
+        .with_max_tuples(n_tuples),
     );
     let (graph, handles) = ParallelPcaApp::build(&cfg, source);
     println!(

@@ -27,13 +27,29 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_streams::lock;
 use std::collections::HashMap;
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// `println!` for a subcommand's output: a closed stdout (`spca … | head
+/// -1`) ends the output quietly, and any other write error is the
+/// command's error.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say(format_args!($($arg)*))
+    };
+}
+
+fn say(line: std::fmt::Arguments) -> Result<(), String> {
+    match writeln!(std::io::stdout(), "{line}") {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
+    }
+}
 
 /// What a flag's value is read as; judged before the handler runs.
 #[derive(Clone, Copy, PartialEq)]
@@ -337,13 +353,10 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    if matches!(name.as_str(), "help" | "--help" | "-h") {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
-    }
     // The subcommand is resolved before its flags, so a typo'd one is
     // reported as that and not as an unknown flag.
     let result = match COMMANDS.iter().find(|(cmd, ..)| cmd == name) {
+        _ if matches!(name.as_str(), "help" | "--help" | "-h") => say!("{}", usage()),
         None => Err(format!("unknown subcommand '{name}'\n\n{}", usage())),
         Some(&(cmd, run, row)) => Opts::parse(cmd, row, rest)
             .map_err(|e| format!("{e}\n\n{}", usage()))
@@ -436,10 +449,10 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(opts.value("seed")?);
     let (rows, contaminated) = gen.survey_extract(&mut rng, n, opts.value("contamination")?);
     io::write_csv_masked(&out, &rows).map_err(|e| e.to_string())?;
-    println!(
+    say!(
         "wrote {n} spectra ({contaminated} contaminants) to {}",
         out.display()
-    );
+    )?;
     Ok(())
 }
 
@@ -458,7 +471,7 @@ fn input_dim(corpus: impl BufRead) -> Result<usize, String> {
 
 /// The CPU seconds each PE thread used, by its members: what share of a
 /// core a PE's busy time really was.
-fn print_pe_cpu(report: &RunReport) {
+fn print_pe_cpu(report: &RunReport) -> Result<(), String> {
     let pes: Vec<String> = report
         .pe_cpu
         .iter()
@@ -467,7 +480,7 @@ fn print_pe_cpu(report: &RunReport) {
             format!("{} {cpu}", pe.members.join("+"))
         })
         .collect();
-    println!("PE CPU seconds: {}", pes.join(", "));
+    say!("PE CPU seconds: {}", pes.join(", "))
 }
 
 fn file_dim(path: &Path) -> Result<usize, String> {
@@ -492,16 +505,17 @@ fn pca_config(opts: &Opts, dim: usize) -> Result<PcaConfig, String> {
         .with_extra(2))
 }
 
-fn print_merged_eigenvalues(values: &[f64]) {
+fn print_merged_eigenvalues(values: &[f64]) -> Result<(), String> {
     let rounded: Vec<f64> = values.iter().map(|v| (v * 1e4).round() / 1e4).collect();
-    println!("merged eigenvalues: {rounded:?}");
+    say!("merged eigenvalues: {rounded:?}")
 }
 
 /// What the run absorbed, if anything: the same line after `run`, `serve`,
 /// `coordinator` and `worker` (each reports the operators it hosted).
-fn print_fault_summary(report: &RunReport) {
-    if let Some(line) = FaultCounters::from_report(report).summary() {
-        println!("{line}");
+fn print_fault_summary(report: &RunReport) -> Result<(), String> {
+    match FaultCounters::from_report(report).summary() {
+        Some(line) => say!("{line}"),
+        None => Ok(()),
     }
 }
 
@@ -548,12 +562,12 @@ fn cmd_coordinator(opts: &Opts) -> Result<(), String> {
         let placed = format!(" on {workers} workers ({} respawned)", out.respawns);
         ("distributed run", out.report, placed)
     };
-    print_fault_summary(&report);
-    println!(
+    print_fault_summary(&report)?;
+    say!(
         "{what} complete: {} observations across {engines} engines{placed}; snapshots in {}",
         report.op("split").map_or(0, |o| o.tuples_in),
         spec.snapshots.display()
-    );
+    )?;
     Ok(())
 }
 
@@ -562,8 +576,8 @@ fn cmd_worker(opts: &Opts) -> Result<(), String> {
     let index: usize = opts.value("index")?;
     let report = astro_stream_pca::engine::run_worker(coordinator, index, data)
         .map_err(|e| format!("worker {index} failed: {e}"))?;
-    print_fault_summary(&report);
-    println!("worker {index} finished");
+    print_fault_summary(&report)?;
+    say!("worker {index} finished")?;
     Ok(())
 }
 
@@ -571,23 +585,25 @@ fn cmd_worker(opts: &Opts) -> Result<(), String> {
 /// mirrored into `serving`'s `/metrics` (the last mirror is the finished
 /// report's, so the endpoint and the fault summary agree) and the
 /// `autoscaler` ticks: it probes rates and queues and rescales the live fleet.
+/// A rescale line that cannot be written fails the run once it has joined.
 fn supervise(
     graph: GraphBuilder,
     serving: Option<&ServeShared>,
     mut autoscaler: Option<&mut ElasticSupervisor>,
-) -> RunReport {
+) -> Result<RunReport, String> {
     let running = Engine::start(graph);
+    let mut said = Ok(());
     // The autoscaler measures rates, so it is polled on a finer grain than
     // the mirror needs; with neither there is nothing to do but join.
     let poll = Duration::from_millis(if autoscaler.is_some() { 20 } else { 100 });
     while (serving.is_some() || autoscaler.is_some()) && !running.is_finished() {
         if let Some(ev) = autoscaler.as_mut().and_then(|a| a.tick(&running)) {
-            println!(
+            said = said.and(say!(
                 "autoscaler: {:+} engines -> fleet of {} ({:.1} ms migration)",
                 ev.action,
                 ev.active_after,
                 ev.latency.as_secs_f64() * 1e3
-            );
+            ));
         }
         if let Some(shared) = serving {
             shared.set_counters(FaultCounters::from_op_snapshots(&running.op_snapshots()));
@@ -598,7 +614,7 @@ fn supervise(
     if let Some(shared) = serving {
         shared.set_counters(FaultCounters::from_report(&report));
     }
-    report
+    said.map(|()| report)
 }
 
 /// `run`, and `serve`: the same run with the query server always on, its
@@ -651,7 +667,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         (Some(path), None, None) => Box::new(CsvFileSource::new(path)),
         (None, Some(addr), None) => {
             let src = TcpSource::listen(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-            println!("listening on {}", src.local_addr().expect("bound"));
+            say!("listening on {}", src.local_addr().expect("bound"))?;
             Box::new(src)
         }
         (None, None, Some(url)) => Box::new(HttpSource::get(url)?),
@@ -687,10 +703,10 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
                 eig.dim()
             ));
         }
-        println!(
+        say!(
             "warm-starting every engine from {path} (n_obs = {})",
             eig.n_obs
-        );
+        )?;
         cfg.warm_start = Some(eig);
     }
 
@@ -712,7 +728,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
             })
             .map_err(|e| format!("cannot bind query server on {addr}: {e}"))?;
             shared.set_server_stats(server.stats());
-            println!("serving queries on http://{}", server.local_addr());
+            say!("serving queries on http://{}", server.local_addr())?;
             Some((shared, server))
         }
         None => None,
@@ -721,32 +737,32 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     let (graph, handles) = ParallelPcaApp::build(&cfg, source);
     let mut autoscaler = elastic_ms
         .map(|ms| ElasticSupervisor::new(ElasticRuntime::new(&handles), Duration::from_millis(ms)));
-    println!("running {engines} engines (d = {dim}, p = {components}, N = {memory}) ...");
+    say!("running {engines} engines (d = {dim}, p = {components}, N = {memory}) ...")?;
     if let Some(ms) = elastic_ms {
-        println!("autoscaling between 1 and {max_engines} engines on a {ms} ms epoch");
+        say!("autoscaling between 1 and {max_engines} engines on a {ms} ms epoch")?;
     }
     let report = supervise(
         graph,
         serving.as_ref().map(|(shared, _)| shared.as_ref()),
         autoscaler.as_mut(),
-    );
+    )?;
 
     let consumed = report.tuples_in_matching("pca-");
-    println!(
+    say!(
         "processed {consumed} tuples in {:.2}s ({:.0} tuples/s)",
         report.elapsed.as_secs_f64(),
         consumed as f64 / report.elapsed.as_secs_f64().max(1e-9)
-    );
-    print_pe_cpu(&report);
-    print_fault_summary(&report);
+    )?;
+    print_pe_cpu(&report)?;
+    print_fault_summary(&report)?;
     if let Some(autoscaler) = &autoscaler {
         let (outs, ins) = autoscaler.event_counts();
-        println!(
+        say!(
             "autoscaler summary: {} rescale events ({outs} out, {ins} in), \
              final fleet {} engines",
             autoscaler.events.len(),
             autoscaler.events.last().map_or(engines, |e| e.active_after)
-        );
+        )?;
     }
 
     if let Some(path) = run_only("report") {
@@ -757,20 +773,20 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
             .collect();
         let flagged = rows.iter().filter(|r| r[4] > 0.5).count();
         io::write_csv(path, &rows).map_err(|e| e.to_string())?;
-        println!(
+        say!(
             "outlier report: {flagged}/{} rows flagged → {path}",
             rows.len()
-        );
+        )?;
     }
     match handles.hub.merged_estimate() {
         Ok(merged) => {
-            print_merged_eigenvalues(&merged.values);
-            println!(
+            print_merged_eigenvalues(&merged.values)?;
+            say!(
                 "variance captured by p components: {:.1}%",
                 100.0 * merged.variance_captured(components)
-            );
+            )?;
         }
-        Err(e) => println!("no merged estimate: {e}"),
+        Err(e) => say!("no merged estimate: {e}")?,
     }
     if let Some((shared, server)) = serving {
         let serve_for: u64 = if always_on {
@@ -779,18 +795,18 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
             0
         };
         if serve_for > 0 {
-            println!("serving the final eigensystem for {serve_for}s more");
+            say!("serving the final eigensystem for {serve_for}s more")?;
             std::thread::sleep(Duration::from_secs(serve_for));
         }
         use std::sync::atomic::Ordering::Relaxed;
         let stats = server.stats();
-        println!(
+        say!(
             "query server: {} epochs published, {} served, {} shed, {} rate-limited",
             shared.store().epoch(),
             stats.served.load(Relaxed),
             stats.shed.load(Relaxed),
             stats.rate_limited.load(Relaxed)
-        );
+        )?;
         server.shutdown();
     }
     Ok(())
@@ -829,7 +845,13 @@ fn cmd_backfill(opts: &Opts) -> Result<(), String> {
         state_dir: opts.value("state-dir")?,
     };
     let outcome = backfill(&cfg, &partitions).map_err(|e| e.to_string())?;
-    println!(
+    let merged = &outcome.merged;
+    // The snapshot is written first: a reader that closes stdout early
+    // (`| head -1`) must not cost the file.
+    if let Some(out) = opts.get("out") {
+        persist::write_snapshot(Path::new(out), merged).map_err(|e| e.to_string())?;
+    }
+    say!(
         "backfill: {} partitions ({} cache hits, {} computed, {} quarantined) \
          on {} workers in {:.2}s",
         outcome.stats.partitions,
@@ -838,18 +860,16 @@ fn cmd_backfill(opts: &Opts) -> Result<(), String> {
         outcome.stats.quarantined,
         outcome.stats.workers,
         outcome.stats.wall.as_secs_f64()
-    );
-    let merged = &outcome.merged;
-    println!(
+    )?;
+    say!(
         "merged eigensystem: d = {}, components = {}, n_obs = {}",
         merged.dim(),
         merged.n_components(),
         merged.n_obs
-    );
-    print_merged_eigenvalues(&merged.values[..components.min(merged.values.len())]);
+    )?;
+    print_merged_eigenvalues(&merged.values[..components.min(merged.values.len())])?;
     if let Some(out) = opts.get("out") {
-        persist::write_snapshot(Path::new(out), merged).map_err(|e| e.to_string())?;
-        println!("wrote merged snapshot to {out}");
+        say!("wrote merged snapshot to {out}")?;
     }
     Ok(())
 }
@@ -857,22 +877,24 @@ fn cmd_backfill(opts: &Opts) -> Result<(), String> {
 fn cmd_inspect(opts: &Opts) -> Result<(), String> {
     let path: PathBuf = opts.value("snapshot")?;
     let eig = persist::read_snapshot(&path).map_err(|e| e.to_string())?;
-    println!("snapshot: {}", path.display());
-    println!("  dimension  : {}", eig.dim());
-    println!("  components : {}", eig.n_components());
-    println!("  n_obs      : {}", eig.n_obs);
-    println!("  sigma^2    : {:.6e}", eig.sigma2);
-    println!(
+    say!("snapshot: {}", path.display())?;
+    say!("  dimension  : {}", eig.dim())?;
+    say!("  components : {}", eig.n_components())?;
+    say!("  n_obs      : {}", eig.n_obs)?;
+    say!("  sigma^2    : {:.6e}", eig.sigma2)?;
+    say!(
         "  sums       : u {:.3}  v {:.3}  q {:.3e}",
-        eig.sum_u, eig.sum_v, eig.sum_q
-    );
-    println!("  eigenvalues:");
+        eig.sum_u,
+        eig.sum_v,
+        eig.sum_q
+    )?;
+    say!("  eigenvalues:")?;
     for (k, v) in eig.values.iter().enumerate() {
         let frac = 100.0 * eig.variance_captured(k + 1);
-        println!(
+        say!(
             "    λ{:<2} = {v:<12.6e} (cumulative variance {frac:.1}%)",
             k + 1
-        );
+        )?;
     }
     Ok(())
 }
@@ -896,17 +918,17 @@ fn cmd_simulate(opts: &Opts) -> Result<(), String> {
         ..Default::default()
     };
     let report = ClusterSim::new(spec, CostModel::paper(), placement, cfg).run();
-    println!("simulated {engines} engines on {nodes} nodes at d = {dim}:");
-    println!(
+    say!("simulated {engines} engines on {nodes} nodes at d = {dim}:")?;
+    say!(
         "  throughput : {:.0} tuples/s ({:.0}/thread)",
         report.throughput,
         report.per_thread()
-    );
-    println!(
+    )?;
+    say!(
         "  network    : {:.1} MB transferred",
         report.network_bytes / 1e6
-    );
-    println!("  syncs      : {}", report.syncs);
+    )?;
+    say!("  syncs      : {}", report.syncs)?;
     Ok(())
 }
 

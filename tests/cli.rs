@@ -497,6 +497,64 @@ fn backfill_cold_then_warm_round_trip() {
 }
 
 #[test]
+fn backfill_into_a_closed_stdout_writes_its_out_file_and_exits_zero() {
+    let dir = std::env::temp_dir().join(format!("spca-cli-backfill-pipe-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("corpus.csv");
+    let gen = spca(&[
+        "generate",
+        "--out",
+        csv.to_str().unwrap(),
+        "--n",
+        "400",
+        "--pixels",
+        "24",
+        "--seed",
+        "9",
+    ]);
+    assert!(gen.status.success());
+    let backfill = |name: &str| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_spca"));
+        cmd.args([
+            "backfill",
+            "--input",
+            csv.to_str().unwrap(),
+            "--partitions",
+            "4",
+            "--state-dir",
+            dir.join(format!("{name}-store")).to_str().unwrap(),
+            "--components",
+            "3",
+            "--out",
+            dir.join(format!("{name}.snapshot")).to_str().unwrap(),
+        ]);
+        cmd
+    };
+    let normal = backfill("normal").output().expect("spawn spca");
+    assert!(normal.status.success());
+
+    // `spca backfill … | head -0`: the pipe's reader is gone before the
+    // first line is written.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let closed = backfill("closed")
+        .stdout(writer)
+        .output()
+        .expect("spawn spca");
+    assert!(
+        closed.status.success(),
+        "{:?}, stderr: {}",
+        closed.status,
+        String::from_utf8_lossy(&closed.stderr)
+    );
+    let a = std::fs::read(dir.join("normal.snapshot")).unwrap();
+    let b = std::fs::read(dir.join("closed.snapshot")).unwrap();
+    assert_eq!(a, b, "the --out file must not depend on stdout");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn valid_generate_round_trips() {
     let dir = std::env::temp_dir().join(format!("spca-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -29,11 +29,12 @@ fn planted_source(
     let inj = OutlierInjector::new(outlier_rate).only(OutlierKind::CosmicRay);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
     Box::new(
-        GeneratorSource::new(move |_| {
+        GeneratorSource::new(move |_, values, _| {
             let mut g = lock(&rng);
             let mut x = w.sample(&mut *g);
             inj.maybe_contaminate(&mut *g, &mut x);
-            Some((x, None))
+            values.extend(x);
+            true
         })
         .with_max_tuples(n),
     )
@@ -139,11 +140,13 @@ fn gappy_galaxy_stream_through_parallel_app() {
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(6)));
     let gen2 = gen.clone();
     let source = Box::new(
-        GeneratorSource::new(move |_| {
+        GeneratorSource::new(move |_, values, mask| {
             let mut g = lock(&rng);
             let mut s = gen2.sample_with_coverage(&mut *g);
             astro_stream_pca::spectra::normalize::unit_norm_masked(&mut s.flux, &s.mask);
-            Some((s.flux, Some(s.mask)))
+            values.extend(s.flux);
+            mask.extend(s.mask);
+            true
         })
         .with_max_tuples(4000),
     );
@@ -206,8 +209,9 @@ fn stop_midstream_yields_usable_partial_result() {
     let cfg = AppConfig::new(2, pca_cfg());
     let w = PlantedSubspace::new(D, RANK, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(8)));
-    let source = Box::new(GeneratorSource::new(move |_| {
-        Some((w.sample(&mut *lock(&rng)), None))
+    let source = Box::new(GeneratorSource::new(move |_, values, _| {
+        values.extend(w.sample(&mut *lock(&rng)));
+        true
     })); // unbounded
     let (g, h) = ParallelPcaApp::build(&cfg, source);
     let running = Engine::start(g);
@@ -232,7 +236,7 @@ fn malformed_tuples_are_dropped_not_fatal() {
     let w = PlantedSubspace::new(D, RANK, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(21)));
     let source = Box::new(
-        GeneratorSource::new(move |seq| {
+        GeneratorSource::new(move |seq, values, _| {
             let mut g = lock(&rng);
             let x = match seq % 10 {
                 7 => vec![1.0; D / 2], // wrong dimension
@@ -243,7 +247,8 @@ fn malformed_tuples_are_dropped_not_fatal() {
                 }
                 _ => w.sample(&mut *g),
             };
-            Some((x, None))
+            values.extend(x);
+            true
         })
         .with_max_tuples(5000),
     );
@@ -292,16 +297,17 @@ fn quarantine_captures_flagged_observations_verbatim() {
     let w = PlantedSubspace::new(D, RANK, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(23)));
     let source = Box::new(
-        GeneratorSource::new(move |seq| {
+        GeneratorSource::new(move |seq, values, _| {
             let mut g = lock(&rng);
             if seq % 25 == 24 {
                 // A marked spike we can recognize downstream.
                 let mut x = vec![0.0; D];
                 x[9] = 500.0 + seq as f64;
-                Some((x, None))
+                values.extend(x);
             } else {
-                Some((w.sample(&mut *g), None))
+                values.extend(w.sample(&mut *g));
             }
+            true
         })
         .with_max_tuples(5000),
     );

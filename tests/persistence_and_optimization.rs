@@ -23,7 +23,11 @@ fn source(n: u64, seed: u64) -> Box<dyn astro_stream_pca::streams::Operator> {
     let w = PlantedSubspace::new(D, RANK, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
     Box::new(
-        GeneratorSource::new(move |_| Some((w.sample(&mut *lock(&rng)), None))).with_max_tuples(n),
+        GeneratorSource::new(move |_, values, _| {
+            values.extend(w.sample(&mut *lock(&rng)));
+            true
+        })
+        .with_max_tuples(n),
     )
 }
 
