@@ -7,10 +7,12 @@
 //! configurable engine count, prints its adjacency (the figure, as text),
 //! and verifies the invariants the figure depicts: one split feeding every
 //! engine, sync signals reaching every engine's control port through the
-//! same framework, and the ring state edges of Fig. 3. The peer-state
-//! ports are wired as a full mesh (so a ring can re-close around a silent
-//! engine); Fig. 3's ring is the one the controller *commands* over it, and
-//! its edges `pca-i → pca-(i+1 mod n)` are among the mesh's.
+//! same framework (straight from the self-paced controller: the paper's
+//! throttle operator has no counterpart here), and the ring state edges of
+//! Fig. 3. The peer-state ports are wired as a full mesh (so a ring can
+//! re-close around a silent engine); Fig. 3's ring is the one the
+//! controller *commands* over it, and its edges `pca-i → pca-(i+1 mod n)`
+//! are among the mesh's.
 
 use spca_bench::figures_dir;
 use spca_core::PcaConfig;
@@ -24,7 +26,6 @@ fn main() {
     let pca = PcaConfig::new(64, 4);
     let mut cfg = AppConfig::new(n, pca);
     cfg.sync = SyncStrategy::Ring;
-    cfg.use_throttle = true; // the paper's controller → Throttle → engines path
     let source = Box::new(
         GeneratorSource::new(|_, values, _| {
             values.resize(64, 0.0);
@@ -69,14 +70,18 @@ fn main() {
         })
         .count();
     assert_eq!(split_fanout, n, "split must feed every engine");
-    // Every engine receives control from a throttle (sync path in-framework).
+    // Every engine receives control from the self-paced sync controller
+    // on exactly one edge (sync path in-framework).
     for i in 0..n {
-        let has_ctrl = edges.iter().any(|(f, _, t, k)| {
-            name(*f).starts_with("throttle-")
-                && name(*t) == format!("pca-{i}")
-                && *k == PortKind::Control
-        });
-        assert!(has_ctrl, "engine {i} missing throttled sync path");
+        let ctrl_edges = edges
+            .iter()
+            .filter(|(f, _, t, k)| {
+                name(*f) == "sync-controller"
+                    && name(*t) == format!("pca-{i}")
+                    && *k == PortKind::Control
+            })
+            .count();
+        assert_eq!(ctrl_edges, 1, "engine {i} needs one sync-controller edge");
     }
     // Ring of Fig. 3: pca-i → pca-(i+1 mod n).
     for i in 0..n {
@@ -94,6 +99,6 @@ fn main() {
     assert_eq!(monitor_fanin, n, "every engine must report snapshots");
 
     println!(
-        "\nstructure check PASSED: split fan-out, throttled sync, Fig. 3 ring, monitor fan-in."
+        "\nstructure check PASSED: split fan-out, controller sync, Fig. 3 ring, monitor fan-in."
     );
 }

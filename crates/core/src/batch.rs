@@ -326,7 +326,7 @@ fn covariance_eigensystem(
                 *o = s * (xi - mi);
             }
         }
-        let cov = gemm::par_gemm(&y, &y.transpose(), num_threads())?;
+        let cov = gemm::par_gemm(&y, &y.transpose(), 0)?;
         // Full Jacobi is O(d³) per sweep; for large covariances with few
         // requested components, block subspace iteration gets the same
         // eigenpairs in O(d²p) per step.
@@ -346,12 +346,6 @@ fn covariance_eigensystem(
         complete_basis(&mut basis);
         Ok((basis, values.into_iter().map(|v| v.max(0.0)).collect()))
     }
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Initializes an eigensystem from a warm-up batch with plain batch PCA.

@@ -1,11 +1,12 @@
 //! Application builder: assembles the paper's Fig. 2 analysis graph.
 //!
 //! `source → split → n × StreamingPca`, with the synchronization
-//! controller wired to every engine's control port (optionally through
-//! `Throttle` operators, §III-B) and listening to every engine's monitor
-//! port, peer-state edges forming the full mesh (the [`SyncStrategy`]
-//! picks a command's receivers, not the edges), monitor ports collected
-//! into a [`ResultsHub`], and an optional per-tuple outcome feed. There is
+//! controller wired straight to every engine's control port (it paces
+//! itself at `sync_period`, where the paper puts SPL's throttle operator,
+//! §III-B) and listening to every engine's monitor port, peer-state edges
+//! forming the full mesh (the [`SyncStrategy`] picks a command's
+//! receivers, not the edges), monitor ports collected into a
+//! [`ResultsHub`], and an optional per-tuple outcome feed. There is
 //! one wiring: a run that loses an engine, a run that rescales and a run
 //! that does neither are the same graph. It has one source, the data: the
 //! controller is ticked by the engine reports it listens to and finishes
@@ -23,7 +24,7 @@ use crate::pca_operator::StreamingPcaOp;
 use crate::results::ResultsHub;
 use crate::sync::{SyncController, SyncStrategy};
 use spca_core::{PcaConfig, RobustPca};
-use spca_streams::ops::{CallbackSink, CollectSink, Split, SplitStrategy, Throttle};
+use spca_streams::ops::{CallbackSink, CollectSink, Split, SplitStrategy};
 use spca_streams::{ActiveSet, DataTuple, FaultPlan, GraphBuilder, Operator, PortKind};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -41,9 +42,6 @@ pub struct AppConfig {
     pub sync: SyncStrategy,
     /// Pacing of synchronization commands (paper: 0.5 s).
     pub sync_period: Duration,
-    /// Wire explicit `Throttle` operators between controller and engines
-    /// (the paper's arrangement); otherwise the controller self-paces.
-    pub use_throttle: bool,
     /// Emit an eigensystem snapshot every `n` processed tuples per engine
     /// (0 = final snapshot only).
     pub snapshot_every: u64,
@@ -136,7 +134,6 @@ impl AppConfig {
             split: SplitStrategy::Random,
             sync: SyncStrategy::Ring,
             sync_period: Duration::from_millis(500),
-            use_throttle: false,
             snapshot_every: 0,
             emit_outcomes: false,
             quarantine: false,
@@ -282,29 +279,17 @@ impl ParallelPcaApp {
         }
         let (monitor_port, outcome_port, quarantine_port) = (n_peers, n_peers + 1, n_peers + 2);
 
-        // Synchronization controller (+ optional throttles).
+        // Synchronization controller, pacing itself at `sync_period`.
         if synced {
-            let period = if cfg.use_throttle {
-                // The explicit throttles do the pacing; the controller only
-                // needs to stay ahead of them.
-                cfg.sync_period / 4
-            } else {
-                cfg.sync_period
-            };
-            let controller =
-                SyncController::new(cfg.sync, Arc::clone(&active), period, cfg.liveness_timeout);
+            let controller = SyncController::new(
+                cfg.sync,
+                Arc::clone(&active),
+                cfg.sync_period,
+                cfg.liveness_timeout,
+            );
             let ctrl = g.add_op("sync-controller", Box::new(controller));
             for (i, &eng) in engine_ids.iter().enumerate() {
-                if cfg.use_throttle {
-                    let th = g.add_op(
-                        format!("throttle-{i}"),
-                        Box::new(Throttle::with_period(cfg.sync_period)),
-                    );
-                    g.connect(ctrl, i, th, PortKind::Control);
-                    g.connect(th, 0, eng, PortKind::Control);
-                } else {
-                    g.connect(ctrl, i, eng, PortKind::Control);
-                }
+                g.connect(ctrl, i, eng, PortKind::Control);
                 // The controller listens to every monitor port:
                 // heartbeats and snapshots are liveness reports, and each
                 // one ticks it.
@@ -440,13 +425,11 @@ mod tests {
 
     #[test]
     fn synced_graph_has_one_source_and_the_controller_only_listens() {
-        let mut throttled = AppConfig::new(3, pca_cfg());
-        throttled.use_throttle = true;
         let mut fused = AppConfig::new(2, pca_cfg());
         fused.fuse = true;
         let mut elastic = AppConfig::new(1, pca_cfg());
         elastic.max_engines = Some(3);
-        for cfg in [AppConfig::new(4, pca_cfg()), throttled, fused, elastic] {
+        for cfg in [AppConfig::new(4, pca_cfg()), fused, elastic] {
             let n = cfg.max_engines.unwrap_or(cfg.n_engines);
             let (g, _h) = ParallelPcaApp::build(&cfg, planted_source(10, 23));
             let edges = g.edge_list();
@@ -610,16 +593,6 @@ mod tests {
         assert_eq!(h.hub.engines_reporting(), 1, "standbys report nothing");
         assert_eq!(report.total(Counter::ScaleOuts), 0);
         assert_eq!(report.total(Counter::ScaleIns), 0);
-    }
-
-    #[test]
-    fn throttled_controller_variant_runs() {
-        let mut cfg = AppConfig::new(2, pca_cfg());
-        cfg.use_throttle = true;
-        cfg.sync_period = Duration::from_millis(10);
-        let (g, h) = ParallelPcaApp::build(&cfg, planted_source(600, 16));
-        Engine::run(g);
-        assert_eq!(h.hub.engines_reporting(), 2);
     }
 
     #[test]

@@ -322,7 +322,14 @@ impl ElasticSupervisor {
         let dt = window.started.elapsed().as_secs_f64().max(1e-9);
         let backlog_now = Self::backlog(&named);
         let growth = (backlog_now as f64 - window.backlog as f64) / dt;
-        let offered = achieved + growth.max(0.0);
+        // A full edge holds the source to the engines' pace, so the
+        // backlog stops growing at the edges' bound however far behind the
+        // fleet is. A backlog that did not shrink and holds more than the
+        // fleet absorbed this epoch is demand it is not meeting: count
+        // clearing it within one epoch.
+        let behind = growth >= 0.0 && backlog_now as f64 > achieved * dt;
+        let queued = if behind { backlog_now as f64 / dt } else { 0.0 };
+        let offered = achieved + growth.max(0.0) + queued;
 
         // Re-arm the measurement window before deciding, so a slow
         // migration does not stretch the next epoch's denominator.

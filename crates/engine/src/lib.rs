@@ -8,14 +8,14 @@
 //!                    ┌──────────────► StreamingPca 0 ──► monitor
 //!  source ──► split ─┼──────────────► StreamingPca 1 ──► monitor
 //!                    └──────────────► StreamingPca n ──► monitor
-//!        sync controller ─► throttle ─► (control ports)
+//!        sync controller ─► (control ports)   paced at sync_period
 //!        StreamingPca i ──(state)──► StreamingPca j   (ring/broadcast/…)
 //! ```
 //!
 //! * [`pca_operator::StreamingPcaOp`] — the stateful operator holding the
 //!   robust incremental eigensystem (the paper's custom C++ operator).
 //! * [`sync`] — the synchronization controller and its strategies
-//!   (circular/ring as in Fig. 3, broadcast, groups), the throttle pacing,
+//!   (circular/ring as in Fig. 3, broadcast, groups), its self-pacing,
 //!   and the `1.5·N` independence gate.
 //! * [`app`] — the application builder assembling the full graph, fused
 //!   into one PE or one PE per operator.

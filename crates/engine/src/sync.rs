@@ -7,10 +7,10 @@
 //!
 //! The controller is an ordinary control-port operator, ticked by the
 //! reports every engine sends it (heartbeats and snapshots). A tick issues
-//! at most one sync command, paced by the controller's own period or by a
-//! [`spca_streams::ops::Throttle`] in front of the engines' control ports,
-//! exactly as the paper uses the SPL `Throttle`. Output port `i` connects
-//! to engine `i`'s control port; the command tells that engine which of
+//! at most one sync command, paced by the controller's own period: the
+//! pacing the paper gets from SPL's throttle operator in front of the
+//! engines' control ports. Output port `i` connects straight to engine
+//! `i`'s control port; the command tells that engine which of
 //! *its* peer-state ports to share on.
 
 use crate::messages::{

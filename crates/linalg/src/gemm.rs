@@ -74,8 +74,8 @@ pub fn par_gemm(a: &Mat, b: &Mat, threads: usize) -> Result<Mat> {
     Ok(out)
 }
 
-/// Cached `available_parallelism`: the OS query costs a syscall, and
-/// `par_gemm` sits inside per-tuple merge paths — ask once, reuse forever.
+/// Cached `available_parallelism`: the OS query costs a syscall — ask
+/// once, reuse forever.
 fn machine_parallelism() -> usize {
     static PAR: OnceLock<usize> = OnceLock::new();
     *PAR.get_or_init(|| {

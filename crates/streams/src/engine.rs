@@ -121,18 +121,11 @@ impl InjectedFault {
 /// Sender-side state of one cross-PE edge: entries accumulate in the
 /// columns of `buf` and travel as one [`Frame`] per channel message.
 ///
-/// Flush policy (adaptive):
-/// * the frame reached the configured batch size, or
-/// * the entry is control/punctuation — sync signals and end-of-stream must
-///   never wait behind a partial data batch (§III-C latency), or
-/// * the downstream channel is empty and at least a quarter batch has
-///   accumulated — the consumer is caught up, so holding a decent partial
-///   frame back would only add latency, but flushing on *every* row to a
-///   drained consumer would degenerate to one-row frames and forfeit the
-///   amortization batching exists for.
-///
-/// The PE scheduler additionally flushes every edge whenever it is about to
-/// idle or block, so no entry is ever stranded in a frame.
+/// A frame leaves when it reaches the configured batch size, or when the
+/// entry is control/punctuation — sync signals and end-of-stream must never
+/// wait behind a partial data batch (§III-C latency). The PE scheduler
+/// also flushes every edge whenever it is about to idle or block, so no
+/// entry is ever stranded in a frame.
 struct RemoteEdge {
     tx: FrameTx,
     counters: Arc<LinkCounters>,
@@ -205,16 +198,7 @@ impl RemoteEdge {
 
     fn append_row(&mut self, row: RowRef<'_>) {
         self.buf.push_row(row);
-        // Adaptive flush: a full frame goes out, and a starved consumer
-        // (empty channel) gets an early partial frame once a quarter batch
-        // has accumulated — without the fill floor, a split alternating
-        // between consumers that keep their channels drained would
-        // degenerate to one-row frames and pay the per-send
-        // synchronization batching exists to amortize. Sub-quarter frames
-        // are bounded in latency by the scheduler, which flushes every
-        // edge before blocking or idling.
-        let n = self.buf.len();
-        if n >= self.batch || (self.tx.is_empty() && n * 4 >= self.batch) {
+        if self.buf.len() >= self.batch {
             self.flush();
         }
     }
@@ -849,11 +833,9 @@ impl Engine {
             });
         }
 
-        // Wire edges. The channel capacity is configured in tuples; frames
-        // carry up to `batch` tuples each, so the frame-denominated bound
-        // keeps roughly the same backpressure depth at any batch size.
+        // Wire edges. A channel's bound counts tuples, at any batch size
+        // and however full the scheduler's flushes leave its frames.
         let batch = builder.batch_size.max(1);
-        let frame_cap = (builder.channel_capacity.div_ceil(batch)).max(1);
         let checkpoint_dir = builder.checkpoint_dir.take();
         let mut link_endpoints: Vec<(String, String)> = Vec::new();
         let (wakes, woken_per_pe): (Vec<_>, Vec<_>) = pes.iter().map(|_| wake()).unzip();
@@ -881,13 +863,13 @@ impl Engine {
                     // consuming PE sees an ordinary frame channel. A PE
                     // consumer is rung on every frame; the transport's
                     // sender waits on the channel itself. A channel the
-                    // transport feeds holds at most `INBOUND_FRAMES`: its
-                    // receiver then stops reading, and the TCP window holds
-                    // the sender.
+                    // transport feeds holds at most `INBOUND_FRAMES` full
+                    // frames' worth of tuples: its receiver then stops
+                    // reading, and the TCP window holds the sender.
                     let cap = if from_here {
-                        frame_cap
+                        builder.channel_capacity
                     } else {
-                        frame_cap.min(INBOUND_FRAMES)
+                        builder.channel_capacity.min(INBOUND_FRAMES * batch)
                     };
                     let (tx, rx) = frame_channel(cap, to_here.then(|| wakes[to_pe].clone()));
                     let link = metrics.register_link();

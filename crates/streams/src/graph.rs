@@ -65,7 +65,8 @@ impl GraphBuilder {
         }
     }
 
-    /// Sets the bounded capacity of cross-PE channels (backpressure depth).
+    /// Sets the bounded capacity of cross-PE channels in tuples
+    /// (backpressure depth).
     pub fn with_channel_capacity(mut self, cap: usize) -> Self {
         assert!(cap >= 1);
         self.channel_capacity = cap;
@@ -75,8 +76,9 @@ impl GraphBuilder {
     /// Sets the cross-PE transport batch size: the maximum number of tuples
     /// accumulated into one frame before a flush is forced. `1` disables
     /// batching (every tuple travels in its own frame — the legacy
-    /// per-tuple transport, kept for ablation). Flushes also happen
-    /// adaptively before the threshold; see the engine docs.
+    /// per-tuple transport, kept for ablation). A control tuple, end of
+    /// stream, or a PE about to idle or block also sends a partial frame;
+    /// see the engine docs.
     pub fn with_batch_size(mut self, batch: usize) -> Self {
         assert!(batch >= 1, "batch size must be at least 1");
         self.batch_size = batch;

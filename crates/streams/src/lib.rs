@@ -8,8 +8,8 @@
 //! * **stateful custom operators** (their C++ streaming-PCA operator);
 //! * a **multithreaded split** that load-balances a stream across parallel
 //!   engines without blocking on any one target;
-//! * **control ports** carrying synchronization signals, plus the standard
-//!   `Throttle` operator pacing those signals;
+//! * **control ports** carrying synchronization signals (the paper paces
+//!   them with SPL's throttle operator; here their sender paces itself);
 //! * **operator fusion** — operators placed together exchange tuples by
 //!   pointer in memory, while cross-PE edges pay queueing (and, on a real
 //!   cluster, network) costs;

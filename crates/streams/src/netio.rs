@@ -94,13 +94,14 @@ const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 /// because the pump waits on a channel and a connection at once, and `std`
 /// has no `select` over a channel and a socket.
 const IDLE_PROBE: Duration = Duration::from_millis(20);
-/// Frames a receiver parks in front of its consuming PE: the bound of every
-/// channel the transport feeds (DESIGN §12, flow control). Distributed runs
-/// size their channels past the corpus, so without it a sender that
-/// outruns the consumer keeps the whole stream resident twice; frames close
-/// at 64 KiB, so this is 1 MiB. A receiver with a full channel waits for
-/// room and stops reading: the TCP window then holds the sender, which
-/// blocks in `write` like on any slow link.
+/// Full frames a receiver parks in front of its consuming PE: a channel
+/// the transport feeds is bounded at this many batches of tuples (DESIGN
+/// §12, flow control). Distributed runs size their channels past the
+/// corpus, so without it a sender that outruns the consumer keeps the
+/// whole stream resident twice; frames close at 64 KiB, so this is 1 MiB.
+/// A receiver with a full channel waits for room and stops reading: the
+/// TCP window then holds the sender, which blocks in `write` like on any
+/// slow link.
 pub(crate) const INBOUND_FRAMES: usize = 16;
 
 /// Deterministic wire faults, compiled from the fault grammar
@@ -1000,7 +1001,7 @@ mod tests {
         }
         // Every frame has left both links: the pump took it off the
         // outgoing channel and this consumer off the incoming one.
-        assert!(tx_s.is_empty());
+        assert_eq!(tx_s.queued(), 0);
         assert_eq!(rx_r.queued(), 0);
         drop(tx_s);
         while let Ok(frame) = rx_r.recv_timeout(Duration::from_secs(20)) {
@@ -1047,19 +1048,26 @@ mod tests {
 
     #[test]
     fn a_full_inbound_channel_holds_the_sender_until_the_consumer_takes() {
+        // The channel is bounded in tuples, as the engine sizes one the
+        // transport feeds: `INBOUND_FRAMES` frames of `BATCH` rows.
+        const BATCH: u64 = 4;
+        let bound = INBOUND_FRAMES * BATCH as usize;
         let recv_side = NetTransport::bind("127.0.0.1:0").expect("bind");
         let send_side = NetTransport::bind("127.0.0.1:0").expect("bind");
-        let (tx_r, rx_r) = frame_channel(INBOUND_FRAMES, None);
+        let (tx_r, rx_r) = frame_channel(bound, None);
         recv_side.add_incoming(4, tx_r, AckMode::Receipt);
         recv_side.start();
 
         let n_frames = INBOUND_FRAMES as u64 + 8;
-        let (tx_s, rx_s) = frame_channel(n_frames as usize, None);
+        let n_rows = n_frames * BATCH;
+        let (tx_s, rx_s) = frame_channel(n_rows as usize + 1, None);
         send_side.add_outgoing(4, rx_s, recv_side.local_addr());
         send_side.start();
-        for seq in 0..n_frames {
-            let mut tuples = vec![data(seq, seq as f64)];
-            if seq == n_frames - 1 {
+        for f in 0..n_frames {
+            let mut tuples: Vec<Tuple> = (f * BATCH..(f + 1) * BATCH)
+                .map(|seq| data(seq, seq as f64))
+                .collect();
+            if f == n_frames - 1 {
                 tuples.push(Tuple::Punct(Punctuation::EndOfStream));
             }
             assert!(tx_s.send(Frame::from_tuples(&tuples)), "send");
@@ -1069,11 +1077,11 @@ mod tests {
         // The consumer takes nothing: the receiver fills the channel to its
         // bound and then waits, with the rest on the sender's side.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while rx_r.queued() < INBOUND_FRAMES && Instant::now() < deadline {
+        while rx_r.queued() < bound && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(5));
         }
         thread::sleep(Duration::from_millis(200));
-        assert_eq!(rx_r.queued(), INBOUND_FRAMES);
+        assert_eq!(rx_r.queued(), bound);
 
         let mut got = Vec::new();
         let closed = loop {
@@ -1083,8 +1091,8 @@ mod tests {
             }
         };
         assert_eq!(closed, RecvTimeoutError::Disconnected, "GOODBYE closes it");
-        assert_eq!(got.len() as u64, n_frames + 1);
-        for (i, t) in got.iter().take(n_frames as usize).enumerate() {
+        assert_eq!(got.len() as u64, n_rows + 1);
+        for (i, t) in got.iter().take(n_rows as usize).enumerate() {
             match t {
                 Tuple::Data(d) => assert_eq!(d.seq, i as u64),
                 other => panic!("expected data at {i}, got {other:?}"),

@@ -453,13 +453,16 @@ impl FramePool {
 const POOL_BYTES: usize = 1 << 20;
 
 /// The producing end of a cross-PE frame channel: a `std::sync::mpsc`
-/// channel bounded at `cap` frames by its two ends. `std`'s sender cannot
-/// tell how full its channel is, so the ends count frames: one goes up here
-/// before a send and down in [`FrameRx`] as it leaves, and a send waits
-/// while `cap` frames are queued. With one producer per channel,
-/// `is_full` false means the next send does not wait. The bound is not
-/// `sync_channel`'s because that allocates all `cap` slots up front, and a
-/// distributed run sizes `cap` past its corpus.
+/// channel bounded at `cap` tuples by its two ends. `std`'s sender cannot
+/// tell how full its channel is, so the ends count the entries its frames
+/// carry: a frame's length goes up here before a send and down in
+/// [`FrameRx`] as it leaves, and a send waits while `cap` or more are
+/// queued. A channel is full at the same number of tuples whether its
+/// frames are full or a pre-idle flush sent them a few rows each; the last
+/// frame in may overshoot the bound by less than its own length. With one
+/// producer per channel, `is_full` false means the next send does not
+/// wait. The bound is not `sync_channel`'s because that allocates all of
+/// its slots up front, and a distributed run sizes `cap` past its corpus.
 pub(crate) struct FrameTx {
     tx: Sender<Frame>,
     shared: Arc<Shared>,
@@ -480,7 +483,7 @@ pub(crate) struct FrameRx {
     room: Wake,
 }
 
-/// What both ends of a channel share: its bound, the frames sent and not
+/// What both ends of a channel share: its bound, the entries sent and not
 /// yet taken off it, and the pool its frames' buffers cycle through.
 /// `Relaxed` suffices for the count: it publishes no other data, a frame's
 /// increment comes before its send, which the channel orders before the
@@ -488,18 +491,18 @@ pub(crate) struct FrameRx {
 /// woken by the consumer's ring after the decrement.
 struct Shared {
     cap: usize,
-    frames: AtomicUsize,
+    queued: AtomicUsize,
     pool: FramePool,
 }
 
-/// A frame channel holding at most `cap` frames (at least one), whose
-/// sends ring `wake`.
+/// A frame channel holding at most `cap` tuples (at least one) plus the
+/// overshoot of its last frame, whose sends ring `wake`.
 pub(crate) fn frame_channel(cap: usize, wake: Option<Wake>) -> (FrameTx, FrameRx) {
     let (tx, rx) = channel();
     let (room_tx, room) = self::wake();
     let shared = Arc::new(Shared {
         cap: cap.max(1),
-        frames: AtomicUsize::new(0),
+        queued: AtomicUsize::new(0),
         pool: FramePool::new(POOL_BYTES),
     });
     let tx = FrameTx {
@@ -526,9 +529,10 @@ impl FrameTx {
                 return false;
             }
         }
-        self.shared.frames.fetch_add(1, Ordering::Relaxed);
+        let n = frame.len();
+        self.shared.queued.fetch_add(n, Ordering::Relaxed);
         if self.tx.send(frame).is_err() {
-            self.shared.frames.fetch_sub(1, Ordering::Relaxed);
+            self.shared.queued.fetch_sub(n, Ordering::Relaxed);
             return false;
         }
         if let Some(wake) = &self.wake {
@@ -537,15 +541,9 @@ impl FrameTx {
         true
     }
 
-    /// True when the consumer has taken every frame sent. Frames are never
-    /// empty, so no frame queued is no tuple queued.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.shared.frames.load(Ordering::Relaxed) == 0
-    }
-
-    /// True when the channel holds `cap` frames: a send would wait.
+    /// True when the channel holds `cap` or more tuples: a send would wait.
     pub(crate) fn is_full(&self) -> bool {
-        self.shared.frames.load(Ordering::Relaxed) >= self.shared.cap
+        self.shared.queued.load(Ordering::Relaxed) >= self.shared.cap
     }
 
     /// An empty frame, recycled by the consumer.
@@ -571,8 +569,9 @@ impl FrameRx {
     }
 
     fn taken(&self, frame: Frame) -> Frame {
-        // The frames queued before this one left.
-        if self.shared.frames.fetch_sub(1, Ordering::Relaxed) >= self.shared.cap {
+        // Taken from a full channel: the producer may be waiting for room.
+        // If this frame did not make enough, the ring costs it one look.
+        if self.shared.queued.fetch_sub(frame.len(), Ordering::Relaxed) >= self.shared.cap {
             self.room.ring();
         }
         frame
@@ -611,10 +610,17 @@ impl Drop for Wake {
 mod tests {
     use super::*;
 
-    impl FrameRx {
-        /// Frames sent and not yet taken off the channel.
+    impl FrameTx {
+        /// Entries sent and not yet taken off the channel.
         pub(crate) fn queued(&self) -> usize {
-            self.shared.frames.load(Ordering::Relaxed)
+            self.shared.queued.load(Ordering::Relaxed)
+        }
+    }
+
+    impl FrameRx {
+        /// Entries sent and not yet taken off the channel.
+        pub(crate) fn queued(&self) -> usize {
+            self.shared.queued.load(Ordering::Relaxed)
         }
     }
 
@@ -733,13 +739,14 @@ mod tests {
     fn frame_channel_counts_what_it_holds_and_rings_its_consumer() {
         let frame = |n| Frame::from_tuples(&vec![Tuple::Punct(Punctuation::EndOfStream); n]);
         let (wake, woken) = wake();
-        let (tx, rx) = frame_channel(2, Some(wake));
+        let (tx, rx) = frame_channel(4, Some(wake));
         assert!(tx.send(frame(3)));
+        assert_eq!((tx.queued(), tx.is_full()), (3, false));
         assert!(tx.send(frame(1)));
-        assert_eq!((tx.is_empty(), tx.is_full()), (false, true));
+        assert_eq!((tx.queued(), tx.is_full()), (4, true));
         assert_eq!(woken.try_recv(), Ok(()), "a send rings");
         assert_eq!(rx.try_recv().unwrap().len(), 3);
-        assert_eq!((tx.is_empty(), tx.is_full()), (false, false));
+        assert_eq!((tx.queued(), tx.is_full()), (1, false));
         drop(tx);
         assert_eq!(woken.try_recv(), Ok(()), "the producer's drop rings");
         assert_eq!(rx.try_recv().unwrap().len(), 1);
@@ -748,7 +755,32 @@ mod tests {
         let (tx, rx) = frame_channel(1, None);
         drop(rx);
         assert!(!tx.send(frame(2)), "a send to a gone consumer fails");
-        assert_eq!((tx.is_empty(), tx.is_full()), (true, false));
+        assert_eq!((tx.queued(), tx.is_full()), (0, false));
+    }
+
+    #[test]
+    fn a_frame_channel_is_bounded_in_tuples_not_frames() {
+        const CAP: usize = 8;
+        let row = |i| Tuple::Data(DataTuple::new(i as u64, vec![0.0]));
+        let (tx, rx) = frame_channel(CAP, None);
+        for i in 0..CAP {
+            assert!(!tx.is_full(), "{i} one-row frames do not fill {CAP}");
+            assert!(tx.send(Frame::from_tuples(&[row(i)])));
+        }
+        assert!(tx.is_full(), "{CAP} one-row frames fill it");
+        for _ in 0..CAP {
+            assert_eq!(rx.try_recv().unwrap().len(), 1);
+        }
+        assert!(!tx.is_full());
+        let rows: Vec<Tuple> = (0..CAP).map(row).collect();
+        assert!(tx.send(Frame::from_tuples(&rows)));
+        assert!(tx.is_full(), "one {CAP}-row frame fills it");
+        // A frame sent below the bound may overshoot it by its own length.
+        assert_eq!(rx.try_recv().unwrap().len(), CAP);
+        assert!(tx.send(Frame::from_tuples(&rows[..CAP - 1])));
+        assert!(!tx.is_full());
+        assert!(tx.send(Frame::from_tuples(&rows)));
+        assert_eq!((tx.queued(), tx.is_full()), (2 * CAP - 1, true));
     }
 
     #[test]

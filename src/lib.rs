@@ -14,7 +14,7 @@
 //! * [`spectra`] — synthetic SDSS-like galaxy spectra, outliers, gaps, and
 //!   Gaussian performance workloads.
 //! * [`streams`] — the dataflow engine: tuples, operators, threaded split,
-//!   throttle, control ports, fusion, metrics.
+//!   control ports, fusion, metrics.
 //! * [`cluster`] — a calibrated discrete-event simulator of the paper's
 //!   10-node / 1 GbE cluster for the scaling experiments.
 //! * [`engine`] — the full parallel streaming-PCA application (paper Fig. 2)
