@@ -279,8 +279,8 @@ fn complete_basis(basis: &mut Mat) {
 
 /// Top-`p` eigensystem of the (optionally weighted) sample covariance.
 ///
-/// Chooses between the Gram trick (n < d: SVD of the `n`-column centered
-/// data matrix) and the explicit `d × d` covariance eigensolve (n ≥ d),
+/// Chooses between the Gram trick (n ≤ d: SVD of the `n`-column centered
+/// data matrix) and the explicit `d × d` covariance eigensolve (n > d),
 /// both exact.
 fn covariance_eigensystem(
     data: &[Vec<f64>],
@@ -294,17 +294,18 @@ fn covariance_eigensystem(
         Some(w) => w.iter().sum(),
         None => n as f64,
     };
-    if d >= n {
-        // Thin SVD of weighted centered columns: C = Y Yᵀ / wsum.
-        let mut y = Mat::zeros(d, n);
-        for (j, x) in data.iter().enumerate() {
-            let wj = weights.map_or(1.0, |w| w[j]);
-            let s = (wj / wsum).max(0.0).sqrt();
-            let col = y.col_mut(j);
-            for ((o, &xi), &mi) in col.iter_mut().zip(x).zip(mean) {
-                *o = s * (xi - mi);
-            }
+    // Weighted centered columns: C = Y Yᵀ / wsum.
+    let mut y = Mat::zeros(d, n);
+    for (j, x) in data.iter().enumerate() {
+        let wj = weights.map_or(1.0, |w| w[j]);
+        let s = (wj / wsum).max(0.0).sqrt();
+        let col = y.col_mut(j);
+        for ((o, &xi), &mi) in col.iter_mut().zip(x).zip(mean) {
+            *o = s * (xi - mi);
         }
+    }
+    if d >= n {
+        // Thin SVD of Y.
         let f = svd::thin_svd(&y)?;
         let k = p.min(f.s.len());
         let mut basis = Mat::zeros(d, p);
@@ -317,35 +318,32 @@ fn covariance_eigensystem(
         Ok((basis, values))
     } else {
         // Explicit covariance + symmetric eigensolve.
-        let mut y = Mat::zeros(d, n);
-        for (j, x) in data.iter().enumerate() {
-            let wj = weights.map_or(1.0, |w| w[j]);
-            let s = (wj / wsum).max(0.0).sqrt();
-            let col = y.col_mut(j);
-            for ((o, &xi), &mi) in col.iter_mut().zip(x).zip(mean) {
-                *o = s * (xi - mi);
-            }
-        }
-        let cov = gemm::par_gemm(&y, &y.transpose(), 0)?;
-        // Full Jacobi is O(d³) per sweep; for large covariances with few
-        // requested components, block subspace iteration gets the same
-        // eigenpairs in O(d²p) per step.
-        let (vals, vecs) = if d > 128 && 8 * p < d {
-            let r = spca_linalg::subspace::top_k_symmetric(&cov, p, 1e-11, 400)?;
-            (r.values, r.vectors)
-        } else {
-            let e = eigen::sym_eigen(&cov)?;
-            e.top_k(p)
-        };
-        let mut values = vals;
-        values.resize(p, 0.0);
-        let mut basis = Mat::zeros(d, p);
-        for j in 0..vecs.cols() {
-            basis.col_mut(j).copy_from_slice(vecs.col(j));
-        }
-        complete_basis(&mut basis);
-        Ok((basis, values.into_iter().map(|v| v.max(0.0)).collect()))
+        top_eigenpairs(&gemm::syrk(&y), p)
     }
+}
+
+/// The top `p` eigenpairs of the symmetric `d × d` covariance `cov`, the
+/// basis completed to `p` orthonormal columns and the values clamped at 0.
+fn top_eigenpairs(cov: &Mat, p: usize) -> Result<(Mat, Vec<f64>)> {
+    let d = cov.rows();
+    // Full Jacobi is O(d³) per sweep; for large covariances with few
+    // requested components, block subspace iteration gets the same
+    // eigenpairs in O(d²p) per step.
+    let (vals, vecs) = if d > 128 && 8 * p < d {
+        let r = spca_linalg::subspace::top_k_symmetric(cov, p, 1e-11, 400)?;
+        (r.values, r.vectors)
+    } else {
+        let e = eigen::sym_eigen(cov)?;
+        e.top_k(p)
+    };
+    let mut values = vals;
+    values.resize(p, 0.0);
+    let mut basis = Mat::zeros(d, p);
+    for j in 0..vecs.cols() {
+        basis.col_mut(j).copy_from_slice(vecs.col(j));
+    }
+    complete_basis(&mut basis);
+    Ok((basis, values.into_iter().map(|v| v.max(0.0)).collect()))
 }
 
 /// Initializes an eigensystem from a warm-up batch with plain batch PCA.
@@ -512,6 +510,51 @@ mod tests {
                 (total_var - explained - resid).abs() < 1e-6 * total_var.max(1.0),
                 "variance bookkeeping: {total_var} vs {explained}+{resid}"
             );
+        }
+    }
+
+    #[test]
+    fn covariance_path_matches_the_full_product() {
+        // The covariance as a general product of Y with its transpose, as
+        // it was formed before the one-triangle product, through the same
+        // eigensolve: the values agree to rounding and the subspaces to
+        // the sine of their largest principal angle. d = 61 leaves five
+        // rows outside the kernel's 8-row tiles; d = 200 takes the
+        // subspace-iteration solver.
+        let mut rng = StdRng::seed_from_u64(35);
+        for (d, n, p) in [(61usize, 300usize, 5usize), (200, 400, 4)] {
+            let mut mix = Mat::zeros(d, d);
+            spca_linalg::rng::fill_standard_normal(&mut rng, mix.as_mut_slice());
+            let data: Vec<Vec<f64>> = (0..n)
+                .map(|_| {
+                    // Scales 1, 1/2, 1/3, …: distinct eigenvalues.
+                    let c: Vec<f64> = (0..d)
+                        .map(|i| spca_linalg::rng::standard_normal(&mut rng) / (i + 1) as f64)
+                        .collect();
+                    mix.matvec(&c).unwrap()
+                })
+                .collect();
+            let got = batch_pca(&data, p).unwrap();
+
+            let mut y = Mat::zeros(d, n);
+            let s = (1.0 / n as f64).sqrt();
+            for (j, x) in data.iter().enumerate() {
+                for ((o, &xi), &mi) in y.col_mut(j).iter_mut().zip(x).zip(&got.mean) {
+                    *o = s * (xi - mi);
+                }
+            }
+            let full = gemm::gemm(&y, &y.transpose()).unwrap();
+            let (basis, values) = top_eigenpairs(&full, p).unwrap();
+
+            for (a, b) in got.values.iter().zip(&values) {
+                assert!((a - b).abs() <= 1e-12 * b.abs(), "d={d}: value {a} vs {b}");
+            }
+            // sin θ_max = ‖B − A·AᵀB‖₂ for orthonormal A and B; the
+            // residual's norm keeps its precision where 1 − cos² does not.
+            let atb = gemm::gemm(&got.basis.transpose(), &basis).unwrap();
+            let resid = basis.sub(&gemm::gemm(&got.basis, &atb).unwrap()).unwrap();
+            let sin = svd::thin_svd(&resid).unwrap().s[0];
+            assert!(sin <= 1e-10, "d={d}: principal-angle sine {sin}");
         }
     }
 

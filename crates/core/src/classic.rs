@@ -165,21 +165,13 @@ impl DeferredBasis {
     }
 
     /// The squared residual of the projected `y` against the top `p`
-    /// columns of `E`: `‖y‖² − Σ_{i<p} (Mᵀβ)ᵢ²`. The difference carries an
-    /// error of a few ulps of `‖y‖²`, so a result inside that is zero: a
-    /// row in span(E) is not a row with a rounding-sized residual, whose
-    /// weight against a zero M-scale would let it replace the covariance.
+    /// columns of `E`: [`residual_from`] `‖y‖²` and `c = (Mᵀβ)_{<p}`.
     pub(crate) fn residual_sq(&self, y_norm_sq: f64, p: usize, step: &mut StepScratch) -> f64 {
         let (n, p) = (self.k + self.j, p.min(self.k));
         step.c.clear();
         step.c.resize(p, 0.0);
         kernels::gemv_t(&self.m[..n * p], None, &mut step.beta, Some(&mut step.c));
-        let r2 = (y_norm_sq - vecops::norm_sq(&step.c)).max(0.0);
-        if y_norm_sq.is_finite() && r2 <= (p + 1) as f64 * f64::EPSILON * y_norm_sq {
-            0.0
-        } else {
-            r2
-        }
+        residual_from(y_norm_sq, &step.c)
     }
 
     /// `E = B·M` into `out` (`d × k`), leaving the state as it is; `out`
@@ -582,6 +574,21 @@ pub(crate) fn low_rank_update(
     basis.j += append;
     basis.pending = true;
     Ok(())
+}
+
+/// The squared residual `‖y‖² − ‖c‖²` of `y` against orthonormal columns
+/// on which its coefficients are `c`. The difference carries an error of a
+/// few ulps of `‖y‖²`, so a result inside that is zero: a row in span(E)
+/// is not a row with a rounding-sized residual, whose weight against a
+/// zero M-scale would let it replace the covariance. The update and the
+/// served outlier score both end here.
+pub(crate) fn residual_from(y_norm_sq: f64, c: &[f64]) -> f64 {
+    let r2 = (y_norm_sq - vecops::norm_sq(c)).max(0.0);
+    if y_norm_sq.is_finite() && r2 <= (c.len() + 1) as f64 * f64::EPSILON * y_norm_sq {
+        0.0
+    } else {
+        r2
+    }
 }
 
 /// Geometric series Σ_{i=0}^{n-1} α^i.

@@ -40,8 +40,9 @@
 
 use crate::persist;
 use spca_core::{merge, merge_all, EigenSystem, RobustPca};
-use spca_streams::metrics::{OpSnapshot, RateProbe};
+use spca_streams::metrics::OpSnapshot;
 use spca_streams::{lock, ActiveSet, RunningEngine};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -228,9 +229,55 @@ impl ElasticRuntime {
 
 /// Per-epoch measurements the supervisor bases its decision on.
 struct EpochWindow {
-    probe: RateProbe,
+    absorbed: u64,
     backlog: u64,
     started: Instant,
+}
+
+/// Per-engine capacity: the peak throughput of one engine, read from the
+/// engines' `tuples_in`.
+///
+/// That count moves a frame (64 rows by default) at a time, so one short
+/// epoch's delta is off by up to a frame per engine: at 3,000 tuples/s on
+/// a 30 ms epoch it reads ~2,100 or ~4,200, and a peak over such deltas
+/// keeps the high one. A rate over [`Self::WINDOW_EPOCHS`] epochs holds
+/// many frames; the peak is taken over those. The window restarts at
+/// every rescale, since earlier counts measure another fleet size.
+#[derive(Debug, Default)]
+struct CapacityMeter {
+    /// `(seconds, tuples absorbed)` at the epoch ends since the last
+    /// restart, oldest first; at most `WINDOW_EPOCHS + 1`.
+    marks: VecDeque<(f64, u64)>,
+    /// Highest per-engine rate over a full window so far.
+    peak: f64,
+}
+
+impl CapacityMeter {
+    /// Epochs one rate is measured over.
+    const WINDOW_EPOCHS: usize = 8;
+
+    /// Starts a new window at `absorbed` tuples, `at` seconds: the fleet
+    /// has just started or changed size.
+    fn restart(&mut self, at: f64, absorbed: u64) {
+        self.marks.clear();
+        self.marks.push_back((at, absorbed));
+    }
+
+    /// Records an epoch's end and returns the per-engine capacity to
+    /// decide with: the peak, or the rate over the window so far where
+    /// that is higher. Only a full window's rate is kept as the peak.
+    fn observe(&mut self, at: f64, absorbed: u64, active: usize) -> f64 {
+        self.marks.push_back((at, absorbed));
+        if self.marks.len() > Self::WINDOW_EPOCHS + 1 {
+            self.marks.pop_front();
+        }
+        let (t0, n0) = self.marks[0];
+        let rate = absorbed.saturating_sub(n0) as f64 / (at - t0).max(1e-9) / active as f64;
+        if self.marks.len() > Self::WINDOW_EPOCHS {
+            self.peak = self.peak.max(rate);
+        }
+        self.peak.max(rate)
+    }
 }
 
 /// The live autoscaler: probes the running dataflow's throughput and
@@ -243,7 +290,8 @@ struct EpochWindow {
 /// falls behind, the backlog between the source and the engines grows
 /// and the difference is exactly the unmet demand. Capacity at a pool
 /// size is extrapolated from the peak per-engine throughput observed so
-/// far (the engines are homogeneous replicas).
+/// far over several epochs (the engines are homogeneous replicas; see
+/// [`CapacityMeter`]).
 pub struct ElasticSupervisor {
     policy: ElasticPolicy,
     runtime: ElasticRuntime,
@@ -251,7 +299,7 @@ pub struct ElasticSupervisor {
     started: Instant,
     window: Option<EpochWindow>,
     since_action: usize,
-    peak_per_engine: f64,
+    capacity: CapacityMeter,
     /// Every rescale executed so far, in order.
     pub events: Vec<ScaleEvent>,
 }
@@ -273,7 +321,7 @@ impl ElasticSupervisor {
             started: Instant::now(),
             window: None,
             since_action: 0,
-            peak_per_engine: 0.0,
+            capacity: CapacityMeter::default(),
             events: Vec::new(),
         }
     }
@@ -283,8 +331,8 @@ impl ElasticSupervisor {
         &self.runtime
     }
 
-    /// Tuples emitted by the source but not yet absorbed by an engine.
-    fn backlog(snapshots: &[(String, OpSnapshot)]) -> u64 {
+    /// Tuples emitted by the source and tuples absorbed by the engines.
+    fn counts(snapshots: &[(String, OpSnapshot)]) -> (u64, u64) {
         let mut produced = 0u64;
         let mut absorbed = 0u64;
         for (name, s) in snapshots {
@@ -294,7 +342,7 @@ impl ElasticSupervisor {
                 absorbed += s.tuples_in;
             }
         }
-        produced.saturating_sub(absorbed)
+        (produced, absorbed)
     }
 
     /// One supervisor step: cheap until a full epoch has elapsed, then
@@ -303,24 +351,24 @@ impl ElasticSupervisor {
     /// application's polling loop while the engine runs.
     pub fn tick(&mut self, running: &RunningEngine) -> Option<ScaleEvent> {
         let named = running.op_snapshots();
+        let (produced, absorbed) = Self::counts(&named);
+        let backlog_now = produced.saturating_sub(absorbed);
         let Some(window) = &self.window else {
             self.window = Some(EpochWindow {
-                probe: RateProbe::start(named.iter().map(|(_, s)| *s).collect()),
-                backlog: Self::backlog(&named),
+                absorbed,
+                backlog: backlog_now,
                 started: Instant::now(),
             });
+            self.capacity
+                .restart(self.started.elapsed().as_secs_f64(), absorbed);
             return None;
         };
         if window.started.elapsed() < self.epoch {
             return None;
         }
 
-        let snaps: Vec<OpSnapshot> = named.iter().map(|(_, s)| *s).collect();
-        let achieved = window
-            .probe
-            .total_rate_in(&snaps, |i| named[i].0.starts_with("pca-"));
         let dt = window.started.elapsed().as_secs_f64().max(1e-9);
-        let backlog_now = Self::backlog(&named);
+        let achieved = absorbed.saturating_sub(window.absorbed) as f64 / dt;
         let growth = (backlog_now as f64 - window.backlog as f64) / dt;
         // A full edge holds the source to the engines' pace, so the
         // backlog stops growing at the edges' bound however far behind the
@@ -334,7 +382,7 @@ impl ElasticSupervisor {
         // Re-arm the measurement window before deciding, so a slow
         // migration does not stretch the next epoch's denominator.
         self.window = Some(EpochWindow {
-            probe: RateProbe::start(snaps),
+            absorbed,
             backlog: backlog_now,
             started: Instant::now(),
         });
@@ -345,8 +393,9 @@ impl ElasticSupervisor {
             self.since_action = self.since_action.saturating_add(1);
             return None;
         }
-        self.peak_per_engine = self.peak_per_engine.max(achieved / active as f64);
-        let per_engine = self.peak_per_engine;
+        let per_engine =
+            self.capacity
+                .observe(self.started.elapsed().as_secs_f64(), absorbed, active);
         let action = self.policy.decide(
             offered,
             active,
@@ -379,6 +428,11 @@ impl ElasticSupervisor {
         if applied == 0 {
             return None;
         }
+        // The fleet changed size: measure it afresh from here, after the
+        // migration (a scale-in's drain is absorbed by then).
+        let (_, absorbed) = Self::counts(&running.op_snapshots());
+        self.capacity
+            .restart(self.started.elapsed().as_secs_f64(), absorbed);
         let event = ScaleEvent {
             at: self.started.elapsed(),
             action: applied,
@@ -554,7 +608,39 @@ mod tests {
             ("pca-1".to_string(), snap(430, 0)),
             ("monitor".to_string(), snap(7, 0)),
         ];
-        assert_eq!(ElasticSupervisor::backlog(&named), 70);
+        assert_eq!(ElasticSupervisor::counts(&named), (1000, 930));
+    }
+
+    #[test]
+    fn capacity_reads_a_steady_rate_through_frame_quantised_counts() {
+        // Engines absorbing 3,000 tuples/s each, each one's count moving 64
+        // rows at a time, sampled every 30 ms: one epoch's delta reads
+        // 2,133 or 4,267 per engine.
+        let (rate, frame, epoch) = (3000.0, 64u64, 0.030);
+        let count = |at: f64, engines: u64| engines * ((rate * at) as u64 / frame * frame);
+        let mut meter = CapacityMeter::default();
+        meter.restart(0.0, 0);
+        let mut at = 0.0;
+        for e in 1..=60 {
+            at = e as f64 * epoch;
+            let got = meter.observe(at, count(at, 1), 1);
+            if e >= CapacityMeter::WINDOW_EPOCHS {
+                assert!((got - rate).abs() <= 0.25 * rate, "epoch {e}: {got}");
+            }
+        }
+        // A second engine joins: the window restarts on the new fleet.
+        let (t0, n0) = (at, count(at, 1));
+        meter.restart(t0, n0);
+        for e in 1..=60 {
+            let at = t0 + e as f64 * epoch;
+            let got = meter.observe(at, n0 + count(at - t0, 2), 2);
+            if e >= CapacityMeter::WINDOW_EPOCHS {
+                assert!(
+                    (got - rate).abs() <= 0.25 * rate,
+                    "2 engines, epoch {e}: {got}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -158,9 +158,7 @@ pub unsafe fn rotate2(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
 /// `pack[4·l + jj]` is `B[l, j0 + jj]`, so the micro-kernel's inner loop
 /// reads four consecutive doubles per `l` — one cache line feeds four
 /// broadcasts. A needs no packing: an 8-row stripe of one A column is
-/// already contiguous in the column-major layout. A last strip of fewer
-/// than four columns is packed with zeros and runs in the same register
-/// tile, into a copy of the output tile holding its real columns.
+/// already contiguous in the column-major layout.
 #[target_feature(enable = "avx2", enable = "fma")]
 pub unsafe fn gemm_block(
     m: usize,
@@ -173,7 +171,6 @@ pub unsafe fn gemm_block(
 ) {
     pack.clear();
     pack.resize(4 * k, 0.0);
-    let ap = a.as_ptr();
     let mut j0 = 0;
     while j0 < width {
         let w = (width - j0).min(4);
@@ -187,39 +184,114 @@ pub unsafe fn gemm_block(
                 };
             }
         }
-        let pb = pack.as_ptr();
-        let mut i0 = 0;
-        while i0 + 8 <= m {
-            let c = out.as_mut_ptr().add(j0 * m + i0);
-            if w == 4 {
-                micro_8x4(m, m, k, ap.add(i0), pb, c);
-            } else {
-                let mut tile = [0.0f64; 32];
-                for jj in 0..w {
-                    std::ptr::copy_nonoverlapping(c.add(jj * m), tile.as_mut_ptr().add(8 * jj), 8);
-                }
-                micro_8x4(m, 8, k, ap.add(i0), pb, tile.as_mut_ptr());
-                for jj in 0..w {
-                    std::ptr::copy_nonoverlapping(tile.as_ptr().add(8 * jj), c.add(jj * m), 8);
+        strip(
+            m,
+            k,
+            w,
+            0,
+            a.as_ptr(),
+            pack.as_ptr(),
+            out.as_mut_ptr().add(j0 * m),
+        );
+        j0 += w;
+    }
+}
+
+/// The lower triangle of `A·Aᵀ` accumulated into the `m × m` `out`: the
+/// [`gemm_block`] strips with `B = Aᵀ`, each run from its diagonal down.
+/// Column `j` of `Aᵀ` is row `j` of A, so a strip packs four adjacent
+/// entries of every A column and no transposed copy is made. The tiles on
+/// the diagonal also accumulate a few entries above it. The columns of A
+/// are taken [`SYRK_KC`] at a time.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn syrk_lower(m: usize, k: usize, a: &[f64], out: &mut [f64], pack: &mut Vec<f64>) {
+    let kc_max = SYRK_KC.min(k);
+    pack.clear();
+    pack.resize(4 * kc_max, 0.0);
+    let mut l0 = 0;
+    while l0 < k {
+        let kc = (k - l0).min(kc_max);
+        let ap = a.as_ptr().add(l0 * m);
+        let mut j0 = 0;
+        while j0 < m {
+            let w = (m - j0).min(4);
+            for l in 0..kc {
+                for jj in 0..4 {
+                    *pack.get_unchecked_mut(4 * l + jj) = if jj < w {
+                        *ap.add(l * m + j0 + jj)
+                    } else {
+                        0.0
+                    };
                 }
             }
-            i0 += 8;
+            strip(
+                m,
+                kc,
+                w,
+                j0,
+                ap,
+                pack.as_ptr(),
+                out.as_mut_ptr().add(j0 * m),
+            );
+            j0 += w;
         }
-        // Remainder rows of this strip: scalar per-column accumulation.
-        if i0 < m {
+        l0 += kc;
+    }
+}
+
+/// Columns of A per [`syrk_lower`] pass: the `m × 128` slice the strips
+/// sweep (0.5 MB at m = 500) stays in cache, where a sweep of the whole of
+/// A streams it from memory once per strip (3× the time at 500 × 4,000). The
+/// micro-kernel accumulates into C, so the passes sum in the same order as
+/// one pass over all of k, to the bit.
+const SYRK_KC: usize = 128;
+
+/// Rows `[row0, m)` of one output strip of `w ≤ 4` columns at `c` (`m`
+/// apart): `C += A · B` for the packed B strip `pb` (`4k` long, zeros past
+/// column `w`). Full 8-row tiles run in the micro-kernel; a strip of fewer
+/// than four columns runs in the same register tile, into a copy of the
+/// output tile holding its real columns. The last `< 8` rows accumulate
+/// per column in scalar code.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn strip(
+    m: usize,
+    k: usize,
+    w: usize,
+    row0: usize,
+    ap: *const f64,
+    pb: *const f64,
+    c: *mut f64,
+) {
+    let mut i0 = row0;
+    while i0 + 8 <= m {
+        let ct = c.add(i0);
+        if w == 4 {
+            micro_8x4(m, m, k, ap.add(i0), pb, ct);
+        } else {
+            let mut tile = [0.0f64; 32];
             for jj in 0..w {
-                let col = out.as_mut_ptr().add((j0 + jj) * m);
-                for l in 0..k {
-                    let b = *pb.add(4 * l + jj);
-                    if b != 0.0 {
-                        for i in i0..m {
-                            *col.add(i) += b * *ap.add(l * m + i);
-                        }
+                std::ptr::copy_nonoverlapping(ct.add(jj * m), tile.as_mut_ptr().add(8 * jj), 8);
+            }
+            micro_8x4(m, 8, k, ap.add(i0), pb, tile.as_mut_ptr());
+            for jj in 0..w {
+                std::ptr::copy_nonoverlapping(tile.as_ptr().add(8 * jj), ct.add(jj * m), 8);
+            }
+        }
+        i0 += 8;
+    }
+    if i0 < m {
+        for jj in 0..w {
+            let col = c.add(jj * m);
+            for l in 0..k {
+                let b = *pb.add(4 * l + jj);
+                if b != 0.0 {
+                    for i in i0..m {
+                        *col.add(i) += b * *ap.add(l * m + i);
                     }
                 }
             }
         }
-        j0 += w;
     }
 }
 

@@ -125,8 +125,7 @@ pub fn set_backend_override(b: Option<Backend>) {
 }
 
 thread_local! {
-    /// Reusable B-panel packing buffer for the AVX2 GEMM micro-kernel.
-    /// One per thread so `par_gemm`'s column-band workers never contend.
+    /// Reusable B-panel packing buffer of the AVX2 GEMM micro-kernel.
     static PACK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     /// Per-column four-lane partial sums of the AVX2 [`gemv_t`].
     static ACC: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
@@ -292,6 +291,39 @@ pub fn gemm_block_on(
             });
             #[cfg(not(target_arch = "x86_64"))]
             scalar::gemm_block(m, k, width, a, bpan, out);
+        }
+    }
+}
+
+/// The lower triangle of the symmetric `A·Aᵀ` on the dispatched backend,
+/// accumulated into `out`, where `A` is `m × k` and `out` is `m × m`, both
+/// column-major: every entry on or below the diagonal, half the work of
+/// [`gemm_block`] with `B = Aᵀ`. Entries above the diagonal are not part
+/// of the result (the diagonal tiles touch some of them); the caller
+/// mirrors the lower triangle.
+#[inline]
+pub fn syrk_lower(m: usize, k: usize, a: &[f64], out: &mut [f64]) {
+    syrk_lower_on(backend(), m, k, a, out);
+}
+
+/// [`syrk_lower`] on an explicit backend.
+pub fn syrk_lower_on(be: Backend, m: usize, k: usize, a: &[f64], out: &mut [f64]) {
+    assert_eq!(a.len(), m * k, "syrk_lower: A shape mismatch");
+    assert_eq!(out.len(), m * m, "syrk_lower: output shape mismatch");
+    if m == 0 || k == 0 {
+        return;
+    }
+    match be {
+        Backend::Scalar => scalar::syrk_lower(m, a, out),
+        Backend::Avx2Fma => {
+            #[cfg(target_arch = "x86_64")]
+            PACK.with(|p| {
+                let mut pack = p.borrow_mut();
+                // SAFETY: Avx2Fma is only selected after runtime detection.
+                unsafe { avx2::syrk_lower(m, k, a, out, &mut pack) }
+            });
+            #[cfg(not(target_arch = "x86_64"))]
+            scalar::syrk_lower(m, a, out);
         }
     }
 }

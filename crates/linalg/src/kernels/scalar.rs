@@ -84,6 +84,20 @@ pub fn gemm_block(m: usize, k: usize, _width: usize, a: &[f64], bpan: &[f64], ou
     }
 }
 
+/// The lower triangle of `A·Aᵀ` accumulated into `out` (column-major,
+/// shapes checked by the dispatcher): [`gemm_block`]'s loop with
+/// `B = Aᵀ`, each output column from its diagonal down.
+pub fn syrk_lower(m: usize, a: &[f64], out: &mut [f64]) {
+    for (j, out_col) in out.chunks_exact_mut(m).enumerate() {
+        for a_col in a.chunks_exact(m) {
+            let alj = a_col[j];
+            if alj != 0.0 {
+                axpy(alj, &a_col[j..], &mut out_col[j..]);
+            }
+        }
+    }
+}
+
 /// The transposed product `Xᵀ·y` with its optional pre-update (shapes
 /// checked by the dispatcher): `y ← y − X·sub` as one axpy per column, then
 /// one dot per column into `out`, then `yᵀy`.

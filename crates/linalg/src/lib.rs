@@ -15,15 +15,16 @@
 //!   update (paper eq. 1–3).
 //! * [`eigen`] — a symmetric Jacobi eigensolver for the small dense
 //!   eigenproblems arising in batch baselines and eigensystem merges.
-//! * [`gemm`] — blocked and multi-threaded matrix multiply for the batch
-//!   covariance baselines.
+//! * [`gemm`] — blocked matrix multiply, and the one-triangle symmetric
+//!   product `A·Aᵀ` for the batch covariance baselines.
 //! * [`rng`] — Gaussian sampling helpers (Box–Muller) so that workload
 //!   generators do not need `rand_distr`.
 //! * [`kernels`] — the hardware-aware kernel layer underneath all of the
 //!   above: runtime-dispatched AVX2+FMA implementations of `dot`, `axpy`,
 //!   `scale`, `norm_sq`, the Jacobi plane rotation, the GEMM inner block
-//!   and the fused transposed product `Xᵀ·y` of the streaming projection,
-//!   with the portable unrolled scalar code as fallback (pin it with `SPCA_FORCE_SCALAR=1`).
+//!   (and its lower-triangle `A·Aᵀ` form) and the fused transposed product
+//!   `Xᵀ·y` of the streaming projection, with the portable unrolled scalar
+//!   code as fallback (pin it with `SPCA_FORCE_SCALAR=1`).
 //!
 //! All routines are pure Rust, allocation-conscious, and tested against
 //! algebraic identities (orthogonality, reconstruction) with both unit and

@@ -10,8 +10,8 @@
 //! survey cannot.
 
 use crate::contaminants::{self, ContaminantKind};
-use crate::continuum::continuum_curve;
-use crate::lines::{add_line, ABSORPTION_LINES, EMISSION_LINES};
+use crate::continuum::{passive, star_forming};
+use crate::lines::{gaussian_profile, Line, ABSORPTION_LINES, EMISSION_LINES};
 use crate::normalize::unit_norm_masked;
 use crate::wavelength::WavelengthGrid;
 use rand::Rng;
@@ -47,11 +47,65 @@ pub struct Spectrum {
 /// One CSV-ready observation: unit-normalized flux and its observed-bin mask.
 pub type MaskedRow = (Vec<f64>, Vec<bool>);
 
+/// One catalog line's Gaussian profile on a grid: the values over the
+/// contiguous run of pixels [`crate::lines::add_line`] touches (its ±5σ
+/// window), starting at pixel `start`.
+#[derive(Debug, Clone)]
+struct LineWindow {
+    start: usize,
+    profile: Vec<f64>,
+}
+
+impl LineWindow {
+    fn new(lambdas: &[f64], line: &Line) -> Self {
+        // The same window test as `add_line`; the grid is increasing, so
+        // the pixels inside form one run.
+        let lo = line.lambda - 5.0 * line.width;
+        let hi = line.lambda + 5.0 * line.width;
+        let inside = |l: f64| l >= lo && l <= hi;
+        let start = lambdas
+            .iter()
+            .position(|&l| inside(l))
+            .unwrap_or(lambdas.len());
+        let profile: Vec<f64> = lambdas[start..]
+            .iter()
+            .take_while(|&&l| inside(l))
+            .map(|&l| gaussian_profile(l, line.lambda, line.width))
+            .collect();
+        debug_assert_eq!(
+            profile.len(),
+            lambdas.iter().filter(|&&l| inside(l)).count()
+        );
+        LineWindow { start, profile }
+    }
+
+    /// `flux += amplitude · profile` over the window: `add_line`'s sum.
+    fn add(&self, flux: &mut [f64], amplitude: f64) {
+        let window = &mut flux[self.start..self.start + self.profile.len()];
+        for (f, &g) in window.iter_mut().zip(&self.profile) {
+            *f += amplitude * g;
+        }
+    }
+}
+
 /// Configuration and machinery for galaxy spectrum generation.
+///
+/// Everything that depends only on the grid — both continuum templates and
+/// every line's profile — is evaluated once here, so [`Self::model`] is a
+/// blend and a few short sums. It performs the same floating-point
+/// operations on the same operands as evaluating `continuum` and
+/// `add_line` per pixel, so every spectrum is bit-identical to that.
 #[derive(Debug, Clone)]
 pub struct GalaxyGenerator {
     grid: WavelengthGrid,
-    lambdas: Vec<f64>,
+    /// `star_forming(λ)` per pixel.
+    blue: Vec<f64>,
+    /// `passive(λ)` per pixel.
+    red: Vec<f64>,
+    /// [`EMISSION_LINES`]' windows, in catalog order.
+    emission: Vec<LineWindow>,
+    /// [`ABSORPTION_LINES`]' windows, in catalog order.
+    absorption: Vec<LineWindow>,
     /// Per-pixel Gaussian noise σ.
     pub noise_sigma: f64,
     /// Maximum redshift drawn.
@@ -66,9 +120,13 @@ impl GalaxyGenerator {
     pub fn new(n_pixels: usize, z_max: f64) -> Self {
         let grid = WavelengthGrid::rest_frame(n_pixels, z_max);
         let lambdas = grid.lambdas();
+        let windows = |lines: &[Line]| lines.iter().map(|l| LineWindow::new(&lambdas, l)).collect();
         GalaxyGenerator {
+            blue: lambdas.iter().map(|&l| star_forming(l)).collect(),
+            red: lambdas.iter().map(|&l| passive(l)).collect(),
+            emission: windows(EMISSION_LINES),
+            absorption: windows(ABSORPTION_LINES),
             grid,
-            lambdas,
             noise_sigma: 0.02,
             z_max,
             passive_fraction: 0.4,
@@ -82,7 +140,7 @@ impl GalaxyGenerator {
 
     /// Pixel count per spectrum.
     pub fn dim(&self) -> usize {
-        self.lambdas.len()
+        self.blue.len()
     }
 
     /// Draws latent parameters from the population model.
@@ -113,23 +171,30 @@ impl GalaxyGenerator {
 
     /// Deterministic noiseless spectrum for given parameters.
     pub fn model(&self, p: &GalaxyParams) -> Vec<f64> {
-        let mut flux = continuum_curve(&self.lambdas, p.age);
+        // `continuum(λ, age)` on the stored templates.
+        let a = p.age.clamp(0.0, 1.0);
+        let mut flux: Vec<f64> = self
+            .blue
+            .iter()
+            .zip(&self.red)
+            .map(|(&b, &r)| (1.0 - a) * b + a * r)
+            .collect();
         // Emission lines, suppressed by age; AGN boosts [OIII] and the
         // Balmer lines. Strong star-formers show Hα at several times the
         // continuum (equivalent widths of tens to hundreds of Å), which is
         // what makes the emission pattern a principal component of the
         // population.
-        for line in EMISSION_LINES {
+        for (line, window) in EMISSION_LINES.iter().zip(&self.emission) {
             let boost = if line.name.starts_with("[OIII]") || line.name.starts_with("H") {
                 1.0 + 2.0 * p.agn
             } else {
                 1.0
             };
-            add_line(&mut flux, &self.lambdas, line, 3.0 * p.emission * boost);
+            window.add(&mut flux, 3.0 * p.emission * boost);
         }
         // Absorption features grow with age.
-        for line in ABSORPTION_LINES {
-            add_line(&mut flux, &self.lambdas, line, -0.35 * p.age);
+        for window in &self.absorption {
+            window.add(&mut flux, -0.35 * p.age);
         }
         for f in flux.iter_mut() {
             *f = (*f).max(0.0) * p.brightness;
@@ -331,6 +396,110 @@ mod tests {
         // windows never cover the whole rest grid.
         assert!(lo_z_cov.iter().all(|&n| n < 400));
         assert!(hi_z_cov.iter().all(|&n| n < 400));
+    }
+
+    /// The spectrum `model` computed per pixel from the templates and the
+    /// line catalog, as the generator did before it stored them.
+    fn per_pixel_model(g: &GalaxyGenerator, p: &GalaxyParams) -> Vec<f64> {
+        use crate::continuum::continuum_curve;
+        use crate::lines::add_line;
+        let lambdas = g.grid().lambdas();
+        let mut flux = continuum_curve(&lambdas, p.age);
+        for line in EMISSION_LINES {
+            let boost = if line.name.starts_with("[OIII]") || line.name.starts_with("H") {
+                1.0 + 2.0 * p.agn
+            } else {
+                1.0
+            };
+            add_line(&mut flux, &lambdas, line, 3.0 * p.emission * boost);
+        }
+        for line in ABSORPTION_LINES {
+            add_line(&mut flux, &lambdas, line, -0.35 * p.age);
+        }
+        for f in flux.iter_mut() {
+            *f = (*f).max(0.0) * p.brightness;
+        }
+        flux
+    }
+
+    #[test]
+    fn model_matches_the_per_pixel_oracle_to_the_bit() {
+        // At (300, 0.02) the grid starts at 3,725 Å, inside [OII]3727's
+        // window, which is cut short there; (7, 0.3) has pixels 18 % apart
+        // in λ and no window holds one.
+        let grids = [
+            (500, 0.2),
+            (150, 0.0),
+            (1000, 0.3),
+            (2000, 0.4),
+            (300, 0.02),
+            (7, 0.3),
+        ];
+        for (n, z_max) in grids {
+            let g = GalaxyGenerator::new(n, z_max);
+            if (n, z_max) == (300, 0.02) {
+                assert_eq!(g.emission[0].start, 0);
+                assert!(!g.emission[0].profile.is_empty());
+            }
+            if n == 7 {
+                let mut windows = g.emission.iter().chain(&g.absorption);
+                assert!(windows.all(|w| w.profile.is_empty()));
+            }
+            let mut rng = StdRng::seed_from_u64(54 + n as u64);
+            let mut params: Vec<GalaxyParams> = (0..200).map(|_| g.draw_params(&mut rng)).collect();
+            // Ages the population never draws: the blend clamps them, the
+            // absorption depth does not.
+            for age in [-0.5, 1.5] {
+                params.push(GalaxyParams {
+                    age,
+                    emission: 0.7,
+                    agn: 0.4,
+                    brightness: 1.3,
+                    z: 0.0,
+                });
+            }
+            for p in &params {
+                let want = per_pixel_model(&g, p);
+                let got = g.model(p);
+                assert_eq!(got.len(), n);
+                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "grid ({n}, {z_max}) pixel {i}: {p:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_draws_keep_their_bits() {
+        // Recorded from the per-pixel generator: a seeded corpus does not
+        // move by one bit.
+        let g = GalaxyGenerator::new(500, 0.2);
+        let ha = g.grid().pixel_of(6562.8).unwrap();
+        assert_eq!(ha, 342);
+        let mut rng = StdRng::seed_from_u64(44);
+        let s = g.sample_with_coverage(&mut rng);
+        for (i, bits) in [
+            (0, 0x3fd1b8be54dfdc69u64),
+            (137, 0x3fe6643a40bafd9b),
+            (250, 0x3feae44334c12b4b),
+            (ha, 0x3ff0d0d5dbb59093),
+            (499, 0x3ff391ccfdc6ff5e),
+        ] {
+            assert_eq!(s.flux[i].to_bits(), bits, "sample pixel {i}");
+        }
+        let (rows, contaminated) = g.survey_extract(&mut rng, 40, 0.1);
+        assert_eq!(contaminated, 2);
+        for (r, i, bits) in [
+            (0, 250, 0x3fa6a530eb4806e5u64),
+            (17, ha, 0x3fb05746099f2a65),
+            (39, 137, 0x3fa308e5e9f680dd),
+        ] {
+            assert_eq!(rows[r].0[i].to_bits(), bits, "extract row {r} pixel {i}");
+        }
     }
 
     #[test]
