@@ -21,7 +21,7 @@ use spca_streams::lock;
 use spca_streams::ops::GeneratorSource;
 use spca_streams::Engine;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const DIM: usize = 250;
 const P: usize = 5;
@@ -41,19 +41,19 @@ fn throughput(n_engines: usize, fuse: bool, measure: Duration) -> f64 {
     let (g, _h) = ParallelPcaApp::build(&cfg, source);
     let running = Engine::start(g);
     // Warm-up, then measure over a window (the paper averages 30 s after
-    // 5 min; we scale down) using the shared RateProbe utility.
+    // 5 min; we scale down): the tuples into the PCA replicas over it.
     std::thread::sleep(measure / 2);
-    let names: Vec<String> = running
-        .op_snapshots()
-        .iter()
-        .map(|(n, _)| n.clone())
-        .collect();
-    let probe = spca_streams::metrics::RateProbe::start(
-        running.op_snapshots().into_iter().map(|(_, s)| s).collect(),
-    );
+    let pca_in = || -> u64 {
+        running
+            .op_snapshots()
+            .iter()
+            .filter(|(name, _)| name.starts_with("pca-"))
+            .map(|(_, s)| s.tuples_in)
+            .sum()
+    };
+    let (before, window) = (pca_in(), Instant::now());
     std::thread::sleep(measure);
-    let now: Vec<_> = running.op_snapshots().into_iter().map(|(_, s)| s).collect();
-    let rate = probe.total_rate_in(&now, |i| names[i].starts_with("pca-"));
+    let rate = pca_in().saturating_sub(before) as f64 / window.elapsed().as_secs_f64();
     running.stop();
     running.join();
     rate

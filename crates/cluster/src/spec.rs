@@ -220,8 +220,8 @@ mod tests {
 
     #[test]
     fn tuple_bytes_match_engine_estimate() {
-        // Must agree with spca-streams' DataTuple::wire_bytes for unmasked
-        // tuples (16-byte header + 8 bytes/value).
+        // Must agree with a complete row's share of spca-streams'
+        // `Frame::wire_bytes` (16-byte header + 8 bytes/value).
         let c = CostModel::paper();
         assert_eq!(c.tuple_bytes(250) as u64, 16 + 2000);
     }

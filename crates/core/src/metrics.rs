@@ -2,35 +2,25 @@
 //!
 //! The figures of the paper are all statements about convergence (Fig. 1,
 //! 4, 5) or agreement between independently-evolving estimates (the sync
-//! criterion of §II-C). These metrics quantify both: principal angles
-//! between subspaces and the smoothness measure the paper invokes for
+//! criterion of §II-C). These metrics quantify both: the largest principal
+//! angle between subspaces and the smoothness measure the paper invokes for
 //! Fig. 5 ("the smoothness of these curves is a sign of robustness as PCA
 //! has no notion of where the pixels are relative to each other").
 
 use crate::Result;
 use spca_linalg::{gemm, svd, Mat};
 
-/// Cosines of the principal angles between the column spans of `a` and `b`
-/// (descending). Both must have the same row count; the number of angles is
-/// the smaller column count.
-pub fn principal_angle_cosines(a: &Mat, b: &Mat) -> Result<Vec<f64>> {
-    // cos θ_i are the singular values of AᵀB for orthonormal A, B.
-    let atb = gemm::gemm(&a.transpose(), b)?;
-    // thin_svd needs rows >= cols; transpose if necessary.
-    let f = if atb.rows() >= atb.cols() {
-        svd::thin_svd(&atb)?
-    } else {
-        svd::thin_svd(&atb.transpose())?
-    };
-    Ok(f.s.iter().map(|&s| s.min(1.0)).collect())
-}
-
-/// Distance between subspaces: `sin` of the largest principal angle, in
-/// `[0, 1]`. Zero iff the spans coincide.
+/// Distance between the column spans of orthonormal `a` and `b` (same row
+/// count): `sin` of the largest principal angle, in `[0, 1]`, zero iff the
+/// narrower span lies in the wider one. Computed as `‖B − A(AᵀB)‖₂` with
+/// `B` the narrower basis, the part of `B` outside `span(A)`, so it
+/// resolves distances down to rounding (`sqrt(1 − cos²)` of the cosines
+/// cannot read below ~1e-8).
 pub fn subspace_distance(a: &Mat, b: &Mat) -> Result<f64> {
-    let cos = principal_angle_cosines(a, b)?;
-    let min_cos = cos.last().copied().unwrap_or(1.0);
-    Ok((1.0 - min_cos * min_cos).max(0.0).sqrt())
+    let (a, b) = if a.cols() < b.cols() { (b, a) } else { (a, b) };
+    let outside = b.sub(&gemm::gemm(a, &gemm::gemm(&a.transpose(), b)?)?)?;
+    let s = svd::thin_svd(&outside)?.s;
+    Ok(s.first().map_or(0.0, |&s| s.min(1.0)))
 }
 
 /// Second-difference roughness of a curve: `Σ (x[i+1] − 2x[i] + x[i−1])²`,
@@ -137,6 +127,34 @@ mod tests {
         let b = axes(6, &[0, 2]);
         // One shared direction, one orthogonal → max angle 90°.
         assert!((subspace_distance(&a, &b).unwrap() - 1.0).abs() < 1e-12);
+    }
+
+    /// An orthonormal `d × k` basis and a unit vector orthogonal to it.
+    fn basis_and_normal(d: usize, k: usize, seed: u64) -> (Mat, Vec<f64>) {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut g = Mat::zeros(d, k + 1);
+        spca_linalg::rng::fill_standard_normal(&mut StdRng::seed_from_u64(seed), g.as_mut_slice());
+        let q = spca_linalg::qr::orthonormalize(&g).unwrap();
+        (q.columns_range(0, k), q.col(k).to_vec())
+    }
+
+    #[test]
+    fn resolves_distances_far_below_the_cosine_floor() {
+        let (a, normal) = basis_and_normal(500, 6, 11);
+        assert!(subspace_distance(&a, &a).unwrap() < 1e-12);
+        let theta = 1e-9_f64;
+        let mut b = a.clone();
+        for (x, n) in b.col_mut(3).iter_mut().zip(&normal) {
+            *x = theta.cos() * *x + theta.sin() * n;
+        }
+        for d in [subspace_distance(&a, &b), subspace_distance(&b, &a)] {
+            let d = d.unwrap();
+            assert!((d - theta).abs() < 1e-3 * theta, "read {d:e} for {theta:e}");
+        }
+        // The narrower basis is measured against the wider one.
+        let narrow = b.columns_range(0, 3);
+        assert!(subspace_distance(&a, &narrow).unwrap() < 1e-12);
+        assert!((subspace_distance(&narrow, &b.columns_range(3, 6)).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -117,7 +117,8 @@ pub const EDGE_BYTES: usize = 1 << 20;
 /// amortizes is noise, and a frame is the unit an edge fills and drains in.
 pub const FRAME_BYTES: usize = 64 << 10;
 
-/// Wire size of one complete `dim`-pixel observation (`DataTuple::wire_bytes`).
+/// Wire size of one complete `dim`-pixel observation (its share of
+/// `Frame::wire_bytes`).
 fn row_bytes(dim: usize) -> usize {
     16 + 8 * dim
 }

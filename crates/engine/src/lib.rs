@@ -51,5 +51,5 @@ pub use messages::{
 pub use pca_operator::StreamingPcaOp;
 pub use persist::{read_snapshot, write_snapshot, SnapshotWriter};
 pub use results::ResultsHub;
-pub use serve::{endpoint_index, EigenQueryHandler, FaultCounters, ServeShared};
+pub use serve::{EigenQueryHandler, FaultCounters, ServeShared};
 pub use sync::{SyncController, SyncStrategy};

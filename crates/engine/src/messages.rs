@@ -183,7 +183,7 @@ mod tests {
 
     #[test]
     fn wire_codecs_round_trip_payloads_bit_exactly() {
-        use spca_streams::{decode_frame, encode_frame, ColumnarFrame, Tuple};
+        use spca_streams::{decode_frame, encode_frame, Frame, Tuple};
 
         register_wire_codecs();
 
@@ -226,10 +226,9 @@ mod tests {
 
         let mut bytes = Vec::new();
         encode_frame(&tuples, &mut bytes).unwrap();
-        let mut cols = ColumnarFrame::default();
-        decode_frame(&bytes, &mut cols).unwrap();
-        let mut back = Vec::new();
-        cols.materialize(&mut back).unwrap();
+        let mut frame = Frame::default();
+        decode_frame(&bytes, &mut frame).unwrap();
+        let back = frame.tuples();
         assert_eq!(back.len(), 3);
 
         let Tuple::Control(c0) = &back[0] else {

@@ -95,12 +95,6 @@ const ENDPOINT_NAMES: [&str; 6] = [
     "metrics",
 ];
 
-/// Index of an endpoint name in the [`ServeShared::histogram`] table
-/// (e.g. `"project"`, `"score"`). `None` for unknown names.
-pub fn endpoint_index(name: &str) -> Option<usize> {
-    ENDPOINT_NAMES.iter().position(|n| *n == name)
-}
-
 /// State shared by every serving thread: the snapshot store, the fault
 /// counters mirrored from the engine, per-endpoint latency histograms,
 /// and (once the server is up) its admission-control stats.
@@ -143,11 +137,6 @@ impl ServeShared {
     /// shed/rate-limited counts (first call wins).
     pub fn set_server_stats(&self, stats: Arc<ServerStats>) {
         let _ = self.server_stats.set(stats);
-    }
-
-    /// Per-endpoint latency histogram (by [`ENDPOINT_NAMES`] index).
-    pub fn histogram(&self, endpoint: usize) -> &LatencyHistogram {
-        &self.hist[endpoint]
     }
 }
 

@@ -27,17 +27,17 @@
 //! The layout is *columnar*, like the in-memory [`Frame`]: all values of a
 //! batch land in one contiguous little-endian f64 block, so encoding a
 //! frame ([`encode_columns`]) is a handful of column copies, and a decode
-//! is a bounds check plus bulk copies into a [`ColumnarFrame`] and from
-//! there into a frame ([`ColumnarFrame::copy_into`]) — no per-value
-//! formatting or parsing anywhere (CSV is how observations *enter* the
-//! graph, through `ops::LineSource`; this is how they cross processes
-//! inside it). The presence bitmap is packed and unpacked eight mask
-//! entries a byte, and the checksum is the SSE4.2 `crc32` instruction where
-//! the CPU has it. Both directions reuse caller-owned buffers and allocate
-//! nothing in steady state (guarded by `tests/codec_alloc.rs`, the same
-//! allocator-counter pattern as the serving path). [`encode_frame`] encodes
-//! the same bytes from a slice of tuples, and
-//! [`ColumnarFrame::materialize`] rebuilds tuples: the tests' oracle.
+//! ([`decode_frame`]) is a bounds check plus bulk copies straight into a
+//! frame's columns — no per-value formatting or parsing anywhere (CSV is
+//! how observations *enter* the graph, through `ops::LineSource`; this is
+//! how they cross processes inside it). The presence bitmap is packed and
+//! unpacked eight mask entries a byte, and the checksum is the SSE4.2
+//! `crc32` instruction where the CPU has it. Both directions reuse
+//! caller-owned buffers and allocate nothing in steady state (guarded by
+//! `tests/codec_alloc.rs`, the same allocator-counter pattern as the
+//! serving path). [`encode_frame`] encodes the same bytes from a slice of
+//! tuples, and [`Frame::tuples`] reads a decoded frame back as tuples: the
+//! tests' two oracles.
 //!
 //! Torn and corrupted input can never partially apply: a decode first
 //! proves the full frame is present, then verifies the CRC-32C over the
@@ -52,9 +52,7 @@
 //! without any registration; an unregistered payload-carrying kind fails
 //! the encode loudly rather than silently dropping state.
 
-use crate::tuple::{
-    ControlTuple, DataTuple, Frame, Punctuation, Tuple, TAG_CTRL, TAG_DATA, TAG_EOS,
-};
+use crate::tuple::{ControlTuple, Frame, Punctuation, Tuple, TAG_CTRL, TAG_DATA, TAG_EOS};
 use crate::watched::lock;
 use std::any::Any;
 use std::collections::HashMap;
@@ -286,7 +284,6 @@ macro_rules! bulk_le {
 
 bulk_le!(both write_f64s, read_f64s, f64, 8);
 bulk_le!(both write_u64s, read_u64s, u64, 8);
-bulk_le!(read read_u32s, u32, 4);
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -542,172 +539,10 @@ pub fn encode_columns(frame: &Frame, from: usize, out: &mut Vec<u8>) -> Result<(
 // Decode
 // ---------------------------------------------------------------------------
 
-/// One decoded control entry: kind, sender, whether a payload is attached,
-/// and the payload's byte range inside [`ColumnarFrame::ctrl_bytes`].
-#[derive(Debug, Clone, Copy)]
-pub struct CtrlEntry {
-    /// Application discriminator.
-    pub kind: u32,
-    /// Originating operator id.
-    pub sender: u32,
-    /// True when the entry carries registry-encoded payload bytes.
-    pub tagged: bool,
-    /// Payload start offset in `ctrl_bytes`.
-    pub start: usize,
-    /// Payload length in bytes.
-    pub len: usize,
-}
-
-/// A decoded frame in columnar form: reusable flat buffers the wire bytes
-/// are bulk-copied into. Decoding into this struct never allocates once
-/// the buffers reach working size; materializing [`Tuple`]s out of it is a
-/// separate (allocating) step, exactly as expensive as producing the same
-/// tuples locally.
-#[derive(Debug, Default)]
-pub struct ColumnarFrame {
-    /// Entry tags in stream order (0 data, 1 control, 2 EOS).
-    pub tags: Vec<u8>,
-    /// Row ids (sequence numbers) of the data tuples, in order.
-    pub seqs: Vec<u64>,
-    /// Logical timestamps of the data tuples.
-    pub stamps: Vec<u64>,
-    /// Per-data-tuple value counts.
-    pub lens: Vec<u32>,
-    /// All values of the batch, one contiguous block.
-    pub values: Vec<f64>,
-    /// Bit i set = data tuple i is gappy (carries a mask).
-    pub mask_flags: Vec<u8>,
-    /// Bit per value (concatenation order); 1 = observed.
-    pub presence: Vec<u8>,
-    /// Control entries in stream order.
-    pub ctrls: Vec<CtrlEntry>,
-    /// Backing bytes for control payloads.
-    pub ctrl_bytes: Vec<u8>,
-}
-
-impl ColumnarFrame {
-    /// Total entries (tuples) in the decoded frame.
-    pub fn n_entries(&self) -> usize {
-        self.tags.len()
-    }
-
-    fn clear(&mut self) {
-        self.tags.clear();
-        self.seqs.clear();
-        self.stamps.clear();
-        self.lens.clear();
-        self.values.clear();
-        self.mask_flags.clear();
-        self.presence.clear();
-        self.ctrls.clear();
-        self.ctrl_bytes.clear();
-    }
-
-    /// Appends the decoded entries to `frame`, copying columns: the
-    /// sequence numbers, timestamps and values in bulk, the masks of gappy
-    /// rows out of the presence bitmap. Control payloads go through the
-    /// registry; an entry whose kind has no registered decoder, or whose
-    /// payload it rejects, fails the call with `frame` part-filled.
-    pub fn copy_into(&self, frame: &mut Frame) -> Result<(), CodecError> {
-        let base = frame.values.len();
-        frame.tags.extend_from_slice(&self.tags);
-        frame.seqs.extend_from_slice(&self.seqs);
-        frame.stamps.extend_from_slice(&self.stamps);
-        frame.values.extend_from_slice(&self.values);
-        let mut voff = 0;
-        for (di, &len) in self.lens.iter().enumerate() {
-            let len = len as usize;
-            frame.ends.push(base + voff + len);
-            let masked = self.mask_flags[di / 8] & (1 << (di % 8)) != 0;
-            frame.masked.push(masked);
-            if masked {
-                for k in (0..len).step_by(8) {
-                    let byte = bits_at(&self.presence, voff + k);
-                    frame
-                        .masks
-                        .extend((0..(len - k).min(8)).map(|i| byte >> i & 1 != 0));
-                }
-            }
-            frame.mask_ends.push(frame.masks.len());
-            voff += len;
-        }
-        for e in &self.ctrls {
-            let payload: Arc<dyn Any + Send + Sync> = if !e.tagged {
-                Arc::new(())
-            } else {
-                let Some(&(_, dec)) = lock(registry()).get(&e.kind) else {
-                    return Err(CodecError::UnregisteredControl(e.kind));
-                };
-                dec(&self.ctrl_bytes[e.start..e.start + e.len])
-                    .ok_or(CodecError::Corrupt("control payload rejected"))?
-            };
-            frame
-                .ctrls
-                .push(ControlTuple::new(e.kind, e.sender, payload));
-        }
-        Ok(())
-    }
-
-    /// Rebuilds the tuples in stream order, appending to `out`. Control
-    /// payloads go through the registry; an entry whose kind has no
-    /// registered decoder fails the whole call (nothing partial is kept —
-    /// the caller's `out` is truncated back to its entry length).
-    pub fn materialize(&self, out: &mut Vec<Tuple>) -> Result<(), CodecError> {
-        let restore_len = out.len();
-        let mut di = 0usize; // data cursor
-        let mut ci = 0usize; // control cursor
-        let mut voff = 0usize; // value offset
-        for &tag in &self.tags {
-            match tag {
-                TAG_DATA => {
-                    let len = self.lens[di] as usize;
-                    let values: Vec<f64> = self.values[voff..voff + len].to_vec();
-                    let masked = self.mask_flags[di / 8] & (1 << (di % 8)) != 0;
-                    let mask = if masked {
-                        let mut m = Vec::with_capacity(len);
-                        for k in (0..len).step_by(8) {
-                            let byte = bits_at(&self.presence, voff + k);
-                            m.extend((0..(len - k).min(8)).map(|i| byte >> i & 1 != 0));
-                        }
-                        Some(Arc::new(m))
-                    } else {
-                        None
-                    };
-                    out.push(Tuple::Data(DataTuple {
-                        seq: self.seqs[di],
-                        timestamp_ns: self.stamps[di],
-                        values: Arc::new(values),
-                        mask,
-                    }));
-                    voff += len;
-                    di += 1;
-                }
-                TAG_CTRL => {
-                    let e = self.ctrls[ci];
-                    ci += 1;
-                    let payload: Arc<dyn Any + Send + Sync> = if !e.tagged {
-                        Arc::new(())
-                    } else {
-                        let Some(&(_, dec)) = lock(registry()).get(&e.kind) else {
-                            out.truncate(restore_len);
-                            return Err(CodecError::UnregisteredControl(e.kind));
-                        };
-                        match dec(&self.ctrl_bytes[e.start..e.start + e.len]) {
-                            Some(p) => p,
-                            None => {
-                                out.truncate(restore_len);
-                                return Err(CodecError::Corrupt("control payload rejected"));
-                            }
-                        }
-                    };
-                    out.push(Tuple::Control(ControlTuple::new(e.kind, e.sender, payload)));
-                }
-                _ => out.push(Tuple::Punct(Punctuation::EndOfStream)),
-            }
-        }
-        Ok(())
-    }
-}
+/// The name the benchmark's stage replay decodes into: a frame is the one
+/// decoded layout. ROADMAP item 3 (a) queues the replay's respelling to
+/// [`Frame`] and this alias's deletion.
+pub type ColumnarFrame = Frame;
 
 /// Inspects a frame header and returns the total frame length (header +
 /// body + CRC trailer). [`CodecError::Incomplete`] when fewer than
@@ -760,15 +595,18 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes one full frame from the front of `buf` into `cols`, returning
-/// the number of bytes consumed.
+/// Decodes one full frame from the front of `buf` into `frame` (cleared
+/// first), returning the number of bytes consumed.
 ///
 /// The CRC is verified over the whole body *before* any column is copied,
-/// so a failed decode never partially applies: on any `Err`, `cols` holds
-/// either its previous content (`Incomplete`, bad CRC) or cleared buffers,
-/// and no tuple is ever materialized from it. Decode itself is a sequence
-/// of bounds checks and bulk copies — no per-value parsing.
-pub fn decode_frame(buf: &[u8], cols: &mut ColumnarFrame) -> Result<usize, CodecError> {
+/// so a failed decode never partially applies: on any `Err`, `frame` holds
+/// either its previous content (`Incomplete`, bad CRC) or no entries. The
+/// sequence numbers, timestamps and values are bulk copies; the value ends
+/// are summed from the lengths, and only gappy rows get a mask, unpacked
+/// out of the presence bitmap. Control payloads go through the registry:
+/// a kind with no registered decoder, or a payload its decoder rejects,
+/// fails the decode.
+pub fn decode_frame(buf: &[u8], frame: &mut Frame) -> Result<usize, CodecError> {
     let total = frame_len(buf)?;
     if buf.len() < total {
         return Err(CodecError::Incomplete);
@@ -778,12 +616,12 @@ pub fn decode_frame(buf: &[u8], cols: &mut ColumnarFrame) -> Result<usize, Codec
     if crc32(body) != want {
         return Err(CodecError::Corrupt("checksum mismatch"));
     }
-    decode_body(body, cols)?;
+    frame.clear();
+    decode_body(body, frame).inspect_err(|_| frame.clear())?;
     Ok(total)
 }
 
-fn decode_body(body: &[u8], cols: &mut ColumnarFrame) -> Result<(), CodecError> {
-    cols.clear();
+fn decode_body(body: &[u8], frame: &mut Frame) -> Result<(), CodecError> {
     let mut cur = Cursor { buf: body, at: 0 };
     let n_entries = cur.u32()? as usize;
     let n_data = cur.u32()? as usize;
@@ -809,24 +647,41 @@ fn decode_body(body: &[u8], cols: &mut ColumnarFrame) -> Result<(), CodecError> 
     if (td, tc, tp) != (n_data, n_ctrl, n_punct) {
         return Err(CodecError::Corrupt("tags disagree with counts"));
     }
-    cols.tags.extend_from_slice(tags);
+    frame.tags.extend_from_slice(tags);
 
-    let total_vals = cur.u64()? as usize;
-    read_u64s(cur.take(n_data * 8)?, &mut cols.seqs, n_data);
-    read_u64s(cur.take(n_data * 8)?, &mut cols.stamps, n_data);
-    read_u32s(cur.take(n_data * 4)?, &mut cols.lens, n_data);
-    let lens_sum: u64 = cols.lens.iter().map(|&l| l as u64).sum();
-    if lens_sum != total_vals as u64 {
+    let total_vals = cur.u64()?;
+    read_u64s(cur.take(n_data * 8)?, &mut frame.seqs, n_data);
+    read_u64s(cur.take(n_data * 8)?, &mut frame.stamps, n_data);
+    let mut end = 0u64;
+    for len in cur.take(n_data * 4)?.chunks_exact(4) {
+        end += u64::from(u32::from_le_bytes(len.try_into().expect("4 bytes")));
+        frame.ends.push(end as usize);
+    }
+    if end != total_vals {
         return Err(CodecError::Corrupt("value lengths disagree with total"));
     }
+    let total_vals = total_vals as usize;
     let val_bytes = total_vals
         .checked_mul(8)
         .ok_or(CodecError::Corrupt("length overflow"))?;
-    read_f64s(cur.take(val_bytes)?, &mut cols.values, total_vals);
-    cols.mask_flags
-        .extend_from_slice(cur.take(n_data.div_ceil(8))?);
-    cols.presence
-        .extend_from_slice(cur.take(total_vals.div_ceil(8))?);
+    read_f64s(cur.take(val_bytes)?, &mut frame.values, total_vals);
+    let mask_flags = cur.take(n_data.div_ceil(8))?;
+    let presence = cur.take(total_vals.div_ceil(8))?;
+    let mut start = 0;
+    for (r, &end) in frame.ends.iter().enumerate() {
+        let masked = mask_flags[r / 8] >> (r % 8) & 1 != 0;
+        frame.masked.push(masked);
+        if masked {
+            for k in (start..end).step_by(8) {
+                let byte = bits_at(presence, k);
+                frame
+                    .masks
+                    .extend((0..(end - k).min(8)).map(|i| byte >> i & 1 != 0));
+            }
+        }
+        frame.mask_ends.push(frame.masks.len());
+        start = end;
+    }
 
     for _ in 0..n_ctrl {
         let kind = cur.u32()?;
@@ -841,15 +696,15 @@ fn decode_body(body: &[u8], cols: &mut ColumnarFrame) -> Result<(), CodecError> 
             return Err(CodecError::Corrupt("unit control payload with bytes"));
         }
         let bytes = cur.take(len)?;
-        let start = cols.ctrl_bytes.len();
-        cols.ctrl_bytes.extend_from_slice(bytes);
-        cols.ctrls.push(CtrlEntry {
-            kind,
-            sender,
-            tagged,
-            start,
-            len,
-        });
+        let payload: Arc<dyn Any + Send + Sync> = if !tagged {
+            Arc::new(())
+        } else {
+            let Some(&(_, dec)) = lock(registry()).get(&kind) else {
+                return Err(CodecError::UnregisteredControl(kind));
+            };
+            dec(bytes).ok_or(CodecError::Corrupt("control payload rejected"))?
+        };
+        frame.ctrls.push(ControlTuple::new(kind, sender, payload));
     }
     if cur.at != body.len() {
         return Err(CodecError::Corrupt("trailing bytes after last section"));
@@ -860,6 +715,7 @@ fn decode_body(body: &[u8], cols: &mut ColumnarFrame) -> Result<(), CodecError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::DataTuple;
 
     fn data(seq: u64, vals: Vec<f64>) -> Tuple {
         Tuple::Data(DataTuple::new(seq, vals))
@@ -868,12 +724,10 @@ mod tests {
     fn round_trip(tuples: &[Tuple]) -> Vec<Tuple> {
         let mut buf = Vec::new();
         encode_frame(tuples, &mut buf).expect("encode");
-        let mut cols = ColumnarFrame::default();
-        let mut out = Vec::new();
-        let n = decode_frame(&buf, &mut cols).expect("decode");
+        let mut frame = Frame::default();
+        let n = decode_frame(&buf, &mut frame).expect("decode");
         assert_eq!(n, buf.len(), "whole frame consumed");
-        cols.materialize(&mut out).expect("materialize");
-        out
+        frame.tuples()
     }
 
     #[test]
@@ -979,6 +833,31 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_control_payload_leaves_the_frame_empty() {
+        const KIND: u32 = 0x00C0_DEC1;
+        fn enc(_: &(dyn Any + Send + Sync), out: &mut Vec<u8>) -> bool {
+            out.push(7);
+            true
+        }
+        fn dec(_: &[u8]) -> Option<Arc<dyn Any + Send + Sync>> {
+            None
+        }
+        register_control_codec(KIND, enc, dec);
+        let tuples = vec![
+            data(0, vec![1.0, 2.0]),
+            Tuple::Control(ControlTuple::new(KIND, 1, Arc::new(0u8))),
+        ];
+        let mut buf = Vec::new();
+        encode_frame(&tuples, &mut buf).unwrap();
+        let mut frame = Frame::from_tuples(&[data(9, vec![3.0])]);
+        assert_eq!(
+            decode_frame(&buf, &mut frame),
+            Err(CodecError::Corrupt("control payload rejected"))
+        );
+        assert!(frame.is_empty() && frame.values.is_empty() && frame.ctrls.is_empty());
+    }
+
+    #[test]
     fn unregistered_payload_kind_fails_encode_loudly() {
         let tuples = vec![Tuple::Control(ControlTuple::new(
             0xFFFF_FFFE,
@@ -997,9 +876,9 @@ mod tests {
         let tuples = vec![data(0, vec![1.0, 2.0, 3.0]), data(1, vec![4.0, 5.0, 6.0])];
         let mut buf = Vec::new();
         encode_frame(&tuples, &mut buf).unwrap();
-        let mut cols = ColumnarFrame::default();
+        let mut frame = Frame::default();
         for cut in 0..buf.len() {
-            let err = decode_frame(&buf[..cut], &mut cols).expect_err("truncated");
+            let err = decode_frame(&buf[..cut], &mut frame).expect_err("truncated");
             assert!(
                 matches!(err, CodecError::Incomplete | CodecError::Corrupt(_)),
                 "cut={cut}: {err}"
@@ -1009,7 +888,7 @@ mod tests {
         for at in HEADER_LEN..buf.len() {
             let mut bad = buf.clone();
             bad[at] ^= 0x01;
-            let err = decode_frame(&bad, &mut cols).expect_err("corrupt");
+            let err = decode_frame(&bad, &mut frame).expect_err("corrupt");
             assert!(matches!(err, CodecError::Corrupt(_)), "at={at}: {err}");
         }
     }
@@ -1019,9 +898,9 @@ mod tests {
         let mut buf = Vec::new();
         encode_frame(&[data(0, vec![1.0])], &mut buf).unwrap();
         buf[5..9].copy_from_slice(&(u32::MAX).to_le_bytes());
-        let mut cols = ColumnarFrame::default();
+        let mut frame = Frame::default();
         assert!(matches!(
-            decode_frame(&buf, &mut cols),
+            decode_frame(&buf, &mut frame),
             Err(CodecError::Corrupt(_))
         ));
     }
@@ -1034,12 +913,11 @@ mod tests {
         stream.extend_from_slice(&one);
         encode_frame(&[data(1, vec![2.0]), data(2, vec![3.0])], &mut one).unwrap();
         stream.extend_from_slice(&one);
-        let mut cols = ColumnarFrame::default();
-        let mut out = Vec::new();
-        let n1 = decode_frame(&stream, &mut cols).unwrap();
-        cols.materialize(&mut out).unwrap();
-        let n2 = decode_frame(&stream[n1..], &mut cols).unwrap();
-        cols.materialize(&mut out).unwrap();
+        let mut frame = Frame::default();
+        let n1 = decode_frame(&stream, &mut frame).unwrap();
+        let mut out = frame.tuples();
+        let n2 = decode_frame(&stream[n1..], &mut frame).unwrap();
+        out.extend(frame.tuples());
         assert_eq!(n1 + n2, stream.len());
         assert_eq!(out.len(), 3);
         let Tuple::Data(d) = &out[2] else { panic!() };
@@ -1083,9 +961,9 @@ mod tests {
         let mut buf = Vec::new();
         encode_frame(&[data(0, vec![1.0])], &mut buf).unwrap();
         buf[4] = 1;
-        let mut cols = ColumnarFrame::default();
+        let mut frame = Frame::default();
         assert_eq!(
-            decode_frame(&buf, &mut cols),
+            decode_frame(&buf, &mut frame),
             Err(CodecError::Corrupt("unsupported frame version"))
         );
     }
@@ -1093,14 +971,14 @@ mod tests {
     #[test]
     fn decode_reuses_buffers_across_frames() {
         let mut buf = Vec::new();
-        let mut cols = ColumnarFrame::default();
+        let mut frame = Frame::default();
         encode_frame(&[data(0, vec![1.0; 64])], &mut buf).unwrap();
-        decode_frame(&buf, &mut cols).unwrap();
-        let cap = cols.values.capacity();
+        decode_frame(&buf, &mut frame).unwrap();
+        let cap = frame.values.capacity();
         encode_frame(&[data(1, vec![2.0; 32])], &mut buf).unwrap();
-        decode_frame(&buf, &mut cols).unwrap();
-        assert_eq!(cols.values.len(), 32);
-        assert!(cols.values.capacity() >= cap.min(32));
-        assert_eq!(cols.seqs[0], 1);
+        decode_frame(&buf, &mut frame).unwrap();
+        assert_eq!(frame.values.len(), 32);
+        assert_eq!(frame.values.capacity(), cap, "decode reuses the columns");
+        assert_eq!(frame.seqs, [1]);
     }
 }

@@ -203,64 +203,6 @@ impl MetricsRegistry {
     }
 }
 
-/// Windowed throughput measurement over a running engine, following the
-/// paper's protocol ("the observations processing rate was measured as the
-/// number of output tuples … averaged in 30 seconds after about 5 minutes
-/// of processing"): snapshot counters at two instants and difference them.
-#[derive(Debug, Clone)]
-pub struct RateProbe {
-    baseline: Vec<OpSnapshot>,
-    taken_at: std::time::Instant,
-}
-
-impl RateProbe {
-    /// Starts a measurement window from the given live snapshots.
-    pub fn start(snapshots: Vec<OpSnapshot>) -> Self {
-        RateProbe {
-            baseline: snapshots,
-            taken_at: std::time::Instant::now(),
-        }
-    }
-
-    /// Ends the window: returns per-operator `tuples_in` rates (tuples/s),
-    /// aligned with the snapshot order.
-    ///
-    /// Contract: `now_snapshots` must come from the **same registry** as the
-    /// snapshots passed to [`RateProbe::start`], so both vectors have the
-    /// same length and order (graphs are static, so operators are never
-    /// added or removed mid-run). A length mismatch means the caller paired
-    /// a probe with the wrong engine's snapshots; `zip` would silently drop
-    /// the surplus operators, so this is a debug assertion rather than an
-    /// accepted input.
-    pub fn rates_in(&self, now_snapshots: &[OpSnapshot]) -> Vec<f64> {
-        debug_assert_eq!(
-            self.baseline.len(),
-            now_snapshots.len(),
-            "RateProbe::rates_in: snapshot count changed between start ({}) and now ({}); \
-             both must come from the same MetricsRegistry",
-            self.baseline.len(),
-            now_snapshots.len()
-        );
-        let dt = self.taken_at.elapsed().as_secs_f64().max(1e-9);
-        self.baseline
-            .iter()
-            .zip(now_snapshots)
-            .map(|(b, n)| (n.tuples_in.saturating_sub(b.tuples_in)) as f64 / dt)
-            .collect()
-    }
-
-    /// Aggregate input rate over operators selected by `pick` (e.g. all
-    /// PCA replicas).
-    pub fn total_rate_in(&self, now_snapshots: &[OpSnapshot], pick: impl Fn(usize) -> bool) -> f64 {
-        self.rates_in(now_snapshots)
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| pick(*i))
-            .map(|(_, r)| r)
-            .sum()
-    }
-}
-
 /// Number of buckets in a [`LatencyHistogram`]: powers of two from 1µs
 /// (bucket 0: `< 2·2¹⁰ ns`) up past 1s, plus an overflow bucket.
 pub const LATENCY_BUCKETS: usize = 22;
@@ -404,45 +346,6 @@ mod tests {
         assert_eq!(snaps.len(), 2);
         assert_eq!(snaps[0].tuples_in, 1);
         assert_eq!(snaps[1].tuples_in, 0);
-    }
-
-    #[test]
-    fn rate_probe_differences_counters() {
-        let mk = |n: u64| OpSnapshot {
-            tuples_in: n,
-            ..OpSnapshot::default()
-        };
-        let probe = RateProbe::start(vec![mk(100), mk(50)]);
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let rates = probe.rates_in(&[mk(300), mk(50)]);
-        assert!(rates[0] > 0.0, "{rates:?}");
-        assert_eq!(rates[1], 0.0);
-        let total = probe.total_rate_in(&[mk(300), mk(150)], |i| i == 1);
-        assert!(total > 0.0);
-    }
-
-    #[test]
-    fn rate_probe_handles_counter_reset_gracefully() {
-        let mk = |n: u64| OpSnapshot {
-            tuples_in: n,
-            ..OpSnapshot::default()
-        };
-        let probe = RateProbe::start(vec![mk(500)]);
-        // A smaller later value (shouldn't happen, but must not underflow).
-        let rates = probe.rates_in(&[mk(100)]);
-        assert_eq!(rates[0], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot count changed")]
-    #[cfg(debug_assertions)]
-    fn rate_probe_rejects_mismatched_snapshot_lengths() {
-        let mk = |n: u64| OpSnapshot {
-            tuples_in: n,
-            ..OpSnapshot::default()
-        };
-        let probe = RateProbe::start(vec![mk(1), mk(2)]);
-        let _ = probe.rates_in(&[mk(1)]);
     }
 
     #[test]

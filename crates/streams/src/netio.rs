@@ -55,8 +55,8 @@
 //! for), the handshake deadline, and the sender's idle probe of a quiet
 //! channel. DESIGN §12 has the table.
 
-use crate::codec::{decode_frame, encode_columns, frame_len, ColumnarFrame, HEADER_LEN};
-use crate::tuple::{FrameRx, FrameTx};
+use crate::codec::{decode_frame, encode_columns, frame_len, HEADER_LEN};
+use crate::tuple::{Frame, FrameRx, FrameTx};
 use crate::watched::{lock, Watched};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -580,7 +580,7 @@ impl NetTransport {
         }
 
         let mut buf: Vec<u8> = Vec::new();
-        let mut cols = ColumnarFrame::default();
+        let mut frame = Frame::default();
         let mut tag = [0u8; 4];
         loop {
             // EOF here: the sender is gone and will reconnect.
@@ -588,7 +588,7 @@ impl NetTransport {
                 return;
             }
             if tag == TAG_DATA {
-                if Self::recv_frame(s, link, &mut buf, &mut cols).is_err()
+                if Self::recv_frame(s, link, &mut buf, &mut frame).is_err()
                     || link.send_ack(&mut lock(&link.conn)).is_err()
                 {
                     return;
@@ -603,14 +603,16 @@ impl NetTransport {
         }
     }
 
-    /// Reads, decodes, duplicate-trims, and forwards one `DATA` frame.
-    /// Any error means the connection is unusable and nothing was
-    /// forwarded from this frame.
+    /// Reads, decodes, duplicate-trims, and forwards one `DATA` frame. The
+    /// values are copied once, from the socket bytes into `frame`, and the
+    /// decoded frame itself goes down the channel: `frame` is swapped for a
+    /// recycled one. Any error means the connection is unusable and
+    /// nothing was forwarded from this frame.
     fn recv_frame(
         mut s: &TcpStream,
         link: &LinkIn,
         buf: &mut Vec<u8>,
-        cols: &mut ColumnarFrame,
+        frame: &mut Frame,
     ) -> io::Result<()> {
         let mut start8 = [0u8; 8];
         s.read_exact(&mut start8)?;
@@ -622,9 +624,9 @@ impl NetTransport {
         buf.resize(total, 0);
         buf[..HEADER_LEN].copy_from_slice(&hdr);
         s.read_exact(&mut buf[HEADER_LEN..])?;
-        decode_frame(buf, cols).map_err(io::Error::from)?;
+        decode_frame(buf, frame).map_err(io::Error::from)?;
 
-        let n = cols.n_entries() as u64;
+        let n = frame.len() as u64;
         let delivered = link.delivered.load(Ordering::SeqCst);
         if start > delivered {
             // A gap means we lost track relative to the sender; drop the
@@ -640,12 +642,10 @@ impl NetTransport {
             // Held to the send: this thread is the link's only user of it.
             let tx = lock(&link.tx);
             let tx = tx.as_ref().ok_or_else(gone)?;
-            let mut frame = tx.buffer();
-            cols.copy_into(&mut frame).map_err(io::Error::from)?;
             frame.drop_front((delivered - start) as usize);
             // A full channel holds this thread here, so it stops reading
             // the socket (see `INBOUND_FRAMES`).
-            if !tx.send(frame) {
+            if !tx.send(std::mem::replace(frame, tx.buffer())) {
                 return Err(gone());
             }
             link.delivered.store(end, Ordering::SeqCst);

@@ -1,18 +1,18 @@
 //! Proves the frame codec's hot path is allocation-free in steady state:
-//! once the caller-owned encode buffer and `ColumnarFrame` have grown to
+//! once the caller-owned encode buffer and decode `Frame` have grown to
 //! the working-set size, a stretch of encode → decode round trips performs
 //! zero heap allocations on the codec thread.
 //!
-//! Materialization into `Tuple`s is deliberately outside the measured
-//! stretch — it hands out `Arc`-owned vectors and is documented as the
-//! allocating step; cross-PE routing consumes the columnar form directly.
+//! Reading the frame back as `Tuple`s (`Frame::tuples`) is deliberately
+//! outside the measured stretch — it hands out `Arc`-owned vectors; the
+//! socket link hands the decoded frame itself to the consuming PE.
 //!
 //! Same thread-filtered counting-allocator pattern as
 //! `crates/engine/tests/serving_alloc.rs`; this file must contain exactly
 //! one `#[test]` because the tracked flag is file-global state.
 
 use spca_alloc_count::{allocations, track, CountingAlloc};
-use spca_streams::{decode_frame, encode_frame, ColumnarFrame, DataTuple, Tuple};
+use spca_streams::{decode_frame, encode_frame, DataTuple, Frame, Tuple};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -39,14 +39,14 @@ fn steady_state_encode_decode_does_not_allocate() {
         .collect();
 
     let mut buf = Vec::new();
-    let mut cols = ColumnarFrame::default();
+    let mut frame = Frame::default();
 
     track(true);
 
     // Warm-up: grow `buf` and the frame's column vectors to working size.
     for _ in 0..8 {
         encode_frame(&tuples, &mut buf).unwrap();
-        let consumed = decode_frame(&buf, &mut cols).unwrap();
+        let consumed = decode_frame(&buf, &mut frame).unwrap();
         assert_eq!(consumed, buf.len());
     }
 
@@ -54,9 +54,9 @@ fn steady_state_encode_decode_does_not_allocate() {
     let before = allocations();
     for _ in 0..200 {
         encode_frame(&tuples, &mut buf).unwrap();
-        let consumed = decode_frame(&buf, &mut cols).unwrap();
+        let consumed = decode_frame(&buf, &mut frame).unwrap();
         assert_eq!(consumed, buf.len());
-        assert_eq!(cols.n_entries(), BATCH);
+        assert_eq!(frame.len(), BATCH);
     }
     let allocs = allocations() - before;
     track(false);

@@ -6,7 +6,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use spca_streams::{
-    decode_frame, encode_frame, ColumnarFrame, ControlTuple, DataTuple, Punctuation, Tuple,
+    decode_frame, encode_frame, ControlTuple, DataTuple, Frame, Punctuation, Tuple,
 };
 
 /// One generated tuple: the selector byte picks the kind (weighted toward
@@ -76,7 +76,7 @@ fn assert_bit_identical(a: &[Tuple], b: &[Tuple]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Encode → decode → materialize reproduces every batch bit-exactly:
+    /// Encode → decode → `tuples()` reproduces every batch bit-exactly:
     /// arbitrary f64 bit patterns, arbitrary gap masks, mixed tuple kinds,
     /// order preserved.
     #[test]
@@ -84,28 +84,25 @@ proptest! {
         let mut buf = Vec::new();
         encode_frame(&tuples, &mut buf).expect("encode");
 
-        let mut cols = ColumnarFrame::default();
-        let consumed = decode_frame(&buf, &mut cols).expect("decode");
+        let mut frame = Frame::default();
+        let consumed = decode_frame(&buf, &mut frame).expect("decode");
         prop_assert_eq!(consumed, buf.len());
-        prop_assert_eq!(cols.n_entries(), tuples.len());
-
-        let mut back = Vec::new();
-        cols.materialize(&mut back).expect("materialize");
-        assert_bit_identical(&tuples, &back);
+        prop_assert_eq!(frame.len(), tuples.len());
+        assert_bit_identical(&tuples, &frame.tuples());
     }
 
     /// A frame truncated at *any* byte offset decodes to a clean error —
-    /// no panic, and nothing is applied: the same `ColumnarFrame` then
+    /// no panic, and nothing is applied: the same `Frame` then
     /// decodes the intact frame correctly, proving no partial state leaks.
     #[test]
     fn truncation_at_any_offset_errors_cleanly(tuples in batch()) {
         let mut buf = Vec::new();
         encode_frame(&tuples, &mut buf).expect("encode");
 
-        let mut cols = ColumnarFrame::default();
+        let mut frame = Frame::default();
         for cut in 0..buf.len() {
             prop_assert!(
-                decode_frame(&buf[..cut], &mut cols).is_err(),
+                decode_frame(&buf[..cut], &mut frame).is_err(),
                 "prefix of {}/{} bytes must not decode",
                 cut,
                 buf.len()
@@ -113,10 +110,8 @@ proptest! {
         }
         // The frame reused across all the failed attempts still decodes
         // the full buffer to the exact original batch.
-        decode_frame(&buf, &mut cols).expect("decode after failures");
-        let mut back = Vec::new();
-        cols.materialize(&mut back).expect("materialize");
-        assert_bit_identical(&tuples, &back);
+        decode_frame(&buf, &mut frame).expect("decode after failures");
+        assert_bit_identical(&tuples, &frame.tuples());
     }
 
     /// Any single corrupted byte — header, counts, payload, bitmap, or
@@ -129,12 +124,12 @@ proptest! {
         let mut buf = Vec::new();
         encode_frame(&tuples, &mut buf).expect("encode");
 
-        let mut cols = ColumnarFrame::default();
+        let mut frame = Frame::default();
         for i in 0..buf.len() {
             let orig = buf[i];
             buf[i] ^= flip;
             prop_assert!(
-                decode_frame(&buf, &mut cols).is_err(),
+                decode_frame(&buf, &mut frame).is_err(),
                 "byte {}/{} xor {:#04x} must not decode",
                 i,
                 buf.len(),
@@ -142,9 +137,7 @@ proptest! {
             );
             buf[i] = orig;
         }
-        decode_frame(&buf, &mut cols).expect("restored frame decodes");
-        let mut back = Vec::new();
-        cols.materialize(&mut back).expect("materialize");
-        assert_bit_identical(&tuples, &back);
+        decode_frame(&buf, &mut frame).expect("restored frame decodes");
+        assert_bit_identical(&tuples, &frame.tuples());
     }
 }

@@ -6,9 +6,10 @@
 //!   where one-row frames route it, and leaves the same `picks`,
 //!   `next_rr` and `blocked` — so a checkpoint resumes the same draw;
 //! * encoding a frame's columns (`encode_columns`, from any entry on) is
-//!   byte-identical to `encode_frame` of the same tuples, and decoding the
-//!   bytes into a frame (`ColumnarFrame::copy_into`) gives back the
-//!   tuples `materialize` gives.
+//!   byte-identical to `encode_frame` of the same tuples;
+//! * decoding a run of frames of any shape into one reused frame gives
+//!   back each frame's tuples (`Frame::tuples`), with nothing left over
+//!   from the frame decoded before.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -17,8 +18,8 @@ use spca_streams::codec::encode_columns;
 use spca_streams::operator::testing::{feed_rows, with_sink, CaptureSink};
 use spca_streams::ops::{Split, SplitStrategy};
 use spca_streams::{
-    decode_frame, encode_frame, ActiveSet, ColumnarFrame, ControlTuple, DataTuple, Frame,
-    Punctuation, Tuple,
+    decode_frame, encode_frame, ActiveSet, ControlTuple, DataTuple, Frame, Punctuation, Tuple,
+    DEFAULT_BATCH_SIZE,
 };
 use std::sync::Arc;
 
@@ -137,13 +138,20 @@ proptest! {
         encode_frame(&tuples[from..], &mut by_tuples).unwrap();
         encode_columns(&frame, from, &mut by_columns).unwrap();
         prop_assert_eq!(&by_columns, &by_tuples);
+    }
 
-        let mut cols = ColumnarFrame::default();
-        decode_frame(&by_columns, &mut cols).unwrap();
-        let mut materialized = Vec::new();
-        cols.materialize(&mut materialized).unwrap();
-        let mut decoded = Frame::default();
-        cols.copy_into(&mut decoded).unwrap();
-        prop_assert_eq!(fingerprint(&decoded.tuples()), fingerprint(&materialized));
+    #[test]
+    fn decoding_into_one_reused_frame_gives_back_each_input(
+        inputs in vec(vec(any_tuple(), 0..DEFAULT_BATCH_SIZE), 1..8),
+    ) {
+        let (mut bytes, mut decoded) = (Vec::new(), Frame::default());
+        for tuples in &inputs {
+            encode_frame(tuples, &mut bytes).unwrap();
+            prop_assert_eq!(decode_frame(&bytes, &mut decoded).unwrap(), bytes.len());
+            prop_assert_eq!(fingerprint(&decoded.tuples()), fingerprint(tuples));
+            // Every column's length shows in the frame's size, so one
+            // the decode did not clear cannot hide behind the rows.
+            prop_assert_eq!(decoded.wire_bytes(), Frame::from_tuples(tuples).wire_bytes());
+        }
     }
 }
