@@ -30,13 +30,13 @@ use spca_core::{EigenSystem, PcaConfig, RobustPca};
 use spca_streams::backfill::{run_partitions, BackfillStats, ContentHasher, Partition, StateStore};
 use spca_streams::csv::{self, Row};
 use std::fs::File;
-use std::io::{self, BufRead, Read, Seek, SeekFrom};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// Bytes a [`LineReader`] reads from its file at a time. A worker holds one
-/// such buffer, so it bounds a backfill's memory together with the longest
-/// line, whatever the size of the corpus.
+/// Bytes a backfill's reader reads from its file at a time. A worker holds
+/// one such buffer, so it bounds a backfill's memory together with the
+/// longest line, whatever the size of the corpus.
 pub const READ_BUFFER_BYTES: usize = 64 * 1024;
 
 /// A partition payload: a byte range of a corpus file, read when the
@@ -63,78 +63,12 @@ impl CorpusSlice {
     }
 }
 
-/// The one read loop of a backfill: a slice's lines, read through one
-/// fixed buffer. A line that straddles two reads is assembled in `line`,
-/// which grows to the longest such line and is then reused.
-struct LineReader {
-    buf: Box<[u8]>,
-    line: Vec<u8>,
-}
-
-impl LineReader {
-    fn new() -> Self {
-        Self::with_buffer(READ_BUFFER_BYTES)
-    }
-
-    fn with_buffer(bytes: usize) -> Self {
-        LineReader {
-            buf: vec![0; bytes].into_boxed_slice(),
-            line: Vec::new(),
-        }
-    }
-
-    /// Calls `f` on every line of `slice` in order, each with its `\n`
-    /// (the last without one when the slice does not end in a newline), so
-    /// the lines concatenate to exactly the bytes read.
-    fn for_each_line(
-        &mut self,
-        slice: &CorpusSlice,
-        mut f: impl FnMut(&[u8]) -> io::Result<()>,
-    ) -> io::Result<()> {
-        let mut src = slice.open()?;
-        let LineReader { buf, line } = self;
-        line.clear();
-        loop {
-            let n = match src.read(buf) {
-                Ok(0) => break,
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            // `skip_until` on a byte slice finds each newline with std's
-            // word-at-a-time memchr.
-            let mut rest = &buf[..n];
-            while !rest.is_empty() {
-                let start = rest;
-                let len = rest.skip_until(b'\n')?;
-                let piece = &start[..len];
-                if piece[len - 1] != b'\n' {
-                    line.extend_from_slice(piece);
-                } else if line.is_empty() {
-                    f(piece)?;
-                } else {
-                    line.extend_from_slice(piece);
-                    f(line)?;
-                    line.clear();
-                }
-            }
-        }
-        if !line.is_empty() {
-            f(line)?;
-            line.clear();
-        }
-        Ok(())
-    }
-
-    /// [`content_hash`](spca_streams::content_hash) of the slice's bytes.
-    fn hash(&mut self, slice: &CorpusSlice) -> io::Result<u64> {
-        let mut hasher = ContentHasher::new();
-        self.for_each_line(slice, |line| {
-            hasher.update(line);
-            Ok(())
-        })?;
-        Ok(hasher.finish())
-    }
+/// Reads the next line of `src` into `line`, its `\n` included (the last
+/// line may lack one), so the lines concatenate to exactly the bytes read;
+/// `false` at the end.
+fn read_line(src: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<bool> {
+    line.clear();
+    Ok(src.read_until(b'\n', line)? > 0)
 }
 
 /// The whole of `path` as a slice.
@@ -160,13 +94,13 @@ fn whole_file(path: &Path) -> io::Result<CorpusSlice> {
 pub fn partition_csv_rows(path: &Path, parts: usize) -> io::Result<Vec<Partition<CorpusSlice>>> {
     assert!(parts >= 1, "need at least one partition");
     let whole = whole_file(path)?;
-    let mut reader = LineReader::new();
+    let mut line = Vec::new();
 
     let mut n_rows = 0usize;
-    reader.for_each_line(&whole, |line| {
-        n_rows += usize::from(!csv::is_skip(line));
-        Ok(())
-    })?;
+    let mut src = BufReader::with_capacity(READ_BUFFER_BYTES, whole.open()?);
+    while read_line(&mut src, &mut line)? {
+        n_rows += usize::from(!csv::is_skip(&line));
+    }
     if n_rows == 0 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -186,8 +120,11 @@ pub fn partition_csv_rows(path: &Path, parts: usize) -> io::Result<Vec<Partition
             part.content_hash = hasher.finish();
         }
     }
-    reader.for_each_line(&whole, |line| {
-        if !csv::is_skip(line) {
+    // The first pass read to the end, so the buffer is empty: the file is
+    // opened again under it.
+    *src.get_mut() = whole.open()?;
+    while read_line(&mut src, &mut line)? {
+        if !csv::is_skip(&line) {
             let p = out.len();
             if p < parts && row == first_row(p) {
                 close(&mut out, &hasher, offset);
@@ -204,11 +141,10 @@ pub fn partition_csv_rows(path: &Path, parts: usize) -> io::Result<Vec<Partition
             row += 1;
         }
         if !out.is_empty() {
-            hasher.update(line);
+            hasher.update(&line);
         }
         offset += line.len() as u64;
-        Ok(())
-    })?;
+    }
     if row != n_rows || offset != whole.range.end {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -223,7 +159,7 @@ pub fn partition_csv_rows(path: &Path, parts: usize) -> io::Result<Vec<Partition
 /// when the archive is already laid out as one file per observation batch.
 /// The partition id is the file name.
 pub fn partition_csv_files(paths: &[PathBuf]) -> io::Result<Vec<Partition<CorpusSlice>>> {
-    let mut reader = LineReader::new();
+    let mut line = Vec::new();
     let mut out = Vec::with_capacity(paths.len());
     for path in paths {
         let slice = whole_file(path)?;
@@ -231,9 +167,14 @@ pub fn partition_csv_files(paths: &[PathBuf]) -> io::Result<Vec<Partition<Corpus
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| path.display().to_string());
+        let mut hasher = ContentHasher::new();
+        let mut src = BufReader::with_capacity(READ_BUFFER_BYTES, slice.open()?);
+        while read_line(&mut src, &mut line)? {
+            hasher.update(&line);
+        }
         out.push(Partition {
             id,
-            content_hash: reader.hash(&slice)?,
+            content_hash: hasher.finish(),
             payload: slice,
         });
     }
@@ -260,14 +201,17 @@ fn feed(
 /// A reusable per-worker estimator: one [`RobustPca`] whose workspaces are
 /// allocated once and reused across every partition the worker drains
 /// ([`RobustPca::reset`] clears state but keeps the scratch buffers), plus
-/// reusable row-parse buffers and one read buffer — so the steady-state
-/// feed loop performs no heap allocation (guarded by
+/// reusable row-parse buffers, one read buffer and one line buffer — so
+/// the steady-state feed loop performs no heap allocation (guarded by
 /// `tests/backfill_alloc.rs`).
 pub struct PartitionWorker {
     pca: RobustPca,
     values: Vec<f64>,
     mask: Vec<bool>,
-    reader: LineReader,
+    /// Made with the first slice and kept: each later slice's file is
+    /// swapped in under the same buffer.
+    reader: Option<BufReader<io::Take<File>>>,
+    line: Vec<u8>,
 }
 
 impl PartitionWorker {
@@ -278,7 +222,8 @@ impl PartitionWorker {
             pca: RobustPca::new(cfg),
             values: Vec::with_capacity(dim),
             mask: Vec::with_capacity(dim),
-            reader: LineReader::new(),
+            reader: None,
+            line: Vec::new(),
         }
     }
 
@@ -297,17 +242,30 @@ impl PartitionWorker {
     /// worker's one buffer, and returns the
     /// [`content_hash`](spca_streams::content_hash) of the bytes it parsed.
     pub fn feed_slice(&mut self, slice: &CorpusSlice) -> io::Result<u64> {
-        let PartitionWorker {
-            pca,
-            values,
-            mask,
-            reader,
-        } = self;
+        let file = slice.open()?;
+        let mut reader = match self.reader.take() {
+            Some(mut reader) => {
+                // What a failed slice left unread is not this slice's.
+                reader.consume(reader.buffer().len());
+                *reader.get_mut() = file;
+                reader
+            }
+            None => BufReader::with_capacity(READ_BUFFER_BYTES, file),
+        };
+        let parsed = self.feed_lines(&mut reader);
+        self.reader = Some(reader);
+        parsed
+    }
+
+    /// Feeds every line of `src` and returns the
+    /// [`content_hash`](spca_streams::content_hash) of the bytes it read.
+    fn feed_lines(&mut self, src: &mut impl BufRead) -> io::Result<u64> {
         let mut hasher = ContentHasher::new();
-        reader.for_each_line(slice, |line| {
-            hasher.update(line);
-            feed(pca, values, mask, line.strip_suffix(b"\n").unwrap_or(line))
-        })?;
+        while read_line(src, &mut self.line)? {
+            hasher.update(&self.line);
+            let row = self.line.strip_suffix(b"\n").unwrap_or(&self.line);
+            feed(&mut self.pca, &mut self.values, &mut self.mask, row)?;
+        }
         Ok(hasher.finish())
     }
 
@@ -340,9 +298,7 @@ impl PartitionWorker {
     /// every tracked component.
     pub fn process(&mut self, corpus: impl AsRef<[u8]>) -> io::Result<EigenSystem> {
         self.begin();
-        for line in corpus.as_ref().split(|&b| b == b'\n') {
-            self.feed_line(line)?;
-        }
+        self.feed_lines(&mut corpus.as_ref())?;
         self.finish()
     }
 
@@ -429,42 +385,33 @@ pub fn backfill(
 mod tests {
     use super::*;
 
-    proptest::proptest! {
-        /// Through any buffer size, the lines a reader hands out are the
-        /// file's lines: each ends at its newline and holds no other, and
-        /// together they are every byte of the slice.
-        #[test]
-        fn lines_straddling_reads_come_out_whole(
-            picks in proptest::collection::vec(0usize..3, 0..200),
-            buffer in 1usize..12,
-            cut in 0usize..200,
-        ) {
-            let bytes: Vec<u8> = picks.iter().map(|&i| b"ab\n"[i]).collect();
-            let dir = std::env::temp_dir()
-                .join(format!("spca_line_reader_{}", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("lines");
-            std::fs::write(&path, &bytes).unwrap();
-            let start = cut.min(bytes.len()) as u64;
-            let slice = CorpusSlice { path, range: start..bytes.len() as u64 };
-            let mut pieces: Vec<Vec<u8>> = Vec::new();
-            LineReader::with_buffer(buffer)
-                .for_each_line(&slice, |line| {
-                    pieces.push(line.to_vec());
-                    Ok(())
-                })
-                .unwrap();
-            std::fs::remove_dir_all(&dir).ok();
+    /// A slice that fails part-way leaves its unread bytes in the worker's
+    /// buffer; the next slice read under that buffer parses only its own.
+    #[test]
+    fn a_slice_after_a_failed_one_reads_only_its_own_bytes() {
+        let good: String = (0..40).map(|i| format!("{i}.5,1.0,-2.0\n")).collect();
+        let text = format!("1.0,2.0,3.0\nnan,nan,nan\n{good}");
+        let dir = std::env::temp_dir().join(format!("spca_backfill_swap_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("corpus.csv");
+        std::fs::write(&path, &text).unwrap();
+        let end = text.len() as u64;
+        let failing = CorpusSlice {
+            path: path.clone(),
+            range: 0..end,
+        };
+        let after = CorpusSlice {
+            path,
+            range: end - good.len() as u64..end,
+        };
 
-            let mut want = vec![Vec::new()];
-            for &b in &bytes[start as usize..] {
-                want.last_mut().unwrap().push(b);
-                if b == b'\n' {
-                    want.push(Vec::new());
-                }
-            }
-            want.retain(|line| !line.is_empty());
-            proptest::prop_assert_eq!(pieces, want);
-        }
+        let mut worker = PartitionWorker::new(PcaConfig::new(3, 1).with_init_size(10));
+        worker.begin();
+        let err = worker.feed_slice(&failing).unwrap_err();
+        assert!(err.to_string().contains("no observed bins"), "{err}");
+        worker.begin();
+        let parsed = worker.feed_slice(&after);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(parsed.unwrap(), spca_streams::content_hash(good.as_bytes()));
     }
 }

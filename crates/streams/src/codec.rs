@@ -303,6 +303,17 @@ fn or_bits(bits: &mut [u8], at: usize, byte: u8) {
     }
 }
 
+/// Each byte's eight bits as presence flags, least significant first.
+const UNPACKED: [[bool; 8]; 256] = {
+    let mut table = [[false; 8]; 256];
+    let mut bit = 0;
+    while bit < 8 * 256 {
+        table[bit / 8][bit % 8] = (bit / 8) >> (bit % 8) & 1 != 0;
+        bit += 1;
+    }
+    table
+};
+
 /// The eight bits of the bitmap `bits` from bit `at` onward, as one byte
 /// (bit `at + i` → bit i); bits past the end of `bits` read as zero.
 fn bits_at(bits: &[u8], at: usize) -> u8 {
@@ -673,10 +684,8 @@ fn decode_body(body: &[u8], frame: &mut Frame) -> Result<(), CodecError> {
         frame.masked.push(masked);
         if masked {
             for k in (start..end).step_by(8) {
-                let byte = bits_at(presence, k);
-                frame
-                    .masks
-                    .extend((0..(end - k).min(8)).map(|i| byte >> i & 1 != 0));
+                let bits = &UNPACKED[usize::from(bits_at(presence, k))];
+                frame.masks.extend_from_slice(&bits[..(end - k).min(8)]);
             }
         }
         frame.mask_ends.push(frame.masks.len());
