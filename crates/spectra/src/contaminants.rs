@@ -253,8 +253,8 @@ mod tests {
         // not spikes. The robust engine must still flag most of them once
         // converged on the galaxy manifold.
         use crate::generator::GalaxyGenerator;
-        use crate::normalize::unit_norm;
         use spca_core::{PcaConfig, RobustPca};
+        use spca_linalg::vecops;
 
         let gal = GalaxyGenerator::new(300, 0.25);
         let g = gal.grid().clone();
@@ -264,7 +264,7 @@ mod tests {
         // Converge on clean galaxies.
         for _ in 0..3000 {
             let mut s = gal.sample(&mut rng);
-            unit_norm(&mut s.flux);
+            vecops::normalize(&mut s.flux);
             pca.update(&s.flux).unwrap();
         }
         // Now a contaminated tail.
@@ -277,7 +277,7 @@ mod tests {
                 _ => ContaminantKind::Sky,
             };
             let mut x = draw(&mut rng, &g, kind);
-            unit_norm(&mut x);
+            vecops::normalize(&mut x);
             let out = pca.update(&x).unwrap();
             total += 1;
             if out.outlier {

@@ -8,12 +8,6 @@
 
 use spca_linalg::vecops;
 
-/// Normalizes a complete spectrum to unit Euclidean norm in place.
-/// Returns the prior norm (0 for a zero spectrum, which is left unchanged).
-pub fn unit_norm(flux: &mut [f64]) -> f64 {
-    vecops::normalize(flux)
-}
-
 /// Normalizes a gappy spectrum so that its *density* (norm² per observed
 /// pixel) matches what a complete unit-norm spectrum of the same length
 /// would have. Returns the applied scale factor (1.0 if nothing observed).
@@ -41,45 +35,9 @@ pub fn unit_norm_masked(flux: &mut [f64], mask: &[bool]) -> f64 {
     scale
 }
 
-/// Normalizes to unit median of the observed flux — the photometric
-/// convention used for continuum-relative features. Returns the scale
-/// applied (1.0 for degenerate input).
-pub fn median_norm(flux: &mut [f64], mask: &[bool]) -> f64 {
-    assert_eq!(flux.len(), mask.len());
-    let mut obs: Vec<f64> = flux
-        .iter()
-        .zip(mask)
-        .filter(|(_, &m)| m)
-        .map(|(f, _)| *f)
-        .collect();
-    if obs.is_empty() {
-        return 1.0;
-    }
-    obs.sort_by(|a, b| a.partial_cmp(b).expect("finite flux"));
-    let med = if obs.len() % 2 == 1 {
-        obs[obs.len() / 2]
-    } else {
-        0.5 * (obs[obs.len() / 2 - 1] + obs[obs.len() / 2])
-    };
-    if med.abs() < 1e-300 {
-        return 1.0;
-    }
-    let scale = 1.0 / med;
-    vecops::scale(flux, scale);
-    scale
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unit_norm_basic() {
-        let mut f = vec![3.0, 4.0];
-        let n = unit_norm(&mut f);
-        assert!((n - 5.0).abs() < 1e-12);
-        assert!((vecops::norm(&f) - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn masked_norm_is_brightness_invariant() {
@@ -100,7 +58,7 @@ mod tests {
     fn masked_norm_complete_equals_unit_norm() {
         let mut a = vec![1.0, -2.0, 2.0];
         let mut b = a.clone();
-        unit_norm(&mut a);
+        vecops::normalize(&mut a);
         unit_norm_masked(&mut b, &[true, true, true]);
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12);
@@ -130,22 +88,5 @@ mod tests {
         let mut f = vec![1.0, 2.0];
         assert_eq!(unit_norm_masked(&mut f, &[false, false]), 1.0);
         assert_eq!(f, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn median_norm_sets_median_to_one() {
-        let mut f = vec![2.0, 4.0, 6.0, 8.0, 10.0];
-        median_norm(&mut f, &[true; 5]);
-        assert!((f[2] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn median_norm_ignores_masked_pixels() {
-        let mut f = vec![1000.0, 2.0, 4.0, 6.0];
-        let mask = vec![false, true, true, true];
-        median_norm(&mut f, &mask);
-        // Median of observed {2,4,6} = 4 → scaled by 1/4.
-        assert!((f[2] - 1.0).abs() < 1e-12);
-        assert!((f[0] - 250.0).abs() < 1e-9);
     }
 }

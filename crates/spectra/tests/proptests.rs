@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_spectra::gaps::SnippetGaps;
-use spca_spectra::normalize::{median_norm, unit_norm_masked};
+use spca_spectra::normalize::unit_norm_masked;
 use spca_spectra::outliers::OutlierInjector;
 use spca_spectra::{GalaxyGenerator, GalaxyParams, PlantedSubspace, WavelengthGrid};
 
@@ -66,22 +66,6 @@ proptest! {
         for (x, y) in a.iter().zip(&before) {
             prop_assert!((x - y).abs() < 1e-12);
         }
-    }
-
-    /// Median normalization puts the observed median at exactly 1.
-    #[test]
-    fn median_norm_pins_median(vals in proptest::collection::vec(0.1f64..100.0, 5..40)) {
-        let mut v = vals.clone();
-        let mask = vec![true; v.len()];
-        median_norm(&mut v, &mask);
-        let mut sorted = v.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let med = if sorted.len() % 2 == 1 {
-            sorted[sorted.len() / 2]
-        } else {
-            0.5 * (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2])
-        };
-        prop_assert!((med - 1.0).abs() < 1e-9, "median {med}");
     }
 
     /// Snippet masks never blank everything and only remove pixels.

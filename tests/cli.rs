@@ -11,6 +11,18 @@ fn spca(args: &[&str]) -> std::process::Output {
         .expect("spawn spca")
 }
 
+/// Runs `spca` and returns its stdout, failing the test on a nonzero exit.
+fn spca_ok(args: &[&str]) -> String {
+    let out = spca(args);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success(),
+        "{args:?}: {stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout
+}
+
 /// Reads a running `spca`'s output up to the first line that starts with
 /// `prefix` and returns the rest of that line.
 fn line_after(stdout: &mut impl std::io::BufRead, prefix: &str) -> String {
@@ -86,9 +98,13 @@ fn missing_value_is_rejected() {
 
 #[test]
 fn zero_batch_is_rejected() {
-    let out = spca(&["run", "--input", "nonexistent.csv", "--batch", "0"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--batch"));
+    // The transport batch is `streams::DEFAULT_BATCH_SIZE`, not a flag.
+    for cmd in ["run", "coordinator"] {
+        let out = spca(&[cmd, "--input", "nonexistent.csv", "--batch", "0"]);
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag --batch"), "{cmd}: {stderr}");
+    }
 }
 
 #[test]
@@ -97,7 +113,7 @@ fn help_exits_zero() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("unknown flags are rejected"));
-    assert!(stdout.contains("--batch"));
+    assert!(stdout.contains("--serve-for"));
 }
 
 #[test]
@@ -231,17 +247,17 @@ fn backfill_requires_input() {
 
 #[test]
 fn serve_unknown_and_duplicate_flags_rejected() {
-    let out = spca(&["serve", "--adddr", "127.0.0.1:8080"]);
+    let out = spca(&["run", "--serve", "127.0.0.1:8080", "--serve-thread", "2"]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--adddr"), "got: {stderr}");
-    assert!(stderr.contains("serve"), "got: {stderr}");
+    assert!(stderr.contains("--serve-thread"), "got: {stderr}");
+    assert!(stderr.contains("run"), "got: {stderr}");
 
     let out = spca(&[
-        "serve",
-        "--addr",
+        "run",
+        "--serve",
         "127.0.0.1:8080",
-        "--addr",
+        "--serve",
         "127.0.0.1:8081",
     ]);
     assert!(!out.status.success());
@@ -249,43 +265,36 @@ fn serve_unknown_and_duplicate_flags_rejected() {
     assert!(stderr.contains("more than once"), "got: {stderr}");
 }
 
+/// Lingering after the stream drains serves from an address: `--serve-for`
+/// without `--serve` is a flag error, not a silent no-op.
 #[test]
 fn serve_requires_addr() {
-    let out = spca(&["serve", "--input", "nonexistent.csv"]);
+    let out = spca(&["run", "--input", "nonexistent.csv", "--serve-for", "5"]);
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--addr"));
-}
-
-#[test]
-fn serve_rejects_bad_bind_address() {
-    // Address validation happens before any ingest I/O, so a bad port is
-    // reported even though the input does not exist either.
-    for bad in ["127.0.0.1:notaport", "127.0.0.1", "localhost:8080"] {
-        let out = spca(&["serve", "--addr", bad, "--input", "nonexistent.csv"]);
-        assert!(!out.status.success(), "addr '{bad}' must be rejected");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("--addr"), "got: {stderr}");
-        assert!(stderr.contains("IP:PORT"), "got: {stderr}");
-    }
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--serve-for requires --serve"),
+        "got: {stderr}"
+    );
 }
 
 #[test]
 fn serve_rejects_bad_flag_values() {
     let out = spca(&[
-        "serve",
-        "--addr",
+        "run",
+        "--serve",
         "127.0.0.1:0",
-        "--threads",
+        "--serve-threads",
         "0",
         "--input",
         "nonexistent.csv",
     ]);
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--threads"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--serve-threads"));
 
     let out = spca(&[
-        "serve",
-        "--addr",
+        "run",
+        "--serve",
         "127.0.0.1:0",
         "--rate-limit",
         "-5",
@@ -319,7 +328,7 @@ fn serve_thread_pool_of_65_answers_healthz() {
     assert!(gen.status.success());
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_spca"))
-        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "65"])
+        .args(["run", "--serve", "127.0.0.1:0", "--serve-threads", "65"])
         .args(["--input", csv.to_str().unwrap(), "--components", "3"])
         .args(["--serve-for", "30"])
         .stdout(std::process::Stdio::piped())
@@ -346,6 +355,19 @@ fn serve_thread_pool_of_65_answers_healthz() {
 }
 
 #[test]
+fn serve_rejects_bad_bind_address() {
+    // Address validation happens before any ingest I/O, so a bad port is
+    // reported even though the input does not exist either.
+    for bad in ["127.0.0.1:notaport", "127.0.0.1", "localhost:8080"] {
+        let out = spca(&["run", "--serve", bad, "--input", "nonexistent.csv"]);
+        assert!(!out.status.success(), "addr '{bad}' must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--serve"), "got: {stderr}");
+        assert!(stderr.contains("IP:PORT"), "got: {stderr}");
+    }
+}
+
+#[test]
 fn run_serve_flag_validates_address_and_dependents() {
     let out = spca(&[
         "run",
@@ -361,7 +383,7 @@ fn run_serve_flag_validates_address_and_dependents() {
 
     // Serving-only flags are rejected when --serve is absent, same policy
     // as every other inapplicable-flag case.
-    for flag in ["--serve-threads", "--rate-limit", "--publish-every"] {
+    for flag in ["--serve-threads", "--rate-limit"] {
         let out = spca(&["run", "--input", "nonexistent.csv", flag, "4"]);
         assert!(!out.status.success(), "{flag} without --serve must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -848,7 +870,7 @@ fn serve_over_tcp(args: &[&str], corpus: &[u8]) -> (Vec<String>, Vec<String>) {
 }
 
 #[test]
-fn serve_is_run_with_the_server_attached() {
+fn serve_for_adds_only_the_lingering_line() {
     let dir = std::env::temp_dir().join(format!("spca-cli-serve-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let csv = dir.join("corpus.csv");
@@ -867,20 +889,18 @@ fn serve_is_run_with_the_server_attached() {
     let corpus = std::fs::read(&csv).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 
-    let (run_lines, run_metrics) = serve_over_tcp(&["run", "--serve", "127.0.0.1:0"], &corpus);
-    let (mut serve_lines, serve_metrics) = serve_over_tcp(
-        &["serve", "--addr", "127.0.0.1:0", "--serve-for", "1"],
-        &corpus,
-    );
+    let serve = ["run", "--serve", "127.0.0.1:0"];
+    let (run_lines, run_metrics) = serve_over_tcp(&serve, &corpus);
+    let (mut lingering_lines, lingering_metrics) =
+        serve_over_tcp(&[&serve[..], &["--serve-for", "1"]].concat(), &corpus);
 
-    // `--serve-for` is the one thing only `serve` has.
     let lingering = "serving the final eigensystem for #s more";
     assert!(
-        serve_lines.iter().any(|l| l == lingering),
-        "{serve_lines:?}"
+        lingering_lines.iter().any(|l| l == lingering),
+        "{lingering_lines:?}"
     );
-    serve_lines.retain(|l| l != lingering);
-    assert_eq!(run_lines, serve_lines);
+    lingering_lines.retain(|l| l != lingering);
+    assert_eq!(run_lines, lingering_lines);
     for expected in [
         "processed # tuples in #s (# tuples/s)",
         "query server: # epochs",
@@ -890,9 +910,287 @@ fn serve_is_run_with_the_server_attached() {
             "no '{expected}' in {run_lines:?}"
         );
     }
-    assert_eq!(run_metrics, serve_metrics);
+    assert_eq!(run_metrics, lingering_metrics);
     assert!(
         run_metrics.iter().any(|n| n == "spca_epoch"),
         "{run_metrics:?}"
     );
+}
+
+/// The archive-to-stream workflow of the README, one subcommand into the
+/// next: a corpus of chosen redshift range and contamination, its backfill
+/// snapshot, a live run warm-started from it, and each snapshot inspected.
+#[test]
+fn generate_backfill_inspect_and_warm_started_run_chain() {
+    let dir = std::env::temp_dir().join(format!("spca-cli-chain-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let corpus = |name: &str, extra: &[&str]| {
+        let base = [
+            "generate",
+            "--out",
+            &path(name),
+            "--n",
+            "600",
+            "--pixels",
+            "24",
+            "--seed",
+            "3",
+        ];
+        spca_ok(&[&base[..], extra].concat())
+    };
+
+    let clean = corpus("clean.csv", &["--zmax", "0.3", "--contamination", "0"]);
+    assert!(clean.contains("(0 contaminants)"), "{clean}");
+    let default = corpus("default.csv", &[]);
+    assert!(!default.contains("(0 contaminants)"), "{default}");
+    assert_ne!(
+        std::fs::read(path("clean.csv")).unwrap(),
+        std::fs::read(path("default.csv")).unwrap()
+    );
+
+    let backfill = spca_ok(&[
+        "backfill",
+        "--input",
+        &path("clean.csv"),
+        "--partitions",
+        "3",
+        "--state-dir",
+        &path("store"),
+        "--components",
+        "3",
+        "--out",
+        &path("merged.snapshot"),
+    ]);
+    assert!(backfill.contains("n_obs = 600"), "{backfill}");
+    let merged = spca_ok(&["inspect", "--snapshot", &path("merged.snapshot")]);
+    assert!(merged.contains("dimension  : 24"), "{merged}");
+    assert!(merged.contains("n_obs      : 600"), "{merged}");
+
+    let run = spca_ok(&[
+        "run",
+        "--input",
+        &path("clean.csv"),
+        "--engines",
+        "2",
+        "--components",
+        "3",
+        "--warm-start",
+        &path("merged.snapshot"),
+        "--report",
+        &path("report.csv"),
+        "--snapshots",
+        &path("snaps"),
+    ]);
+    assert!(run.contains("warm-starting every engine from"), "{run}");
+    assert!(run.contains("/600 rows flagged"), "{run}");
+    let report = std::fs::read_to_string(path("report.csv")).unwrap();
+    assert_eq!(report.lines().count(), 600);
+
+    // Each engine starts from the archive's 600 observations and adds its
+    // share of the stream's.
+    let engine0 = spca_ok(&[
+        "inspect",
+        "--snapshot",
+        &path("snaps/engine0_latest.snapshot"),
+    ]);
+    assert!(engine0.contains("dimension  : 24"), "{engine0}");
+    let n_obs: f64 = engine0
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("n_obs      : "))
+        .expect(&engine0)
+        .parse()
+        .unwrap();
+    assert!(n_obs > 600.0, "{engine0}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `run --url` reads the stream from an HTTP/1.1 response body: the paper's
+/// "http URLs … out of the box" source, against a one-shot responder.
+#[test]
+fn run_streams_an_http_url() {
+    use std::io::{Read, Write};
+
+    let dir = std::env::temp_dir().join(format!("spca-cli-url-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("corpus.csv");
+    let gen = spca(&[
+        "generate",
+        "--out",
+        csv.to_str().unwrap(),
+        "--n",
+        "600",
+        "--pixels",
+        "24",
+    ]);
+    assert!(gen.status.success());
+    let body = std::fs::read(&csv).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let url = format!("http://{}/corpus.csv", listener.local_addr().unwrap());
+    let responder = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut request = Vec::new();
+        let mut byte = [0u8];
+        while !request.ends_with(b"\r\n\r\n") {
+            conn.read_exact(&mut byte).unwrap();
+            request.push(byte[0]);
+        }
+        let head = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: text/csv\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        conn.write_all(head.as_bytes()).unwrap();
+        conn.write_all(&body).unwrap();
+        String::from_utf8(request).unwrap()
+    });
+
+    let stdout = spca_ok(&[
+        "run",
+        "--url",
+        &url,
+        "--dim",
+        "24",
+        "--engines",
+        "2",
+        "--components",
+        "3",
+    ]);
+    let request = responder.join().unwrap();
+    assert!(
+        request.starts_with("GET /corpus.csv HTTP/1.1\r\n"),
+        "{request}"
+    );
+    assert!(stdout.contains("processed 600 tuples"), "{stdout}");
+}
+
+#[test]
+fn simulate_places_engines_as_asked() {
+    let mut network = Vec::new();
+    for placement in ["rr", "single", "grouped2"] {
+        let stdout = spca_ok(&[
+            "simulate",
+            "--engines",
+            "8",
+            "--dim",
+            "100",
+            "--nodes",
+            "4",
+            "--placement",
+            placement,
+        ]);
+        assert!(
+            stdout.starts_with("simulated 8 engines on 4 nodes at d = 100:\n"),
+            "{placement}: {stdout}"
+        );
+        let mb = stdout
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("network    : "))
+            .and_then(|l| l.strip_suffix(" MB transferred"))
+            .expect(&stdout);
+        network.push(mb.parse::<f64>().unwrap());
+    }
+    // One node has no network to cross; spread engines do.
+    assert!(network[0] > 0.0 && network[2] > 0.0, "{network:?}");
+    assert_eq!(network[1], 0.0, "{network:?}");
+
+    let out = spca(&["simulate", "--placement", "ring"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--placement: unknown 'ring'"));
+}
+
+/// `--sync` picks how engines share state: a strategy builds the sync
+/// controller (it shows as a PE in the CPU line), `none` builds none.
+#[test]
+fn run_sync_strategy_decides_the_sync_controller() {
+    let dir = std::env::temp_dir().join(format!("spca-cli-sync-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("corpus.csv");
+    let csv = csv.to_str().unwrap();
+    assert!(
+        spca(&["generate", "--out", csv, "--n", "300", "--pixels", "24"])
+            .status
+            .success()
+    );
+    for (sync, controller) in [("ring", true), ("broadcast", true), ("none", false)] {
+        let stdout = spca_ok(&[
+            "run",
+            "--input",
+            csv,
+            "--engines",
+            "2",
+            "--components",
+            "3",
+            "--sync",
+            sync,
+        ]);
+        assert!(stdout.contains("processed 300 tuples"), "{sync}: {stdout}");
+        let pes = stdout
+            .lines()
+            .find(|l| l.starts_with("PE CPU seconds: "))
+            .expect(&stdout);
+        assert_eq!(pes.contains("sync-controller"), controller, "{sync}: {pes}");
+    }
+    let out = spca(&["run", "--input", csv, "--sync", "gossip"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--sync: unknown strategy 'gossip'"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--memory` (the estimator's N) reaches the estimator of each subcommand
+/// that declares it: a different N gives a different eigensystem.
+#[test]
+fn memory_reaches_every_estimator() {
+    let dir = std::env::temp_dir().join(format!("spca-cli-memory-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let csv = path("corpus.csv");
+    assert!(
+        spca(&["generate", "--out", &csv, "--n", "600", "--pixels", "24"])
+            .status
+            .success()
+    );
+    let with_memory = |memory: &str| {
+        let ok =
+            |args: &[&str]| spca_ok(&[args, &["--components", "3", "--memory", memory]].concat());
+        let run = ok(&["run", "--input", &csv, "--engines", "2"]);
+        assert!(run.contains(&format!("N = {memory})")), "{run}");
+        let snaps = path(&format!("coordinator-{memory}"));
+        let backfill = path(&format!("backfill-{memory}.snapshot"));
+        let store = path(&format!("store-{memory}"));
+        ok(&[
+            "coordinator",
+            "--input",
+            &csv,
+            "--workers",
+            "0",
+            "--snapshots",
+            &snaps,
+        ]);
+        ok(&[
+            "backfill",
+            "--input",
+            &csv,
+            "--state-dir",
+            &store,
+            "--out",
+            &backfill,
+        ]);
+        (
+            std::fs::read(format!("{snaps}/engine0_latest.snapshot")).unwrap(),
+            std::fs::read(backfill).unwrap(),
+        )
+    };
+    let (coordinator_a, backfill_a) = with_memory("5000");
+    let (coordinator_b, backfill_b) = with_memory("50");
+    assert_ne!(coordinator_a, coordinator_b);
+    assert_ne!(backfill_a, backfill_b);
+    std::fs::remove_dir_all(&dir).ok();
 }
