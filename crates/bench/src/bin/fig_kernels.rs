@@ -2,16 +2,22 @@
 //! available) timings for `dot`, `axpy` and the GEMM inner block at
 //! d ∈ {256, 1000, 4000}.
 //!
-//! This is the measurement behind the recorded `BENCH_kernels.json`
-//! artifact. Both columns are timed inside one process using the backend
-//! override, so compiler flags, allocator state and frequency scaling are
-//! held as equal as a userspace benchmark can make them. The GEMM cell
-//! multiplies a `d × 32` panel by a `32 × 32` block — the tall-times-small
-//! shape every consumer in the engine produces (basis panels, Gram
+//! Both columns are timed inside one process using the backend override,
+//! so compiler flags, allocator state and frequency scaling are held as
+//! equal as a userspace benchmark can make them. The GEMM cell multiplies
+//! a `d × 32` panel by a `32 × 32` block — the tall-times-small shape
+//! every consumer in the engine produces (basis panels, Gram
 //! accumulation), not a square BLAS-3 stress shape.
+//!
+//! Shape check: a SIMD backend must beat scalar by [`FLOOR`] on `dot` and
+//! `gemm` at d = 1000, or the process exits non-zero. When the dispatched
+//! backend is scalar (no AVX2+FMA, or `SPCA_FORCE_SCALAR`) there is
+//! nothing to compare, and the check says it is skipped. The two columns
+//! are only comparable on an otherwise idle host: run it alone.
+//!
+//! Output: `target/figures/kernels.csv`.
 
-use spca_bench::json::{obj, record, Json};
-use spca_bench::{cores, median, print_table};
+use spca_bench::{cores, median, write_csv};
 use spca_linalg::kernels::{self, Backend};
 use std::hint::black_box;
 use std::time::Instant;
@@ -20,6 +26,8 @@ const DIMS: [usize; 3] = [256, 1000, 4000];
 const REPS: usize = 25;
 const GEMM_K: usize = 32;
 const GEMM_W: usize = 32;
+/// Least dispatched-over-scalar speedup of `dot` and `gemm` at d = 1000.
+const FLOOR: f64 = 1.5;
 
 /// Median ns per call of `f`, self-calibrating the inner iteration count
 /// so each sample runs ≥ ~1 ms.
@@ -87,53 +95,43 @@ fn bench_kernel(kernel: &str, d: usize, be: Backend) -> f64 {
 fn main() {
     let dispatched = kernels::backend();
     println!(
-        "dispatched backend: {} (SPCA_FORCE_SCALAR honored)",
-        dispatched.name()
+        "kernel dispatch, median ns/call of {REPS} samples, gemm as (d x {GEMM_K}) * \
+         ({GEMM_K} x {GEMM_W}); dispatched backend: {} (SPCA_FORCE_SCALAR honored), {} cores",
+        dispatched.name(),
+        cores()
     );
 
     let mut rows = Vec::new();
-    let mut table = Vec::new();
-    for kernel in ["dot", "axpy", "gemm"] {
+    let mut gated = Vec::new();
+    for (k, kernel) in ["dot", "axpy", "gemm"].into_iter().enumerate() {
         for d in DIMS {
             let scalar_ns = bench_kernel(kernel, d, Backend::Scalar);
             let dispatched_ns = bench_kernel(kernel, d, dispatched);
             let speedup = scalar_ns / dispatched_ns;
             println!("{kernel:>5} d={d:<5} scalar {scalar_ns:10.1} ns  dispatched {dispatched_ns:10.1} ns  {speedup:5.2}x");
-            table.push(vec![d as f64, scalar_ns, dispatched_ns, speedup]);
-            rows.push(obj([
-                ("kernel", Json::Str(kernel.into())),
-                ("d", Json::Num(d as f64)),
-                ("scalar_ns", Json::Num(scalar_ns)),
-                ("dispatched_ns", Json::Num(dispatched_ns)),
-                ("speedup", Json::Num(speedup)),
-            ]));
+            rows.push(vec![k as f64, d as f64, scalar_ns, dispatched_ns, speedup]);
+            if kernel != "axpy" && d == 1000 {
+                gated.push((kernel, speedup));
+            }
         }
     }
-    print_table(
-        "kernel dispatch (scalar vs dispatched, median ns/call)",
-        &["d", "scalar_ns", "dispatched_ns", "speedup"],
-        &table,
-    );
+    // Column 0 is the kernel's index in dot, axpy, gemm order.
+    let header = ["kernel", "d", "scalar_ns", "dispatched_ns", "speedup"];
+    let path = write_csv("kernels.csv", &header, &rows);
+    println!("\nwrote {}", path.display());
 
-    let benchmark = format!(
-        "kernel dispatch: dot/axpy/gemm at d in {{256, 1000, 4000}}, gemm as \
-         (d x {GEMM_K}) * ({GEMM_K} x {GEMM_W}), median of {REPS} samples per cell"
-    );
-    let machine_note = format!(
-        "{}-core container, cargo run --release, both columns timed in one process via the \
-         backend override",
-        cores()
-    );
-    let target = "dot and gemm at d=1000 ≥ 1.5x dispatched over scalar";
-    let report = obj([
-        ("schema", Json::Str("kernels-v1".into())),
-        ("benchmark", Json::Str(benchmark)),
-        ("machine_note", Json::Str(machine_note)),
-        ("backend", Json::Str(dispatched.name().into())),
-        ("reps", Json::Num(REPS as f64)),
-        ("target", Json::Str(target.into())),
-        ("results", Json::Arr(rows)),
-    ]);
-    let verdict = record("BENCH_kernels.json", &report).expect("recording fails its own gates");
-    println!("wrote BENCH_kernels.json ({verdict})");
+    if dispatched == Backend::Scalar {
+        println!(
+            "\nshape check SKIPPED: the dispatched backend is scalar, nothing to time against it."
+        );
+        return;
+    }
+    for (kernel, speedup) in gated {
+        assert!(
+            speedup >= FLOOR,
+            "{kernel} at d = 1000 is {speedup:.2}x over scalar, below {FLOOR}x \
+             (run alone: a busy host skews both columns)"
+        );
+    }
+    println!("\nshape check PASSED: dot and gemm at d = 1000 beat scalar by {FLOOR}x or more.");
 }

@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spca_bench::{print_table, write_csv};
+use spca_bench::{cores, print_table, write_csv};
 use spca_core::PcaConfig;
 use spca_engine::{AppConfig, ParallelPcaApp, SyncStrategy};
 use spca_spectra::PlantedSubspace;
@@ -60,9 +60,7 @@ fn throughput(n_engines: usize, fuse: bool, measure: Duration) -> f64 {
 }
 
 fn main() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    let cores = cores();
     println!("real-engine scaling cross-check: d = {DIM}, {cores} cores on this machine\n");
     let counts: Vec<usize> = [1usize, 2, 4, 8, 16]
         .into_iter()
@@ -89,11 +87,11 @@ fn main() {
         &rows,
     );
 
-    // Shape checks, scaled to the machine: with several physical cores,
-    // parallel engines must beat one engine; on a single core no speedup
-    // is physically possible, so the check degrades to stability — adding
-    // engines must not collapse throughput (the paper's single-node
-    // plateau, which is exactly what a core-starved box exhibits).
+    // Shape checks, scaled to the machine: with 3 or more cores, parallel
+    // engines must beat one engine; with fewer the check degrades to
+    // stability — adding engines must not collapse throughput (the paper's
+    // single-node plateau, which is exactly what a core-starved box
+    // exhibits).
     let best_one = rows[0][1].max(rows[0][2]);
     let best_many = rows
         .iter()
@@ -117,8 +115,8 @@ fn main() {
             "over-subscription must plateau, not collapse: {worst_many} vs {best_one}"
         );
         println!(
-            "\nshape check PASSED (single-core machine): throughput plateaus instead of \
-             scaling — re-run on a multi-core box for the scaling curve."
+            "\nshape check PASSED ({cores}-core host): throughput plateaus instead of \
+             scaling — re-run on a host with 3 or more cores for the scaling curve."
         );
     }
 }

@@ -6,8 +6,6 @@
 //! calibrates the cluster simulator; every other kernel cost is a per-layer
 //! metric of the pipeline benchmark (`BENCHMARK.json`).
 
-pub mod json;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_core::{PcaConfig, RobustPca};
@@ -77,8 +75,8 @@ pub fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Cores the recording host lets this process use; every artifact that
-/// compares threads or processes records it, and its waivers read it.
+/// Cores the host lets this process use; a figure that compares threads
+/// prints it beside its numbers and scales its shape check to it.
 pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -48,6 +48,16 @@ use std::time::{Duration, Instant};
 
 pub use spca_cluster::elastic::ElasticPolicy;
 
+/// Drain poll cadence during scale-in.
+const DRAIN_POLL: Duration = Duration::from_millis(2);
+/// Consecutive unchanged polls before the retiree counts as drained.
+const DRAIN_STABLE: usize = 5;
+/// Upper bound on drain polls, so a stalled engine cannot wedge the
+/// autoscaler: 500 × [`DRAIN_POLL`] is 1 s of polling, the ceiling
+/// `tests/elastic.rs` holds each scripted rescale under, so a drain that
+/// never settles fails it.
+const MAX_DRAIN_POLLS: usize = 500;
+
 /// Why a rescale request was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScaleError {
@@ -91,13 +101,6 @@ pub struct ScaleEvent {
 pub struct ElasticRuntime {
     active: Arc<ActiveSet>,
     states: Vec<Arc<Mutex<RobustPca>>>,
-    /// Drain poll cadence during scale-in.
-    drain_poll: Duration,
-    /// Consecutive unchanged polls before the retiree counts as drained.
-    drain_stable: usize,
-    /// Upper bound on drain polls (a stalled engine must not wedge the
-    /// autoscaler forever).
-    max_drain_polls: usize,
 }
 
 impl ElasticRuntime {
@@ -114,13 +117,7 @@ impl ElasticRuntime {
             active.max(),
             "need one state handle per provisioned engine"
         );
-        ElasticRuntime {
-            active,
-            states,
-            drain_poll: Duration::from_millis(2),
-            drain_stable: 5,
-            max_drain_polls: 500,
-        }
+        ElasticRuntime { active, states }
     }
 
     /// Currently active engines.
@@ -189,12 +186,12 @@ impl ElasticRuntime {
         // count stops moving the queued tail has been absorbed.
         let mut last = lock(&self.states[retiring]).n_obs();
         let mut stable = 0;
-        for _ in 0..self.max_drain_polls {
-            std::thread::sleep(self.drain_poll);
+        for _ in 0..MAX_DRAIN_POLLS {
+            std::thread::sleep(DRAIN_POLL);
             let n_obs = lock(&self.states[retiring]).n_obs();
             if n_obs == last {
                 stable += 1;
-                if stable >= self.drain_stable {
+                if stable >= DRAIN_STABLE {
                     break;
                 }
             } else {

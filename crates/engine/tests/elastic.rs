@@ -39,8 +39,12 @@ const D: usize = 16;
 /// Documented consistency bound: the elastic run's merged eigensystem and
 /// a fixed-fleet reference over the same observations must agree to this
 /// subspace distance (both independently land within 0.2 of the planted
-/// truth; see `fig_elastic` for the benchmarked figure).
+/// truth).
 const CONSISTENCY_TOL: f64 = 0.25;
+
+/// Each scripted rescale completes inside this, on any host: the drain
+/// cap of `ElasticRuntime::scale_in` (500 polls of 2 ms).
+const RESCALE_CEILING: Duration = Duration::from_secs(1);
 
 fn pca_cfg() -> PcaConfig {
     PcaConfig::new(D, 2)
@@ -137,7 +141,9 @@ fn scripted_rescale_conserves_tuples_and_matches_fixed_fleet_reference() {
         "engine 0 never warmed up"
     );
     let donor_obs = lock(&h.engine_states[0]).n_obs();
+    let t = Instant::now();
     rt.scale_out().expect("scale out");
+    let scale_out = t.elapsed();
     assert_eq!(rt.active(), 2);
 
     // The joiner was bootstrapped from the fleet's merged eigensystem in
@@ -155,8 +161,16 @@ fn scripted_rescale_conserves_tuples_and_matches_fixed_fleet_reference() {
             > at_join + 2_000),
         "joiner never took live traffic"
     );
+    let t = Instant::now();
     rt.scale_in().expect("scale in");
+    let scale_in = t.elapsed();
     assert_eq!(rt.active(), 1);
+    for (what, took) in [("scale-out", scale_out), ("scale-in", scale_in)] {
+        assert!(
+            took < RESCALE_CEILING,
+            "{what} took {took:?}, ceiling {RESCALE_CEILING:?}"
+        );
+    }
 
     let report = running.join();
 

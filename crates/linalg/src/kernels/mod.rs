@@ -60,7 +60,7 @@ impl Backend {
         }
     }
 
-    /// Stable lowercase name used in benchmark artifacts and logs.
+    /// Stable lowercase name, as `fig_kernels` and the logs print it.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
@@ -108,7 +108,7 @@ pub fn backend() -> Backend {
 
 /// Installs (or with `None` clears) a process-wide backend override.
 ///
-/// This is the measurement/testing hook: the `fig_kernels` harness and the
+/// This is the measurement/testing hook: the `fig_kernels` figure and the
 /// backend-equivalence tests use it to time or compare both paths within a
 /// single process. Panics if the requested backend is not available on
 /// this CPU — silently falling back would invalidate the measurement.
