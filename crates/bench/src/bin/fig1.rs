@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use spca_bench::{print_table, write_csv};
 use spca_core::metrics::{subspace_distance, Trace};
 use spca_core::{PcaConfig, RhoKind, RobustPca};
-use spca_spectra::outliers::{OutlierInjector, OutlierKind};
+use spca_spectra::outliers::OutlierInjector;
 use spca_spectra::PlantedSubspace;
 
 const DIM: usize = 100;
@@ -29,7 +29,7 @@ const OUTLIER_RATE: f64 = 0.05;
 
 fn run(rho: RhoKind) -> (Trace, Vec<(u64, bool)>, f64, u64) {
     let truth = PlantedSubspace::new(DIM, RANK, 0.05);
-    let injector = OutlierInjector::new(OUTLIER_RATE).only(OutlierKind::CosmicRay);
+    let injector = OutlierInjector::new(OUTLIER_RATE);
     let cfg = PcaConfig::new(DIM, RANK)
         .with_memory(2000)
         .with_init_size(60)
@@ -41,7 +41,7 @@ fn run(rho: RhoKind) -> (Trace, Vec<(u64, bool)>, f64, u64) {
     let mut n_flagged = 0;
     for i in 0..N {
         let mut x = truth.sample(&mut rng);
-        let contaminated = injector.maybe_contaminate(&mut rng, &mut x).is_some();
+        let contaminated = injector.maybe_contaminate(&mut rng, &mut x);
         let out = pca.update(&x).expect("finite");
         if out.outlier {
             n_flagged += 1;

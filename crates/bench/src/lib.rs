@@ -11,12 +11,17 @@ use rand::SeedableRng;
 use spca_core::{PcaConfig, RobustPca};
 use spca_spectra::PlantedSubspace;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Directory where figure CSVs land.
+/// Directory where figure CSVs land: the workspace's `target/figures`,
+/// wherever the binary runs from.
 pub fn figures_dir() -> PathBuf {
-    let dir = PathBuf::from("target/figures");
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+        .join("target/figures");
     std::fs::create_dir_all(&dir).expect("create figures dir");
     dir
 }
@@ -127,6 +132,15 @@ mod tests {
     #[test]
     fn csv_written_under_figures() {
         let p = write_csv("selftest.csv", &["a", "b"], &[vec![1.0, 2.0]]);
+        // `cargo test` runs in the package root: a path relative to the
+        // working directory would land under `crates/bench`.
+        let at = std::fs::canonicalize(&p).unwrap();
+        assert!(
+            !at.starts_with(env!("CARGO_MANIFEST_DIR")),
+            "{}",
+            at.display()
+        );
+        assert!(at.ends_with("target/figures/selftest.csv"));
         let content = std::fs::read_to_string(&p).unwrap();
         assert!(content.starts_with("a,b\n1,2"));
         std::fs::remove_file(p).ok();

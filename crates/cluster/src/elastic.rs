@@ -18,44 +18,42 @@ use crate::placement::Placement;
 use crate::sim::{ClusterSim, SimConfig};
 use crate::spec::{ClusterSpec, CostModel};
 
-/// Autoscaler policy knobs.
+/// Scale up when achieved/offered throughput falls below this.
+pub const SCALE_UP_BELOW: f64 = 0.95;
+
+/// Scale down when the pool could lose [`STEP_DOWN`] engines and still
+/// keep the achieved/offered ratio above [`SCALE_UP_BELOW`] with this
+/// margin.
+pub const SCALE_DOWN_MARGIN: f64 = 1.3;
+
+/// Engines added per scale-up decision.
+pub const STEP_UP: usize = 2;
+
+/// Engines removed per scale-down decision.
+pub const STEP_DOWN: usize = 1;
+
+/// The pool never shrinks below this.
+pub const MIN_ENGINES: usize = 1;
+
+/// Epochs to hold after *any* scaling action before considering the next
+/// one. Without this hysteresis, offered load sitting at a capacity
+/// boundary (or a noisy capacity measurement straddling it) flips
+/// `+STEP_UP`/`-STEP_DOWN` on consecutive epochs forever.
+pub const COOLDOWN_EPOCHS: usize = 1;
+
+/// The autoscaler policy: the constants above, bounded by a pool ceiling.
+/// The DES simulation and the live autoscaler (`spca-engine`'s
+/// `ElasticSupervisor`) both decide through it.
 #[derive(Debug, Clone)]
 pub struct ElasticPolicy {
-    /// Scale up when achieved/offered throughput falls below this.
-    pub scale_up_below: f64,
-    /// Scale down when the pool could lose an engine and still keep the
-    /// achieved/offered ratio above `scale_up_below` with this margin.
-    pub scale_down_margin: f64,
-    /// Engines added per scale-up decision.
-    pub step_up: usize,
-    /// Engines removed per scale-down decision.
-    pub step_down: usize,
-    /// Hard bounds on the pool size.
-    pub min_engines: usize,
-    /// Upper bound (cloud quota).
+    /// Upper bound on the pool size (cloud quota).
     pub max_engines: usize,
-    /// Epochs to hold after *any* scaling action before considering the
-    /// next one. Without this hysteresis, offered load sitting at a
-    /// capacity boundary (or a noisy capacity measurement straddling it)
-    /// flips `+step_up`/`-step_down` on consecutive epochs forever.
-    pub cooldown_epochs: usize,
 }
 
 impl Default for ElasticPolicy {
-    /// Defaults shared by the DES simulation and the live autoscaler
-    /// (`spca-engine`'s `ElasticSupervisor` builds its policy from this
-    /// same `Default`, so the two loops stay calibrated against each
-    /// other).
+    /// A 40-engine quota.
     fn default() -> Self {
-        ElasticPolicy {
-            scale_up_below: 0.95,
-            scale_down_margin: 1.3,
-            step_up: 2,
-            step_down: 1,
-            min_engines: 1,
-            max_engines: 40,
-            cooldown_epochs: 1,
-        }
+        ElasticPolicy { max_engines: 40 }
     }
 }
 
@@ -68,7 +66,7 @@ impl ElasticPolicy {
     /// `capacity` estimates sustainable throughput at a pool size (only
     /// consulted for the current and candidate-smaller pools);
     /// `epochs_since_action` is how many epochs ago the last nonzero
-    /// action happened (pass `cooldown_epochs` or more when none has).
+    /// action happened (pass [`COOLDOWN_EPOCHS`] or more when none has).
     pub fn decide(
         &self,
         offered: f64,
@@ -76,7 +74,7 @@ impl ElasticPolicy {
         mut capacity: impl FnMut(usize) -> f64,
         epochs_since_action: usize,
     ) -> i64 {
-        if epochs_since_action < self.cooldown_epochs {
+        if epochs_since_action < COOLDOWN_EPOCHS {
             return 0;
         }
         let achieved = capacity(engines).min(offered);
@@ -85,13 +83,13 @@ impl ElasticPolicy {
         } else {
             1.0
         };
-        if satisfaction < self.scale_up_below && engines < self.max_engines {
-            let next = (engines + self.step_up).min(self.max_engines);
+        if satisfaction < SCALE_UP_BELOW && engines < self.max_engines {
+            let next = (engines + STEP_UP).min(self.max_engines);
             return (next - engines) as i64;
         }
-        if engines > self.min_engines {
-            let smaller = engines.saturating_sub(self.step_down).max(self.min_engines);
-            if capacity(smaller) >= offered * self.scale_up_below * self.scale_down_margin {
+        if engines > MIN_ENGINES {
+            let smaller = engines.saturating_sub(STEP_DOWN).max(MIN_ENGINES);
+            if capacity(smaller) >= offered * SCALE_UP_BELOW * SCALE_DOWN_MARGIN {
                 return -((engines - smaller) as i64);
             }
         }
@@ -117,7 +115,7 @@ pub struct EpochReport {
 /// Simulates the autoscaler against a time-varying offered load.
 ///
 /// `offered_load` gives the demand (tuples/s) per epoch. Returns one
-/// report per epoch. The pool starts at `policy.min_engines`.
+/// report per epoch. The pool starts at [`MIN_ENGINES`].
 pub fn simulate_elastic(
     spec: &ClusterSpec,
     cost: &CostModel,
@@ -125,7 +123,7 @@ pub fn simulate_elastic(
     offered_load: &[f64],
     policy: &ElasticPolicy,
 ) -> Vec<EpochReport> {
-    let mut engines = policy.min_engines.max(1);
+    let mut engines = MIN_ENGINES;
     let mut reports = Vec::with_capacity(offered_load.len());
 
     // Capacity at a pool size is load-independent under the saturated DES;
@@ -143,7 +141,7 @@ pub fn simulate_elastic(
 
     // Free to act on the first epoch; afterwards the cooldown counts up
     // from every nonzero action.
-    let mut since_action = policy.cooldown_epochs;
+    let mut since_action = COOLDOWN_EPOCHS;
 
     for &offered in offered_load {
         let cap = capacity(engines);
@@ -227,10 +225,7 @@ mod tests {
     fn respects_quota() {
         let (spec, cost, cfg) = setup();
         let load = vec![1e9; 6]; // impossible demand
-        let policy = ElasticPolicy {
-            max_engines: 5,
-            ..Default::default()
-        };
+        let policy = ElasticPolicy { max_engines: 5 };
         let reports = simulate_elastic(&spec, &cost, &cfg, &load, &policy);
         assert!(reports.iter().all(|r| r.engines <= 5));
     }
@@ -250,67 +245,28 @@ mod tests {
         assert!(reports.last().unwrap().satisfaction > 0.9);
     }
 
-    /// Drives [`ElasticPolicy::decide`] through an epoch loop against a
-    /// per-epoch capacity estimate, mirroring `simulate_elastic`'s
-    /// bookkeeping without the DES. Returns the action sequence.
-    fn drive_policy(policy: &ElasticPolicy, caps: &[f64], offered: f64) -> Vec<i64> {
-        let mut engines = policy.min_engines.max(1);
-        let mut since_action = policy.cooldown_epochs;
-        caps.iter()
-            .map(|&per_engine| {
-                let action =
-                    policy.decide(offered, engines, |n| per_engine * n as f64, since_action);
-                engines = (engines as i64 + action) as usize;
-                since_action = if action != 0 {
-                    0
-                } else {
-                    since_action.saturating_add(1)
-                };
-                action
-            })
-            .collect()
-    }
-
     #[test]
-    fn cooldown_prevents_consecutive_epoch_flapping() {
-        // A noisy capacity estimate straddling the boundary: low epochs
-        // make the pool look starved (scale up), high epochs make the
-        // shrunk pool look sufficient (scale down). Without a cooldown the
-        // policy acts on consecutive epochs, flipping forever.
-        let caps: Vec<f64> = (0..20)
-            .map(|e| if e % 2 == 0 { 900.0 } else { 1300.0 })
-            .collect();
-        let offered = 2000.0;
-
-        let no_cooldown = ElasticPolicy {
-            cooldown_epochs: 0,
-            ..Default::default()
-        };
-        let flappy = drive_policy(&no_cooldown, &caps, offered);
-        assert!(
-            flappy
-                .windows(2)
-                .any(|w| w[0] != 0 && w[1] != 0 && w[0].signum() != w[1].signum()),
-            "expected consecutive opposite actions without cooldown: {flappy:?}"
-        );
-
-        // The default policy (cooldown_epochs >= 1) never acts on two
-        // consecutive epochs, so +up/-down flips cannot alternate back to
-        // back — and it acts strictly less often overall.
+    fn decide_holds_for_the_cooldown_after_any_action() {
+        // Capacities that make every epoch want a change: a starved pool
+        // (scale up) and one with room to spare (scale down).
         let policy = ElasticPolicy::default();
-        assert!(policy.cooldown_epochs >= 1, "default cooldown must be >= 1");
-        let damped = drive_policy(&policy, &caps, offered);
-        assert!(
-            damped.windows(2).all(|w| w[0] == 0 || w[1] == 0),
-            "cooldown violated: {damped:?}"
+        let starved = |n: usize| 100.0 * n as f64;
+        let idle = |n: usize| 1e6 * n as f64;
+        assert_eq!(
+            policy.decide(2000.0, 4, starved, COOLDOWN_EPOCHS),
+            STEP_UP as i64
         );
-        let acts = |v: &[i64]| v.iter().filter(|&&a| a != 0).count();
-        assert!(
-            acts(&damped) < acts(&flappy),
-            "cooldown did not reduce churn: {} vs {}",
-            acts(&damped),
-            acts(&flappy)
+        assert_eq!(
+            policy.decide(2000.0, 4, idle, COOLDOWN_EPOCHS),
+            -(STEP_DOWN as i64)
         );
+        // Some hysteresis at all: without it a load at a capacity boundary
+        // flips +up/-down on consecutive epochs.
+        const { assert!(COOLDOWN_EPOCHS >= 1) };
+        for since in 0..COOLDOWN_EPOCHS {
+            assert_eq!(policy.decide(2000.0, 4, starved, since), 0, "{since}");
+            assert_eq!(policy.decide(2000.0, 4, idle, since), 0, "{since}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! eq. 11/14) per basis vector, incrementally — so two candidate bases can
 //! be scored against the *live stream* without buffering it.
 
-use crate::config::PcaConfig;
+use crate::config::{PcaConfig, DELTA};
 use crate::rho::Rho;
 use crate::{PcaError, Result};
 use spca_linalg::{vecops, Mat};
@@ -24,20 +24,18 @@ pub struct RobustScale {
     sigma2: f64,
     sum_u: f64,
     alpha: f64,
-    delta: f64,
     n: u64,
 }
 
 impl RobustScale {
-    /// A scale tracker with forgetting factor `alpha` and breakdown `delta`.
-    pub fn new(alpha: f64, delta: f64) -> Self {
+    /// A scale tracker with forgetting factor `alpha` and breakdown
+    /// [`DELTA`].
+    pub fn new(alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0);
-        assert!(delta > 0.0 && delta < 1.0);
         RobustScale {
             sigma2: 0.0,
             sum_u: 0.0,
             alpha,
-            delta,
             n: 0,
         }
     }
@@ -55,7 +53,7 @@ impl RobustScale {
         };
         let t = r2 / sigma;
         let w_star = rho.scale_weight(t);
-        self.sigma2 = gamma3 * self.sigma2 + (1.0 - gamma3) * w_star * r2 / self.delta;
+        self.sigma2 = gamma3 * self.sigma2 + (1.0 - gamma3) * w_star * r2 / DELTA;
         self.sum_u = u_new;
         self.n += 1;
     }
@@ -84,7 +82,7 @@ pub struct BasisScaleTracker {
 
 impl BasisScaleTracker {
     /// A tracker over the columns of `basis`, configured like a PCA run
-    /// (α, δ, ρ are taken from `cfg`).
+    /// (α and ρ are taken from `cfg`).
     pub fn new(basis: Mat, cfg: &PcaConfig) -> Self {
         let k = basis.cols();
         let d = basis.rows();
@@ -92,9 +90,7 @@ impl BasisScaleTracker {
             basis,
             mean: vec![0.0; d],
             mean_v: 0.0,
-            scales: (0..k)
-                .map(|_| RobustScale::new(cfg.alpha, cfg.delta))
-                .collect(),
+            scales: (0..k).map(|_| RobustScale::new(cfg.alpha)).collect(),
             rho: cfg.rho.build(),
             alpha: cfg.alpha,
         }
@@ -209,8 +205,8 @@ mod tests {
     fn robust_scale_ignores_contamination() {
         // 10% gross spikes in the projections barely move the bisquare
         // scale but blow up the classical one.
-        let mut robust = RobustScale::new(0.999, 0.5);
-        let mut classic = RobustScale::new(0.999, 0.5);
+        let mut robust = RobustScale::new(0.999);
+        let mut classic = RobustScale::new(0.999);
         let bi = Bisquare::default();
         let cl = Classical;
         let mut rng = StdRng::seed_from_u64(3);
@@ -248,8 +244,8 @@ mod tests {
             })
             .collect();
         let bi = Bisquare::default();
-        let batch = crate::robust::mscale_fixed_point(&r2, 0.5, &bi, 100);
-        let mut streaming = RobustScale::new(1.0 - 1.0 / 2000.0, 0.5);
+        let batch = crate::robust::mscale_fixed_point(&r2, &bi, 100);
+        let mut streaming = RobustScale::new(1.0 - 1.0 / 2000.0);
         for &v in &r2 {
             streaming.update(v, &bi);
         }

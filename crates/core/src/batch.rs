@@ -144,7 +144,6 @@ pub fn batch_robust_pca(
     data: &[Vec<f64>],
     p: usize,
     rho: &dyn Rho,
-    delta: f64,
     max_iters: usize,
 ) -> Result<(EigenSystem, usize)> {
     let n = data.len();
@@ -157,7 +156,7 @@ pub fn batch_robust_pca(
         .iter()
         .map(|x| start.residual_sq_truncated(x, p))
         .collect();
-    let mut sigma2 = mscale_fixed_point(&r2, delta, rho, 50);
+    let mut sigma2 = mscale_fixed_point(&r2, rho, 50);
 
     // The coordinates the iterations run in: the columns of R, or the rows.
     let q = (d > n && p < n)
@@ -206,7 +205,7 @@ pub fn batch_robust_pca(
             .iter()
             .map(|x| next.residual_sq_truncated(x, p))
             .collect();
-        let sigma2_new = mscale_fixed_point(&r2, delta, rho, 50);
+        let sigma2_new = mscale_fixed_point(&r2, rho, 50);
 
         let basis_drift = match (&fit, &q) {
             (Some(prev), _) => crate::metrics::subspace_distance(&prev.basis, &next.basis)?,
@@ -569,7 +568,7 @@ mod tests {
             data.push(x);
         }
         let classic = batch_pca(&data, 2).unwrap();
-        let (robust, iters) = batch_robust_pca(&data, 2, &Bisquare::default(), 0.5, 50).unwrap();
+        let (robust, iters) = batch_robust_pca(&data, 2, &Bisquare::default(), 50).unwrap();
         assert!(iters >= 1);
         let plane = |e: &EigenSystem| {
             let c = e.basis.col(0);
@@ -592,7 +591,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         let data = planted(&mut rng, 400);
         let classic = batch_pca(&data, 2).unwrap();
-        let (robust, _) = batch_robust_pca(&data, 2, &Bisquare::default(), 0.5, 50).unwrap();
+        let (robust, _) = batch_robust_pca(&data, 2, &Bisquare::default(), 50).unwrap();
         let dist = crate::metrics::subspace_distance(&classic.basis, &robust.basis).unwrap();
         assert!(dist < 0.02, "clean-data disagreement {dist}");
     }
@@ -616,13 +615,13 @@ mod tests {
         data[3][7] += 40.0; // one gross outlier
         let rho = Bisquare::default();
         let iters = 6;
-        let (got, got_iters) = batch_robust_pca(&data, p, &rho, 0.5, iters).unwrap();
+        let (got, got_iters) = batch_robust_pca(&data, p, &rho, iters).unwrap();
 
         let mut eig = spherical_pca(&data, p).unwrap();
         let r2 = |e: &EigenSystem| -> Vec<f64> {
             data.iter().map(|x| e.residual_sq_truncated(x, p)).collect()
         };
-        let mut sigma2 = mscale_fixed_point(&r2(&eig), 0.5, &rho, 50);
+        let mut sigma2 = mscale_fixed_point(&r2(&eig), &rho, 50);
         for _ in 0..iters {
             let w: Vec<f64> = r2(&eig).iter().map(|&r| rho.weight(r / sigma2)).collect();
             let wsum: f64 = w.iter().sum();
@@ -632,7 +631,7 @@ mod tests {
             }
             let (basis, values) = covariance_eigensystem(&data, &mean, Some(&w), p).unwrap();
             (eig.mean, eig.basis, eig.values) = (mean, basis, values);
-            sigma2 = mscale_fixed_point(&r2(&eig), 0.5, &rho, 50);
+            sigma2 = mscale_fixed_point(&r2(&eig), &rho, 50);
         }
         assert_eq!(got_iters, iters);
         let scale = eig.values[0];
@@ -651,7 +650,7 @@ mod tests {
     #[test]
     fn empty_batch_rejected() {
         assert!(batch_pca(&[], 2).is_err());
-        assert!(batch_robust_pca(&[], 2, &Bisquare::default(), 0.5, 10).is_err());
+        assert!(batch_robust_pca(&[], 2, &Bisquare::default(), 10).is_err());
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! of an `O(d²)` covariance update. The basis is kept as `E = B·M` between
 //! folds ([`DeferredBasis`]), so the `d`-length work of a row is three
 //! sweeps over `B` and the `d × k` write-back happens once per fold. The
-//! classical estimator here is the non-robust baseline whose failure under
-//! contamination Fig. 1 (left) demonstrates.
+//! classical estimator here is the eq. 1–3 recursion on its own, which
+//! tests compare against batch PCA and against [`crate::RobustPca`] under
+//! the classical ρ; Fig. 1's non-robust baseline is the latter
+//! ([`crate::RhoKind::Classical`]).
 
 use crate::batch::init_from_batch;
 use crate::config::PcaConfig;

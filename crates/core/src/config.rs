@@ -1,6 +1,6 @@
 //! Configuration for the streaming PCA estimators.
 
-use crate::rho::{Bisquare, Classical, HuberLike, Rho, Welsch};
+use crate::rho::{Bisquare, Classical, Rho, Welsch};
 use std::sync::Arc;
 
 /// Which ρ-function drives the robust weights.
@@ -9,8 +9,6 @@ pub enum RhoKind {
     /// Tukey bisquare with rejection point `c²` (the paper's / Maronna's
     /// choice). `Bisquare(9.0)` rejects beyond 3σ.
     Bisquare(f64),
-    /// Bounded Huber-type with cap `c²`.
-    Huber(f64),
     /// Welsch (exponential) redescender with scale `c²` — smooth weights,
     /// never exactly zero.
     Welsch(f64),
@@ -23,21 +21,28 @@ impl RhoKind {
     pub fn build(self) -> Arc<dyn Rho> {
         match self {
             RhoKind::Bisquare(c2) => Arc::new(Bisquare::new(c2)),
-            RhoKind::Huber(c2) => Arc::new(HuberLike::new(c2)),
             RhoKind::Welsch(c2) => Arc::new(Welsch::new(c2)),
             RhoKind::Classical => Arc::new(Classical),
         }
     }
 }
 
+/// M-scale breakdown parameter `δ` of eq. (5): Maronna's maximal-breakdown
+/// choice, the one value the paper uses.
+pub const DELTA: f64 = 0.5;
+
+/// Fixed-point iterations of eq. (8) when solving the M-scale on the
+/// warm-up batch.
+pub(crate) const INIT_SCALE_ITERS: usize = 30;
+
 /// Configuration shared by the classic and robust streaming estimators.
 ///
-/// Mirrors the knobs the paper exposes: the eigensystem size `p`, extra
+/// Mirrors the knobs the paper varies: the eigensystem size `p`, extra
 /// components `q` for the gappy-residual correction, the forgetting factor
-/// `α = 1 − 1/N` (§II-B), the M-scale breakdown parameter `δ` (eq. 5), the
-/// ρ-function, and the warm-up size used to initialize the eigensystem
-/// (§III-C: "first our implementation accumulates a given number of
-/// incoming vectors and initializes the eigensystem").
+/// `α = 1 − 1/N` (§II-B), the ρ-function, and the warm-up size used to
+/// initialize the eigensystem (§III-C: "first our implementation
+/// accumulates a given number of incoming vectors and initializes the
+/// eigensystem"). The breakdown `δ` is [`DELTA`].
 #[derive(Debug, Clone)]
 pub struct PcaConfig {
     /// Dimensionality `d` of incoming vectors.
@@ -51,27 +56,18 @@ pub struct PcaConfig {
     /// Forgetting factor `α ∈ (0, 1]`. `1.0` = infinite memory (classic).
     /// The paper sets `α = 1 − 1/N` with `N` the effective sample size.
     pub alpha: f64,
-    /// M-scale breakdown parameter `δ ∈ (0, 1)` (eq. 5). Defaults to `0.5`,
-    /// Maronna's maximal-breakdown choice.
-    pub delta: f64,
     /// ρ-function used for robust weights.
     pub rho: RhoKind,
     /// Number of warm-up observations buffered before the eigensystem is
     /// initialized with a small batch PCA.
     pub init_size: usize,
-    /// Observations whose weight `w` falls at/below this value are flagged
-    /// as outliers. `0.0` flags only hard-rejected points.
-    pub outlier_weight_threshold: f64,
-    /// Number of fixed-point iterations of eq. (8) used when solving the
-    /// M-scale on the warm-up batch.
-    pub init_scale_iters: usize,
 }
 
 impl PcaConfig {
     /// Creates a config with the paper-ish defaults for a `dim`-dimensional
     /// stream tracking `p` components: `α` for `N = 5000` (the paper's
-    /// performance-test setting), bisquare ρ with 3σ rejection, `δ = 0.5`,
-    /// warm-up of `max(2p+2, 20)` vectors, `q = 2` spare components.
+    /// performance-test setting), bisquare ρ with 3σ rejection, warm-up of
+    /// `max(2p+2, 20)` vectors, `q = 2` spare components.
     pub fn new(dim: usize, p: usize) -> Self {
         assert!(p >= 1, "need at least one component");
         assert!(dim > p, "dimension must exceed component count");
@@ -80,11 +76,8 @@ impl PcaConfig {
             p,
             q_extra: 2,
             alpha: 1.0 - 1.0 / 5000.0,
-            delta: 0.5,
             rho: RhoKind::Bisquare(9.0),
             init_size: (2 * p + 2).max(20),
-            outlier_weight_threshold: 0.0,
-            init_scale_iters: 30,
         }
     }
 
@@ -178,7 +171,6 @@ mod tests {
     #[test]
     fn rho_kinds_build() {
         assert!(RhoKind::Bisquare(9.0).build().weight(0.0) > 0.0);
-        assert!(RhoKind::Huber(4.0).build().weight(0.0) > 0.0);
         assert!(RhoKind::Welsch(9.0).build().weight(0.0) > 0.0);
         assert_eq!(RhoKind::Classical.build().weight(1e9), 1.0);
     }

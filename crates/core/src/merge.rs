@@ -132,8 +132,7 @@ pub fn merge(s1: &EigenSystem, s2: &EigenSystem) -> Result<EigenSystem> {
 ///
 /// The left fold is the synchronization-path shape (one accumulator, peers
 /// folded in as they arrive). For batch reductions over many partitions,
-/// prefer [`merge_tree`]: same algebra, balanced γ-weighting, and a
-/// log-depth critical path.
+/// prefer [`merge_tree`]: same algebra, balanced γ-weighting.
 pub fn merge_all<'a>(systems: impl IntoIterator<Item = &'a EigenSystem>) -> Result<EigenSystem> {
     let mut systems = systems.into_iter();
     let first = systems
@@ -142,30 +141,19 @@ pub fn merge_all<'a>(systems: impl IntoIterator<Item = &'a EigenSystem>) -> Resu
     systems.try_fold(first.clone(), |acc, s| merge(&acc, s))
 }
 
-/// Merges many eigensystems by pairwise tree reduction, parallelized over
-/// the machine's available cores.
+/// Merges many eigensystems by pairwise tree reduction, on the calling
+/// thread.
 ///
 /// Each level merges adjacent pairs `(0,1), (2,3), …` — an odd trailing
-/// element passes through to the next level — so the reduction finishes in
-/// ⌈log₂ n⌉ levels instead of `n − 1` sequential folds, and every merge
-/// combines subtrees of (nearly) equal observation mass, which keeps the
-/// γ weights of eq. 15 balanced instead of letting a long-running
-/// accumulator dominate every step. The pairing is fixed by index, so the
-/// result is **bit-identical regardless of worker count** — independent
-/// pair merges never observe each other.
+/// element passes through to the next level — so every merge combines
+/// subtrees of (nearly) equal observation mass, which keeps the γ weights
+/// of eq. 15 balanced instead of letting a long-running accumulator
+/// dominate every step. The pairing is fixed by index and no other thread
+/// takes part, so the result is **bit-identical at any thread count**:
+/// the same on every machine and in every process, whatever runs beside it.
 ///
 /// Returns a [`PcaError`] on an empty input slice.
 pub fn merge_tree(systems: &[EigenSystem]) -> Result<EigenSystem> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    merge_tree_threads(systems, threads)
-}
-
-/// [`merge_tree`] with an explicit worker-thread cap (`0` and `1` both mean
-/// sequential). The reduction shape — and therefore the result, bit for
-/// bit — does not depend on `threads`.
-pub fn merge_tree_threads(systems: &[EigenSystem], threads: usize) -> Result<EigenSystem> {
     if systems.is_empty() {
         return Err(PcaError::IncompatibleMerge(
             "cannot merge zero systems".into(),
@@ -173,49 +161,16 @@ pub fn merge_tree_threads(systems: &[EigenSystem], threads: usize) -> Result<Eig
     }
     let mut level: Vec<EigenSystem> = systems.to_vec();
     while level.len() > 1 {
-        level = merge_level(&level, threads)?;
-    }
-    Ok(level.pop().expect("non-empty by construction"))
-}
-
-/// Merges adjacent pairs of one tree level, in parallel when it pays.
-fn merge_level(level: &[EigenSystem], threads: usize) -> Result<Vec<EigenSystem>> {
-    let pairs = level.len() / 2;
-    let workers = threads.min(pairs).max(1);
-    if workers <= 1 {
-        let mut next = Vec::with_capacity(pairs + level.len() % 2);
-        for pair in 0..pairs {
-            next.push(merge(&level[2 * pair], &level[2 * pair + 1])?);
-        }
-        if level.len() % 2 == 1 {
-            next.push(level[level.len() - 1].clone());
-        }
-        return Ok(next);
-    }
-    // Contiguous chunks of pair indices per worker; each worker fills its
-    // own output slots, so no result depends on scheduling order.
-    let mut slots: Vec<Option<Result<EigenSystem>>> = Vec::new();
-    slots.resize_with(pairs, || None);
-    let chunk = pairs.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, out) in slots.chunks_mut(chunk).enumerate() {
-            let start = w * chunk;
-            scope.spawn(move || {
-                for (off, slot) in out.iter_mut().enumerate() {
-                    let pair = start + off;
-                    *slot = Some(merge(&level[2 * pair], &level[2 * pair + 1]));
-                }
+        let mut next = Vec::with_capacity(level.len().div_ceil(2));
+        for pair in level.chunks(2) {
+            next.push(match pair {
+                [a, b] => merge(a, b)?,
+                _ => pair[0].clone(),
             });
         }
-    });
-    let mut next = Vec::with_capacity(pairs + level.len() % 2);
-    for slot in slots {
-        next.push(slot.expect("every pair slot is written")?);
+        level = next;
     }
-    if level.len() % 2 == 1 {
-        next.push(level[level.len() - 1].clone());
-    }
-    Ok(next)
+    Ok(level.pop().expect("non-empty by construction"))
 }
 
 /// Pads (or truncates) an eigensystem to exactly `k` components, filling
@@ -432,32 +387,6 @@ mod tests {
             assert!(dist < 0.05, "n={n}: association error {dist}");
             assert!((fold.sum_v - tree.sum_v).abs() < 1e-9 * fold.sum_v.max(1.0));
             assert_eq!(fold.n_obs, tree.n_obs);
-        }
-    }
-
-    #[test]
-    fn tree_merge_is_bit_identical_across_worker_counts() {
-        let mut rng = StdRng::seed_from_u64(28);
-        let parts: Vec<EigenSystem> = (0..7)
-            .map(|_| batch_pca(&planted(&mut rng, 120), 2).unwrap())
-            .collect();
-        let seq = merge_tree_threads(&parts, 1).unwrap();
-        for threads in [2, 3, 8] {
-            let par = merge_tree_threads(&parts, threads).unwrap();
-            assert_eq!(par.n_obs, seq.n_obs);
-            for (a, b) in par.mean.iter().zip(&seq.mean) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{threads} workers: mean");
-            }
-            for (a, b) in par.values.iter().zip(&seq.values) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{threads} workers: values");
-            }
-            assert_eq!(
-                par.basis.sub(&seq.basis).unwrap().max_abs(),
-                0.0,
-                "{threads} workers: basis"
-            );
-            assert_eq!(par.sigma2.to_bits(), seq.sigma2.to_bits());
-            assert_eq!(par.sum_v.to_bits(), seq.sum_v.to_bits());
         }
     }
 

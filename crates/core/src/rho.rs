@@ -5,10 +5,11 @@
 //! argument is the *squared, scale-normalized* residual `t = r²/σ²`.
 //!
 //! The default is the Tukey bisquare, the choice of Maronna (2005) whose
-//! M-scale procedure the paper adopts. Also provided: a bounded Huber-type
-//! function, the smoothly-redescending Welsch exponential, and the unbounded
-//! classical `ρ(t) = t` (which reduces every robust recursion to its
-//! classical counterpart — used as a consistency oracle in tests).
+//! M-scale procedure the paper adopts. Also provided: the smoothly
+//! redescending Welsch exponential, and the unbounded classical
+//! `ρ(t) = t` (which reduces every robust recursion to its classical
+//! counterpart — Fig. 1's non-robust baseline, and a consistency oracle
+//! in tests).
 
 /// A bounded robust ρ-function on the squared normalized residual.
 pub trait Rho: Send + Sync {
@@ -96,49 +97,6 @@ impl Rho for Bisquare {
         } else {
             let u = 1.0 - t / self.c2;
             3.0 / self.c2 * u * u
-        }
-    }
-
-    fn rejection_point(&self) -> f64 {
-        self.c2
-    }
-}
-
-/// Bounded Huber-type function: `ρ(t) = min(t/c², 1)`.
-///
-/// Linear (i.e. classical) inside the acceptance region, capped outside.
-/// Unlike the bisquare its weights do not descend smoothly, which makes it
-/// cheaper but slightly less efficient statistically — included for the
-/// ρ-ablation bench.
-#[derive(Debug, Clone, Copy)]
-pub struct HuberLike {
-    c2: f64,
-}
-
-impl HuberLike {
-    /// Creates a Huber-type ρ with cap at `t = c²`.
-    pub fn new(c2: f64) -> Self {
-        assert!(c2 > 0.0, "cap must be positive");
-        HuberLike { c2 }
-    }
-}
-
-impl Default for HuberLike {
-    fn default() -> Self {
-        HuberLike::new(9.0)
-    }
-}
-
-impl Rho for HuberLike {
-    fn rho(&self, t: f64) -> f64 {
-        (t / self.c2).clamp(0.0, 1.0)
-    }
-
-    fn weight(&self, t: f64) -> f64 {
-        if (0.0..self.c2).contains(&t) {
-            1.0 / self.c2
-        } else {
-            0.0
         }
     }
 
@@ -251,11 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn huber_bounds_and_monotonicity() {
-        check_bounds(&HuberLike::default());
-    }
-
-    #[test]
     fn welsch_bounds_and_monotonicity() {
         check_bounds(&Welsch::default());
     }
@@ -285,16 +238,6 @@ mod tests {
         for &t in &[0.1, 1.0, 4.0, 8.0] {
             let num = (b.rho(t + h) - b.rho(t - h)) / (2.0 * h);
             assert!((num - b.weight(t)).abs() < 1e-6, "t={t}");
-        }
-    }
-
-    #[test]
-    fn huber_weight_is_derivative_inside() {
-        let hb = HuberLike::default();
-        let h = 1e-6;
-        for &t in &[0.1, 1.0, 4.0, 8.0] {
-            let num = (hb.rho(t + h) - hb.rho(t - h)) / (2.0 * h);
-            assert!((num - hb.weight(t)).abs() < 1e-6, "t={t}");
         }
     }
 

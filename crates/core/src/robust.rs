@@ -22,7 +22,7 @@ use crate::classic::{
     decayed_count, low_rank_update, repair_if_due, validate, DeferredBasis, StepScratch,
     UpdateWorkspace, FOLD_EVERY,
 };
-use crate::config::PcaConfig;
+use crate::config::{PcaConfig, DELTA, INIT_SCALE_ITERS};
 use crate::eigensystem::EigenSystem;
 use crate::gaps::fill_scanned;
 use crate::rho::Rho;
@@ -38,8 +38,8 @@ pub struct UpdateOutcome {
     pub scaled_residual: f64,
     /// Robust weight `w = W(t)` the observation received.
     pub weight: f64,
-    /// True if the observation was flagged as an outlier (weight at or
-    /// below the configured threshold).
+    /// True if the observation was flagged as an outlier: the ρ-function
+    /// rejected it outright (`w == 0`).
     pub outlier: bool,
     /// True once the eigensystem is initialized (false during warm-up,
     /// when the other fields are zero).
@@ -396,7 +396,7 @@ pub struct DeferredTail<'a> {
 
 /// Solves the M-scale equation (eq. 5) on a batch of squared residuals via
 /// the fixed-point form of eq. (8): `σ² ← (1/Nδ) Σ w*(r²/σ²)·r²`.
-pub(crate) fn mscale_fixed_point(r2: &[f64], delta: f64, rho: &dyn Rho, iters: usize) -> f64 {
+pub(crate) fn mscale_fixed_point(r2: &[f64], rho: &dyn Rho, iters: usize) -> f64 {
     if r2.is_empty() {
         return 0.0;
     }
@@ -408,7 +408,7 @@ pub(crate) fn mscale_fixed_point(r2: &[f64], delta: f64, rho: &dyn Rho, iters: u
     for _ in 0..iters {
         let n = r2.len() as f64;
         let s: f64 = r2.iter().map(|&v| rho.scale_weight(v / sigma2) * v).sum();
-        let next = s / (n * delta);
+        let next = s / (n * DELTA);
         if next <= 0.0 {
             break;
         }
@@ -432,9 +432,7 @@ pub(crate) fn mscale_fixed_point(r2: &[f64], delta: f64, rho: &dyn Rho, iters: u
 fn robust_init(cfg: &PcaConfig, batch: &[Vec<f64>], rho: &dyn Rho) -> Result<EigenSystem> {
     let mut eig = init_from_batch(cfg, batch)?;
     if batch.len() > cfg.p_total() + 2 {
-        if let Ok((robust, _)) =
-            crate::batch::batch_robust_pca(batch, cfg.p_total(), rho, cfg.delta, 15)
-        {
+        if let Ok((robust, _)) = crate::batch::batch_robust_pca(batch, cfg.p_total(), rho, 15) {
             if robust.check_invariants().is_ok() {
                 eig.mean = robust.mean;
                 eig.basis = robust.basis;
@@ -452,7 +450,7 @@ fn solve_mscale(eig: &mut EigenSystem, batch: &[Vec<f64>], cfg: &PcaConfig, rho:
         .iter()
         .map(|x| eig.residual_sq_truncated(x, cfg.p))
         .collect();
-    let sigma2 = mscale_fixed_point(&r2, cfg.delta, rho, cfg.init_scale_iters);
+    let sigma2 = mscale_fixed_point(&r2, rho, INIT_SCALE_ITERS);
     eig.sigma2 = sigma2;
     let u0 = decayed_count(cfg.alpha, batch.len());
     let (mut wsum, mut wr2sum) = (0.0, 0.0);
@@ -512,7 +510,7 @@ fn robust_step(
     // --- eq. 14 / 11: M-scale ---
     let u_new = alpha * eig.sum_u + 1.0;
     let gamma3 = alpha * eig.sum_u / u_new;
-    eig.sigma2 = gamma3 * eig.sigma2 + (1.0 - gamma3) * w_star * r2 / cfg.delta;
+    eig.sigma2 = gamma3 * eig.sigma2 + (1.0 - gamma3) * w_star * r2 / DELTA;
     eig.sum_u = u_new;
 
     // --- eq. 13 / 10: weighted covariance via the low-rank update ---
@@ -543,7 +541,7 @@ fn robust_step(
         residual_sq: r2,
         scaled_residual: t_scaled,
         weight: w,
-        outlier: w <= cfg.outlier_weight_threshold,
+        outlier: w == 0.0,
         initialized: true,
     })
 }
@@ -690,11 +688,11 @@ mod tests {
 
     #[test]
     fn mscale_fixed_point_gaussian_batch() {
-        // For the classical rho the fixed point is mean(r²)/delta.
+        // For the classical rho the fixed point is mean(r²)/δ.
         let r2: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = mscale_fixed_point(&r2, 0.5, &crate::rho::Classical, 50);
+        let s = mscale_fixed_point(&r2, &crate::rho::Classical, 50);
         let mean = 50.5;
-        assert!((s - mean / 0.5).abs() < 1e-9, "{s}");
+        assert!((s - mean / DELTA).abs() < 1e-9, "{s}");
     }
 
     #[test]
@@ -702,8 +700,8 @@ mod tests {
         // 20% gross outliers should barely move the bisquare M-scale.
         let mut r2: Vec<f64> = vec![1.0; 80];
         r2.extend(vec![1e6; 20]);
-        let clean = mscale_fixed_point(&vec![1.0; 80], 0.5, &crate::rho::Bisquare::default(), 100);
-        let dirty = mscale_fixed_point(&r2, 0.5, &crate::rho::Bisquare::default(), 100);
+        let clean = mscale_fixed_point(&vec![1.0; 80], &crate::rho::Bisquare::default(), 100);
+        let dirty = mscale_fixed_point(&r2, &crate::rho::Bisquare::default(), 100);
         assert!(dirty < 4.0 * clean, "clean {clean} dirty {dirty}");
     }
 

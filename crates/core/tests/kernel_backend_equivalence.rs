@@ -47,18 +47,18 @@ fn stream(n: usize, d: usize) -> Vec<Vec<f64>> {
 
 fn run_stream(data: &[Vec<f64>]) -> EigenSystem {
     let d = data[0].len();
-    // Huber ρ, not the default bisquare: the bisquare's smoothly-descending
+    // Classical ρ, not the default bisquare: the bisquare's smoothly-descending
     // weight has nonzero derivative everywhere the M-scale puts the bulk of
     // the data, so it amplifies *any* last-bit perturbation (a compiler
     // upgrade as much as an FMA) into ~1e-9 trajectory noise — that is a
-    // property of redescending weights, not of the kernels. Huber's weight
-    // is constant across the bulk, so kernel-level rounding is all that can
+    // property of redescending weights, not of the kernels. The classical
+    // weight is constant, so kernel-level rounding is all that can
     // separate the runs and the 1e-10 contract is meaningful.
     let cfg = PcaConfig::new(d, 4)
         .with_init_size(24)
         .with_extra(2)
         .with_memory(200)
-        .with_rho(RhoKind::Huber(9.0));
+        .with_rho(RhoKind::Classical);
     let mut pca = RobustPca::new(cfg);
     for x in data {
         pca.update(x).unwrap();

@@ -80,10 +80,9 @@ pub struct AppConfig {
     /// the one durable copy of each stateful operator (source cursor,
     /// split, engines, sync controller). Every restart restores from it:
     /// a panicked engine (see [`StreamingPcaOp::with_recovery`]), a killed
-    /// PE, a respawned worker process.
+    /// PE, a respawned worker process. PEs checkpoint every
+    /// [`spca_streams::DEFAULT_CHECKPOINT_EVERY`] tuples.
     pub recovery_dir: Option<std::path::PathBuf>,
-    /// Checkpoint cadence the engines ask of their PEs, in tuples.
-    pub recovery_every: u64,
     /// An engine the sync controller has not heard from for this long
     /// counts as dead: skipped as a sender, dropped as a receiver (a ring
     /// re-closes around it), re-admitted at its next heartbeat.
@@ -146,7 +145,6 @@ impl AppConfig {
             divergence_gate: None,
             faults: None,
             recovery_dir: None,
-            recovery_every: 500,
             liveness_timeout: Duration::from_millis(100),
             heartbeat_every: crate::pca_operator::HEARTBEAT_EVERY,
             epoch_store: None,
@@ -242,7 +240,7 @@ impl ParallelPcaApp {
                 .with_snapshots_every(cfg.snapshot_every)
                 .with_heartbeats_every(cfg.heartbeat_every);
             if cfg.recovery_dir.is_some() {
-                op = op.with_recovery(cfg.recovery_every);
+                op = op.with_recovery();
             }
             if let Some(gate) = sync_gate {
                 op = op.with_sync_gate(gate);

@@ -302,14 +302,11 @@ pub struct ElasticSupervisor {
 }
 
 impl ElasticSupervisor {
-    /// A supervisor over `runtime` deciding once per `epoch`, with the
-    /// default policy (the same [`ElasticPolicy::default`] that
-    /// calibrates the DES simulation) bounded to the runtime's fleet.
+    /// A supervisor over `runtime` deciding once per `epoch`, through the
+    /// policy the DES simulation uses, bounded to the runtime's fleet.
     pub fn new(runtime: ElasticRuntime, epoch: Duration) -> Self {
         let policy = ElasticPolicy {
-            min_engines: 1,
             max_engines: runtime.max(),
-            ..ElasticPolicy::default()
         };
         ElasticSupervisor {
             policy,
@@ -587,7 +584,6 @@ mod tests {
         let sup = ElasticSupervisor::new(rt, Duration::from_millis(10));
         assert_ne!(ElasticPolicy::default().max_engines, 3);
         assert_eq!(sup.policy.max_engines, 3);
-        assert_eq!(sup.policy.min_engines, 1);
     }
 
     #[test]

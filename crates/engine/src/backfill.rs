@@ -369,11 +369,8 @@ pub fn backfill(
         .iter()
         .map(|bytes| decode_snapshot(bytes))
         .collect::<io::Result<_>>()?;
-    let merged = spca_core::merge::merge_tree_threads(
-        &per_partition,
-        if cfg.workers == 0 { 1 } else { cfg.workers }.max(1),
-    )
-    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("merge failed: {e}")))?;
+    let merged = spca_core::merge_tree(&per_partition)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("merge failed: {e}")))?;
     Ok(BackfillOutcome {
         merged,
         per_partition,

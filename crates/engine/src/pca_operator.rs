@@ -75,10 +75,10 @@ pub struct StreamingPcaOp {
     quarantined: u64,
     merges_applied: u64,
     shares_sent: u64,
-    /// When nonzero, the checkpoint cadence this operator asks of its PE
-    /// (see [`Checkpoint::checkpoint_every`]) — and its consent to a
-    /// supervised restart (see [`Operator::recover`]).
-    recovery_every: u64,
+    /// Consent to a supervised restart (see [`Operator::recover`]). The
+    /// PE checkpoints the operator at [`spca_streams::DEFAULT_CHECKPOINT_EVERY`]
+    /// either way.
+    recovery: bool,
     /// An engine with peers has a sync controller listening for it: a
     /// [`KIND_HEARTBEAT`] goes out on the monitor port at the first
     /// processed tuple and every `heartbeat_every` thereafter, feeding the
@@ -133,7 +133,7 @@ impl StreamingPcaOp {
             quarantined: 0,
             merges_applied: 0,
             shares_sent: 0,
-            recovery_every: 0,
+            recovery: false,
             heartbeat_every: HEARTBEAT_EVERY,
             epoch_store: None,
             publish_every: 0,
@@ -148,14 +148,13 @@ impl StreamingPcaOp {
         self
     }
 
-    /// Enables crash recovery: the operator asks its PE for a checkpoint
-    /// every `every` consumed tuples and consents to supervised restarts.
-    /// The operator itself writes nothing — its state is one blob of the
-    /// PE's snapshot manifest (the [`Checkpoint`] facet below), which needs
-    /// a checkpoint dir on the graph; every restart restores from there.
-    pub fn with_recovery(mut self, every: u64) -> Self {
-        assert!(every > 0, "recovery cadence must be positive");
-        self.recovery_every = every;
+    /// Enables crash recovery: the operator consents to supervised
+    /// restarts. The operator itself writes nothing — its state is one
+    /// blob of the PE's snapshot manifest (the [`Checkpoint`] facet below),
+    /// which needs a checkpoint dir on the graph; every restart restores
+    /// from there.
+    pub fn with_recovery(mut self) -> Self {
+        self.recovery = true;
         self
     }
 
@@ -512,16 +511,16 @@ impl Operator for StreamingPcaOp {
         self.publish_epoch();
     }
 
-    /// Supervised-restart hook. Without a recovery cadence the operator
-    /// declines the restart (returns `false`) and the supervisor finishes
-    /// it — losing state silently would be worse than dying visibly. With
-    /// one it consents and resets to its configuration: the supervisor
+    /// Supervised-restart hook. Without recovery the operator declines the
+    /// restart (returns `false`) and the supervisor finishes it — losing
+    /// state silently would be worse than dying visibly. With it the
+    /// operator consents and resets to its configuration: the supervisor
     /// then overlays the engine's blob from the PE manifest (state and
     /// counters together, see [`Checkpoint::restore`] below), and when no
     /// generation holds one yet — a crash before the first cadence tick —
     /// the engine restarts fresh.
     fn recover(&mut self, attempt: u64) -> bool {
-        if self.recovery_every == 0 {
+        if !self.recovery {
             return false;
         }
         {
@@ -641,14 +640,6 @@ impl Checkpoint for StreamingPcaOp {
         self.last_peer = None;
         *lock(&self.state) = fresh;
         Ok(())
-    }
-
-    fn checkpoint_every(&self) -> u64 {
-        if self.recovery_every > 0 {
-            self.recovery_every
-        } else {
-            spca_streams::DEFAULT_CHECKPOINT_EVERY
-        }
     }
 }
 
@@ -1149,7 +1140,7 @@ mod tests {
     fn recover_without_snapshot_restarts_fresh() {
         // What `recover` itself does: consent and reset. Any state comes
         // back through `restore`, from the supervisor.
-        let mut op = StreamingPcaOp::new(6, cfg(), 0).with_recovery(100);
+        let mut op = StreamingPcaOp::new(6, cfg(), 0).with_recovery();
         feed(&mut op, 80, 16);
         op.obs_since_sync = 37;
         assert!(op.recover(1));
@@ -1314,14 +1305,68 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_cadence_follows_recovery_cadence() {
-        let op = StreamingPcaOp::new(8, cfg(), 0).with_recovery(250);
-        assert_eq!(op.checkpoint_every(), 250);
-        let plain = StreamingPcaOp::new(8, cfg(), 0);
-        assert_eq!(
-            plain.checkpoint_every(),
-            spca_streams::DEFAULT_CHECKPOINT_EVERY
+    fn a_pe_holding_an_engine_with_recovery_checkpoints_every_default_cadence() {
+        use spca_streams::checkpoint::recover_pe_manifest;
+        use spca_streams::ops::CallbackSink;
+        use spca_streams::{Engine, GraphBuilder, OpContext, PortKind, SourceState};
+
+        // Not checkpointable, so the engine alone sets its PE's cadence;
+        // one-row frames, so the PE looks at it after every row.
+        struct Rows {
+            left: u64,
+            w: PlantedSubspace,
+            rng: StdRng,
+        }
+        impl Operator for Rows {
+            fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
+                if self.left == 0 {
+                    return SourceState::Done;
+                }
+                self.left -= 1;
+                let x = self.w.sample(&mut self.rng);
+                ctx.emit_row(0, DataTuple::new(self.left, x).row());
+                SourceState::Emitted
+            }
+        }
+
+        let every = spca_streams::DEFAULT_CHECKPOINT_EVERY;
+        let dir = std::env::temp_dir().join(format!("spca-pca-cadence-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut g = GraphBuilder::new()
+            .with_checkpoint_dir(&dir)
+            .with_batch_size(1);
+        let src = g.add_source(
+            "rows",
+            Box::new(Rows {
+                left: 3 * every + every / 2,
+                w: PlantedSubspace::new(D, 2, 0.05),
+                rng: StdRng::seed_from_u64(23),
+            }),
         );
+        let pca = g.add_op(
+            "pca-0",
+            Box::new(StreamingPcaOp::new(0, cfg(), 0).with_recovery()),
+        );
+        let monitor = g.add_op(
+            "monitor",
+            Box::new(CallbackSink::with_control(|_| {}, |_| {})),
+        );
+        g.connect(src, 0, pca, PortKind::Data);
+        g.connect(pca, 0, monitor, PortKind::Control);
+        g.fuse(&[src, pca]);
+        Engine::run(g);
+
+        // The last generation is the third cadence tick; the half cadence
+        // after it is in no generation.
+        let set = recover_pe_manifest(&dir, 0).set.expect("a generation");
+        let (_, blob) = set
+            .iter()
+            .find(|(name, _)| name == "pca-0")
+            .expect("the engine's blob");
+        let mut restored = StreamingPcaOp::new(0, cfg(), 0);
+        restored.restore(blob).unwrap();
+        assert_eq!(restored.processed, 3 * every);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

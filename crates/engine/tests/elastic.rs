@@ -264,7 +264,6 @@ fn kill_pe_during_scale_out_recovers_and_converges() {
     let dir = tmp_dir("killpe");
     let mut cfg = elastic_cfg(1, 3);
     cfg.recovery_dir = Some(dir.clone());
-    cfg.recovery_every = 500;
     // Engine 0's whole PE dies at its 6000th tuple — right after the
     // scripted scale-out below, so the join (bootstrap + ring admission)
     // is in flight while the donor PE is torn down and rehydrated.
@@ -308,7 +307,6 @@ fn fsync_faults_during_retire_merge_degrade_gracefully() {
     let dir = tmp_dir("fsync");
     let mut cfg = elastic_cfg(2, 3);
     cfg.recovery_dir = Some(dir.clone());
-    cfg.recovery_every = 400;
     // Every fsync fails for the whole run — including across the retiring
     // engine's final drain and merge. Persistence must degrade (counted),
     // never kill an engine or corrupt the in-memory merge.

@@ -115,7 +115,6 @@ fn deterministic_cfg(recovery: &Path) -> AppConfig {
     cfg.heartbeat_every = 64;
     cfg.channel_capacity = 200_000;
     cfg.recovery_dir = Some(recovery.to_path_buf());
-    cfg.recovery_every = 500;
     cfg
 }
 
@@ -337,7 +336,7 @@ fn assert_restart_is_invisible(clean: &RunOutcome, faulted: &RunOutcome) {
 
 #[test]
 fn panic_off_the_checkpoint_cadence_is_still_bit_identical() {
-    // 5003 is no multiple of the 500-tuple cadence: what keeps tuples
+    // 5003 is no multiple of the 512-tuple cadence: what keeps tuples
     // 5001-5003 in the restarted engine's state is the teardown capture
     // the supervisor commits before the restore, not a periodic one.
     let clean_dir = tmp_dir("offcadence_clean");
@@ -447,7 +446,7 @@ fn merged_then_maybe_panicked(faults: Option<&str>, dir: &Path) -> (Vec<(u64, u6
     }
     let op = spca_engine::StreamingPcaOp::new(0, pca_cfg(), 0)
         .with_snapshots_every(250)
-        .with_recovery(500);
+        .with_recovery();
     let state = op.state_handle();
     let src = g.add_source(
         "feed",
@@ -492,7 +491,7 @@ fn restart_after_a_merge_keeps_every_cadence_in_phase() {
     let clean_dir = tmp_dir("merge_clean");
     let fault_dir = tmp_dir("merge_faulted");
     let (clean_log, clean_eig) = merged_then_maybe_panicked(None, &clean_dir);
-    let (fault_log, fault_eig) = merged_then_maybe_panicked(Some("panic@pca-0:1000"), &fault_dir);
+    let (fault_log, fault_eig) = merged_then_maybe_panicked(Some("panic@pca-0:1024"), &fault_dir);
     assert!(
         clean_log.iter().any(|&(_, merges)| merges == 1),
         "the merge applied"

@@ -41,7 +41,6 @@ fn run(fault: Option<&str>, fuse: bool) -> (RunReport, Vec<EigenSystem>) {
     cfg.batch_size = 64;
     cfg.channel_capacity = 64 * ROWS as usize;
     cfg.recovery_dir = Some(dir.clone());
-    cfg.recovery_every = 500;
     cfg.fuse = fuse;
     if let Some(spec) = fault {
         cfg.faults = Some(normalize_fault_targets(FaultPlan::parse(spec).unwrap()));

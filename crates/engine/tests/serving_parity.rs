@@ -72,7 +72,6 @@ fn metrics_endpoint_matches_cli_fault_summary_values() {
     cfg.sync_period = Duration::from_millis(1);
     cfg.channel_capacity = 100_000;
     cfg.recovery_dir = Some(recovery.clone());
-    cfg.recovery_every = 500;
     // io-fsync-err makes every checkpoint fsync fail, so the storage
     // counters (io faults, checkpoint skips) are exercised too.
     cfg.faults = Some(normalize_fault_targets(

@@ -12,8 +12,8 @@
 //!   redshifted, noised, and flux-normalized. The low intrinsic rank is the
 //!   property the paper credits for fast convergence ("the galaxies are
 //!   redundant in good approximation").
-//! * [`outliers`] — contamination processes: cosmic-ray spikes, sky
-//!   subtraction residuals, and junk spectra (Fig. 1's workload).
+//! * [`outliers`] — the contamination process: cosmic-ray spikes at a
+//!   configurable rate (Fig. 1's workload).
 //! * [`gaps`] — missing-data masks: random snippets and redshift-correlated
 //!   wavelength-coverage gaps (§II-D's two gap classes).
 //! * [`synthetic`] — planted-subspace Gaussian streams for the performance

@@ -1,97 +1,47 @@
-//! Contamination processes (the Fig. 1 workload).
+//! Contamination process (the Fig. 1 workload).
 //!
 //! Real survey streams are littered with measurement failures; the paper's
-//! robust estimator exists to survive them. Three physically-motivated
-//! contamination models are provided, plus a mixing wrapper that
-//! contaminates a clean stream at a configurable rate.
+//! robust estimator exists to survive them. [`OutlierInjector`] plants
+//! cosmic-ray hits in a clean stream at a configurable rate.
 
 use rand::Rng;
-use spca_linalg::rng::standard_normal;
 
-/// Kinds of contamination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutlierKind {
-    /// Cosmic-ray hit: a huge spike in a handful of adjacent pixels.
-    CosmicRay,
-    /// Sky-subtraction failure: strong residuals at fixed (sky-line)
-    /// pixels across the whole spectrum.
-    SkyResidual,
-    /// Corrupted readout: the spectrum replaced by broadband junk.
-    Junk,
-}
+/// Amplitude of a cosmic-ray hit relative to unit-scale data.
+const AMPLITUDE: f64 = 50.0;
 
-/// Configurable outlier injector.
+/// Cosmic-ray injector: a contaminated observation gets a huge spike in a
+/// handful of adjacent pixels.
 #[derive(Debug, Clone)]
 pub struct OutlierInjector {
     /// Probability that a given observation is contaminated.
-    pub rate: f64,
-    /// Amplitude of the contamination relative to unit-scale data.
-    pub amplitude: f64,
-    /// Which kinds to draw from (uniformly).
-    pub kinds: Vec<OutlierKind>,
+    rate: f64,
 }
 
 impl OutlierInjector {
-    /// An injector producing all three kinds at the given rate and a
-    /// default amplitude of 50× the data scale.
+    /// An injector contaminating each observation with probability `rate`.
     pub fn new(rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        OutlierInjector {
-            rate,
-            amplitude: 50.0,
-            kinds: vec![
-                OutlierKind::CosmicRay,
-                OutlierKind::SkyResidual,
-                OutlierKind::Junk,
-            ],
+        OutlierInjector { rate }
+    }
+
+    /// Possibly contaminates `x` in place; returns whether it did.
+    pub fn maybe_contaminate<R: Rng + ?Sized>(&self, rng: &mut R, x: &mut [f64]) -> bool {
+        if rng.gen::<f64>() >= self.rate {
+            return false;
         }
+        self.contaminate(rng, x);
+        true
     }
 
-    /// Restricts to a single kind.
-    pub fn only(mut self, kind: OutlierKind) -> Self {
-        self.kinds = vec![kind];
-        self
-    }
-
-    /// Possibly contaminates `x` in place; returns the kind applied, if any.
-    pub fn maybe_contaminate<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        x: &mut [f64],
-    ) -> Option<OutlierKind> {
-        if rng.gen::<f64>() >= self.rate || self.kinds.is_empty() {
-            return None;
-        }
-        let kind = self.kinds[rng.gen_range(0..self.kinds.len())];
-        self.contaminate(rng, x, kind);
-        Some(kind)
-    }
-
-    /// Applies a specific contamination to `x`.
-    pub fn contaminate<R: Rng + ?Sized>(&self, rng: &mut R, x: &mut [f64], kind: OutlierKind) {
+    /// Plants one cosmic-ray hit in `x`.
+    fn contaminate<R: Rng + ?Sized>(&self, rng: &mut R, x: &mut [f64]) {
         let d = x.len();
-        match kind {
-            OutlierKind::CosmicRay => {
-                let center = rng.gen_range(0..d);
-                let width = rng.gen_range(1..=3.min(d));
-                let lo = center.saturating_sub(width);
-                let hi = (center + width).min(d);
-                for xi in &mut x[lo..hi] {
-                    *xi += self.amplitude * (1.0 + rng.gen::<f64>());
-                }
-            }
-            OutlierKind::SkyResidual => {
-                // Fixed "sky line" pixels at regular intervals.
-                let stride = (d / 12).max(1);
-                for i in (stride / 2..d).step_by(stride) {
-                    x[i] += self.amplitude * 0.4 * standard_normal(rng);
-                }
-            }
-            OutlierKind::Junk => {
-                for v in x.iter_mut() {
-                    *v = self.amplitude * 0.3 * standard_normal(rng);
-                }
-            }
+        let center = rng.gen_range(0..d);
+        let width = rng.gen_range(1..=3.min(d));
+        let lo = center.saturating_sub(width);
+        let hi = (center + width).min(d);
+        for xi in &mut x[lo..hi] {
+            *xi += AMPLITUDE * (1.0 + rng.gen::<f64>());
         }
     }
 }
@@ -108,7 +58,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(60);
         let mut x = vec![0.0; 50];
         for _ in 0..200 {
-            assert_eq!(inj.maybe_contaminate(&mut rng, &mut x), None);
+            assert!(!inj.maybe_contaminate(&mut rng, &mut x));
         }
         assert!(x.iter().all(|&v| v == 0.0));
     }
@@ -120,7 +70,7 @@ mod tests {
         let mut hits = 0;
         for _ in 0..50 {
             let mut x = vec![0.0; 50];
-            if inj.maybe_contaminate(&mut rng, &mut x).is_some() {
+            if inj.maybe_contaminate(&mut rng, &mut x) {
                 hits += 1;
                 assert!(x.iter().any(|&v| v != 0.0));
             }
@@ -130,23 +80,13 @@ mod tests {
 
     #[test]
     fn cosmic_ray_is_localized() {
-        let inj = OutlierInjector::new(1.0).only(OutlierKind::CosmicRay);
+        let inj = OutlierInjector::new(1.0);
         let mut rng = StdRng::seed_from_u64(62);
         let mut x = vec![0.0; 100];
-        inj.contaminate(&mut rng, &mut x, OutlierKind::CosmicRay);
+        inj.contaminate(&mut rng, &mut x);
         let touched = x.iter().filter(|&&v| v != 0.0).count();
         assert!((1..=6).contains(&touched), "{touched} pixels hit");
         assert!(x.iter().cloned().fold(0.0_f64, f64::max) > 40.0);
-    }
-
-    #[test]
-    fn junk_replaces_everything() {
-        let inj = OutlierInjector::new(1.0);
-        let mut rng = StdRng::seed_from_u64(63);
-        let mut x = vec![7.0; 100];
-        inj.contaminate(&mut rng, &mut x, OutlierKind::Junk);
-        // Original values gone.
-        assert!(x.iter().filter(|&&v| (v - 7.0).abs() < 1e-9).count() < 5);
     }
 
     #[test]
@@ -157,7 +97,7 @@ mod tests {
         let n = 5000;
         for _ in 0..n {
             let mut x = vec![0.0; 10];
-            if inj.maybe_contaminate(&mut rng, &mut x).is_some() {
+            if inj.maybe_contaminate(&mut rng, &mut x) {
                 hits += 1;
             }
         }

@@ -25,8 +25,7 @@ pub struct PlantedSubspace {
 impl PlantedSubspace {
     /// Plants a random `rank`-dimensional subspace in `dim` dimensions with
     /// component σ decaying geometrically from 4.0 by 0.8, plus isotropic
-    /// noise `noise_sigma`. Deterministic given the (dim, rank) pair — use
-    /// [`PlantedSubspace::with_basis`] for custom geometry.
+    /// noise `noise_sigma`. Deterministic given the (dim, rank) pair.
     pub fn new(dim: usize, rank: usize, noise_sigma: f64) -> Self {
         assert!(rank >= 1 && dim > rank);
         // Deterministic pseudo-random basis from a fixed-seed generator so
@@ -39,16 +38,6 @@ impl PlantedSubspace {
         fill_standard_normal(&mut rng, raw.as_mut_slice());
         let basis = qr::orthonormalize(&raw).expect("random matrix is full rank");
         let signal_sigmas = (0..rank).map(|k| 4.0 * 0.8f64.powi(k as i32)).collect();
-        PlantedSubspace {
-            basis,
-            signal_sigmas,
-            noise_sigma,
-        }
-    }
-
-    /// Plants an explicitly given orthonormal basis.
-    pub fn with_basis(basis: Mat, signal_sigmas: Vec<f64>, noise_sigma: f64) -> Self {
-        assert_eq!(basis.cols(), signal_sigmas.len());
         PlantedSubspace {
             basis,
             signal_sigmas,

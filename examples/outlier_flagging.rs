@@ -11,7 +11,7 @@
 
 use astro_stream_pca::core::metrics::subspace_distance;
 use astro_stream_pca::core::{PcaConfig, RhoKind, RobustPca};
-use astro_stream_pca::spectra::outliers::{OutlierInjector, OutlierKind};
+use astro_stream_pca::spectra::outliers::OutlierInjector;
 use astro_stream_pca::spectra::PlantedSubspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,7 +21,7 @@ fn main() {
     let rank = 4;
     let n = 8000;
     let truth = PlantedSubspace::new(dim, rank, 0.05);
-    let injector = OutlierInjector::new(0.08).only(OutlierKind::CosmicRay);
+    let injector = OutlierInjector::new(0.08);
 
     let base = PcaConfig::new(dim, rank)
         .with_memory(1500)
@@ -39,7 +39,7 @@ fn main() {
     );
     for i in 0..n {
         let mut x = truth.sample(&mut rng);
-        if injector.maybe_contaminate(&mut rng, &mut x).is_some() {
+        if injector.maybe_contaminate(&mut rng, &mut x) {
             injected += 1;
         }
         classic.update(&x).expect("finite");

@@ -9,7 +9,7 @@
 
 use astro_stream_pca::core::metrics::subspace_distance;
 use astro_stream_pca::core::{PcaConfig, RobustPca};
-use astro_stream_pca::spectra::outliers::{OutlierInjector, OutlierKind};
+use astro_stream_pca::spectra::outliers::OutlierInjector;
 use astro_stream_pca::spectra::PlantedSubspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,7 +20,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
 
     let workload = PlantedSubspace::new(dim, rank, 0.05);
-    let injector = OutlierInjector::new(0.03).only(OutlierKind::CosmicRay);
+    let injector = OutlierInjector::new(0.03);
 
     let cfg = PcaConfig::new(dim, rank)
         .with_memory(2000)
@@ -30,7 +30,7 @@ fn main() {
     let (mut outliers_true, mut outliers_flagged, mut false_flags) = (0u64, 0u64, 0u64);
     for _ in 0..5000 {
         let mut x = workload.sample(&mut rng);
-        let contaminated = injector.maybe_contaminate(&mut rng, &mut x).is_some();
+        let contaminated = injector.maybe_contaminate(&mut rng, &mut x);
         let outcome = pca.update(&x).expect("finite observation");
         if contaminated {
             outliers_true += 1;

@@ -3,7 +3,7 @@
 use astro_stream_pca::core::metrics::subspace_distance;
 use astro_stream_pca::core::{batch, PcaConfig, RhoKind, RobustPca};
 use astro_stream_pca::engine::{AppConfig, ParallelPcaApp, SyncStrategy};
-use astro_stream_pca::spectra::outliers::{OutlierInjector, OutlierKind};
+use astro_stream_pca::spectra::outliers::OutlierInjector;
 use astro_stream_pca::spectra::{GalaxyGenerator, PlantedSubspace};
 use astro_stream_pca::streams::ops::{GeneratorSource, SplitStrategy};
 use astro_stream_pca::streams::Engine;
@@ -26,7 +26,7 @@ fn planted_source(
     outlier_rate: f64,
 ) -> Box<dyn astro_stream_pca::streams::Operator> {
     let w = PlantedSubspace::new(D, RANK, 0.05);
-    let inj = OutlierInjector::new(outlier_rate).only(OutlierKind::CosmicRay);
+    let inj = OutlierInjector::new(outlier_rate);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
     Box::new(
         GeneratorSource::new(move |_, values, _| {
@@ -174,7 +174,7 @@ fn streaming_approximates_batch_robust() {
     // The streaming robust estimator should approach the Maronna batch
     // solution on a fixed contaminated dataset.
     let truth = PlantedSubspace::new(D, RANK, 0.05);
-    let inj = OutlierInjector::new(0.08).only(OutlierKind::CosmicRay);
+    let inj = OutlierInjector::new(0.08);
     let mut rng = StdRng::seed_from_u64(7);
     let data: Vec<Vec<f64>> = (0..4000)
         .map(|_| {
@@ -188,7 +188,6 @@ fn streaming_approximates_batch_robust() {
         &data,
         RANK,
         &astro_stream_pca::core::rho::Bisquare::default(),
-        0.5,
         40,
     )
     .unwrap();
