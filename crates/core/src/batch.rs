@@ -247,35 +247,6 @@ pub fn batch_robust_pca(
     Ok((eig, iters))
 }
 
-/// Completes any (near-)zero columns of `basis` with directions orthonormal
-/// to the rest, so downstream invariants (orthonormal tracked basis) hold
-/// even when the data rank is below the requested component count.
-fn complete_basis(basis: &mut Mat) {
-    let (d, total) = basis.shape();
-    let mut axis = 0;
-    for j in 0..total {
-        if vecops::norm(basis.col(j)) > 0.5 {
-            continue;
-        }
-        while axis < d {
-            let mut cand = vec![0.0; d];
-            cand[axis] = 1.0;
-            axis += 1;
-            for other in 0..total {
-                if other == j {
-                    continue;
-                }
-                let proj = vecops::dot(&cand, basis.col(other));
-                vecops::axpy(-proj, basis.col(other), &mut cand);
-            }
-            if vecops::normalize(&mut cand) > 1e-6 {
-                basis.col_mut(j).copy_from_slice(&cand);
-                break;
-            }
-        }
-    }
-}
-
 /// Top-`p` eigensystem of the (optionally weighted) sample covariance.
 ///
 /// Chooses between the Gram trick (n ≤ d: SVD of the `n`-column centered
@@ -313,7 +284,7 @@ fn covariance_eigensystem(
             basis.col_mut(j).copy_from_slice(f.u.col(j));
             *val = f.s[j] * f.s[j];
         }
-        complete_basis(&mut basis);
+        fill_orthonormal_tail(&mut basis, k);
         Ok((basis, values))
     } else {
         // Explicit covariance + symmetric eigensolve.
@@ -341,7 +312,7 @@ fn top_eigenpairs(cov: &Mat, p: usize) -> Result<(Mat, Vec<f64>)> {
     for j in 0..vecs.cols() {
         basis.col_mut(j).copy_from_slice(vecs.col(j));
     }
-    complete_basis(&mut basis);
+    fill_orthonormal_tail(&mut basis, vecs.cols());
     Ok((basis, values.into_iter().map(|v| v.max(0.0)).collect()))
 }
 
@@ -419,8 +390,9 @@ pub(crate) fn init_from_batch(cfg: &PcaConfig, batch: &[Vec<f64>]) -> Result<Eig
 }
 
 /// Completes columns `[k, basis.cols())` with arbitrary orthonormal
-/// directions so the tracked basis always has full column rank.
-fn fill_orthonormal_tail(basis: &mut Mat, k: usize) {
+/// directions so the tracked basis always has full column rank, even when
+/// the data rank is below the requested component count.
+pub(crate) fn fill_orthonormal_tail(basis: &mut Mat, k: usize) {
     let (d, total) = basis.shape();
     let mut axis = 0;
     for j in k..total {

@@ -16,7 +16,7 @@
 
 use crate::eigensystem::EigenSystem;
 use crate::{PcaError, Result};
-use spca_linalg::{svd, vecops, Mat};
+use spca_linalg::{svd, Mat};
 
 /// Merges two eigensystems into a `k`-component combined estimate, where
 /// `k = max(k₁, k₂)` components are retained.
@@ -188,23 +188,7 @@ fn pad_components(e: &EigenSystem, k: usize) -> EigenSystem {
                 basis.col_mut(j).copy_from_slice(e.basis.col(j));
                 values[j] = v;
             }
-            // Orthonormal completion for the tail.
-            let mut axis = 0;
-            for j in e.n_components()..k {
-                while axis < d {
-                    let mut cand = vec![0.0; d];
-                    cand[axis] = 1.0;
-                    axis += 1;
-                    for other in 0..j {
-                        let proj = vecops::dot(&cand, basis.col(other));
-                        vecops::axpy(-proj, basis.col(other), &mut cand);
-                    }
-                    if vecops::normalize(&mut cand) > 1e-6 {
-                        basis.col_mut(j).copy_from_slice(&cand);
-                        break;
-                    }
-                }
-            }
+            crate::batch::fill_orthonormal_tail(&mut basis, e.n_components());
             EigenSystem {
                 basis,
                 values,

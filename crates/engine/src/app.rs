@@ -47,9 +47,6 @@ pub struct AppConfig {
     pub snapshot_every: u64,
     /// Collect the per-tuple outcome feed (`[seq, r², t, w, outlier]`).
     pub emit_outcomes: bool,
-    /// Collect flagged observations verbatim into a quarantine store
-    /// ("flag outliers for further processing", §II-C).
-    pub quarantine: bool,
     /// Fuse everything into one PE (single-node configuration).
     pub fuse: bool,
     /// Cross-PE channel capacity in tuples. The default is 1024, or for
@@ -136,7 +133,6 @@ impl AppConfig {
             sync_period: Duration::from_millis(500),
             snapshot_every: 0,
             emit_outcomes: false,
-            quarantine: false,
             fuse: false,
             channel_capacity,
             batch_size: spca_streams::DEFAULT_BATCH_SIZE,
@@ -155,8 +151,8 @@ impl AppConfig {
 }
 
 /// Rewrites user-facing fault targets (`engine<k>`) to the graph's
-/// operator names (`pca-<k>`), leaving everything else — including link
-/// endpoints like `split` — untouched.
+/// operator names (`pca-<k>`), leaving everything else — other operator
+/// names like `split` — untouched.
 pub fn normalize_fault_targets(plan: FaultPlan) -> FaultPlan {
     plan.rename_targets(|name| {
         if let Some(k) = name.strip_prefix("engine") {
@@ -174,8 +170,6 @@ pub struct AppHandles {
     pub hub: ResultsHub,
     /// Outcome feed storage, when `emit_outcomes` was set.
     pub outcomes: Option<Arc<Mutex<Vec<DataTuple>>>>,
-    /// Quarantined (flagged) observations, when `quarantine` was set.
-    pub quarantined: Option<Arc<Mutex<Vec<DataTuple>>>>,
     /// Live handles to each engine's PCA state (one per *provisioned*
     /// engine, standbys included).
     pub engine_states: Vec<Arc<Mutex<RobustPca>>>,
@@ -254,9 +248,6 @@ impl ParallelPcaApp {
             if cfg.emit_outcomes {
                 op = op.with_outcomes();
             }
-            if cfg.quarantine {
-                op = op.with_quarantine();
-            }
             if let Some(ref warm) = cfg.warm_start {
                 op = op
                     .with_initial_state(warm.clone())
@@ -276,7 +267,7 @@ impl ParallelPcaApp {
                 g.connect(engine_ids[i], port, engine_ids[peer], PortKind::Control);
             }
         }
-        let (monitor_port, outcome_port, quarantine_port) = (n_peers, n_peers + 1, n_peers + 2);
+        let (monitor_port, outcome_port) = (n_peers, n_peers + 1);
 
         // Synchronization controller, pacing itself at `sync_period`.
         if synced {
@@ -340,18 +331,6 @@ impl ParallelPcaApp {
             None
         };
 
-        // Optional quarantine collection.
-        let quarantined = if cfg.quarantine {
-            let (sink, store) = CollectSink::new();
-            let q = g.add_op("quarantine", Box::new(sink));
-            for &eng in &engine_ids {
-                g.connect(eng, quarantine_port, q, PortKind::Data);
-            }
-            Some(store)
-        } else {
-            None
-        };
-
         if cfg.fuse {
             // Single-node configuration: everything in one PE, rows move
             // through its local frame.
@@ -364,7 +343,6 @@ impl ParallelPcaApp {
             AppHandles {
                 hub,
                 outcomes,
-                quarantined,
                 engine_states,
                 active,
             },

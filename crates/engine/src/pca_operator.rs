@@ -16,12 +16,8 @@
 //!   periodically saved to the disk") plus the final state on finish.
 //! * output port `n_peer_ports + 1` — outcome port (optional feed of
 //!   per-tuple `[seq, r², t, w, outlier]` rows, the in-flight results /
-//!   outlier flags the introduction motivates).
-//! * output port `n_peer_ports + 2` — quarantine port (optional): flagged
-//!   observations are forwarded *verbatim* for downstream processing —
-//!   "often the goal is to flag outliers for further processing" (§II-C);
-//!   rejected tuples carry zero weight in the eigensystem but are never
-//!   dropped from the quarantine feed.
+//!   outlier flags the introduction motivates; "often the goal is to flag
+//!   outliers for further processing", §II-C).
 //!
 //! The operator state is guarded by a `std` mutex, taken through
 //! [`spca_streams::lock`], as the paper guards its operator with an
@@ -53,7 +49,6 @@ pub struct StreamingPcaOp {
     n_peer_ports: usize,
     snapshot_every: u64,
     emit_outcomes: bool,
-    emit_quarantine: bool,
     /// Observations processed since the last synchronization share or
     /// merge — the paper's independence gate counter.
     obs_since_sync: u64,
@@ -70,8 +65,7 @@ pub struct StreamingPcaOp {
     /// Non-finite observations rejected at the operator boundary. NaN/Inf
     /// payloads would otherwise contaminate the running sums irreversibly
     /// (a single NaN poisons every covariance estimate it touches), so
-    /// they carry zero weight in the eigensystem and only feed the
-    /// quarantine port.
+    /// they carry zero weight in the eigensystem and are only counted.
     quarantined: u64,
     merges_applied: u64,
     shares_sent: u64,
@@ -122,7 +116,6 @@ impl StreamingPcaOp {
             n_peer_ports,
             snapshot_every: 0,
             emit_outcomes: false,
-            emit_quarantine: false,
             obs_since_sync: 0,
             sync_gate,
             divergence_gate: None,
@@ -169,13 +162,6 @@ impl StreamingPcaOp {
     /// Enables the per-tuple outcome feed on the outcome port.
     pub fn with_outcomes(mut self) -> Self {
         self.emit_outcomes = true;
-        self
-    }
-
-    /// Enables the quarantine feed: observations flagged as outliers are
-    /// forwarded verbatim on the quarantine port.
-    pub fn with_quarantine(mut self) -> Self {
-        self.emit_quarantine = true;
         self
     }
 
@@ -271,10 +257,6 @@ impl StreamingPcaOp {
         self.n_peer_ports + 1
     }
 
-    fn quarantine_port(&self) -> usize {
-        self.n_peer_ports + 2
-    }
-
     fn snapshot(&self, ctx: &mut OpContext<'_>) {
         // The lock covers only the state read: clone the eigensystem (and
         // observation count) under it, then assemble the message and send
@@ -319,8 +301,7 @@ impl StreamingPcaOp {
     fn process_row(&mut self, tuple: RowRef<'_>, ctx: &mut OpContext<'_>) {
         // Dead-letter boundary: a NaN or Inf would poison the running sums
         // irreversibly, so non-finite observations never reach the state —
-        // they are counted, optionally forwarded on the quarantine port,
-        // and contribute zero weight to the eigensystem.
+        // they are counted and contribute zero weight to the eigensystem.
         if !tuple.all_finite() {
             self.quarantined += 1;
             ctx.count(Counter::Quarantined);
@@ -329,9 +310,6 @@ impl StreamingPcaOp {
                     "engine {}: quarantined non-finite tuple {} ({} so far)",
                     self.engine_id, tuple.seq, self.quarantined
                 );
-            }
-            if self.emit_quarantine {
-                ctx.emit_row(self.quarantine_port(), tuple);
             }
             return;
         }
@@ -379,10 +357,6 @@ impl StreamingPcaOp {
                 mask: None,
             };
             ctx.emit_row(self.outcome_port(), row);
-        }
-        if self.emit_quarantine && outcome.outlier {
-            // Forward the flagged observation itself.
-            ctx.emit_row(self.quarantine_port(), tuple);
         }
         if self.epoch_store.is_some()
             && outcome.initialized
@@ -937,15 +911,14 @@ mod tests {
         // must have released its state mutex by then or a congested output
         // would stall every reader of the live state. The capture sink's
         // emit hook checks the mutex at the exact moment of each send,
-        // across all emitting paths: outcome feed, quarantine feed,
-        // periodic snapshot, sync-command share, and the final snapshot.
+        // across all emitting paths: outcome feed, periodic snapshot,
+        // sync-command share, and the final snapshot.
         let mut op = StreamingPcaOp::new(0, cfg(), 1)
             .with_outcomes()
-            .with_quarantine()
             .with_snapshots_every(50)
             .with_sync_gate(0);
         let handle = op.state_handle();
-        let mut sink = CaptureSink::new(op.n_peer_ports + 3);
+        let mut sink = CaptureSink::new(op.n_peer_ports + 2);
         let watched = Arc::clone(&handle);
         sink.on_emit = Some(Box::new(move |port, _| {
             assert!(
@@ -959,10 +932,6 @@ mod tests {
             for seq in 0..400u64 {
                 feed_tuple(&mut op, DataTuple::new(seq, w.sample(&mut rng)), ctx);
             }
-            // A gross outlier to force the quarantine path.
-            let mut spike = vec![0.0; D];
-            spike[3] = 500.0;
-            feed_tuple(&mut op, DataTuple::new(400, spike), ctx);
             op.on_control(
                 ControlTuple::new(
                     KIND_SYNC_COMMAND,
@@ -982,7 +951,6 @@ mod tests {
             "periodic + final snapshots expected"
         );
         assert!(!sink.ports[2].is_empty(), "outcome feed expected");
-        assert!(!sink.ports[3].is_empty(), "quarantine feed expected");
     }
 
     #[test]
@@ -1058,19 +1026,6 @@ mod tests {
             ga.full_eigensystem().unwrap(),
             gb.full_eigensystem().unwrap(),
         );
-    }
-
-    #[test]
-    fn quarantine_port_receives_nonfinite_tuples_verbatim() {
-        let mut op = StreamingPcaOp::new(0, cfg(), 0).with_quarantine();
-        let sink = with_ctx(3, |ctx| {
-            feed_tuple(&mut op, DataTuple::new(4, vec![f64::NAN; D]), ctx);
-        });
-        let q = sink.data_at(2);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q[0].seq, 4);
-        assert!(q[0].values[0].is_nan(), "tuple forwarded verbatim");
-        assert_eq!(op.processed, 0, "quarantined tuple carries no weight");
     }
 
     #[test]

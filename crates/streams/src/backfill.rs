@@ -28,12 +28,12 @@
 //! tree reduction, but nothing here knows that.
 
 use crate::checkpoint::{quarantine_file, read_sealed, seal, write_atomic_vfs};
-use crate::vfs::{RealVfs, Vfs};
+use crate::vfs::RealVfs;
 use crate::watched::lock;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One unit of backfill work.
@@ -212,22 +212,15 @@ const STATE_MAGIC: &str = "spca-partition-state-v3";
 #[derive(Debug)]
 pub struct StateStore {
     dir: PathBuf,
-    vfs: Arc<dyn Vfs>,
 }
 
 impl StateStore {
     /// Opens (creating if needed) a state store rooted at `dir`, on the
     /// real filesystem.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::open_with_vfs(dir, Arc::new(RealVfs))
-    }
-
-    /// Opens (creating if needed) a state store against an explicit
-    /// [`Vfs`] backend — the fault-injection hook.
-    pub fn open_with_vfs(dir: impl Into<PathBuf>, vfs: Arc<dyn Vfs>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(StateStore { dir, vfs })
+        Ok(StateStore { dir })
     }
 
     /// The directory this store persists into.
@@ -258,7 +251,7 @@ impl StateStore {
     /// does not unseal, or records another id, is an `InvalidData` error.
     pub fn load(&self, id: &str, want_hash: u64) -> io::Result<Option<Vec<u8>>> {
         let path = self.path_for(id);
-        let (header, mut parts) = match read_sealed(self.vfs.as_ref(), &path, STATE_MAGIC) {
+        let (header, mut parts) = match read_sealed(&RealVfs, &path, STATE_MAGIC) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             sealed => sealed?,
         };
@@ -292,7 +285,7 @@ impl StateStore {
         match self.load(id, want_hash) {
             Ok(hit) => Ok((hit, false)),
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                quarantine_file(self.vfs.as_ref(), &self.path_for(id));
+                quarantine_file(&RealVfs, &self.path_for(id));
                 Ok((None, true))
             }
             Err(e) => Err(e),
@@ -308,7 +301,7 @@ impl StateStore {
             &[("id", id), ("hash", &hash)],
             &[("state", state)],
         );
-        write_atomic_vfs(self.vfs.as_ref(), &self.path_for(id), &file)
+        write_atomic_vfs(&RealVfs, &self.path_for(id), &file)
     }
 }
 

@@ -57,9 +57,9 @@
 //! fault (which strikes between tuples), once more at teardown, so
 //! recovery round-trips consistent state through disk.
 //!
-//! Deterministic faults (panic/kill-pe/poison/stall on operators,
-//! drop/dup/delay on cross-PE links) are injected from the builder's
-//! [`crate::fault::FaultPlan`].
+//! Deterministic operator faults (panic/kill-pe/poison/stall) are injected
+//! from the builder's [`crate::fault::FaultPlan`]; its storage and wire
+//! faults go to the PE's VFS and the socket transport.
 //!
 //! ## Shutdown semantics
 //!
@@ -132,12 +132,6 @@ struct RemoteEdge {
     /// Flush threshold (entries per frame); 1 = legacy per-tuple transport.
     batch: usize,
     buf: Frame,
-    /// Armed link faults (drop/dup/delay) from the fault plan; empty in
-    /// normal runs.
-    faults: Vec<InjectedFault>,
-    /// 1-based count of data rows pushed onto this edge, for fault
-    /// trigger points. Only maintained while faults are armed.
-    fault_data_seen: u64,
 }
 
 impl RemoteEdge {
@@ -153,50 +147,6 @@ impl RemoteEdge {
     }
 
     fn push_row(&mut self, row: RowRef<'_>) {
-        // Link faults model the network: they apply to data rows only
-        // (corrupting punctuation would deadlock the graph, not test
-        // recovery) and each fires exactly once at its 1-based index.
-        if !self.faults.is_empty() {
-            self.fault_data_seen += 1;
-            let seen = self.fault_data_seen;
-            let mut copies = 1usize;
-            let mut hold_ms = None;
-            for f in self.faults.iter_mut() {
-                if f.fired {
-                    continue;
-                }
-                match f.action {
-                    FaultAction::Drop(n) if n == seen => {
-                        f.fired = true;
-                        copies = 0;
-                    }
-                    FaultAction::Duplicate(n) if n == seen => {
-                        f.fired = true;
-                        copies = 2;
-                    }
-                    FaultAction::Delay { at, ms } if at == seen => {
-                        f.fired = true;
-                        hold_ms = Some(ms);
-                    }
-                    _ => {}
-                }
-            }
-            if let Some(ms) = hold_ms {
-                // Holding the sender delays this row and everything
-                // behind it — late but still in order, like a stalled
-                // network queue.
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            match copies {
-                0 => return,
-                2 => self.append_row(row),
-                _ => {}
-            }
-        }
-        self.append_row(row);
-    }
-
-    fn append_row(&mut self, row: RowRef<'_>) {
         self.buf.push_row(row);
         if self.buf.len() >= self.batch {
             self.flush();
@@ -778,29 +728,14 @@ impl Engine {
         // fault spec fails the run loudly instead of injecting nothing.
         let plan = builder.fault_plan.take().unwrap_or_default();
         let policy = builder.restart_policy;
+        // Storage and wire faults name fault domains, not graph elements:
+        // only operator targets resolve.
         for fault in &plan.faults {
-            match &fault.target {
-                FaultTarget::Op(name) => {
-                    assert!(
-                        op_names.iter().any(|n| n == name),
-                        "fault plan targets unknown operator '{name}'"
-                    );
-                }
-                FaultTarget::Link { from, to } => {
-                    let e = builder
-                        .edges
-                        .iter()
-                        .find(|e| op_names[e.from] == *from && op_names[e.to] == *to)
-                        .unwrap_or_else(|| panic!("fault plan targets unknown link '{from}>{to}'"));
-                    assert!(
-                        op_pe[e.from] != op_pe[e.to],
-                        "fault plan link '{from}>{to}' is fused (in-memory hand-off); \
-                         link faults model the network and need a cross-PE edge"
-                    );
-                }
-                // Storage and wire faults name fault domains, not graph
-                // elements — nothing to resolve.
-                FaultTarget::Storage(_) | FaultTarget::Wire => {}
+            if let FaultTarget::Op(name) = &fault.target {
+                assert!(
+                    op_names.iter().any(|n| n == name),
+                    "fault plan targets unknown operator '{name}'"
+                );
             }
         }
 
@@ -882,10 +817,6 @@ impl Engine {
                                 tx,
                                 counters: link,
                                 batch,
-                                faults: InjectedFault::arm(
-                                    plan.link_faults(&op_names[e.from], &op_names[e.to]),
-                                ),
-                                fault_data_seen: 0,
                             })),
                         );
                         None
@@ -1037,14 +968,18 @@ struct PeSink<'a> {
 impl PeSink<'_> {
     /// Appends one entry for every target of `port`: `local` to the PE's
     /// local frame, `remote` to a cross-PE edge. An unwired port silently
-    /// drops — mirrors InfoSphere streams with no subscribers.
+    /// drops — mirrors InfoSphere streams with no subscribers — and so
+    /// does a port past the highest wired one, which has no entry at all.
     fn fan_out(
         &mut self,
         port: usize,
         mut local: impl FnMut(&mut Frame),
         mut remote: impl FnMut(&mut RemoteEdge),
     ) {
-        for target in self.out_ports[port].iter_mut() {
+        let Some(targets) = self.out_ports.get_mut(port) else {
+            return;
+        };
+        for target in targets.iter_mut() {
             match target {
                 Target::Local { op, port } => {
                     local(&mut self.queued.frame);
@@ -1070,7 +1005,7 @@ impl EmitSink for PeSink<'_> {
     }
 
     fn try_emit_row(&mut self, port: usize, row: RowRef<'_>) -> bool {
-        if would_block(&self.out_ports[port]) {
+        if self.out_ports.get(port).is_some_and(|t| would_block(t)) {
             return false;
         }
         self.emit_row(port, row);
@@ -2049,6 +1984,47 @@ mod tests {
         Engine::run(g);
         assert_eq!(lock(&seen_a).len(), 100);
         assert_eq!(lock(&seen_b).len(), 100);
+    }
+
+    #[test]
+    fn an_emit_past_the_highest_wired_port_drops() {
+        // Port 0 is the only one wired, so the PE keeps no entry for port
+        // 1 or 2: what is emitted there drops, as on an unsubscribed
+        // stream, and kills nothing.
+        struct Unwired(u64);
+        impl Operator for Unwired {
+            fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
+                if self.0 == 100 {
+                    return SourceState::Done;
+                }
+                let d = DataTuple::new(self.0, vec![0.0]);
+                self.0 += 1;
+                ctx.emit_row(1, d.row());
+                assert!(ctx.try_emit_row(1, d.row()));
+                ctx.emit_control(2, ControlTuple::new(0, 0, Arc::new(())));
+                ctx.emit_row(0, d.row());
+                SourceState::Emitted
+            }
+        }
+        for fused in [false, true] {
+            let mut g = GraphBuilder::new();
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let src = g.add_source("src", Box::new(Unwired(0)));
+            let sink = g.add_op(
+                "collect",
+                Box::new(Collect {
+                    seen: Arc::clone(&seen),
+                }),
+            );
+            g.connect(src, 0, sink, PortKind::Data);
+            if fused {
+                g.fuse(&[src, sink]);
+            }
+            let report = Engine::run(g);
+            assert_eq!(report.total_pe_restarts(), 0, "fused: {fused}");
+            assert_eq!(report.total_restarts(), 0, "fused: {fused}");
+            assert_eq!(*lock(&seen), (0..100).collect::<Vec<_>>(), "fused: {fused}");
+        }
     }
 
     #[test]

@@ -2,10 +2,15 @@
 //!
 //! A [`FaultPlan`] describes *reproducible* failures: the same plan on the
 //! same seeded stream produces the same panic at the same tuple, the same
-//! dropped message on the same link. Plans thread through
+//! non-finite payload on the same tuple. Plans thread through
 //! [`GraphBuilder`](crate::graph::GraphBuilder) so tests and benches can
 //! exercise the supervisor (`catch_unwind` + restart-from-snapshot) and the
-//! liveness-driven synchronization without any randomness.
+//! liveness-driven synchronization without any randomness. Every kind
+//! models a fault a run can meet — an operator that panics or dies, a
+//! non-finite row, a slow operator, a failing disk, a broken socket — and
+//! fires on some run; none simulates an unreliable channel, because no
+//! edge here is one (an in-process edge is a FIFO frame channel, a socket
+//! edge is exactly-once).
 //!
 //! ## Grammar
 //!
@@ -17,13 +22,9 @@
 //! poison-nan@OP:N       the N-th data tuple delivered to OP has NaN values
 //! poison-inf@OP:N       the N-th data tuple delivered to OP has Inf values
 //! stall@OP:N:MS         OP stalls MS milliseconds before its N-th data tuple
-//! drop@FROM>TO:N        the N-th data tuple on cross-PE link FROM>TO is dropped
-//! dup@FROM>TO:N         the N-th data tuple on link FROM>TO is delivered twice
-//! delay@FROM>TO:N:MS    the N-th data tuple on link FROM>TO is held MS ms
 //! io-enospc@pe:N        the N-th checkpoint-domain disk write fails ENOSPC
 //! io-torn@pe:N          the N-th checkpoint-domain disk write lands torn
 //! io-fsync-err          every fsync (file and directory) fails
-//! io-corrupt@store:N    the N-th state-store disk write lands bit-rotted
 //! io-crash@op:K         the K-th disk operation and every later one fails
 //! net-drop-conn@link:N      the N-th frame write on each wire link drops the conn
 //! net-partial-write@link:N  the N-th frame write lands half its bytes, then drops
@@ -37,17 +38,17 @@
 //!
 //! Tuple indices `N` are 1-based and count *data* tuples only — control
 //! traffic and punctuation are never faulted (a plan that corrupted EOS
-//! would deadlock the graph rather than test recovery). Link faults apply
-//! only to cross-PE edges: they model the network, and a fused edge has no
-//! network to misbehave.
+//! would deadlock the graph rather than test recovery). A run's slow edge
+//! is a stalled consumer: `stall@` on the operator that reads it.
 //!
-//! The `io-*` kinds target the *storage layer* rather than an operator or
-//! link: their "target" word names a fault domain (`pe` for checkpoint
-//! generation files, `store` for backfill state files, `op` for the global
-//! disk-operation counter) and their indices count disk writes/operations,
-//! not tuples. A PE checkpoint generation is one `pe` write and five
-//! operations, so `io-torn@pe:N` tears the N-th generation written. They compile into an [`crate::vfs::IoFaultSpec`] via
-//! [`FaultPlan::io_spec`] and are injected by [`crate::vfs::FaultVfs`].
+//! The `io-*` kinds target the *storage layer* rather than an operator:
+//! their "target" word names a fault domain (`pe` for checkpoint
+//! generation files, `op` for the global disk-operation counter) and their
+//! indices count disk writes/operations, not tuples. A PE checkpoint
+//! generation is one `pe` write and five operations, so `io-torn@pe:N`
+//! tears the N-th generation written. They compile into an
+//! [`crate::vfs::IoFaultSpec`] via [`FaultPlan::io_spec`] and are injected
+//! by [`crate::vfs::FaultVfs`].
 //!
 //! The `net-*` kinds target the *wire* the same way: the domain word
 //! `link` covers every socket-backed cross-process link, and indices
@@ -81,25 +82,12 @@ pub enum FaultAction {
         /// Stall duration in milliseconds.
         ms: u64,
     },
-    /// Drop the link's `N`-th data tuple.
-    Drop(u64),
-    /// Deliver the link's `N`-th data tuple twice.
-    Duplicate(u64),
-    /// Hold the link's `N`-th data tuple for `ms` milliseconds.
-    Delay {
-        /// 1-based data-tuple index that triggers the delay.
-        at: u64,
-        /// Delay duration in milliseconds.
-        ms: u64,
-    },
     /// The `N`-th checkpoint-domain disk write fails with `ENOSPC`.
     IoEnospc(u64),
     /// The `N`-th checkpoint-domain disk write lands torn (prefix only).
     IoTorn(u64),
     /// Every fsync (file and directory) fails.
     IoFsyncErr,
-    /// The `N`-th state-store disk write lands with a flipped byte.
-    IoCorrupt(u64),
     /// The `K`-th disk operation and every later one fails (crash).
     IoCrash(u64),
     /// The `N`-th frame write on a wire link drops the connection.
@@ -114,8 +102,6 @@ pub enum FaultAction {
 pub enum StorageDomain {
     /// PE checkpoint generation files.
     PeCheckpoint,
-    /// Backfill state-store entries.
-    StateStore,
     /// The global disk-operation counter (crash faults).
     AnyOp,
     /// Every domain at once (`io-fsync-err`).
@@ -127,13 +113,6 @@ pub enum StorageDomain {
 pub enum FaultTarget {
     /// A named operator (panic / poison / stall).
     Op(String),
-    /// A named cross-PE link (drop / dup / delay).
-    Link {
-        /// Producing operator's name.
-        from: String,
-        /// Consuming operator's name.
-        to: String,
-    },
     /// The storage layer (`io-*` faults). Not resolved against the graph:
     /// storage faults apply to whatever persistence the run performs.
     Storage(StorageDomain),
@@ -146,7 +125,7 @@ pub enum FaultTarget {
 /// One injected fault: an action bound to a target.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fault {
-    /// The operator or link the fault applies to.
+    /// The operator or fault domain the fault applies to.
     pub target: FaultTarget,
     /// What happens at the trigger point.
     pub action: FaultAction,
@@ -190,15 +169,10 @@ impl FaultPlan {
     /// Rewrites every target name through `f` — used to map user-facing
     /// engine names (`engine1`) onto graph operator names (`pca-1`).
     pub fn rename_targets(mut self, f: impl Fn(&str) -> String) -> Self {
+        // Storage domains and the wire are not operator names.
         for fault in &mut self.faults {
-            match &mut fault.target {
-                FaultTarget::Op(name) => *name = f(name),
-                FaultTarget::Link { from, to } => {
-                    *from = f(from);
-                    *to = f(to);
-                }
-                // Storage domains and the wire are not operator names.
-                FaultTarget::Storage(_) | FaultTarget::Wire => {}
+            if let FaultTarget::Op(name) = &mut fault.target {
+                *name = f(name);
             }
         }
         self
@@ -209,17 +183,6 @@ impl FaultPlan {
         self.faults
             .iter()
             .filter(|f| matches!(&f.target, FaultTarget::Op(n) if n == name))
-            .map(|f| f.action.clone())
-            .collect()
-    }
-
-    /// The link-targeted faults for the edge `from` → `to`.
-    pub fn link_faults(&self, from: &str, to: &str) -> Vec<FaultAction> {
-        self.faults
-            .iter()
-            .filter(
-                |f| matches!(&f.target, FaultTarget::Link { from: a, to: b } if a == from && b == to),
-            )
             .map(|f| f.action.clone())
             .collect()
     }
@@ -238,7 +201,6 @@ impl FaultPlan {
                 FaultAction::IoEnospc(n) => spec.enospc_pe.push(n),
                 FaultAction::IoTorn(n) => spec.torn_pe.push(n),
                 FaultAction::IoFsyncErr => spec.fsync_err = true,
-                FaultAction::IoCorrupt(n) => spec.corrupt_store.push(n),
                 FaultAction::IoCrash(k) => {
                     spec.crash_at_op = Some(match spec.crash_at_op {
                         Some(prev) => prev.min(k),
@@ -304,21 +266,9 @@ fn parse_entry(entry: &str) -> Result<Fault, String> {
             return Err(bad("empty operator name"));
         }
         if t.contains('>') {
-            return Err(bad("operator fault cannot target a link (FROM>TO)"));
+            return Err(bad("an operator name cannot contain '>'"));
         }
         Ok(FaultTarget::Op(t.to_string()))
-    };
-    let link_target = |t: &str| -> Result<FaultTarget, String> {
-        let (from, to) = t
-            .split_once('>')
-            .ok_or_else(|| bad("link fault needs a FROM>TO target"))?;
-        if from.is_empty() || to.is_empty() {
-            return Err(bad("link fault needs non-empty FROM and TO names"));
-        }
-        Ok(FaultTarget::Link {
-            from: from.to_string(),
-            to: to.to_string(),
-        })
     };
 
     let parts: Vec<&str> = rest.split(':').collect();
@@ -346,21 +296,6 @@ fn parse_entry(entry: &str) -> Result<Fault, String> {
                 ms: parse_ms(ms)?,
             },
         ),
-        ("drop", [t, n]) => (
-            link_target(t)?,
-            FaultAction::Drop(parse_n(n, "tuple index")?),
-        ),
-        ("dup", [t, n]) => (
-            link_target(t)?,
-            FaultAction::Duplicate(parse_n(n, "tuple index")?),
-        ),
-        ("delay", [t, n, ms]) => (
-            link_target(t)?,
-            FaultAction::Delay {
-                at: parse_n(n, "tuple index")?,
-                ms: parse_ms(ms)?,
-            },
-        ),
         ("io-enospc", ["pe", n]) => (
             FaultTarget::Storage(StorageDomain::PeCheckpoint),
             FaultAction::IoEnospc(parse_n(n, "write index")?),
@@ -368,10 +303,6 @@ fn parse_entry(entry: &str) -> Result<Fault, String> {
         ("io-torn", ["pe", n]) => (
             FaultTarget::Storage(StorageDomain::PeCheckpoint),
             FaultAction::IoTorn(parse_n(n, "write index")?),
-        ),
-        ("io-corrupt", ["store", n]) => (
-            FaultTarget::Storage(StorageDomain::StateStore),
-            FaultAction::IoCorrupt(parse_n(n, "write index")?),
         ),
         ("io-crash", ["op", k]) => (
             FaultTarget::Storage(StorageDomain::AnyOp),
@@ -386,19 +317,18 @@ fn parse_entry(entry: &str) -> Result<Fault, String> {
             FaultAction::NetPartialWrite(parse_n(n, "frame-write index")?),
         ),
         ("io-enospc" | "io-torn", _) => return Err(bad("expected KIND@pe:N")),
-        ("io-corrupt", _) => return Err(bad("expected io-corrupt@store:N")),
         ("io-crash", _) => return Err(bad("expected io-crash@op:K")),
         ("net-drop-conn" | "net-partial-write", _) => return Err(bad("expected KIND@link:N")),
         ("io-fsync-err", _) => return Err(bad("io-fsync-err takes no target or argument")),
-        ("panic" | "kill-pe" | "poison-nan" | "poison-inf" | "drop" | "dup", _) => {
+        ("panic" | "kill-pe" | "poison-nan" | "poison-inf", _) => {
             return Err(bad("expected KIND@TARGET:N"))
         }
-        ("stall" | "delay", _) => return Err(bad("expected KIND@TARGET:N:MS")),
+        ("stall", _) => return Err(bad("expected stall@TARGET:N:MS")),
         (other, _) => {
             return Err(bad(&format!(
                 "unknown fault kind '{other}' (expected panic, kill-pe, poison-nan, poison-inf, \
-                 stall, drop, dup, delay, io-enospc, io-torn, io-fsync-err, io-corrupt, \
-                 io-crash, net-drop-conn, or net-partial-write)"
+                 stall, io-enospc, io-torn, io-fsync-err, io-crash, net-drop-conn, or \
+                 net-partial-write)"
             )))
         }
     };
@@ -446,10 +376,10 @@ mod tests {
     fn parses_every_fault_kind() {
         let plan = FaultPlan::parse(
             "panic@pca-1:5000, poison-nan@pca-0:17,poison-inf@pca-2:3, stall@pca-3:10:25, \
-             drop@split>pca-1:7, dup@split>pca-2:9, delay@split>pca-0:11:5, kill-pe@pca-3:800",
+             kill-pe@pca-3:800",
         )
         .unwrap();
-        assert_eq!(plan.faults.len(), 8);
+        assert_eq!(plan.faults.len(), 5);
         assert_eq!(
             plan.faults[0],
             Fault {
@@ -461,17 +391,6 @@ mod tests {
         assert_eq!(
             plan.faults[4],
             Fault {
-                target: FaultTarget::Link {
-                    from: "split".into(),
-                    to: "pca-1".into(),
-                },
-                action: FaultAction::Drop(7),
-            }
-        );
-        assert_eq!(plan.faults[6].action, FaultAction::Delay { at: 11, ms: 5 });
-        assert_eq!(
-            plan.faults[7],
-            Fault {
                 target: FaultTarget::Op("pca-3".into()),
                 action: FaultAction::KillPe(800),
             }
@@ -480,11 +399,9 @@ mod tests {
 
     #[test]
     fn parses_every_io_fault_kind_into_a_spec() {
-        let plan = FaultPlan::parse(
-            "io-enospc@pe:3,io-torn@pe:7, io-fsync-err ,io-corrupt@store:2,io-crash@op:11",
-        )
-        .unwrap();
-        assert_eq!(plan.faults.len(), 5);
+        let plan =
+            FaultPlan::parse("io-enospc@pe:3,io-torn@pe:7, io-fsync-err ,io-crash@op:11").unwrap();
+        assert_eq!(plan.faults.len(), 4);
         assert_eq!(
             plan.faults[0].target,
             FaultTarget::Storage(StorageDomain::PeCheckpoint)
@@ -494,7 +411,6 @@ mod tests {
         assert_eq!(spec.enospc_pe, vec![3]);
         assert_eq!(spec.torn_pe, vec![7]);
         assert!(spec.fsync_err);
-        assert_eq!(spec.corrupt_store, vec![2]);
         assert_eq!(spec.crash_at_op, Some(11));
     }
 
@@ -551,7 +467,6 @@ mod tests {
             "io-enospc@store:1", // wrong domain word
             "io-enospc@pe:0",    // indices are 1-based
             "io-torn@pe",        // missing index
-            "io-corrupt@pe:1",   // corrupt is store-domain only
             "io-crash@pe:1",     // crash counts global ops
             "io-fsync-err@pe:1", // fsync-err takes no target
             "io-explode@pe:1",   // unknown kind
@@ -570,18 +485,19 @@ mod tests {
     #[test]
     fn rejects_malformed_entries_naming_them() {
         for bad in [
-            "panic@pca-1",      // missing tuple index
-            "panic@pca-1:zero", // non-numeric index
-            "panic@pca-1:0",    // indices are 1-based
-            "panic@a>b:5",      // op fault on a link target
-            "drop@pca-1:5",     // link fault without FROM>TO
-            "drop@>pca-1:5",    // empty FROM
-            "stall@pca-1:5",    // stall needs a duration
-            "delay@a>b:5",      // delay needs a duration
-            "explode@pca-1:5",  // unknown kind
-            "panic",            // no target at all
-            "",                 // no entries
-            "   , ,",           // only empty entries
+            "panic@pca-1",            // missing tuple index
+            "panic@pca-1:zero",       // non-numeric index
+            "panic@pca-1:0",          // indices are 1-based
+            "panic@a>b:5",            // an operator name has no '>'
+            "stall@pca-1:5",          // stall needs a duration
+            "explode@pca-1:5",        // unknown kind
+            "drop@split>pca-1:7",     // no edge is an unreliable channel
+            "dup@split>pca-2:9",      // likewise
+            "delay@split>pca-0:11:5", // a slow edge is a stalled consumer
+            "io-corrupt@store:2",     // `run` opens no state store
+            "panic",                  // no target at all
+            "",                       // no entries
+            "   , ,",                 // only empty entries
         ] {
             let err = FaultPlan::parse(bad).unwrap_err();
             let probe = if bad.trim().trim_matches(',').trim().is_empty() {
@@ -597,26 +513,27 @@ mod tests {
     }
 
     #[test]
-    fn rename_targets_rewrites_ops_and_links() {
-        let plan = FaultPlan::parse("panic@engine1:5000,drop@split>engine2:3")
+    fn rename_targets_rewrites_ops() {
+        let plan = FaultPlan::parse("panic@engine1:5000,stall@engine2:3:1")
             .unwrap()
             .rename_targets(|n| n.replace("engine", "pca-"));
         assert_eq!(plan.op_faults("pca-1"), vec![FaultAction::PanicAfter(5000)]);
         assert_eq!(
-            plan.link_faults("split", "pca-2"),
-            vec![FaultAction::Drop(3)]
+            plan.op_faults("pca-2"),
+            vec![FaultAction::Stall { at: 3, ms: 1 }]
         );
         assert!(plan.op_faults("engine1").is_empty());
     }
 
     #[test]
     fn target_lookups_filter_by_name() {
-        let plan = FaultPlan::parse("panic@a:1,panic@b:2,drop@a>b:3,dup@b>a:4").unwrap();
+        let plan = FaultPlan::parse("panic@a:1,panic@b:2,poison-nan@b:4").unwrap();
         assert_eq!(plan.op_faults("a"), vec![FaultAction::PanicAfter(1)]);
-        assert_eq!(plan.op_faults("b"), vec![FaultAction::PanicAfter(2)]);
-        assert_eq!(plan.link_faults("a", "b"), vec![FaultAction::Drop(3)]);
-        assert_eq!(plan.link_faults("b", "a"), vec![FaultAction::Duplicate(4)]);
-        assert!(plan.link_faults("a", "a").is_empty());
+        assert_eq!(
+            plan.op_faults("b"),
+            vec![FaultAction::PanicAfter(2), FaultAction::PoisonNan(4)]
+        );
+        assert!(plan.op_faults("a>b").is_empty());
     }
 
     #[test]

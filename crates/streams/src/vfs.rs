@@ -5,32 +5,31 @@
 //! sequence — create a scratch file, write the bytes, fsync, rename over
 //! the target, fsync the directory — and every one of those steps can
 //! fail in the real world: `ENOSPC` on write, an error surfaced at fsync,
-//! a short ("torn") write that only lands a prefix, silent bit-rot, or a
-//! crash that stops the sequence between any two syscalls. The [`Vfs`]
-//! trait names those steps so the persistence layer
-//! ([`crate::checkpoint`], [`crate::backfill`], and the engine crate's
-//! snapshot files) can run against either backend:
+//! a short ("torn") write that only lands a prefix, or a crash that stops
+//! the sequence between any two syscalls. The [`Vfs`] trait names those
+//! steps so the persistence layer ([`crate::checkpoint`],
+//! [`crate::backfill`], and the engine crate's snapshot files) can run
+//! against either backend:
 //!
 //! * [`RealVfs`] — thin passthrough to `std::fs`;
 //! * [`FaultVfs`] — wraps the real backend and injects faults from an
-//!   [`IoFaultSpec`], deterministically: the *N*-th write in a domain
-//!   fails with `ENOSPC`, lands only half its bytes, or lands corrupted;
-//!   every fsync errors; or the *K*-th VFS operation (and everything
-//!   after it) dies, simulating the device disappearing mid-sequence.
+//!   [`IoFaultSpec`], deterministically: the *N*-th PE-checkpoint write
+//!   fails with `ENOSPC` or lands only half its bytes; every fsync errors;
+//!   or the *K*-th VFS operation (and everything after it) dies,
+//!   simulating the device disappearing mid-sequence.
 //!
 //! Fault triggers are counted per [`FaultVfs`] instance. Operation order
 //! is deterministic whenever a single thread drives the persistence path
-//! (the common case in tests: one checkpointing PE, or one state store);
-//! with several PEs checkpointing concurrently the interleaving — and so
-//! the exact victim of the *N*-th-write trigger — follows the thread
-//! schedule.
+//! (the common case in tests: one checkpointing PE); with several PEs
+//! checkpointing concurrently the interleaving — and so the exact victim
+//! of the *N*-th-write trigger — follows the thread schedule.
 //!
 //! Paths are classified into fault domains by their file names, which are
 //! fixed by this workspace's formats: `pe*.ckpt` generation files belong
-//! to the PE-checkpoint domain, `*.state` files to the state-store domain.
-//! Scratch-file suffixes (`.tmp-…`) are stripped before classification so
-//! a fault aimed at a generation fires on the scratch file that would
-//! become it — one PE-checkpoint write per generation.
+//! to the PE-checkpoint domain. Scratch-file suffixes (`.tmp-…`) are
+//! stripped before classification so a fault aimed at a generation fires
+//! on the scratch file that would become it — one PE-checkpoint write per
+//! generation.
 
 use std::io;
 use std::path::Path;
@@ -115,9 +114,8 @@ impl Vfs for RealVfs {
 pub enum IoDomain {
     /// PE checkpoint generation files (`pe*-g*.ckpt`).
     PeCheckpoint,
-    /// Backfill state-store entries (`*.state`).
-    StateStore,
-    /// Anything else (eigensystem snapshots, quarantine files, …).
+    /// Anything else (eigensystem snapshots, backfill state files,
+    /// quarantine files, …).
     Other,
 }
 
@@ -134,8 +132,6 @@ pub fn domain_of(path: &Path) -> IoDomain {
     };
     if logical.starts_with("pe") && logical.ends_with(".ckpt") {
         IoDomain::PeCheckpoint
-    } else if logical.ends_with(".state") {
-        IoDomain::StateStore
     } else {
         IoDomain::Other
     }
@@ -152,9 +148,6 @@ pub struct IoFaultSpec {
     pub torn_pe: Vec<u64>,
     /// Every fsync (file and directory) fails.
     pub fsync_err: bool,
-    /// 1-based indices of state-store-domain writes that land with one
-    /// byte flipped (the call succeeds; detection is the reader's job).
-    pub corrupt_store: Vec<u64>,
     /// 1-based global VFS-operation index at which the device "dies":
     /// that operation and every later one fails.
     pub crash_at_op: Option<u64>,
@@ -177,9 +170,7 @@ pub struct FaultVfs {
     ops: AtomicU64,
     /// PE-checkpoint-domain write counter, 1-based.
     pe_writes: AtomicU64,
-    /// State-store-domain write counter, 1-based.
-    store_writes: AtomicU64,
-    /// Faults injected so far (errors returned plus silent torn/corrupt).
+    /// Faults injected so far (errors returned plus silent torn writes).
     injected: AtomicU64,
 }
 
@@ -208,7 +199,7 @@ impl FaultVfs {
         self.ops.load(Ordering::Relaxed)
     }
 
-    /// Faults injected so far, counting silent (torn/corrupt) ones.
+    /// Faults injected so far, counting silent (torn) ones.
     pub fn faults_injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
@@ -246,18 +237,6 @@ impl Vfs for FaultVfs {
                     // A torn write lands a prefix and *reports success* —
                     // the damage is only discoverable at read time.
                     return self.inner.write(path, &bytes[..bytes.len() / 2]);
-                }
-                self.inner.write(path, bytes)
-            }
-            IoDomain::StateStore => {
-                let n = self.store_writes.fetch_add(1, Ordering::Relaxed) + 1;
-                if self.spec.corrupt_store.contains(&n) {
-                    self.injected.fetch_add(1, Ordering::Relaxed);
-                    let mut rot = bytes.to_vec();
-                    if let Some(last) = rot.last_mut() {
-                        *last ^= 0xff; // bit-rot the payload tail
-                    }
-                    return self.inner.write(path, &rot);
                 }
                 self.inner.write(path, bytes)
             }
@@ -358,12 +337,8 @@ mod tests {
             "scratch suffix is stripped before classification"
         );
         assert_eq!(
-            domain_of(Path::new("/d/rows-0-100.state")),
-            IoDomain::StateStore
-        );
-        assert_eq!(
             domain_of(Path::new("/d/rows-0-100.state.tmp-9-1")),
-            IoDomain::StateStore
+            IoDomain::Other
         );
         assert_eq!(
             domain_of(Path::new("/d/engine0_latest.snapshot")),
@@ -386,7 +361,7 @@ mod tests {
         let err = v.write(&b, b"second").unwrap_err();
         assert!(err.to_string().to_lowercase().contains("space"), "{err}");
         assert_eq!(v.faults_injected(), 1);
-        // Store-domain writes do not advance the PE counter.
+        // Writes outside the PE domain do not advance its counter.
         let s = dir.join("x.state");
         v.create(&s).unwrap();
         v.write(&s, b"store").unwrap();
@@ -405,22 +380,6 @@ mod tests {
         v.write(&p, b"0123456789").unwrap();
         assert_eq!(std::fs::read(&p).unwrap(), b"01234");
         assert_eq!(v.faults_injected(), 1);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn corrupt_store_write_flips_the_payload_tail() {
-        let dir = temp_dir();
-        let v = FaultVfs::new(IoFaultSpec {
-            corrupt_store: vec![1],
-            ..Default::default()
-        });
-        let p = dir.join("a.state");
-        v.create(&p).unwrap();
-        v.write(&p, b"abc").unwrap();
-        let got = std::fs::read(&p).unwrap();
-        assert_eq!(&got[..2], b"ab");
-        assert_eq!(got[2], b'c' ^ 0xff);
         std::fs::remove_dir_all(dir).ok();
     }
 

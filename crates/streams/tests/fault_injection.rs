@@ -353,45 +353,10 @@ fn a_finish_hook_panic_restarts_the_pe_and_end_of_stream_still_arrives() {
 }
 
 #[test]
-fn drop_fault_loses_exactly_the_named_tuple() {
-    let mut g = GraphBuilder::new().with_fault_plan(FaultPlan::parse("drop@src>sink:50").unwrap());
-    let src = g.add_source("src", counting_source(100));
-    let (sink, store) = CollectSink::new();
-    let out = g.add_op("sink", Box::new(sink));
-    g.connect(src, 0, out, PortKind::Data);
-    Engine::run(g);
-
-    let collected = lock(&store);
-    assert_eq!(collected.len(), 99);
-    // The 50th data tuple on the link is seq 49.
-    assert!(collected.iter().all(|t| t.seq != 49), "seq 49 was dropped");
-}
-
-#[test]
-fn dup_fault_duplicates_adjacently() {
-    let mut g = GraphBuilder::new().with_fault_plan(FaultPlan::parse("dup@src>sink:50").unwrap());
-    let src = g.add_source("src", counting_source(100));
-    let (sink, store) = CollectSink::new();
-    let out = g.add_op("sink", Box::new(sink));
-    g.connect(src, 0, out, PortKind::Data);
-    Engine::run(g);
-
-    let collected = lock(&store);
-    assert_eq!(collected.len(), 101);
-    let dups: Vec<usize> = collected
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.seq == 49)
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(dups.len(), 2, "seq 49 must appear twice");
-    assert_eq!(dups[1], dups[0] + 1, "the duplicate is adjacent");
-}
-
-#[test]
-fn delay_and_stall_lose_nothing() {
-    let mut g = GraphBuilder::new()
-        .with_fault_plan(FaultPlan::parse("delay@src>fwd:10:2,stall@fwd:20:2").unwrap());
+fn stall_loses_nothing() {
+    // A slow edge is a stalled consumer: the rows behind it arrive late
+    // but in order.
+    let mut g = GraphBuilder::new().with_fault_plan(FaultPlan::parse("stall@fwd:20:2").unwrap());
     let src = g.add_source("src", counting_source(100));
     let fwd = g.add_op("fwd", Box::new(Forward));
     let (sink, store) = CollectSink::new();
@@ -401,7 +366,7 @@ fn delay_and_stall_lose_nothing() {
     Engine::run(g);
 
     let collected = lock(&store);
-    assert_eq!(collected.len(), 100, "latency faults must not lose tuples");
+    assert_eq!(collected.len(), 100, "a stall must not lose tuples");
     let seqs: Vec<u64> = collected.iter().map(|t| t.seq).collect();
     assert_eq!(seqs, (0..100).collect::<Vec<_>>(), "order preserved");
 }
@@ -525,17 +490,6 @@ fn control_panic_recovers_without_redelivery() {
 #[should_panic(expected = "fault plan targets unknown operator")]
 fn unknown_op_target_panics_at_start() {
     let mut g = GraphBuilder::new().with_fault_plan(FaultPlan::parse("panic@nonesuch:1").unwrap());
-    let src = g.add_source("src", counting_source(5));
-    let (sink, _store) = CollectSink::new();
-    let out = g.add_op("sink", Box::new(sink));
-    g.connect(src, 0, out, PortKind::Data);
-    Engine::run(g);
-}
-
-#[test]
-#[should_panic(expected = "fault plan targets unknown link")]
-fn unknown_link_target_panics_at_start() {
-    let mut g = GraphBuilder::new().with_fault_plan(FaultPlan::parse("drop@sink>src:1").unwrap());
     let src = g.add_source("src", counting_source(5));
     let (sink, _store) = CollectSink::new();
     let out = g.add_op("sink", Box::new(sink));
@@ -805,18 +759,4 @@ fn kill_pe_with_torn_checkpoints_quarantines_and_still_delivers() {
         !restored.load(Ordering::SeqCst),
         "nothing valid on disk: restore must not have run"
     );
-}
-
-#[test]
-#[should_panic(expected = "cross-PE")]
-fn link_fault_on_fused_edge_is_rejected() {
-    // Link faults model the network; a fused (in-memory) hand-off has no
-    // network to fail, so targeting it is a plan error, not a no-op.
-    let mut g = GraphBuilder::new().with_fault_plan(FaultPlan::parse("drop@src>sink:1").unwrap());
-    let src = g.add_source("src", counting_source(5));
-    let (sink, _store) = CollectSink::new();
-    let out = g.add_op("sink", Box::new(sink));
-    g.connect(src, 0, out, PortKind::Data);
-    g.fuse(&[src, out]);
-    Engine::run(g);
 }

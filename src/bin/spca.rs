@@ -265,8 +265,8 @@ is the default. run reads exactly one of --input, --listen, --url.
 
 --faults injects deterministic failures: a comma-separated plan of
   panic@ENGINE:N, poison-nan@ENGINE:N, poison-inf@ENGINE:N,
-  stall@ENGINE:N:MS, kill-pe@ENGINE:N, drop@FROM>TO:N, dup@FROM>TO:N,
-  delay@FROM>TO:N:MS (e.g. \"panic@engine1:5000\"). kill-pe tears down the
+  stall@ENGINE:N:MS, kill-pe@ENGINE:N (e.g. \"panic@engine1:5000\");
+  N counts data tuples delivered to ENGINE, from 1. kill-pe tears down the
   whole processing element hosting the target operator; every operator in
   it is rebuilt and rehydrated from the PE's checkpoint. Pair with
   --snapshot-dir DIR so crashed engines and PEs are restored from their
@@ -276,8 +276,7 @@ is the default. run reads exactly one of --input, --listen, --url.
   Storage faults drill the persistence layer itself: io-enospc@pe:N
   (N-th PE checkpoint generation write fails with ENOSPC), io-torn@pe:N
   (N-th generation write lands half its bytes), io-fsync-err (every
-  fsync fails), io-corrupt@store:N (N-th backfill state-store write flips
-  its last byte), io-crash@op:K (the K-th storage operation and
+  fsync fails), io-crash@op:K (the K-th storage operation and
   everything after it fails, simulating a dead device; a generation is
   five operations). The run degrades instead of dying: failed
   checkpoints are skipped with backoff, torn or rotted generations are

@@ -119,7 +119,14 @@ fn help_exits_zero() {
 #[test]
 fn bad_fault_spec_is_rejected_and_named() {
     // Spec validation happens before any input I/O, so no file is needed.
-    for bad in ["panic@engine1", "jitter@engine0:5", "drop@split:3"] {
+    for bad in [
+        "panic@engine1",
+        "jitter@engine0:5",
+        "drop@split:3",
+        "drop@split>engine1:3",
+        "delay@split>engine1:3:5",
+        "io-corrupt@store:1",
+    ] {
         let out = spca(&["run", "--input", "nonexistent.csv", "--faults", bad]);
         assert!(!out.status.success(), "'{bad}': expected nonzero exit");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -290,9 +290,9 @@ fn unfused_data_links_account_bytes() {
 
 #[test]
 fn quarantine_captures_flagged_observations_verbatim() {
-    // Outliers must land in the quarantine feed with their original values
-    // — available "for further processing" — while the eigensystem ignores
-    // them.
+    // Outliers must be flagged on the outcome feed under their own
+    // sequence numbers — available "for further processing" — while the
+    // eigensystem ignores them.
     let w = PlantedSubspace::new(D, RANK, 0.05);
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(23)));
     let source = Box::new(
@@ -311,20 +311,20 @@ fn quarantine_captures_flagged_observations_verbatim() {
         .with_max_tuples(5000),
     );
     let mut cfg = AppConfig::new(2, pca_cfg());
-    cfg.quarantine = true;
+    cfg.emit_outcomes = true;
     cfg.sync = SyncStrategy::None;
     let (g, h) = ParallelPcaApp::build(&cfg, source);
     Engine::run(g);
-    let q = h.quarantined.unwrap();
-    let quarantined = lock(&q);
+    let outcomes = h.outcomes.unwrap();
+    let flagged: Vec<u64> = lock(&outcomes)
+        .iter()
+        .filter(|t| t.values[4] == 1.0)
+        .map(|t| t.seq)
+        .collect();
     // 200 spikes injected; warm-up swallows a few per engine.
-    assert!(
-        quarantined.len() >= 150,
-        "only {} quarantined",
-        quarantined.len()
-    );
-    // Verbatim forwarding: the spike signature survives.
-    assert!(quarantined.iter().all(|t| t.values[9] >= 500.0));
+    assert!(flagged.len() >= 150, "only {} flagged", flagged.len());
+    // Every flagged row is a spike.
+    assert!(flagged.iter().all(|seq| seq % 25 == 24), "{flagged:?}");
     // And the model ignored them.
     let truth = PlantedSubspace::new(D, RANK, 0.05);
     let merged = h.hub.merged_estimate().unwrap();
