@@ -349,6 +349,13 @@ impl<T: Send + 'static> WriteBehind<T> {
         }
     }
 
+    /// True when nothing submitted waits for the writer or is being
+    /// written.
+    pub fn is_idle(&self) -> bool {
+        let slot = self.mailbox.lock();
+        slot.pending.is_none() && !slot.writing
+    }
+
     /// Returns once everything submitted so far has been written.
     pub fn flush(&self) {
         let mut slot = self.mailbox.lock();

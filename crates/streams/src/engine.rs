@@ -797,16 +797,23 @@ impl Engine {
                     // decodes incoming frames into the channel so the
                     // consuming PE sees an ordinary frame channel. A PE
                     // consumer is rung on every frame; the transport's
-                    // sender waits on the channel itself. A channel the
-                    // transport feeds holds at most `INBOUND_FRAMES` full
-                    // frames' worth of tuples: its receiver then stops
-                    // reading, and the TCP window holds the sender.
-                    let cap = if from_here {
-                        builder.channel_capacity
-                    } else {
-                        builder.channel_capacity.min(INBOUND_FRAMES * batch)
+                    // sender waits on the channel itself. A process of a
+                    // distributed run holds `INBOUND_FRAMES` full frames'
+                    // worth of tuples per channel (DESIGN §12, flow
+                    // control). A channel the transport feeds is bounded
+                    // there: its receiver then stops reading, and the TCP
+                    // window holds the sender. Any other channel holds its
+                    // producer there but reads full only at the capacity,
+                    // so a split never sheds; held only on the way into a
+                    // sender, the backlog moved to the channel in front.
+                    let cap = builder.channel_capacity;
+                    let wire = cap.min(INBOUND_FRAMES * batch);
+                    let (cap, hold) = match (from_here, partition.is_some()) {
+                        (false, _) => (wire, wire),
+                        (true, true) => (cap, wire),
+                        (true, false) => (cap, cap),
                     };
-                    let (tx, rx) = frame_channel(cap, to_here.then(|| wakes[to_pe].clone()));
+                    let (tx, rx) = frame_channel(cap, hold, to_here.then(|| wakes[to_pe].clone()));
                     let link = metrics.register_link();
                     link_endpoints.push((op_names[e.from].clone(), op_names[e.to].clone()));
                     let boundary = || partition.as_ref().expect("boundary edge implies partition");
@@ -856,7 +863,7 @@ impl Engine {
                                 op_names[e.from], op_names[e.to]
                             )
                         });
-                        p.net.add_outgoing(eid as u64, rx, peer);
+                        p.net.add_outgoing(eid as u64, rx, peer, batch);
                     }
                 }
             }
@@ -1438,7 +1445,7 @@ fn run_pe_once(pe: &mut PeRuntime) {
         .map(|cp| cp.checkpoint_every().max(1))
         .min()
         .or(if has_net && pe.checkpoint.is_some() {
-            Some(crate::checkpoint::DEFAULT_CHECKPOINT_EVERY)
+            Some(checkpoint::DEFAULT_CHECKPOINT_EVERY)
         } else {
             None
         });
@@ -1507,29 +1514,17 @@ fn run_pe_once(pe: &mut PeRuntime) {
 
         let sources_alive = source_idxs.iter().any(|&i| !pe.slots[i].finished);
 
-        // 2. Receive from cross-PE channels.
-        if sources_alive {
-            // Non-blocking frame sweep so sources keep producing.
-            if sweep_channels(pe) {
-                progressed = true;
-            }
-        } else {
-            // No live sources: everything this PE will ever process now
-            // arrives over its channels. Drain what is already buffered or
-            // queued; only when that comes up empty, sleep until a producer
-            // rings. Buffered output must be flushed before sleeping — a
-            // stranded partial batch could be exactly what the upstream PE
-            // is waiting for.
+        // 2. Receive from cross-PE channels: a non-blocking frame sweep,
+        //    so live sources keep producing. With none, everything this PE
+        //    will ever process arrives over its channels, and it sleeps
+        //    below when the sweep comes up empty. Buffered output must be
+        //    flushed before sleeping — a stranded partial batch could be
+        //    exactly what the upstream PE is waiting for.
+        if !sources_alive {
             flush_all(&mut pe.slots);
-            if sweep_channels(pe) {
-                progressed = true;
-            } else if pe.inbox.metas.iter().any(|m| m.alive) {
-                // A frame queued or a sender dropped since the sweep left
-                // its ring behind, so this returns at once; on timeout,
-                // fall through to the exit checks.
-                let _ = woken.recv_timeout(Duration::from_millis(20));
-            }
         }
+        let drained = !sweep_channels(pe);
+        progressed |= !drained;
         drain_pending(pe);
 
         // 3. Periodic checkpoint: once the PE has consumed a cadence worth
@@ -1537,13 +1532,35 @@ fn run_pe_once(pe: &mut PeRuntime) {
         //    consistent one and hand it to the writer. This sits between
         //    tuples (the local frames are drained), so the set is
         //    consistent by construction, and the engine pays for the
-        //    capture only: the fsyncs run behind it.
+        //    capture only: the fsyncs run behind it. A wire-fed PE also
+        //    captures at once when its inputs are drained, its writer is
+        //    idle and a link's committed watermark lags what it consumed
+        //    by a default cadence: its sender may be waiting at its window
+        //    for the `ACK` a backed-off cadence would not give it
+        //    (`netio::send_window`). A PE with a live source is not only
+        //    wire-fed, and its periodic cadence runs on.
         if let (Some(every), Some(ckpt)) = (cadence, pe.checkpoint.as_ref()) {
             let total = checkpoint_progress(&pe.slots, &pe.inbox.metas);
-            if total.saturating_sub(*last_ckpt_total) >= ckpt.window(every) {
+            let due = total.saturating_sub(*last_ckpt_total) >= ckpt.window(every);
+            let acks_owed = drained
+                && !sources_alive
+                && pe.inbox.metas.iter().any(|m| {
+                    m.net.as_ref().is_some_and(|n| {
+                        n.link.unstable(m.routed) >= checkpoint::DEFAULT_CHECKPOINT_EVERY
+                    })
+                })
+                && ckpt.writer.is_idle();
+            if due || acks_owed {
                 *last_ckpt_total = total;
                 ckpt.submit(capture_pe(&mut pe.slots, &pe.inbox.metas));
             }
+        }
+
+        // A frame queued or a sender dropped since the sweep left its ring
+        // behind, so this returns at once; on timeout, fall through to the
+        // exit checks.
+        if drained && !sources_alive && pe.inbox.metas.iter().any(|m| m.alive) {
+            let _ = woken.recv_timeout(Duration::from_millis(20));
         }
 
         // 4. Exit when everything is finished.
@@ -2494,7 +2511,7 @@ mod tests {
     /// A channel cursor feeding slot 0, socket-backed (stable acks) when
     /// `net` is given.
     fn cursor_into_slot_0(port: PortKind, net: Option<(&NetTransport, u64)>) -> ChanMeta {
-        let (tx, rx) = frame_channel(1, None);
+        let (tx, rx) = frame_channel(1, 1, None);
         let net = net.map(|(transport, link_id)| {
             let link = transport.add_incoming(link_id, tx, AckMode::Stable);
             NetIn { link_id, link }

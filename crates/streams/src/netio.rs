@@ -45,16 +45,25 @@
 //! `net-partial-write@link:N`) are injected in the sender's socket shim,
 //! the way [`FaultVfs`](crate::vfs::FaultVfs) wraps storage writes.
 //!
+//! **Flow control:** both ends of a link are bounded. The receiver parks at
+//! most [`INBOUND_FRAMES`] frames in front of its consumer and stops reading
+//! when they are full; the sender ships at most [`send_window`] entries
+//! past the peer's acknowledgement, and the channel into it, like every
+//! channel of the process, holds its producer at [`INBOUND_FRAMES`]
+//! frames. What a link keeps resident is then a function of the batch
+//! size, not of the stream's length.
+//!
 //! **Waiting:** every thread here blocks on the thing it waits for — a
 //! socket read, `accept`, a channel, or a condvar — and is woken by the
 //! event itself: an `ACK` is written by whoever advanced the watermark,
-//! the ack reader signals the closing sender, and
+//! the ack reader signals the closing and the windowed sender, and
 //! [`shutdown`](NetTransport::shutdown) unblocks readers by shutting their
 //! sockets down and the acceptor by connecting to it. The only timed waits
 //! are the connect back-off (the peer is down; there is no event to wait
 //! for), the handshake deadline, and the sender's idle probe of a quiet
 //! channel. DESIGN §12 has the table.
 
+use crate::checkpoint::DEFAULT_CHECKPOINT_EVERY;
 use crate::codec::{decode_frame, encode_columns, frame_len, HEADER_LEN};
 use crate::tuple::{Frame, FrameRx, FrameTx};
 use crate::watched::{lock, Watched};
@@ -94,15 +103,30 @@ const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 /// because the pump waits on a channel and a connection at once, and `std`
 /// has no `select` over a channel and a socket.
 const IDLE_PROBE: Duration = Duration::from_millis(20);
-/// Full frames a receiver parks in front of its consuming PE: a channel
-/// the transport feeds is bounded at this many batches of tuples (DESIGN
-/// §12, flow control). Distributed runs size their channels past the
-/// corpus, so without it a sender that outruns the consumer keeps the
-/// whole stream resident twice; frames close at 64 KiB, so this is 1 MiB.
-/// A receiver with a full channel waits for room and stops reading: the
-/// TCP window then holds the sender, which blocks in `write` like on any
-/// slow link.
+/// Full frames a socket link parks on either side of the wire (DESIGN §12,
+/// flow control): a channel the transport feeds is bounded at this many
+/// batches of tuples, and every other channel of a distributed run's
+/// process, the one into a sender among them, holds its producer there.
+/// Such runs size their channels past the corpus, so without it a source
+/// that outruns the consumer keeps the whole stream resident; frames close
+/// at 64 KiB, so this is 1 MiB. A receiver with a full channel waits for
+/// room and stops reading: the TCP window then holds the sender, which
+/// blocks in `write` like on any slow link.
 pub(crate) const INBOUND_FRAMES: usize = 16;
+
+/// Entries a sender ships past the peer's acknowledgement before it stops
+/// taking frames off its channel: a checkpoint cadence, which a stable
+/// consumer must consume before it commits and acknowledges, plus the
+/// [`INBOUND_FRAMES`] batches parked in front of it. So the retransmit
+/// queue holds at most this many entries and one frame, however long the
+/// stream. A consumer whose cadence backed off past the window (DESIGN
+/// §11) is still acknowledged: a stalled sender leaves at least
+/// `DEFAULT_CHECKPOINT_EVERY` entries between what its consumer consumed
+/// and committed, and a wire-fed PE that sees that lag with its inputs
+/// drained captures at once (`engine::run_pe_once`).
+pub fn send_window(batch: usize) -> u64 {
+    DEFAULT_CHECKPOINT_EVERY + (INBOUND_FRAMES * batch.max(1)) as u64
+}
 
 /// Deterministic wire faults, compiled from the fault grammar
 /// (`net-drop-conn@link:N`, `net-partial-write@link:N`). Indices are
@@ -219,6 +243,14 @@ impl LinkIn {
         let _ = self.send_ack(&mut conn);
     }
 
+    /// Entries consumed past the durable watermark, of the first `routed`;
+    /// 0 when the link acknowledges on receipt.
+    pub(crate) fn unstable(&self, routed: u64) -> u64 {
+        self.stable
+            .as_ref()
+            .map_or(0, |s| routed.saturating_sub(s.load(Ordering::SeqCst)))
+    }
+
     /// The durable watermark, for tests of who may move it.
     #[cfg(test)]
     pub(crate) fn stable(&self) -> u64 {
@@ -251,10 +283,13 @@ struct Outgoing {
     link_id: u64,
     rx: FrameRx,
     peer: SocketAddr,
+    /// [`send_window`] at the link's batch size.
+    window: u64,
 }
 
 /// What a sender and its ack reader share; the sender waits on it while
-/// closing, and [`NetTransport::shutdown`] reaches the sender through it.
+/// its window is full and while closing, and [`NetTransport::shutdown`]
+/// reaches the sender through it.
 #[derive(Default)]
 struct SendWait {
     /// Cumulative entries the peer acknowledged.
@@ -375,10 +410,16 @@ impl NetTransport {
         link
     }
 
-    /// Registers the sending end of boundary link `link_id`: frames from
-    /// `rx` are encoded and shipped to `peer`.
-    pub(crate) fn add_outgoing(&self, link_id: u64, rx: FrameRx, peer: SocketAddr) {
-        lock(&self.outgoing).push(Outgoing { link_id, rx, peer });
+    /// Registers the sending end of boundary link `link_id`: frames of up
+    /// to `batch` entries from `rx` are encoded and shipped to `peer`, at
+    /// most [`send_window`] entries past its acknowledgement.
+    pub(crate) fn add_outgoing(&self, link_id: u64, rx: FrameRx, peer: SocketAddr, batch: usize) {
+        lock(&self.outgoing).push(Outgoing {
+            link_id,
+            rx,
+            peer,
+            window: send_window(batch),
+        });
     }
 
     /// Spawns the acceptor and one sender thread per registered outgoing
@@ -858,12 +899,24 @@ impl SenderLoop {
         // Pump the engine channel.
         loop {
             let (acked, conn_dead) = {
-                let w = self.wait.lock();
+                let mut w = self.wait.lock();
+                // A full window: the ack reader wakes this wait with every
+                // ack and with the connection's end, `shutdown` with its
+                // stop. The producer meanwhile waits at its channel's hold.
+                while self.produced.saturating_sub(w.acked) >= self.link.window
+                    && !w.conn_dead
+                    && !self.stop.is_set()
+                {
+                    w = self.wait.wait(w);
+                }
                 (w.acked, w.conn_dead)
             };
             self.prune(acked);
             if conn_dead {
                 return ConnEnd::Reconnect;
+            }
+            if self.stop.is_set() {
+                return ConnEnd::Stopped;
             }
             if !self.chan_open {
                 // Closing: the ack reader wakes this wait with every ack
@@ -917,11 +970,8 @@ impl SenderLoop {
                         Ok(false) | Err(_) => return ConnEnd::Reconnect,
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.stop.is_set() {
-                        return ConnEnd::Stopped;
-                    }
-                }
+                // The loop's head sees a stop, and a dead connection.
+                Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => self.chan_open = false,
             }
         }
@@ -970,12 +1020,12 @@ mod tests {
         }
         let (n_frames, per) = (6u64, 5u64);
 
-        let (tx_r, rx_r) = frame_channel(64, None);
+        let (tx_r, rx_r) = frame_channel(64, 64, None);
         recv_side.add_incoming(9, tx_r, AckMode::Receipt);
         recv_side.start();
 
-        let (tx_s, rx_s) = frame_channel(64, None);
-        send_side.add_outgoing(9, rx_s, recv_side.local_addr());
+        let (tx_s, rx_s) = frame_channel(64, 64, None);
+        send_side.add_outgoing(9, rx_s, recv_side.local_addr(), per as usize);
         send_side.start();
 
         let mut seq = 0u64;
@@ -1054,14 +1104,14 @@ mod tests {
         let bound = INBOUND_FRAMES * BATCH as usize;
         let recv_side = NetTransport::bind("127.0.0.1:0").expect("bind");
         let send_side = NetTransport::bind("127.0.0.1:0").expect("bind");
-        let (tx_r, rx_r) = frame_channel(bound, None);
+        let (tx_r, rx_r) = frame_channel(bound, bound, None);
         recv_side.add_incoming(4, tx_r, AckMode::Receipt);
         recv_side.start();
 
         let n_frames = INBOUND_FRAMES as u64 + 8;
         let n_rows = n_frames * BATCH;
-        let (tx_s, rx_s) = frame_channel(n_rows as usize + 1, None);
-        send_side.add_outgoing(4, rx_s, recv_side.local_addr());
+        let (tx_s, rx_s) = frame_channel(n_rows as usize + 1, n_rows as usize + 1, None);
+        send_side.add_outgoing(4, rx_s, recv_side.local_addr(), BATCH as usize);
         send_side.start();
         for f in 0..n_frames {
             let mut tuples: Vec<Tuple> = (f * BATCH..(f + 1) * BATCH)
@@ -1103,6 +1153,84 @@ mod tests {
         recv_side.shutdown();
     }
 
+    #[test]
+    fn a_full_window_holds_the_producer_until_the_consumer_acks() {
+        // Both ends as the engine sizes them for a stable consumer: the
+        // channel into the sender full at a corpus-sized capacity but
+        // holding its producer at `INBOUND_FRAMES` frames, the receiver's
+        // bounded there.
+        const BATCH: u64 = 4;
+        let hold = INBOUND_FRAMES as u64 * BATCH;
+        let window = send_window(BATCH as usize);
+        let n_rows = 2 * window + 2 * hold;
+        let recv_side = NetTransport::bind("127.0.0.1:0").expect("bind");
+        let send_side = NetTransport::bind("127.0.0.1:0").expect("bind");
+        let (tx_r, rx_r) = frame_channel(hold as usize, hold as usize, None);
+        let link = recv_side.add_incoming(5, tx_r, AckMode::Stable);
+        recv_side.start();
+        let (tx_s, rx_s) = frame_channel(n_rows as usize + 1, hold as usize, None);
+        send_side.add_outgoing(5, rx_s, recv_side.local_addr(), BATCH as usize);
+        send_side.start();
+
+        let sent = Arc::new(AtomicU64::new(0));
+        let producer = {
+            let sent = Arc::clone(&sent);
+            thread::spawn(move || {
+                for f in 0..n_rows / BATCH {
+                    let mut tuples: Vec<Tuple> = (f * BATCH..(f + 1) * BATCH)
+                        .map(|seq| data(seq, seq as f64))
+                        .collect();
+                    if f == n_rows / BATCH - 1 {
+                        tuples.push(Tuple::Punct(Punctuation::EndOfStream));
+                    }
+                    assert!(tx_s.send(Frame::from_tuples(&tuples)), "send");
+                    sent.fetch_add(BATCH, Ordering::SeqCst);
+                }
+            })
+        };
+
+        // Takes frames until `n` entries have arrived in all, then sees
+        // that no more come.
+        let mut got: Vec<Tuple> = Vec::new();
+        let mut take_up_to = |n: u64| {
+            while (got.len() as u64) < n {
+                let frame = rx_r.recv_timeout(Duration::from_secs(20)).expect("frame");
+                got.extend(frame.tuples());
+            }
+            assert_eq!(
+                rx_r.recv_timeout(Duration::from_millis(200)).err(),
+                Some(RecvTimeoutError::Timeout),
+                "nothing past {n} entries"
+            );
+            assert_eq!(got.len() as u64, n);
+        };
+
+        // Nothing acknowledged: the sender stops a window past zero, and
+        // the producer waits with a hold's worth queued in front of it.
+        take_up_to(window);
+        assert_eq!(sent.load(Ordering::SeqCst), window + hold);
+        // Each acknowledgement lets the window slide by as much.
+        link.advance_stable(window);
+        take_up_to(2 * window);
+        link.advance_stable(2 * window);
+        take_up_to(n_rows + 1);
+        producer.join().expect("producer");
+        // The closing sender waits for the last ack, then says GOODBYE.
+        link.advance_stable(n_rows + 1);
+        assert_eq!(
+            rx_r.recv_timeout(Duration::from_secs(10)).err(),
+            Some(RecvTimeoutError::Disconnected)
+        );
+        for (i, t) in got.iter().take(n_rows as usize).enumerate() {
+            match t {
+                Tuple::Data(d) => assert_eq!(d.seq, i as u64),
+                other => panic!("expected data at {i}, got {other:?}"),
+            }
+        }
+        send_side.shutdown();
+        recv_side.shutdown();
+    }
+
     /// A loopback pair in [`AckMode::Stable`] with one two-entry frame
     /// (data + EOS) delivered, the producer gone and nothing acknowledged:
     /// the sender sits in its closing wait.
@@ -1117,12 +1245,12 @@ mod tests {
         let recv_side = NetTransport::bind("127.0.0.1:0").expect("bind");
         let send_side = NetTransport::bind("127.0.0.1:0").expect("bind");
 
-        let (tx_r, rx) = frame_channel(8, None);
+        let (tx_r, rx) = frame_channel(8, 8, None);
         let link = recv_side.add_incoming(3, tx_r, AckMode::Stable);
         recv_side.start();
 
-        let (tx_s, rx_s) = frame_channel(8, None);
-        send_side.add_outgoing(3, rx_s, recv_side.local_addr());
+        let (tx_s, rx_s) = frame_channel(8, 8, None);
+        send_side.add_outgoing(3, rx_s, recv_side.local_addr(), 1);
         send_side.start();
 
         let tuples = vec![data(0, 1.0), Tuple::Punct(Punctuation::EndOfStream)];

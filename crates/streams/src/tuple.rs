@@ -456,13 +456,17 @@ const POOL_BYTES: usize = 1 << 20;
 /// channel bounded at `cap` tuples by its two ends. `std`'s sender cannot
 /// tell how full its channel is, so the ends count the entries its frames
 /// carry: a frame's length goes up here before a send and down in
-/// [`FrameRx`] as it leaves, and a send waits while `cap` or more are
+/// [`FrameRx`] as it leaves, and a send waits while `hold` or more are
 /// queued. A channel is full at the same number of tuples whether its
 /// frames are full or a pre-idle flush sent them a few rows each; the last
-/// frame in may overshoot the bound by less than its own length. With one
-/// producer per channel, `is_full` false means the next send does not
-/// wait. The bound is not `sync_channel`'s because that allocates all of
-/// its slots up front, and a distributed run sizes `cap` past its corpus.
+/// frame in may overshoot the bound by less than its own length. The hold
+/// is the capacity except in a process of a distributed run (DESIGN §12,
+/// flow control): there `is_full`, and so `try_emit_row`, still reads
+/// `cap`, which such a run sizes past its corpus so its split never sheds,
+/// while a send already waits at `hold`. Elsewhere, with one producer per
+/// channel, `is_full` false means the next send does not wait. The bound
+/// is not `sync_channel`'s because that allocates all of its slots up
+/// front.
 pub(crate) struct FrameTx {
     tx: Sender<Frame>,
     shared: Arc<Shared>,
@@ -483,7 +487,7 @@ pub(crate) struct FrameRx {
     room: Wake,
 }
 
-/// What both ends of a channel share: its bound, the entries sent and not
+/// What both ends of a channel share: its bounds, the entries sent and not
 /// yet taken off it, and the pool its frames' buffers cycle through.
 /// `Relaxed` suffices for the count: it publishes no other data, a frame's
 /// increment comes before its send, which the channel orders before the
@@ -491,17 +495,22 @@ pub(crate) struct FrameRx {
 /// woken by the consumer's ring after the decrement.
 struct Shared {
     cap: usize,
+    /// Where a send waits: `cap`, or less in a process of a distributed run.
+    hold: usize,
     queued: AtomicUsize,
     pool: FramePool,
 }
 
-/// A frame channel holding at most `cap` tuples (at least one) plus the
-/// overshoot of its last frame, whose sends ring `wake`.
-pub(crate) fn frame_channel(cap: usize, wake: Option<Wake>) -> (FrameTx, FrameRx) {
+/// A frame channel full at `cap` tuples (at least one), whose sends wait
+/// while it holds `hold` (at most `cap`) plus the overshoot of its last
+/// frame, and ring `wake`.
+pub(crate) fn frame_channel(cap: usize, hold: usize, wake: Option<Wake>) -> (FrameTx, FrameRx) {
     let (tx, rx) = channel();
     let (room_tx, room) = self::wake();
+    let cap = cap.max(1);
     let shared = Arc::new(Shared {
-        cap: cap.max(1),
+        cap,
+        hold: hold.clamp(1, cap),
         queued: AtomicUsize::new(0),
         pool: FramePool::new(POOL_BYTES),
     });
@@ -520,10 +529,11 @@ pub(crate) fn frame_channel(cap: usize, wake: Option<Wake>) -> (FrameTx, FrameRx
 }
 
 impl FrameTx {
-    /// Queues `frame`, waiting while the channel is full, and rings the
-    /// consumer. False when the consumer is gone: the frame is dropped.
+    /// Queues `frame`, waiting while the channel holds `hold` tuples, and
+    /// rings the consumer. False when the consumer is gone: the frame is
+    /// dropped.
     pub(crate) fn send(&self, frame: Frame) -> bool {
-        while self.is_full() {
+        while self.shared.queued.load(Ordering::Relaxed) >= self.shared.hold {
             // A stale ring only costs one more look at the count.
             if self.room.recv().is_err() {
                 return false;
@@ -541,7 +551,8 @@ impl FrameTx {
         true
     }
 
-    /// True when the channel holds `cap` or more tuples: a send would wait.
+    /// True when the channel holds `cap` or more tuples: a send would wait,
+    /// as one already does at a lower hold.
     pub(crate) fn is_full(&self) -> bool {
         self.shared.queued.load(Ordering::Relaxed) >= self.shared.cap
     }
@@ -569,9 +580,9 @@ impl FrameRx {
     }
 
     fn taken(&self, frame: Frame) -> Frame {
-        // Taken from a full channel: the producer may be waiting for room.
+        // Taken from a held channel: the producer may be waiting for room.
         // If this frame did not make enough, the ring costs it one look.
-        if self.shared.queued.fetch_sub(frame.len(), Ordering::Relaxed) >= self.shared.cap {
+        if self.shared.queued.fetch_sub(frame.len(), Ordering::Relaxed) >= self.shared.hold {
             self.room.ring();
         }
         frame
@@ -739,7 +750,7 @@ mod tests {
     fn frame_channel_counts_what_it_holds_and_rings_its_consumer() {
         let frame = |n| Frame::from_tuples(&vec![Tuple::Punct(Punctuation::EndOfStream); n]);
         let (wake, woken) = wake();
-        let (tx, rx) = frame_channel(4, Some(wake));
+        let (tx, rx) = frame_channel(4, 4, Some(wake));
         assert!(tx.send(frame(3)));
         assert_eq!((tx.queued(), tx.is_full()), (3, false));
         assert!(tx.send(frame(1)));
@@ -752,7 +763,7 @@ mod tests {
         assert_eq!(rx.try_recv().unwrap().len(), 1);
         assert_eq!(rx.try_recv().unwrap_err(), TryRecvError::Disconnected);
 
-        let (tx, rx) = frame_channel(1, None);
+        let (tx, rx) = frame_channel(1, 1, None);
         drop(rx);
         assert!(!tx.send(frame(2)), "a send to a gone consumer fails");
         assert_eq!((tx.queued(), tx.is_full()), (0, false));
@@ -762,7 +773,7 @@ mod tests {
     fn a_frame_channel_is_bounded_in_tuples_not_frames() {
         const CAP: usize = 8;
         let row = |i| Tuple::Data(DataTuple::new(i as u64, vec![0.0]));
-        let (tx, rx) = frame_channel(CAP, None);
+        let (tx, rx) = frame_channel(CAP, CAP, None);
         for i in 0..CAP {
             assert!(!tx.is_full(), "{i} one-row frames do not fill {CAP}");
             assert!(tx.send(Frame::from_tuples(&[row(i)])));
@@ -786,7 +797,7 @@ mod tests {
     #[test]
     fn a_full_frame_channel_holds_its_producer_until_there_is_room() {
         let frame = |n| Frame::from_tuples(&vec![Tuple::Punct(Punctuation::EndOfStream); n]);
-        let (tx, rx) = frame_channel(1, None);
+        let (tx, rx) = frame_channel(1, 1, None);
         let (sent_tx, sent) = std::sync::mpsc::channel();
         let producer = std::thread::spawn(move || {
             for n in 1..=2 {
@@ -804,8 +815,28 @@ mod tests {
         producer.join().unwrap();
         assert_eq!(rx.try_recv().unwrap().len(), 2);
 
+        // A channel held below its capacity: the send waits at the hold
+        // while `is_full`, what `try_emit_row` reads, still says no.
+        let (tx, rx) = frame_channel(8, 2, None);
+        let (sent_tx, sent) = std::sync::mpsc::channel();
+        let producer = std::thread::spawn(move || {
+            for n in 1..=2 {
+                assert!(tx.send(frame(2)));
+                assert!(!tx.is_full(), "2 of 8 is not full");
+                sent_tx.send(n).unwrap();
+            }
+        });
+        assert_eq!(sent.recv(), Ok(1));
+        assert!(
+            sent.recv_timeout(Duration::from_millis(100)).is_err(),
+            "a send waits at the hold"
+        );
+        assert_eq!(rx.try_recv().unwrap().len(), 2);
+        assert_eq!(sent.recv(), Ok(2), "taking a frame at the hold rings");
+        producer.join().unwrap();
+
         // A producer waiting for room gives up when the consumer goes.
-        let (tx, rx) = frame_channel(1, None);
+        let (tx, rx) = frame_channel(1, 1, None);
         let (sent_tx, sent) = std::sync::mpsc::channel();
         let producer = std::thread::spawn(move || {
             assert!(tx.send(frame(1)));

@@ -316,3 +316,104 @@ fn consumer_lost_between_capture_and_commit_is_replayed_from_the_last_commit() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// [`CountSource`] without the hold, over a longer stream.
+struct LongSource {
+    next: u64,
+    end: u64,
+}
+
+impl Operator for LongSource {
+    fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
+        if self.next == self.end {
+            return SourceState::Done;
+        }
+        let x = (self.next as f64 * 0.7311).sin() * 1e3;
+        let mut t = DataTuple::new(self.next, vec![x, -x, x * 1e-9]);
+        t.timestamp_ns = self.next * 13 + 5;
+        ctx.emit_row(0, t.row());
+        self.next += 1;
+        SourceState::Emitted
+    }
+}
+
+/// Liveness of the sender's window. The consumer checkpoints at the
+/// default cadence, so its sender stops a window (`netio::send_window`:
+/// a cadence plus 16 frames, 768 entries at batch 16) past the last
+/// acknowledgement. The consumer's first checkpoint write fails, which
+/// doubles its cadence to 1,024 entries — more than the sender will ship
+/// before the next acknowledgement, which only a commit gives. A drained
+/// consumer whose committed watermark lags what it consumed captures at
+/// once, so the stream still drains, and delivers the fault-free sequence.
+#[test]
+fn a_backed_off_consumer_still_acknowledges_a_full_window() {
+    const ROWS: u64 = 3_000;
+    let dir = std::env::temp_dir().join(format!("spca_netfault_window_{}", std::process::id()));
+    let run = |plan: Option<&str>| {
+        let _ = std::fs::remove_dir_all(&dir);
+        let seen: SeenLog = Arc::new(Mutex::new(Vec::new()));
+        let build = || {
+            let mut g = GraphBuilder::new()
+                .with_batch_size(16)
+                .with_channel_capacity(1 << 20);
+            let src = g.add_source("src", Box::new(LongSource { next: 0, end: ROWS }));
+            let sink = g.add_op(
+                "sink",
+                Box::new(Collect {
+                    seen: Arc::clone(&seen),
+                }),
+            );
+            g.connect(src, 0, sink, PortKind::Data);
+            g
+        };
+        let net_a = NetTransport::bind("127.0.0.1:0").expect("bind a");
+        let net_b = NetTransport::bind("127.0.0.1:0").expect("bind b");
+        let mut consumer = build().with_checkpoint_dir(&dir);
+        if let Some(plan) = plan {
+            consumer = consumer.with_fault_plan(FaultPlan::parse(plan).expect("plan"));
+        }
+        let run_b = Engine::start_in_partition(
+            consumer,
+            NetPartition {
+                local_ops: HashSet::from(["sink".to_string()]),
+                net: Arc::clone(&net_b),
+                peers: HashMap::new(),
+                rehydrate: false,
+            },
+        );
+        let run_a = Engine::start_in_partition(
+            build(),
+            NetPartition {
+                local_ops: HashSet::from(["src".to_string()]),
+                net: Arc::clone(&net_a),
+                peers: HashMap::from([(0, net_b.local_addr())]),
+                rehydrate: false,
+            },
+        );
+        // A sender left waiting at its window never lets the consumer
+        // finish: fail, rather than hang, on that.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !run_b.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{plan:?}: the stream stalled at {} of {ROWS} tuples",
+                lock(&seen).len()
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        run_a.join();
+        let report = run_b.join();
+        let delivered = lock(&seen).clone();
+        (delivered, report)
+    };
+
+    let (clean, _) = run(None);
+    assert_eq!(clean.len() as u64, ROWS, "fault-free run lost tuples");
+    let (faulted, report) = run(Some("io-enospc@pe:1"));
+    assert_eq!(report.total(Counter::CheckpointSkips), 1, "{report:?}");
+    assert_eq!(
+        faulted, clean,
+        "a consumer whose cadence backed off must still deliver the fault-free stream"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -281,7 +281,8 @@ is the default. run reads exactly one of --input, --listen, --url.
   five operations). The run degrades instead of dying: failed
   checkpoints are skipped with backoff, torn or rotted generations are
   quarantined to *.corrupt-N and recovery falls back to the previous
-  one. Every absorbed fault shows up in the
+  one. Storage faults need --snapshot-dir: without it run writes no
+  checkpoint for them to strike. Every absorbed fault shows up in the
   fault summary and /metrics (spca_io_faults, spca_quarantined_snapshots,
   spca_checkpoint_skips).
 
@@ -600,6 +601,24 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         .get("faults")
         .map(|spec| FaultPlan::parse(spec).map_err(|e| format!("--faults: {e}")))
         .transpose()?;
+    // A fault that could strike nothing this run does is refused: `run`
+    // opens no socket link, and writes no checkpoint without a directory.
+    if let Some(plan) = &faults {
+        if plan.wire_spec().is_some() {
+            return Err(
+                "--faults: net-drop-conn@ and net-partial-write@ strike a socket \
+                        link, and run opens none"
+                    .to_string(),
+            );
+        }
+        if plan.io_spec().is_some() && opts.get("snapshot-dir").is_none() {
+            return Err(
+                "--faults: io-* faults strike PE checkpoint writes, and run \
+                        writes none without --snapshot-dir"
+                    .to_string(),
+            );
+        }
+    }
     let serve_addr: Option<SocketAddr> = opts.opt("serve")?;
     let threads: usize = opts.value("serve-threads")?;
     let rate_limit = match opts.opt::<f64>("rate-limit")? {

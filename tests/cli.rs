@@ -142,6 +142,62 @@ fn bad_fault_spec_is_rejected_and_named() {
 }
 
 #[test]
+fn run_rejects_wire_faults_it_opens_no_link_for() {
+    // Parsed before any input I/O, so no file is needed.
+    for plan in [
+        "net-drop-conn@link:1",
+        "panic@engine1:5,net-partial-write@link:2",
+    ] {
+        let out = spca(&[
+            "run",
+            "--input",
+            "nonexistent.csv",
+            "--faults",
+            plan,
+            "--snapshot-dir",
+            "/tmp/does-not-matter",
+        ]);
+        assert!(!out.status.success(), "'{plan}': expected nonzero exit");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--faults") && stderr.contains("socket link"),
+            "'{plan}': stderr must name the flag and why, got: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn run_rejects_storage_faults_without_a_snapshot_dir() {
+    for plan in [
+        "io-enospc@pe:1",
+        "io-torn@pe:2",
+        "io-fsync-err",
+        "io-crash@op:8",
+    ] {
+        let out = spca(&["run", "--input", "nonexistent.csv", "--faults", plan]);
+        assert!(!out.status.success(), "'{plan}': expected nonzero exit");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--faults") && stderr.contains("--snapshot-dir"),
+            "'{plan}': stderr must name both flags, got: {stderr}"
+        );
+    }
+    // With a directory the plan is accepted: the run fails on its input.
+    let out = spca(&[
+        "run",
+        "--input",
+        "nonexistent.csv",
+        "--faults",
+        "io-enospc@pe:1",
+        "--snapshot-dir",
+        "/tmp/does-not-matter",
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("does not exist"), "got: {stderr}");
+}
+
+#[test]
 fn fault_flags_pass_the_allow_list() {
     // A valid spec with a missing input must fail on the *input*, proving
     // --faults and --snapshot-dir themselves were accepted.
