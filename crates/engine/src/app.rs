@@ -219,7 +219,7 @@ impl ParallelPcaApp {
         }
 
         let src = g.add_source("source", source);
-        let split_op = Split::new(cfg.split).with_active_set(Arc::clone(&active));
+        let split_op = Split::new(cfg.split, Arc::clone(&active));
         let split = g.add_op("split", Box::new(split_op));
         g.connect(src, 0, split, PortKind::Data);
 

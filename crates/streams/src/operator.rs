@@ -97,10 +97,6 @@ pub(crate) trait EmitSink {
     fn n_ports(&self) -> usize;
     /// True once the engine has requested a cooperative stop.
     fn stop_requested(&self) -> bool;
-    /// Flushes any transport-level output batching so previously emitted
-    /// tuples become visible downstream immediately. Default: no-op (test
-    /// sinks and fused hand-offs have no buffering).
-    fn flush_downstream(&mut self) {}
 }
 
 /// The context passed to every operator callback.
@@ -139,14 +135,6 @@ impl<'a> OpContext<'a> {
     /// [`emit_row`](Self::emit_row).
     pub fn emit_control(&mut self, port: usize, c: ControlTuple) {
         self.sink.emit_control(port, c);
-    }
-
-    /// Forces any transport-level output batching to flush now. Control
-    /// tuples and end-of-stream flush on their own; call this only when a
-    /// *data* tuple must be visible downstream before the operator returns
-    /// (e.g. a snapshot emitted mid-stream that a monitor is waiting on).
-    pub fn flush(&mut self) {
-        self.sink.flush_downstream();
     }
 
     /// Number of output ports wired to this operator.

@@ -103,15 +103,6 @@ pub trait ConnHandler: Send {
     fn handle(&mut self, req: &Request<'_>, resp: &mut ResponseBuf);
 }
 
-/// Token-bucket admission control per client IP.
-#[derive(Debug, Clone, Copy)]
-pub struct RateLimitConfig {
-    /// Sustained requests/second allowed per client.
-    pub per_sec: f64,
-    /// Burst capacity (bucket size) in requests.
-    pub burst: f64,
-}
-
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -119,8 +110,9 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Bounded accept-queue depth; connections beyond it are shed 429.
     pub queue_depth: usize,
-    /// Optional per-client token bucket.
-    pub rate_limit: Option<RateLimitConfig>,
+    /// Optional per-client token bucket: sustained requests per second,
+    /// with a burst of twice that (at least one request).
+    pub rate_limit: Option<f64>,
     /// Keep-alive idle timeout before a worker closes the connection.
     pub idle_timeout: Duration,
     /// Total budget for receiving one complete request (head + body)
@@ -167,7 +159,9 @@ struct BucketTable {
 }
 
 struct RateLimiter {
-    cfg: RateLimitConfig,
+    per_sec: f64,
+    /// Bucket size in requests.
+    burst: f64,
     /// A bucket idle this long has fully refilled, so evicting it is
     /// indistinguishable from keeping it — sweeping keeps the per-IP map
     /// bounded under a churn of distinct client addresses.
@@ -176,10 +170,12 @@ struct RateLimiter {
 }
 
 impl RateLimiter {
-    fn new(cfg: RateLimitConfig) -> Self {
-        let refill_secs = (cfg.burst / cfg.per_sec).clamp(1.0, 300.0);
+    fn new(per_sec: f64) -> Self {
+        let burst = (2.0 * per_sec).max(1.0);
+        let refill_secs = (burst / per_sec).clamp(1.0, 300.0);
         RateLimiter {
-            cfg,
+            per_sec,
+            burst,
             stale_after: Duration::from_secs_f64(refill_secs),
             buckets: Mutex::new(BucketTable {
                 map: HashMap::new(),
@@ -200,18 +196,18 @@ impl RateLimiter {
                 .retain(|_, b| now.duration_since(b.last) < stale);
         }
         let b = buckets.map.entry(peer).or_insert(Bucket {
-            tokens: self.cfg.burst,
+            tokens: self.burst,
             last: now,
         });
         let dt = now.duration_since(b.last).as_secs_f64();
         b.last = now;
-        b.tokens = (b.tokens + dt * self.cfg.per_sec).min(self.cfg.burst);
+        b.tokens = (b.tokens + dt * self.per_sec).min(self.burst);
         if b.tokens >= 1.0 {
             b.tokens -= 1.0;
             Ok(())
         } else {
             let deficit = 1.0 - b.tokens;
-            Err((deficit / self.cfg.per_sec).ceil().max(1.0) as u32)
+            Err((deficit / self.per_sec).ceil().max(1.0) as u32)
         }
     }
 }
@@ -755,10 +751,7 @@ mod tests {
     #[test]
     fn token_bucket_rate_limits_per_client() {
         let server = start(ServerConfig {
-            rate_limit: Some(RateLimitConfig {
-                per_sec: 0.5,
-                burst: 2.0,
-            }),
+            rate_limit: Some(1.0),
             ..ServerConfig::default()
         });
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
@@ -837,10 +830,7 @@ mod tests {
 
     #[test]
     fn rate_limiter_evicts_stale_buckets() {
-        let limiter = RateLimiter::new(RateLimitConfig {
-            per_sec: 10.0,
-            burst: 10.0,
-        });
+        let limiter = RateLimiter::new(10.0);
         for i in 0..100u32 {
             let _ = limiter.check(IpAddr::from([10, 0, (i >> 8) as u8, i as u8]));
         }

@@ -14,9 +14,7 @@ pub mod source;
 pub mod split;
 
 pub use http::HttpSource;
-pub use http_server::{
-    ConnHandler, HttpServer, RateLimitConfig, Request, ResponseBuf, ServerConfig, ServerStats,
-};
+pub use http_server::{ConnHandler, HttpServer, Request, ResponseBuf, ServerConfig, ServerStats};
 pub use net::TcpSource;
 pub use sink::{CallbackSink, CollectSink};
 pub use source::{CsvFileSource, GeneratorSource, LineSource};

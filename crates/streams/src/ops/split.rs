@@ -53,37 +53,24 @@ pub struct Split {
     picks: u64,
     /// Tuples that had to block because every target was full.
     pub blocked: u64,
-    /// Elastic membership: when set, only ports `0..active()` receive
-    /// traffic (standby engines past the boundary see no tuples until the
+    /// Elastic membership: only ports `0..active()` receive traffic
+    /// (standby engines past the boundary see no tuples until the
     /// autoscaler admits them).
-    active: Option<Arc<ActiveSet>>,
+    active: Arc<ActiveSet>,
 }
 
 impl Split {
-    /// A splitter with the given strategy. Output port `i` feeds engine `i`.
-    pub fn new(strategy: SplitStrategy) -> Self {
+    /// A splitter with the given strategy, routing over the membership
+    /// prefix: output port `i` feeds engine `i`, and only ports
+    /// `0..active.active()` receive tuples. The autoscaler re-targets the
+    /// split by moving the boundary — no graph mutation.
+    pub fn new(strategy: SplitStrategy, active: Arc<ActiveSet>) -> Self {
         Split {
             strategy,
             next_rr: 0,
             picks: 0,
             blocked: 0,
-            active: None,
-        }
-    }
-
-    /// Restricts routing to the active-membership prefix: only ports
-    /// `0..active.active()` receive tuples. The autoscaler re-targets the
-    /// split by moving the boundary — no graph mutation.
-    pub fn with_active_set(mut self, active: Arc<ActiveSet>) -> Self {
-        self.active = Some(active);
-        self
-    }
-
-    /// Ports currently eligible for traffic out of `n` wired ports.
-    fn active_of(&self, n: usize) -> usize {
-        match &self.active {
-            Some(a) => a.active().min(n).max(1),
-            None => n,
+            active,
         }
     }
 
@@ -115,7 +102,7 @@ impl Operator for Split {
         for row in rows {
             // Read once per row: the pick and the shed loop below agree on
             // the boundary even while an autoscaler moves it.
-            let active = self.active_of(n);
+            let active = self.active.active().min(n).max(1);
             let first = self.pick(n, active);
             // Try the chosen target, then the rest of the *active* set in
             // cyclic order; block on the original choice only if all are
@@ -169,7 +156,7 @@ mod tests {
 
     #[test]
     fn round_robin_balances_exactly() {
-        let mut s = Split::new(SplitStrategy::RoundRobin);
+        let mut s = Split::new(SplitStrategy::RoundRobin, ActiveSet::new(4, 4));
         let sink = feed(&mut s, 4, 100);
         for p in 0..4 {
             assert_eq!(sink.data_at(p).len(), 25, "port {p}");
@@ -178,7 +165,7 @@ mod tests {
 
     #[test]
     fn random_balances_statistically() {
-        let mut s = Split::new(SplitStrategy::Random);
+        let mut s = Split::new(SplitStrategy::Random, ActiveSet::new(4, 4));
         let sink = feed(&mut s, 4, 4000);
         for p in 0..4 {
             let n = sink.data_at(p).len();
@@ -188,7 +175,7 @@ mod tests {
 
     #[test]
     fn no_tuple_lost_or_duplicated() {
-        let mut s = Split::new(SplitStrategy::Random);
+        let mut s = Split::new(SplitStrategy::Random, ActiveSet::new(3, 3));
         let sink = feed(&mut s, 3, 1000);
         let mut seqs: Vec<u64> = (0..3)
             .flat_map(|p| sink.data_at(p).into_iter().map(|d| d.seq))
@@ -199,7 +186,7 @@ mod tests {
 
     #[test]
     fn full_target_sheds_to_next() {
-        let mut s = Split::new(SplitStrategy::RoundRobin);
+        let mut s = Split::new(SplitStrategy::RoundRobin, ActiveSet::new(2, 2));
         let counters = OpCounters::default();
         let mut sink = CaptureSink::new(2);
         sink.full_ports[0] = true; // engine 0 saturated
@@ -216,7 +203,7 @@ mod tests {
 
     #[test]
     fn all_full_blocks_and_counts() {
-        let mut s = Split::new(SplitStrategy::Random);
+        let mut s = Split::new(SplitStrategy::Random, ActiveSet::new(2, 2));
         let counters = OpCounters::default();
         let mut sink = CaptureSink::new(2);
         sink.full_ports = vec![true, true];
@@ -236,13 +223,13 @@ mod tests {
         // replaced by a restored instance mid-stream. The per-port tuple
         // sequences must match exactly — the restored split continues at
         // the checkpointed pick index.
-        let mut whole = Split::new(SplitStrategy::Random);
+        let mut whole = Split::new(SplitStrategy::Random, ActiveSet::new(4, 4));
         let expected = feed(&mut whole, 4, 300);
 
-        let mut first_half = Split::new(SplitStrategy::Random);
+        let mut first_half = Split::new(SplitStrategy::Random, ActiveSet::new(4, 4));
         let sink_a = feed(&mut first_half, 4, 120);
         let bytes = Checkpoint::snapshot(&first_half);
-        let mut second_half = Split::new(SplitStrategy::Random);
+        let mut second_half = Split::new(SplitStrategy::Random, ActiveSet::new(4, 4));
         second_half.restore(&bytes).unwrap();
         let sink_b = with_ctx(4, |ctx| {
             for seq in 120..300 {
@@ -264,7 +251,7 @@ mod tests {
             ("picks", (1u64 << 40).to_string()),
             ("blocked", "0".to_string()),
         ]);
-        let mut late = Split::new(SplitStrategy::Random);
+        let mut late = Split::new(SplitStrategy::Random, ActiveSet::new(4, 4));
         late.restore(&far).unwrap();
         let sink = feed(&mut late, 4, 1);
         assert_eq!((0..4).map(|p| sink.data_at(p).len()).sum::<usize>(), 1);
@@ -273,10 +260,10 @@ mod tests {
 
     #[test]
     fn round_robin_split_restores_its_cursor() {
-        let mut s = Split::new(SplitStrategy::RoundRobin);
+        let mut s = Split::new(SplitStrategy::RoundRobin, ActiveSet::new(4, 4));
         feed(&mut s, 4, 7); // cursor now mid-cycle at 7 % 4 == 3
         let bytes = Checkpoint::snapshot(&s);
-        let mut restored = Split::new(SplitStrategy::RoundRobin);
+        let mut restored = Split::new(SplitStrategy::RoundRobin, ActiveSet::new(4, 4));
         restored.restore(&bytes).unwrap();
         let sink = feed(&mut restored, 4, 1);
         assert_eq!(sink.data_at(3).len(), 1);
@@ -285,7 +272,7 @@ mod tests {
     #[test]
     fn active_set_confines_traffic_to_the_prefix() {
         let active = ActiveSet::new(2, 4);
-        let mut s = Split::new(SplitStrategy::Random).with_active_set(Arc::clone(&active));
+        let mut s = Split::new(SplitStrategy::Random, Arc::clone(&active));
         let sink = feed(&mut s, 4, 400);
         assert!(sink.data_at(0).len() > 100);
         assert!(sink.data_at(1).len() > 100);
@@ -296,7 +283,7 @@ mod tests {
     #[test]
     fn admitted_engine_starts_receiving_and_retired_engine_stops() {
         let active = ActiveSet::new(1, 3);
-        let mut s = Split::new(SplitStrategy::RoundRobin).with_active_set(Arc::clone(&active));
+        let mut s = Split::new(SplitStrategy::RoundRobin, Arc::clone(&active));
         let sink1 = feed(&mut s, 3, 10);
         assert_eq!(sink1.data_at(0).len(), 10);
         active.set_active(3); // scale out
@@ -313,7 +300,7 @@ mod tests {
     #[test]
     fn active_set_shed_path_never_touches_standby_ports() {
         let active = ActiveSet::new(2, 3);
-        let mut s = Split::new(SplitStrategy::Random).with_active_set(Arc::clone(&active));
+        let mut s = Split::new(SplitStrategy::Random, Arc::clone(&active));
         let counters = OpCounters::default();
         let mut sink = CaptureSink::new(3);
         sink.full_ports = vec![true, true, false]; // only the standby is open
@@ -338,7 +325,7 @@ mod tests {
         // the consumed sequence.
         let mk = || {
             let active = ActiveSet::new(1, 4);
-            let s = Split::new(SplitStrategy::Random).with_active_set(Arc::clone(&active));
+            let s = Split::new(SplitStrategy::Random, Arc::clone(&active));
             (s, active)
         };
         let (mut whole, active_w) = mk();

@@ -24,8 +24,8 @@
 use spca_alloc_count::{allocations, track_all, CountingAlloc};
 use spca_streams::ops::{CsvFileSource, Split, SplitStrategy};
 use spca_streams::{
-    encode_frame, DataTuple, Engine, GraphBuilder, NetPartition, NetTransport, OpContext, Operator,
-    PortKind, Punctuation, Rows, Tuple, DEFAULT_BATCH_SIZE, WIRE_VERSION,
+    encode_frame, ActiveSet, DataTuple, Engine, GraphBuilder, NetPartition, NetTransport,
+    OpContext, Operator, PortKind, Punctuation, Rows, Tuple, DEFAULT_BATCH_SIZE, WIRE_VERSION,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -143,7 +143,7 @@ fn split_to_engines(meter: &Arc<Meter>) {
 
     let mut g = GraphBuilder::new().with_channel_capacity(DEFAULT_BATCH_SIZE);
     let src = g.add_source("source", Box::new(CsvFileSource::new(&path)));
-    let split = Split::new(SplitStrategy::Random);
+    let split = Split::new(SplitStrategy::Random, ActiveSet::new(2, 2));
     let split = g.add_op("split", Box::new(CountedSplit(split, Arc::clone(meter))));
     g.connect(src, 0, split, PortKind::Data);
     for e in 0..2 {

@@ -38,7 +38,7 @@ fn route(
     by_rows: bool,
 ) -> (Vec<Vec<u64>>, u64, Vec<u8>) {
     let active = ActiveSet::new(n_ports, n_ports);
-    let mut split = Split::new(strategy).with_active_set(Arc::clone(&active));
+    let mut split = Split::new(strategy, Arc::clone(&active));
     let mut sink = CaptureSink::new(n_ports);
     let mut seq = 0u64;
     for (rows, full, live) in frames {

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use spca_streams::ops::{Split, SplitStrategy};
 use spca_streams::{
-    lock, DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, Rows, SourceState,
+    lock, ActiveSet, DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, Rows,
+    SourceState,
 };
 use std::sync::{Arc, Mutex};
 
@@ -117,7 +118,10 @@ proptest! {
             0 => SplitStrategy::Random,
             _ => SplitStrategy::RoundRobin,
         };
-        let split = g.add_op("split", Box::new(Split::new(strategy)));
+        let split = g.add_op("split", Box::new(Split::new(
+            strategy,
+            ActiveSet::new(t.n_branches, t.n_branches),
+        )));
         g.connect(prev, 0, split, PortKind::Data);
         all_ops.push(split);
 

@@ -4,8 +4,8 @@
 
 use spca_streams::ops::{Split, SplitStrategy};
 use spca_streams::{
-    lock, ControlTuple, DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, Rows,
-    SourceState,
+    lock, ActiveSet, ControlTuple, DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind,
+    Rows, SourceState,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -108,7 +108,13 @@ fn round_robin_counts_are_exact_across_batch_sizes() {
             .with_batch_size(batch)
             .with_channel_capacity(N as usize);
         let src = g.add_source("src", Box::new(CountSource { n: N, next: 0 }));
-        let split = g.add_op("split", Box::new(Split::new(SplitStrategy::RoundRobin)));
+        let split = g.add_op(
+            "split",
+            Box::new(Split::new(
+                SplitStrategy::RoundRobin,
+                ActiveSet::new(BRANCHES, BRANCHES),
+            )),
+        );
         g.connect(src, 0, split, PortKind::Data);
         let mut stores = Vec::new();
         for b in 0..BRANCHES {
@@ -155,7 +161,10 @@ fn delivered_multiset_is_batch_invariant() {
                 .with_batch_size(batch)
                 .with_channel_capacity(N as usize);
             let src = g.add_source("src", Box::new(CountSource { n: N, next: 0 }));
-            let split = g.add_op("split", Box::new(Split::new(strategy)));
+            let split = g.add_op(
+                "split",
+                Box::new(Split::new(strategy, ActiveSet::new(3, 3))),
+            );
             g.connect(src, 0, split, PortKind::Data);
             let mut stores = Vec::new();
             for b in 0..3 {
@@ -282,25 +291,30 @@ fn eos_flushes_partial_batch() {
     assert_eq!(tuples, vec![6, 6]);
 }
 
-/// `OpContext::flush` makes buffered data visible downstream while the
-/// emitting operator keeps running (no EOS, no control tuple).
+/// A live source that goes idle has its buffered rows flushed downstream
+/// while it keeps running (no EOS, no control tuple, a batch far from full):
+/// the consumer's acknowledgement is what lets the source finish. A source
+/// still waiting after 10 s gives up, and the test fails instead of hanging.
 #[test]
-fn explicit_flush_makes_data_visible() {
-    struct FlushingSource {
-        sent: bool,
+fn a_live_idle_sources_buffered_rows_reach_the_consumer() {
+    struct IdlingSource {
+        sent: Option<std::time::Instant>,
         done: Arc<AtomicBool>,
+        gave_up: Arc<AtomicBool>,
     }
-    impl Operator for FlushingSource {
+    impl Operator for IdlingSource {
         fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
-            if !self.sent {
-                self.sent = true;
+            let Some(sent) = self.sent else {
+                self.sent = Some(std::time::Instant::now());
                 for seq in 0..3 {
                     ctx.emit_row(0, DataTuple::new(seq, vec![]).row());
                 }
-                ctx.flush();
                 return SourceState::Emitted;
-            }
+            };
             if self.done.load(Ordering::SeqCst) {
+                SourceState::Done
+            } else if sent.elapsed() > std::time::Duration::from_secs(10) {
+                self.gave_up.store(true, Ordering::SeqCst);
                 SourceState::Done
             } else {
                 SourceState::Idle
@@ -323,13 +337,15 @@ fn explicit_flush_makes_data_visible() {
         }
     }
     let done = Arc::new(AtomicBool::new(false));
+    let gave_up = Arc::new(AtomicBool::new(false));
     let got = Arc::new(Mutex::new(Vec::new()));
     let mut g = GraphBuilder::new().with_batch_size(1024);
     let src = g.add_source(
         "src",
-        Box::new(FlushingSource {
-            sent: false,
+        Box::new(IdlingSource {
+            sent: None,
             done: Arc::clone(&done),
+            gave_up: Arc::clone(&gave_up),
         }),
     );
     let sink = g.add_op(
@@ -341,6 +357,12 @@ fn explicit_flush_makes_data_visible() {
     );
     g.connect(src, 0, sink, PortKind::Data);
     Engine::run(g);
+    // Finishing flushes the rows too, so a source that gave up would still
+    // have delivered them.
+    assert!(
+        !gave_up.load(Ordering::SeqCst),
+        "the rows reached the consumer only with end-of-stream"
+    );
     assert_eq!(lock(&got).clone(), vec![0, 1, 2]);
 }
 

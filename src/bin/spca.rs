@@ -20,7 +20,7 @@ use astro_stream_pca::engine::{
     FaultCounters, ParallelPcaApp, ServeShared, SyncStrategy,
 };
 use astro_stream_pca::spectra::{io, GalaxyGenerator};
-use astro_stream_pca::streams::ops::http_server::{HttpServer, RateLimitConfig, ServerConfig};
+use astro_stream_pca::streams::ops::http_server::{HttpServer, ServerConfig};
 use astro_stream_pca::streams::ops::{CsvFileSource, HttpSource, TcpSource};
 use astro_stream_pca::streams::{
     csv, Engine, FaultPlan, GraphBuilder, Operator, RunReport, DEFAULT_BATCH_SIZE,
@@ -621,15 +621,10 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     }
     let serve_addr: Option<SocketAddr> = opts.opt("serve")?;
     let threads: usize = opts.value("serve-threads")?;
-    let rate_limit = match opts.opt::<f64>("rate-limit")? {
-        Some(per_sec) if !per_sec.is_finite() || per_sec <= 0.0 => {
-            return Err("--rate-limit must be a positive request rate".to_string());
-        }
-        per_sec => per_sec.map(|per_sec| RateLimitConfig {
-            per_sec,
-            burst: (2.0 * per_sec).max(1.0),
-        }),
-    };
+    let rate_limit: Option<f64> = opts.opt("rate-limit")?;
+    if rate_limit.is_some_and(|per_sec| !per_sec.is_finite() || per_sec <= 0.0) {
+        return Err("--rate-limit must be a positive request rate".to_string());
+    }
     let engines: usize = opts.value("engines")?;
     let elastic_ms: Option<u64> = opts.opt("elastic")?;
     let mut max_engines = engines.saturating_mul(2).max(2);
